@@ -93,10 +93,15 @@ let remote_arg =
   in
   Arg.(value & flag & info [ "remote" ] ~doc)
 
-(* Kept as top-level names: the non-pipeline commands (validate-depths,
-   autotune, partition, dot, report, tile) take these à la carte. *)
-let fuse_arg = Common.fuse_arg
-let jobs_arg = Common.jobs_arg
+let seed_arg =
+  Arg.(value & opt int Request.default_options.seed
+       & info [ "seed" ] ~doc:"Random seed for generated input data.")
+
+let fault_seed_arg =
+  Arg.(value & opt int 1
+       & info [ "fault-seed" ] ~docv:"N"
+           ~doc:"Seed of the injected fault timeline (with $(b,--inject)). The whole \
+                 perturbation sequence is a pure function of (seed, plan).")
 
 (* --jobs 0 = auto. Campaign/probe/sweep call sites take the resolved
    count; the engine config keeps the raw value (its 0 means the same
@@ -115,17 +120,21 @@ let exit_diags ~json ds =
   emit_diags ~json ds;
   exit (Diag.exit_code ds)
 
-(* Run a pass list from an empty context; on failure print the executed
-   prefix's trace (if requested) and the diagnostics, and exit with the
-   stable code. On success, warnings are reported but do not change the
+(* The request a pipeline command line describes: the same value runs
+   in-process, travels over --remote, or is what serve decodes. *)
+let request ?(fuse = false) ?(optimize = false) ?devices ?seed ?max_cycles verb path width =
+  let d = Request.default_options in
+  let seed = Option.value seed ~default:d.Request.seed in
+  Request.make verb (Request.File path)
+    ~options:{ d with width; fuse; optimize; devices; seed; max_cycles }
+
+(* Run a request in-process; on failure print the executed prefix's
+   trace (if requested) and the diagnostics, and exit with the stable
+   code. On success, warnings are reported but do not change the
    caller's flow. With --cache-dir, passes run against a disk-backed
    content-addressed cache and --trace-passes appends its hit/miss
    summary. *)
-let pp_cache_stats fmt (s : Cache.stats) =
-  Format.fprintf fmt "cache: %d hit(s), %d miss(es), %d stale@." (s.Cache.hits + s.Cache.joined)
-    s.Cache.misses s.Cache.stale
-
-let run_pipeline ?device ?sim_config ?inputs ~(common : Common.t) passes =
+let run_local ?config ~(common : Common.t) request =
   let hooks =
     match common.Common.dump_ir with
     | Some dir -> Passes.dump_hook ~dir
@@ -139,13 +148,15 @@ let run_pipeline ?device ?sim_config ?inputs ~(common : Common.t) passes =
   let emit_trace trace =
     if common.Common.trace_passes then begin
       Format.printf "%a" Pass_manager.pp_trace trace;
-      match cache with
-      | Some c -> Format.printf "%a" pp_cache_stats (Cache.stats c)
-      | None -> ()
+      Option.iter
+        (fun c ->
+          let s = Cache.stats c in
+          Format.printf "cache: %d hit(s), %d miss(es), %d stale@." (s.Cache.hits + s.Cache.joined)
+            s.Cache.misses s.Cache.stale)
+        cache
     end
   in
-  let ctx = Ctx.create ?device ?sim_config ?inputs () in
-  match Pass_manager.run ~hooks ?cache passes ctx with
+  match Request.run ?config ~hooks ?cache request with
   | Ok (ctx, trace) ->
       emit_trace trace;
       ctx
@@ -153,54 +164,40 @@ let run_pipeline ?device ?sim_config ?inputs ~(common : Common.t) passes =
       emit_trace trace;
       exit_diags ~json:common.Common.diag_json ds
 
-(* --remote: spawn a serve child, send the single request this command
-   would have executed locally, print the raw response line, and exit 0
-   when the response reports ok. A child that dies mid-stream (no
-   response line, or a broken request pipe) is retried a bounded number
-   of times with backoff — each retry spawns a fresh child. *)
+(* --remote: spawn a serve child, send the request this command would
+   have run locally, print the raw response line, and exit 0 when the
+   response reports ok. Flags that only shape a local run (rendering,
+   instrumentation, engine mode) cannot travel with the request and are
+   rejected up front. A child that dies mid-stream (no response line, or
+   a broken request pipe) is retried a bounded number of times with
+   backoff — each retry spawns a fresh child. *)
 let remote_attempts = 3
 
-let remote_eval ~verb ~path ~(common : Common.t) ?width ?devices ?seed ?max_cycles () =
+let remote_eval ~(common : Common.t) ?(local_only = []) request =
+  let local_only =
+    [ ("--dump-ir", common.Common.dump_ir <> None); ("--trace-passes", common.Common.trace_passes) ]
+    @ local_only
+  in
+  (match List.filter_map (fun (flag, set) -> if set then Some flag else None) local_only with
+  | [] -> ()
+  | flags ->
+      exit_diags ~json:common.Common.diag_json
+        [
+          Diag.errorf ~code:Diag.Code.format "--remote cannot carry local-only flag(s): %s"
+            (String.concat ", " flags);
+        ]);
   (* A dead child must surface as EOF/EPIPE on the pipes, not kill this
      process with an unhandled SIGPIPE. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let options =
-    [ ("fuse", Json.Bool common.Common.fuse); ("optimize", Json.Bool common.Common.optimize) ]
-    @ (match width with Some w -> [ ("width", Json.Int w) ] | None -> [])
-    @ (match devices with Some n -> [ ("devices", Json.Int n) ] | None -> [])
-    @ (match seed with Some n -> [ ("seed", Json.Int n) ] | None -> [])
-    @ match max_cycles with Some n -> [ ("max_cycles", Json.Int n) ] | None -> []
-  in
-  let request =
-    Json.to_string ~minify:true
-      (Json.Obj
-         [
-           ("verb", Json.String verb);
-           ("program_file", Json.String path);
-           ("options", Json.Obj options);
-         ])
-  in
+  let request = Json.to_string ~minify:true (Request.to_json request) in
   let exe = Sys.executable_name in
   let argv =
-    [| exe; "serve" |]
-    |> Array.to_list
-    |> (fun base ->
-         base
-         @ match common.Common.cache_dir with Some d -> [ "--cache-dir"; d ] | None -> [])
-    |> Array.of_list
+    Array.of_list
+      ([ exe; "serve" ]
+      @ match common.Common.cache_dir with Some d -> [ "--cache-dir"; d ] | None -> [])
   in
-  (* cloexec on every end: create_process dup2s req_read/resp_write onto
-     the child's stdin/stdout (clearing the flag on those), and the
-     parent's ends must NOT leak into the child or its stdin never sees
-     EOF and it outlives the session. *)
   let attempt () =
-    let req_read, req_write = Unix.pipe ~cloexec:true () in
-    let resp_read, resp_write = Unix.pipe ~cloexec:true () in
-    let pid = Unix.create_process exe argv req_read resp_write Unix.stderr in
-    Unix.close req_read;
-    Unix.close resp_write;
-    let oc = Unix.out_channel_of_descr req_write in
-    let ic = Unix.in_channel_of_descr resp_read in
+    let ic, oc = Unix.open_process_args exe argv in
     let resp =
       (* A child dying before (or while) reading the request raises
          Sys_error (EPIPE) on the write; a child dying before answering
@@ -211,9 +208,7 @@ let remote_eval ~verb ~path ~(common : Common.t) ?width ?devices ?seed ?max_cycl
         In_channel.input_line ic
       with Sys_error _ -> None
     in
-    close_out_noerr oc;
-    close_in_noerr ic;
-    ignore (Unix.waitpid [] pid);
+    ignore (Unix.close_process (ic, oc));
     resp
   in
   let rec go n =
@@ -232,49 +227,29 @@ let remote_eval ~verb ~path ~(common : Common.t) ?width ?devices ?seed ?max_cycl
   in
   let line = go 1 in
   print_endline line;
-  let ok =
-    match Json.parse line with
-    | Ok json -> ( match Json.member "ok" json with Some (Json.Bool b) -> b | _ -> false)
-    | Error _ -> false
-  in
-  exit (if ok then 0 else 1)
+  exit
+    (match Result.map (Json.member "ok") (Json.parse line) with
+    | Ok (Some (Json.Bool true)) -> 0
+    | _ -> 1)
 
-(* Fusion runs before the optimiser so fold-cse sees (and re-shares) the
-   substituted fused bodies — the same order as Sdfg.Pipeline.default_pipeline. *)
-let frontend_passes ?(optimize = false) path width fuse =
-  [ Passes.load_file path ]
-  @ (match width with Some w -> [ Passes.vectorize w ] | None -> [])
-  @ (if fuse then [ Passes.fuse () ] else [])
-  @ if optimize then [ Passes.optimize () ] else []
-
-(* Shared loader for the commands that do not run through the pass
-   manager; failures still carry coded diagnostics. *)
-let load path width =
-  match load_file path with
+(* The context after a request's frontend passes (load, vectorize,
+   fuse) — how the commands that render a program obtain it. *)
+let frontend ?fuse path width =
+  match Request.frontend (request ?fuse `Analyze path width) with
+  | Ok ctx -> ctx
   | Error ds -> exit_diags ~json:false ds
-  | Ok p -> ( match width with None -> p | Some w -> Vectorize.apply p w)
 
-let with_fusion fuse p = if fuse then fst (Fusion.fuse_all p) else p
-
-let the_program (ctx : Ctx.t) =
-  match ctx.Ctx.program with
-  | Some p -> p
-  | None -> invalid_arg "pipeline finished without a program"
+let load ?fuse path width = Option.get (frontend ?fuse path width).Ctx.program
 
 let analyze_cmd =
-  let run path width (common : Common.t) remote =
-    if remote then remote_eval ~verb:"analyze" ~path ~common ?width ()
+  let run path width ({ Common.fuse; optimize; _ } as common) remote =
+    let request = request `Analyze path width ~fuse ~optimize in
+    if remote then remote_eval ~common request
     else begin
-      let ctx =
-        run_pipeline ~common
-          (frontend_passes ~optimize:common.Common.optimize path width common.Common.fuse
-          @ [ Passes.delay_buffers ])
-      in
-      let p = the_program ctx in
-      let analysis = match ctx.Ctx.analysis with Some a -> a | None -> assert false in
-      Format.printf "%a@." Delay_buffer.pp analysis;
-      let counts = Op_count.of_program p in
-      Format.printf "%a@." Op_count.pp counts;
+      let ctx = run_local ~common request in
+      let p = Option.get ctx.Ctx.program in
+      Format.printf "%a@." Delay_buffer.pp (Option.get ctx.Ctx.analysis);
+      Format.printf "%a@." Op_count.pp (Op_count.of_program p);
       Format.printf "arithmetic intensity: %.3f Op/operand, %.3f Op/B@."
         (Op_count.ai_ops_per_operand p) (Op_count.ai_ops_per_byte p);
       Format.printf "expected cycles (Eq. 1): %d@." (Runtime_model.expected_cycles p);
@@ -283,8 +258,7 @@ let analyze_cmd =
       let a, f, m, d = Resource.utilization Device.stratix10 usage in
       Format.printf "utilization on %s: ALM %.1f%%, FF %.1f%%, M20K %.1f%%, DSP %.1f%%@."
         Device.stratix10.Device.name (100. *. a) (100. *. f) (100. *. m) (100. *. d);
-      emit_diags ~json:common.Common.diag_json ctx.Ctx.diags;
-      exit (Diag.exit_code ctx.Ctx.diags)
+      exit_diags ~json:common.Common.diag_json ctx.Ctx.diags
     end
   in
   let doc = "Run the buffering, latency, and resource analyses on a program." in
@@ -292,9 +266,6 @@ let analyze_cmd =
     Term.(const run $ program_arg $ vector_width_arg $ Common.term $ remote_arg)
 
 let simulate_cmd =
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed for generated input data.")
-  in
   let trace_arg =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"FILE.csv"
@@ -345,21 +316,26 @@ let simulate_cmd =
                    docs/SIMULATOR.md). Faults perturb timing, never values; the run \
                    degrades to the sequential engine.")
   in
-  let fault_seed_arg =
-    Arg.(value & opt int 1
-         & info [ "fault-seed" ] ~docv:"N"
-             ~doc:"Seed of the injected fault timeline (with $(b,--inject)). The whole \
-                   perturbation sequence is a pure function of (seed, plan).")
-  in
   let max_cycles_arg =
     Arg.(value & opt (some int) None
          & info [ "max-cycles" ] ~docv:"N"
              ~doc:"Abort the simulation after $(docv) cycles with a coded SF0703 \
                    timeout; the budget is echoed in the diagnostic's notes.")
   in
-  let run path width (common : Common.t) remote seed trace profile trace_out counters_json
-      parallel devices inject fault_seed max_cycles =
-    if remote then remote_eval ~verb:"simulate" ~path ~common ?width ?devices ~seed ?max_cycles ()
+  let run path width ({ Common.fuse; optimize; _ } as common) remote seed trace profile
+      trace_out counters_json parallel devices inject fault_seed max_cycles =
+    let request = request `Simulate path width ~fuse ~optimize ?devices ~seed ?max_cycles in
+    if remote then
+      remote_eval ~common request
+        ~local_only:
+          [
+            ("--profile", profile);
+            ("--trace", trace <> None);
+            ("--trace-out", trace_out <> None);
+            ("--counters-json", counters_json);
+            ("--parallel", parallel);
+            ("--inject", inject <> None);
+          ]
     else begin
     let diag_json = common.Common.diag_json in
     let telemetry = profile || trace_out <> None || counters_json in
@@ -376,64 +352,46 @@ let simulate_cmd =
               exit_diags ~json:diag_json
                 [ Diag.errorf ~code:Diag.Code.sim_config "bad --inject plan: %s" m ])
     in
-    let sim_config =
+    let config =
       Engine.Config.make
         ~tracing:(Engine.Config.tracing ?trace_interval ~telemetry ())
         ~parallelism:
           (Engine.Config.parallelism
              ~mode:(if parallel then `Domains_per_device else `Sequential)
              ~host_jobs:common.Common.jobs ())
-        ~safety:(Engine.Config.safety ?max_cycles ())
         ~faults:(Engine.Config.faults ?plan:fault_plan ~seed:fault_seed ())
         ()
     in
-    let partition_pass =
-      match devices with Some n -> Passes.partition_into n | None -> Passes.partition
-    in
-    let ctx =
-      run_pipeline ~sim_config ~common
-        (frontend_passes path width false
-        @ [ Passes.fuse () ]
-        @ (if common.Common.optimize then [ Passes.optimize () ] else [])
-        @ [ Passes.delay_buffers; partition_pass; Passes.performance_model ]
-        @ [ Passes.simulate ~seed () ])
-    in
+    let ctx = run_local ~config ~common request in
     let report = report_of_ctx ctx in
     Format.printf "%a@." pp_report report;
     (* The failed-run report is still available for profiling: the engine
        harvests telemetry on deadlock and timeout too. *)
-    let telemetry_report =
-      match report.simulation with
-      | Some (Ok stats) -> Some stats.Engine.telemetry
-      | _ -> None
-    in
-    (match (profile, telemetry_report) with
-    | true, Some t -> Format.printf "%a@." Telemetry.pp_attribution t
-    | _, _ -> ());
-    (match (counters_json, telemetry_report) with
-    | true, Some t -> print_endline (Json.to_string (Telemetry.counters_json t))
-    | _, _ -> ());
-    (match (trace_out, telemetry_report) with
-    | Some file, Some t ->
-        Out_channel.with_open_text file (fun oc ->
-            output_string oc (Json.to_string (Telemetry.trace_events_json t)));
-        Format.printf "wrote %s@." file
-    | _, _ -> ());
-    (match (trace, telemetry_report) with
-    | Some file, Some t when t.Telemetry.samples <> [] ->
-        let samples = t.Telemetry.samples in
-        Out_channel.with_open_text file (fun oc ->
-            let channels = List.map fst (snd (List.hd samples)) in
-            output_string oc ("cycle," ^ String.concat "," channels ^ "\n");
-            List.iter
-              (fun (cycle, occupancies) ->
-                output_string oc
-                  (string_of_int cycle ^ ","
-                  ^ String.concat "," (List.map (fun (_, o) -> string_of_int o) occupancies)
-                  ^ "\n"))
-              samples);
-        Format.printf "wrote %s@." file
-    | _, _ -> ());
+    (match report.simulation with
+    | Some (Ok stats) ->
+        let t = stats.Engine.telemetry in
+        if profile then Format.printf "%a@." Telemetry.pp_attribution t;
+        if counters_json then print_endline (Json.to_string (Telemetry.counters_json t));
+        Option.iter
+          (fun file ->
+            Out_channel.with_open_text file (fun oc ->
+                output_string oc (Json.to_string (Telemetry.trace_events_json t)));
+            Format.printf "wrote %s@." file)
+          trace_out;
+        (match (trace, t.Telemetry.samples) with
+        | Some file, (((_, first) :: _) as samples) ->
+            Out_channel.with_open_text file (fun oc ->
+                output_string oc ("cycle," ^ String.concat "," (List.map fst first) ^ "\n");
+                List.iter
+                  (fun (cycle, occupancies) ->
+                    output_string oc
+                      (string_of_int cycle ^ ","
+                      ^ String.concat "," (List.map (fun (_, o) -> string_of_int o) occupancies)
+                      ^ "\n"))
+                  samples);
+            Format.printf "wrote %s@." file
+        | _ -> ())
+    | _ -> ());
     (if diag_json then emit_diags ~json:true ctx.Ctx.diags);
     exit (Diag.exit_code ctx.Ctx.diags)
     end
@@ -454,19 +412,11 @@ let validate_depths_cmd =
          & info [ "campaign" ] ~docv:"N"
              ~doc:"Number of seeded fault schedules to run against the analysed depths.")
   in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed for generated input data.")
-  in
   let inject_arg =
     Arg.(value & opt string "default"
          & info [ "inject" ] ~docv:"PLAN"
              ~doc:"Fault plan driving the campaign and the under-provisioning probe \
                    (same syntax as $(b,simulate --inject)).")
-  in
-  let fault_seed_arg =
-    Arg.(value & opt int 1
-         & info [ "fault-seed" ] ~docv:"N"
-             ~doc:"Fault-timeline seed of the under-provisioning probe.")
   in
   let run path width campaign_n seed inject fault_seed jobs =
     let jobs = resolve_jobs jobs in
@@ -549,42 +499,30 @@ let validate_depths_cmd =
   Cmd.v (Cmd.info "validate-depths" ~doc)
     Term.(
       const run $ program_arg $ vector_width_arg $ campaign_arg $ seed_arg $ inject_arg
-      $ fault_seed_arg $ jobs_arg)
+      $ fault_seed_arg $ Common.jobs_arg)
 
 let codegen_cmd =
   let out_arg =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"DIR"
            ~doc:"Write kernel files into this directory instead of stdout.")
   in
-  let run path width (common : Common.t) remote out =
-    if remote then remote_eval ~verb:"codegen" ~path ~common ?width ()
+  let run path width ({ Common.fuse; optimize; _ } as common) remote out =
+    let request = request `Codegen path width ~fuse ~optimize in
+    if remote then remote_eval ~common request ~local_only:[ ("-o", out <> None) ]
     else begin
-      let ctx =
-        run_pipeline ~common
-          (frontend_passes ~optimize:common.Common.optimize path width common.Common.fuse
-          @ Passes.codegen_pipeline ~backend:`Opencl)
-      in
-      let artifacts = ctx.Ctx.kernels in
-      let host = match ctx.Ctx.host_source with Some h -> h | None -> assert false in
-      (match out with
-      | None ->
-          List.iter
-            (fun (a : Opencl.artifact) ->
-              Format.printf "// ===== %s =====@.%s@." a.Opencl.filename a.Opencl.source)
-            artifacts;
-          Format.printf "// ===== host.c =====@.%s@." host
-      | Some dir ->
-          List.iter
-            (fun (a : Opencl.artifact) ->
-              let file = Filename.concat dir a.Opencl.filename in
-              Out_channel.with_open_text file (fun oc -> output_string oc a.Opencl.source);
+      let ctx = run_local ~common request in
+      List.iter
+        (fun (name, source) ->
+          match out with
+          | None -> Format.printf "// ===== %s =====@.%s@." name source
+          | Some dir ->
+              let file = Filename.concat dir name in
+              Out_channel.with_open_text file (fun oc -> output_string oc source);
               Format.printf "wrote %s@." file)
-            artifacts;
-          let host_file = Filename.concat dir "host.c" in
-          Out_channel.with_open_text host_file (fun oc -> output_string oc host);
-          Format.printf "wrote %s@." host_file);
-      emit_diags ~json:common.Common.diag_json ctx.Ctx.diags;
-      exit (Diag.exit_code ctx.Ctx.diags)
+        (List.map (fun (a : Opencl.artifact) -> (a.Opencl.filename, a.Opencl.source))
+           ctx.Ctx.kernels
+        @ [ ("host.c", Option.get ctx.Ctx.host_source) ]);
+      exit_diags ~json:common.Common.diag_json ctx.Ctx.diags
     end
   in
   let doc = "Emit Intel-FPGA-style annotated OpenCL kernels and host code." in
@@ -596,7 +534,7 @@ let partition_cmd =
     Arg.(value & opt int 8 & info [ "max-devices" ] ~doc:"Maximum devices in the chain.")
   in
   let run path width fuse max_devices =
-    let p = with_fusion fuse (load path width) in
+    let p = load ~fuse path width in
     match Partition.greedy ~max_devices ~device:Device.stratix10 p with
     | Error d ->
         Format.eprintf "partitioning failed: %s@." d.Diag.message;
@@ -614,20 +552,20 @@ let partition_cmd =
   in
   let doc = "Partition a program across a chain of devices (Sec. III-B)." in
   Cmd.v (Cmd.info "partition" ~doc)
-    Term.(const run $ program_arg $ vector_width_arg $ fuse_arg $ devices_arg)
+    Term.(const run $ program_arg $ vector_width_arg $ Common.fuse_arg $ devices_arg)
 
 let dot_cmd =
   let run path width fuse =
-    let p = with_fusion fuse (load path width) in
+    let p = load ~fuse path width in
     print_string (Dot.of_program p)
   in
   let doc = "Print the stencil DAG in Graphviz format with delay-buffer labels." in
-  Cmd.v (Cmd.info "dot" ~doc) Term.(const run $ program_arg $ vector_width_arg $ fuse_arg)
+  Cmd.v (Cmd.info "dot" ~doc) Term.(const run $ program_arg $ vector_width_arg $ Common.fuse_arg)
 
 let fuse_cmd =
   let run path width =
-    let p = load path width in
-    let fused, report = Fusion.fuse_all p in
+    let ctx = frontend ~fuse:true path width in
+    let fused = Option.get ctx.Ctx.program and report = Option.get ctx.Ctx.fusion in
     Format.printf "fused %d stencils into %d:@." report.Fusion.stencils_before
       report.Fusion.stencils_after;
     List.iter
@@ -698,7 +636,7 @@ let autotune_cmd =
           sweep
   in
   let doc = "Sweep vectorization widths under the device, memory and network models." in
-  Cmd.v (Cmd.info "autotune" ~doc) Term.(const run $ program_arg $ devices_arg $ jobs_arg)
+  Cmd.v (Cmd.info "autotune" ~doc) Term.(const run $ program_arg $ devices_arg $ Common.jobs_arg)
 
 let optimize_cmd =
   let run path width =
@@ -717,11 +655,11 @@ let optimize_cmd =
 
 let report_cmd =
   let run path width fuse =
-    let p = with_fusion fuse (load path width) in
+    let p = load ~fuse path width in
     print_string (Report.markdown p)
   in
   let doc = "Print a Markdown report: DAG, buffers, runtime model, roofline, resources." in
-  Cmd.v (Cmd.info "report" ~doc) Term.(const run $ program_arg $ vector_width_arg $ fuse_arg)
+  Cmd.v (Cmd.info "report" ~doc) Term.(const run $ program_arg $ vector_width_arg $ Common.fuse_arg)
 
 let serve_cmd =
   let cache_entries_arg =

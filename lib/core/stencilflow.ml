@@ -57,6 +57,7 @@ module Executor = Sf_support.Executor
 module Ctx = Sf_toolchain.Ctx
 module Pass_manager = Sf_toolchain.Pass_manager
 module Passes = Sf_toolchain.Passes
+module Request = Sf_toolchain.Request
 module Cache = Sf_toolchain.Cache
 module Service = Sf_toolchain.Service
 module Chaos = Sf_toolchain.Chaos
@@ -91,16 +92,15 @@ let report_of_ctx (ctx : Ctx.t) =
   | _ ->
       invalid_arg "Stencilflow.report_of_ctx: pipeline did not produce all report artifacts"
 
-let run_result ?(device = Device.stratix10) ?(fuse = true) ?(simulate = true)
-    ?(validate = true) ?(sim_config = Engine.Config.default) ?inputs ?hooks program =
-  let ctx = Ctx.create ~device ~sim_config ?inputs () in
-  let passes = Passes.use_program program :: Passes.standard ~fuse ~simulate ~validate () in
-  match Pass_manager.run ?hooks passes ctx with
+let run_result ?device ?(fuse = false) ?(validate = true) ?sim_config ?inputs program =
+  let options = { Request.default_options with fuse; validate } in
+  let request = Request.make ~options `Simulate (Request.Program program) in
+  match Request.run ?config:sim_config ?device ?inputs request with
   | Ok (ctx, trace) -> Ok (report_of_ctx ctx, trace)
   | Error (ds, _trace) -> Error ds
 
-let run ?device ?fuse ?simulate ?validate ?sim_config ?inputs program =
-  match run_result ?device ?fuse ?simulate ?validate ?sim_config ?inputs program with
+let run ?device ?fuse ?validate ?sim_config ?inputs program =
+  match run_result ?device ?fuse ?validate ?sim_config ?inputs program with
   | Ok (report, _trace) -> report
   | Error ds -> invalid_arg (String.concat "; " (List.map Diag.to_string ds))
 

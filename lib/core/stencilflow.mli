@@ -4,16 +4,17 @@
 
     This umbrella module re-exports the public API of every layer and
     provides the end-to-end driver of Sec. VII: parse a program
-    description, run the buffering analyses, apply domain-specific
-    optimization (stencil fusion), partition across devices, then either
-    execute it on the cycle-level spatial simulator (validated against a
-    sequential reference) or emit annotated OpenCL kernels.
+    description, optionally apply domain-specific optimization (stencil
+    fusion, when asked for with [~fuse:true]), run the buffering
+    analyses, partition across devices, then either execute it on the
+    cycle-level spatial simulator (validated against a sequential
+    reference) or emit annotated OpenCL kernels.
 
     {2 Quick start}
 
     {[
-      let program = Stencilflow.load_file "program.json" in
-      let report = Stencilflow.run program in
+      let program = Result.get_ok (Stencilflow.load_file "program.json") in
+      let report = Stencilflow.run ~fuse:true program in
       Format.printf "%a@." Stencilflow.pp_report report
     ]} *)
 
@@ -78,6 +79,7 @@ module Executor = Sf_support.Executor
 module Ctx = Sf_toolchain.Ctx
 module Pass_manager = Sf_toolchain.Pass_manager
 module Passes = Sf_toolchain.Passes
+module Request = Sf_toolchain.Request
 module Cache = Sf_toolchain.Cache
 module Service = Sf_toolchain.Service
 module Chaos = Sf_toolchain.Chaos
@@ -112,26 +114,24 @@ val report_of_ctx : Ctx.t -> report
 val run_result :
   ?device:Device.t ->
   ?fuse:bool ->
-  ?simulate:bool ->
   ?validate:bool ->
   ?sim_config:Engine.config ->
   ?inputs:(string * Tensor.t) list ->
-  ?hooks:Pass_manager.hooks ->
   Program.t ->
   (report * Pass_manager.trace, Diag.t list) result
-(** The transparent pipeline of Sec. VII, executed through the
-    instrumented {!Pass_manager}: dependency analysis, buffering
-    analysis, domain-specific optimization ([fuse], default true),
-    multi-device partitioning under the device resource model, optional
-    simulation ([simulate], default true) with validation against the
-    sequential reference ([validate], default true). The trace carries
-    per-pass wall-clock timings and artifact counters; [hooks] can
-    observe passes or dump intermediate artifacts. *)
+(** The transparent pipeline of Sec. VII: a [simulate] {!Request.t} on
+    [program], executed by {!Request.run} — the same passes the CLI and
+    [serve] run. Optional stencil fusion ([fuse], default false, as on
+    every entry point), buffering analysis, multi-device partitioning
+    under the device resource model, the runtime model, and simulation
+    validated against the sequential reference ([validate], default
+    true) on [inputs] (default: seeded random data). [sim_config] is the
+    base engine configuration. The trace carries per-pass wall-clock
+    timings and artifact counters. *)
 
 val run :
   ?device:Device.t ->
   ?fuse:bool ->
-  ?simulate:bool ->
   ?validate:bool ->
   ?sim_config:Engine.config ->
   ?inputs:(string * Tensor.t) list ->

@@ -330,13 +330,13 @@ let shared_nodes root =
        nodes)
 
 (* CSE as let-extraction: bind every non-leaf node referenced at least
-   twice (and of at least [min_size] tree nodes) exactly once, in
-   topological order so definitions only use earlier bindings. [keep]
-   pins nodes to a given name (used by codegen to preserve the
-   programmer's let names); kept nodes are extracted regardless of
-   sharing or size. *)
+   twice (and of at least [min_size] tree nodes) exactly once, in DFS
+   post-order from the root — a topological order that, unlike node ids,
+   does not depend on what the domain interned earlier. [keep] pins
+   nodes to a given name (used by codegen to preserve the programmer's
+   let names); kept nodes are extracted regardless of sharing or size. *)
 let extract ?(min_size = 3) ?(prefix = "__cse") ?(keep = []) root =
-  let nodes = topo root in
+  let nodes = List.rev (reachable root) in
   let refs = refcounts nodes root in
   let kept_name : (int, string) Hashtbl.t = Hashtbl.create 8 in
   let taken : (string, unit) Hashtbl.t = Hashtbl.create 8 in

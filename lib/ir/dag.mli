@@ -73,8 +73,9 @@ val to_expr : t -> Expr.t
 val extract : ?min_size:int -> ?prefix:string -> ?keep:(string * t) list -> t -> Expr.body
 (** CSE as let-extraction: every non-leaf node with at least two parent
     edges (duplicate edges count) and at least [min_size] tree nodes
-    (default 3) becomes a let binding, emitted in topological order and
-    named [<prefix>N] (default ["__cse"]). Nodes listed in [keep] are
+    (default 3) becomes a let binding, emitted in DFS post-order from the
+    root (so independent of interning history) and named [<prefix>N]
+    (default ["__cse"]). Nodes listed in [keep] are
     always extracted under their given name. Inlining the resulting
     body's lets reproduces {!to_expr} exactly. *)
 

@@ -11,7 +11,6 @@ type t = {
   program : Program.t option;
   fusion : Sf_sdfg.Fusion.report option;
   opt : Sf_sdfg.Opt.report option;
-  pipeline_entries : Sf_sdfg.Pipeline.entry list;
   analysis : Sf_analysis.Delay_buffer.t option;
   partition : Sf_mapping.Partition.t option;
   kernels : Sf_codegen.Opencl.artifact list;
@@ -32,7 +31,6 @@ let create ?(device = Sf_models.Device.stratix10) ?(sim_config = Engine.Config.d
     program = None;
     fusion = None;
     opt = None;
-    pipeline_entries = [];
     analysis = None;
     partition = None;
     kernels = [];
@@ -54,7 +52,6 @@ let with_program ctx p =
     ctx with
     program = Some p;
     opt = None;
-    pipeline_entries = [];
     analysis = None;
     partition = None;
     kernels = [];
@@ -153,10 +150,6 @@ let opt_text (r : Sf_sdfg.Opt.report) =
   Printf.sprintf "ops %d -> %d (tree %d)\nshared nodes %d\nflops saved by sharing %d\n"
     r.ops_before r.ops_after r.tree_ops_after r.shared_nodes (Sf_sdfg.Opt.flops_saved r)
 
-let pipeline_text entries =
-  String.concat ""
-    (List.map (fun e -> fmt_to_string Sf_sdfg.Pipeline.pp_entry e ^ "\n") entries)
-
 let analysis_text a = fmt_to_string Sf_analysis.Delay_buffer.pp a
 let partition_text pt = fmt_to_string Sf_mapping.Partition.pp pt
 
@@ -176,9 +169,6 @@ let artifact_files ctx =
       | None -> None);
       (match ctx.fusion with Some r -> file "fusion.txt" (fusion_text r) | None -> None);
       (match ctx.opt with Some r -> file "opt.txt" (opt_text r) | None -> None);
-      (match ctx.pipeline_entries with
-      | [] -> None
-      | entries -> file "pipeline.txt" (pipeline_text entries));
       (match ctx.analysis with
       | Some a -> file "analysis.txt" (analysis_text a)
       | None -> None);
@@ -230,7 +220,6 @@ let program_slot =
           ctx with
           program = None;
           opt = None;
-          pipeline_entries = [];
           analysis = None;
           partition = None;
           kernels = [];
@@ -267,15 +256,6 @@ let opt_slot =
     put = (fun ctx r -> { ctx with opt = Some r });
     erase = (fun ctx -> { ctx with opt = None });
     fp = (fun r -> F.of_string (opt_text r));
-  }
-
-let pipeline_entries_slot =
-  {
-    slot_name = "pipeline-entries";
-    get = (fun ctx -> match ctx.pipeline_entries with [] -> None | es -> Some es);
-    put = (fun ctx es -> { ctx with pipeline_entries = es });
-    erase = (fun ctx -> { ctx with pipeline_entries = [] });
-    fp = (fun es -> F.of_string (pipeline_text es));
   }
 
 let analysis_slot =
@@ -414,7 +394,6 @@ let all_slots =
     P source_file_slot;
     P fusion_slot;
     P opt_slot;
-    P pipeline_entries_slot;
     P analysis_slot;
     P partition_slot;
     P kernels_slot;

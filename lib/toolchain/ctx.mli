@@ -2,7 +2,7 @@
 
     Each pipeline stage reads the artifacts it needs and records the ones
     it produces: the frontend fills {!t.program}, transformations replace
-    it (recording fusion/pipeline reports), analyses fill {!t.analysis},
+    it (recording fusion/optimiser reports), analyses fill {!t.analysis},
     mapping fills {!t.partition}, and backends fill the generated-code
     slots. Warnings accumulate in {!t.diags} (deduplicated); hard errors
     are returned by the pass itself and abort the pipeline. *)
@@ -17,8 +17,6 @@ type t = {
   fusion : Sf_sdfg.Fusion.report option;
   opt : Sf_sdfg.Opt.report option;
       (** Counters from the last expression-optimisation pass (fold-cse). *)
-  pipeline_entries : Sf_sdfg.Pipeline.entry list;
-      (** Per-pass records from an embedded {!Sf_sdfg.Pipeline} run. *)
   analysis : Sf_analysis.Delay_buffer.t option;
   partition : Sf_mapping.Partition.t option;
   kernels : Sf_codegen.Opencl.artifact list;
@@ -40,11 +38,10 @@ val create :
 
 val with_program : t -> Sf_ir.Program.t -> t
 (** Install a (new version of the) program, invalidating every artifact
-    derived from the previous version (optimizer report, pipeline
-    entries, analysis, partition, generated code, simulation,
-    performance model). The fusion report is kept: it documents how the
-    current program was produced, and fusing passes re-install it right
-    after the swap. *)
+    derived from the previous version (optimizer report, analysis,
+    partition, generated code, simulation, performance model). The
+    fusion report is kept: it documents how the current program was
+    produced, and fusing passes re-install it right after the swap. *)
 
 val the_program : t -> (Sf_ir.Program.t, Sf_support.Diag.t list) result
 (** The current program, or an [SF0901] diagnostic when no frontend pass
@@ -97,7 +94,6 @@ val program_slot : Sf_ir.Program.t slot
 val source_file_slot : string slot
 val fusion_slot : Sf_sdfg.Fusion.report slot
 val opt_slot : Sf_sdfg.Opt.report slot
-val pipeline_entries_slot : Sf_sdfg.Pipeline.entry list slot
 val analysis_slot : Sf_analysis.Delay_buffer.t slot
 val partition_slot : Sf_mapping.Partition.t slot
 val kernels_slot : Sf_codegen.Opencl.artifact list slot

@@ -36,17 +36,14 @@ let load_file path =
       let* p = Sf_frontend.Program_json.of_file path in
       install ~file:path ctx p)
 
-let load_string ?file source =
+let load_string source =
   make_pass ~name:"load-string"
     ~description:"parse and validate an in-memory JSON program description" ~kind:Frontend
     ~writes:[ Ctx.P Ctx.program_slot; Ctx.P Ctx.source_file_slot ]
-    ~fingerprint:
-      (opts (fun st ->
-           F.add_string st source;
-           F.add_option st F.add_string file))
+    ~fingerprint:(opts (fun st -> F.add_string st source))
     (fun ctx ->
-      let* p = Sf_frontend.Program_json.of_string ?file source in
-      install ?file ctx p)
+      let* p = Sf_frontend.Program_json.of_string source in
+      install ctx p)
 
 let use_program p =
   make_pass ~name:"use-program" ~description:"install an already-constructed program"
@@ -93,22 +90,6 @@ let vectorize w =
       let* p = Ctx.the_program ctx in
       transform_guard "vectorize" @@ fun () ->
       Ok (Ctx.with_program ctx (Sf_analysis.Vectorize.apply p w)))
-
-(* Uncacheable: the pass list is arbitrary closures with no canonical
-   digest. *)
-let sdfg_pipeline ?verify ?max_probe_cells passes =
-  make_pass ~name:"sdfg-pipeline" ~description:"verified graph-rewriting pipeline (Sec. V)"
-    ~kind:Transform
-    ~reads:[ Ctx.P Ctx.program_slot ]
-    ~writes:[ Ctx.P Ctx.program_slot; Ctx.P Ctx.pipeline_entries_slot ]
-    (fun ctx ->
-      let* p = Ctx.the_program ctx in
-      let* p', entries = Sf_sdfg.Pipeline.run ?verify ?max_probe_cells passes p in
-      Ok
-        {
-          (Ctx.with_program ctx p') with
-          Ctx.pipeline_entries = ctx.Ctx.pipeline_entries @ entries;
-        })
 
 let delay_buffers =
   make_pass ~name:"delay-buffers"
@@ -177,7 +158,7 @@ let performance_model =
       in
       Ok { ctx with Ctx.performance_model = Some ops })
 
-let simulate ?(validate = true) ?seed () =
+let simulate ?(validate = true) ~seed () =
   make_pass ~name:"simulate"
     ~description:"cycle-level spatial simulation validated against the reference"
     ~kind:Simulation
@@ -192,20 +173,19 @@ let simulate ?(validate = true) ?seed () =
     ~fingerprint:
       (opts (fun st ->
            F.add_bool st validate;
-           F.add_option st F.add_int seed))
+           F.add_int st seed))
     (fun ctx ->
       let* p = Ctx.the_program ctx in
       let placement = Option.map Partition.placement_fn ctx.Ctx.partition in
       let config = ctx.Ctx.sim_config in
       let inputs =
-        match (ctx.Ctx.inputs, seed) with
-        | (Some _ as i), _ -> i
-        | None, Some seed -> Some (Sf_reference.Interp.random_inputs ~seed p)
-        | None, None -> None
+        match ctx.Ctx.inputs with
+        | Some i -> i
+        | None -> Sf_reference.Interp.random_inputs ~seed p
       in
       let result =
-        if validate then Sf_sim.Parallel.run_and_validate ~config ?placement ?inputs p
-        else Sf_sim.Parallel.run ~config ?placement ?inputs p
+        if validate then Sf_sim.Parallel.run_and_validate ~config ?placement ~inputs p
+        else Sf_sim.Parallel.run ~config ?placement ~inputs p
       in
       let ctx = { ctx with Ctx.simulation = Some result } in
       match result with Ok _ -> Ok ctx | Error d -> Ok (Ctx.add_diag ctx d))
@@ -232,18 +212,6 @@ let codegen_vitis =
       let* p = Ctx.the_program ctx in
       let* source = Sf_codegen.Vitis.generate p in
       Ok { ctx with Ctx.vitis_source = Some source })
-
-let fuse_pass = fuse
-let simulate_pass = simulate
-
-let standard ?(fuse = true) ?(simulate = true) ?(validate = true) () =
-  (if fuse then [ fuse_pass () ] else [])
-  @ [ delay_buffers; partition; performance_model ]
-  @ if simulate then [ simulate_pass ~validate () ] else []
-
-let codegen_pipeline ~backend =
-  [ delay_buffers; partition ]
-  @ match backend with `Opencl -> [ codegen_opencl ] | `Vitis -> [ codegen_vitis ]
 
 let mkdir_p dir =
   (* Only the leaf and its parent are ever missing in practice, but walk

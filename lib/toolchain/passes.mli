@@ -1,17 +1,16 @@
 (** The standard pass catalogue over {!Ctx.t}, mirroring the paper's
     toolflow (Sec. VII): frontend, domain-specific optimization,
     buffering analysis, device mapping, code generation and cycle-level
-    simulation. Compose them freely, or use {!standard} /
-    {!codegen_pipeline} for the driver defaults. *)
+    simulation. {!Request.passes} composes them into the driver's
+    pipelines; tests and tools may compose them freely. *)
 
 val load_file : string -> Pass_manager.pass
 (** Parse and validate a JSON program description from disk. Failures
     carry located diagnostics ([SF0201]/[SF0202]/[SF0203]/[SF0204],
     [SF0301], and [SF0101]/[SF0102] from embedded DSL bodies). *)
 
-val load_string : ?file:string -> string -> Pass_manager.pass
-(** Like {!load_file} from an in-memory JSON string; [file] labels
-    diagnostic spans. *)
+val load_string : string -> Pass_manager.pass
+(** Like {!load_file} from an in-memory JSON string. *)
 
 val use_program : Sf_ir.Program.t -> Pass_manager.pass
 (** Install an already-constructed program (validated, [SF0301]). *)
@@ -25,11 +24,6 @@ val optimize : ?min_size:int -> unit -> Pass_manager.pass
 
 val vectorize : int -> Pass_manager.pass
 (** Set the vectorization width (Sec. IV-C). *)
-
-val sdfg_pipeline :
-  ?verify:bool -> ?max_probe_cells:int -> Sf_sdfg.Pipeline.pass list -> Pass_manager.pass
-(** Run an {!Sf_sdfg.Pipeline} (verified graph rewriting) as one pass,
-    recording its per-rewrite entries in {!Ctx.t.pipeline_entries}. *)
 
 val delay_buffers : Pass_manager.pass
 (** The delay-buffer/latency analysis (Sec. IV-B) under the context's
@@ -51,7 +45,7 @@ val partition_into : int -> Pass_manager.pass
 val performance_model : Pass_manager.pass
 (** The Eq. 1 runtime model evaluated at the device clock. *)
 
-val simulate : ?validate:bool -> ?seed:int -> unit -> Pass_manager.pass
+val simulate : ?validate:bool -> seed:int -> unit -> Pass_manager.pass
 (** Cycle-level simulation on the context's partition placement, on the
     context's inputs (or random inputs from [seed] when absent),
     validated against the sequential reference when [validate] (default
@@ -70,15 +64,6 @@ val codegen_opencl : Pass_manager.pass
 
 val codegen_vitis : Pass_manager.pass
 (** Emit the Xilinx-style Vitis HLS C++ source (single device). *)
-
-val standard :
-  ?fuse:bool -> ?simulate:bool -> ?validate:bool -> unit -> Pass_manager.pass list
-(** The end-to-end driver pipeline of Sec. VII (without a frontend pass):
-    fusion, delay-buffer analysis, partitioning, the runtime model, and
-    optionally simulation. *)
-
-val codegen_pipeline : backend:[ `Opencl | `Vitis ] -> Pass_manager.pass list
-(** Analysis + mapping + code generation (no simulation). *)
 
 val dump_hook : dir:string -> Pass_manager.hooks
 (** Hooks whose [dump] writes every current artifact to

@@ -86,106 +86,10 @@ let request_cancel t id =
   Mutex.unlock t.cancels_mu;
   found
 
-(* Request decoding -------------------------------------------------- *)
-
-type options = {
-  width : int option;
-  fuse : bool;
-  optimize : bool;
-  devices : int option;
-  seed : int option;
-  validate : bool;
-  max_cycles : int option;
-  backend : [ `Opencl | `Vitis ];
-}
-
-let default_options =
-  {
-    width = None;
-    fuse = false;
-    optimize = false;
-    devices = None;
-    seed = None;
-    validate = true;
-    max_cycles = None;
-    backend = `Opencl;
-  }
-
-let decode_options json =
-  match Json.member "options" json with
-  | None -> Ok default_options
-  | Some o ->
-      let int k = Option.bind (Json.member k o) Json.int_opt in
-      let bool ~default k =
-        match Json.member k o with Some (Json.Bool b) -> b | _ -> default
-      in
-      let backend =
-        match Option.bind (Json.member "backend" o) Json.string_opt with
-        | None | Some "opencl" -> Ok `Opencl
-        | Some "vitis" -> Ok `Vitis
-        | Some other ->
-            Error [ Diag.errorf ~code:Diag.Code.format "unknown backend %S" other ]
-      in
-      Result.map
-        (fun backend ->
-          {
-            width = int "width";
-            fuse = bool ~default:false "fuse";
-            optimize = bool ~default:false "optimize";
-            devices = int "devices";
-            seed = int "seed";
-            validate = bool ~default:true "validate";
-            max_cycles = int "max_cycles";
-            backend;
-          })
-        backend
-
-(* The frontend of every compile verb: a load pass keyed on the program
-   text (inline programs are re-serialized minified, so formatting
-   differences do not defeat the cache), then the option-driven
-   transforms in the same order as the CLI. *)
-let frontend_passes json opts =
-  let load =
-    match (Json.member "program" json, Json.member "program_file" json) with
-    | Some p, _ -> Ok (Passes.load_string (Json.to_string ~minify:true p))
-    | None, Some f -> (
-        match Json.string_opt f with
-        | Some path -> Ok (Passes.load_file path)
-        | None ->
-            Error [ Diag.error ~code:Diag.Code.format "\"program_file\" must be a string" ])
-    | None, None ->
-        Error
-          [
-            Diag.error ~code:Diag.Code.format
-              "request needs a \"program\" object or a \"program_file\" path";
-          ]
-  in
-  Result.map
-    (fun load ->
-      [ load ]
-      @ (match opts.width with Some w -> [ Passes.vectorize w ] | None -> [])
-      @ (if opts.fuse then [ Passes.fuse () ] else [])
-      @ if opts.optimize then [ Passes.optimize () ] else [])
-    load
-
-let verb_passes verb opts =
-  match verb with
-  | `Analyze -> [ Passes.delay_buffers ]
-  | `Simulate ->
-      [
-        Passes.delay_buffers;
-        (match opts.devices with
-        | Some n -> Passes.partition_into n
-        | None -> Passes.partition);
-        Passes.performance_model;
-        Passes.simulate ~validate:opts.validate ?seed:opts.seed ();
-      ]
-  | `Codegen -> Passes.codegen_pipeline ~backend:opts.backend
-
 (* Request parsing --------------------------------------------------- *)
 
 type body =
-  | Compile of [ `Analyze | `Simulate | `Codegen ] * Json.t
+  | Compile of Json.t  (* decoded by Request.of_json when it executes *)
   | Cache_stats
   | Evict
   | Cancel of Json.t option
@@ -219,9 +123,7 @@ let parse_request line =
       let deadline_ms = Option.bind (Json.member "deadline_ms" json) Json.int_opt in
       let req verb_name body = { id; verb_name; body; deadline_ms } in
       match Option.bind (Json.member "verb" json) Json.string_opt with
-      | Some "analyze" -> req "analyze" (Compile (`Analyze, json))
-      | Some "simulate" -> req "simulate" (Compile (`Simulate, json))
-      | Some "codegen" -> req "codegen" (Compile (`Codegen, json))
+      | Some v when Request.verb_of_name v <> None -> req v (Compile json)
       | Some "cache-stats" -> req "cache-stats" Cache_stats
       | Some "evict" -> req "evict" Evict
       | Some "cancel" -> req "cancel" (Cancel (Json.member "target" json))
@@ -316,68 +218,6 @@ let trace_cache_json (trace : Pass_manager.trace) =
       ("joined", Json.Int (count (fun t -> t.Pass_manager.joined)));
     ]
 
-let analyze_result (ctx : Ctx.t) =
-  match (ctx.Ctx.program, ctx.Ctx.analysis) with
-  | Some p, Some a ->
-      Json.Obj
-        [
-          ("program", Json.String p.Sf_ir.Program.name);
-          ("latency_cycles", Json.Int a.Sf_analysis.Delay_buffer.latency_cycles);
-          ( "delay_buffer_words",
-            Json.Int (Sf_analysis.Delay_buffer.total_delay_buffer_words a) );
-          ("expected_cycles", Json.Int (Sf_analysis.Runtime_model.expected_cycles p));
-        ]
-  | _ -> Json.Null
-
-let simulate_result (ctx : Ctx.t) =
-  let base = match analyze_result ctx with Json.Obj fields -> fields | _ -> [] in
-  let devices =
-    match ctx.Ctx.partition with
-    | Some pt -> [ ("devices", Json.Int pt.Sf_mapping.Partition.num_devices) ]
-    | None -> []
-  in
-  let performance =
-    match ctx.Ctx.performance_model with
-    | Some ops -> [ ("modeled_ops_per_s", Json.Float ops) ]
-    | None -> []
-  in
-  let simulation =
-    match ctx.Ctx.simulation with
-    | Some (Ok (s : Engine.stats)) ->
-        [
-          ( "simulation",
-            Json.Obj
-              [
-                ("cycles", Json.Int s.Engine.cycles);
-                ("predicted_cycles", Json.Int s.Engine.predicted_cycles);
-                ("bytes_read", Json.Int s.Engine.bytes_read);
-                ("bytes_written", Json.Int s.Engine.bytes_written);
-                ("network_bytes", Json.Int s.Engine.network_bytes);
-              ] );
-        ]
-    | Some (Error d) -> [ ("simulation", Json.Obj [ ("failed", Diag.to_json d) ]) ]
-    | None -> []
-  in
-  Json.Obj (base @ devices @ performance @ simulation)
-
-let codegen_result (ctx : Ctx.t) =
-  let files =
-    List.map
-      (fun (name, source) ->
-        Json.Obj
-          [ ("filename", Json.String name); ("bytes", Json.Int (String.length source)) ])
-      (List.filter
-         (fun (name, _) ->
-           Filename.check_suffix name ".cl"
-           || Filename.check_suffix name ".c"
-           || Filename.check_suffix name ".cpp")
-         (Ctx.artifact_files ctx))
-  in
-  let code_bytes =
-    match List.assoc_opt "code-bytes" (Ctx.counters ctx) with Some n -> n | None -> 0
-  in
-  Json.Obj [ ("files", Json.List files); ("code_bytes", Json.Int code_bytes) ]
-
 (* Request execution ------------------------------------------------- *)
 
 type reply = {
@@ -416,38 +256,19 @@ let render ?seq ~id ~verb ~timing reply =
                ] );
          ]))
 
-let compile_verb t ~should_stop ?deadline ~verb ~name json =
-  let outcome =
-    let ( let* ) = Result.bind in
-    let* opts = decode_options json in
-    let* frontend = frontend_passes json opts in
-    Ok (opts, frontend)
-  in
-  match outcome with
+let compile_verb t ~should_stop ?deadline ~name json =
+  match Request.of_json json with
   | Error ds -> reply ~ok:false ~diags:ds ()
-  | Ok (opts, frontend) -> (
-      let sim_config =
-        Engine.Config.make
-          ~safety:(Engine.Config.safety ?max_cycles:opts.max_cycles ())
-          ~parallelism:(Engine.Config.parallelism ~host_jobs:(sim_jobs t) ())
-          ()
+  | Ok request -> (
+      let config =
+        Engine.Config.make ~parallelism:(Engine.Config.parallelism ~host_jobs:(sim_jobs t) ()) ()
       in
-      let ctx = Ctx.create ~sim_config () in
-      let passes = frontend @ verb_passes verb opts in
-      let emit_trace trace =
-        match t.on_trace with Some f -> f ~verb:name trace | None -> ()
-      in
-      match Pass_manager.run ~cache:t.cache ~should_stop ?deadline passes ctx with
+      let emit_trace trace = match t.on_trace with Some f -> f ~verb:name trace | None -> () in
+      match Request.run ~config ~cache:t.cache ~should_stop ?deadline request with
       | Ok (ctx, trace) ->
           emit_trace trace;
-          let result =
-            match verb with
-            | `Analyze -> analyze_result ctx
-            | `Simulate -> simulate_result ctx
-            | `Codegen -> codegen_result ctx
-          in
           let ok = not (Diag.has_errors ctx.Ctx.diags) in
-          reply ~ok ~result ~diags:ctx.Ctx.diags ~trace ()
+          reply ~ok ~result:(Request.result_json request ctx) ~diags:ctx.Ctx.diags ~trace ()
       | Error (ds, trace) ->
           emit_trace trace;
           reply ~ok:false ~diags:ds ~trace ())
@@ -464,7 +285,7 @@ let cancel_reply t target =
 
 let run_request t ~should_stop ?deadline ?(in_flight = 0) req =
   match req.body with
-  | Compile (verb, json) -> compile_verb t ~should_stop ?deadline ~verb ~name:req.verb_name json
+  | Compile json -> compile_verb t ~should_stop ?deadline ~name:req.verb_name json
   | Cache_stats -> reply ~result:(stats_json (Cache.stats t.cache)) ()
   | Evict ->
       let dropped = (Cache.stats t.cache).Cache.entries in
@@ -475,25 +296,57 @@ let run_request t ~should_stop ?deadline ?(in_flight = 0) req =
   | Shutdown -> reply ~control:`Stop ()
   | Invalid ds -> reply ~ok:false ~diags:ds ()
 
-let handle t line =
-  let t0 = monotime () in
-  let req = parse_request line in
-  let registration =
-    match (req.id, req.body) with
-    | Some id, Compile _ -> Some (register_cancel t id)
-    | _ -> None
-  in
+(* Compile verbs register their cancel flag at admission — before the
+   request reaches a worker — so a [cancel] can hit a queued request. *)
+let admit t req =
+  match (req.id, req.body) with
+  | Some id, Compile _ -> Some (register_cancel t id)
+  | _ -> None
+
+(* The one execution path of an admitted request, shared by [handle] and
+   the pool workers: cancel polling, the deadline, crash isolation and
+   timing around [run_request]. *)
+let execute t req ~t_admit registration =
+  let t_start = monotime () in
   let should_stop =
     match registration with
     | Some (_, flag) -> fun () -> Atomic.get flag
     | None -> fun () -> false
   in
-  let rep = run_request t ~should_stop ?deadline:(deadline_of t req ~t_admit:t0) req in
-  (match registration with Some (key, _) -> unregister_cancel t key | None -> ());
-  let dt = monotime () -. t0 in
-  let timing =
-    { seconds = dt; queue_seconds = 0.; exec_seconds = dt; worker = Executor.worker_index () }
+  let rep =
+    (* Crash isolation: whatever escapes the request — including a chaos
+       [disturb] injection — becomes an SF0905 response with the
+       backtrace attached, never a dead worker or a dropped reply. *)
+    try
+      (match t.disturb with Some f -> f ~id:req.id | None -> ());
+      run_request t ~should_stop ?deadline:(deadline_of t req ~t_admit) req
+    with exn ->
+      let bt = Printexc.get_backtrace () in
+      let notes = if bt = "" then [] else [ "backtrace: " ^ bt ] in
+      reply ~ok:false
+        ~diags:
+          [
+            Diag.errorf ~notes ~code:Diag.Code.serve_internal "request raised: %s"
+              (Printexc.to_string exn);
+          ]
+        ()
   in
+  (match registration with Some (key, _) -> unregister_cancel t key | None -> ());
+  let t_end = monotime () in
+  let timing =
+    {
+      seconds = t_end -. t_admit;
+      queue_seconds = t_start -. t_admit;
+      exec_seconds = t_end -. t_start;
+      worker = Executor.worker_index ();
+    }
+  in
+  (rep, timing)
+
+let handle t line =
+  let t_admit = monotime () in
+  let req = parse_request line in
+  let rep, timing = execute t req ~t_admit (admit t req) in
   (render ~id:req.id ~verb:req.verb_name ~timing rep, rep.control)
 
 (* The concurrent serve loop ----------------------------------------- *)
@@ -643,51 +496,9 @@ let serve_loop t ic oc =
                      ]
                    ())
             else begin
-              let registration =
-                match (req.id, req.body) with
-                | Some id, Compile _ -> Some (register_cancel t id)
-                | _ -> None
-              in
+              let registration = admit t req in
               Executor.submit pool (fun () ->
-                  let t_start = monotime () in
-                  let should_stop =
-                    match registration with
-                    | Some (_, flag) -> fun () -> Atomic.get flag
-                    | None -> fun () -> false
-                  in
-                  let rep =
-                    (* Crash isolation: whatever escapes the request —
-                       including a chaos [disturb] injection — becomes
-                       an SF0905 response with the backtrace attached,
-                       never a dead worker or a dropped reply. *)
-                    try
-                      (match t.disturb with Some f -> f ~id:req.id | None -> ());
-                      run_request t ~should_stop
-                        ?deadline:(deadline_of t req ~t_admit)
-                        req
-                    with exn ->
-                      let bt = Printexc.get_backtrace () in
-                      let notes = if bt = "" then [] else [ "backtrace: " ^ bt ] in
-                      reply ~ok:false
-                        ~diags:
-                          [
-                            Diag.errorf ~notes ~code:Diag.Code.serve_internal
-                              "request raised: %s" (Printexc.to_string exn);
-                          ]
-                        ()
-                  in
-                  (match registration with
-                  | Some (key, _) -> unregister_cancel t key
-                  | None -> ());
-                  let t_end = monotime () in
-                  let timing =
-                    {
-                      seconds = t_end -. t_admit;
-                      queue_seconds = t_start -. t_admit;
-                      exec_seconds = t_end -. t_start;
-                      worker = Executor.worker_index ();
-                    }
-                  in
+                  let rep, timing = execute t req ~t_admit registration in
                   complete sched n (fun ~seq ->
                       render ~seq ~id:req.id ~verb:req.verb_name ~timing rep))
             end;

@@ -23,16 +23,9 @@
      "target": <id>,           // cancel only: the id to cancel
      "deadline_ms": int,       // per-request budget; overrides the
                                // --deadline-ms default, < 0 disables it
-     "program": {...},         // inline program description, or
-     "program_file": "path",   // a path to one (compile verbs only)
-     "options": {              // all optional
-       "width": int,           // vectorization width override
-       "fuse": bool, "optimize": bool,
-       "devices": int,         // force a contiguous partition
-       "seed": int,            // simulation input seed (default 42)
-       "validate": bool,       // validate sim against the reference
-       "max_cycles": int,      // simulation cycle budget (SF0703)
-       "backend": "opencl" | "vitis"}}
+     "program": {...},         // compile verbs: a {!Request.t}, see
+     "program_file": "path",   // {!Request.of_json} for these and
+     "options": {...}}         // the option defaults
     v}
 
     Responses:
@@ -123,15 +116,17 @@ val create :
     response order. [deadline_ms] (default none; [<= 0] means none) is
     the default per-request budget, overridable per request. [disturb]
     is the chaos-injection hook: called with the request's [id] at the
-    start of every pool execution; whatever it raises is crash-isolated
-    into an [SF0905] response ({!Chaos} uses this to inject seeded
+    start of every execution; whatever it raises is crash-isolated into
+    an [SF0905] response ({!Chaos} uses this to inject seeded
     worker exceptions and slow passes). *)
 
 val cache : t -> Cache.t
 
 val handle : t -> string -> string * [ `Continue | `Stop ]
-(** Execute one request line synchronously in the calling domain and
-    return the minified response line (without a [seq] field — sequence
+(** Execute one request line synchronously in the calling domain —
+    through the same run function as the pool workers (cancel flag,
+    deadline, crash isolation, timing) — and return the minified
+    response line (without a [seq] field — sequence
     numbers exist only on the writer path), plus whether a serve loop
     should keep running ([`Stop] only after [shutdown]). Thread-safe:
     any number of domains may call [handle] on one service concurrently.

@@ -67,6 +67,26 @@ let test_cse_nested_sharing () =
   Alcotest.(check int) "adds reduced to 3" 3 profile.Expr.adds;
   Alcotest.(check int) "one sqrt" 1 profile.Expr.sqrts
 
+(* Let order and __cseN numbering are a function of the expression, not
+   of the domain's interning history: extracting the same expression in
+   a fresh domain, and in one that interned an unrelated (later-shared)
+   subexpression first, yields the same body. *)
+let test_cse_independent_of_interning_history () =
+  let ab = E.(acc "a" [ 0 ] +% acc "b" [ 0 ]) and cd = E.(acc "c" [ 0 ] *% acc "d" [ 0 ]) in
+  let e = E.((ab *% ab) +% (cd *% cd)) in
+  let extract_in_fresh_domain ~prime =
+    Domain.join
+      (Domain.spawn (fun () ->
+           List.iter (fun x -> ignore (Dag.of_expr x)) prime;
+           Dag.extract (Dag.of_expr e)))
+  in
+  let fresh = extract_in_fresh_domain ~prime:[] in
+  let primed = extract_in_fresh_domain ~prime:[ E.(acc "z" [ 1 ]); ab ] in
+  Alcotest.(check (list string)) "let order"
+    (List.map fst fresh.Expr.lets) (List.map fst primed.Expr.lets);
+  Alcotest.(check bool) "identical body" true (fresh = primed);
+  Alcotest.(check bool) "same as on this domain" true (fresh = Dag.extract (Dag.of_expr e))
+
 let test_cse_nested_occurrences_bind_once () =
   (* sqrt(a+b) * sqrt(a+b): the inner (a+b) occurs twice in the tree but
      only through the single shared sqrt parent — it must not get its own
@@ -239,6 +259,8 @@ let suite =
       Alcotest.test_case "CSE binds inner shares first" `Quick test_cse_nested_sharing;
       Alcotest.test_case "CSE binds nested occurrences once" `Quick
         test_cse_nested_occurrences_bind_once;
+      Alcotest.test_case "CSE is independent of interning history" `Quick
+        test_cse_independent_of_interning_history;
       Alcotest.test_case "CSE without sharing changes nothing" `Quick
         test_cse_no_sharing_is_identity_profile;
       Alcotest.test_case "optimize preserves program semantics" `Quick
