@@ -1,158 +1,259 @@
 open Sf_ir
 
-type 'ctx fn = 'ctx -> float
+type op =
+  | Neg | Not | Add | Sub | Mul | Div | Lt | Le | Gt | Ge | Eq | Ne | And | Or | Select
+  | Sqrt | Abs | Exp | Log | Sin | Cos | Floor | Ceil | Pow | Min | Max
 
-let truthy v = v <> 0.
-let of_bool b = if b then 1. else 0.
+type program = {
+  loads : (string * int list) array;
+  consts : float array;
+  ops : op array;
+  args : int array;
+  n_slots : int;
+  result : int;
+}
 
-let rec expr ~access ~env e =
-  match e with
-  | Expr.Const c -> fun _ -> c
-  | Expr.Access { field; offsets } -> access ~field ~offsets
-  | Expr.Var v -> (
-      match env v with
-      | Some f -> f
-      | None -> invalid_arg (Printf.sprintf "Compile.expr: unbound variable %s" v))
-  | Expr.Unary (Expr.Neg, x) ->
-      let cx = expr ~access ~env x in
-      fun ctx -> -.cx ctx
-  | Expr.Unary (Expr.Not, x) ->
-      let cx = expr ~access ~env x in
-      fun ctx -> of_bool (not (truthy (cx ctx)))
-  | Expr.Binary (op, x, y) -> (
-      let cx = expr ~access ~env x and cy = expr ~access ~env y in
-      match op with
-      | Expr.Add -> fun ctx -> cx ctx +. cy ctx
-      | Expr.Sub -> fun ctx -> cx ctx -. cy ctx
-      | Expr.Mul -> fun ctx -> cx ctx *. cy ctx
-      | Expr.Div -> fun ctx -> cx ctx /. cy ctx
-      | Expr.Lt -> fun ctx -> of_bool (cx ctx < cy ctx)
-      | Expr.Le -> fun ctx -> of_bool (cx ctx <= cy ctx)
-      | Expr.Gt -> fun ctx -> of_bool (cx ctx > cy ctx)
-      | Expr.Ge -> fun ctx -> of_bool (cx ctx >= cy ctx)
-      | Expr.Eq -> fun ctx -> of_bool (cx ctx = cy ctx)
-      | Expr.Ne -> fun ctx -> of_bool (cx ctx <> cy ctx)
-      (* Non-short-circuit, as in the predicated hardware pipeline. *)
-      | Expr.And ->
-          fun ctx ->
-            let a = truthy (cx ctx) in
-            let b = truthy (cy ctx) in
-            of_bool (a && b)
-      | Expr.Or ->
-          fun ctx ->
-            let a = truthy (cx ctx) in
-            let b = truthy (cy ctx) in
-            of_bool (a || b))
-  | Expr.Select { cond; if_true; if_false } ->
-      let cc = expr ~access ~env cond in
-      let ct = expr ~access ~env if_true in
-      let cf = expr ~access ~env if_false in
-      (* Both branches evaluate (predication), then one is selected. *)
-      fun ctx ->
-        let c = cc ctx in
-        let t = ct ctx in
-        let f = cf ctx in
-        if truthy c then t else f
-  | Expr.Call (f, args) -> (
-      let cargs = List.map (expr ~access ~env) args in
-      match (f, cargs) with
-      | Expr.Sqrt, [ x ] -> fun ctx -> Float.sqrt (x ctx)
-      | Expr.Abs, [ x ] -> fun ctx -> Float.abs (x ctx)
-      | Expr.Exp, [ x ] -> fun ctx -> Float.exp (x ctx)
-      | Expr.Log, [ x ] -> fun ctx -> Float.log (x ctx)
-      | Expr.Sin, [ x ] -> fun ctx -> Float.sin (x ctx)
-      | Expr.Cos, [ x ] -> fun ctx -> Float.cos (x ctx)
-      | Expr.Floor, [ x ] -> fun ctx -> Float.floor (x ctx)
-      | Expr.Ceil, [ x ] -> fun ctx -> Float.ceil (x ctx)
-      | Expr.Pow, [ x; y ] -> fun ctx -> Float.pow (x ctx) (y ctx)
-      | Expr.Min, [ x; y ] -> fun ctx -> Float.min (x ctx) (y ctx)
-      | Expr.Max, [ x; y ] -> fun ctx -> Float.max (x ctx) (y ctx)
-      | ( ( Expr.Sqrt | Expr.Abs | Expr.Exp | Expr.Log | Expr.Sin | Expr.Cos | Expr.Floor
-          | Expr.Ceil | Expr.Pow | Expr.Min | Expr.Max ),
-          _ ) ->
-          invalid_arg (Printf.sprintf "Compile.expr: wrong arity for %s" (Expr.func_name f)))
+let loads p = p.loads
+let result_slot p = p.result
 
-(* Bodies compile through the hash-consed DAG: every distinct node gets a
-   slot and is evaluated exactly once per cell, in topological (id)
-   order, so shared values — whether shared through lets or structurally
-   — are computed once and fanned out. Variables referencing a later (or
-   missing) binding stay unresolved [Var] leaves in the DAG and are
-   rejected at compile time, exactly like the historical
-   restricted-environment compiler. Bindings the result never reads are
-   still evaluated (their predicated accesses keep feeding the validity
-   mask). *)
-let body ~access (b : Expr.body) =
+(* Slots: loads first (slot k is load k), then constants, then one slot
+   per computed node in topological (DAG id) order. Every node of the
+   body is scheduled, including bindings the result never reads: their
+   predicated loads keep feeding the validity mask. *)
+let lower (b : Expr.body) =
   let named, root = Dag.of_body_named b in
+  let kind t = match Dag.view t with Dag.Access _ -> 0 | Dag.Const _ -> 1 | _ -> 2 in
   let nodes =
-    let seen : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-    List.concat_map Dag.topo (List.map snd named @ [ root ])
-    |> List.filter (fun t ->
-           if Hashtbl.mem seen (Dag.id t) then false
-           else begin
-             Hashtbl.add seen (Dag.id t) ();
-             true
-           end)
-    |> List.sort Dag.compare
+    List.concat_map Dag.topo (root :: List.map snd named)
+    |> List.sort_uniq Dag.compare
+    |> List.stable_sort (fun a b -> compare (kind a) (kind b))
   in
   let slot_of : (int, int) Hashtbl.t = Hashtbl.create 64 in
   List.iteri (fun i t -> Hashtbl.replace slot_of (Dag.id t) i) nodes;
-  let n = List.length nodes in
-  let values = Array.make (max 1 n) 0. in
   let slot t = Hashtbl.find slot_of (Dag.id t) in
-  let compile_node t : 'ctx fn =
-    match Dag.view t with
-    | Dag.Const c -> fun _ -> c
-    | Dag.Access { field; offsets } -> access ~field ~offsets
-    | Dag.Var v -> invalid_arg (Printf.sprintf "Compile.expr: unbound variable %s" v)
-    | Dag.Unary (Expr.Neg, x) ->
-        let sx = slot x in
-        fun _ -> -.values.(sx)
-    | Dag.Unary (Expr.Not, x) ->
-        let sx = slot x in
-        fun _ -> of_bool (not (truthy values.(sx)))
-    | Dag.Binary (op, x, y) -> (
-        let sx = slot x and sy = slot y in
-        match op with
-        | Expr.Add -> fun _ -> values.(sx) +. values.(sy)
-        | Expr.Sub -> fun _ -> values.(sx) -. values.(sy)
-        | Expr.Mul -> fun _ -> values.(sx) *. values.(sy)
-        | Expr.Div -> fun _ -> values.(sx) /. values.(sy)
-        | Expr.Lt -> fun _ -> of_bool (values.(sx) < values.(sy))
-        | Expr.Le -> fun _ -> of_bool (values.(sx) <= values.(sy))
-        | Expr.Gt -> fun _ -> of_bool (values.(sx) > values.(sy))
-        | Expr.Ge -> fun _ -> of_bool (values.(sx) >= values.(sy))
-        | Expr.Eq -> fun _ -> of_bool (values.(sx) = values.(sy))
-        | Expr.Ne -> fun _ -> of_bool (values.(sx) <> values.(sy))
-        (* Non-short-circuit, as in the predicated hardware pipeline (both
-           operand slots are unconditionally evaluated anyway). *)
-        | Expr.And -> fun _ -> of_bool (truthy values.(sx) && truthy values.(sy))
-        | Expr.Or -> fun _ -> of_bool (truthy values.(sx) || truthy values.(sy)))
-    | Dag.Select { cond; if_true; if_false } ->
-        (* Both branch slots evaluate (predication), then one is selected. *)
-        let sc = slot cond and st = slot if_true and sf = slot if_false in
-        fun _ -> if truthy values.(sc) then values.(st) else values.(sf)
-    | Dag.Call (f, args) -> (
-        match (f, List.map slot args) with
-        | Expr.Sqrt, [ x ] -> fun _ -> Float.sqrt values.(x)
-        | Expr.Abs, [ x ] -> fun _ -> Float.abs values.(x)
-        | Expr.Exp, [ x ] -> fun _ -> Float.exp values.(x)
-        | Expr.Log, [ x ] -> fun _ -> Float.log values.(x)
-        | Expr.Sin, [ x ] -> fun _ -> Float.sin values.(x)
-        | Expr.Cos, [ x ] -> fun _ -> Float.cos values.(x)
-        | Expr.Floor, [ x ] -> fun _ -> Float.floor values.(x)
-        | Expr.Ceil, [ x ] -> fun _ -> Float.ceil values.(x)
-        | Expr.Pow, [ x; y ] -> fun _ -> Float.pow values.(x) values.(y)
-        | Expr.Min, [ x; y ] -> fun _ -> Float.min values.(x) values.(y)
-        | Expr.Max, [ x; y ] -> fun _ -> Float.max values.(x) values.(y)
-        | ( ( Expr.Sqrt | Expr.Abs | Expr.Exp | Expr.Log | Expr.Sin | Expr.Cos | Expr.Floor
-            | Expr.Ceil | Expr.Pow | Expr.Min | Expr.Max ),
-            _ ) ->
-            invalid_arg (Printf.sprintf "Compile.expr: wrong arity for %s" (Expr.func_name f)))
+  let instr t =
+    let op, operands =
+      match Dag.view t with
+      | Dag.Const _ | Dag.Access _ -> assert false
+      | Dag.Var v -> invalid_arg (Printf.sprintf "Compile.lower: unbound variable %s" v)
+      | Dag.Unary (op, x) -> ((match op with Expr.Neg -> Neg | Expr.Not -> Not), [ x ])
+      | Dag.Binary (op, x, y) ->
+          ( (match op with
+            | Expr.Add -> Add | Expr.Sub -> Sub | Expr.Mul -> Mul | Expr.Div -> Div
+            | Expr.Lt -> Lt | Expr.Le -> Le | Expr.Gt -> Gt | Expr.Ge -> Ge
+            | Expr.Eq -> Eq | Expr.Ne -> Ne | Expr.And -> And | Expr.Or -> Or),
+            [ x; y ] )
+      | Dag.Select { cond; if_true; if_false } -> (Select, [ cond; if_true; if_false ])
+      | Dag.Call (f, args) ->
+          if List.length args <> Expr.func_arity f then
+            invalid_arg (Printf.sprintf "Compile.lower: wrong arity for %s" (Expr.func_name f));
+          ( (match f with
+            | Expr.Sqrt -> Sqrt | Expr.Abs -> Abs | Expr.Exp -> Exp | Expr.Log -> Log
+            | Expr.Sin -> Sin | Expr.Cos -> Cos | Expr.Floor -> Floor | Expr.Ceil -> Ceil
+            | Expr.Pow -> Pow | Expr.Min -> Min | Expr.Max -> Max),
+            args )
+    in
+    (op, List.map slot (t :: operands) @ List.init (3 - List.length operands) (fun _ -> 0))
   in
-  let fns = Array.of_list (List.map compile_node nodes) in
-  let root_slot = slot root in
+  let of_kind k f = List.filter_map (fun t -> if kind t = k then Some (f t) else None) nodes in
+  let load t = match Dag.view t with Dag.Access a -> (a.field, a.offsets) | _ -> assert false in
+  let const t = match Dag.view t with Dag.Const c -> c | _ -> assert false in
+  let code = of_kind 2 instr in
+  {
+    loads = Array.of_list (of_kind 0 load);
+    consts = Array.of_list (of_kind 1 const);
+    ops = Array.of_list (List.map fst code);
+    args = Array.of_list (List.concat_map snd code);
+    n_slots = List.length nodes;
+    result = slot root;
+  }
+
+let frame p ~lanes =
+  let f = Array.make (p.n_slots * lanes) 0. in
+  let base = Array.length p.loads in
+  Array.iteri (fun i c -> Array.fill f ((base + i) * lanes) lanes c) p.consts;
+  f
+
+(* Float-array accessors: unboxed loads and stores on the frame. *)
+external get : float array -> int -> float = "%array_unsafe_get"
+external set : float array -> int -> float -> unit = "%array_unsafe_set"
+
+let[@inline] of_bool b = if b then 1. else 0.
+
+(* Stdlib's Float.min and Float.max, restated so the lane loops inline
+   them instead of calling through boxed floats. *)
+let[@inline] fmin (x : float) (y : float) =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then if y <> y then y else x
+  else if x <> x then x
+  else y
+
+let[@inline] fmax (x : float) (y : float) =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then if x <> x then x else y
+  else if y <> y then y
+  else x
+
+(* Semantics are those of Interp.eval_expr: comparisons yield 1.0 / 0.0,
+   any non-zero value is true, && and || do not short-circuit, and both
+   select branches were computed by earlier instructions. Each case is
+   its own lane loop, written out so that no float is ever boxed. *)
+let exec p ~lanes fr =
+  if lanes < 1 || lanes * p.n_slots <> Array.length fr then
+    invalid_arg "Compile.exec: the frame does not hold [lanes] lanes";
+  let args = p.args and n = lanes - 1 in
+  for i = 0 to Array.length p.ops - 1 do
+    let d = Array.unsafe_get args (4 * i) * lanes
+    and x = Array.unsafe_get args ((4 * i) + 1) * lanes
+    and y = Array.unsafe_get args ((4 * i) + 2) * lanes in
+    match Array.unsafe_get p.ops i with
+    | Neg -> for l = 0 to n do set fr (d + l) (-.get fr (x + l)) done
+    | Not -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) = 0.)) done
+    | Add -> for l = 0 to n do set fr (d + l) (get fr (x + l) +. get fr (y + l)) done
+    | Sub -> for l = 0 to n do set fr (d + l) (get fr (x + l) -. get fr (y + l)) done
+    | Mul -> for l = 0 to n do set fr (d + l) (get fr (x + l) *. get fr (y + l)) done
+    | Div -> for l = 0 to n do set fr (d + l) (get fr (x + l) /. get fr (y + l)) done
+    | Lt -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) < get fr (y + l))) done
+    | Le -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) <= get fr (y + l))) done
+    | Gt -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) > get fr (y + l))) done
+    | Ge -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) >= get fr (y + l))) done
+    | Eq -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) = get fr (y + l))) done
+    | Ne -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) <> get fr (y + l))) done
+    | And -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) <> 0. && get fr (y + l) <> 0.)) done
+    | Or -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) <> 0. || get fr (y + l) <> 0.)) done
+    | Select ->
+        let z = Array.unsafe_get args ((4 * i) + 3) * lanes in
+        for l = 0 to n do
+          set fr (d + l) (if get fr (x + l) <> 0. then get fr (y + l) else get fr (z + l))
+        done
+    | Sqrt -> for l = 0 to n do set fr (d + l) (Float.sqrt (get fr (x + l))) done
+    | Abs -> for l = 0 to n do set fr (d + l) (Float.abs (get fr (x + l))) done
+    | Exp -> for l = 0 to n do set fr (d + l) (Float.exp (get fr (x + l))) done
+    | Log -> for l = 0 to n do set fr (d + l) (Float.log (get fr (x + l))) done
+    | Sin -> for l = 0 to n do set fr (d + l) (Float.sin (get fr (x + l))) done
+    | Cos -> for l = 0 to n do set fr (d + l) (Float.cos (get fr (x + l))) done
+    | Floor -> for l = 0 to n do set fr (d + l) (Float.floor (get fr (x + l))) done
+    | Ceil -> for l = 0 to n do set fr (d + l) (Float.ceil (get fr (x + l))) done
+    | Pow -> for l = 0 to n do set fr (d + l) (Float.pow (get fr (x + l)) (get fr (y + l))) done
+    | Min -> for l = 0 to n do set fr (d + l) (fmin (get fr (x + l)) (get fr (y + l))) done
+    | Max -> for l = 0 to n do set fr (d + l) (fmax (get fr (x + l)) (get fr (y + l))) done
+  done
+
+let body ~access b =
+  let p = lower b in
+  let reads = Array.map (fun (field, offsets) -> access ~field ~offsets) p.loads in
+  let fr = frame p ~lanes:1 in
   fun ctx ->
-    for i = 0 to n - 1 do
-      values.(i) <- (Array.unsafe_get fns i) ctx
+    for k = 0 to Array.length reads - 1 do
+      fr.(k) <- reads.(k) ctx
     done;
-    values.(root_slot)
+    exec p ~lanes:1 fr;
+    fr.(p.result)
+
+(* Loads ------------------------------------------------------------------ *)
+
+type ring = { data : float array; cap : int; mutable newest : int; mutable head : int }
+
+let resident data =
+  let n = Array.length data in
+  { data; cap = n; newest = n - 1; head = n - 1 }
+
+let push r src pos len =
+  for k = pos to pos + len - 1 do
+    r.newest <- r.newest + 1;
+    r.head <- (if r.head = r.cap - 1 then 0 else r.head + 1);
+    r.data.(r.head) <- src.(k)
+  done
+
+(* The lanes of one fill run along the program's innermost axis. [step]
+   is 1 when the tap spans that axis (its last axis, stride 1), and 0
+   when every lane reads the same element; the other axes are fixed
+   across the lanes. *)
+type tap = {
+  src : ring;
+  axes : int array;
+  extents : int array;
+  strides : int array;
+  offsets : int array;
+  step : int;
+  shift : int;  (* element distance from a lane's cell to what it reads *)
+  boundary : Boundary.t;
+}
+
+let tap src ~shape ~axes ~offsets ~boundary =
+  let extents = Array.map (fun a -> shape.(a)) axes in
+  let n = Array.length axes in
+  let strides = Array.make n 1 in
+  for d = n - 2 downto 0 do
+    strides.(d) <- strides.(d + 1) * extents.(d + 1)
+  done;
+  if Array.length offsets <> n then invalid_arg "Compile.tap: one offset per axis";
+  let shift = ref 0 in
+  Array.iteri (fun d o -> shift := !shift + (o * strides.(d))) offsets;
+  let step = if n > 0 && axes.(n - 1) = Array.length shape - 1 then 1 else 0 in
+  { src; axes; extents; strides; offsets; step; shift = !shift; boundary }
+
+(* Copy [len] stream elements, [e], [e + step], ... ([step] is 0 or 1),
+   into [fr] from [dst]. Every element read must still be in the ring;
+   element [e] then sits [newest - e] places behind [head]. *)
+let[@inline] read_run r e step fr dst len =
+  assert (e >= 0 && e > r.newest - r.cap && e + (step * (len - 1)) <= r.newest);
+  let i = ref (r.head - (r.newest - e)) in
+  if !i < 0 then i := !i + r.cap;
+  for l = 0 to len - 1 do
+    Array.unsafe_set fr (dst + l) r.data.(!i);
+    i := !i + step;
+    if !i = r.cap then i := 0
+  done
+
+let fill_slot t ~idx ~lanes fr ~slot ~oob =
+  let fixed = Array.length t.axes - t.step in
+  let center = ref 0 and in_bounds = ref true in
+  for d = 0 to fixed - 1 do
+    let base = idx.(Array.unsafe_get t.axes d) in
+    let target = base + Array.unsafe_get t.offsets d in
+    if target < 0 || target >= Array.unsafe_get t.extents d then in_bounds := false;
+    center := !center + (base * Array.unsafe_get t.strides d)
+  done;
+  (* Lanes [lo, hi) read in bounds. *)
+  let lo, hi =
+    if t.step = 0 then (0, if !in_bounds then lanes else 0)
+    else begin
+      let base = idx.(Array.length idx - 1) in
+      let target = base + t.offsets.(fixed) in
+      center := !center + base;
+      let lo = if !in_bounds then Int.min lanes (Int.max 0 (-target)) else lanes in
+      (lo, Int.max lo (Int.min lanes (t.extents.(fixed) - target)))
+    end
+  in
+  let dst = slot * lanes in
+  if hi > lo then read_run t.src (!center + t.shift + (t.step * lo)) t.step fr (dst + lo) (hi - lo);
+  (* The other lanes take the boundary value, and their cells are marked
+     for shrink validity. *)
+  if lo > 0 || hi < lanes then
+    for l = 0 to lanes - 1 do
+      if l < lo || l >= hi then begin
+        oob.(l) <- true;
+        match t.boundary with
+        | Boundary.Constant c -> fr.(dst + l) <- c
+        | Boundary.Copy -> read_run t.src (!center + (t.step * l)) 0 fr (dst + l) 1
+      end
+    done
+
+let fill taps ~idx ~lanes fr ~oob =
+  if Array.length taps * lanes > Array.length fr || Array.length oob < lanes then
+    invalid_arg "Compile.fill: the frame or the flags are too small for [lanes]";
+  for l = 0 to lanes - 1 do
+    oob.(l) <- false
+  done;
+  for slot = 0 to Array.length taps - 1 do
+    fill_slot taps.(slot) ~idx ~lanes fr ~slot ~oob
+  done
+
+let rec advance ~shape idx d inc =
+  if d >= 0 then begin
+    let v = idx.(d) + inc in
+    if v >= shape.(d) && d > 0 then begin
+      idx.(d) <- 0;
+      advance ~shape idx (d - 1) 1
+    end
+    else idx.(d) <- v
+  end

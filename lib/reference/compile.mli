@@ -1,34 +1,77 @@
-(** Staged compilation of stencil expressions to closures.
+(** The one evaluator for stencil bodies: a flat, lane-batched program.
 
-    Evaluating the AST per cell costs a pattern match and environment
-    lookup per node; since the DSL is closed and analyzable (paper,
-    Sec. II), each stencil body can instead be compiled once into a tree
-    of closures over an abstract per-cell context ['ctx]. The caller
-    supplies the access compiler, which may pre-resolve everything that
-    does not depend on the cell — which tensor or window backs a field,
-    flattened offsets, boundary-condition constants — so the per-cell
-    work is only loads and arithmetic. Both the reference interpreter
-    and the simulator's stencil units execute through this path; the
-    semantics are those of {!Interp.eval_expr} (non-short-circuit
-    booleans, both select branches evaluated), which property tests
-    enforce. *)
+    {!lower} turns the hash-consed DAG of a body ({!Sf_ir.Dag}) into a
+    straight-line program once: every distinct node gets a slot, each
+    distinct [(field, offsets)] access is a load slot the caller fills,
+    constants are slots filled when the frame is made, and each other
+    node is one instruction (op code, destination and operand slots) in
+    topological order. {!exec} runs it over [lanes] cells held in one
+    unboxed [float array] (slot [s], lane [l] at [s * lanes + l]),
+    dispatching each instruction once and then looping over the lanes,
+    without allocating: one control step drives W lanes, as in the
+    paper's stencil units (Sec. III-A, IV-C). The reference interpreter
+    runs a whole innermost-axis row per dispatch, a simulated stencil
+    unit the W lanes of a word.
 
-type 'ctx fn = 'ctx -> float
+    Semantics are bit-identical to {!Interp.eval_expr}: comparisons yield
+    1.0 / 0.0, any non-zero value is true, [&&] and [||] do not
+    short-circuit, both select branches are computed, and bindings the
+    result never reads are computed too, so their loads still feed the
+    validity mask. *)
 
-val expr :
-  access:(field:string -> offsets:int list -> 'ctx fn) ->
-  env:(string -> 'ctx fn option) ->
-  Sf_ir.Expr.t ->
-  'ctx fn
-(** Compile one expression; [env] resolves let-bound variables. Raises
-    [Invalid_argument] on unbound variables or bad arity. *)
+type program
 
-val body : access:(field:string -> offsets:int list -> 'ctx fn) -> Sf_ir.Expr.body -> 'ctx fn
-(** Compile a whole body through the hash-consed DAG ({!Sf_ir.Dag}):
-    every distinct node — let-bound or structurally shared — gets a slot
-    in a reused array and is evaluated exactly once per invocation, in
-    topological order (so the result is not reentrant, matching the
-    single-threaded execution engines). Bindings the result never reads
-    are still evaluated: their predicated accesses keep feeding the
-    validity mask. Raises [Invalid_argument] on unbound or forward
-    variable references. *)
+val lower : Sf_ir.Expr.body -> program
+(** Raises [Invalid_argument] on unbound or forward variable references
+    and on calls with the wrong arity. *)
+
+val loads : program -> (string * int list) array
+(** The distinct accesses; load [k] lives in slot [k]. *)
+
+val result_slot : program -> int
+
+val frame : program -> lanes:int -> float array
+(** A fresh frame for [lanes] cells with the constant slots filled. *)
+
+val exec : program -> lanes:int -> float array -> unit
+(** Run every instruction over a frame made with the same [lanes] whose
+    load slots are filled. Lane [l]'s result is at
+    [result_slot p * lanes + l]. *)
+
+val body : access:(field:string -> offsets:int list -> 'ctx -> float) -> Sf_ir.Expr.body -> 'ctx -> float
+(** One-lane adapter: per call, read each load once through [access],
+    then {!exec}. Not reentrant. *)
+
+(** {2 Loads}
+
+    Both callers fill load slots alike: the lanes of one dispatch are
+    consecutive cells of one innermost-axis row, from multi-index [idx]. *)
+
+type ring = { data : float array; cap : int; mutable newest : int; mutable head : int }
+(** The last [cap] elements of a row-major element stream, up to element
+    [newest]: element [e] is at [data.(e mod cap)], and
+    [head = newest mod cap] ([-1] when empty). A stencil unit's input
+    window is a ring; so is a whole tensor ({!resident}). *)
+
+val resident : float array -> ring
+val push : ring -> float array -> int -> int -> unit
+(** [push r src pos len] appends [src.(pos)] ... [src.(pos + len - 1)]. *)
+
+type tap
+(** A load slot resolved against its source: the program axes it spans
+    (strictly increasing; row-major over their extents in [shape]), the
+    access offsets and the boundary condition. *)
+
+val tap :
+  ring -> shape:int array -> axes:int array -> offsets:int array -> boundary:Sf_ir.Boundary.t -> tap
+
+val fill : tap array -> idx:int array -> lanes:int -> float array -> oob:bool array -> unit
+(** Fill each load slot [k] from [taps.(k)]. A lane whose access is out
+    of bounds in any axis takes the boundary value (for [Copy], the
+    source's element at the lane's own cell); [oob.(l)] is set to whether
+    any load of lane [l] was. Fails an assertion if a read element is not
+    in the ring. *)
+
+val advance : shape:int array -> int array -> int -> int -> unit
+(** [advance ~shape idx d inc] adds [inc] to [idx.(d)], carrying into
+    outer axes; the outermost axis does not wrap. *)

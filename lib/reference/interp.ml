@@ -63,14 +63,9 @@ let rec eval_expr ~lookup ~env expr =
 let input_extent (p : Program.t) (f : Field.t) =
   match Field.extent f ~shape:p.Program.shape with [] -> [ 1 ] | extent -> extent
 
-(* Per-cell evaluation context shared with the compiled closures: the
-   current multi-index plus the out-of-bounds flag that drives "shrink"
-   validity. *)
-type cell_ctx = { idx : int array; mutable oob : bool }
-
 let run_all (p : Program.t) ~inputs =
   Program.validate_exn p;
-  let shape = p.Program.shape in
+  let shape = Array.of_list p.Program.shape in
   let rank = Program.rank p in
   let store : (string, Tensor.t) Hashtbl.t = Hashtbl.create 16 in
   List.iter
@@ -86,78 +81,43 @@ let run_all (p : Program.t) ~inputs =
               (Sf_support.Util.string_concat_map "," string_of_int extent);
           Hashtbl.replace store f.Field.name { t with Tensor.extent })
     p.Program.inputs;
-  let results = ref [] in
+  (* One dispatch of the compiled body per innermost-axis row (a valid
+     program has 1-3 axes): the row's cells are the lanes. *)
+  let lanes = shape.(rank - 1) in
   let eval_stencil (s : Stencil.t) =
-    let out = Tensor.create shape in
+    let out = Tensor.create p.Program.shape in
     let valid = Array.make (Program.cells p) true in
-    (* The access compiler pre-resolves everything cell-independent:
-       which tensor backs the field, its strides, the offset vector and
-       the boundary condition. Per cell only bounds checks and a flat
-       load remain. *)
-    let access ~field ~offsets =
-      let axes = Array.of_list (Program.field_axes p field) in
-      let tensor =
-        match Hashtbl.find_opt store field with
-        | Some t -> t
-        | None -> fail "field %s evaluated before its producer" field
-      in
-      let offsets = Array.of_list offsets in
-      let extents = Array.map (fun axis -> List.nth shape axis) axes in
-      let strides =
-        (* Row-major strides of the field's own extent. *)
-        let n = Array.length extents in
-        let strides = Array.make n 1 in
-        for d = n - 2 downto 0 do
-          strides.(d) <- strides.(d + 1) * extents.(d + 1)
-        done;
-        strides
-      in
-      let n = Array.length axes in
-      let boundary = Stencil.boundary_for s field in
-      fun (ctx : cell_ctx) ->
-        let flat = ref 0 in
-        let center = ref 0 in
-        let in_bounds = ref true in
-        for d = 0 to n - 1 do
-          let base = ctx.idx.(axes.(d)) in
-          let target = base + offsets.(d) in
-          if target < 0 || target >= extents.(d) then in_bounds := false;
-          flat := !flat + (target * strides.(d));
-          center := !center + (base * strides.(d))
-        done;
-        if !in_bounds then Tensor.get_flat tensor !flat
-        else begin
-          ctx.oob <- true;
-          match boundary with
-          | Boundary.Constant c -> c
-          | Boundary.Copy -> Tensor.get_flat tensor !center
-        end
+    let prog = Compile.lower s.Stencil.body in
+    let taps =
+      Array.map
+        (fun (field, offsets) ->
+          let tensor =
+            match Hashtbl.find_opt store field with
+            | Some t -> t
+            | None -> fail "field %s evaluated before its producer" field
+          in
+          Compile.tap (Compile.resident tensor.Tensor.data) ~shape
+            ~axes:(Array.of_list (Program.field_axes p field))
+            ~offsets:(Array.of_list offsets) ~boundary:(Stencil.boundary_for s field))
+        (Compile.loads prog)
     in
-    let compiled = Compile.body ~access s.Stencil.body in
-    let ctx = { idx = Array.make rank 0; oob = false } in
-    let extents = Array.of_list shape in
-    let cells = Program.cells p in
-    for flat = 0 to cells - 1 do
-      ctx.oob <- false;
-      Tensor.set_flat out flat (compiled ctx);
-      if s.Stencil.shrink && ctx.oob then valid.(flat) <- false;
-      (* Advance the mixed-radix counter. *)
-      let rec bump d =
-        if d >= 0 then begin
-          ctx.idx.(d) <- ctx.idx.(d) + 1;
-          if ctx.idx.(d) = extents.(d) then begin
-            ctx.idx.(d) <- 0;
-            bump (d - 1)
-          end
-        end
-      in
-      bump (rank - 1)
+    let frame = Compile.frame prog ~lanes in
+    let result = Compile.result_slot prog * lanes in
+    let oob = Array.make lanes false in
+    let idx = Array.make rank 0 in
+    for row = 0 to (Program.cells p / lanes) - 1 do
+      Compile.fill taps ~idx ~lanes frame ~oob;
+      Compile.exec prog ~lanes frame;
+      Array.blit frame result out.Tensor.data (row * lanes) lanes;
+      for l = 0 to lanes - 1 do
+        valid.((row * lanes) + l) <- not (s.Stencil.shrink && oob.(l))
+      done;
+      Compile.advance ~shape idx (rank - 2) 1
     done;
     Hashtbl.replace store s.Stencil.name out;
-    results := (s.Stencil.name, { tensor = out; valid }) :: !results
+    (s.Stencil.name, { tensor = out; valid })
   in
-  List.iter eval_stencil (Program.topological_stencils p);
-  List.rev !results
+  List.map eval_stencil (Program.topological_stencils p)
 
 let run p ~inputs =
   let all = run_all p ~inputs in

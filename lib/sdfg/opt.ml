@@ -41,9 +41,9 @@ let eval_const_call f args =
 
 (* Constant folding as a linear pass over the DAG: each distinct node is
    folded exactly once, however often the inlined tree repeats it. The
-   float guards [c = 0.] / [c = 1.] deliberately use OCaml's [=] so -0.0
-   triggers the zero identities exactly like the float patterns of the
-   old tree-walking fold did (and NaN never matches). *)
+   zero identities are sign-exact: [x + -0.0] and [x - +0.0] equal [x]
+   for every [x], but [-0.0 + +0.0] is [+0.0], so adding [+0.0] (or
+   subtracting [-0.0]) is kept. The [c = 1.] guards never match NaN. *)
 let fold_dag ?(preserve_access_effects = false) root =
   let memo : (int, Dag.t) Hashtbl.t = Hashtbl.create 64 in
   let rec go t =
@@ -62,12 +62,11 @@ let fold_dag ?(preserve_access_effects = false) root =
               let x' = go x and y' = go y in
               match (op, Dag.view x', Dag.view y') with
               | _, Dag.Const a, Dag.Const b -> Dag.const (eval_const_binop op a b)
-              (* IEEE-safe identities only: adding/subtracting zero and
-                 multiplying/dividing by one preserve NaN and Inf
-                 propagation. *)
-              | Expr.Add, Dag.Const c, _ when c = 0. -> y'
-              | Expr.Add, _, Dag.Const c when c = 0. -> x'
-              | Expr.Sub, _, Dag.Const c when c = 0. -> x'
+              (* IEEE-exact identities only: they preserve NaN and Inf
+                 propagation and the sign of zero. *)
+              | Expr.Add, Dag.Const c, _ when c = 0. && Float.sign_bit c -> y'
+              | Expr.Add, _, Dag.Const c when c = 0. && Float.sign_bit c -> x'
+              | Expr.Sub, _, Dag.Const c when c = 0. && not (Float.sign_bit c) -> x'
               | Expr.Mul, Dag.Const c, _ when c = 1. -> y'
               | Expr.Mul, _, Dag.Const c when c = 1. -> x'
               | Expr.Div, _, Dag.Const c when c = 1. -> x'

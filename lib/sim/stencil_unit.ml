@@ -1,5 +1,6 @@
 open Sf_ir
 module Tensor = Sf_reference.Tensor
+module Compile = Sf_reference.Compile
 
 type input_binding = {
   field : string;
@@ -7,37 +8,33 @@ type input_binding = {
   prefetched : Tensor.t option;
 }
 
-(* Ring buffer over the flattened element stream of one full-rank input:
-   the shift register of Fig. 6. [newest] is the flat element index of the
-   most recently received element (-1 before any data arrives). *)
-type window = { data : float array; cap : int; mutable newest : int }
-
 type input_state = {
   field : string;
   channel : Channel.t option;
-  window : window option;
-  prefetched : Tensor.t option;
-  axes : int list;
+  (* Ring buffer over the flattened element stream of a full-rank input:
+     the shift register of Fig. 6. *)
+  window : Compile.ring option;
+  src : Compile.ring;  (* the window, or the prefetched tensor *)
   start_step : int;
-  boundary : Boundary.t;
 }
-
-(* Mutable per-cell context threaded through the compiled expression:
-   the flat cell index, its multi-index, and the out-of-bounds flag. *)
-type cell_ctx = { mutable cell_flat : int; idx : int array; mutable oob : bool }
 
 type t = {
   name : string;
   shape : int array;
-  strides : int array;
   w : int;
   n_words : int;
   init_max : int;
   compute_cycles : int;
   inputs : input_state array;
   outputs : Channel.t array;
-  compiled : cell_ctx -> float;
-  ctx : cell_ctx;
+  (* The lowered body, one tap per load slot and a frame of [w] lanes;
+     [idx] is the multi-index of lane 0 of the next word. *)
+  prog : Compile.program;
+  taps : Compile.tap array;
+  frame : float array;
+  result : int;
+  idx : int array;
+  oob : bool array;
   shrink : bool;
   mutable step : int;
   (* The delay line of computed-but-not-yet-emitted words, as a
@@ -51,10 +48,6 @@ type t = {
   pend_cap : int;
   mutable pend_head : int;
   mutable pend_count : int;
-  (* Next flat cell index expected by the incremental multi-index: when
-     compute proceeds sequentially (the common case) [ctx.idx] is
-     advanced by carry propagation instead of per-lane division. *)
-  mutable next_flat : int;
   mutable stalls : int;
   (* Fault-injection flag (Fault_plan): a hiccup freezes the pipeline
      for the cycle. Cleared by the injector each cycle. *)
@@ -62,18 +55,8 @@ type t = {
   probe : Telemetry.probe option;
 }
 
-let window_get win e =
-  assert (e <= win.newest && e > win.newest - win.cap && e >= 0);
-  win.data.(e mod win.cap)
-
-let window_append win v =
-  win.newest <- win.newest + 1;
-  win.data.(win.newest mod win.cap) <- v
-
 let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
-  let shape_list = program.Program.shape in
-  let shape = Array.of_list shape_list in
-  let strides = Array.of_list (Program.strides program) in
+  let shape = Array.of_list program.Program.shape in
   let w = program.Program.vector_width in
   let cells = Program.cells program in
   let n_words = cells / w in
@@ -97,7 +80,7 @@ let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
             let cap =
               ((init_extra + 2) * w) + max 0 (-info.Sf_analysis.Internal_buffer.min_flat) + w
             in
-            ( Some { data = Array.make cap 0.; cap; newest = -1 },
+            ( Some { Compile.data = Array.make cap 0.; cap; newest = -1; head = -1 },
               init_max - init_extra )
           end
         in
@@ -105,94 +88,48 @@ let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
           field = b.field;
           channel = b.channel;
           window;
-          prefetched = b.prefetched;
-          axes;
+          src =
+            (match window with
+            | Some win -> win
+            | None -> Compile.resident (Option.get b.prefetched).Tensor.data);
           start_step;
-          boundary = Stencil.boundary_for stencil b.field;
         })
       inputs
   in
   let inputs_arr = Array.of_list input_states in
-  (* Compile the body once: every access pre-resolves its input, flat
-     offset, per-dimension bounds data and boundary condition, leaving
-     only loads and arithmetic per cell (see Sf_reference.Compile). *)
-  let access ~field ~offsets =
-    let input =
-      match Array.find_opt (fun i -> String.equal i.field field) inputs_arr with
-      | Some i -> i
-      | None -> failwith (Printf.sprintf "stencil %s: unbound access to %s" stencil.Stencil.name field)
-    in
-    match input.window with
-    | Some win ->
-        let rank = Array.length shape in
-        let offs = Array.of_list offsets in
-        let flat =
-          List.fold_left ( + ) 0 (List.mapi (fun d o -> o * strides.(d)) offsets)
+  (* Every load slot reads its input's window at the access offsets, or
+     the prefetched tensor of a lower-dimensional input. *)
+  let prog = Compile.lower stencil.Stencil.body in
+  let taps =
+    Array.map
+      (fun (field, offsets) ->
+        let input =
+          match Array.find_opt (fun i -> String.equal i.field field) inputs_arr with
+          | Some i -> i
+          | None ->
+              failwith (Printf.sprintf "stencil %s: unbound access to %s" stencil.Stencil.name field)
         in
-        let boundary = input.boundary in
-        fun (ctx : cell_ctx) ->
-          let in_bounds = ref true in
-          for d = 0 to rank - 1 do
-            let i = ctx.idx.(d) + offs.(d) in
-            if i < 0 || i >= shape.(d) then in_bounds := false
-          done;
-          if !in_bounds then window_get win (ctx.cell_flat + flat)
-          else begin
-            ctx.oob <- true;
-            match boundary with
-            | Boundary.Constant c -> c
-            | Boundary.Copy -> window_get win ctx.cell_flat
-          end
-    | None ->
-        let tensor = Option.get input.prefetched in
-        let axes = Array.of_list input.axes in
-        let offs = Array.of_list offsets in
-        let n = Array.length axes in
-        let extents = Array.map (fun axis -> shape.(axis)) axes in
-        let tstrides =
-          let st = Array.make (max 1 n) 1 in
-          for d = n - 2 downto 0 do
-            st.(d) <- st.(d + 1) * extents.(d + 1)
-          done;
-          st
-        in
-        let boundary = input.boundary in
-        fun (ctx : cell_ctx) ->
-          let flat = ref 0 in
-          let center = ref 0 in
-          let in_bounds = ref true in
-          for d = 0 to n - 1 do
-            let base = ctx.idx.(axes.(d)) in
-            let target = base + offs.(d) in
-            if target < 0 || target >= extents.(d) then in_bounds := false;
-            flat := !flat + (target * tstrides.(d));
-            center := !center + (base * tstrides.(d))
-          done;
-          if !in_bounds then Tensor.get_flat tensor !flat
-          else begin
-            ctx.oob <- true;
-            match boundary with
-            | Boundary.Constant c -> c
-            | Boundary.Copy -> Tensor.get_flat tensor !center
-          end
+        Compile.tap input.src ~shape
+          ~axes:(Array.of_list (Program.field_axes program field))
+          ~offsets:(Array.of_list offsets) ~boundary:(Stencil.boundary_for stencil field))
+      (Compile.loads prog)
   in
-  (* Compile.body schedules the body's hash-consed DAG into slots: every
-     shared node (let-bound or structural) is evaluated once per cell,
-     mirroring the fan-out of the spatial pipeline. *)
-  let compiled = Sf_reference.Compile.body ~access stencil.Stencil.body in
   let pend_cap = compute_cycles + 2 in
   {
     name = stencil.Stencil.name;
     shape;
-    strides;
     w;
     n_words;
     init_max;
     compute_cycles;
     inputs = inputs_arr;
     outputs = Array.of_list outputs;
-    compiled;
-    ctx = { cell_flat = 0; idx = Array.make (Array.length shape) 0; oob = false };
+    prog;
+    taps;
+    frame = Compile.frame prog ~lanes:w;
+    result = Compile.result_slot prog * w;
+    idx = Array.make (Array.length shape) 0;
+    oob = Array.make w false;
     shrink = stencil.Stencil.shrink;
     step = 0;
     pend_release = Array.make pend_cap 0;
@@ -201,7 +138,6 @@ let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
     pend_cap;
     pend_head = 0;
     pend_count = 0;
-    next_flat = 0;
     stalls = 0;
     hiccup = false;
     probe;
@@ -228,43 +164,24 @@ let consuming_at i s =
 
 let consuming_active t i = consuming_at i t.step && t.step - i.start_step < t.n_words
 
-(* Compute one output word into the pending slot whose value base is
-   [vbase]. The multi-index for boundary predication is carried
-   incrementally from cell to cell; the division rebuild only runs if a
-   word is ever computed out of sequence. *)
-let compute_into t word_index vbase =
-  let rank = Array.length t.shape in
+(* Compute the word of the current step into the tail of the pending
+   line, to be released after the compute latency. Its W lanes are
+   consecutive cells of one innermost-axis row (W divides the innermost
+   extent), evaluated in one dispatch. Words are computed in order, one
+   per step from [init_max] on, so the multi-index is carried from word
+   to word. *)
+let compute_into t ~now =
+  let tail = (t.pend_head + t.pend_count) mod t.pend_cap in
+  let vbase = tail * t.w in
+  Compile.fill t.taps ~idx:t.idx ~lanes:t.w t.frame ~oob:t.oob;
+  Compile.exec t.prog ~lanes:t.w t.frame;
   for lane = 0 to t.w - 1 do
-    let cell_flat = (word_index * t.w) + lane in
-    if cell_flat <> t.next_flat then begin
-      let rec fill d rem =
-        if d < rank then begin
-          t.ctx.idx.(d) <- rem / t.strides.(d);
-          fill (d + 1) (rem mod t.strides.(d))
-        end
-      in
-      fill 0 cell_flat;
-      t.next_flat <- cell_flat
-    end;
-    t.ctx.cell_flat <- cell_flat;
-    t.ctx.oob <- false;
-    t.pend_values.(vbase + lane) <- t.compiled t.ctx;
-    t.pend_valid.(vbase + lane) <- not (t.shrink && t.ctx.oob);
-    t.next_flat <- t.next_flat + 1;
-    let d = ref (rank - 1) in
-    let carry = ref (rank > 0) in
-    while !carry do
-      let v = t.ctx.idx.(!d) + 1 in
-      if v >= t.shape.(!d) && !d > 0 then begin
-        t.ctx.idx.(!d) <- 0;
-        decr d
-      end
-      else begin
-        t.ctx.idx.(!d) <- v;
-        carry := false
-      end
-    done
-  done
+    t.pend_values.(vbase + lane) <- t.frame.(t.result + lane);
+    t.pend_valid.(vbase + lane) <- not (t.shrink && t.oob.(lane))
+  done;
+  Compile.advance ~shape:t.shape t.idx (Array.length t.shape - 1) t.w;
+  t.pend_release.(tail) <- now + t.compute_cycles;
+  t.pend_count <- t.pend_count + 1
 
 (* Emit the pending head: copy its lanes into a fresh slot of every
    output channel, in place. *)
@@ -295,15 +212,11 @@ let try_flush t ~now =
     true
   end
 
-(* Consume one word from input [i] into its window, lane by lane. *)
-let shift_in t i =
-  let c = Option.get i.channel in
-  let win = Option.get i.window in
+(* Consume one word from channel [c] into its window, lane by lane. *)
+let shift_in t c win =
   let base = Channel.Unsafe.front_slot c in
   let values = Channel.Unsafe.buf_values c in
-  for lane = 0 to t.w - 1 do
-    window_append win values.(base + lane)
-  done;
+  Compile.push win values base t.w;
   Channel.drop c
 
 let try_step t ~now =
@@ -322,15 +235,9 @@ let try_step t ~now =
     else begin
       for k = 0 to Array.length t.inputs - 1 do
         let i = t.inputs.(k) in
-        if consuming_active t i then shift_in t i
+        if consuming_active t i then shift_in t (Option.get i.channel) (Option.get i.window)
       done;
-      if t.step >= t.init_max then begin
-        let word_index = t.step - t.init_max in
-        let tail = (t.pend_head + t.pend_count) mod t.pend_cap in
-        t.pend_release.(tail) <- now + t.compute_cycles;
-        compute_into t word_index (tail * t.w);
-        t.pend_count <- t.pend_count + 1
-      end;
+      if t.step >= t.init_max then compute_into t ~now;
       t.step <- t.step + 1;
       true
     end
@@ -399,7 +306,7 @@ let cycle t ~now =
 
 type plan = {
   flush : bool;
-  pops : (Channel.t * window) array;
+  pops : (Channel.t * Compile.ring) array;
   compute : bool;
   advance : bool;
   horizon : int;
@@ -480,20 +387,9 @@ let run_planned t ~now p =
   if p.compute || p.advance then begin
     for k = 0 to Array.length p.pops - 1 do
       let c, win = p.pops.(k) in
-      let base = Channel.Unsafe.front_slot c in
-      let values = Channel.Unsafe.buf_values c in
-      for lane = 0 to t.w - 1 do
-        window_append win values.(base + lane)
-      done;
-      Channel.drop c
+      shift_in t c win
     done;
-    if p.compute then begin
-      let word_index = t.step - t.init_max in
-      let tail = (t.pend_head + t.pend_count) mod t.pend_cap in
-      t.pend_release.(tail) <- now + t.compute_cycles;
-      compute_into t word_index (tail * t.w);
-      t.pend_count <- t.pend_count + 1
-    end;
+    if p.compute then compute_into t ~now;
     t.step <- t.step + 1
   end
 

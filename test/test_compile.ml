@@ -2,24 +2,60 @@ module Compile = Sf_reference.Compile
 module Interp = Sf_reference.Interp
 open Sf_ir
 
-(* The compiled closures must agree exactly with the tree-walking
-   evaluator on arbitrary expressions and access environments. *)
-let prop_compile_equals_eval =
+(* Leaf values that stress IEEE corners: NaNs with distinct payloads and
+   signs, signed zeros, infinities (x / 0.0 and 0.0 / 0.0 arise from
+   them), and ordinary values on both sides of zero. *)
+let adversarial_values =
+  [|
+    Int64.float_of_bits 0x7ff8000000000123L;
+    Int64.float_of_bits 0xfff8000000000456L;
+    Int64.float_of_bits 0x7ff0000000000789L;
+    0.0; -0.0; Float.infinity; Float.neg_infinity; 1.0; -1.0; 0.5; -2.75; 3.0e300; 1.0e-310;
+  |]
+
+(* Free variables of generated expressions become let-bound loads of a
+   field of their own name, so every variable is data too. *)
+let bind_vars e =
+  {
+    Expr.lets =
+      List.map (fun v -> (v, Expr.Access { field = v; offsets = [] })) [ "t0"; "t1"; "u" ];
+    result = e;
+  }
+
+(* The value of load ([field], [offsets]) in lane [lane], from [seed]. *)
+let leaf_value ~seed ~field ~offsets ~lane =
+  let h = Hashtbl.hash (seed, field, offsets, lane) in
+  if h mod 3 = 0 then float_of_int (h mod 97) /. 7. -. 5.
+  else adversarial_values.(h mod Array.length adversarial_values)
+
+let lanes_match_interp ~seed e lanes =
+  let b = bind_vars e in
+  let p = Compile.lower b in
+  let fr = Compile.frame p ~lanes in
+  Array.iteri
+    (fun k (field, offsets) ->
+      for lane = 0 to lanes - 1 do
+        fr.((k * lanes) + lane) <- leaf_value ~seed ~field ~offsets ~lane
+      done)
+    (Compile.loads p);
+  Compile.exec p ~lanes fr;
+  List.for_all
+    (fun lane ->
+      let lookup ~field ~offsets = leaf_value ~seed ~field ~offsets ~lane in
+      let expected =
+        Interp.eval_expr ~lookup ~env:(fun v -> Some (lookup ~field:v ~offsets:[])) e
+      in
+      let got = fr.((Compile.result_slot p * lanes) + lane) in
+      Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float got)
+      || QCheck.Test.fail_reportf "lanes=%d lane=%d: expected %h, got %h" lanes lane expected got)
+    (List.init lanes Fun.id)
+
+(* The flat evaluator must agree bit for bit with the tree-walking
+   evaluator, lane by lane, at every lane count. *)
+let prop_lanes_bit_exact =
   QCheck.Test.make ~count:500 ~name:"compiled expressions equal the evaluator"
-    (QCheck.make ~print:Expr.to_string Test_expr.expr_gen)
-    (fun e ->
-      let lookup ~field ~offsets =
-        float_of_int (Hashtbl.hash (field, offsets) mod 31) /. 13.
-      in
-      let var_value v = float_of_int (Hashtbl.hash v mod 7) /. 3. in
-      let interpreted = Interp.eval_expr ~lookup ~env:(fun v -> Some (var_value v)) e in
-      let compiled =
-        Compile.expr
-          ~access:(fun ~field ~offsets -> fun () -> lookup ~field ~offsets)
-          ~env:(fun v -> Some (fun () -> var_value v))
-          e ()
-      in
-      (Float.is_nan interpreted && Float.is_nan compiled) || interpreted = compiled)
+    (QCheck.pair (QCheck.make ~print:Expr.to_string Test_expr.expr_gen) QCheck.small_nat)
+    (fun (e, seed) -> List.for_all (lanes_match_interp ~seed e) [ 1; 3; 4; 64 ])
 
 let test_body_lets_evaluate_once () =
   (* Each let is computed once per invocation; the access counter shows
@@ -42,17 +78,34 @@ let test_body_lets_evaluate_once () =
   Alcotest.(check (float 0.)) "second call" 4. (f ());
   Alcotest.(check int) "once per call" 2 !counter
 
+let test_body_adapter_equals_eval () =
+  (* The one-lane adapter over caller access functions, on a body whose
+     free variables are bound by lets. *)
+  let e =
+    Expr.Select
+      {
+        cond = Expr.Binary (Expr.Lt, Expr.Var "t0", Expr.Access { field = "a"; offsets = [ 1 ] });
+        if_true = Expr.Binary (Expr.Div, Expr.Var "u", Expr.Const 0.);
+        if_false = Expr.Call (Expr.Min, [ Expr.Var "t1"; Expr.Const (-0.0) ]);
+      }
+  in
+  List.iter
+    (fun seed ->
+      let lookup ~field ~offsets = leaf_value ~seed ~field ~offsets ~lane:0 in
+      let f = Compile.body ~access:(fun ~field ~offsets () -> lookup ~field ~offsets) (bind_vars e) in
+      let expected = Interp.eval_expr ~lookup ~env:(fun v -> Some (lookup ~field:v ~offsets:[])) e in
+      Alcotest.(check int64)
+        (Printf.sprintf "seed %d" seed) (Int64.bits_of_float expected) (Int64.bits_of_float (f ())))
+    (List.init 50 Fun.id)
+
 let test_unbound_variable_rejected () =
   match
-    Compile.expr
-      ~access:(fun ~field:_ ~offsets:_ -> fun () -> 0.)
-      ~env:(fun _ -> None)
-      (Expr.Var "ghost")
+    Compile.body
+      ~access:(fun ~field:_ ~offsets:_ () -> 0.)
+      { Expr.lets = []; result = Expr.Var "ghost" }
   with
   | exception Invalid_argument _ -> ()
-  | (f : unit Compile.fn) ->
-      ignore f;
-      Alcotest.fail "unbound variable must be rejected"
+  | (_ : unit -> float) -> Alcotest.fail "unbound variable must be rejected"
 
 let test_let_ordering () =
   (* A binding may reference earlier bindings but not later ones. *)
@@ -76,14 +129,39 @@ let test_let_ordering () =
   in
   match Compile.body ~access backwards with
   | exception Invalid_argument _ -> ()
-  | (f : unit Compile.fn) ->
-      ignore f;
-      Alcotest.fail "backward reference must be rejected"
+  | (_ : unit -> float) -> Alcotest.fail "backward reference must be rejected"
+
+(* Boxing a float anywhere in the lane loops would allocate per
+   instruction; the widest fused hdiff body runs allocation-free. *)
+let test_exec_allocation_free () =
+  let p = Sf_kernels.Hdiff.program ~shape:[ 4; 16; 16 ] ~vector_width:4 () in
+  let p = Sf_sdfg.Opt.optimize (fst (Sf_sdfg.Fusion.fuse_all p)) in
+  let flops (s : Stencil.t) = Expr.flop_count (Stencil.work_profile s) in
+  let widest =
+    List.fold_left
+      (fun best s -> if flops s > flops best then s else best)
+      (List.hd p.Program.stencils) p.Program.stencils
+  in
+  let prog = Compile.lower widest.Stencil.body in
+  let fr = Compile.frame prog ~lanes:4 in
+  for k = 0 to (Array.length (Compile.loads prog) * 4) - 1 do
+    fr.(k) <- 0.25 +. (float_of_int k /. 7.)
+  done;
+  Compile.exec prog ~lanes:4 fr;
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    Compile.exec prog ~lanes:4 fr
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int calls in
+  if words >= 1. then Alcotest.failf "exec allocates %.2f minor words per call" words
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_compile_equals_eval;
+    QCheck_alcotest.to_alcotest prop_lanes_bit_exact;
     Alcotest.test_case "lets evaluate once per call" `Quick test_body_lets_evaluate_once;
+    Alcotest.test_case "body adapter equals the evaluator" `Quick test_body_adapter_equals_eval;
     Alcotest.test_case "unbound variables rejected" `Quick test_unbound_variable_rejected;
     Alcotest.test_case "let ordering enforced" `Quick test_let_ordering;
+    Alcotest.test_case "exec allocates nothing" `Quick test_exec_allocation_free;
   ]

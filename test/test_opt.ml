@@ -14,8 +14,10 @@ let check_fold src expected () =
 let fold_cases =
   [
     ("1.0 + 2.0 * 3.0", "7.0");
-    ("a[0] + 0.0", "a[0]");
-    ("0.0 + a[0]", "a[0]");
+    (* Zero identities are sign-exact: [-0.0 + +0.0] is [+0.0], so only
+       [x + -0.0] and [x - +0.0] fold. *)
+    ("a[0] + 0.0", "a[0] + 0.0");
+    ("0.0 + a[0]", "0.0 + a[0]");
     ("a[0] - 0.0", "a[0]");
     ("a[0] * 1.0", "a[0]");
     ("1.0 * a[0]", "a[0]");
@@ -23,11 +25,13 @@ let fold_cases =
     ("sqrt(16.0)", "4.0");
     ("min(2.0, 3.0) + max(2.0, 3.0)", "5.0");
     ("1.0 < 2.0 ? a[0] : b[0]", "a[0]");
-    ("2.0 < 1.0 ? a[0] : b[0] + 0.0", "b[0]");
+    ("2.0 < 1.0 ? a[0] : b[0] + 0.0", "b[0] + 0.0");
     (* Nested folding. *)
-    ("a[0] * (2.0 - 1.0) + (3.0 - 3.0)", "a[0]");
+    ("a[0] * (2.0 - 1.0) + (3.0 - 3.0)", "a[0] + 0.0");
     (* x * 0 is NOT folded (NaN/Inf semantics). *)
     ("a[0] * 0.0", "a[0] * 0.0");
+    ("a[0] + -0.0", "a[0]");
+    ("-0.0 + a[0]", "a[0]");
   ]
 
 let test_fold_preserves_semantics =

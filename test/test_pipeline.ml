@@ -14,8 +14,10 @@ let test_default_pipeline_on_hdiff () =
   Alcotest.(check int) "to 4" 4 fusion_entry.Pipeline.stencils_after;
   Alcotest.(check (option bool)) "fusion verified" (Some true) fusion_entry.Pipeline.verified;
   let cse_entry = List.nth entries 1 in
-  Alcotest.(check bool) "cse reduces flops" true
-    (cse_entry.Pipeline.flops_after < cse_entry.Pipeline.flops_before);
+  (* Sharing is already counted once in work flops, and hdiff's only
+     foldable zeros are +0.0 addends, which IEEE-exact folding keeps. *)
+  Alcotest.(check int) "fold-cse keeps work flops" cse_entry.Pipeline.flops_before
+    cse_entry.Pipeline.flops_after;
   Alcotest.(check (option bool)) "cse verified" (Some true) cse_entry.Pipeline.verified;
   (* The optimized program still streams correctly. *)
   match

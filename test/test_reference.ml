@@ -116,6 +116,130 @@ let test_non_shortcircuit_semantics () =
   let v = Interp.eval_expr ~lookup ~env:(fun _ -> None) e in
   Alcotest.(check (float 0.)) "division by zero tolerated" 0. v
 
+(* Per-cell oracle for the row-batched interpreter: every cell evaluated
+   on its own through eval_expr, with the DSL's boundary and shrink rules
+   applied access by access. *)
+let per_cell_oracle (p : Program.t) ~inputs =
+  let shape = Array.of_list p.Program.shape in
+  let rank = Array.length shape in
+  let cells = Program.cells p in
+  let store = Hashtbl.create 8 in
+  List.iter (fun (name, (t : Tensor.t)) -> Hashtbl.replace store name t.Tensor.data) inputs;
+  List.map
+    (fun (s : Stencil.t) ->
+      let out = Array.make cells 0. and valid = Array.make cells true in
+      for flat = 0 to cells - 1 do
+        let idx = Array.make rank 0 in
+        let rem = ref flat in
+        for d = rank - 1 downto 0 do
+          idx.(d) <- !rem mod shape.(d);
+          rem := !rem / shape.(d)
+        done;
+        let oob = ref false in
+        let lookup ~field ~offsets =
+          let axes = Program.field_axes p field in
+          let data = Hashtbl.find store field in
+          let element targets =
+            List.fold_left2 (fun acc a t -> (acc * shape.(a)) + t) 0 axes targets
+          in
+          let targets = List.map2 (fun a o -> idx.(a) + o) axes offsets in
+          if List.for_all2 (fun a t -> t >= 0 && t < shape.(a)) axes targets then
+            data.(element targets)
+          else begin
+            oob := true;
+            match Stencil.boundary_for s field with
+            | Boundary.Constant c -> c
+            | Boundary.Copy -> data.(element (List.map (fun a -> idx.(a)) axes))
+          end
+        in
+        let env =
+          List.fold_left
+            (fun env (name, e) ->
+              let v = Interp.eval_expr ~lookup ~env:(fun n -> List.assoc_opt n env) e in
+              (name, v) :: env)
+            [] s.Stencil.body.Expr.lets
+        in
+        out.(flat) <-
+          Interp.eval_expr ~lookup ~env:(fun n -> List.assoc_opt n env) s.Stencil.body.Expr.result;
+        if s.Stencil.shrink && !oob then valid.(flat) <- false
+      done;
+      Hashtbl.replace store s.Stencil.name out;
+      (s.Stencil.name, out, valid))
+    (Program.topological_stencils p)
+
+let check_rows_match_oracle p =
+  let inputs = Interp.random_inputs ~seed:7 p in
+  let results = Interp.run_all p ~inputs in
+  List.iter
+    (fun (name, values, valid) ->
+      let r = List.assoc name results in
+      Array.iteri
+        (fun i v ->
+          Alcotest.(check int64)
+            (Printf.sprintf "%s[%d]" name i)
+            (Int64.bits_of_float v)
+            (Int64.bits_of_float r.Interp.tensor.Tensor.data.(i)))
+        values;
+      Alcotest.(check (array bool)) (name ^ " validity") valid r.Interp.valid)
+    (per_cell_oracle p ~inputs)
+
+let test_rows_rank0 () =
+  (* Iteration spaces have 1-3 dimensions, so a rank-0 program is
+     rejected; rank 0 is reachable only as scalar fields, whose one
+     element is broadcast to every lane of a row. *)
+  let scalar = Program.make ~name:"rank0" ~shape:[] ~inputs:[] ~outputs:[ "s" ]
+      [ Stencil.make ~name:"s" { Expr.lets = []; result = Expr.Const 1. } ] in
+  (match Interp.run_all scalar ~inputs:[] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a rank-0 iteration space must be rejected");
+  let b = Builder.create ~name:"scalars" ~shape:[ 4 ] () in
+  Builder.input b ~axes:[] "a";
+  Builder.input b ~axes:[] "k";
+  Builder.stencil b "s" E.((sc "a" *% c 2.) -% sc "k");
+  Builder.stencil b "t" E.(sel (acc "s" [ 0 ] >% c 0.) (acc "s" [ 1 ]) (neg (acc "s" [ -1 ])));
+  Builder.output b "t";
+  check_rows_match_oracle (Builder.finish b)
+
+let test_rows_1d () =
+  let b = Builder.create ~name:"line" ~shape:[ 9 ] () in
+  Builder.input b "a";
+  Builder.stencil b ~shrink:true ~boundary:[ ("a", Boundary.Copy) ] "s"
+    E.(acc "a" [ -2 ] +% (acc "a" [ 3 ] *% acc "a" [ 0 ]));
+  Builder.stencil b ~boundary:[ ("s", Boundary.Constant 5.) ] "t" E.(acc "s" [ 1 ] -% acc "s" [ -4 ]);
+  Builder.output b "t";
+  check_rows_match_oracle (Builder.finish b)
+
+let test_rows_lower_dim_input () =
+  (* [col] spans only the outer axis: one value per row, broadcast to
+     every lane, and out of bounds for the whole last row. *)
+  let b = Builder.create ~name:"col" ~shape:[ 3; 5 ] () in
+  Builder.input b "u";
+  Builder.input b ~axes:[ 0 ] "col";
+  Builder.input b ~axes:[] "alpha";
+  Builder.stencil b ~shrink:true
+    ~boundary:[ ("col", Boundary.Constant (-1.)) ]
+    "s"
+    E.((acc "u" [ 0; 1 ] *% acc "col" [ 1 ]) +% sc "alpha");
+  Builder.output b "s";
+  check_rows_match_oracle (Builder.finish b)
+
+let test_rows_boundaries_at_both_ends () =
+  (* Offsets reach past both ends of every row, and past the first and
+     last row, under Copy and Constant boundaries with shrink. *)
+  let b = Builder.create ~name:"ends" ~shape:[ 3; 6 ] () in
+  Builder.input b "a";
+  Builder.stencil b ~shrink:true ~boundary:[ ("a", Boundary.Copy) ] "copy"
+    E.(acc "a" [ 0; -2 ] +% acc "a" [ 1; 3 ]);
+  Builder.stencil b ~shrink:true ~boundary:[ ("a", Boundary.Constant 7.) ] "const"
+    E.(acc "a" [ -1; -1 ] *% acc "a" [ 0; 2 ]);
+  Builder.stencil b ~shrink:true
+    ~boundary:[ ("copy", Boundary.Copy); ("const", Boundary.Constant 0.5) ]
+    ~lets:[ ("unused", E.(acc "copy" [ 0; 9 ])) ]
+    "both"
+    E.(acc "copy" [ 0; 1 ] -% acc "const" [ 0; -6 ]);
+  Builder.output b "both";
+  check_rows_match_oracle (Builder.finish b)
+
 let suite =
   [
     Alcotest.test_case "tensor basics" `Quick test_tensor_basics;
@@ -127,4 +251,8 @@ let suite =
     Alcotest.test_case "data-dependent branches" `Quick test_data_dependent_branch;
     Alcotest.test_case "missing input is reported" `Quick test_missing_input;
     Alcotest.test_case "non-short-circuit logic" `Quick test_non_shortcircuit_semantics;
+    Alcotest.test_case "rows: rank-0 program and scalars" `Quick test_rows_rank0;
+    Alcotest.test_case "rows: 1-D program" `Quick test_rows_1d;
+    Alcotest.test_case "rows: lower-dimensional input" `Quick test_rows_lower_dim_input;
+    Alcotest.test_case "rows: boundaries at both row ends" `Quick test_rows_boundaries_at_both_ends;
   ]
