@@ -95,15 +95,17 @@ let[@inline] fmax (x : float) (y : float) =
 (* Semantics are those of Interp.eval_expr: comparisons yield 1.0 / 0.0,
    any non-zero value is true, && and || do not short-circuit, and both
    select branches were computed by earlier instructions. Each case is
-   its own lane loop, written out so that no float is ever boxed. *)
+   its own lane loop, written out so that no float is ever boxed. Slot
+   [s] starts at [s * stride]; the first [lanes] of its cells are live. *)
 let exec p ~lanes fr =
-  if lanes < 1 || lanes * p.n_slots <> Array.length fr then
+  let stride = Array.length fr / p.n_slots in
+  if lanes < 1 || lanes > stride || stride * p.n_slots <> Array.length fr then
     invalid_arg "Compile.exec: the frame does not hold [lanes] lanes";
   let args = p.args and n = lanes - 1 in
   for i = 0 to Array.length p.ops - 1 do
-    let d = Array.unsafe_get args (4 * i) * lanes
-    and x = Array.unsafe_get args ((4 * i) + 1) * lanes
-    and y = Array.unsafe_get args ((4 * i) + 2) * lanes in
+    let d = Array.unsafe_get args (4 * i) * stride
+    and x = Array.unsafe_get args ((4 * i) + 1) * stride
+    and y = Array.unsafe_get args ((4 * i) + 2) * stride in
     match Array.unsafe_get p.ops i with
     | Neg -> for l = 0 to n do set fr (d + l) (-.get fr (x + l)) done
     | Not -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) = 0.)) done
@@ -120,7 +122,7 @@ let exec p ~lanes fr =
     | And -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) <> 0. && get fr (y + l) <> 0.)) done
     | Or -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) <> 0. || get fr (y + l) <> 0.)) done
     | Select ->
-        let z = Array.unsafe_get args ((4 * i) + 3) * lanes in
+        let z = Array.unsafe_get args ((4 * i) + 3) * stride in
         for l = 0 to n do
           set fr (d + l) (if get fr (x + l) <> 0. then get fr (y + l) else get fr (z + l))
         done
@@ -204,7 +206,7 @@ let[@inline] read_run r e step fr dst len =
     if !i = r.cap then i := 0
   done
 
-let fill_slot t ~idx ~lanes fr ~slot ~oob =
+let fill_slot t ~idx ~lanes fr ~dst ~oob =
   let fixed = Array.length t.axes - t.step in
   let center = ref 0 and in_bounds = ref true in
   for d = 0 to fixed - 1 do
@@ -224,7 +226,6 @@ let fill_slot t ~idx ~lanes fr ~slot ~oob =
       (lo, Int.max lo (Int.min lanes (t.extents.(fixed) - target)))
     end
   in
-  let dst = slot * lanes in
   if hi > lo then read_run t.src (!center + t.shift + (t.step * lo)) t.step fr (dst + lo) (hi - lo);
   (* The other lanes take the boundary value, and their cells are marked
      for shrink validity. *)
@@ -238,14 +239,14 @@ let fill_slot t ~idx ~lanes fr ~slot ~oob =
       end
     done
 
-let fill taps ~idx ~lanes fr ~oob =
-  if Array.length taps * lanes > Array.length fr || Array.length oob < lanes then
-    invalid_arg "Compile.fill: the frame or the flags are too small for [lanes]";
+let fill taps ~idx ~lanes ~stride fr ~oob =
+  if lanes > stride || Array.length taps * stride > Array.length fr || Array.length oob < lanes
+  then invalid_arg "Compile.fill: the frame or the flags are too small for [lanes]";
   for l = 0 to lanes - 1 do
     oob.(l) <- false
   done;
   for slot = 0 to Array.length taps - 1 do
-    fill_slot taps.(slot) ~idx ~lanes fr ~slot ~oob
+    fill_slot taps.(slot) ~idx ~lanes fr ~dst:(slot * stride) ~oob
   done
 
 let rec advance ~shape idx d inc =

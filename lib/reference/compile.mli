@@ -6,12 +6,13 @@
     constants are slots filled when the frame is made, and each other
     node is one instruction (op code, destination and operand slots) in
     topological order. {!exec} runs it over [lanes] cells held in one
-    unboxed [float array] (slot [s], lane [l] at [s * lanes + l]),
+    unboxed [float array] (slot [s], lane [l] at [s * stride + l]),
     dispatching each instruction once and then looping over the lanes,
     without allocating: one control step drives W lanes, as in the
     paper's stencil units (Sec. III-A, IV-C). The reference interpreter
-    runs a whole innermost-axis row per dispatch, a simulated stencil
-    unit the W lanes of a word.
+    runs a whole innermost-axis row per dispatch; a simulated stencil
+    unit runs the words of one row segment, up to a chunk of words at a
+    time when the engine fast-forwards.
 
     Semantics are bit-identical to {!Interp.eval_expr}: comparisons yield
     1.0 / 0.0, any non-zero value is true, [&&] and [||] do not
@@ -31,12 +32,13 @@ val loads : program -> (string * int list) array
 val result_slot : program -> int
 
 val frame : program -> lanes:int -> float array
-(** A fresh frame for [lanes] cells with the constant slots filled. *)
+(** A fresh frame for up to [lanes] cells with the constant slots
+    filled. Its slot stride is [lanes]. *)
 
 val exec : program -> lanes:int -> float array -> unit
-(** Run every instruction over a frame made with the same [lanes] whose
-    load slots are filled. Lane [l]'s result is at
-    [result_slot p * lanes + l]. *)
+(** Run every instruction over the first [lanes] cells of a frame whose
+    load slots are filled; the slot stride is the frame's, which must be
+    at least [lanes]. Lane [l]'s result is at [result_slot p * stride + l]. *)
 
 val body : access:(field:string -> offsets:int list -> 'ctx -> float) -> Sf_ir.Expr.body -> 'ctx -> float
 (** One-lane adapter: per call, read each load once through [access],
@@ -65,8 +67,10 @@ type tap
 val tap :
   ring -> shape:int array -> axes:int array -> offsets:int array -> boundary:Sf_ir.Boundary.t -> tap
 
-val fill : tap array -> idx:int array -> lanes:int -> float array -> oob:bool array -> unit
-(** Fill each load slot [k] from [taps.(k)]. A lane whose access is out
+val fill :
+  tap array -> idx:int array -> lanes:int -> stride:int -> float array -> oob:bool array -> unit
+(** Fill lanes [0, lanes) of each load slot [k], at [k * stride], from
+    [taps.(k)]. A lane whose access is out
     of bounds in any axis takes the boundary value (for [Copy], the
     source's element at the lane's own cell); [oob.(l)] is set to whether
     any load of lane [l] was. Fails an assertion if a read element is not

@@ -106,7 +106,7 @@ let run_all (p : Program.t) ~inputs =
     let oob = Array.make lanes false in
     let idx = Array.make rank 0 in
     for row = 0 to (Program.cells p / lanes) - 1 do
-      Compile.fill taps ~idx ~lanes frame ~oob;
+      Compile.fill taps ~idx ~lanes ~stride:lanes frame ~oob;
       Compile.exec prog ~lanes frame;
       Array.blit frame result out.Tensor.data (row * lanes) lanes;
       for l = 0 to lanes - 1 do

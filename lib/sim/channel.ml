@@ -1,8 +1,9 @@
 type t = {
   name : string;
   capacity : int;
+  slots : int; (* capacity + chunk: room for one fast-forward chunk *)
   width : int;
-  values : float array; (* capacity * width, ring of slots *)
+  values : float array; (* slots * width, ring of slots *)
   valid : bool array;
   mutable head : int; (* slot index of the oldest element *)
   mutable count : int;
@@ -14,16 +15,19 @@ type t = {
 }
 
 let nop () = ()
+let chunk = 64
 
 let create_vec ~width ~name ~capacity =
   if capacity <= 0 then invalid_arg "Channel.create: capacity must be positive";
   if width <= 0 then invalid_arg "Channel.create: width must be positive";
+  let slots = capacity + chunk in
   {
     name;
     capacity;
+    slots;
     width;
-    values = Array.make (capacity * width) 0.;
-    valid = Array.make (capacity * width) true;
+    values = Array.make (slots * width) 0.;
+    valid = Array.make (slots * width) true;
     head = 0;
     count = 0;
     total_pushed = 0;
@@ -45,15 +49,25 @@ let set_hooks t ~on_push ~on_pop =
   t.on_push <- on_push;
   t.on_pop <- on_pop
 
-let push_slot t =
-  if t.count = t.capacity then failwith (Printf.sprintf "Channel.push: %s is full" t.name);
+let append t =
   let tail = t.head + t.count in
-  let tail = if tail >= t.capacity then tail - t.capacity else tail in
+  let tail = if tail >= t.slots then tail - t.slots else tail in
   t.count <- t.count + 1;
   t.total_pushed <- t.total_pushed + 1;
-  if t.count > t.high_water then t.high_water <- t.count;
   t.on_push ();
   tail * t.width
+
+let push_slot t =
+  if t.count = t.capacity then failwith (Printf.sprintf "Channel.push: %s is full" t.name);
+  if t.count >= t.high_water then t.high_water <- t.count + 1;
+  append t
+
+let push_chunk_slot t =
+  if t.count = t.slots then
+    failwith (Printf.sprintf "Channel.push: %s is full past its chunk slack" t.name);
+  append t
+
+let settle_high_water t = if t.count > t.high_water then t.high_water <- t.count
 
 let front_slot t =
   if t.count = 0 then failwith (Printf.sprintf "Channel.pop: %s is empty" t.name);
@@ -61,7 +75,7 @@ let front_slot t =
 
 let drop t =
   if t.count = 0 then failwith (Printf.sprintf "Channel.pop: %s is empty" t.name);
-  t.head <- (if t.head + 1 >= t.capacity then 0 else t.head + 1);
+  t.head <- (if t.head + 1 >= t.slots then 0 else t.head + 1);
   t.count <- t.count - 1;
   t.total_popped <- t.total_popped + 1;
   t.on_pop ()
@@ -99,5 +113,7 @@ module Unsafe = struct
   let buf_values t = t.values
   let buf_valid t = t.valid
   let push_slot = push_slot
+  let push_chunk_slot = push_chunk_slot
+  let settle_high_water = settle_high_water
   let front_slot = front_slot
 end

@@ -7,8 +7,10 @@
     analysis sizes buffers.
 
     Storage is structure-of-arrays: one flat [float array] for lane
-    values and one [bool array] for lane validity, both of size
-    [capacity * width], treated as a ring of [capacity] slots. The raw
+    values and one [bool array] for lane validity, treated as a ring of
+    [capacity + chunk] slots of [width] lanes. The [chunk] slots past
+    the capacity are room for the engine's fast-forward path, which
+    pushes a chunk of words before their consumer pops them. The raw
     slot API lives in {!Unsafe} and lets hot paths copy lanes in place
     without allocating; the public surface is the FIFO operations plus
     the telemetry counters ({!occupancy}, {!total_pushed},
@@ -16,6 +18,9 @@
     for tests and cold paths and allocates on {!pop}/{!peek}. *)
 
 type t
+
+val chunk : int
+(** The most words one fast-forward chunk moves through a channel. *)
 
 val create : name:string -> capacity:int -> t
 (** [capacity] is in words and must be positive; the width is 1. *)
@@ -54,6 +59,18 @@ module Unsafe : sig
       all [width] lanes of {!buf_values} and {!buf_valid} at that
       offset. Updates occupancy, the push counter and the high-water
       mark, and fires the push hook. Raises [Failure] when full. *)
+
+  val push_chunk_slot : t -> int
+  (** As {!push_slot} for the fast-forward path: may fill the [chunk]
+      slots past the capacity, raising [Failure] only when those are
+      full too, and leaves the high-water mark to
+      {!settle_high_water}. *)
+
+  val settle_high_water : t -> unit
+  (** Raise the high-water mark to the current occupancy. The engine
+      calls it on every channel a fast-forward window pushed: in cycle
+      order a window's channels either keep their occupancy or only
+      grow, so this is the mark the per-cycle path would have left. *)
 
   val front_slot : t -> int
   (** Base offset of the oldest slot. Raises [Failure] when empty. *)

@@ -527,22 +527,35 @@ open Internal
 (*                                                                     *)
 (* The seed engine ran every component every cycle in a fixed order:   *)
 (* links, writers, units in reverse topological order (consumers       *)
-(* before producers), readers. That order is preserved exactly — it    *)
-(* defines when data and buffer space become visible — but components  *)
-(* that provably cannot progress are parked in a ready-set and only    *)
-(* re-run when one of their channels changes state (producer pushed,   *)
-(* consumer popped, link word matured, pending word released), and a   *)
-(* fast-forward path replays a planned steady-state action for many    *)
-(* cycles at once. Cycle counts, stalls, high-water marks and deadlock *)
-(* diagnoses are bit-identical to the seed; see docs/SIMULATOR.md and  *)
-(* test/test_sim_parity.ml.                                            *)
+(* before producers), readers. That order defines when data and buffer *)
+(* space become visible, and every schedule below reproduces its cycle *)
+(* counts, stalls, high-water marks, deadlock diagnoses and output     *)
+(* bits exactly; see docs/SIMULATOR.md and test/test_sim_parity.ml.    *)
 (*                                                                     *)
-(* When telemetry is enabled the engine instead runs instrumented:     *)
-(* sleeping, quiescence jumps and fast-forward batching are all        *)
-(* disabled, so every component runs every cycle — exactly the seed    *)
-(* schedule — and classifies its own no-progress cycles. Cycle and     *)
-(* stall counts are therefore identical with telemetry on or off; only *)
-(* the wall-clock cost differs.                                        *)
+(* Ready set: a component that provably cannot progress sleeps until   *)
+(* one of its channels changes state (producer pushed, consumer        *)
+(* popped) or its wake timer fires (link word matured, pending word    *)
+(* released). A unit's slept cycles are credited as stalls lazily.     *)
+(* When everything sleeps, a quiescence jump skips to the next timer.  *)
+(*                                                                     *)
+(* Fast-forward: when every awake component can repeat one action each *)
+(* cycle (Stencil_unit.plan, one word per reader and writer), the      *)
+(* window is bounded by those plans, by channel occupancies and by the *)
+(* wake timers of sleepers. A sleeper stays out of the window if the   *)
+(* window neither pushes a channel it consumes nor pops one it         *)
+(* produces, so nothing could wake it. The window then runs in chunks  *)
+(* of up to Channel.chunk cycles, producers first (readers, units in   *)
+(* topological order, writers), each component doing its chunk of     *)
+(* cycles at once: a unit evaluates a chunk of words per dispatch.     *)
+(* Values are exact (a unit's outputs depend only on the order of the  *)
+(* words it pops), channels hold the chunk in slots past their         *)
+(* capacity, and each pushed channel's high-water mark is settled at   *)
+(* the end: in cycle order its occupancy was constant or only grew.    *)
+(*                                                                     *)
+(* When telemetry or fault injection is on the engine instead runs     *)
+(* every component every cycle (the seed schedule), so each component  *)
+(* classifies its own no-progress cycles or sees its fault flags. The  *)
+(* counts are identical either way; only the wall-clock cost differs.  *)
 (* ------------------------------------------------------------------ *)
 
 type comp =
@@ -550,14 +563,6 @@ type comp =
   | Cwriter of Memory_unit.Writer.t
   | Cunit of Stencil_unit.t
   | Creader of Memory_unit.Reader.t
-
-(* Planned per-cycle action of one component inside a fast-forward
-   window. *)
-type batch_entry =
-  | Bskip
-  | Bwriter of Memory_unit.Writer.t
-  | Bunit of Stencil_unit.t * Stencil_unit.plan
-  | Breader of Memory_unit.Reader.t
 
 let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Program.t) =
   let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in
@@ -670,94 +675,129 @@ let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Pr
     && (not instrumented)
     && Option.is_none injector
   in
+  (* Channel indices: each channel's consumer and producer component,
+     and each component's input and output channels. *)
   let all_channels = Array.of_list (List.rev !(system.channels)) in
   let nchan = Array.length all_channels in
   let chan_idx : (string, int) Hashtbl.t = Hashtbl.create 64 in
   Array.iteri (fun i c -> Hashtbl.replace chan_idx (Channel.name c) i) all_channels;
+  let comp_of tbl = Array.map (fun c -> Hashtbl.find tbl (Channel.name c)) all_channels in
+  let consumer = comp_of consumer_idx and producer = comp_of producer_idx in
+  let indices chans =
+    Array.of_list (List.map (fun c -> Hashtbl.find chan_idx (Channel.name c)) chans)
+  in
+  let ins =
+    Array.map
+      (function
+        | Cwriter w -> indices [ Memory_unit.Writer.input_channel w ]
+        | Cunit u -> indices (Stencil_unit.input_channels u)
+        | Clink _ | Creader _ -> [||])
+      comps
+  in
+  let outs =
+    Array.map
+      (function
+        | Cunit u -> indices (Stencil_unit.output_channels u)
+        | Creader r -> indices (Memory_unit.Reader.output_channels r)
+        | Clink _ | Cwriter _ -> [||])
+      comps
+  in
   let pushed = Array.make nchan false in
   let popped = Array.make nchan false in
-  let entries = Array.make ncomps Bskip in
-  let mark arr c = arr.(Hashtbl.find chan_idx (Channel.name c)) <- true in
-  (* Try to advance the whole system k >= 2 cycles at once. Sound only if
-     every non-done component repeats the identical action each cycle of
-     the window: components plan their per-cycle intent, channels bound k
-     by occupancy. All touched channels are popped before they are pushed
-     within a cycle (consumers precede producers in [comps]), so a
-     channel that is both keeps constant occupancy and only needs one
-     word in it; push-only channels bound k by free space, pop-only ones
-     by occupancy. Any sleeping non-done component or unplannable unit
-     aborts — the ordinary per-cycle path remains the reference. *)
+  let active = Array.make ncomps false in
+  let asleep = Array.make ncomps false in
+  (* Try to advance the whole system k >= 2 cycles at once. Every awake
+     non-done component must repeat one action each cycle of the window
+     and is [active]; every sleeping one must stay asleep and is
+     [asleep]. Consumers precede producers in [comps], so a channel both
+     pushed and popped keeps constant occupancy and needs one word in
+     it; push-only channels bound k by free space, pop-only ones by
+     occupancy. Anything else leaves the cycle to the per-cycle path. *)
   let attempt_batch () =
     let now = !cycle in
     Array.fill pushed 0 nchan false;
     Array.fill popped 0 nchan false;
-    let k = ref (max_cycles - now) in
-    let cap n = if n < !k then k := n in
-    let ok = ref true in
-    let i = ref 0 in
-    while !ok && !i < ncomps do
-      (match comps.(!i) with
-      | Clink _ -> ok := false
-      | Cwriter w ->
-          if Memory_unit.Writer.is_done w then entries.(!i) <- Bskip
-          else if not ready.(!i) then ok := false
-          else begin
-            entries.(!i) <- Bwriter w;
-            cap (Memory_unit.Writer.words_remaining w);
-            mark popped (Memory_unit.Writer.input_channel w)
-          end
-      | Cunit u ->
-          if Stencil_unit.is_done u then entries.(!i) <- Bskip
-          else if not ready.(!i) then ok := false
-          else begin
-            match Stencil_unit.plan u ~now with
-            | None -> ok := false
-            | Some pl ->
-                entries.(!i) <- Bunit (u, pl);
-                cap (Stencil_unit.plan_horizon pl);
-                List.iter (mark popped) (Stencil_unit.plan_pops pl);
-                if Stencil_unit.plan_flush pl then
-                  List.iter (mark pushed) (Stencil_unit.output_channels u)
-          end
-      | Creader r ->
-          if Memory_unit.Reader.is_done r then entries.(!i) <- Bskip
-          else if not ready.(!i) then ok := false
-          else begin
-            entries.(!i) <- Breader r;
-            cap (Memory_unit.Reader.words_remaining r);
-            List.iter (mark pushed) (Memory_unit.Reader.output_channels r)
-          end);
-      incr i
+    let k = ref (max_cycles - now) and ok = ref true and any = ref false in
+    let j = ref 0 in
+    while !ok && !j < ncomps do
+      let i = !j in
+      let c = comps.(i) in
+      let is_done =
+        match c with
+        | Clink _ -> false
+        | Cwriter w -> Memory_unit.Writer.is_done w
+        | Cunit u -> Stencil_unit.is_done u
+        | Creader r -> Memory_unit.Reader.is_done r
+      in
+      active.(i) <- false;
+      asleep.(i) <- (not is_done) && (not ready.(i)) && wake_at.(i) > now;
+      if asleep.(i) then k := Int.min !k (wake_at.(i) - now)
+      else if not is_done then begin
+        let h =
+          match c with
+          | Clink _ -> 0
+          | Cwriter w -> Memory_unit.Writer.words_remaining w
+          | Cunit u -> Stencil_unit.plan u ~now
+          | Creader r -> Memory_unit.Reader.words_remaining r
+        in
+        if h = 0 then ok := false
+        else begin
+          active.(i) <- true;
+          any := true;
+          k := Int.min !k h;
+          let ins = ins.(i) and outs = outs.(i) in
+          for x = 0 to Array.length ins - 1 do
+            if match c with Cunit u -> Stencil_unit.plan_pops u x | _ -> true then
+              popped.(ins.(x)) <- true
+          done;
+          if match c with Cunit u -> Stencil_unit.plan_flush u | _ -> true then
+            for x = 0 to Array.length outs - 1 do
+              pushed.(outs.(x)) <- true
+            done
+        end
+      end;
+      incr j
     done;
     if !ok then
       for ci = 0 to nchan - 1 do
-        if pushed.(ci) || popped.(ci) then begin
-          let c = all_channels.(ci) in
-          let occ = Channel.occupancy c in
-          if pushed.(ci) && popped.(ci) then begin
-            if occ < 1 then ok := false
-          end
-          else if pushed.(ci) then cap (Channel.capacity c - occ)
-          else cap occ
+        let occ = Channel.occupancy all_channels.(ci) in
+        if (pushed.(ci) && asleep.(consumer.(ci))) || (popped.(ci) && asleep.(producer.(ci)))
+        then ok := false
+        else if pushed.(ci) && popped.(ci) then (if occ < 1 then ok := false)
+        else if pushed.(ci) then k := Int.min !k (Channel.capacity all_channels.(ci) - occ)
+        else if popped.(ci) then k := Int.min !k occ
+      done;
+    if !ok && !any && !k >= 2 then begin
+      let kk = !k in
+      for i = 0 to ncomps - 1 do
+        if active.(i) then begin
+          (* Credit a unit joining after a sleep, as the per-cycle path
+             would on its first run. *)
+          (match comps.(i) with
+          | Cunit u when last_ran.(i) < now - 1 ->
+              Stencil_unit.add_stalls u (now - 1 - last_ran.(i))
+          | Clink _ | Cwriter _ | Cunit _ | Creader _ -> ());
+          last_ran.(i) <- now + kk - 1
         end
       done;
-    if !ok && !k >= 2 then begin
-      let kk = !k in
-      for rel = 0 to kk - 1 do
-        let nowr = now + rel in
-        for j = 0 to ncomps - 1 do
-          match entries.(j) with
-          | Bskip -> ()
-          | Bwriter w -> Memory_unit.Writer.run_fast w
-          | Bunit (u, pl) -> Stencil_unit.run_planned u ~now:nowr pl
-          | Breader r -> Memory_unit.Reader.run_fast r
-        done
+      let rel = ref 0 in
+      while !rel < kk do
+        let n = Int.min Channel.chunk (kk - !rel) in
+        for i = ncomps - 1 downto 0 do
+          if active.(i) then
+            match comps.(i) with
+            | Clink _ -> ()
+            | Cwriter w -> Memory_unit.Writer.run_fast w n
+            | Cunit u -> Stencil_unit.run_planned u ~now:(now + !rel) n
+            | Creader r -> Memory_unit.Reader.run_fast r n
+        done;
+        rel := !rel + n
+      done;
+      for ci = 0 to nchan - 1 do
+        if pushed.(ci) then Channel.Unsafe.settle_high_water all_channels.(ci)
       done;
       cycle := now + kk;
       idle_cycles := 0;
-      for j = 0 to ncomps - 1 do
-        match entries.(j) with Bskip -> () | _ -> last_ran.(j) <- now + kk - 1
-      done;
       true
     end
     else false
@@ -807,7 +847,7 @@ let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Pr
               if Memory_unit.Reader.cycle r ~now then progress := true;
               if
                 Memory_unit.Reader.is_done r
-                || List.exists Channel.is_full (Memory_unit.Reader.output_channels r)
+                || Memory_unit.Reader.any_output_full r
               then ready.(i) <- false);
           last_ran.(i) <- now
         end

@@ -38,11 +38,11 @@ module Reader = struct
 
   (* Multicast the next word in place: one fresh slot per output, lanes
      copied straight from the backing tensor. *)
-  let emit t =
+  let emit t push_slot =
     let base_flat = t.pos * t.vector_width in
     for i = 0 to Array.length t.outputs - 1 do
       let c = t.outputs.(i) in
-      let base = Channel.Unsafe.push_slot c in
+      let base = push_slot c in
       let values = Channel.Unsafe.buf_values c in
       let valid = Channel.Unsafe.buf_valid c in
       for lane = 0 to t.vector_width - 1 do
@@ -83,17 +83,19 @@ module Reader = struct
       false
     end
     else begin
-      emit t;
+      emit t Channel.Unsafe.push_slot;
       (match t.probe with None -> () | Some p -> Telemetry.busy p ~now);
       true
     end
 
-  (* One unchecked cycle for the fast-forward path: the engine has
+  (* [n] unchecked cycles for the fast-forward path: the engine has
      verified output space for the whole window and that the controller
      is unlimited. *)
-  let run_fast t =
-    Controller.account t.controller (t.vector_width * t.element_bytes);
-    emit t
+  let run_fast t n =
+    Controller.account t.controller (n * t.vector_width * t.element_bytes);
+    for _ = 1 to n do
+      emit t Channel.Unsafe.push_chunk_slot
+    done
 
   let blocked_reason t =
     if is_done t then None
@@ -218,12 +220,13 @@ module Writer = struct
       end
     end
 
-  (* One unchecked cycle for the fast-forward path (input known
-     non-empty, controller known unlimited). *)
-  let run_fast t =
-    let valid_count = front_valid_count t in
-    if valid_count > 0 then Controller.account t.controller (valid_count * t.element_bytes);
-    commit t
+  (* [n] unchecked cycles for the fast-forward path (input known to
+     hold [n] words, controller known unlimited). *)
+  let run_fast t n =
+    for _ = 1 to n do
+      Controller.account t.controller (front_valid_count t * t.element_bytes);
+      commit t
+    done
 
   let result t = { Sf_reference.Interp.tensor = t.tensor; valid = t.valid }
 

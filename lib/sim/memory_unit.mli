@@ -33,10 +33,14 @@ module Reader : sig
   val output_channels : t -> Channel.t list
   val word_bytes : t -> int
 
-  val run_fast : t -> unit
-  (** One unchecked streaming cycle for the engine's fast-forward path:
-      requires every output to have space and the controller to be
+  val run_fast : t -> int -> unit
+  (** [run_fast t n] streams [n] words unchecked, for the engine's
+      fast-forward path: requires room for them in every output (up to
+      {!Channel.chunk} past the capacity) and the controller to be
       {!Controller.is_unlimited}. *)
+
+  val any_output_full : t -> bool
+  (** Whether some consumer channel is full, without allocating. *)
 
   val full_output_channels : t -> string list
   (** Names of consumer channels currently exerting backpressure. *)
@@ -77,9 +81,10 @@ module Writer : sig
   val bytes_committed : t -> int
   (** Bytes of valid (non-shrunk) elements committed so far. *)
 
-  val run_fast : t -> unit
-  (** One unchecked cycle for the engine's fast-forward path: requires a
-      non-empty input and an {!Controller.is_unlimited} controller. *)
+  val run_fast : t -> int -> unit
+  (** [run_fast t n] commits [n] words unchecked, for the engine's
+      fast-forward path: requires [n] words in the input and an
+      {!Controller.is_unlimited} controller. *)
 
   val result : t -> Sf_reference.Interp.result
   (** The written tensor with its validity mask ("shrink" cells are left

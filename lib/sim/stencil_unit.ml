@@ -25,10 +25,10 @@ type t = {
   n_words : int;
   init_max : int;
   compute_cycles : int;
-  inputs : input_state array;
+  inputs : input_state array;  (* streaming inputs first *)
   outputs : Channel.t array;
-  (* The lowered body, one tap per load slot and a frame of [w] lanes;
-     [idx] is the multi-index of lane 0 of the next word. *)
+  (* The lowered body, one tap per load slot and a frame of a chunk of
+     words; [idx] is the multi-index of lane 0 of the next word. *)
   prog : Compile.program;
   taps : Compile.tap array;
   frame : float array;
@@ -40,8 +40,9 @@ type t = {
   (* The delay line of computed-but-not-yet-emitted words, as a
      structure-of-arrays ring: release cycle per slot, plus the lane
      values and validity flattened at [slot * w]. Occupancy never
-     exceeds compute_cycles + 1 (the pipeline depth guard in try_step),
-     so compute_cycles + 2 slots suffice. *)
+     exceeds compute_cycles + 1 (the pipeline depth guard in try_step)
+     before a step; a fast-forward chunk computes up to Channel.chunk
+     words before it flushes. *)
   pend_release : int array;
   pend_values : float array;
   pend_valid : bool array;
@@ -49,6 +50,9 @@ type t = {
   mutable pend_head : int;
   mutable pend_count : int;
   mutable stalls : int;
+  (* The action of the current fast-forward plan (see [plan]). *)
+  mutable plan_flush : bool;
+  mutable plan_step : bool;
   (* Fault-injection flag (Fault_plan): a hiccup freezes the pipeline
      for the cycle. Cleared by the injector each cycle. *)
   mutable hiccup : bool;
@@ -78,7 +82,9 @@ let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
             in
             let init_extra = Sf_support.Util.ceil_div info.init_elements (max 1 w) in
             let cap =
-              ((init_extra + 2) * w) + max 0 (-info.Sf_analysis.Internal_buffer.min_flat) + w
+              ((init_extra + 2 + Channel.chunk) * w)
+              + max 0 (-info.Sf_analysis.Internal_buffer.min_flat)
+              + w
             in
             ( Some { Compile.data = Array.make cap 0.; cap; newest = -1; head = -1 },
               init_max - init_extra )
@@ -96,7 +102,10 @@ let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
         })
       inputs
   in
-  let inputs_arr = Array.of_list input_states in
+  let streaming, prefetched =
+    List.partition (fun (i : input_state) -> Option.is_some i.channel) input_states
+  in
+  let inputs_arr = Array.of_list (streaming @ prefetched) in
   (* Every load slot reads its input's window at the access offsets, or
      the prefetched tensor of a lower-dimensional input. *)
   let prog = Compile.lower stencil.Stencil.body in
@@ -114,7 +123,8 @@ let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
           ~offsets:(Array.of_list offsets) ~boundary:(Stencil.boundary_for stencil field))
       (Compile.loads prog)
   in
-  let pend_cap = compute_cycles + 2 in
+  let pend_cap = compute_cycles + 2 + Channel.chunk in
+  let lanes = Channel.chunk * w in
   {
     name = stencil.Stencil.name;
     shape;
@@ -126,10 +136,10 @@ let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
     outputs = Array.of_list outputs;
     prog;
     taps;
-    frame = Compile.frame prog ~lanes:w;
-    result = Compile.result_slot prog * w;
+    frame = Compile.frame prog ~lanes;
+    result = Compile.result_slot prog * lanes;
     idx = Array.make (Array.length shape) 0;
-    oob = Array.make w false;
+    oob = Array.make lanes false;
     shrink = stencil.Stencil.shrink;
     step = 0;
     pend_release = Array.make pend_cap 0;
@@ -139,6 +149,8 @@ let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
     pend_head = 0;
     pend_count = 0;
     stalls = 0;
+    plan_flush = false;
+    plan_step = false;
     hiccup = false;
     probe;
   }
@@ -164,32 +176,40 @@ let consuming_at i s =
 
 let consuming_active t i = consuming_at i t.step && t.step - i.start_step < t.n_words
 
-(* Compute the word of the current step into the tail of the pending
-   line, to be released after the compute latency. Its W lanes are
-   consecutive cells of one innermost-axis row (W divides the innermost
-   extent), evaluated in one dispatch. Words are computed in order, one
-   per step from [init_max] on, so the multi-index is carried from word
-   to word. *)
-let compute_into t ~now =
-  let tail = (t.pend_head + t.pend_count) mod t.pend_cap in
-  let vbase = tail * t.w in
-  Compile.fill t.taps ~idx:t.idx ~lanes:t.w t.frame ~oob:t.oob;
-  Compile.exec t.prog ~lanes:t.w t.frame;
-  for lane = 0 to t.w - 1 do
-    t.pend_values.(vbase + lane) <- t.frame.(t.result + lane);
-    t.pend_valid.(vbase + lane) <- not (t.shrink && t.oob.(lane))
-  done;
-  Compile.advance ~shape:t.shape t.idx (Array.length t.shape - 1) t.w;
-  t.pend_release.(tail) <- now + t.compute_cycles;
-  t.pend_count <- t.pend_count + 1
+(* Compute the words of the next [n] steps into the tail of the pending
+   line, word [r] to be released [compute_cycles] after cycle [now + r].
+   The W lanes of a word are consecutive cells of one innermost-axis row
+   (W divides the innermost extent), and so are the words up to the end
+   of that row: each row segment is one dispatch. Words are computed in
+   order, one per step from [init_max] on, so the multi-index is carried
+   from word to word. *)
+let compute t ~now n =
+  let stride = Array.length t.oob and last = Array.length t.shape - 1 in
+  let r = ref 0 in
+  while !r < n do
+    let lanes = Int.min ((n - !r) * t.w) (t.shape.(last) - t.idx.(last)) in
+    Compile.fill t.taps ~idx:t.idx ~lanes ~stride t.frame ~oob:t.oob;
+    Compile.exec t.prog ~lanes t.frame;
+    for j = 0 to (lanes / t.w) - 1 do
+      let tail = (t.pend_head + t.pend_count) mod t.pend_cap in
+      for lane = 0 to t.w - 1 do
+        t.pend_values.((tail * t.w) + lane) <- t.frame.(t.result + (j * t.w) + lane);
+        t.pend_valid.((tail * t.w) + lane) <- not (t.shrink && t.oob.((j * t.w) + lane))
+      done;
+      t.pend_release.(tail) <- now + !r + t.compute_cycles;
+      t.pend_count <- t.pend_count + 1;
+      incr r
+    done;
+    Compile.advance ~shape:t.shape t.idx last lanes
+  done
 
 (* Emit the pending head: copy its lanes into a fresh slot of every
    output channel, in place. *)
-let emit_head t =
+let emit_head t push_slot =
   let vbase = t.pend_head * t.w in
   for i = 0 to Array.length t.outputs - 1 do
     let c = t.outputs.(i) in
-    let base = Channel.Unsafe.push_slot c in
+    let base = push_slot c in
     Array.blit t.pend_values vbase (Channel.Unsafe.buf_values c) base t.w;
     Array.blit t.pend_valid vbase (Channel.Unsafe.buf_valid c) base t.w
   done;
@@ -208,16 +228,27 @@ let try_flush t ~now =
   else if t.pend_release.(t.pend_head) > now then false
   else if not (outputs_have_space t) then false
   else begin
-    emit_head t;
+    emit_head t Channel.Unsafe.push_slot;
     true
   end
 
-(* Consume one word from channel [c] into its window, lane by lane. *)
-let shift_in t c win =
-  let base = Channel.Unsafe.front_slot c in
-  let values = Channel.Unsafe.buf_values c in
-  Compile.push win values base t.w;
-  Channel.drop c
+(* Take [n] pipeline steps: per step, shift one word of every consuming
+   input into its window, lane by lane; past initialization, compute the
+   steps' words. The consuming set and the phase hold for all [n]. *)
+let take_steps t ~now n =
+  for k = 0 to Array.length t.inputs - 1 do
+    let i = t.inputs.(k) in
+    match (i.channel, i.window) with
+    | Some c, Some win when consuming_active t i ->
+        let values = Channel.Unsafe.buf_values c in
+        for _ = 1 to n do
+          Compile.push win values (Channel.Unsafe.front_slot c) t.w;
+          Channel.drop c
+        done
+    | _ -> ()
+  done;
+  if t.step >= t.init_max then compute t ~now n;
+  t.step <- t.step + n
 
 let try_step t ~now =
   if t.step >= total_steps t then false
@@ -231,16 +262,8 @@ let try_step t ~now =
         | Some c -> if Channel.is_empty c then ready := false
         | None -> ()
     done;
-    if not !ready then false
-    else begin
-      for k = 0 to Array.length t.inputs - 1 do
-        let i = t.inputs.(k) in
-        if consuming_active t i then shift_in t (Option.get i.channel) (Option.get i.window)
-      done;
-      if t.step >= t.init_max then compute_into t ~now;
-      t.step <- t.step + 1;
-      true
-    end
+    if !ready then take_steps t ~now 1;
+    !ready
   end
 
 (* What to blame for a no-progress cycle, in the order a hardware
@@ -298,100 +321,72 @@ let cycle t ~now =
   progress
 
 (* ------------------------------------------------------------------ *)
-(* Fast-forward batch planning (see Engine): describe the exact action  *)
-(* the unit will repeat every cycle over a uniform window, bounded by   *)
-(* its own phase boundaries and pending-line maturity. Channel          *)
-(* occupancy feasibility is the engine's responsibility.                *)
+(* Fast-forward planning (see Engine): the exact action the unit will   *)
+(* repeat every cycle over a uniform window, bounded by its own phase   *)
+(* boundaries and pending-line maturity. Channel occupancy feasibility  *)
+(* is the engine's responsibility.                                      *)
 (* ------------------------------------------------------------------ *)
 
-type plan = {
-  flush : bool;
-  pops : (Channel.t * Compile.ring) array;
-  compute : bool;
-  advance : bool;
-  horizon : int;
-}
-
-let plan_flush p = p.flush
-let plan_steps p = p.compute || p.advance
-let plan_horizon p = p.horizon
-let plan_pops p = Array.to_list p.pops |> List.map fst
-
 let plan t ~now =
-  if is_done t then None
-  else if t.hiccup then None
+  t.plan_flush <- false;
+  t.plan_step <- false;
+  if is_done t || t.hiccup then 0
   else begin
-    let l = t.compute_cycles in
-    let s = t.step in
+    let l = t.compute_cycles and s = t.step in
     let flush = t.pend_count > 0 && t.pend_release.(t.pend_head) <= now in
-    let after_flush = t.pend_count - (if flush then 1 else 0) in
-    let step_ok = s < total_steps t && after_flush <= l in
-    if not (flush || step_ok) then None
-    else begin
-      let horizon = ref max_int in
-      let cap v = if v < !horizon then horizon := v in
-      let compute = step_ok && s >= t.init_max in
-      if step_ok then begin
-        cap (total_steps t - s);
-        if s < t.init_max then cap (t.init_max - s);
-        (* The set of consuming inputs must not change inside the window. *)
-        Array.iter
-          (fun i ->
-            match i.window with
-            | None -> ()
-            | Some _ ->
-                let a = i.start_step and b = i.start_step + t.n_words in
-                if s < a then cap (a - s) else if s < b then cap (b - s))
-          t.inputs
-      end;
-      if flush then begin
-        (* Buffered entry [i] flushes at relative cycle [i] and must be
-           mature there; a freshly computed word flushes after
-           [pend_count] more cycles, mature only if the line is at least
-           as long as the compute latency. *)
-        for i = 0 to t.pend_count - 1 do
-          let r = t.pend_release.((t.pend_head + i) mod t.pend_cap) in
-          if r > now + i then cap i
-        done;
-        if compute then begin
-          if l > t.pend_count then cap t.pend_count
+    let step = s < total_steps t && t.pend_count - Bool.to_int flush <= l in
+    let compute = step && s >= t.init_max in
+    let h = ref max_int in
+    if step then begin
+      h := total_steps t - s;
+      if s < t.init_max then h := Int.min !h (t.init_max - s);
+      (* The set of consuming inputs must not change inside the window. *)
+      for k = 0 to Array.length t.inputs - 1 do
+        let i = t.inputs.(k) in
+        if Option.is_some i.window then begin
+          let a = i.start_step and b = i.start_step + t.n_words in
+          if s < a then h := Int.min !h (a - s) else if s < b then h := Int.min !h (b - s)
         end
-        else cap t.pend_count
-      end
-      else if compute then begin
-        (* Not flushing: the window must close before the first flush
-           comes due and before the pending line refuses another step. *)
-        (if t.pend_count > 0 then cap (t.pend_release.(t.pend_head) - now)
-         else cap (max l 1));
-        cap (l - t.pend_count + 1)
-      end;
-      let pops =
-        if step_ok then
-          Array.to_list t.inputs
-          |> List.filter_map (fun i ->
-                 if consuming_active t i then
-                   Some (Option.get i.channel, Option.get i.window)
-                 else None)
-          |> Array.of_list
-        else [||]
-      in
-      if !horizon < 1 then None
-      else Some { flush; pops; compute; advance = step_ok && not compute; horizon = !horizon }
+      done
+    end;
+    if flush then begin
+      (* Buffered entry [i] flushes at relative cycle [i] and must be
+         mature there; a freshly computed word flushes after
+         [pend_count] more cycles, mature only if the line is at least
+         as long as the compute latency. *)
+      for i = 0 to t.pend_count - 1 do
+        if t.pend_release.((t.pend_head + i) mod t.pend_cap) > now + i then h := Int.min !h i
+      done;
+      if not (compute && l <= t.pend_count) then h := Int.min !h t.pend_count
     end
+    else if compute then begin
+      (* Not flushing: the window must close before the first flush
+         comes due and before the pending line refuses another step. *)
+      h := Int.min !h (if t.pend_count > 0 then t.pend_release.(t.pend_head) - now else max l 1);
+      h := Int.min !h (l - t.pend_count + 1)
+    end;
+    if (flush || step) && !h >= 1 then begin
+      t.plan_flush <- flush;
+      t.plan_step <- step;
+      !h
+    end
+    else 0
   end
 
-(* One unchecked cycle of the planned action: the engine has already
-   validated maturity and channel occupancy for the whole window. *)
-let run_planned t ~now p =
-  if p.flush then emit_head t;
-  if p.compute || p.advance then begin
-    for k = 0 to Array.length p.pops - 1 do
-      let c, win = p.pops.(k) in
-      shift_in t c win
-    done;
-    if p.compute then compute_into t ~now;
-    t.step <- t.step + 1
-  end
+let plan_flush t = t.plan_flush
+let plan_pops t k = t.plan_step && consuming_active t t.inputs.(k)
+
+(* [n] unchecked cycles of the plan, as one chunk: the engine has
+   validated maturity and channel room for the whole window. The steps
+   come first and the flushes after; the flushed heads are the ones the
+   per-cycle order would emit, since the plan proved each mature in its
+   cycle. *)
+let run_planned t ~now n =
+  if t.plan_step then take_steps t ~now n;
+  if t.plan_flush then
+    for _ = 1 to n do
+      emit_head t Channel.Unsafe.push_chunk_slot
+    done
 
 type blockage = Input_empty of string | Output_full of string
 

@@ -67,32 +67,32 @@ val next_release : t -> int
 (** Release cycle of the oldest pending word, or [max_int] when the
     pending line is empty — the unit's next self-wake time. *)
 
-(** {2 Fast-forward batch planning}
+(** {2 Fast-forward planning}
 
-    A plan captures the single action (flush and/or step) the unit will
-    repeat identically every cycle for up to [plan_horizon] cycles,
-    given unchanged channel feasibility. The horizon only accounts for
-    the unit's own state (phase boundaries, pending-line maturity); the
-    engine bounds it further using channel occupancies. *)
+    A plan is the single action (flush and/or step) the unit will repeat
+    identically every cycle for up to its horizon, given unchanged
+    channel feasibility. The horizon only accounts for the unit's own
+    state (phase boundaries, pending-line maturity); the engine bounds
+    it further using channel occupancies. *)
 
-type plan
+val plan : t -> now:int -> int
+(** Plan from cycle [now] and return the horizon, or [0] when the unit
+    cannot make progress this cycle (then the engine falls back to
+    per-cycle stepping). The plan is kept in the unit until the next
+    call. *)
 
-val plan : t -> now:int -> plan option
-(** [None] when the unit cannot make progress this cycle or has no
-    uniform window (then the engine falls back to per-cycle stepping). *)
-
-val plan_horizon : plan -> int
-val plan_flush : plan -> bool
+val plan_flush : t -> bool
 (** Whether the plan emits one word per cycle to every output. *)
 
-val plan_steps : plan -> bool
-(** Whether the plan advances the pipeline one step per cycle. *)
+val plan_pops : t -> int -> bool
+(** Whether the plan consumes one word per cycle from the [k]th channel
+    of {!input_channels}. *)
 
-val plan_pops : plan -> Channel.t list
-(** Input channels from which the plan consumes one word per cycle. *)
-
-val run_planned : t -> now:int -> plan -> unit
-(** Execute one cycle of the plan without re-checking feasibility. *)
+val run_planned : t -> now:int -> int -> unit
+(** [run_planned t ~now n] executes cycles [now] to [now + n - 1] of the
+    plan as one chunk, without re-checking feasibility: [n] steps, their
+    words evaluated one row segment per dispatch, then [n] flushes.
+    Requires [n <= Channel.chunk]. *)
 
 (** Structured description of what blocks the unit, for deadlock-cycle
     diagnosis: inputs it waits on (by field) and output channels that are

@@ -19,6 +19,8 @@ let expected : (string * string) list =
     ("mem-capped-laplace", "cycles=512 pred=324 read=1024 written=1024 net=0 stalls=[lap:63] hw=[a->lap:1/4,lap->mem:1/12] out=d816efe47543e8fe trace=0/cbf29ce484222325");
     ("traced-diamond", "cycles=143 pred=139 read=512 written=512 net=0 stalls=[a:1,b:3,c:13] hw=[a->b:1/4,a->c:11/13,b->c:1/4,x->a:1/4,c->mem:1/12] out=a48750972ac72e33 trace=18/4c000073876bf725");
     ("max-cycles-timeout", "deadlock@40 blocked=[f1:pipeline in flight,f2:pipeline in flight,f3:waiting on empty input f2,read.f0@0:waiting for memory bandwidth,write.f3@0:waiting on empty input stream] wait=[]");
+    ("long-rows-chain8", "cycles=3191 pred=3182 read=3000 written=3000 net=0 stalls=[f1:1,f2:306,f3:611,f4:916,f5:1221,f6:1526,f7:1831,f8:2136] hw=[f1->f2:1/4,f2->f3:1/4,f3->f4:1/4,f4->f5:1/4,f5->f6:1/4,f6->f7:1/4,f7->f8:1/4,f0->f1:1/4,f8->mem:1/12] out=61c29c54534e1188 trace=0/cbf29ce484222325");
+    ("chain4-w4-ragged", "cycles=685 pred=680 read=2112 written=2112 net=0 stalls=[f1:1,f2:139,f3:277,f4:415] hw=[f1->f2:1/4,f2->f3:1/4,f3->f4:1/4,f0->f1:1/4,f4->mem:1/12] out=2fce6f568deef74a trace=0/cbf29ce484222325");
     ("random-00", "cycles=30 pred=27 read=48 written=120 net=0 stalls=[s0:1,s1:1,s2:1,s3:3] hw=[s0->s3:1/4,in0->s0:1/4,in0->s1:1/4,in0->s2:1/4,s1->mem:1/12,s2->mem:1/12,s3->mem:1/12] out=194256c338cbc6d7 trace=0/cbf29ce484222325");
     ("random-01", "cycles=104 pred=101 read=292 written=576 net=0 stalls=[s0:1,s1:1,s2:4,s4:4,s3:4] hw=[s0->s2:1/4,s1->s3:1/4,s0->s4:1/4,in0->s0:1/4,in0->s1:1/4,in0->s4:41/43,s2->mem:1/12,s3->mem:1/12,s4->mem:1/12] out=afbab1a25d801c93 trace=0/cbf29ce484222325");
     ("random-02", "cycles=79 pred=75 read=136 written=128 net=0 stalls=[s0:1,s1:29,s2:29,s3:46] hw=[s0->s1:1/4,s0->s2:1/4,s2->s3:1/4,in0->s0:1/4,in0->s1:16/31,in0->s3:16/60,s1->mem:1/12,s3->mem:1/12] out=1f98cd6a806dd3ca trace=0/cbf29ce484222325");

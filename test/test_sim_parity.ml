@@ -153,6 +153,8 @@ let cases : (string * (unit -> Engine.outcome)) list =
             Engine.Config.safety =
               Engine.Config.safety ~deadlock_window:4096 ~max_cycles:40 () }
         (Fixtures.chain ~shape:[ 6; 10 ] ~n:3 ()) );
+    ("long-rows-chain8", run (Fixtures.chain ~shape:[ 5; 150 ] ~n:8 ()));
+    ("chain4-w4-ragged", run (Fixtures.chain ~shape:[ 2; 264 ] ~n:4 ~vector_width:4 ()));
   ]
   in
   let random =

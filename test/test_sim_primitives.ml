@@ -33,6 +33,38 @@ let test_channel_overflow_underflow () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "push to full must fail"
 
+(* The per-cycle slot push stops at the capacity. A fast-forward chunk
+   push may run Channel.chunk words past it, and no further; it leaves
+   the high-water mark to settle_high_water. FIFO order holds across
+   the slack and around the ring. *)
+let test_channel_chunk_slack () =
+  let c = Channel.create ~name:"c" ~capacity:2 in
+  let push slot v = (Channel.Unsafe.buf_values c).(slot c) <- v in
+  (* Move the head so that the chunk wraps around the ring. *)
+  for _ = 1 to 3 do
+    push Channel.Unsafe.push_slot (-1.);
+    Channel.drop c
+  done;
+  push Channel.Unsafe.push_slot 0.;
+  push Channel.Unsafe.push_slot 1.;
+  (match Channel.Unsafe.push_slot c with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "push_slot past the capacity must fail");
+  for i = 2 to Channel.chunk + 1 do
+    push Channel.Unsafe.push_chunk_slot (float_of_int i)
+  done;
+  (match Channel.Unsafe.push_chunk_slot c with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "push_chunk_slot past capacity + chunk must fail");
+  Alcotest.(check int) "high water before settling" 2 (Channel.high_water c);
+  Channel.Unsafe.settle_high_water c;
+  Alcotest.(check int) "settled high water" (Channel.chunk + 2) (Channel.high_water c);
+  for i = 0 to Channel.chunk + 1 do
+    Alcotest.(check (float 0.)) "fifo across the slack" (float_of_int i)
+      (Channel.pop c).Word.values.(0)
+  done;
+  Alcotest.(check bool) "drained" true (Channel.is_empty c)
+
 let test_channel_capacity_positive () =
   match Channel.create ~name:"bad" ~capacity:0 with
   | exception Invalid_argument _ -> ()
@@ -238,6 +270,7 @@ let suite =
     Alcotest.test_case "channel FIFO order and stats" `Quick test_channel_fifo_order;
     Alcotest.test_case "channel overflow/underflow" `Quick test_channel_overflow_underflow;
     Alcotest.test_case "channel capacity validation" `Quick test_channel_capacity_positive;
+    Alcotest.test_case "channel chunk slack past the capacity" `Quick test_channel_chunk_slack;
     QCheck_alcotest.to_alcotest prop_channel_queue_model;
     QCheck_alcotest.to_alcotest prop_channel_soa_model;
     Alcotest.test_case "controller budget accounting" `Quick test_controller_budget;

@@ -122,6 +122,29 @@ let test_telemetry_off_on_equivalence () =
       ("kitchen-sink", Fixtures.kitchen_sink ());
     ]
 
+(* The same over random programs: the cheap config takes the ready set,
+   quiescence jumps and chunked fast-forward windows, its telemetry-on
+   twin runs every component every cycle. Cycles, unit stalls,
+   high-water marks, output bits and validity masks must all agree. *)
+let prop_schedules_agree =
+  QCheck.Test.make ~count:300 ~name:"random programs: fast-forward matches run-everything"
+    Program_gen.arbitrary_adversarial_program (fun p ->
+      let inputs = Interp.random_inputs p in
+      let signature config =
+        match Engine.run_exn ~config ~inputs p with
+        | Engine.Deadlocked { cycle; _ } -> QCheck.Test.fail_reportf "deadlock at cycle %d" cycle
+        | Engine.Completed s ->
+            ( s.Engine.cycles,
+              Telemetry.unit_stalls s.Engine.telemetry,
+              Telemetry.channel_high_water s.Engine.telemetry,
+              List.map
+                (fun (n, (r : Interp.result)) ->
+                  (n, Array.map Int64.bits_of_float r.Interp.tensor.Sf_reference.Tensor.data,
+                   r.Interp.valid))
+                s.Engine.results )
+      in
+      signature cheap = signature (instrumented ()))
+
 (* With telemetry off the probes are [None]: no spans accumulate, but
    the always-on aggregates are still harvested. *)
 let test_disabled_report_shape () =
@@ -262,6 +285,7 @@ let suite =
     Alcotest.test_case "per-component counter invariants" `Quick test_registry_per_component;
     Alcotest.test_case "instrumented run matches uninstrumented" `Quick
       test_telemetry_off_on_equivalence;
+    QCheck_alcotest.to_alcotest prop_schedules_agree;
     Alcotest.test_case "disabled report keeps always-on aggregates" `Quick
       test_disabled_report_shape;
     Alcotest.test_case "attribution blames the undersized channel" `Quick
