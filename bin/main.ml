@@ -708,7 +708,7 @@ let serve_cmd =
     in
     let service =
       Service.create ~cache_capacity:cache_entries ?store_dir:common.Common.cache_dir
-        ?on_trace ~jobs:common.Common.jobs ~serve_jobs ~queue_depth ~ordered ~deadline_ms ()
+        ?on_trace ~serve_jobs ~queue_depth ~ordered ~deadline_ms ()
     in
     Service.serve_loop service stdin stdout
   in

@@ -9,12 +9,7 @@ module Config = struct
   type safety = { deadlock_window : int; max_cycles : int option }
   type tracing = { trace_interval : int option; telemetry : bool }
   type par_mode = [ `Sequential | `Domains_per_device ]
-  type parallelism = {
-    mode : par_mode;
-    window_cycles : int;
-    sync_batch_cycles : int;
-    host_jobs : int;
-  }
+  type parallelism = { mode : par_mode; host_jobs : int }
   type faults = { plan : Fault_plan.t option; fault_seed : int }
 
   let bandwidth ?(mem_bytes_per_cycle = infinity) ?(writer_buffer = 8) () =
@@ -26,9 +21,7 @@ module Config = struct
   let safety ?(deadlock_window = 4096) ?max_cycles () = { deadlock_window; max_cycles }
   let tracing ?trace_interval ?(telemetry = false) () = { trace_interval; telemetry }
 
-  let parallelism ?(mode = `Sequential) ?(window_cycles = 0) ?(sync_batch_cycles = 0)
-      ?(host_jobs = 0) () =
-    { mode; window_cycles; sync_batch_cycles; host_jobs }
+  let parallelism ?(mode = `Sequential) ?(host_jobs = 0) () = { mode; host_jobs }
 
   let faults ?plan ?(seed = 1) () = { plan; fault_seed = seed }
 
@@ -97,10 +90,9 @@ module Config = struct
         F.add_option st F.add_int c.safety.max_cycles;
         F.add_option st F.add_int c.tracing.trace_interval;
         F.add_bool st c.tracing.telemetry;
+        (* [mode] decides whether zero-latency links are rejected (SF0704);
+           [host_jobs] never changes a result. *)
         F.add_int st (match c.parallelism.mode with `Sequential -> 0 | `Domains_per_device -> 1);
-        F.add_int st c.parallelism.window_cycles;
-        F.add_int st c.parallelism.sync_batch_cycles;
-        F.add_int st c.parallelism.host_jobs;
         F.add_option st (fun st p -> F.add_string st (Fault_plan.to_string p)) c.faults.plan;
         F.add_int st c.faults.fault_seed)
 end
@@ -154,10 +146,9 @@ type system = {
   producer_for : (string * string, string) Hashtbl.t;
   (* Structure the parallel engine partitions by: the home device of
      every unit, reader and writer, and every cross-device link port as
-     [(link, src_device, dst_device, near, far, word_bytes)] in creation
-     order (the order [Link.cycle] visits ports). *)
+     [(link, src_device, dst_device, near)] in creation order. *)
   comp_device : (string, int) Hashtbl.t;
-  cross_ports : (Link.t * int * int * Channel.t * Channel.t * int) list;
+  cross_ports : (Link.t * int * int * Channel.t) list;
 }
 
 let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
@@ -243,7 +234,7 @@ let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
       Hashtbl.replace channel_consumer (Channel.name far) dst;
       let link = link_between src_device dst_device in
       Link.add_port link ~src:near ~dst:far ~word_bytes;
-      cross_ports := (link, src_device, dst_device, near, far, word_bytes) :: !cross_ports;
+      cross_ports := (link, src_device, dst_device, near) :: !cross_ports;
       Hashtbl.replace dst_channel (src, dst) far;
       Hashtbl.replace src_endpoint (src, dst) near
     end
@@ -518,12 +509,9 @@ let compare_to_reference ~inputs (p : Program.t) stats =
             end)
   in
   check stats.results
-end
-
-open Internal
 
 (* ------------------------------------------------------------------ *)
-(* Execution core.                                                     *)
+(* The per-device scheduler.                                           *)
 (*                                                                     *)
 (* The seed engine ran every component every cycle in a fixed order:   *)
 (* links, writers, units in reverse topological order (consumers       *)
@@ -531,12 +519,15 @@ open Internal
 (* space become visible, and every schedule below reproduces its cycle *)
 (* counts, stalls, high-water marks, deadlock diagnoses and output     *)
 (* bits exactly; see docs/SIMULATOR.md and test/test_sim_parity.ml.    *)
+(* The sequential engine runs one scheduler over every component, the  *)
+(* domain-parallel engine one per device.                              *)
 (*                                                                     *)
 (* Ready set: a component that provably cannot progress sleeps until   *)
 (* one of its channels changes state (producer pushed, consumer        *)
 (* popped) or its wake timer fires (link word matured, pending word    *)
 (* released). A unit's slept cycles are credited as stalls lazily.     *)
-(* When everything sleeps, a quiescence jump skips to the next timer.  *)
+(* When everything sleeps, a quiescence jump skips to the next timer,  *)
+(* never past the limit of the current advance.                        *)
 (*                                                                     *)
 (* Fast-forward: when every awake component can repeat one action each *)
 (* cycle (Stencil_unit.plan, one word per reader and writer), the      *)
@@ -552,7 +543,7 @@ open Internal
 (* capacity, and each pushed channel's high-water mark is settled at   *)
 (* the end: in cycle order its occupancy was constant or only grew.    *)
 (*                                                                     *)
-(* When telemetry or fault injection is on the engine instead runs     *)
+(* When telemetry or fault injection is on the scheduler instead runs  *)
 (* every component every cycle (the seed schedule), so each component  *)
 (* classifies its own no-progress cycles or sees its fault flags. The  *)
 (* counts are identical either way; only the wall-clock cost differs.  *)
@@ -560,64 +551,43 @@ open Internal
 
 type comp =
   | Clink of Link.t
+  | Crx of Link.t
+  | Ctx of Link.t
   | Cwriter of Memory_unit.Writer.t
   | Cunit of Stencil_unit.t
   | Creader of Memory_unit.Reader.t
 
-let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Program.t) =
-  let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in
-  let { Config.deadlock_window; max_cycles } = config.Config.safety in
-  let { Config.trace_interval; telemetry = telemetry_on } = config.Config.tracing in
-  let telemetry = Telemetry.create ~enabled:telemetry_on () in
-  let instrumented = telemetry_on in
-  let system, predicted = build ~config ~telemetry ~placement ~inputs p in
-  (* Fault injection binds the plan's streams to the built components.
-     Injected runs use the instrumented (run-everything) schedule so that
-     per-cycle fault flags are honoured by every component every cycle. *)
-  let injector =
-    match config.Config.faults.Config.plan with
-    | None -> None
-    | Some plan ->
-        Some
-          (Fault_plan.create ~seed:config.Config.faults.Config.fault_seed ~plan
-             ~links:(List.map fst system.links)
-             ~controllers:
-               (Array.to_list
-                  (Array.mapi
-                     (fun d c -> (Printf.sprintf "mem@%d" d, c))
-                     system.mem_controllers))
-             ~units:(List.map fst system.units)
-             ~writers:(List.map (fun (_, w, _) -> w) system.writers))
-  in
-  let run_all = instrumented || Option.is_some injector in
+(* [links], then writers, units consumers-before-producers (reverse
+   topological order — data pushed this cycle becomes visible next
+   cycle, space freed this cycle is reusable immediately, matching
+   credit-based hardware), readers. The reversal happens once here, not
+   per cycle. *)
+let components ?(on = fun _ -> true) ~links system =
+  let keep name c = if on name then Some c else None in
+  Array.of_list
+    (links
+    @ List.filter_map (fun (_, w, _) -> keep (Memory_unit.Writer.name w) (Cwriter w)) system.writers
+    @ List.rev (List.filter_map (fun (u, _) -> keep (Stencil_unit.name u) (Cunit u)) system.units)
+    @ List.filter_map (fun (r, _) -> keep (Memory_unit.Reader.name r) (Creader r)) system.readers)
+
+type sched = {
+  advance : limit:int -> unit;
+  now : unit -> int;
+  progressed : unit -> int;
+  deadlocked : unit -> bool;
+  forgive : unit -> unit;
+  samples : unit -> (int * (string * int) list) list;
+}
+
+let scheduler ~config ?injector ~finished ~controllers system comps =
+  let { Config.deadlock_window; _ } = config.Config.safety in
+  let { Config.trace_interval; telemetry } = config.Config.tracing in
+  let run_all = telemetry || Option.is_some injector in
   let cycle = ref 0 in
   let idle_cycles = ref 0 in
-  let n_writers = List.length system.writers in
-  let finished () = !(system.writers_done) >= n_writers in
-  let max_cycles = match max_cycles with Some m -> m | None -> max_int in
+  let progressed = ref 0 in
   let deadlocked = ref false in
   let trace = ref [] in
-  let sample_trace () =
-    match trace_interval with
-    | Some interval when !cycle mod interval = 0 ->
-        let snapshot =
-          List.rev_map (fun c -> (Channel.name c, Channel.occupancy c)) !(system.channels)
-        in
-        trace := (!cycle, snapshot) :: !trace
-    | Some _ | None -> ()
-  in
-  (* Components in the seed's per-cycle order: links, writers, units
-     consumers-before-producers (reverse topological order — data pushed
-     this cycle becomes visible next cycle, space freed this cycle is
-     reusable immediately, matching credit-based hardware), readers. The
-     reversal happens once here, not per cycle. *)
-  let comps =
-    Array.of_list
-      (List.map (fun (l, _) -> Clink l) system.links
-      @ List.map (fun (_, w, _) -> Cwriter w) system.writers
-      @ List.rev_map (fun (u, _) -> Cunit u) system.units
-      @ List.map (fun (r, _) -> Creader r) system.readers)
-  in
   let ncomps = Array.length comps in
   (* Ready-set state. [ready.(i)] means component i must run next cycle;
      a sleeping component is provably inert until a wake hook or its
@@ -628,56 +598,67 @@ let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Pr
   let wake_at = Array.make ncomps max_int in
   let last_ran = Array.make ncomps (-1) in
   (* Wake hooks, derived from the component structure: a push wakes the
-     channel's consumer, a pop wakes its producer. *)
+     channel's consumer, a pop wakes its producer. An rx half produces
+     its far channels, a tx half consumes its near channels. *)
   let consumer_idx : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let producer_idx : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let mark tbl i c = Hashtbl.replace tbl (Channel.name c) i in
   Array.iteri
     (fun i comp ->
       match comp with
       | Clink l ->
           List.iter
             (fun (src, dst) ->
-              Hashtbl.replace consumer_idx (Channel.name src) i;
-              Hashtbl.replace producer_idx (Channel.name dst) i)
+              mark consumer_idx i src;
+              mark producer_idx i dst)
             (Link.port_channels l)
-      | Cwriter w ->
-          Hashtbl.replace consumer_idx (Channel.name (Memory_unit.Writer.input_channel w)) i
+      | Crx l -> List.iter (fun (_, dst) -> mark producer_idx i dst) (Link.port_channels l)
+      | Ctx l -> List.iter (fun (src, _) -> mark consumer_idx i src) (Link.port_channels l)
+      | Cwriter w -> mark consumer_idx i (Memory_unit.Writer.input_channel w)
       | Cunit u ->
-          List.iter
-            (fun c -> Hashtbl.replace consumer_idx (Channel.name c) i)
-            (Stencil_unit.input_channels u);
-          List.iter
-            (fun c -> Hashtbl.replace producer_idx (Channel.name c) i)
-            (Stencil_unit.output_channels u)
-      | Creader r ->
-          List.iter
-            (fun c -> Hashtbl.replace producer_idx (Channel.name c) i)
-            (Memory_unit.Reader.output_channels r))
+          List.iter (mark consumer_idx i) (Stencil_unit.input_channels u);
+          List.iter (mark producer_idx i) (Stencil_unit.output_channels u)
+      | Creader r -> List.iter (mark producer_idx i) (Memory_unit.Reader.output_channels r))
     comps;
-  List.iter
+  (* The channels these components touch, in creation order; each has
+     its producer and its consumer among them. *)
+  let all_channels =
+    Array.of_list
+      (List.filter
+         (fun c -> Hashtbl.mem consumer_idx (Channel.name c))
+         (List.rev !(system.channels)))
+  in
+  Array.iter
     (fun c ->
       let wake tbl =
-        match Hashtbl.find_opt tbl (Channel.name c) with
-        | Some i -> fun () -> ready.(i) <- true
-        | None -> fun () -> ()
+        let i = Hashtbl.find tbl (Channel.name c) in
+        fun () -> ready.(i) <- true
       in
       Channel.set_hooks c ~on_push:(wake consumer_idx) ~on_pop:(wake producer_idx))
-    !(system.channels);
+    all_channels;
+  let sample_trace () =
+    match trace_interval with
+    | Some interval when !cycle mod interval = 0 ->
+        let snapshot =
+          Array.fold_right
+            (fun c acc -> (Channel.name c, Channel.occupancy c) :: acc)
+            all_channels []
+        in
+        trace := (!cycle, snapshot) :: !trace
+    | Some _ | None -> ()
+  in
   (* Fast-forward batching applies only when every per-cycle effect is
      plannable: no links (link rx channels are pushed before their
      consumer pops, breaking the pop-before-push occupancy invariant),
      unlimited memory bandwidth (grants never vary), no tracing, and no
-     telemetry (instrumented runs classify every cycle individually). *)
+     telemetry or faults (those runs step every cycle). *)
   let batchable =
-    system.links = []
-    && Array.for_all Controller.is_unlimited system.mem_controllers
-    && trace_interval = None
-    && (not instrumented)
-    && Option.is_none injector
+    Array.for_all (function Clink _ | Crx _ | Ctx _ -> false | _ -> true) comps
+    && Array.for_all Controller.is_unlimited controllers
+    && trace_interval = None && not run_all
   in
   (* Channel indices: each channel's consumer and producer component,
      and each component's input and output channels. *)
-  let all_channels = Array.of_list (List.rev !(system.channels)) in
   let nchan = Array.length all_channels in
   let chan_idx : (string, int) Hashtbl.t = Hashtbl.create 64 in
   Array.iteri (fun i c -> Hashtbl.replace chan_idx (Channel.name c) i) all_channels;
@@ -691,7 +672,7 @@ let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Pr
       (function
         | Cwriter w -> indices [ Memory_unit.Writer.input_channel w ]
         | Cunit u -> indices (Stencil_unit.input_channels u)
-        | Clink _ | Creader _ -> [||])
+        | Clink _ | Crx _ | Ctx _ | Creader _ -> [||])
       comps
   in
   let outs =
@@ -699,32 +680,33 @@ let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Pr
       (function
         | Cunit u -> indices (Stencil_unit.output_channels u)
         | Creader r -> indices (Memory_unit.Reader.output_channels r)
-        | Clink _ | Cwriter _ -> [||])
+        | Clink _ | Crx _ | Ctx _ | Cwriter _ -> [||])
       comps
   in
   let pushed = Array.make nchan false in
   let popped = Array.make nchan false in
   let active = Array.make ncomps false in
   let asleep = Array.make ncomps false in
-  (* Try to advance the whole system k >= 2 cycles at once. Every awake
-     non-done component must repeat one action each cycle of the window
-     and is [active]; every sleeping one must stay asleep and is
-     [asleep]. Consumers precede producers in [comps], so a channel both
-     pushed and popped keeps constant occupancy and needs one word in
-     it; push-only channels bound k by free space, pop-only ones by
-     occupancy. Anything else leaves the cycle to the per-cycle path. *)
-  let attempt_batch () =
+  (* Try to advance the whole system k >= 2 cycles at once, short of
+     [limit]. Every awake non-done component must repeat one action each
+     cycle of the window and is [active]; every sleeping one must stay
+     asleep and is [asleep]. Consumers precede producers in [comps], so a
+     channel both pushed and popped keeps constant occupancy and needs
+     one word in it; push-only channels bound k by free space, pop-only
+     ones by occupancy. Anything else leaves the cycle to the per-cycle
+     path. *)
+  let attempt_batch ~limit =
     let now = !cycle in
     Array.fill pushed 0 nchan false;
     Array.fill popped 0 nchan false;
-    let k = ref (max_cycles - now) and ok = ref true and any = ref false in
+    let k = ref (limit - now) and ok = ref true and any = ref false in
     let j = ref 0 in
     while !ok && !j < ncomps do
       let i = !j in
       let c = comps.(i) in
       let is_done =
         match c with
-        | Clink _ -> false
+        | Clink _ | Crx _ | Ctx _ -> false
         | Cwriter w -> Memory_unit.Writer.is_done w
         | Cunit u -> Stencil_unit.is_done u
         | Creader r -> Memory_unit.Reader.is_done r
@@ -735,7 +717,7 @@ let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Pr
       else if not is_done then begin
         let h =
           match c with
-          | Clink _ -> 0
+          | Clink _ | Crx _ | Ctx _ -> 0
           | Cwriter w -> Memory_unit.Writer.words_remaining w
           | Cunit u -> Stencil_unit.plan u ~now
           | Creader r -> Memory_unit.Reader.words_remaining r
@@ -776,7 +758,7 @@ let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Pr
           (match comps.(i) with
           | Cunit u when last_ran.(i) < now - 1 ->
               Stencil_unit.add_stalls u (now - 1 - last_ran.(i))
-          | Clink _ | Cwriter _ | Cunit _ | Creader _ -> ());
+          | Clink _ | Crx _ | Ctx _ | Cwriter _ | Cunit _ | Creader _ -> ());
           last_ran.(i) <- now + kk - 1
         end
       done;
@@ -786,7 +768,7 @@ let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Pr
         for i = ncomps - 1 downto 0 do
           if active.(i) then
             match comps.(i) with
-            | Clink _ -> ()
+            | Clink _ | Crx _ | Ctx _ -> ()
             | Cwriter w -> Memory_unit.Writer.run_fast w n
             | Cunit u -> Stencil_unit.run_planned u ~now:(now + !rel) n
             | Creader r -> Memory_unit.Reader.run_fast r n
@@ -798,120 +780,188 @@ let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Pr
       done;
       cycle := now + kk;
       idle_cycles := 0;
+      progressed := !progressed + kk;
       true
     end
     else false
   in
-  while (not (finished ())) && (not !deadlocked) && !cycle < max_cycles do
-    if not (batchable && attempt_batch ()) then begin
-      Array.iter Controller.begin_cycle system.mem_controllers;
-      let now = !cycle in
-      (match injector with Some inj -> Fault_plan.tick inj ~now | None -> ());
-      let progress = ref false in
-      for i = 0 to ncomps - 1 do
-        if run_all || ready.(i) || wake_at.(i) <= now then begin
-          if wake_at.(i) <= now then wake_at.(i) <- max_int;
-          ready.(i) <- true;
-          (match comps.(i) with
-          | Clink l ->
-              (* A slept link missed its per-cycle bandwidth refill; the
-                 budget saturates after two grant-free refills, and the
-                 sleep cycle itself was grant-free, so one catch-up
-                 refill restores the exact seed budget. *)
-              if last_ran.(i) < now - 1 then Link.refill l;
-              if Link.cycle l ~now then progress := true
-              else if Link.sources_empty l then begin
-                ready.(i) <- false;
-                wake_at.(i) <- Link.next_arrival l ~now
-              end
-          | Cwriter w ->
-              if Memory_unit.Writer.cycle w ~now then progress := true;
-              (* Sleep only when inert: done, or nothing to pop. A
-                 bandwidth-denied writer must retry after the refill. *)
-              if
-                Memory_unit.Writer.is_done w
-                || Channel.is_empty (Memory_unit.Writer.input_channel w)
-              then ready.(i) <- false
-          | Cunit u ->
-              (* The unit counts one stall per cycle it runs without
-                 progress; credit the slept cycles it would have stalled. *)
-              if (not (Stencil_unit.is_done u)) && last_ran.(i) < now - 1 then
-                Stencil_unit.add_stalls u (now - 1 - last_ran.(i));
-              if Stencil_unit.cycle u ~now then progress := true
-              else begin
-                ready.(i) <- false;
-                let nr = Stencil_unit.next_release u in
-                if nr > now then wake_at.(i) <- nr
-              end
-          | Creader r ->
-              if Memory_unit.Reader.cycle r ~now then progress := true;
-              if
-                Memory_unit.Reader.is_done r
-                || Memory_unit.Reader.any_output_full r
-              then ready.(i) <- false);
-          last_ran.(i) <- now
-        end
-      done;
-      sample_trace ();
-      if !progress then idle_cycles := 0
-      else begin
-        incr idle_cycles;
-        if !idle_cycles > deadlock_window then deadlocked := true
-      end;
-      (* Quiescence jump: with every component asleep, only timers can
-         wake the system — skip straight to the earliest one, to the
-         cycle where the idle counter would trip the deadlock window, or
-         to the cycle budget, whichever comes first. The skipped cycles
-         are provably no-ops (memory-controller budgets saturate, see the
-         link catch-up note above), so counters land exactly where the
-         seed's cycle-by-cycle spin would put them. *)
-      let jumped = ref false in
-      if (not !deadlocked) && (not (finished ())) && trace_interval = None && not run_all
-      then begin
-        let any_ready = ref false in
-        for i = 0 to ncomps - 1 do
-          if ready.(i) then any_ready := true
-        done;
-        if not !any_ready then begin
-          let wake_min = Array.fold_left min max_int wake_at in
-          let wake_min = if wake_min <= now then now + 1 else wake_min in
-          let dead_at = now + (deadlock_window + 1 - !idle_cycles) in
-          if dead_at < wake_min && dead_at < max_cycles then begin
-            idle_cycles := deadlock_window + 1;
-            deadlocked := true;
-            cycle := dead_at + 1;
-            jumped := true
-          end
-          else if wake_min <= dead_at && wake_min < max_cycles then begin
-            idle_cycles := !idle_cycles + (wake_min - 1 - now);
-            cycle := wake_min;
-            jumped := true
-          end
-          else begin
-            idle_cycles := !idle_cycles + (max_cycles - 1 - now);
-            cycle := max_cycles;
-            jumped := true
-          end
-        end
-      end;
-      if not !jumped then incr cycle
+  let last_step = ref (-1) in
+  let step ~limit =
+    let now = !cycle in
+    (* A quiescence jump skipped the memory refills of its cycles, and
+       the cycle before it may have spent budget. Budgets saturate after
+       two refills without grants, so one catch-up refill restores
+       exactly the budget of a cycle-by-cycle run. *)
+    if !last_step < now - 1 then Array.iter Controller.begin_cycle controllers;
+    last_step := now;
+    Array.iter Controller.begin_cycle controllers;
+    (match injector with Some inj -> Fault_plan.tick inj ~now | None -> ());
+    let progress = ref false in
+    for i = 0 to ncomps - 1 do
+      if run_all || ready.(i) || wake_at.(i) <= now then begin
+        if wake_at.(i) <= now then wake_at.(i) <- max_int;
+        ready.(i) <- true;
+        (match comps.(i) with
+        | Clink l ->
+            (* A slept link missed its per-cycle bandwidth refill; the
+               budget saturates after two grant-free refills, and the
+               sleep cycle itself was grant-free, so one catch-up
+               refill restores the exact seed budget. *)
+            if last_ran.(i) < now - 1 then Link.refill l;
+            if Link.cycle l ~now then progress := true
+            else if Link.sources_empty l then begin
+              ready.(i) <- false;
+              wake_at.(i) <- Link.next_arrival l ~now
+            end
+        | Ctx l ->
+            (* The same catch-up; the words in flight are the rx half's
+               business, so a drained tx half sleeps without a timer. *)
+            if last_ran.(i) < now - 1 then Link.refill l;
+            if Link.inject l ~now then progress := true
+            else if Link.sources_empty l then ready.(i) <- false
+        | Crx l ->
+            if Link.deliver l ~now then progress := true
+            else begin
+              ready.(i) <- false;
+              wake_at.(i) <- Link.next_arrival l ~now
+            end
+        | Cwriter w ->
+            if Memory_unit.Writer.cycle w ~now then progress := true;
+            (* Sleep only when inert: done, or nothing to pop. A
+               bandwidth-denied writer must retry after the refill. *)
+            if
+              Memory_unit.Writer.is_done w
+              || Channel.is_empty (Memory_unit.Writer.input_channel w)
+            then ready.(i) <- false
+        | Cunit u ->
+            (* The unit counts one stall per cycle it runs without
+               progress; credit the slept cycles it would have stalled. *)
+            if last_ran.(i) < now - 1 && not (Stencil_unit.is_done u) then
+              Stencil_unit.add_stalls u (now - 1 - last_ran.(i));
+            if Stencil_unit.cycle u ~now then progress := true
+            else begin
+              ready.(i) <- false;
+              let nr = Stencil_unit.next_release u in
+              if nr > now then wake_at.(i) <- nr
+            end
+        | Creader r ->
+            if Memory_unit.Reader.cycle r ~now then progress := true;
+            if
+              Memory_unit.Reader.is_done r
+              || Memory_unit.Reader.any_output_full r
+            then ready.(i) <- false);
+        last_ran.(i) <- now
+      end
+    done;
+    sample_trace ();
+    if !progress then begin
+      idle_cycles := 0;
+      incr progressed
     end
-  done;
-  (* Settle the lazy stall accounting for units still asleep at exit. *)
-  let final = !cycle in
-  Array.iteri
-    (fun i comp ->
-      match comp with
-      | Cunit u ->
-          if (not (Stencil_unit.is_done u)) && last_ran.(i) < final - 1 then
-            Stencil_unit.add_stalls u (final - 1 - last_ran.(i))
-      | Clink _ | Cwriter _ | Creader _ -> ())
-    comps;
-  let report () = harvest ~telemetry ~system ~cycles:!cycle ~samples:(List.rev !trace) in
+    else begin
+      incr idle_cycles;
+      if !idle_cycles > deadlock_window then deadlocked := true
+    end;
+    (* Quiescence jump: with every component asleep, only timers can
+       wake the system — skip straight to the earliest one, to the
+       cycle where the idle counter would trip the deadlock window, or
+       to [limit], whichever comes first. The skipped cycles are
+       provably no-ops (memory and link budgets get their catch-up
+       refills, see above), so counters land exactly where the seed's
+       cycle-by-cycle spin would put them. *)
+    if
+      (not !deadlocked) && trace_interval = None && (not run_all)
+      && (not (Array.exists Fun.id ready))
+      && not (finished ())
+    then begin
+      let wake_min = Array.fold_left min max_int wake_at in
+      let wake_min = if wake_min <= now then now + 1 else wake_min in
+      let dead_at = now + (deadlock_window + 1 - !idle_cycles) in
+      if dead_at < wake_min && dead_at < limit then begin
+        idle_cycles := deadlock_window + 1;
+        deadlocked := true;
+        cycle := dead_at + 1
+      end
+      else if wake_min <= dead_at && wake_min < limit then begin
+        idle_cycles := !idle_cycles + (wake_min - 1 - now);
+        cycle := wake_min
+      end
+      else begin
+        idle_cycles := !idle_cycles + (limit - 1 - now);
+        cycle := limit
+      end
+    end
+    else incr cycle
+  in
+  (* Words may have reached an rx half's transport from another domain
+     since the last advance, so every rx half runs first thing. *)
+  let advance ~limit =
+    Array.iteri (fun i c -> match c with Crx _ -> ready.(i) <- true | _ -> ()) comps;
+    while (not (finished ())) && (not !deadlocked) && !cycle < limit do
+      if not (batchable && attempt_batch ~limit) then step ~limit
+    done;
+    (* Settle the lazy stall accounting for units asleep at the exit. *)
+    let now = !cycle in
+    Array.iteri
+      (fun i comp ->
+        match comp with
+        | Cunit u when last_ran.(i) < now - 1 && not (Stencil_unit.is_done u) ->
+            Stencil_unit.add_stalls u (now - 1 - last_ran.(i));
+            last_ran.(i) <- now - 1
+        | Clink _ | Crx _ | Ctx _ | Cwriter _ | Cunit _ | Creader _ -> ())
+      comps
+  in
+  {
+    advance;
+    now = (fun () -> !cycle);
+    progressed = (fun () -> !progressed);
+    deadlocked = (fun () -> !deadlocked);
+    forgive =
+      (fun () ->
+        idle_cycles := 0;
+        deadlocked := false);
+    samples = (fun () -> List.rev !trace);
+  }
+end
+
+open Internal
+
+let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Program.t) =
+  let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in
+  let max_cycles = Option.value config.Config.safety.Config.max_cycles ~default:max_int in
+  let telemetry = Telemetry.create ~enabled:config.Config.tracing.Config.telemetry () in
+  let system, predicted = build ~config ~telemetry ~placement ~inputs p in
+  (* Fault injection binds the plan's streams to the built components.
+     Injected runs use the run-everything schedule so that per-cycle
+     fault flags are honoured by every component every cycle. *)
+  let injector =
+    match config.Config.faults.Config.plan with
+    | None -> None
+    | Some plan ->
+        Some
+          (Fault_plan.create ~seed:config.Config.faults.Config.fault_seed ~plan
+             ~links:(List.map fst system.links)
+             ~controllers:
+               (Array.to_list
+                  (Array.mapi
+                     (fun d c -> (Printf.sprintf "mem@%d" d, c))
+                     system.mem_controllers))
+             ~units:(List.map fst system.units)
+             ~writers:(List.map (fun (_, w, _) -> w) system.writers))
+  in
+  let n_writers = List.length system.writers in
+  let finished () = !(system.writers_done) >= n_writers in
+  let s =
+    scheduler ~config ?injector ~finished ~controllers:system.mem_controllers system
+      (components ~links:(List.map (fun (l, _) -> Clink l) system.links) system)
+  in
+  s.advance ~limit:max_cycles;
+  let cycle = s.now () and deadlocked = s.deadlocked () in
+  let report () = harvest ~telemetry ~system ~cycles:cycle ~samples:(s.samples ()) in
   let faults =
     match injector with Some inj -> Fault_plan.summary inj | None -> Fault_plan.empty_summary
   in
-  if !deadlocked || not (finished ()) then begin
+  if deadlocked || not (finished ()) then begin
     (* Wait-for graph: who is each blocked component waiting on?
        A cycle through it is the circular dependency of Fig. 4. *)
     let module G = Sf_support.Dgraph.Make (String) in
@@ -996,15 +1046,15 @@ let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Pr
     in
     Deadlocked
       {
-        cycle = !cycle;
+        cycle;
         blocked;
         wait_cycle;
-        timed_out = not !deadlocked;
+        timed_out = not deadlocked;
         telemetry = report ();
         faults;
       }
   end
-  else Completed (completed_stats ~faults ~system ~predicted ~cycles:!cycle ~report:(report ()) p)
+  else Completed (completed_stats ~faults ~system ~predicted ~cycles:cycle ~report:(report ()) p)
 
 (* The structured failure of a non-completing run: SF0701 for a true
    deadlock (the idle window tripped), SF0703 for a cycle-budget
@@ -1012,42 +1062,39 @@ let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Pr
    along as notes, followed by the configured cycle budget on a timeout,
    fault-attribution rows when a fault plan was active, and the top
    stall-attribution rows when telemetry was enabled. *)
-let failure_diag ?budget ?(faults = Fault_plan.empty_summary) ~cycle ~blocked ~wait_cycle
-    ~timed_out ~telemetry () =
-  let code = if timed_out then Diag.Code.sim_timeout else Diag.Code.sim_deadlock in
-  let what = if timed_out then "timed out" else "deadlocked" in
-  let d = Diag.errorf ~code "simulation %s at cycle %d" what cycle in
-  let d =
-    match wait_cycle with
-    | [] -> d
-    | ws -> Diag.add_note ("circular wait: " ^ String.concat " -> " ws) d
-  in
-  let d =
-    List.fold_left (fun d (n, r) -> Diag.add_note (Printf.sprintf "%s: %s" n r) d) d blocked
-  in
-  let d =
-    match (timed_out, budget) with
-    | true, Some b ->
-        Diag.add_note
-          (Printf.sprintf "cycle budget: %d (Config.safety.max_cycles / --max-cycles)" b)
-          d
-    | _ -> d
-  in
-  let d =
-    List.fold_left
-      (fun d n -> Diag.add_note n d)
-      d
-      (Fault_plan.attribution_notes faults ~stall_cycle:cycle)
-  in
-  List.fold_left (fun d n -> Diag.add_note n d) d (Telemetry.attribution_notes telemetry)
-
-let run ?(config = Config.default) ?placement ?inputs p =
-  match run_exn ~config ?placement ?inputs p with
+let to_result ~config = function
   | Completed stats -> Ok stats
   | Deadlocked { cycle; blocked; wait_cycle; timed_out; telemetry; faults } ->
+      let code = if timed_out then Diag.Code.sim_timeout else Diag.Code.sim_deadlock in
+      let what = if timed_out then "timed out" else "deadlocked" in
+      let d = Diag.errorf ~code "simulation %s at cycle %d" what cycle in
+      let d =
+        match wait_cycle with
+        | [] -> d
+        | ws -> Diag.add_note ("circular wait: " ^ String.concat " -> " ws) d
+      in
+      let d =
+        List.fold_left (fun d (n, r) -> Diag.add_note (Printf.sprintf "%s: %s" n r) d) d blocked
+      in
+      let d =
+        match (timed_out, config.Config.safety.Config.max_cycles) with
+        | true, Some b ->
+            Diag.add_note
+              (Printf.sprintf "cycle budget: %d (Config.safety.max_cycles / --max-cycles)" b)
+              d
+        | _ -> d
+      in
+      let d =
+        List.fold_left
+          (fun d n -> Diag.add_note n d)
+          d
+          (Fault_plan.attribution_notes faults ~stall_cycle:cycle)
+      in
       Error
-        (failure_diag ?budget:config.Config.safety.Config.max_cycles ~faults ~cycle ~blocked
-           ~wait_cycle ~timed_out ~telemetry ())
+        (List.fold_left (fun d n -> Diag.add_note n d) d (Telemetry.attribution_notes telemetry))
+
+let run ?(config = Config.default) ?placement ?inputs p =
+  to_result ~config (run_exn ~config ?placement ?inputs p)
 
 let run_and_validate ?config ?placement ?inputs p =
   let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in

@@ -67,23 +67,6 @@ module Config : sig
             OCaml domain per device and synchronize them only at link
             boundaries. The sequential {!run_exn} ignores this field;
             route runs through {!Parallel} to honour it. *)
-    window_cycles : int;
-        (** How far a domain may run ahead of its downstream consumers
-            before it blocks, bounding cross-domain ring occupancy.
-            [0] (the default) sizes the window automatically:
-            [max 1024 (4 * net_latency_cycles)], well beyond the
-            lookahead, with the transport rings sized to match. Purely a
-            throughput/memory knob: any positive value yields
-            bit-identical results. *)
-    sync_batch_cycles : int;
-        (** Commit batching: a domain publishes its committed-cycle
-            clock (and progress counter) every this many executed cycles
-            instead of every cycle, and always flushes before blocking
-            on a neighbour — so batching can delay a waiter, never
-            deadlock it. [0] (the default) derives the batch from the
-            smallest link latency (clamped to [1, 64]). Purely a
-            throughput knob: results are bit-identical for any positive
-            value. *)
     host_jobs : int;
         (** How many hardware threads this process may assume (the CLI
             [--jobs]). [0] (the default) means
@@ -105,15 +88,8 @@ module Config : sig
   val tracing : ?trace_interval:int -> ?telemetry:bool -> unit -> tracing
   (** Defaults: no occupancy sampling, telemetry off. *)
 
-  val parallelism :
-    ?mode:par_mode ->
-    ?window_cycles:int ->
-    ?sync_batch_cycles:int ->
-    ?host_jobs:int ->
-    unit ->
-    parallelism
-  (** Defaults: sequential execution, automatic run-ahead window,
-      automatic commit batch, automatic host-thread count. *)
+  val parallelism : ?mode:par_mode -> ?host_jobs:int -> unit -> parallelism
+  (** Defaults: sequential execution, automatic host-thread count. *)
 
   type faults = {
     plan : Fault_plan.t option;
@@ -169,8 +145,11 @@ module Config : sig
       simulation knobs (seed, safety limits, tracing). *)
 
   val fingerprint : t -> Sf_support.Fingerprint.t
-  (** Content digest over every field (fault plans via their canonical
-      [Fault_plan.to_string] rendering). *)
+  (** Content digest over every field that can change a result (fault
+      plans via their canonical [Fault_plan.to_string] rendering). Of
+      [parallelism] only [mode] counts — it decides whether zero-latency
+      links are rejected — so runs differing in [host_jobs] share cache
+      entries. *)
 end
 
 type config = Config.t
@@ -247,31 +226,19 @@ val run_and_validate :
 (** {!run}, then compare every program output against the sequential
     reference interpreter. A mismatch maps to code [SF0702]. *)
 
-val failure_diag :
-  ?budget:int ->
-  ?faults:Fault_plan.summary ->
-  cycle:int ->
-  blocked:(string * string) list ->
-  wait_cycle:string list ->
-  timed_out:bool ->
-  telemetry:Telemetry.report ->
-  unit ->
-  Sf_support.Diag.t
-(** The structured diagnostic of a [Deadlocked] outcome: [SF0701] for a
-    true deadlock, [SF0703] for a cycle-budget timeout, with the
-    circular wait and blocked reasons as notes. [budget] (echoed on
-    timeouts) records the configured cycle ceiling; [faults] adds
-    fault-attribution notes naming the injected events that preceded the
-    stall. Shared with {!Parallel.run}. *)
+val to_result : config:config -> outcome -> (stats, Sf_support.Diag.t) result
+(** The {!run} view of an outcome, shared with {!Parallel.run}. *)
 
 (** {2 Internal plumbing}
 
-    The simulated system model, shared between this sequential engine
-    and the domain-parallel one ({!Parallel}): both build the exact same
-    components via {!Internal.build} and harvest the exact same counters
-    via {!Internal.harvest}, so observable behaviour can only differ if
-    a scheduler bug makes it differ — which the cross-engine parity
-    tests would catch. Not part of the stable API. *)
+    The simulated system model and its scheduler, shared between this
+    sequential engine and the domain-parallel one ({!Parallel}): both
+    build the exact same components via {!Internal.build}, step them
+    with the exact same {!Internal.scheduler} and harvest the exact same
+    counters via {!Internal.harvest}, so observable behaviour can only
+    differ if the synchronization between domains makes it differ —
+    which the cross-engine parity tests would catch. Not part of the
+    stable API. *)
 module Internal : sig
   type system = {
     channels : Channel.t list ref;
@@ -286,10 +253,9 @@ module Internal : sig
     producer_for : (string * string, string) Hashtbl.t;
     comp_device : (string, int) Hashtbl.t;
         (** Home device of every unit, reader and writer, by name. *)
-    cross_ports : (Link.t * int * int * Channel.t * Channel.t * int) list;
+    cross_ports : (Link.t * int * int * Channel.t) list;
         (** Every cross-device link port as [(link, src_device,
-            dst_device, near_channel, far_channel, word_bytes)], in the
-            order {!Link.cycle} visits ports. *)
+            dst_device, near_channel)], in creation order. *)
   }
 
   val build :
@@ -301,6 +267,56 @@ module Internal : sig
     system * int
   (** Instantiate the system; the [int] is the model-predicted cycle
       count (Eq. 1). Raises on malformed programs. *)
+
+  (** A schedulable component. A whole link ([Clink], {!Link.cycle})
+      in the sequential engine; in a domain-parallel run each link
+      direction ({!Link.direction}) is an rx half ([Crx], {!Link.deliver},
+      in the destination's domain, the producer of its far channels)
+      and a tx half ([Ctx], {!Link.inject}, in the source's domain, the
+      consumer of its near channels). *)
+  type comp =
+    | Clink of Link.t
+    | Crx of Link.t
+    | Ctx of Link.t
+    | Cwriter of Memory_unit.Writer.t
+    | Cunit of Stencil_unit.t
+    | Creader of Memory_unit.Reader.t
+
+  val components : ?on:(string -> bool) -> links:comp list -> system -> comp array
+  (** [links], then the writers, units and readers whose name passes
+      [on] (default: all), in the seed engine's per-cycle order. *)
+
+  type sched = {
+    advance : limit:int -> unit;
+        (** Run from [now ()] up to the exclusive cycle [limit]
+            (quiescence jumps included), stopping early once finished or
+            deadlocked. Every rx half runs in the first cycle. *)
+    now : unit -> int;  (** The next cycle to execute. *)
+    progressed : unit -> int;  (** Executed cycles in which anything progressed. *)
+    deadlocked : unit -> bool;  (** No progress for over [deadlock_window] cycles. *)
+    forgive : unit -> unit;
+        (** Clear [deadlocked] and restart the idle count, for a domain
+            whose neighbours still progress. *)
+    samples : unit -> (int * (string * int) list) list;
+        (** Occupancy samples, oldest first. *)
+  }
+  (** One scheduler over a component array: the ready set and wake
+      hooks, lazy stall credit, fast-forward windows and quiescence
+      jumps of docs/SIMULATOR.md. *)
+
+  val scheduler :
+    config:Config.t ->
+    ?injector:Fault_plan.injector ->
+    finished:(unit -> bool) ->
+    controllers:Controller.t array ->
+    system ->
+    comp array ->
+    sched
+  (** Wires the wake hooks of every channel the components touch (each
+      has its producer and consumer among them). [controllers] are
+      refilled every stepped cycle; [finished] ends an advance early.
+      Telemetry, an [injector] or occupancy tracing in [config] select
+      the run-everything or no-jump schedules. *)
 
   val harvest :
     telemetry:Telemetry.t ->

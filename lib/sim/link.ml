@@ -1,16 +1,17 @@
-type port = {
-  src : Channel.t;
-  dst : Channel.t;
-  word_bytes : int;
-  in_flight : (int * Word.t) Queue.t;
-}
+(* Words in flight on a port live in a {!Spsc} ring of release cycles
+   and word lanes: plain single-domain storage in the sequential engine
+   (where it grows on demand, since a full destination can hold words
+   back for arbitrarily long), the cross-domain transport of a
+   {!direction}. *)
+type port = { src : Channel.t; dst : Channel.t; word_bytes : int; mutable ring : Spsc.t }
 
 type t = {
   name : string;
   controller : Controller.t;
   latency_cycles : int;
-  mutable ports : port list;
+  mutable ports : port array;
   probe : Telemetry.probe option;
+  split : bool;  (* a direction: rings are shared across domains and fixed *)
   (* Fault-injection state (Fault_plan): a stalled link neither injects
      nor delivers for the cycle; extra_latency inflates the release time
      of words injected this cycle. Both are cleared by the injector each
@@ -19,103 +20,148 @@ type t = {
   mutable extra_latency : int;
 }
 
+exception Full
+
 let create ?probe ~name ~bytes_per_cycle ~latency_cycles () =
   {
     name;
     controller = Controller.create ~bytes_per_cycle;
     latency_cycles;
-    ports = [];
+    ports = [||];
     probe;
+    split = false;
     stalled = false;
     extra_latency = 0;
   }
 
+let port ~src ~dst ~word_bytes ~capacity =
+  { src; dst; word_bytes; ring = Spsc.create ~capacity ~lanes:(Channel.width src) }
+
 let add_port t ~src ~dst ~word_bytes =
-  t.ports <- t.ports @ [ { src; dst; word_bytes; in_flight = Queue.create () } ]
+  t.ports <- Array.append t.ports [| port ~src ~dst ~word_bytes ~capacity:16 |]
+
+(* Release cycle of the oldest word in flight, or [max_int]. *)
+let head_release p = if Spsc.front p.ring >= 0 then Spsc.front_release p.ring else max_int
+
+let deliver t ~now =
+  let progress = ref false in
+  for i = 0 to Array.length t.ports - 1 do
+    let p = t.ports.(i) in
+    if head_release p <= now && not (Channel.is_full p.dst) then begin
+      let src = Spsc.front p.ring and dst = Channel.Unsafe.push_slot p.dst in
+      let w = Channel.width p.dst in
+      Array.blit (Spsc.values p.ring) src (Channel.Unsafe.buf_values p.dst) dst w;
+      Array.blit (Spsc.valid p.ring) src (Channel.Unsafe.buf_valid p.dst) dst w;
+      Spsc.consume p.ring;
+      progress := true
+    end
+  done;
+  !progress
+
+let inject t ~now =
+  Controller.begin_cycle t.controller;
+  (* Injected latency jitter only delays release times; each port's ring
+     stays FIFO and delivery takes the head only, so word order is
+     preserved under any jitter. *)
+  let release = now + t.latency_cycles + t.extra_latency in
+  let progress = ref false in
+  for i = 0 to Array.length t.ports - 1 do
+    let p = t.ports.(i) in
+    if (not (Channel.is_empty p.src)) && Controller.request t.controller p.word_bytes then begin
+      let dst = Spsc.try_produce p.ring ~tag:0 ~release in
+      let dst =
+        if dst >= 0 then dst
+        else if t.split then raise Full
+        else begin
+          p.ring <- Spsc.grow p.ring;
+          Spsc.try_produce p.ring ~tag:0 ~release
+        end
+      in
+      let src = Channel.Unsafe.front_slot p.src and w = Channel.width p.src in
+      Array.blit (Channel.Unsafe.buf_values p.src) src (Spsc.values p.ring) dst w;
+      Array.blit (Channel.Unsafe.buf_valid p.src) src (Spsc.valid p.ring) dst w;
+      Spsc.publish p.ring;
+      Channel.drop p.src;
+      progress := true
+    end
+  done;
+  !progress
 
 let cycle t ~now =
-  Controller.begin_cycle t.controller;
   if t.stalled then begin
+    Controller.begin_cycle t.controller;
     (* An injected stall freezes the whole link for the cycle. Classify
        the lost cycle as link latency when anything is waiting on it. *)
     (match t.probe with
     | None -> ()
     | Some probe -> (
-        let busy p = not (Queue.is_empty p.in_flight && Channel.is_empty p.src) in
-        match List.find_opt busy t.ports with
+        let busy p = Spsc.front p.ring >= 0 || not (Channel.is_empty p.src) in
+        match Array.find_opt busy t.ports with
         | Some p -> Telemetry.stall probe ~now ~channel:(Channel.name p.dst) Telemetry.Link_latency
         | None -> ()));
     false
   end
   else begin
-  let progress = ref false in
-  List.iter
-    (fun p ->
-      (* Deliver matured words first, freeing in-flight slots. *)
-      (match Queue.peek_opt p.in_flight with
-      | Some (release, word) when release <= now && not (Channel.is_full p.dst) ->
-          ignore (Queue.pop p.in_flight);
-          Channel.push p.dst word;
-          progress := true
-      | Some _ | None -> ());
-      (* Inject new words subject to shared link bandwidth. Injected
-         latency jitter only delays release times; the per-port queue
-         stays FIFO and delivery pops the head only, so word order is
-         preserved under any jitter. *)
-      if (not (Channel.is_empty p.src)) && Controller.request t.controller p.word_bytes then begin
-        let word = Channel.pop p.src in
-        Queue.push (now + t.latency_cycles + t.extra_latency, word) p.in_flight;
-        progress := true
-      end)
-    t.ports;
-  (match t.probe with
-  | None -> ()
-  | Some probe ->
-      if !progress then Telemetry.busy probe ~now
-      else begin
-        (* Classify the blocked cycle in backpressure-first order: a
-           matured word refused by a full destination, then a source
-           word refused by the shared bandwidth budget (injection is
-           always attempted when a source is non-empty), then words
-           merely still in flight. A link with no work records nothing. *)
-        let matured_blocked p =
-          match Queue.peek_opt p.in_flight with
-          | Some (release, _) when release <= now -> Channel.is_full p.dst
-          | Some _ | None -> false
-        in
-        match List.find_opt matured_blocked t.ports with
-        | Some p ->
-            Telemetry.stall probe ~now ~channel:(Channel.name p.dst) Telemetry.Output_full
-        | None -> (
-            match List.find_opt (fun p -> not (Channel.is_empty p.src)) t.ports with
-            | Some p ->
-                Telemetry.stall probe ~now ~channel:(Channel.name p.src)
-                  Telemetry.Bandwidth_denied
-            | None -> (
-                match List.find_opt (fun p -> not (Queue.is_empty p.in_flight)) t.ports with
-                | Some p ->
-                    Telemetry.stall probe ~now ~channel:(Channel.name p.dst)
-                      Telemetry.Link_latency
-                | None -> ()))
-      end);
-  !progress
+    (* Delivery first frees destination slots; it never touches the
+       bandwidth budget, so running it for every port before injecting
+       on any is the per-port deliver-then-inject order. *)
+    let delivered = deliver t ~now in
+    let injected = inject t ~now in
+    let progress = delivered || injected in
+    (match t.probe with
+    | None -> ()
+    | Some probe ->
+        if progress then Telemetry.busy probe ~now
+        else begin
+          (* Classify the blocked cycle in backpressure-first order: a
+             matured word refused by a full destination, then a source
+             word refused by the shared bandwidth budget (injection is
+             always attempted when a source is non-empty), then words
+             merely still in flight. A link with no work records nothing. *)
+          let matured_blocked p = head_release p <= now && Channel.is_full p.dst in
+          match Array.find_opt matured_blocked t.ports with
+          | Some p ->
+              Telemetry.stall probe ~now ~channel:(Channel.name p.dst) Telemetry.Output_full
+          | None -> (
+              match Array.find_opt (fun p -> not (Channel.is_empty p.src)) t.ports with
+              | Some p ->
+                  Telemetry.stall probe ~now ~channel:(Channel.name p.src)
+                    Telemetry.Bandwidth_denied
+              | None -> (
+                  match Array.find_opt (fun p -> Spsc.front p.ring >= 0) t.ports with
+                  | Some p ->
+                      Telemetry.stall probe ~now ~channel:(Channel.name p.dst)
+                        Telemetry.Link_latency
+                  | None -> ()))
+        end);
+    progress
   end
+
+let direction t ~srcs ~capacity =
+  let split p = port ~src:p.src ~dst:p.dst ~word_bytes:p.word_bytes ~capacity in
+  let ports = List.filter (fun p -> List.memq p.src srcs) (Array.to_list t.ports) in
+  {
+    t with
+    controller = Controller.create ~bytes_per_cycle:(Controller.bytes_per_cycle t.controller);
+    ports = Array.of_list (List.map split ports);
+    probe = None;
+    split = true;
+  }
 
 let name t = t.name
 let bytes_transferred t = Controller.bytes_granted t.controller
-let latency_cycles t = t.latency_cycles
-let bytes_per_cycle t = Controller.bytes_per_cycle t.controller
 let credit_bytes t n = Controller.account t.controller n
-let is_idle t = List.for_all (fun p -> Queue.is_empty p.in_flight) t.ports
-let port_channels t = List.map (fun p -> (p.src, p.dst)) t.ports
-let sources_empty t = List.for_all (fun p -> Channel.is_empty p.src) t.ports
+
+let is_idle t = Array.for_all (fun p -> Spsc.front p.ring < 0) t.ports
+
+let port_channels t = Array.to_list (Array.map (fun p -> (p.src, p.dst)) t.ports)
+let sources_empty t = Array.for_all (fun p -> Channel.is_empty p.src) t.ports
 
 let next_arrival t ~now =
-  List.fold_left
+  Array.fold_left
     (fun acc p ->
-      match Queue.peek_opt p.in_flight with
-      | Some (release, _) when release > now -> min acc release
-      | Some _ | None -> acc)
+      let r = head_release p in
+      if r > now then min acc r else acc)
     max_int t.ports
 
 let refill t = Controller.begin_cycle t.controller

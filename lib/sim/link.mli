@@ -19,22 +19,43 @@ val add_port : t -> src:Channel.t -> dst:Channel.t -> word_bytes:int -> unit
 (** Register a remote stream crossing this link. *)
 
 val cycle : t -> now:int -> bool
-(** Returns true when any word was injected or delivered. *)
+(** One link cycle: {!deliver}, then {!inject}, then (with a probe)
+    classify a cycle without progress. Returns true when any word was
+    injected or delivered. *)
+
+val deliver : t -> now:int -> bool
+(** The receiving half: move at most one matured word per port from its
+    in-flight ring into the destination channel, if it has room. *)
+
+val inject : t -> now:int -> bool
+(** The sending half: refill the bandwidth budget, then move at most one
+    word per port from the source channel into its in-flight ring,
+    released [latency_cycles] (plus any injected extra latency) later. *)
+
+exception Full
+
+val direction : t -> srcs:Channel.t list -> capacity:int -> t
+(** The ports of [t] whose source channel is in [srcs] (one direction of
+    the link) with empty in-flight rings, for a domain-parallel run:
+    {!inject} runs in the source device's domain and {!deliver} in the
+    destination's, each ring being a lock-free {!Spsc} transport
+    between them. A ring holds [capacity] words and does not grow:
+    {!inject} raises {!Full} instead. The direction has its own
+    bandwidth budget and no probe. Of its functions only {!inject},
+    {!refill} and {!sources_empty} belong to the source's domain. *)
 
 val name : t -> string
 val bytes_transferred : t -> int
-val latency_cycles : t -> int
-val bytes_per_cycle : t -> float
 
 val credit_bytes : t -> int -> unit
 (** Record bytes as transferred without running the link. The parallel
-    engine moves each direction's traffic through its own per-domain
-    controller and credits the totals back here after the join, so
+    engine moves each direction's traffic through its own
+    {!direction} budget and credits the totals back here after the join, so
     {!bytes_transferred} and the harvested link counters agree with a
     sequential run. *)
 
 val is_idle : t -> bool
-(** No words in flight. *)
+(** No words in flight (nor, for a {!direction}, in its transport). *)
 
 val port_channels : t -> (Channel.t * Channel.t) list
 (** [(src, dst)] channel pair of every registered port, for the engine's
@@ -42,7 +63,7 @@ val port_channels : t -> (Channel.t * Channel.t) list
 
 val sources_empty : t -> bool
 (** No port has a word waiting for injection. A link with empty sources
-    and either empty or blocked in-flight queues can be put to sleep. *)
+    and either empty or blocked in-flight rings can be put to sleep. *)
 
 val next_arrival : t -> now:int -> int
 (** Earliest in-flight release cycle strictly after [now], or [max_int]

@@ -9,64 +9,57 @@ type decision =
 (* ------------------------------------------------------------------ *)
 (* Cross-domain synchronization.                                       *)
 (*                                                                     *)
-(* Each device domain owns a [sync] cell and publishes its last fully  *)
-(* executed cycle through it. Neighbours read it to enforce the        *)
-(* conservative bounds: a device may execute cycle [t] once every      *)
-(* upstream committed [t - L] (all traffic that can reach it by [t] is *)
-(* then in the queue) and every downstream committed [t - window]      *)
-(* (bounding queue occupancy). Commits are batched: a domain publishes *)
-(* every [batch] executed cycles rather than every cycle, and always   *)
-(* flushes before blocking on a neighbour — batching can therefore     *)
-(* delay a waiter by at most one batch, never deadlock it, and within  *)
-(* a batch the hot loop touches no shared state at all. A blocked      *)
-(* domain backs off exponentially (or parks immediately when the host  *)
-(* has fewer cores than domains), then waits on the condition          *)
-(* variable. Publishers broadcast only when the waiter count is        *)
-(* non-zero — the increment-then-recheck / set-then-read pairing makes *)
-(* the lost-wakeup race impossible under the SC total order.           *)
+(* Each device domain owns a [sync] cell and publishes its clock, the  *)
+(* first cycle it has not executed, after every [advance]. A device    *)
+(* may execute cycle [t] once every upstream clock exceeds [t - L]     *)
+(* (all traffic that can reach it by [t] is then in the ring) and      *)
+(* every downstream clock exceeds [t - window] (bounding ring          *)
+(* occupancy). An advance is also capped at [batch] cycles, so within  *)
+(* one the hot loop touches no shared state at all, and a neighbour    *)
+(* waits at most one batch for a clock that is due. A blocked domain   *)
+(* backs off exponentially (or parks immediately when the host has     *)
+(* fewer cores than domains), then waits on the condition variable.    *)
+(* Publishers broadcast only when the waiter count is non-zero — the   *)
+(* increment-then-recheck / set-then-read pairing makes the            *)
+(* lost-wakeup race impossible under the SC total order.               *)
 (* ------------------------------------------------------------------ *)
 
 type sync = {
-  committed : int Atomic.t;  (* last fully executed cycle; -1 before cycle 0 *)
+  clock : int Atomic.t;  (* first unexecuted cycle *)
   waiters : int Atomic.t;
   mu : Mutex.t;
   cv : Condition.t;
 }
 
-(* Published in place of the cycle clock when a domain exits, so
-   neighbours never block on it again. Far below [max_int] because
-   readers cache [committed + lookahead] and must not overflow. *)
+(* Published in place of the clock when a domain exits, so neighbours
+   never block on it again. Far below [max_int] because horizons add a
+   lookahead or window to it and must not overflow. *)
 let sentinel = max_int / 4
 
 let make_sync () =
-  {
-    committed = Atomic.make (-1);
-    waiters = Atomic.make 0;
-    mu = Mutex.create ();
-    cv = Condition.create ();
-  }
+  { clock = Atomic.make 0; waiters = Atomic.make 0; mu = Mutex.create (); cv = Condition.create () }
 
 let publish sync c =
-  Atomic.set sync.committed c;
+  Atomic.set sync.clock c;
   if Atomic.get sync.waiters > 0 then begin
     Mutex.lock sync.mu;
     Condition.broadcast sync.cv;
     Mutex.unlock sync.mu
   end
 
-(* Wait until [committed >= target] or an abort; returns the committed
-   value read (callers re-check the abort flag). [spin_rounds] bounds
-   the pre-park backoff: round [n] costs [2^min(n,6)] cpu_relax hints,
-   so early rounds return quickly when the publisher is one batch away
-   and late rounds stop hammering the cache line. Zero rounds (an
-   oversubscribed host, where spinning steals the publisher's core)
-   parks immediately. *)
+(* Wait until [clock >= target] or an abort; returns the clock read
+   (callers re-check the abort flag). [spin_rounds] bounds the pre-park
+   backoff: round [n] costs [2^min(n,6)] cpu_relax hints, so early
+   rounds return quickly when the publisher is one batch away and late
+   rounds stop hammering the cache line. Zero rounds (an oversubscribed
+   host, where spinning steals the publisher's core) parks
+   immediately. *)
 let await sync ~abort ~spin_rounds ~target =
   let block () =
     Atomic.incr sync.waiters;
     Mutex.lock sync.mu;
     let rec wait () =
-      let c = Atomic.get sync.committed in
+      let c = Atomic.get sync.clock in
       if c >= target || Atomic.get abort then c
       else begin
         Condition.wait sync.cv sync.mu;
@@ -79,7 +72,7 @@ let await sync ~abort ~spin_rounds ~target =
     c
   in
   let rec spin n =
-    let c = Atomic.get sync.committed in
+    let c = Atomic.get sync.clock in
     if c >= target || Atomic.get abort then c
     else if n < spin_rounds then begin
       for _ = 1 to 1 lsl min n 6 do
@@ -94,200 +87,68 @@ let await sync ~abort ~spin_rounds ~target =
 (* ------------------------------------------------------------------ *)
 (* Link directions.                                                    *)
 (*                                                                     *)
-(* The sequential [Link] holds both directions of a device pair and    *)
-(* steps them inside one global cycle. Here each direction is split in *)
-(* two halves with single-domain ownership: the tx half (source        *)
-(* domain) moves lanes from near channels into the SPSC ring with a    *)
-(* release cycle [now + latency], publishing once per cycle; the rx    *)
-(* half (destination domain) drains the ring into per-port in-flight   *)
-(* rings and delivers matured words into far channels, at most one     *)
-(* word per port per cycle — exactly [Link.cycle]'s per-port           *)
-(* behaviour. Injection and delivery commute within a cycle because    *)
+(* The sequential engine cycles each [Link] whole. Here each direction *)
+(* of a link is split off ({!Link.direction}): its tx half             *)
+(* ({!Link.inject}) runs in the source domain and its rx half          *)
+(* ({!Link.deliver}) in the destination domain, each in its device's   *)
+(* link slot. Injection and delivery commute within a cycle because    *)
 (* latency >= 1 keeps a word injected at [t] undeliverable before      *)
-(* [t + 1]. All transport is in-place lane blits between the channel   *)
-(* and ring structure-of-arrays buffers: the steady state allocates    *)
-(* nothing.                                                            *)
+(* [t + 1].                                                            *)
 (*                                                                     *)
-(* Each direction gets its own bandwidth controller. That is exact     *)
-(* when the link budget is infinite (requests always grant) or the     *)
-(* link carries one direction only (the controller IS the link's);     *)
+(* Each direction gets its own bandwidth budget. That is exact when    *)
+(* the link budget is infinite (requests always grant) or the link     *)
+(* carries one direction only (the budget IS the link's);              *)
 (* bidirectional traffic on a finite budget shares grants across       *)
 (* directions in the sequential port order, which no per-direction     *)
 (* split can reproduce — [decide] degrades that case.                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-port FIFO of drained-but-undelivered words, owned by the rx
-   domain. A plain growable ring: the far channel can stay full for
-   arbitrarily long while the source keeps transmitting (the old
-   implementation used an unbounded [Queue.t] here), so growth must be
-   possible, but it doubles rarely and the steady state is in-place. *)
-type flight = {
-  mutable fmask : int;
-  mutable releases : int array;
-  mutable fvalues : float array;
-  mutable fvalid : bool array;
-  mutable head : int;  (* slot index of the oldest element *)
-  mutable count : int;
-  width : int;
-}
-
-let flight_create ~capacity ~width =
-  let cap = ref 4 in
-  while !cap < capacity do
-    cap := !cap * 2
-  done;
-  {
-    fmask = !cap - 1;
-    releases = Array.make !cap 0;
-    fvalues = Array.make (!cap * width) 0.;
-    fvalid = Array.make (!cap * width) true;
-    head = 0;
-    count = 0;
-    width;
-  }
-
-let flight_grow fl =
-  let old_cap = fl.fmask + 1 in
-  let cap = old_cap * 2 in
-  let releases = Array.make cap 0 in
-  let fvalues = Array.make (cap * fl.width) 0. in
-  let fvalid = Array.make (cap * fl.width) true in
-  for j = 0 to fl.count - 1 do
-    let s = (fl.head + j) land fl.fmask in
-    releases.(j) <- fl.releases.(s);
-    Array.blit fl.fvalues (s * fl.width) fvalues (j * fl.width) fl.width;
-    Array.blit fl.fvalid (s * fl.width) fvalid (j * fl.width) fl.width
-  done;
-  fl.releases <- releases;
-  fl.fvalues <- fvalues;
-  fl.fvalid <- fvalid;
-  fl.fmask <- cap - 1;
-  fl.head <- 0
-
-type direction = {
-  link : Link.t;
-  src_dev : int;
-  dst_dev : int;
-  near : Channel.t array;  (* tx side, per port *)
-  far : Channel.t array;  (* rx side, per port *)
-  word_bytes : int array;
-  widths : int array;
-  queue : Spsc.t;  (* tag = port index, release = delivery cycle *)
-  tx_ctrl : Controller.t;
-  in_flight : flight array;
-  latency : int;
-}
-
-(* Group [system.cross_ports] (in [Link.cycle] port order) by link and
-   direction. Ring capacity: the destination drains every cycle it
-   executes, and the conservative bounds keep the source within
-   [window] cycles of the destination's commit point and the
-   destination within [latency] cycles of the source's — so at most
-   [window + latency] undrained words per port, plus slack. *)
-let directions ~window (system : I.system) =
-  let tbl = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun (link, sd, dd, near, far, wb) ->
-      let key = (Link.name link, sd, dd) in
-      let prev =
-        match Hashtbl.find_opt tbl key with
-        | Some ps -> ps
-        | None ->
-            order := (key, link, sd, dd) :: !order;
-            []
-      in
-      Hashtbl.replace tbl key ((near, far, wb) :: prev))
-    system.I.cross_ports;
-  List.rev_map
-    (fun (key, link, sd, dd) ->
-      let ports = Array.of_list (List.rev (Hashtbl.find tbl key)) in
-      let n = Array.length ports in
-      let latency = Link.latency_cycles link in
-      let widths = Array.map (fun (near, _, _) -> Channel.width near) ports in
-      let lanes = Array.fold_left max 1 widths in
-      {
-        link;
-        src_dev = sd;
-        dst_dev = dd;
-        near = Array.map (fun (near, _, _) -> near) ports;
-        far = Array.map (fun (_, far, _) -> far) ports;
-        word_bytes = Array.map (fun (_, _, wb) -> wb) ports;
-        widths;
-        queue = Spsc.create ~capacity:(n * (window + latency + 2)) ~lanes;
-        tx_ctrl = Controller.create ~bytes_per_cycle:(Link.bytes_per_cycle link);
-        in_flight = Array.init n (fun i -> flight_create ~capacity:(latency + 16) ~width:widths.(i));
-        latency;
-      })
-    !order
-
-(* ------------------------------------------------------------------ *)
-(* Per-device schedule.                                                *)
-(*                                                                     *)
-(* Mirrors the seed's per-cycle component order restricted to one      *)
-(* device: link halves first (rx then tx — the link slot in the global *)
-(* order), then writers, units consumers-before-producers, readers.    *)
-(* Every channel is touched by exactly one domain, so all the plain    *)
-(* mutable component state stays single-domain.                        *)
-(* ------------------------------------------------------------------ *)
-
-type pcomp =
-  | Prx of direction
-  | Ptx of direction
-  | Pwriter of Memory_unit.Writer.t
-  | Punit of Stencil_unit.t
-  | Preader of Memory_unit.Reader.t
-
-type status = [ `Finished | `Aborted | `Stuck | `Timeout ]
-type verdict = Done of status * int | Crashed of exn * Printexc.raw_backtrace
+type direction = { link : Link.t; src_dev : int; dst_dev : int; half : Link.t }
 
 let run_domains ~config ~placement ~inputs (p : Program.t) =
   let telemetry = Telemetry.create ~enabled:false () in
   let system, predicted = I.build ~config ~telemetry ~placement ~inputs p in
   let ndev = Array.length system.I.mem_controllers in
-  let { Engine.Config.window_cycles; sync_batch_cycles; host_jobs; mode = _ } =
-    config.Engine.Config.parallelism
+  let max_cycles =
+    Option.value config.Engine.Config.safety.Engine.Config.max_cycles ~default:max_int
   in
-  let { Engine.Config.deadlock_window; max_cycles } = config.Engine.Config.safety in
-  let max_cycles = match max_cycles with Some m -> m | None -> max_int in
-  let max_latency =
-    List.fold_left
-      (fun acc (l, _, _, _, _, _) -> max acc (Link.latency_cycles l))
-      1 system.I.cross_ports
+  let latency = config.Engine.Config.network.Engine.Config.net_latency_cycles in
+  (* Derived constants. The run-ahead window is decoupled from the
+     lookahead: domains re-synchronize on the slow downstream clock as
+     rarely as the ring capacity allows. The batch keeps a due clock at
+     most a quarter lookahead late. A port's ring holds the words a
+     sequential run has in flight (about [latency] while streaming),
+     plus those its source injects ahead of the destination's clock (at
+     most [window + batch] cycles' worth). Rings hold twice that sum; a
+     far channel that holds words back beyond it raises [Link.Full],
+     and the run is replayed sequentially. *)
+  let window = max 1024 (4 * latency) in
+  let batch = max 1 (min 64 (latency / 4)) in
+  let dirs =
+    List.map
+      (fun key ->
+        let ports =
+          List.filter (fun (l, s, d, _) -> (Link.name l, s, d) = key) system.I.cross_ports
+        in
+        let link, src_dev, dst_dev, _ = List.hd ports in
+        let srcs = List.map (fun (_, _, _, near) -> near) ports in
+        let capacity = 2 * (window + latency + batch) in
+        { link; src_dev; dst_dev; half = Link.direction link ~srcs ~capacity })
+      (List.sort_uniq compare
+         (List.map (fun (l, s, d, _) -> (Link.name l, s, d)) system.I.cross_ports))
   in
-  (* The run-ahead window is decoupled from the lookahead: the rings are
-     sized to carry it, so it defaults to several multiples of the
-     latency — domains re-synchronize on the slow commit clock as rarely
-     as the capacity slack allows. *)
-  let window =
-    if window_cycles > 0 then window_cycles else max 1024 (4 * max_latency)
-  in
-  let dirs = directions ~window system in
-  let min_latency = List.fold_left (fun acc d -> min acc d.latency) max_latency dirs in
-  let batch =
-    if sync_batch_cycles > 0 then sync_batch_cycles
-    else max 1 (min 64 (min_latency / 4))
-  in
+  let host_jobs = config.Engine.Config.parallelism.Engine.Config.host_jobs in
   let host_jobs = if host_jobs > 0 then host_jobs else Domain.recommended_domain_count () in
   let home name = Hashtbl.find system.I.comp_device name in
   let dev_comps =
     Array.init ndev (fun d ->
-        Array.of_list
-          (List.filter_map (fun dir -> if dir.dst_dev = d then Some (Prx dir) else None) dirs
-          @ List.filter_map (fun dir -> if dir.src_dev = d then Some (Ptx dir) else None) dirs
-          @ List.filter_map
-              (fun (_, w, _) ->
-                if home (Memory_unit.Writer.name w) = d then Some (Pwriter w) else None)
-              system.I.writers
-          @ List.rev
-              (List.filter_map
-                 (fun (u, _) ->
-                   if home (Stencil_unit.name u) = d then Some (Punit u) else None)
-                 system.I.units)
-          @ List.filter_map
-              (fun (r, _) ->
-                if home (Memory_unit.Reader.name r) = d then Some (Preader r) else None)
-              system.I.readers))
+        let halves side keep =
+          List.filter_map (fun x -> if keep x then Some (side x.half) else None) dirs
+        in
+        I.components system ~on:(fun name -> home name = d)
+          ~links:
+            (halves (fun h -> I.Crx h) (fun x -> x.dst_dev = d)
+            @ halves (fun h -> I.Ctx h) (fun x -> x.src_dev = d)))
   in
   let used = Array.map (fun comps -> Array.length comps > 0) dev_comps in
   let spawned = Array.fold_left (fun a u -> if u then a + 1 else a) 0 used in
@@ -310,205 +171,101 @@ let run_domains ~config ~placement ~inputs (p : Program.t) =
   let progress_sum () = Array.fold_left (fun a x -> a + Atomic.get x) 0 progress in
   let run_device d =
     let comps = dev_comps.(d) in
-    let sync = syncs.(d) in
-    let mem_ctrl = system.I.mem_controllers.(d) in
-    let up = Array.of_list (List.filter (fun dir -> dir.dst_dev = d) dirs) in
-    let down = Array.of_list (List.filter (fun dir -> dir.src_dev = d) dirs) in
-    (* Highest cycle each bound is known to allow (committed = -1 allows
-       [latency - 1] / [window - 1]); refreshed only when exceeded, so
-       most cycles touch no foreign atomics at all. *)
-    let up_ok = Array.map (fun dir -> dir.latency - 1) up in
-    let down_ok = Array.map (fun _ -> window - 1) down in
-    (* A device is done when its own pipeline has finished AND its tx
-       channels are drained (downstream may still need those words).
-       Inbound residue cannot exist at that point: every stream is
-       fully consumed, so a unit/writer is only done once everything
-       ever sent to it was delivered and popped. *)
-    let local_done () =
+    (* Every component done and every tx half drained (the destination
+       may still need those words). An rx half has no residue by then:
+       its consumers only finish once everything sent to them was
+       popped. *)
+    let finished () =
       Array.for_all
-        (fun c ->
-          match c with
-          | Pwriter w -> Memory_unit.Writer.is_done w
-          | Punit u -> Stencil_unit.is_done u
-          | Preader r -> Memory_unit.Reader.is_done r
-          | Ptx dir -> Array.for_all Channel.is_empty dir.near
-          | Prx _ -> true)
+        (function
+          | I.Cwriter w -> Memory_unit.Writer.is_done w
+          | I.Cunit u -> Stencil_unit.is_done u
+          | I.Creader r -> Memory_unit.Reader.is_done r
+          | I.Ctx l -> Link.sources_empty l
+          | I.Clink _ | I.Crx _ -> true)
         comps
     in
-    let local_prog = ref 0 in
-    let idle = ref 0 in
-    let idle_stamp = ref (-1) in
-    let cycle = ref 0 in
-    let last_pub = ref (-1) in
-    (* Batched commit: publish the clock (and the progress counter the
-       global deadlock check reads) at batch boundaries, and always
-       before blocking — so a neighbour observing this domain's clock
-       while it waits sees the true committed cycle, which is what makes
-       batching deadlock-free. *)
-    let flush () =
-      let c = !cycle - 1 in
-      if c > !last_pub then begin
-        Atomic.set progress.(d) !local_prog;
-        publish sync c;
-        last_pub := c
-      end
+    let s =
+      I.scheduler ~config ~finished ~controllers:[| system.I.mem_controllers.(d) |] system comps
     in
-    let status : [ status | `Running ] ref = ref `Running in
-    while !status = `Running do
-      if local_done () then status := `Finished
-      else if Atomic.get abort then status := `Aborted
-      else if !cycle >= max_cycles then begin
-        status := `Timeout;
-        trigger_abort ()
+    (* Each bound as [(neighbour, slack, last clock read)]: the clock is
+       re-read only when the horizon it allows is used up, so most
+       advances touch no foreign atomics at all. *)
+    let bounds =
+      Array.of_list
+        (List.filter_map
+           (fun x -> if x.dst_dev = d then Some (x.src_dev, latency, ref 0) else None)
+           dirs
+        @ List.filter_map
+            (fun x -> if x.src_dev = d then Some (x.dst_dev, window, ref 0) else None)
+            dirs)
+    in
+    let stamp = ref (-1) in
+    let publish_clock () =
+      Atomic.set progress.(d) (s.I.progressed ());
+      publish syncs.(d) (s.I.now ())
+    in
+    let rec loop () =
+      let now = s.I.now () in
+      if finished () then `Finished
+      else if Atomic.get abort then `Aborted
+      else if now >= max_cycles then begin
+        trigger_abort ();
+        `Timeout
       end
       else begin
-        let now = !cycle in
-        for i = 0 to Array.length up - 1 do
-          if !status = `Running && now > up_ok.(i) then begin
-            flush ();
-            let c = await syncs.(up.(i).src_dev) ~abort ~spin_rounds ~target:(now - up.(i).latency) in
-            if Atomic.get abort then status := `Aborted
-            else up_ok.(i) <- c + up.(i).latency
-          end
-        done;
-        for i = 0 to Array.length down - 1 do
-          if !status = `Running && now > down_ok.(i) then begin
-            flush ();
-            let c = await syncs.(down.(i).dst_dev) ~abort ~spin_rounds ~target:(now - window) in
-            if Atomic.get abort then status := `Aborted
-            else down_ok.(i) <- c + window
-          end
-        done;
-        if !status = `Running then begin
-          Controller.begin_cycle mem_ctrl;
-          let prog = ref false in
-          Array.iter
-            (fun comp ->
-              match comp with
-              | Prx dir ->
-                  (* Drain every published word into its port's
-                     in-flight ring, then deliver at most one matured
-                     word per port. *)
-                  let qvalues = Spsc.values dir.queue in
-                  let qvalid = Spsc.valid dir.queue in
-                  let rec drain () =
-                    let base = Spsc.front dir.queue in
-                    if base >= 0 then begin
-                      let fl = dir.in_flight.(Spsc.front_tag dir.queue) in
-                      if fl.count > fl.fmask then flight_grow fl;
-                      let slot = (fl.head + fl.count) land fl.fmask in
-                      fl.releases.(slot) <- Spsc.front_release dir.queue;
-                      Array.blit qvalues base fl.fvalues (slot * fl.width) fl.width;
-                      Array.blit qvalid base fl.fvalid (slot * fl.width) fl.width;
-                      fl.count <- fl.count + 1;
-                      Spsc.consume dir.queue;
-                      drain ()
-                    end
-                  in
-                  drain ();
-                  Array.iteri
-                    (fun i far ->
-                      let fl = dir.in_flight.(i) in
-                      if
-                        fl.count > 0
-                        && fl.releases.(fl.head) <= now
-                        && not (Channel.is_full far)
-                      then begin
-                        let dst = Channel.Unsafe.push_slot far in
-                        Array.blit fl.fvalues (fl.head * fl.width)
-                          (Channel.Unsafe.buf_values far) dst fl.width;
-                        Array.blit fl.fvalid (fl.head * fl.width)
-                          (Channel.Unsafe.buf_valid far) dst fl.width;
-                        fl.head <- (fl.head + 1) land fl.fmask;
-                        fl.count <- fl.count - 1;
-                        prog := true
-                      end)
-                    dir.far
-              | Ptx dir ->
-                  Controller.begin_cycle dir.tx_ctrl;
-                  let qvalues = Spsc.values dir.queue in
-                  let qvalid = Spsc.valid dir.queue in
-                  Array.iteri
-                    (fun i near ->
-                      if
-                        (not (Channel.is_empty near))
-                        && Controller.request dir.tx_ctrl dir.word_bytes.(i)
-                      then begin
-                        let base =
-                          Spsc.try_produce dir.queue ~tag:i ~release:(now + dir.latency)
-                        in
-                        if base < 0 then begin
-                          (* Capacity proof violated — fail safe. *)
-                          status := `Stuck;
-                          trigger_abort ()
-                        end
-                        else begin
-                          let w = dir.widths.(i) in
-                          let src = Channel.Unsafe.front_slot near in
-                          Array.blit (Channel.Unsafe.buf_values near) src qvalues base w;
-                          Array.blit (Channel.Unsafe.buf_valid near) src qvalid base w;
-                          Channel.drop near;
-                          prog := true
-                        end
-                      end)
-                    dir.near;
-                  Spsc.publish dir.queue
-              | Pwriter w ->
-                  if (not (Memory_unit.Writer.is_done w)) && Memory_unit.Writer.cycle w ~now
-                  then prog := true
-              | Punit u ->
-                  if (not (Stencil_unit.is_done u)) && Stencil_unit.cycle u ~now then
-                    prog := true
-              | Preader r ->
-                  if (not (Memory_unit.Reader.is_done r)) && Memory_unit.Reader.cycle r ~now
-                  then prog := true)
-            comps;
-          if !prog then begin
-            incr local_prog;
-            idle := 0;
-            idle_stamp := -1
-          end
+        (* The sync horizon: the exclusive limit every neighbour's
+           published clock allows, waiting for one when it allows
+           nothing yet. *)
+        let limit =
+          Array.fold_left
+            (fun limit (peer, slack, seen) ->
+              if !seen + slack <= now && not (Atomic.get abort) then
+                seen := await syncs.(peer) ~abort ~spin_rounds ~target:(now - slack + 1);
+              min limit (!seen + slack))
+            (min max_cycles (now + batch))
+            bounds
+        in
+        if Atomic.get abort then `Aborted
+        else begin
+          s.I.advance ~limit;
+          publish_clock ();
+          if not (s.I.deadlocked ()) then loop ()
           else begin
-            incr idle;
-            if !idle > deadlock_window then begin
-              (* Locally stuck for a full window. If nothing progressed
-                 anywhere since the last check the whole system is
-                 wedged; otherwise keep waiting on the others. *)
-              flush ();
-              let sum = progress_sum () in
-              if !idle_stamp >= 0 && sum = !idle_stamp then begin
-                status := `Stuck;
-                trigger_abort ()
-              end
-              else begin
-                idle_stamp := sum;
-                idle := 0
-              end
+            (* Locally stuck for a full window. If nothing progressed
+               anywhere since the last check the whole system is wedged;
+               otherwise keep waiting on the others. *)
+            let sum = progress_sum () in
+            if sum = !stamp then begin
+              trigger_abort ();
+              `Stuck
             end
-          end;
-          if !status = `Running then begin
-            incr cycle;
-            if now - !last_pub >= batch then begin
-              Atomic.set progress.(d) !local_prog;
-              publish sync now;
-              last_pub := now
+            else begin
+              stamp := sum;
+              s.I.forgive ();
+              loop ()
             end
           end
         end
       end
-    done;
-    publish sync sentinel;
-    let s = match !status with #status as s -> s | `Running -> assert false in
-    (s, !cycle)
+    in
+    let status =
+      try loop ()
+      with Link.Full ->
+        trigger_abort ();
+        `Stuck
+    in
+    publish syncs.(d) sentinel;
+    (status, s.I.now ())
   in
   let run_device d =
     match run_device d with
-    | s, c -> Done (s, c)
+    | verdict -> Ok verdict
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
         (try trigger_abort () with _ -> ());
         publish syncs.(d) sentinel;
-        Crashed (e, bt)
+        Error (e, bt)
   in
   (* Devices left empty by the placement get their exit clock published
      up front instead of an idle domain. *)
@@ -518,36 +275,31 @@ let run_domains ~config ~placement ~inputs (p : Program.t) =
         if used.(d) then Some (Domain.spawn (fun () -> run_device d)) else None)
   in
   let verdicts = Array.map (Option.map Domain.join) domains in
-  let crashed = ref None in
-  let all_finished = ref true in
-  let cycles = ref 0 in
+  Array.iter
+    (function Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt | _ -> ())
+    verdicts;
+  let cycles = ref 0 and all_finished = ref true in
   Array.iter
     (function
-      | None -> ()
-      | Some (Crashed (e, bt)) -> if !crashed = None then crashed := Some (e, bt)
-      | Some (Done (s, c)) ->
-          if s <> `Finished then all_finished := false;
-          if c > !cycles then cycles := c)
+      | Some (Ok (status, c)) ->
+          if status <> `Finished then all_finished := false;
+          cycles := max !cycles c
+      | Some (Error _) | None -> ())
     verdicts;
-  match !crashed with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None ->
-      if not !all_finished then
-        (* Deadlock, timeout or defensive abort: replay sequentially for
-           the exact seed diagnosis (blocked set, circular wait, SF0701
-           vs SF0703) — and, should the abort have been spurious, the
-           correct completion. *)
-        Engine.run_exn ~config ~placement ~inputs p
-      else begin
-        (* All traffic moved through per-direction controllers; credit
-           the totals back so [Link.bytes_transferred] and the link
-           counter rows match a sequential run. *)
-        List.iter
-          (fun dir -> Link.credit_bytes dir.link (Controller.bytes_granted dir.tx_ctrl))
-          dirs;
-        let report = I.harvest ~telemetry ~system ~cycles:!cycles ~samples:[] in
-        Engine.Completed (I.completed_stats ~system ~predicted ~cycles:!cycles ~report p)
-      end
+  if not !all_finished then
+    (* Deadlock, timeout or defensive abort: replay sequentially for
+       the exact seed diagnosis (blocked set, circular wait, SF0701
+       vs SF0703) — and, should the abort have been spurious, the
+       correct completion. *)
+    Engine.run_exn ~config ~placement ~inputs p
+  else begin
+    (* All traffic moved through per-direction budgets; credit the
+       totals back so [Link.bytes_transferred] and the link counter
+       rows match a sequential run. *)
+    List.iter (fun x -> Link.credit_bytes x.link (Link.bytes_transferred x.half)) dirs;
+    let report = I.harvest ~telemetry ~system ~cycles:!cycles ~samples:[] in
+    Engine.Completed (I.completed_stats ~system ~predicted ~cycles:!cycles ~report p)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Mode selection and public API.                                      *)
@@ -603,29 +355,26 @@ let decide ~config ~placement (p : Program.t) =
     end
   end
 
+let execute ~config ~placement ~inputs (p : Program.t) = function
+  | `Degrade _ -> Engine.run_exn ~config ~placement ~inputs p
+  | `Parallel _ ->
+      Program.validate_exn p;
+      run_domains ~config ~placement ~inputs p
+
 let run_exn ?(config = Engine.Config.default) ?(placement = fun _ -> 0) ?inputs
     (p : Program.t) =
   let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in
   match decide ~config ~placement p with
   | `Reject d -> invalid_arg (Diag.to_string d)
-  | `Degrade _ -> Engine.run_exn ~config ~placement ~inputs p
-  | `Parallel _ ->
-      Program.validate_exn p;
-      run_domains ~config ~placement ~inputs p
+  | (`Degrade _ | `Parallel _) as plan -> execute ~config ~placement ~inputs p plan
 
 let run ?(config = Engine.Config.default) ?(placement = fun _ -> 0) ?inputs
     (p : Program.t) =
   let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in
   match decide ~config ~placement p with
   | `Reject d -> Error d
-  | `Degrade _ | `Parallel _ -> (
-      match run_exn ~config ~placement ~inputs p with
-      | Engine.Completed stats -> Ok stats
-      | Engine.Deadlocked { cycle; blocked; wait_cycle; timed_out; telemetry; faults } ->
-          Error
-            (Engine.failure_diag
-               ?budget:config.Engine.Config.safety.Engine.Config.max_cycles ~faults ~cycle
-               ~blocked ~wait_cycle ~timed_out ~telemetry ()))
+  | (`Degrade _ | `Parallel _) as plan ->
+      Engine.to_result ~config (execute ~config ~placement ~inputs p plan)
 
 let run_and_validate ?config ?placement ?inputs (p : Program.t) =
   let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in

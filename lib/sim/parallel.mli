@@ -1,26 +1,22 @@
 (** Domain-parallel multi-device simulation (conservative PDES with
     link-latency lookahead).
 
-    The sequential {!Engine} walks every device in one cycle loop, so
+    The sequential {!Engine} runs every device in one cycle loop, so
     multi-device runs get slower as the simulated system gets bigger.
-    This engine instead spawns one OCaml domain per device and runs each
-    device's units, channels, readers, writers and memory controller
-    with the existing single-device step code. Domains synchronize only
-    at link boundaries: inter-device traffic takes at least
-    [net_latency_cycles] (= the lookahead L) to arrive, so a device may
-    execute cycle [t] as soon as every upstream device has committed
-    cycle [t - L] — everything that can influence it by cycle [t] is
-    already in the cross-domain ring (one lock-free {!Spsc} ring per
-    link direction, moved by in-place lane blits — the steady state
-    allocates nothing). Run-ahead past downstream devices is throttled
-    to {!Engine.Config.parallelism.window_cycles} (0 = auto, several
-    lookaheads) so rings stay bounded; commits are published in batches
-    of {!Engine.Config.parallelism.sync_batch_cycles} executed cycles
-    and always flushed before blocking, so domains touch shared state a
-    few times per lookahead instead of every cycle; blocked domains back
-    off exponentially, or park immediately when the spawned domains
-    outnumber {!Engine.Config.parallelism.host_jobs}. All three are
-    throughput knobs only — any values give bit-identical results.
+    This engine instead spawns one OCaml domain per device, each running
+    the engine's own scheduler ({!Engine.Internal.scheduler}) over that
+    device's units, channels, readers, writers, memory controller and
+    link halves. Domains synchronize only at link boundaries:
+    inter-device traffic takes at least [net_latency_cycles] (= the
+    lookahead L) to arrive, so a device may advance to cycle [t] once
+    every upstream device's clock has passed [t - L] — everything that
+    can influence it by then is already in the port's lock-free
+    {!Spsc} ring. Run-ahead past downstream devices is throttled to a
+    window of several lookaheads so rings stay bounded, and each advance
+    is capped at a fraction of the lookahead, after which the domain
+    publishes its clock; blocked domains back off exponentially, or park
+    immediately when the spawned domains outnumber
+    {!Engine.Config.parallelism.host_jobs}, a throughput knob only.
 
     {b Determinism.} Results are bit-identical and cycle-identical to
     {!Engine.run_exn} for every placement: same cycle count, outputs,

@@ -128,3 +128,19 @@ let consume t =
 
 let length t = Atomic.get t.tail - Atomic.get t.head
 let is_empty t = length t = 0
+
+let grow t =
+  let t' = create ~capacity:(2 * capacity t) ~lanes:t.lanes in
+  let rec copy () =
+    let base = front t in
+    if base >= 0 then begin
+      let dst = try_produce t' ~tag:(front_tag t) ~release:(front_release t) in
+      Array.blit t.values base t'.values dst t.lanes;
+      Array.blit t.valid base t'.valid dst t.lanes;
+      consume t;
+      copy ()
+    end
+  in
+  copy ();
+  publish t';
+  t'

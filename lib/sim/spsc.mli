@@ -1,9 +1,9 @@
 (** Bounded lock-free single-producer single-consumer ring, specialized
-    for the parallel engine's link transport.
+    for link words in flight.
 
-    Each inter-device link direction gets one ring; the owning
-    (upstream) domain produces link words into it and the downstream
-    domain drains it. Exactly one domain may produce and exactly one may
+    Each link port keeps its in-flight words in one ring. In a
+    domain-parallel run the upstream domain produces into it and the
+    downstream domain consumes from it. Exactly one domain may produce and exactly one may
     consume; under that contract every operation is wait-free — and,
     unlike a generic ['a option array] queue, nothing here allocates.
     An element is two unboxed ints ([tag], [release]) in flat [int
@@ -23,10 +23,9 @@
     {b Batched publication.} [try_produce] stages elements privately;
     [publish] makes everything staged visible to the consumer with one
     atomic store. The producer may stage any number of elements per
-    [publish] — the parallel engine publishes once per simulated cycle
-    per direction rather than once per word. The atomic store/load pair
-    on the tail (and symmetrically the head) provides the
-    happens-before edges that make the plain arrays safe to share. *)
+    [publish]. The atomic store/load pair on the tail (and
+    symmetrically the head) provides the happens-before edges that make
+    the plain arrays safe to share. *)
 
 type t
 
@@ -81,3 +80,8 @@ val is_empty : t -> bool
 
 val length : t -> int
 (** Number of published, unconsumed elements at some recent instant. *)
+
+val grow : t -> t
+(** A ring of twice the capacity holding the published elements of [t]
+    (which it consumes), all published. Only for a ring owned by a
+    single domain. *)

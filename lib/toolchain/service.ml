@@ -2,14 +2,12 @@ module Json = Sf_support.Json
 module Diag = Sf_support.Diag
 module Store = Sf_support.Store
 module Executor = Sf_support.Executor
-module Engine = Sf_sim.Engine
 
 let monotime = Sf_support.Util.monotime
 
 type t = {
   cache : Cache.t;
   on_trace : (verb:string -> Pass_manager.trace -> unit) option;
-  jobs : int;
   serve_jobs : int;
   queue_depth : int;
   ordered : bool;
@@ -21,7 +19,7 @@ type t = {
   cancels_mu : Mutex.t;
 }
 
-let create ?(cache_capacity = 128) ?store_dir ?on_trace ?(jobs = 0) ?(serve_jobs = 1)
+let create ?(cache_capacity = 128) ?store_dir ?on_trace ?(serve_jobs = 1)
     ?(queue_depth = 64) ?(ordered = false) ?deadline_ms ?disturb () =
   let cache = Cache.create ~capacity:cache_capacity () in
   let cache =
@@ -30,7 +28,6 @@ let create ?(cache_capacity = 128) ?store_dir ?on_trace ?(jobs = 0) ?(serve_jobs
   {
     cache;
     on_trace;
-    jobs;
     serve_jobs = max 1 serve_jobs;
     queue_depth = max 1 queue_depth;
     ordered;
@@ -43,14 +40,6 @@ let create ?(cache_capacity = 128) ?store_dir ?on_trace ?(jobs = 0) ?(serve_jobs
   }
 
 let cache t = t.cache
-
-(* Each request's simulation gets a slice of the host-thread budget: the
-   pool's workers run [serve_jobs] simulations concurrently, so handing
-   every one of them the full budget would oversubscribe the host by a
-   factor of [serve_jobs]. *)
-let sim_jobs t =
-  let resolved = if t.jobs > 0 then t.jobs else Executor.default_jobs () in
-  if t.serve_jobs > 1 then max 1 (resolved / t.serve_jobs) else resolved
 
 (* Cancellation registry --------------------------------------------- *)
 
@@ -260,11 +249,8 @@ let compile_verb t ~should_stop ?deadline ~name json =
   match Request.of_json json with
   | Error ds -> reply ~ok:false ~diags:ds ()
   | Ok request -> (
-      let config =
-        Engine.Config.make ~parallelism:(Engine.Config.parallelism ~host_jobs:(sim_jobs t) ()) ()
-      in
       let emit_trace trace = match t.on_trace with Some f -> f ~verb:name trace | None -> () in
-      match Request.run ~config ~cache:t.cache ~should_stop ?deadline request with
+      match Request.run ~cache:t.cache ~should_stop ?deadline request with
       | Ok (ctx, trace) ->
           emit_trace trace;
           let ok = not (Diag.has_errors ctx.Ctx.diags) in

@@ -95,7 +95,6 @@ val create :
   ?cache_capacity:int ->
   ?store_dir:string ->
   ?on_trace:(verb:string -> Pass_manager.trace -> unit) ->
-  ?jobs:int ->
   ?serve_jobs:int ->
   ?queue_depth:int ->
   ?ordered:bool ->
@@ -107,10 +106,7 @@ val create :
     (default 128), backed by an on-disk {!Sf_support.Store} rooted at
     [store_dir] when given. [on_trace] observes every compile verb's
     pass trace (the CLI's [--trace-passes]) and must be thread-safe when
-    [serve_jobs > 1]. [jobs] is the host-thread budget for each
-    request's simulation ([0] = auto); when [serve_jobs > 1] every
-    request gets a [jobs / serve_jobs] slice (at least 1) so concurrent
-    simulations never oversubscribe the host. [serve_jobs] (default 1)
+    [serve_jobs > 1]. [serve_jobs] (default 1)
     sizes the worker pool, [queue_depth] (default 64) bounds admitted
     uncompleted requests, [ordered] (default false) restores FIFO
     response order. [deadline_ms] (default none; [<= 0] means none) is

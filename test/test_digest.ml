@@ -87,9 +87,9 @@ let test_device_digest_sensitivity () =
     ]
 
 let test_sim_config_digest_narrowing () =
-  (* The full config digest must see every knob, but the latency view —
-     what latency-driven analyses key on — must ignore simulation-only
-     settings like the safety budget. *)
+  (* The full config digest must see every knob that can change a
+     result, but the latency view — what latency-driven analyses key on —
+     must ignore simulation-only settings like the safety budget. *)
   let base = Engine.Config.make () in
   let bounded =
     Engine.Config.make ~safety:(Engine.Config.safety ~max_cycles:1234 ()) ()
@@ -103,6 +103,20 @@ let test_sim_config_digest_narrowing () =
   Alcotest.(check bool) "latency view sees latency changes" false
     (F.to_hex (Engine.Config.latency_fingerprint base.Engine.Config.latency)
     = F.to_hex (Engine.Config.latency_fingerprint cheap.Engine.Config.latency))
+
+(* The host-thread budget never changes a result, so configs that differ
+   only in [host_jobs] must share one cache key; the parallel [mode] can
+   (it decides the SF0704 rejection of zero-latency links), so it stays
+   in the digest. *)
+let test_sim_config_digest_ignores_host_jobs () =
+  let with_par ?mode host_jobs =
+    Engine.Config.make ~parallelism:(Engine.Config.parallelism ?mode ~host_jobs ()) ()
+  in
+  let fp c = F.to_hex (Engine.Config.fingerprint c) in
+  Alcotest.(check string) "host_jobs ignored" (fp (with_par 1)) (fp (with_par 2));
+  Alcotest.(check string) "auto host_jobs ignored" (fp Engine.Config.default) (fp (with_par 8));
+  Alcotest.(check bool) "mode seen" false
+    (fp (with_par 1) = fp (with_par ~mode:`Domains_per_device 1))
 
 let pipeline p = [ Passes.use_program p; Passes.delay_buffers; Passes.partition; Passes.codegen_opencl ]
 
@@ -161,6 +175,8 @@ let suite =
     Alcotest.test_case "constant bits matter" `Quick test_constant_bits_matter;
     Alcotest.test_case "device digest sensitivity" `Quick test_device_digest_sensitivity;
     Alcotest.test_case "sim-config digest narrowing" `Quick test_sim_config_digest_narrowing;
+    Alcotest.test_case "sim-config digest ignores host_jobs" `Quick
+      test_sim_config_digest_ignores_host_jobs;
     Alcotest.test_case "warm run is bit-identical to cold" `Quick test_warm_run_bit_identical;
     Alcotest.test_case "seed change re-runs only simulate" `Quick test_seed_change_reruns_only_simulate;
   ]

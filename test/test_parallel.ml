@@ -57,6 +57,21 @@ let test_chain_parity () =
   check_parity ~config:chain_config ~placement:chain_placement "multi-device-chain"
     (Fixtures.chain ~shape:[ 6; 10 ] ~n:4 ())
 
+(* Three devices at a 128-cycle lookahead: the last device waits for its
+   first word across many sync horizons, so its quiescence jumps are cut
+   at every horizon and must still land on the sequential cycle. *)
+let test_three_device_sleeper_parity () =
+  let config =
+    { cheap with Engine.Config.network = Engine.Config.network ~net_latency_cycles:128 () }
+  in
+  let placement = function "f1" | "f2" -> 0 | "f3" | "f4" -> 1 | _ -> 2 in
+  let p = Fixtures.chain ~shape:[ 6; 10 ] ~n:6 () in
+  (match Parallel.decide ~config:(parallelize config) ~placement p with
+  | `Parallel n -> Alcotest.(check int) "three domains" 3 n
+  | `Degrade r -> Alcotest.failf "unexpected degrade: %s" r
+  | `Reject d -> Alcotest.failf "unexpected reject: %s" d.Diag.message);
+  check_parity ~config ~placement "three-device-chain-l128" p
+
 (* Finite link bandwidth on a forward-only cut: the per-cycle grant
    denials at the domain boundary must land on the same cycles as in the
    sequential engine (visible through stall totals and cycle count). *)
@@ -93,6 +108,46 @@ let test_counters_reconcile () =
     "counters JSON identical"
     (Sf_support.Json.to_string (Telemetry.counters_json seq.Engine.telemetry))
     (Sf_support.Json.to_string (Telemetry.counters_json par.Engine.telemetry))
+
+(* Finite memory bandwidth on two devices at a 128-cycle lookahead:
+   after a grant, a device can fall asleep and jump while the other one
+   keeps running. The jump must leave the memory budget exactly where
+   cycle-by-cycle refills would, so the sequential engine matches the
+   run-everything schedule and the parallel one matches both. The
+   programs are ones where a jump without the catch-up refill differs. *)
+let test_memory_capped_jumps () =
+  let programs =
+    Array.of_list
+      (QCheck.Gen.generate ~n:3000
+         ~rand:(Random.State.make [| 0x5eed |])
+         Program_gen.adversarial_program_gen)
+  in
+  List.iter
+    (fun (i, mem_bytes_per_cycle) ->
+      let p = programs.(i) in
+      let placement name = Hashtbl.hash name mod 2 in
+      let config =
+        {
+          cheap with
+          Engine.Config.network = Engine.Config.network ~net_latency_cycles:128 ();
+          Engine.Config.bandwidth = Engine.Config.bandwidth ~mem_bytes_per_cycle ();
+        }
+      in
+      let inputs = Interp.random_inputs p in
+      let sequential config = Test_sim_parity.signature (Engine.run_exn ~config ~placement ~inputs p) in
+      let seq = sequential config in
+      let name = Printf.sprintf "program %d at %g B/cycle" i mem_bytes_per_cycle in
+      Alcotest.(check string)
+        (name ^ ": sequential matches run-everything")
+        (sequential
+           { config with Engine.Config.tracing = Engine.Config.tracing ~telemetry:true () })
+        seq;
+      Alcotest.(check string)
+        (name ^ ": parallel matches sequential")
+        seq
+        (Test_sim_parity.signature
+           (Parallel.run_exn ~config:(parallelize config) ~placement ~inputs p)))
+    [ (139, 4.); (343, 4.); (649, 2.); (651, 4.) ]
 
 (* ------------------------------------------------------------------ *)
 (* decide: the policy surface.                                         *)
@@ -173,14 +228,15 @@ let test_zero_latency_rejected () =
 
 let prop_random_parity =
   QCheck.Test.make ~count:10 ~name:"random programs: parallel equals sequential"
-    QCheck.(pair Program_gen.arbitrary_program (int_range 2 4))
-    (fun (p, devices) ->
+    QCheck.(triple Program_gen.arbitrary_program (int_range 2 4) (oneofl [ 1; 8; 128 ]))
+    (fun (p, devices, net_latency_cycles) ->
       (* Deterministic pseudo-random placement over [devices] devices;
          decide may still degrade (e.g. bidirectional cuts) — parity must
-         hold either way. *)
+         hold either way. Latencies range from a one-cycle lookahead to
+         one longer than the advance batch. *)
       let placement name = Hashtbl.hash name mod devices in
       let config =
-        { cheap with Engine.Config.network = Engine.Config.network ~net_latency_cycles:8 () }
+        { cheap with Engine.Config.network = Engine.Config.network ~net_latency_cycles () }
       in
       let inputs = Interp.random_inputs p in
       let seq = Engine.run_exn ~config ~placement ~inputs p in
@@ -190,9 +246,13 @@ let prop_random_parity =
 let suite =
   [
     Alcotest.test_case "multi-device chain parity" `Quick test_chain_parity;
+    Alcotest.test_case "three-device chain parity at latency 128" `Quick
+      test_three_device_sleeper_parity;
     Alcotest.test_case "net-capped boundary parity" `Quick test_net_capped_parity;
     Alcotest.test_case "cross-device deadlock parity" `Quick test_deadlock_parity;
     Alcotest.test_case "telemetry counters reconcile" `Quick test_counters_reconcile;
+    Alcotest.test_case "memory-capped quiescence jumps match run-everything" `Quick
+      test_memory_capped_jumps;
     Alcotest.test_case "decide: multi-device goes parallel" `Quick test_decide_parallel;
     Alcotest.test_case "decide: sequential mode degrades" `Quick test_decide_sequential_mode;
     Alcotest.test_case "decide: single device degrades" `Quick test_decide_single_device;

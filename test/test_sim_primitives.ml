@@ -254,6 +254,48 @@ let test_link_backpressure () =
   done;
   Alcotest.(check (float 0.)) "second arrives after drain" 2. (Channel.pop dst).Word.values.(0)
 
+(* A destination that holds words back makes the in-flight ring grow
+   past its initial size; order must survive the growth. *)
+let test_link_ring_grows () =
+  let src = Channel.create ~name:"src" ~capacity:64 in
+  let dst = Channel.create ~name:"dst" ~capacity:64 in
+  let link = Link.create ~name:"l" ~bytes_per_cycle:infinity ~latency_cycles:100 () in
+  Link.add_port link ~src ~dst ~word_bytes:4;
+  for i = 1 to 40 do
+    Channel.push src (word (float_of_int i))
+  done;
+  for now = 0 to 39 do
+    ignore (Link.inject link ~now)
+  done;
+  Alcotest.(check bool) "all in flight" true (Channel.is_empty src);
+  for now = 100 to 139 do
+    ignore (Link.deliver link ~now)
+  done;
+  List.iter
+    (fun i ->
+      Alcotest.(check (float 0.)) "FIFO across growth" (float_of_int i)
+        (Channel.pop dst).Word.values.(0))
+    (List.init 40 (fun i -> i + 1));
+  Alcotest.(check bool) "idle after drain" true (Link.is_idle link)
+
+(* A direction's ring is a fixed-size transport between domains: it
+   refuses to grow and raises instead. *)
+let test_link_direction_full () =
+  let src = Channel.create ~name:"src" ~capacity:8 in
+  let dst = Channel.create ~name:"dst" ~capacity:8 in
+  let link = Link.create ~name:"l" ~bytes_per_cycle:infinity ~latency_cycles:3 () in
+  Link.add_port link ~src ~dst ~word_bytes:4;
+  let dir = Link.direction link ~srcs:[ src ] ~capacity:1 in
+  Channel.push src (word 1.);
+  Channel.push src (word 2.);
+  Alcotest.(check bool) "first word injected" true (Link.inject dir ~now:0);
+  (match Link.inject dir ~now:1 with
+  | exception Link.Full -> ()
+  | _ -> Alcotest.fail "a one-word ring must be full");
+  Alcotest.(check bool) "nothing before latency" false (Link.deliver dir ~now:2);
+  Alcotest.(check bool) "delivered at release" true (Link.deliver dir ~now:3);
+  Alcotest.(check (float 0.)) "word 1 arrives" 1. (Channel.pop dst).Word.values.(0)
+
 let test_word_copy_independent () =
   let w = Word.create 4 in
   w.Word.values.(2) <- 7.;
@@ -280,5 +322,7 @@ let suite =
     Alcotest.test_case "link latency preserves order" `Quick test_link_latency_and_order;
     Alcotest.test_case "link bandwidth is shared" `Quick test_link_bandwidth_shared;
     Alcotest.test_case "link backpressure" `Quick test_link_backpressure;
+    Alcotest.test_case "link in-flight ring grows" `Quick test_link_ring_grows;
+    Alcotest.test_case "link direction ring is fixed" `Quick test_link_direction_full;
     Alcotest.test_case "word copies are independent" `Quick test_word_copy_independent;
   ]
