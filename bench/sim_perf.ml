@@ -104,6 +104,7 @@ let () =
       [
         ("benchmark", Json.String "sim_perf");
         ("quick", Json.Bool quick);
+        ("host_cores", Json.Int host_cores);
         ( "cases",
           Json.List
             (List.map
@@ -123,10 +124,9 @@ let () =
       ]
   in
   (* Telemetry overhead: the same case with the counter registry off
-     (default) and on (--profile). Off must stay within noise of the
-     historical baseline -- the probes compile to no-ops; on pays for the
-     instrumented schedule (no fast-forward batching), which is the
-     documented price of exact stall attribution. *)
+     (default) and on (--profile). Both take the same schedule; on pays
+     only for the probes' records, which windows and sleepers make in
+     bulk. *)
   let overhead_case =
     if quick then jacobi_chain ~stages:8 ~shape:[ 64; 64 ] ~w:1
     else jacobi_chain ~stages:8 ~shape:[ 256; 256 ] ~w:1
@@ -212,11 +212,11 @@ let () =
     | other -> other
   in
   (* Fault-injection campaign: wall cost of the adversarial validation
-     harness (Faults.campaign). Injected runs force the cycle-exact
-     schedule — no fast-forward batching — so the per-schedule overhead
-     over the unperturbed baseline is the price of each robustness
-     sample, and the pass rate must stay 1.0 (the latency-insensitivity
-     claim itself). *)
+     harness (Faults.campaign). Injected runs take the same schedule,
+     but fault transitions end windows and jumps and no window runs
+     during a burst, so the per-schedule overhead over the unperturbed
+     baseline is the price of each robustness sample, and the pass rate
+     must stay 1.0 (the latency-insensitivity claim itself). *)
   let fc_case =
     if quick then jacobi_chain ~stages:4 ~shape:[ 32; 32 ] ~w:1 else hdiff_small ~w:1
   in

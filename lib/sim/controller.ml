@@ -3,18 +3,24 @@ type t = {
   mutable budget : float;
   mutable bytes_granted : int;
   mutable denied : bool;
+  mutable refilled : int;  (* the last cycle refilled *)
 }
 
-let create ~bytes_per_cycle = { bytes_per_cycle; budget = 0.; bytes_granted = 0; denied = false }
+let create ~bytes_per_cycle =
+  { bytes_per_cycle; budget = 0.; bytes_granted = 0; denied = false; refilled = -1 }
 let unlimited () = create ~bytes_per_cycle:infinity
 
-let begin_cycle t =
+(* Carry only the fractional remainder: an idle bus does not bank
+   whole cycles of bandwidth for later bursts. So two refills without a
+   grant between them saturate the budget, and one catch-up refill
+   stands for the refills of any number of skipped cycles. *)
+let begin_cycle t ~now =
+  let refill () = t.budget <- Float.min t.budget t.bytes_per_cycle +. t.bytes_per_cycle in
   if Float.is_finite t.bytes_per_cycle then begin
-    (* Carry only the fractional remainder: an idle bus does not bank
-       whole cycles of bandwidth for later bursts. *)
-    let carry = Float.min t.budget t.bytes_per_cycle in
-    t.budget <- carry +. t.bytes_per_cycle
-  end
+    if t.refilled < now - 1 then refill ();
+    refill ()
+  end;
+  t.refilled <- now
 
 let request t bytes =
   if t.denied then false

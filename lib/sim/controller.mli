@@ -13,10 +13,14 @@ val create : bytes_per_cycle:float -> t
 
 val unlimited : unit -> t
 
-val begin_cycle : t -> unit
-(** Refill the budget; unspent budget does not accumulate beyond one
-    cycle's worth (the bus cannot "save up" bandwidth), but fractional
-    remainders carry so small rates are honoured on average. *)
+val begin_cycle : t -> now:int -> unit
+(** Refill the budget for cycle [now]; unspent budget does not
+    accumulate beyond one cycle's worth (the bus cannot "save up"
+    bandwidth), but fractional remainders carry so small rates are
+    honoured on average. A controller not refilled on the cycle before
+    [now] (its users slept, or the engine jumped) first gets one
+    catch-up refill, which stands for any number of skipped cycles
+    provided nothing was granted in them. *)
 
 val request : t -> int -> bool
 (** [request t bytes] grants all-or-nothing and debits the budget.

@@ -524,10 +524,11 @@ let compare_to_reference ~inputs (p : Program.t) stats =
 (*                                                                     *)
 (* Ready set: a component that provably cannot progress sleeps until   *)
 (* one of its channels changes state (producer pushed, consumer        *)
-(* popped) or its wake timer fires (link word matured, pending word    *)
-(* released). A unit's slept cycles are credited as stalls lazily.     *)
-(* When everything sleeps, a quiescence jump skips to the next timer,  *)
-(* never past the limit of the current advance.                        *)
+(* popped), its wake timer fires (link word matured, pending word      *)
+(* released) or a fault transition targets it. Its slept cycles are    *)
+(* credited lazily as repeats of the cycle it fell asleep on. When     *)
+(* everything sleeps, a quiescence jump skips to the next timer, never *)
+(* past the limit of the current advance.                              *)
 (*                                                                     *)
 (* Fast-forward: when every awake component can repeat one action each *)
 (* cycle (Stencil_unit.plan, one word per reader and writer), the      *)
@@ -543,10 +544,9 @@ let compare_to_reference ~inputs (p : Program.t) stats =
 (* capacity, and each pushed channel's high-water mark is settled at   *)
 (* the end: in cycle order its occupancy was constant or only grew.    *)
 (*                                                                     *)
-(* When telemetry or fault injection is on the scheduler instead runs  *)
-(* every component every cycle (the seed schedule), so each component  *)
-(* classifies its own no-progress cycles or sees its fault flags. The  *)
-(* counts are identical either way; only the wall-clock cost differs.  *)
+(* Every run takes this one schedule. Windows and jumps stop short of  *)
+(* occupancy samples and fault transitions, and no window runs during  *)
+(* a fault burst.                                                      *)
 (* ------------------------------------------------------------------ *)
 
 type comp =
@@ -581,8 +581,7 @@ type sched = {
 
 let scheduler ~config ?injector ~finished ~controllers system comps =
   let { Config.deadlock_window; _ } = config.Config.safety in
-  let { Config.trace_interval; telemetry } = config.Config.tracing in
-  let run_all = telemetry || Option.is_some injector in
+  let { Config.trace_interval; _ } = config.Config.tracing in
   let cycle = ref 0 in
   let idle_cycles = ref 0 in
   let progressed = ref 0 in
@@ -590,13 +589,35 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
   let trace = ref [] in
   let ncomps = Array.length comps in
   (* Ready-set state. [ready.(i)] means component i must run next cycle;
-     a sleeping component is provably inert until a wake hook or its
-     [wake_at] timer fires, so skipping it cannot change any observable
-     state. [last_ran] backs the lazy stall accounting for units and the
-     one-shot bandwidth-refill catch-up for links. *)
+     a sleeping component is provably inert until a wake hook, its
+     [wake_at] timer or a fault transition fires, so skipping it cannot
+     change any observable state. [last_ran] is the last cycle whose
+     stall and telemetry records component i has been credited with. *)
   let ready = Array.make ncomps true in
   let wake_at = Array.make ncomps max_int in
   let last_ran = Array.make ncomps (-1) in
+  let probes =
+    Array.map
+      (function
+        | Clink l -> List.assq l system.links
+        | Cwriter w -> List.find_map (fun (_, w', p) -> if w' == w then p else None) system.writers
+        | Cunit u -> List.assq u system.units
+        | Creader r -> List.assq r system.readers
+        | Crx _ | Ctx _ -> None)
+      comps
+  in
+  (* Credit the cycles component i slept through before [now]: each
+     repeats the no-progress record it went to sleep on. *)
+  let credit i ~now =
+    let n = now - 1 - last_ran.(i) in
+    if n > 0 then begin
+      (match comps.(i) with
+      | Cunit u when not (Stencil_unit.is_done u) -> Stencil_unit.add_stalls u n
+      | Clink _ | Crx _ | Ctx _ | Cwriter _ | Cunit _ | Creader _ -> ());
+      Option.iter (fun p -> Telemetry.sleep p ~now:(now - n) ~cycles:n) probes.(i);
+      last_ran.(i) <- now - 1
+    end
+  in
   (* Wake hooks, derived from the component structure: a push wakes the
      channel's consumer, a pop wakes its producer. An rx half produces
      its far channels, a tx half consumes its near channels. *)
@@ -649,14 +670,30 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
   in
   (* Fast-forward batching applies only when every per-cycle effect is
      plannable: no links (link rx channels are pushed before their
-     consumer pops, breaking the pop-before-push occupancy invariant),
-     unlimited memory bandwidth (grants never vary), no tracing, and no
-     telemetry or faults (those runs step every cycle). *)
+     consumer pops, breaking the pop-before-push occupancy invariant)
+     and unlimited memory bandwidth (grants never vary). *)
   let batchable =
     Array.for_all (function Clink _ | Crx _ | Ctx _ -> false | _ -> true) comps
     && Array.for_all Controller.is_unlimited controllers
-    && trace_interval = None && not run_all
   in
+  (* The first cycle from [from] on that must be stepped, because it
+     samples occupancies or a fault stream changes state there. Windows
+     and jumps stop short of it. *)
+  let must_step ~from =
+    let h = match injector with Some inj -> Fault_plan.horizon inj | None -> max_int in
+    match trace_interval with Some iv -> Int.min h ((from + iv - 1) / iv * iv) | None -> h
+  in
+  (* A fault transition wakes the component it targets (a memory
+     controller's flag changes no sleeper's record). *)
+  let by_name = Hashtbl.create 64 in
+  Array.iteri
+    (fun i -> function
+      | Clink l -> Hashtbl.replace by_name (Link.name l) i
+      | Cwriter w -> Hashtbl.replace by_name (Memory_unit.Writer.name w) i
+      | Cunit u -> Hashtbl.replace by_name (Stencil_unit.name u) i
+      | Crx _ | Ctx _ | Creader _ -> ())
+    comps;
+  let wake name = Option.iter (fun i -> ready.(i) <- true) (Hashtbl.find_opt by_name name) in
   (* Channel indices: each channel's consumer and producer component,
      and each component's input and output channels. *)
   let nchan = Array.length all_channels in
@@ -699,7 +736,8 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
     let now = !cycle in
     Array.fill pushed 0 nchan false;
     Array.fill popped 0 nchan false;
-    let k = ref (limit - now) and ok = ref true and any = ref false in
+    let k = ref (Int.min limit (must_step ~from:now) - now) and any = ref false in
+    let ok = ref (!k >= 2) in
     let j = ref 0 in
     while !ok && !j < ncomps do
       let i = !j in
@@ -753,12 +791,8 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
       let kk = !k in
       for i = 0 to ncomps - 1 do
         if active.(i) then begin
-          (* Credit a unit joining after a sleep, as the per-cycle path
-             would on its first run. *)
-          (match comps.(i) with
-          | Cunit u when last_ran.(i) < now - 1 ->
-              Stencil_unit.add_stalls u (now - 1 - last_ran.(i))
-          | Clink _ | Crx _ | Ctx _ | Cwriter _ | Cunit _ | Creader _ -> ());
+          credit i ~now;
+          Option.iter (fun p -> Telemetry.busy p ~now ~cycles:kk) probes.(i);
           last_ran.(i) <- now + kk - 1
         end
       done;
@@ -785,38 +819,28 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
     end
     else false
   in
-  let last_step = ref (-1) in
   let step ~limit =
     let now = !cycle in
-    (* A quiescence jump skipped the memory refills of its cycles, and
-       the cycle before it may have spent budget. Budgets saturate after
-       two refills without grants, so one catch-up refill restores
-       exactly the budget of a cycle-by-cycle run. *)
-    if !last_step < now - 1 then Array.iter Controller.begin_cycle controllers;
-    last_step := now;
-    Array.iter Controller.begin_cycle controllers;
-    (match injector with Some inj -> Fault_plan.tick inj ~now | None -> ());
+    Array.iter (fun c -> Controller.begin_cycle c ~now) controllers;
+    (match injector with Some inj -> Fault_plan.tick inj ~now ~wake | None -> ());
     let progress = ref false in
+    (* Every kind sleeps only after a cycle without progress, so the
+       record it is credited with while asleep is that cycle's. *)
     for i = 0 to ncomps - 1 do
-      if run_all || ready.(i) || wake_at.(i) <= now then begin
+      if ready.(i) || wake_at.(i) <= now then begin
         if wake_at.(i) <= now then wake_at.(i) <- max_int;
         ready.(i) <- true;
+        credit i ~now;
         (match comps.(i) with
         | Clink l ->
-            (* A slept link missed its per-cycle bandwidth refill; the
-               budget saturates after two grant-free refills, and the
-               sleep cycle itself was grant-free, so one catch-up
-               refill restores the exact seed budget. *)
-            if last_ran.(i) < now - 1 then Link.refill l;
             if Link.cycle l ~now then progress := true
             else if Link.sources_empty l then begin
               ready.(i) <- false;
               wake_at.(i) <- Link.next_arrival l ~now
             end
         | Ctx l ->
-            (* The same catch-up; the words in flight are the rx half's
-               business, so a drained tx half sleeps without a timer. *)
-            if last_ran.(i) < now - 1 then Link.refill l;
+            (* The words in flight are the rx half's business, so a
+               drained tx half sleeps without a timer. *)
             if Link.inject l ~now then progress := true
             else if Link.sources_empty l then ready.(i) <- false
         | Crx l ->
@@ -826,18 +850,14 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
               wake_at.(i) <- Link.next_arrival l ~now
             end
         | Cwriter w ->
-            if Memory_unit.Writer.cycle w ~now then progress := true;
             (* Sleep only when inert: done, or nothing to pop. A
                bandwidth-denied writer must retry after the refill. *)
-            if
+            if Memory_unit.Writer.cycle w ~now then progress := true
+            else if
               Memory_unit.Writer.is_done w
               || Channel.is_empty (Memory_unit.Writer.input_channel w)
             then ready.(i) <- false
         | Cunit u ->
-            (* The unit counts one stall per cycle it runs without
-               progress; credit the slept cycles it would have stalled. *)
-            if last_ran.(i) < now - 1 && not (Stencil_unit.is_done u) then
-              Stencil_unit.add_stalls u (now - 1 - last_ran.(i));
             if Stencil_unit.cycle u ~now then progress := true
             else begin
               ready.(i) <- false;
@@ -845,10 +865,9 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
               if nr > now then wake_at.(i) <- nr
             end
         | Creader r ->
-            if Memory_unit.Reader.cycle r ~now then progress := true;
-            if
-              Memory_unit.Reader.is_done r
-              || Memory_unit.Reader.any_output_full r
+            if Memory_unit.Reader.cycle r ~now then progress := true
+            else if
+              Memory_unit.Reader.is_done r || Memory_unit.Reader.full_outputs r <> []
             then ready.(i) <- false);
         last_ran.(i) <- now
       end
@@ -863,18 +882,15 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
       if !idle_cycles > deadlock_window then deadlocked := true
     end;
     (* Quiescence jump: with every component asleep, only timers can
-       wake the system — skip straight to the earliest one, to the
-       cycle where the idle counter would trip the deadlock window, or
-       to [limit], whichever comes first. The skipped cycles are
-       provably no-ops (memory and link budgets get their catch-up
-       refills, see above), so counters land exactly where the seed's
-       cycle-by-cycle spin would put them. *)
-    if
-      (not !deadlocked) && trace_interval = None && (not run_all)
-      && (not (Array.exists Fun.id ready))
-      && not (finished ())
-    then begin
-      let wake_min = Array.fold_left min max_int wake_at in
+       wake the system — skip straight to the earliest one (a wake
+       timer, a fault transition or an occupancy sample), to the cycle
+       where the idle counter would trip the deadlock window, or to
+       [limit], whichever comes first. The skipped cycles are
+       provably no-ops (memory and link budgets catch up their refills
+       in Controller.begin_cycle), so counters land exactly where the
+       seed's cycle-by-cycle spin would put them. *)
+    if (not !deadlocked) && (not (Array.exists Fun.id ready)) && not (finished ()) then begin
+      let wake_min = Int.min (Array.fold_left min max_int wake_at) (must_step ~from:(now + 1)) in
       let wake_min = if wake_min <= now then now + 1 else wake_min in
       let dead_at = now + (deadlock_window + 1 - !idle_cycles) in
       if dead_at < wake_min && dead_at < limit then begin
@@ -893,23 +909,17 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
     end
     else incr cycle
   in
+  (* No window runs while a fault burst is active. *)
+  let quiet () = match injector with Some inj -> not (Fault_plan.bursting inj) | None -> true in
   (* Words may have reached an rx half's transport from another domain
      since the last advance, so every rx half runs first thing. *)
   let advance ~limit =
     Array.iteri (fun i c -> match c with Crx _ -> ready.(i) <- true | _ -> ()) comps;
     while (not (finished ())) && (not !deadlocked) && !cycle < limit do
-      if not (batchable && attempt_batch ~limit) then step ~limit
+      if not (batchable && quiet () && attempt_batch ~limit) then step ~limit
     done;
-    (* Settle the lazy stall accounting for units asleep at the exit. *)
-    let now = !cycle in
-    Array.iteri
-      (fun i comp ->
-        match comp with
-        | Cunit u when last_ran.(i) < now - 1 && not (Stencil_unit.is_done u) ->
-            Stencil_unit.add_stalls u (now - 1 - last_ran.(i));
-            last_ran.(i) <- now - 1
-        | Clink _ | Crx _ | Ctx _ | Cwriter _ | Cunit _ | Creader _ -> ())
-      comps
+    (* Settle the lazy credit of components asleep at the exit. *)
+    Array.iteri (fun i _ -> credit i ~now:!cycle) comps
   in
   {
     advance;
@@ -922,18 +932,15 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
         deadlocked := false);
     samples = (fun () -> List.rev !trace);
   }
-end
 
-open Internal
-
-let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Program.t) =
-  let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in
-  let max_cycles = Option.value config.Config.safety.Config.max_cycles ~default:max_int in
+(* One run: build the system and its fault injector, let [drive] step
+   it, then assemble the outcome, diagnosing a run that did not finish.
+   [drive] returns the cycles executed, whether the idle window
+   tripped, and the occupancy samples. *)
+let simulate ~config ~placement ~inputs ~drive (p : Program.t) =
   let telemetry = Telemetry.create ~enabled:config.Config.tracing.Config.telemetry () in
   let system, predicted = build ~config ~telemetry ~placement ~inputs p in
-  (* Fault injection binds the plan's streams to the built components.
-     Injected runs use the run-everything schedule so that per-cycle
-     fault flags are honoured by every component every cycle. *)
+  (* Fault injection binds the plan's streams to the built components. *)
   let injector =
     match config.Config.faults.Config.plan with
     | None -> None
@@ -951,15 +958,10 @@ let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Pr
   in
   let n_writers = List.length system.writers in
   let finished () = !(system.writers_done) >= n_writers in
-  let s =
-    scheduler ~config ?injector ~finished ~controllers:system.mem_controllers system
-      (components ~links:(List.map (fun (l, _) -> Clink l) system.links) system)
-  in
-  s.advance ~limit:max_cycles;
-  let cycle = s.now () and deadlocked = s.deadlocked () in
-  let report () = harvest ~telemetry ~system ~cycles:cycle ~samples:(s.samples ()) in
+  let cycle, deadlocked, samples = drive system injector finished in
+  let report () = harvest ~telemetry ~system ~cycles:cycle ~samples in
   let faults =
-    match injector with Some inj -> Fault_plan.summary inj | None -> Fault_plan.empty_summary
+    Option.fold injector ~none:Fault_plan.empty_summary ~some:(Fault_plan.summary ~cycles:cycle)
   in
   if deadlocked || not (finished ()) then begin
     (* Wait-for graph: who is each blocked component waiting on?
@@ -976,9 +978,8 @@ let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Pr
       (fun (u, _) ->
         let name = Stencil_unit.name u in
         List.iter
-          (fun b ->
-            match b with
-            | Stencil_unit.Input_empty field -> (
+          (function
+            | Stencil_unit.Input_empty { field; _ } -> (
                 match Hashtbl.find_opt system.producer_for (name, field) with
                 | Some producer -> wait_edge name producer
                 | None -> ())
@@ -995,7 +996,7 @@ let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Pr
             match Hashtbl.find_opt system.channel_consumer channel with
             | Some consumer -> wait_edge (Memory_unit.Reader.name r) consumer
             | None -> ())
-          (Memory_unit.Reader.full_output_channels r))
+          (Memory_unit.Reader.full_outputs r))
       system.readers;
     List.iter
       (fun (o, w, _) ->
@@ -1029,13 +1030,21 @@ let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Pr
     let blocked =
       List.filter_map
         (fun (u, _) ->
-          Option.map (fun r -> (Stencil_unit.name u, r)) (Stencil_unit.blocked_reason u))
+          let reason = function
+            | Stencil_unit.Input_empty { field; _ } -> "waiting on empty input " ^ field
+            | Stencil_unit.Output_full channel -> Printf.sprintf "output %s full" channel
+          in
+          match Stencil_unit.blockages u with
+          | _ when Stencil_unit.is_done u -> None
+          | [] -> Some (Stencil_unit.name u, "pipeline in flight")
+          | bs -> Some (Stencil_unit.name u, String.concat "; " (List.map reason bs)))
         system.units
       @ List.filter_map
           (fun (r, _) ->
-            Option.map
-              (fun reason -> (Memory_unit.Reader.name r, reason))
-              (Memory_unit.Reader.blocked_reason r))
+            match Memory_unit.Reader.full_outputs r with
+            | _ when Memory_unit.Reader.is_done r -> None
+            | [] -> Some (Memory_unit.Reader.name r, "waiting for memory bandwidth")
+            | _ :: _ -> Some (Memory_unit.Reader.name r, "consumer channel full"))
           system.readers
       @ List.filter_map
           (fun (_, w, _) ->
@@ -1055,6 +1064,20 @@ let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Pr
       }
   end
   else Completed (completed_stats ~faults ~system ~predicted ~cycles:cycle ~report:(report ()) p)
+end
+
+open Internal
+
+let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Program.t) =
+  let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in
+  let max_cycles = Option.value config.Config.safety.Config.max_cycles ~default:max_int in
+  simulate ~config ~placement ~inputs p ~drive:(fun system injector finished ->
+      let s =
+        scheduler ~config ?injector ~finished ~controllers:system.mem_controllers system
+          (components ~links:(List.map (fun (l, _) -> Clink l) system.links) system)
+      in
+      s.advance ~limit:max_cycles;
+      (s.now (), s.deadlocked (), s.samples ()))
 
 (* The structured failure of a non-completing run: SF0701 for a true
    deadlock (the idle window tripped), SF0703 for a cycle-budget

@@ -18,8 +18,7 @@
     channel high-water marks are harvested from always-on component
     counters at no per-cycle cost, while per-cause stall attribution and
     the event trace require {!Config.tracing} with [telemetry = true]
-    (which runs the engine instrumented — same cycle and stall counts,
-    slower wall-clock; see docs/SIMULATOR.md). *)
+    (same schedule, cycles and stall counts; see docs/SIMULATOR.md). *)
 
 (** Engine configuration, grouped by concern. Build one with
     {!Config.make}; every group has a smart constructor supplying the
@@ -55,8 +54,8 @@ module Config : sig
     telemetry : bool;
         (** Run instrumented: classify every component's no-progress
             cycles by cause and record stall spans for the event trace.
-            Cycle and stall counts are identical to an uninstrumented
-            run; only wall-clock time differs. *)
+            The schedule, cycle and stall counts are those of an
+            uninstrumented run. *)
   }
 
   type par_mode = [ `Sequential | `Domains_per_device ]
@@ -95,8 +94,7 @@ module Config : sig
     plan : Fault_plan.t option;
         (** When set, the engine runs with deterministic fault injection:
             the plan's bursts/events perturb component timing (never
-            values) and its depth overrides shrink specific channels.
-            Injected runs use the instrumented run-everything schedule. *)
+            values) and its depth overrides shrink specific channels. *)
     fault_seed : int;
         (** Seed of the fault timeline. The whole perturbation sequence
             is a pure function of [(fault_seed, plan)]. *)
@@ -315,8 +313,23 @@ module Internal : sig
   (** Wires the wake hooks of every channel the components touch (each
       has its producer and consumer among them). [controllers] are
       refilled every stepped cycle; [finished] ends an advance early.
-      Telemetry, an [injector] or occupancy tracing in [config] select
-      the run-everything or no-jump schedules. *)
+      Windows and jumps stop at occupancy samples and [injector]
+      transitions; no window runs during a burst. *)
+
+  val simulate :
+    config:Config.t ->
+    placement:(string -> int) ->
+    inputs:(string * Sf_reference.Tensor.t) list ->
+    drive:
+      (system ->
+      Fault_plan.injector option ->
+      (unit -> bool) ->
+      int * bool * (int * (string * int) list) list) ->
+    Sf_ir.Program.t ->
+    outcome
+  (** Build the system and its fault injector, let [drive] run it to
+      [(cycles, deadlocked, samples)], then diagnose the outcome.
+      {!run_exn} drives one {!scheduler}. *)
 
   val harvest :
     telemetry:Telemetry.t ->

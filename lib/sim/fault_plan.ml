@@ -275,8 +275,6 @@ type stream = {
 type injector = {
   clear : (unit -> unit) list;
   streams : stream list;
-  mutable n_events : int;
-  mutable n_stall_cycles : int;
   mutable event_log : Event.t list; (* newest first *)
 }
 
@@ -377,8 +375,6 @@ let create ~seed ~(plan : t) ~links ~controllers ~units ~writers =
   {
     clear;
     streams = burst_streams @ script_streams;
-    n_events = 0;
-    n_stall_cycles = 0;
     event_log = [];
   }
 
@@ -386,12 +382,13 @@ let create ~seed ~(plan : t) ~links ~controllers ~units ~writers =
    draw happens at a cycle determined by earlier draws alone, never by
    simulation state, so two runs with different schedules see the exact
    same perturbation sequence. *)
-let tick inj ~now =
+let tick inj ~now ~wake =
   List.iter (fun f -> f ()) inj.clear;
   List.iter
     (fun s ->
       if s.active_until >= 0 && now >= s.active_until then begin
         s.active_until <- -1;
+        wake s.s_target;
         match s.source with
         | Renewal r -> s.next_start <- now + 1 + Rng.int r.rng (2 * r.gap)
         | Scripted _ -> ()
@@ -400,7 +397,7 @@ let tick inj ~now =
         let activate dur mag =
           s.active_until <- now + dur;
           s.magnitude <- mag;
-          inj.n_events <- inj.n_events + 1;
+          wake s.s_target;
           inj.event_log <-
             { Event.kind = s.s_kind; target = s.s_target; start = now; duration = dur;
               magnitude = mag }
@@ -421,17 +418,32 @@ let tick inj ~now =
                 activate dur mag
             | _ -> ())
       end;
-      if s.active_until > now then begin
-        inj.n_stall_cycles <- inj.n_stall_cycles + 1;
-        s.apply s.magnitude
-      end)
+      if s.active_until > now then s.apply s.magnitude)
     inj.streams
 
-let summary inj =
+let horizon inj =
+  List.fold_left
+    (fun h s ->
+      if s.active_until >= 0 then min h s.active_until
+      else
+        match s.source with
+        | Renewal r when r.left > 0 -> min h s.next_start
+        | Scripted { queue = (start, _, _) :: _ } -> min h start
+        | Renewal _ | Scripted _ -> h)
+    max_int inj.streams
+
+let bursting inj = List.exists (fun s -> s.active_until >= 0) inj.streams
+
+(* An event perturbs its target from its start for its duration, cut
+   off at the end of the run; so the totals follow from the log, however
+   many cycles the engine skipped. *)
+let summary inj ~cycles =
+  let log = List.rev inj.event_log in
   {
-    injected_events = inj.n_events;
-    injected_stall_cycles = inj.n_stall_cycles;
-    log = List.rev inj.event_log;
+    injected_events = List.length log;
+    injected_stall_cycles =
+      List.fold_left (fun n (e : Event.t) -> n + max 0 (min e.duration (cycles - e.start))) 0 log;
+    log;
   }
 
 let attribution_notes (s : summary) ~stall_cycle =

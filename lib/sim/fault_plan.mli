@@ -120,13 +120,22 @@ val create :
     are dropped (a plan written for a multi-device run stays usable on a
     single-device degrade). *)
 
-val tick : injector -> now:int -> unit
-(** Advance the fault timeline one cycle: clear every component's fault
-    flags, then re-apply the flags of all streams active at [now]. The
-    engine calls this once per simulated cycle, before running
-    components. *)
+val tick : injector -> now:int -> wake:(string -> unit) -> unit
+(** Advance the fault timeline to cycle [now]: clear every component's
+    fault flags, then re-apply the flags of all streams active at [now].
+    [wake] gets the target of every stream that starts or ends a burst
+    at [now]. The engine ticks every cycle it steps, before running
+    components, and skips no cycle past {!horizon}. *)
 
-val summary : injector -> summary
+val horizon : injector -> int
+(** The next cycle after the last {!tick} at which a stream starts or
+    ends a burst, or [max_int]. *)
+
+val bursting : injector -> bool
+(** A burst was active at the last {!tick}. *)
+
+val summary : injector -> cycles:int -> summary
+(** What the injector did over a run of [cycles] cycles. *)
 
 val attribution_notes : summary -> stall_cycle:int -> string list
 (** Diag notes blaming the injected events that preceded a failure at

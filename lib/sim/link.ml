@@ -59,7 +59,7 @@ let deliver t ~now =
   !progress
 
 let inject t ~now =
-  Controller.begin_cycle t.controller;
+  Controller.begin_cycle t.controller ~now;
   (* Injected latency jitter only delays release times; each port's ring
      stays FIFO and delivery takes the head only, so word order is
      preserved under any jitter. *)
@@ -87,9 +87,11 @@ let inject t ~now =
   done;
   !progress
 
+let stall probe ~now cause c = Telemetry.stall probe ~now ~channel:(Channel.name c) cause
+
 let cycle t ~now =
   if t.stalled then begin
-    Controller.begin_cycle t.controller;
+    Controller.begin_cycle t.controller ~now;
     (* An injected stall freezes the whole link for the cycle. Classify
        the lost cycle as link latency when anything is waiting on it. *)
     (match t.probe with
@@ -97,7 +99,7 @@ let cycle t ~now =
     | Some probe -> (
         let busy p = Spsc.front p.ring >= 0 || not (Channel.is_empty p.src) in
         match Array.find_opt busy t.ports with
-        | Some p -> Telemetry.stall probe ~now ~channel:(Channel.name p.dst) Telemetry.Link_latency
+        | Some p -> stall probe ~now Telemetry.Link_latency p.dst
         | None -> ()));
     false
   end
@@ -111,7 +113,7 @@ let cycle t ~now =
     (match t.probe with
     | None -> ()
     | Some probe ->
-        if progress then Telemetry.busy probe ~now
+        if progress then Telemetry.busy probe ~now ~cycles:1
         else begin
           (* Classify the blocked cycle in backpressure-first order: a
              matured word refused by a full destination, then a source
@@ -120,18 +122,13 @@ let cycle t ~now =
              merely still in flight. A link with no work records nothing. *)
           let matured_blocked p = head_release p <= now && Channel.is_full p.dst in
           match Array.find_opt matured_blocked t.ports with
-          | Some p ->
-              Telemetry.stall probe ~now ~channel:(Channel.name p.dst) Telemetry.Output_full
+          | Some p -> stall probe ~now Telemetry.Output_full p.dst
           | None -> (
               match Array.find_opt (fun p -> not (Channel.is_empty p.src)) t.ports with
-              | Some p ->
-                  Telemetry.stall probe ~now ~channel:(Channel.name p.src)
-                    Telemetry.Bandwidth_denied
+              | Some p -> stall probe ~now Telemetry.Bandwidth_denied p.src
               | None -> (
                   match Array.find_opt (fun p -> Spsc.front p.ring >= 0) t.ports with
-                  | Some p ->
-                      Telemetry.stall probe ~now ~channel:(Channel.name p.dst)
-                        Telemetry.Link_latency
+                  | Some p -> stall probe ~now Telemetry.Link_latency p.dst
                   | None -> ()))
         end);
     progress
@@ -164,8 +161,6 @@ let next_arrival t ~now =
       if r > now then min acc r else acc)
     max_int t.ports
 
-let refill t = Controller.begin_cycle t.controller
 let set_stalled t v = t.stalled <- v
-let stalled t = t.stalled
 let set_extra_latency t v = t.extra_latency <- v
 let extra_latency t = t.extra_latency

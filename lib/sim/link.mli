@@ -41,8 +41,8 @@ val direction : t -> srcs:Channel.t list -> capacity:int -> t
     destination's, each ring being a lock-free {!Spsc} transport
     between them. A ring holds [capacity] words and does not grow:
     {!inject} raises {!Full} instead. The direction has its own
-    bandwidth budget and no probe. Of its functions only {!inject},
-    {!refill} and {!sources_empty} belong to the source's domain. *)
+    bandwidth budget and no probe. Of its functions only {!inject} and
+    {!sources_empty} belong to the source's domain. *)
 
 val name : t -> string
 val bytes_transferred : t -> int
@@ -72,19 +72,12 @@ val next_arrival : t -> now:int -> int
     not deliver this cycle is blocked on destination space, and only a
     pop on that destination can unblock it. *)
 
-val refill : t -> unit
-(** One bandwidth-controller refill, used by the scheduler to catch up a
-    link woken after sleeping: budgets converge after a single idle
-    refill, so one call reproduces any number of slept cycles. *)
-
 (** {2 Fault-injection hooks ({!Fault_plan})} *)
 
 val set_stalled : t -> bool -> unit
 (** While set, {!cycle} neither injects nor delivers (a full link
     freeze); lost cycles are classified as link latency. Cleared by the
     injector each cycle. *)
-
-val stalled : t -> bool
 
 val set_extra_latency : t -> int -> unit
 (** Extra propagation latency added to words injected while set.

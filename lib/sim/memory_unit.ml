@@ -52,41 +52,32 @@ module Reader = struct
     done;
     t.pos <- t.pos + 1
 
-  let any_output_full t =
-    let full = ref false in
-    for i = 0 to Array.length t.outputs - 1 do
-      if Channel.is_full t.outputs.(i) then full := true
-    done;
-    !full
-
-  let first_full_output t =
-    let rec go i =
-      if i >= Array.length t.outputs then ""
-      else if Channel.is_full t.outputs.(i) then Channel.name t.outputs.(i)
-      else go (i + 1)
-    in
-    go 0
+  (* The consumer channels exerting backpressure, none when done. *)
+  let full_outputs t =
+    if is_done t then []
+    else
+      Array.fold_right
+        (fun c acc -> if Channel.is_full c then Channel.name c :: acc else acc)
+        t.outputs []
 
   let cycle t ~now =
     if is_done t then false
-    else if any_output_full t then begin
-      (match t.probe with
-      | None -> ()
-      | Some p ->
-          Telemetry.stall p ~now ~channel:(first_full_output t) Telemetry.Output_full);
-      false
-    end
-    else if not (Controller.request t.controller (t.vector_width * t.element_bytes)) then begin
-      (match t.probe with
-      | None -> ()
-      | Some p -> Telemetry.stall p ~now Telemetry.Bandwidth_denied);
-      false
-    end
-    else begin
-      emit t Channel.Unsafe.push_slot;
-      (match t.probe with None -> () | Some p -> Telemetry.busy p ~now);
-      true
-    end
+    else
+      match full_outputs t with
+      | channel :: _ ->
+          (match t.probe with
+          | None -> ()
+          | Some p -> Telemetry.stall p ~now ~channel Telemetry.Output_full);
+          false
+      | [] when not (Controller.request t.controller (t.vector_width * t.element_bytes)) ->
+          (match t.probe with
+          | None -> ()
+          | Some p -> Telemetry.stall p ~now Telemetry.Bandwidth_denied);
+          false
+      | [] ->
+          emit t Channel.Unsafe.push_slot;
+          (match t.probe with None -> () | Some p -> Telemetry.busy p ~now ~cycles:1);
+          true
 
   (* [n] unchecked cycles for the fast-forward path: the engine has
      verified output space for the whole window and that the controller
@@ -96,17 +87,6 @@ module Reader = struct
     for _ = 1 to n do
       emit t Channel.Unsafe.push_chunk_slot
     done
-
-  let blocked_reason t =
-    if is_done t then None
-    else if any_output_full t then Some "consumer channel full"
-    else Some "waiting for memory bandwidth"
-
-  let full_output_channels t =
-    if is_done t then []
-    else
-      Array.to_list t.outputs
-      |> List.filter_map (fun c -> if Channel.is_full c then Some (Channel.name c) else None)
 end
 
 module Writer = struct
@@ -200,7 +180,8 @@ module Writer = struct
       (match t.probe with
       | None -> ()
       | Some p ->
-          Telemetry.stall p ~now ~channel:(Channel.name t.input) Telemetry.Input_starved);
+          Telemetry.stall p ~now ~channel:(Channel.name t.input)
+            Telemetry.Input_starved);
       false
     end
     else begin
@@ -215,7 +196,7 @@ module Writer = struct
       end
       else begin
         commit t;
-        (match t.probe with None -> () | Some p -> Telemetry.busy p ~now);
+        (match t.probe with None -> () | Some p -> Telemetry.busy p ~now ~cycles:1);
         true
       end
     end

@@ -26,8 +26,6 @@ module Reader : sig
   val cycle : t -> now:int -> bool
   val is_done : t -> bool
   val name : t -> string
-  val blocked_reason : t -> string option
-
   val words_remaining : t -> int
   val words_streamed : t -> int
   val output_channels : t -> Channel.t list
@@ -39,11 +37,10 @@ module Reader : sig
       {!Channel.chunk} past the capacity) and the controller to be
       {!Controller.is_unlimited}. *)
 
-  val any_output_full : t -> bool
-  (** Whether some consumer channel is full, without allocating. *)
-
-  val full_output_channels : t -> string list
-  (** Names of consumer channels currently exerting backpressure. *)
+  val full_outputs : t -> string list
+  (** The consumer channels exerting backpressure, in order; [\[\]]
+      when done. The first one is the channel {!cycle} blames for a
+      stall, and the deadlock diagnosis reads them all. *)
 end
 
 module Writer : sig

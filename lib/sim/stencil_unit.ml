@@ -159,7 +159,6 @@ let name t = t.name
 let total_steps t = t.init_max + t.n_words
 let is_done t = t.step >= total_steps t && t.pend_count = 0
 let stall_cycles t = t.stalls
-let steps_completed t = t.step
 let add_stalls t n = t.stalls <- t.stalls + n
 
 let input_channels t =
@@ -266,58 +265,50 @@ let try_step t ~now =
     !ready
   end
 
-(* What to blame for a no-progress cycle, in the order a hardware
-   pipeline would observe it: an empty input it must pop, then a full
-   output it must push, then its own pending line (words still
+type blockage = Input_empty of { field : string; channel : string } | Output_full of string
+
+(* What blocks the unit, in the order a hardware pipeline would observe
+   it: the empty inputs it must pop, then the full outputs it must push.
+   Nothing here means it waits on its own pending line (words still
    propagating through the compute latency). *)
-let stall_blame t =
-  let n = Array.length t.inputs in
-  let rec starved k =
-    if k >= n then None
-    else
-      let i = t.inputs.(k) in
-      match i.channel with
-      | Some c when consuming_active t i && Channel.is_empty c ->
-          Some (Telemetry.Input_starved, Channel.name c)
-      | Some _ | None -> starved (k + 1)
-  in
-  match starved 0 with
-  | Some _ as blame -> blame
-  | None ->
-      let m = Array.length t.outputs in
-      let rec full k =
-        if k >= m then None
-        else if Channel.is_full t.outputs.(k) then
-          Some (Telemetry.Output_full, Channel.name t.outputs.(k))
-        else full (k + 1)
-      in
-      full 0
+let blockages t =
+  if is_done t then []
+  else
+    Array.fold_right
+      (fun i acc ->
+        match i.channel with
+        | Some c when consuming_active t i && Channel.is_empty c ->
+            Input_empty { field = i.field; channel = Channel.name c } :: acc
+        | Some _ | None -> acc)
+      t.inputs
+      (Array.fold_right
+         (fun c acc -> if Channel.is_full c then Output_full (Channel.name c) :: acc else acc)
+         t.outputs [])
 
 let set_hiccup t v = t.hiccup <- v
 
+(* An injected hiccup freezes the whole pipeline for the cycle. *)
 let cycle t ~now =
-  if t.hiccup && not (is_done t) then begin
-    (* Injected pipeline hiccup: the whole unit freezes for the cycle. *)
-    t.stalls <- t.stalls + 1;
-    (match t.probe with
-    | None -> ()
-    | Some p -> Telemetry.stall p ~now Telemetry.Pipeline_drain);
-    false
-  end
-  else
-  let flushed = try_flush t ~now in
-  let stepped = try_step t ~now in
-  let progress = flushed || stepped in
-  if (not progress) && not (is_done t) then begin
+  let progress =
+    (not t.hiccup)
+    &&
+    let flushed = try_flush t ~now in
+    let stepped = try_step t ~now in
+    flushed || stepped
+  in
+  if progress then (match t.probe with Some p -> Telemetry.busy p ~now ~cycles:1 | None -> ())
+  else if not (is_done t) then begin
     t.stalls <- t.stalls + 1;
     match t.probe with
     | None -> ()
     | Some p -> (
-        match stall_blame t with
-        | Some (cause, channel) -> Telemetry.stall p ~now ~channel cause
-        | None -> Telemetry.stall p ~now Telemetry.Pipeline_drain)
-  end
-  else if progress then (match t.probe with None -> () | Some p -> Telemetry.busy p ~now);
+        match if t.hiccup then [] else blockages t with
+        | Input_empty { channel; _ } :: _ ->
+            Telemetry.stall p ~now ~channel Telemetry.Input_starved
+        | Output_full channel :: _ ->
+            Telemetry.stall p ~now ~channel Telemetry.Output_full
+        | [] -> Telemetry.stall p ~now Telemetry.Pipeline_drain)
+  end;
   progress
 
 (* ------------------------------------------------------------------ *)
@@ -387,39 +378,3 @@ let run_planned t ~now n =
     for _ = 1 to n do
       emit_head t Channel.Unsafe.push_chunk_slot
     done
-
-type blockage = Input_empty of string | Output_full of string
-
-let blockages t =
-  if is_done t then []
-  else
-    (Array.to_list t.inputs
-    |> List.filter_map (fun i ->
-           match i.channel with
-           | Some c when consuming_active t i && Channel.is_empty c -> Some (Input_empty i.field)
-           | Some _ | None -> None))
-    @ (Array.to_list t.outputs
-      |> List.filter_map (fun c ->
-             if Channel.is_full c then Some (Output_full (Channel.name c)) else None))
-
-let blocked_reason t =
-  if is_done t then None
-  else begin
-    let input_block =
-      Array.to_list t.inputs
-      |> List.filter_map (fun i ->
-             match i.channel with
-             | Some c when consuming_active t i && Channel.is_empty c ->
-                 Some (Printf.sprintf "waiting on empty input %s" i.field)
-             | Some _ | None -> None)
-    in
-    let output_block =
-      Array.to_list t.outputs
-      |> List.filter_map (fun c ->
-             if Channel.is_full c then Some (Printf.sprintf "output %s full" (Channel.name c))
-             else None)
-    in
-    match input_block @ output_block with
-    | [] -> Some "pipeline in flight"
-    | reasons -> Some (String.concat "; " reasons)
-  end

@@ -46,7 +46,6 @@ val cycle : t -> now:int -> bool
     (a flush or a pipeline step). *)
 
 val stall_cycles : t -> int
-val steps_completed : t -> int
 
 val add_stalls : t -> int -> unit
 (** Credit stall cycles accounted lazily by the scheduler for cycles the
@@ -55,7 +54,7 @@ val add_stalls : t -> int -> unit
 val set_hiccup : t -> bool -> unit
 (** Fault-injection hook ({!Fault_plan}): while set, the pipeline
     freezes — {!cycle} makes no progress (counted and classified as a
-    pipeline stall) and {!plan} returns [None]. Cleared by the injector
+    pipeline stall) and {!plan} returns [0]. Cleared by the injector
     each cycle. *)
 
 val input_channels : t -> Channel.t list
@@ -94,13 +93,12 @@ val run_planned : t -> now:int -> int -> unit
     words evaluated one row segment per dispatch, then [n] flushes.
     Requires [n <= Channel.chunk]. *)
 
-(** Structured description of what blocks the unit, for deadlock-cycle
-    diagnosis: inputs it waits on (by field) and output channels that are
-    full (by channel name). *)
-type blockage = Input_empty of string | Output_full of string
+(** What blocks a unit: an input it must pop that is empty (by field,
+    with its channel), or an output channel that is full. *)
+type blockage = Input_empty of { field : string; channel : string } | Output_full of string
 
 val blockages : t -> blockage list
-
-val blocked_reason : t -> string option
-(** Human-readable description of why the unit cannot currently advance
-    (for deadlock diagnostics); [None] when done. *)
+(** Every blockage, empty inputs first, each group in channel order;
+    [\[\]] when done or waiting only on the pending line. Outside a
+    hiccup the first one is the cause {!cycle} records for a stall, and
+    the deadlock diagnosis reads them all. *)

@@ -62,7 +62,6 @@ type probe = {
 type t = { enabled : bool; mutable probes : probe list; closed_spans : span list ref }
 
 let create ~enabled () = { enabled; probes = []; closed_spans = ref [] }
-let enabled t = t.enabled
 
 let probe t ~kind:_ ~name =
   if not t.enabled then None
@@ -102,27 +101,33 @@ let close_span p =
     p.open_cause <- -1
   end
 
-let stall p ~now ?(channel = "") cause =
-  let ci = cause_index cause in
-  p.by_cause.(ci) <- p.by_cause.(ci) + 1;
+(* [cycles] stalls from [now] with cause index [ci]. *)
+let record p ~now ~cycles ci channel =
+  p.by_cause.(ci) <- p.by_cause.(ci) + cycles;
   if channel <> "" then
     Hashtbl.replace p.blamed channel
-      (1 + Option.value ~default:0 (Hashtbl.find_opt p.blamed channel));
+      (cycles + Option.value ~default:0 (Hashtbl.find_opt p.blamed channel));
   if p.open_cause = ci && String.equal p.open_channel channel && p.open_last = now - 1 then
-    p.open_last <- now
+    p.open_last <- now + cycles - 1
   else begin
     close_span p;
     p.open_cause <- ci;
     p.open_channel <- channel;
     p.open_start <- now;
-    p.open_last <- now
+    p.open_last <- now + cycles - 1
   end
 
-let busy p ~now =
+let stall p ~now ?(channel = "") cause = record p ~now ~cycles:1 (cause_index cause) channel
+
+let sleep p ~now ~cycles =
+  if p.open_cause >= 0 && p.open_last = now - 1 then
+    record p ~now ~cycles p.open_cause p.open_channel
+
+let busy p ~now ~cycles =
   close_span p;
-  p.busy_cycles <- p.busy_cycles + 1;
+  p.busy_cycles <- p.busy_cycles + cycles;
   if p.first_active < 0 then p.first_active <- now;
-  p.last_active <- now
+  p.last_active <- now + cycles - 1
 
 type counters = {
   name : string;

@@ -52,7 +52,6 @@ type probe
     costs one [match] per cycle call. *)
 
 val create : enabled:bool -> unit -> t
-val enabled : t -> bool
 
 val probe : t -> kind:kind -> name:string -> probe option
 (** Register a component. [None] when the collector is disabled. *)
@@ -62,8 +61,14 @@ val stall : probe -> now:int -> ?channel:string -> stall_cause -> unit
     responsible. Consecutive stalls with the same cause and channel
     accumulate into a single {!span}. *)
 
-val busy : probe -> now:int -> unit
-(** Record one progressing cycle at [now]; closes any open stall span. *)
+val sleep : probe -> now:int -> cycles:int -> unit
+(** Credit [cycles] slept cycles from [now] on, each a repeat of the
+    stall recorded for cycle [now - 1], the one the component fell
+    asleep on (nothing when that cycle was no stall). *)
+
+val busy : probe -> now:int -> cycles:int -> unit
+(** Record [cycles] progressing cycles from [now] on; closes any open
+    stall span. *)
 
 (** {2 Frozen results} *)
 

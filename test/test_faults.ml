@@ -272,6 +272,50 @@ let test_shrink_to_empty_events () =
                (tight - quick.Engine.Config.channel_slack))
             (Fault_plan.to_string minimal))
 
+(* The summary derives perturbed cycles from the event log; count them
+   tick by tick instead, as the flags show them: a memory throttle makes
+   its controller refuse every request. The script has a zero-length
+   event, events queued behind a busy stream (they start late) and an
+   event still running at the end; a renewal stream adds random ones.
+   Every prefix of the run is compared, so each event is also cut off
+   mid-burst. *)
+let test_summary_counts_active_cycles () =
+  let event start duration =
+    { Fault_plan.Event.kind = Fault_plan.Mem_throttle; target = "m0"; start; duration;
+      magnitude = 1 }
+  in
+  let plan =
+    Fault_plan.plan
+      ~events:[ event 3 0; event 3 4; event 5 2; event 20 6 ]
+      ~bursts:
+        [ Fault_plan.Burst.make ~target:"m1" ~gap:4 ~duration:5 ~count:12 Fault_plan.Mem_throttle ]
+      ()
+  in
+  let controllers = [ ("m0", Sf_sim.Controller.unlimited ()); ("m1", Sf_sim.Controller.unlimited ()) ] in
+  let inj = Fault_plan.create ~seed:5 ~plan ~links:[] ~controllers ~units:[] ~writers:[] in
+  let perturbed = ref 0 in
+  for now = 0 to 199 do
+    let s = Fault_plan.summary inj ~cycles:now in
+    Alcotest.(check int) (Printf.sprintf "perturbed cycles in %d" now) !perturbed
+      s.Fault_plan.injected_stall_cycles;
+    Alcotest.(check int) "one event per log entry" (List.length s.Fault_plan.log)
+      s.Fault_plan.injected_events;
+    Fault_plan.tick inj ~now ~wake:ignore;
+    List.iter (fun (_, c) -> if not (Sf_sim.Controller.request c 0) then incr perturbed) controllers
+  done;
+  let log = (Fault_plan.summary inj ~cycles:200).Fault_plan.log in
+  let starts target =
+    List.filter_map
+      (fun (e : Fault_plan.Event.t) ->
+        if e.Fault_plan.Event.target = target then
+          Some (e.Fault_plan.Event.start, e.Fault_plan.Event.duration)
+        else None)
+      log
+  in
+  Alcotest.(check (list (pair int int))) "script: queued events start late"
+    [ (3, 0); (4, 4); (8, 2); (20, 6) ] (starts "m0");
+  Alcotest.(check int) "every renewal burst fired" 12 (List.length (starts "m1"))
+
 (* {2 Satellites: timeout budget, parallel degrade} *)
 
 let test_timeout_budget_echoed () =
@@ -360,4 +404,6 @@ let suite =
       test_parallel_degrades_under_injection;
     QCheck_alcotest.to_alcotest prop_analysed_depths_survive_faults;
     QCheck_alcotest.to_alcotest prop_tight_capacity_deadlocks;
+    Alcotest.test_case "summary: perturbed cycles match a per-tick count" `Quick
+      test_summary_counts_active_cycles;
   ]

@@ -59,7 +59,7 @@ let test_reader_respects_bandwidth () =
   (* 8-byte elements at 4 B/cycle: one word every other cycle. *)
   let moved = ref 0 in
   for now = 1 to 8 do
-    Controller.begin_cycle ctrl;
+    Controller.begin_cycle ctrl ~now;
     if Reader.cycle r ~now then incr moved
   done;
   Alcotest.(check int) "half rate" 4 !moved
@@ -93,7 +93,7 @@ let test_writer_waits_for_bandwidth () =
       ~input:c ()
   in
   Channel.push c (word 1.);
-  Controller.begin_cycle ctrl;
+  Controller.begin_cycle ctrl ~now:0;
   Alcotest.(check bool) "denied" false (Writer.cycle w ~now:0);
   Alcotest.(check int) "word not consumed" 1 (Channel.occupancy c);
   Alcotest.(check bool) "reports bandwidth wait" true

@@ -113,7 +113,7 @@ let test_counters_reconcile () =
    after a grant, a device can fall asleep and jump while the other one
    keeps running. The jump must leave the memory budget exactly where
    cycle-by-cycle refills would, so the sequential engine matches the
-   run-everything schedule and the parallel one matches both. The
+   oracle's every-cycle schedule and the parallel one matches both. The
    programs are ones where a jump without the catch-up refill differs. *)
 let test_memory_capped_jumps () =
   let programs =
@@ -134,13 +134,11 @@ let test_memory_capped_jumps () =
         }
       in
       let inputs = Interp.random_inputs p in
-      let sequential config = Test_sim_parity.signature (Engine.run_exn ~config ~placement ~inputs p) in
-      let seq = sequential config in
+      let seq = Test_sim_parity.signature (Engine.run_exn ~config ~placement ~inputs p) in
       let name = Printf.sprintf "program %d at %g B/cycle" i mem_bytes_per_cycle in
       Alcotest.(check string)
-        (name ^ ": sequential matches run-everything")
-        (sequential
-           { config with Engine.Config.tracing = Engine.Config.tracing ~telemetry:true () })
+        (name ^ ": sequential matches the oracle")
+        (Test_sim_parity.signature (Oracle.run_exn ~config ~placement ~inputs p))
         seq;
       Alcotest.(check string)
         (name ^ ": parallel matches sequential")
@@ -251,7 +249,7 @@ let suite =
     Alcotest.test_case "net-capped boundary parity" `Quick test_net_capped_parity;
     Alcotest.test_case "cross-device deadlock parity" `Quick test_deadlock_parity;
     Alcotest.test_case "telemetry counters reconcile" `Quick test_counters_reconcile;
-    Alcotest.test_case "memory-capped quiescence jumps match run-everything" `Quick
+    Alcotest.test_case "memory-capped quiescence jumps match the oracle" `Quick
       test_memory_capped_jumps;
     Alcotest.test_case "decide: multi-device goes parallel" `Quick test_decide_parallel;
     Alcotest.test_case "decide: sequential mode degrades" `Quick test_decide_sequential_mode;

@@ -167,10 +167,10 @@ let prop_channel_soa_model =
 
 let test_controller_budget () =
   let ctrl = Controller.create ~bytes_per_cycle:8. in
-  Controller.begin_cycle ctrl;
+  Controller.begin_cycle ctrl ~now:0;
   Alcotest.(check bool) "grant within budget" true (Controller.request ctrl 8);
   Alcotest.(check bool) "deny beyond budget" false (Controller.request ctrl 1);
-  Controller.begin_cycle ctrl;
+  Controller.begin_cycle ctrl ~now:1;
   Alcotest.(check bool) "fresh budget" true (Controller.request ctrl 4);
   Alcotest.(check bool) "partial remains" true (Controller.request ctrl 4);
   Alcotest.(check int) "accounting" 16 (Controller.bytes_granted ctrl)
@@ -179,8 +179,8 @@ let test_controller_fractional_rates () =
   (* With 0.5 B/cycle, a 1-byte request succeeds every other cycle. *)
   let ctrl = Controller.create ~bytes_per_cycle:0.5 in
   let grants = ref 0 in
-  for _ = 1 to 100 do
-    Controller.begin_cycle ctrl;
+  for now = 1 to 100 do
+    Controller.begin_cycle ctrl ~now;
     if Controller.request ctrl 1 then incr grants
   done;
   Alcotest.(check int) "half rate" 50 !grants
@@ -188,14 +188,14 @@ let test_controller_fractional_rates () =
 let test_controller_no_banking () =
   (* Idle cycles don't bank unbounded bandwidth for later bursts. *)
   let ctrl = Controller.create ~bytes_per_cycle:4. in
-  for _ = 1 to 10 do
-    Controller.begin_cycle ctrl
+  for now = 1 to 10 do
+    Controller.begin_cycle ctrl ~now
   done;
   Alcotest.(check bool) "burst capped" false (Controller.request ctrl 100)
 
 let test_controller_unlimited () =
   let ctrl = Controller.unlimited () in
-  Controller.begin_cycle ctrl;
+  Controller.begin_cycle ctrl ~now:0;
   Alcotest.(check bool) "always grants" true (Controller.request ctrl max_int)
 
 let test_link_latency_and_order () =

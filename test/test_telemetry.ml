@@ -1,14 +1,16 @@
 (* The telemetry layer: the typed counter registry must reconcile with
-   the channel totals the engine has always maintained, the instrumented
-   schedule must reproduce the uninstrumented run exactly (cycles,
-   stalls, outputs), stall attribution must blame the channel that
-   actually causes the Fig. 4 deadlock, and the Chrome trace export must
-   be well-formed trace_event JSON. *)
+   the channel totals the engine has always maintained, an instrumented
+   run must reproduce the uninstrumented one exactly (cycles, stalls,
+   outputs) and record what the every-cycle oracle records (counters,
+   trace, fault summary, diagnosis), stall attribution must blame the
+   channel that actually causes the Fig. 4 deadlock, and the Chrome
+   trace export must be well-formed trace_event JSON. *)
 module Engine = Sf_sim.Engine
 module Telemetry = Sf_sim.Telemetry
 module Interp = Sf_reference.Interp
 module Diag = Sf_support.Diag
 module Json = Sf_support.Json
+module Fault_plan = Sf_sim.Fault_plan
 
 let cheap = Engine.Config.make ~latency:Sf_analysis.Latency.cheap ()
 
@@ -122,28 +124,150 @@ let test_telemetry_off_on_equivalence () =
       ("kitchen-sink", Fixtures.kitchen_sink ());
     ]
 
-(* The same over random programs: the cheap config takes the ready set,
-   quiescence jumps and chunked fast-forward windows, its telemetry-on
-   twin runs every component every cycle. Cycles, unit stalls,
-   high-water marks, output bits and validity masks must all agree. *)
+let deadlock_config =
+  {
+    (instrumented ()) with
+    Engine.Config.override_edge_buffers = [ (("a", "c"), 0) ];
+    Engine.Config.channel_slack = 2;
+    Engine.Config.safety = Engine.Config.safety ~deadlock_window:256 ();
+  }
+
+(* Everything a run shows, one line per view: the parity signature
+   (cycles, unit stalls, high-water marks, output bits, the occupancy
+   samples), the counters JSON (per-cause and per-channel stalls, busy
+   cycles), the Chrome trace (stall spans, active phases, sampled
+   occupancies), the fault summary with its event log, and for a run
+   that did not finish its full diagnosis. *)
+let observe ~config outcome =
+  let telemetry, faults =
+    match outcome with
+    | Engine.Completed s -> (s.Engine.telemetry, s.Engine.faults)
+    | Engine.Deadlocked { telemetry; faults; _ } -> (telemetry, faults)
+  in
+  let event (e : Fault_plan.Event.t) =
+    Printf.sprintf "%s@%s:%d+%d*%d" (Fault_plan.kind_name e.Fault_plan.Event.kind)
+      e.Fault_plan.Event.target e.Fault_plan.Event.start e.Fault_plan.Event.duration
+      e.Fault_plan.Event.magnitude
+  in
+  [
+    ("signature", Test_sim_parity.signature outcome);
+    ("counters", Json.to_string (Telemetry.counters_json telemetry));
+    ("trace", Json.to_string (Telemetry.trace_events_json telemetry));
+    ( "faults",
+      Printf.sprintf "%d/%d [%s]" faults.Fault_plan.injected_events
+        faults.Fault_plan.injected_stall_cycles
+        (String.concat "; " (List.map event faults.Fault_plan.log)) );
+    ( "diagnosis",
+      match Engine.to_result ~config outcome with Ok _ -> "ok" | Error d -> Diag.to_string d );
+  ]
+
+let matches_oracle ~config ?placement ~inputs p outcome =
+  let got = observe ~config outcome in
+  let want = observe ~config (Oracle.run_exn ~config ?placement ~inputs p) in
+  match List.find_opt (fun ((_, g), (_, w)) -> g <> w) (List.combine got want) with
+  | None -> Ok ()
+  | Some ((view, g), (_, w)) ->
+      Error (Printf.sprintf "%s differs:\n  engine: %s\n  oracle: %s" view g w)
+
+let same_as_oracle ~config ?placement ~inputs p =
+  matches_oracle ~config ?placement ~inputs p (Engine.run_exn ~config ?placement ~inputs p)
+
+(* The one scheduler against the oracle over random programs, always
+   instrumented. Each draw also picks an occupancy sampling interval,
+   a fault seed under [Fault_plan.default], a cycle budget (some runs
+   time out) and a two-device placement with finite memory bandwidth,
+   each or none. A run must complete unless its budget runs out, and
+   the same run with telemetry off must show the same signature. *)
 let prop_schedules_agree =
-  QCheck.Test.make ~count:300 ~name:"random programs: fast-forward matches run-everything"
-    Program_gen.arbitrary_adversarial_program (fun p ->
-      let inputs = Interp.random_inputs p in
-      let signature config =
-        match Engine.run_exn ~config ~inputs p with
-        | Engine.Deadlocked { cycle; _ } -> QCheck.Test.fail_reportf "deadlock at cycle %d" cycle
-        | Engine.Completed s ->
-            ( s.Engine.cycles,
-              Telemetry.unit_stalls s.Engine.telemetry,
-              Telemetry.channel_high_water s.Engine.telemetry,
-              List.map
-                (fun (n, (r : Interp.result)) ->
-                  (n, Array.map Int64.bits_of_float r.Interp.tensor.Sf_reference.Tensor.data,
-                   r.Interp.valid))
-                s.Engine.results )
+  let options =
+    QCheck.(
+      quad
+        (option ~ratio:0.5 (int_range 1 40))
+        (option ~ratio:0.5 (int_range 1 10_000))
+        (option ~ratio:0.2 (int_range 1 2_000))
+        (option ~ratio:0.3 (oneofl ~print:string_of_float [ infinity; 4.; 16. ])))
+  in
+  QCheck.Test.make ~count:300 ~name:"random programs: fast-forward matches the oracle"
+    (QCheck.pair Program_gen.arbitrary_adversarial_program options)
+    (fun (p, (trace_interval, fault_seed, max_cycles, two_devices_at)) ->
+      let config =
+        {
+          cheap with
+          Engine.Config.tracing = Engine.Config.tracing ?trace_interval ~telemetry:true ();
+          faults =
+            (match fault_seed with
+            | Some seed -> Engine.Config.faults ~plan:Fault_plan.default ~seed ()
+            | None -> Engine.Config.faults ());
+          safety = Engine.Config.safety ?max_cycles ();
+          bandwidth = Engine.Config.bandwidth ?mem_bytes_per_cycle:two_devices_at ();
+          network = Engine.Config.network ~net_latency_cycles:8 ();
+        }
       in
-      signature cheap = signature (instrumented ()))
+      let placement = Option.map (fun _ name -> Hashtbl.hash name mod 2) two_devices_at in
+      let inputs = Interp.random_inputs p in
+      let run config = Engine.run_exn ~config ?placement ~inputs p in
+      let outcome = run config in
+      (match outcome with
+      | Engine.Deadlocked { cycle; timed_out; _ } when max_cycles = None || not timed_out ->
+          QCheck.Test.fail_reportf "deadlock at cycle %d" cycle
+      | Engine.Deadlocked _ | Engine.Completed _ -> ());
+      let plain =
+        run { config with Engine.Config.tracing = Engine.Config.tracing ?trace_interval () }
+      in
+      if Test_sim_parity.signature plain <> Test_sim_parity.signature outcome then
+        QCheck.Test.fail_reportf "telemetry perturbs the run:\n  off: %s\n  on:  %s"
+          (Test_sim_parity.signature plain) (Test_sim_parity.signature outcome);
+      match matches_oracle ~config ?placement ~inputs p outcome with
+      | Ok () -> true
+      | Error m -> QCheck.Test.fail_report m)
+
+(* Deadlocks and timeouts against the oracle: the Fig. 4 diamond with
+   its skip edge shrunk to nothing, plain, sampled and under faults,
+   and the same program cut short by a cycle budget. *)
+let test_diagnoses_match_oracle () =
+  let p = Fixtures.diamond ~shape:[ 8; 16 ] ~span:5 () in
+  let inputs = Interp.random_inputs p in
+  let faults seed = Engine.Config.faults ~plan:Fault_plan.default ~seed () in
+  List.iter
+    (fun (name, config) ->
+      match same_as_oracle ~config ~inputs p with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s: %s" name m)
+    ([
+       ("deadlock", deadlock_config);
+       ( "deadlock, sampled",
+         {
+           deadlock_config with
+           Engine.Config.tracing = Engine.Config.tracing ~trace_interval:16 ~telemetry:true ();
+         } );
+       ( "timeout under faults",
+         {
+           (instrumented ()) with
+           Engine.Config.safety = Engine.Config.safety ~max_cycles:700 ();
+           faults = faults 7;
+         } );
+     ]
+    @ List.init 8 (fun seed ->
+          ( Printf.sprintf "deadlock under faults, seed %d" seed,
+            { deadlock_config with Engine.Config.faults = faults seed } )))
+
+(* Every shipped example against the oracle, instrumented, sampled and
+   under the default fault plan. *)
+let test_examples_match_oracle () =
+  List.iter
+    (fun file ->
+      let p = Fixtures.ok (Sf_frontend.Program_json.of_file file) in
+      let config =
+        {
+          (instrumented ()) with
+          Engine.Config.tracing = Engine.Config.tracing ~trace_interval:97 ~telemetry:true ();
+          faults = Engine.Config.faults ~plan:Fault_plan.default ~seed:3 ();
+        }
+      in
+      match same_as_oracle ~config ~inputs:(Interp.random_inputs p) p with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s: %s" (Filename.basename file) m)
+    (Test_examples.example_files ())
 
 (* With telemetry off the probes are [None]: no spans accumulate, but
    the always-on aggregates are still harvested. *)
@@ -158,14 +282,6 @@ let test_disabled_report_shape () =
 (* ------------------------------------------------------------------ *)
 (* Stall attribution on the Fig. 4 deadlock                            *)
 (* ------------------------------------------------------------------ *)
-
-let deadlock_config =
-  {
-    (instrumented ()) with
-    Engine.Config.override_edge_buffers = [ (("a", "c"), 0) ];
-    Engine.Config.channel_slack = 2;
-    Engine.Config.safety = Engine.Config.safety ~deadlock_window:256 ();
-  }
 
 (* Shrinking the skip edge of the diamond to nothing deadlocks the run;
    the attribution table must rank a blocked component blaming the
@@ -286,6 +402,9 @@ let suite =
     Alcotest.test_case "instrumented run matches uninstrumented" `Quick
       test_telemetry_off_on_equivalence;
     QCheck_alcotest.to_alcotest prop_schedules_agree;
+    Alcotest.test_case "deadlock and timeout diagnoses match the oracle" `Quick
+      test_diagnoses_match_oracle;
+    Alcotest.test_case "shipped examples match the oracle" `Slow test_examples_match_oracle;
     Alcotest.test_case "disabled report keeps always-on aggregates" `Quick
       test_disabled_report_shape;
     Alcotest.test_case "attribution blames the undersized channel" `Quick
