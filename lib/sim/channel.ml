@@ -67,7 +67,8 @@ let push_chunk_slot t =
     failwith (Printf.sprintf "Channel.push: %s is full past its chunk slack" t.name);
   append t
 
-let settle_high_water t = if t.count > t.high_water then t.high_water <- t.count
+let settle_high_water ?(ahead = 0) t =
+  if t.count + ahead > t.high_water then t.high_water <- t.count + ahead
 
 let front_slot t =
   if t.count = 0 then failwith (Printf.sprintf "Channel.pop: %s is empty" t.name);

@@ -32,6 +32,18 @@ val set_denied : t -> bool -> unit
     refused regardless of budget, modelling a transient
     memory-controller throttle. Cleared by the injector each cycle. *)
 
+val sustains : t -> now:int -> cycles:int -> int list -> int
+(** [sustains t ~now ~cycles bytes]: of [cycles] consecutive cycles
+    from [now], each a {!begin_cycle} followed by a {!request} for every
+    size in [bytes] in order, how many leading ones grant every request.
+    Changes nothing. *)
+
+val grant_rounds : t -> now:int -> cycles:int -> int list -> unit
+(** Apply those [cycles] cycles at once, leaving the budget, refill
+    cycle and granted bytes exactly where the per-cycle calls would.
+    Every request must be granted ({!sustains} returned [cycles]). Both
+    simulate the budget only until it reaches a fixed point. *)
+
 val account : t -> int -> unit
 (** Record [bytes] as granted without a budget check — for fast paths
     that have already established the controller is {!is_unlimited}. *)

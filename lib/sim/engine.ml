@@ -531,18 +531,22 @@ let compare_to_reference ~inputs (p : Program.t) stats =
 (* past the limit of the current advance.                              *)
 (*                                                                     *)
 (* Fast-forward: when every awake component can repeat one action each *)
-(* cycle (Stencil_unit.plan, one word per reader and writer), the      *)
-(* window is bounded by those plans, by channel occupancies and by the *)
-(* wake timers of sleepers. A sleeper stays out of the window if the   *)
-(* window neither pushes a channel it consumes nor pops one it         *)
-(* produces, so nothing could wake it. The window then runs in chunks  *)
-(* of up to Channel.chunk cycles, producers first (readers, units in   *)
-(* topological order, writers), each component doing its chunk of     *)
+(* cycle (Stencil_unit.plan, one word per reader and writer, each link *)
+(* port delivering, injecting or idle per Link.plan), the window is    *)
+(* bounded by those plans, by channel occupancies and by the wake      *)
+(* timers of sleepers. A sleeper stays out of the window if the window *)
+(* neither pushes a channel it consumes nor pops one it produces, so   *)
+(* nothing could wake it. The window then runs in chunks of up to      *)
+(* Channel.chunk cycles: link deliveries first (a link runs first in a *)
+(* cycle, so its consumer sees the word the same cycle), then          *)
+(* producers before consumers (readers, units in topological order,   *)
+(* writers, link injections), each component doing its chunk of        *)
 (* cycles at once: a unit evaluates a chunk of words per dispatch.     *)
 (* Values are exact (a unit's outputs depend only on the order of the  *)
 (* words it pops), channels hold the chunk in slots past their         *)
 (* capacity, and each pushed channel's high-water mark is settled at   *)
-(* the end: in cycle order its occupancy was constant or only grew.    *)
+(* the end: in cycle order its occupancy was constant or only grew     *)
+(* (one word above constant when a delivery precedes the pop).         *)
 (*                                                                     *)
 (* Every run takes this one schedule. Windows and jumps stop short of  *)
 (* occupancy samples and fault transitions, and no window runs during  *)
@@ -574,6 +578,7 @@ type sched = {
   advance : limit:int -> unit;
   now : unit -> int;
   progressed : unit -> int;
+  windowed : unit -> int;
   deadlocked : unit -> bool;
   forgive : unit -> unit;
   samples : unit -> (int * (string * int) list) list;
@@ -668,14 +673,11 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
         trace := (!cycle, snapshot) :: !trace
     | Some _ | None -> ()
   in
-  (* Fast-forward batching applies only when every per-cycle effect is
-     plannable: no links (link rx channels are pushed before their
-     consumer pops, breaking the pop-before-push occupancy invariant)
-     and unlimited memory bandwidth (grants never vary). *)
-  let batchable =
-    Array.for_all (function Clink _ | Crx _ | Ctx _ -> false | _ -> true) comps
-    && Array.for_all Controller.is_unlimited controllers
-  in
+  (* Fast-forward windows need every memory grant to be plannable, so
+     unlimited memory bandwidth. Links plan their own budgets
+     ([Link.fit]); a delivery pushes before its consumer pops, which
+     the channel checks and high-water marks below allow for. *)
+  let batchable = Array.for_all Controller.is_unlimited controllers in
   (* The first cycle from [from] on that must be stepped, because it
      samples occupancies or a fault stream changes state there. Windows
      and jumps stop short of it. *)
@@ -704,12 +706,15 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
   let indices chans =
     Array.of_list (List.map (fun c -> Hashtbl.find chan_idx (Channel.name c)) chans)
   in
+  (* A link's inputs and outputs are its ports' near and far channels,
+     in port order, on the sides this scheduler runs. *)
   let ins =
     Array.map
       (function
         | Cwriter w -> indices [ Memory_unit.Writer.input_channel w ]
         | Cunit u -> indices (Stencil_unit.input_channels u)
-        | Clink _ | Crx _ | Ctx _ | Creader _ -> [||])
+        | Clink l | Ctx l -> indices (List.map fst (Link.port_channels l))
+        | Crx _ | Creader _ -> [||])
       comps
   in
   let outs =
@@ -717,25 +722,34 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
       (function
         | Cunit u -> indices (Stencil_unit.output_channels u)
         | Creader r -> indices (Memory_unit.Reader.output_channels r)
-        | Clink _ | Crx _ | Ctx _ | Cwriter _ -> [||])
+        | Clink l | Crx l -> indices (List.map snd (Link.port_channels l))
+        | Ctx _ | Cwriter _ -> [||])
       comps
   in
   let pushed = Array.make nchan false in
   let popped = Array.make nchan false in
+  (* [delivered]: pushed by a link delivery, before its consumer pops.
+     [idle_src]: the source of a port that does not inject in the
+     window, which a push would set injecting. *)
+  let delivered = Array.make nchan false in
+  let idle_src = Array.make nchan false in
   let active = Array.make ncomps false in
   let asleep = Array.make ncomps false in
+  let windowed = ref 0 in
   (* Try to advance the whole system k >= 2 cycles at once, short of
      [limit]. Every awake non-done component must repeat one action each
      cycle of the window and is [active]; every sleeping one must stay
      asleep and is [asleep]. Consumers precede producers in [comps], so a
      channel both pushed and popped keeps constant occupancy and needs
-     one word in it; push-only channels bound k by free space, pop-only
-     ones by occupancy. Anything else leaves the cycle to the per-cycle
-     path. *)
+     one word in it, or room for one more when a link delivers into it;
+     push-only channels bound k by free space, pop-only ones by
+     occupancy. Anything else leaves the cycle to the per-cycle path. *)
   let attempt_batch ~limit =
     let now = !cycle in
     Array.fill pushed 0 nchan false;
     Array.fill popped 0 nchan false;
+    Array.fill delivered 0 nchan false;
+    Array.fill idle_src 0 nchan false;
     let k = ref (Int.min limit (must_step ~from:now) - now) and any = ref false in
     let ok = ref (!k >= 2) in
     let j = ref 0 in
@@ -755,7 +769,9 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
       else if not is_done then begin
         let h =
           match c with
-          | Clink _ | Crx _ | Ctx _ -> 0
+          | Clink l -> Link.plan l ~now Link.Whole
+          | Crx l -> Link.plan l ~now Link.Rx
+          | Ctx l -> Link.plan l ~now Link.Tx
           | Cwriter w -> Memory_unit.Writer.words_remaining w
           | Cunit u -> Stencil_unit.plan u ~now
           | Creader r -> Memory_unit.Reader.words_remaining r
@@ -766,14 +782,27 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
           any := true;
           k := Int.min !k h;
           let ins = ins.(i) and outs = outs.(i) in
-          for x = 0 to Array.length ins - 1 do
-            if match c with Cunit u -> Stencil_unit.plan_pops u x | _ -> true then
-              popped.(ins.(x)) <- true
-          done;
-          if match c with Cunit u -> Stencil_unit.plan_flush u | _ -> true then
-            for x = 0 to Array.length outs - 1 do
-              pushed.(outs.(x)) <- true
-            done
+          match c with
+          | Clink l | Crx l | Ctx l ->
+              for x = 0 to Array.length ins - 1 do
+                if Link.plan_injects l x then popped.(ins.(x)) <- true
+                else idle_src.(ins.(x)) <- true
+              done;
+              for x = 0 to Array.length outs - 1 do
+                if Link.plan_delivers l x then begin
+                  pushed.(outs.(x)) <- true;
+                  delivered.(outs.(x)) <- true
+                end
+              done
+          | Cwriter _ | Cunit _ | Creader _ ->
+              for x = 0 to Array.length ins - 1 do
+                if match c with Cunit u -> Stencil_unit.plan_pops u x | _ -> true then
+                  popped.(ins.(x)) <- true
+              done;
+              if match c with Cunit u -> Stencil_unit.plan_flush u | _ -> true then
+                for x = 0 to Array.length outs - 1 do
+                  pushed.(outs.(x)) <- true
+                done
         end
       end;
       incr j
@@ -781,11 +810,29 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
     if !ok then
       for ci = 0 to nchan - 1 do
         let occ = Channel.occupancy all_channels.(ci) in
-        if (pushed.(ci) && asleep.(consumer.(ci))) || (popped.(ci) && asleep.(producer.(ci)))
+        let cap = Channel.capacity all_channels.(ci) in
+        if (pushed.(ci) && (asleep.(consumer.(ci)) || idle_src.(ci)))
+           || (popped.(ci) && asleep.(producer.(ci)))
         then ok := false
-        else if pushed.(ci) && popped.(ci) then (if occ < 1 then ok := false)
-        else if pushed.(ci) then k := Int.min !k (Channel.capacity all_channels.(ci) - occ)
+        else if pushed.(ci) && popped.(ci) then begin
+          if (delivered.(ci) && occ >= cap) || ((not delivered.(ci)) && occ < 1) then ok := false
+        end
+        else if pushed.(ci) then k := Int.min !k (cap - occ)
         else if popped.(ci) then k := Int.min !k occ
+      done;
+    (* Links check maturity and budgets last, against the final bound,
+       and may cap the chunk. *)
+    let chunk = ref Channel.chunk in
+    if !ok && !any && !k >= 2 then
+      for i = 0 to ncomps - 1 do
+        if active.(i) then
+          match comps.(i) with
+          | Clink l ->
+              k := Link.fit l ~now Link.Whole !k;
+              chunk := Int.min !chunk (Link.plan_chunk l)
+          | Crx l -> k := Link.fit l ~now Link.Rx !k
+          | Ctx l -> k := Link.fit l ~now Link.Tx !k
+          | Cwriter _ | Cunit _ | Creader _ -> ()
       done;
     if !ok && !any && !k >= 2 then begin
       let kk = !k in
@@ -796,13 +843,23 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
           last_ran.(i) <- now + kk - 1
         end
       done;
+      (* Deliveries first, as links run first in a cycle and a delivered
+         word is visible to its consumer the same cycle; then producers
+         before consumers, so injections (links) come last. *)
       let rel = ref 0 in
       while !rel < kk do
-        let n = Int.min Channel.chunk (kk - !rel) in
+        let n = Int.min !chunk (kk - !rel) in
+        for i = 0 to ncomps - 1 do
+          if active.(i) then
+            match comps.(i) with
+            | Clink l | Crx l -> Link.run_deliver l n
+            | Ctx _ | Cwriter _ | Cunit _ | Creader _ -> ()
+        done;
         for i = ncomps - 1 downto 0 do
           if active.(i) then
             match comps.(i) with
-            | Clink _ | Crx _ | Ctx _ -> ()
+            | Clink l | Ctx l -> Link.run_inject l ~now:(now + !rel) n
+            | Crx _ -> ()
             | Cwriter w -> Memory_unit.Writer.run_fast w n
             | Cunit u -> Stencil_unit.run_planned u ~now:(now + !rel) n
             | Creader r -> Memory_unit.Reader.run_fast r n
@@ -810,11 +867,15 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
         rel := !rel + n
       done;
       for ci = 0 to nchan - 1 do
-        if pushed.(ci) then Channel.Unsafe.settle_high_water all_channels.(ci)
+        if pushed.(ci) then
+          Channel.Unsafe.settle_high_water
+            ~ahead:(if delivered.(ci) && popped.(ci) then 1 else 0)
+            all_channels.(ci)
       done;
       cycle := now + kk;
       idle_cycles := 0;
       progressed := !progressed + kk;
+      windowed := !windowed + kk;
       true
     end
     else false
@@ -925,6 +986,7 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
     advance;
     now = (fun () -> !cycle);
     progressed = (fun () -> !progressed);
+    windowed = (fun () -> !windowed);
     deadlocked = (fun () -> !deadlocked);
     forgive =
       (fun () ->

@@ -291,6 +291,7 @@ module Internal : sig
             deadlocked. Every rx half runs in the first cycle. *)
     now : unit -> int;  (** The next cycle to execute. *)
     progressed : unit -> int;  (** Executed cycles in which anything progressed. *)
+    windowed : unit -> int;  (** Cycles advanced by fast-forward windows. *)
     deadlocked : unit -> bool;  (** No progress for over [deadlock_window] cycles. *)
     forgive : unit -> unit;
         (** Clear [deadlocked] and restart the idle count, for a domain

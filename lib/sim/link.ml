@@ -3,7 +3,15 @@
    (where it grows on demand, since a full destination can hold words
    back for arbitrarily long), the cross-domain transport of a
    {!direction}. *)
-type port = { src : Channel.t; dst : Channel.t; word_bytes : int; mutable ring : Spsc.t }
+type port = {
+  src : Channel.t;
+  dst : Channel.t;
+  word_bytes : int;
+  mutable ring : Spsc.t;
+  (* The port's roles in the current fast-forward plan (see [plan]). *)
+  mutable delivers : bool;
+  mutable injects : bool;
+}
 
 type t = {
   name : string;
@@ -18,6 +26,10 @@ type t = {
      cycle before active faults are re-applied. *)
   mutable stalled : bool;
   mutable extra_latency : int;
+  (* The current fast-forward plan: the word size of every injecting
+     port in port order, and the most cycles one chunk may span. *)
+  mutable plan_requests : int list;
+  mutable plan_chunk : int;
 }
 
 exception Full
@@ -32,10 +44,19 @@ let create ?probe ~name ~bytes_per_cycle ~latency_cycles () =
     split = false;
     stalled = false;
     extra_latency = 0;
+    plan_requests = [];
+    plan_chunk = max_int;
   }
 
 let port ~src ~dst ~word_bytes ~capacity =
-  { src; dst; word_bytes; ring = Spsc.create ~capacity ~lanes:(Channel.width src) }
+  {
+    src;
+    dst;
+    word_bytes;
+    ring = Spsc.create ~capacity ~lanes:(Channel.width src);
+    delivers = false;
+    injects = false;
+  }
 
 let add_port t ~src ~dst ~word_bytes =
   t.ports <- Array.append t.ports [| port ~src ~dst ~word_bytes ~capacity:16 |]
@@ -43,20 +64,48 @@ let add_port t ~src ~dst ~word_bytes =
 (* Release cycle of the oldest word in flight, or [max_int]. *)
 let head_release p = if Spsc.front p.ring >= 0 then Spsc.front_release p.ring else max_int
 
+(* Move the head word of [p]'s ring into a slot [push_slot] appends. *)
+let move_head p push_slot =
+  let src = Spsc.front p.ring and dst = push_slot p.dst in
+  let values = Channel.Unsafe.buf_values p.dst and valid = Channel.Unsafe.buf_valid p.dst in
+  for lane = 0 to Channel.width p.dst - 1 do
+    values.(dst + lane) <- (Spsc.values p.ring).(src + lane);
+    valid.(dst + lane) <- (Spsc.valid p.ring).(src + lane)
+  done;
+  Spsc.consume p.ring
+
 let deliver t ~now =
   let progress = ref false in
   for i = 0 to Array.length t.ports - 1 do
     let p = t.ports.(i) in
     if head_release p <= now && not (Channel.is_full p.dst) then begin
-      let src = Spsc.front p.ring and dst = Channel.Unsafe.push_slot p.dst in
-      let w = Channel.width p.dst in
-      Array.blit (Spsc.values p.ring) src (Channel.Unsafe.buf_values p.dst) dst w;
-      Array.blit (Spsc.valid p.ring) src (Channel.Unsafe.buf_valid p.dst) dst w;
-      Spsc.consume p.ring;
+      move_head p Channel.Unsafe.push_slot;
       progress := true
     end
   done;
   !progress
+
+(* Move the front word of [p]'s source into its ring, released at
+   [release]. *)
+let move_front t p ~release =
+  let dst = Spsc.try_produce p.ring ~tag:0 ~release in
+  let dst =
+    if dst >= 0 then dst
+    else if t.split then raise Full
+    else begin
+      (* [grow] carries published words only. *)
+      Spsc.publish p.ring;
+      p.ring <- Spsc.grow p.ring;
+      Spsc.try_produce p.ring ~tag:0 ~release
+    end
+  in
+  let src = Channel.Unsafe.front_slot p.src in
+  let values = Channel.Unsafe.buf_values p.src and valid = Channel.Unsafe.buf_valid p.src in
+  for lane = 0 to Channel.width p.src - 1 do
+    (Spsc.values p.ring).(dst + lane) <- values.(src + lane);
+    (Spsc.valid p.ring).(dst + lane) <- valid.(src + lane)
+  done;
+  Channel.drop p.src
 
 let inject t ~now =
   Controller.begin_cycle t.controller ~now;
@@ -68,20 +117,8 @@ let inject t ~now =
   for i = 0 to Array.length t.ports - 1 do
     let p = t.ports.(i) in
     if (not (Channel.is_empty p.src)) && Controller.request t.controller p.word_bytes then begin
-      let dst = Spsc.try_produce p.ring ~tag:0 ~release in
-      let dst =
-        if dst >= 0 then dst
-        else if t.split then raise Full
-        else begin
-          p.ring <- Spsc.grow p.ring;
-          Spsc.try_produce p.ring ~tag:0 ~release
-        end
-      in
-      let src = Channel.Unsafe.front_slot p.src and w = Channel.width p.src in
-      Array.blit (Channel.Unsafe.buf_values p.src) src (Spsc.values p.ring) dst w;
-      Array.blit (Channel.Unsafe.buf_valid p.src) src (Spsc.valid p.ring) dst w;
+      move_front t p ~release;
       Spsc.publish p.ring;
-      Channel.drop p.src;
       progress := true
     end
   done;
@@ -133,6 +170,106 @@ let cycle t ~now =
         end);
     progress
   end
+
+(* ------------------------------------------------------------------ *)
+(* Fast-forward planning (see Engine). In a window each port delivers  *)
+(* every cycle (its head has matured) or not at all (nothing matures), *)
+(* and injects every cycle (its source holds a word) or not at all.    *)
+(* Destination room and source words are the engine's channel checks;  *)
+(* maturity, ring room and the bandwidth budget are checked here.      *)
+(* ------------------------------------------------------------------ *)
+
+type side = Whole | Rx | Tx
+
+(* Each side touches only its own plan state: in a domain-parallel run
+   the two halves of a direction share the port records. *)
+let plan t ~now side =
+  let deliver = side <> Tx and inject = side <> Rx in
+  let h = ref max_int and progress = ref false in
+  let latency = t.latency_cycles + t.extra_latency in
+  if inject then begin
+    Array.iter
+      (fun p ->
+        p.injects <- not (Channel.is_empty p.src);
+        if p.injects then begin
+          progress := true;
+          if t.split then h := Int.min !h (Spsc.free p.ring)
+        end)
+      t.ports;
+    t.plan_requests <-
+      Array.fold_right (fun p acc -> if p.injects then p.word_bytes :: acc else acc) t.ports []
+  end;
+  if deliver then begin
+    t.plan_chunk <- max_int;
+    Array.iter
+      (fun p ->
+        let injects = inject && p.injects and m = Spsc.available p.ring in
+        p.delivers <- m > 0 && Spsc.front_release p.ring <= now;
+        if p.delivers then begin
+          (* A matured head held back by a full destination would start
+             moving once its consumer pops: not one action per cycle. *)
+          if Channel.is_full p.dst then h := 0;
+          progress := true;
+          (* Past the [m] words in flight it delivers the words it
+             injects, which mature in time only if [m] covers the
+             latency, and only from an earlier chunk. *)
+          if injects && latency <= m then t.plan_chunk <- Int.min t.plan_chunk m
+          else h := Int.min !h m
+        end
+        else begin
+          (* Idle: the window ends before the head, or the first word it
+             injects, can be delivered (at the earliest the cycle after
+             its injection). *)
+          let first =
+            if m > 0 then Spsc.front_release p.ring
+            else if injects then now + Int.max latency 1
+            else max_int
+          in
+          h := Int.min !h (first - now)
+        end)
+      t.ports
+  end;
+  if !progress && not t.stalled then !h else 0
+
+let plan_delivers t i = t.ports.(i).delivers
+let plan_injects t i = t.ports.(i).injects
+let plan_chunk t = t.plan_chunk
+
+let fit t ~now side k =
+  let k = ref k in
+  if side <> Tx then
+    Array.iter
+      (fun p ->
+        if p.delivers then begin
+          let j = ref 0 and m = Spsc.available p.ring in
+          while !j < Int.min !k m do
+            if Spsc.release_at p.ring !j > now + !j then k := !j else incr j
+          done
+        end)
+      t.ports;
+  if side <> Rx then Controller.sustains t.controller ~now ~cycles:!k t.plan_requests else !k
+
+let run_deliver t n =
+  Array.iter
+    (fun p ->
+      if p.delivers then
+        for _ = 1 to n do
+          move_head p Channel.Unsafe.push_chunk_slot
+        done)
+    t.ports
+
+let run_inject t ~now n =
+  Controller.grant_rounds t.controller ~now ~cycles:n t.plan_requests;
+  let release = now + t.latency_cycles + t.extra_latency in
+  Array.iter
+    (fun p ->
+      if p.injects then begin
+        for r = 0 to n - 1 do
+          move_front t p ~release:(release + r)
+        done;
+        Spsc.publish p.ring
+      end)
+    t.ports
 
 let direction t ~srcs ~capacity =
   let split p = port ~src:p.src ~dst:p.dst ~word_bytes:p.word_bytes ~capacity in

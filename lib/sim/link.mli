@@ -72,6 +72,55 @@ val next_arrival : t -> now:int -> int
     not deliver this cycle is blocked on destination space, and only a
     pop on that destination can unblock it. *)
 
+(** {2 Fast-forward windows}
+
+    The engine's windows (docs/SIMULATOR.md) include links. In a window
+    each port repeats one role every cycle on each side: it delivers
+    (its head word has matured) or idles (nothing matures in the
+    window), and injects (its source holds a word) or idles. The engine
+    checks the channels: a delivering port's destination must never be
+    full, an injecting port's source never empty, and an idle one's
+    source must not be pushed. *)
+
+type side =
+  | Whole  (** A link cycled whole ({!cycle}): it delivers and injects. *)
+  | Rx  (** The rx half of a {!direction} ({!deliver}). *)
+  | Tx  (** The tx half of a {!direction} ({!inject}). *)
+
+val plan : t -> now:int -> side -> int
+(** Choose every port's roles on [side] for a window starting at [now],
+    and bound the window by what the roles alone allow: an idle delivery
+    by its head's release (or its first injected word's), a delivery
+    that does not also inject by the words in flight, an injection into
+    a shared ring by its room. [0] when no port would progress, a
+    matured head is held back by a full destination, or the link is
+    stalled. Each side reads and writes only its own plan, so the two
+    halves of a direction plan concurrently. *)
+
+val plan_delivers : t -> int -> bool
+val plan_injects : t -> int -> bool
+(** The roles [plan] chose for the port at an index (in
+    {!port_channels} order). *)
+
+val plan_chunk : t -> int
+(** The most cycles one chunk of the window may run: a port that
+    delivers and injects may deliver only words injected in an earlier
+    chunk. [max_int] when unbounded. *)
+
+val fit : t -> now:int -> side -> int -> int
+(** [fit t ~now side k] shortens a planned window of [k] cycles to the
+    leading cycles in which every delivering port's next word has
+    matured and the bandwidth budget grants every injecting port. *)
+
+val run_deliver : t -> int -> unit
+(** [n] cycles of the planned deliveries, as one chunk: destination
+    slots are appended past their capacity and the engine settles the
+    high-water marks. *)
+
+val run_inject : t -> now:int -> int -> unit
+(** [n] cycles of the planned injections from cycle [now], as one
+    chunk, with the bandwidth budget granted in bulk. *)
+
 (** {2 Fault-injection hooks ({!Fault_plan})} *)
 
 val set_stalled : t -> bool -> unit

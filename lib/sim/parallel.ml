@@ -115,15 +115,21 @@ let run_domains ~config ~placement ~inputs (p : Program.t) =
   let latency = config.Engine.Config.network.Engine.Config.net_latency_cycles in
   (* Derived constants. The run-ahead window is decoupled from the
      lookahead: domains re-synchronize on the slow downstream clock as
-     rarely as the ring capacity allows. The batch keeps a due clock at
-     most a quarter lookahead late. A port's ring holds the words a
-     sequential run has in flight (about [latency] while streaming),
-     plus those its source injects ahead of the destination's clock (at
-     most [window + batch] cycles' worth). Rings hold twice that sum; a
-     far channel that holds words back beyond it raises [Link.Full],
-     and the run is replayed sequentially. *)
+     rarely as the ring capacity allows. The batch is one lookahead: a
+     device publishing its clock every [latency] cycles keeps a
+     downstream neighbour, which may run [latency] cycles past that
+     clock, supplied with work between publications, while a device
+     whose advances are fast-forward windows pays its per-advance
+     planning once per lookahead. On pdes-2dev (L = 128, 2 cores) a
+     quarter lookahead and four lookaheads each ran about 15% slower.
+     A port's ring holds the words a sequential run has in flight
+     (about [latency] while streaming), plus those its source injects
+     ahead of the destination's clock (at most [window + batch] cycles'
+     worth). Rings hold twice that sum; a far channel that holds words
+     back beyond it raises [Link.Full], and the run is replayed
+     sequentially. *)
   let window = max 1024 (4 * latency) in
-  let batch = max 1 (min 64 (latency / 4)) in
+  let batch = max 1 latency in
   let dirs =
     List.map
       (fun key ->

@@ -13,8 +13,9 @@
     can influence it by then is already in the port's lock-free
     {!Spsc} ring. Run-ahead past downstream devices is throttled to a
     window of several lookaheads so rings stay bounded, and each advance
-    is capped at a fraction of the lookahead, after which the domain
-    publishes its clock; blocked domains back off exponentially, or park
+    (fast-forward windows included) is capped at one lookahead, after
+    which the domain publishes its clock; blocked domains back off
+    exponentially, or park
     immediately when the spawned domains outnumber
     {!Engine.Config.parallelism.host_jobs}, a throughput knob only.
 

@@ -101,6 +101,10 @@ let publish t =
     t.prod.published <- t.prod.cursor
   end
 
+let free t =
+  t.prod.peer_cache <- Atomic.get t.head;
+  t.mask + 1 - (t.prod.cursor - t.prod.peer_cache)
+
 (* ---------------- consumer ---------------- *)
 
 let front t =
@@ -116,6 +120,12 @@ let front t =
 
 let front_tag t = t.tags.(t.cons.cursor land t.mask)
 let front_release t = t.releases.(t.cons.cursor land t.mask)
+
+let available t =
+  t.cons.peer_cache <- Atomic.get t.tail;
+  t.cons.peer_cache - t.cons.cursor
+
+let release_at t j = t.releases.((t.cons.cursor + j) land t.mask)
 
 let consume t =
   let h = t.cons.cursor in

@@ -49,6 +49,11 @@ val publish : t -> unit
 (** Make every staged element visible to the consumer. No-op when
     nothing is staged. *)
 
+val free : t -> int
+(** How many more elements {!try_produce} will accept at least: the
+    capacity less everything staged and not yet consumed, against a
+    fresh read of the consumer's cursor. *)
+
 val values : t -> float array
 val valid : t -> bool array
 (** The lane rings. The producer may write only lanes of slots returned
@@ -66,6 +71,14 @@ val front_tag : t -> int
 val front_release : t -> int
 (** The int fields of the oldest element. Only meaningful when {!front}
     returned [>= 0]. *)
+
+val available : t -> int
+(** How many published elements are unconsumed, against a fresh read
+    of the producer's tail; {!release_at} may read that many. *)
+
+val release_at : t -> int -> int
+(** [release_at t j] is the release of the [j]-th oldest element
+    ([0] is {!front_release}); [j] must be below {!available}. *)
 
 val consume : t -> unit
 (** Release the oldest element back to the producer. The caller must

@@ -190,7 +190,8 @@ let compute t ~now n =
     Compile.fill t.taps ~idx:t.idx ~lanes ~stride t.frame ~oob:t.oob;
     Compile.exec t.prog ~lanes t.frame;
     for j = 0 to (lanes / t.w) - 1 do
-      let tail = (t.pend_head + t.pend_count) mod t.pend_cap in
+      let tail = t.pend_head + t.pend_count in
+      let tail = if tail >= t.pend_cap then tail - t.pend_cap else tail in
       for lane = 0 to t.w - 1 do
         t.pend_values.((tail * t.w) + lane) <- t.frame.(t.result + (j * t.w) + lane);
         t.pend_valid.((tail * t.w) + lane) <- not (t.shrink && t.oob.((j * t.w) + lane))
@@ -209,10 +210,13 @@ let emit_head t push_slot =
   for i = 0 to Array.length t.outputs - 1 do
     let c = t.outputs.(i) in
     let base = push_slot c in
-    Array.blit t.pend_values vbase (Channel.Unsafe.buf_values c) base t.w;
-    Array.blit t.pend_valid vbase (Channel.Unsafe.buf_valid c) base t.w
+    let values = Channel.Unsafe.buf_values c and valid = Channel.Unsafe.buf_valid c in
+    for lane = 0 to t.w - 1 do
+      values.(base + lane) <- t.pend_values.(vbase + lane);
+      valid.(base + lane) <- t.pend_valid.(vbase + lane)
+    done
   done;
-  t.pend_head <- (t.pend_head + 1) mod t.pend_cap;
+  t.pend_head <- (if t.pend_head + 1 = t.pend_cap then 0 else t.pend_head + 1);
   t.pend_count <- t.pend_count - 1
 
 let outputs_have_space t =

@@ -38,6 +38,22 @@ let diamond ?(shape = [ 8; 16 ]) ?(span = 3) () =
   Builder.output b "c";
   Builder.finish b
 
+(* The diamond with a skewed inner stencil and a skip input: [b] reads
+   [a] two rows and columns away on either side, and [c] reads [a], [b]
+   and the input [x], so the a->c edge carries a delay buffer that fills
+   before [c] starts popping it. *)
+let skewed_diamond ?(shape = [ 5; 8 ]) () =
+  let b = Builder.create ~name:"skewed_diamond" ~shape () in
+  Builder.input b "x";
+  Builder.stencil b "a" E.(acc "x" [ 0; 0 ] *% c 2.);
+  Builder.stencil b
+    ~boundary:[ ("a", Boundary.Constant 0.) ]
+    "b"
+    E.(acc "a" [ -2; -2 ] +% acc "a" [ 2; 2 ]);
+  Builder.stencil b "c" E.(acc "a" [ 0; 0 ] +% acc "b" [ 0; 0 ] +% acc "x" [ 0; 0 ]);
+  Builder.output b "c";
+  Builder.finish b
+
 (* A linear chain of [n] dependent Jacobi-style stencils (Sec. VIII-C). *)
 let chain ?(shape = [ 6; 10 ]) ?(n = 4) ?(vector_width = 1) () =
   let b = Builder.create ~vector_width ~name:"chain" ~shape () in

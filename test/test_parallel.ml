@@ -226,15 +226,22 @@ let test_zero_latency_rejected () =
 
 let prop_random_parity =
   QCheck.Test.make ~count:10 ~name:"random programs: parallel equals sequential"
-    QCheck.(triple Program_gen.arbitrary_program (int_range 2 4) (oneofl [ 1; 8; 128 ]))
-    (fun (p, devices, net_latency_cycles) ->
+    QCheck.(
+      quad Program_gen.arbitrary_program (int_range 2 4) (oneofl [ 1; 8; 128 ])
+        (oneofl [ infinity; 4.; 16.; 33. ]))
+    (fun (p, devices, net_latency_cycles, net_bytes_per_cycle) ->
       (* Deterministic pseudo-random placement over [devices] devices;
-         decide may still degrade (e.g. bidirectional cuts) — parity must
-         hold either way. Latencies range from a one-cycle lookahead to
-         one longer than the advance batch. *)
+         decide may still degrade (e.g. a capped budget over a
+         bidirectional cut) — parity must hold either way. Latencies
+         range from one-cycle advances to advances longer than a small
+         program's stream; a capped one-direction budget is granted by
+         each direction's own controller, in windows too. *)
       let placement name = Hashtbl.hash name mod devices in
       let config =
-        { cheap with Engine.Config.network = Engine.Config.network ~net_latency_cycles () }
+        {
+          cheap with
+          Engine.Config.network = Engine.Config.network ~net_bytes_per_cycle ~net_latency_cycles ();
+        }
       in
       let inputs = Interp.random_inputs p in
       let seq = Engine.run_exn ~config ~placement ~inputs p in

@@ -278,6 +278,53 @@ let test_trace_sampling () =
       in
       Alcotest.(check bool) "skip edge fills" true (peak > 1)
 
+(* Window coverage: how many of a run's cycles the sequential engine's
+   one scheduler advanced in fast-forward windows, pinned on the quick
+   shapes of the benchmark's chain-sim (one device) and pdes-2dev (two
+   devices, one link of latency 128), so a change that keeps windows
+   from applying fails here and not only in the benchmark. Domain-
+   parallel runs are not pinned: their windows end at sync horizons
+   that depend on the neighbour's clock. *)
+let windowed_cycles ~config ~placement p =
+  let module I = Engine.Internal in
+  let windowed = ref 0 in
+  let outcome =
+    I.simulate ~config ~placement ~inputs:(Interp.random_inputs p) p
+      ~drive:(fun system injector finished ->
+        let s =
+          I.scheduler ~config ?injector ~finished ~controllers:system.I.mem_controllers system
+            (I.components ~links:(List.map (fun (l, _) -> I.Clink l) system.I.links) system)
+        in
+        s.I.advance ~limit:max_int;
+        windowed := s.I.windowed ();
+        (s.I.now (), s.I.deadlocked (), s.I.samples ()))
+  in
+  match outcome with
+  | Engine.Completed stats -> (stats.Engine.cycles, !windowed)
+  | Engine.Deadlocked { cycle; _ } -> Alcotest.failf "deadlocked at cycle %d" cycle
+
+let test_window_coverage () =
+  let config =
+    Engine.Config.make ~network:(Engine.Config.network ~net_latency_cycles:128 ()) ()
+  in
+  let chain ~shape ~length = Sf_kernels.Iterative.(chain ~shape Jacobi2d ~length) in
+  let check name ~placement p ~cycles ~windowed =
+    Alcotest.(check (pair int int))
+      (name ^ ": cycles, windowed cycles")
+      (cycles, windowed)
+      (windowed_cycles ~config ~placement p)
+  in
+  check "chain-sim quick" ~placement:(fun _ -> 0)
+    (chain ~shape:[ 32; 32 ] ~length:8)
+    ~cycles:1_801 ~windowed:1_783;
+  let p = chain ~shape:[ 32; 64 ] ~length:8 in
+  let placement =
+    match Sf_mapping.Partition.contiguous ~devices:2 p with
+    | Ok pt -> Sf_mapping.Partition.placement_fn pt
+    | Error d -> Alcotest.fail d.Sf_support.Diag.message
+  in
+  check "pdes-2dev quick, sequential" ~placement p ~cycles:3_465 ~windowed:3_445
+
 let suite =
   [
     Alcotest.test_case "laplace validates against reference" `Quick
@@ -302,5 +349,7 @@ let suite =
     Alcotest.test_case "channel high-water within capacity" `Quick test_high_water_within_capacity;
     Alcotest.test_case "occupancy trace sampling" `Quick test_trace_sampling;
     Alcotest.test_case "delay buffers are load-bearing" `Quick test_buffer_tightness;
+    Alcotest.test_case "fast-forward windows cover the benchmark shapes" `Quick
+      test_window_coverage;
     QCheck_alcotest.to_alcotest prop_sim_matches_reference;
   ]

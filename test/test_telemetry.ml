@@ -174,22 +174,34 @@ let same_as_oracle ~config ?placement ~inputs p =
 
 (* The one scheduler against the oracle over random programs, always
    instrumented. Each draw also picks an occupancy sampling interval,
-   a fault seed under [Fault_plan.default], a cycle budget (some runs
-   time out) and a two-device placement with finite memory bandwidth,
-   each or none. A run must complete unless its budget runs out, and
-   the same run with telemetry off must show the same signature. *)
+   a fault seed under [Fault_plan.default] and a cycle budget (some runs
+   time out), each or none; a two-device placement in half the draws,
+   over unlimited memory bandwidth in half of those (a finite one keeps
+   every window out) and 4 or 16 bytes per cycle in the rest; and the
+   link latency and byte budget a two-device placement runs over. The
+   generated words are 4 or 8 bytes, so a 4-byte budget keeps all but
+   a single one-lane port on the per-cycle path, while 16 and 33 let
+   links into windows. A run must complete unless its budget runs out,
+   and the same run with telemetry off must show the same signature. *)
 let prop_schedules_agree =
   let options =
     QCheck.(
-      quad
-        (option ~ratio:0.5 (int_range 1 40))
-        (option ~ratio:0.5 (int_range 1 10_000))
-        (option ~ratio:0.2 (int_range 1 2_000))
-        (option ~ratio:0.3 (oneofl ~print:string_of_float [ infinity; 4.; 16. ])))
+      pair
+        (quad
+           (option ~ratio:0.5 (int_range 1 40))
+           (option ~ratio:0.5 (int_range 1 10_000))
+           (option ~ratio:0.2 (int_range 1 2_000))
+           (option ~ratio:0.5
+              (frequencyl ~print:string_of_float [ (2, infinity); (1, 4.); (1, 16.) ])))
+        (pair
+           (oneofl ~print:string_of_int [ 1; 8; 128 ])
+           (oneofl ~print:string_of_float [ infinity; 4.; 16.; 33. ])))
   in
   QCheck.Test.make ~count:300 ~name:"random programs: fast-forward matches the oracle"
     (QCheck.pair Program_gen.arbitrary_adversarial_program options)
-    (fun (p, (trace_interval, fault_seed, max_cycles, two_devices_at)) ->
+    (fun ( p,
+           ( (trace_interval, fault_seed, max_cycles, two_devices_at),
+             (net_latency_cycles, net_bytes_per_cycle) ) ) ->
       let config =
         {
           cheap with
@@ -200,7 +212,7 @@ let prop_schedules_agree =
             | None -> Engine.Config.faults ());
           safety = Engine.Config.safety ?max_cycles ();
           bandwidth = Engine.Config.bandwidth ?mem_bytes_per_cycle:two_devices_at ();
-          network = Engine.Config.network ~net_latency_cycles:8 ();
+          network = Engine.Config.network ~net_bytes_per_cycle ~net_latency_cycles ();
         }
       in
       let placement = Option.map (fun _ name -> Hashtbl.hash name mod 2) two_devices_at in
@@ -268,6 +280,31 @@ let test_examples_match_oracle () =
       | Ok () -> ()
       | Error m -> Alcotest.failf "%s: %s" (Filename.basename file) m)
     (Test_examples.example_files ())
+
+(* The skewed diamond cut after [a]: one link feeds [b] and [c] on
+   device 1, and the a->c far channel fills its delay buffer before [c]
+   pops it. From then on the link delivers into it and [c] pops it in
+   the same cycle, inside fast-forward windows, so its high-water mark
+   must settle one word above the occupancy it keeps. Instrumented, at
+   the latencies the property draws and at a budget of one word per
+   cycle. *)
+let test_link_windows_match_oracle () =
+  let p = Fixtures.skewed_diamond () in
+  let inputs = Interp.random_inputs p in
+  let placement = function "a" -> 0 | _ -> 1 in
+  List.iter
+    (fun (net_latency_cycles, net_bytes_per_cycle) ->
+      let config =
+        {
+          (instrumented ()) with
+          Engine.Config.network = Engine.Config.network ~net_bytes_per_cycle ~net_latency_cycles ();
+        }
+      in
+      match same_as_oracle ~config ~placement ~inputs p with
+      | Ok () -> ()
+      | Error m ->
+          Alcotest.failf "latency %d, %g B/cycle: %s" net_latency_cycles net_bytes_per_cycle m)
+    [ (1, infinity); (8, infinity); (128, infinity); (8, 4.) ]
 
 (* With telemetry off the probes are [None]: no spans accumulate, but
    the always-on aggregates are still harvested. *)
@@ -405,6 +442,8 @@ let suite =
     Alcotest.test_case "deadlock and timeout diagnoses match the oracle" `Quick
       test_diagnoses_match_oracle;
     Alcotest.test_case "shipped examples match the oracle" `Slow test_examples_match_oracle;
+    Alcotest.test_case "link windows match the oracle on a cut diamond" `Quick
+      test_link_windows_match_oracle;
     Alcotest.test_case "disabled report keeps always-on aggregates" `Quick
       test_disabled_report_shape;
     Alcotest.test_case "attribution blames the undersized channel" `Quick
