@@ -152,65 +152,6 @@ let () =
     | Json.Obj fields -> Json.Obj (fields @ [ ("telemetry_overhead", telemetry_json) ])
     | other -> other
   in
-  (* Multi-device scaling: the same deep Jacobi chain split over 2 and 4
-     devices, sequential engine vs one domain per device. Speedup needs
-     real cores: on a single-core host the domains time-slice one core
-     and the ratio measures scheduler overhead, not the engine — the
-     record keeps the parity check and the honest wall numbers but flags
-     the speedup as not meaningful ([speedup_valid] = false). *)
-  let md_stages, md_shape, md_runs = if quick then (8, [ 64; 64 ], 1) else (32, [ 128; 128 ], 3) in
-  let md_program = Iterative.chain ~shape:md_shape Iterative.Jacobi2d ~length:md_stages in
-  let md_inputs = Interp.random_inputs md_program in
-  let network = Engine.Config.network ~net_latency_cycles:128 () in
-  let measure_mode ~placement mode =
-    let config =
-      Engine.Config.make ~network ~parallelism:(Engine.Config.parallelism ~mode ()) ()
-    in
-    let samples =
-      List.init md_runs (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          match Parallel.run_exn ~config ~placement ~inputs:md_inputs md_program with
-          | Engine.Deadlocked _ -> failwith "multi-device case: unexpected deadlock"
-          | Engine.Completed stats -> (Unix.gettimeofday () -. t0, stats.Engine.cycles))
-    in
-    List.nth (List.sort compare samples) (md_runs / 2)
-  in
-  let multi_device =
-    List.map
-      (fun devices ->
-        let pt =
-          match Partition.contiguous ~devices md_program with
-          | Ok pt -> pt
-          | Error d -> failwith d.Diag.message
-        in
-        let placement = Partition.placement_fn pt in
-        let seq_s, seq_c = measure_mode ~placement `Sequential in
-        let par_s, par_c = measure_mode ~placement `Domains_per_device in
-        if seq_c <> par_c then failwith "multi-device case: engines disagree on cycles";
-        let speedup_valid = host_cores > 1 in
-        Printf.printf
-          "jacobi2d-%dstage over %d devices: sequential %.3fs, parallel %.3fs (%.2fx, %d domains on %d core(s))%s\n"
-          md_stages devices seq_s par_s (seq_s /. par_s) devices host_cores
-          (if speedup_valid then ""
-           else "  [single-core host: ratio measures overhead, not speedup]");
-        Json.Obj
-          [
-            ("name", Json.String (Printf.sprintf "jacobi2d-%dstage-%ddev" md_stages devices));
-            ("devices", Json.Int devices);
-            ("cycles", Json.Int seq_c);
-            ("sequential_wall_seconds", Json.Float seq_s);
-            ("parallel_wall_seconds", Json.Float par_s);
-            ("parallel_speedup", Json.Float (seq_s /. par_s));
-            ("speedup_valid", Json.Bool speedup_valid);
-            ("host_cores", Json.Int host_cores);
-          ])
-      [ 2; 4 ]
-  in
-  let json =
-    match json with
-    | Json.Obj fields -> Json.Obj (fields @ [ ("multi_device", Json.List multi_device) ])
-    | other -> other
-  in
   (* Fault-injection campaign: wall cost of the adversarial validation
      harness (Faults.campaign). Injected runs take the same schedule,
      but fault transitions end windows and jumps and no window runs

@@ -27,7 +27,6 @@ module Common = struct
     trace_passes : bool;
     dump_ir : string option;
     diag_json : bool;
-    jobs : int;
     cache_dir : string option;
   }
 
@@ -57,16 +56,6 @@ module Common = struct
     let doc = "Report diagnostics as JSON on stdout instead of text on stderr." in
     Arg.(value & flag & info [ "diag-json" ] ~doc)
 
-  let jobs_arg =
-    let doc =
-      "Hardware threads to use: campaigns, probe arms and sweeps run that many \
-       independent simulations concurrently, and the parallel engine tunes its \
-       spin/park behaviour to it. $(b,0) (the default) means auto-detect \
-       ($(b,Domain.recommended_domain_count)); $(b,1) forces fully serial \
-       execution. Results are byte-identical for every value."
-    in
-    Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
   let cache_dir_arg =
     let doc =
       "Back the content-addressed pass cache with an on-disk store rooted at \
@@ -77,12 +66,12 @@ module Common = struct
     Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 
   let term =
-    let make fuse optimize trace_passes dump_ir diag_json jobs cache_dir =
-      { fuse; optimize; trace_passes; dump_ir; diag_json; jobs; cache_dir }
+    let make fuse optimize trace_passes dump_ir diag_json cache_dir =
+      { fuse; optimize; trace_passes; dump_ir; diag_json; cache_dir }
     in
     Term.(
       const make $ fuse_arg $ optimize_arg $ trace_passes_arg $ dump_ir_arg $ diag_json_arg
-      $ jobs_arg $ cache_dir_arg)
+      $ cache_dir_arg)
 end
 
 let remote_arg =
@@ -103,9 +92,17 @@ let fault_seed_arg =
            ~doc:"Seed of the injected fault timeline (with $(b,--inject)). The whole \
                  perturbation sequence is a pure function of (seed, plan).")
 
-(* --jobs 0 = auto. Campaign/probe/sweep call sites take the resolved
-   count; the engine config keeps the raw value (its 0 means the same
-   auto-detect, resolved at run time). *)
+(* --jobs of validate-depths and autotune, which fan independent
+   simulations over the executor pool. *)
+let jobs_arg =
+  let doc =
+    "Hardware threads to use: campaign schedules, probe arms and sweep points run \
+     that many independent simulations concurrently. $(b,0) (the default) means \
+     auto-detect ($(b,Domain.recommended_domain_count)); $(b,1) forces fully \
+     serial execution. Results are byte-identical for every value."
+  in
+  Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
 let resolve_jobs jobs = if jobs > 0 then jobs else Executor.default_jobs ()
 
 (* Diagnostics go to stderr as "stencilflow: <file:line:col:> severity[CODE]:
@@ -167,7 +164,7 @@ let run_local ?config ~(common : Common.t) request =
 (* --remote: spawn a serve child, send the request this command would
    have run locally, print the raw response line, and exit 0 when the
    response reports ok. Flags that only shape a local run (rendering,
-   instrumentation, engine mode) cannot travel with the request and are
+   instrumentation, fault injection) cannot travel with the request and are
    rejected up front. A child that dies mid-stream (no response line, or
    a broken request pipe) is retried a bounded number of times with
    backoff — each retry spawns a fresh child. *)
@@ -291,15 +288,6 @@ let simulate_cmd =
                    cycles, stalls by cause, pushes, pops, bytes; per-channel high-water \
                    marks) as JSON on stdout.")
   in
-  let parallel_arg =
-    Arg.(value & flag
-         & info [ "parallel" ]
-             ~doc:"Simulate with one OCaml domain per device, synchronizing at link \
-                   boundaries (cycle- and bit-identical to the sequential engine). \
-                   Degrades to sequential for single-device placements and \
-                   instrumented runs ($(b,--profile), $(b,--trace), $(b,--trace-out), \
-                   $(b,--counters-json)).")
-  in
   let devices_arg =
     Arg.(value & opt (some int) None
          & info [ "devices" ] ~docv:"N"
@@ -313,8 +301,7 @@ let simulate_cmd =
              ~doc:"Inject deterministic timing faults: $(b,default), $(b,none), or a \
                    semicolon-separated plan (e.g. \
                    'link-stall:gap=100,dur=8;unit-hiccup\\@a:gap=50,dur=4'; see \
-                   docs/SIMULATOR.md). Faults perturb timing, never values; the run \
-                   degrades to the sequential engine.")
+                   docs/SIMULATOR.md). Faults perturb timing, never values.")
   in
   let max_cycles_arg =
     Arg.(value & opt (some int) None
@@ -323,7 +310,7 @@ let simulate_cmd =
                    timeout; the budget is echoed in the diagnostic's notes.")
   in
   let run path width ({ Common.fuse; optimize; _ } as common) remote seed trace profile
-      trace_out counters_json parallel devices inject fault_seed max_cycles =
+      trace_out counters_json devices inject fault_seed max_cycles =
     let request = request `Simulate path width ~fuse ~optimize ?devices ~seed ?max_cycles in
     if remote then
       remote_eval ~common request
@@ -333,7 +320,6 @@ let simulate_cmd =
             ("--trace", trace <> None);
             ("--trace-out", trace_out <> None);
             ("--counters-json", counters_json);
-            ("--parallel", parallel);
             ("--inject", inject <> None);
           ]
     else begin
@@ -355,10 +341,6 @@ let simulate_cmd =
     let config =
       Engine.Config.make
         ~tracing:(Engine.Config.tracing ?trace_interval ~telemetry ())
-        ~parallelism:
-          (Engine.Config.parallelism
-             ~mode:(if parallel then `Domains_per_device else `Sequential)
-             ~host_jobs:common.Common.jobs ())
         ~faults:(Engine.Config.faults ?plan:fault_plan ~seed:fault_seed ())
         ()
     in
@@ -403,8 +385,7 @@ let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
       const run $ program_arg $ vector_width_arg $ Common.term $ remote_arg $ seed_arg
-      $ trace_arg $ profile_arg $ trace_out_arg $ counters_json_arg $ parallel_arg
-      $ devices_arg $ inject_arg $ fault_seed_arg $ max_cycles_arg)
+      $ trace_arg $ profile_arg $ trace_out_arg $ counters_json_arg $ devices_arg $ inject_arg $ fault_seed_arg $ max_cycles_arg)
 
 let validate_depths_cmd =
   let campaign_arg =
@@ -499,7 +480,7 @@ let validate_depths_cmd =
   Cmd.v (Cmd.info "validate-depths" ~doc)
     Term.(
       const run $ program_arg $ vector_width_arg $ campaign_arg $ seed_arg $ inject_arg
-      $ fault_seed_arg $ Common.jobs_arg)
+      $ fault_seed_arg $ jobs_arg)
 
 let codegen_cmd =
   let out_arg =
@@ -636,7 +617,7 @@ let autotune_cmd =
           sweep
   in
   let doc = "Sweep vectorization widths under the device, memory and network models." in
-  Cmd.v (Cmd.info "autotune" ~doc) Term.(const run $ program_arg $ devices_arg $ Common.jobs_arg)
+  Cmd.v (Cmd.info "autotune" ~doc) Term.(const run $ program_arg $ devices_arg $ jobs_arg)
 
 let optimize_cmd =
   let run path width =

@@ -39,27 +39,18 @@ let () =
   let max_w = Smi.max_vector_width topo device ~element_bytes:4 ~streams_per_hop:1 in
   Format.printf "largest vector width sustainable across devices: W = %d@." max_w;
 
-  (* Simulate the partitioned system with realistic link parameters,
-     domain-parallel: one OCaml domain per device, synchronizing at link
-     boundaries with the 128-cycle link latency as lookahead. Results are
-     bit-identical to the sequential engine (Parallel degrades to it
-     automatically when the configuration does not support parallel
-     execution, e.g. on a single device). *)
+  (* Simulate the partitioned system with realistic link parameters:
+     the device's combined link bandwidth and a 128-cycle latency. *)
   let config =
     Engine.Config.make
       ~network:
         (Engine.Config.network
            ~net_bytes_per_cycle:(Device.link_bytes_per_cycle device)
            ~net_latency_cycles:128 ())
-      ~parallelism:(Engine.Config.parallelism ~mode:`Domains_per_device ())
       ()
   in
   let placement = Partition.placement_fn partition in
-  (match Parallel.decide ~config ~placement program with
-  | `Parallel n -> Format.printf "parallel execution: %d domains@." n
-  | `Degrade reason -> Format.printf "sequential execution: %s@." reason
-  | `Reject d -> Format.printf "invalid parallel configuration: %s@." d.Diag.message);
-  match Parallel.run_and_validate ~config ~placement program with
+  match Engine.run_and_validate ~config ~placement program with
   | Error m -> Format.printf "simulation failed: %s@." (Sf_support.Diag.to_string m)
   | Ok stats ->
       Format.printf "simulated %d cycles (model: %d) across %d devices@." stats.Engine.cycles

@@ -73,4 +73,3 @@ let account t bytes = t.bytes_granted <- t.bytes_granted + bytes
 let set_denied t denied = t.denied <- denied
 let is_unlimited t = not (Float.is_finite t.bytes_per_cycle)
 let bytes_granted t = t.bytes_granted
-let bytes_per_cycle t = t.bytes_per_cycle

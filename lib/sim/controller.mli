@@ -53,5 +53,3 @@ val is_unlimited : t -> bool
 
 val bytes_granted : t -> int
 (** Total bytes granted over the run. *)
-
-val bytes_per_cycle : t -> float

@@ -8,8 +8,6 @@ module Config = struct
   type network = { net_bytes_per_cycle : float; net_latency_cycles : int }
   type safety = { deadlock_window : int; max_cycles : int option }
   type tracing = { trace_interval : int option; telemetry : bool }
-  type par_mode = [ `Sequential | `Domains_per_device ]
-  type parallelism = { mode : par_mode; host_jobs : int }
   type faults = { plan : Fault_plan.t option; fault_seed : int }
 
   let bandwidth ?(mem_bytes_per_cycle = infinity) ?(writer_buffer = 8) () =
@@ -21,8 +19,6 @@ module Config = struct
   let safety ?(deadlock_window = 4096) ?max_cycles () = { deadlock_window; max_cycles }
   let tracing ?trace_interval ?(telemetry = false) () = { trace_interval; telemetry }
 
-  let parallelism ?(mode = `Sequential) ?(host_jobs = 0) () = { mode; host_jobs }
-
   let faults ?plan ?(seed = 1) () = { plan; fault_seed = seed }
 
   type t = {
@@ -33,13 +29,17 @@ module Config = struct
     network : network;
     safety : safety;
     tracing : tracing;
-    parallelism : parallelism;
     faults : faults;
   }
 
+  type par_mode = [ `Sequential | `Domains_per_device ]
+  type parallelism = unit
+
+  let parallelism ?mode:(_ : par_mode option) () = ()
+
   let make ?(latency = Sf_analysis.Latency.default) ?(channel_slack = 4)
       ?(override_edge_buffers = []) ?bandwidth:(bw = bandwidth ()) ?network:(net = network ())
-      ?safety:(sf = safety ()) ?tracing:(tr = tracing ()) ?parallelism:(par = parallelism ())
+      ?safety:(sf = safety ()) ?tracing:(tr = tracing ()) ?parallelism:(() = ())
       ?faults:(fl = faults ()) () =
     {
       latency;
@@ -49,7 +49,6 @@ module Config = struct
       network = net;
       safety = sf;
       tracing = tr;
-      parallelism = par;
       faults = fl;
     }
 
@@ -90,9 +89,6 @@ module Config = struct
         F.add_option st F.add_int c.safety.max_cycles;
         F.add_option st F.add_int c.tracing.trace_interval;
         F.add_bool st c.tracing.telemetry;
-        (* [mode] decides whether zero-latency links are rejected (SF0704);
-           [host_jobs] never changes a result. *)
-        F.add_int st (match c.parallelism.mode with `Sequential -> 0 | `Domains_per_device -> 1);
         F.add_option st (fun st p -> F.add_string st (Fault_plan.to_string p)) c.faults.plan;
         F.add_int st c.faults.fault_seed)
 end
@@ -121,10 +117,10 @@ type outcome =
       faults : Fault_plan.summary;
     }
 
-(* The system model, its constructor and the counter harvest live in
-   [Internal] so the domain-parallel engine (parallel.ml) can drive the
-   exact same components through its own scheduler; see engine.mli for
-   the contract. The sequential engine below opens it. *)
+(* The system model, its constructor, the scheduler and the counter
+   harvest live in [Internal] so the benchmark and the test oracle can
+   drive the same components; see engine.mli for the contract. The
+   engine below opens it. *)
 module Internal = struct
 (* One simulated system: all channels, units, readers, writers and links,
    each paired with its telemetry probe (absent when telemetry is off). *)
@@ -144,11 +140,6 @@ type system = {
      given consumer. *)
   channel_consumer : (string, string) Hashtbl.t;
   producer_for : (string * string, string) Hashtbl.t;
-  (* Structure the parallel engine partitions by: the home device of
-     every unit, reader and writer, and every cross-device link port as
-     [(link, src_device, dst_device, near)] in creation order. *)
-  comp_device : (string, int) Hashtbl.t;
-  cross_ports : (Link.t * int * int * Channel.t) list;
 }
 
 let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
@@ -216,8 +207,6 @@ let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
   let src_endpoint : (string * string, Channel.t) Hashtbl.t = Hashtbl.create 32 in
   let channel_consumer : (string, string) Hashtbl.t = Hashtbl.create 32 in
   let producer_for : (string * string, string) Hashtbl.t = Hashtbl.create 32 in
-  let comp_device : (string, int) Hashtbl.t = Hashtbl.create 32 in
-  let cross_ports = ref [] in
   let make_edge ~src ~dst ~src_device ~dst_device =
     let cap = buffer_for ~src ~dst + channel_slack in
     Hashtbl.replace producer_for (dst, src) src;
@@ -234,7 +223,6 @@ let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
       Hashtbl.replace channel_consumer (Channel.name far) dst;
       let link = link_between src_device dst_device in
       Link.add_port link ~src:near ~dst:far ~word_bytes;
-      cross_ports := (link, src_device, dst_device, near) :: !cross_ports;
       Hashtbl.replace dst_channel (src, dst) far;
       Hashtbl.replace src_endpoint (src, dst) near
     end
@@ -286,7 +274,6 @@ let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
             in
             let tensor = { (input_tensor f.Field.name) with Tensor.extent = Interp.input_extent p f } in
             let name = Printf.sprintf "read.%s@%d" f.Field.name d in
-            Hashtbl.replace comp_device name d;
             let probe = Telemetry.probe telemetry ~kind:Telemetry.Reader ~name in
             let r =
               Memory_unit.Reader.create ?probe ~name ~tensor ~vector_width:w
@@ -310,7 +297,6 @@ let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
         let c = new_channel (Printf.sprintf "%s->mem" o) cap in
         let d = device_of o in
         let name = Printf.sprintf "write.%s@%d" o d in
-        Hashtbl.replace comp_device name d;
         Hashtbl.replace channel_consumer (Channel.name c) name;
         let probe = Telemetry.probe telemetry ~kind:Telemetry.Writer ~name in
         let writer =
@@ -328,7 +314,6 @@ let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
     List.map
       (fun s ->
         let name = s.Stencil.name in
-        Hashtbl.replace comp_device name (device_of name);
         let bindings =
           List.map
             (fun field ->
@@ -377,8 +362,6 @@ let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
       writers_done;
       channel_consumer;
       producer_for;
-      comp_device;
-      cross_ports = List.rev !cross_ports;
     },
     predicted )
 
@@ -442,11 +425,8 @@ let harvest ~telemetry ~system ~cycles ~samples =
     ~components:(unit_rows @ reader_rows @ writer_rows @ link_rows)
     ~channels ~samples
 
-(* Assemble the completion stats of a finished system — shared by the
-   sequential loop below and the domain-parallel engine, so byte and
-   network accounting cannot drift between the two. *)
-let completed_stats ?(faults = Fault_plan.empty_summary) ~system ~predicted ~cycles ~report
-    (p : Program.t) =
+(* Assemble the completion stats of a finished system. *)
+let completed_stats ~faults ~system ~predicted ~cycles ~report (p : Program.t) =
   (* Controllers account reads and writes together; split the writes
      back out below. Prefetched lower-dimensional inputs are charged
      once per device replica. *)
@@ -476,8 +456,8 @@ let completed_stats ?(faults = Fault_plan.empty_summary) ~system ~predicted ~cyc
     faults;
   }
 
-(* Compare a completed run's outputs against the reference interpreter;
-   shared by [run_and_validate] in both engines. *)
+(* Compare a completed run's outputs against the reference interpreter
+   ([run_and_validate]). *)
 let compare_to_reference ~inputs (p : Program.t) stats =
   let mismatch fmt =
     Format.kasprintf (fun m -> Error (Diag.error ~code:Diag.Code.sim_mismatch m)) fmt
@@ -519,8 +499,6 @@ let compare_to_reference ~inputs (p : Program.t) stats =
 (* space become visible, and every schedule below reproduces its cycle *)
 (* counts, stalls, high-water marks, deadlock diagnoses and output     *)
 (* bits exactly; see docs/SIMULATOR.md and test/test_sim_parity.ml.    *)
-(* The sequential engine runs one scheduler over every component, the  *)
-(* domain-parallel engine one per device.                              *)
 (*                                                                     *)
 (* Ready set: a component that provably cannot progress sleeps until   *)
 (* one of its channels changes state (producer pushed, consumer        *)
@@ -555,41 +533,37 @@ let compare_to_reference ~inputs (p : Program.t) stats =
 
 type comp =
   | Clink of Link.t
-  | Crx of Link.t
-  | Ctx of Link.t
   | Cwriter of Memory_unit.Writer.t
   | Cunit of Stencil_unit.t
   | Creader of Memory_unit.Reader.t
 
-(* [links], then writers, units consumers-before-producers (reverse
+(* Links, then writers, units consumers-before-producers (reverse
    topological order — data pushed this cycle becomes visible next
    cycle, space freed this cycle is reusable immediately, matching
    credit-based hardware), readers. The reversal happens once here, not
    per cycle. *)
-let components ?(on = fun _ -> true) ~links system =
-  let keep name c = if on name then Some c else None in
+let components system =
   Array.of_list
-    (links
-    @ List.filter_map (fun (_, w, _) -> keep (Memory_unit.Writer.name w) (Cwriter w)) system.writers
-    @ List.rev (List.filter_map (fun (u, _) -> keep (Stencil_unit.name u) (Cunit u)) system.units)
-    @ List.filter_map (fun (r, _) -> keep (Memory_unit.Reader.name r) (Creader r)) system.readers)
+    (List.map (fun (l, _) -> Clink l) system.links
+    @ List.map (fun (_, w, _) -> Cwriter w) system.writers
+    @ List.rev_map (fun (u, _) -> Cunit u) system.units
+    @ List.map (fun (r, _) -> Creader r) system.readers)
 
 type sched = {
   advance : limit:int -> unit;
   now : unit -> int;
-  progressed : unit -> int;
   windowed : unit -> int;
   deadlocked : unit -> bool;
-  forgive : unit -> unit;
   samples : unit -> (int * (string * int) list) list;
 }
 
-let scheduler ~config ?injector ~finished ~controllers system comps =
+let scheduler ~config ?injector ~finished system =
   let { Config.deadlock_window; _ } = config.Config.safety in
   let { Config.trace_interval; _ } = config.Config.tracing in
+  let controllers = system.mem_controllers in
+  let comps = components system in
   let cycle = ref 0 in
   let idle_cycles = ref 0 in
-  let progressed = ref 0 in
   let deadlocked = ref false in
   let trace = ref [] in
   let ncomps = Array.length comps in
@@ -607,8 +581,7 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
         | Clink l -> List.assq l system.links
         | Cwriter w -> List.find_map (fun (_, w', p) -> if w' == w then p else None) system.writers
         | Cunit u -> List.assq u system.units
-        | Creader r -> List.assq r system.readers
-        | Crx _ | Ctx _ -> None)
+        | Creader r -> List.assq r system.readers)
       comps
   in
   (* Credit the cycles component i slept through before [now]: each
@@ -618,14 +591,13 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
     if n > 0 then begin
       (match comps.(i) with
       | Cunit u when not (Stencil_unit.is_done u) -> Stencil_unit.add_stalls u n
-      | Clink _ | Crx _ | Ctx _ | Cwriter _ | Cunit _ | Creader _ -> ());
+      | Clink _ | Cwriter _ | Cunit _ | Creader _ -> ());
       Option.iter (fun p -> Telemetry.sleep p ~now:(now - n) ~cycles:n) probes.(i);
       last_ran.(i) <- now - 1
     end
   in
   (* Wake hooks, derived from the component structure: a push wakes the
-     channel's consumer, a pop wakes its producer. An rx half produces
-     its far channels, a tx half consumes its near channels. *)
+     channel's consumer, a pop wakes its producer. *)
   let consumer_idx : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let producer_idx : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let mark tbl i c = Hashtbl.replace tbl (Channel.name c) i in
@@ -638,22 +610,14 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
               mark consumer_idx i src;
               mark producer_idx i dst)
             (Link.port_channels l)
-      | Crx l -> List.iter (fun (_, dst) -> mark producer_idx i dst) (Link.port_channels l)
-      | Ctx l -> List.iter (fun (src, _) -> mark consumer_idx i src) (Link.port_channels l)
       | Cwriter w -> mark consumer_idx i (Memory_unit.Writer.input_channel w)
       | Cunit u ->
           List.iter (mark consumer_idx i) (Stencil_unit.input_channels u);
           List.iter (mark producer_idx i) (Stencil_unit.output_channels u)
       | Creader r -> List.iter (mark producer_idx i) (Memory_unit.Reader.output_channels r))
     comps;
-  (* The channels these components touch, in creation order; each has
-     its producer and its consumer among them. *)
-  let all_channels =
-    Array.of_list
-      (List.filter
-         (fun c -> Hashtbl.mem consumer_idx (Channel.name c))
-         (List.rev !(system.channels)))
-  in
+  (* Every channel, in creation order. *)
+  let all_channels = Array.of_list (List.rev !(system.channels)) in
   Array.iter
     (fun c ->
       let wake tbl =
@@ -693,7 +657,7 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
       | Clink l -> Hashtbl.replace by_name (Link.name l) i
       | Cwriter w -> Hashtbl.replace by_name (Memory_unit.Writer.name w) i
       | Cunit u -> Hashtbl.replace by_name (Stencil_unit.name u) i
-      | Crx _ | Ctx _ | Creader _ -> ())
+      | Creader _ -> ())
     comps;
   let wake name = Option.iter (fun i -> ready.(i) <- true) (Hashtbl.find_opt by_name name) in
   (* Channel indices: each channel's consumer and producer component,
@@ -707,14 +671,14 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
     Array.of_list (List.map (fun c -> Hashtbl.find chan_idx (Channel.name c)) chans)
   in
   (* A link's inputs and outputs are its ports' near and far channels,
-     in port order, on the sides this scheduler runs. *)
+     in port order. *)
   let ins =
     Array.map
       (function
         | Cwriter w -> indices [ Memory_unit.Writer.input_channel w ]
         | Cunit u -> indices (Stencil_unit.input_channels u)
-        | Clink l | Ctx l -> indices (List.map fst (Link.port_channels l))
-        | Crx _ | Creader _ -> [||])
+        | Clink l -> indices (List.map fst (Link.port_channels l))
+        | Creader _ -> [||])
       comps
   in
   let outs =
@@ -722,8 +686,8 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
       (function
         | Cunit u -> indices (Stencil_unit.output_channels u)
         | Creader r -> indices (Memory_unit.Reader.output_channels r)
-        | Clink l | Crx l -> indices (List.map snd (Link.port_channels l))
-        | Ctx _ | Cwriter _ -> [||])
+        | Clink l -> indices (List.map snd (Link.port_channels l))
+        | Cwriter _ -> [||])
       comps
   in
   let pushed = Array.make nchan false in
@@ -758,7 +722,7 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
       let c = comps.(i) in
       let is_done =
         match c with
-        | Clink _ | Crx _ | Ctx _ -> false
+        | Clink _ -> false
         | Cwriter w -> Memory_unit.Writer.is_done w
         | Cunit u -> Stencil_unit.is_done u
         | Creader r -> Memory_unit.Reader.is_done r
@@ -769,9 +733,7 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
       else if not is_done then begin
         let h =
           match c with
-          | Clink l -> Link.plan l ~now Link.Whole
-          | Crx l -> Link.plan l ~now Link.Rx
-          | Ctx l -> Link.plan l ~now Link.Tx
+          | Clink l -> Link.plan l ~now
           | Cwriter w -> Memory_unit.Writer.words_remaining w
           | Cunit u -> Stencil_unit.plan u ~now
           | Creader r -> Memory_unit.Reader.words_remaining r
@@ -783,7 +745,7 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
           k := Int.min !k h;
           let ins = ins.(i) and outs = outs.(i) in
           match c with
-          | Clink l | Crx l | Ctx l ->
+          | Clink l ->
               for x = 0 to Array.length ins - 1 do
                 if Link.plan_injects l x then popped.(ins.(x)) <- true
                 else idle_src.(ins.(x)) <- true
@@ -828,10 +790,8 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
         if active.(i) then
           match comps.(i) with
           | Clink l ->
-              k := Link.fit l ~now Link.Whole !k;
+              k := Link.fit l ~now !k;
               chunk := Int.min !chunk (Link.plan_chunk l)
-          | Crx l -> k := Link.fit l ~now Link.Rx !k
-          | Ctx l -> k := Link.fit l ~now Link.Tx !k
           | Cwriter _ | Cunit _ | Creader _ -> ()
       done;
     if !ok && !any && !k >= 2 then begin
@@ -852,14 +812,13 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
         for i = 0 to ncomps - 1 do
           if active.(i) then
             match comps.(i) with
-            | Clink l | Crx l -> Link.run_deliver l n
-            | Ctx _ | Cwriter _ | Cunit _ | Creader _ -> ()
+            | Clink l -> Link.run_deliver l n
+            | Cwriter _ | Cunit _ | Creader _ -> ()
         done;
         for i = ncomps - 1 downto 0 do
           if active.(i) then
             match comps.(i) with
-            | Clink l | Ctx l -> Link.run_inject l ~now:(now + !rel) n
-            | Crx _ -> ()
+            | Clink l -> Link.run_inject l ~now:(now + !rel) n
             | Cwriter w -> Memory_unit.Writer.run_fast w n
             | Cunit u -> Stencil_unit.run_planned u ~now:(now + !rel) n
             | Creader r -> Memory_unit.Reader.run_fast r n
@@ -874,7 +833,6 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
       done;
       cycle := now + kk;
       idle_cycles := 0;
-      progressed := !progressed + kk;
       windowed := !windowed + kk;
       true
     end
@@ -896,17 +854,6 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
         | Clink l ->
             if Link.cycle l ~now then progress := true
             else if Link.sources_empty l then begin
-              ready.(i) <- false;
-              wake_at.(i) <- Link.next_arrival l ~now
-            end
-        | Ctx l ->
-            (* The words in flight are the rx half's business, so a
-               drained tx half sleeps without a timer. *)
-            if Link.inject l ~now then progress := true
-            else if Link.sources_empty l then ready.(i) <- false
-        | Crx l ->
-            if Link.deliver l ~now then progress := true
-            else begin
               ready.(i) <- false;
               wake_at.(i) <- Link.next_arrival l ~now
             end
@@ -934,10 +881,7 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
       end
     done;
     sample_trace ();
-    if !progress then begin
-      idle_cycles := 0;
-      incr progressed
-    end
+    if !progress then idle_cycles := 0
     else begin
       incr idle_cycles;
       if !idle_cycles > deadlock_window then deadlocked := true
@@ -972,10 +916,7 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
   in
   (* No window runs while a fault burst is active. *)
   let quiet () = match injector with Some inj -> not (Fault_plan.bursting inj) | None -> true in
-  (* Words may have reached an rx half's transport from another domain
-     since the last advance, so every rx half runs first thing. *)
   let advance ~limit =
-    Array.iteri (fun i c -> match c with Crx _ -> ready.(i) <- true | _ -> ()) comps;
     while (not (finished ())) && (not !deadlocked) && !cycle < limit do
       if not (batchable && quiet () && attempt_batch ~limit) then step ~limit
     done;
@@ -985,13 +926,8 @@ let scheduler ~config ?injector ~finished ~controllers system comps =
   {
     advance;
     now = (fun () -> !cycle);
-    progressed = (fun () -> !progressed);
     windowed = (fun () -> !windowed);
     deadlocked = (fun () -> !deadlocked);
-    forgive =
-      (fun () ->
-        idle_cycles := 0;
-        deadlocked := false);
     samples = (fun () -> List.rev !trace);
   }
 
@@ -1134,10 +1070,7 @@ let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Pr
   let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in
   let max_cycles = Option.value config.Config.safety.Config.max_cycles ~default:max_int in
   simulate ~config ~placement ~inputs p ~drive:(fun system injector finished ->
-      let s =
-        scheduler ~config ?injector ~finished ~controllers:system.mem_controllers system
-          (components ~links:(List.map (fun (l, _) -> Clink l) system.links) system)
-      in
+      let s = scheduler ~config ?injector ~finished system in
       s.advance ~limit:max_cycles;
       (s.now (), s.deadlocked (), s.samples ()))
 

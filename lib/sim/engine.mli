@@ -58,23 +58,6 @@ module Config : sig
             uninstrumented run. *)
   }
 
-  type par_mode = [ `Sequential | `Domains_per_device ]
-
-  type parallelism = {
-    mode : par_mode;
-        (** [`Domains_per_device] asks {!Parallel.run_exn} to spawn one
-            OCaml domain per device and synchronize them only at link
-            boundaries. The sequential {!run_exn} ignores this field;
-            route runs through {!Parallel} to honour it. *)
-    host_jobs : int;
-        (** How many hardware threads this process may assume (the CLI
-            [--jobs]). [0] (the default) means
-            [Domain.recommended_domain_count ()]. When fewer than the
-            spawned domains, blocked domains park on their condition
-            variable immediately instead of spinning first, so an
-            oversubscribed host degrades gracefully. *)
-  }
-
   val bandwidth : ?mem_bytes_per_cycle:float -> ?writer_buffer:int -> unit -> bandwidth
   (** Defaults: unlimited bandwidth, 8 words of writer buffering. *)
 
@@ -86,9 +69,6 @@ module Config : sig
 
   val tracing : ?trace_interval:int -> ?telemetry:bool -> unit -> tracing
   (** Defaults: no occupancy sampling, telemetry off. *)
-
-  val parallelism : ?mode:par_mode -> ?host_jobs:int -> unit -> parallelism
-  (** Defaults: sequential execution, automatic host-thread count. *)
 
   type faults = {
     plan : Fault_plan.t option;
@@ -116,9 +96,17 @@ module Config : sig
     network : network;
     safety : safety;
     tracing : tracing;
-    parallelism : parallelism;
     faults : faults;
   }
+
+  (** The benchmark in [bench/flow] still passes a parallelism mode to
+      {!make}. It is accepted and ignored: every placement runs on the
+      one scheduler. These go with the next change to that benchmark. *)
+
+  type par_mode = [ `Sequential | `Domains_per_device ]
+  type parallelism
+
+  val parallelism : ?mode:par_mode -> unit -> parallelism
 
   val make :
     ?latency:Sf_analysis.Latency.config ->
@@ -144,10 +132,7 @@ module Config : sig
 
   val fingerprint : t -> Sf_support.Fingerprint.t
   (** Content digest over every field that can change a result (fault
-      plans via their canonical [Fault_plan.to_string] rendering). Of
-      [parallelism] only [mode] counts — it decides whether zero-latency
-      links are rejected — so runs differing in [host_jobs] share cache
-      entries. *)
+      plans via their canonical [Fault_plan.to_string] rendering). *)
 end
 
 type config = Config.t
@@ -225,18 +210,14 @@ val run_and_validate :
     reference interpreter. A mismatch maps to code [SF0702]. *)
 
 val to_result : config:config -> outcome -> (stats, Sf_support.Diag.t) result
-(** The {!run} view of an outcome, shared with {!Parallel.run}. *)
+(** The {!run} view of an outcome. *)
 
 (** {2 Internal plumbing}
 
-    The simulated system model and its scheduler, shared between this
-    sequential engine and the domain-parallel one ({!Parallel}): both
-    build the exact same components via {!Internal.build}, step them
-    with the exact same {!Internal.scheduler} and harvest the exact same
-    counters via {!Internal.harvest}, so observable behaviour can only
-    differ if the synchronization between domains makes it differ —
-    which the cross-engine parity tests would catch. Not part of the
-    stable API. *)
+    The simulated system model and its scheduler, exposed so the
+    benchmark can time system construction apart from the run and the
+    test oracle can drive the same components on its own every-cycle
+    schedule. Not part of the stable API. *)
 module Internal : sig
   type system = {
     channels : Channel.t list ref;
@@ -249,11 +230,6 @@ module Internal : sig
     writers_done : int ref;
     channel_consumer : (string, string) Hashtbl.t;
     producer_for : (string * string, string) Hashtbl.t;
-    comp_device : (string, int) Hashtbl.t;
-        (** Home device of every unit, reader and writer, by name. *)
-    cross_ports : (Link.t * int * int * Channel.t) list;
-        (** Every cross-device link port as [(link, src_device,
-            dst_device, near_channel)], in creation order. *)
   }
 
   val build :
@@ -266,53 +242,39 @@ module Internal : sig
   (** Instantiate the system; the [int] is the model-predicted cycle
       count (Eq. 1). Raises on malformed programs. *)
 
-  (** A schedulable component. A whole link ([Clink], {!Link.cycle})
-      in the sequential engine; in a domain-parallel run each link
-      direction ({!Link.direction}) is an rx half ([Crx], {!Link.deliver},
-      in the destination's domain, the producer of its far channels)
-      and a tx half ([Ctx], {!Link.inject}, in the source's domain, the
-      consumer of its near channels). *)
+  (** A schedulable component. *)
   type comp =
-    | Clink of Link.t
-    | Crx of Link.t
-    | Ctx of Link.t
+    | Clink of Link.t  (** Cycled whole by {!Link.cycle}. *)
     | Cwriter of Memory_unit.Writer.t
     | Cunit of Stencil_unit.t
     | Creader of Memory_unit.Reader.t
 
-  val components : ?on:(string -> bool) -> links:comp list -> system -> comp array
-  (** [links], then the writers, units and readers whose name passes
-      [on] (default: all), in the seed engine's per-cycle order. *)
+  val components : system -> comp array
+  (** The links, writers, units and readers, in the seed engine's
+      per-cycle order. *)
 
   type sched = {
     advance : limit:int -> unit;
         (** Run from [now ()] up to the exclusive cycle [limit]
             (quiescence jumps included), stopping early once finished or
-            deadlocked. Every rx half runs in the first cycle. *)
+            deadlocked. *)
     now : unit -> int;  (** The next cycle to execute. *)
-    progressed : unit -> int;  (** Executed cycles in which anything progressed. *)
     windowed : unit -> int;  (** Cycles advanced by fast-forward windows. *)
     deadlocked : unit -> bool;  (** No progress for over [deadlock_window] cycles. *)
-    forgive : unit -> unit;
-        (** Clear [deadlocked] and restart the idle count, for a domain
-            whose neighbours still progress. *)
     samples : unit -> (int * (string * int) list) list;
         (** Occupancy samples, oldest first. *)
   }
-  (** One scheduler over a component array: the ready set and wake
-      hooks, lazy stall credit, fast-forward windows and quiescence
+  (** One scheduler over the system's {!components}: the ready set and
+      wake hooks, lazy stall credit, fast-forward windows and quiescence
       jumps of docs/SIMULATOR.md. *)
 
   val scheduler :
     config:Config.t ->
     ?injector:Fault_plan.injector ->
     finished:(unit -> bool) ->
-    controllers:Controller.t array ->
     system ->
-    comp array ->
     sched
-  (** Wires the wake hooks of every channel the components touch (each
-      has its producer and consumer among them). [controllers] are
+  (** Wires the wake hooks of every channel. The memory controllers are
       refilled every stepped cycle; [finished] ends an advance early.
       Windows and jumps stop at occupancy samples and [injector]
       transitions; no window runs during a burst. *)
@@ -331,22 +293,6 @@ module Internal : sig
   (** Build the system and its fault injector, let [drive] run it to
       [(cycles, deadlocked, samples)], then diagnose the outcome.
       {!run_exn} drives one {!scheduler}. *)
-
-  val harvest :
-    telemetry:Telemetry.t ->
-    system:system ->
-    cycles:int ->
-    samples:(int * (string * int) list) list ->
-    Telemetry.report
-
-  val completed_stats :
-    ?faults:Fault_plan.summary ->
-    system:system ->
-    predicted:int ->
-    cycles:int ->
-    report:Telemetry.report ->
-    Sf_ir.Program.t ->
-    stats
 
   val compare_to_reference :
     inputs:(string * Sf_reference.Tensor.t) list ->

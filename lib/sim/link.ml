@@ -1,13 +1,11 @@
 (* Words in flight on a port live in a {!Spsc} ring of release cycles
-   and word lanes: plain single-domain storage in the sequential engine
-   (where it grows on demand, since a full destination can hold words
-   back for arbitrarily long), the cross-domain transport of a
-   {!direction}. *)
+   and word lanes, which grows on demand: a full destination can hold
+   words back for arbitrarily long. *)
 type port = {
   src : Channel.t;
   dst : Channel.t;
   word_bytes : int;
-  mutable ring : Spsc.t;
+  ring : Spsc.t;
   (* The port's roles in the current fast-forward plan (see [plan]). *)
   mutable delivers : bool;
   mutable injects : bool;
@@ -19,7 +17,6 @@ type t = {
   latency_cycles : int;
   mutable ports : port array;
   probe : Telemetry.probe option;
-  split : bool;  (* a direction: rings are shared across domains and fixed *)
   (* Fault-injection state (Fault_plan): a stalled link neither injects
      nor delivers for the cycle; extra_latency inflates the release time
      of words injected this cycle. Both are cleared by the injector each
@@ -32,8 +29,6 @@ type t = {
   mutable plan_chunk : int;
 }
 
-exception Full
-
 let create ?probe ~name ~bytes_per_cycle ~latency_cycles () =
   {
     name;
@@ -41,25 +36,16 @@ let create ?probe ~name ~bytes_per_cycle ~latency_cycles () =
     latency_cycles;
     ports = [||];
     probe;
-    split = false;
     stalled = false;
     extra_latency = 0;
     plan_requests = [];
     plan_chunk = max_int;
   }
 
-let port ~src ~dst ~word_bytes ~capacity =
-  {
-    src;
-    dst;
-    word_bytes;
-    ring = Spsc.create ~capacity ~lanes:(Channel.width src);
-    delivers = false;
-    injects = false;
-  }
-
 let add_port t ~src ~dst ~word_bytes =
-  t.ports <- Array.append t.ports [| port ~src ~dst ~word_bytes ~capacity:16 |]
+  let ring = Spsc.create ~capacity:16 ~lanes:(Channel.width src) in
+  t.ports <-
+    Array.append t.ports [| { src; dst; word_bytes; ring; delivers = false; injects = false } |]
 
 (* Release cycle of the oldest word in flight, or [max_int]. *)
 let head_release p = if Spsc.front p.ring >= 0 then Spsc.front_release p.ring else max_int
@@ -87,18 +73,8 @@ let deliver t ~now =
 
 (* Move the front word of [p]'s source into its ring, released at
    [release]. *)
-let move_front t p ~release =
-  let dst = Spsc.try_produce p.ring ~tag:0 ~release in
-  let dst =
-    if dst >= 0 then dst
-    else if t.split then raise Full
-    else begin
-      (* [grow] carries published words only. *)
-      Spsc.publish p.ring;
-      p.ring <- Spsc.grow p.ring;
-      Spsc.try_produce p.ring ~tag:0 ~release
-    end
-  in
+let move_front p ~release =
+  let dst = Spsc.produce p.ring ~release in
   let src = Channel.Unsafe.front_slot p.src in
   let values = Channel.Unsafe.buf_values p.src and valid = Channel.Unsafe.buf_valid p.src in
   for lane = 0 to Channel.width p.src - 1 do
@@ -117,8 +93,7 @@ let inject t ~now =
   for i = 0 to Array.length t.ports - 1 do
     let p = t.ports.(i) in
     if (not (Channel.is_empty p.src)) && Controller.request t.controller p.word_bytes then begin
-      move_front t p ~release;
-      Spsc.publish p.ring;
+      move_front p ~release;
       progress := true
     end
   done;
@@ -176,78 +151,65 @@ let cycle t ~now =
 (* every cycle (its head has matured) or not at all (nothing matures), *)
 (* and injects every cycle (its source holds a word) or not at all.    *)
 (* Destination room and source words are the engine's channel checks;  *)
-(* maturity, ring room and the bandwidth budget are checked here.      *)
+(* maturity and the bandwidth budget are checked here.                 *)
 (* ------------------------------------------------------------------ *)
 
-type side = Whole | Rx | Tx
-
-(* Each side touches only its own plan state: in a domain-parallel run
-   the two halves of a direction share the port records. *)
-let plan t ~now side =
-  let deliver = side <> Tx and inject = side <> Rx in
+let plan t ~now =
   let h = ref max_int and progress = ref false in
   let latency = t.latency_cycles + t.extra_latency in
-  if inject then begin
-    Array.iter
-      (fun p ->
-        p.injects <- not (Channel.is_empty p.src);
-        if p.injects then begin
-          progress := true;
-          if t.split then h := Int.min !h (Spsc.free p.ring)
-        end)
-      t.ports;
-    t.plan_requests <-
-      Array.fold_right (fun p acc -> if p.injects then p.word_bytes :: acc else acc) t.ports []
-  end;
-  if deliver then begin
-    t.plan_chunk <- max_int;
-    Array.iter
-      (fun p ->
-        let injects = inject && p.injects and m = Spsc.available p.ring in
-        p.delivers <- m > 0 && Spsc.front_release p.ring <= now;
-        if p.delivers then begin
-          (* A matured head held back by a full destination would start
-             moving once its consumer pops: not one action per cycle. *)
-          if Channel.is_full p.dst then h := 0;
-          progress := true;
-          (* Past the [m] words in flight it delivers the words it
-             injects, which mature in time only if [m] covers the
-             latency, and only from an earlier chunk. *)
-          if injects && latency <= m then t.plan_chunk <- Int.min t.plan_chunk m
-          else h := Int.min !h m
-        end
-        else begin
-          (* Idle: the window ends before the head, or the first word it
-             injects, can be delivered (at the earliest the cycle after
-             its injection). *)
-          let first =
-            if m > 0 then Spsc.front_release p.ring
-            else if injects then now + Int.max latency 1
-            else max_int
-          in
-          h := Int.min !h (first - now)
-        end)
-      t.ports
-  end;
+  Array.iter
+    (fun p ->
+      p.injects <- not (Channel.is_empty p.src);
+      if p.injects then progress := true)
+    t.ports;
+  t.plan_requests <-
+    Array.fold_right (fun p acc -> if p.injects then p.word_bytes :: acc else acc) t.ports [];
+  t.plan_chunk <- max_int;
+  Array.iter
+    (fun p ->
+      let m = Spsc.length p.ring in
+      p.delivers <- m > 0 && Spsc.front_release p.ring <= now;
+      if p.delivers then begin
+        (* A matured head held back by a full destination would start
+           moving once its consumer pops: not one action per cycle. *)
+        if Channel.is_full p.dst then h := 0;
+        progress := true;
+        (* Past the [m] words in flight it delivers the words it
+           injects, which mature in time only if [m] covers the
+           latency, and only from an earlier chunk. *)
+        if p.injects && latency <= m then t.plan_chunk <- Int.min t.plan_chunk m
+        else h := Int.min !h m
+      end
+      else begin
+        (* Idle: the window ends before the head, or the first word it
+           injects, can be delivered (at the earliest the cycle after
+           its injection). *)
+        let first =
+          if m > 0 then Spsc.front_release p.ring
+          else if p.injects then now + Int.max latency 1
+          else max_int
+        in
+        h := Int.min !h (first - now)
+      end)
+    t.ports;
   if !progress && not t.stalled then !h else 0
 
 let plan_delivers t i = t.ports.(i).delivers
 let plan_injects t i = t.ports.(i).injects
 let plan_chunk t = t.plan_chunk
 
-let fit t ~now side k =
+let fit t ~now k =
   let k = ref k in
-  if side <> Tx then
-    Array.iter
-      (fun p ->
-        if p.delivers then begin
-          let j = ref 0 and m = Spsc.available p.ring in
-          while !j < Int.min !k m do
-            if Spsc.release_at p.ring !j > now + !j then k := !j else incr j
-          done
-        end)
-      t.ports;
-  if side <> Rx then Controller.sustains t.controller ~now ~cycles:!k t.plan_requests else !k
+  Array.iter
+    (fun p ->
+      if p.delivers then begin
+        let j = ref 0 and m = Spsc.length p.ring in
+        while !j < Int.min !k m do
+          if Spsc.release_at p.ring !j > now + !j then k := !j else incr j
+        done
+      end)
+    t.ports;
+  Controller.sustains t.controller ~now ~cycles:!k t.plan_requests
 
 let run_deliver t n =
   Array.iter
@@ -263,28 +225,14 @@ let run_inject t ~now n =
   let release = now + t.latency_cycles + t.extra_latency in
   Array.iter
     (fun p ->
-      if p.injects then begin
+      if p.injects then
         for r = 0 to n - 1 do
-          move_front t p ~release:(release + r)
-        done;
-        Spsc.publish p.ring
-      end)
+          move_front p ~release:(release + r)
+        done)
     t.ports
-
-let direction t ~srcs ~capacity =
-  let split p = port ~src:p.src ~dst:p.dst ~word_bytes:p.word_bytes ~capacity in
-  let ports = List.filter (fun p -> List.memq p.src srcs) (Array.to_list t.ports) in
-  {
-    t with
-    controller = Controller.create ~bytes_per_cycle:(Controller.bytes_per_cycle t.controller);
-    ports = Array.of_list (List.map split ports);
-    probe = None;
-    split = true;
-  }
 
 let name t = t.name
 let bytes_transferred t = Controller.bytes_granted t.controller
-let credit_bytes t n = Controller.account t.controller n
 
 let is_idle t = Array.for_all (fun p -> Spsc.front p.ring < 0) t.ports
 

@@ -19,43 +19,19 @@ val add_port : t -> src:Channel.t -> dst:Channel.t -> word_bytes:int -> unit
 (** Register a remote stream crossing this link. *)
 
 val cycle : t -> now:int -> bool
-(** One link cycle: {!deliver}, then {!inject}, then (with a probe)
-    classify a cycle without progress. Returns true when any word was
-    injected or delivered. *)
-
-val deliver : t -> now:int -> bool
-(** The receiving half: move at most one matured word per port from its
-    in-flight ring into the destination channel, if it has room. *)
-
-val inject : t -> now:int -> bool
-(** The sending half: refill the bandwidth budget, then move at most one
-    word per port from the source channel into its in-flight ring,
-    released [latency_cycles] (plus any injected extra latency) later. *)
-
-exception Full
-
-val direction : t -> srcs:Channel.t list -> capacity:int -> t
-(** The ports of [t] whose source channel is in [srcs] (one direction of
-    the link) with empty in-flight rings, for a domain-parallel run:
-    {!inject} runs in the source device's domain and {!deliver} in the
-    destination's, each ring being a lock-free {!Spsc} transport
-    between them. A ring holds [capacity] words and does not grow:
-    {!inject} raises {!Full} instead. The direction has its own
-    bandwidth budget and no probe. Of its functions only {!inject} and
-    {!sources_empty} belong to the source's domain. *)
+(** One link cycle: move at most one matured word per port from its
+    in-flight ring into the destination channel, if it has room; then
+    refill the bandwidth budget and move at most one word per port from
+    the source channel into its ring, released [latency_cycles] (plus
+    any injected extra latency) later; then (with a probe) classify a
+    cycle without progress. Returns true when any word was injected or
+    delivered. *)
 
 val name : t -> string
 val bytes_transferred : t -> int
 
-val credit_bytes : t -> int -> unit
-(** Record bytes as transferred without running the link. The parallel
-    engine moves each direction's traffic through its own
-    {!direction} budget and credits the totals back here after the join, so
-    {!bytes_transferred} and the harvested link counters agree with a
-    sequential run. *)
-
 val is_idle : t -> bool
-(** No words in flight (nor, for a {!direction}, in its transport). *)
+(** No words in flight. *)
 
 val port_channels : t -> (Channel.t * Channel.t) list
 (** [(src, dst)] channel pair of every registered port, for the engine's
@@ -75,27 +51,19 @@ val next_arrival : t -> now:int -> int
 (** {2 Fast-forward windows}
 
     The engine's windows (docs/SIMULATOR.md) include links. In a window
-    each port repeats one role every cycle on each side: it delivers
-    (its head word has matured) or idles (nothing matures in the
-    window), and injects (its source holds a word) or idles. The engine
-    checks the channels: a delivering port's destination must never be
+    each port repeats two roles every cycle: it delivers (its head word
+    has matured) or idles (nothing matures in the window), and injects
+    (its source holds a word) or idles. The engine checks the channels: a delivering port's destination must never be
     full, an injecting port's source never empty, and an idle one's
     source must not be pushed. *)
 
-type side =
-  | Whole  (** A link cycled whole ({!cycle}): it delivers and injects. *)
-  | Rx  (** The rx half of a {!direction} ({!deliver}). *)
-  | Tx  (** The tx half of a {!direction} ({!inject}). *)
-
-val plan : t -> now:int -> side -> int
-(** Choose every port's roles on [side] for a window starting at [now],
-    and bound the window by what the roles alone allow: an idle delivery
-    by its head's release (or its first injected word's), a delivery
-    that does not also inject by the words in flight, an injection into
-    a shared ring by its room. [0] when no port would progress, a
-    matured head is held back by a full destination, or the link is
-    stalled. Each side reads and writes only its own plan, so the two
-    halves of a direction plan concurrently. *)
+val plan : t -> now:int -> int
+(** Choose every port's roles for a window starting at [now], and bound
+    the window by what the roles alone allow: an idle delivery by its
+    head's release (or its first injected word's), a delivery that does
+    not also inject by the words in flight. [0] when no port would
+    progress, a matured head is held back by a full destination, or the
+    link is stalled. *)
 
 val plan_delivers : t -> int -> bool
 val plan_injects : t -> int -> bool
@@ -107,8 +75,8 @@ val plan_chunk : t -> int
     delivers and injects may deliver only words injected in an earlier
     chunk. [max_int] when unbounded. *)
 
-val fit : t -> now:int -> side -> int -> int
-(** [fit t ~now side k] shortens a planned window of [k] cycles to the
+val fit : t -> now:int -> int -> int
+(** [fit t ~now k] shortens a planned window of [k] cycles to the
     leading cycles in which every delivering port's next word has
     matured and the bandwidth budget grants every injecting port. *)
 

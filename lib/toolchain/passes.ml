@@ -184,8 +184,8 @@ let simulate ?(validate = true) ~seed () =
         | None -> Sf_reference.Interp.random_inputs ~seed p
       in
       let result =
-        if validate then Sf_sim.Parallel.run_and_validate ~config ?placement ~inputs p
-        else Sf_sim.Parallel.run ~config ?placement ~inputs p
+        if validate then Engine.run_and_validate ~config ?placement ~inputs p
+        else Engine.run ~config ?placement ~inputs p
       in
       let ctx = { ctx with Ctx.simulation = Some result } in
       match result with Ok _ -> Ok ctx | Error d -> Ok (Ctx.add_diag ctx d))

@@ -49,14 +49,10 @@ val simulate : ?validate:bool -> seed:int -> unit -> Pass_manager.pass
 (** Cycle-level simulation on the context's partition placement, on the
     context's inputs (or random inputs from [seed] when absent),
     validated against the sequential reference when [validate] (default
-    true). Routed through {!Sf_sim.Parallel}, so the context's
-    [sim_config.parallelism] selects domain-parallel execution for
-    multi-device placements (identical results either way; invalid
-    parallel configurations are [SF0704]). Failures (deadlock [SF0701],
-    mismatch [SF0702], timeout [SF0703]) are recorded
-    as error diagnostics in {!Ctx.t.diags} and in {!Ctx.t.simulation}
-    without aborting the pipeline, so reports and exit codes can still
-    be produced from the remaining artifacts. *)
+    true). Failures (deadlock [SF0701], mismatch [SF0702], timeout
+    [SF0703]) are recorded as error diagnostics in {!Ctx.t.diags} and in
+    {!Ctx.t.simulation} without aborting the pipeline, so reports and
+    exit codes can still be produced from the remaining artifacts. *)
 
 val codegen_opencl : Pass_manager.pass
 (** Emit the Intel-FPGA-style OpenCL kernels and host program for the

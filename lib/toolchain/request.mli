@@ -9,8 +9,7 @@
     passes, cache keys and result on every path.
 
     Engine settings that are not part of the request (telemetry,
-    tracing, fault injection, the parallel engine, host threads) enter
-    as the base [config] of {!run}. *)
+    tracing, fault injection) enter as the base [config] of {!run}. *)
 
 type verb = [ `Analyze | `Simulate | `Codegen ]
 

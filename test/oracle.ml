@@ -13,13 +13,12 @@ let run_exn ?(config = Engine.Config.default) ?(placement = fun _ -> 0) ~inputs 
   let max_cycles = Option.value max_cycles ~default:max_int in
   let interval = config.Engine.Config.tracing.Engine.Config.trace_interval in
   I.simulate ~config ~placement ~inputs p ~drive:(fun system injector finished ->
-      let comps = I.components ~links:(List.map (fun (l, _) -> I.Clink l) system.I.links) system in
+      let comps = I.components system in
       let run now = function
         | I.Clink l -> Link.cycle l ~now
         | I.Cwriter w -> Memory_unit.Writer.cycle w ~now
         | I.Cunit u -> Stencil_unit.cycle u ~now
         | I.Creader r -> Memory_unit.Reader.cycle r ~now
-        | I.Crx _ | I.Ctx _ -> false
       in
       let cycle = ref 0 and idle = ref 0 and samples = ref [] in
       while (not (finished ())) && !idle <= deadlock_window && !cycle < max_cycles do

@@ -8,7 +8,6 @@
    event-free minimal counterexample (Kahn networks deadlock on
    capacities, never on timing). *)
 module Engine = Sf_sim.Engine
-module Parallel = Sf_sim.Parallel
 module Fault_plan = Sf_sim.Fault_plan
 module Faults = Sf_sim.Faults
 module Delay_buffer = Sf_analysis.Delay_buffer
@@ -316,7 +315,7 @@ let test_summary_counts_active_cycles () =
     [ (3, 0); (4, 4); (8, 2); (20, 6) ] (starts "m0");
   Alcotest.(check int) "every renewal burst fired" 12 (List.length (starts "m1"))
 
-(* {2 Satellites: timeout budget, parallel degrade} *)
+(* {2 Satellites: timeout budget} *)
 
 let test_timeout_budget_echoed () =
   let p = Fixtures.diamond () in
@@ -329,27 +328,6 @@ let test_timeout_budget_echoed () =
       Alcotest.(check string) "timeout code" Diag.Code.sim_timeout d.Diag.code;
       Alcotest.(check bool) "budget echoed in a note" true
         (List.exists (String.starts_with ~prefix:"cycle budget: 50") d.Diag.notes)
-
-let test_parallel_degrades_under_injection () =
-  let p = Fixtures.chain ~shape:[ 6; 10 ] ~n:4 () in
-  let placement = function "f1" | "f2" -> 0 | _ -> 1 in
-  let par config =
-    {
-      config with
-      Engine.Config.parallelism = Engine.Config.parallelism ~mode:`Domains_per_device ();
-      Engine.Config.network = Engine.Config.network ~net_latency_cycles:16 ();
-    }
-  in
-  (match Parallel.decide ~config:(par quick) ~placement p with
-  | `Parallel _ -> ()
-  | `Degrade r | `Reject { Diag.message = r; _ } ->
-      Alcotest.failf "control config should run parallel: %s" r);
-  match Parallel.decide ~config:(par (with_plan quick Fault_plan.default)) ~placement p with
-  | `Degrade reason ->
-      Alcotest.(check bool) "reason mentions fault injection" true
-        (String.starts_with ~prefix:"fault injection" reason)
-  | `Parallel _ -> Alcotest.fail "injected run must degrade to the sequential engine"
-  | `Reject d -> Alcotest.failf "rejected: %s" (Diag.to_string d)
 
 (* {2 Random programs: analysed depths survive, minus-one does not} *)
 
@@ -400,8 +378,6 @@ let suite =
       test_shrink_to_empty_events;
     Alcotest.test_case "timeout: --max-cycles budget echoed in the diag" `Quick
       test_timeout_budget_echoed;
-    Alcotest.test_case "parallel: injection degrades to sequential" `Quick
-      test_parallel_degrades_under_injection;
     QCheck_alcotest.to_alcotest prop_analysed_depths_survive_faults;
     QCheck_alcotest.to_alcotest prop_tight_capacity_deadlocks;
     Alcotest.test_case "summary: perturbed cycles match a per-tick count" `Quick

@@ -278,23 +278,18 @@ let test_trace_sampling () =
       in
       Alcotest.(check bool) "skip edge fills" true (peak > 1)
 
-(* Window coverage: how many of a run's cycles the sequential engine's
-   one scheduler advanced in fast-forward windows, pinned on the quick
+(* Window coverage: how many of a run's cycles the engine's one
+   scheduler advanced in fast-forward windows, pinned on the quick
    shapes of the benchmark's chain-sim (one device) and pdes-2dev (two
    devices, one link of latency 128), so a change that keeps windows
-   from applying fails here and not only in the benchmark. Domain-
-   parallel runs are not pinned: their windows end at sync horizons
-   that depend on the neighbour's clock. *)
+   from applying fails here and not only in the benchmark. *)
 let windowed_cycles ~config ~placement p =
   let module I = Engine.Internal in
   let windowed = ref 0 in
   let outcome =
     I.simulate ~config ~placement ~inputs:(Interp.random_inputs p) p
       ~drive:(fun system injector finished ->
-        let s =
-          I.scheduler ~config ?injector ~finished ~controllers:system.I.mem_controllers system
-            (I.components ~links:(List.map (fun (l, _) -> I.Clink l) system.I.links) system)
-        in
+        let s = I.scheduler ~config ?injector ~finished system in
         s.I.advance ~limit:max_int;
         windowed := s.I.windowed ();
         (s.I.now (), s.I.deadlocked (), s.I.samples ()))

@@ -1,12 +1,8 @@
-(* The lock-free SPSC ring under the parallel engine's link transport.
-   Sequential tests pin the staging/publish contract; the QCheck model
-   checks an arbitrary produce/publish/consume interleaving against a
-   reference Queue; the cross-domain stress runs a real producer domain
-   against a consumer through a deliberately tiny ring, forcing it
-   across the full and empty boundaries thousands of times. *)
+(* The growable ring under each link port's words in flight. Sequential
+   tests pin capacity rounding, growth of a full ring and cursor
+   wraparound; the QCheck model checks an arbitrary produce/consume
+   sequence against a reference Queue. *)
 module Spsc = Sf_sim.Spsc
-
-(* {2 Staging and publication} *)
 
 let test_capacity_rounding () =
   let q = Spsc.create ~capacity:5 ~lanes:1 in
@@ -19,99 +15,71 @@ let test_capacity_rounding () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "lanes 0 must be rejected"
 
-let test_staged_invisible_until_publish () =
-  let q = Spsc.create ~capacity:4 ~lanes:2 in
-  let base = Spsc.try_produce q ~tag:7 ~release:42 in
-  Alcotest.(check bool) "staged" true (base >= 0);
-  (Spsc.values q).(base) <- 1.5;
-  (Spsc.values q).(base + 1) <- 2.5;
-  (Spsc.valid q).(base + 1) <- false;
-  Alcotest.(check int) "invisible before publish" (-1) (Spsc.front q);
-  Alcotest.(check bool) "is_empty sees published tail" true (Spsc.is_empty q);
-  Spsc.publish q;
-  let fbase = Spsc.front q in
-  Alcotest.(check bool) "visible after publish" true (fbase >= 0);
-  Alcotest.(check int) "tag" 7 (Spsc.front_tag q);
-  Alcotest.(check int) "release" 42 (Spsc.front_release q);
-  Alcotest.(check (float 0.)) "lane 0" 1.5 (Spsc.values q).(fbase);
-  Alcotest.(check (float 0.)) "lane 1" 2.5 (Spsc.values q).(fbase + 1);
-  Alcotest.(check bool) "valid lane" false (Spsc.valid q).(fbase + 1);
-  Spsc.consume q;
-  Alcotest.(check int) "empty again" (-1) (Spsc.front q)
-
+(* Fill the ring, drain two and refill two so the cursors wrap, then
+   produce into the full ring: it doubles and keeps the wrapped
+   elements, lanes included, in order. *)
 let test_full_and_wraparound () =
-  let q = Spsc.create ~capacity:4 ~lanes:1 in
+  let q = Spsc.create ~capacity:4 ~lanes:2 in
+  let push i =
+    let base = Spsc.produce q ~release:(3 * i) in
+    (Spsc.values q).(base) <- float_of_int i;
+    (Spsc.values q).(base + 1) <- float_of_int (-i);
+    (Spsc.valid q).(base + 1) <- i mod 3 = 0
+  in
+  let pop i =
+    let base = Spsc.front q in
+    Alcotest.(check (float 0.)) "lane 0" (float_of_int i) (Spsc.values q).(base);
+    Alcotest.(check (float 0.)) "lane 1" (float_of_int (-i)) (Spsc.values q).(base + 1);
+    Alcotest.(check bool) "valid lane" (i mod 3 = 0) (Spsc.valid q).(base + 1);
+    Alcotest.(check int) "release" (3 * i) (Spsc.front_release q);
+    Spsc.consume q
+  in
   for i = 0 to 3 do
-    let base = Spsc.try_produce q ~tag:i ~release:0 in
-    Alcotest.(check bool) (Printf.sprintf "slot %d" i) true (base >= 0);
-    (Spsc.values q).(base) <- float_of_int i
+    push i
   done;
-  Alcotest.(check int) "full" (-1) (Spsc.try_produce q ~tag:9 ~release:0);
-  Spsc.publish q;
-  Alcotest.(check int) "length" 4 (Spsc.length q);
-  (* Drain two, refill two: exercises the cached-head refresh and the
-     cursor wraparound. *)
-  for i = 0 to 1 do
-    Alcotest.(check (float 0.)) "fifo" (float_of_int i) (Spsc.values q).(Spsc.front q);
-    Spsc.consume q
+  Alcotest.(check int) "full" 4 (Spsc.length q);
+  Alcotest.(check int) "no growth while it fits" 4 (Spsc.capacity q);
+  pop 0;
+  pop 1;
+  push 4;
+  push 5;
+  Alcotest.(check int) "wrapped without growth" 4 (Spsc.capacity q);
+  Alcotest.(check int) "release_at sees the wrapped tail" 15 (Spsc.release_at q 3);
+  push 6;
+  Alcotest.(check int) "a full ring doubles" 8 (Spsc.capacity q);
+  Alcotest.(check int) "length" 5 (Spsc.length q);
+  for i = 2 to 6 do
+    pop i
   done;
-  for i = 4 to 5 do
-    let base = Spsc.try_produce q ~tag:i ~release:0 in
-    Alcotest.(check bool) "reuses freed slots" true (base >= 0);
-    (Spsc.values q).(base) <- float_of_int i
-  done;
-  Spsc.publish q;
-  for i = 2 to 5 do
-    Alcotest.(check (float 0.)) "wrapped fifo" (float_of_int i)
-      (Spsc.values q).(Spsc.front q);
-    Alcotest.(check int) "wrapped tag" i (Spsc.front_tag q);
-    Spsc.consume q
-  done;
+  Alcotest.(check int) "empty again" (-1) (Spsc.front q);
   match Spsc.consume q with
   | exception Failure _ -> ()
   | () -> Alcotest.fail "consume of empty must fail"
 
-(* {2 Model equivalence} *)
-
-(* One domain driving both sides: any produce/publish/consume sequence
-   must behave as a bounded FIFO with a visibility barrier — staged
-   elements join the model queue only at publish. *)
+(* Any produce/consume sequence behaves as an unbounded FIFO: growth
+   never loses, duplicates or reorders an element. *)
 let prop_queue_model =
-  QCheck.Test.make ~count:300 ~name:"spsc equals a staged bounded FIFO"
-    QCheck.(
-      pair (int_range 1 6)
-        (small_list (oneofl [ `Produce; `Publish; `Consume ])))
+  QCheck.Test.make ~count:300 ~name:"spsc equals an unbounded FIFO"
+    QCheck.(pair (int_range 1 6) (small_list (oneofl [ `Produce; `Consume ])))
     (fun (capacity, ops) ->
       let q = Spsc.create ~capacity ~lanes:1 in
-      let cap = Spsc.capacity q in
-      let staged = Queue.create () and published = Queue.create () in
+      let model = Queue.create () in
       let next = ref 0 in
       List.for_all
         (fun op ->
           match op with
           | `Produce ->
-              let base = Spsc.try_produce q ~tag:!next ~release:(2 * !next) in
-              if Queue.length staged + Queue.length published < cap then begin
-                if base < 0 then false
-                else begin
-                  (Spsc.values q).(base) <- float_of_int !next;
-                  Queue.push !next staged;
-                  incr next;
-                  true
-                end
-              end
-              else base = -1
-          | `Publish ->
-              Spsc.publish q;
-              Queue.transfer staged published;
-              true
+              let base = Spsc.produce q ~release:(2 * !next) in
+              (Spsc.values q).(base) <- float_of_int !next;
+              Queue.push !next model;
+              incr next;
+              Spsc.length q = Queue.length model
           | `Consume ->
-              if Queue.is_empty published then Spsc.front q = -1
+              if Queue.is_empty model then Spsc.front q = -1
               else begin
-                let expect = Queue.pop published in
+                let expect = Queue.pop model in
                 let base = Spsc.front q in
                 base >= 0
-                && Spsc.front_tag q = expect
                 && Spsc.front_release q = 2 * expect
                 && (Spsc.values q).(base) = float_of_int expect
                 && begin
@@ -121,82 +89,9 @@ let prop_queue_model =
               end)
         ops)
 
-(* {2 Cross-domain stress} *)
-
-(* A real producer domain races the consumer through a tiny ring. The
-   ring is far smaller than the element count, so both sides cross the
-   full/empty boundary (and therefore the cached-cursor refresh paths)
-   thousands of times; varying the publish batch length exercises
-   multi-element visibility windows. The consumer checks every element's
-   tag, release and lanes in order — any lost, duplicated, reordered or
-   torn element fails. Blocked sides yield to the OS rather than spin:
-   on a single-core host a pure spin burns a whole scheduler quantum per
-   boundary crossing. *)
-let yield () = Unix.sleepf 1e-4
-
-let test_two_domain_stress () =
-  let total = 10_000 in
-  let lanes = 2 in
-  let q = Spsc.create ~capacity:4 ~lanes in
-  let producer =
-    Domain.spawn (fun () ->
-        let sent = ref 0 in
-        let unpublished = ref 0 in
-        while !sent < total do
-          let base = Spsc.try_produce q ~tag:!sent ~release:(3 * !sent) in
-          if base < 0 then begin
-            (* Ring full: make staged work visible before yielding. *)
-            Spsc.publish q;
-            unpublished := 0;
-            yield ()
-          end
-          else begin
-            (Spsc.values q).(base) <- float_of_int !sent;
-            (Spsc.values q).(base + 1) <- float_of_int (- !sent);
-            (Spsc.valid q).(base + 1) <- !sent mod 3 = 0;
-            incr sent;
-            incr unpublished;
-            (* Batch lengths 1..3, deterministically varied. *)
-            if !unpublished > !sent mod 3 then begin
-              Spsc.publish q;
-              unpublished := 0
-            end
-          end
-        done;
-        Spsc.publish q)
-  in
-  let ok = ref true in
-  let received = ref 0 in
-  while !received < total do
-    let base = Spsc.front q in
-    if base < 0 then yield ()
-    else begin
-      let i = !received in
-      if
-        Spsc.front_tag q <> i
-        || Spsc.front_release q <> 3 * i
-        || (Spsc.values q).(base) <> float_of_int i
-        || (Spsc.values q).(base + 1) <> float_of_int (-i)
-        || (Spsc.valid q).(base + 1) <> (i mod 3 = 0)
-      then ok := false;
-      (* Restore the valid lane so a stale slot can't leak into a later
-         element's check. *)
-      (Spsc.valid q).(base + 1) <- true;
-      Spsc.consume q;
-      incr received
-    end
-  done;
-  Domain.join producer;
-  Alcotest.(check bool) "all elements in order and intact" true !ok;
-  Alcotest.(check int) "ring drained" (-1) (Spsc.front q)
-
 let suite =
   [
     Alcotest.test_case "capacity/lanes validation" `Quick test_capacity_rounding;
-    Alcotest.test_case "staged elements invisible until publish" `Quick
-      test_staged_invisible_until_publish;
     Alcotest.test_case "full detection and wraparound" `Quick test_full_and_wraparound;
     QCheck_alcotest.to_alcotest prop_queue_model;
-    Alcotest.test_case "two-domain stress through a tiny ring" `Quick
-      test_two_domain_stress;
   ]

@@ -175,14 +175,16 @@ let same_as_oracle ~config ?placement ~inputs p =
 (* The one scheduler against the oracle over random programs, always
    instrumented. Each draw also picks an occupancy sampling interval,
    a fault seed under [Fault_plan.default] and a cycle budget (some runs
-   time out), each or none; a two-device placement in half the draws,
-   over unlimited memory bandwidth in half of those (a finite one keeps
-   every window out) and 4 or 16 bytes per cycle in the rest; and the
-   link latency and byte budget a two-device placement runs over. The
-   generated words are 4 or 8 bytes, so a 4-byte budget keeps all but
-   a single one-lane port on the per-cycle path, while 16 and 33 let
-   links into windows. A run must complete unless its budget runs out,
-   and the same run with telemetry off must show the same signature. *)
+   time out), each or none; a placement over 2-4 devices in half the
+   draws, over unlimited memory bandwidth in half of those (a finite one
+   keeps every window out) and 4 or 16 bytes per cycle in the rest; and
+   the link latency and byte budget a multi-device placement runs over.
+   A zero latency delivers a word the cycle after its injection, like a
+   latency of one. The generated words are 4 or 8 bytes, so a 4-byte
+   budget keeps all but a single one-lane port on the per-cycle path,
+   while 16 and 33 let links into windows. A run must complete unless
+   its budget runs out, and the same run with telemetry off must show
+   the same signature. *)
 let prop_schedules_agree =
   let options =
     QCheck.(
@@ -192,15 +194,16 @@ let prop_schedules_agree =
            (option ~ratio:0.5 (int_range 1 10_000))
            (option ~ratio:0.2 (int_range 1 2_000))
            (option ~ratio:0.5
-              (frequencyl ~print:string_of_float [ (2, infinity); (1, 4.); (1, 16.) ])))
+              (pair (int_range 2 4)
+                 (frequencyl ~print:string_of_float [ (2, infinity); (1, 4.); (1, 16.) ]))))
         (pair
-           (oneofl ~print:string_of_int [ 1; 8; 128 ])
+           (oneofl ~print:string_of_int [ 0; 1; 8; 128 ])
            (oneofl ~print:string_of_float [ infinity; 4.; 16.; 33. ])))
   in
   QCheck.Test.make ~count:300 ~name:"random programs: fast-forward matches the oracle"
     (QCheck.pair Program_gen.arbitrary_adversarial_program options)
     (fun ( p,
-           ( (trace_interval, fault_seed, max_cycles, two_devices_at),
+           ( (trace_interval, fault_seed, max_cycles, multi_device),
              (net_latency_cycles, net_bytes_per_cycle) ) ) ->
       let config =
         {
@@ -211,11 +214,14 @@ let prop_schedules_agree =
             | Some seed -> Engine.Config.faults ~plan:Fault_plan.default ~seed ()
             | None -> Engine.Config.faults ());
           safety = Engine.Config.safety ?max_cycles ();
-          bandwidth = Engine.Config.bandwidth ?mem_bytes_per_cycle:two_devices_at ();
+          bandwidth =
+            Engine.Config.bandwidth ?mem_bytes_per_cycle:(Option.map snd multi_device) ();
           network = Engine.Config.network ~net_bytes_per_cycle ~net_latency_cycles ();
         }
       in
-      let placement = Option.map (fun _ name -> Hashtbl.hash name mod 2) two_devices_at in
+      let placement =
+        Option.map (fun (devices, _) name -> Hashtbl.hash name mod devices) multi_device
+      in
       let inputs = Interp.random_inputs p in
       let run config = Engine.run_exn ~config ?placement ~inputs p in
       let outcome = run config in
