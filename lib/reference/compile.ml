@@ -158,13 +158,6 @@ let resident data =
   let n = Array.length data in
   { data; cap = n; newest = n - 1; head = n - 1 }
 
-let push r src pos len =
-  for k = pos to pos + len - 1 do
-    r.newest <- r.newest + 1;
-    r.head <- (if r.head = r.cap - 1 then 0 else r.head + 1);
-    r.data.(r.head) <- src.(k)
-  done
-
 (* The lanes of one fill run along the program's innermost axis. [step]
    is 1 when the tap spans that axis (its last axis, stride 1), and 0
    when every lane reads the same element; the other axes are fixed
@@ -195,16 +188,24 @@ let tap src ~shape ~axes ~offsets ~boundary =
 
 (* Copy [len] stream elements, [e], [e + step], ... ([step] is 0 or 1),
    into [fr] from [dst]. Every element read must still be in the ring;
-   element [e] then sits [newest - e] places behind [head]. *)
+   element [e] then sits [newest - e] places behind [head]. A run is at
+   most two blits, split where it wraps the ring; a step-0 run stores one
+   element (a loop: [Array.fill] would box it). *)
 let[@inline] read_run r e step fr dst len =
   assert (e >= 0 && e > r.newest - r.cap && e + (step * (len - 1)) <= r.newest);
-  let i = ref (r.head - (r.newest - e)) in
-  if !i < 0 then i := !i + r.cap;
-  for l = 0 to len - 1 do
-    Array.unsafe_set fr (dst + l) r.data.(!i);
-    i := !i + step;
-    if !i = r.cap then i := 0
-  done
+  let i = r.head - (r.newest - e) in
+  let i = if i < 0 then i + r.cap else i in
+  if step = 0 then begin
+    let x = r.data.(i) in
+    for l = dst to dst + len - 1 do
+      set fr l x
+    done
+  end
+  else begin
+    let m = Int.min len (r.cap - i) in
+    Array.blit r.data i fr dst m;
+    if m < len then Array.blit r.data 0 fr (dst + m) (len - m)
+  end
 
 let fill_slot t ~idx ~lanes fr ~dst ~oob =
   let fixed = Array.length t.axes - t.step in
@@ -229,15 +230,13 @@ let fill_slot t ~idx ~lanes fr ~dst ~oob =
   if hi > lo then read_run t.src (!center + t.shift + (t.step * lo)) t.step fr (dst + lo) (hi - lo);
   (* The other lanes take the boundary value, and their cells are marked
      for shrink validity. *)
-  if lo > 0 || hi < lanes then
-    for l = 0 to lanes - 1 do
-      if l < lo || l >= hi then begin
-        oob.(l) <- true;
-        match t.boundary with
-        | Boundary.Constant c -> fr.(dst + l) <- c
-        | Boundary.Copy -> read_run t.src (!center + (t.step * l)) 0 fr (dst + l) 1
-      end
-    done
+  for k = 0 to lo + lanes - hi - 1 do
+    let l = if k < lo then k else hi + k - lo in
+    oob.(l) <- true;
+    match t.boundary with
+    | Boundary.Constant c -> fr.(dst + l) <- c
+    | Boundary.Copy -> read_run t.src (!center + (t.step * l)) 0 fr (dst + l) 1
+  done
 
 let fill taps ~idx ~lanes ~stride fr ~oob =
   if lanes > stride || Array.length taps * stride > Array.length fr || Array.length oob < lanes

@@ -52,12 +52,12 @@ val body : access:(field:string -> offsets:int list -> 'ctx -> float) -> Sf_ir.E
 type ring = { data : float array; cap : int; mutable newest : int; mutable head : int }
 (** The last [cap] elements of a row-major element stream, up to element
     [newest]: element [e] is at [data.(e mod cap)], and
-    [head = newest mod cap] ([-1] when empty). A stencil unit's input
-    window is a ring; so is a whole tensor ({!resident}). *)
+    [head = newest mod cap] ([-1] when empty), with [cap] the length of
+    [data]. A stencil unit's input window is a ring, which it appends a
+    run of words to with one ring copy and then advances [newest] and
+    [head]; a whole tensor is a ring too ({!resident}). *)
 
 val resident : float array -> ring
-val push : ring -> float array -> int -> int -> unit
-(** [push r src pos len] appends [src.(pos)] ... [src.(pos + len - 1)]. *)
 
 type tap
 (** A load slot resolved against its source: the program axes it spans
@@ -70,11 +70,13 @@ val tap :
 val fill :
   tap array -> idx:int array -> lanes:int -> stride:int -> float array -> oob:bool array -> unit
 (** Fill lanes [0, lanes) of each load slot [k], at [k * stride], from
-    [taps.(k)]. A lane whose access is out
-    of bounds in any axis takes the boundary value (for [Copy], the
-    source's element at the lane's own cell); [oob.(l)] is set to whether
-    any load of lane [l] was. Fails an assertion if a read element is not
-    in the ring. *)
+    [taps.(k)]. The in-bounds lanes of a slot are one run of the ring,
+    copied with at most two [Array.blit]s (split where the run wraps the
+    ring), or one repeated element when the tap does not span the
+    innermost axis. A lane whose access is out of bounds in any axis
+    takes the boundary value (for [Copy], the source's element at the
+    lane's own cell); [oob.(l)] is set to whether any load of lane [l]
+    was. Fails an assertion if a read element is not in the ring. *)
 
 val advance : shape:int array -> int array -> int -> int -> unit
 (** [advance ~shape idx d inc] adds [inc] to [idx.(d)], carrying into

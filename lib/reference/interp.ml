@@ -63,10 +63,16 @@ let rec eval_expr ~lookup ~env expr =
 let input_extent (p : Program.t) (f : Field.t) =
   match Field.extent f ~shape:p.Program.shape with [] -> [ 1 ] | extent -> extent
 
-let run_all (p : Program.t) ~inputs =
+(* Evaluate every stage in topological order. With [free], a stage that
+   is not an output is dropped once its last consumer has run (at once
+   if nothing reads it), and its data and validity arrays are reused by
+   a later stage, so memory follows the DAG's live width; the results
+   are then the outputs only. *)
+let evaluate (p : Program.t) ~inputs ~free =
   Program.validate_exn p;
   let shape = Array.of_list p.Program.shape in
   let rank = Program.rank p in
+  let cells = Program.cells p in
   let store : (string, Tensor.t) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun f ->
@@ -81,13 +87,39 @@ let run_all (p : Program.t) ~inputs =
               (Sf_support.Util.string_concat_map "," string_of_int extent);
           Hashtbl.replace store f.Field.name { t with Tensor.extent })
     p.Program.inputs;
+  let stages =
+    List.map (fun s -> (s, Compile.lower s.Stencil.body)) (Program.topological_stencils p)
+  in
+  (* The position of each field's last consumer. *)
+  let last_use : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  List.iteri
+    (fun i (_, prog) -> Array.iter (fun (f, _) -> Hashtbl.replace last_use f i) (Compile.loads prog))
+    stages;
+  let is_output name = List.exists (String.equal name) p.Program.outputs in
+  let live : (string, result) Hashtbl.t = Hashtbl.create 16 in
+  let pool = ref [] in
+  let release i name =
+    match Hashtbl.find_opt live name with
+    | Some r
+      when (not (is_output name))
+           && Option.value (Hashtbl.find_opt last_use name) ~default:(-1) <= i ->
+        Hashtbl.remove live name;
+        Hashtbl.remove store name;
+        pool := r :: !pool
+    | Some _ | None -> ()
+  in
   (* One dispatch of the compiled body per innermost-axis row (a valid
      program has 1-3 axes): the row's cells are the lanes. *)
   let lanes = shape.(rank - 1) in
-  let eval_stencil (s : Stencil.t) =
-    let out = Tensor.create p.Program.shape in
-    let valid = Array.make (Program.cells p) true in
-    let prog = Compile.lower s.Stencil.body in
+  let eval_stencil i ((s : Stencil.t), prog) =
+    (* Every cell of a reused tensor is overwritten below. *)
+    let out, valid =
+      match !pool with
+      | r :: rest ->
+          pool := rest;
+          (r.tensor, r.valid)
+      | [] -> (Tensor.create p.Program.shape, Array.make cells true)
+    in
     let taps =
       Array.map
         (fun (field, offsets) ->
@@ -105,23 +137,32 @@ let run_all (p : Program.t) ~inputs =
     let result = Compile.result_slot prog * lanes in
     let oob = Array.make lanes false in
     let idx = Array.make rank 0 in
-    for row = 0 to (Program.cells p / lanes) - 1 do
+    for row = 0 to (cells / lanes) - 1 do
       Compile.fill taps ~idx ~lanes ~stride:lanes frame ~oob;
       Compile.exec prog ~lanes frame;
       Array.blit frame result out.Tensor.data (row * lanes) lanes;
-      for l = 0 to lanes - 1 do
-        valid.((row * lanes) + l) <- not (s.Stencil.shrink && oob.(l))
-      done;
+      if s.Stencil.shrink then
+        for l = 0 to lanes - 1 do
+          valid.((row * lanes) + l) <- not oob.(l)
+        done
+      else Array.fill valid (row * lanes) lanes true;
       Compile.advance ~shape idx (rank - 2) 1
     done;
     Hashtbl.replace store s.Stencil.name out;
-    (s.Stencil.name, { tensor = out; valid })
+    Hashtbl.replace live s.Stencil.name { tensor = out; valid };
+    if free then begin
+      Array.iter (fun (field, _) -> release i field) (Compile.loads prog);
+      release i s.Stencil.name
+    end
   in
-  List.map eval_stencil (Program.topological_stencils p)
+  List.iteri eval_stencil stages;
+  List.filter_map
+    (fun ((s : Stencil.t), _) ->
+      Option.map (fun r -> (s.Stencil.name, r)) (Hashtbl.find_opt live s.Stencil.name))
+    stages
 
-let run p ~inputs =
-  let all = run_all p ~inputs in
-  List.filter (fun (name, _) -> List.exists (String.equal name) p.Program.outputs) all
+let run_all p ~inputs = evaluate p ~inputs ~free:false
+let run p ~inputs = evaluate p ~inputs ~free:true
 
 let random_inputs ?(seed = 42) (p : Program.t) =
   let state = Random.State.make [| seed |] in

@@ -32,10 +32,15 @@ val eval_expr :
 
 val run_all : Sf_ir.Program.t -> inputs:(string * Tensor.t) list -> (string * result) list
 (** Execute every stencil; returns results for all stencils in topological
-    order. Raises {!Runtime_error} on missing or mis-shaped inputs. *)
+    order, so every stage's tensor stays alive until the call returns.
+    Raises {!Runtime_error} on missing or mis-shaped inputs. *)
 
 val run : Sf_ir.Program.t -> inputs:(string * Tensor.t) list -> (string * result) list
-(** Like {!run_all} but restricted to the program's declared outputs. *)
+(** Like {!run_all} but restricted to the program's declared outputs, with
+    bit-identical results. A stage that is not an output is freed as soon
+    as its last consumer (in topological order) has run, and a later stage
+    reuses its data and validity arrays, so memory follows the DAG's live
+    width rather than its length. *)
 
 val random_inputs : ?seed:int -> Sf_ir.Program.t -> (string * Tensor.t) list
 (** Deterministic pseudo-random input data in [-1, 1] for every declared

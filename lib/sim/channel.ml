@@ -49,23 +49,27 @@ let set_hooks t ~on_push ~on_pop =
   t.on_push <- on_push;
   t.on_pop <- on_pop
 
-let append t =
+(* Append [n] slots (the last [n] of the ring) and return the base of the
+   first: one occupancy and counter update and one hook call. *)
+let append t n =
   let tail = t.head + t.count in
   let tail = if tail >= t.slots then tail - t.slots else tail in
-  t.count <- t.count + 1;
-  t.total_pushed <- t.total_pushed + 1;
-  t.on_push ();
+  t.count <- t.count + n;
+  t.total_pushed <- t.total_pushed + n;
+  if n > 0 then t.on_push ();
   tail * t.width
 
-let push_slot t =
-  if t.count = t.capacity then failwith (Printf.sprintf "Channel.push: %s is full" t.name);
-  if t.count >= t.high_water then t.high_water <- t.count + 1;
-  append t
+let push_slots t n =
+  if t.count + n > t.capacity then failwith (Printf.sprintf "Channel.push: %s is full" t.name);
+  if t.count + n > t.high_water then t.high_water <- t.count + n;
+  append t n
 
-let push_chunk_slot t =
-  if t.count = t.slots then
+let push_slot t = push_slots t 1
+
+let push_run t n =
+  if t.count + n > t.slots then
     failwith (Printf.sprintf "Channel.push: %s is full past its chunk slack" t.name);
-  append t
+  append t n
 
 let settle_high_water ?(ahead = 0) t =
   if t.count + ahead > t.high_water then t.high_water <- t.count + ahead
@@ -74,12 +78,47 @@ let front_slot t =
   if t.count = 0 then failwith (Printf.sprintf "Channel.pop: %s is empty" t.name);
   t.head * t.width
 
-let drop t =
-  if t.count = 0 then failwith (Printf.sprintf "Channel.pop: %s is empty" t.name);
-  t.head <- (if t.head + 1 >= t.slots then 0 else t.head + 1);
-  t.count <- t.count - 1;
-  t.total_popped <- t.total_popped + 1;
-  t.on_pop ()
+let drop_run t n =
+  if n > t.count then failwith (Printf.sprintf "Channel.pop: %s is empty" t.name);
+  let head = t.head + n in
+  t.head <- (if head >= t.slots then head - t.slots else head);
+  t.count <- t.count - n;
+  t.total_popped <- t.total_popped + n;
+  if n > 0 then t.on_pop ()
+
+let drop t = drop_run t 1
+
+(* Copy [len] elements of ring [src] from [s] to ring [dst] from [d]. Each
+   ring is its whole array and wraps at its end, and [len] fits in both,
+   so this is at most three segments: up to the nearer wrap, up to the
+   farther one, and the rest. *)
+let rec ring_copy seg src s dst d len =
+  if len > 0 then begin
+    let sn = Array.length src and dn = Array.length dst in
+    if len > Int.min sn dn then invalid_arg "Channel.Unsafe: the run does not fit its rings";
+    let m = Int.min len (Int.min (sn - s) (dn - d)) in
+    seg src s dst d m;
+    ring_copy seg src (if s + m = sn then 0 else s + m) dst (if d + m = dn then 0 else d + m)
+      (len - m)
+  end
+
+(* Array.blit would store each bool through the write barrier. *)
+let copy_bools (src : bool array) s (dst : bool array) d m =
+  for i = 0 to m - 1 do
+    Array.unsafe_set dst (d + i) (Array.unsafe_get src (s + i))
+  done
+
+let blit_values src s dst d len = ring_copy Array.blit src s dst d len
+let blit_valid src s dst d len = ring_copy copy_bools src s dst d len
+
+let fill_valid (dst : bool array) d len =
+  let m = Int.min len (Array.length dst - d) in
+  for i = d to d + m - 1 do
+    Array.unsafe_set dst i true
+  done;
+  for i = 0 to len - m - 1 do
+    Array.unsafe_set dst i true
+  done
 
 let push t word =
   if Word.width word <> t.width then
@@ -114,7 +153,12 @@ module Unsafe = struct
   let buf_values t = t.values
   let buf_valid t = t.valid
   let push_slot = push_slot
-  let push_chunk_slot = push_chunk_slot
+  let push_slots = push_slots
+  let push_run = push_run
   let settle_high_water = settle_high_water
   let front_slot = front_slot
+  let drop_run = drop_run
+  let blit_values = blit_values
+  let blit_valid = blit_valid
+  let fill_valid = fill_valid
 end

@@ -60,10 +60,17 @@ module Unsafe : sig
       offset. Updates occupancy, the push counter and the high-water
       mark, and fires the push hook. Raises [Failure] when full. *)
 
-  val push_chunk_slot : t -> int
-  (** As {!push_slot} for the fast-forward path: may fill the [chunk]
-      slots past the capacity, raising [Failure] only when those are
-      full too, and leaves the high-water mark to
+  val push_slots : t -> int -> int
+  (** [push_slots t n] appends [n] consecutive slots and returns the base
+      offset of the first; the caller fills [n * width] lanes from there,
+      wrapping at the end of the buffers (see {!blit_values}). As
+      {!push_slot} for [n] slots, with one push hook call: raises
+      [Failure] past the capacity. *)
+
+  val push_run : t -> int -> int
+  (** As {!push_slots} for the fast-forward path: may fill the [chunk]
+      slots past the capacity, raising [Failure] only past
+      [capacity + chunk], and leaves the high-water mark to
       {!settle_high_water}. *)
 
   val settle_high_water : ?ahead:int -> t -> unit
@@ -77,6 +84,31 @@ module Unsafe : sig
 
   val front_slot : t -> int
   (** Base offset of the oldest slot. Raises [Failure] when empty. *)
+
+  val drop_run : t -> int -> unit
+  (** [drop_run t n] discards the [n] oldest slots, read in place from
+      {!front_slot} on, with one pop hook call. Raises [Failure] when
+      fewer are held. *)
+
+  (** {3 Ring copies}
+
+      The movers between rings: a channel's buffers, a link's
+      {!Spsc} rings, a stencil unit's window and pending line, or a flat
+      array read from one position without wrapping. A ring is its whole
+      array and wraps at its end; a run of [len] elements must fit in
+      both rings. *)
+
+  val blit_values : float array -> int -> float array -> int -> int -> unit
+  (** [blit_values src s dst d len] copies [len] elements from [src] at
+      [s] to [dst] at [d], wrapping each at its end: at most three
+      [Array.blit]s. *)
+
+  val blit_valid : bool array -> int -> bool array -> int -> int -> unit
+  (** As {!blit_values} for validity flags. *)
+
+  val fill_valid : bool array -> int -> int -> unit
+  (** [fill_valid dst d len] marks [len] elements of the ring [dst] valid
+      from [d] on. *)
 end
 
 val set_hooks : t -> on_push:(unit -> unit) -> on_pop:(unit -> unit) -> unit

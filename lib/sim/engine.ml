@@ -474,15 +474,14 @@ let compare_to_reference ~inputs (p : Program.t) stats =
               mismatch "output %s: validity masks differ" name
             else begin
               let worst = ref 0. in
-              Array.iteri
-                (fun i v ->
-                  if expected.Interp.valid.(i) then begin
-                    let d =
-                      Float.abs (v -. Tensor.get_flat expected.Interp.tensor i)
-                    in
-                    if d > !worst then worst := d
-                  end)
-                simulated.Interp.tensor.Tensor.data;
+              let got = simulated.Interp.tensor.Tensor.data
+              and want = expected.Interp.tensor.Tensor.data in
+              for i = 0 to Array.length got - 1 do
+                if expected.Interp.valid.(i) then begin
+                  let d = Float.abs (got.(i) -. want.(i)) in
+                  if d > !worst then worst := d
+                end
+              done;
               if !worst > 1e-9 then
                 mismatch "output %s: max deviation %g from reference" name !worst
               else check rest

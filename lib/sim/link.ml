@@ -50,38 +50,32 @@ let add_port t ~src ~dst ~word_bytes =
 (* Release cycle of the oldest word in flight, or [max_int]. *)
 let head_release p = if Spsc.front p.ring >= 0 then Spsc.front_release p.ring else max_int
 
-(* Move the head word of [p]'s ring into a slot [push_slot] appends. *)
-let move_head p push_slot =
-  let src = Spsc.front p.ring and dst = push_slot p.dst in
-  let values = Channel.Unsafe.buf_values p.dst and valid = Channel.Unsafe.buf_valid p.dst in
-  for lane = 0 to Channel.width p.dst - 1 do
-    values.(dst + lane) <- (Spsc.values p.ring).(src + lane);
-    valid.(dst + lane) <- (Spsc.valid p.ring).(src + lane)
-  done;
-  Spsc.consume p.ring
+(* Move the [n] head words of [p]'s ring into slots [push] appends. *)
+let move_heads p n push =
+  let src = Spsc.front p.ring and dst = push p.dst n and len = n * Channel.width p.dst in
+  Channel.Unsafe.blit_values (Spsc.values p.ring) src (Channel.Unsafe.buf_values p.dst) dst len;
+  Channel.Unsafe.blit_valid (Spsc.valid p.ring) src (Channel.Unsafe.buf_valid p.dst) dst len;
+  Spsc.consume p.ring n
 
 let deliver t ~now =
   let progress = ref false in
   for i = 0 to Array.length t.ports - 1 do
     let p = t.ports.(i) in
     if head_release p <= now && not (Channel.is_full p.dst) then begin
-      move_head p Channel.Unsafe.push_slot;
+      move_heads p 1 Channel.Unsafe.push_slots;
       progress := true
     end
   done;
   !progress
 
-(* Move the front word of [p]'s source into its ring, released at
-   [release]. *)
-let move_front p ~release =
-  let dst = Spsc.produce p.ring ~release in
+(* Move the [n] front words of [p]'s source into its ring, word [r]
+   released at [release + r]. *)
+let move_fronts p n ~release =
+  let dst = Spsc.produce p.ring ~release n and len = n * Channel.width p.src in
   let src = Channel.Unsafe.front_slot p.src in
-  let values = Channel.Unsafe.buf_values p.src and valid = Channel.Unsafe.buf_valid p.src in
-  for lane = 0 to Channel.width p.src - 1 do
-    (Spsc.values p.ring).(dst + lane) <- values.(src + lane);
-    (Spsc.valid p.ring).(dst + lane) <- valid.(src + lane)
-  done;
-  Channel.drop p.src
+  Channel.Unsafe.blit_values (Channel.Unsafe.buf_values p.src) src (Spsc.values p.ring) dst len;
+  Channel.Unsafe.blit_valid (Channel.Unsafe.buf_valid p.src) src (Spsc.valid p.ring) dst len;
+  Channel.Unsafe.drop_run p.src n
 
 let inject t ~now =
   Controller.begin_cycle t.controller ~now;
@@ -93,7 +87,7 @@ let inject t ~now =
   for i = 0 to Array.length t.ports - 1 do
     let p = t.ports.(i) in
     if (not (Channel.is_empty p.src)) && Controller.request t.controller p.word_bytes then begin
-      move_front p ~release;
+      move_fronts p 1 ~release;
       progress := true
     end
   done;
@@ -212,24 +206,12 @@ let fit t ~now k =
   Controller.sustains t.controller ~now ~cycles:!k t.plan_requests
 
 let run_deliver t n =
-  Array.iter
-    (fun p ->
-      if p.delivers then
-        for _ = 1 to n do
-          move_head p Channel.Unsafe.push_chunk_slot
-        done)
-    t.ports
+  Array.iter (fun p -> if p.delivers then move_heads p n Channel.Unsafe.push_run) t.ports
 
 let run_inject t ~now n =
   Controller.grant_rounds t.controller ~now ~cycles:n t.plan_requests;
   let release = now + t.latency_cycles + t.extra_latency in
-  Array.iter
-    (fun p ->
-      if p.injects then
-        for r = 0 to n - 1 do
-          move_front p ~release:(release + r)
-        done)
-    t.ports
+  Array.iter (fun p -> if p.injects then move_fronts p n ~release) t.ports
 
 let name t = t.name
 let bytes_transferred t = Controller.bytes_granted t.controller

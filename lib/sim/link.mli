@@ -81,13 +81,14 @@ val fit : t -> now:int -> int -> int
     matured and the bandwidth budget grants every injecting port. *)
 
 val run_deliver : t -> int -> unit
-(** [n] cycles of the planned deliveries, as one chunk: destination
-    slots are appended past their capacity and the engine settles the
-    high-water marks. *)
+(** [n] cycles of the planned deliveries, as one chunk of one run per
+    port: destination slots are appended past their capacity and the
+    engine settles the high-water marks. *)
 
 val run_inject : t -> now:int -> int -> unit
 (** [n] cycles of the planned injections from cycle [now], as one
-    chunk, with the bandwidth budget granted in bulk. *)
+    chunk of one run per port (word [r] released [r] cycles after the
+    first), with the bandwidth budget granted in bulk. *)
 
 (** {2 Fault-injection hooks ({!Fault_plan})} *)
 

@@ -36,21 +36,18 @@ module Reader = struct
   let output_channels t = Array.to_list t.outputs
   let word_bytes t = t.vector_width * t.element_bytes
 
-  (* Multicast the next word in place: one fresh slot per output, lanes
-     copied straight from the backing tensor. *)
-  let emit t push_slot =
-    let base_flat = t.pos * t.vector_width in
+  (* Multicast the next [n] words in place: [n] fresh slots per output,
+     lanes copied straight from the backing tensor. *)
+  let emit t n push =
+    let base_flat = t.pos * t.vector_width and len = n * t.vector_width in
     for i = 0 to Array.length t.outputs - 1 do
       let c = t.outputs.(i) in
-      let base = push_slot c in
-      let values = Channel.Unsafe.buf_values c in
-      let valid = Channel.Unsafe.buf_valid c in
-      for lane = 0 to t.vector_width - 1 do
-        values.(base + lane) <- Tensor.get_flat t.tensor (base_flat + lane);
-        valid.(base + lane) <- true
-      done
+      let base = push c n in
+      Channel.Unsafe.blit_values t.tensor.Tensor.data base_flat (Channel.Unsafe.buf_values c) base
+        len;
+      Channel.Unsafe.fill_valid (Channel.Unsafe.buf_valid c) base len
     done;
-    t.pos <- t.pos + 1
+    t.pos <- t.pos + n
 
   (* The consumer channels exerting backpressure, none when done. *)
   let full_outputs t =
@@ -75,7 +72,7 @@ module Reader = struct
           | Some p -> Telemetry.stall p ~now Telemetry.Bandwidth_denied);
           false
       | [] ->
-          emit t Channel.Unsafe.push_slot;
+          emit t 1 Channel.Unsafe.push_slots;
           (match t.probe with None -> () | Some p -> Telemetry.busy p ~now ~cycles:1);
           true
 
@@ -84,9 +81,7 @@ module Reader = struct
      is unlimited. *)
   let run_fast t n =
     Controller.account t.controller (n * t.vector_width * t.element_bytes);
-    for _ = 1 to n do
-      emit t Channel.Unsafe.push_chunk_slot
-    done
+    emit t n Channel.Unsafe.push_run
 end
 
 module Writer = struct
@@ -145,23 +140,23 @@ module Writer = struct
     done;
     !n
 
-  (* Commit the input's front word to the output tensor in place. *)
-  let commit t =
-    let base = Channel.Unsafe.front_slot t.input in
+  (* Commit the input's [n] front words to the output tensor in place. *)
+  let commit t n =
     let values = Channel.Unsafe.buf_values t.input in
     let valid = Channel.Unsafe.buf_valid t.input in
-    let committed = ref 0 in
-    for lane = 0 to t.vector_width - 1 do
-      let idx = (t.pos * t.vector_width) + lane in
-      if valid.(base + lane) then begin
-        Tensor.set_flat t.tensor idx values.(base + lane);
+    let slot = ref (Channel.Unsafe.front_slot t.input) and committed = ref 0 in
+    for idx = t.pos * t.vector_width to ((t.pos + n) * t.vector_width) - 1 do
+      if valid.(!slot) then begin
+        t.tensor.Tensor.data.(idx) <- values.(!slot);
         incr committed
       end
-      else t.valid.(idx) <- false
+      else t.valid.(idx) <- false;
+      incr slot;
+      if !slot = Array.length values then slot := 0
     done;
     t.bytes_committed <- t.bytes_committed + (!committed * t.element_bytes);
-    Channel.drop t.input;
-    t.pos <- t.pos + 1;
+    Channel.Unsafe.drop_run t.input n;
+    t.pos <- t.pos + n;
     if t.pos >= t.n_words then t.on_done ()
 
   let set_blocked t v = t.blocked <- v
@@ -195,19 +190,19 @@ module Writer = struct
         false
       end
       else begin
-        commit t;
+        commit t 1;
         (match t.probe with None -> () | Some p -> Telemetry.busy p ~now ~cycles:1);
         true
       end
     end
 
   (* [n] unchecked cycles for the fast-forward path (input known to
-     hold [n] words, controller known unlimited). *)
+     hold [n] words, controller known unlimited). Only valid lanes
+     consume bandwidth, as in [cycle]. *)
   let run_fast t n =
-    for _ = 1 to n do
-      Controller.account t.controller (front_valid_count t * t.element_bytes);
-      commit t
-    done
+    let before = t.bytes_committed in
+    commit t n;
+    Controller.account t.controller (t.bytes_committed - before)
 
   let result t = { Sf_reference.Interp.tensor = t.tensor; valid = t.valid }
 

@@ -33,9 +33,9 @@ module Reader : sig
 
   val run_fast : t -> int -> unit
   (** [run_fast t n] streams [n] words unchecked, for the engine's
-      fast-forward path: requires room for them in every output (up to
-      {!Channel.chunk} past the capacity) and the controller to be
-      {!Controller.is_unlimited}. *)
+      fast-forward path, with one ring copy per output: requires room
+      for them in every output (up to {!Channel.chunk} past the
+      capacity) and the controller to be {!Controller.is_unlimited}. *)
 
   val full_outputs : t -> string list
   (** The consumer channels exerting backpressure, in order; [\[\]]
@@ -80,7 +80,8 @@ module Writer : sig
 
   val run_fast : t -> int -> unit
   (** [run_fast t n] commits [n] words unchecked, for the engine's
-      fast-forward path: requires [n] words in the input and an
+      fast-forward path, in one loop with one bandwidth account:
+      requires [n] words in the input and an
       {!Controller.is_unlimited} controller. *)
 
   val result : t -> Sf_reference.Interp.result

@@ -50,17 +50,21 @@ let grow t =
   t.head <- 0;
   t.tail <- n
 
-let produce t ~release =
-  if length t > t.mask then grow t;
-  let slot = t.tail land t.mask in
-  t.releases.(slot) <- release;
-  t.tail <- t.tail + 1;
-  slot * t.lanes
+let produce t ~release n =
+  while length t + n > t.mask + 1 do
+    grow t
+  done;
+  for r = 0 to n - 1 do
+    t.releases.((t.tail + r) land t.mask) <- release + r
+  done;
+  let base = (t.tail land t.mask) * t.lanes in
+  t.tail <- t.tail + n;
+  base
 
 let front t = if t.head = t.tail then -1 else (t.head land t.mask) * t.lanes
 let front_release t = t.releases.(t.head land t.mask)
 let release_at t j = t.releases.((t.head + j) land t.mask)
 
-let consume t =
-  if t.head = t.tail then failwith "Spsc.consume: empty";
-  t.head <- t.head + 1
+let consume t n =
+  if n > length t then failwith "Spsc.consume: empty";
+  t.head <- t.head + n

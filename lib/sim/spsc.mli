@@ -4,11 +4,11 @@
     produces a word when it injects it and consumes it when it delivers
     it. An element is an unboxed release cycle in a flat [int array]
     ring plus [lanes] word lanes in flat [float array]/[bool array]
-    rings, written and read in place through the same
-    structure-of-arrays idiom as {!Channel.Unsafe}, so nothing here
-    allocates per word. A full ring doubles its capacity on the next
-    {!produce}: a full destination can hold words back for arbitrarily
-    long. *)
+    rings, written and read in place a run of elements at a time
+    through the same structure-of-arrays idiom as {!Channel.Unsafe}, so
+    nothing here allocates per word. A full ring doubles its capacity on
+    the next {!produce}: a full destination can hold words back for
+    arbitrarily long. *)
 
 type t
 
@@ -22,10 +22,12 @@ val capacity : t -> int
 
 val lanes : t -> int
 
-val produce : t -> release:int -> int
-(** Append one element, growing the ring when it is full, and return
-    the base offset of its lanes in {!values}/{!valid} (lane [l] lives
-    at [base + l]) for the caller to fill. *)
+val produce : t -> release:int -> int -> int
+(** [produce t ~release n] appends [n] elements, growing the ring until
+    they fit, element [r] released at [release + r], and returns the base
+    offset of the first one's lanes in {!values}/{!valid} (lane [l] of
+    element [r] lives at [base + r * lanes + l], wrapping at the end of
+    the arrays) for the caller to fill. *)
 
 val values : t -> float array
 val valid : t -> bool array
@@ -47,6 +49,6 @@ val release_at : t -> int -> int
 (** [release_at t j] is the release of the [j]-th oldest element
     ([0] is {!front_release}); [j] must be below {!length}. *)
 
-val consume : t -> unit
-(** Drop the oldest element. The caller must have finished reading its
-    lanes. Raises [Failure] when empty. *)
+val consume : t -> int -> unit
+(** [consume t n] drops the [n] oldest elements. The caller must have
+    finished reading their lanes. Raises [Failure] when fewer are held. *)

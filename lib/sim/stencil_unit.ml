@@ -189,35 +189,40 @@ let compute t ~now n =
     let lanes = Int.min ((n - !r) * t.w) (t.shape.(last) - t.idx.(last)) in
     Compile.fill t.taps ~idx:t.idx ~lanes ~stride t.frame ~oob:t.oob;
     Compile.exec t.prog ~lanes t.frame;
+    let tail = t.pend_head + t.pend_count in
+    let tail = if tail >= t.pend_cap then tail - t.pend_cap else tail in
+    Channel.Unsafe.blit_values t.frame t.result t.pend_values (tail * t.w) lanes;
+    if t.shrink then begin
+      let d = ref (tail * t.w) in
+      for l = 0 to lanes - 1 do
+        t.pend_valid.(!d) <- not t.oob.(l);
+        incr d;
+        if !d = Array.length t.pend_valid then d := 0
+      done
+    end
+    else Channel.Unsafe.fill_valid t.pend_valid (tail * t.w) lanes;
     for j = 0 to (lanes / t.w) - 1 do
-      let tail = t.pend_head + t.pend_count in
-      let tail = if tail >= t.pend_cap then tail - t.pend_cap else tail in
-      for lane = 0 to t.w - 1 do
-        t.pend_values.((tail * t.w) + lane) <- t.frame.(t.result + (j * t.w) + lane);
-        t.pend_valid.((tail * t.w) + lane) <- not (t.shrink && t.oob.((j * t.w) + lane))
-      done;
-      t.pend_release.(tail) <- now + !r + t.compute_cycles;
-      t.pend_count <- t.pend_count + 1;
-      incr r
+      let slot = if tail + j >= t.pend_cap then tail + j - t.pend_cap else tail + j in
+      t.pend_release.(slot) <- now + !r + j + t.compute_cycles
     done;
+    t.pend_count <- t.pend_count + (lanes / t.w);
+    r := !r + (lanes / t.w);
     Compile.advance ~shape:t.shape t.idx last lanes
   done
 
-(* Emit the pending head: copy its lanes into a fresh slot of every
-   output channel, in place. *)
-let emit_head t push_slot =
-  let vbase = t.pend_head * t.w in
+(* Emit the [n] pending heads: copy their lanes into [n] slots [push]
+   appends to every output, in place. *)
+let emit_heads t n push =
+  let vbase = t.pend_head * t.w and len = n * t.w in
   for i = 0 to Array.length t.outputs - 1 do
     let c = t.outputs.(i) in
-    let base = push_slot c in
-    let values = Channel.Unsafe.buf_values c and valid = Channel.Unsafe.buf_valid c in
-    for lane = 0 to t.w - 1 do
-      values.(base + lane) <- t.pend_values.(vbase + lane);
-      valid.(base + lane) <- t.pend_valid.(vbase + lane)
-    done
+    let base = push c n in
+    Channel.Unsafe.blit_values t.pend_values vbase (Channel.Unsafe.buf_values c) base len;
+    Channel.Unsafe.blit_valid t.pend_valid vbase (Channel.Unsafe.buf_valid c) base len
   done;
-  t.pend_head <- (if t.pend_head + 1 = t.pend_cap then 0 else t.pend_head + 1);
-  t.pend_count <- t.pend_count - 1
+  let head = t.pend_head + n in
+  t.pend_head <- (if head >= t.pend_cap then head - t.pend_cap else head);
+  t.pend_count <- t.pend_count - n
 
 let outputs_have_space t =
   let ok = ref true in
@@ -231,23 +236,26 @@ let try_flush t ~now =
   else if t.pend_release.(t.pend_head) > now then false
   else if not (outputs_have_space t) then false
   else begin
-    emit_head t Channel.Unsafe.push_slot;
+    emit_heads t 1 Channel.Unsafe.push_slots;
     true
   end
 
-(* Take [n] pipeline steps: per step, shift one word of every consuming
-   input into its window, lane by lane; past initialization, compute the
-   steps' words. The consuming set and the phase hold for all [n]. *)
+(* Take [n] pipeline steps: shift [n] words of every consuming input
+   into its window, one ring copy per input; past initialization,
+   compute the steps' words. The consuming set and the phase hold for
+   all [n]. *)
 let take_steps t ~now n =
   for k = 0 to Array.length t.inputs - 1 do
     let i = t.inputs.(k) in
     match (i.channel, i.window) with
     | Some c, Some win when consuming_active t i ->
-        let values = Channel.Unsafe.buf_values c in
-        for _ = 1 to n do
-          Compile.push win values (Channel.Unsafe.front_slot c) t.w;
-          Channel.drop c
-        done
+        let len = n * t.w in
+        let head = if win.Compile.head + 1 = win.cap then 0 else win.head + 1 in
+        Channel.Unsafe.blit_values (Channel.Unsafe.buf_values c) (Channel.Unsafe.front_slot c)
+          win.data head len;
+        win.newest <- win.newest + len;
+        win.head <- (head + len - 1) mod win.cap;
+        Channel.Unsafe.drop_run c n
     | _ -> ()
   done;
   if t.step >= t.init_max then compute t ~now n;
@@ -378,7 +386,4 @@ let plan_pops t k = t.plan_step && consuming_active t t.inputs.(k)
    cycle. *)
 let run_planned t ~now n =
   if t.plan_step then take_steps t ~now n;
-  if t.plan_flush then
-    for _ = 1 to n do
-      emit_head t Channel.Unsafe.push_chunk_slot
-    done
+  if t.plan_flush then emit_heads t n Channel.Unsafe.push_run

@@ -89,9 +89,10 @@ val plan_pops : t -> int -> bool
 
 val run_planned : t -> now:int -> int -> unit
 (** [run_planned t ~now n] executes cycles [now] to [now + n - 1] of the
-    plan as one chunk, without re-checking feasibility: [n] steps, their
-    words evaluated one row segment per dispatch, then [n] flushes.
-    Requires [n <= Channel.chunk]. *)
+    plan as one chunk, without re-checking feasibility: [n] steps (one
+    ring copy of [n] words per consuming input, the words evaluated one
+    row segment per dispatch), then [n] flushes (one bulk push per
+    output). Requires [n <= Channel.chunk]. *)
 
 (** What blocks a unit: an input it must pop that is empty (by field,
     with its channel), or an output channel that is full. *)

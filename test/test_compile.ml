@@ -131,6 +131,76 @@ let test_let_ordering () =
   | exception Invalid_argument _ -> ()
   | (_ : unit -> float) -> Alcotest.fail "backward reference must be rejected"
 
+(* A stencil unit's window is a ring that wraps. [fill] reads the lanes
+   of an in-bounds run with at most two blits split at the wrap point, and
+   a tap that does not span the innermost axis repeats one element; every
+   lane must still equal the tree-walking evaluator, bit for bit. *)
+let test_fill_across_ring_wrap () =
+  let rows = 6 and cols = 16 in
+  let shape = [| rows; cols |] in
+  let value e = leaf_value ~seed:e ~field:"a" ~offsets:[] ~lane:0 in
+  let row_value r = float_of_int (r + 1) /. 3. in
+  let access field offsets = Expr.Access { field; offsets } in
+  let e =
+    Expr.Binary
+      ( Expr.Add,
+        Expr.Binary (Expr.Mul, access "a" [ 0; -1 ], access "row" [ 1 ]),
+        Expr.Binary (Expr.Sub, access "a" [ 1; 2 ], access "a" [ -1; 0 ]) )
+  in
+  let p = Compile.lower { Expr.lets = []; result = e } in
+  let max_lanes = 8 in
+  (* Room for rows r - 1 .. r + 1 plus the run, and not a multiple of the
+     row length, so runs start at varying ring positions. *)
+  let cap = (2 * cols) + max_lanes + 5 in
+  let win = { Compile.data = Array.make cap 0.; cap; newest = -1; head = -1 } in
+  let taps =
+    Array.map
+      (fun (field, offsets) ->
+        let src, axes =
+          if field = "a" then (win, [| 0; 1 |])
+          else (Compile.resident (Array.init rows row_value), [| 0 |])
+        in
+        Compile.tap src ~shape ~axes ~offsets:(Array.of_list offsets)
+          ~boundary:(Boundary.Constant 0.))
+      (Compile.loads p)
+  in
+  let fr = Compile.frame p ~lanes:max_lanes and oob = Array.make max_lanes false in
+  let straddles = ref 0 in
+  for r = 1 to rows - 2 do
+    for c = 1 to cols - max_lanes - 2 do
+      for lanes = 1 to max_lanes do
+        (* The window holds the stream up to the last element read. *)
+        let newest = ((r + 1) * cols) + c + lanes + 1 in
+        for el = newest - cap + 1 to newest do
+          if el >= 0 then win.data.(el mod cap) <- value el
+        done;
+        win.newest <- newest;
+        win.head <- newest mod cap;
+        List.iter
+          (fun (dr, dc) ->
+            let first = ((r + dr) * cols) + c + dc in
+            if (first mod cap) + lanes > cap then incr straddles)
+          [ (0, -1); (1, 2); (-1, 0) ];
+        Compile.fill taps ~idx:[| r; c |] ~lanes ~stride:max_lanes fr ~oob;
+        Compile.exec p ~lanes fr;
+        for l = 0 to lanes - 1 do
+          let lookup ~field ~offsets =
+            match (field, offsets) with
+            | "a", [ dr; dc ] -> value (((r + dr) * cols) + c + l + dc)
+            | _, [ dr ] -> row_value (r + dr)
+            | _ -> Alcotest.fail "unexpected access"
+          in
+          let expected = Interp.eval_expr ~lookup ~env:(fun _ -> None) e in
+          let got = fr.((Compile.result_slot p * max_lanes) + l) in
+          Alcotest.(check int64)
+            (Printf.sprintf "r=%d c=%d lanes=%d lane %d" r c lanes l)
+            (Int64.bits_of_float expected) (Int64.bits_of_float got)
+        done
+      done
+    done
+  done;
+  if !straddles = 0 then Alcotest.fail "no run straddled the ring's wrap point"
+
 (* Boxing a float anywhere in the lane loops would allocate per
    instruction; the widest fused hdiff body runs allocation-free. *)
 let test_exec_allocation_free () =
@@ -164,4 +234,5 @@ let suite =
     Alcotest.test_case "unbound variables rejected" `Quick test_unbound_variable_rejected;
     Alcotest.test_case "let ordering enforced" `Quick test_let_ordering;
     Alcotest.test_case "exec allocates nothing" `Quick test_exec_allocation_free;
+    Alcotest.test_case "fill reads runs across a ring's wrap" `Quick test_fill_across_ring_wrap;
   ]

@@ -240,6 +240,67 @@ let test_rows_boundaries_at_both_ends () =
   Builder.output b "both";
   check_rows_match_oracle (Builder.finish b)
 
+(* [run] frees each dead stage after its last consumer and reuses its
+   arrays: its outputs must equal [run_all]'s bit for bit, in the same
+   order, and no two outputs may share storage. *)
+let run_equals_run_all p =
+  let inputs = Interp.random_inputs ~seed:11 p in
+  let all = Interp.run_all p ~inputs and outs = Interp.run p ~inputs in
+  let bits r = Array.map Int64.bits_of_float r.Interp.tensor.Tensor.data in
+  List.map fst outs
+  = List.filter (fun n -> List.exists (String.equal n) p.Program.outputs) (List.map fst all)
+  && List.for_all
+       (fun (name, r) ->
+         let e = List.assoc name all in
+         bits r = bits e && r.Interp.valid = e.Interp.valid)
+       outs
+  && List.for_all
+       (fun (n, r) ->
+         List.for_all
+           (fun (m, q) ->
+             String.equal n m
+             || (r.Interp.tensor.Tensor.data != q.Interp.tensor.Tensor.data
+                && r.Interp.valid != q.Interp.valid))
+           outs)
+       outs
+
+let test_run_frees_dead_stages () =
+  (* A diamond fan-out (s0 feeds s1 and s2), an output that is consumed
+     downstream (s1), shrink stages, and a tail chain that takes the
+     freed stages' arrays. *)
+  let b = Builder.create ~name:"live" ~shape:[ 4; 6 ] () in
+  Builder.input b "a";
+  Builder.stencil b "s0" E.(acc "a" [ 0; 1 ] +% acc "a" [ 1; 0 ]);
+  Builder.stencil b ~shrink:true "s1" E.(acc "s0" [ 0; -1 ] *% c 2.);
+  Builder.stencil b "s2" E.(acc "s0" [ 1; 1 ] -% acc "a" [ 0; 0 ]);
+  Builder.stencil b "s3" E.(acc "s1" [ 0; 0 ] +% acc "s2" [ -1; 0 ]);
+  Builder.stencil b "s4" E.(acc "s3" [ 0; 2 ] *% acc "s3" [ 0; -2 ]);
+  Builder.stencil b ~shrink:true "s5" E.(acc "s4" [ 1; 0 ] +% acc "s1" [ 0; 1 ]);
+  Builder.output b "s1";
+  Builder.output b "s5";
+  let p = Builder.finish b in
+  Alcotest.(check bool) "run equals run_all" true (run_equals_run_all p);
+  let inputs = Interp.random_inputs ~seed:11 p in
+  Alcotest.(check (list string)) "outputs only" [ "s1"; "s5" ] (List.map fst (Interp.run p ~inputs))
+
+(* Random programs, with a drawn subset of the consumed stages made
+   outputs too. *)
+let prop_run_equals_run_all =
+  QCheck.Test.make ~count:200 ~name:"run equals the outputs of run_all"
+    (QCheck.pair Program_gen.arbitrary_program QCheck.small_nat)
+    (fun (p, seed) ->
+      let extra =
+        List.filter_map
+          (fun (s : Stencil.t) ->
+            if Hashtbl.hash (seed, s.Stencil.name) mod 3 = 0 then Some s.Stencil.name else None)
+          p.Program.stencils
+      in
+      let outputs =
+        p.Program.outputs
+        @ List.filter (fun n -> not (List.exists (String.equal n) p.Program.outputs)) extra
+      in
+      run_equals_run_all { p with Program.outputs })
+
 let suite =
   [
     Alcotest.test_case "tensor basics" `Quick test_tensor_basics;
@@ -255,4 +316,6 @@ let suite =
     Alcotest.test_case "rows: 1-D program" `Quick test_rows_1d;
     Alcotest.test_case "rows: lower-dimensional input" `Quick test_rows_lower_dim_input;
     Alcotest.test_case "rows: boundaries at both row ends" `Quick test_rows_boundaries_at_both_ends;
+    Alcotest.test_case "run frees dead stages" `Quick test_run_frees_dead_stages;
+    QCheck_alcotest.to_alcotest prop_run_equals_run_all;
   ]

@@ -50,12 +50,12 @@ let test_channel_chunk_slack () =
   (match Channel.Unsafe.push_slot c with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "push_slot past the capacity must fail");
-  for i = 2 to Channel.chunk + 1 do
-    push Channel.Unsafe.push_chunk_slot (float_of_int i)
-  done;
-  (match Channel.Unsafe.push_chunk_slot c with
+  let run = Array.init Channel.chunk (fun i -> float_of_int (i + 2)) in
+  let base = Channel.Unsafe.push_run c Channel.chunk in
+  Channel.Unsafe.blit_values run 0 (Channel.Unsafe.buf_values c) base Channel.chunk;
+  (match Channel.Unsafe.push_run c 1 with
   | exception Failure _ -> ()
-  | _ -> Alcotest.fail "push_chunk_slot past capacity + chunk must fail");
+  | _ -> Alcotest.fail "push_run past capacity + chunk must fail");
   Alcotest.(check int) "high water before settling" 2 (Channel.high_water c);
   Channel.Unsafe.settle_high_water c;
   Alcotest.(check int) "settled high water" (Channel.chunk + 2) (Channel.high_water c);
@@ -64,6 +64,122 @@ let test_channel_chunk_slack () =
       (Channel.pop c).Word.values.(0)
   done;
   Alcotest.(check bool) "drained" true (Channel.is_empty c)
+
+(* A bulk push or pop of [n] slots equals [n] single-slot operations:
+   the same lanes, occupancy, counters and high-water mark, and the hooks
+   fire (once for the run, [n] times for the singles) exactly when
+   [n > 0]. The channel's head, the source and destination ring lengths
+   and the start positions are drawn, so runs wrap the source, the
+   destination, or both. *)
+let prop_channel_bulk_equals_singles =
+  QCheck.Test.make ~count:500 ~name:"bulk channel runs equal single-slot operations"
+    QCheck.(
+      pair
+        (quad (int_range 1 6) (int_range 1 3) (int_range 0 80) (int_range 0 6))
+        (quad bool (int_range 0 70) (pair (int_range 0 40) (int_range 0 200))
+           (pair (int_range 0 70) (pair (int_range 0 40) (int_range 0 200)))))
+    (fun ((capacity, width, rotate, occ), (slack, n, (extra, start), (k, (extra', start')))) ->
+      let occ = Int.min occ capacity in
+      let make () =
+        let c = Channel.create_vec ~width ~name:"q" ~capacity in
+        let pushes = ref 0 and pops = ref 0 in
+        Channel.set_hooks c ~on_push:(fun () -> incr pushes) ~on_pop:(fun () -> incr pops);
+        (* Move the head around the ring, then hold [occ] words. *)
+        for i = 1 to rotate + occ do
+          let base = Channel.Unsafe.push_slot c in
+          for l = 0 to width - 1 do
+            (Channel.Unsafe.buf_values c).(base + l) <- float_of_int ((100 * i) + l)
+          done;
+          if i <= rotate then Channel.drop c
+        done;
+        (c, pushes, pops)
+      in
+      let a, a_pushes, a_pops = make () and b, b_pushes, b_pops = make () in
+      let room = (if slack then capacity + Channel.chunk else capacity) - occ in
+      let n = n mod (room + 1) in
+      let len = n * width in
+      let src = Array.init (len + extra + 1) (fun i -> float_of_int (-i)) in
+      let src_valid = Array.init (Array.length src) (fun i -> i mod 3 <> 0) in
+      let s = start mod Array.length src in
+      let push = if slack then Channel.Unsafe.push_run else Channel.Unsafe.push_slots in
+      a_pushes := 0;
+      b_pushes := 0;
+      let base = push a n in
+      Channel.Unsafe.blit_values src s (Channel.Unsafe.buf_values a) base len;
+      Channel.Unsafe.blit_valid src_valid s (Channel.Unsafe.buf_valid a) base len;
+      for j = 0 to n - 1 do
+        let base = push b 1 in
+        for l = 0 to width - 1 do
+          let i = (s + (j * width) + l) mod Array.length src in
+          (Channel.Unsafe.buf_values b).(base + l) <- src.(i);
+          (Channel.Unsafe.buf_valid b).(base + l) <- src_valid.(i)
+        done
+      done;
+      let same () =
+        Channel.Unsafe.buf_values a = Channel.Unsafe.buf_values b
+        && Channel.Unsafe.buf_valid a = Channel.Unsafe.buf_valid b
+        && Channel.occupancy a = Channel.occupancy b
+        && Channel.total_pushed a = Channel.total_pushed b
+        && Channel.total_popped a = Channel.total_popped b
+        && Channel.high_water a = Channel.high_water b
+      in
+      let pushed_ok = same () && !a_pushes = Int.min n 1 && !b_pushes = n in
+      (* Pop [k] of the words held into a destination ring. *)
+      let k = k mod (Channel.occupancy a + 1) in
+      let len = k * width in
+      let dst_len = len + extra' + 1 in
+      let d = start' mod dst_len in
+      let dst_a = Array.make dst_len 0. and dst_b = Array.make dst_len 0. in
+      let flags_a = Array.make dst_len true and flags_b = Array.make dst_len true in
+      a_pops := 0;
+      b_pops := 0;
+      if k > 0 then begin
+        let front = Channel.Unsafe.front_slot a in
+        Channel.Unsafe.blit_values (Channel.Unsafe.buf_values a) front dst_a d len;
+        Channel.Unsafe.blit_valid (Channel.Unsafe.buf_valid a) front flags_a d len
+      end;
+      Channel.Unsafe.drop_run a k;
+      for j = 0 to k - 1 do
+        let front = Channel.Unsafe.front_slot b in
+        for l = 0 to width - 1 do
+          let i = (d + (j * width) + l) mod dst_len in
+          dst_b.(i) <- (Channel.Unsafe.buf_values b).(front + l);
+          flags_b.(i) <- (Channel.Unsafe.buf_valid b).(front + l)
+        done;
+        Channel.drop b
+      done;
+      pushed_ok && same () && dst_a = dst_b && flags_a = flags_b
+      && !a_pops = Int.min k 1 && !b_pops = k)
+
+(* The movers run once per chunk per channel on the fast-forward path:
+   none of them may allocate. *)
+let test_bulk_allocation_free () =
+  let width = 4 and n = 40 in
+  let c = Channel.create_vec ~width ~name:"c" ~capacity:8 in
+  let q = Sf_sim.Spsc.create ~capacity:64 ~lanes:width in
+  let src = Array.make (Channel.chunk * width) 1.5 in
+  let dst = Array.make ((n * width) + 3) 0. in
+  let flags = Array.make (Array.length dst) true in
+  let run () =
+    let base = Channel.Unsafe.push_run c n in
+    Channel.Unsafe.blit_values src 0 (Channel.Unsafe.buf_values c) base (n * width);
+    Channel.Unsafe.fill_valid (Channel.Unsafe.buf_valid c) base (n * width);
+    let front = Channel.Unsafe.front_slot c in
+    Channel.Unsafe.blit_values (Channel.Unsafe.buf_values c) front dst 3 (n * width);
+    Channel.Unsafe.blit_valid (Channel.Unsafe.buf_valid c) front flags 3 (n * width);
+    Channel.Unsafe.drop_run c n;
+    let base = Sf_sim.Spsc.produce q ~release:0 n in
+    Channel.Unsafe.blit_values dst 0 (Sf_sim.Spsc.values q) base (n * width);
+    Sf_sim.Spsc.consume q n
+  in
+  run ();
+  let calls_per_run = 8 and runs = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    run ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int (runs * calls_per_run) in
+  if words >= 1. then Alcotest.failf "bulk movers allocate %.2f minor words per call" words
 
 let test_channel_capacity_positive () =
   match Channel.create ~name:"bad" ~capacity:0 with
@@ -297,6 +413,8 @@ let suite =
     Alcotest.test_case "channel chunk slack past the capacity" `Quick test_channel_chunk_slack;
     QCheck_alcotest.to_alcotest prop_channel_queue_model;
     QCheck_alcotest.to_alcotest prop_channel_soa_model;
+    QCheck_alcotest.to_alcotest prop_channel_bulk_equals_singles;
+    Alcotest.test_case "bulk movers allocate nothing" `Quick test_bulk_allocation_free;
     Alcotest.test_case "controller budget accounting" `Quick test_controller_budget;
     Alcotest.test_case "controller fractional rates" `Quick test_controller_fractional_rates;
     Alcotest.test_case "controller does not bank bandwidth" `Quick test_controller_no_banking;

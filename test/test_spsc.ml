@@ -21,7 +21,7 @@ let test_capacity_rounding () =
 let test_full_and_wraparound () =
   let q = Spsc.create ~capacity:4 ~lanes:2 in
   let push i =
-    let base = Spsc.produce q ~release:(3 * i) in
+    let base = Spsc.produce q ~release:(3 * i) 1 in
     (Spsc.values q).(base) <- float_of_int i;
     (Spsc.values q).(base + 1) <- float_of_int (-i);
     (Spsc.valid q).(base + 1) <- i mod 3 = 0
@@ -32,7 +32,7 @@ let test_full_and_wraparound () =
     Alcotest.(check (float 0.)) "lane 1" (float_of_int (-i)) (Spsc.values q).(base + 1);
     Alcotest.(check bool) "valid lane" (i mod 3 = 0) (Spsc.valid q).(base + 1);
     Alcotest.(check int) "release" (3 * i) (Spsc.front_release q);
-    Spsc.consume q
+    Spsc.consume q 1
   in
   for i = 0 to 3 do
     push i
@@ -52,7 +52,7 @@ let test_full_and_wraparound () =
     pop i
   done;
   Alcotest.(check int) "empty again" (-1) (Spsc.front q);
-  match Spsc.consume q with
+  match Spsc.consume q 1 with
   | exception Failure _ -> ()
   | () -> Alcotest.fail "consume of empty must fail"
 
@@ -69,7 +69,7 @@ let prop_queue_model =
         (fun op ->
           match op with
           | `Produce ->
-              let base = Spsc.produce q ~release:(2 * !next) in
+              let base = Spsc.produce q ~release:(2 * !next) 1 in
               (Spsc.values q).(base) <- float_of_int !next;
               Queue.push !next model;
               incr next;
@@ -83,10 +83,56 @@ let prop_queue_model =
                 && Spsc.front_release q = 2 * expect
                 && (Spsc.values q).(base) = float_of_int expect
                 && begin
-                     Spsc.consume q;
+                     Spsc.consume q 1;
                      true
                    end
               end)
+        ops)
+
+(* Runs of produce and consume equal as many single-element calls: the
+   same elements, releases ([release + r] for the [r]th of a run) and
+   lanes, in order, across growth and wraparound. *)
+let prop_runs_equal_singles =
+  QCheck.Test.make ~count:300 ~name:"spsc runs equal single produce/consume"
+    QCheck.(pair (int_range 1 6) (small_list (pair bool (int_range 0 9))))
+    (fun (capacity, ops) ->
+      let lanes = 2 in
+      let bulk = Spsc.create ~capacity ~lanes and single = Spsc.create ~capacity ~lanes in
+      let next = ref 0 in
+      let same () =
+        Spsc.length bulk = Spsc.length single
+        && List.for_all
+             (fun j ->
+               let at q l =
+                 let slot = ((Spsc.front q / lanes) + j) land (Spsc.capacity q - 1) in
+                 (Spsc.values q).((slot * lanes) + l)
+               in
+               Spsc.release_at bulk j = Spsc.release_at single j
+               && at bulk 0 = at single 0 && at bulk 1 = at single 1)
+             (List.init (Spsc.length bulk) Fun.id)
+      in
+      List.for_all
+        (fun (produce, n) ->
+          if produce then begin
+            let base = Spsc.produce bulk ~release:(3 * !next) n in
+            for r = 0 to n - 1 do
+              let s = Spsc.produce single ~release:((3 * !next) + r) 1 in
+              for l = 0 to lanes - 1 do
+                let v = float_of_int ((10 * (!next + r)) + l) in
+                (Spsc.values single).(s + l) <- v;
+                (Spsc.values bulk).((base + (r * lanes) + l) mod Array.length (Spsc.values bulk)) <- v
+              done
+            done;
+            next := !next + n
+          end
+          else begin
+            let n = Int.min n (Spsc.length bulk) in
+            Spsc.consume bulk n;
+            for _ = 1 to n do
+              Spsc.consume single 1
+            done
+          end;
+          same ())
         ops)
 
 let suite =
@@ -94,4 +140,5 @@ let suite =
     Alcotest.test_case "capacity/lanes validation" `Quick test_capacity_rounding;
     Alcotest.test_case "full detection and wraparound" `Quick test_full_and_wraparound;
     QCheck_alcotest.to_alcotest prop_queue_model;
+    QCheck_alcotest.to_alcotest prop_runs_equal_singles;
   ]
