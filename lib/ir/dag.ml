@@ -133,7 +133,7 @@ let of_body b = snd (of_body_named b)
 (* Children are always created before their parents, so node ids are a
    topological order of every DAG (hash-cons hits return the original,
    older node). *)
-let reachable root =
+let reachable roots =
   let seen : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let acc = ref [] in
   let rec go t =
@@ -153,11 +153,12 @@ let reachable root =
       acc := t :: !acc
     end
   in
-  go root;
+  List.iter go roots;
   !acc
 
-let topo root = List.sort compare (reachable root)
-let work_size root = List.length (reachable root)
+let post_order roots = List.rev (reachable roots)
+let topo root = List.sort compare (reachable [ root ])
+let work_size root = List.length (reachable [ root ])
 
 let to_expr root =
   let memo : (int, Expr.t) Hashtbl.t = Hashtbl.create 64 in
@@ -190,12 +191,12 @@ let to_expr root =
 let accesses root =
   List.filter_map
     (fun t -> match t.node with Access { field; offsets } -> Some (field, offsets) | _ -> None)
-    (List.rev (reachable root))
+    (post_order [ root ])
 
 let free_vars root =
   List.filter_map
     (fun t -> match t.node with Var v -> Some v | _ -> None)
-    (List.rev (reachable root))
+    (post_order [ root ])
 
 let map_accesses f root =
   let memo : (int, t) Hashtbl.t = Hashtbl.create 64 in
@@ -221,7 +222,7 @@ let map_accesses f root =
 let reads_data root =
   List.exists
     (fun t -> match t.node with Access _ | Var _ -> true | _ -> false)
-    (reachable root)
+    (reachable [ root ])
 
 (* Profile contribution of one node (mirrors Expr.op_profile's
    classification, including the data- vs constant-branch split). *)
@@ -253,7 +254,7 @@ let node_profile t =
 let work_profile root =
   List.fold_left
     (fun acc t -> Expr.add_profile acc (node_profile t))
-    Expr.empty_profile (reachable root)
+    Expr.empty_profile (reachable [ root ])
 
 let sat_add_profile (a : Expr.op_profile) (b : Expr.op_profile) =
   {
@@ -322,7 +323,7 @@ let refcounts nodes root =
   refs
 
 let shared_nodes root =
-  let nodes = reachable root in
+  let nodes = reachable [ root ] in
   let refs = refcounts nodes root in
   List.length
     (List.filter
@@ -336,7 +337,7 @@ let shared_nodes root =
    nodes to a given name (used by codegen to preserve the programmer's
    let names); kept nodes are extracted regardless of sharing or size. *)
 let extract ?(min_size = 3) ?(prefix = "__cse") ?(keep = []) root =
-  let nodes = List.rev (reachable root) in
+  let nodes = post_order [ root ] in
   let refs = refcounts nodes root in
   let kept_name : (int, string) Hashtbl.t = Hashtbl.create 8 in
   let taken : (string, unit) Hashtbl.t = Hashtbl.create 8 in

@@ -112,6 +112,10 @@ val topo : t -> t list
 (** All reachable nodes sorted by id: children strictly before parents,
     root last. *)
 
+val post_order : t list -> t list
+(** Every node reachable from [roots], once, in depth-first post-order
+    (roots in order): a topological order independent of the ids. *)
+
 val reads_data : t -> bool
 (** Whether the DAG reads any field or unresolved variable. *)
 

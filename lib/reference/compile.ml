@@ -16,21 +16,24 @@ type program = {
 let loads p = p.loads
 let result_slot p = p.result
 
-(* Slots: loads first (slot k is load k), then constants, then one slot
-   per computed node in topological (DAG id) order. Every node of the
-   body is scheduled, including bindings the result never reads: their
-   predicated loads keep feeding the validity mask. *)
+(* Slots: loads first (slot k is load k), then constants, then the
+   computed nodes in depth-first post-order from the result, each in the
+   lowest free slot. A load or computed value frees its slot after its
+   last reader, or at once if nothing reads it; constants and the result
+   stay pinned. A destination may take a slot an operand frees at the
+   same instruction: every lane loop reads lane l before writing it.
+   Every node of the body is scheduled, including bindings the result
+   never reads: their predicated loads keep feeding the validity mask. *)
 let lower (b : Expr.body) =
   let named, root = Dag.of_body_named b in
   let kind t = match Dag.view t with Dag.Access _ -> 0 | Dag.Const _ -> 1 | _ -> 2 in
   let nodes =
-    List.concat_map Dag.topo (root :: List.map snd named)
-    |> List.sort_uniq Dag.compare
+    Dag.post_order (root :: List.map snd named)
     |> List.stable_sort (fun a b -> compare (kind a) (kind b))
   in
-  let slot_of : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iteri (fun i t -> Hashtbl.replace slot_of (Dag.id t) i) nodes;
-  let slot t = Hashtbl.find slot_of (Dag.id t) in
+  let node_of : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  List.iteri (fun i t -> Hashtbl.replace node_of (Dag.id t) i) nodes;
+  let node t = Hashtbl.find node_of (Dag.id t) in
   let instr t =
     let op, operands =
       match Dag.view t with
@@ -53,20 +56,37 @@ let lower (b : Expr.body) =
             | Expr.Pow -> Pow | Expr.Min -> Min | Expr.Max -> Max),
             args )
     in
-    (op, List.map slot (t :: operands) @ List.init (3 - List.length operands) (fun _ -> 0))
+    (op, List.map node operands)
   in
-  let of_kind k f = List.filter_map (fun t -> if kind t = k then Some (f t) else None) nodes in
+  let of_kind k f =
+    Array.of_list (List.filter_map (fun t -> if kind t = k then Some (f t) else None) nodes)
+  in
   let load t = match Dag.view t with Dag.Access a -> (a.field, a.offsets) | _ -> assert false in
   let const t = match Dag.view t with Dag.Const c -> c | _ -> assert false in
-  let code = of_kind 2 instr in
-  {
-    loads = Array.of_list (of_kind 0 load);
-    consts = Array.of_list (of_kind 1 const);
-    ops = Array.of_list (List.map fst code);
-    args = Array.of_list (List.concat_map snd code);
-    n_slots = List.length nodes;
-    result = slot root;
-  }
+  let loads = of_kind 0 load and consts = of_kind 1 const and code = of_kind 2 instr in
+  let n = List.length nodes and result = node root in
+  let first = n - Array.length code in
+  (* Node [j]'s slot, and the last instruction reading it (-1: none). *)
+  let slot = Array.init n (fun j -> if j < first then j else -1) and last = Array.make n (-1) in
+  Array.iteri (fun i (_, operands) -> List.iter (fun j -> last.(j) <- i) operands) code;
+  let busy = Array.init n (fun s -> s < first) in
+  let release j =
+    if j <> result && (j < Array.length loads || j >= first) then busy.(slot.(j)) <- false
+  in
+  Array.iteri (fun j _ -> if last.(j) < 0 then release j) loads;
+  let args = Array.make (4 * Array.length code) 0 in
+  Array.iteri
+    (fun i (_, operands) ->
+      List.iter (fun j -> if last.(j) = i then release j) operands;
+      let s = ref 0 in
+      while busy.(!s) do incr s done;
+      busy.(!s) <- true;
+      slot.(first + i) <- !s;
+      List.iteri (fun k j -> args.((4 * i) + k) <- slot.(j)) ((first + i) :: operands);
+      if last.(first + i) < 0 then release (first + i))
+    code;
+  let n_slots = 1 + Array.fold_left Int.max (first - 1) slot in
+  { loads; consts; ops = Array.map fst code; args; n_slots; result = slot.(result) }
 
 let frame p ~lanes =
   let f = Array.make (p.n_slots * lanes) 0. in
@@ -78,7 +98,9 @@ let frame p ~lanes =
 external get : float array -> int -> float = "%array_unsafe_get"
 external set : float array -> int -> float -> unit = "%array_unsafe_set"
 
-let[@inline] of_bool b = if b then 1. else 0.
+(* Branchless: a compare-to-mask and a convert, no data-dependent jump. *)
+let[@inline] of_bool b = Float.of_int (Bool.to_int b)
+let[@inline] truth v = Bool.to_int (v <> 0.)
 
 (* Stdlib's Float.min and Float.max, restated so the lane loops inline
    them instead of calling through boxed floats. *)
@@ -119,12 +141,12 @@ let exec p ~lanes fr =
     | Ge -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) >= get fr (y + l))) done
     | Eq -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) = get fr (y + l))) done
     | Ne -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) <> get fr (y + l))) done
-    | And -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) <> 0. && get fr (y + l) <> 0.)) done
-    | Or -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) <> 0. || get fr (y + l) <> 0.)) done
+    | And -> for l = 0 to n do set fr (d + l) (Float.of_int (truth (get fr (x + l)) land truth (get fr (y + l)))) done
+    | Or -> for l = 0 to n do set fr (d + l) (Float.of_int (truth (get fr (x + l)) lor truth (get fr (y + l)))) done
     | Select ->
         let z = Array.unsafe_get args ((4 * i) + 3) * stride in
         for l = 0 to n do
-          set fr (d + l) (if get fr (x + l) <> 0. then get fr (y + l) else get fr (z + l))
+          set fr (d + l) (get fr (z + l + (truth (get fr (x + l)) * (y - z))))
         done
     | Sqrt -> for l = 0 to n do set fr (d + l) (Float.sqrt (get fr (x + l))) done
     | Abs -> for l = 0 to n do set fr (d + l) (Float.abs (get fr (x + l))) done

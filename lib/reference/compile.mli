@@ -1,18 +1,17 @@
 (** The one evaluator for stencil bodies: a flat, lane-batched program.
 
     {!lower} turns the hash-consed DAG of a body ({!Sf_ir.Dag}) into a
-    straight-line program once: every distinct node gets a slot, each
-    distinct [(field, offsets)] access is a load slot the caller fills,
-    constants are slots filled when the frame is made, and each other
-    node is one instruction (op code, destination and operand slots) in
-    topological order. {!exec} runs it over [lanes] cells held in one
-    unboxed [float array] (slot [s], lane [l] at [s * stride + l]),
-    dispatching each instruction once and then looping over the lanes,
-    without allocating: one control step drives W lanes, as in the
-    paper's stencil units (Sec. III-A, IV-C). The reference interpreter
-    runs a whole innermost-axis row per dispatch; a simulated stencil
-    unit runs the words of one row segment, up to a chunk of words at a
-    time when the engine fast-forwards.
+    straight-line program once: each distinct [(field, offsets)] access is
+    a load slot the caller fills, constants are slots filled when the
+    frame is made, and each other node is one instruction in depth-first
+    post-order, whose value takes the slot of a dead one where it can.
+    {!exec} runs it over [lanes] cells held in one unboxed [float array]
+    (slot [s], lane [l] at [s * stride + l]), dispatching each instruction
+    once and then looping over the lanes, without allocating: one control
+    step drives W lanes, as in the paper's stencil units (Sec. III-A,
+    IV-C). The reference interpreter runs a whole innermost-axis row per
+    dispatch; a simulated stencil unit runs the words of one row segment,
+    up to a chunk of words at a time when the engine fast-forwards.
 
     Semantics are bit-identical to {!Interp.eval_expr}: comparisons yield
     1.0 / 0.0, any non-zero value is true, [&&] and [||] do not
@@ -33,12 +32,13 @@ val result_slot : program -> int
 
 val frame : program -> lanes:int -> float array
 (** A fresh frame for up to [lanes] cells with the constant slots
-    filled. Its slot stride is [lanes]. *)
+    filled; slot stride [lanes], as many slots as are live at once. *)
 
 val exec : program -> lanes:int -> float array -> unit
 (** Run every instruction over the first [lanes] cells of a frame whose
     load slots are filled; the slot stride is the frame's, which must be
-    at least [lanes]. Lane [l]'s result is at [result_slot p * stride + l]. *)
+    at least [lanes]. Lane [l]'s result is at [result_slot p * stride + l].
+    It overwrites dead load slots: refill them ({!fill}) before each call. *)
 
 val body : access:(field:string -> offsets:int list -> 'ctx -> float) -> Sf_ir.Expr.body -> 'ctx -> float
 (** One-lane adapter: per call, read each load once through [access],

@@ -63,17 +63,18 @@ let rec eval_expr ~lookup ~env expr =
 let input_extent (p : Program.t) (f : Field.t) =
   match Field.extent f ~shape:p.Program.shape with [] -> [ 1 ] | extent -> extent
 
-(* Evaluate every stage in topological order. With [free], a stage that
-   is not an output is dropped once its last consumer has run (at once
-   if nothing reads it), and its data and validity arrays are reused by
-   a later stage, so memory follows the DAG's live width; the results
-   are then the outputs only. *)
+(* Evaluate every stage in topological order: the checks and lowering
+   happen up front, the returned function runs the row loops. With
+   [free], a stage that is not an output is dropped once its last
+   consumer has run (at once if nothing reads it), and its data and
+   validity arrays are reused by a later stage, so memory follows the
+   DAG's live width; the results are then the outputs only. *)
 let evaluate (p : Program.t) ~inputs ~free =
   Program.validate_exn p;
   let shape = Array.of_list p.Program.shape in
   let rank = Program.rank p in
   let cells = Program.cells p in
-  let store : (string, Tensor.t) Hashtbl.t = Hashtbl.create 16 in
+  let resident : (string, Tensor.t) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun f ->
       let expected = input_extent p f in
@@ -85,7 +86,7 @@ let evaluate (p : Program.t) ~inputs ~free =
             fail "input %s: expected extent [%s], got [%s]" f.Field.name
               (Sf_support.Util.string_concat_map "," string_of_int expected)
               (Sf_support.Util.string_concat_map "," string_of_int extent);
-          Hashtbl.replace store f.Field.name { t with Tensor.extent })
+          Hashtbl.replace resident f.Field.name { t with Tensor.extent })
     p.Program.inputs;
   let stages =
     List.map (fun s -> (s, Compile.lower s.Stencil.body)) (Program.topological_stencils p)
@@ -96,73 +97,76 @@ let evaluate (p : Program.t) ~inputs ~free =
     (fun i (_, prog) -> Array.iter (fun (f, _) -> Hashtbl.replace last_use f i) (Compile.loads prog))
     stages;
   let is_output name = List.exists (String.equal name) p.Program.outputs in
-  let live : (string, result) Hashtbl.t = Hashtbl.create 16 in
-  let pool = ref [] in
-  let release i name =
-    match Hashtbl.find_opt live name with
-    | Some r
-      when (not (is_output name))
-           && Option.value (Hashtbl.find_opt last_use name) ~default:(-1) <= i ->
-        Hashtbl.remove live name;
-        Hashtbl.remove store name;
-        pool := r :: !pool
-    | Some _ | None -> ()
-  in
-  (* One dispatch of the compiled body per innermost-axis row (a valid
-     program has 1-3 axes): the row's cells are the lanes. *)
-  let lanes = shape.(rank - 1) in
-  let eval_stencil i ((s : Stencil.t), prog) =
-    (* Every cell of a reused tensor is overwritten below. *)
-    let out, valid =
-      match !pool with
-      | r :: rest ->
-          pool := rest;
-          (r.tensor, r.valid)
-      | [] -> (Tensor.create p.Program.shape, Array.make cells true)
+  fun () ->
+    let store = Hashtbl.copy resident in
+    let live : (string, result) Hashtbl.t = Hashtbl.create 16 in
+    let pool = ref [] in
+    let release i name =
+      match Hashtbl.find_opt live name with
+      | Some r
+        when (not (is_output name))
+             && Option.value (Hashtbl.find_opt last_use name) ~default:(-1) <= i ->
+          Hashtbl.remove live name;
+          Hashtbl.remove store name;
+          pool := r :: !pool
+      | Some _ | None -> ()
     in
-    let taps =
-      Array.map
-        (fun (field, offsets) ->
-          let tensor =
-            match Hashtbl.find_opt store field with
-            | Some t -> t
-            | None -> fail "field %s evaluated before its producer" field
-          in
-          Compile.tap (Compile.resident tensor.Tensor.data) ~shape
-            ~axes:(Array.of_list (Program.field_axes p field))
-            ~offsets:(Array.of_list offsets) ~boundary:(Stencil.boundary_for s field))
-        (Compile.loads prog)
+    (* One dispatch of the compiled body per innermost-axis row (a valid
+       program has 1-3 axes): the row's cells are the lanes. *)
+    let lanes = shape.(rank - 1) in
+    let eval_stencil i ((s : Stencil.t), prog) =
+      (* Every cell of a reused tensor is overwritten below. *)
+      let out, valid =
+        match !pool with
+        | r :: rest ->
+            pool := rest;
+            (r.tensor, r.valid)
+        | [] -> (Tensor.create p.Program.shape, Array.make cells true)
+      in
+      let taps =
+        Array.map
+          (fun (field, offsets) ->
+            let tensor =
+              match Hashtbl.find_opt store field with
+              | Some t -> t
+              | None -> fail "field %s evaluated before its producer" field
+            in
+            Compile.tap (Compile.resident tensor.Tensor.data) ~shape
+              ~axes:(Array.of_list (Program.field_axes p field))
+              ~offsets:(Array.of_list offsets) ~boundary:(Stencil.boundary_for s field))
+          (Compile.loads prog)
+      in
+      let frame = Compile.frame prog ~lanes in
+      let result = Compile.result_slot prog * lanes in
+      let oob = Array.make lanes false in
+      let idx = Array.make rank 0 in
+      for row = 0 to (cells / lanes) - 1 do
+        Compile.fill taps ~idx ~lanes ~stride:lanes frame ~oob;
+        Compile.exec prog ~lanes frame;
+        Array.blit frame result out.Tensor.data (row * lanes) lanes;
+        if s.Stencil.shrink then
+          for l = 0 to lanes - 1 do
+            valid.((row * lanes) + l) <- not oob.(l)
+          done
+        else Array.fill valid (row * lanes) lanes true;
+        Compile.advance ~shape idx (rank - 2) 1
+      done;
+      Hashtbl.replace store s.Stencil.name out;
+      Hashtbl.replace live s.Stencil.name { tensor = out; valid };
+      if free then begin
+        Array.iter (fun (field, _) -> release i field) (Compile.loads prog);
+        release i s.Stencil.name
+      end
     in
-    let frame = Compile.frame prog ~lanes in
-    let result = Compile.result_slot prog * lanes in
-    let oob = Array.make lanes false in
-    let idx = Array.make rank 0 in
-    for row = 0 to (cells / lanes) - 1 do
-      Compile.fill taps ~idx ~lanes ~stride:lanes frame ~oob;
-      Compile.exec prog ~lanes frame;
-      Array.blit frame result out.Tensor.data (row * lanes) lanes;
-      if s.Stencil.shrink then
-        for l = 0 to lanes - 1 do
-          valid.((row * lanes) + l) <- not oob.(l)
-        done
-      else Array.fill valid (row * lanes) lanes true;
-      Compile.advance ~shape idx (rank - 2) 1
-    done;
-    Hashtbl.replace store s.Stencil.name out;
-    Hashtbl.replace live s.Stencil.name { tensor = out; valid };
-    if free then begin
-      Array.iter (fun (field, _) -> release i field) (Compile.loads prog);
-      release i s.Stencil.name
-    end
-  in
-  List.iteri eval_stencil stages;
-  List.filter_map
-    (fun ((s : Stencil.t), _) ->
-      Option.map (fun r -> (s.Stencil.name, r)) (Hashtbl.find_opt live s.Stencil.name))
-    stages
+    List.iteri eval_stencil stages;
+    List.filter_map
+      (fun ((s : Stencil.t), _) ->
+        Option.map (fun r -> (s.Stencil.name, r)) (Hashtbl.find_opt live s.Stencil.name))
+      stages
 
-let run_all p ~inputs = evaluate p ~inputs ~free:false
-let run p ~inputs = evaluate p ~inputs ~free:true
+let run_all p ~inputs = evaluate p ~inputs ~free:false ()
+let prepare p ~inputs = evaluate p ~inputs ~free:true
+let run p ~inputs = prepare p ~inputs ()
 
 let random_inputs ?(seed = 42) (p : Program.t) =
   let state = Random.State.make [| seed |] in

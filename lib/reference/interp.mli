@@ -42,6 +42,13 @@ val run : Sf_ir.Program.t -> inputs:(string * Tensor.t) list -> (string * result
     reuses its data and validity arrays, so memory follows the DAG's live
     width rather than its length. *)
 
+val prepare :
+  Sf_ir.Program.t -> inputs:(string * Tensor.t) list -> unit -> (string * result) list
+(** {!run} in two steps: [prepare] validates (raising as {!run} does),
+    orders the stages and lowers every body; the returned function shares
+    nothing mutable with the caller, may run on another domain, and
+    evaluates afresh on each call. [run p ~inputs = prepare p ~inputs ()]. *)
+
 val random_inputs : ?seed:int -> Sf_ir.Program.t -> (string * Tensor.t) list
 (** Deterministic pseudo-random input data in [-1, 1] for every declared
     input field — convenient for tests and validation runs. *)

@@ -456,13 +456,12 @@ let completed_stats ~faults ~system ~predicted ~cycles ~report (p : Program.t) =
     faults;
   }
 
-(* Compare a completed run's outputs against the reference interpreter
-   ([run_and_validate]). *)
-let compare_to_reference ~inputs (p : Program.t) stats =
+(* Compare a completed run's outputs against the reference
+   interpreter's ([run_and_validate]). *)
+let compare_outputs ~reference stats =
   let mismatch fmt =
     Format.kasprintf (fun m -> Error (Diag.error ~code:Diag.Code.sim_mismatch m)) fmt
   in
-  let reference = Interp.run p ~inputs in
   let rec check = function
     | [] -> Ok stats
     | (name, simulated) :: rest -> (
@@ -488,6 +487,9 @@ let compare_to_reference ~inputs (p : Program.t) stats =
             end)
   in
   check stats.results
+
+let compare_to_reference ~inputs (p : Program.t) stats =
+  compare_outputs ~reference:(Interp.run p ~inputs) stats
 
 (* ------------------------------------------------------------------ *)
 (* The per-device scheduler.                                           *)
@@ -1113,8 +1115,26 @@ let to_result ~config = function
 let run ?(config = Config.default) ?placement ?inputs p =
   to_result ~config (run_exn ~config ?placement ?inputs p)
 
+(* The oracle reads only the program and the inputs: it evaluates on a
+   second domain while this one simulates, or inline after the run in a
+   pool worker (its pool already uses the cores) or on a one-core host.
+   The run's exception or [Error] wins over any oracle exception. *)
 let run_and_validate ?config ?placement ?inputs p =
   let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in
+  let oracle = try Interp.prepare p ~inputs with e -> fun () -> raise e in
+  let reference, discard =
+    if Sf_support.Executor.worker_index () > 0 || Domain.recommended_domain_count () < 2 then
+      (oracle, ignore)
+    else
+      let d = Domain.spawn oracle in
+      ((fun () -> Domain.join d), fun () -> try ignore (Domain.join d) with _ -> ())
+  in
   match run ?config ?placement ~inputs p with
-  | Error d -> Error d
-  | Ok stats -> compare_to_reference ~inputs p stats
+  | Ok stats -> compare_outputs ~reference:(reference ()) stats
+  | Error _ as e ->
+      discard ();
+      e
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      discard ();
+      Printexc.raise_with_backtrace e bt

@@ -50,12 +50,75 @@ let lanes_match_interp ~seed e lanes =
       || QCheck.Test.fail_reportf "lanes=%d lane=%d: expected %h, got %h" lanes lane expected got)
     (List.init lanes Fun.id)
 
+(* Replace about half of the constants with adversarial values, so that
+   NaN, signed zeros and infinities reach comparisons, [&&], [||] and
+   select conditions as constants as well as loads. *)
+let rec adversarial_consts ~seed e =
+  let sub = adversarial_consts ~seed in
+  match e with
+  | Expr.Const c ->
+      let h = Hashtbl.hash (seed, Int64.bits_of_float c) in
+      if h mod 2 = 0 then Expr.Const adversarial_values.(h mod Array.length adversarial_values)
+      else e
+  | Expr.Access _ | Expr.Var _ -> e
+  | Expr.Unary (op, x) -> Expr.Unary (op, sub x)
+  | Expr.Binary (op, x, y) -> Expr.Binary (op, sub x, sub y)
+  | Expr.Select { cond; if_true; if_false } ->
+      Expr.Select { cond = sub cond; if_true = sub if_true; if_false = sub if_false }
+  | Expr.Call (f, args) -> Expr.Call (f, List.map sub args)
+
 (* The flat evaluator must agree bit for bit with the tree-walking
    evaluator, lane by lane, at every lane count. *)
 let prop_lanes_bit_exact =
   QCheck.Test.make ~count:500 ~name:"compiled expressions equal the evaluator"
     (QCheck.pair (QCheck.make ~print:Expr.to_string Test_expr.expr_gen) QCheck.small_nat)
-    (fun (e, seed) -> List.for_all (lanes_match_interp ~seed e) [ 1; 3; 4; 64 ])
+    (fun (e, seed) ->
+      let e = adversarial_consts ~seed e in
+      List.for_all (lanes_match_interp ~seed e) [ 1; 3; 4; 64 ])
+
+(* Every computed value below can take a slot its operands free at the
+   same instruction, so the frame holds only the loads and constants;
+   the lane loops must read each lane before overwriting it. The result
+   keeps its slot: a binding nothing reads, computed after it, must take
+   another. *)
+let test_slot_reuse () =
+  let access field = Expr.Access { field; offsets = [] } in
+  let e =
+    Expr.Select
+      {
+        cond = Expr.Binary (Expr.Lt, access "t0", access "t1");
+        if_true = Expr.Binary (Expr.Mul, access "u", Expr.Const 2.);
+        if_false = Expr.Unary (Expr.Neg, Expr.Binary (Expr.Or, access "a", access "b"));
+      }
+  in
+  let p = Compile.lower { Expr.lets = []; result = e } in
+  Alcotest.(check int) "loads and constants only" 6 (Array.length (Compile.frame p ~lanes:1));
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun lanes ->
+          if not (lanes_match_interp ~seed e lanes) then Alcotest.failf "seed %d" seed)
+        [ 1; 3; 4 ])
+    (List.init 40 Fun.id);
+  let p =
+    Compile.lower
+      { Expr.lets = [ ("unread", Expr.Unary (Expr.Neg, access "b")) ];
+        result = Expr.Unary (Expr.Neg, access "a") }
+  in
+  let fr = Compile.frame p ~lanes:1 in
+  Alcotest.(check int) "two slots" 2 (Array.length fr);
+  Array.iteri (fun k (field, _) -> fr.(k) <- (if field = "a" then 3. else 5.)) (Compile.loads p);
+  Compile.exec p ~lanes:1 fr;
+  Alcotest.(check (float 0.)) "result kept" (-3.) fr.(Compile.result_slot p)
+
+(* Liveness keeps frames small: fused, optimized hdiff at W=4 had 138
+   slots in its u_out frame with one slot per node. *)
+let test_hdiff_frame_slots () =
+  let p = Sf_kernels.Hdiff.program ~shape:[ 8; 64; 64 ] ~vector_width:4 () in
+  let p = Sf_sdfg.Opt.optimize (fst (Sf_sdfg.Fusion.fuse_all p)) in
+  let s = List.find (fun (s : Stencil.t) -> s.Stencil.name = "u_out") p.Program.stencils in
+  let slots = Array.length (Compile.frame (Compile.lower s.Stencil.body) ~lanes:1) in
+  if slots > 40 then Alcotest.failf "u_out frame has %d slots" slots
 
 let test_body_lets_evaluate_once () =
   (* Each let is computed once per invocation; the access counter shows
@@ -235,4 +298,6 @@ let suite =
     Alcotest.test_case "let ordering enforced" `Quick test_let_ordering;
     Alcotest.test_case "exec allocates nothing" `Quick test_exec_allocation_free;
     Alcotest.test_case "fill reads runs across a ring's wrap" `Quick test_fill_across_ring_wrap;
+    Alcotest.test_case "slots: dying operands reused, result pinned" `Quick test_slot_reuse;
+    Alcotest.test_case "hdiff frames hold the live slots" `Quick test_hdiff_frame_slots;
   ]

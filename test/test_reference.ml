@@ -301,6 +301,38 @@ let prop_run_equals_run_all =
       in
       run_equals_run_all { p with Program.outputs })
 
+(* [prepare] does the checking and lowering; the function it returns
+   evaluates, afresh on every call, exactly what [run] computes. *)
+let prop_prepare_equals_run =
+  QCheck.Test.make ~count:100 ~name:"prepare then evaluate equals run"
+    Program_gen.arbitrary_program (fun p ->
+      let inputs = Interp.random_inputs ~seed:5 p in
+      let eval = Interp.prepare p ~inputs in
+      let expected = Interp.run p ~inputs in
+      let same results =
+        List.map fst results = List.map fst expected
+        && List.for_all2
+             (fun (_, (r : Interp.result)) (_, (e : Interp.result)) ->
+               Array.map Int64.bits_of_float r.Interp.tensor.Tensor.data
+               = Array.map Int64.bits_of_float e.Interp.tensor.Tensor.data
+               && r.Interp.valid = e.Interp.valid)
+             results expected
+      in
+      same (eval ()) && same (eval ()))
+
+let test_prepare_raises_early () =
+  let p = Fixtures.laplace2d () in
+  (match Interp.prepare p ~inputs:[] with
+  | exception Interp.Runtime_error m ->
+      Alcotest.(check string) "missing input" "missing input data for field a" m
+  | (_ : unit -> _) -> Alcotest.fail "prepare must reject a missing input");
+  (match Interp.prepare p ~inputs:[ ("a", Tensor.create [ 8; 4 ]) ] with
+  | exception Interp.Runtime_error _ -> ()
+  | (_ : unit -> _) -> Alcotest.fail "prepare must reject a mis-shaped input");
+  match Interp.prepare { p with Program.outputs = [ "ghost" ] } ~inputs:(Interp.random_inputs p) with
+  | exception Invalid_argument _ -> ()
+  | (_ : unit -> _) -> Alcotest.fail "prepare must reject a malformed program"
+
 let suite =
   [
     Alcotest.test_case "tensor basics" `Quick test_tensor_basics;
@@ -318,4 +350,6 @@ let suite =
     Alcotest.test_case "rows: boundaries at both row ends" `Quick test_rows_boundaries_at_both_ends;
     Alcotest.test_case "run frees dead stages" `Quick test_run_frees_dead_stages;
     QCheck_alcotest.to_alcotest prop_run_equals_run_all;
+    QCheck_alcotest.to_alcotest prop_prepare_equals_run;
+    Alcotest.test_case "prepare raises before it returns" `Quick test_prepare_raises_early;
   ]

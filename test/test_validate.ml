@@ -1,0 +1,123 @@
+(* Oracle-path parity: [Engine.run_and_validate] evaluates the reference
+   interpreter on a second domain while the simulation runs, or inline
+   when the caller is a pool worker. Both paths must report the same
+   outcome: the same stats and output bits, the same Diag, or the same
+   exception. *)
+open Sf_ir
+module Engine = Sf_sim.Engine
+module Interp = Sf_reference.Interp
+module Tensor = Sf_reference.Tensor
+module Executor = Sf_support.Executor
+module Diag = Sf_support.Diag
+module E = Builder.E
+
+let cheap = Engine.Config.make ~latency:Sf_analysis.Latency.cheap ()
+
+type outcome = Stats of Engine.stats | Failed of Diag.t | Raised of exn
+
+let outcome f =
+  match f () with Ok s -> Stats s | Error d -> Failed d | exception e -> Raised e
+
+(* Run [f] inside a dedicated pool worker, where [run_and_validate]
+   evaluates its oracle inline. *)
+let in_worker f =
+  let pool = Executor.create ~dedicated:true ~jobs:1 () in
+  let r = ref None in
+  Executor.submit pool (fun () ->
+      assert (Executor.worker_index () > 0);
+      r := Some (outcome f));
+  Executor.shutdown pool;
+  Option.get !r
+
+let both f = (outcome f, in_worker f)
+
+let bits (r : Interp.result) = Array.map Int64.bits_of_float r.Interp.tensor.Tensor.data
+
+let same a b =
+  match (a, b) with
+  | Stats s, Stats t ->
+      { s with Engine.results = [] } = { t with Engine.results = [] }
+      && List.map fst s.Engine.results = List.map fst t.Engine.results
+      && List.for_all2
+           (fun (_, r) (_, q) -> bits r = bits q && r.Interp.valid = q.Interp.valid)
+           s.Engine.results t.Engine.results
+  | Failed d, Failed e -> d = e
+  | Raised e, Raised f -> e = f
+  | _ -> false
+
+let describe = function
+  | Stats s -> Printf.sprintf "Ok (%d cycles)" s.Engine.cycles
+  | Failed d -> "Error " ^ Diag.to_string d
+  | Raised e -> "raised " ^ Printexc.to_string e
+
+let prop_paths_agree =
+  QCheck.Test.make ~count:40 ~name:"random programs: overlapped and inline oracles agree"
+    Program_gen.arbitrary_program (fun p ->
+      let overlapped, inline = both (fun () -> Engine.run_and_validate ~config:cheap p) in
+      (match overlapped with
+      | Stats _ -> ()
+      | o -> QCheck.Test.fail_reportf "validation failed: %s" (describe o));
+      same overlapped inline
+      || QCheck.Test.fail_reportf "overlapped %s, inline %s" (describe overlapped)
+           (describe inline))
+
+let check_both name ~expect f =
+  let overlapped, inline = both f in
+  List.iter
+    (fun (path, o) ->
+      if not (expect o) then Alcotest.failf "%s, %s path: %s" name path (describe o))
+    [ ("overlapped", overlapped); ("inline", inline) ];
+  if not (same overlapped inline) then
+    Alcotest.failf "%s: overlapped %s, inline %s" name (describe overlapped) (describe inline)
+
+(* Fig. 4: the diamond with its skip buffer overridden deadlocks; the
+   simulation's Diag wins over the oracle, which still runs. *)
+let test_deadlock_diag () =
+  let p = Fixtures.diamond ~shape:[ 8; 16 ] ~span:5 () in
+  let config =
+    {
+      cheap with
+      Engine.Config.override_edge_buffers = [ (("a", "c"), 0) ];
+      Engine.Config.channel_slack = 2;
+      Engine.Config.safety = Engine.Config.safety ~deadlock_window:256 ();
+    }
+  in
+  check_both "deadlocked diamond"
+    ~expect:(function Failed d -> d.Diag.code = Diag.Code.sim_deadlock | _ -> false)
+    (fun () -> Engine.run_and_validate ~config p)
+
+let two_point () =
+  let b = Builder.create ~name:"two_point" ~shape:[ 4; 8 ] () in
+  Builder.input b "a";
+  Builder.stencil b "s" E.(acc "a" [ 0; 1 ] +% acc "a" [ 0; -1 ]);
+  Builder.output b "s";
+  Builder.finish b
+
+(* The simulation raises first, as it did before the oracle overlapped;
+   the oracle's own exception for the same fault is dropped. *)
+let test_malformed_program () =
+  let p = { (two_point ()) with Program.outputs = [ "ghost" ] } in
+  check_both "malformed program"
+    ~expect:(( = ) (Raised (Invalid_argument "declared output ghost is not a stencil")))
+    (fun () -> Engine.run_and_validate p)
+
+let test_missing_input () =
+  check_both "missing input"
+    ~expect:(( = ) (Raised (Interp.Runtime_error "missing input data for field a")))
+    (fun () -> Engine.run_and_validate ~inputs:[] (two_point ()))
+
+(* A mis-shaped input makes the oracle raise in [prepare], but the
+   simulation starves and its deadlock Diag is what surfaces. *)
+let test_simulation_error_wins () =
+  check_both "mis-shaped input"
+    ~expect:(function Failed d -> d.Diag.code = Diag.Code.sim_deadlock | _ -> false)
+    (fun () -> Engine.run_and_validate ~inputs:[ ("a", Tensor.create [ 4; 4 ]) ] (two_point ()))
+
+let suite =
+  [
+    QCheck_alcotest.to_alcotest prop_paths_agree;
+    Alcotest.test_case "deadlock Diag on both paths" `Quick test_deadlock_diag;
+    Alcotest.test_case "malformed program raises on both paths" `Quick test_malformed_program;
+    Alcotest.test_case "missing input raises on both paths" `Quick test_missing_input;
+    Alcotest.test_case "simulation Error wins over the oracle" `Quick test_simulation_error_wins;
+  ]
