@@ -229,14 +229,12 @@ let remote_eval ~(common : Common.t) ?(local_only = []) request =
     | Ok (Some (Json.Bool true)) -> 0
     | _ -> 1)
 
-(* The context after a request's frontend passes (load, vectorize,
+(* The program after a request's frontend passes (load, vectorize,
    fuse) — how the commands that render a program obtain it. *)
-let frontend ?fuse path width =
+let load ?fuse path width =
   match Request.frontend (request ?fuse `Analyze path width) with
-  | Ok ctx -> ctx
+  | Ok ctx -> Option.get ctx.Ctx.program
   | Error ds -> exit_diags ~json:false ds
-
-let load ?fuse path width = Option.get (frontend ?fuse path width).Ctx.program
 
 let analyze_cmd =
   let run path width ({ Common.fuse; optimize; _ } as common) remote =
@@ -543,19 +541,56 @@ let dot_cmd =
   let doc = "Print the stencil DAG in Graphviz format with delay-buffer labels." in
   Cmd.v (Cmd.info "dot" ~doc) Term.(const run $ program_arg $ vector_width_arg $ Common.fuse_arg)
 
-let fuse_cmd =
+(* fuse and optimize: the loaded program through the request frontend
+   with fusion and, for optimize, fold-cse; summary lines from the ctx,
+   then the program. optimize also probes the result against the loaded
+   program on interior cells, where a mismatch is SF0801. *)
+let transform_cmd ~optimize name doc =
   let run path width =
-    let ctx = frontend ~fuse:true path width in
-    let fused = Option.get ctx.Ctx.program and report = Option.get ctx.Ctx.fusion in
+    let p = load path width in
+    let request =
+      Request.make `Analyze (Request.Program p)
+        ~options:{ Request.default_options with fuse = true; optimize }
+    in
+    let ctx =
+      match Request.frontend request with Ok ctx -> ctx | Error ds -> exit_diags ~json:false ds
+    in
+    let result = Option.get ctx.Ctx.program and report = Option.get ctx.Ctx.fusion in
     Format.printf "fused %d stencils into %d:@." report.Fusion.stencils_before
       report.Fusion.stencils_after;
     List.iter
       (fun (u, v) -> Format.printf "  %s into %s@." u v)
       report.Fusion.fused_pairs;
-    print_string (Program_json.to_string fused)
+    if optimize then begin
+      List.iter
+        (fun (k, n) -> if String.starts_with ~prefix:"opt-" k then Format.printf "%s: %d@." k n)
+        (Ctx.counters ctx);
+      let applied =
+        List.filter_map
+          (fun (pass : Pass_manager.pass) ->
+            if pass.Pass_manager.kind = Pass_manager.Transform then Some pass.Pass_manager.name
+            else None)
+          (Request.passes request)
+      in
+      match verify_interior ~original:p ~applied result with
+      | Error d -> exit_diags ~json:false [ d ]
+      | Ok (Some true) -> Format.printf "interior probe check: verified@."
+      | Ok _ ->
+          Format.printf "interior probe check: skipped (over %d cells or no interior cell)@."
+            Fusion.max_probe_cells
+    end;
+    print_string (Program_json.to_string result)
   in
-  let doc = "Apply aggressive stencil fusion and print the resulting program." in
-  Cmd.v (Cmd.info "fuse" ~doc) Term.(const run $ program_arg $ vector_width_arg)
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ program_arg $ vector_width_arg)
+
+let fuse_cmd =
+  transform_cmd ~optimize:false "fuse"
+    "Apply aggressive stencil fusion and print the resulting program."
+
+let optimize_cmd =
+  transform_cmd ~optimize:true "optimize"
+    "Fuse, fold constants and eliminate common subexpressions, check the result against \
+     the input on interior probe cells, and print the optimized program."
 
 let tile_cmd =
   let tile_arg =
@@ -618,21 +653,6 @@ let autotune_cmd =
   in
   let doc = "Sweep vectorization widths under the device, memory and network models." in
   Cmd.v (Cmd.info "autotune" ~doc) Term.(const run $ program_arg $ devices_arg $ jobs_arg)
-
-let optimize_cmd =
-  let run path width =
-    let p = load path width in
-    match Pipeline.run Pipeline.default_pipeline p with
-    | Error ds -> exit_diags ~json:false ds
-    | Ok (optimized, entries) ->
-        List.iter (fun e -> Format.printf "%a@." Pipeline.pp_entry e) entries;
-        print_string (Program_json.to_string optimized)
-  in
-  let doc =
-    "Run the verified optimization pipeline (fusion, folding, CSE) and print the optimized \
-     program."
-  in
-  Cmd.v (Cmd.info "optimize" ~doc) Term.(const run $ program_arg $ vector_width_arg)
 
 let report_cmd =
   let run path width fuse =

@@ -33,7 +33,6 @@ module Sdfg = Sf_sdfg.Sdfg
 module Fusion = Sf_sdfg.Fusion
 module Transform = Sf_sdfg.Transform
 module Opt = Sf_sdfg.Opt
-module Pipeline = Sf_sdfg.Pipeline
 module Partition = Sf_mapping.Partition
 module Tiling = Sf_mapping.Tiling
 module Autotune = Sf_mapping.Autotune
@@ -105,6 +104,14 @@ let run ?device ?fuse ?validate ?sim_config ?inputs program =
   | Error ds -> invalid_arg (String.concat "; " (List.map Diag.to_string ds))
 
 let codegen ?partition program = Opencl.generate ?partition program
+
+let verify_interior ~original ~applied p =
+  match Fusion.interior_agrees ~original p with
+  | Some false ->
+      Error
+        (Diag.errorf ~code:Diag.Code.pass_verification "%s changed interior results of %s"
+           (String.concat ", " applied) original.Program.name)
+  | verdict -> Ok verdict
 
 let pp_report fmt r =
   Format.fprintf fmt "program %s: %d stencil(s) over %d device(s)@." r.program.Program.name

@@ -55,7 +55,6 @@ module Sdfg = Sf_sdfg.Sdfg
 module Fusion = Sf_sdfg.Fusion
 module Transform = Sf_sdfg.Transform
 module Opt = Sf_sdfg.Opt
-module Pipeline = Sf_sdfg.Pipeline
 module Partition = Sf_mapping.Partition
 module Tiling = Sf_mapping.Tiling
 module Autotune = Sf_mapping.Autotune
@@ -143,6 +142,12 @@ val run :
 
 val codegen :
   ?partition:Partition.t -> Program.t -> (Opencl.artifact list, Diag.t list) result
+
+val verify_interior :
+  original:Program.t -> applied:string list -> Program.t -> (bool option, Diag.t) result
+(** {!Fusion.interior_agrees} as a diagnostic: [Ok] with its verdict
+    unless the interior results differ, which is an [SF0801] error (exit
+    code 8) naming [original] and the [applied] passes. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** Human-readable summary; the expected-cycle label reads [C = L + N/W]

@@ -136,3 +136,33 @@ let equivalence_radius ~original ~fused =
 
 let equivalence_radii ~original ~fused =
   List.map2 max (Sf_analysis.Influence.radius original) (Sf_analysis.Influence.radius fused)
+
+let max_probe_cells = 65536
+
+let interior_agrees ~original p =
+  let shape = original.Program.shape in
+  if p.Program.shape <> shape || Program.cells original > max_probe_cells then None
+  else
+    let radii = equivalence_radii ~original ~fused:p in
+    if not (List.for_all2 (fun e r -> e > 2 * r) shape radii) then None
+    else begin
+      let module Interp = Sf_reference.Interp in
+      let interior (r : Interp.result) =
+        (Sf_reference.Tensor.slice r.Interp.tensor ~origin:radii
+           ~extent:(List.map2 (fun e r -> e - (2 * r)) shape radii))
+          .Sf_reference.Tensor.data
+      in
+      let close a b =
+        (Float.is_nan a && Float.is_nan b)
+        || Float.abs (a -. b) <= 1e-9 *. Float.max 1. (Float.abs a)
+      in
+      let inputs = Interp.random_inputs original in
+      let results = Interp.run p ~inputs in
+      Some
+        (List.for_all
+           (fun (name, r) ->
+             match List.assoc_opt name results with
+             | Some r' -> Array.for_all2 close (interior r) (interior r')
+             | None -> false)
+           (Interp.run original ~inputs))
+    end

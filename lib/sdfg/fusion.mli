@@ -63,3 +63,14 @@ val equivalence_radius : original:Sf_ir.Program.t -> fused:Sf_ir.Program.t -> in
     the consumer's offsets, so the fused program's own radius can
     underestimate where the {e unfused} program applied its boundary
     conditions. *)
+
+val max_probe_cells : int
+(** 65536: the largest program {!interior_agrees} executes. *)
+
+val interior_agrees : original:Sf_ir.Program.t -> Sf_ir.Program.t -> bool option
+(** Probe check of a transformed program against its [original]: run both
+    on the same random inputs ({!Sf_reference.Interp.random_inputs} of
+    [original]) and compare every output of [original] on the cells at
+    least {!equivalence_radii} from each face (relative tolerance 1e-9;
+    NaN matches NaN). [None] when the shapes differ, [original] has more
+    than {!max_probe_cells} cells, or no interior cell exists. *)

@@ -272,9 +272,3 @@ let pp_trace fmt (trace : trace) =
 
 let cached_passes (trace : trace) = List.length (List.filter (fun t -> t.cached) trace)
 let executed_passes (trace : trace) = List.length (List.filter (fun t -> not t.cached) trace)
-
-let time ~label f =
-  ignore label;
-  let t0 = monotime () in
-  let result = f () in
-  (result, monotime () -. t0)

@@ -118,8 +118,3 @@ val cached_passes : trace -> int
 
 val executed_passes : trace -> int
 (** Passes actually executed (not replayed). *)
-
-val time : label:string -> (unit -> 'a) -> 'a * float
-(** [time ~label f] runs [f ()] and returns its result with the elapsed
-    wall-clock seconds — the shared timing primitive for benchmark
-    sections ([label] is not printed, only carried for callers). *)

@@ -40,34 +40,50 @@ let make ?(options = default_options) verb source = { verb; source; options }
 
 (* Wire format ------------------------------------------------------- *)
 
+let ( let* ) = Result.bind
 let format_error msg = Error [ Diag.error ~code:Diag.Code.format msg ]
 
+(* An absent option takes its default; a present one of the wrong JSON
+   type is an error naming the field. *)
 let decode_options json =
   let d = default_options in
-  let o = Option.value (Json.member "options" json) ~default:(Json.Obj []) in
-  let int k = Option.bind (Json.member k o) Json.int_opt in
-  let bool ~default k = match Json.member k o with Some (Json.Bool b) -> b | _ -> default in
-  let backend =
-    match Option.bind (Json.member "backend" o) Json.string_opt with
+  let* o =
+    match Json.member "options" json with
+    | None -> Ok (Json.Obj [])
+    | Some (Json.Obj _ as o) -> Ok o
+    | Some _ -> format_error "\"options\" must be an object"
+  in
+  let field k kind decode =
+    match Json.member k o with
+    | None -> Ok None
+    | Some v -> (
+        match decode v with
+        | Some x -> Ok (Some x)
+        | None -> format_error (Printf.sprintf "option %S must be %s" k kind))
+  in
+  let int k = field k "an integer" Json.int_opt in
+  let bool k ~default =
+    Result.map (Option.value ~default)
+      (field k "a boolean" (function Json.Bool b -> Some b | _ -> None))
+  in
+  let* width = int "width" in
+  let* fuse = bool "fuse" ~default:d.fuse in
+  let* optimize = bool "optimize" ~default:d.optimize in
+  let* devices = int "devices" in
+  let* seed = int "seed" in
+  let* validate = bool "validate" ~default:d.validate in
+  let* max_cycles = int "max_cycles" in
+  let* backend = field "backend" "a string" Json.string_opt in
+  let* backend =
+    match backend with
     | None -> Ok d.backend
     | Some name -> (
         match List.assoc_opt name backends with
         | Some b -> Ok b
         | None -> Error [ Diag.errorf ~code:Diag.Code.format "unknown backend %S" name ])
   in
-  Result.map
-    (fun backend ->
-      {
-        width = int "width";
-        fuse = bool ~default:d.fuse "fuse";
-        optimize = bool ~default:d.optimize "optimize";
-        devices = int "devices";
-        seed = Option.value (int "seed") ~default:d.seed;
-        validate = bool ~default:d.validate "validate";
-        max_cycles = int "max_cycles";
-        backend;
-      })
-    backend
+  let seed = Option.value seed ~default:d.seed in
+  Ok { width; fuse; optimize; devices; seed; validate; max_cycles; backend }
 
 let decode_source json =
   match (Json.member "program" json, Json.member "program_file" json) with
@@ -79,7 +95,6 @@ let decode_source json =
   | None, None -> format_error "request needs a \"program\" object or a \"program_file\" path"
 
 let of_json json =
-  let ( let* ) = Result.bind in
   let* verb =
     match Option.bind (Json.member "verb" json) Json.string_opt with
     | Some name -> (
@@ -119,8 +134,7 @@ let to_json t =
 (* Execution --------------------------------------------------------- *)
 
 (* Fusion runs before the optimiser so fold-cse sees (and re-shares) the
-   substituted fused bodies — the same order as
-   Sdfg.Pipeline.default_pipeline. *)
+   substituted fused bodies. *)
 let frontend_passes t =
   let o = t.options in
   [

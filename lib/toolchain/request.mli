@@ -47,8 +47,9 @@ val of_json : Sf_support.Json.t -> (t, Sf_support.Diag.t list) result
     ["program_file"] (path), and an optional ["options"] object whose
     absent fields (["width"], ["fuse"], ["optimize"], ["devices"],
     ["seed"], ["validate"], ["max_cycles"], ["backend"]) take
-    {!default_options}. Unknown verbs and backends and a missing program
-    are [SF0203]. *)
+    {!default_options}. Unknown verbs and backends, a missing program, a
+    non-object ["options"] and an option of the wrong JSON type (each
+    diagnostic names the field) are [SF0203]. *)
 
 val to_json : t -> Sf_support.Json.t
 (** The object {!of_json} decodes back to the same request, with every

@@ -210,7 +210,36 @@ let test_bad_requests () =
   Alcotest.(check (list string)) "bad backend" [ "SF0203" ]
     (code {|{"verb": "codegen", "program_file": "p", "options": {"backend": "verilog"}}|});
   Alcotest.(check (list string)) "not a compile verb" [ "SF0203" ]
-    (code {|{"verb": "health", "program_file": "p"}|})
+    (code {|{"verb": "health", "program_file": "p"}|});
+  (* A mistyped option is an error naming the field, not its default. *)
+  let message line =
+    match Request.of_json (Json.of_string line) with
+    | Error [ d ] when d.Diag.code = Diag.Code.format -> d.Diag.message
+    | Error ds -> Alcotest.failf "%s: codes %s" line (String.concat "," (codes ds))
+    | Ok _ -> Alcotest.fail ("accepted: " ^ line)
+  in
+  let request options =
+    Printf.sprintf {|{"verb": "analyze", "program_file": "p", "options": %s}|} options
+  in
+  Alcotest.(check string) "options not an object" {|"options" must be an object|}
+    (message (request {|"fast"|}));
+  Alcotest.(check string) "first bad field" {|option "width" must be an integer|}
+    (message (request {|{"width": "4", "fuse": "yes"}|}));
+  List.iter
+    (fun (field, value, kind) ->
+      Alcotest.(check string) field
+        (Printf.sprintf "option %S must be %s" field kind)
+        (message (request (Printf.sprintf {|{%S: %s}|} field value))))
+    [
+      ("width", "4.0", "an integer");
+      ("devices", "null", "an integer");
+      ("seed", "7.5", "an integer");
+      ("max_cycles", {|"100"|}, "an integer");
+      ("fuse", {|"yes"|}, "a boolean");
+      ("optimize", "1", "a boolean");
+      ("validate", "[]", "a boolean");
+      ("backend", "true", "a string");
+    ]
 
 let suite =
   [
