@@ -118,38 +118,199 @@ let[@inline] fmax (x : float) (y : float) =
    any non-zero value is true, && and || do not short-circuit, and both
    select branches were computed by earlier instructions. Each case is
    its own lane loop, written out so that no float is ever boxed. Slot
-   [s] starts at [s * stride]; the first [lanes] of its cells are live. *)
+   [s] starts at [s * stride]; the first [lanes] of its cells are live.
+   A case whose lane is a few machine instructions runs four lanes per
+   iteration ([!j] to [!j + 3], below [t], which is [lanes] rounded down
+   to a multiple of 4) and then a plain loop over the rest: the loop
+   control, not the arithmetic, is what such a lane costs. A libm call
+   costs more than the control it would save, so those cases keep the
+   plain loop. Every lane reads its operands before its own store, so a
+   destination may share an operand's slot. *)
 let exec p ~lanes fr =
   let stride = Array.length fr / p.n_slots in
   if lanes < 1 || lanes > stride || stride * p.n_slots <> Array.length fr then
     invalid_arg "Compile.exec: the frame does not hold [lanes] lanes";
-  let args = p.args and n = lanes - 1 in
+  let args = p.args and n = lanes - 1 and t = lanes land -4 in
   for i = 0 to Array.length p.ops - 1 do
     let d = Array.unsafe_get args (4 * i) * stride
     and x = Array.unsafe_get args ((4 * i) + 1) * stride
-    and y = Array.unsafe_get args ((4 * i) + 2) * stride in
+    and y = Array.unsafe_get args ((4 * i) + 2) * stride
+    and j = ref 0 in
     match Array.unsafe_get p.ops i with
-    | Neg -> for l = 0 to n do set fr (d + l) (-.get fr (x + l)) done
-    | Not -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) = 0.)) done
-    | Add -> for l = 0 to n do set fr (d + l) (get fr (x + l) +. get fr (y + l)) done
-    | Sub -> for l = 0 to n do set fr (d + l) (get fr (x + l) -. get fr (y + l)) done
-    | Mul -> for l = 0 to n do set fr (d + l) (get fr (x + l) *. get fr (y + l)) done
-    | Div -> for l = 0 to n do set fr (d + l) (get fr (x + l) /. get fr (y + l)) done
-    | Lt -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) < get fr (y + l))) done
-    | Le -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) <= get fr (y + l))) done
-    | Gt -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) > get fr (y + l))) done
-    | Ge -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) >= get fr (y + l))) done
-    | Eq -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) = get fr (y + l))) done
-    | Ne -> for l = 0 to n do set fr (d + l) (of_bool (get fr (x + l) <> get fr (y + l))) done
-    | And -> for l = 0 to n do set fr (d + l) (Float.of_int (truth (get fr (x + l)) land truth (get fr (y + l)))) done
-    | Or -> for l = 0 to n do set fr (d + l) (Float.of_int (truth (get fr (x + l)) lor truth (get fr (y + l)))) done
+    | Neg ->
+        while !j < t do
+          let a = d + !j and b = x + !j in
+          set fr a (-.get fr b);
+          set fr (a + 1) (-.get fr (b + 1));
+          set fr (a + 2) (-.get fr (b + 2));
+          set fr (a + 3) (-.get fr (b + 3));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) (-.get fr (x + l)) done
+    | Not ->
+        while !j < t do
+          let a = d + !j and b = x + !j in
+          set fr a (of_bool (get fr b = 0.));
+          set fr (a + 1) (of_bool (get fr (b + 1) = 0.));
+          set fr (a + 2) (of_bool (get fr (b + 2) = 0.));
+          set fr (a + 3) (of_bool (get fr (b + 3) = 0.));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) (of_bool (get fr (x + l) = 0.)) done
+    | Add ->
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j in
+          set fr a (get fr b +. get fr c);
+          set fr (a + 1) (get fr (b + 1) +. get fr (c + 1));
+          set fr (a + 2) (get fr (b + 2) +. get fr (c + 2));
+          set fr (a + 3) (get fr (b + 3) +. get fr (c + 3));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) (get fr (x + l) +. get fr (y + l)) done
+    | Sub ->
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j in
+          set fr a (get fr b -. get fr c);
+          set fr (a + 1) (get fr (b + 1) -. get fr (c + 1));
+          set fr (a + 2) (get fr (b + 2) -. get fr (c + 2));
+          set fr (a + 3) (get fr (b + 3) -. get fr (c + 3));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) (get fr (x + l) -. get fr (y + l)) done
+    | Mul ->
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j in
+          set fr a (get fr b *. get fr c);
+          set fr (a + 1) (get fr (b + 1) *. get fr (c + 1));
+          set fr (a + 2) (get fr (b + 2) *. get fr (c + 2));
+          set fr (a + 3) (get fr (b + 3) *. get fr (c + 3));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) (get fr (x + l) *. get fr (y + l)) done
+    | Div ->
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j in
+          set fr a (get fr b /. get fr c);
+          set fr (a + 1) (get fr (b + 1) /. get fr (c + 1));
+          set fr (a + 2) (get fr (b + 2) /. get fr (c + 2));
+          set fr (a + 3) (get fr (b + 3) /. get fr (c + 3));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) (get fr (x + l) /. get fr (y + l)) done
+    | Lt ->
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j in
+          set fr a (of_bool (get fr b < get fr c));
+          set fr (a + 1) (of_bool (get fr (b + 1) < get fr (c + 1)));
+          set fr (a + 2) (of_bool (get fr (b + 2) < get fr (c + 2)));
+          set fr (a + 3) (of_bool (get fr (b + 3) < get fr (c + 3)));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) (of_bool (get fr (x + l) < get fr (y + l))) done
+    | Le ->
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j in
+          set fr a (of_bool (get fr b <= get fr c));
+          set fr (a + 1) (of_bool (get fr (b + 1) <= get fr (c + 1)));
+          set fr (a + 2) (of_bool (get fr (b + 2) <= get fr (c + 2)));
+          set fr (a + 3) (of_bool (get fr (b + 3) <= get fr (c + 3)));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) (of_bool (get fr (x + l) <= get fr (y + l))) done
+    | Gt ->
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j in
+          set fr a (of_bool (get fr b > get fr c));
+          set fr (a + 1) (of_bool (get fr (b + 1) > get fr (c + 1)));
+          set fr (a + 2) (of_bool (get fr (b + 2) > get fr (c + 2)));
+          set fr (a + 3) (of_bool (get fr (b + 3) > get fr (c + 3)));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) (of_bool (get fr (x + l) > get fr (y + l))) done
+    | Ge ->
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j in
+          set fr a (of_bool (get fr b >= get fr c));
+          set fr (a + 1) (of_bool (get fr (b + 1) >= get fr (c + 1)));
+          set fr (a + 2) (of_bool (get fr (b + 2) >= get fr (c + 2)));
+          set fr (a + 3) (of_bool (get fr (b + 3) >= get fr (c + 3)));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) (of_bool (get fr (x + l) >= get fr (y + l))) done
+    | Eq ->
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j in
+          set fr a (of_bool (get fr b = get fr c));
+          set fr (a + 1) (of_bool (get fr (b + 1) = get fr (c + 1)));
+          set fr (a + 2) (of_bool (get fr (b + 2) = get fr (c + 2)));
+          set fr (a + 3) (of_bool (get fr (b + 3) = get fr (c + 3)));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) (of_bool (get fr (x + l) = get fr (y + l))) done
+    | Ne ->
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j in
+          set fr a (of_bool (get fr b <> get fr c));
+          set fr (a + 1) (of_bool (get fr (b + 1) <> get fr (c + 1)));
+          set fr (a + 2) (of_bool (get fr (b + 2) <> get fr (c + 2)));
+          set fr (a + 3) (of_bool (get fr (b + 3) <> get fr (c + 3)));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) (of_bool (get fr (x + l) <> get fr (y + l))) done
+    | And ->
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j in
+          set fr a (Float.of_int (truth (get fr b) land truth (get fr c)));
+          set fr (a + 1) (Float.of_int (truth (get fr (b + 1)) land truth (get fr (c + 1))));
+          set fr (a + 2) (Float.of_int (truth (get fr (b + 2)) land truth (get fr (c + 2))));
+          set fr (a + 3) (Float.of_int (truth (get fr (b + 3)) land truth (get fr (c + 3))));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) (Float.of_int (truth (get fr (x + l)) land truth (get fr (y + l)))) done
+    | Or ->
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j in
+          set fr a (Float.of_int (truth (get fr b) lor truth (get fr c)));
+          set fr (a + 1) (Float.of_int (truth (get fr (b + 1)) lor truth (get fr (c + 1))));
+          set fr (a + 2) (Float.of_int (truth (get fr (b + 2)) lor truth (get fr (c + 2))));
+          set fr (a + 3) (Float.of_int (truth (get fr (b + 3)) lor truth (get fr (c + 3))));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) (Float.of_int (truth (get fr (x + l)) lor truth (get fr (y + l)))) done
     | Select ->
         let z = Array.unsafe_get args ((4 * i) + 3) * stride in
-        for l = 0 to n do
-          set fr (d + l) (get fr (z + l + (truth (get fr (x + l)) * (y - z))))
+        let e = y - z in
+        while !j < t do
+          let a = d + !j and b = x + !j and c = z + !j in
+          set fr a (get fr (c + (truth (get fr b) * e)));
+          set fr (a + 1) (get fr (c + 1 + (truth (get fr (b + 1)) * e)));
+          set fr (a + 2) (get fr (c + 2 + (truth (get fr (b + 2)) * e)));
+          set fr (a + 3) (get fr (c + 3 + (truth (get fr (b + 3)) * e)));
+          j := !j + 4
+        done;
+        for l = t to n do
+          set fr (d + l) (get fr (z + l + (truth (get fr (x + l)) * e)))
         done
-    | Sqrt -> for l = 0 to n do set fr (d + l) (Float.sqrt (get fr (x + l))) done
-    | Abs -> for l = 0 to n do set fr (d + l) (Float.abs (get fr (x + l))) done
+    | Sqrt ->
+        while !j < t do
+          let a = d + !j and b = x + !j in
+          set fr a (Float.sqrt (get fr b));
+          set fr (a + 1) (Float.sqrt (get fr (b + 1)));
+          set fr (a + 2) (Float.sqrt (get fr (b + 2)));
+          set fr (a + 3) (Float.sqrt (get fr (b + 3)));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) (Float.sqrt (get fr (x + l))) done
+    | Abs ->
+        while !j < t do
+          let a = d + !j and b = x + !j in
+          set fr a (Float.abs (get fr b));
+          set fr (a + 1) (Float.abs (get fr (b + 1)));
+          set fr (a + 2) (Float.abs (get fr (b + 2)));
+          set fr (a + 3) (Float.abs (get fr (b + 3)));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) (Float.abs (get fr (x + l))) done
     | Exp -> for l = 0 to n do set fr (d + l) (Float.exp (get fr (x + l))) done
     | Log -> for l = 0 to n do set fr (d + l) (Float.log (get fr (x + l))) done
     | Sin -> for l = 0 to n do set fr (d + l) (Float.sin (get fr (x + l))) done
@@ -157,8 +318,26 @@ let exec p ~lanes fr =
     | Floor -> for l = 0 to n do set fr (d + l) (Float.floor (get fr (x + l))) done
     | Ceil -> for l = 0 to n do set fr (d + l) (Float.ceil (get fr (x + l))) done
     | Pow -> for l = 0 to n do set fr (d + l) (Float.pow (get fr (x + l)) (get fr (y + l))) done
-    | Min -> for l = 0 to n do set fr (d + l) (fmin (get fr (x + l)) (get fr (y + l))) done
-    | Max -> for l = 0 to n do set fr (d + l) (fmax (get fr (x + l)) (get fr (y + l))) done
+    | Min ->
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j in
+          set fr a (fmin (get fr b) (get fr c));
+          set fr (a + 1) (fmin (get fr (b + 1)) (get fr (c + 1)));
+          set fr (a + 2) (fmin (get fr (b + 2)) (get fr (c + 2)));
+          set fr (a + 3) (fmin (get fr (b + 3)) (get fr (c + 3)));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) (fmin (get fr (x + l)) (get fr (y + l))) done
+    | Max ->
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j in
+          set fr a (fmax (get fr b) (get fr c));
+          set fr (a + 1) (fmax (get fr (b + 1)) (get fr (c + 1)));
+          set fr (a + 2) (fmax (get fr (b + 2)) (get fr (c + 2)));
+          set fr (a + 3) (fmax (get fr (b + 3)) (get fr (c + 3)));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) (fmax (get fr (x + l)) (get fr (y + l))) done
   done
 
 let body ~access b =

@@ -7,9 +7,9 @@
     post-order, whose value takes the slot of a dead one where it can.
     {!exec} runs it over [lanes] cells held in one unboxed [float array]
     (slot [s], lane [l] at [s * stride + l]), dispatching each instruction
-    once and then looping over the lanes, without allocating: one control
-    step drives W lanes, as in the paper's stencil units (Sec. III-A,
-    IV-C). The reference interpreter runs a whole innermost-axis row per
+    once and then looping over the lanes, four per iteration, without
+    allocating: one control step drives W lanes, as in the paper's
+    stencil units (Sec. III-A, IV-C). The reference interpreter runs a whole innermost-axis row per
     dispatch; a simulated stencil unit runs the words of one row segment,
     up to a chunk of words at a time when the engine fast-forwards.
 
@@ -38,7 +38,12 @@ val exec : program -> lanes:int -> float array -> unit
 (** Run every instruction over the first [lanes] cells of a frame whose
     load slots are filled; the slot stride is the frame's, which must be
     at least [lanes]. Lane [l]'s result is at [result_slot p * stride + l].
-    It overwrites dead load slots: refill them ({!fill}) before each call. *)
+    Each instruction runs four lanes per loop iteration, then the last
+    [lanes mod 4] one at a time (a libm call, one at a time throughout).
+    It writes lanes 0 to [lanes - 1] of a slot and no other cell, and each
+    lane reads its operands before its own store, so a destination that
+    shares an operand's slot is safe. It overwrites dead load slots:
+    refill them ({!fill}) before each call. *)
 
 val body : access:(field:string -> offsets:int list -> 'ctx -> float) -> Sf_ir.Expr.body -> 'ctx -> float
 (** One-lane adapter: per call, read each load once through [access],

@@ -64,12 +64,12 @@ let input_extent (p : Program.t) (f : Field.t) =
   match Field.extent f ~shape:p.Program.shape with [] -> [ 1 ] | extent -> extent
 
 (* Evaluate every stage in topological order: the checks and lowering
-   happen up front, the returned function runs the row loops. With
-   [free], a stage that is not an output is dropped once its last
-   consumer has run (at once if nothing reads it), and its data and
-   validity arrays are reused by a later stage, so memory follows the
-   DAG's live width; the results are then the outputs only. *)
-let evaluate (p : Program.t) ~inputs ~free =
+   happen up front, the returned function runs the row loops. A stage
+   that is not an output is dropped once its last consumer has run (at
+   once if nothing reads it), and its data and validity arrays are reused
+   by a later stage, so memory follows the DAG's live width; the results
+   are the outputs only. *)
+let prepare (p : Program.t) ~inputs =
   Program.validate_exn p;
   let shape = Array.of_list p.Program.shape in
   let rank = Program.rank p in
@@ -153,10 +153,8 @@ let evaluate (p : Program.t) ~inputs ~free =
       done;
       Hashtbl.replace store s.Stencil.name out;
       Hashtbl.replace live s.Stencil.name { tensor = out; valid };
-      if free then begin
-        Array.iter (fun (field, _) -> release i field) (Compile.loads prog);
-        release i s.Stencil.name
-      end
+      Array.iter (fun (field, _) -> release i field) (Compile.loads prog);
+      release i s.Stencil.name
     in
     List.iteri eval_stencil stages;
     List.filter_map
@@ -164,8 +162,6 @@ let evaluate (p : Program.t) ~inputs ~free =
         Option.map (fun r -> (s.Stencil.name, r)) (Hashtbl.find_opt live s.Stencil.name))
       stages
 
-let run_all p ~inputs = evaluate p ~inputs ~free:false ()
-let prepare p ~inputs = evaluate p ~inputs ~free:true
 let run p ~inputs = prepare p ~inputs ()
 
 let random_inputs ?(seed = 42) (p : Program.t) =

@@ -30,24 +30,22 @@ val eval_expr :
     environment. Exposed for testing and for the simulator's compute
     stage, which shares these semantics. *)
 
-val run_all : Sf_ir.Program.t -> inputs:(string * Tensor.t) list -> (string * result) list
-(** Execute every stencil; returns results for all stencils in topological
-    order, so every stage's tensor stays alive until the call returns.
-    Raises {!Runtime_error} on missing or mis-shaped inputs. *)
-
 val run : Sf_ir.Program.t -> inputs:(string * Tensor.t) list -> (string * result) list
-(** Like {!run_all} but restricted to the program's declared outputs, with
-    bit-identical results. A stage that is not an output is freed as soon
-    as its last consumer (in topological order) has run, and a later stage
-    reuses its data and validity arrays, so memory follows the DAG's live
-    width rather than its length. *)
+(** Execute every stencil in topological order and return the results of
+    the program's declared outputs, in that order. A stage that is not an
+    output is freed as soon as its last consumer has run, and a later
+    stage reuses its data and validity arrays, so memory follows the
+    DAG's live width rather than its length; to keep every stage, declare
+    every stencil an output. Raises {!Runtime_error} on missing or
+    mis-shaped inputs. *)
 
 val prepare :
   Sf_ir.Program.t -> inputs:(string * Tensor.t) list -> unit -> (string * result) list
-(** {!run} in two steps: [prepare] validates (raising as {!run} does),
-    orders the stages and lowers every body; the returned function shares
-    nothing mutable with the caller, may run on another domain, and
-    evaluates afresh on each call. [run p ~inputs = prepare p ~inputs ()]. *)
+(** {!run} in two steps: [prepare] validates the program and the inputs
+    (raising as {!run} does), orders the stages and lowers every body;
+    the returned function runs the row loops. It shares nothing mutable
+    with the caller, may run on another domain, and evaluates afresh on
+    each call. [run p ~inputs = prepare p ~inputs ()]. *)
 
 val random_inputs : ?seed:int -> Sf_ir.Program.t -> (string * Tensor.t) list
 (** Deterministic pseudo-random input data in [-1, 1] for every declared

@@ -194,8 +194,23 @@ let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
         Hashtbl.replace links key (l, probe);
         l
   in
+  (* Lookup tables, built once so that construction stays linear in the
+     number of stencils: stencils and inputs by name, and the consumers of
+     each field in [p.stencils] order, as Program.consumers lists them. *)
+  let stencil_named = Hashtbl.create 64 and input_named = Hashtbl.create 16 in
+  let consumers_of = Hashtbl.create 64 in
+  let consumers field = Option.value ~default:[] (Hashtbl.find_opt consumers_of field) in
+  List.iter
+    (fun s ->
+      Hashtbl.replace stencil_named s.Stencil.name s;
+      List.iter
+        (fun f -> Hashtbl.replace consumers_of f (s.Stencil.name :: consumers f))
+        (Stencil.input_fields s))
+    (List.rev p.Program.stencils);
+  List.iter (fun (f : Field.t) -> Hashtbl.replace input_named f.Field.name f) p.Program.inputs;
+  let full_axes = Sf_support.Util.range full_rank in
   let device_of name =
-    if Option.is_some (Program.find_stencil p name) then placement name
+    if Hashtbl.mem stencil_named name then placement name
     else
       (* Inputs live wherever their consumer lives; resolved per edge. *)
       invalid_arg "device_of: only stencils have a home device"
@@ -233,7 +248,7 @@ let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
       let dst = s.Stencil.name in
       List.iter
         (fun field ->
-          match Program.find_stencil p field with
+          match Hashtbl.find_opt stencil_named field with
           | Some producer ->
               make_edge ~src:producer.Stencil.name ~dst
                 ~src_device:(device_of producer.Stencil.name) ~dst_device:(device_of dst)
@@ -252,7 +267,7 @@ let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
   let prefetch_bytes = ref 0 in
   List.iter
     (fun (f : Field.t) ->
-      let consumers = Program.consumers p f.Field.name in
+      let consumers = consumers f.Field.name in
       let devices = List.sort_uniq compare (List.map device_of consumers) in
       if Field.rank f = full_rank then
         List.iter
@@ -317,25 +332,26 @@ let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
         let bindings =
           List.map
             (fun field ->
-              let is_lower = List.length (Program.field_axes p field) < full_rank in
-              if is_lower then
-                let f = Option.get (Program.find_input p field) in
-                let tensor =
-                  { (input_tensor field) with Tensor.extent = Interp.input_extent p f }
-                in
-                { Stencil_unit.field; channel = None; prefetched = Some tensor }
-              else
-                {
-                  Stencil_unit.field;
-                  channel = Some (Hashtbl.find dst_channel (field, name));
-                  prefetched = None;
-                })
+              match Hashtbl.find_opt input_named field with
+              | Some f when Field.rank f < full_rank ->
+                  let tensor =
+                    { (input_tensor field) with Tensor.extent = Interp.input_extent p f }
+                  in
+                  { Stencil_unit.field; axes = f.Field.axes; channel = None;
+                    prefetched = Some tensor }
+              | _ ->
+                  {
+                    Stencil_unit.field;
+                    axes = full_axes;
+                    channel = Some (Hashtbl.find dst_channel (field, name));
+                    prefetched = None;
+                  })
             (Stencil.input_fields s)
         in
         let consumer_outputs =
           List.filter_map
             (fun c -> Hashtbl.find_opt src_endpoint (name, c))
-            (Program.consumers p name)
+            (consumers name)
         in
         let writer_output = List.assoc_opt name writer_channels in
         let outputs = consumer_outputs @ Option.to_list writer_output in

@@ -4,12 +4,14 @@ module Compile = Sf_reference.Compile
 
 type input_binding = {
   field : string;
+  axes : int list;
   channel : Channel.t option;
   prefetched : Tensor.t option;
 }
 
 type input_state = {
   field : string;
+  axes : int array;
   channel : Channel.t option;
   (* Ring buffer over the flattened element stream of a full-rank input:
      the shift register of Fig. 6. *)
@@ -70,8 +72,7 @@ let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
   let input_states =
     List.map
       (fun (b : input_binding) ->
-        let axes = Program.field_axes program b.field in
-        let is_full = List.length axes = full_rank in
+        let is_full = List.length b.axes = full_rank in
         let window, start_step =
           if not is_full then (None, 0)
           else begin
@@ -92,6 +93,7 @@ let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
         in
         {
           field = b.field;
+          axes = Array.of_list b.axes;
           channel = b.channel;
           window;
           src =
@@ -119,7 +121,7 @@ let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
               failwith (Printf.sprintf "stencil %s: unbound access to %s" stencil.Stencil.name field)
         in
         Compile.tap input.src ~shape
-          ~axes:(Array.of_list (Program.field_axes program field))
+          ~axes:input.axes
           ~offsets:(Array.of_list offsets) ~boundary:(Stencil.boundary_for stencil field))
       (Compile.loads prog)
   in

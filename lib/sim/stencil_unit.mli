@@ -17,6 +17,8 @@
 
 type input_binding = {
   field : string;
+  axes : int list;
+      (** The program axes the field spans ({!Sf_ir.Program.field_axes}). *)
   channel : Channel.t option;
       (** [None] for prefetched lower-dimensional inputs. *)
   prefetched : Sf_reference.Tensor.t option;

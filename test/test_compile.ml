@@ -28,14 +28,26 @@ let leaf_value ~seed ~field ~offsets ~lane =
   if h mod 3 = 0 then float_of_int (h mod 97) /. 7. -. 5.
   else adversarial_values.(h mod Array.length adversarial_values)
 
-let lanes_match_interp ~seed e lanes =
+(* A NaN whose payload names frame cell [cell]: no computed value, not
+   even a NaN propagated from another cell, has these bits. *)
+let sentinel cell = Int64.float_of_bits (Int64.logor 0x7ff8_5e00_0000_0000L (Int64.of_int cell))
+
+(* Run [e] over [lanes] cells of a frame of slot stride [stride]
+   (default [lanes]) whose cells past [lanes] hold sentinels. Every lane
+   must equal the tree-walking evaluator bit for bit, and every sentinel
+   must survive: [exec] writes lanes [0, lanes) of each slot and no
+   other cell. *)
+let lanes_match_interp ?stride ~seed e lanes =
+  let stride = Option.value stride ~default:lanes in
   let b = bind_vars e in
   let p = Compile.lower b in
-  let fr = Compile.frame p ~lanes in
+  let fr = Compile.frame p ~lanes:stride in
+  let outside cell = cell mod stride >= lanes in
+  Array.iteri (fun cell _ -> if outside cell then fr.(cell) <- sentinel cell) fr;
   Array.iteri
     (fun k (field, offsets) ->
       for lane = 0 to lanes - 1 do
-        fr.((k * lanes) + lane) <- leaf_value ~seed ~field ~offsets ~lane
+        fr.((k * stride) + lane) <- leaf_value ~seed ~field ~offsets ~lane
       done)
     (Compile.loads p);
   Compile.exec p ~lanes fr;
@@ -45,10 +57,21 @@ let lanes_match_interp ~seed e lanes =
       let expected =
         Interp.eval_expr ~lookup ~env:(fun v -> Some (lookup ~field:v ~offsets:[])) e
       in
-      let got = fr.((Compile.result_slot p * lanes) + lane) in
+      let got = fr.((Compile.result_slot p * stride) + lane) in
       Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float got)
       || QCheck.Test.fail_reportf "lanes=%d lane=%d: expected %h, got %h" lanes lane expected got)
     (List.init lanes Fun.id)
+  && List.for_all
+       (fun cell ->
+         (not (outside cell))
+         || Int64.equal (Int64.bits_of_float fr.(cell)) (Int64.bits_of_float (sentinel cell))
+         || QCheck.Test.fail_reportf "lanes=%d stride=%d: cell %d (slot %d, lane %d) written"
+              lanes stride cell (cell / stride) (cell mod stride))
+       (List.init (Array.length fr) Fun.id)
+
+(* Every remainder mod 4 over one and two four-lane blocks (1-9), either
+   side of a 64-word chunk at W=1 (63-65), and a chunk at W=4 (256). *)
+let widths = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 63; 64; 65; 256 ]
 
 (* Replace about half of the constants with adversarial values, so that
    NaN, signed zeros and infinities reach comparisons, [&&], [||] and
@@ -67,14 +90,28 @@ let rec adversarial_consts ~seed e =
       Expr.Select { cond = sub cond; if_true = sub if_true; if_false = sub if_false }
   | Expr.Call (f, args) -> Expr.Call (f, List.map sub args)
 
+let arbitrary_expr =
+  QCheck.pair (QCheck.make ~print:Expr.to_string Test_expr.expr_gen) QCheck.small_nat
+
 (* The flat evaluator must agree bit for bit with the tree-walking
    evaluator, lane by lane, at every lane count. *)
 let prop_lanes_bit_exact =
-  QCheck.Test.make ~count:500 ~name:"compiled expressions equal the evaluator"
-    (QCheck.pair (QCheck.make ~print:Expr.to_string Test_expr.expr_gen) QCheck.small_nat)
+  QCheck.Test.make ~count:500 ~name:"compiled expressions equal the evaluator" arbitrary_expr
     (fun (e, seed) ->
       let e = adversarial_consts ~seed e in
-      List.for_all (lanes_match_interp ~seed e) [ 1; 3; 4; 64 ])
+      List.for_all (lanes_match_interp ~seed e) widths)
+
+(* A stencil unit's frame holds a chunk of words, 64 * W lanes, and a
+   dispatch runs as many as are ready: the stride exceeds [lanes], and
+   the cells between must come through untouched, so a four-lane block
+   or the tail loop that runs past [lanes] shows. *)
+let prop_wide_frame_sentinels =
+  QCheck.Test.make ~count:200 ~name:"exec writes only lanes [0, lanes) of a wider frame"
+    arbitrary_expr (fun (e, seed) ->
+      let e = adversarial_consts ~seed e in
+      List.for_all
+        (fun lanes -> lanes_match_interp ~stride:(if lanes < 256 then 256 else 261) ~seed e lanes)
+        widths)
 
 (* Every computed value below can take a slot its operands free at the
    same instruction, so the frame holds only the loads and constants;
@@ -98,7 +135,7 @@ let test_slot_reuse () =
       List.iter
         (fun lanes ->
           if not (lanes_match_interp ~seed e lanes) then Alcotest.failf "seed %d" seed)
-        [ 1; 3; 4 ])
+        [ 1; 3; 4; 5; 7; 8; 67 ])
     (List.init 40 Fun.id);
   let p =
     Compile.lower
@@ -265,7 +302,8 @@ let test_fill_across_ring_wrap () =
   if !straddles = 0 then Alcotest.fail "no run straddled the ring's wrap point"
 
 (* Boxing a float anywhere in the lane loops would allocate per
-   instruction; the widest fused hdiff body runs allocation-free. *)
+   instruction; the widest fused hdiff body runs allocation-free, in
+   whole four-lane blocks (4 lanes) and with a tail (67). *)
 let test_exec_allocation_free () =
   let p = Sf_kernels.Hdiff.program ~shape:[ 4; 16; 16 ] ~vector_width:4 () in
   let p = Sf_sdfg.Opt.optimize (fst (Sf_sdfg.Fusion.fuse_all p)) in
@@ -276,22 +314,27 @@ let test_exec_allocation_free () =
       (List.hd p.Program.stencils) p.Program.stencils
   in
   let prog = Compile.lower widest.Stencil.body in
-  let fr = Compile.frame prog ~lanes:4 in
-  for k = 0 to (Array.length (Compile.loads prog) * 4) - 1 do
-    fr.(k) <- 0.25 +. (float_of_int k /. 7.)
-  done;
-  Compile.exec prog ~lanes:4 fr;
-  let calls = 10_000 in
-  let before = Gc.minor_words () in
-  for _ = 1 to calls do
-    Compile.exec prog ~lanes:4 fr
-  done;
-  let words = (Gc.minor_words () -. before) /. float_of_int calls in
-  if words >= 1. then Alcotest.failf "exec allocates %.2f minor words per call" words
+  List.iter
+    (fun lanes ->
+      let fr = Compile.frame prog ~lanes in
+      for k = 0 to (Array.length (Compile.loads prog) * lanes) - 1 do
+        fr.(k) <- 0.25 +. (float_of_int k /. 7.)
+      done;
+      Compile.exec prog ~lanes fr;
+      let calls = 10_000 in
+      let before = Gc.minor_words () in
+      for _ = 1 to calls do
+        Compile.exec prog ~lanes fr
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int calls in
+      if words >= 1. then
+        Alcotest.failf "exec allocates %.2f minor words per call at %d lanes" words lanes)
+    [ 4; 67 ]
 
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_lanes_bit_exact;
+    QCheck_alcotest.to_alcotest prop_wide_frame_sentinels;
     Alcotest.test_case "lets evaluate once per call" `Quick test_body_lets_evaluate_once;
     Alcotest.test_case "body adapter equals the evaluator" `Quick test_body_adapter_equals_eval;
     Alcotest.test_case "unbound variables rejected" `Quick test_unbound_variable_rejected;

@@ -167,9 +167,14 @@ let per_cell_oracle (p : Program.t) ~inputs =
       (s.Stencil.name, out, valid))
     (Program.topological_stencils p)
 
+(* [p] with every stage declared an output, so [Interp.run] keeps them
+   all, in topological order. *)
+let every_stage (p : Program.t) =
+  { p with Program.outputs = List.map (fun (s : Stencil.t) -> s.Stencil.name) p.Program.stencils }
+
 let check_rows_match_oracle p =
   let inputs = Interp.random_inputs ~seed:7 p in
-  let results = Interp.run_all p ~inputs in
+  let results = Interp.run (every_stage p) ~inputs in
   List.iter
     (fun (name, values, valid) ->
       let r = List.assoc name results in
@@ -189,7 +194,7 @@ let test_rows_rank0 () =
      element is broadcast to every lane of a row. *)
   let scalar = Program.make ~name:"rank0" ~shape:[] ~inputs:[] ~outputs:[ "s" ]
       [ Stencil.make ~name:"s" { Expr.lets = []; result = Expr.Const 1. } ] in
-  (match Interp.run_all scalar ~inputs:[] with
+  (match Interp.run scalar ~inputs:[] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "a rank-0 iteration space must be rejected");
   let b = Builder.create ~name:"scalars" ~shape:[ 4 ] () in
@@ -241,11 +246,12 @@ let test_rows_boundaries_at_both_ends () =
   check_rows_match_oracle (Builder.finish b)
 
 (* [run] frees each dead stage after its last consumer and reuses its
-   arrays: its outputs must equal [run_all]'s bit for bit, in the same
-   order, and no two outputs may share storage. *)
-let run_equals_run_all p =
+   arrays: its outputs must equal those of a run that keeps every stage,
+   bit for bit and in the same order, and no two outputs may share
+   storage. *)
+let run_equals_every_stage p =
   let inputs = Interp.random_inputs ~seed:11 p in
-  let all = Interp.run_all p ~inputs and outs = Interp.run p ~inputs in
+  let all = Interp.run (every_stage p) ~inputs and outs = Interp.run p ~inputs in
   let bits r = Array.map Int64.bits_of_float r.Interp.tensor.Tensor.data in
   List.map fst outs
   = List.filter (fun n -> List.exists (String.equal n) p.Program.outputs) (List.map fst all)
@@ -279,14 +285,14 @@ let test_run_frees_dead_stages () =
   Builder.output b "s1";
   Builder.output b "s5";
   let p = Builder.finish b in
-  Alcotest.(check bool) "run equals run_all" true (run_equals_run_all p);
+  Alcotest.(check bool) "run equals every stage" true (run_equals_every_stage p);
   let inputs = Interp.random_inputs ~seed:11 p in
   Alcotest.(check (list string)) "outputs only" [ "s1"; "s5" ] (List.map fst (Interp.run p ~inputs))
 
 (* Random programs, with a drawn subset of the consumed stages made
    outputs too. *)
-let prop_run_equals_run_all =
-  QCheck.Test.make ~count:200 ~name:"run equals the outputs of run_all"
+let prop_run_equals_every_stage =
+  QCheck.Test.make ~count:200 ~name:"run equals the outputs of running every stage"
     (QCheck.pair Program_gen.arbitrary_program QCheck.small_nat)
     (fun (p, seed) ->
       let extra =
@@ -299,7 +305,7 @@ let prop_run_equals_run_all =
         p.Program.outputs
         @ List.filter (fun n -> not (List.exists (String.equal n) p.Program.outputs)) extra
       in
-      run_equals_run_all { p with Program.outputs })
+      run_equals_every_stage { p with Program.outputs })
 
 (* [prepare] does the checking and lowering; the function it returns
    evaluates, afresh on every call, exactly what [run] computes. *)
@@ -349,7 +355,7 @@ let suite =
     Alcotest.test_case "rows: lower-dimensional input" `Quick test_rows_lower_dim_input;
     Alcotest.test_case "rows: boundaries at both row ends" `Quick test_rows_boundaries_at_both_ends;
     Alcotest.test_case "run frees dead stages" `Quick test_run_frees_dead_stages;
-    QCheck_alcotest.to_alcotest prop_run_equals_run_all;
+    QCheck_alcotest.to_alcotest prop_run_equals_every_stage;
     QCheck_alcotest.to_alcotest prop_prepare_equals_run;
     Alcotest.test_case "prepare raises before it returns" `Quick test_prepare_raises_early;
   ]
