@@ -1,6 +1,6 @@
 open Sf_ir
 
-type node_info = { init_cycles : int; compute_cycles : int }
+type node_info = { init_cycles : int; compute_cycles : int; buffers : Internal_buffer.t list }
 
 type t = {
   program : Program.t;
@@ -38,13 +38,15 @@ let analyze ?(config = Latency.default) (p : Program.t) =
   let full_rank = Program.rank p in
   let info_table : (string, node_info) Hashtbl.t = Hashtbl.create 16 in
   List.iter
-    (fun f -> Hashtbl.replace info_table f.Field.name { init_cycles = 0; compute_cycles = 0 })
+    (fun f ->
+      Hashtbl.replace info_table f.Field.name { init_cycles = 0; compute_cycles = 0; buffers = [] })
     p.Program.inputs;
   List.iter
     (fun s ->
-      let init_cycles = Internal_buffer.stencil_init_cycles p s in
+      let buffers = Internal_buffer.of_stencil p s in
+      let init_cycles = Internal_buffer.init_cycles p buffers in
       let compute_cycles = Latency.critical_path config s.Stencil.body in
-      Hashtbl.replace info_table s.Stencil.name { init_cycles; compute_cycles })
+      Hashtbl.replace info_table s.Stencil.name { init_cycles; compute_cycles; buffers })
     p.Program.stencils;
   let order =
     match Program.G.topological_sort g with
@@ -58,12 +60,11 @@ let analyze ?(config = Latency.default) (p : Program.t) =
     (fun v ->
       match Program.G.find_vertex_exn g v with
       | Program.Input _ -> Hashtbl.replace avail v 0
-      | Program.Op s ->
+      | Program.Op _ ->
           let info = Hashtbl.find info_table v in
-          let buffers = Internal_buffer.of_stencil p s in
           let init_extra field =
             match
-              List.find_opt (fun (b : Internal_buffer.t) -> String.equal b.field field) buffers
+              List.find_opt (fun (b : Internal_buffer.t) -> String.equal b.field field) info.buffers
             with
             | Some b -> Sf_support.Util.ceil_div b.init_elements w
             | None -> 0

@@ -23,6 +23,8 @@
 type node_info = {
   init_cycles : int;  (** Internal-buffer initialization (Sec. IV-A). *)
   compute_cycles : int;  (** Critical path of the computation AST. *)
+  buffers : Internal_buffer.t list;
+      (** {!Internal_buffer.of_stencil} of the stencil; empty for inputs. *)
 }
 
 type t = {

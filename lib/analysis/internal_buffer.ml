@@ -52,9 +52,11 @@ let of_stencil (p : Program.t) (s : Stencil.t) =
 let stencil_init_delay p s =
   List.fold_left (fun acc b -> max acc b.init_elements) 0 (of_stencil p s)
 
-let stencil_init_cycles p s =
-  let w = p.Program.vector_width in
-  Sf_support.Util.ceil_div (stencil_init_delay p s) (max 1 w)
+let init_cycles p buffers =
+  let delay = List.fold_left (fun acc b -> max acc b.init_elements) 0 buffers in
+  Sf_support.Util.ceil_div delay (max 1 p.Program.vector_width)
+
+let stencil_init_cycles p s = init_cycles p (of_stencil p s)
 
 let fill_start all b =
   let longest = List.fold_left (fun acc x -> max acc x.init_elements) 0 all in

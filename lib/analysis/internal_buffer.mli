@@ -45,6 +45,9 @@ val stencil_init_cycles : Sf_ir.Program.t -> Sf_ir.Stencil.t -> int
 (** {!stencil_init_delay} divided by the vector width (rounded up):
     vectorization shortens initialization phases (Sec. IV-C). *)
 
+val init_cycles : Sf_ir.Program.t -> t list -> int
+(** {!stencil_init_cycles} from a stencil's {!of_stencil} buffers. *)
+
 val fill_start : t list -> t -> int
 (** [fill_start all b]: the element index at which buffer [b] starts
     filling, [max_i init - b.init]; the largest buffer(s) start at 0. *)

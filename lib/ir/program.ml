@@ -152,7 +152,11 @@ let validate_exn t =
 let topological_stencils t =
   match G.topological_sort (graph t) with
   | Error cyc -> invalid_arg ("Program.topological_stencils: cycle through " ^ String.concat "," cyc)
-  | Ok order -> List.filter_map (find_stencil t) order
+  | Ok order ->
+      (* By name; the first of a name wins, as in [find_stencil]. *)
+      let named = Hashtbl.create 64 in
+      List.iter (fun s -> Hashtbl.replace named s.Stencil.name s) (List.rev t.stencils);
+      List.filter_map (Hashtbl.find_opt named) order
 
 let with_vector_width t w = { t with vector_width = w }
 

@@ -4,7 +4,7 @@ type t = {
   slots : int; (* capacity + chunk: room for one fast-forward chunk *)
   width : int;
   values : float array; (* slots * width, ring of slots *)
-  valid : bool array;
+  valid : bool array; (* as [values], or empty: every lane valid *)
   mutable head : int; (* slot index of the oldest element *)
   mutable count : int;
   mutable total_pushed : int;
@@ -15,9 +15,9 @@ type t = {
 }
 
 let nop () = ()
-let chunk = 64
+let chunk = 256
 
-let create_vec ~width ~name ~capacity =
+let create_vec ?(validity = false) ~width ~name ~capacity () =
   if capacity <= 0 then invalid_arg "Channel.create: capacity must be positive";
   if width <= 0 then invalid_arg "Channel.create: width must be positive";
   let slots = capacity + chunk in
@@ -27,7 +27,7 @@ let create_vec ~width ~name ~capacity =
     slots;
     width;
     values = Array.make (slots * width) 0.;
-    valid = Array.make (slots * width) true;
+    valid = (if validity then Array.make (slots * width) true else [||]);
     head = 0;
     count = 0;
     total_pushed = 0;
@@ -37,10 +37,11 @@ let create_vec ~width ~name ~capacity =
     on_pop = nop;
   }
 
-let create ~name ~capacity = create_vec ~width:1 ~name ~capacity
+let create ?validity ~name ~capacity () = create_vec ?validity ~width:1 ~name ~capacity ()
 let name t = t.name
 let capacity t = t.capacity
 let width t = t.width
+let has_validity t = Array.length t.valid > 0
 let occupancy t = t.count
 let is_empty t = t.count = 0
 let is_full t = t.count = t.capacity
@@ -111,39 +112,29 @@ let copy_bools (src : bool array) s (dst : bool array) d m =
 let blit_values src s dst d len = ring_copy Array.blit src s dst d len
 let blit_valid src s dst d len = ring_copy copy_bools src s dst d len
 
-let fill_valid (dst : bool array) d len =
-  let m = Int.min len (Array.length dst - d) in
-  for i = d to d + m - 1 do
-    Array.unsafe_set dst i true
-  done;
-  for i = 0 to len - m - 1 do
-    Array.unsafe_set dst i true
-  done
-
 let push t word =
   if Word.width word <> t.width then
     invalid_arg (Printf.sprintf "Channel.push: %s expects width %d" t.name t.width);
+  if not (has_validity t || Array.for_all Fun.id word.Word.valid) then
+    invalid_arg (Printf.sprintf "Channel.push: %s carries no validity flags" t.name);
   let base = push_slot t in
   Array.blit word.Word.values 0 t.values base t.width;
-  Array.blit word.Word.valid 0 t.valid base t.width
+  if has_validity t then Array.blit word.Word.valid 0 t.valid base t.width
 
-let pop t =
-  let base = front_slot t in
+(* A copy of the slot at [base]; all valid when the channel carries no
+   flags. *)
+let word_at t base =
   let word = Word.create t.width in
   Array.blit t.values base word.Word.values 0 t.width;
-  Array.blit t.valid base word.Word.valid 0 t.width;
+  if has_validity t then Array.blit t.valid base word.Word.valid 0 t.width;
+  word
+
+let pop t =
+  let word = word_at t (front_slot t) in
   drop t;
   word
 
-let peek t =
-  if t.count = 0 then None
-  else begin
-    let base = front_slot t in
-    let word = Word.create t.width in
-    Array.blit t.values base word.Word.values 0 t.width;
-    Array.blit t.valid base word.Word.valid 0 t.width;
-    Some word
-  end
+let peek t = if t.count = 0 then None else Some (word_at t (front_slot t))
 
 let total_pushed t = t.total_pushed
 let total_popped t = t.total_popped
@@ -160,5 +151,4 @@ module Unsafe = struct
   let drop_run = drop_run
   let blit_values = blit_values
   let blit_valid = blit_valid
-  let fill_valid = fill_valid
 end

@@ -7,30 +7,36 @@
     analysis sizes buffers.
 
     Storage is structure-of-arrays: one flat [float array] for lane
-    values and one [bool array] for lane validity, treated as a ring of
-    [capacity + chunk] slots of [width] lanes. The [chunk] slots past
-    the capacity are room for the engine's fast-forward path, which
-    pushes a chunk of words before their consumer pops them. The raw
-    slot API lives in {!Unsafe} and lets hot paths copy lanes in place
-    without allocating; the public surface is the FIFO operations plus
-    the telemetry counters ({!occupancy}, {!total_pushed},
-    {!total_popped}, {!high_water}). The {!Word.t}-based API is retained
-    for tests and cold paths and allocates on {!pop}/{!peek}. *)
+    values and, only on a channel created [~validity:true] (the engine's
+    channels into memory writers), one [bool array] for lane validity,
+    each a ring of [capacity + chunk] slots of [width] lanes. The
+    [chunk] slots past the capacity are room for the engine's
+    fast-forward path, which pushes a chunk of words before their
+    consumer pops them. The raw slot API lives in {!Unsafe} and lets
+    hot paths copy lanes in place without allocating; the public surface
+    is the FIFO operations plus the telemetry counters ({!occupancy},
+    {!total_pushed}, {!total_popped}, {!high_water}). The
+    {!Word.t}-based API is retained for tests and cold paths and
+    allocates on {!pop}/{!peek}. *)
 
 type t
 
 val chunk : int
 (** The most words one fast-forward chunk moves through a channel. *)
 
-val create : name:string -> capacity:int -> t
-(** [capacity] is in words and must be positive; the width is 1. *)
+val create : ?validity:bool -> name:string -> capacity:int -> unit -> t
+(** [capacity] is in words and must be positive; the width is 1.
+    [validity] (default [false]) allocates per-lane validity flags,
+    initially all valid. *)
 
-val create_vec : width:int -> name:string -> capacity:int -> t
+val create_vec : ?validity:bool -> width:int -> name:string -> capacity:int -> unit -> t
 (** As {!create} with [width] lanes per word. *)
 
 val name : t -> string
 val capacity : t -> int
 val width : t -> int
+
+val has_validity : t -> bool
 val occupancy : t -> int
 val is_empty : t -> bool
 val is_full : t -> bool
@@ -46,7 +52,8 @@ val drop : t -> unit
     paths (stencil units and memory units copying lanes in place).
     Slots are addressed by the base offset of their first lane in
     {!Unsafe.buf_values} / {!Unsafe.buf_valid}; lane [l] of a slot with
-    base [b] lives at index [b + l]. Callers own the invariant that
+    base [b] lives at index [b + l] ({!Unsafe.buf_valid} is empty
+    without validity). Callers own the invariant that
     every lane of a pushed slot is written before the next simulator
     step reads it — nothing here is checked beyond occupancy. *)
 
@@ -56,9 +63,10 @@ module Unsafe : sig
 
   val push_slot : t -> int
   (** Append a slot and return its base offset. The caller must fill
-      all [width] lanes of {!buf_values} and {!buf_valid} at that
-      offset. Updates occupancy, the push counter and the high-water
-      mark, and fires the push hook. Raises [Failure] when full. *)
+      all [width] lanes of {!buf_values} at that offset, and of
+      {!buf_valid} when the channel has validity. Updates occupancy, the
+      push counter and the high-water mark, and fires the push hook.
+      Raises [Failure] when full. *)
 
   val push_slots : t -> int -> int
   (** [push_slots t n] appends [n] consecutive slots and returns the base
@@ -105,10 +113,6 @@ module Unsafe : sig
 
   val blit_valid : bool array -> int -> bool array -> int -> int -> unit
   (** As {!blit_values} for validity flags. *)
-
-  val fill_valid : bool array -> int -> int -> unit
-  (** [fill_valid dst d len] marks [len] elements of the ring [dst] valid
-      from [d] on. *)
 end
 
 val set_hooks : t -> on_push:(unit -> unit) -> on_pop:(unit -> unit) -> unit
@@ -120,11 +124,12 @@ val set_hooks : t -> on_push:(unit -> unit) -> on_pop:(unit -> unit) -> unit
 
 val push : t -> Word.t -> unit
 (** Copies the word's lanes into the ring. The word width must match the
-    channel width. Raises [Failure] when full. *)
+    channel width, and a channel without validity takes only all-valid
+    words ([Invalid_argument] otherwise). Raises [Failure] when full. *)
 
 val pop : t -> Word.t
-(** Allocates a fresh word holding the oldest slot. Raises [Failure]
-    when empty. *)
+(** Allocates a fresh word holding the oldest slot, all valid on a
+    channel without validity. Raises [Failure] when empty. *)
 
 val peek : t -> Word.t option
 (** Allocates a fresh copy of the oldest slot, if any. *)

@@ -161,8 +161,8 @@ let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
     Array.init num_devices (fun _ -> Controller.create ~bytes_per_cycle:mem_bytes_per_cycle)
   in
   let channels = ref [] in
-  let new_channel name capacity =
-    let c = Channel.create_vec ~width:w ~name ~capacity in
+  let new_channel ?validity name capacity =
+    let c = Channel.create_vec ?validity ~width:w ~name ~capacity () in
     channels := c :: !channels;
     c
   in
@@ -309,7 +309,8 @@ let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
     List.map
       (fun o ->
         let cap = channel_slack + writer_buffer in
-        let c = new_channel (Printf.sprintf "%s->mem" o) cap in
+        (* Writers alone read validity flags. *)
+        let c = new_channel ~validity:true (Printf.sprintf "%s->mem" o) cap in
         let d = device_of o in
         let name = Printf.sprintf "write.%s@%d" o d in
         Hashtbl.replace channel_consumer (Channel.name c) name;
@@ -355,12 +356,9 @@ let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
         in
         let writer_output = List.assoc_opt name writer_channels in
         let outputs = consumer_outputs @ Option.to_list writer_output in
-        let compute_cycles =
-          (Sf_analysis.Delay_buffer.node_info analysis name).Sf_analysis.Delay_buffer.compute_cycles
-        in
+        let info = Sf_analysis.Delay_buffer.node_info analysis name in
         let probe = Telemetry.probe telemetry ~kind:Telemetry.Unit ~name in
-        ( Stencil_unit.create ?probe ~program:p ~stencil:s ~compute_cycles ~inputs:bindings
-            ~outputs (),
+        ( Stencil_unit.create ?probe ~program:p ~stencil:s ~info ~inputs:bindings ~outputs (),
           probe ))
       (Program.topological_stencils p)
   in
@@ -1134,6 +1132,8 @@ let run ?(config = Config.default) ?placement ?inputs p =
 (* The oracle reads only the program and the inputs: it evaluates on a
    second domain while this one simulates, or inline after the run in a
    pool worker (its pool already uses the cores) or on a one-core host.
+   It is prepared here, before the spawn: preparing on the second domain
+   measured slower, as its allocation then runs alongside the build's.
    The run's exception or [Error] wins over any oracle exception. *)
 let run_and_validate ?config ?placement ?inputs p =
   let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in

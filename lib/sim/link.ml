@@ -43,6 +43,8 @@ let create ?probe ~name ~bytes_per_cycle ~latency_cycles () =
   }
 
 let add_port t ~src ~dst ~word_bytes =
+  if Channel.has_validity src || Channel.has_validity dst then
+    invalid_arg "Link.add_port: link channels carry no validity flags";
   let ring = Spsc.create ~capacity:16 ~lanes:(Channel.width src) in
   t.ports <-
     Array.append t.ports [| { src; dst; word_bytes; ring; delivers = false; injects = false } |]
@@ -54,7 +56,6 @@ let head_release p = if Spsc.front p.ring >= 0 then Spsc.front_release p.ring el
 let move_heads p n push =
   let src = Spsc.front p.ring and dst = push p.dst n and len = n * Channel.width p.dst in
   Channel.Unsafe.blit_values (Spsc.values p.ring) src (Channel.Unsafe.buf_values p.dst) dst len;
-  Channel.Unsafe.blit_valid (Spsc.valid p.ring) src (Channel.Unsafe.buf_valid p.dst) dst len;
   Spsc.consume p.ring n
 
 let deliver t ~now =
@@ -74,7 +75,6 @@ let move_fronts p n ~release =
   let dst = Spsc.produce p.ring ~release n and len = n * Channel.width p.src in
   let src = Channel.Unsafe.front_slot p.src in
   Channel.Unsafe.blit_values (Channel.Unsafe.buf_values p.src) src (Spsc.values p.ring) dst len;
-  Channel.Unsafe.blit_valid (Channel.Unsafe.buf_valid p.src) src (Spsc.valid p.ring) dst len;
   Channel.Unsafe.drop_run p.src n
 
 let inject t ~now =

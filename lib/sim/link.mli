@@ -16,7 +16,8 @@ val create :
     registry. *)
 
 val add_port : t -> src:Channel.t -> dst:Channel.t -> word_bytes:int -> unit
-(** Register a remote stream crossing this link. *)
+(** Register a remote stream crossing this link. Words cross as values
+    alone: a channel with validity flags is an [Invalid_argument]. *)
 
 val cycle : t -> now:int -> bool
 (** One link cycle: move at most one matured word per port from its

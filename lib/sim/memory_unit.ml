@@ -44,8 +44,7 @@ module Reader = struct
       let c = t.outputs.(i) in
       let base = push c n in
       Channel.Unsafe.blit_values t.tensor.Tensor.data base_flat (Channel.Unsafe.buf_values c) base
-        len;
-      Channel.Unsafe.fill_valid (Channel.Unsafe.buf_valid c) base len
+        len
     done;
     t.pos <- t.pos + n
 
@@ -109,6 +108,8 @@ module Writer = struct
     let elements = Tensor.num_elements tensor in
     if elements mod vector_width <> 0 then
       invalid_arg "Writer.create: vector width does not divide output size";
+    if not (Channel.has_validity input) then
+      invalid_arg "Writer.create: the input channel carries no validity flags";
     {
       name;
       tensor;

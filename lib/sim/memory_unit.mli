@@ -57,7 +57,9 @@ module Writer : sig
     input:Channel.t ->
     unit ->
     t
-  (** [on_done] fires once, when the final word is committed — the engine
+  (** Commits the valid lanes of each word: [input] must carry validity
+      flags ([Invalid_argument] otherwise). [on_done] fires once, when
+      the final word is committed — the engine
       uses it to maintain a completed-writer counter so the hot loop's
       termination test is a single integer comparison. [probe]
       classifies no-progress cycles (input-starved vs bandwidth-denied)

@@ -9,7 +9,6 @@ type t = {
   mutable mask : int;
   mutable releases : int array;
   mutable values : float array;
-  mutable valid : bool array;
   mutable head : int;  (* the oldest element *)
   mutable tail : int;  (* the next element produced *)
 }
@@ -17,8 +16,7 @@ type t = {
 let alloc t cap =
   t.mask <- cap - 1;
   t.releases <- Array.make cap 0;
-  t.values <- Array.make (cap * t.lanes) 0.;
-  t.valid <- Array.make (cap * t.lanes) true
+  t.values <- Array.make (cap * t.lanes) 0.
 
 let create ~capacity ~lanes =
   if capacity <= 0 then invalid_arg "Spsc.create: capacity must be positive";
@@ -27,25 +25,23 @@ let create ~capacity ~lanes =
   while !cap < capacity do
     cap := !cap * 2
   done;
-  let t = { lanes; mask = 0; releases = [||]; values = [||]; valid = [||]; head = 0; tail = 0 } in
+  let t = { lanes; mask = 0; releases = [||]; values = [||]; head = 0; tail = 0 } in
   alloc t !cap;
   t
 
 let capacity t = t.mask + 1
 let lanes t = t.lanes
 let values t = t.values
-let valid t = t.valid
 let length t = t.tail - t.head
 
 (* Double the capacity, moving the elements to the front in order. *)
 let grow t =
-  let { mask; releases; values; valid; head; _ } = t and n = length t in
+  let { mask; releases; values; head; _ } = t and n = length t in
   alloc t (2 * (mask + 1));
   for j = 0 to n - 1 do
     let slot = (head + j) land mask in
     t.releases.(j) <- releases.(slot);
-    Array.blit values (slot * t.lanes) t.values (j * t.lanes) t.lanes;
-    Array.blit valid (slot * t.lanes) t.valid (j * t.lanes) t.lanes
+    Array.blit values (slot * t.lanes) t.values (j * t.lanes) t.lanes
   done;
   t.head <- 0;
   t.tail <- n

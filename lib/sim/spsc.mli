@@ -3,10 +3,10 @@
     Each link port keeps its in-flight words in one ring: the link
     produces a word when it injects it and consumes it when it delivers
     it. An element is an unboxed release cycle in a flat [int array]
-    ring plus [lanes] word lanes in flat [float array]/[bool array]
-    rings, written and read in place a run of elements at a time
-    through the same structure-of-arrays idiom as {!Channel.Unsafe}, so
-    nothing here allocates per word. A full ring doubles its capacity on
+    ring plus [lanes] word lanes in a flat [float array] ring, written
+    and read in place a run of elements at a time through the same
+    structure-of-arrays idiom as {!Channel.Unsafe}, so nothing here
+    allocates per word. A full ring doubles its capacity on
     the next {!produce}: a full destination can hold words back for
     arbitrarily long. *)
 
@@ -14,8 +14,8 @@ type t
 
 val create : capacity:int -> lanes:int -> t
 (** A ring holding [capacity] elements (rounded up to a power of two)
-    before it first grows, each carrying [lanes] value/valid lanes. Both
-    arguments must be positive. *)
+    before it first grows, each carrying [lanes] value lanes (link
+    words carry no validity flags). Both arguments must be positive. *)
 
 val capacity : t -> int
 (** How many elements fit before the next growth. *)
@@ -25,14 +25,12 @@ val lanes : t -> int
 val produce : t -> release:int -> int -> int
 (** [produce t ~release n] appends [n] elements, growing the ring until
     they fit, element [r] released at [release + r], and returns the base
-    offset of the first one's lanes in {!values}/{!valid} (lane [l] of
-    element [r] lives at [base + r * lanes + l], wrapping at the end of
-    the arrays) for the caller to fill. *)
+    offset of the first one's lanes in {!values} (lane [l] of element
+    [r] lives at [base + r * lanes + l], wrapping at the end of the
+    array) for the caller to fill. *)
 
 val values : t -> float array
-val valid : t -> bool array
-(** The lane rings. Growth replaces them, so fetch them after
-    {!produce}. *)
+(** The lane ring. Growth replaces it, so fetch it after {!produce}. *)
 
 val front : t -> int
 (** Base lane offset of the oldest element, or [-1] when the ring is

@@ -29,8 +29,8 @@ type t = {
   compute_cycles : int;
   inputs : input_state array;  (* streaming inputs first *)
   outputs : Channel.t array;
-  (* The lowered body, one tap per load slot and a frame of a chunk of
-     words; [idx] is the multi-index of lane 0 of the next word. *)
+  (* The lowered body, one tap per load slot and a frame of one row
+     segment of at most a chunk; [idx] indexes lane 0 of the next word. *)
   prog : Compile.program;
   taps : Compile.tap array;
   frame : float array;
@@ -41,7 +41,9 @@ type t = {
   mutable step : int;
   (* The delay line of computed-but-not-yet-emitted words, as a
      structure-of-arrays ring: release cycle per slot, plus the lane
-     values and validity flattened at [slot * w]. Occupancy never
+     values and validity flattened at [slot * w]. The flags exist only
+     when an output carries them; they start all valid and only a
+     shrink unit writes them. Occupancy never
      exceeds compute_cycles + 1 (the pipeline depth guard in try_step)
      before a step; a fast-forward chunk computes up to Channel.chunk
      words before it flushes. *)
@@ -61,13 +63,12 @@ type t = {
   probe : Telemetry.probe option;
 }
 
-let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
+let create ?probe ~program ~stencil ~info ~inputs ~outputs () =
+  let { Sf_analysis.Delay_buffer.init_cycles = init_max; compute_cycles; buffers } = info in
   let shape = Array.of_list program.Program.shape in
   let w = program.Program.vector_width in
   let cells = Program.cells program in
   let n_words = cells / w in
-  let buffers = Sf_analysis.Internal_buffer.of_stencil program stencil in
-  let init_max = Sf_analysis.Internal_buffer.stencil_init_cycles program stencil in
   let full_rank = Program.rank program in
   let input_states =
     List.map
@@ -126,7 +127,7 @@ let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
       (Compile.loads prog)
   in
   let pend_cap = compute_cycles + 2 + Channel.chunk in
-  let lanes = Channel.chunk * w in
+  let lanes = Int.min (Channel.chunk * w) shape.(Array.length shape - 1) in
   {
     name = stencil.Stencil.name;
     shape;
@@ -146,7 +147,8 @@ let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
     step = 0;
     pend_release = Array.make pend_cap 0;
     pend_values = Array.make (pend_cap * w) 0.;
-    pend_valid = Array.make (pend_cap * w) true;
+    pend_valid =
+      (if List.exists Channel.has_validity outputs then Array.make (pend_cap * w) true else [||]);
     pend_cap;
     pend_head = 0;
     pend_count = 0;
@@ -194,15 +196,14 @@ let compute t ~now n =
     let tail = t.pend_head + t.pend_count in
     let tail = if tail >= t.pend_cap then tail - t.pend_cap else tail in
     Channel.Unsafe.blit_values t.frame t.result t.pend_values (tail * t.w) lanes;
-    if t.shrink then begin
+    if t.shrink && Array.length t.pend_valid > 0 then begin
       let d = ref (tail * t.w) in
       for l = 0 to lanes - 1 do
         t.pend_valid.(!d) <- not t.oob.(l);
         incr d;
         if !d = Array.length t.pend_valid then d := 0
       done
-    end
-    else Channel.Unsafe.fill_valid t.pend_valid (tail * t.w) lanes;
+    end;
     for j = 0 to (lanes / t.w) - 1 do
       let slot = if tail + j >= t.pend_cap then tail + j - t.pend_cap else tail + j in
       t.pend_release.(slot) <- now + !r + j + t.compute_cycles
@@ -213,14 +214,16 @@ let compute t ~now n =
   done
 
 (* Emit the [n] pending heads: copy their lanes into [n] slots [push]
-   appends to every output, in place. *)
+   appends to every output, in place, with their flags where the output
+   carries them. *)
 let emit_heads t n push =
   let vbase = t.pend_head * t.w and len = n * t.w in
   for i = 0 to Array.length t.outputs - 1 do
     let c = t.outputs.(i) in
     let base = push c n in
     Channel.Unsafe.blit_values t.pend_values vbase (Channel.Unsafe.buf_values c) base len;
-    Channel.Unsafe.blit_valid t.pend_valid vbase (Channel.Unsafe.buf_valid c) base len
+    if Channel.has_validity c then
+      Channel.Unsafe.blit_valid t.pend_valid vbase (Channel.Unsafe.buf_valid c) base len
   done;
   let head = t.pend_head + n in
   t.pend_head <- (if head >= t.pend_cap then head - t.pend_cap else head);

@@ -104,33 +104,23 @@ module Make (V : ORDERED) = struct
     let in_deg = Hashtbl.create 16 in
     List.iter (fun (v, _) -> Hashtbl.replace in_deg v (in_degree g v)) (vertices g);
     let order = vertex_order g in
-    let rec collect_ready acc = function
-      | [] -> List.rev acc
-      | v :: rest ->
-          if Hashtbl.find in_deg v = 0 then collect_ready (v :: acc) rest
-          else collect_ready acc rest
-    in
-    let rec go sorted ready remaining =
-      match ready with
-      | [] ->
-          if remaining = [] then Ok (List.rev sorted)
-          else
-            (* Every remaining vertex has positive in-degree among the
-               remaining set: they all lie on or feed cycles. *)
-            Error remaining
-      | v :: ready_rest ->
-          let newly_ready =
-            List.filter_map
-              (fun (s, _) ->
-                let d = Hashtbl.find in_deg s - 1 in
-                Hashtbl.replace in_deg s d;
-                if d = 0 then Some s else None)
-              (succs g v)
-          in
-          let remaining = List.filter (fun u -> V.compare u v <> 0) remaining in
-          go (v :: sorted) (ready_rest @ newly_ready) remaining
-    in
-    go [] (collect_ready [] order) order
+    let ready = Queue.create () in
+    List.iter (fun v -> if Hashtbl.find in_deg v = 0 then Queue.add v ready) order;
+    let sorted = ref [] in
+    while not (Queue.is_empty ready) do
+      let v = Queue.pop ready in
+      sorted := v :: !sorted;
+      List.iter
+        (fun (s, _) ->
+          let d = Hashtbl.find in_deg s - 1 in
+          Hashtbl.replace in_deg s d;
+          if d = 0 then Queue.add s ready)
+        (succs g v)
+    done;
+    (* A vertex left with positive in-degree lies on a cycle or after one. *)
+    match List.filter (fun v -> Hashtbl.find in_deg v > 0) order with
+    | [] -> Ok (List.rev !sorted)
+    | remaining -> Error remaining
 
   let is_dag g = match topological_sort g with Ok _ -> true | Error _ -> false
 

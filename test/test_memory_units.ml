@@ -14,8 +14,8 @@ let word ?(valid = true) v =
 
 let test_reader_multicast_order () =
   let tensor = Tensor.of_array [ 4 ] [| 1.; 2.; 3.; 4. |] in
-  let c1 = Channel.create ~name:"c1" ~capacity:8 in
-  let c2 = Channel.create ~name:"c2" ~capacity:8 in
+  let c1 = Channel.create ~name:"c1" ~capacity:8 () in
+  let c2 = Channel.create ~name:"c2" ~capacity:8 () in
   let r =
     Reader.create ~name:"r" ~tensor ~vector_width:1 ~element_bytes:4
       ~controller:(Controller.unlimited ()) ~outputs:[ c1; c2 ] ()
@@ -35,8 +35,8 @@ let test_reader_multicast_order () =
 
 let test_reader_respects_backpressure () =
   let tensor = Tensor.of_array [ 4 ] [| 1.; 2.; 3.; 4. |] in
-  let c1 = Channel.create ~name:"c1" ~capacity:1 in
-  let c2 = Channel.create ~name:"c2" ~capacity:8 in
+  let c1 = Channel.create ~name:"c1" ~capacity:1 () in
+  let c2 = Channel.create ~name:"c2" ~capacity:8 () in
   let r =
     Reader.create ~name:"r" ~tensor ~vector_width:1 ~element_bytes:4
       ~controller:(Controller.unlimited ()) ~outputs:[ c1; c2 ] ()
@@ -50,7 +50,7 @@ let test_reader_respects_backpressure () =
 
 let test_reader_respects_bandwidth () =
   let tensor = Tensor.of_array [ 4 ] [| 1.; 2.; 3.; 4. |] in
-  let c = Channel.create ~name:"c" ~capacity:8 in
+  let c = Channel.create ~name:"c" ~capacity:8 () in
   let ctrl = Controller.create ~bytes_per_cycle:4. in
   let r =
     Reader.create ~name:"r" ~tensor ~vector_width:1 ~element_bytes:8 ~controller:ctrl
@@ -65,7 +65,7 @@ let test_reader_respects_bandwidth () =
   Alcotest.(check int) "half rate" 4 !moved
 
 let test_writer_drops_invalid_lanes () =
-  let c = Channel.create ~name:"c" ~capacity:8 in
+  let c = Channel.create ~validity:true ~name:"c" ~capacity:8 () in
   let w =
     Writer.create ~name:"w" ~shape:[ 4 ] ~vector_width:1 ~element_bytes:4
       ~controller:(Controller.unlimited ()) ~input:c ()
@@ -86,7 +86,7 @@ let test_writer_drops_invalid_lanes () =
     (r.Interp.valid.(0) && (not r.Interp.valid.(1)) && r.Interp.valid.(2))
 
 let test_writer_waits_for_bandwidth () =
-  let c = Channel.create ~name:"c" ~capacity:8 in
+  let c = Channel.create ~validity:true ~name:"c" ~capacity:8 () in
   let ctrl = Controller.create ~bytes_per_cycle:0. in
   let w =
     Writer.create ~name:"w" ~shape:[ 2 ] ~vector_width:1 ~element_bytes:4 ~controller:ctrl

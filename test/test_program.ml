@@ -113,6 +113,43 @@ let test_topological_stencils () =
   let names = List.map (fun s -> s.Stencil.name) (Program.topological_stencils p) in
   Alcotest.(check (list string)) "order" [ "a"; "b"; "c" ] names
 
+(* The definition [Program.topological_stencils] had before it looked
+   names up in a table and the sort became linear: Kahn's algorithm
+   taking ready vertices in insertion order, rescanning the remaining
+   vertices per step, then one [find_stencil] per vertex. *)
+let reference_topological_stencils p =
+  let g = Program.graph p in
+  let order = List.map fst (Program.G.vertices g) in
+  let in_deg = Hashtbl.create 16 in
+  List.iter (fun v -> Hashtbl.replace in_deg v (Program.G.in_degree g v)) order;
+  let rec go sorted ready remaining =
+    match ready with
+    | [] -> if remaining = [] then List.rev sorted else invalid_arg "cycle"
+    | v :: rest ->
+        let newly =
+          List.filter_map
+            (fun (s, ()) ->
+              let d = Hashtbl.find in_deg s - 1 in
+              Hashtbl.replace in_deg s d;
+              if d = 0 then Some s else None)
+            (Program.G.succs g v)
+        in
+        go (v :: sorted) (rest @ newly) (List.filter (fun u -> u <> v) remaining)
+  in
+  List.filter_map (Program.find_stencil p)
+    (go [] (List.filter (fun v -> Hashtbl.find in_deg v = 0) order) order)
+
+(* Generated programs, and the same programs with their stencils listed
+   in reverse, which changes the graph's insertion order. *)
+let prop_topological_matches_reference =
+  QCheck.Test.make ~count:200 ~name:"topological stencil order matches its old definition"
+    Program_gen.arbitrary_program (fun p ->
+      List.for_all
+        (fun p ->
+          List.map (fun s -> s.Stencil.name) (Program.topological_stencils p)
+          = List.map (fun s -> s.Stencil.name) (reference_topological_stencils p))
+        [ p; { p with Program.stencils = List.rev p.Program.stencils } ])
+
 let test_strides () =
   let p = Fixtures.kitchen_sink ~shape:[ 4; 6; 8 ] () in
   Alcotest.(check (list int)) "strides" [ 48; 8; 1 ] (Program.strides p);
@@ -190,6 +227,7 @@ let suite =
     Alcotest.test_case "fixture programs validate" `Quick test_valid_programs;
     Alcotest.test_case "graph structure" `Quick test_graph_structure;
     Alcotest.test_case "topological stencil order" `Quick test_topological_stencils;
+    QCheck_alcotest.to_alcotest prop_topological_matches_reference;
     Alcotest.test_case "strides and cells" `Quick test_strides;
     Alcotest.test_case "field axes resolution" `Quick test_field_axes;
     Alcotest.test_case "json roundtrip laplace" `Quick (roundtrip_program (Fixtures.laplace2d ()));

@@ -1,6 +1,7 @@
 open Sf_ir
 module Engine = Sf_sim.Engine
 module Telemetry = Sf_sim.Telemetry
+module Channel = Sf_sim.Channel
 module Interp = Sf_reference.Interp
 module Tensor = Sf_reference.Tensor
 module E = Builder.E
@@ -320,6 +321,39 @@ let test_window_coverage () =
   in
   check "pdes-2dev quick, sequential" ~placement p ~cycles:3_465 ~windowed:3_445
 
+(* A shrink stencil whose result both feeds a downstream stencil and is
+   written to memory: only its writer channel carries validity flags,
+   and the downstream unit reads values alone. On one device and with
+   the downstream stencil across a link, the run validates against the
+   reference, mask included, in the cycles the engine took before
+   validity left the other channels. Its windows span more cycles than
+   one chunk moves. *)
+let shrink_fork () =
+  let b = Builder.create ~name:"shrink_fork" ~vector_width:2 ~shape:[ 24; 64 ] () in
+  Builder.input b "a";
+  Builder.stencil b ~shrink:true "edge"
+    E.(acc "a" [ 0; -1 ] +% acc "a" [ 0; 1 ] -% (c 0.5 *% acc "a" [ -1; 0 ]));
+  Builder.stencil b ~boundary:[ ("edge", Boundary.Constant 0.) ] "next"
+    E.(acc "edge" [ 0; 0 ] *% c 2. +% acc "edge" [ 1; 0 ]);
+  Builder.output b "edge";
+  Builder.output b "next";
+  Builder.finish b
+
+let test_shrink_fork () =
+  let p = shrink_fork () in
+  List.iter
+    (fun (name, placement, cycles) ->
+      match Engine.run_and_validate ~placement p with
+      | Error d -> Alcotest.failf "%s: %s" name (Sf_support.Diag.to_string d)
+      | Ok stats ->
+          Alcotest.(check int) (name ^ ": cycles") cycles stats.Engine.cycles;
+          let edge = List.assoc "edge" stats.Engine.results in
+          let valid = Array.fold_left (fun n v -> if v then n + 1 else n) 0 edge.Interp.valid in
+          Alcotest.(check int) (name ^ ": valid edge cells") (23 * 62) valid;
+          Alcotest.(check bool) (name ^ ": windows span chunks") true
+            (snd (windowed_cycles ~config:Engine.Config.default ~placement p) > Channel.chunk))
+    [ ("one device", (fun _ -> 0), 869); ("two devices", (function "next" -> 1 | _ -> 0), 933) ]
+
 let suite =
   [
     Alcotest.test_case "laplace validates against reference" `Quick
@@ -346,5 +380,6 @@ let suite =
     Alcotest.test_case "delay buffers are load-bearing" `Quick test_buffer_tightness;
     Alcotest.test_case "fast-forward windows cover the benchmark shapes" `Quick
       test_window_coverage;
+    Alcotest.test_case "shrink stencil feeding a stencil and an output" `Quick test_shrink_fork;
     QCheck_alcotest.to_alcotest prop_sim_matches_reference;
   ]

@@ -9,7 +9,7 @@ let word v =
   w
 
 let test_channel_fifo_order () =
-  let c = Channel.create ~name:"c" ~capacity:3 in
+  let c = Channel.create ~name:"c" ~capacity:3 () in
   Alcotest.(check bool) "empty" true (Channel.is_empty c);
   Channel.push c (word 1.);
   Channel.push c (word 2.);
@@ -24,7 +24,7 @@ let test_channel_fifo_order () =
   Alcotest.(check int) "high water" 3 (Channel.high_water c)
 
 let test_channel_overflow_underflow () =
-  let c = Channel.create ~name:"c" ~capacity:1 in
+  let c = Channel.create ~name:"c" ~capacity:1 () in
   (match Channel.pop c with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "pop of empty must fail");
@@ -33,12 +33,43 @@ let test_channel_overflow_underflow () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "push to full must fail"
 
+(* A channel created without validity holds values alone: the Word API
+   serves its words as all valid and refuses a word with an invalid
+   lane, which it could not carry. *)
+let test_channel_without_validity () =
+  let c = Channel.create_vec ~width:2 ~name:"c" ~capacity:4 () in
+  Alcotest.(check bool) "no flags" false (Channel.has_validity c);
+  Alcotest.(check int) "no flag storage" 0 (Array.length (Channel.Unsafe.buf_valid c));
+  let w = Word.create 2 in
+  w.Word.values.(0) <- 1.;
+  w.Word.values.(1) <- 2.;
+  Channel.push c w;
+  let base = Channel.Unsafe.push_slot c in
+  (Channel.Unsafe.buf_values c).(base) <- 3.;
+  (Channel.Unsafe.buf_values c).(base + 1) <- 4.;
+  let check what (values, word) =
+    Alcotest.(check (array (float 0.))) (what ^ " values") values word.Word.values;
+    Alcotest.(check (array bool)) (what ^ " all valid") [| true; true |] word.Word.valid
+  in
+  check "peek" ([| 1.; 2. |], Option.get (Channel.peek c));
+  check "pop" ([| 1.; 2. |], Channel.pop c);
+  check "slot push, then pop" ([| 3.; 4. |], Channel.pop c);
+  Alcotest.(check bool) "empty peek" true (Channel.peek c = None);
+  let invalid = Word.create 2 in
+  invalid.Word.valid.(1) <- false;
+  (match Channel.push c invalid with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a word with an invalid lane must be refused");
+  Alcotest.(check int) "nothing pushed" 0 (Channel.occupancy c);
+  Alcotest.(check bool) "flags on request" true
+    (Channel.has_validity (Channel.create ~validity:true ~name:"v" ~capacity:1 ()))
+
 (* The per-cycle slot push stops at the capacity. A fast-forward chunk
    push may run Channel.chunk words past it, and no further; it leaves
    the high-water mark to settle_high_water. FIFO order holds across
    the slack and around the ring. *)
 let test_channel_chunk_slack () =
-  let c = Channel.create ~name:"c" ~capacity:2 in
+  let c = Channel.create ~name:"c" ~capacity:2 () in
   let push slot v = (Channel.Unsafe.buf_values c).(slot c) <- v in
   (* Move the head so that the chunk wraps around the ring. *)
   for _ = 1 to 3 do
@@ -81,7 +112,7 @@ let prop_channel_bulk_equals_singles =
     (fun ((capacity, width, rotate, occ), (slack, n, (extra, start), (k, (extra', start')))) ->
       let occ = Int.min occ capacity in
       let make () =
-        let c = Channel.create_vec ~width ~name:"q" ~capacity in
+        let c = Channel.create_vec ~validity:true ~width ~name:"q" ~capacity () in
         let pushes = ref 0 and pops = ref 0 in
         Channel.set_hooks c ~on_push:(fun () -> incr pushes) ~on_pop:(fun () -> incr pops);
         (* Move the head around the ring, then hold [occ] words. *)
@@ -155,15 +186,16 @@ let prop_channel_bulk_equals_singles =
    none of them may allocate. *)
 let test_bulk_allocation_free () =
   let width = 4 and n = 40 in
-  let c = Channel.create_vec ~width ~name:"c" ~capacity:8 in
+  let c = Channel.create_vec ~validity:true ~width ~name:"c" ~capacity:8 () in
   let q = Sf_sim.Spsc.create ~capacity:64 ~lanes:width in
   let src = Array.make (Channel.chunk * width) 1.5 in
+  let src_flags = Array.make (Array.length src) true in
   let dst = Array.make ((n * width) + 3) 0. in
   let flags = Array.make (Array.length dst) true in
   let run () =
     let base = Channel.Unsafe.push_run c n in
     Channel.Unsafe.blit_values src 0 (Channel.Unsafe.buf_values c) base (n * width);
-    Channel.Unsafe.fill_valid (Channel.Unsafe.buf_valid c) base (n * width);
+    Channel.Unsafe.blit_valid src_flags 0 (Channel.Unsafe.buf_valid c) base (n * width);
     let front = Channel.Unsafe.front_slot c in
     Channel.Unsafe.blit_values (Channel.Unsafe.buf_values c) front dst 3 (n * width);
     Channel.Unsafe.blit_valid (Channel.Unsafe.buf_valid c) front flags 3 (n * width);
@@ -182,7 +214,7 @@ let test_bulk_allocation_free () =
   if words >= 1. then Alcotest.failf "bulk movers allocate %.2f minor words per call" words
 
 let test_channel_capacity_positive () =
-  match Channel.create ~name:"bad" ~capacity:0 with
+  match Channel.create ~name:"bad" ~capacity:0 () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "zero capacity must be rejected"
 
@@ -191,7 +223,7 @@ let prop_channel_queue_model =
   QCheck.Test.make ~count:200 ~name:"channel equals a bounded FIFO"
     QCheck.(pair (int_range 1 8) (small_list (QCheck.oneofl [ `Push; `Pop ])))
     (fun (capacity, ops) ->
-      let c = Channel.create ~name:"q" ~capacity in
+      let c = Channel.create ~name:"q" ~capacity () in
       let model = Queue.create () in
       let counter = ref 0. in
       List.for_all
@@ -223,7 +255,7 @@ let prop_channel_soa_model =
       triple (int_range 1 6) (int_range 1 4)
         (small_list (oneofl [ `SlotPush; `WordPush; `SlotDrop; `WordPop; `Peek ])))
     (fun (capacity, width, ops) ->
-      let c = Channel.create_vec ~width ~name:"q" ~capacity in
+      let c = Channel.create_vec ~validity:true ~width ~name:"q" ~capacity () in
       let pushes = ref 0 and pops = ref 0 in
       Channel.set_hooks c ~on_push:(fun () -> incr pushes) ~on_pop:(fun () -> incr pops);
       let model : (float array * bool array) Queue.t = Queue.create () in
@@ -315,8 +347,8 @@ let test_controller_unlimited () =
   Alcotest.(check bool) "always grants" true (Controller.request ctrl max_int)
 
 let test_link_latency_and_order () =
-  let src = Channel.create ~name:"src" ~capacity:8 in
-  let dst = Channel.create ~name:"dst" ~capacity:8 in
+  let src = Channel.create ~name:"src" ~capacity:8 () in
+  let dst = Channel.create ~name:"dst" ~capacity:8 () in
   let link = Link.create ~name:"l" ~bytes_per_cycle:4. ~latency_cycles:3 () in
   Link.add_port link ~src ~dst ~word_bytes:4;
   Channel.push src (word 1.);
@@ -331,12 +363,17 @@ let test_link_latency_and_order () =
   ignore (Link.cycle link ~now:4);
   Alcotest.(check (float 0.)) "word 2 follows in order" 2. (Channel.pop dst).Word.values.(0);
   Alcotest.(check bool) "idle after drain" true (Link.is_idle link);
-  Alcotest.(check int) "bytes counted" 8 (Link.bytes_transferred link)
+  Alcotest.(check int) "bytes counted" 8 (Link.bytes_transferred link);
+  (* Words cross a link as values alone. *)
+  let flagged = Channel.create ~validity:true ~name:"flagged" ~capacity:8 () in
+  match Link.add_port link ~src ~dst:flagged ~word_bytes:4 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a link port into a flagged channel must be refused"
 
 let test_link_bandwidth_shared () =
   (* Two ports share one link's bandwidth: at 4 B/cycle and 4 B words,
      only one word total is injected per cycle. *)
-  let mk name = Channel.create ~name ~capacity:8 in
+  let mk name = Channel.create ~name ~capacity:8 () in
   let s1 = mk "s1" and d1 = mk "d1" and s2 = mk "s2" and d2 = mk "d2" in
   let link = Link.create ~name:"l" ~bytes_per_cycle:4. ~latency_cycles:0 () in
   Link.add_port link ~src:s1 ~dst:d1 ~word_bytes:4;
@@ -354,8 +391,8 @@ let test_link_bandwidth_shared () =
 
 let test_link_backpressure () =
   (* A full destination blocks delivery but not other ports. *)
-  let src = Channel.create ~name:"src" ~capacity:8 in
-  let dst = Channel.create ~name:"dst" ~capacity:1 in
+  let src = Channel.create ~name:"src" ~capacity:8 () in
+  let dst = Channel.create ~name:"dst" ~capacity:1 () in
   let link = Link.create ~name:"l" ~bytes_per_cycle:infinity ~latency_cycles:0 () in
   Link.add_port link ~src ~dst ~word_bytes:4;
   Channel.push src (word 1.);
@@ -373,8 +410,8 @@ let test_link_backpressure () =
 (* A destination that holds words back makes the in-flight ring grow
    past its initial size; order must survive the growth. *)
 let test_link_ring_grows () =
-  let src = Channel.create ~name:"src" ~capacity:64 in
-  let dst = Channel.create ~name:"dst" ~capacity:64 in
+  let src = Channel.create ~name:"src" ~capacity:64 () in
+  let dst = Channel.create ~name:"dst" ~capacity:64 () in
   let link = Link.create ~name:"l" ~bytes_per_cycle:infinity ~latency_cycles:100 () in
   Link.add_port link ~src ~dst ~word_bytes:4;
   for i = 1 to 40 do
@@ -410,6 +447,8 @@ let suite =
     Alcotest.test_case "channel FIFO order and stats" `Quick test_channel_fifo_order;
     Alcotest.test_case "channel overflow/underflow" `Quick test_channel_overflow_underflow;
     Alcotest.test_case "channel capacity validation" `Quick test_channel_capacity_positive;
+    Alcotest.test_case "channel without validity serves all-valid words" `Quick
+      test_channel_without_validity;
     Alcotest.test_case "channel chunk slack past the capacity" `Quick test_channel_chunk_slack;
     QCheck_alcotest.to_alcotest prop_channel_queue_model;
     QCheck_alcotest.to_alcotest prop_channel_soa_model;

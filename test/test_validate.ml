@@ -113,6 +113,15 @@ let test_simulation_error_wins () =
     ~expect:(function Failed d -> d.Diag.code = Diag.Code.sim_deadlock | _ -> false)
     (fun () -> Engine.run_and_validate ~inputs:[ ("a", Tensor.create [ 4; 4 ]) ] (two_point ()))
 
+(* An input with the right cell count but a transposed extent: the
+   simulation reads it as a flat stream and completes, and the oracle's
+   [prepare] rejects the extent. Its exception surfaces on both paths. *)
+let test_prepare_error_surfaces () =
+  check_both "transposed input"
+    ~expect:
+      (( = ) (Raised (Interp.Runtime_error "input a: expected extent [4,8], got [8,4]")))
+    (fun () -> Engine.run_and_validate ~inputs:[ ("a", Tensor.create [ 8; 4 ]) ] (two_point ()))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_paths_agree;
@@ -120,4 +129,5 @@ let suite =
     Alcotest.test_case "malformed program raises on both paths" `Quick test_malformed_program;
     Alcotest.test_case "missing input raises on both paths" `Quick test_missing_input;
     Alcotest.test_case "simulation Error wins over the oracle" `Quick test_simulation_error_wins;
+    Alcotest.test_case "prepare error raises on both paths" `Quick test_prepare_error_surfaces;
   ]
