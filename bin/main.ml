@@ -242,12 +242,12 @@ let analyze_cmd =
     if remote then remote_eval ~common request
     else begin
       let ctx = run_local ~common request in
-      let p = Option.get ctx.Ctx.program in
-      Format.printf "%a@." Delay_buffer.pp (Option.get ctx.Ctx.analysis);
+      let p = Option.get ctx.Ctx.program and analysis = Option.get ctx.Ctx.analysis in
+      Format.printf "%a@." Delay_buffer.pp analysis;
       Format.printf "%a@." Op_count.pp (Op_count.of_program p);
       Format.printf "arithmetic intensity: %.3f Op/operand, %.3f Op/B@."
         (Op_count.ai_ops_per_operand p) (Op_count.ai_ops_per_byte p);
-      Format.printf "expected cycles (Eq. 1): %d@." (Runtime_model.expected_cycles p);
+      Format.printf "expected cycles (Eq. 1): %d@." (Runtime_model.analyzed_cycles p analysis);
       let usage = Resource.of_program p in
       Format.printf "estimated resources: %a@." Resource.pp usage;
       let a, f, m, d = Resource.utilization Device.stratix10 usage in

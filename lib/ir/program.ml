@@ -41,16 +41,20 @@ let field_axes t name =
 
 let producer_rank t name = List.length (field_axes t name)
 
-let graph t =
+(* [reads] pairs every stencil, in order, with its input fields. *)
+let graph_of_reads t reads =
   let g = List.fold_left (fun g f -> G.add_vertex g f.Field.name (Input f)) G.empty t.inputs in
   let g = List.fold_left (fun g s -> G.add_vertex g s.Stencil.name (Op s)) g t.stencils in
   List.fold_left
-    (fun g s ->
+    (fun g (s, inputs) ->
       List.fold_left
         (fun g src ->
           if G.mem_vertex g src then G.add_edge g ~src ~dst:s.Stencil.name () else g)
-        g (Stencil.input_fields s))
-    g t.stencils
+        g inputs)
+    g reads
+
+let stencil_reads t = List.map (fun s -> (s, Stencil.input_fields s)) t.stencils
+let graph t = graph_of_reads t (stencil_reads t)
 
 let consumers t field =
   List.filter_map
@@ -85,9 +89,11 @@ let validate t =
     t.inputs;
   (* Access resolution: every access names a known field and matches its
      rank; let-bound variables resolve in order; boundary conditions refer
-     to read fields. *)
+     to read fields. Each body's accesses are collected once, for these
+     checks and the dependency graph below. *)
+  let reads = stencil_reads t in
   List.iter
-    (fun s ->
+    (fun (s, inputs_read) ->
       let body = s.Stencil.body in
       let bound = Hashtbl.create 8 in
       let check_expr expr =
@@ -115,22 +121,21 @@ let validate t =
           Hashtbl.replace bound v ())
         body.Expr.lets;
       check_expr body.Expr.result;
-      if List.exists (fun (f, _) -> String.equal f s.Stencil.name) (Stencil.accesses s) then
+      if List.exists (String.equal s.Stencil.name) inputs_read then
         err "stencil %s: reads its own output (cycle)" s.Stencil.name;
-      let inputs_read = Stencil.input_fields s in
       List.iter
         (fun (f, _) ->
           if not (List.exists (String.equal f) inputs_read) then
             err "stencil %s: boundary condition for unread field %s" s.Stencil.name f)
         s.Stencil.boundary)
-    t.stencils;
+    reads;
   List.iter
     (fun o ->
       if find_stencil t o = None then err "declared output %s is not a stencil" o)
     t.outputs;
   (* Global structure: acyclic, and every stencil feeds some output. *)
   if !errors = [] then begin
-    let g = graph t in
+    let g = graph_of_reads t reads in
     (match G.topological_sort g with
     | Ok _ -> ()
     | Error cyc ->

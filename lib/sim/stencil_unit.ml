@@ -335,6 +335,24 @@ let cycle t ~now =
 (* is the engine's responsibility.                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Pending entry [i] (the [i]th from [head] in the ring) is mature at
+   relative cycle [i] when [release i <= now + i]. Steps happen on
+   distinct, increasing cycles, so releases rise by at least one per
+   entry and [release i - i] is nondecreasing: the immature entries form
+   a suffix, found by binary search. *)
+let first_immature release ~head ~count ~now =
+  let cap = Array.length release in
+  let immature i =
+    let slot = head + i in
+    release.(if slot >= cap then slot - cap else slot) - i > now
+  in
+  let lo = ref 0 and hi = ref count in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if immature mid then hi := mid else lo := mid + 1
+  done;
+  if !lo < count then !lo else max_int
+
 let plan t ~now =
   t.plan_flush <- false;
   t.plan_step <- false;
@@ -362,9 +380,7 @@ let plan t ~now =
          mature there; a freshly computed word flushes after
          [pend_count] more cycles, mature only if the line is at least
          as long as the compute latency. *)
-      for i = 0 to t.pend_count - 1 do
-        if t.pend_release.((t.pend_head + i) mod t.pend_cap) > now + i then h := Int.min !h i
-      done;
+      h := Int.min !h (first_immature t.pend_release ~head:t.pend_head ~count:t.pend_count ~now);
       if not (compute && l <= t.pend_count) then h := Int.min !h t.pend_count
     end
     else if compute then begin

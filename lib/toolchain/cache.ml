@@ -2,7 +2,7 @@ module F = Sf_support.Fingerprint
 module Store = Sf_support.Store
 module Diag = Sf_support.Diag
 
-type binding = B : 'a Ctx.slot * 'a -> binding
+type binding = B : 'a Ctx.slot * 'a * Ctx.digest -> binding
 type entry = { bindings : binding list; diags : Diag.t list }
 
 (* LRU bookkeeping: each record carries the logical time of its last
@@ -63,7 +63,7 @@ let absent_marker = F.of_string "<absent>"
 
 let key ~pass_name ~options_fp ~reads ctx =
   let read_fp slot =
-    match Ctx.slot_fingerprint ctx slot with Some fp -> fp | None -> absent_marker
+    match Ctx.kept_fingerprint ctx slot with Some fp -> fp | None -> absent_marker
   in
   F.combine
     (F.of_string pass_name
@@ -75,11 +75,12 @@ let key ~pass_name ~options_fp ~reads ctx =
    per-value bytes are reattached to their typed slot by name, which is
    the one place the module must trust the schema version ([Obj.magic]).
    Every failure mode — unknown slot, truncated bytes, incompatible
-   marshal — lands in the [with] and is accounted as stale. *)
+   marshal — lands in the [with] and is accounted as stale. Digests are
+   not stored: a loaded entry computes each on first use. *)
 let serialize entry =
   try
     let bindings =
-      List.map (fun (B (slot, v)) -> (slot.Ctx.slot_name, Marshal.to_string v [])) entry.bindings
+      List.map (fun (B (slot, v, _)) -> (slot.Ctx.slot_name, Marshal.to_string v [])) entry.bindings
     in
     Some (Marshal.to_string (bindings, entry.diags) [])
   with _ -> None
@@ -90,7 +91,8 @@ let deserialize payload =
     let bind (name, bytes) =
       match Ctx.find_slot name with
       | None -> raise Exit
-      | Some (Ctx.P slot) -> B (slot, Obj.magic (Marshal.from_string bytes 0))
+      | Some (Ctx.P slot) ->
+          B (slot, Obj.magic (Marshal.from_string bytes 0), Ctx.fresh_digest ())
     in
     Some { bindings = List.map bind bindings; diags }
   with _ -> None

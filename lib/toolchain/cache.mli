@@ -29,8 +29,12 @@
     settles and get [Joined entry], so a fleet replaying near-identical
     requests executes each distinct pass once. *)
 
-type binding = B : 'a Ctx.slot * 'a -> binding
-(** One write-slot value captured from a pass execution. *)
+type binding = B : 'a Ctx.slot * 'a * Ctx.digest -> binding
+(** One write-slot value captured from a pass execution, with its
+    content digest. The digest is shared with the contexts that hold the
+    value, so it is computed at most once while the entry lives; an entry
+    loaded from the store starts with an empty digest, filled on first
+    use (the blob format carries no digests). *)
 
 type entry = {
   bindings : binding list;  (** Write slots, in declaration order. *)
@@ -54,10 +58,11 @@ val key :
   Ctx.t ->
   Sf_support.Fingerprint.t
 (** The cache key of executing [pass_name] (with options digesting to
-    [options_fp]) against the current content of [reads] in [ctx].
-    Absent read slots contribute a distinct absence marker, so "ran
-    before the artifact existed" and "ran against artifact X" never
-    collide. *)
+    [options_fp]) against the current content of [reads] in [ctx], read
+    through {!Ctx.kept_fingerprint}: a value's digest is computed once
+    and then carried with it. Absent read slots contribute a distinct
+    absence marker, so "ran before the artifact existed" and "ran
+    against artifact X" never collide. *)
 
 type flight
 (** A claimed in-progress execution. The holder must settle it with

@@ -2,6 +2,18 @@ module Diag = Sf_support.Diag
 module Program = Sf_ir.Program
 module Stencil = Sf_ir.Stencil
 module Engine = Sf_sim.Engine
+module F = Sf_support.Fingerprint
+
+(* The content digest of one slot value, filled on first use. A cell is
+   shared by every context holding the value and by the cache entry that
+   captured it, possibly across domains: a race fills it twice with the
+   same digest, which is harmless. *)
+type digest = F.t option Atomic.t
+
+(* A kept digest is valid only while the slot still holds [value]
+   (physically): a value installed behind the slot's back fails the
+   identity check and is digested afresh. *)
+type kept = { slot : string; value : Obj.t; digest : digest }
 
 type t = {
   device : Sf_models.Device.t;
@@ -19,27 +31,10 @@ type t = {
   simulation : (Engine.stats, Diag.t) result option;
   performance_model : float option;
   diags : Diag.t list;
+  digests : kept list;
 }
 
-let create ?(device = Sf_models.Device.stratix10) ?(sim_config = Engine.Config.default)
-    ?inputs () =
-  {
-    device;
-    sim_config;
-    inputs;
-    source_file = None;
-    program = None;
-    fusion = None;
-    opt = None;
-    analysis = None;
-    partition = None;
-    kernels = [];
-    host_source = None;
-    vitis_source = None;
-    simulation = None;
-    performance_model = None;
-    diags = [];
-  }
+let fresh_digest () = Atomic.make None
 
 (* A new program version invalidates everything derived from the old one,
    including the optimizer report and embedded-pipeline entries — stale
@@ -69,6 +64,16 @@ let the_program ctx =
         [
           Diag.error ~code:Diag.Code.internal
             "no program loaded: a frontend pass must run first";
+        ]
+
+let the_analysis ctx =
+  match ctx.analysis with
+  | Some a -> Ok a
+  | None ->
+      Error
+        [
+          Diag.error ~code:Diag.Code.internal
+            "no delay-buffer analysis: the delay-buffers pass must run first";
         ]
 
 let add_diag ctx d =
@@ -159,6 +164,11 @@ let simulation_text = function
         s.cycles s.predicted_cycles s.bytes_read s.bytes_written s.network_bytes
   | Error d -> Printf.sprintf "FAILED: %s\n" (Diag.to_string d)
 
+let source_files ctx =
+  Option.to_list (Option.map (fun s -> ("host.c", s)) ctx.host_source)
+  @ Option.to_list (Option.map (fun s -> ("vitis.cpp", s)) ctx.vitis_source)
+  @ List.map (fun (a : Sf_codegen.Opencl.artifact) -> (a.filename, a.source)) ctx.kernels
+
 let artifact_files ctx =
   let file name content = Some (name, content) in
   List.filter_map
@@ -178,12 +188,8 @@ let artifact_files ctx =
       (match ctx.simulation with
       | Some r -> file "simulation.txt" (simulation_text r)
       | None -> None);
-      (match ctx.host_source with Some s -> file "host.c" s | None -> None);
-      (match ctx.vitis_source with Some s -> file "vitis.cpp" s | None -> None);
     ]
-  @ List.map
-      (fun (a : Sf_codegen.Opencl.artifact) -> (a.filename, a.source))
-      ctx.kernels
+  @ source_files ctx
 
 (* Typed artifact slots.
 
@@ -196,8 +202,6 @@ let artifact_files ctx =
    Environment slots (device, configuration, inputs) have no [erase] —
    they are request parameters, not pass products — so erasing them is a
    no-op; no pass lists them as writes. *)
-
-module F = Sf_support.Fingerprint
 
 type 'a slot = {
   slot_name : string;
@@ -410,3 +414,71 @@ let all_slots =
 let slot_name (P s) = s.slot_name
 let find_slot name = List.find_opt (fun p -> String.equal (slot_name p) name) all_slots
 let slot_fingerprint ctx (P s) = Option.map s.fp (s.get ctx)
+
+(* Kept digests ----------------------------------------------------- *)
+
+let keep ctx s value digest =
+  {
+    ctx with
+    digests =
+      { slot = s.slot_name; value = Obj.repr value; digest }
+      :: List.filter (fun k -> not (String.equal k.slot s.slot_name)) ctx.digests;
+  }
+
+let kept_digest ctx s v =
+  List.find_map
+    (fun k -> if String.equal k.slot s.slot_name && k.value == Obj.repr v then Some k.digest else None)
+    ctx.digests
+
+let digest_of ctx (P s) =
+  match s.get ctx with
+  | None -> None
+  | Some v -> Some (match kept_digest ctx s v with Some d -> d | None -> fresh_digest ())
+
+let keep_written ctx slots =
+  List.fold_left
+    (fun ctx (P s) ->
+      match s.get ctx with
+      | Some v when Option.is_none (kept_digest ctx s v) -> keep ctx s v (fresh_digest ())
+      | Some _ | None -> ctx)
+    ctx slots
+
+let force digest s v =
+  match Atomic.get digest with
+  | Some fp -> fp
+  | None ->
+      let fp = s.fp v in
+      Atomic.set digest (Some fp);
+      fp
+
+let kept_fingerprint ctx (P s) =
+  match s.get ctx with
+  | None -> None
+  | Some v -> (
+      match kept_digest ctx s v with Some d -> Some (force d s v) | None -> Some (s.fp v))
+
+let create ?(device = Sf_models.Device.stratix10) ?(sim_config = Engine.Config.default)
+    ?inputs () =
+  let ctx =
+    {
+      device;
+      sim_config;
+      inputs;
+      source_file = None;
+      program = None;
+      fusion = None;
+      opt = None;
+      analysis = None;
+      partition = None;
+      kernels = [];
+      host_source = None;
+      vitis_source = None;
+      simulation = None;
+      performance_model = None;
+      diags = [];
+      digests = [];
+    }
+  in
+  (* The environment slots hold their values for the whole request: one
+     digest each, computed when the first key reads it. *)
+  keep_written ctx [ P device_slot; P sim_config_slot; P sim_latency_slot; P inputs_slot ]

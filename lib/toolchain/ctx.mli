@@ -7,6 +7,13 @@
     slots. Warnings accumulate in {!t.diags} (deduplicated); hard errors
     are returned by the pass itself and abort the pipeline. *)
 
+type digest
+(** The content digest of one slot value, computed on first use and then
+    shared by every context and cache entry that holds the value. *)
+
+type kept
+(** A digest kept for a slot together with the value it digests. *)
+
 type t = {
   device : Sf_models.Device.t;  (** Resource/frequency model for mapping. *)
   sim_config : Sf_sim.Engine.config;
@@ -26,6 +33,8 @@ type t = {
   performance_model : float option;  (** Modelled ops/s at the device clock. *)
   diags : Sf_support.Diag.t list;
       (** Accumulated non-fatal diagnostics, oldest first. *)
+  digests : kept list;
+      (** At most one kept digest per slot (see {!kept_fingerprint}). *)
 }
 
 val create :
@@ -47,6 +56,10 @@ val the_program : t -> (Sf_ir.Program.t, Sf_support.Diag.t list) result
 (** The current program, or an [SF0901] diagnostic when no frontend pass
     has run yet. *)
 
+val the_analysis : t -> (Sf_analysis.Delay_buffer.t, Sf_support.Diag.t list) result
+(** The current delay-buffer analysis, or an [SF0901] diagnostic when the
+    [delay-buffers] pass has not run on the current program. *)
+
 val add_diag : t -> Sf_support.Diag.t -> t
 (** Append a diagnostic unless an identical one (severity, code, message)
     is already recorded. *)
@@ -58,6 +71,13 @@ val counters : t -> (string * int) list
     of the analysis, [devices] of the partition, [code-bytes] of all
     generated sources. Used by {!Pass_manager} to report what each pass
     changed. *)
+
+val code_bytes : t -> int
+(** Total size of the generated sources (the [code-bytes] counter). *)
+
+val source_files : t -> (string * string) list
+(** The generated sources as [(filename, contents)] pairs: host code,
+    Vitis code, then the kernels — the tail of {!artifact_files}. *)
 
 val artifact_files : t -> (string * string) list
 (** The current artifacts as [(filename, contents)] pairs — the program
@@ -113,4 +133,37 @@ val find_slot : string -> packed option
     serialized bindings back to typed slots. *)
 
 val slot_fingerprint : t -> packed -> Sf_support.Fingerprint.t option
-(** Digest of the slot's current content, or [None] when absent. *)
+(** Digest of the slot's current content, recomputed from the value, or
+    [None] when absent. The reference that {!kept_fingerprint} must
+    agree with. *)
+
+(** {2 Kept digests}
+
+    A slot value's digest is computed once and travels with the value:
+    the context keeps it next to the value, keyed by slot and by the
+    value's physical identity, and cache entries carry the digests of
+    the values they captured. {!Pass_manager.run} keeps digests for a
+    pass's declared writes and for replayed entries; {!create} keeps
+    them for the environment slots. A value installed without a kept
+    digest — written by a pass that did not declare the write — fails
+    the identity check and is digested afresh on every read. *)
+
+val fresh_digest : unit -> digest
+(** An empty digest, filled on first use. *)
+
+val keep : t -> 'a slot -> 'a -> digest -> t
+(** Record [digest] as the digest of [value] in the slot, replacing the
+    slot's previous kept digest. *)
+
+val digest_of : t -> packed -> digest option
+(** The kept digest of the slot's current value, a fresh one when none
+    is kept for that value, or [None] when the slot is empty. *)
+
+val keep_written : t -> packed list -> t
+(** Keep a digest for the current value of each listed slot: the
+    already kept one when it still matches, else a fresh one. *)
+
+val kept_fingerprint : t -> packed -> Sf_support.Fingerprint.t option
+(** Equal to {!slot_fingerprint}, but read through the kept digest of
+    the current value (computing and storing it on first use); a value
+    with no kept digest is digested afresh. *)

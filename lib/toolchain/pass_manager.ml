@@ -35,8 +35,8 @@ type timing = {
   pass : string;
   kind : kind;
   seconds : float;
-  counters_before : (string * int) list;
-  counters_after : (string * int) list;
+  counters_before : (string * int) list Lazy.t;
+  counters_after : (string * int) list Lazy.t;
   ok : bool;
   cached : bool;
   joined : bool;
@@ -52,31 +52,44 @@ type hooks = {
 
 let no_hooks = { on_pass = None; dump = None }
 
-(* Post-pass invariants over whatever artifacts the context holds.
-   Returns hard errors (abort) and warnings (dedupe into ctx.diags). *)
-let invariant_diags (ctx : Ctx.t) =
+(* A slot the pass wrote: it now holds a value it did not hold before
+   (physically). *)
+let wrote (slot : _ Ctx.slot) ctx ctx' =
+  match (slot.Ctx.get ctx, slot.Ctx.get ctx') with
+  | _, None -> false
+  | None, Some _ -> true
+  | Some a, Some b -> a != b
+
+(* Post-pass invariants over the artifacts the pass wrote: a slot the
+   pass left alone was checked when it was written, and each check is a
+   function of the slots it reads. Returns hard errors (abort) and
+   warnings (dedupe into ctx.diags). *)
+let invariant_diags (ctx : Ctx.t) (ctx' : Ctx.t) =
   let errors = ref [] and warnings = ref [] in
   let error d = errors := d :: !errors in
   let warning d = warnings := d :: !warnings in
-  (match ctx.Ctx.program with
-  | None -> ()
-  | Some p -> (
+  let wrote slot = wrote slot ctx ctx' in
+  let program_written = wrote Ctx.program_slot in
+  (match ctx'.Ctx.program with
+  | Some p when program_written -> (
       match Program.validate p with
       | Ok () -> ()
       | Error msgs ->
-          List.iter (fun m -> error (Diag.error ~code:Diag.Code.validation m)) msgs));
-  (match ctx.Ctx.analysis with
-  | None -> ()
-  | Some a ->
+          List.iter (fun m -> error (Diag.error ~code:Diag.Code.validation m)) msgs)
+  | _ -> ());
+  (match ctx'.Ctx.analysis with
+  | Some a when wrote Ctx.analysis_slot ->
       List.iter
         (fun ((src, dst), depth) ->
           if depth < 0 then
             error
               (Diag.errorf ~code:Diag.Code.analysis_invariant
                  "delay buffer %s -> %s has negative depth %d" src dst depth))
-        a.Sf_analysis.Delay_buffer.edges);
-  (match (ctx.Ctx.program, ctx.Ctx.partition) with
-  | Some p, Some pt -> (
+        a.Sf_analysis.Delay_buffer.edges
+  | _ -> ());
+  (match (ctx'.Ctx.program, ctx'.Ctx.partition) with
+  | Some p, Some pt
+    when program_written || wrote Ctx.partition_slot || wrote Ctx.device_slot -> (
       (match Partition.validate p pt with
       | Ok () -> ()
       | Error msgs ->
@@ -85,33 +98,39 @@ let invariant_diags (ctx : Ctx.t) =
             msgs);
       List.iteri
         (fun d usage ->
-          if not (Resource.fits ctx.Ctx.device usage) then
+          if not (Resource.fits ctx'.Ctx.device usage) then
             warning
               (Diag.warningf ~code:Diag.Code.partition_invariant
                  "device %d of the partition exceeds the %s resource budget" d
-                 ctx.Ctx.device.Sf_models.Device.name))
+                 ctx'.Ctx.device.Sf_models.Device.name))
         pt.Partition.per_device_usage)
   | _ -> ());
   (List.rev !errors, List.rev !warnings)
 
 (* Replay a cache entry: install every captured write slot (the program
    slot first in declaration order, so its derived-artifact invalidation
-   cannot clobber a slot installed after it) and re-append the recorded
-   diagnostics through [add_diag] (deduplicated like a live run). *)
+   cannot clobber a slot installed after it) with the entry's digest,
+   and re-append the recorded diagnostics through [add_diag]
+   (deduplicated like a live run). *)
 let replay ctx (entry : Cache.entry) =
   let ctx =
-    List.fold_left (fun ctx (Cache.B (slot, v)) -> slot.Ctx.put ctx v) ctx entry.Cache.bindings
+    List.fold_left
+      (fun ctx (Cache.B (slot, v, d)) -> Ctx.keep (slot.Ctx.put ctx v) slot v d)
+      ctx entry.Cache.bindings
   in
   List.fold_left Ctx.add_diag ctx entry.Cache.diags
 
 (* Capture what a successful execution produced: the declared write
-   slots that are present afterwards, plus the diagnostics appended
-   relative to the pre-pass context ([add_diag] only ever appends). *)
+   slots that are present afterwards, with the digests [ctx'] keeps for
+   them, plus the diagnostics appended relative to the pre-pass context
+   ([add_diag] only ever appends). *)
 let capture (pass : pass) (ctx : Ctx.t) (ctx' : Ctx.t) =
   let bindings =
     List.filter_map
-      (fun (Ctx.P slot) ->
-        match slot.Ctx.get ctx' with Some v -> Some (Cache.B (slot, v)) | None -> None)
+      (fun (Ctx.P slot as p) ->
+        match (slot.Ctx.get ctx', Ctx.digest_of ctx' p) with
+        | Some v, Some d -> Some (Cache.B (slot, v, d))
+        | _ -> None)
       pass.writes
   in
   let before = List.length ctx.Ctx.diags in
@@ -124,7 +143,10 @@ let run ?(hooks = no_hooks) ?cache ?(should_stop = fun () -> false) ?deadline pa
     trace := t :: !trace;
     match hooks.on_pass with Some f -> f t | None -> ()
   in
-  let rec go index ctx = function
+  (* Counters are computed only for a consumer that forces them; one
+     lazy value serves as a pass's [counters_after] and the next pass's
+     [counters_before]. *)
+  let rec go index ctx counters_before = function
     | [] -> Ok (ctx, List.rev !trace)
     | pass :: rest ->
         if should_stop () then
@@ -135,7 +157,6 @@ let run ?(hooks = no_hooks) ?cache ?(should_stop = fun () -> false) ?deadline pa
             ( [ Diag.errorf ~code:Diag.Code.cancelled "request cancelled before pass %s" pass.name ],
               List.rev !trace )
         else begin
-          let counters_before = Ctx.counters ctx in
           let lookup =
             match (cache, pass.fingerprint ()) with
             | Some cache, Some options_fp ->
@@ -157,20 +178,21 @@ let run ?(hooks = no_hooks) ?cache ?(should_stop = fun () -> false) ?deadline pa
               let t0 = monotime () in
               let ctx' = replay ctx entry in
               let seconds = monotime () -. t0 in
+              let counters_after = lazy (Ctx.counters ctx') in
               record
                 {
                   pass = pass.name;
                   kind = pass.kind;
                   seconds;
                   counters_before;
-                  counters_after = Ctx.counters ctx';
+                  counters_after;
                   ok = true;
                   cached = true;
                   joined = (match outcome with Cache.Joined _ -> true | _ -> false);
                   missed = false;
                 };
               (match hooks.dump with Some f -> f ~index ~pass:pass.name ctx' | None -> ());
-              go (index + 1) ctx' rest
+              go (index + 1) ctx' counters_after rest
           | Some (_, Cache.Miss _) | None -> (
               (* As flight leader (the [Miss] case) this execution must
                  settle the flight on every exit path: [fulfill] only
@@ -231,9 +253,11 @@ let run ?(hooks = no_hooks) ?cache ?(should_stop = fun () -> false) ?deadline pa
                   record (entry false counters_before);
                   Error (ds, List.rev !trace)
               | Ok ctx' -> (
-                  let errors, warnings = invariant_diags ctx' in
+                  let errors, warnings = invariant_diags ctx ctx' in
                   let ctx' = List.fold_left Ctx.add_diag ctx' warnings in
-                  record (entry (errors = []) (Ctx.counters ctx'));
+                  let ctx' = Ctx.keep_written ctx' pass.writes in
+                  let counters_after = lazy (Ctx.counters ctx') in
+                  record (entry (errors = []) counters_after);
                   match errors with
                   | _ :: _ ->
                       abandon ();
@@ -245,10 +269,10 @@ let run ?(hooks = no_hooks) ?cache ?(should_stop = fun () -> false) ?deadline pa
                       (match hooks.dump with
                       | Some f -> f ~index ~pass:pass.name ctx'
                       | None -> ());
-                      go (index + 1) ctx' rest))
+                      go (index + 1) ctx' counters_after rest))
         end
   in
-  go 0 ctx passes
+  go 0 ctx (lazy (Ctx.counters ctx)) passes
 
 let pp_counters fmt (before, after) =
   List.iter
@@ -267,7 +291,7 @@ let pp_trace fmt (trace : trace) =
         (if t.cached then "[cached]" else "")
         (if t.ok then "" else "[FAILED]")
         pp_counters
-        (t.counters_before, t.counters_after))
+        (Lazy.force t.counters_before, Lazy.force t.counters_after))
     trace
 
 let cached_passes (trace : trace) = List.length (List.filter (fun t -> t.cached) trace)

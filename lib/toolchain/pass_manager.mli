@@ -3,11 +3,13 @@
     {!run} applies passes over a {!Ctx.t} in order, recording per-pass
     wall-clock time and artifact-size counters, invoking dump hooks
     between passes (the [--dump-ir] mechanism), and checking artifact
-    invariants after every pass: the program still validates ([SF0301]),
-    every analysed delay buffer has non-negative depth ([SF0401]), and
-    the partition is structurally sound ([SF0502]) and fits the device
-    (a deduplicated warning when it does not — the single-device
-    fallback intentionally overflows). A pass returning [Error] (or an
+    invariants after every executed pass, over the slots it wrote (a
+    slot now holding a value it did not hold before): a written program
+    still validates ([SF0301]), a written analysis has no negative
+    delay-buffer depth ([SF0401]), and after a write to the program or
+    the partition the partition is structurally sound ([SF0502]) and
+    fits the device (a deduplicated warning when it does not — the
+    single-device fallback intentionally overflows). A pass returning [Error] (or an
     invariant error) aborts the pipeline; the timings of all executed
     passes, including the failing one, are still reported.
 
@@ -54,8 +56,11 @@ type timing = {
   pass : string;
   kind : kind;
   seconds : float;
-  counters_before : (string * int) list;
-  counters_after : (string * int) list;
+  counters_before : (string * int) list Lazy.t;
+  counters_after : (string * int) list Lazy.t;
+      (** {!Ctx.counters} before and after the pass, computed only when
+          forced (by {!pp_trace}, a hook or a test). Force them from one
+          domain at a time. *)
   ok : bool;  (** False for the pass that aborted the pipeline. *)
   cached : bool;  (** True when the pass was replayed from the cache. *)
   joined : bool;

@@ -146,15 +146,15 @@ let partition_into devices =
 let performance_model =
   make_pass ~name:"performance-model"
     ~description:"evaluate the Eq. 1 runtime model at the device clock" ~kind:Analysis
-    ~reads:[ Ctx.P Ctx.program_slot; Ctx.P Ctx.sim_latency_slot; Ctx.P Ctx.device_slot ]
+    ~reads:[ Ctx.P Ctx.program_slot; Ctx.P Ctx.analysis_slot; Ctx.P Ctx.device_slot ]
     ~writes:[ Ctx.P Ctx.performance_model_slot ]
     ~fingerprint:no_opts
     (fun ctx ->
       let* p = Ctx.the_program ctx in
+      let* a = Ctx.the_analysis ctx in
       let ops =
-        Sf_analysis.Runtime_model.performance_ops_per_s
-          ~config:ctx.Ctx.sim_config.Engine.Config.latency
-          ~frequency_hz:ctx.Ctx.device.Sf_models.Device.frequency_hz p
+        Sf_analysis.Runtime_model.analyzed_ops_per_s
+          ~frequency_hz:ctx.Ctx.device.Sf_models.Device.frequency_hz p a
       in
       Ok { ctx with Ctx.performance_model = Some ops })
 

@@ -196,7 +196,7 @@ let analyze_fields (ctx : Ctx.t) =
         ("program", Json.String p.Sf_ir.Program.name);
         ("latency_cycles", Json.Int a.Sf_analysis.Delay_buffer.latency_cycles);
         ("delay_buffer_words", Json.Int (Sf_analysis.Delay_buffer.total_delay_buffer_words a));
-        ("expected_cycles", Json.Int (Sf_analysis.Runtime_model.expected_cycles p));
+        ("expected_cycles", Json.Int (Sf_analysis.Runtime_model.analyzed_cycles p a));
       ]
   | _ -> []
 
@@ -238,10 +238,9 @@ let codegen_result (ctx : Ctx.t) =
           let bytes = Json.Int (String.length source) in
           Some (Json.Obj [ ("filename", Json.String name); ("bytes", bytes) ])
         else None)
-      (Ctx.artifact_files ctx)
+      (Ctx.source_files ctx)
   in
-  let code_bytes = Option.value (List.assoc_opt "code-bytes" (Ctx.counters ctx)) ~default:0 in
-  Json.Obj [ ("files", Json.List files); ("code_bytes", Json.Int code_bytes) ]
+  Json.Obj [ ("files", Json.List files); ("code_bytes", Json.Int (Ctx.code_bytes ctx)) ]
 
 let result_json t ctx =
   match t.verb with

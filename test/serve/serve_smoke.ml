@@ -1,9 +1,11 @@
 (* End-to-end smoke for the serve loop, wired into `dune build
    @serve-smoke` (and through it into `dune runtest`). For every seed
-   example program: an analyze request must succeed, and repeating it
-   verbatim must execute zero passes — every pass replayed from the
-   session cache. This is the service-level form of the per-pass claims
-   test/test_service.ml pins on one fixture. *)
+   example program and every compile verb (analyze, simulate, codegen,
+   with fusion on): the request must succeed, and repeating it verbatim
+   must execute zero passes — every pass replayed from the session
+   cache — and answer a byte-identical result. This is the service-level
+   form of the per-pass claims test/test_service.ml pins on one
+   fixture. *)
 open Stencilflow
 
 let examples_dir =
@@ -22,9 +24,11 @@ let int_field path json =
   | Some n -> n
   | None -> failwith ("missing field " ^ String.concat "." path)
 
-let request file =
-  Printf.sprintf {|{"verb": "analyze", "program_file": %S}|}
-    (Filename.concat examples_dir file)
+let request ?(verb = "analyze") ?(options = "{}") file =
+  Printf.sprintf {|{"verb": %S, "program_file": %S, "options": %s}|} verb
+    (Filename.concat examples_dir file) options
+
+let verbs = [ "analyze"; "simulate"; "codegen" ]
 
 let handle t line =
   match Service.handle t line with
@@ -34,18 +38,30 @@ let handle t line =
       | Error _ -> failwith ("response is not JSON: " ^ resp))
   | _, `Stop -> failwith "unexpected stop"
 
+let result json =
+  match Json.member "result" json with
+  | Some r -> Json.to_string ~minify:true r
+  | None -> failwith "missing field result"
+
 let run_example t file =
-  let cold = handle t (request file) in
-  check (file ^ ": cold ok") (Json.member "ok" cold = Some (Json.Bool true));
-  check (file ^ ": cold executes") (int_field [ "passes"; "executed" ] cold > 0);
-  let warm = handle t (request file) in
-  check (file ^ ": warm ok") (Json.member "ok" warm = Some (Json.Bool true));
-  check (file ^ ": warm executes nothing") (int_field [ "passes"; "executed" ] warm = 0);
-  check
-    (file ^ ": warm replays every pass")
-    (int_field [ "passes"; "cached" ] warm = int_field [ "passes"; "executed" ] cold);
-  Printf.printf "%-36s ok: %d pass(es) cold, 0 warm\n%!" file
-    (int_field [ "passes"; "executed" ] cold)
+  List.iter
+    (fun verb ->
+      let line = request ~verb ~options:{|{"fuse": true}|} file in
+      let name = Printf.sprintf "%s %s" file verb in
+      let cold = handle t line in
+      check (name ^ ": cold ok") (Json.member "ok" cold = Some (Json.Bool true));
+      check (name ^ ": cold executes") (int_field [ "passes"; "executed" ] cold > 0);
+      let warm = handle t line in
+      check (name ^ ": warm ok") (Json.member "ok" warm = Some (Json.Bool true));
+      check (name ^ ": warm executes nothing") (int_field [ "passes"; "executed" ] warm = 0);
+      check
+        (name ^ ": warm replays every pass")
+        (int_field [ "passes"; "cached" ] warm
+        = int_field [ "passes"; "executed" ] cold + int_field [ "passes"; "cached" ] cold);
+      check (name ^ ": warm result identical") (result warm = result cold);
+      Printf.printf "%-36s %-8s ok: %d pass(es) cold, 0 warm, same result\n%!" file verb
+        (int_field [ "passes"; "executed" ] cold))
+    verbs
 
 (* The same examples through a real concurrent server: a four-worker
    serve loop over pipes, two identical analyze requests per example so

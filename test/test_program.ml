@@ -150,6 +150,143 @@ let prop_topological_matches_reference =
           = List.map (fun s -> s.Stencil.name) (reference_topological_stencils p))
         [ p; { p with Program.stencils = List.rev p.Program.stencils } ])
 
+(* The definition [Program.validate] had before it collected each body's
+   accesses once: the self-read check, the boundary check and the
+   dependency graph each walked the body again. *)
+let reference_validate (t : Program.t) =
+  let errors = ref [] in
+  let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
+  let d = Program.rank t in
+  if d < 1 || d > 3 then err "program %s: iteration space must have 1-3 dimensions" t.name;
+  List.iter (fun ext -> if ext <= 0 then err "program %s: non-positive extent %d" t.name ext) t.shape;
+  if t.vector_width < 1 then err "program %s: vector width must be positive" t.name;
+  (match List.rev t.shape with
+  | innermost :: _ when t.vector_width > 0 && innermost mod t.vector_width <> 0 ->
+      err "program %s: vector width %d does not divide innermost extent %d" t.name
+        t.vector_width innermost
+  | _ -> ());
+  if t.outputs = [] then err "program %s: no outputs declared" t.name;
+  let names = List.map (fun f -> f.Field.name) t.inputs @ List.map (fun s -> s.Stencil.name) t.stencils in
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun n -> if Hashtbl.mem seen n then err "duplicate name %s" n else Hashtbl.add seen n ())
+    names;
+  List.iter
+    (fun f -> match Field.validate f ~full_rank:d with Ok () -> () | Error m -> err "%s" m)
+    t.inputs;
+  List.iter
+    (fun s ->
+      let body = s.Stencil.body in
+      let bound = Hashtbl.create 8 in
+      let check_expr expr =
+        List.iter
+          (fun v ->
+            if not (Hashtbl.mem bound v) then
+              err "stencil %s: unbound variable %s (not a declared field or prior let)"
+                s.Stencil.name v)
+          (Expr.free_vars expr);
+        List.iter
+          (fun (field, offsets) ->
+            if Hashtbl.mem seen field then begin
+              let want = List.length (Program.field_axes t field) in
+              let got = List.length offsets in
+              if want <> got then
+                err "stencil %s: access %s has %d offsets but the field spans %d axes"
+                  s.Stencil.name field got want
+            end
+            else err "stencil %s: access to undeclared field %s" s.Stencil.name field)
+          (Expr.accesses expr)
+      in
+      List.iter
+        (fun (v, e) ->
+          check_expr e;
+          Hashtbl.replace bound v ())
+        body.Expr.lets;
+      check_expr body.Expr.result;
+      if List.exists (fun (f, _) -> String.equal f s.Stencil.name) (Stencil.accesses s) then
+        err "stencil %s: reads its own output (cycle)" s.Stencil.name;
+      let inputs_read = Stencil.input_fields s in
+      List.iter
+        (fun (f, _) ->
+          if not (List.exists (String.equal f) inputs_read) then
+            err "stencil %s: boundary condition for unread field %s" s.Stencil.name f)
+        s.Stencil.boundary)
+    t.stencils;
+  List.iter
+    (fun o -> if Program.find_stencil t o = None then err "declared output %s is not a stencil" o)
+    t.outputs;
+  if !errors = [] then begin
+    let g = Program.graph t in
+    (match Program.G.topological_sort g with
+    | Ok _ -> ()
+    | Error cyc -> err "program %s: dependency cycle through {%s}" t.name (String.concat ", " cyc));
+    let live = Program.G.reachable_from (Program.G.transpose g) t.outputs in
+    List.iter
+      (fun s ->
+        if not (List.exists (String.equal s.Stencil.name) live) then
+          err "stencil %s does not contribute to any output (dead code)" s.Stencil.name)
+      t.stencils
+  end;
+  match List.rev !errors with [] -> Ok () | errs -> Error errs
+
+(* Faults injected into a generated program, each aimed at one check of
+   [validate]; [k] picks the stencil (or field) it hits. *)
+let inject (p : Program.t) (fault, k) =
+  let nth l = List.nth l (k mod List.length l) in
+  let victim = nth p.Program.stencils in
+  let update f =
+    {
+      p with
+      Program.stencils =
+        List.map (fun s -> if s == victim then f s else s) p.Program.stencils;
+    }
+  in
+  let zeros = List.map (fun _ -> 0) p.Program.shape in
+  let with_result s result = { s with Stencil.body = { s.Stencil.body with Expr.result } } in
+  let plus s e = Expr.Binary (Expr.Add, s.Stencil.body.Expr.result, e) in
+  match fault with
+  | 0 -> update (fun s -> with_result s (plus s (Expr.Access { field = s.Stencil.name; offsets = zeros })))
+  | 1 -> update (fun s -> { s with Stencil.boundary = ("ghost", Boundary.Copy) :: s.Stencil.boundary })
+  | 2 -> update (fun s -> with_result s (plus s (Expr.Access { field = "ghost"; offsets = zeros })))
+  | 3 -> update (fun s -> with_result s (plus s (Expr.Access { field = (nth p.Program.stencils).Stencil.name; offsets = [ 0 ] @ zeros })))
+  | 4 -> update (fun s -> with_result s (plus s (Expr.Var "unbound")))
+  | 5 -> { p with Program.stencils = p.Program.stencils @ [ victim ] }
+  | 6 -> { p with Program.outputs = p.Program.outputs @ [ "nowhere" ] }
+  | 7 ->
+      (* The first stencil reads the last one: a cycle whenever the last
+         depends on the first, dead code or nothing otherwise. *)
+      let last = List.nth p.Program.stencils (List.length p.Program.stencils - 1) in
+      let first = List.hd p.Program.stencils in
+      {
+        p with
+        Program.stencils =
+          List.map
+            (fun s ->
+              if s == first then with_result s (plus s (Expr.Access { field = last.Stencil.name; offsets = zeros }))
+              else s)
+            p.Program.stencils;
+      }
+  | 8 ->
+      let dead = { victim with Stencil.name = "dead" ^ string_of_int k } in
+      { p with Program.stencils = p.Program.stencils @ [ dead ] }
+  | 9 -> { p with Program.vector_width = 3 + (k mod 2) }
+  | _ -> { p with Program.outputs = [] }
+
+let arbitrary_faulty_program =
+  let open QCheck in
+  let faults = Gen.(list_size (int_range 0 3) (pair (int_range 0 10) (int_range 0 7))) in
+  make
+    ~print:(fun (p, fs) ->
+      Format.asprintf "%a@.faults %s" Program.pp p
+        (String.concat " " (List.map (fun (f, k) -> Printf.sprintf "%d/%d" f k) fs)))
+    Gen.(pair Program_gen.program_gen faults)
+
+let prop_validate_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"validate matches its old definition"
+    arbitrary_faulty_program (fun (p, faults) ->
+      let p = List.fold_left inject p faults in
+      Program.validate p = reference_validate p)
+
 let test_strides () =
   let p = Fixtures.kitchen_sink ~shape:[ 4; 6; 8 ] () in
   Alcotest.(check (list int)) "strides" [ 48; 8; 1 ] (Program.strides p);
@@ -228,6 +365,7 @@ let suite =
     Alcotest.test_case "graph structure" `Quick test_graph_structure;
     Alcotest.test_case "topological stencil order" `Quick test_topological_stencils;
     QCheck_alcotest.to_alcotest prop_topological_matches_reference;
+    QCheck_alcotest.to_alcotest prop_validate_matches_reference;
     Alcotest.test_case "strides and cells" `Quick test_strides;
     Alcotest.test_case "field axes resolution" `Quick test_field_axes;
     Alcotest.test_case "json roundtrip laplace" `Quick (roundtrip_program (Fixtures.laplace2d ()));

@@ -184,6 +184,98 @@ let test_local_serve_facade_agree () =
   Alcotest.(check bool) "most requests succeed" true
     (List.length rejected < List.length requests / 2)
 
+(* Every pass's cache key, read through the digests the contexts keep,
+   equals the key recomputed from the values themselves (the same
+   context with its kept digests dropped). Each request of the matrix
+   runs cold, warm (replayed from memory) and from the disk store (a
+   fresh cache over the same directory, whose entries compute their
+   digests on first use). The context a pass runs on is the one the
+   dump hook saw after the pass before it. *)
+let test_kept_digest_keys () =
+  let module Cache = Sf_toolchain.Cache in
+  let module Ctx = Sf_toolchain.Ctx in
+  let module Pass_manager = Sf_toolchain.Pass_manager in
+  let dir = Test_store.temp_dir () in
+  let store = Sf_support.Store.open_ dir in
+  let memory = Cache.with_store (Cache.create ~capacity:4096 ()) store in
+  let check_run cache phase request =
+    let seen = ref [] in
+    let hooks =
+      { Pass_manager.no_hooks with dump = Some (fun ~index:_ ~pass:_ ctx -> seen := ctx :: !seen) }
+    in
+    (match Request.run ~cache ~hooks request with Ok _ -> () | Error _ -> ());
+    let before = List.rev !seen in
+    List.iteri
+      (fun i (pass : Pass_manager.pass) ->
+        let ctx = if i = 0 then None else List.nth_opt before (i - 1) in
+        match (ctx, pass.Pass_manager.fingerprint ()) with
+        | Some ctx, Some options_fp ->
+            let key ctx =
+              Cache.key ~pass_name:pass.Pass_manager.name ~options_fp:(Some options_fp)
+                ~reads:pass.Pass_manager.reads ctx
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "%s %s: %s key" phase (label request) pass.Pass_manager.name)
+              (Sf_support.Fingerprint.to_hex (key { ctx with Ctx.digests = [] }))
+              (Sf_support.Fingerprint.to_hex (key ctx))
+        | _ -> ())
+      (Request.passes request)
+  in
+  let requests = matrix () in
+  List.iter (check_run memory "cold") requests;
+  List.iter (check_run memory "warm") requests;
+  let disk = Cache.with_store (Cache.create ~capacity:4096 ()) store in
+  List.iter (check_run disk "disk") requests;
+  Alcotest.(check bool) "disk entries replayed" true ((Cache.stats disk).Cache.hits > 0);
+  Cache.clear disk
+
+(* Under a non-default operator-latency table the analyze result stays
+   self-consistent: [expected_cycles] is Eq. 1 over the same analysis
+   that reports [latency_cycles], L + ceil(cells / W). *)
+let test_expected_cycles_under_scaled_latency () =
+  let d = Sf_analysis.Latency.default in
+  let scale x = 3 * x in
+  let latency =
+    {
+      Sf_analysis.Latency.add = scale d.add;
+      mul = scale d.mul;
+      div = scale d.div;
+      sqrt = scale d.sqrt;
+      compare = scale d.compare;
+      logic = scale d.logic;
+      select = scale d.select;
+      call = scale d.call;
+      min_max = scale d.min_max;
+    }
+  in
+  let config = { Sf_sim.Engine.Config.default with latency } in
+  List.iter
+    (fun file ->
+      List.iter
+        (fun (verb, width) ->
+          let request =
+            Request.make verb (Request.File file)
+              ~options:{ Request.default_options with fuse = true; width; validate = false }
+          in
+          let field ctx k =
+            match Json.member k (Request.result_json request ctx) with
+            | Some (Json.Int n) -> n
+            | _ -> Alcotest.failf "%s: no %s" (label request) k
+          in
+          match (Request.run ~config request, Request.run request) with
+          | Ok (ctx, _), Ok (default_ctx, _) ->
+              let p = Option.get ctx.Sf_toolchain.Ctx.program in
+              let n =
+                Sf_support.Util.ceil_div (Sf_ir.Program.cells p) p.Sf_ir.Program.vector_width
+              in
+              Alcotest.(check int) (label request) (field ctx "latency_cycles" + n)
+                (field ctx "expected_cycles");
+              Alcotest.(check bool) (label request ^ ": the table matters") true
+                (field ctx "latency_cycles" > field default_ctx "latency_cycles")
+          | _ -> Alcotest.failf "%s failed" (label request))
+        [ (`Analyze, None); (`Analyze, Some 2); (`Simulate, None) ])
+    (Test_examples.example_files ())
+
 (* The wire form decodes back to the same request, and absent options
    take the one default table. *)
 let test_json_roundtrip () =
@@ -245,6 +337,9 @@ let suite =
   [
     Alcotest.test_case "local, serve and program source agree" `Quick
       test_local_serve_facade_agree;
+    Alcotest.test_case "kept digests give the recomputed keys" `Quick test_kept_digest_keys;
+    Alcotest.test_case "expected cycles under a scaled latency table" `Quick
+      test_expected_cycles_under_scaled_latency;
     Alcotest.test_case "wire form round-trips" `Quick test_json_roundtrip;
     Alcotest.test_case "bad requests are SF0203" `Quick test_bad_requests;
   ]

@@ -442,6 +442,35 @@ let test_word_copy_independent () =
   Alcotest.(check bool) "valid independent" false w.Word.valid.(1);
   Alcotest.(check int) "width" 4 (Word.width w)
 
+(* [Stencil_unit.first_immature] against the linear scan it replaced,
+   on rings whose releases rise by at least one per entry from the head
+   (the pending line's invariant), with [now] around the releases. *)
+let prop_first_immature_matches_scan =
+  let gen =
+    QCheck.Gen.(
+      let* cap = int_range 1 40 in
+      let* count = int_range 0 cap in
+      let* head = int_bound (cap - 1) in
+      let* start = int_range 0 50 in
+      let* gaps = list_repeat count (frequency [ (4, return 1); (1, int_range 2 6) ]) in
+      let* now = int_range (start - 5) (start + (8 * count) + 5) in
+      return (cap, count, head, start, gaps, now))
+  in
+  QCheck.Test.make ~count:500 ~name:"first immature entry: binary search equals the scan"
+    (QCheck.make gen) (fun (cap, count, head, start, gaps, now) ->
+      let release = Array.make cap (-1) in
+      ignore
+        (List.fold_left
+           (fun (i, r) gap ->
+             release.((head + i) mod cap) <- r + gap;
+             (i + 1, r + gap))
+           (0, start) gaps);
+      let scan = ref max_int in
+      for i = count - 1 downto 0 do
+        if release.((head + i) mod cap) > now + i then scan := i
+      done;
+      Sf_sim.Stencil_unit.first_immature release ~head ~count ~now = !scan)
+
 let suite =
   [
     Alcotest.test_case "channel FIFO order and stats" `Quick test_channel_fifo_order;
@@ -463,4 +492,5 @@ let suite =
     Alcotest.test_case "link backpressure" `Quick test_link_backpressure;
     Alcotest.test_case "link in-flight ring grows" `Quick test_link_ring_grows;
     Alcotest.test_case "word copies are independent" `Quick test_word_copy_independent;
+    QCheck_alcotest.to_alcotest prop_first_immature_matches_scan;
   ]

@@ -69,7 +69,7 @@ let test_counters_recorded () =
       Alcotest.(check (list (pair string int)))
         "delay analysis adds counters"
         [ ("stencils", 3); ("edges", 4); ("delay-words", 14) ]
-        t.Pass_manager.counters_after
+        (Lazy.force t.Pass_manager.counters_after)
 
 let test_exception_becomes_internal_diag () =
   let raiser =
@@ -175,6 +175,49 @@ let test_with_program_invalidates () =
       let ctx' = Ctx.with_program ctx (Fixtures.laplace2d ()) in
       Alcotest.(check bool) "analysis invalidated" true (ctx'.Ctx.analysis = None)
 
+(* A pass that installs a new analysis without declaring the write gets
+   no kept digest for it: the value fails the identity check, is digested
+   afresh, and the performance model downstream is keyed on the new
+   analysis — a cache warmed by the honest pipeline does not replay. *)
+let test_undeclared_write_gets_fresh_digest () =
+  let module Cache = Sf_toolchain.Cache in
+  let sneaky =
+    Pass_manager.make_pass ~name:"sneaky" ~description:"rewrites the analysis undeclared"
+      ~kind:Pass_manager.Other (fun ctx ->
+        match ctx.Ctx.analysis with
+        | Some a ->
+            let a =
+              { a with Sf_analysis.Delay_buffer.latency_cycles = a.Sf_analysis.Delay_buffer.latency_cycles + 1000 }
+            in
+            Ok { ctx with Ctx.analysis = Some a }
+        | None -> Error [ Diag.error ~code:Diag.Code.internal "no analysis" ])
+  in
+  let analysis_fp fp ctx = fp ctx (Ctx.P Ctx.analysis_slot) in
+  let seen = ref [] in
+  let hooks =
+    { Pass_manager.no_hooks with dump = Some (fun ~index:_ ~pass ctx -> seen := (pass, ctx) :: !seen) }
+  in
+  let cache = Cache.create () in
+  let honest = [ Passes.use_program (Fixtures.diamond ()); Passes.delay_buffers ] in
+  let run ?cache passes =
+    match Pass_manager.run ?cache ~hooks passes (Ctx.create ()) with
+    | Ok (ctx, trace) -> (ctx, trace)
+    | Error (ds, _) -> Alcotest.fail (Diag.to_string (List.hd ds))
+  in
+  let warm, _ = run ~cache (honest @ [ Passes.performance_model ]) in
+  let ctx, trace = run ~cache (honest @ [ sneaky; Passes.performance_model ]) in
+  let after_sneaky = List.assoc "sneaky" !seen in
+  Alcotest.(check bool) "kept digest equals the recomputed one" true
+    (analysis_fp Ctx.kept_fingerprint after_sneaky = analysis_fp Ctx.slot_fingerprint after_sneaky);
+  Alcotest.(check bool) "the new analysis digests differently" true
+    (analysis_fp Ctx.kept_fingerprint after_sneaky <> analysis_fp Ctx.kept_fingerprint warm);
+  let model = List.find (fun (t : Pass_manager.timing) -> t.Pass_manager.pass = "performance-model") trace in
+  Alcotest.(check bool) "performance model re-executed" false model.Pass_manager.cached;
+  let uncached, _ = run (honest @ [ sneaky; Passes.performance_model ]) in
+  Alcotest.(check bool) "model of the new analysis" true
+    (ctx.Ctx.performance_model = uncached.Ctx.performance_model
+    && ctx.Ctx.performance_model <> warm.Ctx.performance_model)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest timing_per_pass;
@@ -185,4 +228,6 @@ let suite =
     Alcotest.test_case "fitting partition stays quiet" `Quick test_partition_fits_quietly;
     Alcotest.test_case "dump hook directory layout" `Quick test_dump_hook_layout;
     Alcotest.test_case "with_program invalidates derived artifacts" `Quick test_with_program_invalidates;
+    Alcotest.test_case "an undeclared write is digested afresh" `Quick
+      test_undeclared_write_gets_fresh_digest;
   ]
