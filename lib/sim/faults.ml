@@ -143,7 +143,7 @@ let probe_tightest ?(config = Engine.Config.default) ?(placement = fun _ -> 0) ?
           Sf_support.Executor.with_pool ~jobs (fun pool ->
               while !hi - !lo > 1 do
                 let gap = !hi - !lo in
-                let k = max 1 (min (Sf_support.Executor.jobs pool) (gap - 1)) in
+                let k = max 1 (min jobs (gap - 1)) in
                 (* Strictly increasing interior points: gap >= k + 1, so
                    the real-valued increments are >= 1 and the floors
                    stay distinct, all within (lo, hi). *)

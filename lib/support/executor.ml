@@ -1,72 +1,24 @@
-(* Fixed domain pool with per-worker deques and work stealing.
+(* Fixed domain pool around one FIFO of tasks.
 
-   Tasks of a batch are integer indices, block-partitioned across the
-   workers' deques up front (worker k owns a contiguous slice, so the
-   common balanced case never touches a foreign deque). Each worker pops
-   its own deque from the bottom and steals from the others' tops when
-   empty — the classic Chase-Lev discipline, simplified by the fact that
-   owners never push after the batch is installed, so the arrays never
-   grow. All cross-domain coordination is OCaml 5 SC atomics; batch
-   installation and completion are handed over under the pool mutex,
-   which also provides the happens-before edge that publishes task
-   results (written into caller arrays by workers) back to the
-   submitter. *)
-
-type deque = {
-  tasks : int array;
-  top : int Atomic.t;  (* next index to steal; CAS to claim *)
-  bottom : int Atomic.t;  (* one past the owner's end *)
-}
-
-let pop_bottom d =
-  let b = Atomic.get d.bottom - 1 in
-  Atomic.set d.bottom b;
-  let t = Atomic.get d.top in
-  if b < t then begin
-    (* Empty; restore the canonical empty shape (bottom = top). *)
-    Atomic.set d.bottom t;
-    -1
-  end
-  else if b = t then begin
-    (* Last element: race the thieves for it via top. *)
-    let v = if Atomic.compare_and_set d.top t (t + 1) then d.tasks.(b) else -1 in
-    Atomic.set d.bottom (t + 1);
-    v
-  end
-  else d.tasks.(b)
-
-(* -1 = observed empty, -2 = lost a race (the deque may still hold work). *)
-let try_steal d =
-  let t = Atomic.get d.top in
-  let b = Atomic.get d.bottom in
-  if t >= b then -1
-  else begin
-    let v = d.tasks.(t) in
-    if Atomic.compare_and_set d.top t (t + 1) then v else -2
-  end
-
-type batch = {
-  deques : deque array;
-  work : int -> unit;
-  pending : int Atomic.t;  (* tasks not yet executed or dropped *)
-  failed : (exn * Printexc.raw_backtrace) option Atomic.t;
-}
+   Workers only pop the FIFO. A batch is a shared claim counter: [map]
+   pushes up to [workers] drainer closures, then drains on the calling
+   domain too, and every drainer claims indices with one
+   [fetch_and_add] until the batch runs out. The caller then waits for
+   the claimed tasks to finish. Because the caller claims whatever no
+   worker has, a batch completes even when every worker is busy with
+   other tasks, including the task that started the batch. *)
 
 type t = {
-  jobs : int;
+  workers : int;  (* spawned worker domains, 0 = every task runs inline *)
   mu : Mutex.t;
-  work_cv : Condition.t;  (* workers wait here for the next batch *)
-  done_cv : Condition.t;  (* the submitter waits here for completion *)
-  mutable current : (int * batch) option;  (* generation, batch *)
-  mutable generation : int;
-  submitted : (unit -> unit) Queue.t;  (* persistent one-off tasks *)
+  work_cv : Condition.t;  (* workers wait here for a task *)
+  tasks : (unit -> unit) Queue.t;
   mutable stopped : bool;
   mutable domains : unit Domain.t list;
   mutable live : int;  (* spawned worker domains currently running *)
   mutable crashes : int;  (* workers killed by an escaped task exception *)
 }
 
-let jobs t = t.jobs
 let default_jobs () = Domain.recommended_domain_count ()
 
 (* Which pool worker the current domain is (0 = a domain that is not a
@@ -74,84 +26,21 @@ let default_jobs () = Domain.recommended_domain_count ()
 let worker_key = Domain.DLS.new_key (fun () -> 0)
 let worker_index () = Domain.DLS.get worker_key
 
-(* Run one claimed task. After a failure the batch is cancelled: tasks
-   are still claimed (so [pending] drains and the submitter wakes) but
-   no longer run. *)
-let exec pool b i =
-  (match Atomic.get b.failed with
-  | Some _ -> ()
-  | None -> (
-      try b.work i
-      with e ->
-        let bt = Printexc.get_raw_backtrace () in
-        ignore (Atomic.compare_and_set b.failed None (Some (e, bt)))));
-  if Atomic.fetch_and_add b.pending (-1) = 1 then begin
-    Mutex.lock pool.mu;
-    Condition.broadcast pool.done_cv;
-    Mutex.unlock pool.mu
-  end
-
-(* Drain the batch from worker [me]'s perspective: own deque first, then
-   sweep the others for steals. A lost steal race means the victim may
-   still hold work, so the sweep restarts; a clean all-empty sweep means
-   every task is claimed and this worker is done (claimed tasks finish
-   in their claimants before those exit). *)
-let drain pool b me =
-  let n = Array.length b.deques in
-  let rec own () =
-    let v = pop_bottom b.deques.(me) in
-    if v >= 0 then begin
-      exec pool b v;
-      own ()
-    end
-    else sweep 0 false
-  and sweep k contended =
-    if k >= n then if contended then sweep 0 false else ()
-    else begin
-      let v = try_steal b.deques.((me + 1 + k) mod n) in
-      if v >= 0 then begin
-        exec pool b v;
-        own ()
-      end
-      else sweep (k + 1) (contended || v = -2)
-    end
-  in
-  own ()
-
-(* A worker alternates between three duties, in priority order: drain
-   the current barrier batch (a submitter is blocked on it), run one
-   submitted task, park. Submitted tasks still queued at shutdown are
-   drained before the worker exits, so [submit]ted work is never lost.
-   A submitted task's exception propagates out of [worker] and kills
-   this domain — the crash guard in [spawn_worker] then accounts for it
-   and spawns a replacement, so the pool's concurrency survives tasks
-   that fail to catch their own. *)
+(* A worker pops the FIFO until it is empty and the pool is stopped, so
+   tasks still queued at shutdown run before the workers exit. A task's
+   exception propagates out of [worker] and kills this domain; the crash
+   guard in [spawn_worker] accounts for it and spawns a replacement. *)
 let worker pool me () =
   Domain.DLS.set worker_key me;
-  let last = ref 0 in
   let rec loop () =
     Mutex.lock pool.mu;
-    let rec next () =
-      match pool.current with
-      | Some (g, b) when g > !last ->
-          last := g;
-          `Batch b
-      | _ ->
-          if not (Queue.is_empty pool.submitted) then `Task (Queue.pop pool.submitted)
-          else if pool.stopped then `Exit
-          else begin
-            Condition.wait pool.work_cv pool.mu;
-            next ()
-          end
-    in
-    let duty = next () in
-    Mutex.unlock pool.mu;
-    match duty with
-    | `Exit -> ()
-    | `Batch b ->
-        drain pool b me;
-        loop ()
-    | `Task f ->
+    while Queue.is_empty pool.tasks && not pool.stopped do
+      Condition.wait pool.work_cv pool.mu
+    done;
+    match Queue.take_opt pool.tasks with
+    | None -> Mutex.unlock pool.mu
+    | Some f ->
+        Mutex.unlock pool.mu;
         f ();
         loop ()
   in
@@ -179,25 +68,20 @@ let rec spawn_worker pool me =
           end;
           Mutex.unlock pool.mu)
 
-let create ?(dedicated = false) ~jobs () =
-  let jobs = max 1 jobs in
+let create ~workers () =
+  let workers = max 0 workers in
   let pool =
     {
-      jobs;
+      workers;
       mu = Mutex.create ();
       work_cv = Condition.create ();
-      done_cv = Condition.create ();
-      current = None;
-      generation = 0;
-      submitted = Queue.create ();
+      tasks = Queue.create ();
       stopped = false;
       domains = [];
-      live = 0;
+      live = workers;
       crashes = 0;
     }
   in
-  let workers = if dedicated then jobs else jobs - 1 in
-  pool.live <- max 0 workers;
   pool.domains <- List.init workers (fun k -> spawn_worker pool (k + 1));
   pool
 
@@ -219,13 +103,12 @@ let submit t f =
     Mutex.unlock t.mu;
     invalid_arg "Executor.submit: pool is shut down"
   end
-  else if t.domains = [] then begin
-    (* No worker domains (a non-dedicated jobs=1 pool): run inline. *)
+  else if t.workers = 0 then begin
     Mutex.unlock t.mu;
     f ()
   end
   else begin
-    Queue.push f t.submitted;
+    Queue.push f t.tasks;
     Condition.broadcast t.work_cv;
     Mutex.unlock t.mu
   end
@@ -239,56 +122,64 @@ let shutdown t =
   Mutex.unlock t.mu;
   List.iter Domain.join ds
 
-let run pool n f =
-  if n > 0 then begin
-    if pool.stopped then invalid_arg "Executor.run: pool is shut down";
-    if pool.jobs <= 1 || n = 1 then
-      for i = 0 to n - 1 do
-        f i
-      done
-    else begin
-      let w = pool.jobs in
-      let deques =
-        Array.init w (fun k ->
-            let lo = k * n / w and hi = (k + 1) * n / w in
-            {
-              tasks = Array.init (hi - lo) (fun j -> lo + j);
-              top = Atomic.make 0;
-              bottom = Atomic.make (hi - lo);
-            })
-      in
-      let b = { deques; work = f; pending = Atomic.make n; failed = Atomic.make None } in
+type batch = {
+  n : int;
+  work : int -> unit;
+  next : int Atomic.t;  (* next unclaimed index *)
+  pending : int Atomic.t;  (* tasks not yet run or dropped *)
+  failed : (exn * Printexc.raw_backtrace) option Atomic.t;
+  finished : Condition.t;  (* broadcast under the pool mutex at pending = 0 *)
+}
+
+(* Claim and run indices until the batch runs out. After a failure the
+   remaining indices are still claimed, so [pending] drains, but no
+   longer run. *)
+let rec drain pool b =
+  let i = Atomic.fetch_and_add b.next 1 in
+  if i < b.n then begin
+    (if Option.is_none (Atomic.get b.failed) then
+       try b.work i
+       with e ->
+         let bt = Printexc.get_raw_backtrace () in
+         ignore (Atomic.compare_and_set b.failed None (Some (e, bt))));
+    if Atomic.fetch_and_add b.pending (-1) = 1 then begin
       Mutex.lock pool.mu;
-      pool.generation <- pool.generation + 1;
-      pool.current <- Some (pool.generation, b);
-      Condition.broadcast pool.work_cv;
-      Mutex.unlock pool.mu;
-      (* The submitter works too: jobs = N means N executing domains. *)
-      drain pool b 0;
-      Mutex.lock pool.mu;
-      while Atomic.get b.pending > 0 do
-        Condition.wait pool.done_cv pool.mu
-      done;
-      pool.current <- None;
-      Mutex.unlock pool.mu;
-      match Atomic.get b.failed with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ()
-    end
+      Condition.broadcast b.finished;
+      Mutex.unlock pool.mu
+    end;
+    drain pool b
   end
 
 let map pool n f =
-  if n = 0 then [||]
-  else begin
-    let results = Array.make n None in
-    run pool n (fun i -> results.(i) <- Some (f i));
-    Array.map (function Some v -> v | None -> assert false) results
-  end
+  if pool.stopped then invalid_arg "Executor.map: pool is shut down";
+  let results = Array.make n None in
+  let b =
+    {
+      n;
+      work = (fun i -> results.(i) <- Some (f i));
+      next = Atomic.make 0;
+      pending = Atomic.make n;
+      failed = Atomic.make None;
+      finished = Condition.create ();
+    }
+  in
+  for _ = 1 to min pool.workers (n - 1) do
+    submit pool (fun () -> drain pool b)
+  done;
+  drain pool b;
+  Mutex.lock pool.mu;
+  while Atomic.get b.pending > 0 do
+    Condition.wait b.finished pool.mu
+  done;
+  Mutex.unlock pool.mu;
+  match Atomic.get b.failed with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> Array.map Option.get results
 
 let map_list pool f xs =
   let arr = Array.of_list xs in
   Array.to_list (map pool (Array.length arr) (fun i -> f arr.(i)))
 
 let with_pool ~jobs f =
-  let pool = create ~jobs () in
+  let pool = create ~workers:(jobs - 1) () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)

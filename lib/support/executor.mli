@@ -1,68 +1,41 @@
 (** Shared fixed-size domain pool for embarrassingly-parallel work.
 
-    One pool serves every independent-simulation caller in the process —
-    fault campaigns, autotune sweeps, under-provisioning probe arms, the
-    bench harness — so concurrency is bounded once, by the pool size,
-    rather than per call site. Tasks are distributed over per-worker
-    deques (each worker owns a contiguous block of task indices) and
-    idle workers steal from the others, so an unbalanced workload — some
-    simulations deadlocking after thousands of idle cycles, others
-    finishing early — still keeps every domain busy.
+    A pool is one FIFO of tasks popped by [workers] domains. Fault
+    campaigns, autotune sweeps and probe arms run batches on it
+    ({!map}); the serve tier submits one task per request ({!submit}).
+
+    {b Batches.} A batch is a shared claim counter: {!map} queues up to
+    [workers] drainer tasks and drains on the calling domain too, and
+    each drainer claims the next task index with one [fetch_and_add]
+    until the batch runs out. The caller always drains its own batch, so
+    a batch finishes even when every worker is busy, including a batch
+    started from inside a task of the same pool.
 
     {b Determinism.} [map pool n f] computes [f i] for every [i] and
-    returns the results indexed by [i]. Which worker computes which task
-    depends on steal order, but the result array does not: as long as
-    each [f i] is itself deterministic (no shared mutable state), the
-    output is byte-identical to the [jobs = 1] serial loop. This is what
-    lets campaign reports and sweep tables stay bit-reproducible under
-    any [--jobs].
+    returns the results indexed by [i]. Which domain computes which task
+    varies, but as long as each [f i] is itself deterministic (no shared
+    mutable state) the output is byte-identical to the serial loop. This
+    is what keeps campaign reports and sweep tables the same under any
+    [--jobs].
 
-    {b Exceptions.} The first task exception (in completion order, which
-    is scheduling-dependent) is re-raised by [map]/[run] in the
-    submitting domain with its backtrace; remaining tasks are claimed
-    and dropped without running. The pool survives and can run further
-    batches.
-
-    {b Limits.} Batches must not nest: calling [map]/[run] from inside a
-    task of the same pool deadlocks the submitter. A pool with
-    [jobs <= 1] never spawns a domain and runs every batch inline, so
-    serial behaviour is always available as the degenerate case.
-
-    {b Persistent submission.} Alongside the barrier-style batches, a
-    pool accepts individual fire-and-forget tasks through {!submit}:
-    the task is queued and executed asynchronously by the next free
-    worker, and the submitter continues immediately. This is the serve
-    tier's request path — a reader domain admits requests as tasks and
-    a writer domain collects their responses, with completion signalled
-    by whatever channel the task itself writes to. Submitted tasks and
-    batches share the workers; batches take priority (a submitter is
-    blocked on them). *)
+    {b Exceptions.} The first task exception (in completion order) is
+    re-raised by [map] in the calling domain with its backtrace; the
+    remaining tasks are claimed and dropped without running. The pool
+    survives and can run further batches. *)
 
 type t
 
-val create : ?dedicated:bool -> jobs:int -> unit -> t
-(** A pool executing up to [jobs] tasks concurrently: the submitting
-    domain participates, so [jobs - 1] worker domains are spawned
-    (none when [jobs <= 1]). [jobs] is clamped to at least 1.
-    [dedicated] (default false) spawns [jobs] worker domains instead —
-    for submission-style pools whose creating domain never drains
-    batches itself (e.g. the serve reader), so [jobs] tasks really run
-    concurrently without counting the submitter. *)
-
-val jobs : t -> int
-(** The configured concurrency (>= 1). *)
+val create : workers:int -> unit -> t
+(** A pool with [workers] worker domains ([workers] is clamped to at
+    least 0). With none, batches and submitted tasks run inline. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]: what [--jobs 0] / "auto"
     resolves to. *)
 
-val run : t -> int -> (int -> unit) -> unit
-(** [run pool n f] executes [f 0 .. f (n-1)], each exactly once, across
-    the pool, and returns when all have finished. *)
-
 val map : t -> int -> (int -> 'a) -> 'a array
-(** [map pool n f] is [Array.init n f] computed across the pool, with
-    the determinism guarantee above. *)
+(** [map pool n f] is [Array.init n f] computed across the pool and the
+    calling domain, with the determinism guarantee above. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map] over a list, preserving order. *)
@@ -71,22 +44,20 @@ val submit : t -> (unit -> unit) -> unit
 (** Enqueue one task for asynchronous execution by a pool worker and
     return immediately. Completion is not signalled by the pool — the
     task communicates through its own side effects (typically a
-    response queue). Tasks still queued at {!shutdown} are drained
-    before the workers exit, so a submitted task always runs exactly
-    once. A task's escaped exception kills its worker; the pool records
-    the crash ({!crashes}) and spawns a replacement worker, so the
-    pool's concurrency survives — but the task's remaining work is
-    lost, so tasks that must answer someone should catch their own.
-    On a pool with no worker domains (non-dedicated [jobs <= 1]) the
-    task runs inline in the submitting domain before [submit] returns
-    and its exception propagates to the submitter. Raises
-    [Invalid_argument] after {!shutdown}. *)
+    response queue). Tasks still queued at {!shutdown} run before the
+    workers exit, so a submitted task always runs exactly once. A
+    task's escaped exception kills its worker; the pool records the
+    crash ({!crashes}) and spawns a replacement worker, so the pool's
+    concurrency survives — but the task's remaining work is lost, so
+    tasks that must answer someone should catch their own. On a pool
+    with no workers the task runs inline before [submit] returns and
+    its exception propagates to the submitter. Raises [Invalid_argument]
+    after {!shutdown}. *)
 
 val alive : t -> int
-(** Spawned worker domains currently running. Equals the spawn count
-    ([jobs] when dedicated, [jobs - 1] otherwise) in steady state —
-    crashed workers are respawned — and drops only transiently between
-    a crash and its respawn, or permanently during {!shutdown}. *)
+(** Worker domains currently running. Equals [workers] in steady state —
+    crashed workers are respawned — and drops only transiently between a
+    crash and its respawn, or permanently during {!shutdown}. *)
 
 val crashes : t -> int
 (** Cumulative count of workers killed by an escaped {!submit}-task
@@ -104,4 +75,6 @@ val shutdown : t -> unit
     idempotent. *)
 
 val with_pool : jobs:int -> (t -> 'a) -> 'a
-(** [create], apply, then [shutdown] (also on exception). *)
+(** A pool of [jobs - 1] workers, so that with the calling domain [jobs]
+    domains run its batches; [create], apply, then [shutdown] (also on
+    exception). *)

@@ -345,7 +345,7 @@ let handle t line =
      verbs ([cancel], [shutdown], malformed lines) are answered by the
      reader directly so a busy pool cannot delay them (a [cancel] that
      queued behind its target would be useless);
-   - the {e pool} ([serve_jobs] dedicated workers) executes requests;
+   - the {e pool} ([serve_jobs] workers) executes requests;
    - the {e writer} (one domain) is the only role touching [oc]: it
      serializes completed responses, assigns the monotone [seq] at write
      time, and in [ordered] mode buffers out-of-order completions until
@@ -425,7 +425,7 @@ let writer_loop ~ordered sched oc =
   loop ()
 
 let serve_loop t ic oc =
-  let pool = Executor.create ~dedicated:true ~jobs:t.serve_jobs () in
+  let pool = Executor.create ~workers:t.serve_jobs () in
   Atomic.set t.pool (Some pool);
   let sched =
     { mu = Mutex.create (); cv = Condition.create (); out = Queue.create (); busy = 0;

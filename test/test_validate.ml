@@ -21,7 +21,7 @@ let outcome f =
 (* Run [f] inside a dedicated pool worker, where [run_and_validate]
    evaluates its oracle inline. *)
 let in_worker f =
-  let pool = Executor.create ~dedicated:true ~jobs:1 () in
+  let pool = Executor.create ~workers:1 () in
   let r = ref None in
   Executor.submit pool (fun () ->
       assert (Executor.worker_index () > 0);
