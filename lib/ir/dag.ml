@@ -38,11 +38,12 @@ type key =
   | KSelect of int * int * int
   | KCall of Expr.func * int list
 
-(* The memo table is domain-local: the parallel simulator builds DAGs
-   from several OCaml 5 domains at once (one per simulated device), and
-   a shared table would race. Nodes therefore must not cross domains —
-   every current consumer builds, analyses and discards its DAG within
-   one domain; the persistent program representation stays Expr.body. *)
+(* The memo table is domain-local: the executor's workers (serve
+   requests, fault campaigns, autotuning) build DAGs from several OCaml 5
+   domains at once, and a shared table would race. Nodes therefore must
+   not cross domains — every current consumer builds, analyses and
+   discards its DAG within one domain; the persistent program
+   representation stays Expr.body. *)
 type state = { table : (key, t) Hashtbl.t; mutable next_id : int }
 
 let state_key =

@@ -174,30 +174,6 @@ let inline_lets { lets; result } =
   in
   List.fold_left (fun e (n, v) -> substitute_var ~name:n ~value:v e) result resolved
 
-(* Equivalent to [accesses (inline_lets body)], but linear in the body
-   size. Each binding's deduplicated access sequence is computed once
-   against the earlier bindings; substituting the variable into a later
-   expression can only replay that sequence, and the replay's duplicates
-   are exactly what the final dedup drops. Bindings never referenced
-   contribute nothing, matching substitution semantics. *)
-let body_accesses { lets; result } =
-  let expr_accesses env expr =
-    fold
-      (fun acc e ->
-        match e with
-        | Access { field; offsets } -> (field, offsets) :: acc
-        | Var v -> (
-            match Hashtbl.find_opt env v with
-            | Some l -> List.rev_append l acc
-            | None -> acc)
-        | _ -> acc)
-      [] expr
-    |> List.rev |> dedup_keep_order
-  in
-  let env = Hashtbl.create 16 in
-  List.iter (fun (n, e) -> Hashtbl.replace env n (expr_accesses env e)) lets;
-  expr_accesses env result
-
 let rename_accesses rename expr =
   map_accesses (fun ~field ~offsets -> Access { field = rename field; offsets }) expr
 

@@ -55,9 +55,6 @@ val size : t -> int
 val accesses : t -> (string * int list) list
 (** All field accesses in evaluation order, duplicates removed. *)
 
-val body_accesses : body -> (string * int list) list
-(** Accesses of a whole body, after conceptually inlining the lets. *)
-
 val free_vars : t -> string list
 (** [Var] names not bound in the expression itself (all of them — the AST
     has no binders), duplicates removed, in order of first use. *)

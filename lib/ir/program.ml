@@ -44,7 +44,7 @@ let producer_rank t name = List.length (field_axes t name)
 (* [reads] pairs every stencil, in order, with its input fields. *)
 let graph_of_reads t reads =
   let g = List.fold_left (fun g f -> G.add_vertex g f.Field.name (Input f)) G.empty t.inputs in
-  let g = List.fold_left (fun g s -> G.add_vertex g s.Stencil.name (Op s)) g t.stencils in
+  let g = List.fold_left (fun g (s, _) -> G.add_vertex g s.Stencil.name (Op s)) g reads in
   List.fold_left
     (fun g (s, inputs) ->
       List.fold_left
@@ -154,14 +154,16 @@ let validate_exn t =
   | Ok () -> ()
   | Error errs -> invalid_arg (String.concat "\n" errs)
 
-let topological_stencils t =
-  match G.topological_sort (graph t) with
+let topological_of_reads t reads =
+  match G.topological_sort (graph_of_reads t reads) with
   | Error cyc -> invalid_arg ("Program.topological_stencils: cycle through " ^ String.concat "," cyc)
   | Ok order ->
       (* By name; the first of a name wins, as in [find_stencil]. *)
       let named = Hashtbl.create 64 in
-      List.iter (fun s -> Hashtbl.replace named s.Stencil.name s) (List.rev t.stencils);
+      List.iter (fun (s, _) -> Hashtbl.replace named s.Stencil.name s) (List.rev reads);
       List.filter_map (Hashtbl.find_opt named) order
+
+let topological_stencils t = topological_of_reads t (stencil_reads t)
 
 let with_vector_width t w = { t with vector_width = w }
 

@@ -67,6 +67,11 @@ val validate_exn : t -> unit
 val topological_stencils : t -> Stencil.t list
 (** Stencils in dependency order. Raises if the program has a cycle. *)
 
+val topological_of_reads : t -> (Stencil.t * string list) list -> Stencil.t list
+(** {!topological_stencils} over the given stencils, each paired with its
+    input fields (the program supplies only its inputs): for callers that
+    keep the fields read alongside a body they rewrite. *)
+
 val with_vector_width : t -> int -> t
 val pp : Format.formatter -> t -> unit
 (** Human-readable multi-line summary. *)

@@ -10,7 +10,7 @@ let make ?(boundary = []) ?(shrink = false) ~name body = { name; body; boundary;
 let boundary_for t field =
   match List.assoc_opt field t.boundary with Some b -> b | None -> Boundary.default
 
-let accesses t = Expr.body_accesses t.body
+let accesses t = Dag.accesses (Dag.of_body t.body)
 
 let dedup_keep_order l =
   let seen = Hashtbl.create 8 in
@@ -32,19 +32,17 @@ let op_profile t = Expr.body_op_profile t.body
 let work_profile t = Dag.work_profile (Dag.of_body t.body)
 let tree_profile t = Dag.tree_profile (Dag.of_body t.body)
 
-let equal_boundaries a b =
-  let normalize s =
-    List.map (fun f -> (f, boundary_for s f)) (input_fields s)
-    |> List.sort (fun (x, _) (y, _) -> String.compare x y)
-  in
+(* Compare only on fields both read; fields read by one stencil alone
+   cannot conflict. *)
+let boundaries_agree a ~reads_a b ~reads_b =
   a.shrink = b.shrink
-  &&
-  let ba = normalize a and bb = normalize b in
-  (* Compare only on fields both read; fields read by one stencil alone
-     cannot conflict. *)
-  List.for_all
-    (fun (f, cond) ->
-      match List.assoc_opt f bb with None -> true | Some cond' -> Boundary.equal cond cond')
-    ba
+  && List.for_all
+       (fun f ->
+         (not (List.exists (String.equal f) reads_b))
+         || Boundary.equal (boundary_for a f) (boundary_for b f))
+       reads_a
+
+let equal_boundaries a b =
+  boundaries_agree a ~reads_a:(input_fields a) b ~reads_b:(input_fields b)
 
 let pp fmt t = Format.fprintf fmt "%s = %s" t.name (Expr.body_to_string t.body)

@@ -23,7 +23,8 @@ val boundary_for : t -> string -> Boundary.t
 (** The boundary condition for one input field. *)
 
 val accesses : t -> (string * int list) list
-(** All field accesses of the (inlined) body, duplicates removed. *)
+(** All field accesses of the (inlined) body, duplicates removed, in
+    evaluation order ({!Dag.accesses} of the body's DAG). *)
 
 val input_fields : t -> string list
 (** Names of fields read, duplicates removed, in order of first access. *)
@@ -47,5 +48,8 @@ val tree_profile : t -> Expr.op_profile
 val equal_boundaries : t -> t -> bool
 (** Same boundary-condition table and shrink flag (fusion precondition,
     Sec. V-B). *)
+
+val boundaries_agree : t -> reads_a:string list -> t -> reads_b:string list -> bool
+(** {!equal_boundaries} given each stencil's input fields. *)
 
 val pp : Format.formatter -> t -> unit

@@ -169,6 +169,9 @@ let random_inputs ?(seed = 42) (p : Program.t) =
   List.map
     (fun f ->
       let extent = input_extent p f in
-      let t = Tensor.of_fn extent (fun _ -> Random.State.float state 2. -. 1.) in
+      let t = Tensor.create extent in
+      for i = 0 to Tensor.num_elements t - 1 do
+        t.Tensor.data.(i) <- Random.State.float state 2. -. 1.
+      done;
       (f.Field.name, t))
     p.Program.inputs

@@ -29,18 +29,6 @@ let set t index v = t.data.(flat_index t index) <- v
 let get_flat t i = t.data.(i)
 let set_flat t i v = t.data.(i) <- v
 
-let of_fn extent f =
-  let t = create extent in
-  let rec iterate prefix = function
-    | [] -> set t (List.rev prefix) (f (List.rev prefix))
-    | e :: rest ->
-        for i = 0 to e - 1 do
-          iterate (i :: prefix) rest
-        done
-  in
-  iterate [] extent;
-  t
-
 let of_array extent data =
   if Array.length data <> product extent then invalid_arg "Tensor.of_array: length mismatch";
   { extent; data = Array.copy data }
@@ -94,6 +82,15 @@ let iterate_region extent f =
     in
     bump (rank - 1)
   done
+
+(* Row-major, so the cell visited [i]th is stored at flat index [i]. *)
+let of_fn extent f =
+  let t = create extent in
+  let i = ref 0 in
+  iterate_region extent (fun index ->
+      t.data.(!i) <- f index;
+      incr i);
+  t
 
 let slice t ~origin ~extent =
   if List.length origin <> rank t || List.length extent <> rank t then

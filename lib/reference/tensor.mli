@@ -7,7 +7,8 @@ type t = { extent : int list; data : float array }
 
 val create : ?init:float -> int list -> t
 val of_fn : int list -> (int list -> float) -> t
-(** Build from a function of the multi-index. *)
+(** Build from a function of the multi-index, called once per cell in
+    row-major order. *)
 
 val of_array : int list -> float array -> t
 (** Validates that the array length matches the extent product. *)

@@ -26,17 +26,15 @@ let can_fuse (p : Program.t) ~producer ~consumer =
                  (List.length consumers))
       end
 
-(* The fused body as a hash-consed DAG. Substitute u's body (shifted by
-   the access offset) for each access to the producer. Full-rank fields
-   shift componentwise; lower-dimensional fields shift only on the axes
-   they span. Substitution happens on the DAG: the shifted producer body
-   is built once per distinct offset, shifted copies share whatever nodes
-   coincide (constants, overlapping taps), and [Dag.extract] afterwards
-   turns that sharing back into let bindings — so fusion no longer loses
-   the sharing that the paper delegates to "the downstream compiler's
-   CSE". *)
-let fused_dag (p : Program.t) (u : Stencil.t) (v : Stencil.t) ~producer =
-  let u_root = Dag.of_body u.Stencil.body in
+(* The fused body as a hash-consed DAG: substitute the producer's DAG
+   [u] (shifted by the access offset) for each access to [producer] in
+   [v]. Full-rank fields shift componentwise; lower-dimensional fields
+   shift only on the axes they span. The shifted producer is built once
+   per distinct offset, shifted copies share whatever nodes coincide
+   (constants, overlapping taps), and [Dag.extract] afterwards turns that
+   sharing back into let bindings — so fusion does not lose the sharing
+   that the paper delegates to "the downstream compiler's CSE". *)
+let substitute (p : Program.t) ~producer u v =
   let rank = Program.rank p in
   let shifted : (int list, Dag.t) Hashtbl.t = Hashtbl.create 8 in
   let shift_u delta =
@@ -53,7 +51,7 @@ let fused_dag (p : Program.t) (u : Stencil.t) (v : Stencil.t) ~producer =
                 Dag.access ~field
                   ~offsets:
                     (List.map2 (fun o axis -> o + List.nth delta axis) offsets axes))
-            u_root
+            u
         in
         Hashtbl.replace shifted delta d;
         d
@@ -62,7 +60,19 @@ let fused_dag (p : Program.t) (u : Stencil.t) (v : Stencil.t) ~producer =
     (fun ~field ~offsets ->
       if String.equal field producer then shift_u offsets
       else Dag.access ~field ~offsets)
-    (Dag.of_body v.Stencil.body)
+    v
+
+(* The consumer [v] with the producer [u]'s boundary conditions merged
+   in (the consumer's win) and the producer's own dropped; its body is
+   the caller's. *)
+let merge ~producer (u : Stencil.t) (v : Stencil.t) =
+  let from_u =
+    List.filter (fun (f, _) -> not (List.mem_assoc f v.Stencil.boundary)) u.Stencil.boundary
+  in
+  let boundary =
+    List.filter (fun (f, _) -> not (String.equal f producer)) (v.Stencil.boundary @ from_u)
+  in
+  { v with Stencil.boundary }
 
 let fuse_pair (p : Program.t) ~producer ~consumer =
   (match can_fuse p ~producer ~consumer with
@@ -70,19 +80,10 @@ let fuse_pair (p : Program.t) ~producer ~consumer =
   | Error m -> invalid_arg ("Fusion.fuse_pair: " ^ m));
   let u = Option.get (Program.find_stencil p producer) in
   let v = Option.get (Program.find_stencil p consumer) in
-  let fused_body = Dag.extract (fused_dag p u v ~producer) in
-  let merged_boundary =
-    let from_u =
-      List.filter (fun (f, _) -> not (List.mem_assoc f v.Stencil.boundary)) u.Stencil.boundary
-    in
-    v.Stencil.boundary @ from_u
+  let dag =
+    substitute p ~producer (Dag.of_body u.Stencil.body) (Dag.of_body v.Stencil.body)
   in
-  let fused =
-    Stencil.make
-      ~boundary:
-        (List.filter (fun (f, _) -> not (String.equal f producer)) merged_boundary)
-      ~shrink:v.Stencil.shrink ~name:consumer fused_body
-  in
+  let fused = { (merge ~producer u v) with Stencil.body = Dag.extract dag } in
   let stencils =
     List.filter_map
       (fun s ->
@@ -95,39 +96,64 @@ let fuse_pair (p : Program.t) ~producer ~consumer =
   Program.validate_exn p';
   p'
 
+(* A stencil during [fuse_all]: its current body as a DAG and the fields
+   that body reads. The body of [s] is stale once [fused] is set. *)
+type node = { s : Stencil.t; dag : Dag.t; reads : string list; fused : bool }
+
+let node ~fused s dag =
+  let reads = List.sort_uniq String.compare (List.map fst (Dag.accesses dag)) in
+  { s; dag; reads; fused }
+
+(* Fuse the first legal pair in topological order, then start over.
+   Each round reads only names (fields read, consumers, the order); a
+   fused body stays a DAG until the end, and the program is validated
+   once. Re-interning the lets of [Dag.extract] gives back the same
+   node, so this sizes and fuses exactly as repeated [fuse_pair] would. *)
 let fuse_all ?(max_body_size = max_int) (p : Program.t) =
-  let before = List.length p.Program.stencils in
-  let rec go p fused =
-    let candidate =
-      List.find_map
-        (fun (s : Stencil.t) ->
-          let producer = s.Stencil.name in
-          match Program.consumers p producer with
-          | [ consumer ] -> (
-              match can_fuse p ~producer ~consumer with
-              | Ok () ->
-                  let u = Option.get (Program.find_stencil p producer) in
-                  let v = Option.get (Program.find_stencil p consumer) in
-                  (* Size the candidate by the *work* of the actual fused
-                     DAG — each shared node counted once — instead of the
-                     historical inlined-tree estimate, which rejected
-                     fusions whose blow-up is purely textual. Hash-consing
-                     makes building the candidate body cheap, and a later
-                     [fuse_pair] on the same edge replays it from the memo
-                     table. *)
-                  let size = Dag.work_size (fused_dag p u v ~producer) in
-                  if size <= max_body_size then Some (producer, consumer) else None
-              | Error _ -> None)
-          | _ -> None)
-        (Program.topological_stencils p)
+  let rec go nodes fused_pairs =
+    let named = Hashtbl.create 64 and consumers = Hashtbl.create 64 in
+    List.iter
+      (fun n ->
+        Hashtbl.replace named n.s.Stencil.name n;
+        List.iter (fun f -> Hashtbl.add consumers f n) n.reads)
+      (List.rev nodes);
+    let candidate (s : Stencil.t) =
+      let u = Hashtbl.find named s.Stencil.name and producer = s.Stencil.name in
+      match Hashtbl.find_all consumers producer with
+      | [ v ]
+        when (not (List.exists (String.equal producer) p.Program.outputs))
+             && Stencil.boundaries_agree u.s ~reads_a:u.reads v.s ~reads_b:v.reads ->
+          let dag = substitute p ~producer u.dag v.dag in
+          if Dag.work_size dag <= max_body_size then Some (u, v, dag) else None
+      | _ -> None
     in
-    match candidate with
-    | None -> (p, List.rev fused)
-    | Some (producer, consumer) ->
-        go (fuse_pair p ~producer ~consumer) ((producer, consumer) :: fused)
+    let order = Program.topological_of_reads p (List.map (fun n -> (n.s, n.reads)) nodes) in
+    match List.find_map candidate order with
+    | None -> (nodes, List.rev fused_pairs)
+    | Some (u, v, dag) ->
+        let producer = u.s.Stencil.name in
+        let fused = node ~fused:true (merge ~producer u.s v.s) dag in
+        let nodes =
+          List.filter_map
+            (fun n -> if n == u then None else if n == v then Some fused else Some n)
+            nodes
+        in
+        go nodes ((producer, v.s.Stencil.name) :: fused_pairs)
   in
-  let p', fused_pairs = go p [] in
-  (p', { fused_pairs; stencils_before = before; stencils_after = List.length p'.Program.stencils })
+  let nodes, fused_pairs =
+    go (List.map (fun s -> node ~fused:false s (Dag.of_body s.Stencil.body)) p.Program.stencils) []
+  in
+  let stencils =
+    List.map (fun n -> if n.fused then { n.s with Stencil.body = Dag.extract n.dag } else n.s) nodes
+  in
+  let p' = { p with Program.stencils } in
+  if fused_pairs <> [] then Program.validate_exn p';
+  ( p',
+    {
+      fused_pairs;
+      stencils_before = List.length p.Program.stencils;
+      stencils_after = List.length stencils;
+    } )
 
 let interior_radius (p : Program.t) = Sf_analysis.Influence.max_radius p
 

@@ -38,12 +38,18 @@ val fuse_pair : Sf_ir.Program.t -> producer:string -> consumer:string -> Sf_ir.P
     copies survives as let bindings instead of being duplicated. *)
 
 val fuse_all : ?max_body_size:int -> Sf_ir.Program.t -> Sf_ir.Program.t * report
-(** Aggressive fusion to fixpoint, as used for the paper's experiments.
-    [max_body_size] (default unlimited) bounds the {e work} size of the
-    candidate fused body — distinct DAG nodes, each shared value counted
-    once ({!Sf_ir.Dag.work_size}) — which is what the pipeline actually
+(** Aggressive fusion to fixpoint, as used for the paper's experiments:
+    fuse the first legal pair in topological order, then start over on
+    the fused program, until no pair is left. [max_body_size] (default
+    unlimited) bounds the {e work} size of the candidate fused body —
+    distinct DAG nodes, each shared value counted once
+    ({!Sf_ir.Dag.work_size}) — which is what the pipeline actually
     instantiates; purely textual blow-up from repeated substitution no
-    longer vetoes a profitable fusion. *)
+    longer vetoes a profitable fusion.
+
+    The result is that of repeated {!fuse_pair}, computed in one pass
+    over DAGs: bodies stay DAGs between rounds, and each fused body is
+    extracted, and the program validated, once at the end. *)
 
 val interior_radius : Sf_ir.Program.t -> int
 (** The program's accumulated influence radius

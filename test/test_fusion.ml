@@ -232,6 +232,65 @@ let prop_fusion_preserves_interior =
       QCheck.assume (radius < 7);
       interior_equal ~radius p fused)
 
+(* The definition [fuse_all] keeps: fuse the first legal pair in
+   topological order whose fused consumer's body stays within the bound,
+   then start over on the fused program. *)
+let fuse_all_by_restart ?(max_body_size = max_int) p =
+  let rec go p fused_pairs =
+    let candidate (s : Stencil.t) =
+      let producer = s.Stencil.name in
+      match Program.consumers p producer with
+      | [ consumer ] when Fusion.can_fuse p ~producer ~consumer = Ok () ->
+          let p' = Fusion.fuse_pair p ~producer ~consumer in
+          let body = (Option.get (Program.find_stencil p' consumer)).Stencil.body in
+          if Dag.work_size (Dag.of_body body) <= max_body_size then Some (p', (producer, consumer))
+          else None
+      | _ -> None
+    in
+    match List.find_map candidate (Program.topological_stencils p) with
+    | None -> (p, List.rev fused_pairs)
+    | Some (p', pair) -> go p' (pair :: fused_pairs)
+  in
+  go p []
+
+let matches_restart ?max_body_size p =
+  let fused, report = Fusion.fuse_all ?max_body_size p in
+  let fused', pairs' = fuse_all_by_restart ?max_body_size p in
+  Stdlib.compare fused fused' = 0
+  && report.Fusion.fused_pairs = pairs'
+  && report.Fusion.stencils_after = List.length fused'.Program.stencils
+  && Sf_support.Fingerprint.equal (Program.fingerprint fused) (Program.fingerprint fused')
+
+let test_fuse_all_matches_restart_on_examples () =
+  let dir = "../examples/programs" in
+  let examples =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".json")
+    |> List.sort String.compare
+  in
+  Alcotest.(check int) "the shipped examples" 8 (List.length examples);
+  List.iter
+    (fun f ->
+      let p = Fixtures.ok (Sf_frontend.Program_json.of_file (Filename.concat dir f)) in
+      Alcotest.(check bool) f true (matches_restart p);
+      Alcotest.(check bool) (f ^ " bounded") true (matches_restart ~max_body_size:40 p))
+    examples;
+  Alcotest.(check bool) "hdiff" true (matches_restart (Sf_kernels.Hdiff.program ()))
+
+let prop_fuse_all_matches_restart =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (oneof [ Program_gen.program_gen; Program_gen.adversarial_program_gen ])
+        (opt (int_range 1 80)))
+  in
+  let print (p, bound) =
+    Format.asprintf "%a@.max_body_size %s" Program.pp p
+      (Option.fold ~none:"unbounded" ~some:string_of_int bound)
+  in
+  QCheck.Test.make ~count:300 ~name:"fuse_all matches its old definition"
+    (QCheck.make ~print gen) (fun (p, max_body_size) -> matches_restart ?max_body_size p)
+
 let suite =
   [
     Alcotest.test_case "fusion preconditions" `Quick test_preconditions;
@@ -248,4 +307,7 @@ let suite =
       test_work_size_accepts_shared_fusion;
     Alcotest.test_case "hdiff collapses to its outputs (fig 17)" `Quick test_hdiff_fusion_shape;
     QCheck_alcotest.to_alcotest prop_fusion_preserves_interior;
+    Alcotest.test_case "fuse_all matches its old definition on the examples" `Quick
+      test_fuse_all_matches_restart_on_examples;
+    QCheck_alcotest.to_alcotest prop_fuse_all_matches_restart;
   ]

@@ -359,6 +359,92 @@ let test_format_errors () =
         "stencils": {"s": {"code": "s = a[0];", "boundary": {"a": {"type": "mirror"}}}},
         "outputs": ["s"]} |}
 
+(* Reference definition of a body's accesses, without the DAG: each
+   binding's deduplicated accesses, computed once against the earlier
+   bindings and replayed where a later expression names it; unbound
+   names contribute nothing. *)
+let body_accesses_by_replay { Expr.lets; result } =
+  let rec collect env acc (e : Expr.t) =
+    match e with
+    | Expr.Access { field; offsets } -> (field, offsets) :: acc
+    | Expr.Var v -> (
+        match Hashtbl.find_opt env v with Some l -> List.rev_append l acc | None -> acc)
+    | Expr.Const _ -> acc
+    | Expr.Unary (_, x) -> collect env acc x
+    | Expr.Binary (_, x, y) -> collect env (collect env acc x) y
+    | Expr.Select { cond; if_true; if_false } ->
+        collect env (collect env (collect env acc cond) if_true) if_false
+    | Expr.Call (_, args) -> List.fold_left (collect env) acc args
+  in
+  let dedup l =
+    let seen = Hashtbl.create 16 in
+    List.filter
+      (fun x ->
+        let fresh = not (Hashtbl.mem seen x) in
+        Hashtbl.replace seen x ();
+        fresh)
+      l
+  in
+  let expr_accesses env e = dedup (List.rev (collect env [] e)) in
+  let env = Hashtbl.create 16 in
+  List.iter (fun (n, e) -> Hashtbl.replace env n (expr_accesses env e)) lets;
+  expr_accesses env result
+
+(* Bodies whose lets draw names from a small pool and reference the
+   pool freely: unused lets, shadowed names, forward references and a
+   name that is never bound all occur. *)
+let adversarial_body_gen =
+  let open QCheck.Gen in
+  let names = [ "t0"; "t1"; "t2"; "free" ] in
+  let leaf =
+    frequency
+      [
+        (1, map (fun c -> Expr.Const (Float.of_int c)) (int_range (-2) 2));
+        ( 3,
+          let* field = oneofl [ "a"; "b"; "c" ] in
+          let* offsets = list_repeat 2 (int_range (-1) 1) in
+          return (Expr.Access { field; offsets }) );
+        (2, map (fun v -> Expr.Var v) (oneofl names));
+      ]
+  in
+  let rec expr depth =
+    if depth = 0 then leaf
+    else
+      frequency
+        [
+          (1, leaf);
+          (1, map (fun x -> Expr.Unary (Expr.Neg, x)) (expr (depth - 1)));
+          (3, map2 (fun x y -> Expr.Binary (Expr.Add, x, y)) (expr (depth - 1)) (expr (depth - 1)));
+          ( 1,
+            map3
+              (fun cond if_true if_false -> Expr.Select { cond; if_true; if_false })
+              (expr (depth - 1)) (expr (depth - 1)) (expr (depth - 1)) );
+          (1, map2 (fun x y -> Expr.Call (Expr.Max, [ x; y ])) (expr (depth - 1)) (expr (depth - 1)));
+        ]
+  in
+  let* lets = list_size (int_range 0 5) (pair (oneofl [ "t0"; "t1"; "t2" ]) (expr 3)) in
+  let* result = expr 3 in
+  return { Expr.lets; result }
+
+let prop_stencil_accesses_match_replay =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          adversarial_body_gen;
+          map
+            (fun (p : Program.t) -> (List.hd (List.rev p.Program.stencils)).Stencil.body)
+            Program_gen.program_gen;
+          map
+            (fun (p : Program.t) -> (List.hd p.Program.stencils).Stencil.body)
+            Program_gen.adversarial_program_gen;
+        ])
+  in
+  QCheck.Test.make ~count:500 ~name:"Stencil.accesses equals the accesses by let replay"
+    (QCheck.make ~print:Expr.body_to_string gen)
+    (fun body ->
+      Stencil.accesses (Stencil.make ~name:"s" body) = body_accesses_by_replay body)
+
 let suite =
   [
     Alcotest.test_case "fixture programs validate" `Quick test_valid_programs;
@@ -374,5 +460,6 @@ let suite =
     Alcotest.test_case "json roundtrip fork" `Quick (roundtrip_program (Fixtures.fork ()));
     Alcotest.test_case "parse full document" `Quick test_parse_document;
     Alcotest.test_case "format errors" `Quick test_format_errors;
+    QCheck_alcotest.to_alcotest prop_stencil_accesses_match_replay;
   ]
   @ invalid_cases

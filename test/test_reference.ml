@@ -339,6 +339,63 @@ let test_prepare_raises_early () =
   | exception Invalid_argument _ -> ()
   | (_ : unit -> _) -> Alcotest.fail "prepare must reject a malformed program"
 
+(* Reference definitions of [Tensor.of_fn] and [Interp.random_inputs]:
+   a recursion over the axes that builds each multi-index list and
+   stores through [Tensor.set]. The library fills each tensor in one
+   row-major sweep, which must match these call for call and bit for
+   bit. *)
+let of_fn_by_recursion extent f =
+  let t = Tensor.create extent in
+  let rec iterate prefix = function
+    | [] -> Tensor.set t (List.rev prefix) (f (List.rev prefix))
+    | e :: rest ->
+        for i = 0 to e - 1 do
+          iterate (i :: prefix) rest
+        done
+  in
+  iterate [] extent;
+  t
+
+let random_inputs_by_recursion ~seed (p : Program.t) =
+  let state = Random.State.make [| seed |] in
+  List.map
+    (fun f ->
+      let extent = Interp.input_extent p f in
+      (f.Field.name, of_fn_by_recursion extent (fun _ -> Random.State.float state 2. -. 1.)))
+    p.Program.inputs
+
+let bits (t : Tensor.t) = Array.map Int64.bits_of_float t.Tensor.data
+
+(* Same calls, in the same order, with the same index lists, and the
+   same data. *)
+let prop_of_fn_matches_recursion =
+  let gen = QCheck.Gen.(list_size (int_range 0 3) (int_range 1 5)) in
+  QCheck.Test.make ~count:200 ~name:"Tensor.of_fn matches its definition by recursion"
+    (QCheck.make ~print:QCheck.Print.(list int) gen)
+    (fun extent ->
+      let build of_fn =
+        let calls = ref [] in
+        let t =
+          of_fn extent (fun index ->
+              calls := index :: !calls;
+              Float.of_int (Hashtbl.hash (index, List.length !calls)) /. 7.)
+        in
+        (List.rev !calls, t)
+      in
+      let calls, t = build Tensor.of_fn and calls', t' = build of_fn_by_recursion in
+      calls = calls' && t.Tensor.extent = t'.Tensor.extent && bits t = bits t')
+
+(* Rank 1-3 programs, with lower-dimensional and scalar inputs. *)
+let prop_random_inputs_match_recursion =
+  QCheck.Test.make ~count:200 ~name:"random_inputs is bit-identical to its definition by recursion"
+    (QCheck.pair Program_gen.arbitrary_program QCheck.small_nat)
+    (fun (p, seed) ->
+      let got = Interp.random_inputs ~seed p and want = random_inputs_by_recursion ~seed p in
+      List.map fst got = List.map fst want
+      && List.for_all2
+           (fun (_, t) (_, t') -> t.Tensor.extent = t'.Tensor.extent && bits t = bits t')
+           got want)
+
 let suite =
   [
     Alcotest.test_case "tensor basics" `Quick test_tensor_basics;
@@ -358,4 +415,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_run_equals_every_stage;
     QCheck_alcotest.to_alcotest prop_prepare_equals_run;
     Alcotest.test_case "prepare raises before it returns" `Quick test_prepare_raises_early;
+    QCheck_alcotest.to_alcotest prop_of_fn_matches_recursion;
+    QCheck_alcotest.to_alcotest prop_random_inputs_match_recursion;
   ]
