@@ -2,6 +2,13 @@ open Sf_ir
 
 type node_info = { init_cycles : int; compute_cycles : int; buffers : Internal_buffer.t list }
 
+(* The lists of [t], keyed for the lookups below. *)
+type index = {
+  node_of : (string, node_info) Hashtbl.t;
+  edge_of : (string * string, int) Hashtbl.t;
+  timing_of : (string, int * int) Hashtbl.t;
+}
+
 type t = {
   program : Program.t;
   nodes : (string * node_info) list;
@@ -10,6 +17,7 @@ type t = {
   timing : (string * (int * int)) list;
       (* per stencil: (t0 = first pipeline step's cycle,
                        avail = first output word's cycle) *)
+  index : index;
 }
 
 (* For every node v, in topological order, we track [avail v]: the cycle at
@@ -73,7 +81,10 @@ let analyze ?(config = Latency.default) (p : Program.t) =
              dimensional inputs are prefetched and impose no edge. *)
           let streaming_preds =
             List.filter
-              (fun (u, ()) -> List.length (Program.field_axes p u) = full_rank)
+              (fun (u, ()) ->
+                match Program.G.find_vertex_exn g u with
+                | Program.Input f -> Field.rank f = full_rank
+                | Program.Op _ -> true)
               (Program.G.preds g v)
           in
           let annotated =
@@ -97,21 +108,16 @@ let analyze ?(config = Latency.default) (p : Program.t) =
     List.fold_left (fun acc s -> max acc (Hashtbl.find avail s.Stencil.name)) 0 p.Program.stencils
   in
   let nodes = List.map (fun (v, _) -> (v, Hashtbl.find info_table v)) (Program.G.vertices g) in
-  { program = p; nodes; edges = List.rev !edges; latency_cycles; timing = List.rev !timing }
+  let edges = List.rev !edges and timing = List.rev !timing in
+  (* The first binding of a key wins, as in [List.assoc]. *)
+  let table l = Hashtbl.of_seq (List.to_seq (List.rev l)) in
+  let index = { node_of = table nodes; edge_of = table edges; timing_of = table timing } in
+  { program = p; nodes; edges; latency_cycles; timing; index }
 
-let node_info t name =
-  match List.assoc_opt name t.nodes with Some i -> i | None -> raise Not_found
-
-let start_cycle t name =
-  match List.assoc_opt name t.timing with Some (t0, _) -> t0 | None -> raise Not_found
-
-let output_cycle t name =
-  match List.assoc_opt name t.timing with Some (_, out) -> out | None -> raise Not_found
-
-let buffer_for t ~src ~dst =
-  match List.assoc_opt (src, dst) t.edges with Some b -> b | None -> raise Not_found
-
-let edge_slack t ~src ~dst = buffer_for t ~src ~dst
+let node_info t name = Hashtbl.find t.index.node_of name
+let start_cycle t name = fst (Hashtbl.find t.index.timing_of name)
+let output_cycle t name = snd (Hashtbl.find t.index.timing_of name)
+let buffer_for t ~src ~dst = Hashtbl.find t.index.edge_of (src, dst)
 
 (* The smallest positive analysed depth: the edge where under-
    provisioning experiments bite first. All-zero graphs (pure chains)
@@ -129,8 +135,9 @@ let total_fast_memory_elements t =
   let w = t.program.Program.vector_width in
   let internal =
     List.fold_left
-      (fun acc s -> acc + Internal_buffer.total_buffer_elements t.program s)
-      0 t.program.Program.stencils
+      (fun acc (_, i) ->
+        List.fold_left (fun acc (b : Internal_buffer.t) -> acc + b.size_elements) acc i.buffers)
+      0 t.nodes
   in
   internal + (total_delay_buffer_words t * w)
 

@@ -27,6 +27,10 @@ type node_info = {
       (** {!Internal_buffer.of_stencil} of the stencil; empty for inputs. *)
 }
 
+type index
+(** [nodes], [edges] and [timing] keyed by name, for the O(1) lookups
+    below. *)
+
 type t = {
   program : Sf_ir.Program.t;
   nodes : (string * node_info) list;  (** Stencils and inputs (inputs are zero). *)
@@ -36,6 +40,7 @@ type t = {
       (** Per stencil, the derived schedule: the cycle its pipeline can
           take its first step, and the cycle its first output word
           emerges ([t0 + init + compute]). *)
+  index : index;  (** Built by {!analyze}. *)
 }
 
 val analyze : ?config:Latency.config -> Sf_ir.Program.t -> t
@@ -54,12 +59,6 @@ val output_cycle : t -> string -> int
 val buffer_for : t -> src:string -> dst:string -> int
 (** Delay-buffer depth (words) for an edge; raises [Not_found] if the edge
     does not exist. *)
-
-val edge_slack : t -> src:string -> dst:string -> int
-(** Synonym of {!buffer_for} under its path-slack reading: the worst-case
-    path-delay difference (in words) the edge's FIFO must absorb. The
-    fault-injection harness uses it to aim under-provisioning
-    experiments at the tightest edge. *)
 
 val tightest_edge : t -> ((string * string) * int) option
 (** The edge with the smallest strictly positive analysed depth — where

@@ -1,7 +1,7 @@
 open Sf_ir
 
 let radius (p : Program.t) =
-  Program.validate_exn p;
+  let checked = Program.check_exn p in
   let rank = Program.rank p in
   let reach : (string, int array) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun f -> Hashtbl.replace reach f.Field.name (Array.make rank 0)) p.Program.inputs;
@@ -15,7 +15,7 @@ let radius (p : Program.t) =
             | Some u -> u
             | None -> Array.make rank 0
           in
-          let axes = Program.field_axes p field in
+          let axes = Program.Checked.axes checked field in
           let per_axis = Array.make rank 0 in
           List.iteri (fun i axis -> per_axis.(axis) <- abs (List.nth offsets i)) axes;
           for a = 0 to rank - 1 do
@@ -23,7 +23,7 @@ let radius (p : Program.t) =
           done)
         (Stencil.accesses s);
       Hashtbl.replace reach s.Stencil.name r)
-    (Program.topological_stencils p);
+    (Program.Checked.order checked);
   let total = Array.make rank 0 in
   List.iter
     (fun o ->

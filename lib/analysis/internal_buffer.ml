@@ -25,32 +25,35 @@ let flatten_offset ~shape offsets =
 let of_stencil (p : Program.t) (s : Stencil.t) =
   let full_rank = Program.rank p in
   let w = p.Program.vector_width in
-  let fields = Stencil.input_fields s in
+  (* The body's accesses, taken once: each field read, in the order of
+     its first read, with its offsets. Only an input can be
+     lower-dimensional. *)
+  let accesses = Stencil.accesses s in
+  let fields = List.fold_left (fun l (f, _) -> if List.mem f l then l else f :: l) [] accesses in
   List.filter_map
     (fun field ->
-      if List.length (Program.field_axes p field) <> full_rank then None
-      else begin
-        let offsets = Stencil.accesses_of_field s field in
-        let flats = List.map (flatten_offset ~shape:p.Program.shape) offsets in
-        let min_flat = List.fold_left min (List.hd flats) flats in
-        let max_flat = List.fold_left max (List.hd flats) flats in
-        let buffered = List.length offsets > 1 in
-        let size_elements = if buffered then max_flat - min_flat + w else 0 in
-        (* [init_elements] is the number of extra input elements (beyond the
-           one-element-per-output streaming rate) that must arrive before
-           the first output: the shift register must be full (size - 1,
-           since the newest element is consumed the same cycle) and the
-           furthest-ahead access must have arrived (max_flat). This is the
-           paper's initialization phase of max{B_i} up to the -1. *)
-        let init_elements =
-          if buffered then max (size_elements - 1) (max 0 max_flat) else max 0 max_flat
-        in
-        Some { field; offsets; min_flat; max_flat; size_elements; init_elements }
-      end)
-    fields
-
-let stencil_init_delay p s =
-  List.fold_left (fun acc b -> max acc b.init_elements) 0 (of_stencil p s)
+      match Program.find_input p field with
+      | Some f when Field.rank f <> full_rank -> None
+      | Some _ | None ->
+          let offsets =
+            List.filter_map (fun (f, o) -> if String.equal f field then Some o else None) accesses
+          in
+          let flats = List.map (flatten_offset ~shape:p.Program.shape) offsets in
+          let min_flat = List.fold_left min (List.hd flats) flats in
+          let max_flat = List.fold_left max (List.hd flats) flats in
+          let buffered = List.length offsets > 1 in
+          let size_elements = if buffered then max_flat - min_flat + w else 0 in
+          (* [init_elements] is the number of extra input elements (beyond the
+             one-element-per-output streaming rate) that must arrive before
+             the first output: the shift register must be full (size - 1,
+             since the newest element is consumed the same cycle) and the
+             furthest-ahead access must have arrived (max_flat). This is the
+             paper's initialization phase of max{B_i} up to the -1. *)
+          let init_elements =
+            if buffered then max (size_elements - 1) (max 0 max_flat) else max 0 max_flat
+          in
+          Some { field; offsets; min_flat; max_flat; size_elements; init_elements })
+    (List.rev fields)
 
 let init_cycles p buffers =
   let delay = List.fold_left (fun acc b -> max acc b.init_elements) 0 buffers in
@@ -61,9 +64,6 @@ let stencil_init_cycles p s = init_cycles p (of_stencil p s)
 let fill_start all b =
   let longest = List.fold_left (fun acc x -> max acc x.init_elements) 0 all in
   longest - b.init_elements
-
-let total_buffer_elements p s =
-  List.fold_left (fun acc b -> acc + b.size_elements) 0 (of_stencil p s)
 
 let pp fmt b =
   Format.fprintf fmt "%s: %d accesses, flat span [%d, %d], size %d, init %d" b.field

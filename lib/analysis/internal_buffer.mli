@@ -37,13 +37,11 @@ val flatten_offset : shape:int list -> int list -> int
 val of_stencil : Sf_ir.Program.t -> Sf_ir.Stencil.t -> t list
 (** One entry per full-rank field the stencil reads (buffered or not). *)
 
-val stencil_init_delay : Sf_ir.Program.t -> Sf_ir.Stencil.t -> int
-(** The initialization phase in {e elements}: max over fields of
-    [init_elements] (paper: max of the internal buffer sizes). *)
-
 val stencil_init_cycles : Sf_ir.Program.t -> Sf_ir.Stencil.t -> int
-(** {!stencil_init_delay} divided by the vector width (rounded up):
-    vectorization shortens initialization phases (Sec. IV-C). *)
+(** The initialization phase, max over fields of [init_elements] (paper:
+    max of the internal buffer sizes), divided by the vector width
+    (rounded up): vectorization shortens initialization phases
+    (Sec. IV-C). *)
 
 val init_cycles : Sf_ir.Program.t -> t list -> int
 (** {!stencil_init_cycles} from a stencil's {!of_stencil} buffers. *)
@@ -51,8 +49,5 @@ val init_cycles : Sf_ir.Program.t -> t list -> int
 val fill_start : t list -> t -> int
 (** [fill_start all b]: the element index at which buffer [b] starts
     filling, [max_i init - b.init]; the largest buffer(s) start at 0. *)
-
-val total_buffer_elements : Sf_ir.Program.t -> Sf_ir.Stencil.t -> int
-(** Sum of buffer sizes — on-chip memory pressure of one stencil unit. *)
 
 val pp : Format.formatter -> t -> unit

@@ -70,75 +70,28 @@ let dims_for rank = Array.to_list (Array.sub dim_names (3 - rank) rank)
 
 let channel_name ~src ~dst = Printf.sprintf "ch_%s__%s" src dst
 
-let emit_stencil_kernel buf (p : Program.t) analysis (s : Stencil.t) ~remote_in
-    ~local_consumers ~remote_out ~writes_memory =
-  let w = p.Program.vector_width in
-  let name = s.Stencil.name in
-  let shape = p.Program.shape in
-  let rank = Program.rank p in
-  let dims = dims_for rank in
-  let n_words = Program.cells p / w in
-  let buffers = Sf_analysis.Internal_buffer.of_stencil p s in
-  let info = Sf_analysis.Delay_buffer.node_info analysis name in
-  let init = info.Sf_analysis.Delay_buffer.init_cycles in
-  (* Register sizing consistent with the conservative fill-the-buffer
-     schedule (init_extra words are consumed ahead of the first output):
-     at compute time the newest element sits init_extra*W + W - 1 ahead
-     of the lane-0 center, so the register must retain that read-ahead
-     plus any negative reach. Tap for flat offset o, lane v is
-     S - W - init_extra*W + o + v. *)
-  let init_extra_of (b : Sf_analysis.Internal_buffer.t) =
-    Sf_support.Util.ceil_div b.init_elements (max 1 w)
-  in
-  let register_size (b : Sf_analysis.Internal_buffer.t) =
-    (init_extra_of b * w) + w + max 0 (-b.min_flat)
-  in
-  let tap_base (b : Sf_analysis.Internal_buffer.t) =
-    register_size b - w - (init_extra_of b * w)
-  in
-  let add fmt = Printf.ksprintf (fun line -> Buffer.add_string buf line) fmt in
-  add "__attribute__((max_global_work_dim(0)))\n";
-  add "__attribute__((autorun))\n";
-  add "__kernel void stencil_%s() {\n" name;
-  List.iter
-    (fun (b : Sf_analysis.Internal_buffer.t) ->
-      add "  float sr_%s[%d]; // flat span [%d, %d], read-ahead %d words\n" b.field
-        (register_size b) b.min_flat b.max_flat (init_extra_of b))
-    buffers;
-  (* Lower-dimensional inputs are read from the program-scope prefetch
-     arrays, filled by the load_* kernels before the pipeline starts. *)
-  add "  for (long t = 0; t < %dL + %dL; ++t) {\n" init n_words;
-  (* Shift phase (fully unrolled). *)
-  List.iter
-    (fun (b : Sf_analysis.Internal_buffer.t) ->
-      if register_size b > w then begin
-        add "    #pragma unroll\n";
-        add "    for (int s = 0; s < %d; ++s) sr_%s[s] = sr_%s[s + %d];\n"
-          (register_size b - w) b.field b.field w
-      end)
-    buffers;
-  (* Update phase: read one word from each active input stream. *)
-  List.iter
-    (fun (b : Sf_analysis.Internal_buffer.t) ->
-      let init_extra = init_extra_of b in
-      let start = init - init_extra in
-      let target = Printf.sprintf "sr_%s[%d + v]" b.field (register_size b - w) in
-      let source =
-        if List.mem_assoc b.field remote_in then
-          Printf.sprintf "SMI_Pop(&smi_%s__%s)" b.field name
-        else Printf.sprintf "read_channel_intel(%s)" (channel_name ~src:b.field ~dst:name)
-      in
-      add "    if (t >= %dL && t < %dL + %dL) {\n" start start n_words;
-      add "      #pragma unroll\n";
-      add "      for (int v = 0; v < %d; ++v) %s = %s;\n" w target source;
-      add "    }\n")
-    buffers;
-  (* Compute phase. *)
-  add "    if (t >= %dL) {\n" init;
-  add "      long cell = (t - %dL) * %d;\n" init w;
-  add "      #pragma unroll\n";
-  add "      for (int v = 0; v < %d; ++v) {\n" w;
-  (* Recover the multi-index of cell + v for boundary predication. *)
+(* Register sizing consistent with the conservative fill-the-buffer
+   schedule (init_extra words are consumed ahead of the first output): at
+   compute time the newest element sits init_extra*W + W - 1 ahead of the
+   lane-0 center, so the register must retain that read-ahead plus any
+   negative reach. Tap for flat offset o, lane v is
+   S - W - init_extra*W + o + v. *)
+let init_extra ~w (b : Sf_analysis.Internal_buffer.t) =
+  Sf_support.Util.ceil_div b.init_elements (max 1 w)
+
+let register_size ~w (b : Sf_analysis.Internal_buffer.t) =
+  (init_extra ~w b * w) + w + max 0 (-b.min_flat)
+
+(* The compute phase's body for lane v of [cell], as both backends emit
+   it: the multi-index of cell + v (for boundary predication), the lets
+   and [const float result = ...]. An access reads its shift-register
+   tap, predicated by the boundary condition where it leaves the grid,
+   or the program-scope prefetch array of a lower-dimensional input. *)
+let emit_compute buf checked buffers (s : Stencil.t) ~result =
+  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let p = Program.Checked.program checked in
+  let w = p.Program.vector_width and shape = p.Program.shape in
+  let dims = dims_for (Program.rank p) in
   let strides = Program.strides p in
   List.iteri
     (fun d dim ->
@@ -147,10 +100,13 @@ let emit_stencil_kernel buf (p : Program.t) analysis (s : Stencil.t) ~remote_in
     dims;
   let tap (b : Sf_analysis.Internal_buffer.t) offsets =
     let flat = Sf_analysis.Internal_buffer.flatten_offset ~shape offsets in
-    Printf.sprintf "sr_%s[%d + v]" b.field (tap_base b + flat)
+    Printf.sprintf "sr_%s[%d + v]" b.field
+      (register_size ~w b - w - (init_extra ~w b * w) + flat)
   in
   let access ~field ~offsets =
-    match List.find_opt (fun (b : Sf_analysis.Internal_buffer.t) -> b.field = field) buffers with
+    match
+      List.find_opt (fun (b : Sf_analysis.Internal_buffer.t) -> b.field = field) buffers
+    with
     | Some b ->
         let in_bounds =
           List.concat
@@ -175,8 +131,7 @@ let emit_stencil_kernel buf (p : Program.t) analysis (s : Stencil.t) ~remote_in
           Printf.sprintf "(%s ? %s : %s)" (String.concat " && " in_bounds) value fallback
         end
     | None ->
-        (* Lower-dimensional prefetched field. *)
-        let axes = Program.field_axes p field in
+        let axes = Program.Checked.axes checked field in
         if axes = [] then Printf.sprintf "pref_%s[0]" field
         else begin
           let index =
@@ -197,7 +152,59 @@ let emit_stencil_kernel buf (p : Program.t) analysis (s : Stencil.t) ~remote_in
   List.iter
     (fun (letname, e) -> add "        const float %s = %s;\n" letname (expression_to_c ~access e))
     body.Expr.lets;
-  add "        const float value_%d = %s;\n" 0 (expression_to_c ~access body.Expr.result);
+  add "        const float %s = %s;\n" result (expression_to_c ~access body.Expr.result)
+
+let emit_stencil_kernel buf checked analysis (s : Stencil.t) ~remote_in ~local_consumers
+    ~remote_out ~writes_memory =
+  let p = Program.Checked.program checked in
+  let w = p.Program.vector_width in
+  let name = s.Stencil.name in
+  let n_words = Program.cells p / w in
+  let buffers = Sf_analysis.Internal_buffer.of_stencil p s in
+  let init = (Sf_analysis.Delay_buffer.node_info analysis name).init_cycles in
+  let init_extra = init_extra ~w and register_size = register_size ~w in
+  let add fmt = Printf.ksprintf (fun line -> Buffer.add_string buf line) fmt in
+  add "__attribute__((max_global_work_dim(0)))\n";
+  add "__attribute__((autorun))\n";
+  add "__kernel void stencil_%s() {\n" name;
+  List.iter
+    (fun (b : Sf_analysis.Internal_buffer.t) ->
+      add "  float sr_%s[%d]; // flat span [%d, %d], read-ahead %d words\n" b.field
+        (register_size b) b.min_flat b.max_flat (init_extra b))
+    buffers;
+  (* Lower-dimensional inputs are read from the program-scope prefetch
+     arrays, filled by the load_* kernels before the pipeline starts. *)
+  add "  for (long t = 0; t < %dL + %dL; ++t) {\n" init n_words;
+  (* Shift phase (fully unrolled). *)
+  List.iter
+    (fun (b : Sf_analysis.Internal_buffer.t) ->
+      if register_size b > w then begin
+        add "    #pragma unroll\n";
+        add "    for (int s = 0; s < %d; ++s) sr_%s[s] = sr_%s[s + %d];\n"
+          (register_size b - w) b.field b.field w
+      end)
+    buffers;
+  (* Update phase: read one word from each active input stream. *)
+  List.iter
+    (fun (b : Sf_analysis.Internal_buffer.t) ->
+      let start = init - init_extra b in
+      let target = Printf.sprintf "sr_%s[%d + v]" b.field (register_size b - w) in
+      let source =
+        if List.mem_assoc b.field remote_in then
+          Printf.sprintf "SMI_Pop(&smi_%s__%s)" b.field name
+        else Printf.sprintf "read_channel_intel(%s)" (channel_name ~src:b.field ~dst:name)
+      in
+      add "    if (t >= %dL && t < %dL + %dL) {\n" start start n_words;
+      add "      #pragma unroll\n";
+      add "      for (int v = 0; v < %d; ++v) %s = %s;\n" w target source;
+      add "    }\n")
+    buffers;
+  (* Compute phase. *)
+  add "    if (t >= %dL) {\n" init;
+  add "      long cell = (t - %dL) * %d;\n" init w;
+  add "      #pragma unroll\n";
+  add "      for (int v = 0; v < %d; ++v) {\n" w;
+  emit_compute buf checked buffers s ~result:"value_0";
   let emit_write target = add "        %s;\n" target in
   List.iter
     (fun consumer ->
@@ -233,8 +240,9 @@ let emit_writer buf (p : Program.t) output =
   add "    mem[idx] = read_channel_intel(%s);\n" (channel_name ~src:output ~dst:"mem");
   add "  }\n}\n\n"
 
-let generate_unchecked ?partition (p : Program.t) =
-  let partition = match partition with Some pt -> pt | None -> Partition.single_device p in
+let generate_unchecked ?partition checked =
+  let p = Program.Checked.program checked in
+  let partition = match partition with Some pt -> pt | None -> Partition.single_device checked in
   let analysis = Sf_analysis.Delay_buffer.analyze p in
   let device_of = Partition.placement_fn partition in
   let rank = Program.rank p in
@@ -251,27 +259,28 @@ let generate_unchecked ?partition (p : Program.t) =
       let local_stencils =
         List.filter (fun s -> device_of s.Stencil.name = device) p.Program.stencils
       in
-      let local_names = List.map (fun s -> s.Stencil.name) local_stencils in
-      let is_local name = List.exists (String.equal name) local_names in
+      let is_local name = device_of name = device in
       (* Channel declarations: local edges with analysed depths. *)
       List.iter
         (fun (s : Stencil.t) ->
           let dst = s.Stencil.name in
           List.iter
             (fun field ->
-              let is_stencil_src = Option.is_some (Program.find_stencil p field) in
-              let local_src = (not is_stencil_src) || is_local field in
-              let prefetched =
-                (not is_stencil_src) && List.length (Program.field_axes p field) < rank
+              (* A channel carries a local stream: a stencil on this
+                 device or a full-rank input (the others are prefetched). *)
+              let local_stream =
+                match Program.Checked.find checked field with
+                | Program.Op _ -> is_local field
+                | Program.Input f -> Field.rank f = rank
               in
-              if local_src && not prefetched then begin
+              if local_stream then begin
                 let depth =
                   Sf_analysis.Delay_buffer.buffer_for analysis ~src:field ~dst
                 in
                 add "channel float %s __attribute__((depth(%d)));\n"
                   (channel_name ~src:field ~dst) (max 1 depth)
               end)
-            (Stencil.input_fields s))
+            (Program.Checked.reads checked dst))
         local_stencils;
       List.iter
         (fun o ->
@@ -290,7 +299,7 @@ let generate_unchecked ?partition (p : Program.t) =
       List.iter
         (fun (f : Field.t) ->
           let devices = List.assoc f.Field.name partition.Partition.replicated_inputs in
-          if List.mem device devices && List.length (Program.field_axes p f.Field.name) < rank
+          if List.mem device devices && Field.rank f < rank
           then begin
             let elems = max 1 (Field.num_elements f ~shape:p.Program.shape) in
             add "float pref_%s[%d]; // lower-dimensional input, prefetched once\n" f.Field.name
@@ -304,10 +313,11 @@ let generate_unchecked ?partition (p : Program.t) =
       List.iter
         (fun (f : Field.t) ->
           let devices = List.assoc f.Field.name partition.Partition.replicated_inputs in
-          if List.mem device devices && List.length (Program.field_axes p f.Field.name) = rank
-          then begin
+          if List.mem device devices && Field.rank f = rank then begin
             let consumers =
-              List.filter (fun c -> device_of c = device) (Program.consumers p f.Field.name)
+              List.filter
+                (fun consumer -> device_of consumer = device)
+                (Program.Checked.consumers checked f.Field.name)
             in
             if consumers <> [] then emit_reader buf p f consumers
           end)
@@ -316,18 +326,18 @@ let generate_unchecked ?partition (p : Program.t) =
       List.iter
         (fun (s : Stencil.t) ->
           let name = s.Stencil.name in
-          let consumers = Program.consumers p name in
+          let consumers = Program.Checked.consumers checked name in
           let local_consumers = List.filter (fun c -> device_of c = device) consumers in
           let remote_out = List.filter (fun c -> device_of c <> device) consumers in
           let remote_in =
             List.filter_map
               (fun field ->
-                match Program.find_stencil p field with
-                | Some _ when device_of field <> device -> Some (field, device_of field)
-                | Some _ | None -> None)
-              (Stencil.input_fields s)
+                match Program.Checked.find checked field with
+                | Program.Op _ when device_of field <> device -> Some (field, device_of field)
+                | Program.Op _ | Program.Input _ -> None)
+              (Program.Checked.reads checked name)
           in
-          emit_stencil_kernel buf p analysis s ~remote_in ~local_consumers
+          emit_stencil_kernel buf checked analysis s ~remote_in ~local_consumers
             ~remote_out
             ~writes_memory:(List.exists (String.equal name) p.Program.outputs))
         local_stencils;
@@ -340,8 +350,9 @@ let generate_unchecked ?partition (p : Program.t) =
       })
     (Sf_support.Util.range partition.Partition.num_devices)
 
-let host_source_unchecked ?partition (p : Program.t) =
-  let partition = match partition with Some pt -> pt | None -> Partition.single_device p in
+let host_source_unchecked ?partition checked =
+  let p = Program.Checked.program checked in
+  let partition = match partition with Some pt -> pt | None -> Partition.single_device checked in
   let buf = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "// Host code for %s over %d device(s)\n" p.Program.name partition.Partition.num_devices;
@@ -384,18 +395,13 @@ let host_source_unchecked ?partition (p : Program.t) =
 
 module Diag = Sf_support.Diag
 
-let validation_diags p =
-  match Program.validate p with
-  | Ok () -> []
-  | Error msgs -> List.map (Diag.error ~code:Diag.Code.validation) msgs
-
 let checked f p =
-  match validation_diags p with
-  | [] -> (
-      try Ok (f p)
+  match Program.check p with
+  | Ok checked -> (
+      try Ok (f checked)
       with Invalid_argument m | Failure m ->
         Error [ Diag.errorf ~code:Diag.Code.codegen "code generation failed: %s" m ])
-  | ds -> Error ds
+  | Error msgs -> Error (List.map (Diag.error ~code:Diag.Code.validation) msgs)
 
 let generate ?partition p = checked (generate_unchecked ?partition) p
 let host_source ?partition p = checked (host_source_unchecked ?partition) p

@@ -35,6 +35,31 @@ val host_source :
 (** Host-side C-style pseudo code: buffer allocation, replication of
     inputs to each device, kernel launch, and result copy-back. *)
 
+val checked :
+  (Sf_ir.Program.checked -> 'a) -> Sf_ir.Program.t -> ('a, Sf_support.Diag.t list) result
+(** [checked lower p]: {!Sf_ir.Program.check} [p], then [lower] it.
+    Validation problems surface as [SF0301], lowering failures as
+    [SF0601]. *)
+
+val init_extra : w:int -> Sf_analysis.Internal_buffer.t -> int
+(** Words a stencil's internal buffer reads ahead of its first output. *)
+
+val register_size : w:int -> Sf_analysis.Internal_buffer.t -> int
+(** Elements of the buffer's shift register: the read-ahead, one word,
+    and the buffer's reach behind the center. *)
+
+val emit_compute :
+  Buffer.t ->
+  Sf_ir.Program.checked ->
+  Sf_analysis.Internal_buffer.t list ->
+  Sf_ir.Stencil.t ->
+  result:string ->
+  unit
+(** The compute phase for lane [v] of [cell], which both backends emit
+    alike: the multi-index, the lets and [const float result], reading
+    the stencil's shift-register taps (predicated at the boundary) and
+    the prefetch arrays of lower-dimensional inputs. *)
+
 val float_literal : float -> string
 (** C float literal rendering shared by the backends. *)
 

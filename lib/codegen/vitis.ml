@@ -4,29 +4,15 @@ let top_function_name (p : Program.t) = "stencilflow_" ^ p.Program.name
 
 let stream_name ~src ~dst = Printf.sprintf "s_%s__%s" src dst
 
-let emit_stencil_pe buf (p : Program.t) analysis (s : Stencil.t) ~consumers ~writes_memory =
+let emit_stencil_pe buf checked analysis (s : Stencil.t) ~consumers ~writes_memory =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let name = s.Stencil.name in
-  let shape = p.Program.shape in
-  let rank = Program.rank p in
+  let p = Program.Checked.program checked in
   let w = p.Program.vector_width in
   let n_words = Program.cells p / w in
   let buffers = Sf_analysis.Internal_buffer.of_stencil p s in
-  let info = Sf_analysis.Delay_buffer.node_info analysis name in
-  let init = info.Sf_analysis.Delay_buffer.init_cycles in
-  (* See Opencl.emit_stencil_kernel: register sizing consistent with the
-     conservative consumption schedule. *)
-  let init_extra_of (b : Sf_analysis.Internal_buffer.t) =
-    Sf_support.Util.ceil_div b.init_elements (max 1 w)
-  in
-  let register_size (b : Sf_analysis.Internal_buffer.t) =
-    (init_extra_of b * w) + w + max 0 (-b.min_flat)
-  in
-  let tap_base (b : Sf_analysis.Internal_buffer.t) =
-    register_size b - w - (init_extra_of b * w)
-  in
-  let dims = List.filteri (fun i _ -> i < rank) [ "k"; "j"; "i" ] in
-  let dims = if rank = 2 then [ "j"; "i" ] else if rank = 1 then [ "i" ] else dims in
+  let init = (Sf_analysis.Delay_buffer.node_info analysis name).init_cycles in
+  let init_extra = Opencl.init_extra ~w and register_size = Opencl.register_size ~w in
   let stream_params =
     List.map (fun (b : Sf_analysis.Internal_buffer.t) -> Printf.sprintf "hls::stream<float>& in_%s" b.field) buffers
     @ List.map (fun c -> Printf.sprintf "hls::stream<float>& out_%s" c) consumers
@@ -47,8 +33,7 @@ let emit_stencil_pe buf (p : Program.t) analysis (s : Stencil.t) ~consumers ~wri
       if register_size b > w then
         add "    for (int s = 0; s < %d; ++s) sr_%s[s] = sr_%s[s + %d];\n"
           (register_size b - w) b.field b.field w;
-      let init_extra = init_extra_of b in
-      let start = init - init_extra in
+      let start = init - init_extra b in
       let target = Printf.sprintf "sr_%s[%d + v]" b.field (register_size b - w) in
       add "    if (t >= %dL && t < %dL + %dL)\n" start start n_words;
       add "      for (int v = 0; v < %d; ++v) %s = in_%s.read();\n" w target b.field)
@@ -56,74 +41,13 @@ let emit_stencil_pe buf (p : Program.t) analysis (s : Stencil.t) ~consumers ~wri
   add "    if (t >= %dL) {\n" init;
   add "      long cell = (t - %dL) * %d;\n" init w;
   add "      for (int v = 0; v < %d; ++v) {\n" w;
-  let strides = Program.strides p in
-  List.iteri
-    (fun d dim ->
-      add "        const long %s = ((cell + v) / %dL) %% %dL;\n" dim (List.nth strides d)
-        (List.nth shape d))
-    dims;
-  let tap (b : Sf_analysis.Internal_buffer.t) offsets =
-    let flat = Sf_analysis.Internal_buffer.flatten_offset ~shape offsets in
-    Printf.sprintf "sr_%s[%d + v]" b.field (tap_base b + flat)
-  in
-  let access ~field ~offsets =
-    match
-      List.find_opt (fun (b : Sf_analysis.Internal_buffer.t) -> b.field = field) buffers
-    with
-    | Some b ->
-        let guards =
-          List.concat
-            (List.mapi
-               (fun d o ->
-                 if o = 0 then []
-                 else
-                   [
-                     Printf.sprintf "(%s + (%d) >= 0 && %s + (%d) < %d)" (List.nth dims d) o
-                       (List.nth dims d) o (List.nth shape d);
-                   ])
-               offsets)
-        in
-        if guards = [] then tap b offsets
-        else begin
-          let fallback =
-            match Stencil.boundary_for s field with
-            | Boundary.Constant c -> Opencl.float_literal c
-            | Boundary.Copy -> tap b (List.map (fun _ -> 0) offsets)
-          in
-          Printf.sprintf "(%s ? %s : %s)" (String.concat " && " guards) (tap b offsets) fallback
-        end
-    | None ->
-        (* Lower-dimensional input, served from its prefetch array; the
-           index is the row-major flattening over the axes it spans
-           (scalars index 0). *)
-        let axes = Program.field_axes p field in
-        if axes = [] then Printf.sprintf "pref_%s[0]" field
-        else begin
-          let extents = List.map (fun a -> List.nth shape a) axes in
-          let rec index_terms axes offsets extents =
-            match (axes, offsets, extents) with
-            | [], [], [] -> []
-            | axis :: axes_rest, o :: offs_rest, _ :: ext_rest ->
-                let stride = List.fold_left ( * ) 1 ext_rest in
-                Printf.sprintf "(%s + (%d)) * %d" (List.nth dims axis) o stride
-                :: index_terms axes_rest offs_rest ext_rest
-            | _ -> assert false
-          in
-          Printf.sprintf "pref_%s[%s]" field
-            (String.concat " + " (index_terms axes offsets extents))
-        end
-  in
-  let body = Opencl.scheduled_body s.Stencil.body in
-  List.iter
-    (fun (n, e) ->
-      add "        const float %s = %s;\n" n (Opencl.expression_to_c ~access e))
-    body.Expr.lets;
-  add "        const float value = %s;\n" (Opencl.expression_to_c ~access body.Expr.result);
+  Opencl.emit_compute buf checked buffers s ~result:"value";
   List.iter (fun c -> add "        out_%s.write(value);\n" c) consumers;
   if writes_memory then add "        out_mem_%s.write(value);\n" name;
   add "      }\n    }\n  }\n}\n\n"
 
-let generate_unchecked (p : Program.t) =
+let generate_unchecked checked =
+  let p = Program.Checked.program checked in
   let analysis = Sf_analysis.Delay_buffer.analyze p in
   let rank = Program.rank p in
   let buf = Buffer.create 4096 in
@@ -143,15 +67,15 @@ let generate_unchecked (p : Program.t) =
   (* Processing elements. *)
   List.iter
     (fun (s : Stencil.t) ->
-      emit_stencil_pe buf p analysis s
-        ~consumers:(Program.consumers p s.Stencil.name)
+      emit_stencil_pe buf checked analysis s
+        ~consumers:(Program.Checked.consumers checked s.Stencil.name)
         ~writes_memory:(List.exists (String.equal s.Stencil.name) p.Program.outputs))
     p.Program.stencils;
   (* Readers and writers. *)
   List.iter
     (fun (f : Field.t) ->
       if Field.rank f = rank then begin
-        let consumers = Program.consumers p f.Field.name in
+        let consumers = Program.Checked.consumers checked f.Field.name in
         add "void read_%s(const float* mem%s) {\n" f.Field.name
           (String.concat ""
              (List.map (fun c -> Printf.sprintf ", hls::stream<float>& out_%s" c) consumers));
@@ -190,14 +114,14 @@ let generate_unchecked (p : Program.t) =
     (fun (s : Stencil.t) ->
       List.iter
         (fun field ->
-          if List.length (Program.field_axes p field) = rank then begin
+          if List.length (Program.Checked.axes checked field) = rank then begin
             let depth = max 1 (Sf_analysis.Delay_buffer.buffer_for analysis ~src:field ~dst:s.Stencil.name) in
             add "  hls::stream<float> %s;\n" (stream_name ~src:field ~dst:s.Stencil.name);
             add "#pragma HLS STREAM variable=%s depth=%d\n"
               (stream_name ~src:field ~dst:s.Stencil.name)
               depth
           end)
-        (Stencil.input_fields s))
+        (Program.Checked.reads checked s.Stencil.name))
     p.Program.stencils;
   List.iter
     (fun o ->
@@ -212,21 +136,21 @@ let generate_unchecked (p : Program.t) =
           (String.concat ""
              (List.map
                 (fun c -> ", " ^ stream_name ~src:f.Field.name ~dst:c)
-                (Program.consumers p f.Field.name))))
+                (Program.Checked.consumers checked f.Field.name))))
     p.Program.inputs;
   List.iter
     (fun (s : Stencil.t) ->
       let ins =
         List.filter_map
           (fun field ->
-            if List.length (Program.field_axes p field) = rank then
+            if List.length (Program.Checked.axes checked field) = rank then
               Some (stream_name ~src:field ~dst:s.Stencil.name)
             else None)
-          (Stencil.input_fields s)
+          (Program.Checked.reads checked s.Stencil.name)
       in
       let outs =
         List.map (fun c -> stream_name ~src:s.Stencil.name ~dst:c)
-          (Program.consumers p s.Stencil.name)
+          (Program.Checked.consumers checked s.Stencil.name)
         @
         if List.exists (String.equal s.Stencil.name) p.Program.outputs then
           [ stream_name ~src:s.Stencil.name ~dst:"mem" ]
@@ -240,12 +164,4 @@ let generate_unchecked (p : Program.t) =
   add "}\n";
   Buffer.contents buf
 
-module Diag = Sf_support.Diag
-
-let generate (p : Program.t) =
-  match Program.validate p with
-  | Ok () -> (
-      try Ok (generate_unchecked p)
-      with Invalid_argument m | Failure m ->
-        Error [ Diag.errorf ~code:Diag.Code.codegen "code generation failed: %s" m ])
-  | Error msgs -> Error (List.map (Diag.error ~code:Diag.Code.validation) msgs)
+let generate p = Opencl.checked generate_unchecked p

@@ -39,8 +39,6 @@ let field_axes t name =
       | Some _ -> Sf_support.Util.range (rank t)
       | None -> raise Not_found)
 
-let producer_rank t name = List.length (field_axes t name)
-
 (* [reads] pairs every stencil, in order, with its input fields. *)
 let graph_of_reads t reads =
   let g = List.fold_left (fun g f -> G.add_vertex g f.Field.name (Input f)) G.empty t.inputs in
@@ -63,7 +61,9 @@ let consumers t field =
       else None)
     t.stencils
 
-let validate t =
+type checked = { program : t; order : Stencil.t list; g : (node, unit) G.t; full_axes : int list }
+
+let check t =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
   let d = rank t in
@@ -76,13 +76,15 @@ let validate t =
         t.vector_width innermost
   | _ -> ());
   if t.outputs = [] then err "program %s: no outputs declared" t.name;
-  (* Name uniqueness across inputs and stencils. *)
-  let names = List.map (fun f -> f.Field.name) t.inputs @ List.map (fun s -> s.Stencil.name) t.stencils in
-  let seen = Hashtbl.create 16 in
+  (* Name uniqueness across inputs and stencils. The first node of a name
+     is kept, an input before any stencil, so the rank checks below agree
+     with [field_axes] even on a program with duplicates. *)
+  let nodes = Hashtbl.create 64 in
   List.iter
-    (fun n ->
-      if Hashtbl.mem seen n then err "duplicate name %s" n else Hashtbl.add seen n ())
-    names;
+    (fun (n, node) ->
+      if Hashtbl.mem nodes n then err "duplicate name %s" n else Hashtbl.add nodes n node)
+    (List.map (fun f -> (f.Field.name, Input f)) t.inputs
+    @ List.map (fun s -> (s.Stencil.name, Op s)) t.stencils);
   List.iter
     (fun f ->
       match Field.validate f ~full_rank:d with Ok () -> () | Error m -> err "%s" m)
@@ -90,7 +92,7 @@ let validate t =
   (* Access resolution: every access names a known field and matches its
      rank; let-bound variables resolve in order; boundary conditions refer
      to read fields. Each body's accesses are collected once, for these
-     checks and the dependency graph below. *)
+     checks, the dependency graph and the facts returned. *)
   let reads = stencil_reads t in
   List.iter
     (fun (s, inputs_read) ->
@@ -105,14 +107,14 @@ let validate t =
           (Expr.free_vars expr);
         List.iter
           (fun (field, offsets) ->
-            if Hashtbl.mem seen field then begin
-              let want = List.length (field_axes t field) in
-              let got = List.length offsets in
-              if want <> got then
-                err "stencil %s: access %s has %d offsets but the field spans %d axes"
-                  s.Stencil.name field got want
-            end
-            else err "stencil %s: access to undeclared field %s" s.Stencil.name field)
+            match Hashtbl.find_opt nodes field with
+            | Some node ->
+                let want = match node with Input f -> List.length f.Field.axes | Op _ -> d in
+                let got = List.length offsets in
+                if want <> got then
+                  err "stencil %s: access %s has %d offsets but the field spans %d axes"
+                    s.Stencil.name field got want
+            | None -> err "stencil %s: access to undeclared field %s" s.Stencil.name field)
           (Expr.accesses expr)
       in
       List.iter
@@ -134,25 +136,44 @@ let validate t =
       if find_stencil t o = None then err "declared output %s is not a stencil" o)
     t.outputs;
   (* Global structure: acyclic, and every stencil feeds some output. *)
+  let sorted = ref None in
   if !errors = [] then begin
     let g = graph_of_reads t reads in
     (match G.topological_sort g with
-    | Ok _ -> ()
+    | Ok names ->
+        let op v = match G.find_vertex_exn g v with Op s -> Some s | Input _ -> None in
+        sorted := Some (g, List.filter_map op names)
     | Error cyc ->
         err "program %s: dependency cycle through {%s}" t.name (String.concat ", " cyc));
-    let live = G.reachable_from (G.transpose g) t.outputs in
+    let live = Hashtbl.create 64 in
+    List.iter (fun v -> Hashtbl.replace live v ()) (G.reachable_from (G.transpose g) t.outputs);
     List.iter
       (fun s ->
-        if not (List.exists (String.equal s.Stencil.name) live) then
+        if not (Hashtbl.mem live s.Stencil.name) then
           err "stencil %s does not contribute to any output (dead code)" s.Stencil.name)
       t.stencils
   end;
-  match List.rev !errors with [] -> Ok () | errs -> Error errs
+  match (List.rev !errors, !sorted) with
+  | [], Some (g, order) -> Ok { program = t; order; g; full_axes = Sf_support.Util.range d }
+  | errs, _ -> Error errs
 
-let validate_exn t =
-  match validate t with
-  | Ok () -> ()
-  | Error errs -> invalid_arg (String.concat "\n" errs)
+let check_exn t =
+  match check t with Ok c -> c | Error errs -> invalid_arg (String.concat "\n" errs)
+
+let validate t = Result.map ignore (check t)
+let validate_exn t = ignore (check_exn t)
+
+(* Names are unique in a checked program, and the graph keeps edges in
+   insertion order: in-edges in read order, out-edges in program order. *)
+module Checked = struct
+  let program c = c.program
+  let order c = c.order
+  let find c name = match G.find_vertex c.g name with Some n -> n | None -> raise Not_found
+
+  let reads c name = List.map fst (G.preds c.g name)
+  let axes c name = match find c name with Input f -> f.Field.axes | Op _ -> c.full_axes
+  let consumers c field = List.map fst (G.succs c.g field)
+end
 
 let topological_of_reads t reads =
   match G.topological_sort (graph_of_reads t reads) with

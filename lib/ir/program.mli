@@ -46,8 +46,6 @@ val field_axes : t -> string -> int list
 (** Axes spanned by a named field: an input's declared axes, or all axes
     for a stencil result. Raises [Not_found] for unknown names. *)
 
-val producer_rank : t -> string -> int
-
 val graph : t -> (node, unit) G.t
 (** The dependency DAG. An edge [u -> v] means stencil [v] reads the field
     produced by (or stored in) [u]. *)
@@ -55,14 +53,41 @@ val graph : t -> (node, unit) G.t
 val consumers : t -> string -> string list
 (** Stencils reading a given field, in program order. *)
 
-val validate : t -> (unit, string list) result
+type checked
+(** A program that passed {!check}; only a passing check makes one. *)
+
+val check : t -> (checked, string list) result
 (** Check structural well-formedness: name uniqueness, access resolution,
     offset ranks, axis declarations, acyclicity, output liveness, vector
     width divisibility, and boundary-condition references. Returns all
-    diagnostics, not just the first. *)
+    diagnostics, not just the first, or the facts derived ({!Checked}). *)
 
-val validate_exn : t -> unit
+val check_exn : t -> checked
 (** Raises [Invalid_argument] with the joined diagnostics. *)
+
+val validate : t -> (unit, string list) result
+val validate_exn : t -> unit
+
+(** What {!check} derives, for callers to read instead of working it out
+    again. Lookups by name take logarithmic time. *)
+module Checked : sig
+  val program : checked -> t
+
+  val order : checked -> Stencil.t list
+  (** As {!topological_stencils}. *)
+
+  val find : checked -> string -> node
+  (** Raises [Not_found] for unknown names. *)
+
+  val reads : checked -> string -> string list
+  (** A stencil's input fields, as {!Stencil.input_fields}. *)
+
+  val axes : checked -> string -> int list
+  (** As {!field_axes}. *)
+
+  val consumers : checked -> string -> string list
+  (** As {!consumers}. *)
+end
 
 val topological_stencils : t -> Stencil.t list
 (** Stencils in dependency order. Raises if the program has a cycle. *)

@@ -14,14 +14,14 @@ let device_lookup t name =
   | Some d -> d
   | None -> invalid_arg (Printf.sprintf "Partition: stencil %s is not assigned" name)
 
-let derive_metadata (p : Program.t) device_of num_devices per_device_usage =
-  let lookup name = List.assoc name device_of in
+let derive_metadata checked device_of num_devices per_device_usage =
+  let p = Program.Checked.program checked in
+  let lookup = Hashtbl.find (Hashtbl.of_seq (List.to_seq device_of)) in
   let replicated_inputs =
     List.map
       (fun (f : Field.t) ->
-        let devices =
-          Program.consumers p f.Field.name |> List.map lookup |> List.sort_uniq compare
-        in
+        let consumers = Program.Checked.consumers checked f.Field.name in
+        let devices = List.sort_uniq compare (List.map lookup consumers) in
         (f.Field.name, devices))
       p.Program.inputs
   in
@@ -31,25 +31,26 @@ let derive_metadata (p : Program.t) device_of num_devices per_device_usage =
         let dst = s.Stencil.name in
         List.filter_map
           (fun field ->
-            match Program.find_stencil p field with
-            | Some _ when lookup field <> lookup dst ->
+            match Program.Checked.find checked field with
+            | Program.Op _ when lookup field <> lookup dst ->
                 Some ((field, dst), (lookup field, lookup dst))
-            | Some _ | None -> None)
-          (Stencil.input_fields s))
+            | Program.Op _ | Program.Input _ -> None)
+          (Program.Checked.reads checked dst))
       p.Program.stencils
   in
   { num_devices; device_of; replicated_inputs; cross_edges; per_device_usage }
 
-let single_device (p : Program.t) =
+let single_device checked =
+  let p = Program.Checked.program checked in
   let device_of = List.map (fun s -> (s.Stencil.name, 0)) p.Program.stencils in
-  derive_metadata p device_of 1 [ Resource.of_program p ]
+  derive_metadata checked device_of 1 [ Resource.of_program p ]
 
 let greedy ?(ceiling = 0.85) ?(max_devices = 8) ~device (p : Program.t) =
-  Program.validate_exn p;
+  let checked = Program.check_exn p in
   (* Per-device fixed overhead: the memory interface for the streams that
      terminate there. Approximated by charging the whole program's
      interface cost to every device — conservative but simple. *)
-  let order = Program.topological_stencils p in
+  let order = Program.Checked.order checked in
   let exception Unsplittable of string in
   try
     let assignments = ref [] in
@@ -78,7 +79,7 @@ let greedy ?(ceiling = 0.85) ?(max_devices = 8) ~device (p : Program.t) =
       order;
     device_usages := !current :: !device_usages;
     let device_of = List.rev !assignments in
-    Ok (derive_metadata p device_of (!current_id + 1) (List.rev !device_usages))
+    Ok (derive_metadata checked device_of (!current_id + 1) (List.rev !device_usages))
   with Unsplittable m -> Error (Sf_support.Diag.error ~code:Sf_support.Diag.Code.partition m)
 
 let contiguous ~devices (p : Program.t) =
@@ -87,8 +88,8 @@ let contiguous ~devices (p : Program.t) =
       (Sf_support.Diag.errorf ~code:Sf_support.Diag.Code.partition
          "contiguous partition needs at least 1 device, got %d" devices)
   else begin
-    Program.validate_exn p;
-    let order = Array.of_list (Program.topological_stencils p) in
+    let checked = Program.check_exn p in
+    let order = Array.of_list (Program.Checked.order checked) in
     let n = Array.length order in
     let d = min devices n in
     (* Stencil i of n goes to segment i*d/n: even contiguous chunks of
@@ -96,19 +97,13 @@ let contiguous ~devices (p : Program.t) =
     let device_of =
       List.init n (fun i -> (order.(i).Stencil.name, i * d / n))
     in
-    let per_device =
-      List.map
-        (fun k ->
-          List.fold_left
-            (fun acc (name, k') ->
-              if k' = k then
-                Resource.add acc
-                  (Resource.of_stencil p (Option.get (Program.find_stencil p name)))
-              else acc)
-            Resource.zero device_of)
-        (Sf_support.Util.range d)
-    in
-    Ok (derive_metadata p device_of d per_device)
+    let per_device = Array.make d Resource.zero in
+    Array.iteri
+      (fun i s ->
+        let k = i * d / n in
+        per_device.(k) <- Resource.add per_device.(k) (Resource.of_stencil p s))
+      order;
+    Ok (derive_metadata checked device_of d (Array.to_list per_device))
   end
 
 let placement_fn t name = device_lookup t name
@@ -177,8 +172,8 @@ let dominant_utilization device usage =
   Float.max (Float.max a f) (Float.max m d)
 
 let balanced ?(ceiling = 0.85) ?(max_devices = 8) ~device (p : Program.t) =
-  Program.validate_exn p;
-  let order = Array.of_list (Program.topological_stencils p) in
+  let checked = Program.check_exn p in
+  let order = Array.of_list (Program.Checked.order checked) in
   let n = Array.length order in
   let usages = Array.map (Resource.of_stencil p) order in
   (* prefix.(i) = combined usage of stencils 0..i-1. *)
@@ -250,4 +245,4 @@ let balanced ?(ceiling = 0.85) ?(max_devices = 8) ~device (p : Program.t) =
           (fun k -> minus prefix.(boundaries.(k + 1)) prefix.(boundaries.(k)))
           (Sf_support.Util.range devices)
       in
-      Ok (derive_metadata p device_of devices per_device)
+      Ok (derive_metadata checked device_of devices per_device)

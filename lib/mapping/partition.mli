@@ -29,7 +29,7 @@ val greedy :
     one stencil alone exceeds a device or more than [max_devices]
     (default 8, the testbed size) are needed. *)
 
-val single_device : Sf_ir.Program.t -> t
+val single_device : Sf_ir.Program.checked -> t
 (** Everything on device 0 (no resource check). *)
 
 val contiguous : devices:int -> Sf_ir.Program.t -> (t, Sf_support.Diag.t) result

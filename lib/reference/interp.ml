@@ -63,14 +63,21 @@ let rec eval_expr ~lookup ~env expr =
 let input_extent (p : Program.t) (f : Field.t) =
   match Field.extent f ~shape:p.Program.shape with [] -> [ 1 ] | extent -> extent
 
-(* Evaluate every stage in topological order: the checks and lowering
-   happen up front, the returned function runs the row loops. A stage
-   that is not an output is dropped once its last consumer has run (at
-   once if nothing reads it), and its data and validity arrays are reused
-   by a later stage, so memory follows the DAG's live width; the results
-   are the outputs only. *)
-let prepare (p : Program.t) ~inputs =
-  Program.validate_exn p;
+type plan = { checked : Program.checked; stages : (Stencil.t * Compile.program) list }
+
+let plan p =
+  let checked = Program.check_exn p in
+  let lower s = (s, Compile.lower s.Stencil.body) in
+  { checked; stages = List.map lower (Program.Checked.order checked) }
+
+(* Evaluate every stage in topological order: the input checks happen up
+   front, the returned function runs the row loops. A stage that is not
+   an output is dropped once its last consumer has run (at once if
+   nothing reads it), and its data and validity arrays are reused by a
+   later stage, so memory follows the DAG's live width; the results are
+   the outputs only. *)
+let prepare { checked; stages } ~inputs =
+  let p = Program.Checked.program checked in
   let shape = Array.of_list p.Program.shape in
   let rank = Program.rank p in
   let cells = Program.cells p in
@@ -88,9 +95,6 @@ let prepare (p : Program.t) ~inputs =
               (Sf_support.Util.string_concat_map "," string_of_int extent);
           Hashtbl.replace resident f.Field.name { t with Tensor.extent })
     p.Program.inputs;
-  let stages =
-    List.map (fun s -> (s, Compile.lower s.Stencil.body)) (Program.topological_stencils p)
-  in
   (* The position of each field's last consumer. *)
   let last_use : (string, int) Hashtbl.t = Hashtbl.create 16 in
   List.iteri
@@ -132,7 +136,7 @@ let prepare (p : Program.t) ~inputs =
               | None -> fail "field %s evaluated before its producer" field
             in
             Compile.tap (Compile.resident tensor.Tensor.data) ~shape
-              ~axes:(Array.of_list (Program.field_axes p field))
+              ~axes:(Array.of_list (Program.Checked.axes checked field))
               ~offsets:(Array.of_list offsets) ~boundary:(Stencil.boundary_for s field))
           (Compile.loads prog)
       in
@@ -162,7 +166,7 @@ let prepare (p : Program.t) ~inputs =
         Option.map (fun r -> (s.Stencil.name, r)) (Hashtbl.find_opt live s.Stencil.name))
       stages
 
-let run p ~inputs = prepare p ~inputs ()
+let run p ~inputs = prepare (plan p) ~inputs ()
 
 let random_inputs ?(seed = 42) (p : Program.t) =
   let state = Random.State.make [| seed |] in

@@ -39,13 +39,22 @@ val run : Sf_ir.Program.t -> inputs:(string * Tensor.t) list -> (string * result
     every stencil an output. Raises {!Runtime_error} on missing or
     mis-shaped inputs. *)
 
-val prepare :
-  Sf_ir.Program.t -> inputs:(string * Tensor.t) list -> unit -> (string * result) list
-(** {!run} in two steps: [prepare] validates the program and the inputs
-    (raising as {!run} does), orders the stages and lowers every body;
-    the returned function runs the row loops. It shares nothing mutable
-    with the caller, may run on another domain, and evaluates afresh on
-    each call. [run p ~inputs = prepare p ~inputs ()]. *)
+type plan = private {
+  checked : Sf_ir.Program.checked;
+  stages : (Sf_ir.Stencil.t * Compile.program) list;  (** Lowered bodies, in dependency order. *)
+}
+(** A checked program with every body lowered once. Nothing changes it
+    afterwards, so the oracle ({!prepare}) and the simulator's stencil
+    units share one plan across domains, each with frames of its own. *)
+
+val plan : Sf_ir.Program.t -> plan
+(** Raises [Invalid_argument] as {!Sf_ir.Program.check_exn} does. *)
+
+val prepare : plan -> inputs:(string * Tensor.t) list -> unit -> (string * result) list
+(** {!run} in two steps: [prepare] checks the inputs (raising as {!run}
+    does); the returned function runs the row loops. It shares nothing
+    mutable with the caller, may run on another domain, and evaluates
+    afresh on each call. [run p ~inputs = prepare (plan p) ~inputs ()]. *)
 
 val random_inputs : ?seed:int -> Sf_ir.Program.t -> (string * Tensor.t) list
 (** Deterministic pseudo-random input data in [-1, 1] for every declared

@@ -64,7 +64,7 @@ let symbol_value t name =
     t.containers
 
 let of_program (p : Program.t) =
-  Program.validate_exn p;
+  let checked = Program.check_exn p in
   let analysis = Sf_analysis.Delay_buffer.analyze p in
   let full_shape = p.Program.shape in
   let containers = ref [] in
@@ -142,7 +142,7 @@ let of_program (p : Program.t) =
             add_edge !graph ~src:aid
               ~dst:(Hashtbl.find stencil_ids consumer)
               ~data:sname ~subset:"[stream]")
-        (Program.consumers p name))
+        (Program.Checked.consumers checked name))
     p.Program.stencils;
   (* Input reads. *)
   List.iter

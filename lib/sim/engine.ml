@@ -142,8 +142,9 @@ type system = {
   producer_for : (string * string, string) Hashtbl.t;
 }
 
-let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
-  Program.validate_exn p;
+let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
+  let checked = plan.Interp.checked in
+  let p = Program.Checked.program checked in
   let { Config.latency; channel_slack; override_edge_buffers; bandwidth; network; _ } =
     config
   in
@@ -194,27 +195,9 @@ let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
         Hashtbl.replace links key (l, probe);
         l
   in
-  (* Lookup tables, built once so that construction stays linear in the
-     number of stencils: stencils and inputs by name, and the consumers of
-     each field in [p.stencils] order, as Program.consumers lists them. *)
-  let stencil_named = Hashtbl.create 64 and input_named = Hashtbl.create 16 in
-  let consumers_of = Hashtbl.create 64 in
-  let consumers field = Option.value ~default:[] (Hashtbl.find_opt consumers_of field) in
-  List.iter
-    (fun s ->
-      Hashtbl.replace stencil_named s.Stencil.name s;
-      List.iter
-        (fun f -> Hashtbl.replace consumers_of f (s.Stencil.name :: consumers f))
-        (Stencil.input_fields s))
-    (List.rev p.Program.stencils);
-  List.iter (fun (f : Field.t) -> Hashtbl.replace input_named f.Field.name f) p.Program.inputs;
-  let full_axes = Sf_support.Util.range full_rank in
-  let device_of name =
-    if Hashtbl.mem stencil_named name then placement name
-    else
-      (* Inputs live wherever their consumer lives; resolved per edge. *)
-      invalid_arg "device_of: only stencils have a home device"
-  in
+  (* Every lookup by name reads the check's facts. Only stencils have a
+     home device: inputs live wherever their consumers do. *)
+  let consumers = Program.Checked.consumers checked and device_of = placement in
   (* Input channel of each consumer edge, keyed by (src, dst). Cross-device
      edges get a source-side channel, a link port, and the destination-side
      channel with the analysed delay buffer. *)
@@ -247,13 +230,12 @@ let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
     (fun s ->
       let dst = s.Stencil.name in
       List.iter
-        (fun field ->
-          match Hashtbl.find_opt stencil_named field with
-          | Some producer ->
-              make_edge ~src:producer.Stencil.name ~dst
-                ~src_device:(device_of producer.Stencil.name) ~dst_device:(device_of dst)
-          | None -> ())
-        (Stencil.input_fields s))
+        (fun src ->
+          match Program.Checked.find checked src with
+          | Program.Op _ ->
+              make_edge ~src ~dst ~src_device:(device_of src) ~dst_device:(device_of dst)
+          | Program.Input _ -> ())
+        (Program.Checked.reads checked dst))
     p.Program.stencils;
   (* Readers: one per (full-rank input field, device); they multicast to
      every consumer on that device. Lower-dimensional fields are prefetched
@@ -328,26 +310,26 @@ let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
   (* Stencil units, in topological order. *)
   let units =
     List.map
-      (fun s ->
+      (fun (s, lowered) ->
         let name = s.Stencil.name in
         let bindings =
           List.map
             (fun field ->
-              match Hashtbl.find_opt input_named field with
-              | Some f when Field.rank f < full_rank ->
+              match Program.Checked.find checked field with
+              | Program.Input f when Field.rank f < full_rank ->
                   let tensor =
                     { (input_tensor field) with Tensor.extent = Interp.input_extent p f }
                   in
                   { Stencil_unit.field; axes = f.Field.axes; channel = None;
                     prefetched = Some tensor }
-              | _ ->
+              | Program.Input _ | Program.Op _ ->
                   {
                     Stencil_unit.field;
-                    axes = full_axes;
+                    axes = Program.Checked.axes checked field;
                     channel = Some (Hashtbl.find dst_channel (field, name));
                     prefetched = None;
                   })
-            (Stencil.input_fields s)
+            (Program.Checked.reads checked name)
         in
         let consumer_outputs =
           List.filter_map
@@ -358,9 +340,10 @@ let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
         let outputs = consumer_outputs @ Option.to_list writer_output in
         let info = Sf_analysis.Delay_buffer.node_info analysis name in
         let probe = Telemetry.probe telemetry ~kind:Telemetry.Unit ~name in
-        ( Stencil_unit.create ?probe ~program:p ~stencil:s ~info ~inputs:bindings ~outputs (),
+        ( Stencil_unit.create ?probe ~program:p ~stencil:s ~lowered ~info ~inputs:bindings
+            ~outputs (),
           probe ))
-      (Program.topological_stencils p)
+      plan.Interp.stages
   in
   let predicted =
     analysis.Sf_analysis.Delay_buffer.latency_cycles + (Program.cells p / w)
@@ -378,6 +361,9 @@ let build ~config ~telemetry ~placement ~inputs (p : Program.t) =
       producer_for;
     },
     predicted )
+
+let build ~config ~telemetry ~placement ~inputs p =
+  build_plan ~config ~telemetry ~placement ~inputs (Interp.plan p)
 
 (* Freeze the counter registry: per-component push/pop/byte counts are
    harvested once here from the always-on channel and controller
@@ -950,9 +936,10 @@ let scheduler ~config ?injector ~finished system =
    it, then assemble the outcome, diagnosing a run that did not finish.
    [drive] returns the cycles executed, whether the idle window
    tripped, and the occupancy samples. *)
-let simulate ~config ~placement ~inputs ~drive (p : Program.t) =
+let simulate_plan ~config ~placement ~inputs ~drive plan =
+  let p = Program.Checked.program plan.Interp.checked in
   let telemetry = Telemetry.create ~enabled:config.Config.tracing.Config.telemetry () in
-  let system, predicted = build ~config ~telemetry ~placement ~inputs p in
+  let system, predicted = build_plan ~config ~telemetry ~placement ~inputs plan in
   (* Fault injection binds the plan's streams to the built components. *)
   let injector =
     match config.Config.faults.Config.plan with
@@ -1077,17 +1064,23 @@ let simulate ~config ~placement ~inputs ~drive (p : Program.t) =
       }
   end
   else Completed (completed_stats ~faults ~system ~predicted ~cycles:cycle ~report:(report ()) p)
+
+let simulate ~config ~placement ~inputs ~drive p =
+  simulate_plan ~config ~placement ~inputs ~drive (Interp.plan p)
 end
 
 open Internal
 
-let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Program.t) =
-  let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in
+let run_plan ~config ~placement ~inputs plan =
   let max_cycles = Option.value config.Config.safety.Config.max_cycles ~default:max_int in
-  simulate ~config ~placement ~inputs p ~drive:(fun system injector finished ->
+  simulate_plan ~config ~placement ~inputs plan ~drive:(fun system injector finished ->
       let s = scheduler ~config ?injector ~finished system in
       s.advance ~limit:max_cycles;
       (s.now (), s.deadlocked (), s.samples ()))
+
+let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Program.t) =
+  let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in
+  run_plan ~config ~placement ~inputs (Interp.plan p)
 
 (* The structured failure of a non-completing run: SF0701 for a true
    deadlock (the idle window tripped), SF0703 for a cycle-budget
@@ -1129,15 +1122,19 @@ let to_result ~config = function
 let run ?(config = Config.default) ?placement ?inputs p =
   to_result ~config (run_exn ~config ?placement ?inputs p)
 
-(* The oracle reads only the program and the inputs: it evaluates on a
-   second domain while this one simulates, or inline after the run in a
-   pool worker (its pool already uses the cores) or on a one-core host.
-   It is prepared here, before the spawn: preparing on the second domain
-   measured slower, as its allocation then runs alongside the build's.
-   The run's exception or [Error] wins over any oracle exception. *)
-let run_and_validate ?config ?placement ?inputs p =
+(* The program is checked and every body lowered once, into the plan
+   that the stencil units and the oracle share. The oracle reads only
+   the plan and the inputs: it evaluates on a second domain while this
+   one simulates, or inline after the run in a pool worker (its pool
+   already uses the cores) or on a one-core host. It is prepared here,
+   before the spawn: preparing on the second domain measured slower, as
+   its allocation then runs alongside the build's. A malformed program
+   raises before either runs; otherwise the run's exception or [Error]
+   wins over any oracle exception. *)
+let run_and_validate ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs p =
   let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in
-  let oracle = try Interp.prepare p ~inputs with e -> fun () -> raise e in
+  let plan = Interp.plan p in
+  let oracle = try Interp.prepare plan ~inputs with e -> fun () -> raise e in
   let reference, discard =
     if Sf_support.Executor.worker_index () > 0 || Domain.recommended_domain_count () < 2 then
       (oracle, ignore)
@@ -1145,7 +1142,7 @@ let run_and_validate ?config ?placement ?inputs p =
       let d = Domain.spawn oracle in
       ((fun () -> Domain.join d), fun () -> try ignore (Domain.join d) with _ -> ())
   in
-  match run ?config ?placement ~inputs p with
+  match to_result ~config (run_plan ~config ~placement ~inputs plan) with
   | Ok stats -> compare_outputs ~reference:(reference ()) stats
   | Error _ as e ->
       discard ();

@@ -186,8 +186,8 @@ val run_exn :
     index (default: everything on device 0); input fields are replicated
     to every device that reads them. [inputs] default to
     {!Sf_reference.Interp.random_inputs}. Despite the name this raises
-    only on malformed programs ({!Sf_ir.Program.validate_exn}); a
-    non-completing simulation is the [Deadlocked] outcome. *)
+    only on malformed programs ({!Sf_ir.Program.check_exn}) and missing
+    inputs; a non-completing simulation is the [Deadlocked] outcome. *)
 
 val run :
   ?config:config ->
@@ -207,7 +207,9 @@ val run_and_validate :
   Sf_ir.Program.t ->
   (stats, Sf_support.Diag.t) result
 (** {!run}, then compare every program output against the sequential
-    reference interpreter. A mismatch maps to code [SF0702]. *)
+    reference interpreter. The program is checked and every body lowered
+    once ({!Sf_reference.Interp.plan}), for the stencil units and the
+    interpreter alike. A mismatch maps to code [SF0702]. *)
 
 val to_result : config:config -> outcome -> (stats, Sf_support.Diag.t) result
 (** The {!run} view of an outcome. *)

@@ -63,7 +63,7 @@ type t = {
   probe : Telemetry.probe option;
 }
 
-let create ?probe ~program ~stencil ~info ~inputs ~outputs () =
+let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
   let { Sf_analysis.Delay_buffer.init_cycles = init_max; compute_cycles; buffers } = info in
   let shape = Array.of_list program.Program.shape in
   let w = program.Program.vector_width in
@@ -111,7 +111,6 @@ let create ?probe ~program ~stencil ~info ~inputs ~outputs () =
   let inputs_arr = Array.of_list (streaming @ prefetched) in
   (* Every load slot reads its input's window at the access offsets, or
      the prefetched tensor of a lower-dimensional input. *)
-  let prog = Compile.lower stencil.Stencil.body in
   let taps =
     Array.map
       (fun (field, offsets) ->

@@ -31,14 +31,16 @@ val create :
   ?probe:Telemetry.probe ->
   program:Sf_ir.Program.t ->
   stencil:Sf_ir.Stencil.t ->
+  lowered:Sf_reference.Compile.program ->
   info:Sf_analysis.Delay_buffer.node_info ->
   inputs:input_binding list ->
   outputs:Channel.t list ->
   unit ->
   t
-(** [info] is the stencil's delay-buffer analysis entry. The unit reads
-    only the values of its inputs; a shrink unit's validity comes from
-    its own taps and goes only to outputs that carry flags. [probe]
+(** [lowered] is the stencil's body, shared and only read; [info] is its
+    delay-buffer analysis entry. The unit reads only the values of its
+    inputs; a shrink unit's validity comes from its own taps and goes
+    only to outputs that carry flags. [probe]
     enables per-cycle stall classification (cause + blamed channel)
     into the telemetry registry; without it only the aggregate
     {!stall_cycles} counter is maintained. *)

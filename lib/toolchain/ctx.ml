@@ -262,9 +262,11 @@ let opt_slot =
     fp = (fun r -> F.of_string (opt_text r));
   }
 
+(* The name keys the on-disk binding: a new [Delay_buffer.t] layout
+   renames the slot, so blobs of the old layout read as stale. *)
 let analysis_slot =
   {
-    slot_name = "analysis";
+    slot_name = "analysis-indexed";
     get = (fun ctx -> ctx.analysis);
     put = (fun ctx a -> { ctx with analysis = Some a });
     erase = (fun ctx -> { ctx with analysis = None });

@@ -126,7 +126,8 @@ let partition =
               "program does not partition across devices; falling back to a single \
                oversubscribed device"
           in
-          Ctx.add_diag { ctx with Ctx.partition = Some (Partition.single_device p) } warn
+          let pt = Partition.single_device (Program.check_exn p) in
+          Ctx.add_diag { ctx with Ctx.partition = Some pt } warn
           |> Result.ok)
 
 let partition_into devices =

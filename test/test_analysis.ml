@@ -220,6 +220,67 @@ let prop_delay_nonnegative =
                a.Delay_buffer.edges)
            p.Program.stencils)
 
+let arbitrary_programs =
+  QCheck.make
+    ~print:(fun p -> Format.asprintf "%a" Program.pp p)
+    (QCheck.Gen.oneof [ Program_gen.program_gen; Program_gen.adversarial_program_gen ])
+
+(* Each lookup reads the table [analyze] builds, and answers as
+   [List.assoc] on the record's lists: the same value, or [Not_found]. *)
+let prop_delay_lookups_match_lists =
+  QCheck.Test.make ~count:200 ~name:"delay-buffer lookups equal List.assoc"
+    arbitrary_programs (fun p ->
+      let a = Delay_buffer.analyze p in
+      let same lookup assoc key =
+        let answer f = match f key with v -> Some v | exception Not_found -> None in
+        answer lookup = answer assoc
+      in
+      let names = "ghost" :: List.map fst a.Delay_buffer.nodes in
+      let pairs =
+        ("ghost", "ghost") :: List.concat_map (fun u -> List.map (fun v -> (u, v)) names) names
+      in
+      List.for_all
+        (fun name ->
+          same (Delay_buffer.node_info a) (fun n -> List.assoc n a.Delay_buffer.nodes) name
+          && same (Delay_buffer.start_cycle a) (fun n -> fst (List.assoc n a.Delay_buffer.timing)) name
+          && same (Delay_buffer.output_cycle a) (fun n -> snd (List.assoc n a.Delay_buffer.timing)) name)
+        names
+      && List.for_all
+           (fun (src, dst) ->
+             let assoc e = List.assoc e a.Delay_buffer.edges in
+             same (fun (src, dst) -> Delay_buffer.buffer_for a ~src ~dst) assoc (src, dst))
+           pairs)
+
+(* The definition [Internal_buffer.of_stencil] had before it took the
+   body's accesses once: [Stencil.accesses_of_field] per field read, each
+   call interning the body again, behind a [Program.field_axes] scan. *)
+let reference_of_stencil (p : Program.t) (s : Stencil.t) =
+  let full_rank = Program.rank p in
+  let w = p.Program.vector_width in
+  List.filter_map
+    (fun field ->
+      if List.length (Program.field_axes p field) <> full_rank then None
+      else begin
+        let offsets = Stencil.accesses_of_field s field in
+        let flats = List.map (Internal_buffer.flatten_offset ~shape:p.Program.shape) offsets in
+        let min_flat = List.fold_left min (List.hd flats) flats in
+        let max_flat = List.fold_left max (List.hd flats) flats in
+        let buffered = List.length offsets > 1 in
+        let size_elements = if buffered then max_flat - min_flat + w else 0 in
+        let init_elements =
+          if buffered then max (size_elements - 1) (max 0 max_flat) else max 0 max_flat
+        in
+        Some { Internal_buffer.field; offsets; min_flat; max_flat; size_elements; init_elements }
+      end)
+    (Stencil.input_fields s)
+
+let prop_internal_buffers_match_reference =
+  QCheck.Test.make ~count:300 ~name:"internal buffers equal their old definition"
+    arbitrary_programs (fun p ->
+      List.for_all
+        (fun s -> Internal_buffer.of_stencil p s = reference_of_stencil p s)
+        p.Program.stencils)
+
 let suite =
   [
     Alcotest.test_case "fig 7: row buffers (2I+W)" `Quick test_fig7_rows;
@@ -239,4 +300,6 @@ let suite =
     Alcotest.test_case "roofline equations 2-4" `Quick test_roofline_eqs;
     Alcotest.test_case "legal vector widths" `Quick test_vectorize_legal_widths;
     QCheck_alcotest.to_alcotest prop_delay_nonnegative;
+    QCheck_alcotest.to_alcotest prop_delay_lookups_match_lists;
+    QCheck_alcotest.to_alcotest prop_internal_buffers_match_reference;
   ]

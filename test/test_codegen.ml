@@ -146,6 +146,30 @@ let test_vitis_kitchen_sink () =
   let src = Fixtures.ok (Sf_codegen.Vitis.generate (Fixtures.kitchen_sink ())) in
   check_contains src [ "float pref_crlat[6]"; "const float t ="; "#pragma HLS ARRAY_PARTITION" ]
 
+(* The Vitis source of every shipped program, fused and optimized, pinned
+   byte for byte by digest: the one-shot CLI cannot select this backend,
+   so test/cli/stencilflow.t pins only the OpenCL output. *)
+let vitis_digests =
+  [
+    ("acoustic_wave.json", "7ab678a37c9fd84045e6248e1de26482");
+    ("diamond.json", "13b848ccebcbe2f43e966396888f90be");
+    ("hdiff_2dev.json", "b79cb38285400dd28390b9a108abb278");
+    ("horizontal_diffusion_small.json", "ef6eaf7941af3df1a25900a9900b6e30");
+    ("jacobi2d_8stage.json", "0e982f73a9b85fed82913305d24e1919");
+    ("laplace2d.json", "29ada15b64cd9d1541c20e089a6e5b02");
+    ("shallow_water.json", "4e6ebbccc94a736b4a51e6990e73b97b");
+    ("smoothing3d.json", "0c2203b012e1e024ae37f15b75a3f4a0");
+  ]
+
+let test_vitis_pinned () =
+  List.iter
+    (fun (file, digest) ->
+      let p = Fixtures.ok (Sf_frontend.Program_json.of_file ("../examples/programs/" ^ file)) in
+      let p = Sf_sdfg.Opt.optimize (fst (Sf_sdfg.Fusion.fuse_all p)) in
+      let src = Fixtures.ok (Sf_codegen.Vitis.generate p) in
+      Alcotest.(check string) file digest (Digest.to_hex (Digest.string src)))
+    vitis_digests
+
 let test_dot_export () =
   let p = Fixtures.diamond ~shape:[ 8; 16 ] ~span:3 () in
   let dot = Dot.of_program p in
@@ -175,6 +199,7 @@ let suite =
     Alcotest.test_case "expression rendering" `Quick test_expression_to_c;
     Alcotest.test_case "vitis backend structure" `Quick test_vitis_backend;
     Alcotest.test_case "vitis backend kitchen sink" `Quick test_vitis_kitchen_sink;
+    Alcotest.test_case "vitis output of every example pinned" `Quick test_vitis_pinned;
     Alcotest.test_case "graphviz export" `Quick test_dot_export;
     Alcotest.test_case "sdfg graphviz export (fig 12)" `Quick test_sdfg_dot_export;
   ]

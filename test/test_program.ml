@@ -287,6 +287,49 @@ let prop_validate_matches_reference =
       let p = List.fold_left inject p faults in
       Program.validate p = reference_validate p)
 
+(* [check] hands back what it derives: on a valid program each fact
+   equals the definition it replaces, and on an invalid one it fails
+   with [validate]'s errors. Generated programs, plain and adversarial,
+   with the faults of "validate matches its old definition" injected. *)
+let prop_check_facts_match_definitions =
+  let faulty_program gen =
+    QCheck.Gen.(pair gen (list_size (int_range 0 2) (pair (int_range 0 10) (int_range 0 7))))
+  in
+  QCheck.Test.make ~count:300 ~name:"check's facts equal their definitions"
+    (QCheck.make
+       ~print:(fun (p, _) -> Format.asprintf "%a" Program.pp p)
+       (QCheck.Gen.oneof
+          [
+            faulty_program Program_gen.program_gen;
+            faulty_program Program_gen.adversarial_program_gen;
+            QCheck.Gen.map (fun p -> (p, [])) Program_gen.adversarial_program_gen;
+          ]))
+    (fun (p, faults) ->
+      let p = List.fold_left inject p faults in
+      let names = List.map (fun s -> s.Stencil.name) in
+      match Program.check p with
+      | Error errs -> Program.validate p = Error errs && reference_validate p = Error errs
+      | Ok c ->
+          let fields =
+            List.map (fun f -> f.Field.name) p.Program.inputs @ names p.Program.stencils
+          in
+          reference_validate p = Ok ()
+          && Program.Checked.program c == p
+          && names (Program.Checked.order c) = names (Program.topological_stencils p)
+          && List.for_all
+               (fun s ->
+                 Program.Checked.reads c s.Stencil.name = Stencil.input_fields s
+                 && (match Program.Checked.find c s.Stencil.name with
+                    | Program.Op s' -> s' == s
+                    | Program.Input _ -> false))
+               p.Program.stencils
+          && List.for_all
+               (fun f ->
+                 Program.Checked.axes c f = Program.field_axes p f
+                 && Program.Checked.consumers c f = Program.consumers p f)
+               fields
+          && Program.Checked.consumers c "nowhere" = [])
+
 let test_strides () =
   let p = Fixtures.kitchen_sink ~shape:[ 4; 6; 8 ] () in
   Alcotest.(check (list int)) "strides" [ 48; 8; 1 ] (Program.strides p);
@@ -452,6 +495,7 @@ let suite =
     Alcotest.test_case "topological stencil order" `Quick test_topological_stencils;
     QCheck_alcotest.to_alcotest prop_topological_matches_reference;
     QCheck_alcotest.to_alcotest prop_validate_matches_reference;
+    QCheck_alcotest.to_alcotest prop_check_facts_match_definitions;
     Alcotest.test_case "strides and cells" `Quick test_strides;
     Alcotest.test_case "field axes resolution" `Quick test_field_axes;
     Alcotest.test_case "json roundtrip laplace" `Quick (roundtrip_program (Fixtures.laplace2d ()));
