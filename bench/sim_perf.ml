@@ -257,7 +257,8 @@ let () =
         (List.hd eo_opt.Program.stencils)
         eo_opt.Program.stencils
     in
-    Compile.lower widest.Stencil.body
+    (* Every load its own slot, filled below as a flat prefix. *)
+    Compile.lower ~lane:(fun _ -> Compile.Fixed) widest.Stencil.body
   in
   let eo_lanes = 4 in
   let eval_ns_per_cell ~lanes =
@@ -277,7 +278,7 @@ let () =
       data.(i mod loads) <- data.(i mod loads) +. 1e-12;
       Array.blit data 0 fr 0 loads;
       Compile.exec eo_prog ~lanes fr;
-      sink := !sink +. fr.(Compile.result_slot eo_prog * lanes)
+      sink := !sink +. fr.(Compile.result eo_prog ~stride:lanes)
     done;
     let dt = Unix.gettimeofday () -. t0 in
     if Float.is_nan !sink then Printf.printf "(unreachable)";

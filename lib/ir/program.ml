@@ -131,9 +131,10 @@ let check t =
             err "stencil %s: boundary condition for unread field %s" s.Stencil.name f)
         s.Stencil.boundary)
     reads;
+  let stencil_names = Hashtbl.create 64 in
+  List.iter (fun s -> Hashtbl.replace stencil_names s.Stencil.name ()) t.stencils;
   List.iter
-    (fun o ->
-      if find_stencil t o = None then err "declared output %s is not a stencil" o)
+    (fun o -> if not (Hashtbl.mem stencil_names o) then err "declared output %s is not a stencil" o)
     t.outputs;
   (* Global structure: acyclic, and every stencil feeds some output. *)
   let sorted = ref None in

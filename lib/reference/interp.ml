@@ -65,9 +65,21 @@ let input_extent (p : Program.t) (f : Field.t) =
 
 type plan = { checked : Program.checked; stages : (Stencil.t * Compile.program) list }
 
+(* A field's loads shift along the lane (innermost) axis only if it
+   spans that axis and reads a constant out of bounds. *)
 let plan p =
   let checked = Program.check_exn p in
-  let lower s = (s, Compile.lower s.Stencil.body) in
+  let lane_axis = Program.rank p - 1 in
+  let lower s =
+    let lane field =
+      if not (List.mem lane_axis (Program.Checked.axes checked field)) then Compile.Uniform
+      else
+        match Stencil.boundary_for s field with
+        | Boundary.Constant _ -> Compile.Shifts
+        | Boundary.Copy -> Compile.Fixed
+    in
+    (s, Compile.lower ~lane s.Stencil.body)
+  in
   { checked; stages = List.map lower (Program.Checked.order checked) }
 
 (* Evaluate every stage in topological order: the input checks happen up
@@ -128,24 +140,22 @@ let prepare { checked; stages } ~inputs =
         | [] -> (Tensor.create p.Program.shape, Array.make cells true)
       in
       let taps =
-        Array.map
-          (fun (field, offsets) ->
+        Compile.taps prog ~shape (fun field ->
             let tensor =
               match Hashtbl.find_opt store field with
               | Some t -> t
               | None -> fail "field %s evaluated before its producer" field
             in
-            Compile.tap (Compile.resident tensor.Tensor.data) ~shape
-              ~axes:(Array.of_list (Program.Checked.axes checked field))
-              ~offsets:(Array.of_list offsets) ~boundary:(Stencil.boundary_for s field))
-          (Compile.loads prog)
+            ( Compile.resident tensor.Tensor.data,
+              Array.of_list (Program.Checked.axes checked field),
+              Stencil.boundary_for s field ))
       in
-      let frame = Compile.frame prog ~lanes in
-      let result = Compile.result_slot prog * lanes in
+      let frame = Compile.frame prog ~lanes and stride = Compile.stride prog ~lanes in
+      let result = Compile.result prog ~stride in
       let oob = Array.make lanes false in
       let idx = Array.make rank 0 in
       for row = 0 to (cells / lanes) - 1 do
-        Compile.fill taps ~idx ~lanes ~stride:lanes frame ~oob;
+        Compile.fill taps ~idx ~lanes ~stride frame ~oob;
         Compile.exec prog ~lanes frame;
         Array.blit frame result out.Tensor.data (row * lanes) lanes;
         if s.Stencil.shrink then

@@ -48,7 +48,12 @@ type plan = private {
     units share one plan across domains, each with frames of its own. *)
 
 val plan : Sf_ir.Program.t -> plan
-(** Raises [Invalid_argument] as {!Sf_ir.Program.check_exn} does. *)
+(** Each body is lowered with the checked facts ({!Compile.lane}): a
+    field's loads shift along the innermost axis when the field spans
+    it and the stencil's boundary for it is [Constant]; a [Copy]
+    boundary keeps them [Fixed], and a field that does not span the
+    axis is [Uniform]. Raises [Invalid_argument] as
+    {!Sf_ir.Program.check_exn} does. *)
 
 val prepare : plan -> inputs:(string * Tensor.t) list -> unit -> (string * result) list
 (** {!run} in two steps: [prepare] checks the inputs (raising as {!run}

@@ -63,8 +63,8 @@ let symbol_value t name =
       else None)
     t.containers
 
-let of_program (p : Program.t) =
-  let checked = Program.check_exn p in
+let of_checked checked =
+  let p = Program.Checked.program checked in
   let analysis = Sf_analysis.Delay_buffer.analyze p in
   let full_shape = p.Program.shape in
   let containers = ref [] in
@@ -165,7 +165,9 @@ let of_program (p : Program.t) =
     states = [ { slabel = "main"; body = !graph } ];
   }
 
-let extract_program (t : t) =
+let of_program p = of_checked (Program.check_exn p)
+
+let extract_checked (t : t) =
   let stencils =
     List.concat_map
       (fun st -> List.filter_map (fun (_, n) -> match n with Stencil_node s -> Some s | _ -> None) st.body.nodes)
@@ -234,10 +236,10 @@ let extract_program (t : t) =
           Program.make ~dtype:out_container.dtype ~vector_width:w ~name:t.name ~shape
             ~inputs ~outputs stencils
         in
-        (match Program.validate program with
-        | Ok () -> Ok program
-        | Error errs -> Error (String.concat "; " errs))
+        Result.map_error (String.concat "; ") (Program.check program)
   end
+
+let extract_program t = Result.map Program.Checked.program (extract_checked t)
 
 (* Expansion of a stencil library node into the Fig. 12 subgraph. *)
 let expand_stencil (p_shape : int list) w init_cycles drain_cycles (s : Stencil.t) containers =

@@ -67,12 +67,19 @@ val of_program : Sf_ir.Program.t -> t
 (** Lower a stencil program into a single-state SDFG: one [Stencil_node]
     per stencil, access nodes for every container, stream-typed
     containers on inter-stencil edges with the delay-buffer depths of
-    Sec. IV-B, and off-chip containers for program inputs and outputs. *)
+    Sec. IV-B, and off-chip containers for program inputs and outputs.
+    Raises [Invalid_argument] as {!Sf_ir.Program.check_exn} does. *)
+
+val of_checked : Sf_ir.Program.checked -> t
+(** {!of_program} of a program already checked. *)
 
 val extract_program : t -> (Sf_ir.Program.t, string) result
 (** The canonicalization direction of Sec. VII: recover a stencil program
     from an SDFG whose states contain stencil library nodes. Inverse of
     {!of_program} up to stream depths. *)
+
+val extract_checked : t -> (Sf_ir.Program.checked, string) result
+(** {!extract_program} with what its check derived. *)
 
 val expand_library_nodes : t -> t
 (** Expand every [Stencil_node] into the Fig. 12 pipeline scope: a shift

@@ -1,12 +1,15 @@
 open Sf_ir
 
-let program_of_sdfg t =
-  match Sdfg.extract_program t with
-  | Ok p -> p
+(* The program an SDFG holds, checked once: the order and every fact a
+   transform needs come from that check. *)
+let checked_of_sdfg t =
+  match Sdfg.extract_checked t with
+  | Ok c -> c
   | Error m -> invalid_arg ("Transform: cannot recover stencil program: " ^ m)
 
 let map_fission (t : Sdfg.t) =
-  let p = program_of_sdfg t in
+  let checked = checked_of_sdfg t in
+  let p = Program.Checked.program checked in
   let full_shape = p.Program.shape in
   let containers =
     List.map
@@ -65,10 +68,10 @@ let map_fission (t : Sdfg.t) =
             axes_hint = None;
           };
         ];
-    states = List.map state_of_stencil (Program.topological_stencils p);
+    states = List.map state_of_stencil (Program.Checked.order checked);
   }
 
-let state_fusion (t : Sdfg.t) = Sdfg.of_program (program_of_sdfg t)
+let state_fusion (t : Sdfg.t) = Sdfg.of_checked (checked_of_sdfg t)
 
 let nest_dim (p : Program.t) ~extent =
   if Program.rank p >= 3 then

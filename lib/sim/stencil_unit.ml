@@ -34,6 +34,7 @@ type t = {
   prog : Compile.program;
   taps : Compile.tap array;
   frame : float array;
+  stride : int;
   result : int;
   idx : int array;
   oob : bool array;
@@ -109,24 +110,21 @@ let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
     List.partition (fun (i : input_state) -> Option.is_some i.channel) input_states
   in
   let inputs_arr = Array.of_list (streaming @ prefetched) in
-  (* Every load slot reads its input's window at the access offsets, or
-     the prefetched tensor of a lower-dimensional input. *)
+  (* Every load run reads its input's window at its offsets, or the
+     prefetched tensor of a lower-dimensional input. *)
   let taps =
-    Array.map
-      (fun (field, offsets) ->
+    Compile.taps prog ~shape (fun field ->
         let input =
           match Array.find_opt (fun i -> String.equal i.field field) inputs_arr with
           | Some i -> i
           | None ->
               failwith (Printf.sprintf "stencil %s: unbound access to %s" stencil.Stencil.name field)
         in
-        Compile.tap input.src ~shape
-          ~axes:input.axes
-          ~offsets:(Array.of_list offsets) ~boundary:(Stencil.boundary_for stencil field))
-      (Compile.loads prog)
+        (input.src, input.axes, Stencil.boundary_for stencil field))
   in
   let pend_cap = compute_cycles + 2 + Channel.chunk in
   let lanes = Int.min (Channel.chunk * w) shape.(Array.length shape - 1) in
+  let stride = Compile.stride prog ~lanes in
   {
     name = stencil.Stencil.name;
     shape;
@@ -139,7 +137,8 @@ let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
     prog;
     taps;
     frame = Compile.frame prog ~lanes;
-    result = Compile.result_slot prog * lanes;
+    stride;
+    result = Compile.result prog ~stride;
     idx = Array.make (Array.length shape) 0;
     oob = Array.make lanes false;
     shrink = stencil.Stencil.shrink;
@@ -186,11 +185,11 @@ let consuming_active t i = consuming_at i t.step && t.step - i.start_step < t.n_
    order, one per step from [init_max] on, so the multi-index is carried
    from word to word. *)
 let compute t ~now n =
-  let stride = Array.length t.oob and last = Array.length t.shape - 1 in
+  let last = Array.length t.shape - 1 in
   let r = ref 0 in
   while !r < n do
     let lanes = Int.min ((n - !r) * t.w) (t.shape.(last) - t.idx.(last)) in
-    Compile.fill t.taps ~idx:t.idx ~lanes ~stride t.frame ~oob:t.oob;
+    Compile.fill t.taps ~idx:t.idx ~lanes ~stride:t.stride t.frame ~oob:t.oob;
     Compile.exec t.prog ~lanes t.frame;
     let tail = t.pend_head + t.pend_count in
     let tail = if tail >= t.pend_cap then tail - t.pend_cap else tail in

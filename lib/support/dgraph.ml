@@ -10,15 +10,21 @@ module Make (V : ORDERED) = struct
   module VMap = Map.Make (V)
   module VSet = Set.Make (V)
 
-  (* Adjacency is kept in insertion order (lists) so that analyses and
-     printers are deterministic across runs. *)
+  (* Adjacency is kept in insertion order so that analyses and printers
+     are deterministic across runs: each vertex's neighbours are a list,
+     newest first, with a set beside it so that adding an edge costs a
+     membership test and a cons. Only replacing an existing edge, which
+     moves it to the end, walks the list. *)
+  type 'e neighbours = { rev : (vertex * 'e) list; set : VSet.t }
+
   type ('a, 'e) t = {
     labels : 'a VMap.t;
-    succ : (vertex * 'e) list VMap.t;
-    pred : (vertex * 'e) list VMap.t;
+    succ : 'e neighbours VMap.t;
+    pred : 'e neighbours VMap.t;
     insertion : vertex list; (* reverse insertion order of vertices *)
   }
 
+  let none = { rev = []; set = VSet.empty }
   let empty = { labels = VMap.empty; succ = VMap.empty; pred = VMap.empty; insertion = [] }
   let mem_vertex g v = VMap.mem v g.labels
 
@@ -27,43 +33,44 @@ module Make (V : ORDERED) = struct
     else
       {
         labels = VMap.add v label g.labels;
-        succ = VMap.add v [] g.succ;
-        pred = VMap.add v [] g.pred;
+        succ = VMap.add v none g.succ;
+        pred = VMap.add v none g.pred;
         insertion = v :: g.insertion;
       }
 
-  let adjacency map v = match VMap.find_opt v map with Some l -> l | None -> []
+  let adjacency map v = match VMap.find_opt v map with Some a -> a | None -> none
+  let drop key l = List.filter (fun (k, _) -> V.compare k key <> 0) l
 
-  let replace_assoc key value l =
-    let without = List.filter (fun (k, _) -> V.compare k key <> 0) l in
-    without @ [ (key, value) ]
+  (* [key] moves to the end (the head of [rev]) with its new label. *)
+  let replace a key value =
+    let rev = if VSet.mem key a.set then drop key a.rev else a.rev in
+    { rev = (key, value) :: rev; set = VSet.add key a.set }
 
   let add_edge g ~src ~dst e =
     if not (mem_vertex g src) then invalid_arg "Dgraph.add_edge: unknown source vertex";
     if not (mem_vertex g dst) then invalid_arg "Dgraph.add_edge: unknown destination vertex";
     {
       g with
-      succ = VMap.add src (replace_assoc dst e (adjacency g.succ src)) g.succ;
-      pred = VMap.add dst (replace_assoc src e (adjacency g.pred dst)) g.pred;
+      succ = VMap.add src (replace (adjacency g.succ src) dst e) g.succ;
+      pred = VMap.add dst (replace (adjacency g.pred dst) src e) g.pred;
     }
 
   let remove_edge g ~src ~dst =
-    let drop key l = List.filter (fun (k, _) -> V.compare k key <> 0) l in
+    let remove a key = { rev = drop key a.rev; set = VSet.remove key a.set } in
     {
       g with
-      succ = VMap.add src (drop dst (adjacency g.succ src)) g.succ;
-      pred = VMap.add dst (drop src (adjacency g.pred dst)) g.pred;
+      succ = VMap.add src (remove (adjacency g.succ src) dst) g.succ;
+      pred = VMap.add dst (remove (adjacency g.pred dst) src) g.pred;
     }
+
+  let succs g v = List.rev (adjacency g.succ v).rev
+  let preds g v = List.rev (adjacency g.pred v).rev
 
   let remove_vertex g v =
     if not (mem_vertex g v) then g
     else begin
-      let g =
-        List.fold_left (fun g (s, _) -> remove_edge g ~src:v ~dst:s) g (adjacency g.succ v)
-      in
-      let g =
-        List.fold_left (fun g (p, _) -> remove_edge g ~src:p ~dst:v) g (adjacency g.pred v)
-      in
+      let g = List.fold_left (fun g (s, _) -> remove_edge g ~src:v ~dst:s) g (succs g v) in
+      let g = List.fold_left (fun g (p, _) -> remove_edge g ~src:p ~dst:v) g (preds g v) in
       {
         labels = VMap.remove v g.labels;
         succ = VMap.remove v g.succ;
@@ -72,7 +79,7 @@ module Make (V : ORDERED) = struct
       }
     end
 
-  let mem_edge g ~src ~dst = List.exists (fun (k, _) -> V.compare k dst = 0) (adjacency g.succ src)
+  let mem_edge g ~src ~dst = VSet.mem dst (adjacency g.succ src).set
   let find_vertex g v = VMap.find_opt v g.labels
 
   let find_vertex_exn g v =
@@ -81,12 +88,10 @@ module Make (V : ORDERED) = struct
     | None -> invalid_arg "Dgraph.find_vertex_exn: unknown vertex"
 
   let find_edge g ~src ~dst =
-    List.find_opt (fun (k, _) -> V.compare k dst = 0) (adjacency g.succ src) |> Option.map snd
+    List.find_opt (fun (k, _) -> V.compare k dst = 0) (adjacency g.succ src).rev |> Option.map snd
 
-  let succs g v = adjacency g.succ v
-  let preds g v = adjacency g.pred v
-  let out_degree g v = List.length (succs g v)
-  let in_degree g v = List.length (preds g v)
+  let out_degree g v = List.length (adjacency g.succ v).rev
+  let in_degree g v = List.length (adjacency g.pred v).rev
   let vertex_order g = List.rev g.insertion
   let vertices g = List.map (fun v -> (v, VMap.find v g.labels)) (vertex_order g)
 

@@ -22,6 +22,9 @@ let bind_vars e =
     result = e;
   }
 
+(* Every load its own slot: the frame's load slots are a flat prefix. *)
+let fixed _ = Compile.Fixed
+
 (* The value of load ([field], [offsets]) in lane [lane], from [seed]. *)
 let leaf_value ~seed ~field ~offsets ~lane =
   let h = Hashtbl.hash (seed, field, offsets, lane) in
@@ -40,7 +43,7 @@ let sentinel cell = Int64.float_of_bits (Int64.logor 0x7ff8_5e00_0000_0000L (Int
 let lanes_match_interp ?stride ~seed e lanes =
   let stride = Option.value stride ~default:lanes in
   let b = bind_vars e in
-  let p = Compile.lower b in
+  let p = Compile.lower ~lane:fixed b in
   let fr = Compile.frame p ~lanes:stride in
   let outside cell = cell mod stride >= lanes in
   Array.iteri (fun cell _ -> if outside cell then fr.(cell) <- sentinel cell) fr;
@@ -57,7 +60,7 @@ let lanes_match_interp ?stride ~seed e lanes =
       let expected =
         Interp.eval_expr ~lookup ~env:(fun v -> Some (lookup ~field:v ~offsets:[])) e
       in
-      let got = fr.((Compile.result_slot p * stride) + lane) in
+      let got = fr.(Compile.result p ~stride + lane) in
       Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float got)
       || QCheck.Test.fail_reportf "lanes=%d lane=%d: expected %h, got %h" lanes lane expected got)
     (List.init lanes Fun.id)
@@ -128,7 +131,7 @@ let test_slot_reuse () =
         if_false = Expr.Unary (Expr.Neg, Expr.Binary (Expr.Or, access "a", access "b"));
       }
   in
-  let p = Compile.lower { Expr.lets = []; result = e } in
+  let p = Compile.lower ~lane:fixed { Expr.lets = []; result = e } in
   Alcotest.(check int) "loads and constants only" 6 (Array.length (Compile.frame p ~lanes:1));
   List.iter
     (fun seed ->
@@ -138,7 +141,7 @@ let test_slot_reuse () =
         [ 1; 3; 4; 5; 7; 8; 67 ])
     (List.init 40 Fun.id);
   let p =
-    Compile.lower
+    Compile.lower ~lane:fixed
       { Expr.lets = [ ("unread", Expr.Unary (Expr.Neg, access "b")) ];
         result = Expr.Unary (Expr.Neg, access "a") }
   in
@@ -146,7 +149,7 @@ let test_slot_reuse () =
   Alcotest.(check int) "two slots" 2 (Array.length fr);
   Array.iteri (fun k (field, _) -> fr.(k) <- (if field = "a" then 3. else 5.)) (Compile.loads p);
   Compile.exec p ~lanes:1 fr;
-  Alcotest.(check (float 0.)) "result kept" (-3.) fr.(Compile.result_slot p)
+  Alcotest.(check (float 0.)) "result kept" (-3.) fr.(Compile.result p ~stride:1)
 
 (* Liveness keeps frames small: fused, optimized hdiff at W=4 had 138
    slots in its u_out frame with one slot per node. *)
@@ -154,7 +157,7 @@ let test_hdiff_frame_slots () =
   let p = Sf_kernels.Hdiff.program ~shape:[ 8; 64; 64 ] ~vector_width:4 () in
   let p = Sf_sdfg.Opt.optimize (fst (Sf_sdfg.Fusion.fuse_all p)) in
   let s = List.find (fun (s : Stencil.t) -> s.Stencil.name = "u_out") p.Program.stencils in
-  let slots = Array.length (Compile.frame (Compile.lower s.Stencil.body) ~lanes:1) in
+  let slots = Array.length (Compile.frame (Compile.lower ~lane:fixed s.Stencil.body) ~lanes:1) in
   if slots > 40 then Alcotest.failf "u_out frame has %d slots" slots
 
 let test_body_lets_evaluate_once () =
@@ -247,24 +250,20 @@ let test_fill_across_ring_wrap () =
         Expr.Binary (Expr.Mul, access "a" [ 0; -1 ], access "row" [ 1 ]),
         Expr.Binary (Expr.Sub, access "a" [ 1; 2 ], access "a" [ -1; 0 ]) )
   in
-  let p = Compile.lower { Expr.lets = []; result = e } in
+  let lane field = if field = "a" then Compile.Shifts else Compile.Uniform in
+  let p = Compile.lower ~lane { Expr.lets = []; result = e } in
   let max_lanes = 8 in
   (* Room for rows r - 1 .. r + 1 plus the run, and not a multiple of the
      row length, so runs start at varying ring positions. *)
   let cap = (2 * cols) + max_lanes + 5 in
   let win = { Compile.data = Array.make cap 0.; cap; newest = -1; head = -1 } in
   let taps =
-    Array.map
-      (fun (field, offsets) ->
-        let src, axes =
-          if field = "a" then (win, [| 0; 1 |])
-          else (Compile.resident (Array.init rows row_value), [| 0 |])
-        in
-        Compile.tap src ~shape ~axes ~offsets:(Array.of_list offsets)
-          ~boundary:(Boundary.Constant 0.))
-      (Compile.loads p)
+    Compile.taps p ~shape (fun field ->
+        if field = "a" then (win, [| 0; 1 |], Boundary.Constant 0.)
+        else (Compile.resident (Array.init rows row_value), [| 0 |], Boundary.Constant 0.))
   in
   let fr = Compile.frame p ~lanes:max_lanes and oob = Array.make max_lanes false in
+  let stride = Compile.stride p ~lanes:max_lanes in
   let straddles = ref 0 in
   for r = 1 to rows - 2 do
     for c = 1 to cols - max_lanes - 2 do
@@ -281,7 +280,7 @@ let test_fill_across_ring_wrap () =
             let first = ((r + dr) * cols) + c + dc in
             if (first mod cap) + lanes > cap then incr straddles)
           [ (0, -1); (1, 2); (-1, 0) ];
-        Compile.fill taps ~idx:[| r; c |] ~lanes ~stride:max_lanes fr ~oob;
+        Compile.fill taps ~idx:[| r; c |] ~lanes ~stride fr ~oob;
         Compile.exec p ~lanes fr;
         for l = 0 to lanes - 1 do
           let lookup ~field ~offsets =
@@ -291,7 +290,7 @@ let test_fill_across_ring_wrap () =
             | _ -> Alcotest.fail "unexpected access"
           in
           let expected = Interp.eval_expr ~lookup ~env:(fun _ -> None) e in
-          let got = fr.((Compile.result_slot p * max_lanes) + l) in
+          let got = fr.(Compile.result p ~stride + l) in
           Alcotest.(check int64)
             (Printf.sprintf "r=%d c=%d lanes=%d lane %d" r c lanes l)
             (Int64.bits_of_float expected) (Int64.bits_of_float got)
@@ -308,16 +307,16 @@ let test_exec_allocation_free () =
   let p = Sf_kernels.Hdiff.program ~shape:[ 4; 16; 16 ] ~vector_width:4 () in
   let p = Sf_sdfg.Opt.optimize (fst (Sf_sdfg.Fusion.fuse_all p)) in
   let flops (s : Stencil.t) = Expr.flop_count (Stencil.work_profile s) in
-  let widest =
+  let stages = (Interp.plan p).Interp.stages in
+  let _, prog =
     List.fold_left
-      (fun best s -> if flops s > flops best then s else best)
-      (List.hd p.Program.stencils) p.Program.stencils
+      (fun ((best, _) as b) ((s, _) as c) -> if flops s > flops best then c else b)
+      (List.hd stages) stages
   in
-  let prog = Compile.lower widest.Stencil.body in
   List.iter
     (fun lanes ->
       let fr = Compile.frame prog ~lanes in
-      for k = 0 to (Array.length (Compile.loads prog) * lanes) - 1 do
+      for k = 0 to (Array.length (Compile.loads prog) * Compile.stride prog ~lanes) - 1 do
         fr.(k) <- 0.25 +. (float_of_int k /. 7.)
       done;
       Compile.exec prog ~lanes fr;
@@ -331,8 +330,177 @@ let test_exec_allocation_free () =
         Alcotest.failf "exec allocates %.2f minor words per call at %d lanes" words lanes)
     [ 4; 67 ]
 
+(* Shift-shared lowering ----------------------------------------------------- *)
+
+(* [e] with the innermost-axis offset of every access to one of
+   [lane_fields] (the fields that span that axis) moved by [d]. *)
+let shift_lanes ~lane_fields d e =
+  Expr.map_accesses
+    (fun ~field ~offsets ->
+      let offsets =
+        if List.mem field lane_fields then
+          List.mapi (fun i o -> if i = List.length offsets - 1 then o + d else o) offsets
+        else offsets
+      in
+      Expr.Access { field; offsets })
+    e
+
+(* One cell of a body, the way the spatial pipeline computes it: the
+   lets in order (each one evaluated, read or not), then the result;
+   [lookup] records whether any load was out of bounds. *)
+let eval_cell ~lookup (b : Expr.body) =
+  let env = Hashtbl.create 8 in
+  List.iter
+    (fun (n, e) -> Hashtbl.replace env n (Interp.eval_expr ~lookup ~env:(Hashtbl.find_opt env) e))
+    b.Expr.lets;
+  Interp.eval_expr ~lookup ~env:(Hashtbl.find_opt env) b.Expr.result
+
+(* A generated program whose innermost extent is 66, so that a 64-lane
+   dispatch can start mid-row; each body also reads itself one lane to
+   the right (so most of its nodes share a class with a shifted twin),
+   and binds a let it never reads: its first load, three lanes further
+   right, which can widen a run past every load the result reads. *)
+let widened (p : Program.t) =
+  let rank = Program.rank p in
+  let shape = List.mapi (fun d e -> if d = rank - 1 then 66 else e) p.Program.shape in
+  let lane_fields =
+    List.filter_map
+      (fun (f : Field.t) -> if List.mem (rank - 1) f.Field.axes then Some f.Field.name else None)
+      p.Program.inputs
+    @ List.map (fun (s : Stencil.t) -> s.Stencil.name) p.Program.stencils
+  in
+  let stencils =
+    List.map
+      (fun (s : Stencil.t) ->
+        let e = s.Stencil.body.Expr.result in
+        let unused =
+          match Expr.accesses e with
+          | (field, offsets) :: _ -> [ ("unused", shift_lanes ~lane_fields 3 (Expr.Access { field; offsets })) ]
+          | [] -> []
+        in
+        { s with
+          Stencil.body =
+            { Expr.lets = unused; result = Expr.Binary (Expr.Add, e, shift_lanes ~lane_fields 1 e) } })
+      p.Program.stencils
+  in
+  { p with Program.shape; stencils }
+
+(* The lowering the stencil units and the oracle share (Interp.plan),
+   run by [fill] and [exec] over one dispatch of consecutive cells of a
+   row, must equal the tree-walking evaluator lane by lane: the value bit
+   for bit, and the validity flag as the OR over every load of the body,
+   unread lets included. Constant and Copy boundaries mix, lower-rank
+   inputs broadcast or are scalars, and dispatches of 1, 3, 4 and 64
+   lanes start at the row start, mid-row, and end at the row end. *)
+let prop_shared_lowering_bit_exact =
+  QCheck.Test.make ~count:150 ~name:"shift-shared fill + exec equal the evaluator, values and flags"
+    QCheck.(pair Program_gen.arbitrary_adversarial_program small_nat)
+    (fun (p, seed) ->
+      let p = widened p in
+      let plan = Interp.plan p in
+      let checked = plan.Interp.checked in
+      let shape = Array.of_list p.Program.shape in
+      let rank = Array.length shape in
+      let state = Random.State.make [| seed |] in
+      let value () =
+        if Random.State.int state 4 = 0 then
+          adversarial_values.(Random.State.int state (Array.length adversarial_values))
+        else Random.State.float state 2. -. 1.
+      in
+      let axes f = Array.of_list (Program.Checked.axes checked f) in
+      let data = Hashtbl.create 8 in
+      let tensor f =
+        match Hashtbl.find_opt data f with
+        | Some t -> t
+        | None ->
+            let n = Array.fold_left (fun n a -> n * shape.(a)) 1 (axes f) in
+            let t = Array.init n (fun _ -> value ()) in
+            Hashtbl.replace data f t;
+            t
+      in
+      (* The element of [f] at program multi-index [idx] plus [offsets]
+         (one per axis of [f]), or [None] out of bounds. *)
+      let element f idx offsets =
+        let ax = axes f in
+        let flat = ref 0 and ok = ref true in
+        Array.iteri
+          (fun d a ->
+            let i = idx.(a) + offsets.(d) in
+            if i < 0 || i >= shape.(a) then ok := false;
+            flat := (!flat * shape.(a)) + i)
+          ax;
+        if !ok then Some (tensor f).(!flat) else None
+      in
+      List.for_all
+        (fun ((s : Stencil.t), prog) ->
+          let taps =
+            Compile.taps prog ~shape (fun f ->
+                (Compile.resident (tensor f), axes f, Stencil.boundary_for s f))
+          in
+          let stride = Compile.stride prog ~lanes:64 in
+          let fr = Compile.frame prog ~lanes:64 and oob = Array.make 64 false in
+          let idx = Array.map (fun e -> Random.State.int state e) shape in
+          List.for_all
+            (fun (lanes, start) ->
+              idx.(rank - 1) <- start;
+              Compile.fill taps ~idx ~lanes ~stride fr ~oob;
+              Compile.exec prog ~lanes fr;
+              List.for_all
+                (fun l ->
+                  let cell = Array.copy idx in
+                  cell.(rank - 1) <- start + l;
+                  let out = ref false in
+                  let lookup ~field ~offsets =
+                    match element field cell (Array.of_list offsets) with
+                    | Some v -> v
+                    | None -> (
+                        out := true;
+                        match Stencil.boundary_for s field with
+                        | Boundary.Constant c -> c
+                        | Boundary.Copy ->
+                            Option.get (element field cell (Array.make (Array.length (axes field)) 0)))
+                  in
+                  let expected = eval_cell ~lookup s.Stencil.body in
+                  let got = fr.(Compile.result prog ~stride + l) in
+                  (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float got)
+                  || QCheck.Test.fail_reportf "%s, %d lanes from %d, lane %d: expected %h, got %h"
+                       s.Stencil.name lanes start l expected got)
+                  && (Bool.equal !out oob.(l)
+                     || QCheck.Test.fail_reportf "%s, %d lanes from %d, lane %d: oob %b, flagged %b"
+                          s.Stencil.name lanes start l !out oob.(l)))
+                (List.init lanes Fun.id))
+            (List.concat_map
+               (fun lanes -> [ (lanes, 0); (lanes, 1 + Random.State.int state (66 - lanes)); (lanes, 66 - lanes) ])
+               [ 1; 3; 4; 64 ]))
+        plan.Interp.stages)
+
+(* Instructions and load runs per cell of the shared lowering: counts
+   host noise cannot move. Without sharing (every node its own class,
+   the lowering before lane-shift classes) fused jacobi2d_8stage ran 816
+   instructions and 81 load runs per cell, and fused, optimized hdiff at
+   W = 4 ran 103 + 103 + 78 + 78 = 362 instructions and 31 + 31 + 21 + 21
+   = 104 load runs over its four units. *)
+let test_lowering_pins () =
+  let counts p =
+    List.map
+      (fun ((s : Stencil.t), prog) ->
+        (s.Stencil.name, Compile.instructions prog, Array.length (Compile.loads prog)))
+      (Interp.plan p).Interp.stages
+  in
+  let triple = Alcotest.(list (triple string int int)) in
+  let jacobi = Test_sim_parity.example "jacobi2d_8stage.json" in
+  Alcotest.check triple "fused jacobi2d_8stage" [ ("f8", 256, 17) ]
+    (counts (fst (Sf_sdfg.Fusion.fuse_all jacobi)));
+  let hdiff = Sf_kernels.Hdiff.program ~shape:[ 8; 64; 64 ] ~vector_width:4 () in
+  Alcotest.check triple "fused, optimized hdiff at W=4"
+    [ ("u_out", 81, 21); ("v_out", 81, 21); ("w_out", 56, 13); ("pp_out", 56, 13) ]
+    (counts (Sf_sdfg.Opt.optimize (fst (Sf_sdfg.Fusion.fuse_all hdiff))))
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest prop_shared_lowering_bit_exact;
+    Alcotest.test_case "shift-shared lowering: instructions and load runs pinned" `Quick
+      test_lowering_pins;
     QCheck_alcotest.to_alcotest prop_lanes_bit_exact;
     QCheck_alcotest.to_alcotest prop_wide_frame_sentinels;
     Alcotest.test_case "lets evaluate once per call" `Quick test_body_lets_evaluate_once;

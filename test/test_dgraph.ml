@@ -119,6 +119,65 @@ let prop_longest_path_matches_dfs =
       let _, total = G.longest_path g ~weight:(fun _ -> 1.) in
       total = brute)
 
+(* The adjacency lists as they were kept before neighbour sets: each
+   vertex's edges in one list in insertion order, and adding an edge
+   filtered the whole list and appended to it (so re-adding moves the
+   edge to the end). *)
+module Reference = struct
+  type t = (string * (string * int) list) list * (string * (string * int) list) list
+
+  let replace_assoc key value l = List.filter (fun (k, _) -> k <> key) l @ [ (key, value) ]
+  let adj m v = Option.value (List.assoc_opt v m) ~default:[]
+  let set m v l = (v, l) :: List.remove_assoc v m
+
+  let add_edge ((succ, pred) : t) ~src ~dst e : t =
+    ( set succ src (replace_assoc dst e (adj succ src)),
+      set pred dst (replace_assoc src e (adj pred dst)) )
+
+  let remove_edge ((succ, pred) : t) ~src ~dst : t =
+    ( set succ src (List.filter (fun (k, _) -> k <> dst) (adj succ src)),
+      set pred dst (List.filter (fun (k, _) -> k <> src) (adj pred dst)) )
+end
+
+(* Random runs of edge additions (often of an existing edge, with a new
+   label) and removals over six vertices: every adjacency list, label,
+   membership and count must be the reference's. *)
+let prop_adjacency_matches_reference =
+  let vertices = List.init 6 (Printf.sprintf "v%d") in
+  let op =
+    QCheck.Gen.(
+      map3 (fun add (s, d) e -> (add, s, d, e)) (frequency [ (4, return true); (1, return false) ])
+        (pair (oneofl vertices) (oneofl vertices))
+        (int_range 0 9))
+  in
+  let print = QCheck.Print.(list (quad bool string string int)) in
+  QCheck.Test.make ~count:300 ~name:"adjacency equals the filter-and-append definition"
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 0 60) op))
+    (fun ops ->
+      let g0 = List.fold_left (fun g v -> G.add_vertex g v ()) G.empty vertices in
+      let g, r =
+        List.fold_left
+          (fun (g, r) (add, src, dst, e) ->
+            if add then (G.add_edge g ~src ~dst e, Reference.add_edge r ~src ~dst e)
+            else (G.remove_edge g ~src ~dst, Reference.remove_edge r ~src ~dst))
+          (g0, ([], [])) ops
+      in
+      let succ, pred = r in
+      List.for_all
+        (fun v ->
+          G.succs g v = Reference.adj succ v
+          && G.preds g v = Reference.adj pred v
+          && G.out_degree g v = List.length (Reference.adj succ v)
+          && G.in_degree g v = List.length (Reference.adj pred v)
+          && List.for_all
+               (fun d ->
+                 G.mem_edge g ~src:v ~dst:d = List.mem_assoc d (Reference.adj succ v)
+                 && G.find_edge g ~src:v ~dst:d = List.assoc_opt d (Reference.adj succ v))
+               vertices)
+        vertices
+      && G.edges g
+         = List.concat_map (fun v -> List.map (fun (d, e) -> (v, d, e)) (Reference.adj succ v)) vertices)
+
 let suite =
   [
     Alcotest.test_case "degrees, sources, sinks" `Quick test_degrees;
@@ -131,4 +190,5 @@ let suite =
     Alcotest.test_case "edge relabeling keeps one edge" `Quick test_edge_relabel;
     QCheck_alcotest.to_alcotest prop_topo_respects_edges;
     QCheck_alcotest.to_alcotest prop_longest_path_matches_dfs;
+    QCheck_alcotest.to_alcotest prop_adjacency_matches_reference;
   ]

@@ -198,6 +198,31 @@ let test_validate_catches_corruption () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "expected validation failure"
 
+(* Map fission and state fusion of every shipped program, pinned by the
+   digest of the whole SDFG value (marshalled without sharing, so the
+   digest reads every field, every body and every float's bits):
+   (file, map_fission, state_fusion of that). *)
+let transform_digests =
+  [
+    ("acoustic_wave.json", "d79f2b6645ab821a24f69f8479f708d4", "2c15950ca1d6f41b633e71ae7bf31c56");
+    ("diamond.json", "cee977b298935c0af0570ec7e61766df", "8c0a5eaea2d4b736950167332e506821");
+    ("hdiff_2dev.json", "e6f51554d2e9f1619f2e29da592d2dec", "c2f064479a24f415b03e2aaf3efa3926");
+    ("horizontal_diffusion_small.json", "bf32a4cace87ae651a9a6f19f5d0e786", "58a34a76bd41a81f5ef48f7cd08a9940");
+    ("jacobi2d_8stage.json", "fdcfdfd5f18ff258daa5f0ba4c2a74df", "8955e479418994bcd7d9a896c5097580");
+    ("laplace2d.json", "7a3cebf9813581cea284a8891600672c", "29c0d5707a1008b15c2c49e39c164abb");
+    ("shallow_water.json", "36a3ca967ba38c40db777f9af6e58c51", "79dcd982bae4b8571a583d9a9105548e");
+    ("smoothing3d.json", "bb936ab1ae5cfceab5655d618dbb645c", "33c3984d093e6f4c7729392450ac4eb5");
+  ]
+
+let test_transforms_pinned () =
+  let digest (t : Sdfg.t) = Digest.to_hex (Digest.string (Marshal.to_string t [ Marshal.No_sharing ])) in
+  List.iter
+    (fun (file, fission, fusion) ->
+      let fissioned = Transform.map_fission (Sdfg.of_program (Test_sim_parity.example file)) in
+      Alcotest.(check string) (file ^ " map fission") fission (digest fissioned);
+      Alcotest.(check string) (file ^ " state fusion") fusion (digest (Transform.state_fusion fissioned)))
+    transform_digests
+
 let suite =
   [
     Alcotest.test_case "lowering structure and stream depths" `Quick test_of_program_structure;
@@ -206,6 +231,8 @@ let suite =
     Alcotest.test_case "pipeline scope init phases" `Quick test_expansion_pipeline_phases;
     Alcotest.test_case "map fission introduces temporaries" `Quick test_map_fission;
     Alcotest.test_case "state fusion inverts fission" `Quick test_state_fusion_roundtrip;
+    Alcotest.test_case "map fission and state fusion of every example pinned" `Quick
+      test_transforms_pinned;
     Alcotest.test_case "nest dim lifts 2D to 3D" `Quick test_nest_dim;
     Alcotest.test_case "nest dim rejects 3D input" `Quick test_nest_dim_rejects_3d;
     Alcotest.test_case "validation catches dangling edges" `Quick test_validate_catches_corruption;
