@@ -371,9 +371,13 @@ let fusion_study () =
   Printf.printf "%-36s %10s %10s\n" "" "before" "after";
   Printf.printf "%-36s %10d %10d\n" "stencil nodes" report.Fusion.stencils_before
     report.Fusion.stencils_after;
-  Printf.printf "%-36s %10d %10d\n" "dataflow edges"
-    (Program.G.num_edges (Program.graph p))
-    (Program.G.num_edges (Program.graph fused));
+  let dataflow_edges p =
+    let c = Program.check_exn p in
+    List.fold_left
+      (fun n s -> n + List.length (Program.Checked.reads c s.Stencil.name))
+      0 p.Program.stencils
+  in
+  Printf.printf "%-36s %10d %10d\n" "dataflow edges" (dataflow_edges p) (dataflow_edges fused);
   Printf.printf "%-36s %10d %10d\n" "program latency L [cycles]"
     before.Delay_buffer.latency_cycles after.Delay_buffer.latency_cycles;
   Printf.printf "%-36s %10d %10d\n" "delay buffer total [words]"

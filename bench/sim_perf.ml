@@ -65,10 +65,10 @@ let measure ?(config = Engine.Config.default) case =
   let inputs = Interp.random_inputs p in
   let samples =
     List.init case.runs (fun _ ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Util.monotime () in
         match Engine.run_exn ~config ~inputs p with
         | Engine.Deadlocked _ -> failwith (case.name ^ ": unexpected deadlock")
-        | Engine.Completed stats -> (Unix.gettimeofday () -. t0, stats.Engine.cycles))
+        | Engine.Completed stats -> (Util.monotime () -. t0, stats.Engine.cycles))
   in
   let sorted = List.sort (fun (a, _) (b, _) -> compare a b) samples in
   let seconds, cycles = List.nth sorted (List.length sorted / 2) in
@@ -164,13 +164,13 @@ let () =
   let fc_schedules = if quick then 5 else 25 in
   let fc_inputs = Interp.random_inputs fc_case.program in
   let fc_baseline = measure { fc_case with runs = 1 } in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Util.monotime () in
   let fc_report =
     match Faults.campaign ~inputs:fc_inputs ~schedules:fc_schedules fc_case.program with
     | Ok r -> r
     | Error d -> failwith ("fault campaign baseline failed: " ^ d.Diag.message)
   in
-  let fc_seconds = Unix.gettimeofday () -. t0 in
+  let fc_seconds = Util.monotime () -. t0 in
   let fc_failures = List.length (Faults.failures fc_report) in
   let fc_pass_rate =
     float_of_int (fc_schedules - fc_failures) /. float_of_int fc_schedules
@@ -203,9 +203,9 @@ let () =
      must be structurally identical to the serial one under any --jobs —
      and the speedup is recorded against the honest core count. *)
   let run_campaign jobs =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Util.monotime () in
     match Faults.campaign ~inputs:fc_inputs ~schedules:fc_schedules ~jobs fc_case.program with
-    | Ok r -> (Unix.gettimeofday () -. t0, r)
+    | Ok r -> (Util.monotime () -. t0, r)
     | Error d -> failwith ("parallel fault campaign baseline failed: " ^ d.Diag.message)
   in
   let cp_serial_s, cp_serial_r = run_campaign 1 in
@@ -273,14 +273,14 @@ let () =
        as the interpreter and the stencil units do. *)
     let data = Array.sub fr 0 loads in
     Compile.exec eo_prog ~lanes fr;
-    let t0 = Unix.gettimeofday () in
+    let t0 = Util.monotime () in
     for i = 0 to (cells / lanes) - 1 do
       data.(i mod loads) <- data.(i mod loads) +. 1e-12;
       Array.blit data 0 fr 0 loads;
       Compile.exec eo_prog ~lanes fr;
       sink := !sink +. fr.(Compile.result eo_prog ~stride:lanes)
     done;
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Util.monotime () -. t0 in
     if Float.is_nan !sink then Printf.printf "(unreachable)";
     dt /. float_of_int cells *. 1e9
   in
@@ -328,9 +328,9 @@ let () =
   in
   let sc_service = Service.create () in
   let sc_time () =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Util.monotime () in
     let resp, _ = Service.handle sc_service sc_request in
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Util.monotime () -. t0 in
     let executed =
       match Json.parse resp with
       | Ok json -> (

@@ -92,11 +92,11 @@ let fault_seed_arg =
            ~doc:"Seed of the injected fault timeline (with $(b,--inject)). The whole \
                  perturbation sequence is a pure function of (seed, plan).")
 
-(* --jobs of validate-depths and autotune, which fan independent
-   simulations over the executor pool. *)
+(* --jobs of validate-depths, which fans independent simulations over
+   the executor pool. *)
 let jobs_arg =
   let doc =
-    "Hardware threads to use: campaign schedules, probe arms and sweep points run \
+    "Hardware threads to use: campaign schedules and probe arms run \
      that many independent simulations concurrently. $(b,0) (the default) means \
      auto-detect ($(b,Domain.recommended_domain_count)); $(b,1) forces fully \
      serial execution. Results are byte-identical for every value."
@@ -631,12 +631,9 @@ let autotune_cmd =
   let devices_arg =
     Arg.(value & opt int 1 & info [ "devices" ] ~doc:"Devices in the chain (network bound).")
   in
-  let run path devices jobs =
+  let run path devices =
     let p = load path None in
-    match
-      Autotune.choose ~devices ~device:Device.stratix10 ~max_width:16
-        ~jobs:(resolve_jobs jobs) p
-    with
+    match Autotune.choose ~devices ~device:Device.stratix10 ~max_width:16 p with
     | exception Invalid_argument m ->
         Format.eprintf "stencilflow: %s@." m;
         exit 1
@@ -652,7 +649,7 @@ let autotune_cmd =
           sweep
   in
   let doc = "Sweep vectorization widths under the device, memory and network models." in
-  Cmd.v (Cmd.info "autotune" ~doc) Term.(const run $ program_arg $ devices_arg $ jobs_arg)
+  Cmd.v (Cmd.info "autotune" ~doc) Term.(const run $ program_arg $ devices_arg)
 
 let report_cmd =
   let run path width fuse =

@@ -40,79 +40,70 @@ type t = {
    node itself" (Sec. IV-B): each in-edge carries the consuming node's
    per-field start offset, which both synchronizes joins (Fig. 4) and
    compensates differing internal-buffer spans within one stencil. *)
-let analyze ?(config = Latency.default) (p : Program.t) =
-  let g = Program.graph p in
+let of_checked ?(config = Latency.default) checked =
+  let p = Program.Checked.program checked in
   let w = max 1 p.Program.vector_width in
   let full_rank = Program.rank p in
-  let info_table : (string, node_info) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun f ->
-      Hashtbl.replace info_table f.Field.name { init_cycles = 0; compute_cycles = 0; buffers = [] })
-    p.Program.inputs;
-  List.iter
-    (fun s ->
-      let buffers = Internal_buffer.of_stencil p s in
-      let init_cycles = Internal_buffer.init_cycles p buffers in
-      let compute_cycles = Latency.critical_path config s.Stencil.body in
-      Hashtbl.replace info_table s.Stencil.name { init_cycles; compute_cycles; buffers })
-    p.Program.stencils;
-  let order =
-    match Program.G.topological_sort g with
-    | Ok o -> o
-    | Error cyc -> invalid_arg ("Delay_buffer.analyze: cycle through " ^ String.concat "," cyc)
+  let stencil_info (s : Stencil.t) =
+    let buffers = Internal_buffer.of_accesses p (Program.Checked.accesses checked s.Stencil.name) in
+    let init_cycles = Internal_buffer.init_cycles p buffers in
+    { init_cycles; compute_cycles = Latency.critical_path config s.Stencil.body; buffers }
   in
+  let nodes =
+    List.map
+      (fun f -> (f.Field.name, { init_cycles = 0; compute_cycles = 0; buffers = [] }))
+      p.Program.inputs
+    @ List.map (fun s -> (s.Stencil.name, stencil_info s)) p.Program.stencils
+  in
+  (* The first binding of a key wins, as in [List.assoc]. *)
+  let table l = Hashtbl.of_seq (List.to_seq (List.rev l)) in
+  let node_of = table nodes in
   let avail : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  List.iter (fun f -> Hashtbl.replace avail f.Field.name 0) p.Program.inputs;
   let timing = ref [] in
   let edges = ref [] in
   List.iter
-    (fun v ->
-      match Program.G.find_vertex_exn g v with
-      | Program.Input _ -> Hashtbl.replace avail v 0
-      | Program.Op _ ->
-          let info = Hashtbl.find info_table v in
-          let init_extra field =
-            match
-              List.find_opt (fun (b : Internal_buffer.t) -> String.equal b.field field) info.buffers
-            with
-            | Some b -> Sf_support.Util.ceil_div b.init_elements w
-            | None -> 0
-          in
-          (* Only full-rank producers stream through channels; lower-
-             dimensional inputs are prefetched and impose no edge. *)
-          let streaming_preds =
-            List.filter
-              (fun (u, ()) ->
-                match Program.G.find_vertex_exn g u with
-                | Program.Input f -> Field.rank f = full_rank
-                | Program.Op _ -> true)
-              (Program.G.preds g v)
-          in
-          let annotated =
-            List.map
-              (fun (u, ()) ->
-                let need = info.init_cycles - init_extra u in
-                (u, need, Hashtbl.find avail u))
-              streaming_preds
-          in
-          let t0 =
-            List.fold_left (fun acc (_, need, av) -> max acc (av - need)) 0 annotated
-          in
-          List.iter
-            (fun (u, need, av) -> edges := ((u, v), t0 + need - av) :: !edges)
-            annotated;
-          let out = t0 + info.init_cycles + info.compute_cycles in
-          timing := (v, (t0, out)) :: !timing;
-          Hashtbl.replace avail v out)
-    order;
+    (fun (s : Stencil.t) ->
+      let v = s.Stencil.name in
+      let info = Hashtbl.find node_of v in
+      let init_extra field =
+        match
+          List.find_opt (fun (b : Internal_buffer.t) -> String.equal b.field field) info.buffers
+        with
+        | Some b -> Sf_support.Util.ceil_div b.init_elements w
+        | None -> 0
+      in
+      (* Only full-rank producers stream through channels; lower-
+         dimensional inputs are prefetched and impose no edge. *)
+      let streaming_preds =
+        List.filter
+          (fun u ->
+            match Program.Checked.find checked u with
+            | Program.Input f -> Field.rank f = full_rank
+            | Program.Op _ -> true)
+          (Program.Checked.reads checked v)
+      in
+      let annotated =
+        List.map
+          (fun u ->
+            let need = info.init_cycles - init_extra u in
+            (u, need, Hashtbl.find avail u))
+          streaming_preds
+      in
+      let t0 = List.fold_left (fun acc (_, need, av) -> max acc (av - need)) 0 annotated in
+      List.iter (fun (u, need, av) -> edges := ((u, v), t0 + need - av) :: !edges) annotated;
+      let out = t0 + info.init_cycles + info.compute_cycles in
+      timing := (v, (t0, out)) :: !timing;
+      Hashtbl.replace avail v out)
+    (Program.Checked.order checked);
   let latency_cycles =
     List.fold_left (fun acc s -> max acc (Hashtbl.find avail s.Stencil.name)) 0 p.Program.stencils
   in
-  let nodes = List.map (fun (v, _) -> (v, Hashtbl.find info_table v)) (Program.G.vertices g) in
   let edges = List.rev !edges and timing = List.rev !timing in
-  (* The first binding of a key wins, as in [List.assoc]. *)
-  let table l = Hashtbl.of_seq (List.to_seq (List.rev l)) in
-  let index = { node_of = table nodes; edge_of = table edges; timing_of = table timing } in
+  let index = { node_of; edge_of = table edges; timing_of = table timing } in
   { program = p; nodes; edges; latency_cycles; timing; index }
+
+let analyze ?config p = of_checked ?config (Program.check_exn p)
 
 let node_info t name = Hashtbl.find t.index.node_of name
 let start_cycle t name = fst (Hashtbl.find t.index.timing_of name)

@@ -24,7 +24,7 @@ type node_info = {
   init_cycles : int;  (** Internal-buffer initialization (Sec. IV-A). *)
   compute_cycles : int;  (** Critical path of the computation AST. *)
   buffers : Internal_buffer.t list;
-      (** {!Internal_buffer.of_stencil} of the stencil; empty for inputs. *)
+      (** {!Internal_buffer.of_accesses} of the stencil; empty for inputs. *)
 }
 
 type index
@@ -40,11 +40,16 @@ type t = {
       (** Per stencil, the derived schedule: the cycle its pipeline can
           take its first step, and the cycle its first output word
           emerges ([t0 + init + compute]). *)
-  index : index;  (** Built by {!analyze}. *)
+  index : index;  (** Built by {!of_checked}. *)
 }
 
+val of_checked : ?config:Latency.config -> Sf_ir.Program.checked -> t
+(** Runs the full analysis on the facts of the program's check: its
+    topological order, each stencil's reads and accesses. *)
+
 val analyze : ?config:Latency.config -> Sf_ir.Program.t -> t
-(** Runs the full analysis. The program must validate. *)
+(** {!of_checked} of {!Sf_ir.Program.check_exn}: raises
+    [Invalid_argument] if the program does not validate. *)
 
 val node_info : t -> string -> node_info
 (** Raises [Not_found] for unknown nodes. *)

@@ -21,7 +21,7 @@ let radius (p : Program.t) =
           for a = 0 to rank - 1 do
             r.(a) <- max r.(a) (upstream.(a) + per_axis.(a))
           done)
-        (Stencil.accesses s);
+        (Program.Checked.accesses checked s.Stencil.name);
       Hashtbl.replace reach s.Stencil.name r)
     (Program.Checked.order checked);
   let total = Array.make rank 0 in

@@ -22,44 +22,36 @@ let flatten_offset ~shape offsets =
   in
   go shape offsets
 
-let of_stencil (p : Program.t) (s : Stencil.t) =
+let of_accesses (p : Program.t) accesses =
   let full_rank = Program.rank p in
   let w = p.Program.vector_width in
-  (* The body's accesses, taken once: each field read, in the order of
-     its first read, with its offsets. Only an input can be
-     lower-dimensional. *)
-  let accesses = Stencil.accesses s in
-  let fields = List.fold_left (fun l (f, _) -> if List.mem f l then l else f :: l) [] accesses in
   List.filter_map
     (fun field ->
-      match Program.find_input p field with
-      | Some f when Field.rank f <> full_rank -> None
-      | Some _ | None ->
-          let offsets =
-            List.filter_map (fun (f, o) -> if String.equal f field then Some o else None) accesses
-          in
-          let flats = List.map (flatten_offset ~shape:p.Program.shape) offsets in
-          let min_flat = List.fold_left min (List.hd flats) flats in
-          let max_flat = List.fold_left max (List.hd flats) flats in
-          let buffered = List.length offsets > 1 in
-          let size_elements = if buffered then max_flat - min_flat + w else 0 in
-          (* [init_elements] is the number of extra input elements (beyond the
-             one-element-per-output streaming rate) that must arrive before
-             the first output: the shift register must be full (size - 1,
-             since the newest element is consumed the same cycle) and the
-             furthest-ahead access must have arrived (max_flat). This is the
-             paper's initialization phase of max{B_i} up to the -1. *)
-          let init_elements =
-            if buffered then max (size_elements - 1) (max 0 max_flat) else max 0 max_flat
-          in
-          Some { field; offsets; min_flat; max_flat; size_elements; init_elements })
-    (List.rev fields)
+      let offsets = Stencil.offsets_read accesses field in
+      (* A checked program reads each field with as many offsets as the
+         field has axes; only an input can have fewer than the program. *)
+      if List.length (List.hd offsets) <> full_rank then None
+      else
+        let flats = List.map (flatten_offset ~shape:p.Program.shape) offsets in
+        let min_flat = List.fold_left min (List.hd flats) flats in
+        let max_flat = List.fold_left max (List.hd flats) flats in
+        let buffered = List.length offsets > 1 in
+        let size_elements = if buffered then max_flat - min_flat + w else 0 in
+        (* [init_elements] is the number of extra input elements (beyond the
+           one-element-per-output streaming rate) that must arrive before
+           the first output: the shift register must be full (size - 1,
+           since the newest element is consumed the same cycle) and the
+           furthest-ahead access must have arrived (max_flat). This is the
+           paper's initialization phase of max{B_i} up to the -1. *)
+        let init_elements =
+          if buffered then max (size_elements - 1) (max 0 max_flat) else max 0 max_flat
+        in
+        Some { field; offsets; min_flat; max_flat; size_elements; init_elements })
+    (Stencil.fields_read accesses)
 
 let init_cycles p buffers =
   let delay = List.fold_left (fun acc b -> max acc b.init_elements) 0 buffers in
   Sf_support.Util.ceil_div delay (max 1 p.Program.vector_width)
-
-let stencil_init_cycles p s = init_cycles p (of_stencil p s)
 
 let fill_start all b =
   let longest = List.fold_left (fun acc x -> max acc x.init_elements) 0 all in

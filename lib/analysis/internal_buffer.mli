@@ -34,17 +34,17 @@ type t = {
 val flatten_offset : shape:int list -> int list -> int
 (** Row-major flattening of a full-rank offset vector. *)
 
-val of_stencil : Sf_ir.Program.t -> Sf_ir.Stencil.t -> t list
-(** One entry per full-rank field the stencil reads (buffered or not). *)
-
-val stencil_init_cycles : Sf_ir.Program.t -> Sf_ir.Stencil.t -> int
-(** The initialization phase, max over fields of [init_elements] (paper:
-    max of the internal buffer sizes), divided by the vector width
-    (rounded up): vectorization shortens initialization phases
-    (Sec. IV-C). *)
+val of_accesses : Sf_ir.Program.t -> (string * int list) list -> t list
+(** [of_accesses p accesses]: one entry per full-rank field a stencil of
+    the checked program [p] reads (buffered or not), in order of first
+    read, from the stencil's accesses ({!Sf_ir.Program.Checked.accesses},
+    or {!Sf_ir.Stencil.accesses} of its body). *)
 
 val init_cycles : Sf_ir.Program.t -> t list -> int
-(** {!stencil_init_cycles} from a stencil's {!of_stencil} buffers. *)
+(** A stencil's initialization phase from its {!of_accesses} buffers:
+    the max over fields of [init_elements] (paper: max of the internal
+    buffer sizes), divided by the vector width (rounded up):
+    vectorization shortens initialization phases (Sec. IV-C). *)
 
 val fill_start : t list -> t -> int
 (** [fill_start all b]: the element index at which buffer [b] starts

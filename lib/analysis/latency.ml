@@ -58,7 +58,3 @@ let critical_path cfg (body : Expr.body) =
         d
   in
   depth (Dag.of_body body)
-
-let pp_config fmt cfg =
-  Format.fprintf fmt "add=%d mul=%d div=%d sqrt=%d cmp=%d sel=%d call=%d" cfg.add cfg.mul cfg.div
-    cfg.sqrt cfg.compare cfg.select cfg.call

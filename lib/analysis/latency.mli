@@ -29,5 +29,3 @@ val cheap : config
 val critical_path : config -> Sf_ir.Expr.body -> int
 (** Depth of the computation DAG in cycles. Let-bound temporaries are
     shared, not duplicated: each binding's depth is computed once. *)
-
-val pp_config : Format.formatter -> config -> unit

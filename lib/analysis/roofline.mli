@@ -14,6 +14,3 @@ val fraction_of_roof :
   measured_ops_per_s:float -> ai_ops_per_byte:float -> bandwidth_bytes_per_s:float -> float
 (** The "%Roof." column of Table II, in [0, 1] (can exceed 1 only if the
     measurement beats the model). *)
-
-val is_bandwidth_bound :
-  ai_ops_per_byte:float -> bandwidth_bytes_per_s:float -> compute_ops_per_s:float -> bool

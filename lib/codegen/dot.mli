@@ -8,7 +8,8 @@
 val of_program : ?with_buffers:bool -> Sf_ir.Program.t -> string
 (** DOT source. When [with_buffers] (default true), each edge is labelled
     with its delay-buffer depth in words; prefetched lower-dimensional
-    inputs get dashed edges. *)
+    inputs get dashed edges. Raises [Invalid_argument] as
+    {!Sf_ir.Program.check_exn} does. *)
 
 val of_sdfg : Sf_sdfg.Sdfg.t -> string
 (** Render an SDFG (states as clusters, pipeline/unrolled scopes as nested

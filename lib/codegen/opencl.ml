@@ -160,8 +160,9 @@ let emit_stencil_kernel buf checked analysis (s : Stencil.t) ~remote_in ~local_c
   let w = p.Program.vector_width in
   let name = s.Stencil.name in
   let n_words = Program.cells p / w in
-  let buffers = Sf_analysis.Internal_buffer.of_stencil p s in
-  let init = (Sf_analysis.Delay_buffer.node_info analysis name).init_cycles in
+  let { Sf_analysis.Delay_buffer.buffers; init_cycles = init; _ } =
+    Sf_analysis.Delay_buffer.node_info analysis name
+  in
   let init_extra = init_extra ~w and register_size = register_size ~w in
   let add fmt = Printf.ksprintf (fun line -> Buffer.add_string buf line) fmt in
   add "__attribute__((max_global_work_dim(0)))\n";
@@ -243,7 +244,7 @@ let emit_writer buf (p : Program.t) output =
 let generate_unchecked ?partition checked =
   let p = Program.Checked.program checked in
   let partition = match partition with Some pt -> pt | None -> Partition.single_device checked in
-  let analysis = Sf_analysis.Delay_buffer.analyze p in
+  let analysis = Sf_analysis.Delay_buffer.of_checked checked in
   let device_of = Partition.placement_fn partition in
   let rank = Program.rank p in
   List.map

@@ -5,10 +5,10 @@ module Autotune = Sf_mapping.Autotune
 module Partition = Sf_mapping.Partition
 
 let markdown ?(device = Device.stratix10) (p : Program.t) =
-  Program.validate_exn p;
+  (* Checks the program: raises before any output on an invalid one. *)
+  let analysis = Sf_analysis.Delay_buffer.analyze p in
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let analysis = Sf_analysis.Delay_buffer.analyze p in
   add "# StencilFlow report: %s\n\n" p.Program.name;
   add "- iteration space: %s (%d cells), dtype %s, vector width %d\n"
     (Sf_support.Util.string_concat_map " x " string_of_int p.Program.shape)

@@ -10,8 +10,9 @@ let emit_stencil_pe buf checked analysis (s : Stencil.t) ~consumers ~writes_memo
   let p = Program.Checked.program checked in
   let w = p.Program.vector_width in
   let n_words = Program.cells p / w in
-  let buffers = Sf_analysis.Internal_buffer.of_stencil p s in
-  let init = (Sf_analysis.Delay_buffer.node_info analysis name).init_cycles in
+  let { Sf_analysis.Delay_buffer.buffers; init_cycles = init; _ } =
+    Sf_analysis.Delay_buffer.node_info analysis name
+  in
   let init_extra = Opencl.init_extra ~w and register_size = Opencl.register_size ~w in
   let stream_params =
     List.map (fun (b : Sf_analysis.Internal_buffer.t) -> Printf.sprintf "hls::stream<float>& in_%s" b.field) buffers
@@ -48,7 +49,7 @@ let emit_stencil_pe buf checked analysis (s : Stencil.t) ~consumers ~writes_memo
 
 let generate_unchecked checked =
   let p = Program.Checked.program checked in
-  let analysis = Sf_analysis.Delay_buffer.analyze p in
+  let analysis = Sf_analysis.Delay_buffer.of_checked checked in
   let rank = Program.rank p in
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in

@@ -52,7 +52,6 @@ let graph_of_reads t reads =
     g reads
 
 let stencil_reads t = List.map (fun s -> (s, Stencil.input_fields s)) t.stencils
-let graph t = graph_of_reads t (stencil_reads t)
 
 let consumers t field =
   List.filter_map
@@ -61,7 +60,13 @@ let consumers t field =
       else None)
     t.stencils
 
-type checked = { program : t; order : Stencil.t list; g : (node, unit) G.t; full_axes : int list }
+type checked = {
+  program : t;
+  order : Stencil.t list;
+  g : (node, unit) G.t;
+  full_axes : int list;
+  accesses : (string, (string * int list) list) Hashtbl.t;
+}
 
 let check t =
   let errors = ref [] in
@@ -93,7 +98,8 @@ let check t =
      rank; let-bound variables resolve in order; boundary conditions refer
      to read fields. Each body's accesses are collected once, for these
      checks, the dependency graph and the facts returned. *)
-  let reads = stencil_reads t in
+  let accesses = List.map (fun s -> (s, Stencil.accesses s)) t.stencils in
+  let reads = List.map (fun (s, a) -> (s, Stencil.fields_read a)) accesses in
   List.iter
     (fun (s, inputs_read) ->
       let body = s.Stencil.body in
@@ -155,7 +161,10 @@ let check t =
       t.stencils
   end;
   match (List.rev !errors, !sorted) with
-  | [], Some (g, order) -> Ok { program = t; order; g; full_axes = Sf_support.Util.range d }
+  | [], Some (g, order) ->
+      let by_name = Hashtbl.create 64 in
+      List.iter (fun (s, a) -> Hashtbl.replace by_name s.Stencil.name a) accesses;
+      Ok { program = t; order; g; full_axes = Sf_support.Util.range d; accesses = by_name }
   | errs, _ -> Error errs
 
 let check_exn t =
@@ -171,6 +180,7 @@ module Checked = struct
   let order c = c.order
   let find c name = match G.find_vertex c.g name with Some n -> n | None -> raise Not_found
 
+  let accesses c name = Hashtbl.find c.accesses name
   let reads c name = List.map fst (G.preds c.g name)
   let axes c name = match find c name with Input f -> f.Field.axes | Op _ -> c.full_axes
   let consumers c field = List.map fst (G.succs c.g field)

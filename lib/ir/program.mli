@@ -7,8 +7,6 @@
     that are written back to off-chip memory; intermediate results flow
     producer-to-consumer without a memory round trip (Sec. IV). *)
 
-module G : module type of Sf_support.Dgraph.Make (String)
-
 type node = Input of Field.t | Op of Stencil.t
 
 type t = {
@@ -46,10 +44,6 @@ val field_axes : t -> string -> int list
 (** Axes spanned by a named field: an input's declared axes, or all axes
     for a stencil result. Raises [Not_found] for unknown names. *)
 
-val graph : t -> (node, unit) G.t
-(** The dependency DAG. An edge [u -> v] means stencil [v] reads the field
-    produced by (or stored in) [u]. *)
-
 val consumers : t -> string -> string list
 (** Stencils reading a given field, in program order. *)
 
@@ -79,8 +73,14 @@ module Checked : sig
   val find : checked -> string -> node
   (** Raises [Not_found] for unknown names. *)
 
+  val accesses : checked -> string -> (string * int list) list
+  (** A stencil's accesses, as {!Stencil.accesses}: each [(field,
+      offsets)] pair once, in order of first read. Raises [Not_found]
+      for names that are not stencils. *)
+
   val reads : checked -> string -> string list
-  (** A stencil's input fields, as {!Stencil.input_fields}. *)
+  (** A stencil's input fields, as {!Stencil.input_fields}: the fields
+      of its {!accesses}. *)
 
   val axes : checked -> string -> int list
   (** As {!field_axes}. *)

@@ -12,21 +12,23 @@ let boundary_for t field =
 
 let accesses t = Dag.accesses (Dag.of_body t.body)
 
-let dedup_keep_order l =
+let fields_read accesses =
   let seen = Hashtbl.create 8 in
-  List.filter
-    (fun x ->
-      if Hashtbl.mem seen x then false
+  List.filter_map
+    (fun (f, _) ->
+      if Hashtbl.mem seen f then None
       else begin
-        Hashtbl.add seen x ();
-        true
+        Hashtbl.add seen f ();
+        Some f
       end)
-    l
+    accesses
 
-let input_fields t = List.map fst (accesses t) |> dedup_keep_order
+let input_fields t = fields_read (accesses t)
 
-let accesses_of_field t field =
-  List.filter_map (fun (f, offs) -> if String.equal f field then Some offs else None) (accesses t)
+let offsets_read accesses field =
+  List.filter_map (fun (f, offs) -> if String.equal f field then Some offs else None) accesses
+
+let accesses_of_field t field = offsets_read (accesses t) field
 
 let op_profile t = Expr.body_op_profile t.body
 let work_profile t = Dag.work_profile (Dag.of_body t.body)

@@ -29,6 +29,14 @@ val accesses : t -> (string * int list) list
 val input_fields : t -> string list
 (** Names of fields read, duplicates removed, in order of first access. *)
 
+val fields_read : (string * int list) list -> string list
+(** The fields of an access list such as {!accesses}, duplicates removed,
+    in order of first access: [input_fields s = fields_read (accesses s)]. *)
+
+val offsets_read : (string * int list) list -> string -> int list list
+(** The offsets at which an access list reads a field:
+    [accesses_of_field s f = offsets_read (accesses s) f]. *)
+
 val accesses_of_field : t -> string -> int list list
 (** The distinct offsets at which this stencil reads a given field. *)
 

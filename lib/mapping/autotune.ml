@@ -50,13 +50,9 @@ let evaluate ?(devices = 1) ~device (p : Program.t) w =
   in
   { vector_width = w; modeled_ops_per_s = modeled; bandwidth_bound; fits; network_ok }
 
-let choose ?devices ?(max_width = 16) ?(jobs = 1) ~device p =
-  let widths = Sf_analysis.Vectorize.legal_widths p ~max:max_width in
-  (* Each width is an independent model evaluation; [map_list] preserves
-     the width order, so the sweep table is identical for any [jobs]. *)
+let choose ?devices ?(max_width = 16) ~device p =
   let sweep =
-    Sf_support.Executor.with_pool ~jobs (fun pool ->
-        Sf_support.Executor.map_list pool (evaluate ?devices ~device p) widths)
+    List.map (evaluate ?devices ~device p) (Sf_analysis.Vectorize.legal_widths p ~max:max_width)
   in
   let feasible = List.filter (fun e -> e.fits && e.network_ok) sweep in
   match feasible with

@@ -25,13 +25,10 @@ val evaluate :
 val choose :
   ?devices:int ->
   ?max_width:int ->
-  ?jobs:int ->
   device:Sf_models.Device.t ->
   Sf_ir.Program.t ->
   evaluation * evaluation list
 (** Evaluate every legal power-of-two width up to [max_width] (default
-    16) and return the best feasible one plus the full sweep. [jobs]
-    (default 1) evaluates the candidate widths concurrently on an
-    {!Sf_support.Executor} pool; the sweep stays in width order, so the
-    result is identical for every [jobs] value. Raises
+    16), in width order, and return the best feasible one plus the full
+    sweep. Each width is one closed-form model evaluation. Raises
     [Invalid_argument] when no width fits. *)

@@ -15,9 +15,4 @@ let effective_bandwidth d ~operands_per_cycle ~element_bytes ~vectorized =
   if requested <= droop_threshold *. ceiling then requested
   else Float.min (requested *. droop_factor) ceiling
 
-let efficiency_vs_requested d ~operands_per_cycle ~element_bytes ~vectorized =
-  let requested = requested_bandwidth d ~operands_per_cycle ~element_bytes in
-  if requested <= 0. then 1.
-  else effective_bandwidth d ~operands_per_cycle ~element_bytes ~vectorized /. requested
-
 let bytes_per_cycle_cap d ~vectorized = cap d ~vectorized /. d.Device.frequency_hz

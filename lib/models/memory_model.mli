@@ -17,10 +17,6 @@ val requested_bandwidth :
   Device.t -> operands_per_cycle:int -> element_bytes:int -> float
 (** What the design would consume with no memory system limits. *)
 
-val efficiency_vs_requested :
-  Device.t -> operands_per_cycle:int -> element_bytes:int -> vectorized:bool -> float
-(** Effective / requested, in (0, 1]. *)
-
 val bytes_per_cycle_cap : Device.t -> vectorized:bool -> float
 (** The saturation ceiling expressed per kernel cycle — the budget handed
     to the simulator's memory {!Sf_sim.Controller}. *)

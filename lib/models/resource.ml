@@ -57,7 +57,7 @@ let of_stencil (p : Program.t) (s : Stencil.t) =
       * (alm_per_lane + (alm_per_op * (flop_ops + profile.Expr.divs + profile.Expr.sqrts))
         + (alm_per_cmp * cheap_ops)))
   in
-  let buffers = Sf_analysis.Internal_buffer.of_stencil p s in
+  let buffers = Sf_analysis.Internal_buffer.of_accesses p (Stencil.accesses s) in
   let buffer_bytes =
     List.fold_left
       (fun acc (b : Sf_analysis.Internal_buffer.t) ->

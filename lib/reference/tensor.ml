@@ -50,16 +50,6 @@ let max_abs_diff a b =
     a.data;
   !worst
 
-let equal_approx ?(rel = 1e-6) ?(abs = 1e-9) a b =
-  a.extent = b.extent
-  && begin
-       let ok = ref true in
-       Array.iteri
-         (fun i x -> if not (Sf_support.Util.float_close ~rel ~abs x b.data.(i)) then ok := false)
-         a.data;
-       !ok
-     end
-
 let pp fmt t =
   Format.fprintf fmt "tensor[%s]"
     (Sf_support.Util.string_concat_map "x" string_of_int t.extent)

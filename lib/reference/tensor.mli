@@ -35,7 +35,6 @@ val map2 : (float -> float -> float) -> t -> t -> t
 val max_abs_diff : t -> t -> float
 (** Largest absolute elementwise difference (for validation). *)
 
-val equal_approx : ?rel:float -> ?abs:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
 val slice : t -> origin:int list -> extent:int list -> t

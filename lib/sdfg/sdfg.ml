@@ -65,7 +65,7 @@ let symbol_value t name =
 
 let of_checked checked =
   let p = Program.Checked.program checked in
-  let analysis = Sf_analysis.Delay_buffer.analyze p in
+  let analysis = Sf_analysis.Delay_buffer.of_checked checked in
   let full_shape = p.Program.shape in
   let containers = ref [] in
   let add_container c = containers := !containers @ [ c ] in
@@ -147,16 +147,20 @@ let of_checked checked =
   (* Input reads. *)
   List.iter
     (fun (s : Stencil.t) ->
-      let sid = Hashtbl.find stencil_ids s.Stencil.name in
+      let name = s.Stencil.name in
+      let sid = Hashtbl.find stencil_ids name in
+      let accesses = Program.Checked.accesses checked name in
       List.iter
         (fun field ->
-          if Program.is_input p field then begin
-            let offsets = Stencil.accesses_of_field s field in
-            graph :=
-              add_edge !graph ~src:(access field) ~dst:sid ~data:field
-                ~subset:(Sf_support.Util.string_concat_map " " subset_of_offsets offsets)
-          end)
-        (Stencil.input_fields s))
+          match Program.Checked.find checked field with
+          | Program.Input _ ->
+              graph :=
+                add_edge !graph ~src:(access field) ~dst:sid ~data:field
+                  ~subset:
+                    (Sf_support.Util.string_concat_map " " subset_of_offsets
+                       (Stencil.offsets_read accesses field))
+          | Program.Op _ -> ())
+        (Program.Checked.reads checked name))
     p.Program.stencils;
   add_container (symbol_container "W" p.Program.vector_width);
   {
@@ -242,7 +246,7 @@ let extract_checked (t : t) =
 let extract_program t = Result.map Program.Checked.program (extract_checked t)
 
 (* Expansion of a stencil library node into the Fig. 12 subgraph. *)
-let expand_stencil (p_shape : int list) w init_cycles drain_cycles (s : Stencil.t) containers =
+let expand_stencil (p_shape : int list) w init_cycles drain_cycles (s : Stencil.t) accesses =
   let g = ref empty_graph in
   let node n =
     let g', id = add_node !g n in
@@ -250,11 +254,10 @@ let expand_stencil (p_shape : int list) w init_cycles drain_cycles (s : Stencil.
     id
   in
   let new_containers = ref [] in
-  let fields = Stencil.input_fields s in
   let compute_inputs = ref [] in
   List.iter
     (fun field ->
-      let offsets = Stencil.accesses_of_field s field in
+      let offsets = Stencil.offsets_read accesses field in
       let buffered = List.length offsets > 1 in
       let sr = Printf.sprintf "sr_%s_%s" s.Stencil.name field in
       if buffered then begin
@@ -318,7 +321,7 @@ let expand_stencil (p_shape : int list) w init_cycles drain_cycles (s : Stencil.
         let in_access = node (Access field) in
         compute_inputs := (in_access, field, offsets) :: !compute_inputs
       end)
-    fields;
+    (Stencil.fields_read accesses);
   (* Compute phase: taps feed the computation tasklet, whose result passes
      through a conditional write guard that drops initialization-phase
      outputs. *)
@@ -340,7 +343,6 @@ let expand_stencil (p_shape : int list) w init_cycles drain_cycles (s : Stencil.
   g := add_edge !g ~src:compute ~dst:guard ~data:"value" ~subset:"[scalar]";
   let out_access = node (Access s.Stencil.name) in
   g := add_edge !g ~src:guard ~dst:out_access ~data:s.Stencil.name ~subset:"[stream]";
-  ignore containers;
   ( Pipeline
       {
         label = Printf.sprintf "pipeline_%s" s.Stencil.name;
@@ -352,9 +354,10 @@ let expand_stencil (p_shape : int list) w init_cycles drain_cycles (s : Stencil.
     !new_containers )
 
 let expand_library_nodes (t : t) =
-  match extract_program t with
+  match extract_checked t with
   | Error _ -> t
-  | Ok p ->
+  | Ok checked ->
+      let p = Program.Checked.program checked in
       let new_containers = ref [] in
       let states =
         List.map
@@ -364,14 +367,17 @@ let expand_library_nodes (t : t) =
                 (fun (id, n) ->
                   match n with
                   | Stencil_node s ->
-                      let init = Sf_analysis.Internal_buffer.stencil_init_cycles p s in
+                      let accesses = Program.Checked.accesses checked s.Stencil.name in
+                      let init =
+                        Sf_analysis.Internal_buffer.(init_cycles p (of_accesses p accesses))
+                      in
                       let drain =
                         Sf_analysis.Latency.critical_path Sf_analysis.Latency.default
                           s.Stencil.body
                       in
                       let expanded, extra =
                         expand_stencil p.Program.shape p.Program.vector_width init drain s
-                          t.containers
+                          accesses
                       in
                       new_containers := extra @ !new_containers;
                       (id, expanded)

@@ -150,7 +150,7 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
   in
   let { Config.mem_bytes_per_cycle; writer_buffer } = bandwidth in
   let { Config.net_bytes_per_cycle; net_latency_cycles } = network in
-  let analysis = Sf_analysis.Delay_buffer.analyze ~config:latency p in
+  let analysis = Sf_analysis.Delay_buffer.of_checked ~config:latency checked in
   let w = p.Program.vector_width in
   let element_bytes = Dtype.size_bytes p.Program.dtype in
   let word_bytes = w * element_bytes in

@@ -140,8 +140,6 @@ module Make (V : ORDERED) = struct
     List.iter visit seeds;
     List.filter (fun v -> VSet.mem v !visited) (vertex_order g)
 
-  let map_vertices f g = { g with labels = VMap.mapi f g.labels }
-  let fold_vertices f g acc = List.fold_left (fun acc (v, a) -> f v a acc) acc (vertices g)
   let transpose g = { g with succ = g.pred; pred = g.succ }
 
   let longest_path g ~weight =

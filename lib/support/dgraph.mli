@@ -70,8 +70,6 @@ module Make (V : ORDERED) : sig
   val reachable_from : ('a, 'e) t -> vertex list -> vertex list
   (** All vertices reachable from the given seeds (seeds included). *)
 
-  val map_vertices : (vertex -> 'a -> 'b) -> ('a, 'e) t -> ('b, 'e) t
-  val fold_vertices : (vertex -> 'a -> 'acc -> 'acc) -> ('a, 'e) t -> 'acc -> 'acc
   val transpose : ('a, 'e) t -> ('a, 'e) t
 
   val longest_path : ('a, 'e) t -> weight:(vertex -> float) -> (vertex -> float) * float

@@ -81,13 +81,6 @@ let pp fmt d =
   Format.fprintf fmt "%s[%s]: %s" (severity_name d.severity) d.code d.message;
   List.iter (fun n -> Format.fprintf fmt "@.  note: %s" n) d.notes
 
-let pp_list fmt ds =
-  List.iteri
-    (fun i d ->
-      if i > 0 then Format.fprintf fmt "@.";
-      pp fmt d)
-    ds
-
 let to_string d = Format.asprintf "%a" pp d
 
 let to_json d =

@@ -132,7 +132,6 @@ val pp : Format.formatter -> t -> unit
 (** [file:line:col: error[SF0102]: message] followed by indented
     [note: ...] lines. *)
 
-val pp_list : Format.formatter -> t list -> unit
 val to_string : t -> string
 
 val to_json : t -> Json.t

@@ -377,8 +377,6 @@ let float_opt = function
   | Int i -> Some (float_of_int i)
   | _ -> None
 
-let list_opt = function List items -> Some items | _ -> None
-
 let rec equal a b =
   match (a, b) with
   | Null, Null -> true

@@ -63,7 +63,6 @@ val get_obj : t -> (string * t) list
 val string_opt : t -> string option
 val int_opt : t -> int option
 val float_opt : t -> float option
-val list_opt : t -> t list option
 
 val equal : t -> t -> bool
 (** Structural equality; object key order is significant. *)

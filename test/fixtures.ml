@@ -10,6 +10,27 @@ let ok = function
 
 let ok1 = function Ok v -> v | Error d -> failwith (Sf_support.Diag.to_string d)
 
+(* The dependency DAG: an edge [u -> v] for every field [u] that stencil
+   [v] reads, built from the bodies alone. Reference definitions in the
+   tests use it; the library derives it once, in [Program.check]. *)
+module G = Sf_support.Dgraph.Make (String)
+
+let graph (p : Program.t) =
+  let g =
+    List.fold_left
+      (fun g f -> G.add_vertex g f.Field.name (Program.Input f))
+      G.empty p.Program.inputs
+  in
+  let g =
+    List.fold_left (fun g s -> G.add_vertex g s.Stencil.name (Program.Op s)) g p.Program.stencils
+  in
+  List.fold_left
+    (fun g s ->
+      List.fold_left
+        (fun g src -> if G.mem_vertex g src then G.add_edge g ~src ~dst:s.Stencil.name () else g)
+        g (Stencil.input_fields s))
+    g p.Program.stencils
+
 (* 2D Laplace operator (Fig. 9): one stencil, four neighbour accesses. *)
 let laplace2d ?(shape = [ 8; 8 ]) ?(vector_width = 1) () =
   let b = Builder.create ~vector_width ~name:"laplace2d" ~shape () in

@@ -15,7 +15,7 @@ let program_with_accesses ?(vector_width = 1) ~shape offsets =
 
 let internal_of p =
   let s = List.hd p.Program.stencils in
-  List.hd (Internal_buffer.of_stencil p s)
+  List.hd (Internal_buffer.of_accesses p (Stencil.accesses s))
 
 (* Fig. 7: in a {K,J,I} space, accesses [0,1,0] and [0,-1,0] buffer two
    rows (2I + W); accesses [1,0,0] and [-1,0,0] buffer two slices
@@ -67,7 +67,7 @@ let test_fill_start () =
   Builder.output b "s";
   let p = Builder.finish b in
   let s = List.hd p.Program.stencils in
-  let bufs = Internal_buffer.of_stencil p s in
+  let bufs = Internal_buffer.of_accesses p (Stencil.accesses s) in
   let find f = List.find (fun (x : Internal_buffer.t) -> x.field = f) bufs in
   (* The largest buffer (a) starts immediately; the smaller (bb) is
      delayed by the difference. *)
@@ -278,8 +278,82 @@ let prop_internal_buffers_match_reference =
   QCheck.Test.make ~count:300 ~name:"internal buffers equal their old definition"
     arbitrary_programs (fun p ->
       List.for_all
-        (fun s -> Internal_buffer.of_stencil p s = reference_of_stencil p s)
+        (fun s -> Internal_buffer.of_accesses p (Stencil.accesses s) = reference_of_stencil p s)
         p.Program.stencils)
+
+(* The definition [Delay_buffer.analyze] had before it read the check's
+   facts: its own dependency graph over [Stencil.input_fields], its own
+   topological sort, and the internal buffers of every body walked again
+   ([reference_of_stencil], which the property above equates with the
+   library's). *)
+let reference_analyze ~config (p : Program.t) =
+  let module G = Fixtures.G in
+  let g = Fixtures.graph p in
+  let w = max 1 p.Program.vector_width in
+  let full_rank = Program.rank p in
+  let info = Hashtbl.create 16 in
+  List.iter
+    (fun f ->
+      Hashtbl.replace info f.Field.name
+        { Delay_buffer.init_cycles = 0; compute_cycles = 0; buffers = [] })
+    p.Program.inputs;
+  List.iter
+    (fun s ->
+      let buffers = reference_of_stencil p s in
+      let delay =
+        List.fold_left (fun acc (b : Internal_buffer.t) -> max acc b.init_elements) 0 buffers
+      in
+      Hashtbl.replace info s.Stencil.name
+        {
+          Delay_buffer.init_cycles = Sf_support.Util.ceil_div delay w;
+          compute_cycles = Latency.critical_path config s.Stencil.body;
+          buffers;
+        })
+    p.Program.stencils;
+  let order = match G.topological_sort g with Ok o -> o | Error _ -> assert false in
+  let avail = Hashtbl.create 16 and timing = ref [] and edges = ref [] in
+  List.iter
+    (fun v ->
+      match G.find_vertex_exn g v with
+      | Program.Input _ -> Hashtbl.replace avail v 0
+      | Program.Op _ ->
+          let i = Hashtbl.find info v in
+          let init_extra u =
+            match
+              List.find_opt
+                (fun (b : Internal_buffer.t) -> String.equal b.field u)
+                i.Delay_buffer.buffers
+            with
+            | Some b -> Sf_support.Util.ceil_div b.init_elements w
+            | None -> 0
+          in
+          let annotated =
+            List.filter_map
+              (fun (u, ()) ->
+                match G.find_vertex_exn g u with
+                | Program.Input f when Field.rank f <> full_rank -> None
+                | _ -> Some (u, i.Delay_buffer.init_cycles - init_extra u, Hashtbl.find avail u))
+              (G.preds g v)
+          in
+          let t0 = List.fold_left (fun acc (_, need, av) -> max acc (av - need)) 0 annotated in
+          List.iter (fun (u, need, av) -> edges := ((u, v), t0 + need - av) :: !edges) annotated;
+          let out = t0 + i.Delay_buffer.init_cycles + i.Delay_buffer.compute_cycles in
+          timing := (v, (t0, out)) :: !timing;
+          Hashtbl.replace avail v out)
+    order;
+  let latency =
+    List.fold_left (fun acc s -> max acc (Hashtbl.find avail s.Stencil.name)) 0 p.Program.stencils
+  in
+  let nodes = List.map (fun (v, _) -> (v, Hashtbl.find info v)) (G.vertices g) in
+  (nodes, List.rev !edges, latency, List.rev !timing)
+
+let prop_analysis_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"delay analysis from the check equals the old analyze"
+    (QCheck.pair arbitrary_programs QCheck.bool) (fun (p, cheap) ->
+      let config = if cheap then Latency.cheap else Latency.default in
+      let a = Delay_buffer.of_checked ~config (Program.check_exn p) in
+      let open Delay_buffer in
+      (a.nodes, a.edges, a.latency_cycles, a.timing) = reference_analyze ~config p)
 
 let suite =
   [
@@ -302,4 +376,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_delay_nonnegative;
     QCheck_alcotest.to_alcotest prop_delay_lookups_match_lists;
     QCheck_alcotest.to_alcotest prop_internal_buffers_match_reference;
+    QCheck_alcotest.to_alcotest prop_analysis_matches_reference;
   ]

@@ -1,6 +1,6 @@
 (* The shared domain pool. Determinism is the load-bearing property:
-   every embarrassingly-parallel caller (fault campaigns, probe arms,
-   autotune sweeps) promises byte-identical results for any --jobs, and
+   every embarrassingly-parallel caller (fault campaigns, probe arms)
+   promises byte-identical results for any --jobs, and
    that only holds if [map] really is [Array.init] whichever domain
    claims which index from a batch's shared claim counter. *)
 module Executor = Sf_support.Executor

@@ -100,12 +100,24 @@ let invalid_cases =
         Builder.finish b);
   ]
 
+module G = Fixtures.G
+
 let test_graph_structure () =
   let p = Fixtures.diamond () in
-  let g = Program.graph p in
-  Alcotest.(check int) "vertices" 4 (Program.G.num_vertices g);
-  Alcotest.(check (list string)) "sources" [ "x" ] (Program.G.sources g);
-  Alcotest.(check (list string)) "sinks" [ "c" ] (Program.G.sinks g);
+  let c = Program.check_exn p in
+  let names = [ "x"; "a"; "b"; "c" ] in
+  let is_source n =
+    match Program.Checked.find c n with
+    | Program.Input _ -> true
+    | Program.Op _ -> Program.Checked.reads c n = []
+  in
+  Alcotest.(check (list string)) "sources" [ "x" ] (List.filter is_source names);
+  Alcotest.(check (list string)) "sinks" [ "c" ]
+    (List.filter (fun n -> Program.Checked.consumers c n = []) names);
+  Alcotest.(check (list string)) "reads of c" [ "a"; "b" ] (Program.Checked.reads c "c");
+  Alcotest.(check (list (pair string (list int)))) "accesses of c"
+    (Stencil.accesses (Option.get (Program.find_stencil p "c")))
+    (Program.Checked.accesses c "c");
   Alcotest.(check (list string)) "consumers of a" [ "b"; "c" ] (Program.consumers p "a")
 
 let test_topological_stencils () =
@@ -118,10 +130,10 @@ let test_topological_stencils () =
    taking ready vertices in insertion order, rescanning the remaining
    vertices per step, then one [find_stencil] per vertex. *)
 let reference_topological_stencils p =
-  let g = Program.graph p in
-  let order = List.map fst (Program.G.vertices g) in
+  let g = Fixtures.graph p in
+  let order = List.map fst (G.vertices g) in
   let in_deg = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.replace in_deg v (Program.G.in_degree g v)) order;
+  List.iter (fun v -> Hashtbl.replace in_deg v (G.in_degree g v)) order;
   let rec go sorted ready remaining =
     match ready with
     | [] -> if remaining = [] then List.rev sorted else invalid_arg "cycle"
@@ -132,7 +144,7 @@ let reference_topological_stencils p =
               let d = Hashtbl.find in_deg s - 1 in
               Hashtbl.replace in_deg s d;
               if d = 0 then Some s else None)
-            (Program.G.succs g v)
+            (G.succs g v)
         in
         go (v :: sorted) (rest @ newly) (List.filter (fun u -> u <> v) remaining)
   in
@@ -216,11 +228,11 @@ let reference_validate (t : Program.t) =
     (fun o -> if Program.find_stencil t o = None then err "declared output %s is not a stencil" o)
     t.outputs;
   if !errors = [] then begin
-    let g = Program.graph t in
-    (match Program.G.topological_sort g with
+    let g = Fixtures.graph t in
+    (match G.topological_sort g with
     | Ok _ -> ()
     | Error cyc -> err "program %s: dependency cycle through {%s}" t.name (String.concat ", " cyc));
-    let live = Program.G.reachable_from (Program.G.transpose g) t.outputs in
+    let live = G.reachable_from (G.transpose g) t.outputs in
     List.iter
       (fun s ->
         if not (List.exists (String.equal s.Stencil.name) live) then
