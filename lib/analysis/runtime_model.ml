@@ -9,12 +9,6 @@ let expected_cycles ?config p = analyzed_cycles p (Delay_buffer.analyze ?config 
 let analyzed_ops_per_s ~frequency_hz p analysis =
   Op_count.total_flops p /. (float_of_int (analyzed_cycles p analysis) /. frequency_hz)
 
-let expected_seconds ?config ~frequency_hz p =
-  float_of_int (expected_cycles ?config p) /. frequency_hz
-
-let performance_ops_per_s ?config ~frequency_hz p =
-  analyzed_ops_per_s ~frequency_hz p (Delay_buffer.analyze ?config p)
-
 let initialization_fraction ?config p =
   let analysis = Delay_buffer.analyze ?config p in
   float_of_int analysis.Delay_buffer.latency_cycles /. float_of_int (analyzed_cycles p analysis)

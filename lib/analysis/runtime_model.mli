@@ -13,15 +13,10 @@ val analyzed_cycles : Sf_ir.Program.t -> Delay_buffer.t -> int
 val expected_cycles : ?config:Latency.config -> Sf_ir.Program.t -> int
 (** {!analyzed_cycles} of a fresh analysis under [config]. *)
 
-val expected_seconds : ?config:Latency.config -> frequency_hz:float -> Sf_ir.Program.t -> float
-
-val performance_ops_per_s :
-  ?config:Latency.config -> frequency_hz:float -> Sf_ir.Program.t -> float
-(** Total floating-point operations divided by expected runtime: the
-    upper-bound line of Figs. 14-15. *)
-
 val analyzed_ops_per_s : frequency_hz:float -> Sf_ir.Program.t -> Delay_buffer.t -> float
-(** {!performance_ops_per_s} from an existing analysis of the program. *)
+(** Total floating-point operations divided by the expected runtime
+    ({!analyzed_cycles} at [frequency_hz]), from an existing analysis
+    of the program: the upper-bound line of Figs. 14-15. *)
 
 val initialization_fraction : ?config:Latency.config -> Sf_ir.Program.t -> float
 (** L / C: the share of runtime spent initializing (0.7% for horizontal

@@ -6,7 +6,8 @@ module Partition = Sf_mapping.Partition
 
 let markdown ?(device = Device.stratix10) (p : Program.t) =
   (* Checks the program: raises before any output on an invalid one. *)
-  let analysis = Sf_analysis.Delay_buffer.analyze p in
+  let checked = Program.check_exn p in
+  let analysis = Sf_analysis.Delay_buffer.of_checked checked in
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "# StencilFlow report: %s\n\n" p.Program.name;
@@ -26,7 +27,7 @@ let markdown ?(device = Device.stratix10) (p : Program.t) =
     (fun (s : Stencil.t) ->
       let info = Sf_analysis.Delay_buffer.node_info analysis s.Stencil.name in
       add "| %s | %s | %d | %d | %d | %d | %d | %d | %d |\n" s.Stencil.name
-        (String.concat ", " (Stencil.input_fields s))
+        (String.concat ", " (Program.Checked.reads checked s.Stencil.name))
         (Expr.flop_count (Stencil.op_profile s))
         (Expr.flop_count (Stencil.work_profile s))
         (Expr.flop_count (Stencil.tree_profile s))
@@ -46,16 +47,16 @@ let markdown ?(device = Device.stratix10) (p : Program.t) =
 
   add "\n## Runtime model (Eq. 1)\n\n";
   let n = Program.cells p / p.Program.vector_width in
-  add "- latency L = %d cycles, N = %d words: C = %d cycles\n"
-    analysis.Sf_analysis.Delay_buffer.latency_cycles n
-    (analysis.Sf_analysis.Delay_buffer.latency_cycles + n);
+  let latency = analysis.Sf_analysis.Delay_buffer.latency_cycles in
+  let cycles = Sf_analysis.Runtime_model.analyzed_cycles p analysis in
+  add "- latency L = %d cycles, N = %d words: C = %d cycles\n" latency n (latency + n);
   add "- at %.0f MHz: %s runtime, %s\n" (device.Device.frequency_hz /. 1e6)
-    (Sf_support.Util.human_time
-       (Sf_analysis.Runtime_model.expected_seconds ~frequency_hz:device.Device.frequency_hz p))
+    (Sf_support.Util.human_time (float_of_int cycles /. device.Device.frequency_hz))
     (Sf_support.Util.human_rate
-       (Sf_analysis.Runtime_model.performance_ops_per_s ~frequency_hz:device.Device.frequency_hz p));
+       (Sf_analysis.Runtime_model.analyzed_ops_per_s ~frequency_hz:device.Device.frequency_hz p
+          analysis));
   add "- initialization fraction: %.2f%%\n"
-    (100. *. Sf_analysis.Runtime_model.initialization_fraction p);
+    (100. *. (float_of_int latency /. float_of_int cycles));
 
   add "\n## Data movement and roofline\n\n";
   let counts = Sf_analysis.Op_count.of_program p in
@@ -82,7 +83,7 @@ let markdown ?(device = Device.stratix10) (p : Program.t) =
           ~frequency_hz:device.Device.frequency_hz p));
 
   add "\n## Resources on %s\n\n" device.Device.name;
-  let usage = Resource.of_program p in
+  let usage = Resource.of_checked checked in
   let a, f, m, d = Resource.utilization device usage in
   add "| | ALM | FF | M20K | DSP |\n|---|---|---|---|---|\n";
   add "| estimated | %d | %d | %d | %d |\n" usage.Resource.alm usage.Resource.ff

@@ -43,7 +43,7 @@ let derive_metadata checked device_of num_devices per_device_usage =
 let single_device checked =
   let p = Program.Checked.program checked in
   let device_of = List.map (fun s -> (s.Stencil.name, 0)) p.Program.stencils in
-  derive_metadata checked device_of 1 [ Resource.of_program p ]
+  derive_metadata checked device_of 1 [ Resource.of_checked checked ]
 
 let greedy ?(ceiling = 0.85) ?(max_devices = 8) ~device (p : Program.t) =
   let checked = Program.check_exn p in

@@ -35,7 +35,8 @@ let dsp_dtype_factor = function
 
 let alm_dtype_factor = function Dtype.F64 | Dtype.I64 -> 2 | Dtype.F32 | Dtype.I32 -> 1
 
-let of_stencil (p : Program.t) (s : Stencil.t) =
+(* One unit from its body's accesses ({!Stencil.accesses}). *)
+let stencil_usage (p : Program.t) (s : Stencil.t) accesses =
   let w = p.Program.vector_width in
   (* Work profile, not tree profile: codegen emits every shared DAG node
      as a single local temporary, so the pipeline instantiates one ALU
@@ -57,7 +58,7 @@ let of_stencil (p : Program.t) (s : Stencil.t) =
       * (alm_per_lane + (alm_per_op * (flop_ops + profile.Expr.divs + profile.Expr.sqrts))
         + (alm_per_cmp * cheap_ops)))
   in
-  let buffers = Sf_analysis.Internal_buffer.of_accesses p (Stencil.accesses s) in
+  let buffers = Sf_analysis.Internal_buffer.of_accesses p accesses in
   let buffer_bytes =
     List.fold_left
       (fun acc (b : Sf_analysis.Internal_buffer.t) ->
@@ -73,6 +74,8 @@ let of_stencil (p : Program.t) (s : Stencil.t) =
   in
   { alm; ff = int_of_float (ff_per_alm *. float_of_int alm) + (50 * w); m20k; dsp }
 
+let of_stencil p s = stencil_usage p s (Stencil.accesses s)
+
 let memory_interface_usage (p : Program.t) =
   (* Prefetchers, writers and the memory ring: the paper's bandwidth study
      shows routing pressure growing with access points (Sec. VIII-D). *)
@@ -84,11 +87,15 @@ let memory_interface_usage (p : Program.t) =
   in
   { alm = streams * (800 + (120 * w)); ff = streams * (1800 + (250 * w)); m20k = streams * 4; dsp = 0 }
 
-let of_program (p : Program.t) =
+let of_checked checked =
+  let p = Program.Checked.program checked in
   let units =
-    List.fold_left (fun acc s -> add acc (of_stencil p s)) zero p.Program.stencils
+    List.fold_left
+      (fun acc (s : Stencil.t) ->
+        add acc (stencil_usage p s (Program.Checked.accesses checked s.Stencil.name)))
+      zero p.Program.stencils
   in
-  let analysis = Sf_analysis.Delay_buffer.analyze p in
+  let analysis = Sf_analysis.Delay_buffer.of_checked checked in
   let delay_bytes =
     Sf_analysis.Delay_buffer.total_delay_buffer_words analysis
     * p.Program.vector_width
@@ -96,6 +103,8 @@ let of_program (p : Program.t) =
   in
   let delay_m20k = Sf_support.Util.ceil_div delay_bytes Device.m20k_bytes in
   add units (add (memory_interface_usage p) { zero with m20k = delay_m20k })
+
+let of_program p = of_checked (Program.check_exn p)
 
 let utilization (d : Device.t) u =
   ( float_of_int u.alm /. float_of_int d.Device.alm,

@@ -18,9 +18,16 @@ val of_stencil : Sf_ir.Program.t -> Sf_ir.Stencil.t -> usage
     per-lane stream/predication overhead, and M20K blocks for its
     internal buffers. *)
 
-val of_program : Sf_ir.Program.t -> usage
+val of_checked : Sf_ir.Program.checked -> usage
 (** All stencil units plus delay-buffer memory and per-off-chip-access
-    infrastructure (prefetchers/writers, the global memory ring). *)
+    infrastructure (prefetchers/writers, the global memory ring), from
+    the facts of the program's check: the delay analysis is
+    {!Sf_analysis.Delay_buffer.of_checked} and each unit's buffers come
+    from {!Sf_ir.Program.Checked.accesses}, so no body is walked again. *)
+
+val of_program : Sf_ir.Program.t -> usage
+(** [of_checked] of the checked program. Raises [Invalid_argument] if
+    the program does not validate. *)
 
 val utilization : Device.t -> usage -> float * float * float * float
 (** Fractions of (alm, ff, m20k, dsp) consumed. *)

@@ -549,7 +549,7 @@ let[@inline] read_run r e step fr dst len =
     if m < len then Array.blit r.data 0 fr (dst + m) (len - m)
   end
 
-let fill_slot t ~idx ~lanes fr ~dst ~oob =
+let fill_slot t ~idx ~lanes fr ~dst oob =
   let width = lanes + t.extra in
   let fixed = Array.length t.axes - t.step in
   let center = ref 0 and in_bounds = ref true in
@@ -582,23 +582,28 @@ let fill_slot t ~idx ~lanes fr ~dst ~oob =
   (* Lane [l]'s loads read cells [l] to [l + extra], both ends among
      them: its cell is marked for shrink validity if either end is out
      of bounds. *)
-  for l = 0 to Int.min lanes lo - 1 do
-    oob.(l) <- true
-  done;
-  for l = Int.max 0 (hi - t.extra) to lanes - 1 do
-    oob.(l) <- true
-  done
+  match oob with
+  | None -> ()
+  | Some oob ->
+      for l = 0 to Int.min lanes lo - 1 do
+        oob.(l) <- true
+      done;
+      for l = Int.max 0 (hi - t.extra) to lanes - 1 do
+        oob.(l) <- true
+      done
 
-let fill taps ~idx ~lanes ~stride fr ~oob =
-  if Array.length taps * stride > Array.length fr || Array.length oob < lanes then
-    invalid_arg "Compile.fill: the frame or the flags are too small for [lanes]";
-  for l = 0 to lanes - 1 do
-    oob.(l) <- false
-  done;
+let fill ?oob taps ~idx ~lanes ~stride fr =
+  if Array.length taps * stride > Array.length fr then
+    invalid_arg "Compile.fill: the frame is too small for [lanes]";
+  (match oob with
+  | Some oob ->
+      if Array.length oob < lanes then invalid_arg "Compile.fill: the flags are too small for [lanes]";
+      Array.fill oob 0 lanes false
+  | None -> ());
   for slot = 0 to Array.length taps - 1 do
     let t = taps.(slot) in
     if lanes + t.extra > stride then invalid_arg "Compile.fill: a run is wider than the stride";
-    fill_slot t ~idx ~lanes fr ~dst:(slot * stride) ~oob
+    fill_slot t ~idx ~lanes fr ~dst:(slot * stride) oob
   done
 
 let rec advance ~shape idx d inc =

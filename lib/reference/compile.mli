@@ -117,7 +117,7 @@ val taps :
     [Invalid_argument] on a shifting run with a [Copy] boundary. *)
 
 val fill :
-  tap array -> idx:int array -> lanes:int -> stride:int -> float array -> oob:bool array -> unit
+  ?oob:bool array -> tap array -> idx:int array -> lanes:int -> stride:int -> float array -> unit
 (** Fill each load slot [k], at [k * stride], from [taps.(k)]: cells
     [0, lanes) plus the run's shift spread, cell [c] reading the run's
     first offsets from lane [c]'s cell. The in-bounds cells of a slot
@@ -125,11 +125,13 @@ val fill :
     (split where the run wraps the ring), or one repeated element when
     the tap does not span the innermost axis. An out-of-bounds cell
     takes the boundary value (for [Copy], the source's element at the
-    lane's own cell). [oob.(l)] is set to whether any original load of
-    lane [l] was out of bounds: a run's least and greatest lane offsets
-    are both loads of the body, so that is whether either end of lane
-    [l]'s reads was. Fails an assertion if a read element is not in the
-    ring. *)
+    lane's own cell). With [oob], [oob.(l)] is set to whether any
+    original load of lane [l] was out of bounds: a run's least and
+    greatest lane offsets are both loads of the body, so that is whether
+    either end of lane [l]'s reads was. Only a shrink stencil's validity
+    reads the flags, so its callers pass [oob] and the others skip the
+    flag work; the frame is the same either way. Fails an assertion if a
+    read element is not in the ring. *)
 
 val advance : shape:int array -> int array -> int -> int -> unit
 (** [advance ~shape idx d inc] adds [inc] to [idx.(d)], carrying into

@@ -152,17 +152,18 @@ let prepare { checked; stages } ~inputs =
       in
       let frame = Compile.frame prog ~lanes and stride = Compile.stride prog ~lanes in
       let result = Compile.result prog ~stride in
-      let oob = Array.make lanes false in
+      let oob = if s.Stencil.shrink then Some (Array.make lanes false) else None in
       let idx = Array.make rank 0 in
       for row = 0 to (cells / lanes) - 1 do
-        Compile.fill taps ~idx ~lanes ~stride frame ~oob;
+        Compile.fill taps ~idx ~lanes ~stride frame ?oob;
         Compile.exec prog ~lanes frame;
         Array.blit frame result out.Tensor.data (row * lanes) lanes;
-        if s.Stencil.shrink then
-          for l = 0 to lanes - 1 do
-            valid.((row * lanes) + l) <- not oob.(l)
-          done
-        else Array.fill valid (row * lanes) lanes true;
+        (match oob with
+        | Some oob ->
+            for l = 0 to lanes - 1 do
+              valid.((row * lanes) + l) <- not oob.(l)
+            done
+        | None -> Array.fill valid (row * lanes) lanes true);
         Compile.advance ~shape idx (rank - 2) 1
       done;
       Hashtbl.replace store s.Stencil.name out;

@@ -554,6 +554,7 @@ type sched = {
   advance : limit:int -> unit;
   now : unit -> int;
   windowed : unit -> int;
+  windows : unit -> int;
   deadlocked : unit -> bool;
   samples : unit -> (int * (string * int) list) list;
 }
@@ -700,7 +701,7 @@ let scheduler ~config ?injector ~finished system =
   let idle_src = Array.make nchan false in
   let active = Array.make ncomps false in
   let asleep = Array.make ncomps false in
-  let windowed = ref 0 in
+  let windowed = ref 0 and windows = ref 0 in
   (* Try to advance the whole system k >= 2 cycles at once, short of
      [limit]. Every awake non-done component must repeat one action each
      cycle of the window and is [active]; every sleeping one must stay
@@ -835,6 +836,7 @@ let scheduler ~config ?injector ~finished system =
       cycle := now + kk;
       idle_cycles := 0;
       windowed := !windowed + kk;
+      incr windows;
       true
     end
     else false
@@ -928,6 +930,7 @@ let scheduler ~config ?injector ~finished system =
     advance;
     now = (fun () -> !cycle);
     windowed = (fun () -> !windowed);
+    windows = (fun () -> !windows);
     deadlocked = (fun () -> !deadlocked);
     samples = (fun () -> List.rev !trace);
   }

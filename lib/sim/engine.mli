@@ -262,6 +262,7 @@ module Internal : sig
             deadlocked. *)
     now : unit -> int;  (** The next cycle to execute. *)
     windowed : unit -> int;  (** Cycles advanced by fast-forward windows. *)
+    windows : unit -> int;  (** Fast-forward windows taken. *)
     deadlocked : unit -> bool;  (** No progress for over [deadlock_window] cycles. *)
     samples : unit -> (int * (string * int) list) list;
         (** Occupancy samples, oldest first. *)

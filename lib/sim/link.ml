@@ -50,7 +50,7 @@ let add_port t ~src ~dst ~word_bytes =
     Array.append t.ports [| { src; dst; word_bytes; ring; delivers = false; injects = false } |]
 
 (* Release cycle of the oldest word in flight, or [max_int]. *)
-let head_release p = if Spsc.front p.ring >= 0 then Spsc.front_release p.ring else max_int
+let head_release p = Spsc.front_release p.ring
 
 (* Move the [n] head words of [p]'s ring into slots [push] appends. *)
 let move_heads p n push =
@@ -162,7 +162,7 @@ let plan t ~now =
   Array.iter
     (fun p ->
       let m = Spsc.length p.ring in
-      p.delivers <- m > 0 && Spsc.front_release p.ring <= now;
+      p.delivers <- head_release p <= now;
       if p.delivers then begin
         (* A matured head held back by a full destination would start
            moving once its consumer pops: not one action per cycle. *)
@@ -196,12 +196,7 @@ let fit t ~now k =
   let k = ref k in
   Array.iter
     (fun p ->
-      if p.delivers then begin
-        let j = ref 0 and m = Spsc.length p.ring in
-        while !j < Int.min !k m do
-          if Spsc.release_at p.ring !j > now + !j then k := !j else incr j
-        done
-      end)
+      if p.delivers then k := Int.min !k (Spsc.first_immature p.ring ~now))
     t.ports;
   Controller.sustains t.controller ~now ~cycles:!k t.plan_requests
 

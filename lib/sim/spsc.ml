@@ -1,13 +1,14 @@
 (* Power-of-two ring with monotonically increasing cursors; [land mask]
    maps a cursor to its slot. Cursors are plain ints: at one element per
-   simulated cycle they cannot overflow within any realistic run.
-   Element fields live in flat unboxed rings, so producing is one int
-   store plus lane stores: no box, no tuple, no per-word allocation. *)
+   simulated cycle they cannot overflow within any realistic run. Lanes
+   live in a flat unboxed ring and releases in a {!Release_line}, so
+   producing a run of elements is lane stores plus at most one run:
+   no box, no tuple, no per-word allocation or release store. *)
 
 type t = {
   lanes : int;
+  releases : Release_line.t;
   mutable mask : int;
-  mutable releases : int array;
   mutable values : float array;
   mutable head : int;  (* the oldest element *)
   mutable tail : int;  (* the next element produced *)
@@ -15,7 +16,6 @@ type t = {
 
 let alloc t cap =
   t.mask <- cap - 1;
-  t.releases <- Array.make cap 0;
   t.values <- Array.make (cap * t.lanes) 0.
 
 let create ~capacity ~lanes =
@@ -25,7 +25,9 @@ let create ~capacity ~lanes =
   while !cap < capacity do
     cap := !cap * 2
   done;
-  let t = { lanes; mask = 0; releases = [||]; values = [||]; head = 0; tail = 0 } in
+  let t =
+    { lanes; releases = Release_line.create ~capacity; mask = 0; values = [||]; head = 0; tail = 0 }
+  in
   alloc t !cap;
   t
 
@@ -36,11 +38,10 @@ let length t = t.tail - t.head
 
 (* Double the capacity, moving the elements to the front in order. *)
 let grow t =
-  let { mask; releases; values; head; _ } = t and n = length t in
+  let { mask; values; head; _ } = t and n = length t in
   alloc t (2 * (mask + 1));
   for j = 0 to n - 1 do
     let slot = (head + j) land mask in
-    t.releases.(j) <- releases.(slot);
     Array.blit values (slot * t.lanes) t.values (j * t.lanes) t.lanes
   done;
   t.head <- 0;
@@ -50,17 +51,17 @@ let produce t ~release n =
   while length t + n > t.mask + 1 do
     grow t
   done;
-  for r = 0 to n - 1 do
-    t.releases.((t.tail + r) land t.mask) <- release + r
-  done;
+  Release_line.append t.releases ~release n;
   let base = (t.tail land t.mask) * t.lanes in
   t.tail <- t.tail + n;
   base
 
 let front t = if t.head = t.tail then -1 else (t.head land t.mask) * t.lanes
-let front_release t = t.releases.(t.head land t.mask)
-let release_at t j = t.releases.((t.head + j) land t.mask)
+let front_release t = Release_line.head t.releases
+let release_at t j = Release_line.release_at t.releases j
+let first_immature t ~now = Release_line.first_immature t.releases ~now
 
 let consume t n =
   if n > length t then failwith "Spsc.consume: empty";
+  Release_line.drop t.releases n;
   t.head <- t.head + n

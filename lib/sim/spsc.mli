@@ -2,13 +2,13 @@
 
     Each link port keeps its in-flight words in one ring: the link
     produces a word when it injects it and consumes it when it delivers
-    it. An element is an unboxed release cycle in a flat [int array]
-    ring plus [lanes] word lanes in a flat [float array] ring, written
-    and read in place a run of elements at a time through the same
-    structure-of-arrays idiom as {!Channel.Unsafe}, so nothing here
-    allocates per word. A full ring doubles its capacity on
-    the next {!produce}: a full destination can hold words back for
-    arbitrarily long. *)
+    it. An element is [lanes] word lanes in a flat [float array] ring,
+    written and read in place a run of elements at a time through the
+    same structure-of-arrays idiom as {!Channel.Unsafe}, plus a release
+    cycle, kept in a {!Release_line} as runs of consecutive releases; so
+    nothing here allocates or stores a release per word. A full ring
+    doubles its capacity on the next {!produce}: a full destination can
+    hold words back for arbitrarily long. *)
 
 type t
 
@@ -24,7 +24,8 @@ val lanes : t -> int
 
 val produce : t -> release:int -> int -> int
 (** [produce t ~release n] appends [n] elements, growing the ring until
-    they fit, element [r] released at [release + r], and returns the base
+    they fit, element [r] released at [release + r] (one run of the
+    release line, or an extension of its last run), and returns the base
     offset of the first one's lanes in {!values} (lane [l] of element
     [r] lives at [base + r * lanes + l], wrapping at the end of the
     array) for the caller to fill. *)
@@ -37,15 +38,21 @@ val front : t -> int
     empty. Stable until {!consume} or {!produce}. *)
 
 val front_release : t -> int
-(** The release of the oldest element. Only meaningful when {!front}
-    returned [>= 0]. *)
+(** The release of the oldest element, or [max_int] when the ring is
+    empty. *)
 
 val length : t -> int
 (** Number of elements held; {!release_at} may read that many. *)
 
 val release_at : t -> int -> int
 (** [release_at t j] is the release of the [j]-th oldest element
-    ([0] is {!front_release}); [j] must be below {!length}. *)
+    ([0] is {!front_release}); [j] must be below {!length}. One step
+    per run ({!Release_line.release_at}). *)
+
+val first_immature : t -> now:int -> int
+(** The least [j] whose element is not released by relative cycle [j]
+    ([release_at t j > now + j]), or [max_int] when every element is
+    ({!Release_line.first_immature}). *)
 
 val consume : t -> int -> unit
 (** [consume t n] drops the [n] oldest elements. The caller must have

@@ -37,23 +37,22 @@ type t = {
   stride : int;
   result : int;
   idx : int array;
-  oob : bool array;
-  shrink : bool;
+  (* Per-lane out-of-bounds flags of a dispatch, only for a shrink unit
+     with an output that carries validity: nothing else reads them. *)
+  oob : bool array option;
   mutable step : int;
-  (* The delay line of computed-but-not-yet-emitted words, as a
-     structure-of-arrays ring: release cycle per slot, plus the lane
-     values and validity flattened at [slot * w]. The flags exist only
-     when an output carries them; they start all valid and only a
-     shrink unit writes them. Occupancy never
-     exceeds compute_cycles + 1 (the pipeline depth guard in try_step)
-     before a step; a fast-forward chunk computes up to Channel.chunk
-     words before it flushes. *)
-  pend_release : int array;
+  (* The delay line of computed-but-not-yet-emitted words: their release
+     cycles as runs, and a structure-of-arrays ring of their lane values
+     and validity flattened at [slot * w]. The flags exist only when an
+     output carries them; they start all valid and only a shrink unit
+     writes them. Occupancy never exceeds compute_cycles + 1 (the
+     pipeline depth guard in try_step) before a step; a fast-forward
+     chunk computes up to Channel.chunk words before it flushes. *)
+  pend : Release_line.t;
   pend_values : float array;
   pend_valid : bool array;
   pend_cap : int;
   mutable pend_head : int;
-  mutable pend_count : int;
   mutable stalls : int;
   (* The action of the current fast-forward plan (see [plan]). *)
   mutable plan_flush : bool;
@@ -125,6 +124,7 @@ let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
   let pend_cap = compute_cycles + 2 + Channel.chunk in
   let lanes = Int.min (Channel.chunk * w) shape.(Array.length shape - 1) in
   let stride = Compile.stride prog ~lanes in
+  let flagged = List.exists Channel.has_validity outputs in
   {
     name = stencil.Stencil.name;
     shape;
@@ -140,16 +140,14 @@ let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
     stride;
     result = Compile.result prog ~stride;
     idx = Array.make (Array.length shape) 0;
-    oob = Array.make lanes false;
-    shrink = stencil.Stencil.shrink;
+    oob = (if stencil.Stencil.shrink && flagged then Some (Array.make lanes false) else None);
     step = 0;
-    pend_release = Array.make pend_cap 0;
+    (* Runs, not words: words released one cycle apart are one run. *)
+    pend = Release_line.create ~capacity:16;
     pend_values = Array.make (pend_cap * w) 0.;
-    pend_valid =
-      (if List.exists Channel.has_validity outputs then Array.make (pend_cap * w) true else [||]);
+    pend_valid = (if flagged then Array.make (pend_cap * w) true else [||]);
     pend_cap;
     pend_head = 0;
-    pend_count = 0;
     stalls = 0;
     plan_flush = false;
     plan_step = false;
@@ -159,7 +157,8 @@ let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
 
 let name t = t.name
 let total_steps t = t.init_max + t.n_words
-let is_done t = t.step >= total_steps t && t.pend_count = 0
+let pend_count t = Release_line.length t.pend
+let is_done t = t.step >= total_steps t && pend_count t = 0
 let stall_cycles t = t.stalls
 let add_stalls t n = t.stalls <- t.stalls + n
 
@@ -167,7 +166,7 @@ let input_channels t =
   Array.to_list t.inputs |> List.filter_map (fun i -> i.channel)
 
 let output_channels t = Array.to_list t.outputs
-let next_release t = if t.pend_count = 0 then max_int else t.pend_release.(t.pend_head)
+let next_release t = Release_line.head t.pend
 
 (* Input [i] must consume a word at pipeline step [s]. *)
 let consuming_at i s =
@@ -181,32 +180,29 @@ let consuming_active t i = consuming_at i t.step && t.step - i.start_step < t.n_
    line, word [r] to be released [compute_cycles] after cycle [now + r].
    The W lanes of a word are consecutive cells of one innermost-axis row
    (W divides the innermost extent), and so are the words up to the end
-   of that row: each row segment is one dispatch. Words are computed in
-   order, one per step from [init_max] on, so the multi-index is carried
-   from word to word. *)
+   of that row: each row segment is one dispatch, and its releases one
+   run of the release line. Words are computed in order, one per step
+   from [init_max] on, so the multi-index is carried from word to word. *)
 let compute t ~now n =
   let last = Array.length t.shape - 1 in
   let r = ref 0 in
   while !r < n do
     let lanes = Int.min ((n - !r) * t.w) (t.shape.(last) - t.idx.(last)) in
-    Compile.fill t.taps ~idx:t.idx ~lanes ~stride:t.stride t.frame ~oob:t.oob;
+    Compile.fill t.taps ~idx:t.idx ~lanes ~stride:t.stride t.frame ?oob:t.oob;
     Compile.exec t.prog ~lanes t.frame;
-    let tail = t.pend_head + t.pend_count in
+    let tail = t.pend_head + pend_count t in
     let tail = if tail >= t.pend_cap then tail - t.pend_cap else tail in
     Channel.Unsafe.blit_values t.frame t.result t.pend_values (tail * t.w) lanes;
-    if t.shrink && Array.length t.pend_valid > 0 then begin
-      let d = ref (tail * t.w) in
-      for l = 0 to lanes - 1 do
-        t.pend_valid.(!d) <- not t.oob.(l);
-        incr d;
-        if !d = Array.length t.pend_valid then d := 0
-      done
-    end;
-    for j = 0 to (lanes / t.w) - 1 do
-      let slot = if tail + j >= t.pend_cap then tail + j - t.pend_cap else tail + j in
-      t.pend_release.(slot) <- now + !r + j + t.compute_cycles
-    done;
-    t.pend_count <- t.pend_count + (lanes / t.w);
+    (match t.oob with
+    | Some oob ->
+        let d = ref (tail * t.w) in
+        for l = 0 to lanes - 1 do
+          t.pend_valid.(!d) <- not oob.(l);
+          incr d;
+          if !d = Array.length t.pend_valid then d := 0
+        done
+    | None -> ());
+    Release_line.append t.pend ~release:(now + !r + t.compute_cycles) (lanes / t.w);
     r := !r + (lanes / t.w);
     Compile.advance ~shape:t.shape t.idx last lanes
   done
@@ -225,7 +221,7 @@ let emit_heads t n push =
   done;
   let head = t.pend_head + n in
   t.pend_head <- (if head >= t.pend_cap then head - t.pend_cap else head);
-  t.pend_count <- t.pend_count - n
+  Release_line.drop t.pend n
 
 let outputs_have_space t =
   let ok = ref true in
@@ -235,8 +231,7 @@ let outputs_have_space t =
   !ok
 
 let try_flush t ~now =
-  if t.pend_count = 0 then false
-  else if t.pend_release.(t.pend_head) > now then false
+  if Release_line.head t.pend > now then false
   else if not (outputs_have_space t) then false
   else begin
     emit_heads t 1 Channel.Unsafe.push_slots;
@@ -266,7 +261,7 @@ let take_steps t ~now n =
 
 let try_step t ~now =
   if t.step >= total_steps t then false
-  else if t.pend_count > t.compute_cycles then false
+  else if pend_count t > t.compute_cycles then false
   else begin
     let ready = ref true in
     for k = 0 to Array.length t.inputs - 1 do
@@ -333,32 +328,14 @@ let cycle t ~now =
 (* is the engine's responsibility.                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Pending entry [i] (the [i]th from [head] in the ring) is mature at
-   relative cycle [i] when [release i <= now + i]. Steps happen on
-   distinct, increasing cycles, so releases rise by at least one per
-   entry and [release i - i] is nondecreasing: the immature entries form
-   a suffix, found by binary search. *)
-let first_immature release ~head ~count ~now =
-  let cap = Array.length release in
-  let immature i =
-    let slot = head + i in
-    release.(if slot >= cap then slot - cap else slot) - i > now
-  in
-  let lo = ref 0 and hi = ref count in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if immature mid then hi := mid else lo := mid + 1
-  done;
-  if !lo < count then !lo else max_int
-
 let plan t ~now =
   t.plan_flush <- false;
   t.plan_step <- false;
   if is_done t || t.hiccup then 0
   else begin
-    let l = t.compute_cycles and s = t.step in
-    let flush = t.pend_count > 0 && t.pend_release.(t.pend_head) <= now in
-    let step = s < total_steps t && t.pend_count - Bool.to_int flush <= l in
+    let l = t.compute_cycles and s = t.step and count = pend_count t in
+    let flush = Release_line.head t.pend <= now in
+    let step = s < total_steps t && count - Bool.to_int flush <= l in
     let compute = step && s >= t.init_max in
     let h = ref max_int in
     if step then begin
@@ -376,16 +353,16 @@ let plan t ~now =
     if flush then begin
       (* Buffered entry [i] flushes at relative cycle [i] and must be
          mature there; a freshly computed word flushes after
-         [pend_count] more cycles, mature only if the line is at least
-         as long as the compute latency. *)
-      h := Int.min !h (first_immature t.pend_release ~head:t.pend_head ~count:t.pend_count ~now);
-      if not (compute && l <= t.pend_count) then h := Int.min !h t.pend_count
+         [count] more cycles, mature only if the line is at least as
+         long as the compute latency. *)
+      h := Int.min !h (Release_line.first_immature t.pend ~now);
+      if not (compute && l <= count) then h := Int.min !h count
     end
     else if compute then begin
       (* Not flushing: the window must close before the first flush
          comes due and before the pending line refuses another step. *)
-      h := Int.min !h (if t.pend_count > 0 then t.pend_release.(t.pend_head) - now else max l 1);
-      h := Int.min !h (l - t.pend_count + 1)
+      h := Int.min !h (if count > 0 then Release_line.head t.pend - now else max l 1);
+      h := Int.min !h (l - count + 1)
     end;
     if (flush || step) && !h >= 1 then begin
       t.plan_flush <- flush;

@@ -81,14 +81,6 @@ val next_release : t -> int
     state (phase boundaries, pending-line maturity); the engine bounds
     it further using channel occupancies. *)
 
-val first_immature : int array -> head:int -> count:int -> now:int -> int
-(** [first_immature release ~head ~count ~now]: the least [i < count]
-    whose pending entry, the [i]th after [head] in the ring [release],
-    is not yet mature at relative cycle [i] ([release.(slot) > now + i]),
-    or [max_int] when all are. Requires releases rising by at least one
-    per entry from [head] on, as a unit's pending line guarantees; a
-    binary search, equal to the linear scan under that requirement. *)
-
 val plan : t -> now:int -> int
 (** Plan from cycle [now] and return the horizon, or [0] when the unit
     cannot make progress this cycle (then the engine falls back to

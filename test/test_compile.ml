@@ -391,7 +391,9 @@ let widened (p : Program.t) =
    for bit, and the validity flag as the OR over every load of the body,
    unread lets included. Constant and Copy boundaries mix, lower-rank
    inputs broadcast or are scalars, and dispatches of 1, 3, 4 and 64
-   lanes start at the row start, mid-row, and end at the row end. *)
+   lanes start at the row start, mid-row, and end at the row end. Each
+   dispatch is filled once without flags (as for a stencil that does not
+   shrink) and once with them: the two frames must be bit-identical. *)
 let prop_shared_lowering_bit_exact =
   QCheck.Test.make ~count:150 ~name:"shift-shared fill + exec equal the evaluator, values and flags"
     QCheck.(pair Program_gen.arbitrary_adversarial_program small_nat)
@@ -443,9 +445,17 @@ let prop_shared_lowering_bit_exact =
           List.for_all
             (fun (lanes, start) ->
               idx.(rank - 1) <- start;
+              Compile.fill taps ~idx ~lanes ~stride fr;
+              let unflagged = Array.copy fr in
               Compile.fill taps ~idx ~lanes ~stride fr ~oob;
-              Compile.exec prog ~lanes fr;
-              List.for_all
+              (Array.for_all2
+                 (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+                 unflagged fr
+              || QCheck.Test.fail_reportf "%s, %d lanes from %d: the fill without flags differs"
+                   s.Stencil.name lanes start)
+              &&
+              (Compile.exec prog ~lanes fr;
+               List.for_all
                 (fun l ->
                   let cell = Array.copy idx in
                   cell.(rank - 1) <- start + l;
@@ -468,7 +478,7 @@ let prop_shared_lowering_bit_exact =
                   && (Bool.equal !out oob.(l)
                      || QCheck.Test.fail_reportf "%s, %d lanes from %d, lane %d: oob %b, flagged %b"
                           s.Stencil.name lanes start l !out oob.(l)))
-                (List.init lanes Fun.id))
+                (List.init lanes Fun.id)))
             (List.concat_map
                (fun lanes -> [ (lanes, 0); (lanes, 1 + Random.State.int state (66 - lanes)); (lanes, 66 - lanes) ])
                [ 1; 3; 4; 64 ]))

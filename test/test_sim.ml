@@ -280,23 +280,25 @@ let test_trace_sampling () =
       Alcotest.(check bool) "skip edge fills" true (peak > 1)
 
 (* Window coverage: how many of a run's cycles the engine's one
-   scheduler advanced in fast-forward windows, pinned on the quick
-   shapes of the benchmark's chain-sim (one device) and pdes-2dev (two
-   devices, one link of latency 128), so a change that keeps windows
-   from applying fails here and not only in the benchmark. *)
-let windowed_cycles ~config ~placement p =
+   scheduler advanced in fast-forward windows, and in how many windows,
+   pinned on the quick shapes of the benchmark's chain-sim (one device)
+   and pdes-2dev (two devices, one link of latency 128), so a change
+   that keeps windows from applying, or splits them, fails here and not
+   only in the benchmark. *)
+let window_counts ~config ~placement p =
   let module I = Engine.Internal in
-  let windowed = ref 0 in
+  let windowed = ref 0 and windows = ref 0 in
   let outcome =
     I.simulate ~config ~placement ~inputs:(Interp.random_inputs p) p
       ~drive:(fun system injector finished ->
         let s = I.scheduler ~config ?injector ~finished system in
         s.I.advance ~limit:max_int;
         windowed := s.I.windowed ();
+        windows := s.I.windows ();
         (s.I.now (), s.I.deadlocked (), s.I.samples ()))
   in
   match outcome with
-  | Engine.Completed stats -> (stats.Engine.cycles, !windowed)
+  | Engine.Completed stats -> (stats.Engine.cycles, !windowed, !windows)
   | Engine.Deadlocked { cycle; _ } -> Alcotest.failf "deadlocked at cycle %d" cycle
 
 let test_window_coverage () =
@@ -304,22 +306,22 @@ let test_window_coverage () =
     Engine.Config.make ~network:(Engine.Config.network ~net_latency_cycles:128 ()) ()
   in
   let chain ~shape ~length = Sf_kernels.Iterative.(chain ~shape Jacobi2d ~length) in
-  let check name ~placement p ~cycles ~windowed =
-    Alcotest.(check (pair int int))
-      (name ^ ": cycles, windowed cycles")
-      (cycles, windowed)
-      (windowed_cycles ~config ~placement p)
+  let check name ~placement p ~cycles ~windowed ~windows =
+    Alcotest.(check (triple int int int))
+      (name ^ ": cycles, windowed cycles, windows")
+      (cycles, windowed, windows)
+      (window_counts ~config ~placement p)
   in
   check "chain-sim quick" ~placement:(fun _ -> 0)
     (chain ~shape:[ 32; 32 ] ~length:8)
-    ~cycles:1_801 ~windowed:1_783;
+    ~cycles:1_801 ~windowed:1_783 ~windows:33;
   let p = chain ~shape:[ 32; 64 ] ~length:8 in
   let placement =
     match Sf_mapping.Partition.contiguous ~devices:2 p with
     | Ok pt -> Sf_mapping.Partition.placement_fn pt
     | Error d -> Alcotest.fail d.Sf_support.Diag.message
   in
-  check "pdes-2dev quick, sequential" ~placement p ~cycles:3_465 ~windowed:3_445
+  check "pdes-2dev quick, sequential" ~placement p ~cycles:3_465 ~windowed:3_445 ~windows:35
 
 (* A shrink stencil whose result both feeds a downstream stencil and is
    written to memory: only its writer channel carries validity flags,
@@ -351,7 +353,8 @@ let test_shrink_fork () =
           let valid = Array.fold_left (fun n v -> if v then n + 1 else n) 0 edge.Interp.valid in
           Alcotest.(check int) (name ^ ": valid edge cells") (23 * 62) valid;
           Alcotest.(check bool) (name ^ ": windows span chunks") true
-            (snd (windowed_cycles ~config:Engine.Config.default ~placement p) > Channel.chunk))
+            (let _, windowed, _ = window_counts ~config:Engine.Config.default ~placement p in
+             windowed > Channel.chunk))
     [ ("one device", (fun _ -> 0), 869); ("two devices", (function "next" -> 1 | _ -> 0), 933) ]
 
 let suite =

@@ -442,34 +442,65 @@ let test_word_copy_independent () =
   Alcotest.(check bool) "valid independent" false w.Word.valid.(1);
   Alcotest.(check int) "width" 4 (Word.width w)
 
-(* [Stencil_unit.first_immature] against the linear scan it replaced,
-   on rings whose releases rise by at least one per entry from the head
-   (the pending line's invariant), with [now] around the releases. *)
-let prop_first_immature_matches_scan =
-  let gen =
+(* [Release_line] against the per-word array of releases it replaced:
+   appends of runs whose first release continues the last run, jumps
+   ahead or falls back (as injected link jitter can), drops of the
+   oldest words, and after every operation the length, every word's
+   release, the head, and the first word immature at relative cycle [j]
+   for [now] around the releases, against a linear scan. A small run
+   capacity makes the line grow. *)
+let prop_release_line_matches_array =
+  let op =
     QCheck.Gen.(
-      let* cap = int_range 1 40 in
-      let* count = int_range 0 cap in
-      let* head = int_bound (cap - 1) in
-      let* start = int_range 0 50 in
-      let* gaps = list_repeat count (frequency [ (4, return 1); (1, int_range 2 6) ]) in
-      let* now = int_range (start - 5) (start + (8 * count) + 5) in
-      return (cap, count, head, start, gaps, now))
+      frequency
+        [
+          ( 3,
+            map2
+              (fun gap n -> `Append (gap, n))
+              (frequency [ (3, return 0); (2, int_range (-4) 6) ])
+              (int_range 1 5) );
+          (2, map (fun n -> `Drop n) (int_range 1 6));
+        ])
   in
-  QCheck.Test.make ~count:500 ~name:"first immature entry: binary search equals the scan"
-    (QCheck.make gen) (fun (cap, count, head, start, gaps, now) ->
-      let release = Array.make cap (-1) in
-      ignore
-        (List.fold_left
-           (fun (i, r) gap ->
-             release.((head + i) mod cap) <- r + gap;
-             (i + 1, r + gap))
-           (0, start) gaps);
-      let scan = ref max_int in
-      for i = count - 1 downto 0 do
-        if release.((head + i) mod cap) > now + i then scan := i
-      done;
-      Sf_sim.Stencil_unit.first_immature release ~head ~count ~now = !scan)
+  let gen = QCheck.Gen.(pair (int_range 1 4) (list_size (int_range 1 40) op)) in
+  QCheck.Test.make ~count:500 ~name:"release line equals the per-word array it replaced"
+    (QCheck.make gen) (fun (capacity, ops) ->
+      let line = Sf_sim.Release_line.create ~capacity in
+      let model = ref [||] and next = ref 10 in
+      let agrees () =
+        let m = !model and len = Array.length !model in
+        let head = if len = 0 then max_int else m.(0) in
+        (* Word [j] is immature at [now] when [m.(j) - j > now]: every
+           [now] from below the least such difference to the greatest. *)
+        let slack = Array.mapi (fun j r -> r - j) m in
+        let lo = Array.fold_left Int.min 0 slack - 2 and hi = Array.fold_left Int.max 0 slack + 1 in
+        let nows = List.init (hi - lo + 1) (( + ) lo) in
+        Sf_sim.Release_line.length line = len
+        && Sf_sim.Release_line.head line = head
+        && List.for_all (fun j -> Sf_sim.Release_line.release_at line j = m.(j)) (List.init len Fun.id)
+        && List.for_all
+             (fun now ->
+               let scan = ref max_int in
+               for j = len - 1 downto 0 do
+                 if m.(j) > now + j then scan := j
+               done;
+               Sf_sim.Release_line.first_immature line ~now = !scan)
+             nows
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Append (gap, n) ->
+              let release = !next + gap in
+              Sf_sim.Release_line.append line ~release n;
+              model := Array.append !model (Array.init n (( + ) release));
+              next := release + n
+          | `Drop n ->
+              let n = Int.min n (Array.length !model) in
+              Sf_sim.Release_line.drop line n;
+              model := Array.sub !model n (Array.length !model - n));
+          agrees ())
+        ops)
 
 let suite =
   [
@@ -492,5 +523,5 @@ let suite =
     Alcotest.test_case "link backpressure" `Quick test_link_backpressure;
     Alcotest.test_case "link in-flight ring grows" `Quick test_link_ring_grows;
     Alcotest.test_case "word copies are independent" `Quick test_word_copy_independent;
-    QCheck_alcotest.to_alcotest prop_first_immature_matches_scan;
+    QCheck_alcotest.to_alcotest prop_release_line_matches_array;
   ]
