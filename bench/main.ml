@@ -62,7 +62,7 @@ let chain_model kind ~shape ~w ~stages ~devices ~bound =
 
 let max_stages kind ~shape ~w =
   let p = Iterative.chain ~shape ~vector_width:w kind ~length:1 in
-  let per_stage = Resource.of_stencil p (List.hd p.Program.stencils) in
+  let per_stage = Resource.of_unit (Program.check_exn p) (List.hd p.Program.stencils) in
   Resource.max_chain_length dev ~per_stage ~fixed:Resource.zero
 
 let print_points points =

@@ -59,7 +59,7 @@ let greedy ?(ceiling = 0.85) ?(max_devices = 8) ~device (p : Program.t) =
     let current_id = ref 0 in
     List.iter
       (fun (s : Stencil.t) ->
-        let u = Resource.of_stencil p s in
+        let u = Resource.of_unit checked s in
         if not (Resource.fits ~ceiling device u) then
           raise
             (Unsplittable
@@ -101,7 +101,7 @@ let contiguous ~devices (p : Program.t) =
     Array.iteri
       (fun i s ->
         let k = i * d / n in
-        per_device.(k) <- Resource.add per_device.(k) (Resource.of_stencil p s))
+        per_device.(k) <- Resource.add per_device.(k) (Resource.of_unit checked s))
       order;
     Ok (derive_metadata checked device_of d (Array.to_list per_device))
   end
@@ -175,7 +175,7 @@ let balanced ?(ceiling = 0.85) ?(max_devices = 8) ~device (p : Program.t) =
   let checked = Program.check_exn p in
   let order = Array.of_list (Program.Checked.order checked) in
   let n = Array.length order in
-  let usages = Array.map (Resource.of_stencil p) order in
+  let usages = Array.map (Resource.of_unit checked) order in
   (* prefix.(i) = combined usage of stencils 0..i-1. *)
   let prefix = Array.make (n + 1) Resource.zero in
   for i = 0 to n - 1 do

@@ -35,7 +35,7 @@ let dsp_dtype_factor = function
 
 let alm_dtype_factor = function Dtype.F64 | Dtype.I64 -> 2 | Dtype.F32 | Dtype.I32 -> 1
 
-(* One unit from its body's accesses ({!Stencil.accesses}). *)
+(* One unit from its body's accesses ({!Program.Checked.accesses}). *)
 let stencil_usage (p : Program.t) (s : Stencil.t) accesses =
   let w = p.Program.vector_width in
   (* Work profile, not tree profile: codegen emits every shared DAG node
@@ -74,7 +74,8 @@ let stencil_usage (p : Program.t) (s : Stencil.t) accesses =
   in
   { alm; ff = int_of_float (ff_per_alm *. float_of_int alm) + (50 * w); m20k; dsp }
 
-let of_stencil p s = stencil_usage p s (Stencil.accesses s)
+let of_unit checked (s : Stencil.t) =
+  stencil_usage (Program.Checked.program checked) s (Program.Checked.accesses checked s.Stencil.name)
 
 let memory_interface_usage (p : Program.t) =
   (* Prefetchers, writers and the memory ring: the paper's bandwidth study
@@ -89,12 +90,7 @@ let memory_interface_usage (p : Program.t) =
 
 let of_checked checked =
   let p = Program.Checked.program checked in
-  let units =
-    List.fold_left
-      (fun acc (s : Stencil.t) ->
-        add acc (stencil_usage p s (Program.Checked.accesses checked s.Stencil.name)))
-      zero p.Program.stencils
-  in
+  let units = List.fold_left (fun acc s -> add acc (of_unit checked s)) zero p.Program.stencils in
   let analysis = Sf_analysis.Delay_buffer.of_checked checked in
   let delay_bytes =
     Sf_analysis.Delay_buffer.total_delay_buffer_words analysis

@@ -13,10 +13,11 @@ val zero : usage
 val add : usage -> usage -> usage
 val scale : int -> usage -> usage
 
-val of_stencil : Sf_ir.Program.t -> Sf_ir.Stencil.t -> usage
-(** Estimate one stencil unit: compute logic scaled by the vector width,
-    per-lane stream/predication overhead, and M20K blocks for its
-    internal buffers. *)
+val of_unit : Sf_ir.Program.checked -> Sf_ir.Stencil.t -> usage
+(** Estimate one stencil unit of the checked program: compute logic
+    scaled by the vector width, per-lane stream/predication overhead,
+    and M20K blocks for its internal buffers, which come from
+    {!Sf_ir.Program.Checked.accesses}, so the body is not walked again. *)
 
 val of_checked : Sf_ir.Program.checked -> usage
 (** All stencil units plus delay-buffer memory and per-off-chip-access

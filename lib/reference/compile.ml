@@ -3,13 +3,21 @@ open Sf_ir
 type op =
   | Neg | Not | Add | Sub | Mul | Div | Lt | Le | Gt | Ge | Eq | Ne | And | Or | Select
   | Sqrt | Abs | Exp | Log | Sin | Cos | Floor | Ceil | Pow | Min | Max
+  (* Fused forms: an operation and the single-use operation it reads. *)
+  | Scale_sub  (* x * (y - z) *)
+  | Scale_add  (* x * (y + z) *)
+  | Add_add  (* (x + y) + z *)
+  | Sub_add  (* (x - y) + z *)
+  | Mul_add  (* (x * y) + z *)
+  | Mul_sub  (* (x * y) - z *)
+  | Select_gt  (* select (x > y, z, w) *)
 
 type program = {
   loads : (string * int list) array;
   load_extra : int array;
   consts : float array;
   ops : op array;
-  args : int array;  (* per instruction: slots d x y z, offsets of x y z, extra cells *)
+  args : int array;  (* [per_instr] per instruction: slots d x y z w, offsets of x y z w, extra cells *)
   n_slots : int;
   pad : int;
   result : int;
@@ -17,6 +25,22 @@ type program = {
 }
 
 type lane = Shifts | Fixed | Uniform
+
+let per_instr = 10
+
+(* [fuse op at op'] is the fused form of an [op] whose operand [at] is
+   an [op'], if there is one: operand [at] is replaced by the [op']'s
+   operands, in order. *)
+let fuse op at op' =
+  match (op, at, op') with
+  | Mul, 1, Sub -> Some Scale_sub
+  | Mul, 1, Add -> Some Scale_add
+  | Add, 0, Add -> Some Add_add
+  | Add, 0, Sub -> Some Sub_add
+  | Add, 0, Mul -> Some Mul_add
+  | Sub, 0, Mul -> Some Mul_sub
+  | Select, 0, Gt -> Some Select_gt
+  | _ -> None
 
 let loads p = p.loads
 let instructions p = Array.length p.ops
@@ -142,9 +166,49 @@ let lower ~lane (b : Expr.body) =
           operands
     | Load _ | Value _ -> ()
   done;
+  (* Fused forms, readers first: a computed class read by exactly one
+     operand of the body, not the result, folds into its reader when the
+     pair is one of the forms of [fuse]. The reader then reads the
+     producer's operands at the composed offsets, and the producer gets
+     no instruction and no slot. A class that folds into its reader
+     absorbs nothing itself. *)
+  let uses = Array.make n 0 in
+  Array.iter
+    (function
+      | Instr (_, operands) -> List.iter (fun (j, _) -> uses.(j) <- uses.(j) + 1) operands
+      | Load _ | Value _ -> ())
+    info;
+  let root_class, root_shift = of_node root in
+  let folded = Array.make n false in
+  (* Class [k]'s operands as (class, offset from [k]'s cell to the operand's). *)
+  let reads k operands = List.map (fun (j, r) -> (j, lo.(k) + Option.value r ~default:0 - lo.(j))) operands in
+  let emitted = Array.make n None in
+  for k = n - 1 downto 0 do
+    match info.(k) with
+    | Instr (op, operands) when not folded.(k) ->
+        let operands = reads k operands in
+        let absorb at (j, off) =
+          match info.(j) with
+          | Instr (op', inner) when uses.(j) = 1 && j <> root_class ->
+              Option.map
+                (fun f -> (at, j, f, List.map (fun (m, o) -> (m, off + o)) (reads j inner)))
+                (fuse op at op')
+          | Instr _ | Load _ | Value _ -> None
+        in
+        emitted.(k) <-
+          Some
+            (match List.find_map Fun.id (List.mapi absorb operands) with
+            | Some (at, j, f, inner) ->
+                folded.(j) <- true;
+                (f, List.concat (List.mapi (fun i o -> if i = at then inner else [ o ]) operands))
+            | None -> (op, operands))
+    | Instr _ | Load _ | Value _ -> ()
+  done;
   (* Position [j] of class [order.(j)]: loads, constants, instructions. *)
   let order =
-    List.init n Fun.id |> List.stable_sort (fun a b -> compare (kind info.(a)) (kind info.(b)))
+    List.init n Fun.id
+    |> List.filter (fun k -> not folded.(k))
+    |> List.stable_sort (fun a b -> compare (kind info.(a)) (kind info.(b)))
     |> Array.of_list
   in
   let pos = Array.make n 0 in
@@ -165,13 +229,12 @@ let lower ~lane (b : Expr.body) =
   let consts = of_kind 1 (fun k -> match info.(k) with Value c -> c | Load _ | Instr _ -> assert false) in
   let code =
     of_kind 2 (fun k ->
-        match info.(k) with
-        | Instr (op, operands) ->
-            (k, op, List.map (fun (j, r) -> (pos.(j), lo.(k) + Option.value r ~default:0 - lo.(j))) operands)
-        | Load _ | Value _ -> assert false)
+        let op, operands = Option.get emitted.(k) in
+        (k, op, List.map (fun (j, off) -> (pos.(j), off)) operands))
   in
-  let root_class, root_shift = of_node root in
   let result = pos.(root_class) in
+  (* From here on [n] counts positions: the classes not folded. *)
+  let n = Array.length order in
   let first = n - Array.length code in
   (* Position [j]'s slot, and the last instruction reading it (-1: none). *)
   let slot = Array.init n (fun j -> if j < first then j else -1) and last = Array.make n (-1) in
@@ -181,20 +244,21 @@ let lower ~lane (b : Expr.body) =
     if j <> result && (j < Array.length loads || j >= first) then busy.(slot.(j)) <- false
   in
   Array.iteri (fun j _ -> if last.(j) < 0 then release j) loads;
-  let args = Array.make (8 * Array.length code) 0 in
+  let args = Array.make (per_instr * Array.length code) 0 in
   Array.iteri
     (fun i (k, _, operands) ->
+      let a = per_instr * i in
       List.iter (fun (j, _) -> if last.(j) = i then release j) operands;
       let s = ref 0 in
       while busy.(!s) do incr s done;
       busy.(!s) <- true;
       slot.(first + i) <- !s;
-      args.(8 * i) <- !s;
-      args.((8 * i) + 7) <- hi.(k) - lo.(k);
+      args.(a) <- !s;
+      args.(a + 9) <- hi.(k) - lo.(k);
       List.iteri
-        (fun a (j, off) ->
-          args.((8 * i) + a + 1) <- slot.(j);
-          args.((8 * i) + a + 4) <- off)
+        (fun o (j, off) ->
+          args.(a + o + 1) <- slot.(j);
+          args.(a + o + 5) <- off)
         operands;
       if last.(first + i) < 0 then release (first + i))
     code;
@@ -251,21 +315,26 @@ let[@inline] fmax (x : float) (y : float) =
    rounded down to a multiple of 4) and then a plain loop over the
    rest: the loop control, not the arithmetic, is what such a lane
    costs. A libm call costs more than the control it would save, so
-   those cases keep the plain loop. Every cell reads its operands before
-   its own store, and operands sit at the same or a later cell, so a
-   destination may share an operand's slot. *)
+   those cases keep the plain loop. A fused form computes its inner
+   operation in a register, in the evaluator's operand order: when both
+   operands of an x86 arithmetic instruction are NaNs it returns the
+   destination's, and the compiler makes a loaded first operand of a
+   commutative operation the memory operand, so [x * (y - z)] binds [x]
+   before computing [y - z] to keep [x]'s NaN. Every cell reads its
+   operands before its own store, and operands sit at the same or a
+   later cell, so a destination may share an operand's slot. *)
 let exec p ~lanes fr =
   let stride = Array.length fr / p.n_slots in
   if lanes < 1 || lanes + p.pad > stride || stride * p.n_slots <> Array.length fr then
     invalid_arg "Compile.exec: the frame does not hold [lanes] lanes";
   let args = p.args in
   for i = 0 to Array.length p.ops - 1 do
-    let a = 8 * i in
-    let width = lanes + Array.unsafe_get args (a + 7) in
+    let a = per_instr * i in
+    let width = lanes + Array.unsafe_get args (a + 9) in
     let n = width - 1 and t = width land -4 in
     let d = Array.unsafe_get args a * stride
-    and x = (Array.unsafe_get args (a + 1) * stride) + Array.unsafe_get args (a + 4)
-    and y = (Array.unsafe_get args (a + 2) * stride) + Array.unsafe_get args (a + 5)
+    and x = (Array.unsafe_get args (a + 1) * stride) + Array.unsafe_get args (a + 5)
+    and y = (Array.unsafe_get args (a + 2) * stride) + Array.unsafe_get args (a + 6)
     and j = ref 0 in
     match Array.unsafe_get p.ops i with
     | Neg ->
@@ -409,7 +478,7 @@ let exec p ~lanes fr =
         done;
         for l = t to n do set fr (d + l) (Float.of_int (truth (get fr (x + l)) lor truth (get fr (y + l)))) done
     | Select ->
-        let z = (Array.unsafe_get args (a + 3) * stride) + Array.unsafe_get args (a + 6) in
+        let z = (Array.unsafe_get args (a + 3) * stride) + Array.unsafe_get args (a + 7) in
         let e = y - z in
         while !j < t do
           let a = d + !j and b = x + !j and c = z + !j in
@@ -469,6 +538,101 @@ let exec p ~lanes fr =
           j := !j + 4
         done;
         for l = t to n do set fr (d + l) (fmax (get fr (x + l)) (get fr (y + l))) done
+    | Scale_sub ->
+        let z = (Array.unsafe_get args (a + 3) * stride) + Array.unsafe_get args (a + 7) in
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j and e = z + !j in
+          let v = get fr b in
+          set fr a (v *. (get fr c -. get fr e));
+          let v = get fr (b + 1) in
+          set fr (a + 1) (v *. (get fr (c + 1) -. get fr (e + 1)));
+          let v = get fr (b + 2) in
+          set fr (a + 2) (v *. (get fr (c + 2) -. get fr (e + 2)));
+          let v = get fr (b + 3) in
+          set fr (a + 3) (v *. (get fr (c + 3) -. get fr (e + 3)));
+          j := !j + 4
+        done;
+        for l = t to n do
+          let v = get fr (x + l) in
+          set fr (d + l) (v *. (get fr (y + l) -. get fr (z + l)))
+        done
+    | Scale_add ->
+        let z = (Array.unsafe_get args (a + 3) * stride) + Array.unsafe_get args (a + 7) in
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j and e = z + !j in
+          let v = get fr b in
+          set fr a (v *. (get fr c +. get fr e));
+          let v = get fr (b + 1) in
+          set fr (a + 1) (v *. (get fr (c + 1) +. get fr (e + 1)));
+          let v = get fr (b + 2) in
+          set fr (a + 2) (v *. (get fr (c + 2) +. get fr (e + 2)));
+          let v = get fr (b + 3) in
+          set fr (a + 3) (v *. (get fr (c + 3) +. get fr (e + 3)));
+          j := !j + 4
+        done;
+        for l = t to n do
+          let v = get fr (x + l) in
+          set fr (d + l) (v *. (get fr (y + l) +. get fr (z + l)))
+        done
+    | Add_add ->
+        let z = (Array.unsafe_get args (a + 3) * stride) + Array.unsafe_get args (a + 7) in
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j and e = z + !j in
+          set fr a ((get fr b +. get fr c) +. get fr e);
+          set fr (a + 1) ((get fr (b + 1) +. get fr (c + 1)) +. get fr (e + 1));
+          set fr (a + 2) ((get fr (b + 2) +. get fr (c + 2)) +. get fr (e + 2));
+          set fr (a + 3) ((get fr (b + 3) +. get fr (c + 3)) +. get fr (e + 3));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) ((get fr (x + l) +. get fr (y + l)) +. get fr (z + l)) done
+    | Sub_add ->
+        let z = (Array.unsafe_get args (a + 3) * stride) + Array.unsafe_get args (a + 7) in
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j and e = z + !j in
+          set fr a ((get fr b -. get fr c) +. get fr e);
+          set fr (a + 1) ((get fr (b + 1) -. get fr (c + 1)) +. get fr (e + 1));
+          set fr (a + 2) ((get fr (b + 2) -. get fr (c + 2)) +. get fr (e + 2));
+          set fr (a + 3) ((get fr (b + 3) -. get fr (c + 3)) +. get fr (e + 3));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) ((get fr (x + l) -. get fr (y + l)) +. get fr (z + l)) done
+    | Mul_add ->
+        let z = (Array.unsafe_get args (a + 3) * stride) + Array.unsafe_get args (a + 7) in
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j and e = z + !j in
+          set fr a ((get fr b *. get fr c) +. get fr e);
+          set fr (a + 1) ((get fr (b + 1) *. get fr (c + 1)) +. get fr (e + 1));
+          set fr (a + 2) ((get fr (b + 2) *. get fr (c + 2)) +. get fr (e + 2));
+          set fr (a + 3) ((get fr (b + 3) *. get fr (c + 3)) +. get fr (e + 3));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) ((get fr (x + l) *. get fr (y + l)) +. get fr (z + l)) done
+    | Mul_sub ->
+        let z = (Array.unsafe_get args (a + 3) * stride) + Array.unsafe_get args (a + 7) in
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j and e = z + !j in
+          set fr a ((get fr b *. get fr c) -. get fr e);
+          set fr (a + 1) ((get fr (b + 1) *. get fr (c + 1)) -. get fr (e + 1));
+          set fr (a + 2) ((get fr (b + 2) *. get fr (c + 2)) -. get fr (e + 2));
+          set fr (a + 3) ((get fr (b + 3) *. get fr (c + 3)) -. get fr (e + 3));
+          j := !j + 4
+        done;
+        for l = t to n do set fr (d + l) ((get fr (x + l) *. get fr (y + l)) -. get fr (z + l)) done
+    | Select_gt ->
+        let z = (Array.unsafe_get args (a + 3) * stride) + Array.unsafe_get args (a + 7)
+        and w = (Array.unsafe_get args (a + 4) * stride) + Array.unsafe_get args (a + 8) in
+        let e = z - w in
+        while !j < t do
+          let a = d + !j and b = x + !j and c = y + !j and f = w + !j in
+          set fr a (get fr (f + (Bool.to_int (get fr b > get fr c) * e)));
+          set fr (a + 1) (get fr (f + 1 + (Bool.to_int (get fr (b + 1) > get fr (c + 1)) * e)));
+          set fr (a + 2) (get fr (f + 2 + (Bool.to_int (get fr (b + 2) > get fr (c + 2)) * e)));
+          set fr (a + 3) (get fr (f + 3 + (Bool.to_int (get fr (b + 3) > get fr (c + 3)) * e)));
+          j := !j + 4
+        done;
+        for l = t to n do
+          set fr (d + l) (get fr (w + l + (Bool.to_int (get fr (x + l) > get fr (y + l)) * e)))
+        done
   done
 
 let body ~access b =

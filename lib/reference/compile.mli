@@ -16,20 +16,31 @@
     Each load class is a slot the caller fills ({!fill}) with one run,
     constants are slots filled when the frame is made, and each other
     class is one instruction in depth-first post-order, whose value takes
-    the slot of a dead one where it can. {!exec} runs the program over
-    [lanes] cells held in one unboxed [float array], dispatching each
-    instruction once and then looping over its cells, four per
-    iteration, without allocating: one control step drives W lanes, as
-    in the paper's stencil units (Sec. III-A, IV-C). The reference
-    interpreter runs a whole row per dispatch; a simulated stencil unit
-    runs the words of one row segment, up to a chunk of words at a time
-    when the engine fast-forwards.
+    the slot of a dead one where it can. A computed class that exactly
+    one operand of the body reads, and that is not the result, folds
+    into its reader when the pair is a fused form: [x * (y - z)],
+    [x * (y + z)], [(x + y) + z], [(x - y) + z], [(x * y) + z],
+    [(x * y) - z] or [select (x > y, z, w)]. The reader, taken before its
+    operands, then reads the inner operation's operands at the composed
+    offsets and keeps the intermediate in a register, as a pipeline
+    register holds it in the paper's stencil units (Sec. III-A, Fig.
+    12); the folded class has no instruction and no slot.
+
+    {!exec} runs the program over [lanes] cells held in one unboxed
+    [float array], dispatching each instruction once and then looping
+    over its cells, four per iteration, without allocating: one control
+    step drives W lanes, as in the paper's stencil units (Sec. III-A,
+    IV-C). The reference interpreter runs a whole row per dispatch; a
+    simulated stencil unit runs the words of one row segment, up to a
+    chunk of words at a time when the engine fast-forwards.
 
     Semantics are bit-identical to {!Interp.eval_expr}: comparisons yield
     1.0 / 0.0, any non-zero value is true, [&&] and [||] do not
     short-circuit, both select branches are computed, and bindings the
     result never reads are computed too, so their loads still feed the
-    validity mask. *)
+    validity mask. A fused form computes its operations in the
+    evaluator's operand order, so a NaN result carries the payload the
+    evaluator's would. *)
 
 type program
 
@@ -59,7 +70,7 @@ val loads : program -> (string * int list) array
 val instructions : program -> int
 (** Instructions per dispatch: each runs once over the dispatch's lanes
     (widened by its class's shift spread), so this is the count executed
-    per cell. *)
+    per cell. A fused form is one instruction. *)
 
 val stride : program -> lanes:int -> int
 (** The slot stride of {!frame}[ p ~lanes]: [lanes] plus the widest

@@ -426,7 +426,7 @@ let harvest ~telemetry ~system ~cycles ~samples =
     ~channels ~samples
 
 (* Assemble the completion stats of a finished system. *)
-let completed_stats ~faults ~system ~predicted ~cycles ~report (p : Program.t) =
+let completed_stats ~faults ~system ~predicted ~cycles ~report =
   (* Controllers account reads and writes together; split the writes
      back out below. Prefetched lower-dimensional inputs are charged
      once per device replica. *)
@@ -435,14 +435,7 @@ let completed_stats ~faults ~system ~predicted ~cycles ~report (p : Program.t) =
     + Array.fold_left (fun acc c -> acc + Controller.bytes_granted c) 0 system.mem_controllers
   in
   let bytes_written =
-    List.fold_left
-      (fun acc (_, w, _) ->
-        let r = Memory_unit.Writer.result w in
-        acc
-        + Array.fold_left (fun n v -> if v then n + 1 else n) 0 r.Interp.valid
-          * Dtype.size_bytes p.Program.dtype
-      )
-      0 system.writers
+    List.fold_left (fun acc (_, w, _) -> acc + Memory_unit.Writer.bytes_committed w) 0 system.writers
   in
   {
     cycles;
@@ -940,7 +933,6 @@ let scheduler ~config ?injector ~finished system =
    [drive] returns the cycles executed, whether the idle window
    tripped, and the occupancy samples. *)
 let simulate_plan ~config ~placement ~inputs ~drive plan =
-  let p = Program.Checked.program plan.Interp.checked in
   let telemetry = Telemetry.create ~enabled:config.Config.tracing.Config.telemetry () in
   let system, predicted = build_plan ~config ~telemetry ~placement ~inputs plan in
   (* Fault injection binds the plan's streams to the built components. *)
@@ -1066,7 +1058,7 @@ let simulate_plan ~config ~placement ~inputs ~drive plan =
         faults;
       }
   end
-  else Completed (completed_stats ~faults ~system ~predicted ~cycles:cycle ~report:(report ()) p)
+  else Completed (completed_stats ~faults ~system ~predicted ~cycles:cycle ~report:(report ()))
 
 let simulate ~config ~placement ~inputs ~drive p =
   simulate_plan ~config ~placement ~inputs ~drive (Interp.plan p)

@@ -301,34 +301,95 @@ let test_fill_across_ring_wrap () =
   if !straddles = 0 then Alcotest.fail "no run straddled the ring's wrap point"
 
 (* Boxing a float anywhere in the lane loops would allocate per
-   instruction; the widest fused hdiff body runs allocation-free, in
-   whole four-lane blocks (4 lanes) and with a tail (67). *)
+   instruction; every unit of fused hdiff runs allocation-free, in whole
+   four-lane blocks (4 lanes) and with a tail (67). Between them the four
+   units run every fused form. *)
 let test_exec_allocation_free () =
   let p = Sf_kernels.Hdiff.program ~shape:[ 4; 16; 16 ] ~vector_width:4 () in
   let p = Sf_sdfg.Opt.optimize (fst (Sf_sdfg.Fusion.fuse_all p)) in
-  let flops (s : Stencil.t) = Expr.flop_count (Stencil.work_profile s) in
-  let stages = (Interp.plan p).Interp.stages in
-  let _, prog =
-    List.fold_left
-      (fun ((best, _) as b) ((s, _) as c) -> if flops s > flops best then c else b)
-      (List.hd stages) stages
-  in
   List.iter
-    (fun lanes ->
-      let fr = Compile.frame prog ~lanes in
-      for k = 0 to (Array.length (Compile.loads prog) * Compile.stride prog ~lanes) - 1 do
-        fr.(k) <- 0.25 +. (float_of_int k /. 7.)
-      done;
-      Compile.exec prog ~lanes fr;
-      let calls = 10_000 in
-      let before = Gc.minor_words () in
-      for _ = 1 to calls do
-        Compile.exec prog ~lanes fr
-      done;
-      let words = (Gc.minor_words () -. before) /. float_of_int calls in
-      if words >= 1. then
-        Alcotest.failf "exec allocates %.2f minor words per call at %d lanes" words lanes)
-    [ 4; 67 ]
+    (fun ((s : Stencil.t), prog) ->
+      List.iter
+        (fun lanes ->
+          let fr = Compile.frame prog ~lanes in
+          for k = 0 to (Array.length (Compile.loads prog) * Compile.stride prog ~lanes) - 1 do
+            fr.(k) <- 0.25 +. (float_of_int k /. 7.)
+          done;
+          Compile.exec prog ~lanes fr;
+          let calls = 10_000 in
+          let before = Gc.minor_words () in
+          for _ = 1 to calls do
+            Compile.exec prog ~lanes fr
+          done;
+          let words = (Gc.minor_words () -. before) /. float_of_int calls in
+          if words >= 1. then
+            Alcotest.failf "%s: exec allocates %.2f minor words per call at %d lanes" s.Stencil.name
+              words lanes)
+        [ 4; 67 ])
+    (Interp.plan p).Interp.stages
+
+(* Each fused form, with NaNs of either sign, signed zeros and
+   infinities in every operand position, equals the tree-walking
+   evaluator bit for bit. x86 returns the destination's NaN when both
+   operands of an arithmetic instruction are NaNs, and the compiler may
+   make a loaded first operand of a commutative operation the memory
+   operand, so [x * (y - z)] computed with [x] loaded last returns the
+   NaN of [y - z] where the evaluator returns [x]'s. Every combination
+   runs in one dispatch (four-lane blocks) and in one-lane dispatches
+   (the tail loop). *)
+let test_fused_forms_ieee_corners () =
+  let corners = [| Float.nan; Float.neg Float.nan; 0.0; -0.0; Float.infinity; Float.neg_infinity |] in
+  let v name = Expr.Access { field = name; offsets = [] } in
+  let x = v "x" and y = v "y" and z = v "z" and w = v "w" in
+  let bin op a b = Expr.Binary (op, a, b) in
+  List.iter
+    (fun (name, e, operands) ->
+      let p = Compile.lower ~lane:fixed { Expr.lets = []; result = e } in
+      Alcotest.(check int) (name ^ ": one instruction") 1 (Compile.instructions p);
+      (* Every assignment of corners to the operands, one per lane. *)
+      let rec assignments = function
+        | [] -> [ [] ]
+        | f :: rest ->
+            List.concat_map
+              (fun tail -> List.map (fun c -> (f, c) :: tail) (Array.to_list corners))
+              (assignments rest)
+      in
+      let cases = Array.of_list (assignments operands) in
+      let run lanes first =
+        let fr = Compile.frame p ~lanes in
+        let stride = Compile.stride p ~lanes in
+        Array.iteri
+          (fun k (field, _) ->
+            for l = 0 to lanes - 1 do
+              fr.((k * stride) + l) <- List.assoc field cases.(first + l)
+            done)
+          (Compile.loads p);
+        Compile.exec p ~lanes fr;
+        for l = 0 to lanes - 1 do
+          let case = cases.(first + l) in
+          let expected =
+            Interp.eval_expr ~lookup:(fun ~field ~offsets:_ -> List.assoc field case) ~env:(fun _ -> None) e
+          in
+          Alcotest.(check int64)
+            (Printf.sprintf "%s with %s" name
+               (String.concat ", " (List.map (fun (f, c) -> Printf.sprintf "%s = %h" f c) case)))
+            (Int64.bits_of_float expected)
+            (Int64.bits_of_float fr.(Compile.result p ~stride + l))
+        done
+      in
+      run (Array.length cases) 0;
+      Array.iteri (fun first _ -> run 1 first) cases)
+    [
+      ("x * (y - z)", bin Expr.Mul x (bin Expr.Sub y z), [ "x"; "y"; "z" ]);
+      ("x * (y + z)", bin Expr.Mul x (bin Expr.Add y z), [ "x"; "y"; "z" ]);
+      ("(x + y) + z", bin Expr.Add (bin Expr.Add x y) z, [ "x"; "y"; "z" ]);
+      ("(x - y) + z", bin Expr.Add (bin Expr.Sub x y) z, [ "x"; "y"; "z" ]);
+      ("(x * y) + z", bin Expr.Add (bin Expr.Mul x y) z, [ "x"; "y"; "z" ]);
+      ("(x * y) - z", bin Expr.Sub (bin Expr.Mul x y) z, [ "x"; "y"; "z" ]);
+      ( "select (x > y, z, w)",
+        Expr.Select { cond = bin Expr.Gt x y; if_true = z; if_false = w },
+        [ "x"; "y"; "z"; "w" ] );
+    ]
 
 (* Shift-shared lowering ----------------------------------------------------- *)
 
@@ -489,7 +550,9 @@ let prop_shared_lowering_bit_exact =
    the lowering before lane-shift classes) fused jacobi2d_8stage ran 816
    instructions and 81 load runs per cell, and fused, optimized hdiff at
    W = 4 ran 103 + 103 + 78 + 78 = 362 instructions and 31 + 31 + 21 + 21
-   = 104 load runs over its four units. *)
+   = 104 load runs over its four units. With lane-shift classes and no
+   fused forms they ran 256 and 81 + 81 + 56 + 56 = 274 instructions, on
+   the same load runs as now. *)
 let test_lowering_pins () =
   let counts p =
     List.map
@@ -499,11 +562,11 @@ let test_lowering_pins () =
   in
   let triple = Alcotest.(list (triple string int int)) in
   let jacobi = Test_sim_parity.example "jacobi2d_8stage.json" in
-  Alcotest.check triple "fused jacobi2d_8stage" [ ("f8", 256, 17) ]
+  Alcotest.check triple "fused jacobi2d_8stage" [ ("f8", 128, 17) ]
     (counts (fst (Sf_sdfg.Fusion.fuse_all jacobi)));
   let hdiff = Sf_kernels.Hdiff.program ~shape:[ 8; 64; 64 ] ~vector_width:4 () in
   Alcotest.check triple "fused, optimized hdiff at W=4"
-    [ ("u_out", 81, 21); ("v_out", 81, 21); ("w_out", 56, 13); ("pp_out", 56, 13) ]
+    [ ("u_out", 51, 21); ("v_out", 51, 21); ("w_out", 36, 13); ("pp_out", 36, 13) ]
     (counts (Sf_sdfg.Opt.optimize (fst (Sf_sdfg.Fusion.fuse_all hdiff))))
 
 let suite =
@@ -518,6 +581,8 @@ let suite =
     Alcotest.test_case "unbound variables rejected" `Quick test_unbound_variable_rejected;
     Alcotest.test_case "let ordering enforced" `Quick test_let_ordering;
     Alcotest.test_case "exec allocates nothing" `Quick test_exec_allocation_free;
+    Alcotest.test_case "fused forms equal the evaluator on IEEE corners" `Quick
+      test_fused_forms_ieee_corners;
     Alcotest.test_case "fill reads runs across a ring's wrap" `Quick test_fill_across_ring_wrap;
     Alcotest.test_case "slots: dying operands reused, result pinned" `Quick test_slot_reuse;
     Alcotest.test_case "hdiff frames hold the live slots" `Quick test_hdiff_frame_slots;

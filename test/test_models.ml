@@ -16,7 +16,8 @@ let test_resource_scaling () =
   let p1 = Iterative.chain ~shape:[ 64; 64 ] Iterative.Jacobi2d ~length:1 in
   let p4 = Sf_analysis.Vectorize.apply p1 4 in
   let s1 = List.hd p1.Sf_ir.Program.stencils in
-  let u1 = Resource.of_stencil p1 s1 and u4 = Resource.of_stencil p4 s1 in
+  let u1 = Resource.of_unit (Sf_ir.Program.check_exn p1) s1
+  and u4 = Resource.of_unit (Sf_ir.Program.check_exn p4) s1 in
   Alcotest.(check int) "DSPs scale with W" (4 * u1.Resource.dsp) u4.Resource.dsp;
   Alcotest.(check bool) "ALMs grow with W" true (u4.Resource.alm > u1.Resource.alm);
   Alcotest.(check bool) "single stage fits easily" true (Resource.fits dev u1)
@@ -26,7 +27,8 @@ let test_dtype_resource_scaling () =
   let p32 = Iterative.chain ~shape:[ 64; 64 ] Iterative.Jacobi2d ~length:1 in
   let p64 = { p32 with Sf_ir.Program.dtype = Sf_ir.Dtype.F64 } in
   let s = List.hd p32.Sf_ir.Program.stencils in
-  let u32 = Resource.of_stencil p32 s and u64 = Resource.of_stencil p64 s in
+  let u32 = Resource.of_unit (Sf_ir.Program.check_exn p32) s
+  and u64 = Resource.of_unit (Sf_ir.Program.check_exn p64) s in
   Alcotest.(check int) "4x DSPs" (4 * u32.Resource.dsp) u64.Resource.dsp;
   Alcotest.(check bool) "more ALMs" true (u64.Resource.alm > u32.Resource.alm);
   (* Buffer bytes double too (8 B elements). *)
@@ -34,14 +36,14 @@ let test_dtype_resource_scaling () =
 
 let test_max_chain_length () =
   let p = Iterative.chain ~shape:[ 1024; 64; 64 ] Iterative.Jacobi3d ~length:1 in
-  let per_stage = Resource.of_stencil p (List.hd p.Sf_ir.Program.stencils) in
+  let per_stage = Resource.of_unit (Sf_ir.Program.check_exn p) (List.hd p.Sf_ir.Program.stencils) in
   let n = Resource.max_chain_length dev ~per_stage ~fixed:Resource.zero in
   (* Table I's 265 GOp/s at ~300 MHz implies on the order of 100+ chained
      Jacobi 3D stages on one device. *)
   Alcotest.(check bool) (Printf.sprintf "chain length %d in [60, 400]" n) true (n >= 60 && n <= 400);
   (* Vectorizing 8x shrinks the chain by roughly 8x (DSP-bound). *)
   let p8 = Sf_analysis.Vectorize.apply p 8 in
-  let per_stage8 = Resource.of_stencil p8 (List.hd p8.Sf_ir.Program.stencils) in
+  let per_stage8 = Resource.of_unit (Sf_ir.Program.check_exn p8) (List.hd p8.Sf_ir.Program.stencils) in
   let n8 = Resource.max_chain_length dev ~per_stage:per_stage8 ~fixed:Resource.zero in
   Alcotest.(check bool)
     (Printf.sprintf "W=8 chain %d shrinks vs %d" n8 n)
@@ -50,9 +52,10 @@ let test_max_chain_length () =
 
 let test_program_usage_includes_delay_buffers () =
   let p = Fixtures.diamond ~shape:[ 8; 512 ] ~span:4 () in
+  let checked = Sf_ir.Program.check_exn p in
   let units_only =
     List.fold_left
-      (fun acc s -> Resource.add acc (Resource.of_stencil p s))
+      (fun acc s -> Resource.add acc (Resource.of_unit checked s))
       Resource.zero p.Sf_ir.Program.stencils
   in
   let whole = Resource.of_program p in
