@@ -8,7 +8,7 @@
    Run all sections:        dune exec bench/main.exe
    Run selected sections:   dune exec bench/main.exe -- fig14 tab2
    Sections: fig14 fig15 tab1 fig16 hdiff tab2 silicon fusion deadlock
-            tiling autotune cse fp64 micro
+            tiling autotune cse fp64
    Add the pseudo-section "timings" to print per-section wall-clock
    times (monotonic clock, Util.monotime). *)
 open Stencilflow
@@ -552,52 +552,6 @@ let fp64_ablation () =
   | Ok _ -> Printf.printf "f64 simulation validates against the reference\n"
   | Error m -> Printf.printf "f64 simulation FAILED: %s\n" (Diag.to_string m)
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: wall-clock cost of the framework itself, *)
-(* one per experiment family.                                          *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  heading "Micro-benchmarks (Bechamel): cost of the StencilFlow toolchain itself";
-  let open Bechamel in
-  let hdiff_small = Hdiff.program ~shape:[ 4; 16; 16 ] () in
-  let chain16 = Iterative.chain ~shape:[ 32; 32 ] Iterative.Jacobi2d ~length:16 in
-  let diamond = diamond_program () in
-  let json = Program_json.to_string hdiff_small in
-  let tests =
-    [
-      Test.make ~name:"fig14_chain_analysis"
-        (Staged.stage (fun () -> ignore (Delay_buffer.analyze chain16)));
-      Test.make ~name:"tab1_resource_estimate"
-        (Staged.stage (fun () -> ignore (Resource.of_program chain16)));
-      Test.make ~name:"fig16_memory_model"
-        (Staged.stage (fun () ->
-             ignore
-               (Memory_model.effective_bandwidth dev ~operands_per_cycle:24 ~element_bytes:4
-                  ~vectorized:true)));
-      Test.make ~name:"tab2_hdiff_parse"
-        (Staged.stage (fun () -> ignore (Result.get_ok (Program_json.of_string json))));
-      Test.make ~name:"fig17_hdiff_fusion"
-        (Staged.stage (fun () -> ignore (Fusion.fuse_all hdiff_small)));
-      Test.make ~name:"fig4_diamond_simulation"
-        (Staged.stage (fun () -> ignore (Engine.run_exn diamond)));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let stats = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ ns ] -> Printf.printf "%-32s %14.1f ns/run\n" name ns
-          | Some _ | None -> Printf.printf "%-32s (no estimate)\n" name)
-        stats)
-    tests
-
 let () =
   let raw = List.tl (Array.to_list Sys.argv) in
   let show_timings = List.mem "timings" raw in
@@ -617,7 +571,6 @@ let () =
   if want "autotune" then timed "autotune" autotune_ablation;
   if want "cse" then timed "cse" cse_ablation;
   if want "fp64" then timed "fp64" fp64_ablation;
-  if want "micro" then timed "micro" micro;
   if show_timings then begin
     Printf.printf "\nsection timings:\n";
     List.iter
