@@ -26,7 +26,7 @@ type t = {
 
    - [need e] is the pipeline step at which v first consumes a word of u:
      v's initialization phase is init_max(v), but the field's own buffer
-     only starts filling after init_max(v) - init_extra(u) steps
+     only starts filling at its [Internal_buffer.fill_step]
      (Sec. IV-A: the largest buffers start reading immediately);
    - v's step 0 can happen no earlier than
      [t0 v = max(0, max_e (avail u - need e))];
@@ -42,11 +42,10 @@ type t = {
    compensates differing internal-buffer spans within one stencil. *)
 let of_checked ?(config = Latency.default) checked =
   let p = Program.Checked.program checked in
-  let w = max 1 p.Program.vector_width in
   let full_rank = Program.rank p in
   let stencil_info (s : Stencil.t) =
     let buffers = Internal_buffer.of_accesses p (Program.Checked.accesses checked s.Stencil.name) in
-    let init_cycles = Internal_buffer.init_cycles p buffers in
+    let init_cycles = Internal_buffer.init_cycles buffers in
     { init_cycles; compute_cycles = Latency.critical_path config s.Stencil.body; buffers }
   in
   let nodes =
@@ -66,12 +65,9 @@ let of_checked ?(config = Latency.default) checked =
     (fun (s : Stencil.t) ->
       let v = s.Stencil.name in
       let info = Hashtbl.find node_of v in
-      let init_extra field =
-        match
-          List.find_opt (fun (b : Internal_buffer.t) -> String.equal b.field field) info.buffers
-        with
-        | Some b -> Sf_support.Util.ceil_div b.init_elements w
-        | None -> 0
+      let need field =
+        Internal_buffer.fill_step info.buffers
+          (List.find (fun (b : Internal_buffer.t) -> String.equal b.field field) info.buffers)
       in
       (* Only full-rank producers stream through channels; lower-
          dimensional inputs are prefetched and impose no edge. *)
@@ -84,11 +80,7 @@ let of_checked ?(config = Latency.default) checked =
           (Program.Checked.reads checked v)
       in
       let annotated =
-        List.map
-          (fun u ->
-            let need = info.init_cycles - init_extra u in
-            (u, need, Hashtbl.find avail u))
-          streaming_preds
+        List.map (fun u -> (u, need u, Hashtbl.find avail u)) streaming_preds
       in
       let t0 = List.fold_left (fun acc (_, need, av) -> max acc (av - need)) 0 annotated in
       List.iter (fun (u, need, av) -> edges := ((u, v), t0 + need - av) :: !edges) annotated;

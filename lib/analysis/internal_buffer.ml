@@ -7,6 +7,8 @@ type t = {
   max_flat : int;
   size_elements : int;
   init_elements : int;
+  init_words : int;
+  register_elements : int;
 }
 
 let flatten_offset ~shape offsets =
@@ -46,16 +48,19 @@ let of_accesses (p : Program.t) accesses =
         let init_elements =
           if buffered then max (size_elements - 1) (max 0 max_flat) else max 0 max_flat
         in
-        Some { field; offsets; min_flat; max_flat; size_elements; init_elements })
+        (* The register holds the read-ahead, one word and the reach
+           behind the center (see the interface). *)
+        let init_words = Sf_support.Util.ceil_div init_elements (max 1 w) in
+        let register_elements = (init_words * w) + w + max 0 (-min_flat) in
+        Some
+          { field; offsets; min_flat; max_flat; size_elements; init_elements; init_words;
+            register_elements })
     (Stencil.fields_read accesses)
 
-let init_cycles p buffers =
-  let delay = List.fold_left (fun acc b -> max acc b.init_elements) 0 buffers in
-  Sf_support.Util.ceil_div delay (max 1 p.Program.vector_width)
-
-let fill_start all b =
-  let longest = List.fold_left (fun acc x -> max acc x.init_elements) 0 all in
-  longest - b.init_elements
+(* [ceil (max init / W) = max (ceil (init / W))]: rounding up is monotone. *)
+let init_cycles buffers = List.fold_left (fun acc b -> max acc b.init_words) 0 buffers
+let fill_step all b = init_cycles all - b.init_words
+let tap b flat = flat + max 0 (-b.min_flat)
 
 let pp fmt b =
   Format.fprintf fmt "%s: %d accesses, flat span [%d, %d], size %d, init %d" b.field

@@ -70,18 +70,6 @@ let dims_for rank = Array.to_list (Array.sub dim_names (3 - rank) rank)
 
 let channel_name ~src ~dst = Printf.sprintf "ch_%s__%s" src dst
 
-(* Register sizing consistent with the conservative fill-the-buffer
-   schedule (init_extra words are consumed ahead of the first output): at
-   compute time the newest element sits init_extra*W + W - 1 ahead of the
-   lane-0 center, so the register must retain that read-ahead plus any
-   negative reach. Tap for flat offset o, lane v is
-   S - W - init_extra*W + o + v. *)
-let init_extra ~w (b : Sf_analysis.Internal_buffer.t) =
-  Sf_support.Util.ceil_div b.init_elements (max 1 w)
-
-let register_size ~w (b : Sf_analysis.Internal_buffer.t) =
-  (init_extra ~w b * w) + w + max 0 (-b.min_flat)
-
 (* The compute phase's body for lane v of [cell], as both backends emit
    it: the multi-index of cell + v (for boundary predication), the lets
    and [const float result = ...]. An access reads its shift-register
@@ -90,7 +78,7 @@ let register_size ~w (b : Sf_analysis.Internal_buffer.t) =
 let emit_compute buf checked buffers (s : Stencil.t) ~result =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let p = Program.Checked.program checked in
-  let w = p.Program.vector_width and shape = p.Program.shape in
+  let shape = p.Program.shape in
   let dims = dims_for (Program.rank p) in
   let strides = Program.strides p in
   List.iteri
@@ -99,9 +87,8 @@ let emit_compute buf checked buffers (s : Stencil.t) ~result =
         (List.nth shape d))
     dims;
   let tap (b : Sf_analysis.Internal_buffer.t) offsets =
-    let flat = Sf_analysis.Internal_buffer.flatten_offset ~shape offsets in
     Printf.sprintf "sr_%s[%d + v]" b.field
-      (register_size ~w b - w - (init_extra ~w b * w) + flat)
+      Sf_analysis.Internal_buffer.(tap b (flatten_offset ~shape offsets))
   in
   let access ~field ~offsets =
     match
@@ -163,7 +150,6 @@ let emit_stencil_kernel buf checked analysis (s : Stencil.t) ~remote_in ~local_c
   let { Sf_analysis.Delay_buffer.buffers; init_cycles = init; _ } =
     Sf_analysis.Delay_buffer.node_info analysis name
   in
-  let init_extra = init_extra ~w and register_size = register_size ~w in
   let add fmt = Printf.ksprintf (fun line -> Buffer.add_string buf line) fmt in
   add "__attribute__((max_global_work_dim(0)))\n";
   add "__attribute__((autorun))\n";
@@ -171,7 +157,7 @@ let emit_stencil_kernel buf checked analysis (s : Stencil.t) ~remote_in ~local_c
   List.iter
     (fun (b : Sf_analysis.Internal_buffer.t) ->
       add "  float sr_%s[%d]; // flat span [%d, %d], read-ahead %d words\n" b.field
-        (register_size b) b.min_flat b.max_flat (init_extra b))
+        b.register_elements b.min_flat b.max_flat b.init_words)
     buffers;
   (* Lower-dimensional inputs are read from the program-scope prefetch
      arrays, filled by the load_* kernels before the pipeline starts. *)
@@ -179,17 +165,17 @@ let emit_stencil_kernel buf checked analysis (s : Stencil.t) ~remote_in ~local_c
   (* Shift phase (fully unrolled). *)
   List.iter
     (fun (b : Sf_analysis.Internal_buffer.t) ->
-      if register_size b > w then begin
+      if b.register_elements > w then begin
         add "    #pragma unroll\n";
         add "    for (int s = 0; s < %d; ++s) sr_%s[s] = sr_%s[s + %d];\n"
-          (register_size b - w) b.field b.field w
+          (b.register_elements - w) b.field b.field w
       end)
     buffers;
   (* Update phase: read one word from each active input stream. *)
   List.iter
     (fun (b : Sf_analysis.Internal_buffer.t) ->
-      let start = init - init_extra b in
-      let target = Printf.sprintf "sr_%s[%d + v]" b.field (register_size b - w) in
+      let start = Sf_analysis.Internal_buffer.fill_step buffers b in
+      let target = Printf.sprintf "sr_%s[%d + v]" b.field (b.register_elements - w) in
       let source =
         if List.mem_assoc b.field remote_in then
           Printf.sprintf "SMI_Pop(&smi_%s__%s)" b.field name

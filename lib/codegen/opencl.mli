@@ -41,13 +41,6 @@ val checked :
     Validation problems surface as [SF0301], lowering failures as
     [SF0601]. *)
 
-val init_extra : w:int -> Sf_analysis.Internal_buffer.t -> int
-(** Words a stencil's internal buffer reads ahead of its first output. *)
-
-val register_size : w:int -> Sf_analysis.Internal_buffer.t -> int
-(** Elements of the buffer's shift register: the read-ahead, one word,
-    and the buffer's reach behind the center. *)
-
 val emit_compute :
   Buffer.t ->
   Sf_ir.Program.checked ->

@@ -13,7 +13,6 @@ let emit_stencil_pe buf checked analysis (s : Stencil.t) ~consumers ~writes_memo
   let { Sf_analysis.Delay_buffer.buffers; init_cycles = init; _ } =
     Sf_analysis.Delay_buffer.node_info analysis name
   in
-  let init_extra = Opencl.init_extra ~w and register_size = Opencl.register_size ~w in
   let stream_params =
     List.map (fun (b : Sf_analysis.Internal_buffer.t) -> Printf.sprintf "hls::stream<float>& in_%s" b.field) buffers
     @ List.map (fun c -> Printf.sprintf "hls::stream<float>& out_%s" c) consumers
@@ -22,7 +21,7 @@ let emit_stencil_pe buf checked analysis (s : Stencil.t) ~consumers ~writes_memo
   add "void pe_%s(%s) {\n" name (String.concat ", " stream_params);
   List.iter
     (fun (b : Sf_analysis.Internal_buffer.t) ->
-      add "  float sr_%s[%d];\n" b.field (register_size b);
+      add "  float sr_%s[%d];\n" b.field b.register_elements;
       add "#pragma HLS ARRAY_PARTITION variable=sr_%s complete\n" b.field)
     buffers;
   add "loop_%s:\n" name;
@@ -31,11 +30,11 @@ let emit_stencil_pe buf checked analysis (s : Stencil.t) ~consumers ~writes_memo
   (* Shift + update. *)
   List.iter
     (fun (b : Sf_analysis.Internal_buffer.t) ->
-      if register_size b > w then
+      if b.register_elements > w then
         add "    for (int s = 0; s < %d; ++s) sr_%s[s] = sr_%s[s + %d];\n"
-          (register_size b - w) b.field b.field w;
-      let start = init - init_extra b in
-      let target = Printf.sprintf "sr_%s[%d + v]" b.field (register_size b - w) in
+          (b.register_elements - w) b.field b.field w;
+      let start = Sf_analysis.Internal_buffer.fill_step buffers b in
+      let target = Printf.sprintf "sr_%s[%d + v]" b.field (b.register_elements - w) in
       add "    if (t >= %dL && t < %dL + %dL)\n" start start n_words;
       add "      for (int v = 0; v < %d; ++v) %s = in_%s.read();\n" w target b.field)
     buffers;

@@ -245,8 +245,10 @@ let extract_checked (t : t) =
 
 let extract_program t = Result.map Program.Checked.program (extract_checked t)
 
-(* Expansion of a stencil library node into the Fig. 12 subgraph. *)
-let expand_stencil (p_shape : int list) w init_cycles drain_cycles (s : Stencil.t) accesses =
+(* Expansion of a stencil library node into the Fig. 12 subgraph, with
+   the phases and shift registers of the delay-buffer analysis. *)
+let expand_stencil (p_shape : int list) w (info : Sf_analysis.Delay_buffer.node_info)
+    (s : Stencil.t) accesses =
   let g = ref empty_graph in
   let node n =
     let g', id = add_node !g n in
@@ -258,26 +260,20 @@ let expand_stencil (p_shape : int list) w init_cycles drain_cycles (s : Stencil.
   List.iter
     (fun field ->
       let offsets = Stencil.offsets_read accesses field in
-      let buffered = List.length offsets > 1 in
       let sr = Printf.sprintf "sr_%s_%s" s.Stencil.name field in
-      if buffered then begin
-        (* Shift-register container sized by the flat span of the
-           accesses; a full-rank requirement is guaranteed upstream. *)
-        let flats =
-          List.filter_map
-            (fun o ->
-              if List.length o = List.length p_shape then
-                Some (Sf_analysis.Internal_buffer.flatten_offset ~shape:p_shape o)
-              else None)
-            offsets
-        in
-        let size =
-          match flats with
-          | [] -> w
-          | f :: rest ->
-              let lo = List.fold_left min f rest and hi = List.fold_left max f rest in
-              hi - lo + w
-        in
+      (* A full-rank field read at several offsets streams through a shift
+         register of the paper's size; lower-dimensional fields are
+         prefetched. *)
+      let size =
+        match
+          List.find_opt
+            (fun (b : Sf_analysis.Internal_buffer.t) -> String.equal b.field field)
+            info.buffers
+        with
+        | Some b -> b.size_elements
+        | None -> 0
+      in
+      if size > 0 then begin
         new_containers :=
           { cname = sr; dtype = Dtype.F32; extent = [ size ]; storage = On_chip;
             transient = true; axes_hint = None }
@@ -347,8 +343,8 @@ let expand_stencil (p_shape : int list) w init_cycles drain_cycles (s : Stencil.
       {
         label = Printf.sprintf "pipeline_%s" s.Stencil.name;
         iteration = p_shape;
-        init_cycles;
-        drain_cycles;
+        init_cycles = info.init_cycles;
+        drain_cycles = info.compute_cycles;
         body = !g;
       },
     !new_containers )
@@ -358,6 +354,7 @@ let expand_library_nodes (t : t) =
   | Error _ -> t
   | Ok checked ->
       let p = Program.Checked.program checked in
+      let analysis = Sf_analysis.Delay_buffer.of_checked checked in
       let new_containers = ref [] in
       let states =
         List.map
@@ -367,17 +364,11 @@ let expand_library_nodes (t : t) =
                 (fun (id, n) ->
                   match n with
                   | Stencil_node s ->
-                      let accesses = Program.Checked.accesses checked s.Stencil.name in
-                      let init =
-                        Sf_analysis.Internal_buffer.(init_cycles p (of_accesses p accesses))
-                      in
-                      let drain =
-                        Sf_analysis.Latency.critical_path Sf_analysis.Latency.default
-                          s.Stencil.body
-                      in
+                      let name = s.Stencil.name in
                       let expanded, extra =
-                        expand_stencil p.Program.shape p.Program.vector_width init drain s
-                          accesses
+                        expand_stencil p.Program.shape p.Program.vector_width
+                          (Sf_analysis.Delay_buffer.node_info analysis name)
+                          s (Program.Checked.accesses checked name)
                       in
                       new_containers := extra @ !new_containers;
                       (id, expanded)

@@ -77,19 +77,16 @@ let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
         let window, start_step =
           if not is_full then (None, 0)
           else begin
-            let info =
+            let reg =
               List.find
                 (fun (ib : Sf_analysis.Internal_buffer.t) -> String.equal ib.field b.field)
                 buffers
             in
-            let init_extra = Sf_support.Util.ceil_div info.init_elements (max 1 w) in
-            let cap =
-              ((init_extra + 2 + Channel.chunk) * w)
-              + max 0 (-info.Sf_analysis.Internal_buffer.min_flat)
-              + w
-            in
+            (* The register, plus room for the words a step and a
+               fast-forward chunk shift in before their taps are read. *)
+            let cap = reg.register_elements + ((2 + Channel.chunk) * w) in
             ( Some { Compile.data = Array.make cap 0.; cap; newest = -1; head = -1 },
-              init_max - init_extra )
+              Sf_analysis.Internal_buffer.fill_step buffers reg )
           end
         in
         {

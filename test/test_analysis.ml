@@ -54,28 +54,39 @@ let test_single_access_no_buffer () =
   Alcotest.(check int) "no buffer" 0 buf.Internal_buffer.size_elements;
   Alcotest.(check int) "no init" 0 buf.Internal_buffer.init_elements
 
-let test_fill_start () =
-  let b = Builder.create ~name:"p" ~shape:[ 4; 6; 8 ] () in
-  Builder.input b "a";
-  Builder.input b "bb";
-  Builder.stencil b
-    ~boundary:[ ("a", Boundary.Constant 0.); ("bb", Boundary.Constant 0.) ]
-    "s"
-    E.(
-      acc "a" [ 1; 0; 0 ] +% acc "a" [ -1; 0; 0 ]
-      +% (acc "bb" [ 0; 0; 1 ] +% acc "bb" [ 0; 0; -1 ]));
-  Builder.output b "s";
-  let p = Builder.finish b in
-  let s = List.hd p.Program.stencils in
-  let bufs = Internal_buffer.of_accesses p (Stencil.accesses s) in
-  let find f = List.find (fun (x : Internal_buffer.t) -> x.field = f) bufs in
-  (* The largest buffer (a) starts immediately; the smaller (bb) is
-     delayed by the difference. *)
-  Alcotest.(check int) "a starts first" 0 (Internal_buffer.fill_start bufs (find "a"));
-  let expected_delay =
-    (find "a").Internal_buffer.init_elements - (find "bb").Internal_buffer.init_elements
+(* Stream start steps, in words: [a] spans two slices (96 elements
+   behind and ahead of the center) and reads ahead 96 elements, [bb] one
+   element each way and reads ahead 2. At W = 4 the read-aheads round up
+   to 25 and 2 words, so [bb] starts 23 steps late; an element count
+   (94 / 4) would not land on a word. *)
+let test_fill_step () =
+  let build vector_width =
+    let b = Builder.create ~vector_width ~name:"p" ~shape:[ 4; 6; 8 ] () in
+    Builder.input b "a";
+    Builder.input b "bb";
+    Builder.stencil b
+      ~boundary:[ ("a", Boundary.Constant 0.); ("bb", Boundary.Constant 0.) ]
+      "s"
+      E.(
+        acc "a" [ 1; 0; 0 ] +% acc "a" [ -1; 0; 0 ]
+        +% (acc "bb" [ 0; 0; 1 ] +% acc "bb" [ 0; 0; -1 ]));
+    Builder.output b "s";
+    Builder.finish b
   in
-  Alcotest.(check int) "bb delayed" expected_delay (Internal_buffer.fill_start bufs (find "bb"))
+  List.iter
+    (fun (w, init, bb_start) ->
+      let p = build w in
+      let s = List.hd p.Program.stencils in
+      let bufs = Internal_buffer.of_accesses p (Stencil.accesses s) in
+      let find f = List.find (fun (x : Internal_buffer.t) -> x.field = f) bufs in
+      let label what = Printf.sprintf "W=%d: %s" w what in
+      Alcotest.(check int) (label "init cycles") init (Internal_buffer.init_cycles bufs);
+      (* The largest buffer (a) starts immediately; the smaller (bb) is
+         delayed by the difference of the read-aheads. *)
+      Alcotest.(check int) (label "a starts first") 0 (Internal_buffer.fill_step bufs (find "a"));
+      Alcotest.(check int) (label "bb delayed") bb_start
+        (Internal_buffer.fill_step bufs (find "bb")))
+    [ (1, 96, 94); (4, 25, 23) ]
 
 let test_critical_path () =
   let cfg = Latency.cheap in
@@ -270,7 +281,22 @@ let reference_of_stencil (p : Program.t) (s : Stencil.t) =
         let init_elements =
           if buffered then max (size_elements - 1) (max 0 max_flat) else max 0 max_flat
         in
-        Some { Internal_buffer.field; offsets; min_flat; max_flat; size_elements; init_elements }
+        (* The read-ahead in whole words, and the register the backends
+           declared before it was kept here: that read-ahead, one word,
+           and the reach behind the center. *)
+        let init_words = (init_elements + w - 1) / w in
+        let register_elements = (init_words * w) + w + Int.max 0 (-min_flat) in
+        Some
+          {
+            Internal_buffer.field;
+            offsets;
+            min_flat;
+            max_flat;
+            size_elements;
+            init_elements;
+            init_words;
+            register_elements;
+          }
       end)
     (Stencil.input_fields s)
 
@@ -363,7 +389,7 @@ let suite =
     Alcotest.test_case "intermediate accesses don't grow buffers" `Quick
       test_intermediate_accesses_do_not_grow_buffer;
     Alcotest.test_case "single access needs no buffer" `Quick test_single_access_no_buffer;
-    Alcotest.test_case "buffer fill scheduling" `Quick test_fill_start;
+    Alcotest.test_case "buffer fill scheduling" `Quick test_fill_step;
     Alcotest.test_case "AST critical path" `Quick test_critical_path;
     Alcotest.test_case "diamond delay buffers (fig 4/8)" `Quick test_delay_buffer_diamond;
     Alcotest.test_case "chain latency accumulates" `Quick test_program_latency_chain;

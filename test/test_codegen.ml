@@ -4,10 +4,12 @@ module Dot = Sf_codegen.Dot
 module Partition = Sf_mapping.Partition
 module E = Builder.E
 
-let contains haystack needle =
+let find_from haystack ~from needle =
   let n = String.length needle and h = String.length haystack in
-  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-  go 0
+  let rec go i = if i + n > h then None else if String.sub haystack i n = needle then Some i else go (i + 1) in
+  go from
+
+let contains haystack needle = Option.is_some (find_from haystack ~from:0 needle)
 
 let check_contains source fragments =
   List.iter
@@ -184,6 +186,100 @@ let test_sdfg_dot_export () =
     [ "digraph \"laplace2d\""; "pipeline_lap (init"; "shape=octagon"; "compute";
       "write_if_not_initializing"; "shift_a (unroll" ]
 
+(* The kernels of a backend's source: the name after each [marker] (up to
+   its parameter list) and the text up to the next marker. *)
+let kernels ~marker src =
+  let rec go from acc =
+    match find_from src ~from marker with
+    | None -> List.rev acc
+    | Some at ->
+        let start = at + String.length marker in
+        let name = String.sub src start (String.index_from src start '(' - start) in
+        let stop = Option.value (find_from src ~from:start marker) ~default:(String.length src) in
+        go stop ((name, String.sub src start (stop - start)) :: acc)
+  in
+  go 0 []
+
+(* Every [sr_<field>[<index>]] of a kernel as (field, index text, whether
+   a [float] declaration precedes it). *)
+let registers text =
+  let ident c = c = '_' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9') in
+  let rec go from acc =
+    match find_from text ~from "sr_" with
+    | None -> List.rev acc
+    | Some at when at > 0 && ident text.[at - 1] -> go (at + 3) acc
+    | Some at -> (
+        let stop = ref (at + 3) in
+        while ident text.[!stop] do incr stop done;
+        match text.[!stop] with
+        | '[' ->
+            let field = String.sub text (at + 3) (!stop - at - 3) in
+            let close = String.index_from text !stop ']' in
+            let index = String.sub text (!stop + 1) (close - !stop - 1) in
+            let declared = at >= 6 && String.sub text (at - 6) 6 = "float " in
+            go close ((field, index, declared) :: acc)
+        | _ -> go !stop acc)
+  in
+  go 0 []
+
+(* Over random programs at every legal W in {1, 2, 4}: each shift register
+   Opencl and Vitis declare has [register_elements] elements, each tap
+   they read (and each word they shift in) lies inside it for every lane,
+   and each SDFG shift-register container has the paper's
+   [size_elements]: all three read Internal_buffer. *)
+let prop_register_shape_from_internal_buffer =
+  QCheck.Test.make ~count:150 ~name:"backends and SDFG take register shapes from Internal_buffer"
+    Program_gen.arbitrary_program (fun p ->
+      List.for_all
+        (fun w ->
+          let p = Sf_analysis.Vectorize.apply p w in
+          let buffers_of name =
+            let s = List.find (fun (s : Stencil.t) -> String.equal s.Stencil.name name) p.Program.stencils in
+            Sf_analysis.Internal_buffer.of_accesses p (Stencil.accesses s)
+          in
+          let kernel_ok (name, text) =
+            let buffers = buffers_of name in
+            let reg field =
+              (List.find (fun (b : Sf_analysis.Internal_buffer.t) -> b.field = field) buffers)
+                .register_elements
+            in
+            let uses = registers text in
+            let declared = List.filter_map (fun (f, i, d) -> if d then Some (f, i) else None) uses in
+            List.sort compare (List.map fst declared)
+            = List.sort compare (List.map (fun (b : Sf_analysis.Internal_buffer.t) -> b.field) buffers)
+            && List.for_all (fun (f, i) -> int_of_string i = reg f) declared
+            && List.for_all
+                 (fun (f, i, _) ->
+                   match String.split_on_char ' ' i with
+                   | [ tap; "+"; "v" ] ->
+                       let tap = int_of_string tap in
+                       tap >= 0 && tap + w - 1 < reg f
+                   | _ -> true)
+                 uses
+          in
+          let opencl =
+            String.concat "" (List.map (fun a -> a.Opencl.source) (Fixtures.ok (Opencl.generate p)))
+          in
+          let sdfg = Sf_sdfg.Sdfg.expand_library_nodes (Sf_sdfg.Sdfg.of_program p) in
+          let sdfg_registers =
+            List.filter (fun c -> String.starts_with ~prefix:"sr_" c.Sf_sdfg.Sdfg.cname) sdfg.Sf_sdfg.Sdfg.containers
+          in
+          let expected =
+            List.concat_map
+              (fun (s : Stencil.t) ->
+                List.filter_map
+                  (fun (b : Sf_analysis.Internal_buffer.t) ->
+                    if b.size_elements = 0 then None
+                    else Some (Printf.sprintf "sr_%s_%s" s.Stencil.name b.field, [ b.size_elements ]))
+                  (buffers_of s.Stencil.name))
+              p.Program.stencils
+          in
+          List.for_all kernel_ok (kernels ~marker:"__kernel void stencil_" opencl)
+          && List.for_all kernel_ok (kernels ~marker:"void pe_" (Fixtures.ok (Sf_codegen.Vitis.generate p)))
+          && List.sort compare (List.map (fun c -> (c.Sf_sdfg.Sdfg.cname, c.extent)) sdfg_registers)
+             = List.sort compare expected)
+        (Sf_analysis.Vectorize.legal_widths p ~max:4))
+
 let suite =
   [
     Alcotest.test_case "laplace kernel structure (fig 12)" `Quick test_laplace_kernel_structure;
@@ -202,4 +298,5 @@ let suite =
     Alcotest.test_case "vitis output of every example pinned" `Quick test_vitis_pinned;
     Alcotest.test_case "graphviz export" `Quick test_dot_export;
     Alcotest.test_case "sdfg graphviz export (fig 12)" `Quick test_sdfg_dot_export;
+    QCheck_alcotest.to_alcotest prop_register_shape_from_internal_buffer;
   ]
