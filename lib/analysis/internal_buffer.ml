@@ -48,8 +48,6 @@ let of_accesses (p : Program.t) accesses =
         let init_elements =
           if buffered then max (size_elements - 1) (max 0 max_flat) else max 0 max_flat
         in
-        (* The register holds the read-ahead, one word and the reach
-           behind the center (see the interface). *)
         let init_words = Sf_support.Util.ceil_div init_elements (max 1 w) in
         let register_elements = (init_words * w) + w + max 0 (-min_flat) in
         Some
