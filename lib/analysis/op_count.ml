@@ -13,26 +13,6 @@ type t = {
   written_bytes : int;
 }
 
-(* Tree profiles of deeply fused bodies saturate; keep the aggregate
-   saturating too. *)
-let sat_add a b =
-  let s = a + b in
-  if s < a || s < b then max_int else s
-
-let sat_add_profile (a : Expr.op_profile) (b : Expr.op_profile) =
-  {
-    Expr.adds = sat_add a.Expr.adds b.Expr.adds;
-    muls = sat_add a.Expr.muls b.Expr.muls;
-    divs = sat_add a.Expr.divs b.Expr.divs;
-    sqrts = sat_add a.Expr.sqrts b.Expr.sqrts;
-    mins = sat_add a.Expr.mins b.Expr.mins;
-    maxs = sat_add a.Expr.maxs b.Expr.maxs;
-    other_calls = sat_add a.Expr.other_calls b.Expr.other_calls;
-    compares = sat_add a.Expr.compares b.Expr.compares;
-    data_branches = sat_add a.Expr.data_branches b.Expr.data_branches;
-    const_branches = sat_add a.Expr.const_branches b.Expr.const_branches;
-  }
-
 let of_program (p : Program.t) =
   let profile =
     List.fold_left
@@ -46,7 +26,7 @@ let of_program (p : Program.t) =
   in
   let tree_profile =
     List.fold_left
-      (fun acc s -> sat_add_profile acc (Stencil.tree_profile s))
+      (fun acc s -> Expr.sat_add_profile acc (Stencil.tree_profile s))
       Expr.empty_profile p.Program.stencils
   in
   let flops_per_cell = Expr.flop_count profile in
@@ -67,26 +47,27 @@ let of_program (p : Program.t) =
     tree_profile;
     work_flops_per_cell = Expr.flop_count work_profile;
     tree_flops_per_cell =
-      sat_add
-        (sat_add tree_profile.Expr.adds tree_profile.Expr.muls)
-        (sat_add tree_profile.Expr.divs tree_profile.Expr.sqrts);
+      Expr.sat_add
+        (Expr.sat_add tree_profile.Expr.adds tree_profile.Expr.muls)
+        (Expr.sat_add tree_profile.Expr.divs tree_profile.Expr.sqrts);
     read_elements;
     written_elements;
     read_bytes;
     written_bytes;
   }
 
-let total_flops p = float_of_int (of_program p).flops_per_cell *. float_of_int (Program.cells p)
+let flops t p = float_of_int t.flops_per_cell *. float_of_int (Program.cells p)
+let total_flops p = flops (of_program p) p
 let total_operands t = t.read_elements + t.written_elements
 let total_bytes t = t.read_bytes + t.written_bytes
 
 let ai_ops_per_operand p =
   let t = of_program p in
-  total_flops p /. float_of_int (total_operands t)
+  flops t p /. float_of_int (total_operands t)
 
 let ai_ops_per_byte p =
   let t = of_program p in
-  total_flops p /. float_of_int (total_bytes t)
+  flops t p /. float_of_int (total_bytes t)
 
 let streaming_operands_per_cycle (p : Program.t) =
   let full_rank = Program.rank p in

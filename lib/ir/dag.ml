@@ -56,12 +56,6 @@ let compare a b = Stdlib.compare a.id b.id
 let hash t = t.id
 let tree_size t = t.tree_size
 
-(* Sizes of repeatedly substituted bodies grow multiplicatively;
-   saturate instead of wrapping. *)
-let sat_add a b =
-  let s = a + b in
-  if s < a || s < b then max_int else s
-
 let key_of node =
   match node with
   | Const c -> KConst (Int64.bits_of_float c)
@@ -75,11 +69,12 @@ let key_of node =
 let node_tree_size node =
   match node with
   | Const _ | Access _ | Var _ -> 1
-  | Unary (_, x) -> sat_add 1 x.tree_size
-  | Binary (_, x, y) -> sat_add 1 (sat_add x.tree_size y.tree_size)
+  | Unary (_, x) -> Expr.sat_add 1 x.tree_size
+  | Binary (_, x, y) -> Expr.sat_add 1 (Expr.sat_add x.tree_size y.tree_size)
   | Select { cond; if_true; if_false } ->
-      sat_add 1 (sat_add cond.tree_size (sat_add if_true.tree_size if_false.tree_size))
-  | Call (_, args) -> List.fold_left (fun acc a -> sat_add acc a.tree_size) 1 args
+      Expr.sat_add 1
+        (Expr.sat_add cond.tree_size (Expr.sat_add if_true.tree_size if_false.tree_size))
+  | Call (_, args) -> List.fold_left (fun acc a -> Expr.sat_add acc a.tree_size) 1 args
 
 let make node =
   let st = Domain.DLS.get state_key in
@@ -186,7 +181,7 @@ let to_expr root =
 
 (* First-encounter order in a left-to-right DFS equals first-encounter
    order in the fully inlined tree, so this agrees with
-   [Expr.accesses (Expr.inline_lets body)] — the internal-buffer and
+   [Expr.accesses (to_expr root)] — the internal-buffer and
    boundary analyses depend on that order. Hash-consing makes each
    distinct access a single node, so the visited set also deduplicates. *)
 let accesses root =
@@ -257,20 +252,6 @@ let work_profile root =
     (fun acc t -> Expr.add_profile acc (node_profile t))
     Expr.empty_profile (reachable [ root ])
 
-let sat_add_profile (a : Expr.op_profile) (b : Expr.op_profile) =
-  {
-    Expr.adds = sat_add a.Expr.adds b.Expr.adds;
-    muls = sat_add a.Expr.muls b.Expr.muls;
-    divs = sat_add a.Expr.divs b.Expr.divs;
-    sqrts = sat_add a.Expr.sqrts b.Expr.sqrts;
-    mins = sat_add a.Expr.mins b.Expr.mins;
-    maxs = sat_add a.Expr.maxs b.Expr.maxs;
-    other_calls = sat_add a.Expr.other_calls b.Expr.other_calls;
-    compares = sat_add a.Expr.compares b.Expr.compares;
-    data_branches = sat_add a.Expr.data_branches b.Expr.data_branches;
-    const_branches = sat_add a.Expr.const_branches b.Expr.const_branches;
-  }
-
 (* Tree profile: the fully inlined expression's counts — what a naive
    per-occurrence evaluation would execute. Saturating, like tree_size. *)
 let tree_profile root =
@@ -283,13 +264,13 @@ let tree_profile root =
         let p =
           match t.node with
           | Const _ | Access _ | Var _ -> own
-          | Unary (_, x) -> sat_add_profile own (go x)
-          | Binary (_, x, y) -> sat_add_profile own (sat_add_profile (go x) (go y))
+          | Unary (_, x) -> Expr.sat_add_profile own (go x)
+          | Binary (_, x, y) -> Expr.sat_add_profile own (Expr.sat_add_profile (go x) (go y))
           | Select { cond; if_true; if_false } ->
-              sat_add_profile own
-                (sat_add_profile (go cond) (sat_add_profile (go if_true) (go if_false)))
+              Expr.sat_add_profile own
+                (Expr.sat_add_profile (go cond) (Expr.sat_add_profile (go if_true) (go if_false)))
           | Call (_, args) ->
-              List.fold_left (fun acc a -> sat_add_profile acc (go a)) own args
+              List.fold_left (fun acc a -> Expr.sat_add_profile acc (go a)) own args
         in
         Hashtbl.replace memo t.id p;
         p

@@ -85,7 +85,7 @@ val to_body : ?min_size:int -> ?prefix:string -> t -> Expr.body
 (** {2 Memoized queries} *)
 
 val tree_size : t -> int
-(** AST nodes of the fully inlined tree ([Expr.size] of {!to_expr});
+(** AST nodes of the fully inlined tree ({!to_expr});
     saturates at [max_int]. Stored on the node: O(1). *)
 
 val work_size : t -> int
@@ -103,7 +103,7 @@ val shared_nodes : t -> int
 
 val accesses : t -> (string * int list) list
 (** Distinct field accesses in first-encounter (evaluation) order —
-    agrees with [Expr.accesses (Expr.inline_lets body)]. *)
+    agrees with [Expr.accesses] of {!to_expr}. *)
 
 val free_vars : t -> string list
 (** Unresolved [Var] leaves in first-encounter order. *)

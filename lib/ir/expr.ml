@@ -71,13 +71,6 @@ let rec equal a b =
       f = g && List.length args1 = List.length args2 && List.for_all2 equal args1 args2
   | (Const _ | Access _ | Var _ | Unary _ | Binary _ | Select _ | Call _), _ -> false
 
-let equal_body a b =
-  List.length a.lets = List.length b.lets
-  && List.for_all2
-       (fun (n1, e1) (n2, e2) -> String.equal n1 n2 && equal e1 e2)
-       a.lets b.lets
-  && equal a.result b.result
-
 let rec fold f acc expr =
   let acc = f acc expr in
   match expr with
@@ -86,8 +79,6 @@ let rec fold f acc expr =
   | Binary (_, x, y) -> fold f (fold f acc x) y
   | Select { cond; if_true; if_false } -> fold f (fold f (fold f acc cond) if_true) if_false
   | Call (_, args) -> List.fold_left (fold f) acc args
-
-let size expr = fold (fun n _ -> n + 1) 0 expr
 
 let dedup_keep_order l =
   let seen = Hashtbl.create 16 in
@@ -124,58 +115,6 @@ let rec map_accesses f expr =
           if_false = map_accesses f if_false;
         }
   | Call (g, args) -> Call (g, List.map (map_accesses f) args)
-
-let shift_accesses ~field ~delta expr =
-  let shift ~field:f ~offsets =
-    if String.equal f field then begin
-      if List.length offsets <> List.length delta then
-        invalid_arg "Expr.shift_accesses: offset rank mismatch";
-      Access { field = f; offsets = List.map2 ( + ) offsets delta }
-    end
-    else Access { field = f; offsets }
-  in
-  map_accesses shift expr
-
-let shift_all_accesses ~delta expr =
-  let rank = List.length delta in
-  let shift ~field ~offsets =
-    if List.length offsets = rank then Access { field; offsets = List.map2 ( + ) offsets delta }
-    else Access { field; offsets }
-  in
-  map_accesses shift expr
-
-let rec substitute_var ~name ~value expr =
-  match expr with
-  | Var v when String.equal v name -> value
-  | Const _ | Access _ | Var _ -> expr
-  | Unary (op, x) -> Unary (op, substitute_var ~name ~value x)
-  | Binary (op, x, y) -> Binary (op, substitute_var ~name ~value x, substitute_var ~name ~value y)
-  | Select { cond; if_true; if_false } ->
-      Select
-        {
-          cond = substitute_var ~name ~value cond;
-          if_true = substitute_var ~name ~value if_true;
-          if_false = substitute_var ~name ~value if_false;
-        }
-  | Call (g, args) -> Call (g, List.map (substitute_var ~name ~value) args)
-
-let inline_lets { lets; result } =
-  (* Substitute bindings in order: later bindings may use earlier ones, so
-     each binding's expression is first resolved against the accumulated
-     environment. *)
-  let resolved =
-    List.fold_left
-      (fun env (name, expr) ->
-        let expr =
-          List.fold_left (fun e (n, v) -> substitute_var ~name:n ~value:v e) expr env
-        in
-        (name, expr) :: env)
-      [] lets
-  in
-  List.fold_left (fun e (n, v) -> substitute_var ~name:n ~value:v e) result resolved
-
-let rename_accesses rename expr =
-  map_accesses (fun ~field ~offsets -> Access { field = rename field; offsets }) expr
 
 type op_profile = {
   adds : int;
@@ -216,6 +155,26 @@ let add_profile a b =
     compares = a.compares + b.compares;
     data_branches = a.data_branches + b.data_branches;
     const_branches = a.const_branches + b.const_branches;
+  }
+
+(* Tree sizes and profiles of repeatedly substituted bodies grow
+   multiplicatively; saturate instead of wrapping. *)
+let sat_add a b =
+  let s = a + b in
+  if s < a || s < b then max_int else s
+
+let sat_add_profile a b =
+  {
+    adds = sat_add a.adds b.adds;
+    muls = sat_add a.muls b.muls;
+    divs = sat_add a.divs b.divs;
+    sqrts = sat_add a.sqrts b.sqrts;
+    mins = sat_add a.mins b.mins;
+    maxs = sat_add a.maxs b.maxs;
+    other_calls = sat_add a.other_calls b.other_calls;
+    compares = sat_add a.compares b.compares;
+    data_branches = sat_add a.data_branches b.data_branches;
+    const_branches = sat_add a.const_branches b.const_branches;
   }
 
 (* A branch condition is data-dependent when it reads a field directly or

@@ -47,10 +47,6 @@ val func_of_name : string -> func option
 val func_arity : func -> int
 
 val equal : t -> t -> bool
-val equal_body : body -> body -> bool
-
-val size : t -> int
-(** Number of AST nodes. *)
 
 val accesses : t -> (string * int list) list
 (** All field accesses in evaluation order, duplicates removed. *)
@@ -60,25 +56,8 @@ val free_vars : t -> string list
     has no binders), duplicates removed, in order of first use. *)
 
 val map_accesses : (field:string -> offsets:int list -> t) -> t -> t
-(** Replace every access by the result of the callback (used by fusion and
-    offset shifting). *)
-
-val shift_accesses : field:string -> delta:int list -> t -> t
-(** Add [delta] componentwise to the offsets of every access to [field].
-    Raises [Invalid_argument] on rank mismatch. *)
-
-val shift_all_accesses : delta:int list -> t -> t
-(** Shift every access to every field whose rank equals [List.length delta];
-    accesses of different rank (lower-dimensional fields) are shifted on
-    the axes they span — the caller provides the axes map. *)
-
-val substitute_var : name:string -> value:t -> t -> t
-val inline_lets : body -> t
-(** Substitute all let bindings into the result expression. Bindings may
-    reference earlier bindings; the output contains no [Var] nodes unless
-    the body referenced an unbound variable (left untouched). *)
-
-val rename_accesses : (string -> string) -> t -> t
+(** Replace every access by the result of the callback (used by map
+    fission and time-loop unrolling). *)
 
 (** Operation profile, matching the categories the paper reports for the
     horizontal diffusion program (Sec. IX-A): additions (including
@@ -100,6 +79,12 @@ type op_profile = {
 
 val empty_profile : op_profile
 val add_profile : op_profile -> op_profile -> op_profile
+
+val sat_add : int -> int -> int
+(** Addition of non-negative counts that saturates at [max_int]. *)
+
+val sat_add_profile : op_profile -> op_profile -> op_profile
+(** {!add_profile} with {!sat_add} on every count. *)
 
 val op_profile : t -> op_profile
 val body_op_profile : body -> op_profile

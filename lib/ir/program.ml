@@ -223,9 +223,8 @@ let pp fmt t =
    The body digest walks the hash-consed DAG with a memo table keyed on
    node ids, so every shared subexpression is digested exactly once and
    the digest is a pure function of the body's structure: stable across
-   processes, alpha-sensitive on let names (matching [Expr.equal_body]),
-   and IEEE-bit-exact on constants (matching the interning discipline of
-   [Dag]). *)
+   processes, alpha-sensitive on let names, and IEEE-bit-exact on
+   constants (matching the interning discipline of [Dag]). *)
 module F = Sf_support.Fingerprint
 
 let unop_tag = function Expr.Neg -> 0 | Expr.Not -> 1

@@ -104,9 +104,9 @@ val pp : Format.formatter -> t -> unit
 val body_fingerprint : Expr.body -> Sf_support.Fingerprint.t
 (** Structural content digest of a stencil body, computed over the
     hash-consed DAG so shared subexpressions are digested once.
-    Agrees with [Expr.equal_body]: equal bodies digest equal; any
-    semantic change (constant bit-flip, operator, access offset,
-    let name) digests different. *)
+    Bodies with the same let names whose lets and results are
+    {!Expr.equal} digest equal; any semantic change (constant bit-flip,
+    operator, access offset, let name) digests different. *)
 
 val fingerprint : t -> Sf_support.Fingerprint.t
 (** Content digest of the whole program — the cache key component used

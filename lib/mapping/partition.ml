@@ -165,84 +165,3 @@ let pp fmt t =
   List.iter
     (fun ((u, v), (d1, d2)) -> Format.fprintf fmt "  remote stream %s -> %s (%d -> %d)@." u v d1 d2)
     t.cross_edges
-
-(* Dominant utilization fraction of a usage on the device. *)
-let dominant_utilization device usage =
-  let a, f, m, d = Sf_models.Resource.utilization device usage in
-  Float.max (Float.max a f) (Float.max m d)
-
-let balanced ?(ceiling = 0.85) ?(max_devices = 8) ~device (p : Program.t) =
-  let checked = Program.check_exn p in
-  let order = Array.of_list (Program.Checked.order checked) in
-  let n = Array.length order in
-  let usages = Array.map (Resource.of_unit checked) order in
-  (* prefix.(i) = combined usage of stencils 0..i-1. *)
-  let prefix = Array.make (n + 1) Resource.zero in
-  for i = 0 to n - 1 do
-    prefix.(i + 1) <- Resource.add prefix.(i) usages.(i)
-  done;
-  let minus a b =
-    {
-      Resource.alm = a.Resource.alm - b.Resource.alm;
-      ff = a.Resource.ff - b.Resource.ff;
-      m20k = a.Resource.m20k - b.Resource.m20k;
-      dsp = a.Resource.dsp - b.Resource.dsp;
-    }
-  in
-  let segment_cost i j = dominant_utilization device (minus prefix.(j) prefix.(i)) in
-  (* Minimum feasible device count, then balance across exactly that
-     many. dp.(j).(k): best worst-segment cost splitting the first j
-     stencils into k segments; cut.(j).(k) records the split point. *)
-  let feasible d =
-    let dp = Array.make_matrix (n + 1) (d + 1) infinity in
-    let cut = Array.make_matrix (n + 1) (d + 1) (-1) in
-    dp.(0).(0) <- 0.;
-    for j = 1 to n do
-      for k = 1 to min d j do
-        for i = k - 1 to j - 1 do
-          let candidate = Float.max dp.(i).(k - 1) (segment_cost i j) in
-          if candidate < dp.(j).(k) then begin
-            dp.(j).(k) <- candidate;
-            cut.(j).(k) <- i
-          end
-        done
-      done
-    done;
-    if dp.(n).(d) <= ceiling then Some (dp.(n).(d), cut) else None
-  in
-  let rec first_feasible d =
-    if d > max_devices then
-      Error
-        (Sf_support.Diag.errorf ~code:Sf_support.Diag.Code.partition
-           "program needs more than %d devices" max_devices)
-    else match feasible d with Some (cost, cut) -> Ok (d, cost, cut) | None -> first_feasible (d + 1)
-  in
-  match first_feasible 1 with
-  | Error m -> Error m
-  | Ok (devices, _, cut) ->
-      (* Recover the cut points. *)
-      let boundaries = Array.make (devices + 1) 0 in
-      boundaries.(devices) <- n;
-      let rec back j k = if k > 0 then begin
-          boundaries.(k - 1) <- cut.(j).(k);
-          back cut.(j).(k) (k - 1)
-        end
-      in
-      back n devices;
-      let device_of =
-        List.concat
-          (List.map
-             (fun k ->
-               List.map
-                 (fun idx -> (order.(idx).Stencil.name, k))
-                 (List.filter
-                    (fun idx -> idx >= boundaries.(k) && idx < boundaries.(k + 1))
-                    (Sf_support.Util.range n)))
-             (Sf_support.Util.range devices))
-      in
-      let per_device =
-        List.map
-          (fun k -> minus prefix.(boundaries.(k + 1)) prefix.(boundaries.(k)))
-          (Sf_support.Util.range devices)
-      in
-      Ok (derive_metadata checked device_of devices per_device)

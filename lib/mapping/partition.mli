@@ -36,7 +36,7 @@ val contiguous : devices:int -> Sf_ir.Program.t -> (t, Sf_support.Diag.t) result
 (** Split the topological order into [devices] even contiguous chunks,
     without a resource check — for forcing a multi-device mapping (and
     thus the parallel simulator) on programs small enough that the
-    resource-driven partitioners keep them on one device. Uses
+    resource-driven {!greedy} keeps them on one device. Uses
     [min devices stencils] devices; fails ([SF0501]) when
     [devices < 1]. *)
 
@@ -60,15 +60,3 @@ val network_feasible : Sf_ir.Program.t -> t -> device:Sf_models.Device.t -> bool
     Sec. VIII-C). *)
 
 val pp : Format.formatter -> t -> unit
-
-val balanced :
-  ?ceiling:float ->
-  ?max_devices:int ->
-  device:Sf_models.Device.t ->
-  Sf_ir.Program.t ->
-  (t, Sf_support.Diag.t) result
-(** Like {!greedy}, but balances load: among contiguous topological
-    splits into the minimum feasible number of devices, choose the one
-    minimizing the worst per-device utilization (dynamic programming).
-    Balanced cuts leave headroom on every device — important in practice
-    since highly utilized FPGAs fail timing. *)

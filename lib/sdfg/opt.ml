@@ -108,7 +108,7 @@ let fold_constants ?preserve_access_effects expr =
   Dag.to_expr (fold_dag ?preserve_access_effects (Dag.of_expr expr))
 
 (* Compat shim: CSE is now hash-consing + let-extraction on the DAG. No
-   string keys, no repeated [Expr.size] walks, and a subtree occurring
+   string keys, no repeated tree-size walks, and a subtree occurring
    many times through one shared parent is bound once, not per textual
    occurrence. *)
 let cse ?min_size (body : Expr.body) = Dag.to_body ?min_size (Dag.of_body body)

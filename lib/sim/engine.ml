@@ -4,14 +4,13 @@ module Interp = Sf_reference.Interp
 module Diag = Sf_support.Diag
 
 module Config = struct
-  type bandwidth = { mem_bytes_per_cycle : float; writer_buffer : int }
+  type bandwidth = { mem_bytes_per_cycle : float }
   type network = { net_bytes_per_cycle : float; net_latency_cycles : int }
   type safety = { deadlock_window : int; max_cycles : int option }
   type tracing = { trace_interval : int option; telemetry : bool }
   type faults = { plan : Fault_plan.t option; fault_seed : int }
 
-  let bandwidth ?(mem_bytes_per_cycle = infinity) ?(writer_buffer = 8) () =
-    { mem_bytes_per_cycle; writer_buffer }
+  let bandwidth ?(mem_bytes_per_cycle = infinity) () = { mem_bytes_per_cycle }
 
   let network ?(net_bytes_per_cycle = infinity) ?(net_latency_cycles = 64) () =
     { net_bytes_per_cycle; net_latency_cycles }
@@ -82,7 +81,6 @@ module Config = struct
             F.add_int st n)
           c.override_edge_buffers;
         F.add_float st c.bandwidth.mem_bytes_per_cycle;
-        F.add_int st c.bandwidth.writer_buffer;
         F.add_float st c.network.net_bytes_per_cycle;
         F.add_int st c.network.net_latency_cycles;
         F.add_int st c.safety.deadlock_window;
@@ -148,7 +146,7 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
   let { Config.latency; channel_slack; override_edge_buffers; bandwidth; network; _ } =
     config
   in
-  let { Config.mem_bytes_per_cycle; writer_buffer } = bandwidth in
+  let { Config.mem_bytes_per_cycle } = bandwidth in
   let { Config.net_bytes_per_cycle; net_latency_cycles } = network in
   let analysis = Sf_analysis.Delay_buffer.of_checked ~config:latency checked in
   let w = p.Program.vector_width in
@@ -290,7 +288,8 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
   let writer_channels : (string * Channel.t) list =
     List.map
       (fun o ->
-        let cap = channel_slack + writer_buffer in
+        (* 8 words of buffering in front of each memory writer. *)
+        let cap = channel_slack + 8 in
         (* Writers alone read validity flags. *)
         let c = new_channel ~validity:true (Printf.sprintf "%s->mem" o) cap in
         let d = device_of o in

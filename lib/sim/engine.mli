@@ -30,10 +30,7 @@
         ()
     ]} *)
 module Config : sig
-  type bandwidth = {
-    mem_bytes_per_cycle : float;  (** Per-device off-chip bandwidth. *)
-    writer_buffer : int;  (** Extra buffering in front of memory writers. *)
-  }
+  type bandwidth = { mem_bytes_per_cycle : float  (** Per-device off-chip bandwidth. *) }
 
   type network = {
     net_bytes_per_cycle : float;  (** Per-link network bandwidth. *)
@@ -58,8 +55,8 @@ module Config : sig
             uninstrumented run. *)
   }
 
-  val bandwidth : ?mem_bytes_per_cycle:float -> ?writer_buffer:int -> unit -> bandwidth
-  (** Defaults: unlimited bandwidth, 8 words of writer buffering. *)
+  val bandwidth : ?mem_bytes_per_cycle:float -> unit -> bandwidth
+  (** Default: unlimited bandwidth. *)
 
   val network : ?net_bytes_per_cycle:float -> ?net_latency_cycles:int -> unit -> network
   (** Defaults: unlimited bandwidth, 64 cycles latency. *)

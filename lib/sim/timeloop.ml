@@ -37,7 +37,10 @@ let unroll (p : Program.t) ~steps ~feedback =
     else step_name s f
   in
   let unroll_stencil s (st : Stencil.t) =
-    let rewrite e = Expr.rename_accesses (rename_field s) e in
+    let rewrite =
+      Expr.map_accesses (fun ~field ~offsets ->
+          Expr.Access { field = rename_field s field; offsets })
+    in
     let body =
       {
         Expr.lets = List.map (fun (n, e) -> (n, rewrite e)) st.Stencil.body.Expr.lets;

@@ -55,40 +55,14 @@ module Make (V : ORDERED) = struct
       pred = VMap.add dst (replace (adjacency g.pred dst) src e) g.pred;
     }
 
-  let remove_edge g ~src ~dst =
-    let remove a key = { rev = drop key a.rev; set = VSet.remove key a.set } in
-    {
-      g with
-      succ = VMap.add src (remove (adjacency g.succ src) dst) g.succ;
-      pred = VMap.add dst (remove (adjacency g.pred dst) src) g.pred;
-    }
-
   let succs g v = List.rev (adjacency g.succ v).rev
   let preds g v = List.rev (adjacency g.pred v).rev
-
-  let remove_vertex g v =
-    if not (mem_vertex g v) then g
-    else begin
-      let g = List.fold_left (fun g (s, _) -> remove_edge g ~src:v ~dst:s) g (succs g v) in
-      let g = List.fold_left (fun g (p, _) -> remove_edge g ~src:p ~dst:v) g (preds g v) in
-      {
-        labels = VMap.remove v g.labels;
-        succ = VMap.remove v g.succ;
-        pred = VMap.remove v g.pred;
-        insertion = List.filter (fun u -> V.compare u v <> 0) g.insertion;
-      }
-    end
-
-  let mem_edge g ~src ~dst = VSet.mem dst (adjacency g.succ src).set
   let find_vertex g v = VMap.find_opt v g.labels
 
   let find_vertex_exn g v =
     match find_vertex g v with
     | Some label -> label
     | None -> invalid_arg "Dgraph.find_vertex_exn: unknown vertex"
-
-  let find_edge g ~src ~dst =
-    List.find_opt (fun (k, _) -> V.compare k dst = 0) (adjacency g.succ src).rev |> Option.map snd
 
   let out_degree g v = List.length (adjacency g.succ v).rev
   let in_degree g v = List.length (adjacency g.pred v).rev
@@ -97,11 +71,6 @@ module Make (V : ORDERED) = struct
 
   let edges g =
     List.concat_map (fun v -> List.map (fun (d, e) -> (v, d, e)) (succs g v)) (vertex_order g)
-
-  let num_vertices g = VMap.cardinal g.labels
-  let num_edges g = List.length (edges g)
-  let sources g = List.filter (fun v -> in_degree g v = 0) (vertex_order g)
-  let sinks g = List.filter (fun v -> out_degree g v = 0) (vertex_order g)
 
   (* Kahn's algorithm, scanning ready vertices in insertion order for
      deterministic output. *)
@@ -141,28 +110,4 @@ module Make (V : ORDERED) = struct
     List.filter (fun v -> VSet.mem v !visited) (vertex_order g)
 
   let transpose g = { g with succ = g.pred; pred = g.succ }
-
-  let longest_path g ~weight =
-    match topological_sort g with
-    | Error _ -> invalid_arg "Dgraph.longest_path: graph has a cycle"
-    | Ok order ->
-        let dist = Hashtbl.create 16 in
-        List.iter
-          (fun v ->
-            let d =
-              List.fold_left
-                (fun acc (p, _) -> Float.max acc (Hashtbl.find dist p +. weight p))
-                0. (preds g v)
-            in
-            Hashtbl.replace dist v d)
-          order;
-        let total =
-          List.fold_left (fun acc v -> Float.max acc (Hashtbl.find dist v +. weight v)) 0. order
-        in
-        let lookup v =
-          match Hashtbl.find_opt dist v with
-          | Some d -> d
-          | None -> invalid_arg "Dgraph.longest_path: unknown vertex"
-        in
-        (lookup, total)
 end

@@ -3,9 +3,9 @@
     The stencil program (paper, Sec. II) and the dataflow graphs derived
     from it are DAGs; this module provides the graph substrate shared by
     the IR, the buffer analyses (Sec. IV), and the device partitioner
-    (Sec. III-B): topological sorting, cycle detection, source/sink
-    queries, and traversals. At most one edge exists per (src, dst) pair;
-    re-adding replaces the edge label. *)
+    (Sec. III-B): topological sorting, cycle detection, and traversals.
+    At most one edge exists per (src, dst) pair; re-adding replaces the
+    edge label. *)
 
 module type ORDERED = sig
   type t
@@ -31,15 +31,9 @@ module Make (V : ORDERED) : sig
       relabelling walks the lists. Raises [Invalid_argument] if either
       endpoint is not a vertex of the graph. *)
 
-  val remove_vertex : ('a, 'e) t -> vertex -> ('a, 'e) t
-  (** Remove a vertex and all incident edges; no-op when absent. *)
-
-  val remove_edge : ('a, 'e) t -> src:vertex -> dst:vertex -> ('a, 'e) t
   val mem_vertex : ('a, 'e) t -> vertex -> bool
-  val mem_edge : ('a, 'e) t -> src:vertex -> dst:vertex -> bool
   val find_vertex : ('a, 'e) t -> vertex -> 'a option
   val find_vertex_exn : ('a, 'e) t -> vertex -> 'a
-  val find_edge : ('a, 'e) t -> src:vertex -> dst:vertex -> 'e option
 
   val succs : ('a, 'e) t -> vertex -> (vertex * 'e) list
   (** Outgoing neighbours with edge labels, in insertion order. *)
@@ -51,14 +45,6 @@ module Make (V : ORDERED) : sig
   val in_degree : ('a, 'e) t -> vertex -> int
   val vertices : ('a, 'e) t -> (vertex * 'a) list
   val edges : ('a, 'e) t -> (vertex * vertex * 'e) list
-  val num_vertices : ('a, 'e) t -> int
-  val num_edges : ('a, 'e) t -> int
-
-  val sources : ('a, 'e) t -> vertex list
-  (** Vertices with no incoming edges. *)
-
-  val sinks : ('a, 'e) t -> vertex list
-  (** Vertices with no outgoing edges. *)
 
   val topological_sort : ('a, 'e) t -> (vertex list, vertex list) result
   (** [Ok order] lists every vertex after all its predecessors;
@@ -71,12 +57,4 @@ module Make (V : ORDERED) : sig
   (** All vertices reachable from the given seeds (seeds included). *)
 
   val transpose : ('a, 'e) t -> ('a, 'e) t
-
-  val longest_path : ('a, 'e) t -> weight:(vertex -> float) -> (vertex -> float) * float
-  (** [longest_path g ~weight] returns [(dist, max)] where [dist v] is the
-      maximum, over all paths from a source to [v], of the summed weights
-      of the vertices strictly before [v] on the path, and [max] is the
-      largest [dist v + weight v] over all vertices. This is the delay
-      accumulation used by the delay-buffer analysis (paper, Sec. IV-B).
-      Raises [Invalid_argument] when the graph has a cycle. *)
 end

@@ -41,11 +41,12 @@ let fresh_digest () = Atomic.make None
    reports would otherwise leak into cache keys. Only the fusion report
    survives: it describes how the current program came to be, not a
    property of a superseded version, and passes that produce a new
-   report install it right after the swap. *)
-let with_program ctx p =
+   report install it right after the swap. Erasing the program clears
+   the same slots. *)
+let set_program ctx program =
   {
     ctx with
-    program = Some p;
+    program;
     opt = None;
     analysis = None;
     partition = None;
@@ -55,6 +56,8 @@ let with_program ctx p =
     simulation = None;
     performance_model = None;
   }
+
+let with_program ctx p = set_program ctx (Some p)
 
 let the_program ctx =
   match ctx.program with
@@ -218,20 +221,7 @@ let program_slot =
     slot_name = "program";
     get = (fun ctx -> ctx.program);
     put = with_program;
-    erase =
-      (fun ctx ->
-        {
-          ctx with
-          program = None;
-          opt = None;
-          analysis = None;
-          partition = None;
-          kernels = [];
-          host_source = None;
-          vitis_source = None;
-          simulation = None;
-          performance_model = None;
-        });
+    erase = (fun ctx -> set_program ctx None);
     fp = Program.fingerprint;
   }
 

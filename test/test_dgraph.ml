@@ -8,9 +8,7 @@ let diamond = build [ "a"; "b"; "c"; "d" ] [ ("a", "b"); ("a", "c"); ("b", "d");
 
 let test_degrees () =
   Alcotest.(check int) "out a" 2 (G.out_degree diamond "a");
-  Alcotest.(check int) "in d" 2 (G.in_degree diamond "d");
-  Alcotest.(check (list string)) "sources" [ "a" ] (G.sources diamond);
-  Alcotest.(check (list string)) "sinks" [ "d" ] (G.sinks diamond)
+  Alcotest.(check int) "in d" 2 (G.in_degree diamond "d")
 
 let test_topo () =
   match G.topological_sort diamond with
@@ -44,36 +42,18 @@ let test_self_loop () =
   let g = build [ "v" ] [ ("v", "v") ] in
   Alcotest.(check bool) "self loop is a cycle" false (G.is_dag g)
 
-let test_remove () =
-  let g = G.remove_vertex diamond "b" in
-  Alcotest.(check bool) "vertex gone" false (G.mem_vertex g "b");
-  Alcotest.(check bool) "edge gone" false (G.mem_edge g ~src:"a" ~dst:"b");
-  Alcotest.(check int) "d in-degree drops" 1 (G.in_degree g "d");
-  let g2 = G.remove_edge diamond ~src:"a" ~dst:"c" in
-  Alcotest.(check bool) "edge removed" false (G.mem_edge g2 ~src:"a" ~dst:"c");
-  Alcotest.(check bool) "other edge kept" true (G.mem_edge g2 ~src:"a" ~dst:"b")
-
 let test_reachability () =
   let g = build [ "a"; "b"; "c"; "d"; "e" ] [ ("a", "b"); ("b", "c"); ("d", "e") ] in
   Alcotest.(check (list string)) "from a" [ "a"; "b"; "c" ] (G.reachable_from g [ "a" ]);
   Alcotest.(check (list string)) "backwards from c" [ "a"; "b"; "c" ]
     (G.reachable_from (G.transpose g) [ "c" ])
 
-let test_longest_path () =
-  (* a(5) -> b(3) -> d(1); a -> c(10) -> d. dist d = max(5+3, 5+10) = 15. *)
-  let weight = function "a" -> 5. | "b" -> 3. | "c" -> 10. | "d" -> 1. | _ -> 0. in
-  let dist, total = G.longest_path diamond ~weight in
-  Alcotest.(check (float 0.)) "dist a" 0. (dist "a");
-  Alcotest.(check (float 0.)) "dist b" 5. (dist "b");
-  Alcotest.(check (float 0.)) "dist d" 15. (dist "d");
-  Alcotest.(check (float 0.)) "total" 16. total
-
 let test_edge_relabel () =
   let g = List.fold_left (fun g v -> G.add_vertex g v 0) G.empty [ "u"; "v" ] in
   let g = G.add_edge g ~src:"u" ~dst:"v" 1 in
   let g = G.add_edge g ~src:"u" ~dst:"v" 2 in
-  Alcotest.(check int) "single edge" 1 (G.num_edges g);
-  Alcotest.(check (option int)) "label replaced" (Some 2) (G.find_edge g ~src:"u" ~dst:"v")
+  Alcotest.(check int) "single edge" 1 (List.length (G.edges g));
+  Alcotest.(check (option int)) "label replaced" (Some 2) (List.assoc_opt "v" (G.succs g "u"))
 
 (* Property: on random DAGs (edges only from lower to higher index),
    topological_sort succeeds and respects all edges. *)
@@ -107,18 +87,6 @@ let prop_topo_respects_edges =
             (fun (src, dst, ()) -> Hashtbl.find position src < Hashtbl.find position dst)
             (G.edges g))
 
-(* Property: longest_path with unit weights equals the depth computed by
-   brute-force DFS. *)
-let prop_longest_path_matches_dfs =
-  QCheck.Test.make ~count:100 ~name:"longest path equals brute-force depth"
-    (QCheck.make random_dag_gen) (fun g ->
-      let rec depth v =
-        List.fold_left (fun acc (s, ()) -> Float.max acc (1. +. depth s)) 1. (G.succs g v)
-      in
-      let brute = List.fold_left (fun acc v -> Float.max acc (depth v)) 0. (G.sources g) in
-      let _, total = G.longest_path g ~weight:(fun _ -> 1.) in
-      total = brute)
-
 (* The adjacency lists as they were kept before neighbour sets: each
    vertex's edges in one list in insertion order, and adding an edge
    filtered the whole list and appended to it (so re-adding moves the
@@ -133,62 +101,42 @@ module Reference = struct
   let add_edge ((succ, pred) : t) ~src ~dst e : t =
     ( set succ src (replace_assoc dst e (adj succ src)),
       set pred dst (replace_assoc src e (adj pred dst)) )
-
-  let remove_edge ((succ, pred) : t) ~src ~dst : t =
-    ( set succ src (List.filter (fun (k, _) -> k <> dst) (adj succ src)),
-      set pred dst (List.filter (fun (k, _) -> k <> src) (adj pred dst)) )
 end
 
 (* Random runs of edge additions (often of an existing edge, with a new
-   label) and removals over six vertices: every adjacency list, label,
-   membership and count must be the reference's. *)
+   label) over six vertices: every adjacency list, label and count must
+   be the reference's. *)
 let prop_adjacency_matches_reference =
   let vertices = List.init 6 (Printf.sprintf "v%d") in
-  let op =
-    QCheck.Gen.(
-      map3 (fun add (s, d) e -> (add, s, d, e)) (frequency [ (4, return true); (1, return false) ])
-        (pair (oneofl vertices) (oneofl vertices))
-        (int_range 0 9))
-  in
-  let print = QCheck.Print.(list (quad bool string string int)) in
+  let op = QCheck.Gen.(triple (oneofl vertices) (oneofl vertices) (int_range 0 9)) in
+  let print = QCheck.Print.(list (triple string string int)) in
   QCheck.Test.make ~count:300 ~name:"adjacency equals the filter-and-append definition"
     (QCheck.make ~print QCheck.Gen.(list_size (int_range 0 60) op))
     (fun ops ->
       let g0 = List.fold_left (fun g v -> G.add_vertex g v ()) G.empty vertices in
-      let g, r =
+      let g, (succ, pred) =
         List.fold_left
-          (fun (g, r) (add, src, dst, e) ->
-            if add then (G.add_edge g ~src ~dst e, Reference.add_edge r ~src ~dst e)
-            else (G.remove_edge g ~src ~dst, Reference.remove_edge r ~src ~dst))
+          (fun (g, r) (src, dst, e) -> (G.add_edge g ~src ~dst e, Reference.add_edge r ~src ~dst e))
           (g0, ([], [])) ops
       in
-      let succ, pred = r in
       List.for_all
         (fun v ->
           G.succs g v = Reference.adj succ v
           && G.preds g v = Reference.adj pred v
           && G.out_degree g v = List.length (Reference.adj succ v)
-          && G.in_degree g v = List.length (Reference.adj pred v)
-          && List.for_all
-               (fun d ->
-                 G.mem_edge g ~src:v ~dst:d = List.mem_assoc d (Reference.adj succ v)
-                 && G.find_edge g ~src:v ~dst:d = List.assoc_opt d (Reference.adj succ v))
-               vertices)
+          && G.in_degree g v = List.length (Reference.adj pred v))
         vertices
       && G.edges g
          = List.concat_map (fun v -> List.map (fun (d, e) -> (v, d, e)) (Reference.adj succ v)) vertices)
 
 let suite =
   [
-    Alcotest.test_case "degrees, sources, sinks" `Quick test_degrees;
+    Alcotest.test_case "degrees" `Quick test_degrees;
     Alcotest.test_case "topological sort of diamond" `Quick test_topo;
     Alcotest.test_case "cycle detection" `Quick test_cycle_detection;
     Alcotest.test_case "self loop" `Quick test_self_loop;
-    Alcotest.test_case "vertex and edge removal" `Quick test_remove;
     Alcotest.test_case "reachability and transpose" `Quick test_reachability;
-    Alcotest.test_case "weighted longest path" `Quick test_longest_path;
     Alcotest.test_case "edge relabeling keeps one edge" `Quick test_edge_relabel;
     QCheck_alcotest.to_alcotest prop_topo_respects_edges;
-    QCheck_alcotest.to_alcotest prop_longest_path_matches_dfs;
     QCheck_alcotest.to_alcotest prop_adjacency_matches_reference;
   ]

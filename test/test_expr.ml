@@ -15,17 +15,10 @@ let test_inline_lets () =
       result = E.(var "u" -% var "t");
     }
   in
-  let inlined = Expr.inline_lets body in
+  let inlined = Dag.to_expr (Dag.of_body body) in
   Alcotest.(check (list string)) "no residual vars" [] (Expr.free_vars inlined);
   let expected = E.((acc "a" [ 0 ] +% c 1.) *% (acc "a" [ 0 ] +% c 1.) -% (acc "a" [ 0 ] +% c 1.)) in
   Alcotest.check expr_testable "substituted" expected inlined
-
-let test_shift () =
-  let e = E.(acc "a" [ 0; 1 ] +% acc "b" [ 2; 2 ]) in
-  let shifted = Expr.shift_accesses ~field:"a" ~delta:[ 1; -1 ] e in
-  Alcotest.check expr_testable "only a shifted" E.(acc "a" [ 1; 0 ] +% acc "b" [ 2; 2 ]) shifted;
-  let all = Expr.shift_all_accesses ~delta:[ 1; 1 ] e in
-  Alcotest.check expr_testable "all shifted" E.(acc "a" [ 1; 2 ] +% acc "b" [ 3; 3 ]) all
 
 let test_op_profile () =
   (* (a - b) * c / sqrt(d) + (e < 0 ? min(a, b) : max(a, b)) *)
@@ -121,26 +114,19 @@ let prop_print_parse_roundtrip =
     (QCheck.make ~print:Expr.to_string expr_gen) (fun e ->
       Expr.equal e (Fixtures.ok1 (Sf_frontend.Parser.parse_expr (Expr.to_string e))))
 
-let prop_shift_preserves_structure =
-  QCheck.Test.make ~count:200 ~name:"shifting by zero is the identity"
-    (QCheck.make ~print:Expr.to_string expr_gen) (fun e ->
-      Expr.equal e (Expr.shift_all_accesses ~delta:[ 0; 0; 0 ] e)
-      && Expr.equal e (Expr.shift_all_accesses ~delta:[ 0 ] e))
-
 let prop_size_positive =
   QCheck.Test.make ~count:200 ~name:"size and accesses are consistent"
     (QCheck.make ~print:Expr.to_string expr_gen) (fun e ->
-      Expr.size e >= 1 && List.length (Expr.accesses e) <= Expr.size e)
+      let size = Dag.tree_size (Dag.of_expr e) in
+      size >= 1 && List.length (Expr.accesses e) <= size)
 
 let suite =
   [
     Alcotest.test_case "accesses deduplicate" `Quick test_accesses_dedup;
     Alcotest.test_case "inline lets substitutes in order" `Quick test_inline_lets;
-    Alcotest.test_case "offset shifting" `Quick test_shift;
     Alcotest.test_case "operation profile" `Quick test_op_profile;
     Alcotest.test_case "constant branch classification" `Quick test_const_branch;
     Alcotest.test_case "precedence-aware printing" `Quick test_precedence_printing;
     QCheck_alcotest.to_alcotest prop_print_parse_roundtrip;
-    QCheck_alcotest.to_alcotest prop_shift_preserves_structure;
     QCheck_alcotest.to_alcotest prop_size_positive;
   ]

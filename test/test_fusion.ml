@@ -192,9 +192,9 @@ let test_work_size_accepts_shared_fusion () =
   let u = Option.get (Program.find_stencil p "sh") in
   let v = Option.get (Program.find_stencil p "out") in
   let tree_estimate =
-    Expr.size (Expr.inline_lets u.Stencil.body)
+    Dag.tree_size (Dag.of_body u.Stencil.body)
     * List.length (Stencil.accesses_of_field v "sh")
-    + Expr.size (Expr.inline_lets v.Stencil.body)
+    + Dag.tree_size (Dag.of_body v.Stencil.body)
   in
   Alcotest.(check bool) "old inlined-tree estimate exceeds the bound" true (tree_estimate > 15);
   let fused, report = Fusion.fuse_all ~max_body_size:15 p in

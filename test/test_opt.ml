@@ -230,9 +230,7 @@ let prop_cse_preserves =
     (fun e ->
       (* Use a closed body: replace free vars with accesses first. *)
       let closed =
-        List.fold_left
-          (fun acc v -> Expr.substitute_var ~name:v ~value:(Expr.Access { field = "a"; offsets = [ 0 ] }) acc)
-          e (Expr.free_vars e)
+        Dag.to_expr (Dag.of_expr ~env:(fun _ -> Some (Dag.access ~field:"a" ~offsets:[ 0 ])) e)
       in
       let body = { Expr.lets = []; result = closed } in
       let out = Opt.cse body in

@@ -367,7 +367,9 @@ let roundtrip_program p () =
       Alcotest.(check bool)
         (Printf.sprintf "stencil %s body" a.Stencil.name)
         true
-        (Expr.equal (Expr.inline_lets a.Stencil.body) (Expr.inline_lets b.Stencil.body));
+        (Expr.equal
+           (Dag.to_expr (Dag.of_body a.Stencil.body))
+           (Dag.to_expr (Dag.of_body b.Stencil.body)));
       Alcotest.(check bool) "boundaries" true (Stencil.equal_boundaries a b))
     p.Program.stencils reparsed.Program.stencils;
   Alcotest.(check (list string)) "outputs" p.Program.outputs reparsed.Program.outputs

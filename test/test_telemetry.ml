@@ -433,7 +433,6 @@ let test_config_defaults () =
   Alcotest.(check bool)
     "faults disabled by default" true
     (Option.is_none c.Engine.Config.faults.Engine.Config.plan);
-  Alcotest.(check int) "writer buffer" 8 c.Engine.Config.bandwidth.Engine.Config.writer_buffer;
   Alcotest.(check int) "net latency" 64 c.Engine.Config.network.Engine.Config.net_latency_cycles;
   Alcotest.(check int) "deadlock window" 4096 c.Engine.Config.safety.Engine.Config.deadlock_window;
   Alcotest.(check bool) "telemetry off by default" false c.Engine.Config.tracing.Engine.Config.telemetry
