@@ -1,7 +1,6 @@
 open Sf_ir
 module Opencl = Sf_codegen.Opencl
 module Dot = Sf_codegen.Dot
-module Report = Sf_codegen.Report
 module Partition = Sf_mapping.Partition
 module E = Builder.E
 
@@ -281,25 +280,6 @@ let prop_register_shape_from_internal_buffer =
              = List.sort compare expected)
         (Sf_analysis.Vectorize.legal_widths p ~max:4))
 
-let test_report_contents () =
-  let p = Sf_kernels.Hdiff.program ~shape:[ 8; 32; 32 ] () in
-  let md = Report.markdown p in
-  List.iter
-    (fun fragment ->
-      Alcotest.(check bool) ("report contains " ^ fragment) true (contains md fragment))
-    [
-      "# StencilFlow report: horizontal_diffusion";
-      "## Stencil DAG";
-      "## Delay buffers";
-      "## Runtime model (Eq. 1)";
-      "## Data movement and roofline";
-      "## Resources on";
-      "## Vectorization sweep";
-      "<- recommended";
-      "## Device mapping";
-      "fits on 1 device(s)";
-    ]
-
 let suite =
   [
     Alcotest.test_case "laplace kernel structure (fig 12)" `Quick test_laplace_kernel_structure;
@@ -318,6 +298,5 @@ let suite =
     Alcotest.test_case "vitis output of every example pinned" `Quick test_vitis_pinned;
     Alcotest.test_case "graphviz export" `Quick test_dot_export;
     Alcotest.test_case "sdfg graphviz export (fig 12)" `Quick test_sdfg_dot_export;
-    Alcotest.test_case "markdown report contents" `Quick test_report_contents;
     QCheck_alcotest.to_alcotest prop_register_shape_from_internal_buffer;
   ]
