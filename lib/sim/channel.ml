@@ -72,8 +72,9 @@ let push_run t n =
     failwith (Printf.sprintf "Channel.push: %s is full past its chunk slack" t.name);
   append t n
 
-let settle_high_water ?(ahead = 0) t =
-  if t.count + ahead > t.high_water then t.high_water <- t.count + ahead
+let settle_high_water ?(peak = 0) t =
+  let peak = Int.max peak t.count in
+  if peak > t.high_water then t.high_water <- peak
 
 let front_slot t =
   if t.count = 0 then failwith (Printf.sprintf "Channel.pop: %s is empty" t.name);

@@ -81,14 +81,12 @@ module Unsafe : sig
       [capacity + chunk], and leaves the high-water mark to
       {!settle_high_water}. *)
 
-  val settle_high_water : ?ahead:int -> t -> unit
-  (** Raise the high-water mark to the current occupancy plus [ahead]
-      (default 0). The engine calls it on every channel a fast-forward
-      window pushed: in cycle order a window's channels either keep
-      their occupancy or only grow, so this is the mark the per-cycle
-      path would have left. A channel whose producer pushes before its
-      consumer pops in each cycle (a link delivery) peaked one word
-      above the occupancy it kept: [ahead] is then 1. *)
+  val settle_high_water : ?peak:int -> t -> unit
+  (** Raise the high-water mark to [peak] or the current occupancy,
+      whichever is larger. The engine calls it on every channel a
+      fast-forward window pushed, with the largest occupancy any push
+      of the window left in cycle order, which it derives from the
+      window's push and pop rates. *)
 
   val front_slot : t -> int
   (** Base offset of the oldest slot. Raises [Failure] when empty. *)

@@ -495,29 +495,35 @@ let compare_to_reference ~inputs (p : Program.t) stats =
 (*                                                                     *)
 (* Ready set: a component that provably cannot progress sleeps until   *)
 (* one of its channels changes state (producer pushed, consumer        *)
-(* popped), its wake timer fires (link word matured, pending word      *)
+(* popped; a unit starved on an input wakes only on a push into that   *)
+(* one), its wake timer fires (link word matured, pending word         *)
 (* released) or a fault transition targets it. Its slept cycles are    *)
 (* credited lazily as repeats of the cycle it fell asleep on. When     *)
-(* everything sleeps, a quiescence jump skips to the next timer, never *)
-(* past the limit of the current advance.                              *)
+(* everything sleeps, a quiescence jump skips to the next timer,       *)
+(* never past the limit of the current advance.                        *)
 (*                                                                     *)
-(* Fast-forward: when every awake component can repeat one action each *)
-(* cycle (Stencil_unit.plan, one word per reader and writer, each link *)
-(* port delivering, injecting or idle per Link.plan), the window is    *)
-(* bounded by those plans, by channel occupancies and by the wake      *)
-(* timers of sleepers. A sleeper stays out of the window if the window *)
-(* neither pushes a channel it consumes nor pops one it produces, so   *)
-(* nothing could wake it. The window then runs in chunks of up to      *)
-(* Channel.chunk cycles: link deliveries first (a link runs first in a *)
-(* cycle, so its consumer sees the word the same cycle), then          *)
-(* producers before consumers (readers, units in topological order,   *)
-(* writers, link injections), each component doing its chunk of        *)
-(* cycles at once: a unit evaluates a chunk of words per dispatch.     *)
-(* Values are exact (a unit's outputs depend only on the order of the  *)
-(* words it pops), channels hold the chunk in slots past their         *)
-(* capacity, and each pushed channel's high-water mark is settled at   *)
-(* the end: in cycle order its occupancy was constant or only grew     *)
-(* (one word above constant when a delivery precedes the pop).         *)
+(* Fast-forward: a window plans each awake component's own schedule    *)
+(* as a few segments of one repeated action (Stencil_unit.plan         *)
+(* follows a unit through register fill, compute without flush,        *)
+(* steady state, input end, drain and done; readers and writers move   *)
+(* one word per cycle until done; link ports deliver, inject or idle   *)
+(* per Link.plan). A unit or writer asleep joins the cycle its first   *)
+(* input push wakes it, so producers are planned before consumers.     *)
+(* Push and pop rates then change only at segment ends, so each        *)
+(* channel's occupancy is linear between them and is checked there;    *)
+(* the window ends before the first pop of an empty channel or push    *)
+(* into a full one, and at what it cannot plan: the wake of a sleeper  *)
+(* that does not join, a link's maturity or budget, and the end of     *)
+(* the run. The window then runs in chunks of up to Channel.chunk      *)
+(* cycles: link deliveries first (a link runs first in a cycle, so     *)
+(* its consumer sees the word the same cycle), then producers before   *)
+(* consumers (readers, units in topological order, writers, link       *)
+(* injections), each component doing its part of the chunk at once,    *)
+(* split only at its own segment ends: a unit evaluates a row segment  *)
+(* of words per dispatch. Values are exact (a unit's outputs depend    *)
+(* only on the order of the words it pops), channels hold the chunk    *)
+(* in slots past their capacity, and each pushed channel's high-water  *)
+(* mark is settled at the end from the same breakpoints.               *)
 (*                                                                     *)
 (* Every run takes this one schedule. Windows and jumps stop short of  *)
 (* occupancy samples and fault transitions, and no window runs during  *)
@@ -541,6 +547,71 @@ let components system =
     @ List.map (fun (_, w, _) -> Cwriter w) system.writers
     @ List.rev_map (fun (u, _) -> Cunit u) system.units
     @ List.map (fun (r, _) -> Creader r) system.readers)
+
+(* Piecewise rates of a fast-forward window: the sorted, disjoint
+   intervals [a, b) of its relative cycles in which one word moves per
+   cycle (none outside them). *)
+module Rate = struct
+  type t = { mutable n : int; mutable a : int array; mutable b : int array }
+
+  let create () = { n = 0; a = Array.make 4 0; b = Array.make 4 0 }
+  let clear r = r.n <- 0
+  let first r = if r.n = 0 then max_int else r.a.(0)
+
+  (* Intervals arrive in order; one that starts where the last ends
+     extends it. *)
+  let add r a b =
+    if a < b then
+      if r.n > 0 && r.b.(r.n - 1) = a then r.b.(r.n - 1) <- b
+      else begin
+        if r.n = Array.length r.a then begin
+          r.a <- Array.append r.a r.a;
+          r.b <- Array.append r.b r.b
+        end;
+        r.a.(r.n) <- a;
+        r.b.(r.n) <- b;
+        r.n <- r.n + 1
+      end
+
+  (* A channel's occupancy over cycles [0, k), from [occupancy] words,
+     with the push rates [ps] and pop rates [qs]: the pop precedes the
+     push in a cycle, or follows it when [first]. Occupancy is linear
+     between the rates' breakpoints, so each stretch is checked at its
+     ends. Returns the first cycle whose pop finds no word or whose push
+     finds no room ([k] when none does), and the largest occupancy a
+     push leaves before then. *)
+  let walk ~first ~occupancy ~capacity ~k ps qs =
+    let t = ref 0 and o = ref occupancy and ip = ref 0 and iq = ref 0 in
+    let bad = ref k and peak = ref 0 in
+    (* The rate of [r] at [!t] (skipping intervals behind it) and where
+       it next changes. *)
+    let at r i =
+      while !i < r.n && r.b.(!i) <= !t do
+        incr i
+      done;
+      if !i = r.n then (0, max_int)
+      else if r.a.(!i) <= !t then (1, r.b.(!i))
+      else (0, r.a.(!i))
+    in
+    while !t < !bad do
+      let p, pn = at ps ip and q, qn = at qs iq in
+      let next = Int.min !bad (Int.min pn qn) in
+      let fails =
+        match (p, q) with
+        | 0, 1 -> !t + !o
+        | 1, 0 -> !t + Int.max 0 (capacity - !o)
+        | 1, 1 when (first && !o >= capacity) || ((not first) && !o < 1) -> !t
+        | _ -> max_int
+      in
+      if fails < next then bad := fails
+      else begin
+        o := !o + ((next - !t) * (p - q));
+        if p = 1 then peak := Int.max !peak (if first then !o + q else !o);
+        t := next
+      end
+    done;
+    (!bad, !peak)
+end
 
 type sched = {
   advance : limit:int -> unit;
@@ -612,13 +683,17 @@ let scheduler ~config ?injector ~finished system =
     comps;
   (* Every channel, in creation order. *)
   let all_channels = Array.of_list (List.rev !(system.channels)) in
-  Array.iter
-    (fun c ->
-      let wake tbl =
-        let i = Hashtbl.find tbl (Channel.name c) in
-        fun () -> ready.(i) <- true
-      in
-      Channel.set_hooks c ~on_push:(wake consumer_idx) ~on_pop:(wake producer_idx))
+  (* [waits.(i)]: the channel a sleeping unit starved on first, whose
+     push alone can change what its next cycle does or records; pushes
+     into its other inputs leave it asleep. [-1]: any push wakes it. *)
+  let waits = Array.make ncomps (-1) in
+  Array.iteri
+    (fun ci c ->
+      let i = Hashtbl.find consumer_idx (Channel.name c)
+      and p = Hashtbl.find producer_idx (Channel.name c) in
+      Channel.set_hooks c
+        ~on_push:(fun () -> if waits.(i) < 0 || waits.(i) = ci then ready.(i) <- true)
+        ~on_pop:(fun () -> ready.(p) <- true))
     all_channels;
   let sample_trace () =
     match trace_interval with
@@ -684,146 +759,230 @@ let scheduler ~config ?injector ~finished system =
         | Cwriter _ -> [||])
       comps
   in
-  let pushed = Array.make nchan false in
-  let popped = Array.make nchan false in
-  (* [delivered]: pushed by a link delivery, before its consumer pops.
-     [idle_src]: the source of a port that does not inject in the
-     window, which a push would set injecting. *)
-  let delivered = Array.make nchan false in
-  let idle_src = Array.make nchan false in
-  let active = Array.make ncomps false in
-  let asleep = Array.make ncomps false in
+  (* A window's schedule, per channel: the cycles its producer pushes
+     and its consumer pops, each a sorted list of intervals of one word
+     per cycle. [first.(c)]: the producer runs before the consumer in a
+     cycle (a link delivering), so it pushes before the pop and wakes a
+     sleeping consumer the same cycle; otherwise the pop comes first. *)
+  let pushes = Array.init nchan (fun _ -> Rate.create ())
+  and pops = Array.init nchan (fun _ -> Rate.create ()) in
+  let first = Array.init nchan (fun c -> producer.(c) < consumer.(c)) in
+  let walk c k =
+    let ch = all_channels.(c) in
+    Rate.walk ~first:first.(c) ~occupancy:(Channel.occupancy ch) ~capacity:(Channel.capacity ch)
+      ~k pushes.(c) pops.(c)
+  in
+  (* The cycle the window's first push into channel [c] wakes its
+     sleeping consumer; the cycle component [i] asleep is first woken by
+     a push into an input, or by a pop from an output. *)
+  let push_wake c =
+    let t = Rate.first pushes.(c) in
+    if t = max_int || first.(c) then t else t + 1
+  in
+  let push_woken i =
+    if waits.(i) >= 0 then push_wake waits.(i)
+    else Array.fold_left (fun w c -> Int.min w (push_wake c)) max_int ins.(i)
+  in
+  let pop_woken i =
+    Array.fold_left
+      (fun w c ->
+        let t = Rate.first pops.(c) in
+        Int.min w (if t = max_int || not first.(c) then t else t + 1))
+      max_int outs.(i)
+  in
+  (* Each component's place in the window: the cycle it joins ([0] when
+     awake, [max_int] when out of it) and the cycle it stops making
+     progress (done), both relative to the window's start. *)
+  let start = Array.make ncomps max_int and finish = Array.make ncomps max_int in
+  let nlinks = List.length system.links in
+  let is_done = function
+    | Clink _ -> false
+    | Cwriter w -> Memory_unit.Writer.is_done w
+    | Cunit u -> Stencil_unit.is_done u
+    | Creader r -> Memory_unit.Reader.is_done r
+  in
   let windowed = ref 0 and windows = ref 0 in
   (* Try to advance the whole system k >= 2 cycles at once, short of
-     [limit]. Every awake non-done component must repeat one action each
-     cycle of the window and is [active]; every sleeping one must stay
-     asleep and is [asleep]. Consumers precede producers in [comps], so a
-     channel both pushed and popped keeps constant occupancy and needs
-     one word in it, or room for one more when a link delivers into it;
-     push-only channels bound k by free space, pop-only ones by
-     occupancy. Anything else leaves the cycle to the per-cycle path. *)
+     [limit]. Each awake non-done component plans its own schedule from
+     now (Stencil_unit.plan, Link.plan; readers and writers move one
+     word per cycle until done); a unit or writer asleep joins at the
+     cycle its first input push wakes it and plans from there, so
+     producers are planned first: links, then readers, units in
+     topological order and writers. Every other sleeper, and a link port
+     whose empty source is pushed, bounds k at its wake. Each channel's
+     occupancy is then walked over its push and pop rates, which change
+     only at segment ends, and k ends before the first pop of an empty
+     channel or push into a full one. *)
   let attempt_batch ~limit =
     let now = !cycle in
-    Array.fill pushed 0 nchan false;
-    Array.fill popped 0 nchan false;
-    Array.fill delivered 0 nchan false;
-    Array.fill idle_src 0 nchan false;
-    let k = ref (Int.min limit (must_step ~from:now) - now) and any = ref false in
-    let ok = ref (!k >= 2) in
-    let j = ref 0 in
-    while !ok && !j < ncomps do
-      let i = !j in
+    let k = ref (Int.min limit (must_step ~from:now) - now) in
+    let bound b = if b < !k then k := b in
+    let kmax = !k in
+    let plan i =
+      start.(i) <- max_int;
+      finish.(i) <- max_int;
       let c = comps.(i) in
-      let is_done =
-        match c with
-        | Clink _ -> false
-        | Cwriter w -> Memory_unit.Writer.is_done w
-        | Cunit u -> Stencil_unit.is_done u
-        | Creader r -> Memory_unit.Reader.is_done r
+      let asleep = (not ready.(i)) && wake_at.(i) > now in
+      let j =
+        if is_done c then max_int
+        else if not asleep then 0
+        else
+          match c with
+          | Cunit _ | Cwriter _ ->
+              let w = push_woken i in
+              if w < wake_at.(i) - now then w else max_int
+          | Clink _ | Creader _ -> max_int
       in
-      active.(i) <- false;
-      asleep.(i) <- (not is_done) && (not ready.(i)) && wake_at.(i) > now;
-      if asleep.(i) then k := Int.min !k (wake_at.(i) - now)
-      else if not is_done then begin
+      if j < !k then begin
+        let ins = ins.(i) and outs = outs.(i) in
         let h =
           match c with
           | Clink l -> Link.plan l ~now
           | Cwriter w -> Memory_unit.Writer.words_remaining w
-          | Cunit u -> Stencil_unit.plan u ~now
+          | Cunit u -> Stencil_unit.plan u ~now:(now + j) ~until:(now + kmax)
           | Creader r -> Memory_unit.Reader.words_remaining r
         in
-        if h = 0 then ok := false
+        if h = 0 then bound j
         else begin
-          active.(i) <- true;
-          any := true;
-          k := Int.min !k h;
-          let ins = ins.(i) and outs = outs.(i) in
+          start.(i) <- j;
           match c with
           | Clink l ->
+              bound h;
               for x = 0 to Array.length ins - 1 do
-                if Link.plan_injects l x then popped.(ins.(x)) <- true
-                else idle_src.(ins.(x)) <- true
+                if Link.plan_injects l x then Rate.add pops.(ins.(x)) 0 kmax
               done;
               for x = 0 to Array.length outs - 1 do
-                if Link.plan_delivers l x then begin
-                  pushed.(outs.(x)) <- true;
-                  delivered.(outs.(x)) <- true
-                end
+                if Link.plan_delivers l x then Rate.add pushes.(outs.(x)) 0 kmax
               done
-          | Cwriter _ | Cunit _ | Creader _ ->
-              for x = 0 to Array.length ins - 1 do
-                if match c with Cunit u -> Stencil_unit.plan_pops u x | _ -> true then
-                  popped.(ins.(x)) <- true
+          | Cwriter _ ->
+              finish.(i) <- j + h;
+              Rate.add pops.(ins.(0)) j (j + h)
+          | Creader _ ->
+              finish.(i) <- h;
+              Array.iter (fun c -> Rate.add pushes.(c) 0 h) outs
+          | Cunit u ->
+              let a = ref j in
+              for s = 0 to Stencil_unit.plan_segments u - 1 do
+                let b = j + Stencil_unit.plan_segment_end u s in
+                if Stencil_unit.plan_flushes u s then
+                  Array.iter (fun c -> Rate.add pushes.(c) !a b) outs;
+                for x = 0 to Array.length ins - 1 do
+                  if Stencil_unit.plan_pops u s x then Rate.add pops.(ins.(x)) !a b
+                done;
+                a := b
               done;
-              if match c with Cunit u -> Stencil_unit.plan_flush u | _ -> true then
-                for x = 0 to Array.length outs - 1 do
-                  pushed.(outs.(x)) <- true
-                done
+              if h = max_int then finish.(i) <- !a else bound (j + h)
         end
-      end;
-      incr j
-    done;
-    if !ok then
-      for ci = 0 to nchan - 1 do
-        let occ = Channel.occupancy all_channels.(ci) in
-        let cap = Channel.capacity all_channels.(ci) in
-        if (pushed.(ci) && (asleep.(consumer.(ci)) || idle_src.(ci)))
-           || (popped.(ci) && asleep.(producer.(ci)))
-        then ok := false
-        else if pushed.(ci) && popped.(ci) then begin
-          if (delivered.(ci) && occ >= cap) || ((not delivered.(ci)) && occ < 1) then ok := false
-        end
-        else if pushed.(ci) then k := Int.min !k (cap - occ)
-        else if popped.(ci) then k := Int.min !k occ
+      end
+    in
+    if !k >= 2 then begin
+      Array.iter Rate.clear pushes;
+      Array.iter Rate.clear pops;
+      for i = 0 to nlinks - 1 do
+        plan i
       done;
+      let i = ref (ncomps - 1) in
+      while !k >= 2 && !i >= nlinks do
+        plan !i;
+        decr i
+      done
+    end;
+    if !k >= 2 then begin
+      (* Sleepers that stay out wake at their timer or at the first push
+         into an input or pop from an output; one that joined must not
+         be woken by a pop before it joins. A link port that does not
+         inject would start the cycle after its source is pushed. *)
+      let writers_left = ref false and writers_end = ref 0 and progress_end = ref 0 in
+      for i = 0 to ncomps - 1 do
+        let is_done = is_done comps.(i) in
+        if start.(i) = max_int then begin
+          if not is_done then begin
+            if wake_at.(i) < max_int then bound (wake_at.(i) - now);
+            bound (push_woken i);
+            bound (pop_woken i)
+          end
+        end
+        else begin
+          if start.(i) > 0 then (let w = pop_woken i in if w < start.(i) then bound w);
+          (match comps.(i) with
+          | Clink l ->
+              Array.iteri (fun x c -> if not (Link.plan_injects l x) then bound (push_wake c)) ins.(i)
+          | Cwriter _ | Cunit _ | Creader _ -> ());
+          progress_end := Int.max !progress_end finish.(i)
+        end;
+        match comps.(i) with
+        | Cwriter _ when not is_done ->
+            if start.(i) = max_int then writers_left := true
+            else writers_end := Int.max !writers_end finish.(i)
+        | Cwriter _ | Clink _ | Cunit _ | Creader _ -> ()
+      done;
+      (* The run ends when the last writer is done, and every cycle of a
+         window must see some component progress. *)
+      if not !writers_left then bound !writers_end;
+      bound !progress_end;
+      for c = 0 to nchan - 1 do
+        if !k >= 2 && (pushes.(c).Rate.n > 0 || pops.(c).Rate.n > 0) then bound (fst (walk c !k))
+      done
+    end;
     (* Links check maturity and budgets last, against the final bound,
        and may cap the chunk. *)
     let chunk = ref Channel.chunk in
-    if !ok && !any && !k >= 2 then
-      for i = 0 to ncomps - 1 do
-        if active.(i) then
+    if !k >= 2 then
+      for i = 0 to nlinks - 1 do
+        if start.(i) = 0 then
           match comps.(i) with
           | Clink l ->
               k := Link.fit l ~now !k;
               chunk := Int.min !chunk (Link.plan_chunk l)
           | Cwriter _ | Cunit _ | Creader _ -> ()
       done;
-    if !ok && !any && !k >= 2 then begin
-      let kk = !k in
+    let kk = !k in
+    if kk >= 2 && Array.exists (fun j -> j < kk) start then begin
+      (* Chunk pushes leave high-water marks alone: settle them now. *)
+      for c = 0 to nchan - 1 do
+        if Rate.first pushes.(c) < kk then
+          Channel.Unsafe.settle_high_water all_channels.(c) ~peak:(snd (walk c kk))
+      done;
       for i = 0 to ncomps - 1 do
-        if active.(i) then begin
-          credit i ~now;
-          Option.iter (fun p -> Telemetry.busy p ~now ~cycles:kk) probes.(i);
+        let j = start.(i) in
+        if j < kk then begin
+          credit i ~now:(now + j);
+          Option.iter
+            (fun p -> Telemetry.busy p ~now:(now + j) ~cycles:(Int.min kk finish.(i) - j))
+            probes.(i);
           last_ran.(i) <- now + kk - 1
         end
       done;
       (* Deliveries first, as links run first in a cycle and a delivered
          word is visible to its consumer the same cycle; then producers
-         before consumers, so injections (links) come last. *)
+         before consumers, so injections (links) come last. A reader or
+         writer moves its words up to the cycle it is done; a unit runs
+         its own segments. *)
       let rel = ref 0 in
       while !rel < kk do
         let n = Int.min !chunk (kk - !rel) in
-        for i = 0 to ncomps - 1 do
-          if active.(i) then
+        for i = 0 to nlinks - 1 do
+          if start.(i) = 0 then
             match comps.(i) with
             | Clink l -> Link.run_deliver l n
             | Cwriter _ | Cunit _ | Creader _ -> ()
         done;
         for i = ncomps - 1 downto 0 do
-          if active.(i) then
+          let j = start.(i) in
+          if j < !rel + n && finish.(i) > !rel then begin
+            let m = !rel + n - Int.max !rel j in
             match comps.(i) with
             | Clink l -> Link.run_inject l ~now:(now + !rel) n
-            | Cwriter w -> Memory_unit.Writer.run_fast w n
+            | Cwriter w ->
+                let m = Int.min m (Memory_unit.Writer.words_remaining w) in
+                if m > 0 then Memory_unit.Writer.run_fast w m
             | Cunit u -> Stencil_unit.run_planned u ~now:(now + !rel) n
-            | Creader r -> Memory_unit.Reader.run_fast r n
+            | Creader r ->
+                let m = Int.min m (Memory_unit.Reader.words_remaining r) in
+                if m > 0 then Memory_unit.Reader.run_fast r m
+          end
         done;
         rel := !rel + n
-      done;
-      for ci = 0 to nchan - 1 do
-        if pushed.(ci) then
-          Channel.Unsafe.settle_high_water
-            ~ahead:(if delivered.(ci) && popped.(ci) then 1 else 0)
-            all_channels.(ci)
       done;
       cycle := now + kk;
       idle_cycles := 0;
@@ -864,6 +1023,8 @@ let scheduler ~config ?injector ~finished system =
             if Stencil_unit.cycle u ~now then progress := true
             else begin
               ready.(i) <- false;
+              let k = Stencil_unit.starved_input u in
+              waits.(i) <- (if k < 0 then -1 else ins.(i).(k));
               let nr = Stencil_unit.next_release u in
               if nr > now then wake_at.(i) <- nr
             end

@@ -79,11 +79,16 @@ let release_at t j =
   done;
   t.base.(!r land t.mask) + a
 
-(* Word [j] of run [r] is released at [base + whead + j]: immature at
-   relative cycle [j] when [base + whead > now], whatever [j]. *)
-let first_immature t ~now =
+(* Word [skip + j] of run [r] is released at [base + whead + skip + j]:
+   immature at relative cycle [j] when [base + whead + skip > now],
+   whatever [j]. Runs that end before word [skip] are passed over. *)
+let first_immature ?(skip = 0) t ~now =
+  let x = t.whead + skip in
   let r = ref t.rhead in
-  while !r < t.rtail && t.base.(!r land t.mask) + t.whead <= now do
+  while !r < t.rtail && run_end t !r <= x do
     incr r
   done;
-  if !r = t.rtail then max_int else Int.max 0 (t.start.(!r land t.mask) - t.whead)
+  while !r < t.rtail && t.base.(!r land t.mask) + x <= now do
+    incr r
+  done;
+  if !r = t.rtail then max_int else Int.max 0 (t.start.(!r land t.mask) - x)

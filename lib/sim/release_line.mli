@@ -33,7 +33,8 @@ val release_at : t -> int -> int
 (** [release_at t j] is the release of the [j]-th oldest word ([0] is
     {!head}); [j] must be below {!length}. One step per run. *)
 
-val first_immature : t -> now:int -> int
-(** The least [j] whose word is not mature at relative cycle [j]
-    ([release_at t j > now + j]), or [max_int] when every word is. All
-    words of a run share [release - j], so this is one test per run. *)
+val first_immature : ?skip:int -> t -> now:int -> int
+(** The least [j] whose word [skip + j] is not mature at relative cycle
+    [j] ([release_at t (skip + j) > now + j]), or [max_int] when every
+    word from [skip] (default [0]) on is. All words of a run share
+    [release - j], so this is one test per run. *)

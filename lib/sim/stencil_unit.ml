@@ -54,14 +54,25 @@ type t = {
   pend_cap : int;
   mutable pend_head : int;
   mutable stalls : int;
-  (* The action of the current fast-forward plan (see [plan]). *)
-  mutable plan_flush : bool;
-  mutable plan_step : bool;
+  (* The current fast-forward plan (see [plan]): from cycle [plan_at],
+     segment [j] ends [seg_end.(j)] cycles in, flushes each cycle when
+     [seg_flush.(j)] and steps each cycle from step [seg_step.(j)] on
+     when that is not negative. *)
+  mutable plan_at : int;
+  mutable segments : int;
+  seg_end : int array;
+  seg_flush : bool array;
+  seg_step : int array;
   (* Fault-injection flag (Fault_plan): a hiccup freezes the pipeline
      for the cycle. Cleared by the injector each cycle. *)
   mutable hiccup : bool;
   probe : Telemetry.probe option;
 }
+
+(* Segments of one plan: a unit's life has six phases (register fill,
+   compute without flush, steady state, input end, drain, done), and
+   inputs that start or stop consuming at other steps add a few more. *)
+let max_segments = 16
 
 let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
   let { Sf_analysis.Delay_buffer.init_cycles = init_max; compute_cycles; buffers } = info in
@@ -146,8 +157,11 @@ let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
     pend_cap;
     pend_head = 0;
     stalls = 0;
-    plan_flush = false;
-    plan_step = false;
+    plan_at = 0;
+    segments = 0;
+    seg_end = Array.make max_segments 0;
+    seg_flush = Array.make max_segments false;
+    seg_step = Array.make max_segments (-1);
     hiccup = false;
     probe;
   }
@@ -171,7 +185,8 @@ let consuming_at i s =
   | None -> false (* prefetched: never streams *)
   | Some _ -> s >= i.start_step
 
-let consuming_active t i = consuming_at i t.step && t.step - i.start_step < t.n_words
+let consuming_active_at t i s = consuming_at i s && s - i.start_step < t.n_words
+let consuming_active t i = consuming_active_at t i t.step
 
 (* Compute the words of the next [n] steps into the tail of the pending
    line, word [r] to be released [compute_cycles] after cycle [now + r].
@@ -292,6 +307,18 @@ let blockages t =
          (fun c acc -> if Channel.is_full c then Output_full (Channel.name c) :: acc else acc)
          t.outputs [])
 
+let starved_input t =
+  let r = ref (-1) and k = ref 0 in
+  if not (t.hiccup || is_done t) then
+    while !r < 0 && !k < Array.length t.inputs do
+      let i = t.inputs.(!k) in
+      (match i.channel with
+      | Some c when consuming_active t i && Channel.is_empty c -> r := !k
+      | Some _ | None -> ());
+      incr k
+    done;
+  !r
+
 let set_hiccup t v = t.hiccup <- v
 
 (* An injected hiccup freezes the whole pipeline for the cycle. *)
@@ -319,64 +346,112 @@ let cycle t ~now =
   progress
 
 (* ------------------------------------------------------------------ *)
-(* Fast-forward planning (see Engine): the exact action the unit will   *)
-(* repeat every cycle over a uniform window, bounded by its own phase   *)
-(* boundaries and pending-line maturity. Channel occupancy feasibility  *)
-(* is the engine's responsibility.                                      *)
+(* Fast-forward planning (see Engine): the unit's own schedule over a   *)
+(* window, as segments of one repeated action each (flush and/or step), *)
+(* assuming every input it pops holds a word and every output it        *)
+(* flushes to has room; the engine checks the channels.                 *)
 (* ------------------------------------------------------------------ *)
 
-let plan t ~now =
-  t.plan_flush <- false;
-  t.plan_step <- false;
+(* Each segment is the action [cycle] would take from a state, repeated
+   for as long as that state's phase boundaries and pending-line
+   maturity allow; the state then moves on by the segment's cycles. The
+   pending line is followed virtually: [flushed] of its words are gone,
+   and the [fresh] words computed in the plan so far extend it, one per
+   cycle from [base], as a unit never pauses between computing words. *)
+let plan t ~now ~until =
+  t.plan_at <- now;
+  t.segments <- 0;
   if is_done t || t.hiccup then 0
   else begin
-    let l = t.compute_cycles and s = t.step and count = pend_count t in
-    let flush = Release_line.head t.pend <= now in
-    let step = s < total_steps t && count - Bool.to_int flush <= l in
-    let compute = step && s >= t.init_max in
-    let h = ref max_int in
-    if step then begin
-      h := total_steps t - s;
-      if s < t.init_max then h := Int.min !h (t.init_max - s);
-      (* The set of consuming inputs must not change inside the window. *)
-      for k = 0 to Array.length t.inputs - 1 do
-        let i = t.inputs.(k) in
-        if Option.is_some i.window then begin
-          let a = i.start_step and b = i.start_step + t.n_words in
-          if s < a then h := Int.min !h (a - s) else if s < b then h := Int.min !h (b - s)
+    let l = t.compute_cycles and total = total_steps t and held = pend_count t in
+    let s = ref t.step and cyc = ref now and flushed = ref 0 and fresh = ref 0 and base = ref 0 in
+    let horizon = ref (-1) in
+    while !horizon < 0 do
+      let s0 = !s and now = !cyc in
+      let count = held + !fresh - !flushed in
+      let head =
+        if count = 0 then max_int
+        else if !flushed < held then Release_line.release_at t.pend !flushed
+        else !base + !flushed - held
+      in
+      let flush = head <= now in
+      let step = s0 < total && count - Bool.to_int flush <= l in
+      let compute = step && s0 >= t.init_max in
+      if not (flush || step) then
+        horizon := if s0 >= total && count = 0 then max_int else now - t.plan_at
+      else if now >= until || t.segments = max_segments then horizon := now - t.plan_at
+      else begin
+        let h = ref max_int in
+        if step then begin
+          h := total - s0;
+          if s0 < t.init_max then h := Int.min !h (t.init_max - s0);
+          (* The set of consuming inputs is constant in a segment. *)
+          for k = 0 to Array.length t.inputs - 1 do
+            let i = t.inputs.(k) in
+            if Option.is_some i.window then begin
+              let a = i.start_step and b = i.start_step + t.n_words in
+              if s0 < a then h := Int.min !h (a - s0) else if s0 < b then h := Int.min !h (b - s0)
+            end
+          done
+        end;
+        if flush then begin
+          (* Held entry [j] flushes at relative cycle [j] and must be
+             mature there; fresh words share their lag, so either all of
+             them are or the first is not. A word computed in the segment
+             flushes [count] cycles later, mature only if the line is at
+             least as long as the compute latency. *)
+          if !flushed < held then
+            h := Int.min !h (Release_line.first_immature t.pend ~skip:!flushed ~now);
+          if !fresh > 0 && !base - held + !flushed > now then
+            h := Int.min !h (Int.max 0 (held - !flushed));
+          if not (compute && l <= count) then h := Int.min !h count
         end
-      done
-    end;
-    if flush then begin
-      (* Buffered entry [i] flushes at relative cycle [i] and must be
-         mature there; a freshly computed word flushes after
-         [count] more cycles, mature only if the line is at least as
-         long as the compute latency. *)
-      h := Int.min !h (Release_line.first_immature t.pend ~now);
-      if not (compute && l <= count) then h := Int.min !h count
-    end
-    else if compute then begin
-      (* Not flushing: the window must close before the first flush
-         comes due and before the pending line refuses another step. *)
-      h := Int.min !h (if count > 0 then Release_line.head t.pend - now else max l 1);
-      h := Int.min !h (l - count + 1)
-    end;
-    if (flush || step) && !h >= 1 then begin
-      t.plan_flush <- flush;
-      t.plan_step <- step;
-      !h
-    end
-    else 0
+        else if compute then begin
+          (* Not flushing: the segment ends when the first flush comes
+             due and before the pending line refuses another step. *)
+          h := Int.min !h (if count > 0 then head - now else max l 1);
+          h := Int.min !h (l - count + 1)
+        end;
+        let h = !h in
+        let j = t.segments in
+        t.seg_end.(j) <- now + h - t.plan_at;
+        t.seg_flush.(j) <- flush;
+        t.seg_step.(j) <- (if step then s0 else -1);
+        t.segments <- j + 1;
+        if flush then flushed := !flushed + h;
+        if compute then begin
+          if !fresh = 0 then base := now + l;
+          fresh := !fresh + h
+        end;
+        if step then s := s0 + h;
+        cyc := now + h
+      end
+    done;
+    !horizon
   end
 
-let plan_flush t = t.plan_flush
-let plan_pops t k = t.plan_step && consuming_active t t.inputs.(k)
+let plan_segments t = t.segments
+let plan_segment_end t j = t.seg_end.(j)
+let plan_flushes t j = t.seg_flush.(j)
 
-(* [n] unchecked cycles of the plan, as one chunk: the engine has
+let plan_pops t j k =
+  let s = t.seg_step.(j) in
+  s >= 0 && consuming_active_at t t.inputs.(k) s
+
+(* The plan's cycles [now] to [now + n - 1] as one chunk: the engine has
    validated maturity and channel room for the whole window. The steps
-   come first and the flushes after; the flushed heads are the ones the
-   per-cycle order would emit, since the plan proved each mature in its
-   cycle. *)
+   of each segment come first, split where the segment ends, and the
+   flushes after; the flushed heads are the ones the per-cycle order
+   would emit, since the plan proved each mature in its cycle. *)
 let run_planned t ~now n =
-  if t.plan_step then take_steps t ~now n;
-  if t.plan_flush then emit_heads t n Channel.Unsafe.push_run
+  let flushes = ref 0 and a = ref t.plan_at in
+  for j = 0 to t.segments - 1 do
+    let b = t.plan_at + t.seg_end.(j) in
+    let x = Int.max !a now and y = Int.min b (now + n) in
+    if x < y then begin
+      if t.seg_step.(j) >= 0 then take_steps t ~now:x (y - x);
+      if t.seg_flush.(j) then flushes := !flushes + (y - x)
+    end;
+    a := b
+  done;
+  if !flushes > 0 then emit_heads t !flushes Channel.Unsafe.push_run

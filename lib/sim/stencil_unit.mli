@@ -75,31 +75,48 @@ val next_release : t -> int
 
 (** {2 Fast-forward planning}
 
-    A plan is the single action (flush and/or step) the unit will repeat
-    identically every cycle for up to its horizon, given unchanged
-    channel feasibility. The horizon only accounts for the unit's own
-    state (phase boundaries, pending-line maturity); the engine bounds
-    it further using channel occupancies. *)
+    A plan is the unit's own schedule over a window: a short list of
+    segments, each one action (flush and/or step) repeated every cycle
+    of it. The segments follow the unit's phase changes (register fill,
+    compute without flush, steady state, an input's start or end, drain,
+    done) and its pending line's maturity, assuming every input it pops
+    holds a word and every output it flushes to has room; the engine
+    checks those channels and bounds the window. *)
 
-val plan : t -> now:int -> int
-(** Plan from cycle [now] and return the horizon, or [0] when the unit
-    cannot make progress this cycle (then the engine falls back to
-    per-cycle stepping). The plan is kept in the unit until the next
-    call. *)
+val plan : t -> now:int -> until:int -> int
+(** Plan from cycle [now], stopping at the first segment that would
+    start at or after [until], and return the horizon: the cycles the
+    segments cover, [max_int] when they end with the unit done, or [0]
+    when the unit cannot make progress at [now] (then the engine steps
+    that cycle). The plan is kept in the unit until the next call. *)
 
-val plan_flush : t -> bool
-(** Whether the plan emits one word per cycle to every output. *)
+val plan_segments : t -> int
+(** Number of segments of the plan. *)
 
-val plan_pops : t -> int -> bool
-(** Whether the plan consumes one word per cycle from the [k]th channel
-    of {!input_channels}. *)
+val plan_segment_end : t -> int -> int
+(** Where segment [j] ends, in cycles from the plan's [now]; segment
+    [j] starts where segment [j - 1] ends (the first at [0]). *)
+
+val plan_flushes : t -> int -> bool
+(** Whether segment [j] emits one word per cycle to every output. *)
+
+val plan_pops : t -> int -> int -> bool
+(** [plan_pops t j k]: whether segment [j] consumes one word per cycle
+    from the [k]th channel of {!input_channels}. *)
 
 val run_planned : t -> now:int -> int -> unit
-(** [run_planned t ~now n] executes cycles [now] to [now + n - 1] of the
-    plan as one chunk, without re-checking feasibility: [n] steps (one
-    ring copy of [n] words per consuming input, the words evaluated one
-    row segment per dispatch), then [n] flushes (one bulk push per
-    output). Requires [n <= Channel.chunk]. *)
+(** [run_planned t ~now n] executes the planned cycles among [now] to
+    [now + n - 1] as one chunk, without re-checking feasibility: the
+    steps of each segment (one ring copy per consuming input, the words
+    evaluated one row segment per dispatch), then all the flushes (one
+    bulk push per output). Requires [n <= Channel.chunk]. *)
+
+val starved_input : t -> int
+(** The index in {!input_channels} of the first input the unit must pop
+    that is empty, the blockage a stall records first; [-1] when there
+    is none, when done, or in a hiccup. Until that channel is pushed,
+    pushes into the unit's other inputs change neither whether it can
+    progress nor what it records. *)
 
 (** What blocks a unit: an input it must pop that is empty (by field,
     with its channel), or an output channel that is full. *)

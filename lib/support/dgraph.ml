@@ -64,13 +64,9 @@ module Make (V : ORDERED) = struct
     | Some label -> label
     | None -> invalid_arg "Dgraph.find_vertex_exn: unknown vertex"
 
-  let out_degree g v = List.length (adjacency g.succ v).rev
   let in_degree g v = List.length (adjacency g.pred v).rev
   let vertex_order g = List.rev g.insertion
   let vertices g = List.map (fun v -> (v, VMap.find v g.labels)) (vertex_order g)
-
-  let edges g =
-    List.concat_map (fun v -> List.map (fun (d, e) -> (v, d, e)) (succs g v)) (vertex_order g)
 
   (* Kahn's algorithm, scanning ready vertices in insertion order for
      deterministic output. *)

@@ -41,10 +41,8 @@ module Make (V : ORDERED) : sig
   val preds : ('a, 'e) t -> vertex -> (vertex * 'e) list
   (** Incoming neighbours with edge labels, in insertion order. *)
 
-  val out_degree : ('a, 'e) t -> vertex -> int
   val in_degree : ('a, 'e) t -> vertex -> int
   val vertices : ('a, 'e) t -> (vertex * 'a) list
-  val edges : ('a, 'e) t -> (vertex * vertex * 'e) list
 
   val topological_sort : ('a, 'e) t -> (vertex list, vertex list) result
   (** [Ok order] lists every vertex after all its predecessors;

@@ -281,10 +281,14 @@ let test_trace_sampling () =
 
 (* Window coverage: how many of a run's cycles the engine's one
    scheduler advanced in fast-forward windows, and in how many windows,
-   pinned on the quick shapes of the benchmark's chain-sim (one device)
-   and pdes-2dev (two devices, one link of latency 128), so a change
-   that keeps windows from applying, or splits them, fails here and not
-   only in the benchmark. *)
+   pinned on the benchmark's chain-sim (quick and full size, one device)
+   and on pdes-2dev's quick shape (two devices, one link of latency
+   128), so a change that keeps windows from applying, or splits them,
+   fails here and not only in the benchmark. Before windows spanned
+   phase changes, each stage ended four windows: 33 windows and 1783
+   windowed cycles on chain-sim quick, 35 and 3445 on pdes-2dev quick,
+   257 and 34751 on the full chain-sim. A stage that joins a window
+   adds none, so a 16- and a 256-stage chain take the same number. *)
 let window_counts ~config ~placement p =
   let module I = Engine.Internal in
   let windowed = ref 0 and windows = ref 0 in
@@ -306,22 +310,31 @@ let test_window_coverage () =
     Engine.Config.make ~network:(Engine.Config.network ~net_latency_cycles:128 ()) ()
   in
   let chain ~shape ~length = Sf_kernels.Iterative.(chain ~shape Jacobi2d ~length) in
+  let one_device _ = 0 in
   let check name ~placement p ~cycles ~windowed ~windows =
     Alcotest.(check (triple int int int))
       (name ^ ": cycles, windowed cycles, windows")
       (cycles, windowed, windows)
       (window_counts ~config ~placement p)
   in
-  check "chain-sim quick" ~placement:(fun _ -> 0)
+  check "chain-sim quick" ~placement:one_device
     (chain ~shape:[ 32; 32 ] ~length:8)
-    ~cycles:1_801 ~windowed:1_783 ~windows:33;
+    ~cycles:1_801 ~windowed:1_800 ~windows:1;
+  check "chain-sim" ~placement:one_device
+    (chain ~shape:[ 128; 128 ] ~length:64)
+    ~cycles:34_881 ~windowed:34_880 ~windows:1;
   let p = chain ~shape:[ 32; 64 ] ~length:8 in
   let placement =
     match Sf_mapping.Partition.contiguous ~devices:2 p with
     | Ok pt -> Sf_mapping.Partition.placement_fn pt
     | Error d -> Alcotest.fail d.Sf_support.Diag.message
   in
-  check "pdes-2dev quick, sequential" ~placement p ~cycles:3_465 ~windowed:3_445 ~windows:35
+  check "pdes-2dev quick, sequential" ~placement p ~cycles:3_465 ~windowed:3_463 ~windows:5;
+  let windows length =
+    let _, _, n = window_counts ~config ~placement:one_device (chain ~shape:[ 64; 64 ] ~length) in
+    n
+  in
+  Alcotest.(check int) "16 and 256 stages: windows" (windows 16) (windows 256)
 
 (* A shrink stencil whose result both feeds a downstream stencil and is
    written to memory: only its writer channel carries validity flags,

@@ -447,7 +447,8 @@ let test_word_copy_independent () =
    ahead or falls back (as injected link jitter can), drops of the
    oldest words, and after every operation the length, every word's
    release, the head, and the first word immature at relative cycle [j]
-   for [now] around the releases, against a linear scan. A small run
+   for [now] around the releases and from every word on (as a unit's
+   plan asks after flushing some), against a linear scan. A small run
    capacity makes the line grow. *)
 let prop_release_line_matches_array =
   let op =
@@ -480,11 +481,14 @@ let prop_release_line_matches_array =
         && List.for_all (fun j -> Sf_sim.Release_line.release_at line j = m.(j)) (List.init len Fun.id)
         && List.for_all
              (fun now ->
-               let scan = ref max_int in
-               for j = len - 1 downto 0 do
-                 if m.(j) > now + j then scan := j
-               done;
-               Sf_sim.Release_line.first_immature line ~now = !scan)
+               List.for_all
+                 (fun skip ->
+                   let scan = ref max_int in
+                   for j = len - 1 - skip downto 0 do
+                     if m.(skip + j) > now + j then scan := j
+                   done;
+                   Sf_sim.Release_line.first_immature line ~skip ~now = !scan)
+                 (List.init (len + 1) Fun.id))
              nows
       in
       List.for_all

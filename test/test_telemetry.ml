@@ -239,6 +239,53 @@ let prop_schedules_agree =
       | Ok () -> true
       | Error m -> QCheck.Test.fail_report m)
 
+(* Long chains against the oracle. A window plans each unit's phase
+   changes as segments and lets a stage asleep on its empty input join
+   the cycle after its producer's first push, so a chain runs in a few
+   windows; the random programs above are 1-5 stencils on tiny rows and
+   rarely get that far. Each draw is a Jacobi or diffusion chain of
+   2-48 stages at W = 1, 2 or 4, placed contiguously over 1-3 devices,
+   with a link latency of 0, 1, 8 or 128 and a link budget of one
+   W = 4 word per cycle or none; and, each or none, an occupancy
+   sampling interval and a fault seed under [Fault_plan.default]. *)
+let prop_long_chains_agree =
+  let open Sf_kernels.Iterative in
+  let draws =
+    QCheck.(
+      quad
+        (pair (oneofl ~print:kind_name [ Jacobi2d; Diffusion2d; Jacobi3d ]) (int_range 2 48))
+        (pair (oneofl ~print:string_of_int [ 1; 2; 4 ]) (int_range 1 3))
+        (pair (oneofl ~print:string_of_int [ 0; 1; 8; 128 ])
+           (oneofl ~print:string_of_float [ infinity; 16. ]))
+        (pair (option ~ratio:0.3 (int_range 1 300)) (option ~ratio:0.3 (int_range 1 10_000))))
+  in
+  QCheck.Test.make ~count:40 ~name:"long chains: fast-forward matches the oracle" draws
+    (fun ( (kind, length),
+           (vector_width, devices),
+           (net_latency_cycles, net_bytes_per_cycle),
+           (trace_interval, fault_seed) ) ->
+      let shape = match kind with Jacobi3d -> [ 3; 4; 8 ] | _ -> [ 6; 16 ] in
+      let p = chain ~shape ~vector_width kind ~length in
+      let placement =
+        match Sf_mapping.Partition.contiguous ~devices:(min devices length) p with
+        | Ok pt -> Sf_mapping.Partition.placement_fn pt
+        | Error d -> QCheck.Test.fail_report d.Diag.message
+      in
+      let config =
+        {
+          cheap with
+          Engine.Config.tracing = Engine.Config.tracing ?trace_interval ~telemetry:true ();
+          faults =
+            (match fault_seed with
+            | Some seed -> Engine.Config.faults ~plan:Fault_plan.default ~seed ()
+            | None -> Engine.Config.faults ());
+          network = Engine.Config.network ~net_bytes_per_cycle ~net_latency_cycles ();
+        }
+      in
+      match same_as_oracle ~config ~placement ~inputs:(Interp.random_inputs p) p with
+      | Ok () -> true
+      | Error m -> QCheck.Test.fail_report m)
+
 (* Deadlocks and timeouts against the oracle: the Fig. 4 diamond with
    its skip edge shrunk to nothing, plain, sampled and under faults,
    and the same program cut short by a cycle budget. *)
@@ -444,6 +491,7 @@ let suite =
     Alcotest.test_case "instrumented run matches uninstrumented" `Quick
       test_telemetry_off_on_equivalence;
     QCheck_alcotest.to_alcotest prop_schedules_agree;
+    QCheck_alcotest.to_alcotest prop_long_chains_agree;
     Alcotest.test_case "deadlock and timeout diagnoses match the oracle" `Quick
       test_diagnoses_match_oracle;
     Alcotest.test_case "shipped examples match the oracle" `Slow test_examples_match_oracle;
