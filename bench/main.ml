@@ -319,6 +319,20 @@ let tab2 () =
     "OCaml ref."
     (Util.human_time (total_flops /. measured))
     (Util.human_rate measured) "-" "-";
+  (* What the interpreter executes per cell, which host noise does not
+     move: instructions per cell summed over the stages, in the full
+     list (a plane's prologue rows, a row's ends) and the rolling list
+     (every other row segment), for the row's program and fused. *)
+  let per_cell p =
+    List.fold_left
+      (fun (full, rolling) (_, prog) ->
+        (full + Compile.instructions prog, rolling + Compile.rolling_instructions prog))
+      (0, 0) (Interp.plan p).Interp.stages
+  in
+  let full, rolling = per_cell small and fused_full, fused_rolling = per_cell (fst (Fusion.fuse_all small)) in
+  Printf.printf
+    "evaluator, instructions per cell of the row's hdiff: %d full, %d rolling; fused %d full, %d rolling\n"
+    full rolling fused_full fused_rolling;
   Printf.printf
     "\nshape checks: FPGA beats CPU %.1fx (paper 4.5x); V100 beats the bandwidth-bound FPGA \
      %.1fx (paper 5.9x)\n"

@@ -262,7 +262,7 @@ let () =
   in
   let eo_lanes = 4 in
   let eval_ns_per_cell ~lanes =
-    let fr = Compile.frame eo_prog ~lanes in
+    let fr = Compile.frame eo_prog ~lanes and idx = [| 0 |] in
     let loads = Array.length (Compile.loads eo_prog) * lanes in
     for k = 0 to loads - 1 do
       fr.(k) <- 0.25 +. (float_of_int (k land 63) /. 7.)
@@ -272,12 +272,12 @@ let () =
     (* [exec] may overwrite load slots: refill them before every dispatch,
        as the interpreter and the stencil units do. *)
     let data = Array.sub fr 0 loads in
-    Compile.exec eo_prog ~lanes fr;
+    Compile.exec eo_prog ~idx ~lanes fr;
     let t0 = Util.monotime () in
     for i = 0 to (cells / lanes) - 1 do
       data.(i mod loads) <- data.(i mod loads) +. 1e-12;
       Array.blit data 0 fr 0 loads;
-      Compile.exec eo_prog ~lanes fr;
+      Compile.exec eo_prog ~idx ~lanes fr;
       sink := !sink +. fr.(Compile.result eo_prog ~stride:lanes)
     done;
     let dt = Util.monotime () -. t0 in

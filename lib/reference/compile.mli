@@ -13,54 +13,83 @@
     recomputes an intermediate at several lane offsets (StencilFusion,
     Sec. V) computes it once per row.
 
+    Row-shift classes. A body's dispatches run along its rows in
+    row-major order, so lane-shift classes that differ only by a
+    constant row offset (the second-innermost axis) compute one function
+    of the position, read at several rows: one row-shift class. When two
+    or more of its lane-shift classes ("variants") have instructions and
+    it is not the result's, it lives in a ring of [spread + 1] rows of
+    the caller's frame, indexed by absolute row and lane, as the paper's
+    fused stencil keeps the producer's values in its internal buffers
+    (Sec. V-B, Fig. 6); [spread] is the greatest row spread of any ring.
+    Each variant writes its row of the ring, and its readers read it
+    there. A dispatch in the first [spread] rows of a plane (the
+    prologue rows) runs every instruction, the full list. Past them,
+    a dispatch runs the rolling list: only what the result reads, and of
+    each ring only its newest row's variant (its top), reading the older
+    rows that earlier dispatches' tops wrote. Where its lanes reach the
+    first or last few lanes of a row, which the tops did not write for
+    every older read, the variants that read there also run, over those
+    lanes alone. Every list is a subset of one instruction array, and an
+    instruction computes from the same operands in each, so results are
+    bit-identical. Shifts along the plane axis (axis 0 of a 3-D program)
+    are not shared: their rings would hold whole planes.
+
     Each load class is a slot the caller fills ({!fill}) with one run,
     constants are slots filled when the frame is made, and each other
     class is one instruction in depth-first post-order, whose value takes
-    the slot of a dead one where it can. A computed class that exactly
-    one operand of the body reads, and that is not the result, folds
-    into its reader when the pair is a fused form: [x * (y - z)],
-    [x * (y + z)], [(x + y) + z], [(x - y) + z], [(x * y) + z],
-    [(x * y) - z] or [select (x > y, z, w)]. The reader, taken before its
-    operands, then reads the inner operation's operands at the composed
-    offsets and keeps the intermediate in a register, as a pipeline
-    register holds it in the paper's stencil units (Sec. III-A, Fig.
-    12); the folded class has no instruction and no slot.
+    the slot of a dead one where it can (a ring's classes take rows of
+    their ring instead). A computed class that exactly one operand of the
+    body reads, and that is not the result, folds into its reader when
+    the pair is a fused form: [x * (y - z)], [x * (y + z)], [(x + y) + z],
+    [(x - y) + z], [(x * y) + z], [(x * y) - z] or
+    [select (x > y, z, w)]. The reader, taken before its operands, then
+    reads the inner operation's operands at the composed offsets and
+    keeps the intermediate in a register, as a pipeline register holds
+    it in the paper's stencil units (Sec. III-A, Fig. 12); the folded
+    class has no instruction and no slot.
 
     {!exec} runs the program over [lanes] cells held in one unboxed
     [float array], dispatching each instruction once and then looping
     over its cells, four per iteration, without allocating: one control
     step drives W lanes, as in the paper's stencil units (Sec. III-A,
-    IV-C). The reference interpreter runs a whole row per dispatch; a
-    simulated stencil unit runs the words of one row segment, up to a
-    chunk of words at a time when the engine fast-forwards.
+    IV-C). The reference interpreter runs a row per dispatch; a
+    simulated stencil unit runs the words of one row segment, one word
+    per cycle or up to a chunk of words at a time when the engine
+    fast-forwards.
 
     Semantics are bit-identical to {!Interp.eval_expr}: comparisons yield
     1.0 / 0.0, any non-zero value is true, [&&] and [||] do not
     short-circuit, both select branches are computed, and bindings the
-    result never reads are computed too, so their loads still feed the
-    validity mask. A fused form computes its operations in the
-    evaluator's operand order, so a NaN result carries the payload the
-    evaluator's would. *)
+    result never reads are computed too in the full list, and their loads
+    always feed the validity mask. A fused form computes its operations
+    in the evaluator's operand order, so a NaN result carries the payload
+    the evaluator's would. *)
 
 type program
 
-(** How a field's loads depend on the lane. *)
+(** How a field's loads depend on the position along one axis. *)
 type lane =
   | Shifts
-      (** The field spans the lane axis and has a [Constant] boundary: a
+      (** The field spans the axis and has a [Constant] boundary: a
           load's value depends only on the cell it reads, so loads that
-          differ only in their lane offset share one run. *)
+          differ only in their offset along the axis share one class. *)
   | Fixed
-      (** The field spans the lane axis and has a [Copy] boundary: an
-          out-of-bounds lane reads its own cell, so each lane offset is a
+      (** The field spans the axis and has a [Copy] boundary: an
+          out-of-bounds load reads its own cell, so each offset is a
           load of its own. *)
-  | Uniform  (** The field does not span the lane axis: every lane reads the same element. *)
+  | Uniform  (** The field does not span the axis: every position along it reads the same element. *)
 
-val lower : lane:(string -> lane) -> Sf_ir.Expr.body -> program
-(** [lane field] classifies the loads of [field]; with no field
-    [Shifts], every node is its own class. Raises [Invalid_argument] on
-    unbound or forward variable references and on calls with the wrong
-    arity. *)
+val lower : ?rows:int * (string -> lane) -> lane:(string -> lane) -> Sf_ir.Expr.body -> program
+(** [lane field] classifies the loads of [field] along the lane axis;
+    with no field [Shifts], every node is its own class. With
+    [rows = (cols, row)], dispatches run along rows of [cols] lanes in
+    row-major order and [row field] classifies the loads along the row
+    axis, whose offset is the one before the lane axis's (the last one
+    when [field] does not span the lane axis); without it, no class is
+    read at two rows and the program has no ring. Raises
+    [Invalid_argument] on unbound or forward variable references and on
+    calls with the wrong arity. *)
 
 val loads : program -> (string * int list) array
 (** The load runs, one per load class: load [k] lives in slot [k], and
@@ -68,32 +97,51 @@ val loads : program -> (string * int list) array
     at its class's least lane offset). *)
 
 val instructions : program -> int
-(** Instructions per dispatch: each runs once over the dispatch's lanes
-    (widened by its class's shift spread), so this is the count executed
-    per cell. A fused form is one instruction. *)
+(** Instructions per dispatch of the full list: each runs once over the
+    dispatch's lanes (widened by its class's shift spread), so this is
+    the count executed per cell. A fused form is one instruction. *)
+
+val rolling_instructions : program -> int
+(** Instructions per cell of a rolling dispatch (past the prologue
+    rows, away from a row's ends); {!instructions} for a program
+    without rings. *)
+
+val rings : program -> int
+(** The row-shift classes that live in a ring. *)
 
 val stride : program -> lanes:int -> int
 (** The slot stride of {!frame}[ p ~lanes]: [lanes] plus the widest
-    class's shift spread. *)
+    class's shift spread; with rings, at least the row length given to
+    {!lower} plus the widest ring's lane spread, since a ring row holds
+    a whole row. *)
 
 val result : program -> stride:int -> int
 (** The frame cell holding lane 0's result; lane [l]'s is [l] after it. *)
 
 val frame : program -> lanes:int -> float array
 (** A fresh frame for up to [lanes] cells with the constant slots
-    filled; slot stride {!stride}, as many slots as are live at once. *)
+    filled; slot stride {!stride}, as many slots as are live at once,
+    then the ring rows. *)
 
-val exec : program -> lanes:int -> float array -> unit
-(** Run every instruction over the first [lanes] cells of a frame whose
-    load slots are filled; the slot stride is the frame's, which must be
-    at least {!stride}[ p ~lanes]. Lane [l]'s result is at
-    [result p ~stride + l]. An instruction writes the first [lanes] cells
-    of its slot plus its class's shift spread, and no other cell, four
-    cells per loop iteration and then the last few one at a time (a libm
-    call, one at a time throughout); each cell reads its operands before
-    its own store, so a destination that shares an operand's slot is
-    safe. It overwrites dead load slots: refill them ({!fill}) before
-    each call. *)
+val exec : program -> idx:int array -> lanes:int -> float array -> unit
+(** Run the program over the first [lanes] cells of a frame whose load
+    slots are filled, for the dispatch at multi-index [idx] (lane 0's
+    cell, as given to {!fill}); the slot stride is the frame's, which
+    must be at least {!stride}[ p ~lanes]. Lane [l]'s result is at
+    [result p ~stride + l]. [idx] places the ring rows and columns and
+    picks the list: the full list in a prologue row, else the rolling
+    list for lanes away from the row's ends, reaching its first lanes,
+    its last or both. A program with rings needs every dispatch of a
+    plane, in row-major order, on one frame: a rolling dispatch reads
+    rows that earlier ones wrote. An instruction writes the first
+    [lanes] cells of its slot (or of its ring row, from the dispatch's
+    column) plus its class's shift spread, and no other cell (a ring's
+    variant in an end list, only the end lanes among them), four cells
+    per loop iteration and then the last few one at a time (a libm
+    call, one at a time throughout); each cell reads its operands
+    before its own store, so a destination that shares an operand's
+    slot is safe. It overwrites dead load slots: refill them ({!fill})
+    before each call. *)
 
 val body : access:(field:string -> offsets:int list -> 'ctx -> float) -> Sf_ir.Expr.body -> 'ctx -> float
 (** One-lane adapter: per call, read each load once through [access],
@@ -115,34 +163,38 @@ type ring = { data : float array; cap : int; mutable newest : int; mutable head 
 
 val resident : float array -> ring
 
-type tap
-(** A load slot resolved against its source: the program axes it spans
-    (strictly increasing; row-major over their extents in [shape]), the
-    run's offsets and width, and the boundary condition. *)
+type taps
+(** The load slots of a program resolved against their sources: for
+    each, the program axes it spans (strictly increasing; row-major over
+    their extents in [shape]), the run's offsets and width, and the
+    boundary condition. *)
 
 val taps :
-  program -> shape:int array -> (string -> ring * int array * Sf_ir.Boundary.t) -> tap array
+  program -> shape:int array -> (string -> ring * int array * Sf_ir.Boundary.t) -> taps
 (** One tap per load slot, in slot order; [source field] is the field's
     ring, the program axes it spans and its boundary, which must agree
     with the [lane] the program was lowered with. Raises
     [Invalid_argument] on a shifting run with a [Copy] boundary. *)
 
 val fill :
-  ?oob:bool array -> tap array -> idx:int array -> lanes:int -> stride:int -> float array -> unit
-(** Fill each load slot [k], at [k * stride], from [taps.(k)]: cells
-    [0, lanes) plus the run's shift spread, cell [c] reading the run's
-    first offsets from lane [c]'s cell. The in-bounds cells of a slot
-    are one run of the ring, copied with at most two [Array.blit]s
-    (split where the run wraps the ring), or one repeated element when
-    the tap does not span the innermost axis. An out-of-bounds cell
-    takes the boundary value (for [Copy], the source's element at the
-    lane's own cell). With [oob], [oob.(l)] is set to whether any
-    original load of lane [l] was out of bounds: a run's least and
-    greatest lane offsets are both loads of the body, so that is whether
-    either end of lane [l]'s reads was. Only a shrink stencil's validity
-    reads the flags, so its callers pass [oob] and the others skip the
-    flag work; the frame is the same either way. Fails an assertion if a
-    read element is not in the ring. *)
+  ?oob:bool array -> taps -> idx:int array -> lanes:int -> stride:int -> float array -> unit
+(** Fill the load slots of the dispatch of [lanes] cells at [idx]: slot
+    [k], at [k * stride], from tap [k], cells [0, lanes) plus the run's
+    shift spread, cell [c] reading the run's first offsets from lane
+    [c]'s cell. The in-bounds cells of a slot are one run of the ring,
+    copied with at most two [Array.blit]s (split where the run wraps the
+    ring), or one repeated element when the tap does not span the
+    innermost axis. An out-of-bounds cell takes the boundary value (for
+    [Copy], the source's element at the lane's own cell). With [oob],
+    every slot is filled and [oob.(l)] is set to whether any original
+    load of lane [l] was out of bounds: a run's least and greatest lane
+    offsets are both loads of the body, so that is whether either end
+    of lane [l]'s reads was. Only a shrink stencil's validity reads the
+    flags, so its callers pass [oob]; the others skip the flag work and
+    the slots that the list {!exec} runs at [idx] does not read (a
+    rolling list reads fewer rows). The slots that list reads are the
+    same either way. Fails an assertion if a read element is not in the
+    ring. *)
 
 val advance : shape:int array -> int array -> int -> int -> unit
 (** [advance ~shape idx d inc] adds [inc] to [idx.(d)], carrying into

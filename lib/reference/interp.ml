@@ -66,19 +66,24 @@ let input_extent (p : Program.t) (f : Field.t) =
 type plan = { checked : Program.checked; stages : (Stencil.t * Compile.program) list }
 
 (* A field's loads shift along the lane (innermost) axis only if it
-   spans that axis and reads a constant out of bounds. *)
+   spans that axis and reads a constant out of bounds; likewise along the
+   row (second-innermost) axis, whose shifts the stages share through
+   rings: every dispatch of a stage runs on one frame, row by row. *)
 let plan p =
   let checked = Program.check_exn p in
-  let lane_axis = Program.rank p - 1 in
+  let rank = Program.rank p in
   let lower s =
-    let lane field =
-      if not (List.mem lane_axis (Program.Checked.axes checked field)) then Compile.Uniform
+    let along axis field =
+      if not (List.mem axis (Program.Checked.axes checked field)) then Compile.Uniform
       else
         match Stencil.boundary_for s field with
         | Boundary.Constant _ -> Compile.Shifts
         | Boundary.Copy -> Compile.Fixed
     in
-    (s, Compile.lower ~lane s.Stencil.body)
+    let rows =
+      if rank < 2 then None else Some (List.nth p.Program.shape (rank - 1), along (rank - 2))
+    in
+    (s, Compile.lower ?rows ~lane:(along (rank - 1)) s.Stencil.body)
   in
   { checked; stages = List.map lower (Program.Checked.order checked) }
 
@@ -128,7 +133,8 @@ let prepare { checked; stages } ~inputs =
       | Some _ | None -> ()
     in
     (* One dispatch of the compiled body per innermost-axis row (a valid
-       program has 1-3 axes): the row's cells are the lanes. *)
+       program has 1-3 axes), in row-major order on one frame: the
+       row's cells are the lanes. *)
     let lanes = shape.(rank - 1) in
     let eval_stencil i ((s : Stencil.t), prog) =
       (* Every cell of a reused tensor is overwritten below. *)
@@ -156,7 +162,7 @@ let prepare { checked; stages } ~inputs =
       let idx = Array.make rank 0 in
       for row = 0 to (cells / lanes) - 1 do
         Compile.fill taps ~idx ~lanes ~stride frame ?oob;
-        Compile.exec prog ~lanes frame;
+        Compile.exec prog ~idx ~lanes frame;
         Array.blit frame result out.Tensor.data (row * lanes) lanes;
         (match oob with
         | Some oob ->

@@ -52,7 +52,12 @@ val plan : Sf_ir.Program.t -> plan
     field's loads shift along the innermost axis when the field spans
     it and the stencil's boundary for it is [Constant]; a [Copy]
     boundary keeps them [Fixed], and a field that does not span the
-    axis is [Uniform]. Raises [Invalid_argument] as
+    axis is [Uniform]. A program of two or three axes classifies the
+    loads along its row axis (the second-innermost) the same way, with
+    the innermost extent as the row length, so a body that reads a
+    computed value at several rows keeps it in a ring
+    ({!Compile.lower}); each caller then runs a stage's dispatches in
+    row-major order on one frame. Raises [Invalid_argument] as
     {!Sf_ir.Program.check_exn} does. *)
 
 val prepare : plan -> inputs:(string * Tensor.t) list -> unit -> (string * result) list

@@ -32,7 +32,7 @@ type t = {
   (* The lowered body, one tap per load slot and a frame of one row
      segment of at most a chunk; [idx] indexes lane 0 of the next word. *)
   prog : Compile.program;
-  taps : Compile.tap array;
+  taps : Compile.taps;
   frame : float array;
   stride : int;
   result : int;
@@ -194,14 +194,16 @@ let consuming_active t i = consuming_active_at t i t.step
    (W divides the innermost extent), and so are the words up to the end
    of that row: each row segment is one dispatch, and its releases one
    run of the release line. Words are computed in order, one per step
-   from [init_max] on, so the multi-index is carried from word to word. *)
+   from [init_max] on, so the multi-index is carried from word to word,
+   and the dispatches of the whole stream run in row-major order on the
+   unit's one frame, whose rings carry values from row to row. *)
 let compute t ~now n =
   let last = Array.length t.shape - 1 in
   let r = ref 0 in
   while !r < n do
     let lanes = Int.min ((n - !r) * t.w) (t.shape.(last) - t.idx.(last)) in
     Compile.fill t.taps ~idx:t.idx ~lanes ~stride:t.stride t.frame ?oob:t.oob;
-    Compile.exec t.prog ~lanes t.frame;
+    Compile.exec t.prog ~idx:t.idx ~lanes t.frame;
     let tail = t.pend_head + pend_count t in
     let tail = if tail >= t.pend_cap then tail - t.pend_cap else tail in
     Channel.Unsafe.blit_values t.frame t.result t.pend_values (tail * t.w) lanes;

@@ -239,33 +239,63 @@ let prop_schedules_agree =
       | Ok () -> true
       | Error m -> QCheck.Test.fail_report m)
 
+(* A chain of [length] applications of [kind] in which every third
+   stage from the second also reads the stage two before it: a skip
+   edge, so that stage's unit has two inputs, whose delay buffers start
+   and stop their consumption at different steps. *)
+let chain_with_skips ~shape ~vector_width kind ~length =
+  let open Sf_ir in
+  let b = Builder.create ~vector_width ~name:"skip_chain" ~shape () in
+  let zero = Boundary.Constant 0. and body field = Sf_kernels.Iterative.body kind ~field in
+  Builder.input b "f0";
+  for i = 1 to length do
+    let prev = Printf.sprintf "f%d" (i - 1) and name = Printf.sprintf "f%d" i in
+    if i mod 3 = 2 then begin
+      let skip = Printf.sprintf "f%d" (i - 2) in
+      Builder.stencil b ~boundary:[ (prev, zero); (skip, zero) ] name
+        (Expr.Binary (Expr.Add, body prev, body skip))
+    end
+    else Builder.stencil b ~boundary:[ (prev, zero) ] name (body prev)
+  done;
+  Builder.output b (Printf.sprintf "f%d" length);
+  Builder.finish b
+
 (* Long chains against the oracle. A window plans each unit's phase
    changes as segments and lets a stage asleep on its empty input join
    the cycle after its producer's first push, so a chain runs in a few
    windows; the random programs above are 1-5 stencils on tiny rows and
    rarely get that far. Each draw is a Jacobi or diffusion chain of
-   2-48 stages at W = 1, 2 or 4, placed contiguously over 1-3 devices,
-   with a link latency of 0, 1, 8 or 128 and a link budget of one
-   W = 4 word per cycle or none; and, each or none, an occupancy
-   sampling interval and a fault seed under [Fault_plan.default]. *)
+   2-48 stages at W = 1, 2 or 4, half of them with skip edges (so units
+   with two inputs plan each input's start and end of consumption),
+   placed contiguously over 1-3 devices, with a link latency of 0, 1, 8
+   or 128 and a link budget of one W = 4 word per cycle or none; and,
+   each or none, an occupancy sampling interval and a fault seed under
+   [Fault_plan.default]. Windows change no result, so the oracle cannot
+   see a plan that ends a window early; but a chain on one device with
+   neither faults nor sampling runs in one window, which the property
+   checks too: a plan that ends an input's consumption a step late, say,
+   stops its window at that input's last word. *)
 let prop_long_chains_agree =
   let open Sf_kernels.Iterative in
   let draws =
     QCheck.(
       quad
-        (pair (oneofl ~print:kind_name [ Jacobi2d; Diffusion2d; Jacobi3d ]) (int_range 2 48))
+        (triple (oneofl ~print:kind_name [ Jacobi2d; Diffusion2d; Jacobi3d ]) (int_range 2 48) bool)
         (pair (oneofl ~print:string_of_int [ 1; 2; 4 ]) (int_range 1 3))
         (pair (oneofl ~print:string_of_int [ 0; 1; 8; 128 ])
            (oneofl ~print:string_of_float [ infinity; 16. ]))
         (pair (option ~ratio:0.3 (int_range 1 300)) (option ~ratio:0.3 (int_range 1 10_000))))
   in
   QCheck.Test.make ~count:40 ~name:"long chains: fast-forward matches the oracle" draws
-    (fun ( (kind, length),
+    (fun ( (kind, length, skips),
            (vector_width, devices),
            (net_latency_cycles, net_bytes_per_cycle),
            (trace_interval, fault_seed) ) ->
       let shape = match kind with Jacobi3d -> [ 3; 4; 8 ] | _ -> [ 6; 16 ] in
-      let p = chain ~shape ~vector_width kind ~length in
+      let p =
+        if skips then chain_with_skips ~shape ~vector_width kind ~length
+        else chain ~shape ~vector_width kind ~length
+      in
       let placement =
         match Sf_mapping.Partition.contiguous ~devices:(min devices length) p with
         | Ok pt -> Sf_mapping.Partition.placement_fn pt
@@ -282,9 +312,20 @@ let prop_long_chains_agree =
           network = Engine.Config.network ~net_bytes_per_cycle ~net_latency_cycles ();
         }
       in
-      match same_as_oracle ~config ~placement ~inputs:(Interp.random_inputs p) p with
-      | Ok () -> true
-      | Error m -> QCheck.Test.fail_report m)
+      let module I = Engine.Internal in
+      let inputs = Interp.random_inputs p and windows = ref 0 in
+      let outcome =
+        I.simulate ~config ~placement ~inputs p ~drive:(fun system injector finished ->
+            let s = I.scheduler ~config ?injector ~finished system in
+            s.I.advance ~limit:max_int;
+            windows := s.I.windows ();
+            (s.I.now (), s.I.deadlocked (), s.I.samples ()))
+      in
+      (match matches_oracle ~config ~placement ~inputs p outcome with
+      | Ok () -> ()
+      | Error m -> QCheck.Test.fail_report m);
+      devices > 1 || Option.is_some fault_seed || Option.is_some trace_interval || !windows = 1
+      || QCheck.Test.fail_reportf "one device, no faults, no sampling: %d windows, not 1" !windows)
 
 (* Deadlocks and timeouts against the oracle: the Fig. 4 diamond with
    its skip edge shrunk to nothing, plain, sampled and under faults,
