@@ -59,6 +59,7 @@ let fuse op at op' =
   | _ -> None
 
 let loads p = p.loads
+let rebind p f = { p with loads = Array.map (fun (field, offsets) -> (f field, offsets)) p.loads }
 let instructions p = Array.length p.ops
 let rolling_instructions p = Array.length p.lists.(0)
 let rings p = p.rings

@@ -96,6 +96,13 @@ val loads : program -> (string * int list) array
     its offsets are those of the run's first cell (a shifting run starts
     at its class's least lane offset). *)
 
+val rebind : program -> (string -> string) -> program
+(** [rebind p f] is [p] with load [k]'s field [field] read from
+    [f field]: the same instructions, rings and offsets. A program is
+    immutable, so stages whose bodies differ only in the fields they
+    read share one lowering ({!Interp.plan}), each under its own
+    names. *)
+
 val instructions : program -> int
 (** Instructions per dispatch of the full list: each runs once over the
     dispatch's lanes (widened by its class's shift spread), so this is

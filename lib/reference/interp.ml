@@ -63,15 +63,29 @@ let rec eval_expr ~lookup ~env expr =
 let input_extent (p : Program.t) (f : Field.t) =
   match Field.extent f ~shape:p.Program.shape with [] -> [ 1 ] | extent -> extent
 
-type plan = { checked : Program.checked; stages : (Stencil.t * Compile.program) list }
+type plan = {
+  checked : Program.checked;
+  stages : (Stencil.t * Compile.program) list;
+  lowerings : int;
+}
 
 (* A field's loads shift along the lane (innermost) axis only if it
    spans that axis and reads a constant out of bounds; likewise along the
    row (second-innermost) axis, whose shifts the stages share through
-   rings: every dispatch of a stage runs on one frame, row by row. *)
+   rings: every dispatch of a stage runs on one frame, row by row.
+
+   Stages that differ only in the names of the fields they read share
+   one lowering: a body is keyed with its fields renamed in the order a
+   walk of the body meets them, each field's two classes and the row
+   length, which is all [Compile.lower] reads; the key's body is its
+   DAG, whose constants are keyed by their bits. The shared program is
+   lowered from the renamed body and each stage rebinds its loads to its
+   own fields. *)
 let plan p =
   let checked = Program.check_exn p in
   let rank = Program.rank p in
+  let cols = if rank < 2 then None else Some (List.nth p.Program.shape (rank - 1)) in
+  let lowered = Hashtbl.create 8 in
   let lower s =
     let along axis field =
       if not (List.mem axis (Program.Checked.axes checked field)) then Compile.Uniform
@@ -80,12 +94,45 @@ let plan p =
         | Boundary.Constant _ -> Compile.Shifts
         | Boundary.Copy -> Compile.Fixed
     in
-    let rows =
-      if rank < 2 then None else Some (List.nth p.Program.shape (rank - 1), along (rank - 2))
+    (* Each field is renamed to the number of fields met before it. *)
+    let position = Hashtbl.create 8 and fields = ref [] in
+    let canon =
+      Expr.map_accesses (fun ~field ~offsets ->
+          let c =
+            match Hashtbl.find_opt position field with
+            | Some c -> c
+            | None ->
+                fields := field :: !fields;
+                let c = string_of_int (Hashtbl.length position) in
+                Hashtbl.add position field c;
+                c
+          in
+          Expr.Access { field = c; offsets })
     in
-    (s, Compile.lower ?rows ~lane:(along (rank - 1)) s.Stencil.body)
+    let { Expr.lets; result } = s.Stencil.body in
+    let lets = List.map (fun (v, e) -> (v, canon e)) lets in
+    let body = { Expr.lets; result = canon result } in
+    let fields = Array.of_list (List.rev !fields) in
+    let field c = fields.(int_of_string c) in
+    let named, root = Dag.of_body_named body in
+    let classes f = (along (rank - 1) f, Option.map (fun _ -> along (rank - 2) f) cols) in
+    let key =
+      (List.map (fun (v, t) -> (v, Dag.id t)) named, Dag.id root, Array.map classes fields, cols)
+    in
+    let prog =
+      match Hashtbl.find_opt lowered key with
+      | Some prog -> prog
+      | None ->
+          let class_of axis c = along axis (field c) in
+          let rows = Option.map (fun cols -> (cols, class_of (rank - 2))) cols in
+          let prog = Compile.lower ?rows ~lane:(class_of (rank - 1)) body in
+          Hashtbl.add lowered key prog;
+          prog
+    in
+    (s, Compile.rebind prog field)
   in
-  { checked; stages = List.map lower (Program.Checked.order checked) }
+  let stages = List.map lower (Program.Checked.order checked) in
+  { checked; stages; lowerings = Hashtbl.length lowered }
 
 (* Evaluate every stage in topological order: the input checks happen up
    front, the returned function runs the row loops. A stage that is not
@@ -93,7 +140,7 @@ let plan p =
    nothing reads it), and its data and validity arrays are reused by a
    later stage, so memory follows the DAG's live width; the results are
    the outputs only. *)
-let prepare { checked; stages } ~inputs =
+let prepare { checked; stages; _ } ~inputs =
   let p = Program.Checked.program checked in
   let shape = Array.of_list p.Program.shape in
   let rank = Program.rank p in

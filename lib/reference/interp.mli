@@ -42,6 +42,7 @@ val run : Sf_ir.Program.t -> inputs:(string * Tensor.t) list -> (string * result
 type plan = private {
   checked : Sf_ir.Program.checked;
   stages : (Sf_ir.Stencil.t * Compile.program) list;  (** Lowered bodies, in dependency order. *)
+  lowerings : int;  (** Distinct lowerings: {!Compile.lower} calls made for [stages]. *)
 }
 (** A checked program with every body lowered once. Nothing changes it
     afterwards, so the oracle ({!prepare}) and the simulator's stencil
@@ -57,8 +58,16 @@ val plan : Sf_ir.Program.t -> plan
     the innermost extent as the row length, so a body that reads a
     computed value at several rows keeps it in a ring
     ({!Compile.lower}); each caller then runs a stage's dispatches in
-    row-major order on one frame. Raises [Invalid_argument] as
-    {!Sf_ir.Program.check_exn} does. *)
+    row-major order on one frame.
+
+    Stages share a lowering when their bodies are equal once each
+    one's fields are numbered in the order one walk of the body (its
+    lets, then the result) first meets them, and each field has the same two
+    classes: a chain of one iterative stencil lowers one body, however
+    long. Let names, constants (by their bits) and offsets are part of
+    the body. Each stage gets the shared program {!Compile.rebind}ed to
+    its own fields, equal to lowering its own body. Raises
+    [Invalid_argument] as {!Sf_ir.Program.check_exn} does. *)
 
 val prepare : plan -> inputs:(string * Tensor.t) list -> unit -> (string * result) list
 (** {!run} in two steps: [prepare] checks the inputs (raising as {!run}

@@ -1,7 +1,7 @@
 type t = {
   name : string;
   capacity : int;
-  slots : int; (* capacity + chunk: room for one fast-forward chunk *)
+  slots : int; (* capacity + chunk ~width: room for one fast-forward chunk *)
   width : int;
   values : float array; (* slots * width, ring of slots *)
   valid : bool array; (* as [values], or empty: every lane valid *)
@@ -15,12 +15,12 @@ type t = {
 }
 
 let nop () = ()
-let chunk = 256
+let chunk ~width = Int.max 256 ((512 + width - 1) / width)
 
 let create_vec ?(validity = false) ~width ~name ~capacity () =
   if capacity <= 0 then invalid_arg "Channel.create: capacity must be positive";
   if width <= 0 then invalid_arg "Channel.create: width must be positive";
-  let slots = capacity + chunk in
+  let slots = capacity + chunk ~width in
   {
     name;
     capacity;

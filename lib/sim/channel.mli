@@ -9,8 +9,8 @@
     Storage is structure-of-arrays: one flat [float array] for lane
     values and, only on a channel created [~validity:true] (the engine's
     channels into memory writers), one [bool array] for lane validity,
-    each a ring of [capacity + chunk] slots of [width] lanes. The
-    [chunk] slots past the capacity are room for the engine's
+    each a ring of [capacity + chunk ~width] slots of [width] lanes.
+    The [chunk ~width] slots past the capacity are room for the engine's
     fast-forward path, which pushes a chunk of words before their
     consumer pops them. The raw slot API lives in {!Unsafe} and lets
     hot paths copy lanes in place without allocating; the public surface
@@ -21,8 +21,16 @@
 
 type t
 
-val chunk : int
-(** The most words one fast-forward chunk moves through a channel. *)
+val chunk : width:int -> int
+(** The most words one fast-forward chunk moves through a channel of
+    [width] lanes: at least 512 cells and at least 256 words, so 512
+    words at W = 1 and 256 at W >= 2. A chunk is what the engine moves
+    between two visits of a component, and each visit of a stencil unit
+    costs a plan lookup and a row-segment split, so a W = 1 run (the
+    paper's long chains) takes half as many visits as at 256 words. At
+    W >= 2, 256 words already hold 512 cells or more; growing them
+    would enlarge every channel's slack, unit window and pending line
+    by W cells per word for fewer visits than W = 1 saves. *)
 
 val create : ?validity:bool -> name:string -> capacity:int -> unit -> t
 (** [capacity] is in words and must be positive; the width is 1.
@@ -76,9 +84,9 @@ module Unsafe : sig
       [Failure] past the capacity. *)
 
   val push_run : t -> int -> int
-  (** As {!push_slots} for the fast-forward path: may fill the [chunk]
+  (** As {!push_slots} for the fast-forward path: may fill the [chunk ~width]
       slots past the capacity, raising [Failure] only past
-      [capacity + chunk], and leaves the high-water mark to
+      [capacity + chunk ~width], and leaves the high-water mark to
       {!settle_high_water}. *)
 
   val settle_high_water : ?peak:int -> t -> unit

@@ -449,34 +449,45 @@ let completed_stats ~faults ~system ~predicted ~cycles ~report =
   }
 
 (* Compare a completed run's outputs against the reference
-   interpreter's ([run_and_validate]). *)
+   interpreter's ([run_and_validate]), one pass over each output's
+   values and flags. A mask difference is reported first; then a NaN
+   where the other holds a number (both evaluators are bit-identical,
+   so NaN against NaN agrees); then the largest deviation of a valid
+   cell. *)
 let compare_outputs ~reference stats =
   let mismatch fmt =
     Format.kasprintf (fun m -> Error (Diag.error ~code:Diag.Code.sim_mismatch m)) fmt
   in
   let rec check = function
     | [] -> Ok stats
-    | (name, simulated) :: rest -> (
+    | (name, (simulated : Interp.result)) :: rest -> (
         match List.assoc_opt name reference with
         | None -> mismatch "output %s missing from reference" name
-        | Some expected ->
-            let (simulated : Interp.result) = simulated in
-            if simulated.Interp.valid <> expected.Interp.valid then
-              mismatch "output %s: validity masks differ" name
-            else begin
-              let worst = ref 0. in
-              let got = simulated.Interp.tensor.Tensor.data
-              and want = expected.Interp.tensor.Tensor.data in
-              for i = 0 to Array.length got - 1 do
-                if expected.Interp.valid.(i) then begin
-                  let d = Float.abs (got.(i) -. want.(i)) in
+        | Some (expected : Interp.result) ->
+            let got = simulated.Interp.tensor.Tensor.data
+            and want = expected.Interp.tensor.Tensor.data
+            and got_valid = simulated.Interp.valid
+            and valid = expected.Interp.valid in
+            let n = Array.length valid in
+            let masks = ref (Array.length got_valid = n) and nan = ref (-1) and worst = ref 0. in
+            if !masks then
+              for i = 0 to n - 1 do
+                let v = Array.unsafe_get valid i in
+                if v <> Array.unsafe_get got_valid i then masks := false
+                else if v then begin
+                  let a = got.(i) and b = want.(i) in
+                  let d = Float.abs (a -. b) in
                   if d > !worst then worst := d
+                  else if !nan < 0 && Float.is_nan a <> Float.is_nan b then nan := i
                 end
               done;
-              if !worst > 1e-9 then
-                mismatch "output %s: max deviation %g from reference" name !worst
-              else check rest
-            end)
+            if not !masks then mismatch "output %s: validity masks differ" name
+            else if !nan >= 0 then
+              mismatch "output %s: cell %d is %g where the reference holds %g" name !nan
+                got.(!nan) want.(!nan)
+            else if !worst > 1e-9 then
+              mismatch "output %s: max deviation %g from reference" name !worst
+            else check rest)
   in
   check stats.results
 
@@ -618,6 +629,7 @@ type sched = {
   now : unit -> int;
   windowed : unit -> int;
   windows : unit -> int;
+  unit_chunks : unit -> int;
   deadlocked : unit -> bool;
   samples : unit -> (int * (string * int) list) list;
 }
@@ -801,7 +813,14 @@ let scheduler ~config ?injector ~finished system =
     | Cunit u -> Stencil_unit.is_done u
     | Creader r -> Memory_unit.Reader.is_done r
   in
-  let windowed = ref 0 and windows = ref 0 in
+  let windowed = ref 0 and windows = ref 0 and unit_chunks = ref 0 in
+  (* Every channel is W lanes wide, so one chunk fits each channel's
+     slack, unit window and pending line. *)
+  let chunk =
+    Array.fold_left
+      (fun m c -> Int.min m (Channel.chunk ~width:(Channel.width c)))
+      max_int all_channels
+  in
   (* Try to advance the whole system k >= 2 cycles at once, short of
      [limit]. Each awake non-done component plans its own schedule from
      now (Stencil_unit.plan, Link.plan; readers and writers move one
@@ -926,7 +945,7 @@ let scheduler ~config ?injector ~finished system =
     end;
     (* Links check maturity and budgets last, against the final bound,
        and may cap the chunk. *)
-    let chunk = ref Channel.chunk in
+    let chunk = ref chunk in
     if !k >= 2 then
       for i = 0 to nlinks - 1 do
         if start.(i) = 0 then
@@ -976,7 +995,9 @@ let scheduler ~config ?injector ~finished system =
             | Cwriter w ->
                 let m = Int.min m (Memory_unit.Writer.words_remaining w) in
                 if m > 0 then Memory_unit.Writer.run_fast w m
-            | Cunit u -> Stencil_unit.run_planned u ~now:(now + !rel) n
+            | Cunit u ->
+                incr unit_chunks;
+                Stencil_unit.run_planned u ~now:(now + !rel) n
             | Creader r ->
                 let m = Int.min m (Memory_unit.Reader.words_remaining r) in
                 if m > 0 then Memory_unit.Reader.run_fast r m
@@ -1084,6 +1105,7 @@ let scheduler ~config ?injector ~finished system =
     now = (fun () -> !cycle);
     windowed = (fun () -> !windowed);
     windows = (fun () -> !windows);
+    unit_chunks = (fun () -> !unit_chunks);
     deadlocked = (fun () -> !deadlocked);
     samples = (fun () -> List.rev !trace);
   }

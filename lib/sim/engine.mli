@@ -260,6 +260,10 @@ module Internal : sig
     now : unit -> int;  (** The next cycle to execute. *)
     windowed : unit -> int;  (** Cycles advanced by fast-forward windows. *)
     windows : unit -> int;  (** Fast-forward windows taken. *)
+    unit_chunks : unit -> int;
+        (** Stencil-unit chunk activations: each window runs in chunks of
+            at most {!Channel.chunk} cycles, and each unit a chunk
+            reaches counts one. *)
     deadlocked : unit -> bool;  (** No progress for over [deadlock_window] cycles. *)
     samples : unit -> (int * (string * int) list) list;
         (** Occupancy samples, oldest first. *)

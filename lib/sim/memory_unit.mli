@@ -34,7 +34,7 @@ module Reader : sig
   val run_fast : t -> int -> unit
   (** [run_fast t n] streams [n] words unchecked, for the engine's
       fast-forward path, with one ring copy per output: requires room
-      for them in every output (up to {!Channel.chunk} past the
+      for them in every output (up to {!Channel.chunk} words past the
       capacity) and the controller to be {!Controller.is_unlimited}. *)
 
   val full_outputs : t -> string list

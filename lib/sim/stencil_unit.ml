@@ -47,7 +47,7 @@ type t = {
      output carries them; they start all valid and only a shrink unit
      writes them. Occupancy never exceeds compute_cycles + 1 (the
      pipeline depth guard in try_step) before a step; a fast-forward
-     chunk computes up to Channel.chunk words before it flushes. *)
+     chunk computes up to Channel.chunk ~width:w words before it flushes. *)
   pend : Release_line.t;
   pend_values : float array;
   pend_valid : bool array;
@@ -78,6 +78,7 @@ let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
   let { Sf_analysis.Delay_buffer.init_cycles = init_max; compute_cycles; buffers } = info in
   let shape = Array.of_list program.Program.shape in
   let w = program.Program.vector_width in
+  let chunk = Channel.chunk ~width:w in
   let cells = Program.cells program in
   let n_words = cells / w in
   let full_rank = Program.rank program in
@@ -95,7 +96,7 @@ let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
             in
             (* The register, plus room for the words a step and a
                fast-forward chunk shift in before their taps are read. *)
-            let cap = reg.register_elements + ((2 + Channel.chunk) * w) in
+            let cap = reg.register_elements + ((2 + chunk) * w) in
             ( Some { Compile.data = Array.make cap 0.; cap; newest = -1; head = -1 },
               Sf_analysis.Internal_buffer.fill_step buffers reg )
           end
@@ -129,8 +130,8 @@ let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
         in
         (input.src, input.axes, Stencil.boundary_for stencil field))
   in
-  let pend_cap = compute_cycles + 2 + Channel.chunk in
-  let lanes = Int.min (Channel.chunk * w) shape.(Array.length shape - 1) in
+  let pend_cap = compute_cycles + 2 + chunk in
+  let lanes = Int.min (chunk * w) shape.(Array.length shape - 1) in
   let stride = Compile.stride prog ~lanes in
   let flagged = List.exists Channel.has_validity outputs in
   {

@@ -109,7 +109,7 @@ val run_planned : t -> now:int -> int -> unit
     [now + n - 1] as one chunk, without re-checking feasibility: the
     steps of each segment (one ring copy per consuming input, the words
     evaluated one row segment per dispatch), then all the flushes (one
-    bulk push per output). Requires [n <= Channel.chunk]. *)
+    bulk push per output). Requires [n <= Channel.chunk ~width:W]. *)
 
 val starved_input : t -> int
 (** The index in {!input_channels} of the first input the unit must pop

@@ -673,6 +673,15 @@ let test_lowering_pins () =
       (Interp.plan p).Interp.stages
   in
   ringless "chain-sim" (Sf_kernels.Iterative.chain ~shape:[ 128; 128 ] Sf_kernels.Iterative.Jacobi2d ~length:4);
+  (* Stages share a lowering when their bodies differ only in the
+     fields they read: chain-sim's 64 Jacobi stages lower one body, and
+     of fused hdiff's four units, w_out and pp_out run one body over w
+     and pp (u_out and v_out each read both u and v, in other roles). *)
+  let lowerings p = (Interp.plan p).Interp.lowerings in
+  Alcotest.(check int) "chain-sim: distinct lowerings" 1
+    (lowerings Sf_kernels.Iterative.(chain ~shape:[ 128; 128 ] Jacobi2d ~length:64));
+  Alcotest.(check int) "fused, optimized hdiff at W=4: distinct lowerings" 3
+    (lowerings (Sf_sdfg.Opt.optimize (fst (Sf_sdfg.Fusion.fuse_all hdiff))));
   List.iter
     (fun f -> ringless f (Test_sim_parity.example f))
     [
@@ -680,11 +689,214 @@ let test_lowering_pins () =
       "jacobi2d_8stage.json"; "laplace2d.json"; "shallow_water.json"; "smoothing3d.json";
     ]
 
+(* The lowering key (Interp.plan). A shared program is only sound if
+   lowering the stage's own body, as the plan did before stages shared,
+   gives the same instructions, rolling instructions, rings and load
+   runs; and the outputs of [Interp.run], which runs the shared
+   programs, equal the per-cell oracle's bit for bit, masks included. *)
+let shares_soundly ~at_most p =
+  let plan = Interp.plan p in
+  let checked = plan.Interp.checked in
+  let rank = Program.rank p in
+  let fresh (s : Stencil.t) =
+    let along axis field =
+      if not (List.mem axis (Program.Checked.axes checked field)) then Compile.Uniform
+      else
+        match Stencil.boundary_for s field with
+        | Boundary.Constant _ -> Compile.Shifts
+        | Boundary.Copy -> Compile.Fixed
+    in
+    let rows =
+      if rank < 2 then None else Some (List.nth p.Program.shape (rank - 1), along (rank - 2))
+    in
+    Compile.lower ?rows ~lane:(along (rank - 1)) s.Stencil.body
+  in
+  let form prog =
+    ( (Compile.instructions prog, Compile.rolling_instructions prog, Compile.rings prog),
+      Compile.loads prog )
+  in
+  List.iter
+    (fun ((s : Stencil.t), prog) ->
+      if form prog <> form (fresh s) then
+        QCheck.Test.fail_reportf "%s: the shared program differs from its own lowering"
+          s.Stencil.name)
+    plan.Interp.stages;
+  if plan.Interp.lowerings > at_most then
+    QCheck.Test.fail_reportf "%d lowerings, at most %d expected" plan.Interp.lowerings at_most;
+  let p = Test_reference.every_stage p in
+  let inputs = Interp.random_inputs ~seed:3 p in
+  let results = Interp.run p ~inputs in
+  List.for_all
+    (fun (name, values, valid) ->
+      let r = List.assoc name results in
+      let bits = Array.map Int64.bits_of_float in
+      bits values = bits r.Interp.tensor.Sf_reference.Tensor.data
+      && valid = r.Interp.valid)
+    (Test_reference.per_cell_oracle p ~inputs)
+
+(* [e] with its row offset (the one before the lane offset) moved by
+   one: in [e + row_shifted e], a computed value read at two rows, which
+   a field that shifts along the row axis keeps in a ring. *)
+let row_shifted e =
+  Expr.map_accesses
+    (fun ~field ~offsets ->
+      let n = List.length offsets in
+      let offsets = List.mapi (fun i o -> if i = n - 2 then o + 1 else o) offsets in
+      Expr.Access { field; offsets })
+    e
+
+(* One stage of a chain over the template body [lets; result] in the
+   fields "x" and "c": "x" becomes [x], "c" one of two inputs of the
+   same arity that span different axes, the let takes the name [name],
+   and [nudge] moves the first offset of the template's first access
+   of "x". *)
+let twin_stage ~stage ~x ~c ~x_boundary ~c_boundary ~name ~nudge ~shrink (e1, e2) =
+  let first_x =
+    List.find_map
+      (fun (f, o) -> if String.equal f "x" then Some o else None)
+      (Expr.accesses e1 @ Expr.accesses e2)
+  in
+  let rename ~field ~offsets =
+    let offsets =
+      if nudge && String.equal field "x" && Some offsets = first_x then
+        List.mapi (fun i o -> if i = 0 then o + 1 else o) offsets
+      else offsets
+    in
+    Expr.Access { field = (if String.equal field "x" then x else c); offsets }
+  in
+  Stencil.make ~shrink
+    ~boundary:[ (x, x_boundary); (c, c_boundary) ]
+    ~name:stage
+    {
+      Expr.lets = [ (name, Expr.map_accesses rename e1) ];
+      result = Expr.Binary (Expr.Add, Expr.Var name, Expr.map_accesses rename e2);
+    }
+
+(* Per rank: the shape and the two "c" inputs (one arity, other axes). *)
+let twin_inputs = function
+  | 1 -> ([ 8 ], [ ("ca", [ 0 ]); ("cb", [ 0 ]) ])
+  | 2 -> ([ 5; 6 ], [ ("ca", [ 0 ]); ("cb", [ 1 ]) ])
+  | _ -> ([ 3; 4; 6 ], [ ("ca", [ 0; 2 ]); ("cb", [ 1; 2 ]) ])
+
+let twin_program ~rank stages =
+  let shape, cs = twin_inputs rank in
+  let read = List.concat_map (fun (s : Stencil.t) -> Stencil.input_fields s) stages in
+  let inputs =
+    Field.make ~name:"x0" ~full_rank:rank ()
+    :: List.map (fun (n, axes) -> Field.make ~axes ~name:n ~full_rank:rank ()) cs
+    |> List.filter (fun (f : Field.t) -> List.mem f.Field.name read)
+  in
+  Program.make ~name:"twins" ~shape ~inputs
+    ~outputs:(List.map (fun (s : Stencil.t) -> s.Stencil.name) stages)
+    stages
+
+(* Chains of 2-6 stages over one random template, each stage reading the
+   one before: each an exact twin of the template under renamed fields,
+   or a near-twin by its "c" input, its boundaries, a nudged offset or a
+   renamed let; shrink flags vary and change no lowering. Stages with
+   the same choices must share, so the lowerings are at most the
+   distinct choices. *)
+let twin_chain_gen =
+  let open QCheck.Gen in
+  let* rank = int_range 1 3 in
+  let _, cs = twin_inputs rank in
+  let crank = List.length (snd (List.hd cs)) in
+  let fields = [ ("x", rank); ("c", crank) ] in
+  let* e1 = Program_gen.expr_gen ~fields ~depth:2 in
+  let* e2 = Program_gen.expr_gen ~fields ~depth:2 in
+  (* Every stage reads the one before it and its "c" input. *)
+  let zero (f, r) = Expr.Access { field = f; offsets = List.init r (fun _ -> 0) } in
+  let reads = Expr.Binary (Expr.Mul, zero (List.hd fields), zero (List.nth fields 1)) in
+  let e2 = Expr.Binary (Expr.Add, e2, reads) in
+  let* ringed = bool in
+  let e2 = if ringed then Expr.Binary (Expr.Add, e2, row_shifted e2) else e2 in
+  let* length = int_range 2 6 in
+  let boundary = oneofl [ Boundary.Constant 0.5; Boundary.Constant (-1.); Boundary.Copy ] in
+  let* choices =
+    list_repeat length
+      (pair
+         (triple (oneofl cs) boundary boundary)
+         (triple (oneofl [ "t"; "u" ]) (frequency [ (3, return false); (1, return true) ]) bool))
+  in
+  let stages =
+    List.mapi
+      (fun i (((c, _), x_boundary, c_boundary), (name, nudge, shrink)) ->
+        twin_stage ~stage:(Printf.sprintf "s%d" i)
+          ~x:(if i = 0 then "x0" else Printf.sprintf "s%d" (i - 1))
+          ~c ~x_boundary ~c_boundary ~name ~nudge ~shrink (e1, e2))
+      choices
+  in
+  let kind = function Boundary.Constant _ -> 0 | Boundary.Copy -> 1 in
+  let distinct =
+    List.sort_uniq compare
+      (List.map
+         (fun (((c, _), xb, cb), (name, nudge, _)) -> (c, kind xb, kind cb, name, nudge))
+         choices)
+  in
+  return (twin_program ~rank stages, List.length distinct)
+
+let prop_lowering_key =
+  QCheck.Test.make ~count:200 ~name:"stages share a lowering only where their own lowering is equal"
+    QCheck.(
+      make
+        ~print:(fun (p, _) -> Format.asprintf "%a" Program.pp p)
+        Gen.(
+          oneof
+            [
+              twin_chain_gen;
+              map
+                (fun (p : Program.t) -> (p, List.length p.Program.stencils))
+                Program_gen.program_gen;
+            ]))
+    (fun (p, at_most) -> shares_soundly ~at_most p)
+
+(* Near-twins of a 3-D two-stage chain that must not share: the second
+   stage differs from the first by a Copy boundary where the first has
+   a Constant one, by reading a "c" input along the plane axis rather
+   than the row axis (Uniform along the row), by one offset, or by the
+   name of its let. The exact twin shares. The template reads the
+   x-role field and "c" at two rows each, so a row-spanning field with
+   a Constant boundary keeps a ring. *)
+let test_lowering_near_twins () =
+  let acc field offsets = Expr.Access { field; offsets } in
+  let body =
+    ( Expr.Binary (Expr.Sub, acc "x" [ 0; 0; 1 ], acc "x" [ 0; 0; -1 ]),
+      Expr.Binary
+        ( Expr.Add,
+          Expr.Call (Expr.Min, [ acc "c" [ 0; 0 ]; acc "c" [ 0; 1 ] ]),
+          Expr.Call (Expr.Min, [ acc "c" [ 1; 0 ]; acc "c" [ 1; 1 ] ]) ) )
+  in
+  let stage i ?(c = "cb") ?(x_boundary = Boundary.Constant 0.) ?(name = "t") ?(nudge = false) () =
+    twin_stage ~stage:(Printf.sprintf "s%d" i)
+      ~x:(if i = 0 then "x0" else "s0")
+      ~c ~x_boundary ~c_boundary:(Boundary.Constant 0.) ~name ~nudge ~shrink:false body
+  in
+  List.iter
+    (fun (what, second, lowerings) ->
+      let p = twin_program ~rank:3 [ stage 0 (); second ] in
+      Alcotest.(check int) (what ^ ": lowerings") lowerings (Interp.plan p).Interp.lowerings;
+      Alcotest.(check bool) (what ^ ": shared programs equal their own lowering") true
+        (shares_soundly ~at_most:lowerings p))
+    [
+      ("exact twin", stage 1 (), 1);
+      ("Copy boundary", stage 1 ~x_boundary:Boundary.Copy (), 2);
+      ("input Uniform along the row", stage 1 ~c:"ca" (), 2);
+      ("one offset", stage 1 ~nudge:true (), 2);
+      ("renamed let", stage 1 ~name:"u" (), 2);
+    ];
+  let rings c =
+    let plan = Interp.plan (twin_program ~rank:3 [ stage 0 ~c () ]) in
+    Compile.rings (snd (List.hd plan.Interp.stages))
+  in
+  Alcotest.(check (pair int int)) "rings over cb and over ca" (1, 0) (rings "cb", rings "ca")
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_shared_lowering_bit_exact;
     Alcotest.test_case "shift-shared lowering: instructions and load runs pinned" `Quick
       test_lowering_pins;
+    QCheck_alcotest.to_alcotest prop_lowering_key;
+    Alcotest.test_case "near-twin stages lower apart" `Quick test_lowering_near_twins;
     QCheck_alcotest.to_alcotest prop_lanes_bit_exact;
     QCheck_alcotest.to_alcotest prop_wide_frame_sentinels;
     Alcotest.test_case "lets evaluate once per call" `Quick test_body_lets_evaluate_once;

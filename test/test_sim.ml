@@ -288,8 +288,11 @@ let test_trace_sampling () =
    phase changes, each stage ended four windows: 33 windows and 1783
    windowed cycles on chain-sim quick, 35 and 3445 on pdes-2dev quick,
    257 and 34751 on the full chain-sim. A stage that joins a window
-   adds none, so a 16- and a 256-stage chain take the same number. *)
-let window_counts ~config ~placement p =
+   adds none, so a 16- and a 256-stage chain take the same number.
+   The full chain-sim's units take 2148 chunk visits at W = 1's
+   512-word chunk (4232 at 256 words): a change of the chunk rule or of
+   how windows run their chunks shows there. *)
+let window_counts ?(unit_chunks = ref 0) ~config ~placement p =
   let module I = Engine.Internal in
   let windowed = ref 0 and windows = ref 0 in
   let outcome =
@@ -299,6 +302,7 @@ let window_counts ~config ~placement p =
         s.I.advance ~limit:max_int;
         windowed := s.I.windowed ();
         windows := s.I.windows ();
+        unit_chunks := s.I.unit_chunks ();
         (s.I.now (), s.I.deadlocked (), s.I.samples ()))
   in
   match outcome with
@@ -311,18 +315,20 @@ let test_window_coverage () =
   in
   let chain ~shape ~length = Sf_kernels.Iterative.(chain ~shape Jacobi2d ~length) in
   let one_device _ = 0 in
-  let check name ~placement p ~cycles ~windowed ~windows =
+  let check ?unit_chunks name ~placement p ~cycles ~windowed ~windows =
     Alcotest.(check (triple int int int))
       (name ^ ": cycles, windowed cycles, windows")
       (cycles, windowed, windows)
-      (window_counts ~config ~placement p)
+      (window_counts ?unit_chunks ~config ~placement p)
   in
   check "chain-sim quick" ~placement:one_device
     (chain ~shape:[ 32; 32 ] ~length:8)
     ~cycles:1_801 ~windowed:1_800 ~windows:1;
-  check "chain-sim" ~placement:one_device
+  let unit_chunks = ref 0 in
+  check ~unit_chunks "chain-sim" ~placement:one_device
     (chain ~shape:[ 128; 128 ] ~length:64)
     ~cycles:34_881 ~windowed:34_880 ~windows:1;
+  Alcotest.(check int) "chain-sim: unit-chunks" 2_148 !unit_chunks;
   let p = chain ~shape:[ 32; 64 ] ~length:8 in
   let placement =
     match Sf_mapping.Partition.contiguous ~devices:2 p with
@@ -367,7 +373,7 @@ let test_shrink_fork () =
           Alcotest.(check int) (name ^ ": valid edge cells") (23 * 62) valid;
           Alcotest.(check bool) (name ^ ": windows span chunks") true
             (let _, windowed, _ = window_counts ~config:Engine.Config.default ~placement p in
-             windowed > Channel.chunk))
+             windowed > Channel.chunk ~width:p.Program.vector_width))
     [ ("one device", (fun _ -> 0), 869); ("two devices", (function "next" -> 1 | _ -> 0), 933) ]
 
 let suite =

@@ -67,8 +67,12 @@ let test_channel_without_validity () =
 (* The per-cycle slot push stops at the capacity. A fast-forward chunk
    push may run Channel.chunk words past it, and no further; it leaves
    the high-water mark to settle_high_water. FIFO order holds across
-   the slack and around the ring. *)
+   the slack and around the ring. A chunk is at least 512 cells and at
+   least 256 words. *)
 let test_channel_chunk_slack () =
+  Alcotest.(check (list int)) "chunk words at W = 1, 2, 4, 8" [ 512; 256; 256; 256 ]
+    (List.map (fun width -> Channel.chunk ~width) [ 1; 2; 4; 8 ]);
+  let chunk = Channel.chunk ~width:1 in
   let c = Channel.create ~name:"c" ~capacity:2 () in
   let push slot v = (Channel.Unsafe.buf_values c).(slot c) <- v in
   (* Move the head so that the chunk wraps around the ring. *)
@@ -81,16 +85,16 @@ let test_channel_chunk_slack () =
   (match Channel.Unsafe.push_slot c with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "push_slot past the capacity must fail");
-  let run = Array.init Channel.chunk (fun i -> float_of_int (i + 2)) in
-  let base = Channel.Unsafe.push_run c Channel.chunk in
-  Channel.Unsafe.blit_values run 0 (Channel.Unsafe.buf_values c) base Channel.chunk;
+  let run = Array.init chunk (fun i -> float_of_int (i + 2)) in
+  let base = Channel.Unsafe.push_run c chunk in
+  Channel.Unsafe.blit_values run 0 (Channel.Unsafe.buf_values c) base chunk;
   (match Channel.Unsafe.push_run c 1 with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "push_run past capacity + chunk must fail");
   Alcotest.(check int) "high water before settling" 2 (Channel.high_water c);
   Channel.Unsafe.settle_high_water c;
-  Alcotest.(check int) "settled high water" (Channel.chunk + 2) (Channel.high_water c);
-  for i = 0 to Channel.chunk + 1 do
+  Alcotest.(check int) "settled high water" (chunk + 2) (Channel.high_water c);
+  for i = 0 to chunk + 1 do
     Alcotest.(check (float 0.)) "fifo across the slack" (float_of_int i)
       (Channel.pop c).Word.values.(0)
   done;
@@ -126,7 +130,7 @@ let prop_channel_bulk_equals_singles =
         (c, pushes, pops)
       in
       let a, a_pushes, a_pops = make () and b, b_pushes, b_pops = make () in
-      let room = (if slack then capacity + Channel.chunk else capacity) - occ in
+      let room = (if slack then capacity + Channel.chunk ~width else capacity) - occ in
       let n = n mod (room + 1) in
       let len = n * width in
       let src = Array.init (len + extra + 1) (fun i -> float_of_int (-i)) in
@@ -188,7 +192,7 @@ let test_bulk_allocation_free () =
   let width = 4 and n = 40 in
   let c = Channel.create_vec ~validity:true ~width ~name:"c" ~capacity:8 () in
   let q = Sf_sim.Spsc.create ~capacity:64 ~lanes:width in
-  let src = Array.make (Channel.chunk * width) 1.5 in
+  let src = Array.make (Channel.chunk ~width * width) 1.5 in
   let src_flags = Array.make (Array.length src) true in
   let dst = Array.make ((n * width) + 3) 0. in
   let flags = Array.make (Array.length dst) true in

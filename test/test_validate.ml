@@ -122,6 +122,34 @@ let test_prepare_error_surfaces () =
       (( = ) (Raised (Interp.Runtime_error "input a: expected extent [4,8], got [8,4]")))
     (fun () -> Engine.run_and_validate ~inputs:[ ("a", Tensor.create [ 8; 4 ]) ] (two_point ()))
 
+(* A completed Jacobi run with one output cell poisoned to NaN is an
+   SF0702 mismatch: a NaN deviation compares false against any bound,
+   so the comparison tells NaNs from numbers first. A NaN input makes
+   NaNs on both sides, which agree, as both evaluators are
+   bit-identical. *)
+let test_nan_against_number () =
+  let p = Sf_kernels.Iterative.(chain ~shape:[ 16; 16 ] Jacobi2d ~length:2) in
+  let simulate inputs =
+    match Engine.run_exn ~config:cheap ~inputs p with
+    | Engine.Completed stats -> (stats, Engine.Internal.compare_to_reference ~inputs p stats)
+    | Engine.Deadlocked { cycle; _ } -> Alcotest.failf "deadlocked at cycle %d" cycle
+  in
+  let inputs = Interp.random_inputs p in
+  let stats, clean = simulate inputs in
+  (match clean with Ok _ -> () | Error d -> Alcotest.failf "clean run: %s" (Diag.to_string d));
+  let _, out = List.hd stats.Engine.results in
+  out.Interp.tensor.Tensor.data.(37) <- Float.nan;
+  (match Engine.Internal.compare_to_reference ~inputs p stats with
+  | Error d -> Alcotest.(check string) "poisoned cell" Diag.Code.sim_mismatch d.Diag.code
+  | Ok _ -> Alcotest.fail "a simulated NaN against a number passed");
+  let _, a = List.hd inputs in
+  a.Tensor.data.(37) <- Float.nan;
+  let stats, both = simulate inputs in
+  let _, out = List.hd stats.Engine.results in
+  Alcotest.(check bool) "the NaN reaches the output" true
+    (Array.exists Float.is_nan out.Interp.tensor.Tensor.data);
+  match both with Ok _ -> () | Error d -> Alcotest.failf "NaN on both sides: %s" (Diag.to_string d)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_paths_agree;
@@ -130,4 +158,5 @@ let suite =
     Alcotest.test_case "missing input raises on both paths" `Quick test_missing_input;
     Alcotest.test_case "simulation Error wins over the oracle" `Quick test_simulation_error_wins;
     Alcotest.test_case "prepare error raises on both paths" `Quick test_prepare_error_surfaces;
+    Alcotest.test_case "NaN against a number is a mismatch" `Quick test_nan_against_number;
   ]
