@@ -120,24 +120,32 @@ type outcome =
    drive the same components; see engine.mli for the contract. The
    engine below opens it. *)
 module Internal = struct
-(* One simulated system: all channels, units, readers, writers and links,
-   each paired with its telemetry probe (absent when telemetry is off). *)
+type comp =
+  | Clink of Link.t
+  | Cwriter of Memory_unit.Writer.t
+  | Cunit of Stencil_unit.t
+  | Creader of Memory_unit.Reader.t
+
+(* One simulated system and its wiring, recorded once by [build]: every
+   channel by its index in creation order; every component by its index
+   in the seed's per-cycle order (links, writers, units consumers before
+   producers, readers), with its telemetry probe (absent when telemetry
+   is off) and its input and output channels; and each channel's
+   producer and consumer component. Names are display text only. *)
 type system = {
-  channels : Channel.t list ref;
-  units : (Stencil_unit.t * Telemetry.probe option) list;
-  readers : (Memory_unit.Reader.t * Telemetry.probe option) list;
-  writers : (string * Memory_unit.Writer.t * Telemetry.probe option) list;
-  links : (Link.t * Telemetry.probe option) list;
+  channels : Channel.t array;
+  comps : comp array;
+  probes : Telemetry.probe option array;
+  ins : int array array;
+  outs : int array array;
+  producer : int array;
+  consumer : int array;
+  outputs : (string * Memory_unit.Writer.t) list;
   mem_controllers : Controller.t array;
   prefetch_bytes : int;
   writers_done : int ref;
       (* Completed-writer counter, bumped by each writer's on_done hook
          so the hot loop's termination test is one integer compare. *)
-  (* Wait-for relationships for deadlock diagnosis: which component
-     consumes each channel, and which component produces each field for a
-     given consumer. *)
-  channel_consumer : (string, string) Hashtbl.t;
-  producer_for : (string * string, string) Hashtbl.t;
 }
 
 let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
@@ -159,11 +167,14 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
   let mem_controllers =
     Array.init num_devices (fun _ -> Controller.create ~bytes_per_cycle:mem_bytes_per_cycle)
   in
-  let channels = ref [] in
+  (* Each channel is created with its index, and each component with its
+     probe and the indices of its inputs and outputs. *)
+  let channels = ref [] and nchannels = ref 0 in
   let new_channel ?validity name capacity =
     let c = Channel.create_vec ?validity ~width:w ~name ~capacity () in
     channels := c :: !channels;
-    c
+    incr nchannels;
+    (!nchannels - 1, c)
   in
   let fault_depths =
     match config.Config.faults.Config.plan with
@@ -178,11 +189,15 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
         | Some b -> b
         | None -> Sf_analysis.Delay_buffer.buffer_for analysis ~src ~dst)
   in
-  let links : (int * int, Link.t * Telemetry.probe option) Hashtbl.t = Hashtbl.create 4 in
+  (* Each link with its probe and its ports' near and far channels,
+     newest first. *)
+  let links : (int * int, Link.t * Telemetry.probe option * (int * int) list ref) Hashtbl.t =
+    Hashtbl.create 4
+  in
   let link_between d1 d2 =
     let key = (min d1 d2, max d1 d2) in
     match Hashtbl.find_opt links key with
-    | Some (l, _) -> l
+    | Some (l, _, ports) -> (l, ports)
     | None ->
         let name = Printf.sprintf "link%d-%d" (fst key) (snd key) in
         let probe = Telemetry.probe telemetry ~kind:Telemetry.Link ~name in
@@ -190,8 +205,9 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
           Link.create ?probe ~name ~bytes_per_cycle:net_bytes_per_cycle
             ~latency_cycles:net_latency_cycles ()
         in
-        Hashtbl.replace links key (l, probe);
-        l
+        let ports = ref [] in
+        Hashtbl.replace links key (l, probe, ports);
+        (l, ports)
   in
   (* Every lookup by name reads the check's facts. Only stencils have a
      home device: inputs live wherever their consumers do. *)
@@ -199,26 +215,21 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
   (* Input channel of each consumer edge, keyed by (src, dst). Cross-device
      edges get a source-side channel, a link port, and the destination-side
      channel with the analysed delay buffer. *)
-  let dst_channel : (string * string, Channel.t) Hashtbl.t = Hashtbl.create 32 in
-  let src_endpoint : (string * string, Channel.t) Hashtbl.t = Hashtbl.create 32 in
-  let channel_consumer : (string, string) Hashtbl.t = Hashtbl.create 32 in
-  let producer_for : (string * string, string) Hashtbl.t = Hashtbl.create 32 in
+  let dst_channel : (string * string, int * Channel.t) Hashtbl.t = Hashtbl.create 32 in
+  let src_endpoint : (string * string, int * Channel.t) Hashtbl.t = Hashtbl.create 32 in
   let make_edge ~src ~dst ~src_device ~dst_device =
     let cap = buffer_for ~src ~dst + channel_slack in
-    Hashtbl.replace producer_for (dst, src) src;
     if src_device = dst_device then begin
       let c = new_channel (Printf.sprintf "%s->%s" src dst) cap in
-      Hashtbl.replace channel_consumer (Channel.name c) dst;
       Hashtbl.replace dst_channel (src, dst) c;
       Hashtbl.replace src_endpoint (src, dst) c
     end
     else begin
       let near = new_channel (Printf.sprintf "%s->%s.tx" src dst) channel_slack in
       let far = new_channel (Printf.sprintf "%s->%s.rx" src dst) cap in
-      Hashtbl.replace channel_consumer (Channel.name near) dst;
-      Hashtbl.replace channel_consumer (Channel.name far) dst;
-      let link = link_between src_device dst_device in
-      Link.add_port link ~src:near ~dst:far ~word_bytes;
+      let link, ports = link_between src_device dst_device in
+      Link.add_port link ~src:(snd near) ~dst:(snd far) ~word_bytes;
+      ports := (fst near, fst far) :: !ports;
       Hashtbl.replace dst_channel (src, dst) far;
       Hashtbl.replace src_endpoint (src, dst) near
     end
@@ -258,9 +269,6 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
                   if device_of c = d then begin
                     let cap = buffer_for ~src:f.Field.name ~dst:c + channel_slack in
                     let ch = new_channel (Printf.sprintf "%s->%s" f.Field.name c) cap in
-                    Hashtbl.replace channel_consumer (Channel.name ch) c;
-                    Hashtbl.replace producer_for (c, f.Field.name)
-                      (Printf.sprintf "read.%s@%d" f.Field.name d);
                     Hashtbl.replace dst_channel (f.Field.name, c) ch;
                     Some ch
                   end
@@ -273,9 +281,9 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
             let r =
               Memory_unit.Reader.create ?probe ~name ~tensor ~vector_width:w
                 ~element_bytes:(Dtype.size_bytes f.Field.dtype) ~controller:mem_controllers.(d)
-                ~outputs:consumer_channels ()
+                ~outputs:(List.map snd consumer_channels) ()
             in
-            readers := (r, probe) :: !readers)
+            readers := (Creader r, probe, [], List.map fst consumer_channels) :: !readers)
           devices
       else
         List.iter
@@ -283,9 +291,8 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
           devices)
     p.Program.inputs;
   (* Writers for declared outputs. *)
-  let writers = ref [] in
   let writers_done = ref 0 in
-  let writer_channels : (string * Channel.t) list =
+  let writers =
     List.map
       (fun o ->
         (* 8 words of buffering in front of each memory writer. *)
@@ -294,16 +301,14 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
         let c = new_channel ~validity:true (Printf.sprintf "%s->mem" o) cap in
         let d = device_of o in
         let name = Printf.sprintf "write.%s@%d" o d in
-        Hashtbl.replace channel_consumer (Channel.name c) name;
         let probe = Telemetry.probe telemetry ~kind:Telemetry.Writer ~name in
         let writer =
           Memory_unit.Writer.create ?probe
             ~on_done:(fun () -> incr writers_done)
             ~name ~shape:p.Program.shape ~vector_width:w ~element_bytes
-            ~controller:mem_controllers.(d) ~input:c ()
+            ~controller:mem_controllers.(d) ~input:(snd c) ()
         in
-        writers := (o, writer, probe) :: !writers;
-        (o, c))
+        (o, writer, probe, c))
       p.Program.outputs
   in
   (* Stencil units, in topological order. *)
@@ -311,6 +316,7 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
     List.map
       (fun (s, lowered) ->
         let name = s.Stencil.name in
+        let streams = ref [] in
         let bindings =
           List.map
             (fun field ->
@@ -322,106 +328,129 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
                   { Stencil_unit.field; axes = f.Field.axes; channel = None;
                     prefetched = Some tensor }
               | Program.Input _ | Program.Op _ ->
+                  let c = Hashtbl.find dst_channel (field, name) in
+                  streams := fst c :: !streams;
                   {
                     Stencil_unit.field;
                     axes = Program.Checked.axes checked field;
-                    channel = Some (Hashtbl.find dst_channel (field, name));
+                    channel = Some (snd c);
                     prefetched = None;
                   })
             (Program.Checked.reads checked name)
         in
-        let consumer_outputs =
-          List.filter_map
-            (fun c -> Hashtbl.find_opt src_endpoint (name, c))
-            (consumers name)
+        let outputs =
+          List.filter_map (fun c -> Hashtbl.find_opt src_endpoint (name, c)) (consumers name)
+          @ List.filter_map
+              (fun (o, _, _, c) -> if String.equal o name then Some c else None)
+              writers
         in
-        let writer_output = List.assoc_opt name writer_channels in
-        let outputs = consumer_outputs @ Option.to_list writer_output in
         let info = Sf_analysis.Delay_buffer.node_info analysis name in
         let probe = Telemetry.probe telemetry ~kind:Telemetry.Unit ~name in
-        ( Stencil_unit.create ?probe ~program:p ~stencil:s ~lowered ~info ~inputs:bindings
-            ~outputs (),
-          probe ))
+        ( Cunit
+            (Stencil_unit.create ?probe ~program:p ~stencil:s ~lowered ~info ~inputs:bindings
+               ~outputs:(List.map snd outputs) ()),
+          probe,
+          List.rev !streams,
+          List.map fst outputs ))
       plan.Interp.stages
   in
+  (* The seed's per-cycle order: links, writers, units consumers before
+     producers (reverse topological order — data pushed this cycle
+     becomes visible next cycle, space freed this cycle is reusable
+     immediately, matching credit-based hardware), readers. *)
+  let wired =
+    Array.of_list
+      (Hashtbl.fold
+         (fun _ (l, probe, ports) acc ->
+           let ports = List.rev !ports in
+           (Clink l, probe, List.map fst ports, List.map snd ports) :: acc)
+         links []
+      @ List.map (fun (_, w, probe, (c, _)) -> (Cwriter w, probe, [ c ], [])) writers
+      @ List.rev units @ List.rev !readers)
+  in
+  let nchannels = !nchannels in
+  let producer = Array.make nchannels (-1) and consumer = Array.make nchannels (-1) in
+  Array.iteri
+    (fun i (_, _, ins, outs) ->
+      List.iter (fun c -> consumer.(c) <- i) ins;
+      List.iter (fun c -> producer.(c) <- i) outs)
+    wired;
   let predicted =
     analysis.Sf_analysis.Delay_buffer.latency_cycles + (Program.cells p / w)
   in
   ( {
-      channels;
-      units;
-      readers = List.rev !readers;
-      writers = List.rev !writers;
-      links = Hashtbl.fold (fun _ l acc -> l :: acc) links [];
+      channels = Array.of_list (List.rev !channels);
+      comps = Array.map (fun (c, _, _, _) -> c) wired;
+      probes = Array.map (fun (_, probe, _, _) -> probe) wired;
+      ins = Array.map (fun (_, _, ins, _) -> Array.of_list ins) wired;
+      outs = Array.map (fun (_, _, _, outs) -> Array.of_list outs) wired;
+      producer;
+      consumer;
+      outputs = List.map (fun (o, w, _, _) -> (o, w)) writers;
       mem_controllers;
       prefetch_bytes = !prefetch_bytes;
       writers_done;
-      channel_consumer;
-      producer_for;
     },
     predicted )
 
 let build ~config ~telemetry ~placement ~inputs p =
   build_plan ~config ~telemetry ~placement ~inputs (Interp.plan p)
 
+let comp_name = function
+  | Clink l -> Link.name l
+  | Cwriter w -> Memory_unit.Writer.name w
+  | Cunit u -> Stencil_unit.name u
+  | Creader r -> Memory_unit.Reader.name r
+
+let comp_kind = function
+  | Clink _ -> Telemetry.Link
+  | Cwriter _ -> Telemetry.Writer
+  | Cunit _ -> Telemetry.Unit
+  | Creader _ -> Telemetry.Reader
+
+(* Component indices in report order: units in topological order (the
+   reverse of the per-cycle order), then readers, writers and links. *)
+let report_order system =
+  let all = List.init (Array.length system.comps) Fun.id in
+  let of_kind k = List.filter (fun i -> comp_kind system.comps.(i) = k) all in
+  List.rev (of_kind Telemetry.Unit)
+  @ of_kind Telemetry.Reader @ of_kind Telemetry.Writer @ of_kind Telemetry.Link
+
 (* Freeze the counter registry: per-component push/pop/byte counts are
    harvested once here from the always-on channel and controller
    counters, so the hot loop pays nothing for them; cause breakdowns
    come from the probes when telemetry was enabled. *)
 let harvest ~telemetry ~system ~cycles ~samples =
-  let sum_pushed chans = List.fold_left (fun a c -> a + Channel.total_pushed c) 0 chans in
-  let sum_popped chans = List.fold_left (fun a c -> a + Channel.total_popped c) 0 chans in
-  let unit_rows =
-    List.map
-      (fun (u, probe) ->
-        Telemetry.counters_row ?probe ~stalled:(Stencil_unit.stall_cycles u)
-          ~pushes:(sum_pushed (Stencil_unit.output_channels u))
-          ~pops:(sum_popped (Stencil_unit.input_channels u))
-          ~name:(Stencil_unit.name u) ~kind:Telemetry.Unit ())
-      system.units
-  in
-  let reader_rows =
-    List.map
-      (fun (r, probe) ->
-        Telemetry.counters_row ?probe
-          ~pushes:(sum_pushed (Memory_unit.Reader.output_channels r))
-          ~bytes:(Memory_unit.Reader.words_streamed r * Memory_unit.Reader.word_bytes r)
-          ~name:(Memory_unit.Reader.name r) ~kind:Telemetry.Reader ())
-      system.readers
-  in
-  let writer_rows =
-    List.map
-      (fun (_, w, probe) ->
-        Telemetry.counters_row ?probe
-          ~pops:(Channel.total_popped (Memory_unit.Writer.input_channel w))
-          ~bytes:(Memory_unit.Writer.bytes_committed w)
-          ~name:(Memory_unit.Writer.name w) ~kind:Telemetry.Writer ())
-      system.writers
-  in
-  let link_rows =
-    List.map
-      (fun (l, probe) ->
-        let ports = Link.port_channels l in
-        Telemetry.counters_row ?probe
-          ~pushes:(sum_pushed (List.map snd ports))
-          ~pops:(sum_popped (List.map fst ports))
-          ~bytes:(Link.bytes_transferred l) ~name:(Link.name l) ~kind:Telemetry.Link ())
-      system.links
+  let total count chans = Array.fold_left (fun a c -> a + count system.channels.(c)) 0 chans in
+  let row i =
+    let c = system.comps.(i) in
+    let stalled, bytes =
+      match c with
+      | Cunit u -> (Some (Stencil_unit.stall_cycles u), 0)
+      | Creader r -> (None, Memory_unit.Reader.words_streamed r * Memory_unit.Reader.word_bytes r)
+      | Cwriter w -> (None, Memory_unit.Writer.bytes_committed w)
+      | Clink l -> (None, Link.bytes_transferred l)
+    in
+    Telemetry.counters_row ?probe:system.probes.(i) ?stalled
+      ~pushes:(total Channel.total_pushed system.outs.(i))
+      ~pops:(total Channel.total_popped system.ins.(i))
+      ~bytes ~name:(comp_name c) ~kind:(comp_kind c) ()
   in
   let channels =
-    List.map
-      (fun c ->
+    Array.fold_right
+      (fun c acc ->
         {
           Telemetry.channel = Channel.name c;
           capacity = Channel.capacity c;
           high_water = Channel.high_water c;
           total_pushed = Channel.total_pushed c;
           total_popped = Channel.total_popped c;
-        })
-      (List.rev !(system.channels))
+        }
+        :: acc)
+      system.channels []
   in
   Telemetry.freeze telemetry ~cycles
-    ~components:(unit_rows @ reader_rows @ writer_rows @ link_rows)
+    ~components:(List.map row (report_order system))
     ~channels ~samples
 
 (* Assemble the completion stats of a finished system. *)
@@ -434,16 +463,18 @@ let completed_stats ~faults ~system ~predicted ~cycles ~report =
     + Array.fold_left (fun acc c -> acc + Controller.bytes_granted c) 0 system.mem_controllers
   in
   let bytes_written =
-    List.fold_left (fun acc (_, w, _) -> acc + Memory_unit.Writer.bytes_committed w) 0 system.writers
+    List.fold_left (fun acc (_, w) -> acc + Memory_unit.Writer.bytes_committed w) 0 system.outputs
   in
   {
     cycles;
     predicted_cycles = predicted;
-    results = List.map (fun (o, w, _) -> (o, Memory_unit.Writer.result w)) system.writers;
+    results = List.map (fun (o, w) -> (o, Memory_unit.Writer.result w)) system.outputs;
     bytes_read = bytes_granted - bytes_written;
     bytes_written;
     network_bytes =
-      List.fold_left (fun acc (l, _) -> acc + Link.bytes_transferred l) 0 system.links;
+      Array.fold_left
+        (fun acc -> function Clink l -> acc + Link.bytes_transferred l | _ -> acc)
+        0 system.comps;
     telemetry = report;
     faults;
   }
@@ -541,24 +572,6 @@ let compare_to_reference ~inputs (p : Program.t) stats =
 (* a fault burst.                                                      *)
 (* ------------------------------------------------------------------ *)
 
-type comp =
-  | Clink of Link.t
-  | Cwriter of Memory_unit.Writer.t
-  | Cunit of Stencil_unit.t
-  | Creader of Memory_unit.Reader.t
-
-(* Links, then writers, units consumers-before-producers (reverse
-   topological order — data pushed this cycle becomes visible next
-   cycle, space freed this cycle is reusable immediately, matching
-   credit-based hardware), readers. The reversal happens once here, not
-   per cycle. *)
-let components system =
-  Array.of_list
-    (List.map (fun (l, _) -> Clink l) system.links
-    @ List.map (fun (_, w, _) -> Cwriter w) system.writers
-    @ List.rev_map (fun (u, _) -> Cunit u) system.units
-    @ List.map (fun (r, _) -> Creader r) system.readers)
-
 (* Piecewise rates of a fast-forward window: the sorted, disjoint
    intervals [a, b) of its relative cycles in which one word moves per
    cycle (none outside them). *)
@@ -637,8 +650,8 @@ type sched = {
 let scheduler ~config ?injector ~finished system =
   let { Config.deadlock_window; _ } = config.Config.safety in
   let { Config.trace_interval; _ } = config.Config.tracing in
+  let { comps; probes; ins; outs; producer; consumer; channels = all_channels; _ } = system in
   let controllers = system.mem_controllers in
-  let comps = components system in
   let cycle = ref 0 in
   let idle_cycles = ref 0 in
   let deadlocked = ref false in
@@ -652,15 +665,6 @@ let scheduler ~config ?injector ~finished system =
   let ready = Array.make ncomps true in
   let wake_at = Array.make ncomps max_int in
   let last_ran = Array.make ncomps (-1) in
-  let probes =
-    Array.map
-      (function
-        | Clink l -> List.assq l system.links
-        | Cwriter w -> List.find_map (fun (_, w', p) -> if w' == w then p else None) system.writers
-        | Cunit u -> List.assq u system.units
-        | Creader r -> List.assq r system.readers)
-      comps
-  in
   (* Credit the cycles component i slept through before [now]: each
      repeats the no-progress record it went to sleep on. *)
   let credit i ~now =
@@ -673,36 +677,15 @@ let scheduler ~config ?injector ~finished system =
       last_ran.(i) <- now - 1
     end
   in
-  (* Wake hooks, derived from the component structure: a push wakes the
-     channel's consumer, a pop wakes its producer. *)
-  let consumer_idx : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let producer_idx : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let mark tbl i c = Hashtbl.replace tbl (Channel.name c) i in
-  Array.iteri
-    (fun i comp ->
-      match comp with
-      | Clink l ->
-          List.iter
-            (fun (src, dst) ->
-              mark consumer_idx i src;
-              mark producer_idx i dst)
-            (Link.port_channels l)
-      | Cwriter w -> mark consumer_idx i (Memory_unit.Writer.input_channel w)
-      | Cunit u ->
-          List.iter (mark consumer_idx i) (Stencil_unit.input_channels u);
-          List.iter (mark producer_idx i) (Stencil_unit.output_channels u)
-      | Creader r -> List.iter (mark producer_idx i) (Memory_unit.Reader.output_channels r))
-    comps;
-  (* Every channel, in creation order. *)
-  let all_channels = Array.of_list (List.rev !(system.channels)) in
-  (* [waits.(i)]: the channel a sleeping unit starved on first, whose
-     push alone can change what its next cycle does or records; pushes
-     into its other inputs leave it asleep. [-1]: any push wakes it. *)
+  (* Wake hooks, from the wiring: a push wakes the channel's consumer, a
+     pop wakes its producer. [waits.(i)]: the channel a sleeping unit
+     starved on first, whose push alone can change what its next cycle
+     does or records; pushes into its other inputs leave it asleep.
+     [-1]: any push wakes it. *)
   let waits = Array.make ncomps (-1) in
   Array.iteri
     (fun ci c ->
-      let i = Hashtbl.find consumer_idx (Channel.name c)
-      and p = Hashtbl.find producer_idx (Channel.name c) in
+      let i = consumer.(ci) and p = producer.(ci) in
       Channel.set_hooks c
         ~on_push:(fun () -> if waits.(i) < 0 || waits.(i) = ci then ready.(i) <- true)
         ~on_pop:(fun () -> ready.(p) <- true))
@@ -730,47 +713,9 @@ let scheduler ~config ?injector ~finished system =
     let h = match injector with Some inj -> Fault_plan.horizon inj | None -> max_int in
     match trace_interval with Some iv -> Int.min h ((from + iv - 1) / iv * iv) | None -> h
   in
-  (* A fault transition wakes the component it targets (a memory
-     controller's flag changes no sleeper's record). *)
-  let by_name = Hashtbl.create 64 in
-  Array.iteri
-    (fun i -> function
-      | Clink l -> Hashtbl.replace by_name (Link.name l) i
-      | Cwriter w -> Hashtbl.replace by_name (Memory_unit.Writer.name w) i
-      | Cunit u -> Hashtbl.replace by_name (Stencil_unit.name u) i
-      | Creader _ -> ())
-    comps;
-  let wake name = Option.iter (fun i -> ready.(i) <- true) (Hashtbl.find_opt by_name name) in
-  (* Channel indices: each channel's consumer and producer component,
-     and each component's input and output channels. *)
+  (* A fault transition wakes the component it targets. *)
+  let wake i = ready.(i) <- true in
   let nchan = Array.length all_channels in
-  let chan_idx : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri (fun i c -> Hashtbl.replace chan_idx (Channel.name c) i) all_channels;
-  let comp_of tbl = Array.map (fun c -> Hashtbl.find tbl (Channel.name c)) all_channels in
-  let consumer = comp_of consumer_idx and producer = comp_of producer_idx in
-  let indices chans =
-    Array.of_list (List.map (fun c -> Hashtbl.find chan_idx (Channel.name c)) chans)
-  in
-  (* A link's inputs and outputs are its ports' near and far channels,
-     in port order. *)
-  let ins =
-    Array.map
-      (function
-        | Cwriter w -> indices [ Memory_unit.Writer.input_channel w ]
-        | Cunit u -> indices (Stencil_unit.input_channels u)
-        | Clink l -> indices (List.map fst (Link.port_channels l))
-        | Creader _ -> [||])
-      comps
-  in
-  let outs =
-    Array.map
-      (function
-        | Cunit u -> indices (Stencil_unit.output_channels u)
-        | Creader r -> indices (Memory_unit.Reader.output_channels r)
-        | Clink l -> indices (List.map snd (Link.port_channels l))
-        | Cwriter _ -> [||])
-      comps
-  in
   (* A window's schedule, per channel: the cycles its producer pushes
      and its consumer pops, each a sorted list of intervals of one word
      per cycle. [first.(c)]: the producer runs before the consumer in a
@@ -806,7 +751,7 @@ let scheduler ~config ?injector ~finished system =
      awake, [max_int] when out of it) and the cycle it stops making
      progress (done), both relative to the window's start. *)
   let start = Array.make ncomps max_int and finish = Array.make ncomps max_int in
-  let nlinks = List.length system.links in
+  let nlinks = Array.fold_left (fun n -> function Clink _ -> n + 1 | _ -> n) 0 comps in
   let is_done = function
     | Clink _ -> false
     | Cwriter w -> Memory_unit.Writer.is_done w
@@ -1037,8 +982,7 @@ let scheduler ~config ?injector ~finished system =
                bandwidth-denied writer must retry after the refill. *)
             if Memory_unit.Writer.cycle w ~now then progress := true
             else if
-              Memory_unit.Writer.is_done w
-              || Channel.is_empty (Memory_unit.Writer.input_channel w)
+              Memory_unit.Writer.is_done w || Channel.is_empty all_channels.(ins.(i).(0))
             then ready.(i) <- false
         | Cunit u ->
             if Stencil_unit.cycle u ~now then progress := true
@@ -1117,23 +1061,26 @@ let scheduler ~config ?injector ~finished system =
 let simulate_plan ~config ~placement ~inputs ~drive plan =
   let telemetry = Telemetry.create ~enabled:config.Config.tracing.Config.telemetry () in
   let system, predicted = build_plan ~config ~telemetry ~placement ~inputs plan in
+  let { comps; ins; outs; producer; consumer; _ } = system in
+  let order = report_order system in
   (* Fault injection binds the plan's streams to the built components. *)
   let injector =
     match config.Config.faults.Config.plan with
     | None -> None
     | Some plan ->
+        let pick f = List.filter_map (fun i -> f i comps.(i)) order in
         Some
           (Fault_plan.create ~seed:config.Config.faults.Config.fault_seed ~plan
-             ~links:(List.map fst system.links)
+             ~links:(pick (fun i -> function Clink l -> Some (l, i) | _ -> None))
              ~controllers:
                (Array.to_list
                   (Array.mapi
                      (fun d c -> (Printf.sprintf "mem@%d" d, c))
                      system.mem_controllers))
-             ~units:(List.map fst system.units)
-             ~writers:(List.map (fun (_, w, _) -> w) system.writers))
+             ~units:(pick (fun i -> function Cunit u -> Some (u, i) | _ -> None))
+             ~writers:(pick (fun i -> function Cwriter w -> Some (w, i) | _ -> None)))
   in
-  let n_writers = List.length system.writers in
+  let n_writers = List.length system.outputs in
   let finished () = !(system.writers_done) >= n_writers in
   let cycle, deadlocked, samples = drive system injector finished in
   let report () = harvest ~telemetry ~system ~cycles:cycle ~samples in
@@ -1142,8 +1089,26 @@ let simulate_plan ~config ~placement ~inputs ~drive plan =
   in
   if deadlocked || not (finished ()) then begin
     (* Wait-for graph: who is each blocked component waiting on?
-       A cycle through it is the circular dependency of Fig. 4. *)
-    let module G = Sf_support.Dgraph.Make (String) in
+       A cycle through it is the circular dependency of Fig. 4. A link
+       only passes words on: a wait on it is a wait on the component at
+       the other end of the port. *)
+    let across c ~from ~onto =
+      let rec go x = if from.(x) = c then onto.(x) else go (x + 1) in
+      go 0
+    in
+    let producer_of c =
+      let p = producer.(c) in
+      match comps.(p) with
+      | Clink _ -> producer.(across c ~from:outs.(p) ~onto:ins.(p))
+      | Cwriter _ | Cunit _ | Creader _ -> p
+    in
+    let consumer_of c =
+      let q = consumer.(c) in
+      match comps.(q) with
+      | Clink _ -> consumer.(across c ~from:ins.(q) ~onto:outs.(q))
+      | Cwriter _ | Cunit _ | Creader _ -> q
+    in
+    let module G = Sf_support.Dgraph.Make (Int) in
     let g = ref G.empty in
     let ensure v = if not (G.mem_vertex !g v) then g := G.add_vertex !g v () in
     let wait_edge waiter waited =
@@ -1152,48 +1117,36 @@ let simulate_plan ~config ~placement ~inputs ~drive plan =
       g := G.add_edge !g ~src:waiter ~dst:waited ()
     in
     List.iter
-      (fun (u, _) ->
-        let name = Stencil_unit.name u in
-        List.iter
-          (function
-            | Stencil_unit.Input_empty { field; _ } -> (
-                match Hashtbl.find_opt system.producer_for (name, field) with
-                | Some producer -> wait_edge name producer
-                | None -> ())
-            | Stencil_unit.Output_full channel -> (
-                match Hashtbl.find_opt system.channel_consumer channel with
-                | Some consumer -> wait_edge name consumer
-                | None -> ()))
-          (Stencil_unit.blockages u))
-      system.units;
-    List.iter
-      (fun (r, _) ->
-        List.iter
-          (fun channel ->
-            match Hashtbl.find_opt system.channel_consumer channel with
-            | Some consumer -> wait_edge (Memory_unit.Reader.name r) consumer
-            | None -> ())
-          (Memory_unit.Reader.full_outputs r))
-      system.readers;
-    List.iter
-      (fun (o, w, _) ->
-        if Memory_unit.Writer.waiting_on_input w then
-          wait_edge (Memory_unit.Writer.name w) o)
-      system.writers;
+      (fun i ->
+        match comps.(i) with
+        | Cunit u ->
+            List.iter
+              (function
+                | Stencil_unit.Input_empty { input; _ } -> wait_edge i (producer_of ins.(i).(input))
+                | Stencil_unit.Output_full k -> wait_edge i (consumer_of outs.(i).(k)))
+              (Stencil_unit.blockages u)
+        | Creader r ->
+            List.iter
+              (fun k -> wait_edge i (consumer_of outs.(i).(k)))
+              (Memory_unit.Reader.full_outputs r)
+        | Cwriter w ->
+            if Memory_unit.Writer.waiting_on_input w then wait_edge i (producer_of ins.(i).(0))
+        | Clink _ -> ())
+      order;
     let wait_cycle =
       match G.topological_sort !g with
       | Ok _ -> []
       | Error remaining ->
           (* Walk successors within the cyclic residue until a repeat. *)
-          let in_residue v = List.exists (String.equal v) remaining in
+          let in_residue v = List.mem v remaining in
           let rec walk path v =
-            if List.exists (String.equal v) path then begin
+            if List.mem v path then begin
               (* [path] holds the visit order newest-first; reverse it and
                  trim everything before the first occurrence of v, leaving
                  the cycle in wait-for order (x waits on its successor). *)
               let rec drop = function
                 | [] -> []
-                | x :: rest -> if String.equal x v then x :: rest else drop rest
+                | x :: rest -> if x = v then x :: rest else drop rest
               in
               drop (List.rev (v :: path))
             end
@@ -1206,35 +1159,35 @@ let simulate_plan ~config ~placement ~inputs ~drive plan =
     in
     let blocked =
       List.filter_map
-        (fun (u, _) ->
-          let reason = function
-            | Stencil_unit.Input_empty { field; _ } -> "waiting on empty input " ^ field
-            | Stencil_unit.Output_full channel -> Printf.sprintf "output %s full" channel
+        (fun i ->
+          let reason =
+            match comps.(i) with
+            | Cunit u -> (
+                let blockage = function
+                  | Stencil_unit.Input_empty { field; _ } -> "waiting on empty input " ^ field
+                  | Stencil_unit.Output_full k ->
+                      Printf.sprintf "output %s full" (Channel.name system.channels.(outs.(i).(k)))
+                in
+                match Stencil_unit.blockages u with
+                | _ when Stencil_unit.is_done u -> None
+                | [] -> Some "pipeline in flight"
+                | bs -> Some (String.concat "; " (List.map blockage bs)))
+            | Creader r -> (
+                match Memory_unit.Reader.full_outputs r with
+                | _ when Memory_unit.Reader.is_done r -> None
+                | [] -> Some "waiting for memory bandwidth"
+                | _ :: _ -> Some "consumer channel full")
+            | Cwriter w -> Memory_unit.Writer.blocked_reason w
+            | Clink _ -> None
           in
-          match Stencil_unit.blockages u with
-          | _ when Stencil_unit.is_done u -> None
-          | [] -> Some (Stencil_unit.name u, "pipeline in flight")
-          | bs -> Some (Stencil_unit.name u, String.concat "; " (List.map reason bs)))
-        system.units
-      @ List.filter_map
-          (fun (r, _) ->
-            match Memory_unit.Reader.full_outputs r with
-            | _ when Memory_unit.Reader.is_done r -> None
-            | [] -> Some (Memory_unit.Reader.name r, "waiting for memory bandwidth")
-            | _ :: _ -> Some (Memory_unit.Reader.name r, "consumer channel full"))
-          system.readers
-      @ List.filter_map
-          (fun (_, w, _) ->
-            Option.map
-              (fun reason -> (Memory_unit.Writer.name w, reason))
-              (Memory_unit.Writer.blocked_reason w))
-          system.writers
+          Option.map (fun r -> (comp_name comps.(i), r)) reason)
+        order
     in
     Deadlocked
       {
         cycle;
         blocked;
-        wait_cycle;
+        wait_cycle = List.map (fun i -> comp_name comps.(i)) wait_cycle;
         timed_out = not deadlocked;
         telemetry = report ();
         faults;

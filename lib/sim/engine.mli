@@ -218,18 +218,44 @@ val to_result : config:config -> outcome -> (stats, Sf_support.Diag.t) result
     test oracle can drive the same components on its own every-cycle
     schedule. Not part of the stable API. *)
 module Internal : sig
+  (** A schedulable component. *)
+  type comp =
+    | Clink of Link.t  (** Cycled whole by {!Link.cycle}. *)
+    | Cwriter of Memory_unit.Writer.t
+    | Cunit of Stencil_unit.t
+    | Creader of Memory_unit.Reader.t
+
   type system = {
-    channels : Channel.t list ref;
-    units : (Stencil_unit.t * Telemetry.probe option) list;
-    readers : (Memory_unit.Reader.t * Telemetry.probe option) list;
-    writers : (string * Memory_unit.Writer.t * Telemetry.probe option) list;
-    links : (Link.t * Telemetry.probe option) list;
+    channels : Channel.t array;  (** Every channel, by index, in creation order. *)
+    comps : comp array;
+        (** Every component, by index, in the seed engine's per-cycle
+            order: links, writers, units in reverse topological order
+            (consumers before producers), readers. *)
+    probes : Telemetry.probe option array;  (** Per component; [None] with telemetry off. *)
+    ins : int array array;
+        (** Per component, its input channels: a unit's streaming inputs
+            in binding order (the indices of {!Stencil_unit.plan_pops}),
+            a writer's one input, a link's ports' near channels in port
+            order; none for a reader. *)
+    outs : int array array;
+        (** Per component, its output channels: a unit's in the order it
+            was given them, a reader's consumers, a link's ports' far
+            channels in port order; none for a writer. *)
+    producer : int array;  (** Per channel, the component that pushes it. *)
+    consumer : int array;  (** Per channel, the component that pops it. *)
+    outputs : (string * Memory_unit.Writer.t) list;
+        (** Each program output and its writer, in declaration order. *)
     mem_controllers : Controller.t array;
     prefetch_bytes : int;
     writers_done : int ref;
-    channel_consumer : (string, string) Hashtbl.t;
-    producer_for : (string * string, string) Hashtbl.t;
   }
+  (** One simulated system and its wiring, recorded once by {!build} as
+      it creates the channels and components. The scheduler's wake
+      hooks, window rates and fault wake-ups, the counter harvest and
+      the deadlock diagnosis all read this table; none of them looks a
+      channel or a component up by name. Names are display text and may
+      repeat: a stencil [b.tx] fed by [a] and the near end of a
+      cross-device edge [a -> b] are both channel [a->b.tx]. *)
 
   val build :
     config:Config.t ->
@@ -240,17 +266,6 @@ module Internal : sig
     system * int
   (** Instantiate the system; the [int] is the model-predicted cycle
       count (Eq. 1). Raises on malformed programs. *)
-
-  (** A schedulable component. *)
-  type comp =
-    | Clink of Link.t  (** Cycled whole by {!Link.cycle}. *)
-    | Cwriter of Memory_unit.Writer.t
-    | Cunit of Stencil_unit.t
-    | Creader of Memory_unit.Reader.t
-
-  val components : system -> comp array
-  (** The links, writers, units and readers, in the seed engine's
-      per-cycle order. *)
 
   type sched = {
     advance : limit:int -> unit;
@@ -268,7 +283,7 @@ module Internal : sig
     samples : unit -> (int * (string * int) list) list;
         (** Occupancy samples, oldest first. *)
   }
-  (** One scheduler over the system's {!components}: the ready set and
+  (** One scheduler over the system's components: the ready set and
       wake hooks, lazy stall credit, fast-forward windows and quiescence
       jumps of docs/SIMULATOR.md. *)
 
@@ -278,10 +293,13 @@ module Internal : sig
     finished:(unit -> bool) ->
     system ->
     sched
-  (** Wires the wake hooks of every channel. The memory controllers are
-      refilled every stepped cycle; [finished] ends an advance early.
-      Windows and jumps stop at occupancy samples and [injector]
-      transitions; no window runs during a burst. *)
+  (** Sets the wake hooks of every channel from the system's wiring (a
+      push wakes {!system.consumer}, a pop {!system.producer}); it
+      derives no graph of its own. The memory controllers are refilled
+      every stepped cycle; [finished] ends an advance early. Windows and
+      jumps stop at occupancy samples and [injector] transitions, and a
+      transition wakes the component index the injector passes; no
+      window runs during a burst. *)
 
   val simulate :
     config:Config.t ->

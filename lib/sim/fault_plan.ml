@@ -265,6 +265,7 @@ type source =
 type stream = {
   s_kind : kind;
   s_target : string;
+  s_comp : int option; (* the target's component index, to wake *)
   apply : int -> unit;
   source : source;
   mutable next_start : int;
@@ -280,41 +281,49 @@ type injector = {
 
 let create ~seed ~(plan : t) ~links ~controllers ~units ~writers =
   let root = Rng.make seed in
-  let targets_for kind : (string * (int -> unit)) list =
+  (* Each candidate target: its name, the component index a transition
+     wakes (none for a memory controller, whose flag changes no
+     sleeper's record) and how a burst applies to it. *)
+  let targets_for kind : (string * int option * (int -> unit)) list =
     match kind with
     | Link_stall ->
-        List.map (fun l -> (Link.name l, fun _ -> Link.set_stalled l true)) links
+        List.map (fun (l, i) -> (Link.name l, Some i, fun _ -> Link.set_stalled l true)) links
     | Link_jitter ->
         List.map
-          (fun l ->
+          (fun (l, i) ->
             ( Link.name l,
+              Some i,
               fun mag -> if mag > Link.extra_latency l then Link.set_extra_latency l mag ))
           links
     | Mem_throttle ->
-        List.map (fun (name, c) -> (name, fun _ -> Controller.set_denied c true)) controllers
+        List.map (fun (name, c) -> (name, None, fun _ -> Controller.set_denied c true)) controllers
     | Write_backpressure ->
         List.map
-          (fun w -> (Memory_unit.Writer.name w, fun _ -> Memory_unit.Writer.set_blocked w true))
+          (fun (w, i) ->
+            (Memory_unit.Writer.name w, Some i, fun _ -> Memory_unit.Writer.set_blocked w true))
           writers
     | Unit_hiccup ->
-        List.map (fun u -> (Stencil_unit.name u, fun _ -> Stencil_unit.set_hiccup u true)) units
+        List.map
+          (fun (u, i) -> (Stencil_unit.name u, Some i, fun _ -> Stencil_unit.set_hiccup u true))
+          units
   in
   let matching target candidates =
     match target with
     | None -> candidates
-    | Some t -> List.filter (fun (name, _) -> String.equal name t) candidates
+    | Some t -> List.filter (fun (name, _, _) -> String.equal name t) candidates
   in
   let burst_streams =
     List.concat
       (List.mapi
          (fun bi (b : Burst.t) ->
            List.map
-             (fun (name, apply) ->
+             (fun (name, comp, apply) ->
                let rng = Rng.split root (Printf.sprintf "%s/%s/%d" (kind_name b.kind) name bi) in
                let next_start = 1 + Rng.int rng (2 * b.gap) in
                {
                  s_kind = b.kind;
                  s_target = name;
+                 s_comp = comp;
                  apply;
                  source =
                    Renewal
@@ -346,13 +355,14 @@ let create ~seed ~(plan : t) ~links ~controllers ~units ~writers =
       (fun (kind, target) ->
         match matching (Some target) (targets_for kind) with
         | [] -> None
-        | (name, apply) :: _ ->
+        | (name, comp, apply) :: _ ->
             let q = !(Hashtbl.find tbl (kind_name kind, target)) in
             let queue = List.sort compare q in
             Some
               {
                 s_kind = kind;
                 s_target = name;
+                s_comp = comp;
                 apply;
                 source = Scripted { queue };
                 next_start = (match queue with (s, _, _) :: _ -> s | [] -> max_int);
@@ -363,14 +373,14 @@ let create ~seed ~(plan : t) ~links ~controllers ~units ~writers =
   in
   let clear =
     List.map
-      (fun l ->
+      (fun (l, _) ->
         fun () ->
          Link.set_stalled l false;
          Link.set_extra_latency l 0)
       links
     @ List.map (fun (_, c) -> fun () -> Controller.set_denied c false) controllers
-    @ List.map (fun u -> fun () -> Stencil_unit.set_hiccup u false) units
-    @ List.map (fun w -> fun () -> Memory_unit.Writer.set_blocked w false) writers
+    @ List.map (fun (u, _) -> fun () -> Stencil_unit.set_hiccup u false) units
+    @ List.map (fun (w, _) -> fun () -> Memory_unit.Writer.set_blocked w false) writers
   in
   {
     clear;
@@ -388,7 +398,7 @@ let tick inj ~now ~wake =
     (fun s ->
       if s.active_until >= 0 && now >= s.active_until then begin
         s.active_until <- -1;
-        wake s.s_target;
+        Option.iter wake s.s_comp;
         match s.source with
         | Renewal r -> s.next_start <- now + 1 + Rng.int r.rng (2 * r.gap)
         | Scripted _ -> ()
@@ -397,7 +407,7 @@ let tick inj ~now ~wake =
         let activate dur mag =
           s.active_until <- now + dur;
           s.magnitude <- mag;
-          wake s.s_target;
+          Option.iter wake s.s_comp;
           inj.event_log <-
             { Event.kind = s.s_kind; target = s.s_target; start = now; duration = dur;
               magnitude = mag }

@@ -111,21 +111,23 @@ type injector
 val create :
   seed:int ->
   plan:t ->
-  links:Link.t list ->
+  links:(Link.t * int) list ->
   controllers:(string * Controller.t) list ->
-  units:Stencil_unit.t list ->
-  writers:Memory_unit.Writer.t list ->
+  units:(Stencil_unit.t * int) list ->
+  writers:(Memory_unit.Writer.t * int) list ->
   injector
-(** Bind a plan to a built system. Targets that name absent components
-    are dropped (a plan written for a multi-device run stays usable on a
-    single-device degrade). *)
+(** Bind a plan to a built system: each link, unit and writer comes with
+    its component index, which {!tick} passes to [wake]. Targets that
+    name absent components are dropped (a plan written for a
+    multi-device run stays usable on a single-device degrade). *)
 
-val tick : injector -> now:int -> wake:(string -> unit) -> unit
+val tick : injector -> now:int -> wake:(int -> unit) -> unit
 (** Advance the fault timeline to cycle [now]: clear every component's
     fault flags, then re-apply the flags of all streams active at [now].
-    [wake] gets the target of every stream that starts or ends a burst
-    at [now]. The engine ticks every cycle it steps, before running
-    components, and skips no cycle past {!horizon}. *)
+    [wake] gets the component index of the target of every stream that
+    starts or ends a burst at [now] (a memory controller has none). The
+    engine ticks every cycle it steps, before running components, and
+    skips no cycle past {!horizon}. *)
 
 val horizon : injector -> int
 (** The next cycle after the last {!tick} at which a stream starts or

@@ -213,7 +213,6 @@ let bytes_transferred t = Controller.bytes_granted t.controller
 
 let is_idle t = Array.for_all (fun p -> Spsc.front p.ring < 0) t.ports
 
-let port_channels t = Array.to_list (Array.map (fun p -> (p.src, p.dst)) t.ports)
 let sources_empty t = Array.for_all (fun p -> Channel.is_empty p.src) t.ports
 
 let next_arrival t ~now =

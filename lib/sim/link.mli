@@ -34,10 +34,6 @@ val bytes_transferred : t -> int
 val is_idle : t -> bool
 (** No words in flight. *)
 
-val port_channels : t -> (Channel.t * Channel.t) list
-(** [(src, dst)] channel pair of every registered port, for the engine's
-    wake-hook wiring. *)
-
 val sources_empty : t -> bool
 (** No port has a word waiting for injection. A link with empty sources
     and either empty or blocked in-flight rings can be put to sleep. *)
@@ -68,8 +64,8 @@ val plan : t -> now:int -> int
 
 val plan_delivers : t -> int -> bool
 val plan_injects : t -> int -> bool
-(** The roles [plan] chose for the port at an index (in
-    {!port_channels} order). *)
+(** The roles [plan] chose for the port at an index (in {!add_port}
+    order). *)
 
 val plan_chunk : t -> int
 (** The most cycles one chunk of the window may run: a port that

@@ -33,7 +33,6 @@ module Reader = struct
   let name t = t.name
   let words_remaining t = t.n_words - t.pos
   let words_streamed t = t.pos
-  let output_channels t = Array.to_list t.outputs
   let word_bytes t = t.vector_width * t.element_bytes
 
   (* Multicast the next [n] words in place: [n] fresh slots per output,
@@ -48,22 +47,24 @@ module Reader = struct
     done;
     t.pos <- t.pos + n
 
-  (* The consumer channels exerting backpressure, none when done. *)
+  (* The outputs exerting backpressure, by position, none when done. *)
   let full_outputs t =
-    if is_done t then []
-    else
-      Array.fold_right
-        (fun c acc -> if Channel.is_full c then Channel.name c :: acc else acc)
-        t.outputs []
+    let acc = ref [] in
+    if not (is_done t) then
+      for k = Array.length t.outputs - 1 downto 0 do
+        if Channel.is_full t.outputs.(k) then acc := k :: !acc
+      done;
+    !acc
 
   let cycle t ~now =
     if is_done t then false
     else
       match full_outputs t with
-      | channel :: _ ->
+      | k :: _ ->
           (match t.probe with
           | None -> ()
-          | Some p -> Telemetry.stall p ~now ~channel Telemetry.Output_full);
+          | Some p ->
+              Telemetry.stall p ~now ~channel:(Channel.name t.outputs.(k)) Telemetry.Output_full);
           false
       | [] when not (Controller.request t.controller (t.vector_width * t.element_bytes)) ->
           (match t.probe with
@@ -129,7 +130,6 @@ module Writer = struct
   let is_done t = t.pos >= t.n_words
   let name t = t.name
   let words_remaining t = t.n_words - t.pos
-  let input_channel t = t.input
   let bytes_committed t = t.bytes_committed
 
   let front_valid_count t =

@@ -28,7 +28,6 @@ module Reader : sig
   val name : t -> string
   val words_remaining : t -> int
   val words_streamed : t -> int
-  val output_channels : t -> Channel.t list
   val word_bytes : t -> int
 
   val run_fast : t -> int -> unit
@@ -37,10 +36,11 @@ module Reader : sig
       for them in every output (up to {!Channel.chunk} words past the
       capacity) and the controller to be {!Controller.is_unlimited}. *)
 
-  val full_outputs : t -> string list
-  (** The consumer channels exerting backpressure, in order; [\[\]]
-      when done. The first one is the channel {!cycle} blames for a
-      stall, and the deadlock diagnosis reads them all. *)
+  val full_outputs : t -> int list
+  (** The consumer channels exerting backpressure, by position in
+      [outputs], in order; [\[\]] when done. The first one is the
+      channel {!cycle} blames for a stall, and the deadlock diagnosis
+      reads them all. *)
 end
 
 module Writer : sig
@@ -75,7 +75,6 @@ module Writer : sig
       DRAM write stall. Cleared by the injector each cycle. *)
 
   val words_remaining : t -> int
-  val input_channel : t -> Channel.t
 
   val bytes_committed : t -> int
   (** Bytes of valid (non-shrunk) elements committed so far. *)

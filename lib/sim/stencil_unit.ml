@@ -174,10 +174,6 @@ let is_done t = t.step >= total_steps t && pend_count t = 0
 let stall_cycles t = t.stalls
 let add_stalls t n = t.stalls <- t.stalls + n
 
-let input_channels t =
-  Array.to_list t.inputs |> List.filter_map (fun i -> i.channel)
-
-let output_channels t = Array.to_list t.outputs
 let next_release t = Release_line.head t.pend
 
 (* Input [i] must consume a word at pipeline step [s]. *)
@@ -290,25 +286,27 @@ let try_step t ~now =
     !ready
   end
 
-type blockage = Input_empty of { field : string; channel : string } | Output_full of string
+type blockage = Input_empty of { field : string; input : int } | Output_full of int
 
 (* What blocks the unit, in the order a hardware pipeline would observe
    it: the empty inputs it must pop, then the full outputs it must push.
    Nothing here means it waits on its own pending line (words still
    propagating through the compute latency). *)
 let blockages t =
-  if is_done t then []
-  else
-    Array.fold_right
-      (fun i acc ->
-        match i.channel with
-        | Some c when consuming_active t i && Channel.is_empty c ->
-            Input_empty { field = i.field; channel = Channel.name c } :: acc
-        | Some _ | None -> acc)
-      t.inputs
-      (Array.fold_right
-         (fun c acc -> if Channel.is_full c then Output_full (Channel.name c) :: acc else acc)
-         t.outputs [])
+  let acc = ref [] in
+  if not (is_done t) then begin
+    for k = Array.length t.outputs - 1 downto 0 do
+      if Channel.is_full t.outputs.(k) then acc := Output_full k :: !acc
+    done;
+    for k = Array.length t.inputs - 1 downto 0 do
+      let i = t.inputs.(k) in
+      match i.channel with
+      | Some c when consuming_active t i && Channel.is_empty c ->
+          acc := Input_empty { field = i.field; input = k } :: !acc
+      | Some _ | None -> ()
+    done
+  end;
+  !acc
 
 let starved_input t =
   let r = ref (-1) and k = ref 0 in
@@ -340,10 +338,11 @@ let cycle t ~now =
     | None -> ()
     | Some p -> (
         match if t.hiccup then [] else blockages t with
-        | Input_empty { channel; _ } :: _ ->
+        | Input_empty { input; _ } :: _ ->
+            let channel = Channel.name (Option.get t.inputs.(input).channel) in
             Telemetry.stall p ~now ~channel Telemetry.Input_starved
-        | Output_full channel :: _ ->
-            Telemetry.stall p ~now ~channel Telemetry.Output_full
+        | Output_full k :: _ ->
+            Telemetry.stall p ~now ~channel:(Channel.name t.outputs.(k)) Telemetry.Output_full
         | [] -> Telemetry.stall p ~now Telemetry.Pipeline_drain)
   end;
   progress

@@ -64,11 +64,6 @@ val set_hiccup : t -> bool -> unit
     pipeline stall) and {!plan} returns [0]. Cleared by the injector
     each cycle. *)
 
-val input_channels : t -> Channel.t list
-(** Streaming (full-rank) input channels, for wake-hook wiring. *)
-
-val output_channels : t -> Channel.t list
-
 val next_release : t -> int
 (** Release cycle of the oldest pending word, or [max_int] when the
     pending line is empty — the unit's next self-wake time. *)
@@ -102,7 +97,8 @@ val plan_flushes : t -> int -> bool
 
 val plan_pops : t -> int -> int -> bool
 (** [plan_pops t j k]: whether segment [j] consumes one word per cycle
-    from the [k]th channel of {!input_channels}. *)
+    from its [k]th streaming input: the [k]th binding of [inputs] that
+    has a channel. *)
 
 val run_planned : t -> now:int -> int -> unit
 (** [run_planned t ~now n] executes the planned cycles among [now] to
@@ -112,15 +108,16 @@ val run_planned : t -> now:int -> int -> unit
     bulk push per output). Requires [n <= Channel.chunk ~width:W]. *)
 
 val starved_input : t -> int
-(** The index in {!input_channels} of the first input the unit must pop
+(** The streaming-input index (as in {!plan_pops}) of the first input the unit must pop
     that is empty, the blockage a stall records first; [-1] when there
     is none, when done, or in a hiccup. Until that channel is pushed,
     pushes into the unit's other inputs change neither whether it can
     progress nor what it records. *)
 
 (** What blocks a unit: an input it must pop that is empty (by field,
-    with its channel), or an output channel that is full. *)
-type blockage = Input_empty of { field : string; channel : string } | Output_full of string
+    with its streaming-input index, as in {!plan_pops}), or a full
+    output (by its position in [outputs]). *)
+type blockage = Input_empty of { field : string; input : int } | Output_full of int
 
 val blockages : t -> blockage list
 (** Every blockage, empty inputs first, each group in channel order;

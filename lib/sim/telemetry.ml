@@ -46,6 +46,7 @@ type span = {
    the same (cause, channel) extend the open span. *)
 type probe = {
   pname : string;
+  id : int;  (* registration order: orders spans of components that share a name *)
   by_cause : int array;
   blamed : (string, int) Hashtbl.t;
   mutable busy_cycles : int;
@@ -56,10 +57,10 @@ type probe = {
   mutable open_channel : string;
   mutable open_start : int;
   mutable open_last : int;
-  spans : span list ref;  (* shared with the collector, reversed *)
+  spans : (int * span) list ref;  (* by probe id, shared with the collector, reversed *)
 }
 
-type t = { enabled : bool; mutable probes : probe list; closed_spans : span list ref }
+type t = { enabled : bool; mutable probes : probe list; closed_spans : (int * span) list ref }
 
 let create ~enabled () = { enabled; probes = []; closed_spans = ref [] }
 
@@ -69,6 +70,7 @@ let probe t ~kind:_ ~name =
     let p =
       {
         pname = name;
+        id = List.length t.probes;
         by_cause = Array.make n_causes 0;
         blamed = Hashtbl.create 4;
         busy_cycles = 0;
@@ -90,13 +92,14 @@ let close_span p =
     let label = "stall:" ^ cause_name (List.nth all_causes p.open_cause) in
     let blocking = if p.open_channel = "" then None else Some p.open_channel in
     p.spans :=
-      {
-        track = p.pname;
-        label;
-        start_cycle = p.open_start;
-        end_cycle = p.open_last + 1;
-        blocking;
-      }
+      ( p.id,
+        {
+          track = p.pname;
+          label;
+          start_cycle = p.open_start;
+          end_cycle = p.open_last + 1;
+          blocking;
+        } )
       :: !(p.spans);
     p.open_cause <- -1
   end
@@ -204,21 +207,26 @@ let freeze t ~cycles ~components ~channels ~samples =
     (fun p ->
       if p.first_active >= 0 then
         t.closed_spans :=
-          {
-            track = p.pname;
-            label = "active";
-            start_cycle = p.first_active;
-            end_cycle = p.last_active + 1;
-            blocking = None;
-          }
+          ( p.id,
+            {
+              track = p.pname;
+              label = "active";
+              start_cycle = p.first_active;
+              end_cycle = p.last_active + 1;
+              blocking = None;
+            } )
           :: !(t.closed_spans))
     t.probes;
+  (* Components that share a name share a track; their spans are then
+     ordered by component, not by when the schedule closed them. *)
   let spans =
-    List.stable_sort
-      (fun a b ->
-        if a.start_cycle <> b.start_cycle then compare a.start_cycle b.start_cycle
-        else compare a.track b.track)
-      (List.rev !(t.closed_spans))
+    List.map snd
+      (List.stable_sort
+         (fun (i, a) (j, b) ->
+           if a.start_cycle <> b.start_cycle then compare a.start_cycle b.start_cycle
+           else if a.track <> b.track then compare a.track b.track
+           else compare i j)
+         (List.rev !(t.closed_spans)))
   in
   { enabled = t.enabled; cycles; components; channels; samples; spans }
 

@@ -1,5 +1,5 @@
 (* The seed engine's schedule, kept as a test oracle: every component
-   runs every cycle in the fixed order of [Engine.Internal.components],
+   runs every cycle in the fixed order of [Engine.Internal.system.comps],
    with no ready set, no windows and no jumps. The engine's one
    scheduler must reproduce everything it observes: cycles, counters,
    the Chrome trace, occupancy samples, fault summaries and deadlock
@@ -13,7 +13,6 @@ let run_exn ?(config = Engine.Config.default) ?(placement = fun _ -> 0) ~inputs 
   let max_cycles = Option.value max_cycles ~default:max_int in
   let interval = config.Engine.Config.tracing.Engine.Config.trace_interval in
   I.simulate ~config ~placement ~inputs p ~drive:(fun system injector finished ->
-      let comps = I.components system in
       let run now = function
         | I.Clink l -> Link.cycle l ~now
         | I.Cwriter w -> Memory_unit.Writer.cycle w ~now
@@ -25,11 +24,11 @@ let run_exn ?(config = Engine.Config.default) ?(placement = fun _ -> 0) ~inputs 
         let now = !cycle in
         Array.iter (fun c -> Controller.begin_cycle c ~now) system.I.mem_controllers;
         Option.iter (fun inj -> Fault_plan.tick inj ~now ~wake:ignore) injector;
-        let progress = Array.fold_left (fun acc c -> run now c || acc) false comps in
+        let progress = Array.fold_left (fun acc c -> run now c || acc) false system.I.comps in
         (match interval with
         | Some iv when now mod iv = 0 ->
             let occupancy c = (Channel.name c, Channel.occupancy c) in
-            samples := (now, List.rev_map occupancy !(system.I.channels)) :: !samples
+            samples := (now, Array.to_list (Array.map occupancy system.I.channels)) :: !samples
         | Some _ | None -> ());
         if progress then idle := 0 else incr idle;
         incr cycle

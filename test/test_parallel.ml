@@ -75,13 +75,27 @@ let test_net_capped_parity () =
     ~placement:(function "b" -> 1 | _ -> 0)
     "bidirectional-capped" (Fixtures.diamond ~span:5 ())
 
-(* An under-buffered diamond split across two devices must reproduce the
-   oracle's SF0701 diagnosis verbatim (blocked set and circular wait). *)
+(* The under-buffered diamond split across two devices. Cut after [b],
+   the link's buffering covers the shrunk skip edge and the run
+   completes. With [b] alone on device 1, [a] fills the skip edge to
+   [c], [c] waits on [b] across the link and [b] on [a]: the run must
+   stop with the SF0701 diagnosis recorded below, in the engine and in
+   the oracle alike (both share the diagnosis code, so the literal is
+   what pins it). *)
 let test_deadlock_parity () =
+  let p = Fixtures.diamond ~shape:[ 8; 16 ] ~span:5 () in
   check_parity ~config:deadlock_config
     ~placement:(function "a" | "b" -> 0 | _ -> 1)
-    "deadlock-diamond-2dev"
-    (Fixtures.diamond ~shape:[ 8; 16 ] ~span:5 ())
+    "diamond-2dev-cut-after-b" p;
+  let placement = function "b" -> 1 | _ -> 0 in
+  check_parity ~config:deadlock_config ~placement "deadlock-diamond-2dev" p;
+  Alcotest.(check string)
+    "deadlock-diamond-2dev: diagnosis"
+    "deadlock@326 blocked=[a:output a->c full,b:waiting on empty input a,c:waiting on empty \
+     input b,read.x@0:consumer channel full,write.c@0:waiting on empty input stream] \
+     wait=[a->c->b->a]"
+    (Test_sim_parity.signature
+       (Engine.run_exn ~config:deadlock_config ~placement ~inputs:(Interp.random_inputs p) p))
 
 (* The link rows and every other counter must serialize to the exact
    same counters document the oracle's run produces. *)

@@ -172,6 +172,58 @@ let matches_oracle ~config ?placement ~inputs p outcome =
 let same_as_oracle ~config ?placement ~inputs p =
   matches_oracle ~config ?placement ~inputs p (Engine.run_exn ~config ?placement ~inputs p)
 
+(* Rename a program's stencils, one drawn choice [c] per stencil in
+   order (missing choices keep the name). [c mod 12] below 6 keeps it;
+   otherwise it picks a name that collides with what the engine names
+   its channels and components: [mem] (a writer's channel is
+   [<o>->mem]), [<s>.tx] or [<s>.rx] of the stencil [s] that [c / 12]
+   draws (the ends of a cross-device edge into [s]), a name containing
+   [->], the link [link0-1] or the writer [write.<o>@0] of a drawn
+   output [o]. A name already taken keeps the original. Accesses are
+   renamed as [Timeloop.unroll] does. *)
+let rename_stencils (p : Sf_ir.Program.t) choices =
+  let open Sf_ir in
+  let names = List.map (fun s -> s.Stencil.name) p.Program.stencils in
+  let nth l c = List.nth l (c / 12 mod List.length l) in
+  let taken = Hashtbl.create 8 in
+  let renamed =
+    List.mapi
+      (fun k name ->
+        let c = match List.nth_opt choices k with Some c -> c | None -> 0 in
+        let candidate =
+          match c mod 12 with
+          | 6 -> "mem"
+          | 7 -> nth names c ^ ".tx"
+          | 8 -> nth names c ^ ".rx"
+          | 9 -> name ^ "->" ^ nth names c
+          | 10 -> "link0-1"
+          | 11 -> Printf.sprintf "write.%s@0" (nth p.Program.outputs c)
+          | _ -> name
+        in
+        let fresh = if Hashtbl.mem taken candidate then name else candidate in
+        Hashtbl.replace taken fresh ();
+        (name, fresh))
+      names
+  in
+  let rename f = Option.value (List.assoc_opt f renamed) ~default:f in
+  let stencil (st : Stencil.t) =
+    let rewrite =
+      Expr.map_accesses (fun ~field ~offsets -> Expr.Access { field = rename field; offsets })
+    in
+    Stencil.make
+      ~boundary:(List.map (fun (f, b) -> (rename f, b)) st.Stencil.boundary)
+      ~shrink:st.Stencil.shrink ~name:(rename st.Stencil.name)
+      {
+        Expr.lets = List.map (fun (n, e) -> (n, rewrite e)) st.Stencil.body.Expr.lets;
+        result = rewrite st.Stencil.body.Expr.result;
+      }
+  in
+  {
+    p with
+    Program.stencils = List.map stencil p.Program.stencils;
+    outputs = List.map rename p.Program.outputs;
+  }
+
 (* The one scheduler against the oracle over random programs, always
    instrumented. Each draw also picks an occupancy sampling interval,
    a fault seed under [Fault_plan.default] and a cycle budget (some runs
@@ -184,7 +236,8 @@ let same_as_oracle ~config ?placement ~inputs p =
    budget keeps all but a single one-lane port on the per-cycle path,
    while 16 and 33 let links into windows. A run must complete unless
    its budget runs out, and the same run with telemetry off must show
-   the same signature. *)
+   the same signature. The stencils are renamed by [rename_stencils],
+   so names repeat across channels and components. *)
 let prop_schedules_agree =
   let options =
     QCheck.(
@@ -196,15 +249,17 @@ let prop_schedules_agree =
            (option ~ratio:0.5
               (pair (int_range 2 4)
                  (frequencyl ~print:string_of_float [ (2, infinity); (1, 4.); (1, 16.) ]))))
-        (pair
+        (triple
            (oneofl ~print:string_of_int [ 0; 1; 8; 128 ])
-           (oneofl ~print:string_of_float [ infinity; 4.; 16.; 33. ])))
+           (oneofl ~print:string_of_float [ infinity; 4.; 16.; 33. ])
+           (list_of_size (Gen.return 5) (int_bound 59))))
   in
   QCheck.Test.make ~count:300 ~name:"random programs: fast-forward matches the oracle"
     (QCheck.pair Program_gen.arbitrary_adversarial_program options)
     (fun ( p,
            ( (trace_interval, fault_seed, max_cycles, multi_device),
-             (net_latency_cycles, net_bytes_per_cycle) ) ) ->
+             (net_latency_cycles, net_bytes_per_cycle, renaming) ) ) ->
+      let p = rename_stencils p renaming in
       let config =
         {
           cheap with
@@ -400,6 +455,52 @@ let test_link_windows_match_oracle () =
           Alcotest.failf "latency %d, %g B/cycle: %s" net_latency_cycles net_bytes_per_cycle m)
     [ (1, infinity); (8, infinity); (128, infinity); (8, 4.) ]
 
+(* Names are display text and may repeat. Stencil [b.tx] reads [a] on
+   [a]'s device while [b] reads it across a link, so the same-device
+   channel and the near end of the link are both [a->b.tx]; output [o]
+   read by a stencil named [mem] gives the edge and the writer's input
+   both the name [o->mem]. Each run must complete, validate and equal
+   the oracle. *)
+let test_repeated_names_match_oracle () =
+  let open Sf_ir in
+  let module E = Builder.E in
+  let program name stencils outputs =
+    let b = Builder.create ~name ~shape:[ 8; 16 ] () in
+    Builder.input b "x";
+    List.iter (fun (s, e) -> Builder.stencil b s e) stencils;
+    List.iter (Builder.output b) outputs;
+    Builder.finish b
+  in
+  let tx =
+    program "tx_name"
+      E.
+        [
+          ("a", acc "x" [ 0; 0 ] *% c 2.);
+          ("b.tx", acc "a" [ 0; 0 ] +% c 1.);
+          ("b", acc "a" [ 0; 0 ] *% c 3.);
+        ]
+      [ "b.tx"; "b" ]
+  and mem =
+    program "mem_name"
+      E.[ ("o", acc "x" [ 0; 0 ] *% c 2.); ("mem", acc "o" [ 0; 0 ] +% c 1.) ]
+      [ "o"; "mem" ]
+  in
+  let contiguous p =
+    match Sf_mapping.Partition.contiguous ~devices:2 p with
+    | Ok pt -> Sf_mapping.Partition.placement_fn pt
+    | Error d -> Alcotest.fail d.Diag.message
+  in
+  List.iter
+    (fun (name, p, placement) ->
+      let config = instrumented () and inputs = Interp.random_inputs p in
+      (match Engine.run_and_validate ~config ~placement ~inputs p with
+      | Ok _ -> ()
+      | Error d -> Alcotest.failf "%s: %s" name (Diag.to_string d));
+      match same_as_oracle ~config ~placement ~inputs p with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s: %s" name m)
+    [ ("b.tx on 2 devices", tx, contiguous tx); ("mem", mem, fun _ -> 0) ]
+
 (* With telemetry off the probes are [None]: no spans accumulate, but
    the always-on aggregates are still harvested. *)
 let test_disabled_report_shape () =
@@ -538,6 +639,8 @@ let suite =
     Alcotest.test_case "shipped examples match the oracle" `Slow test_examples_match_oracle;
     Alcotest.test_case "link windows match the oracle on a cut diamond" `Quick
       test_link_windows_match_oracle;
+    Alcotest.test_case "repeated channel names match the oracle" `Quick
+      test_repeated_names_match_oracle;
     Alcotest.test_case "disabled report keeps always-on aggregates" `Quick
       test_disabled_report_shape;
     Alcotest.test_case "attribution blames the undersized channel" `Quick
