@@ -68,7 +68,40 @@ let dim_names = [| "k"; "j"; "i" |]
 (* Dimension variable names for a rank-d space: the last d entries. *)
 let dims_for rank = Array.to_list (Array.sub dim_names (3 - rank) rank)
 
-let channel_name ~src ~dst = Printf.sprintf "ch_%s__%s" src dst
+(* The reserved names are those that the fixed parts of identifiers
+   could complete: [ch_<o>__mem] (an output's memory channel),
+   [out_mem_<s>] (a processing element's memory port) and
+   [buf_<f>_dev<d>] (a host buffer). An escaped name starts with a
+   digit, so it is no plain name, and it decodes back, so no two names
+   meet. Neither kind contains [__] or ends in [_], so [__] joins two
+   names unambiguously. *)
+let ident name =
+  let alnum = function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> true | _ -> false in
+  let digits s = s <> "" && String.for_all (function '0' .. '9' -> true | _ -> false) s in
+  let words = String.split_on_char '_' name in
+  let last = List.nth words (List.length words - 1) in
+  let plain =
+    List.for_all (fun w -> w <> "" && String.for_all alnum w) words
+    && (match name.[0] with 'a' .. 'z' | 'A' .. 'Z' -> true | _ -> false)
+    && List.hd words <> "mem"
+    && not
+         (List.length words > 1
+         && String.starts_with ~prefix:"dev" last
+         && digits (String.sub last 3 (String.length last - 3)))
+  in
+  if plain then name
+  else begin
+    let b = Buffer.create ((3 * String.length name) + 1) in
+    Buffer.add_char b '0';
+    String.iter
+      (fun c -> if alnum c then Buffer.add_char b c else Printf.bprintf b "_%02X" (Char.code c))
+      name;
+    Buffer.contents b
+  end
+
+let channel_name ~src ~dst = Printf.sprintf "ch_%s__%s" (ident src) (ident dst)
+let memory_channel o = Printf.sprintf "ch_%s__mem" (ident o)
+let smi_channel ~src ~dst = Printf.sprintf "smi_%s__%s" (ident src) (ident dst)
 
 (* The compute phase's body for lane v of [cell], as both backends emit
    it: the multi-index of cell + v (for boundary predication), the lets
@@ -87,7 +120,7 @@ let emit_compute buf checked buffers (s : Stencil.t) ~result =
         (List.nth shape d))
     dims;
   let tap (b : Sf_analysis.Internal_buffer.t) offsets =
-    Printf.sprintf "sr_%s[%d + v]" b.field
+    Printf.sprintf "sr_%s[%d + v]" (ident b.field)
       Sf_analysis.Internal_buffer.(tap b (flatten_offset ~shape offsets))
   in
   let access ~field ~offsets =
@@ -119,7 +152,7 @@ let emit_compute buf checked buffers (s : Stencil.t) ~result =
         end
     | None ->
         let axes = Program.Checked.axes checked field in
-        if axes = [] then Printf.sprintf "pref_%s[0]" field
+        if axes = [] then Printf.sprintf "pref_%s[0]" (ident field)
         else begin
           let index =
             Sf_support.Util.string_concat_map " + "
@@ -132,7 +165,7 @@ let emit_compute buf checked buffers (s : Stencil.t) ~result =
                 Printf.sprintf "(%s + (%d)) * %d" (List.nth dims axis) o extent_inner)
               (List.combine axes offsets)
           in
-          Printf.sprintf "pref_%s[%s]" field index
+          Printf.sprintf "pref_%s[%s]" (ident field) index
         end
   in
   let body = scheduled_body s.Stencil.body in
@@ -153,10 +186,10 @@ let emit_stencil_kernel buf checked analysis (s : Stencil.t) ~remote_in ~local_c
   let add fmt = Printf.ksprintf (fun line -> Buffer.add_string buf line) fmt in
   add "__attribute__((max_global_work_dim(0)))\n";
   add "__attribute__((autorun))\n";
-  add "__kernel void stencil_%s() {\n" name;
+  add "__kernel void stencil_%s() {\n" (ident name);
   List.iter
     (fun (b : Sf_analysis.Internal_buffer.t) ->
-      add "  float sr_%s[%d]; // flat span [%d, %d], read-ahead %d words\n" b.field
+      add "  float sr_%s[%d]; // flat span [%d, %d], read-ahead %d words\n" (ident b.field)
         b.register_elements b.min_flat b.max_flat b.init_words)
     buffers;
   (* Lower-dimensional inputs are read from the program-scope prefetch
@@ -167,18 +200,19 @@ let emit_stencil_kernel buf checked analysis (s : Stencil.t) ~remote_in ~local_c
     (fun (b : Sf_analysis.Internal_buffer.t) ->
       if b.register_elements > w then begin
         add "    #pragma unroll\n";
+        let sr = ident b.field in
         add "    for (int s = 0; s < %d; ++s) sr_%s[s] = sr_%s[s + %d];\n"
-          (b.register_elements - w) b.field b.field w
+          (b.register_elements - w) sr sr w
       end)
     buffers;
   (* Update phase: read one word from each active input stream. *)
   List.iter
     (fun (b : Sf_analysis.Internal_buffer.t) ->
       let start = Sf_analysis.Internal_buffer.fill_step buffers b in
-      let target = Printf.sprintf "sr_%s[%d + v]" b.field (b.register_elements - w) in
+      let target = Printf.sprintf "sr_%s[%d + v]" (ident b.field) (b.register_elements - w) in
       let source =
         if List.mem_assoc b.field remote_in then
-          Printf.sprintf "SMI_Pop(&smi_%s__%s)" b.field name
+          Printf.sprintf "SMI_Pop(&%s)" (smi_channel ~src:b.field ~dst:name)
         else Printf.sprintf "read_channel_intel(%s)" (channel_name ~src:b.field ~dst:name)
       in
       add "    if (t >= %dL && t < %dL + %dL) {\n" start start n_words;
@@ -199,10 +233,11 @@ let emit_stencil_kernel buf checked analysis (s : Stencil.t) ~remote_in ~local_c
         (Printf.sprintf "write_channel_intel(%s, value_0)" (channel_name ~src:name ~dst:consumer)))
     local_consumers;
   List.iter
-    (fun consumer -> emit_write (Printf.sprintf "SMI_Push(&smi_%s__%s, value_0)" name consumer))
+    (fun consumer ->
+      emit_write (Printf.sprintf "SMI_Push(&%s, value_0)" (smi_channel ~src:name ~dst:consumer)))
     remote_out;
   if writes_memory then
-    emit_write (Printf.sprintf "write_channel_intel(%s, value_0)" (channel_name ~src:name ~dst:"mem"));
+    emit_write (Printf.sprintf "write_channel_intel(%s, value_0)" (memory_channel name));
   add "      }\n";
   add "    }\n";
   add "  }\n";
@@ -211,7 +246,7 @@ let emit_stencil_kernel buf checked analysis (s : Stencil.t) ~remote_in ~local_c
 let emit_reader buf (p : Program.t) (f : Field.t) consumers =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let elems = Field.num_elements f ~shape:p.Program.shape in
-  add "__kernel void read_%s(__global const float* restrict mem) {\n" f.Field.name;
+  add "__kernel void read_%s(__global const float* restrict mem) {\n" (ident f.Field.name);
   add "  for (long idx = 0; idx < %dL; ++idx) {\n" elems;
   add "    const float value = mem[idx];\n";
   List.iter
@@ -222,9 +257,9 @@ let emit_reader buf (p : Program.t) (f : Field.t) consumers =
 
 let emit_writer buf (p : Program.t) output =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "__kernel void write_%s(__global float* restrict mem) {\n" output;
+  add "__kernel void write_%s(__global float* restrict mem) {\n" (ident output);
   add "  for (long idx = 0; idx < %dL; ++idx) {\n" (Program.cells p);
-  add "    mem[idx] = read_channel_intel(%s);\n" (channel_name ~src:output ~dst:"mem");
+  add "    mem[idx] = read_channel_intel(%s);\n" (memory_channel output);
   add "  }\n}\n\n"
 
 let generate_unchecked ?partition checked =
@@ -272,13 +307,13 @@ let generate_unchecked ?partition checked =
       List.iter
         (fun o ->
           if is_local o then
-            add "channel float %s __attribute__((depth(%d)));\n" (channel_name ~src:o ~dst:"mem") 8)
+            add "channel float %s __attribute__((depth(%d)));\n" (memory_channel o) 8)
         p.Program.outputs;
       (* SMI channel declarations for remote streams touching this device. *)
       List.iter
         (fun ((src, dst), (d1, d2)) ->
           if d1 = device || d2 = device then
-            add "SMI_Channel smi_%s__%s; // rank %d -> rank %d\n" src dst d1 d2)
+            add "SMI_Channel %s; // rank %d -> rank %d\n" (smi_channel ~src ~dst) d1 d2)
         partition.Partition.cross_edges;
       add "\n";
       (* Prefetch storage and loader kernels for lower-dimensional inputs
@@ -289,11 +324,10 @@ let generate_unchecked ?partition checked =
           if List.mem device devices && Field.rank f < rank
           then begin
             let elems = max 1 (Field.num_elements f ~shape:p.Program.shape) in
-            add "float pref_%s[%d]; // lower-dimensional input, prefetched once\n" f.Field.name
-              elems;
-            add "__kernel void load_%s(__global const float* restrict mem) {\n" f.Field.name;
-            add "  for (int idx = 0; idx < %d; ++idx) pref_%s[idx] = mem[idx];\n" elems
-              f.Field.name;
+            let name = ident f.Field.name in
+            add "float pref_%s[%d]; // lower-dimensional input, prefetched once\n" name elems;
+            add "__kernel void load_%s(__global const float* restrict mem) {\n" name;
+            add "  for (int idx = 0; idx < %d; ++idx) pref_%s[idx] = mem[idx];\n" elems name;
             add "}\n\n"
           end)
         p.Program.inputs;
@@ -347,35 +381,37 @@ let host_source_unchecked ?partition checked =
   List.iter
     (fun (f : Field.t) ->
       let devices = List.assoc f.Field.name partition.Partition.replicated_inputs in
-      let bytes = Field.size_bytes f ~shape:p.Program.shape in
+      let bytes = Field.size_bytes f ~shape:p.Program.shape and name = ident f.Field.name in
       List.iter
         (fun d ->
           add "  cl_mem buf_%s_dev%d = clCreateBuffer(ctx[%d], CL_MEM_READ_ONLY, %d, NULL, NULL);\n"
-            f.Field.name d d bytes;
+            name d d bytes;
           add "  clEnqueueWriteBuffer(queue[%d], buf_%s_dev%d, CL_TRUE, 0, %d, host_%s, 0, NULL, NULL); // replicate\n"
-            d f.Field.name d bytes f.Field.name)
+            d name d bytes name)
         devices)
     p.Program.inputs;
   List.iter
     (fun o ->
       let d = Partition.placement_fn partition o in
-      add "  cl_mem buf_%s = clCreateBuffer(ctx[%d], CL_MEM_WRITE_ONLY, %d, NULL, NULL);\n" o d
-        (Program.cells p * Dtype.size_bytes p.Program.dtype))
+      add "  cl_mem buf_%s = clCreateBuffer(ctx[%d], CL_MEM_WRITE_ONLY, %d, NULL, NULL);\n" (ident o)
+        d (Program.cells p * Dtype.size_bytes p.Program.dtype))
     p.Program.outputs;
   add "  // launch reader/writer kernels; autorun stencil kernels start on configuration\n";
   List.iter
     (fun (f : Field.t) ->
       List.iter
-        (fun d -> add "  clEnqueueTask(queue[%d], kernel_read_%s, 0, NULL, NULL);\n" d f.Field.name)
+        (fun d ->
+          add "  clEnqueueTask(queue[%d], kernel_read_%s, 0, NULL, NULL);\n" d (ident f.Field.name))
         (List.assoc f.Field.name partition.Partition.replicated_inputs))
     p.Program.inputs;
   List.iter
     (fun o ->
-      let d = Partition.placement_fn partition o in
-      add "  clEnqueueTask(queue[%d], kernel_write_%s, 0, NULL, NULL);\n" d o;
-      add "  clEnqueueReadBuffer(queue[%d], buf_%s, CL_TRUE, 0, %d, host_%s, 0, NULL, NULL);\n" d o
+      let d = Partition.placement_fn partition o and name = ident o in
+      add "  clEnqueueTask(queue[%d], kernel_write_%s, 0, NULL, NULL);\n" d name;
+      add "  clEnqueueReadBuffer(queue[%d], buf_%s, CL_TRUE, 0, %d, host_%s, 0, NULL, NULL);\n" d
+        name
         (Program.cells p * Dtype.size_bytes p.Program.dtype)
-        o)
+        name)
     p.Program.outputs;
   add "  return 0;\n}\n";
   Buffer.contents buf

@@ -49,7 +49,7 @@ let markdown ?(device = Device.stratix10) (p : Program.t) =
   let n = Program.cells p / p.Program.vector_width in
   let latency = analysis.Sf_analysis.Delay_buffer.latency_cycles in
   let cycles = Sf_analysis.Runtime_model.analyzed_cycles p analysis in
-  add "- latency L = %d cycles, N = %d words: C = %d cycles\n" latency n (latency + n);
+  add "- latency L = %d cycles, N = %d words: C = %d cycles\n" latency n cycles;
   add "- at %.0f MHz: %s runtime, %s\n" (device.Device.frequency_hz /. 1e6)
     (Sf_support.Util.human_time (float_of_int cycles /. device.Device.frequency_hz))
     (Sf_support.Util.human_rate

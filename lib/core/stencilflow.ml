@@ -126,7 +126,7 @@ let pp_report fmt r =
   Format.fprintf fmt "  latency L = %d cycles, expected C = %s = %d cycles@."
     r.analysis.Delay_buffer.latency_cycles
     (if w > 1 then "L + N/W" else "L + N")
-    (r.analysis.Delay_buffer.latency_cycles + (Program.cells r.program / w));
+    (Runtime_model.analyzed_cycles r.program r.analysis);
   Format.fprintf fmt "  modelled performance: %s@."
     (Util.human_rate r.performance_model);
   (match r.simulation with

@@ -71,5 +71,5 @@ let grant_rounds t ~now ~cycles bytes =
 
 let account t bytes = t.bytes_granted <- t.bytes_granted + bytes
 let set_denied t denied = t.denied <- denied
-let is_unlimited t = not (Float.is_finite t.bytes_per_cycle)
+let is_unlimited t = not (t.denied || Float.is_finite t.bytes_per_cycle)
 let bytes_granted t = t.bytes_granted

@@ -28,9 +28,9 @@ val request : t -> int -> bool
     controller. *)
 
 val set_denied : t -> bool -> unit
-(** Fault-injection hook ({!Fault_plan}): while set, every {!request} is
-    refused regardless of budget, modelling a transient
-    memory-controller throttle. Cleared by the injector each cycle. *)
+(** Fault-injection hook ({!Fault_plan}), set at fault transitions: while
+    set, every {!request} is refused regardless of budget, modelling a
+    transient memory-controller throttle. *)
 
 val sustains : t -> now:int -> cycles:int -> int list -> int
 (** [sustains t ~now ~cycles bytes]: of [cycles] consecutive cycles
@@ -49,7 +49,7 @@ val account : t -> int -> unit
     that have already established the controller is {!is_unlimited}. *)
 
 val is_unlimited : t -> bool
-(** True when the bytes-per-cycle budget is infinite. *)
+(** True when every request is granted: an infinite budget, not denied. *)
 
 val bytes_granted : t -> int
 (** Total bytes granted over the run. *)

@@ -375,9 +375,7 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
       List.iter (fun c -> consumer.(c) <- i) ins;
       List.iter (fun c -> producer.(c) <- i) outs)
     wired;
-  let predicted =
-    analysis.Sf_analysis.Delay_buffer.latency_cycles + (Program.cells p / w)
-  in
+  let predicted = Sf_analysis.Runtime_model.analyzed_cycles p analysis in
   ( {
       channels = Array.of_list (List.rev !channels);
       comps = Array.map (fun (c, _, _, _) -> c) wired;
@@ -407,6 +405,17 @@ let comp_kind = function
   | Cwriter _ -> Telemetry.Writer
   | Cunit _ -> Telemetry.Unit
   | Creader _ -> Telemetry.Reader
+
+(* Write backpressure shows as a DRAM hiccup would: bandwidth denied. *)
+let frozen_cycle system i ~now =
+  let stall cause = Option.iter (fun p -> Telemetry.stall p ~now cause) system.probes.(i) in
+  match system.comps.(i) with
+  | Clink l -> Link.frozen_cycle l ~now
+  | Cunit u when not (Stencil_unit.is_done u) ->
+      Stencil_unit.add_stalls u 1;
+      stall Telemetry.Pipeline_drain
+  | Cwriter w when not (Memory_unit.Writer.is_done w) -> stall Telemetry.Bandwidth_denied
+  | Cunit _ | Cwriter _ | Creader _ -> ()
 
 (* Component indices in report order: units in topological order (the
    reverse of the per-cycle order), then readers, writers and links. *)
@@ -539,10 +548,12 @@ let compare_to_reference ~inputs (p : Program.t) stats =
 (* one of its channels changes state (producer pushed, consumer        *)
 (* popped; a unit starved on an input wakes only on a push into that   *)
 (* one), its wake timer fires (link word matured, pending word         *)
-(* released) or a fault transition targets it. Its slept cycles are    *)
-(* credited lazily as repeats of the cycle it fell asleep on. When     *)
-(* everything sleeps, a quiescence jump skips to the next timer,       *)
-(* never past the limit of the current advance.                        *)
+(* released, freeze ended) or a fault transition targets it. A         *)
+(* component frozen by a fault does not run: it records one frozen     *)
+(* cycle (Internal.frozen_cycle) and sleeps until its freeze ends. Its *)
+(* slept cycles are credited lazily as repeats of the cycle it fell    *)
+(* asleep on. When everything sleeps, a quiescence jump skips to the   *)
+(* next timer, never past the limit of the current advance.            *)
 (*                                                                     *)
 (* Fast-forward: a window plans each awake component's own schedule    *)
 (* as a few segments of one repeated action (Stencil_unit.plan         *)
@@ -568,8 +579,10 @@ let compare_to_reference ~inputs (p : Program.t) stats =
 (* mark is settled at the end from the same breakpoints.               *)
 (*                                                                     *)
 (* Every run takes this one schedule. Windows and jumps stop short of  *)
-(* occupancy samples and fault transitions, and no window runs during  *)
-(* a fault burst.                                                      *)
+(* occupancy samples and fault transitions, where the injector ticks.  *)
+(* A frozen unit or writer never joins a window and the traffic on its *)
+(* channels does not bound one; a frozen link is a sleeper like any    *)
+(* other. While a memory controller is denied no window runs.          *)
 (* ------------------------------------------------------------------ *)
 
 (* Piecewise rates of a fast-forward window: the sorted, disjoint
@@ -701,11 +714,11 @@ let scheduler ~config ?injector ~finished system =
         trace := (!cycle, snapshot) :: !trace
     | Some _ | None -> ()
   in
-  (* Fast-forward windows need every memory grant to be plannable, so
-     unlimited memory bandwidth. Links plan their own budgets
+  (* Fast-forward windows need every memory grant to be plannable: no
+     memory budget and no denial. Links plan their own budgets
      ([Link.fit]); a delivery pushes before its consumer pops, which
      the channel checks and high-water marks below allow for. *)
-  let batchable = Array.for_all Controller.is_unlimited controllers in
+  let batchable () = Array.for_all Controller.is_unlimited controllers in
   (* The first cycle from [from] on that must be stepped, because it
      samples occupancies or a fault stream changes state there. Windows
      and jumps stop short of it. *)
@@ -715,6 +728,9 @@ let scheduler ~config ?injector ~finished system =
   in
   (* A fault transition wakes the component it targets. *)
   let wake i = ready.(i) <- true in
+  let frozen_until =
+    match injector with Some inj -> Fault_plan.frozen_until inj | None -> fun _ -> 0
+  in
   let nchan = Array.length all_channels in
   (* A window's schedule, per channel: the cycles its producer pushes
      and its consumer pops, each a sorted list of intervals of one word
@@ -774,24 +790,31 @@ let scheduler ~config ?injector ~finished system =
      producers are planned first: links, then readers, units in
      topological order and writers. Every other sleeper, and a link port
      whose empty source is pushed, bounds k at its wake. Each channel's
-     occupancy is then walked over its push and pop rates, which change
-     only at segment ends, and k ends before the first pop of an empty
-     channel or push into a full one. *)
+     occupancy is walked over its push and pop rates, which change only
+     at segment ends, and k ends before the first pop of an empty
+     channel or push into a full one. A channel is walked once its
+     consumer is planned, after its producer, so a window that cannot
+     start stops planning there; a link's sources are walked last. *)
   let attempt_batch ~limit =
     let now = !cycle in
     let k = ref (Int.min limit (must_step ~from:now) - now) in
     let bound b = if b < !k then k := b in
+    let walk_rates c =
+      if !k >= 2 && (pushes.(c).Rate.n > 0 || pops.(c).Rate.n > 0) then bound (fst (walk c !k))
+    in
     let kmax = !k in
     let plan i =
       start.(i) <- max_int;
       finish.(i) <- max_int;
       let c = comps.(i) in
       let asleep = (not ready.(i)) && wake_at.(i) > now in
+      let frozen = frozen_until i > now in
       let j =
         if is_done c then max_int
-        else if not asleep then 0
         else
           match c with
+          | (Cunit _ | Cwriter _) when frozen -> max_int
+          | _ when not asleep -> 0
           | Cunit _ | Cwriter _ ->
               let w = push_woken i in
               if w < wake_at.(i) - now then w else max_int
@@ -801,7 +824,7 @@ let scheduler ~config ?injector ~finished system =
         let ins = ins.(i) and outs = outs.(i) in
         let h =
           match c with
-          | Clink l -> Link.plan l ~now
+          | Clink l -> if frozen then 0 else Link.plan l ~now
           | Cwriter w -> Memory_unit.Writer.words_remaining w
           | Cunit u -> Stencil_unit.plan u ~now:(now + j) ~until:(now + kmax)
           | Creader r -> Memory_unit.Reader.words_remaining r
@@ -848,13 +871,16 @@ let scheduler ~config ?injector ~finished system =
       let i = ref (ncomps - 1) in
       while !k >= 2 && !i >= nlinks do
         plan !i;
+        Array.iter walk_rates ins.(!i);
         decr i
       done
     end;
     if !k >= 2 then begin
       (* Sleepers that stay out wake at their timer or at the first push
          into an input or pop from an output; one that joined must not
-         be woken by a pop before it joins. A link port that does not
+         be woken by a pop before it joins. A frozen unit or writer
+         records the same cycle whatever its channels do, so only the
+         end of its freeze bounds the window. A link port that does not
          inject would start the cycle after its source is pushed. *)
       let writers_left = ref false and writers_end = ref 0 and progress_end = ref 0 in
       for i = 0 to ncomps - 1 do
@@ -862,8 +888,11 @@ let scheduler ~config ?injector ~finished system =
         if start.(i) = max_int then begin
           if not is_done then begin
             if wake_at.(i) < max_int then bound (wake_at.(i) - now);
-            bound (push_woken i);
-            bound (pop_woken i)
+            match comps.(i) with
+            | (Cunit _ | Cwriter _) when frozen_until i > now -> ()
+            | Cunit _ | Cwriter _ | Clink _ | Creader _ ->
+                bound (push_woken i);
+                bound (pop_woken i)
           end
         end
         else begin
@@ -884,8 +913,8 @@ let scheduler ~config ?injector ~finished system =
          window must see some component progress. *)
       if not !writers_left then bound !writers_end;
       bound !progress_end;
-      for c = 0 to nchan - 1 do
-        if !k >= 2 && (pushes.(c).Rate.n > 0 || pops.(c).Rate.n > 0) then bound (fst (walk c !k))
+      for i = 0 to nlinks - 1 do
+        Array.iter walk_rates ins.(i)
       done
     end;
     (* Links check maturity and budgets last, against the final bound,
@@ -961,7 +990,9 @@ let scheduler ~config ?injector ~finished system =
   let step ~limit =
     let now = !cycle in
     Array.iter (fun c -> Controller.begin_cycle c ~now) controllers;
-    (match injector with Some inj -> Fault_plan.tick inj ~now ~wake | None -> ());
+    (match injector with
+    | Some inj when now >= Fault_plan.horizon inj -> Fault_plan.tick inj ~now ~wake
+    | Some _ | None -> ());
     let progress = ref false in
     (* Every kind sleeps only after a cycle without progress, so the
        record it is credited with while asleep is that cycle's. *)
@@ -970,7 +1001,12 @@ let scheduler ~config ?injector ~finished system =
         if wake_at.(i) <= now then wake_at.(i) <- max_int;
         ready.(i) <- true;
         credit i ~now;
+        let thaw = frozen_until i in
         (match comps.(i) with
+        | _ when thaw > now ->
+            frozen_cycle system i ~now;
+            ready.(i) <- false;
+            wake_at.(i) <- thaw
         | Clink l ->
             if Link.cycle l ~now then progress := true
             else if Link.sources_empty l then begin
@@ -1035,11 +1071,9 @@ let scheduler ~config ?injector ~finished system =
     end
     else incr cycle
   in
-  (* No window runs while a fault burst is active. *)
-  let quiet () = match injector with Some inj -> not (Fault_plan.bursting inj) | None -> true in
   let advance ~limit =
     while (not (finished ())) && (not !deadlocked) && !cycle < limit do
-      if not (batchable && quiet () && attempt_batch ~limit) then step ~limit
+      if not (batchable () && attempt_batch ~limit) then step ~limit
     done;
     (* Settle the lazy credit of components asleep at the exit. *)
     Array.iteri (fun i _ -> credit i ~now:!cycle) comps
@@ -1077,8 +1111,8 @@ let simulate_plan ~config ~placement ~inputs ~drive plan =
                   (Array.mapi
                      (fun d c -> (Printf.sprintf "mem@%d" d, c))
                      system.mem_controllers))
-             ~units:(pick (fun i -> function Cunit u -> Some (u, i) | _ -> None))
-             ~writers:(pick (fun i -> function Cwriter w -> Some (w, i) | _ -> None)))
+             ~units:(pick (fun i c -> match c with Cunit _ -> Some (comp_name c, i) | _ -> None))
+             ~writers:(pick (fun i c -> match c with Cwriter _ -> Some (comp_name c, i) | _ -> None)))
   in
   let n_writers = List.length system.outputs in
   let finished () = !(system.writers_done) >= n_writers in

@@ -267,6 +267,12 @@ module Internal : sig
   (** Instantiate the system; the [int] is the model-predicted cycle
       count (Eq. 1). Raises on malformed programs. *)
 
+  val frozen_cycle : system -> int -> now:int -> unit
+  (** What component [i], frozen by a fault ({!Fault_plan.frozen_until}),
+      records for a cycle instead of running: unless done, a unit one
+      stall, [pipeline-drain], a writer [bandwidth-denied]; a link
+      {!Link.frozen_cycle}. Both schedules call it. *)
+
   type sched = {
     advance : limit:int -> unit;
         (** Run from [now ()] up to the exclusive cycle [limit]
@@ -297,9 +303,10 @@ module Internal : sig
       push wakes {!system.consumer}, a pop {!system.producer}); it
       derives no graph of its own. The memory controllers are refilled
       every stepped cycle; [finished] ends an advance early. Windows and
-      jumps stop at occupancy samples and [injector] transitions, and a
-      transition wakes the component index the injector passes; no
-      window runs during a burst. *)
+      jumps stop at occupancy samples and [injector] transitions, where
+      it ticks, waking the component index the injector passes. A frozen
+      component records {!frozen_cycle} and sleeps until its freeze
+      ends; a frozen unit or writer stays out of windows. *)
 
   val simulate :
     config:Config.t ->

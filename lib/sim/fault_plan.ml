@@ -262,11 +262,14 @@ type source =
   | Renewal of { rng : Rng.t; gap : int; max_dur : int; max_mag : int; mutable left : int }
   | Scripted of { mutable queue : (int * int * int) list (* start, dur, mag; sorted *) }
 
+(* What an active stream does: freeze a component (by index), add its
+   magnitude to a link's latency, or deny a memory controller. *)
+type effect = Freeze of int | Jitter of Link.t * int | Deny of Controller.t
+
 type stream = {
   s_kind : kind;
   s_target : string;
-  s_comp : int option; (* the target's component index, to wake *)
-  apply : int -> unit;
+  effect : effect;
   source : source;
   mutable next_start : int;
   mutable active_until : int; (* exclusive end of the active burst; -1 when idle *)
@@ -274,57 +277,52 @@ type stream = {
 }
 
 type injector = {
-  clear : (unit -> unit) list;
   streams : stream list;
+  frozen : int array; (* per component index, the end of its freeze *)
+  mutable horizon : int;
   mutable event_log : Event.t list; (* newest first *)
 }
 
+let next_transition streams =
+  List.fold_left
+    (fun h s ->
+      if s.active_until >= 0 then min h s.active_until
+      else
+        match s.source with
+        | Renewal r when r.left > 0 -> min h s.next_start
+        | Scripted { queue = (start, _, _) :: _ } -> min h start
+        | Renewal _ | Scripted _ -> h)
+    max_int streams
+
 let create ~seed ~(plan : t) ~links ~controllers ~units ~writers =
   let root = Rng.make seed in
-  (* Each candidate target: its name, the component index a transition
-     wakes (none for a memory controller, whose flag changes no
-     sleeper's record) and how a burst applies to it. *)
-  let targets_for kind : (string * int option * (int -> unit)) list =
+  (* Each candidate target: its name and what a burst does to it. *)
+  let freezes = List.map (fun (name, i) -> (name, Freeze i)) in
+  let targets_for kind : (string * effect) list =
     match kind with
-    | Link_stall ->
-        List.map (fun (l, i) -> (Link.name l, Some i, fun _ -> Link.set_stalled l true)) links
-    | Link_jitter ->
-        List.map
-          (fun (l, i) ->
-            ( Link.name l,
-              Some i,
-              fun mag -> if mag > Link.extra_latency l then Link.set_extra_latency l mag ))
-          links
-    | Mem_throttle ->
-        List.map (fun (name, c) -> (name, None, fun _ -> Controller.set_denied c true)) controllers
-    | Write_backpressure ->
-        List.map
-          (fun (w, i) ->
-            (Memory_unit.Writer.name w, Some i, fun _ -> Memory_unit.Writer.set_blocked w true))
-          writers
-    | Unit_hiccup ->
-        List.map
-          (fun (u, i) -> (Stencil_unit.name u, Some i, fun _ -> Stencil_unit.set_hiccup u true))
-          units
+    | Link_stall -> freezes (List.map (fun (l, i) -> (Link.name l, i)) links)
+    | Link_jitter -> List.map (fun (l, i) -> (Link.name l, Jitter (l, i))) links
+    | Mem_throttle -> List.map (fun (name, c) -> (name, Deny c)) controllers
+    | Write_backpressure -> freezes writers
+    | Unit_hiccup -> freezes units
   in
   let matching target candidates =
     match target with
     | None -> candidates
-    | Some t -> List.filter (fun (name, _, _) -> String.equal name t) candidates
+    | Some t -> List.filter (fun (name, _) -> String.equal name t) candidates
   in
   let burst_streams =
     List.concat
       (List.mapi
          (fun bi (b : Burst.t) ->
            List.map
-             (fun (name, comp, apply) ->
+             (fun (name, effect) ->
                let rng = Rng.split root (Printf.sprintf "%s/%s/%d" (kind_name b.kind) name bi) in
                let next_start = 1 + Rng.int rng (2 * b.gap) in
                {
                  s_kind = b.kind;
                  s_target = name;
-                 s_comp = comp;
-                 apply;
+                 effect;
                  source =
                    Renewal
                      { rng; gap = b.gap; max_dur = b.duration; max_mag = b.magnitude;
@@ -355,15 +353,14 @@ let create ~seed ~(plan : t) ~links ~controllers ~units ~writers =
       (fun (kind, target) ->
         match matching (Some target) (targets_for kind) with
         | [] -> None
-        | (name, comp, apply) :: _ ->
+        | (name, effect) :: _ ->
             let q = !(Hashtbl.find tbl (kind_name kind, target)) in
             let queue = List.sort compare q in
             Some
               {
                 s_kind = kind;
                 s_target = name;
-                s_comp = comp;
-                apply;
+                effect;
                 source = Scripted { queue };
                 next_start = (match queue with (s, _, _) :: _ -> s | [] -> max_int);
                 active_until = -1;
@@ -371,34 +368,30 @@ let create ~seed ~(plan : t) ~links ~controllers ~units ~writers =
               })
       (List.rev !order)
   in
-  let clear =
-    List.map
-      (fun (l, _) ->
-        fun () ->
-         Link.set_stalled l false;
-         Link.set_extra_latency l 0)
-      links
-    @ List.map (fun (_, c) -> fun () -> Controller.set_denied c false) controllers
-    @ List.map (fun (u, _) -> fun () -> Stencil_unit.set_hiccup u false) units
-    @ List.map (fun (w, _) -> fun () -> Memory_unit.Writer.set_blocked w false) writers
+  let streams = burst_streams @ script_streams in
+  let components =
+    List.fold_left (fun n i -> Int.max n (i + 1)) 0
+      (List.map snd links @ List.map snd units @ List.map snd writers)
   in
   {
-    clear;
-    streams = burst_streams @ script_streams;
+    streams;
+    frozen = Array.make components 0;
+    horizon = next_transition streams;
     event_log = [];
   }
 
 (* The whole fault timeline is a pure function of (seed, plan): every
    draw happens at a cycle determined by earlier draws alone, never by
    simulation state, so two runs with different schedules see the exact
-   same perturbation sequence. *)
+   same perturbation sequence. Streams end and start bursts first; the
+   state of every target is then derived afresh from the active ones. *)
 let tick inj ~now ~wake =
-  List.iter (fun f -> f ()) inj.clear;
+  let target s = match s.effect with Freeze i | Jitter (_, i) -> Some i | Deny _ -> None in
   List.iter
     (fun s ->
       if s.active_until >= 0 && now >= s.active_until then begin
         s.active_until <- -1;
-        Option.iter wake s.s_comp;
+        Option.iter wake (target s);
         match s.source with
         | Renewal r -> s.next_start <- now + 1 + Rng.int r.rng (2 * r.gap)
         | Scripted _ -> ()
@@ -407,7 +400,7 @@ let tick inj ~now ~wake =
         let activate dur mag =
           s.active_until <- now + dur;
           s.magnitude <- mag;
-          Option.iter wake s.s_comp;
+          Option.iter wake (target s);
           inj.event_log <-
             { Event.kind = s.s_kind; target = s.s_target; start = now; duration = dur;
               magnitude = mag }
@@ -427,22 +420,28 @@ let tick inj ~now ~wake =
                 q.queue <- rest;
                 activate dur mag
             | _ -> ())
-      end;
-      if s.active_until > now then s.apply s.magnitude)
-    inj.streams
+      end)
+    inj.streams;
+  List.iter
+    (fun s ->
+      match s.effect with
+      | Freeze i -> inj.frozen.(i) <- 0
+      | Jitter (l, _) -> Link.set_extra_latency l 0
+      | Deny c -> Controller.set_denied c false)
+    inj.streams;
+  List.iter
+    (fun s ->
+      if s.active_until > now then
+        match s.effect with
+        | Freeze i -> inj.frozen.(i) <- Int.max inj.frozen.(i) s.active_until
+        | Jitter (l, _) -> Link.set_extra_latency l (Int.max s.magnitude (Link.extra_latency l))
+        | Deny c -> Controller.set_denied c true)
+    inj.streams;
+  inj.horizon <- next_transition inj.streams
 
-let horizon inj =
-  List.fold_left
-    (fun h s ->
-      if s.active_until >= 0 then min h s.active_until
-      else
-        match s.source with
-        | Renewal r when r.left > 0 -> min h s.next_start
-        | Scripted { queue = (start, _, _) :: _ } -> min h start
-        | Renewal _ | Scripted _ -> h)
-    max_int inj.streams
+let horizon inj = inj.horizon
 
-let bursting inj = List.exists (fun s -> s.active_until >= 0) inj.streams
+let frozen_until inj i = if i < Array.length inj.frozen then inj.frozen.(i) else 0
 
 (* An event perturbs its target from its start for its duration, cut
    off at the end of the run; so the totals follow from the log, however

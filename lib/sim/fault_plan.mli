@@ -113,28 +113,31 @@ val create :
   plan:t ->
   links:(Link.t * int) list ->
   controllers:(string * Controller.t) list ->
-  units:(Stencil_unit.t * int) list ->
-  writers:(Memory_unit.Writer.t * int) list ->
+  units:(string * int) list ->
+  writers:(string * int) list ->
   injector
-(** Bind a plan to a built system: each link, unit and writer comes with
-    its component index, which {!tick} passes to [wake]. Targets that
-    name absent components are dropped (a plan written for a
+(** Bind a plan to a built system, each link, unit and writer with its
+    component index. Freezes are kept by that index ({!frozen_until});
+    jitter and denial are set on the link and the controller. Targets
+    that name absent components are dropped (a plan written for a
     multi-device run stays usable on a single-device degrade). *)
 
 val tick : injector -> now:int -> wake:(int -> unit) -> unit
-(** Advance the fault timeline to cycle [now]: clear every component's
-    fault flags, then re-apply the flags of all streams active at [now].
-    [wake] gets the component index of the target of every stream that
-    starts or ends a burst at [now] (a memory controller has none). The
-    engine ticks every cycle it steps, before running components, and
-    skips no cycle past {!horizon}. *)
+(** Advance the fault timeline to cycle [now]: end and start the bursts
+    due, then derive each target's state (freeze end, link latency,
+    controller denial) from the active streams. It holds until the next
+    transition, so the engine ticks only at {!horizon}, where windows
+    and jumps stop; a tick with no transition changes nothing. [wake]
+    gets the component index of the target of every stream that starts
+    or ends a burst (a memory controller has none). *)
 
 val horizon : injector -> int
 (** The next cycle after the last {!tick} at which a stream starts or
     ends a burst, or [max_int]. *)
 
-val bursting : injector -> bool
-(** A burst was active at the last {!tick}. *)
+val frozen_until : injector -> int -> int
+(** [frozen_until inj i]: the cycle at which component [i]'s freeze
+    ends, as of the last {!tick}; it is frozen at [now] while greater. *)
 
 val summary : injector -> cycles:int -> summary
 (** What the injector did over a run of [cycles] cycles. *)

@@ -14,8 +14,6 @@ module Interp = Sf_reference.Interp
 
 type plan = Fault_plan.t
 
-let default_plan = Fault_plan.default
-
 type run_outcome = Identical of int | Failed of Diag.t
 
 type run_record = { seed : int; outcome : run_outcome; faults : Fault_plan.summary }
@@ -43,7 +41,7 @@ let bit_identical (a : (string * Interp.result) list) (b : (string * Interp.resu
        a b
 
 let campaign ?(config = Engine.Config.default) ?(placement = fun _ -> 0) ?inputs
-    ?(plan = default_plan) ?(schedules = 25) ?(jobs = 1) (p : Sf_ir.Program.t) =
+    ?(plan = Fault_plan.default) ?(schedules = 25) ?(jobs = 1) (p : Sf_ir.Program.t) =
   let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in
   (* The unperturbed reference run: same config with faults stripped
      (any depth override in the plan still applies to the injected runs
@@ -108,7 +106,7 @@ type depth_probe = {
    monotonically — less space can only add deadlocks — so the largest
    deadlocking capacity is well-defined and binary-searchable. *)
 let probe_tightest ?(config = Engine.Config.default) ?(placement = fun _ -> 0) ?inputs
-    ?(plan = default_plan) ?(fault_seed = 1) ?(jobs = 1)
+    ?(plan = Fault_plan.default) ?(fault_seed = 1) ?(jobs = 1)
     ~(analysis : Sf_analysis.Delay_buffer.t) (p : Sf_ir.Program.t) =
   match Sf_analysis.Delay_buffer.tightest_edge analysis with
   | None -> None

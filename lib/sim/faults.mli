@@ -11,9 +11,6 @@
 
 type plan = Fault_plan.t
 
-val default_plan : plan
-(** {!Fault_plan.default}: every fault kind on every component. *)
-
 (** One seeded schedule's verdict: completed with outputs bit-identical
     to the unperturbed baseline (payload: cycles), or failed with the
     engine's structured diagnostic ([SF0701]/[SF0703], including
@@ -42,8 +39,9 @@ val campaign :
   Sf_ir.Program.t ->
   (report, Sf_support.Diag.t) result
 (** Run the unperturbed baseline (any fault config in [config] is
-    stripped for it), then [schedules] (default 25) injected runs with
-    seeds [1..N], comparing outputs bit-for-bit. [jobs] (default 1) runs
+    stripped for it), then [schedules] (default 25) runs injected with
+    [plan] (default {!Fault_plan.default}, every fault kind on every
+    component) under seeds [1..N], comparing outputs bit-for-bit. [jobs] (default 1) runs
     the schedules across an {!Sf_support.Executor} pool; the report is
     indexed by seed and byte-identical for every [jobs] value. [Error]
     only when the baseline itself fails — per-schedule failures are
@@ -94,7 +92,7 @@ val probe_tightest :
     capacities of the bracket are simulated concurrently on an
     {!Sf_support.Executor} pool, and monotonicity guarantees the same
     boundary as the serial search — then re-runs once at that
-    capacity under [plan] (default {!default_plan}) and [fault_seed] to
+    capacity under [plan] (default {!Fault_plan.default}) and [fault_seed] to
     capture the [SF0701] with fault-attribution notes. The analysis is
     often conservative (it budgets compute latency the slow path does
     not need before its first word), so [tight_capacity] typically sits

@@ -17,11 +17,8 @@ type t = {
   latency_cycles : int;
   mutable ports : port array;
   probe : Telemetry.probe option;
-  (* Fault-injection state (Fault_plan): a stalled link neither injects
-     nor delivers for the cycle; extra_latency inflates the release time
-     of words injected this cycle. Both are cleared by the injector each
-     cycle before active faults are re-applied. *)
-  mutable stalled : bool;
+  (* Injected latency jitter (Fault_plan): inflates the release time of
+     words injected while it holds. *)
   mutable extra_latency : int;
   (* The current fast-forward plan: the word size of every injecting
      port in port order, and the most cycles one chunk may span. *)
@@ -36,7 +33,6 @@ let create ?probe ~name ~bytes_per_cycle ~latency_cycles () =
     latency_cycles;
     ports = [||];
     probe;
-    stalled = false;
     extra_latency = 0;
     plan_requests = [];
     plan_chunk = max_int;
@@ -96,49 +92,46 @@ let inject t ~now =
 let stall probe ~now cause c = Telemetry.stall probe ~now ~channel:(Channel.name c) cause
 
 let cycle t ~now =
-  if t.stalled then begin
-    Controller.begin_cycle t.controller ~now;
-    (* An injected stall freezes the whole link for the cycle. Classify
-       the lost cycle as link latency when anything is waiting on it. *)
-    (match t.probe with
-    | None -> ()
-    | Some probe -> (
-        let busy p = Spsc.front p.ring >= 0 || not (Channel.is_empty p.src) in
-        match Array.find_opt busy t.ports with
-        | Some p -> stall probe ~now Telemetry.Link_latency p.dst
-        | None -> ()));
-    false
-  end
-  else begin
-    (* Delivery first frees destination slots; it never touches the
-       bandwidth budget, so running it for every port before injecting
-       on any is the per-port deliver-then-inject order. *)
-    let delivered = deliver t ~now in
-    let injected = inject t ~now in
-    let progress = delivered || injected in
-    (match t.probe with
-    | None -> ()
-    | Some probe ->
-        if progress then Telemetry.busy probe ~now ~cycles:1
-        else begin
-          (* Classify the blocked cycle in backpressure-first order: a
-             matured word refused by a full destination, then a source
-             word refused by the shared bandwidth budget (injection is
-             always attempted when a source is non-empty), then words
-             merely still in flight. A link with no work records nothing. *)
-          let matured_blocked p = head_release p <= now && Channel.is_full p.dst in
-          match Array.find_opt matured_blocked t.ports with
-          | Some p -> stall probe ~now Telemetry.Output_full p.dst
-          | None -> (
-              match Array.find_opt (fun p -> not (Channel.is_empty p.src)) t.ports with
-              | Some p -> stall probe ~now Telemetry.Bandwidth_denied p.src
-              | None -> (
-                  match Array.find_opt (fun p -> Spsc.front p.ring >= 0) t.ports with
-                  | Some p -> stall probe ~now Telemetry.Link_latency p.dst
-                  | None -> ()))
-        end);
-    progress
-  end
+  (* Delivery first frees destination slots; it never touches the
+     bandwidth budget, so running it for every port before injecting on
+     any is the per-port deliver-then-inject order. *)
+  let delivered = deliver t ~now in
+  let injected = inject t ~now in
+  let progress = delivered || injected in
+  (match t.probe with
+  | None -> ()
+  | Some probe ->
+      if progress then Telemetry.busy probe ~now ~cycles:1
+      else begin
+        (* Classify the blocked cycle in backpressure-first order: a
+           matured word refused by a full destination, then a source
+           word refused by the shared bandwidth budget (injection is
+           always attempted when a source is non-empty), then words
+           merely still in flight. A link with no work records nothing. *)
+        let matured_blocked p = head_release p <= now && Channel.is_full p.dst in
+        match Array.find_opt matured_blocked t.ports with
+        | Some p -> stall probe ~now Telemetry.Output_full p.dst
+        | None -> (
+            match Array.find_opt (fun p -> not (Channel.is_empty p.src)) t.ports with
+            | Some p -> stall probe ~now Telemetry.Bandwidth_denied p.src
+            | None -> (
+                match Array.find_opt (fun p -> Spsc.front p.ring >= 0) t.ports with
+                | Some p -> stall probe ~now Telemetry.Link_latency p.dst
+                | None -> ()))
+      end);
+  progress
+
+(* An injected stall freezes the whole link. The lost cycle is link
+   latency when anything waits on it; its bandwidth budget catches up
+   the skipped refills at the next [begin_cycle]. *)
+let frozen_cycle t ~now =
+  match t.probe with
+  | None -> ()
+  | Some probe -> (
+      let busy p = Spsc.front p.ring >= 0 || not (Channel.is_empty p.src) in
+      match Array.find_opt busy t.ports with
+      | Some p -> stall probe ~now Telemetry.Link_latency p.dst
+      | None -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Fast-forward planning (see Engine). In a window each port delivers  *)
@@ -186,7 +179,7 @@ let plan t ~now =
         h := Int.min !h (first - now)
       end)
     t.ports;
-  if !progress && not t.stalled then !h else 0
+  if !progress then !h else 0
 
 let plan_delivers t i = t.ports.(i).delivers
 let plan_injects t i = t.ports.(i).injects
@@ -222,6 +215,5 @@ let next_arrival t ~now =
       if r > now then min acc r else acc)
     max_int t.ports
 
-let set_stalled t v = t.stalled <- v
 let set_extra_latency t v = t.extra_latency <- v
 let extra_latency t = t.extra_latency

@@ -28,6 +28,12 @@ val cycle : t -> now:int -> bool
     cycle without progress. Returns true when any word was injected or
     delivered. *)
 
+val frozen_cycle : t -> now:int -> unit
+(** Record a cycle in which an injected stall ({!Fault_plan}) freezes
+    the link instead of running {!cycle}: nothing moves, and the cycle
+    is classified as link latency on the first port with words in
+    flight or waiting (nothing when there is none). *)
+
 val name : t -> string
 val bytes_transferred : t -> int
 
@@ -59,8 +65,7 @@ val plan : t -> now:int -> int
     the window by what the roles alone allow: an idle delivery by its
     head's release (or its first injected word's), a delivery that does
     not also inject by the words in flight. [0] when no port would
-    progress, a matured head is held back by a full destination, or the
-    link is stalled. *)
+    progress or a matured head is held back by a full destination. *)
 
 val plan_delivers : t -> int -> bool
 val plan_injects : t -> int -> bool
@@ -87,16 +92,11 @@ val run_inject : t -> now:int -> int -> unit
     chunk of one run per port (word [r] released [r] cycles after the
     first), with the bandwidth budget granted in bulk. *)
 
-(** {2 Fault-injection hooks ({!Fault_plan})} *)
-
-val set_stalled : t -> bool -> unit
-(** While set, {!cycle} neither injects nor delivers (a full link
-    freeze); lost cycles are classified as link latency. Cleared by the
-    injector each cycle. *)
+(** {2 Fault injection ({!Fault_plan})} *)
 
 val set_extra_latency : t -> int -> unit
 (** Extra propagation latency added to words injected while set.
-    Delivery order stays FIFO per port. Cleared by the injector each
-    cycle. *)
+    Delivery order stays FIFO per port. The injector sets it at each
+    fault transition. *)
 
 val extra_latency : t -> int

@@ -97,9 +97,6 @@ module Writer = struct
     mutable pos : int;
     mutable bytes_committed : int;
     on_done : unit -> unit;
-    (* Fault-injection flag (Fault_plan): a blocked writer commits
-       nothing for the cycle. Cleared by the injector each cycle. *)
-    mutable blocked : bool;
     probe : Telemetry.probe option;
   }
 
@@ -123,7 +120,6 @@ module Writer = struct
       pos = 0;
       bytes_committed = 0;
       on_done;
-      blocked = false;
       probe;
     }
 
@@ -160,18 +156,8 @@ module Writer = struct
     t.pos <- t.pos + n;
     if t.pos >= t.n_words then t.on_done ()
 
-  let set_blocked t v = t.blocked <- v
-
   let cycle t ~now =
     if is_done t then false
-    else if t.blocked then begin
-      (* Injected write backpressure: classify as bandwidth denial, the
-         cause an external observer would ascribe to a DRAM hiccup. *)
-      (match t.probe with
-      | None -> ()
-      | Some p -> Telemetry.stall p ~now Telemetry.Bandwidth_denied);
-      false
-    end
     else if Channel.is_empty t.input then begin
       (match t.probe with
       | None -> ()

@@ -69,11 +69,6 @@ module Writer : sig
   val is_done : t -> bool
   val name : t -> string
 
-  val set_blocked : t -> bool -> unit
-  (** Fault-injection hook ({!Fault_plan}): while set, {!cycle} commits
-      nothing (classified as bandwidth denial), modelling a transient
-      DRAM write stall. Cleared by the injector each cycle. *)
-
   val words_remaining : t -> int
 
   val bytes_committed : t -> int

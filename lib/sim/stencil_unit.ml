@@ -63,9 +63,6 @@ type t = {
   seg_end : int array;
   seg_flush : bool array;
   seg_step : int array;
-  (* Fault-injection flag (Fault_plan): a hiccup freezes the pipeline
-     for the cycle. Cleared by the injector each cycle. *)
-  mutable hiccup : bool;
   probe : Telemetry.probe option;
 }
 
@@ -163,7 +160,6 @@ let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
     seg_end = Array.make max_segments 0;
     seg_flush = Array.make max_segments false;
     seg_step = Array.make max_segments (-1);
-    hiccup = false;
     probe;
   }
 
@@ -310,7 +306,7 @@ let blockages t =
 
 let starved_input t =
   let r = ref (-1) and k = ref 0 in
-  if not (t.hiccup || is_done t) then
+  if not (is_done t) then
     while !r < 0 && !k < Array.length t.inputs do
       let i = t.inputs.(!k) in
       (match i.channel with
@@ -320,24 +316,17 @@ let starved_input t =
     done;
   !r
 
-let set_hiccup t v = t.hiccup <- v
-
-(* An injected hiccup freezes the whole pipeline for the cycle. *)
 let cycle t ~now =
-  let progress =
-    (not t.hiccup)
-    &&
-    let flushed = try_flush t ~now in
-    let stepped = try_step t ~now in
-    flushed || stepped
-  in
+  let flushed = try_flush t ~now in
+  let stepped = try_step t ~now in
+  let progress = flushed || stepped in
   if progress then (match t.probe with Some p -> Telemetry.busy p ~now ~cycles:1 | None -> ())
   else if not (is_done t) then begin
     t.stalls <- t.stalls + 1;
     match t.probe with
     | None -> ()
     | Some p -> (
-        match if t.hiccup then [] else blockages t with
+        match blockages t with
         | Input_empty { input; _ } :: _ ->
             let channel = Channel.name (Option.get t.inputs.(input).channel) in
             Telemetry.stall p ~now ~channel Telemetry.Input_starved
@@ -363,7 +352,7 @@ let cycle t ~now =
 let plan t ~now ~until =
   t.plan_at <- now;
   t.segments <- 0;
-  if is_done t || t.hiccup then 0
+  if is_done t then 0
   else begin
     let l = t.compute_cycles and total = total_steps t and held = pend_count t in
     let s = ref t.step and cyc = ref now and flushed = ref 0 and fresh = ref 0 and base = ref 0 in

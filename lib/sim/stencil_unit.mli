@@ -58,12 +58,6 @@ val add_stalls : t -> int -> unit
 (** Credit stall cycles accounted lazily by the scheduler for cycles the
     unit was provably unable to progress and therefore not run. *)
 
-val set_hiccup : t -> bool -> unit
-(** Fault-injection hook ({!Fault_plan}): while set, the pipeline
-    freezes — {!cycle} makes no progress (counted and classified as a
-    pipeline stall) and {!plan} returns [0]. Cleared by the injector
-    each cycle. *)
-
 val next_release : t -> int
 (** Release cycle of the oldest pending word, or [max_int] when the
     pending line is empty — the unit's next self-wake time. *)
@@ -110,7 +104,7 @@ val run_planned : t -> now:int -> int -> unit
 val starved_input : t -> int
 (** The streaming-input index (as in {!plan_pops}) of the first input the unit must pop
     that is empty, the blockage a stall records first; [-1] when there
-    is none, when done, or in a hiccup. Until that channel is pushed,
+    is none or when done. Until that channel is pushed,
     pushes into the unit's other inputs change neither whether it can
     progress nor what it records. *)
 
@@ -121,6 +115,6 @@ type blockage = Input_empty of { field : string; input : int } | Output_full of 
 
 val blockages : t -> blockage list
 (** Every blockage, empty inputs first, each group in channel order;
-    [\[\]] when done or waiting only on the pending line. Outside a
-    hiccup the first one is the cause {!cycle} records for a stall, and
-    the deadlock diagnosis reads them all. *)
+    [\[\]] when done or waiting only on the pending line. The first one
+    is the cause {!cycle} records for a stall, and the deadlock
+    diagnosis reads them all. *)

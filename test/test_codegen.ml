@@ -186,6 +186,117 @@ let test_sdfg_dot_export () =
     [ "digraph \"laplace2d\""; "pipeline_lap (init"; "shape=octagon"; "compute";
       "write_if_not_initializing"; "shift_a (unroll" ]
 
+(* One program whose names collide in emitted identifiers unless every
+   name is spelled injectively: the output [o] is read by a stencil
+   named [mem] (its edge and its memory channel) and by [mem_o] (the
+   Vitis port [out_<consumer>] and [out_mem_<o>]); the edges [a -> b__c]
+   and [a__b -> c] (the channel [ch_a__b__c]); a stencil named [s.tx];
+   and an output [x_dev0] beside the input [x] (host buffers). The
+   partition puts each stencil named [a...], [o] and [mem...] on device
+   0, so both joined edges cross devices as SMI channels. *)
+let colliding_names () =
+  let b = Builder.create ~name:"colliding" ~shape:[ 4; 8 ] () in
+  Builder.input b "x";
+  Builder.stencil b "o" E.(acc "x" [ 0; 0 ] +% acc "x" [ 0; 1 ]);
+  Builder.stencil b "mem" E.(acc "o" [ 0; 0 ] *% c 2.);
+  Builder.stencil b "mem_o" E.(acc "o" [ 0; 0 ] -% acc "x" [ 0; 0 ]);
+  Builder.stencil b "a" E.(acc "x" [ 0; 0 ] -% acc "x" [ -1; 0 ]);
+  Builder.stencil b "a__b" E.(acc "x" [ 0; 0 ] *% c 0.5);
+  Builder.stencil b "b__c" E.(acc "a" [ 0; 0 ] *% c 3.);
+  Builder.stencil b "c" E.(acc "a__b" [ 0; 0 ] +% acc "mem" [ 0; 0 ]);
+  Builder.stencil b "s.tx" E.(acc "c" [ 0; -1 ]);
+  Builder.stencil b "x_dev0" E.(acc "s.tx" [ 0; 0 ] +% acc "b__c" [ 0; 0 ]);
+  List.iter (Builder.output b) [ "o"; "mem_o"; "x_dev0" ];
+  Builder.finish b
+
+let colliding_partition =
+  let on_device_0 = [ "o"; "mem"; "mem_o"; "a"; "a__b" ] in
+  {
+    Partition.num_devices = 2;
+    device_of =
+      List.map
+        (fun s -> (s, if List.mem s on_device_0 then 0 else 1))
+        (on_device_0 @ [ "b__c"; "c"; "s.tx"; "x_dev0" ]);
+    replicated_inputs = [ ("x", [ 0 ]) ];
+    cross_edges = [ (("a", "b__c"), (0, 1)); (("a__b", "c"), (0, 1)); (("mem", "c"), (0, 1)) ];
+    per_device_usage = [];
+  }
+
+(* What a generated source declares, by scope: at file scope (lines at
+   column 0) its channels, SMI channels, prefetch arrays and functions;
+   in a function, from its header on, its parameters, streams, shift
+   registers and host buffers. *)
+let declarations src =
+  let token s =
+    let stop = ref 0 in
+    while !stop < String.length s && not (String.contains " [;(),=" s.[!stop]) do incr stop done;
+    String.sub s 0 !stop
+  in
+  let after prefix s =
+    if String.starts_with ~prefix s then
+      Some (token (String.sub s (String.length prefix) (String.length s - String.length prefix)))
+    else None
+  in
+  let scope = ref "" and acc = ref [] in
+  let declare sc name = acc := (sc, name) :: !acc in
+  List.iter
+    (fun line ->
+      let trimmed = String.trim line in
+      match (find_from line ~from:0 "void ", String.index_opt line '(') with
+      | Some v, Some open_ when v < open_ && String.ends_with ~suffix:"{" trimmed ->
+          let name = token (String.sub line (v + 5) (String.length line - v - 5)) in
+          declare "" name;
+          scope := name;
+          let close = String.rindex line ')' in
+          String.split_on_char ',' (String.sub line (open_ + 1) (close - open_ - 1))
+          |> List.iter (fun param ->
+                 match String.split_on_char ' ' (String.trim param) with
+                 | [ "" ] -> ()
+                 | words -> declare name (List.nth words (List.length words - 1)))
+      | _ ->
+          let global = line <> "" && line.[0] <> ' ' in
+          List.iter
+            (fun prefix ->
+              Option.iter
+                (fun name -> declare (if global then "" else !scope) name)
+                (after prefix trimmed))
+            [ "channel float "; "SMI_Channel "; "float "; "hls::stream<float> "; "cl_mem " ])
+    (String.split_on_char '\n' src);
+  List.rev !acc
+
+let test_injective_identifiers () =
+  let p = colliding_names () in
+  let valid name =
+    name <> ""
+    && (match name.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false)
+    && String.for_all
+         (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
+         name
+  in
+  let check what src =
+    let decls = declarations src in
+    List.iter
+      (fun (_, name) -> Alcotest.(check bool) (what ^ ": valid identifier " ^ name) true (valid name))
+      decls;
+    List.iter
+      (fun (scope, name) ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: declarations of %s in %S" what name scope)
+          1
+          (List.length (List.filter (( = ) (scope, name)) decls)))
+      decls
+  in
+  List.iter (fun a -> check "opencl" a.Opencl.source) (Fixtures.ok (Opencl.generate p));
+  List.iter
+    (fun a -> check (Printf.sprintf "opencl device %d" a.Opencl.device) a.Opencl.source)
+    (Fixtures.ok (Opencl.generate ~partition:colliding_partition p));
+  check "host" (Fixtures.ok (Opencl.host_source p));
+  check "vitis" (Fixtures.ok (Sf_codegen.Vitis.generate p));
+  (* Plain names stand for themselves; the others stay apart. *)
+  Alcotest.(check (list string)) "spelled names"
+    [ "o"; "x_dev"; "dev0"; "0mem"; "0mem_5Fo"; "0a_5F_5Fb"; "0s_2Etx"; "0x_5Fdev0"; "0" ]
+    (List.map Opencl.ident [ "o"; "x_dev"; "dev0"; "mem"; "mem_o"; "a__b"; "s.tx"; "x_dev0"; "" ])
+
 (* The kernels of a backend's source: the name after each [marker] (up to
    its parameter list) and the text up to the next marker. *)
 let kernels ~marker src =
@@ -292,6 +403,8 @@ let suite =
     Alcotest.test_case "vectorized kernels" `Quick test_vectorized_codegen;
     Alcotest.test_case "multi-device SMI emission (sec 6B)" `Quick test_multi_device_smi;
     Alcotest.test_case "host code" `Quick test_host_code;
+    Alcotest.test_case "identifiers are valid and distinct under colliding names" `Quick
+      test_injective_identifiers;
     Alcotest.test_case "expression rendering" `Quick test_expression_to_c;
     Alcotest.test_case "vitis backend structure" `Quick test_vitis_backend;
     Alcotest.test_case "vitis backend kitchen sink" `Quick test_vitis_kitchen_sink;

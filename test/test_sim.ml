@@ -291,7 +291,10 @@ let test_trace_sampling () =
    adds none, so a 16- and a 256-stage chain take the same number.
    The full chain-sim's units take 2148 chunk visits at W = 1's
    512-word chunk (4232 at 256 words): a change of the chunk rule or of
-   how windows run their chunks shows there. *)
+   how windows run their chunks shows there. Under faults, windows run
+   between fault transitions and leave frozen units and writers out:
+   hdiff-small under the stock plan, fault seed 1, advanced 992 cycles
+   in 241 windows while no window ran during a burst. *)
 let window_counts ?(unit_chunks = ref 0) ~config ~placement p =
   let module I = Engine.Internal in
   let windowed = ref 0 and windows = ref 0 in
@@ -315,7 +318,7 @@ let test_window_coverage () =
   in
   let chain ~shape ~length = Sf_kernels.Iterative.(chain ~shape Jacobi2d ~length) in
   let one_device _ = 0 in
-  let check ?unit_chunks name ~placement p ~cycles ~windowed ~windows =
+  let check ?unit_chunks ?(config = config) name ~placement p ~cycles ~windowed ~windows =
     Alcotest.(check (triple int int int))
       (name ^ ": cycles, windowed cycles, windows")
       (cycles, windowed, windows)
@@ -336,6 +339,12 @@ let test_window_coverage () =
     | Error d -> Alcotest.fail d.Sf_support.Diag.message
   in
   check "pdes-2dev quick, sequential" ~placement p ~cycles:3_465 ~windowed:3_463 ~windows:5;
+  check "hdiff-small, faults seed 1"
+    ~config:
+      (Engine.Config.make ~faults:(Engine.Config.faults ~plan:Sf_sim.Fault_plan.default ~seed:1 ()) ())
+    ~placement:one_device
+    (Test_sim_parity.example "horizontal_diffusion_small.json")
+    ~cycles:11_084 ~windowed:1_346 ~windows:366;
   let windows length =
     let _, _, n = window_counts ~config ~placement:one_device (chain ~shape:[ 64; 64 ] ~length) in
     n
