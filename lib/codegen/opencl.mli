@@ -54,14 +54,8 @@ val emit_compute :
     the prefetch arrays of lower-dimensional inputs. *)
 
 val ident : string -> string
-(** A program name as both backends spell it inside identifiers (after a
-    fixed prefix such as [ch_], [stencil_], [sr_], [pe_] or [out_]).
-    Injective, and the identity on plain names: C identifiers of
-    letters, digits and single inner underscores that start with a
-    letter, other than [mem], [mem_...] and [..._dev<digits>]. Any other
-    name becomes [0] followed by its letters and digits, and [_XX] (two
-    upper-case hex digits) for each other byte. No result contains [__]
-    or ends in [_], so the channel [ch_<src>__<dst>] names one edge. *)
+(** {!Sf_ir.Ident.of_name}: a program name as both backends spell it
+    inside identifiers. *)
 
 val float_literal : float -> string
 (** C float literal rendering shared by the backends. *)

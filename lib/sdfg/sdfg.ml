@@ -44,7 +44,10 @@ let find_container t name = List.find_opt (fun c -> String.equal c.cname name) t
 let subset_of_offsets offsets =
   "[" ^ Sf_support.Util.string_concat_map ", " string_of_int offsets ^ "]"
 
-let stream_name ~src ~dst = Printf.sprintf "%s__to__%s" src dst
+(* Container names spell program names with [Ident.of_name], whose
+   results neither contain [__] nor start or end with [_], so both
+   joins below are injective. *)
+let stream_name ~src ~dst = Ident.of_name src ^ "__to__" ^ Ident.of_name dst
 
 (* Metadata containers encode program-level parameters that DaCe would
    keep as symbols; they are zero-extent and transient. *)
@@ -260,7 +263,7 @@ let expand_stencil (p_shape : int list) w (info : Sf_analysis.Delay_buffer.node_
   List.iter
     (fun field ->
       let offsets = Stencil.offsets_read accesses field in
-      let sr = Printf.sprintf "sr_%s_%s" s.Stencil.name field in
+      let sr = "sr_" ^ Ident.of_name s.Stencil.name ^ "__" ^ Ident.of_name field in
       (* A full-rank field read at several offsets streams through a shift
          register of the paper's size; lower-dimensional fields are
          prefetched. *)

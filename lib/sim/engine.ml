@@ -1288,23 +1288,24 @@ let run ?(config = Config.default) ?placement ?inputs p =
 
 (* The program is checked and every body lowered once, into the plan
    that the stencil units and the oracle share. The oracle reads only
-   the plan and the inputs: it evaluates on a second domain while this
-   one simulates, or inline after the run in a pool worker (its pool
-   already uses the cores) or on a one-core host. It is prepared here,
-   before the spawn: preparing on the second domain measured slower, as
-   its allocation then runs alongside the build's. A malformed program
-   raises before either runs; otherwise the run's exception or [Error]
-   wins over any oracle exception. *)
+   the plan and the inputs: it evaluates on the process's resident
+   spare domain ([Executor.overlap]) while this one simulates, or
+   inline after the run when the spare cannot take it (a pool worker,
+   a one-core host, or the spare busy with another caller's oracle). It
+   is prepared here, before the hand-off: preparing on the spare
+   measured slower, as its allocation then runs alongside the build's.
+   A malformed program raises before either runs; otherwise the run's
+   exception or [Error] wins over any oracle exception, and an
+   overlapped oracle is still joined first, so the spare is free for
+   the next call. *)
 let run_and_validate ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs p =
   let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in
   let plan = Interp.plan p in
   let oracle = try Interp.prepare plan ~inputs with e -> fun () -> raise e in
   let reference, discard =
-    if Sf_support.Executor.worker_index () > 0 || Domain.recommended_domain_count () < 2 then
-      (oracle, ignore)
-    else
-      let d = Domain.spawn oracle in
-      ((fun () -> Domain.join d), fun () -> try ignore (Domain.join d) with _ -> ())
+    match Sf_support.Executor.overlap oracle with
+    | None -> (oracle, ignore)
+    | Some join -> (join, fun () -> try ignore (join ()) with _ -> ())
   in
   match to_result ~config (run_plan ~config ~placement ~inputs plan) with
   | Ok stats -> compare_outputs ~reference:(reference ()) stats

@@ -183,3 +183,41 @@ let map_list pool f xs =
 let with_pool ~jobs f =
   let pool = create ~workers:(jobs - 1) () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
+
+(* The spare: a one-worker pool, created by the first [overlap] that
+   can use it. A caller claims [spare_busy] before it hands the spare a
+   task, so only one caller at a time forces [spare]; the task releases
+   the claim as it stores its outcome, so a caller that has joined
+   finds the spare free. *)
+let spare = lazy (create ~workers:1 ())
+let spare_busy = Atomic.make false
+let spare_spawns () = if Lazy.is_val spare then 1 else 0
+
+let overlap f =
+  if
+    worker_index () > 0
+    || Domain.recommended_domain_count () < 2
+    || not (Atomic.compare_and_set spare_busy false true)
+  then None
+  else
+    match Lazy.force spare with
+    | exception _ ->
+        Atomic.set spare_busy false;
+        None
+    | pool ->
+        let outcome = ref None and stored = Condition.create () in
+        submit pool (fun () ->
+            let r = try Ok (f ()) with e -> Error (e, Printexc.get_raw_backtrace ()) in
+            Mutex.protect pool.mu (fun () ->
+                Atomic.set spare_busy false;
+                outcome := Some r;
+                Condition.signal stored));
+        Some
+          (fun () ->
+            Mutex.protect pool.mu (fun () ->
+                while Option.is_none !outcome do
+                  Condition.wait stored pool.mu
+                done);
+            match Option.get !outcome with
+            | Ok v -> v
+            | Error (e, bt) -> Printexc.raise_with_backtrace e bt)

@@ -1,8 +1,11 @@
-(** Shared fixed-size domain pool for embarrassingly-parallel work.
+(** Shared fixed-size domain pools for embarrassingly-parallel work,
+    and one spare domain per process for overlapping a single task.
 
     A pool is one FIFO of tasks popped by [workers] domains. Fault
     campaigns, autotune sweeps and probe arms run batches on it
     ({!map}); the serve tier submits one task per request ({!submit}).
+    The spare ({!overlap}) is a one-worker pool of its own that a
+    validated simulation hands its reference oracle to.
 
     {b Batches.} A batch is a shared claim counter: {!map} queues up to
     [workers] drainer tasks and drains on the calling domain too, and
@@ -78,3 +81,14 @@ val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** A pool of [jobs - 1] workers, so that with the calling domain [jobs]
     domains run its batches; [create], apply, then [shutdown] (also on
     exception). *)
+
+val overlap : (unit -> 'a) -> (unit -> 'a) option
+(** [overlap f] hands [f] to the process's one spare domain and returns
+    [Some join]: [join ()], which the caller must call before it
+    returns, waits for [f] and returns its result or re-raises its
+    exception with its backtrace. [None], and the caller runs [f]
+    itself, for a pool worker, on a one-core host, while the spare runs
+    another caller's task, or when the spare cannot be spawned. *)
+
+val spare_spawns : unit -> int
+(** Domains started for the spare in this process: 0 or 1. *)

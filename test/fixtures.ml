@@ -10,6 +10,17 @@ let ok = function
 
 let ok1 = function Ok v -> v | Error d -> failwith (Sf_support.Diag.to_string d)
 
+(* The shipped example programs. Tests normally run from
+   _build/default/test; [dune exec] and a direct run of the test binary
+   run from the checkout root. *)
+let examples_dir =
+  lazy
+    (match List.find_opt Sys.file_exists [ "../examples/programs"; "examples/programs" ] with
+    | Some dir -> dir
+    | None -> failwith "cannot locate examples/programs")
+
+let example_path name = Filename.concat (Lazy.force examples_dir) name
+
 (* The dependency DAG: an edge [u -> v] for every field [u] that stencil
    [v] reads, built from the bodies alone. Reference definitions in the
    tests use it; the library derives it once, in [Program.check]. *)

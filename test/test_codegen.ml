@@ -166,7 +166,7 @@ let vitis_digests =
 let test_vitis_pinned () =
   List.iter
     (fun (file, digest) ->
-      let p = Fixtures.ok (Sf_frontend.Program_json.of_file ("../examples/programs/" ^ file)) in
+      let p = Fixtures.ok (Sf_frontend.Program_json.of_file (Fixtures.example_path file)) in
       let p = Sf_sdfg.Opt.optimize (fst (Sf_sdfg.Fusion.fuse_all p)) in
       let src = Fixtures.ok (Sf_codegen.Vitis.generate p) in
       Alcotest.(check string) file digest (Digest.to_hex (Digest.string src)))
@@ -381,7 +381,7 @@ let prop_register_shape_from_internal_buffer =
                 List.filter_map
                   (fun (b : Sf_analysis.Internal_buffer.t) ->
                     if b.size_elements = 0 then None
-                    else Some (Printf.sprintf "sr_%s_%s" s.Stencil.name b.field, [ b.size_elements ]))
+                    else Some (Printf.sprintf "sr_%s__%s" s.Stencil.name b.field, [ b.size_elements ]))
                   (buffers_of s.Stencil.name))
               p.Program.stencils
           in

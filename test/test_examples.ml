@@ -3,13 +3,11 @@
 module Program_json = Sf_frontend.Program_json
 module Engine = Sf_sim.Engine
 
-let programs_dir = "../examples/programs"
-
 let example_files () =
-  Sys.readdir programs_dir |> Array.to_list
+  Sys.readdir (Lazy.force Fixtures.examples_dir) |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".json")
   |> List.sort String.compare
-  |> List.map (Filename.concat programs_dir)
+  |> List.map Fixtures.example_path
 
 let test_all_examples_load () =
   let files = example_files () in

@@ -262,16 +262,12 @@ let matches_restart ?max_body_size p =
   && Sf_support.Fingerprint.equal (Program.fingerprint fused) (Program.fingerprint fused')
 
 let test_fuse_all_matches_restart_on_examples () =
-  let dir = "../examples/programs" in
-  let examples =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".json")
-    |> List.sort String.compare
-  in
+  let examples = Test_examples.example_files () in
   Alcotest.(check int) "the shipped examples" 8 (List.length examples);
   List.iter
-    (fun f ->
-      let p = Fixtures.ok (Sf_frontend.Program_json.of_file (Filename.concat dir f)) in
+    (fun path ->
+      let f = Filename.basename path in
+      let p = Fixtures.ok (Sf_frontend.Program_json.of_file path) in
       Alcotest.(check bool) f true (matches_restart p);
       Alcotest.(check bool) (f ^ " bounded") true (matches_restart ~max_body_size:40 p))
     examples;

@@ -37,7 +37,7 @@ let rejected_width () =
   List.map
     (fun verb ->
       Request.make verb
-        (Request.File (Filename.concat Test_examples.programs_dir "laplace2d.json"))
+        (Request.File (Fixtures.example_path "laplace2d.json"))
         ~options:{ Request.default_options with width = Some 3 })
     [ `Analyze; `Simulate; `Codegen ]
 

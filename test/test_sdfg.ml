@@ -83,10 +83,10 @@ let test_expansion () =
   Alcotest.(check bool) "shift phase present" true
     (count_in_sdfg (function Sdfg.Unrolled_map _ -> true | _ -> false) sdfg > 0);
   (* The laplace accesses span [-I, +I]: shift register of 2I + W. *)
-  match Sdfg.find_container sdfg "sr_lap_a" with
+  match Sdfg.find_container sdfg "sr_lap__a" with
   | Some { Sdfg.extent = [ size ]; storage = Sdfg.On_chip; _ } ->
       Alcotest.(check int) "shift register size" ((2 * 8) + 1) size
-  | Some _ | None -> Alcotest.fail "expected shift register container sr_lap_a"
+  | Some _ | None -> Alcotest.fail "expected shift register container sr_lap__a"
 
 let test_expansion_pipeline_phases () =
   let p = Fixtures.diamond ~shape:[ 8; 16 ] ~span:3 () in
@@ -223,6 +223,51 @@ let test_transforms_pinned () =
       Alcotest.(check string) (file ^ " state fusion") fusion (digest (Transform.state_fusion fissioned)))
     transform_digests
 
+(* Two programs whose container names met when names were joined
+   as-is: edges [a -> b__to__c] and [a__to__b -> c] (both streams were
+   [a__to__b__to__c]), and stencil [a_b] reading [c] beside stencil [a]
+   reading [b_c] (both shift registers were [sr_a_b_c]). *)
+let test_container_names_distinct () =
+  let module E = Builder.E in
+  let streams =
+    let b = Builder.create ~name:"streams" ~shape:[ 4; 8 ] () in
+    Builder.input b "x";
+    Builder.stencil b "a" E.(acc "x" [ 0; 0 ]);
+    Builder.stencil b "b__to__c" E.(acc "a" [ 0; 0 ]);
+    Builder.stencil b "a__to__b" E.(acc "x" [ 0; 0 ]);
+    Builder.stencil b "c" E.(acc "a__to__b" [ 0; 0 ]);
+    Builder.output b "b__to__c";
+    Builder.output b "c";
+    Builder.finish b
+  in
+  let registers =
+    let b = Builder.create ~name:"registers" ~shape:[ 4; 8 ] () in
+    Builder.input b "c";
+    Builder.input b "b_c";
+    Builder.stencil b "a_b" E.(acc "c" [ 0; -1 ] +% acc "c" [ 0; 1 ]);
+    Builder.stencil b "a" E.(acc "b_c" [ 0; -1 ] +% acc "b_c" [ 0; 1 ]);
+    Builder.output b "a_b";
+    Builder.output b "a";
+    Builder.finish b
+  in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (what, (sdfg : Sdfg.t)) ->
+          check_valid sdfg;
+          let names = List.map (fun c -> c.Sdfg.cname) sdfg.Sdfg.containers in
+          Alcotest.(check int)
+            (p.Program.name ^ " " ^ what ^ ": distinct container names")
+            (List.length names)
+            (List.length (List.sort_uniq String.compare names)))
+        [ ("lowered", Sdfg.of_program p);
+          ("expanded", Sdfg.expand_library_nodes (Sdfg.of_program p)) ])
+    [ streams; registers ];
+  let has sdfg name = Option.is_some (Sdfg.find_container sdfg name) in
+  let expanded = Sdfg.expand_library_nodes (Sdfg.of_program registers) in
+  Alcotest.(check bool) "plain names are kept" true
+    (has expanded "sr_a_b__c" && has expanded "sr_a__b_c")
+
 let suite =
   [
     Alcotest.test_case "lowering structure and stream depths" `Quick test_of_program_structure;
@@ -236,4 +281,6 @@ let suite =
     Alcotest.test_case "nest dim lifts 2D to 3D" `Quick test_nest_dim;
     Alcotest.test_case "nest dim rejects 3D input" `Quick test_nest_dim_rejects_3d;
     Alcotest.test_case "validation catches dangling edges" `Quick test_validate_catches_corruption;
+    Alcotest.test_case "container names are distinct under colliding names" `Quick
+      test_container_names_distinct;
   ]

@@ -87,13 +87,7 @@ let signature outcome =
 (* bandwidth caps, occupancy traces, deadlock and its diagnosis.        *)
 (* ------------------------------------------------------------------ *)
 
-(* Tests normally run from _build/default/test; `dune exec` runs from the
-   project root. *)
-let example name =
-  let candidates = [ "../examples/programs/" ^ name; "examples/programs/" ^ name ] in
-  match List.find_opt Sys.file_exists candidates with
-  | Some path -> Fixtures.ok (Sf_frontend.Program_json.of_file path)
-  | None -> failwith ("cannot locate example program " ^ name)
+let example name = Fixtures.ok (Sf_frontend.Program_json.of_file (Fixtures.example_path name))
 
 let cases : (string * (unit -> Engine.outcome)) list =
   let run ?(config = cheap_config) ?placement p () = Engine.run_exn ~config ?placement p in

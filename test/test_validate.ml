@@ -1,8 +1,10 @@
 (* Oracle-path parity: [Engine.run_and_validate] evaluates the reference
-   interpreter on a second domain while the simulation runs, or inline
-   when the caller is a pool worker. Both paths must report the same
-   outcome: the same stats and output bits, the same Diag, or the same
-   exception. *)
+   interpreter on the resident spare domain while the simulation runs,
+   or inline when the caller is a pool worker. Both paths must report
+   the same outcome: the same stats and output bits, the same Diag, or
+   the same exception. The spare itself is one domain per process that
+   survives its oracles' failures and is free again when a call
+   returns. *)
 open Sf_ir
 module Engine = Sf_sim.Engine
 module Interp = Sf_reference.Interp
@@ -20,14 +22,16 @@ let outcome f =
 
 (* Run [f] inside a dedicated pool worker, where [run_and_validate]
    evaluates its oracle inline. *)
-let in_worker f =
+let on_worker f =
   let pool = Executor.create ~workers:1 () in
   let r = ref None in
   Executor.submit pool (fun () ->
       assert (Executor.worker_index () > 0);
-      r := Some (outcome f));
+      r := Some (f ()));
   Executor.shutdown pool;
   Option.get !r
+
+let in_worker f = on_worker (fun () -> outcome f)
 
 let both f = (outcome f, in_worker f)
 
@@ -150,6 +154,97 @@ let test_nan_against_number () =
     (Array.exists Float.is_nan out.Interp.tensor.Tensor.data);
   match both with Ok _ -> () | Error d -> Alcotest.failf "NaN on both sides: %s" (Diag.to_string d)
 
+(* On a one-core host nothing overlaps and the spare never starts. *)
+let multicore = Domain.recommended_domain_count () >= 2
+let expected_spawns = if multicore then 1 else 0
+
+(* The domain that runs a task the spare takes, if it takes it. *)
+let spare_domain () =
+  Option.map (fun join -> join ()) (Executor.overlap (fun () -> (Domain.self () :> int)))
+
+let check_spare_free what =
+  let d = spare_domain () in
+  if multicore then begin
+    match d with
+    | Some d when d <> (Domain.self () :> int) -> ()
+    | Some _ -> Alcotest.failf "%s: the spare ran on the caller's domain" what
+    | None -> Alcotest.failf "%s: the spare is not free" what
+  end
+  else Alcotest.(check (option int)) (what ^ ": one core, no spare") None d;
+  Alcotest.(check int) (what ^ ": spare domains started") expected_spawns
+    (Executor.spare_spawns ())
+
+let jacobi () = Sf_kernels.Iterative.(chain ~shape:[ 16; 16 ] Jacobi2d ~length:2)
+
+let test_one_spare () =
+  let p = jacobi () in
+  for _ = 1 to 50 do
+    match Engine.run_and_validate ~config:cheap p with
+    | Ok _ -> ()
+    | Error d -> Alcotest.failf "validated run: %s" (Diag.to_string d)
+  done;
+  Alcotest.(check int)
+    (if multicore then "50 runs from the main domain start one spare"
+     else "one core: 50 runs start no spare")
+    expected_spawns (Executor.spare_spawns ());
+  let spawns = Executor.spare_spawns () in
+  (match in_worker (fun () -> Engine.run_and_validate ~config:cheap p) with
+  | Stats _ -> ()
+  | o -> Alcotest.failf "run in a pool worker: %s" (describe o));
+  Alcotest.(check int) "a pool worker starts none" spawns (Executor.spare_spawns ());
+  Alcotest.(check bool) "a pool worker never overlaps" true
+    (on_worker (fun () -> Option.is_none (Executor.overlap ignore)))
+
+(* The mis-shaped input makes the overlapped oracle raise on the spare;
+   the spare survives it, and the next clean run overlaps on the same
+   domain. *)
+let test_spare_survives_oracle_exception () =
+  check_spare_free "before";
+  let before = spare_domain () in
+  (match Engine.run_and_validate ~inputs:[ ("a", Tensor.create [ 4; 4 ]) ] (two_point ()) with
+  | Error d -> Alcotest.(check string) "SF0701" Diag.Code.sim_deadlock d.Diag.code
+  | Ok _ -> Alcotest.fail "the mis-shaped input validated");
+  (match Engine.run_and_validate ~config:cheap (jacobi ()) with
+  | Ok _ -> ()
+  | Error d -> Alcotest.failf "clean run after: %s" (Diag.to_string d));
+  Alcotest.(check (option int)) "the same spare" before (spare_domain ());
+  check_spare_free "after"
+
+(* A deadlocking run returns its Diag only after its oracle finished,
+   so the next caller finds the spare free. *)
+let test_deadlock_frees_spare () =
+  let p = Fixtures.diamond ~shape:[ 8; 16 ] ~span:5 () in
+  let config =
+    {
+      cheap with
+      Engine.Config.override_edge_buffers = [ (("a", "c"), 0) ];
+      Engine.Config.channel_slack = 2;
+      Engine.Config.safety = Engine.Config.safety ~deadlock_window:256 ();
+    }
+  in
+  (match Engine.run_and_validate ~config p with
+  | Error d -> Alcotest.(check string) "SF0701" Diag.Code.sim_deadlock d.Diag.code
+  | Ok _ -> Alcotest.fail "the diamond completed");
+  check_spare_free "after the deadlock"
+
+(* Two non-worker domains validate at once: one may overlap on the
+   spare while the other runs inline, and both match the inline path
+   bit for bit. *)
+let test_concurrent_callers () =
+  let p = jacobi () in
+  let inputs = Interp.random_inputs p in
+  let run () = Engine.run_and_validate ~config:cheap ~inputs p in
+  let expected = in_worker run in
+  let runs () = List.init 10 (fun _ -> outcome run) in
+  let other = Domain.spawn runs in
+  let mine = runs () in
+  List.iter
+    (fun o ->
+      if not (same o expected) then
+        Alcotest.failf "concurrent %s, inline %s" (describe o) (describe expected))
+    (mine @ Domain.join other);
+  check_spare_free "after concurrent callers"
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_paths_agree;
@@ -159,4 +254,9 @@ let suite =
     Alcotest.test_case "simulation Error wins over the oracle" `Quick test_simulation_error_wins;
     Alcotest.test_case "prepare error raises on both paths" `Quick test_prepare_error_surfaces;
     Alcotest.test_case "NaN against a number is a mismatch" `Quick test_nan_against_number;
+    Alcotest.test_case "validated runs share one spare domain" `Quick test_one_spare;
+    Alcotest.test_case "an oracle exception leaves the spare alive" `Quick
+      test_spare_survives_oracle_exception;
+    Alcotest.test_case "a deadlocked run frees the spare" `Quick test_deadlock_frees_spare;
+    Alcotest.test_case "concurrent callers match the inline path" `Quick test_concurrent_callers;
   ]
