@@ -568,15 +568,15 @@ let compare_to_reference ~inputs (p : Program.t) stats =
 (* into a full one, and at what it cannot plan: the wake of a sleeper  *)
 (* that does not join, a link's maturity or budget, and the end of     *)
 (* the run. The window then runs in chunks of up to Channel.chunk      *)
-(* cycles: link deliveries first (a link runs first in a cycle, so     *)
-(* its consumer sees the word the same cycle), then producers before   *)
-(* consumers (readers, units in topological order, writers, link       *)
-(* injections), each component doing its part of the chunk at once,    *)
-(* split only at its own segment ends: a unit evaluates a row segment  *)
-(* of words per dispatch. Values are exact (a unit's outputs depend    *)
-(* only on the order of the words it pops), channels hold the chunk    *)
-(* in slots past their capacity, and each pushed channel's high-water  *)
-(* mark is settled at the end from the same breakpoints.               *)
+(* cycles, producers before consumers (readers, units in topological   *)
+(* order, writers; a link port, after its source's producer, injects   *)
+(* and then delivers what Link.plan proved mature), each component     *)
+(* doing its part of the chunk at once, split only at its own segment  *)
+(* ends: a unit evaluates a row segment of words per dispatch. Values  *)
+(* are exact (a unit's outputs depend only on the order of the words   *)
+(* it pops), channels hold the chunk in slots past their capacity, and *)
+(* each pushed channel's high-water mark is settled at the end from    *)
+(* the same breakpoints.                                               *)
 (*                                                                     *)
 (* Every run takes this one schedule. Windows and jumps stop short of  *)
 (* occupancy samples and fault transitions, where the injector ticks.  *)
@@ -774,6 +774,15 @@ let scheduler ~config ?injector ~finished system =
     | Cunit u -> Stencil_unit.is_done u
     | Creader r -> Memory_unit.Reader.is_done r
   in
+  (* Each link port's place in a chunk: after the producer of its source. *)
+  let ports_after = Array.make ncomps [] in
+  Array.iteri
+    (fun li -> function
+      | Clink l ->
+          let add x c = ports_after.(producer.(c)) <- (li, l, x) :: ports_after.(producer.(c)) in
+          Array.iteri add ins.(li)
+      | Cwriter _ | Cunit _ | Creader _ -> ())
+    comps;
   let windowed = ref 0 and windows = ref 0 and unit_chunks = ref 0 in
   (* Every channel is W lanes wide, so one chunk fits each channel's
      slack, unit window and pending line. *)
@@ -917,16 +926,12 @@ let scheduler ~config ?injector ~finished system =
         Array.iter walk_rates ins.(i)
       done
     end;
-    (* Links check maturity and budgets last, against the final bound,
-       and may cap the chunk. *)
-    let chunk = ref chunk in
+    (* Links check maturity and budgets last, against the final bound. *)
     if !k >= 2 then
       for i = 0 to nlinks - 1 do
         if start.(i) = 0 then
           match comps.(i) with
-          | Clink l ->
-              k := Link.fit l ~now !k;
-              chunk := Int.min !chunk (Link.plan_chunk l)
+          | Clink l -> k := Link.fit l ~now !k
           | Cwriter _ | Cunit _ | Creader _ -> ()
       done;
     let kk = !k in
@@ -946,26 +951,20 @@ let scheduler ~config ?injector ~finished system =
           last_ran.(i) <- now + kk - 1
         end
       done;
-      (* Deliveries first, as links run first in a cycle and a delivered
-         word is visible to its consumer the same cycle; then producers
-         before consumers, so injections (links) come last. A reader or
-         writer moves its words up to the cycle it is done; a unit runs
-         its own segments. *)
+      (* Producers before consumers: readers, units in topological
+         order, writers, each link port right after the producer of its
+         source; a link grants its budget last. A reader or writer moves
+         its words up to the cycle it is done; a unit runs its own
+         segments. *)
       let rel = ref 0 in
       while !rel < kk do
-        let n = Int.min !chunk (kk - !rel) in
-        for i = 0 to nlinks - 1 do
-          if start.(i) = 0 then
-            match comps.(i) with
-            | Clink l -> Link.run_deliver l n
-            | Cwriter _ | Cunit _ | Creader _ -> ()
-        done;
+        let n = Int.min chunk (kk - !rel) in
         for i = ncomps - 1 downto 0 do
           let j = start.(i) in
           if j < !rel + n && finish.(i) > !rel then begin
             let m = !rel + n - Int.max !rel j in
             match comps.(i) with
-            | Clink l -> Link.run_inject l ~now:(now + !rel) n
+            | Clink l -> Link.grant l ~now:(now + !rel) n
             | Cwriter w ->
                 let m = Int.min m (Memory_unit.Writer.words_remaining w) in
                 if m > 0 then Memory_unit.Writer.run_fast w m
@@ -975,7 +974,10 @@ let scheduler ~config ?injector ~finished system =
             | Creader r ->
                 let m = Int.min m (Memory_unit.Reader.words_remaining r) in
                 if m > 0 then Memory_unit.Reader.run_fast r m
-          end
+          end;
+          List.iter
+            (fun (li, l, x) -> if start.(li) = 0 then Link.run_port l x ~now:(now + !rel) n)
+            ports_after.(i)
         done;
         rel := !rel + n
       done;

@@ -21,9 +21,8 @@ type t = {
      words injected while it holds. *)
   mutable extra_latency : int;
   (* The current fast-forward plan: the word size of every injecting
-     port in port order, and the most cycles one chunk may span. *)
+     port in port order. *)
   mutable plan_requests : int list;
-  mutable plan_chunk : int;
 }
 
 let create ?probe ~name ~bytes_per_cycle ~latency_cycles () =
@@ -35,7 +34,6 @@ let create ?probe ~name ~bytes_per_cycle ~latency_cycles () =
     probe;
     extra_latency = 0;
     plan_requests = [];
-    plan_chunk = max_int;
   }
 
 let add_port t ~src ~dst ~word_bytes =
@@ -151,7 +149,6 @@ let plan t ~now =
     t.ports;
   t.plan_requests <-
     Array.fold_right (fun p acc -> if p.injects then p.word_bytes :: acc else acc) t.ports [];
-  t.plan_chunk <- max_int;
   Array.iter
     (fun p ->
       let m = Spsc.length p.ring in
@@ -163,9 +160,8 @@ let plan t ~now =
         progress := true;
         (* Past the [m] words in flight it delivers the words it
            injects, which mature in time only if [m] covers the
-           latency, and only from an earlier chunk. *)
-        if p.injects && latency <= m then t.plan_chunk <- Int.min t.plan_chunk m
-        else h := Int.min !h m
+           latency. *)
+        if not (p.injects && latency <= m) then h := Int.min !h m
       end
       else begin
         (* Idle: the window ends before the head, or the first word it
@@ -183,7 +179,6 @@ let plan t ~now =
 
 let plan_delivers t i = t.ports.(i).delivers
 let plan_injects t i = t.ports.(i).injects
-let plan_chunk t = t.plan_chunk
 
 let fit t ~now k =
   let k = ref k in
@@ -193,13 +188,15 @@ let fit t ~now k =
     t.ports;
   Controller.sustains t.controller ~now ~cycles:!k t.plan_requests
 
-let run_deliver t n =
-  Array.iter (fun p -> if p.delivers then move_heads p n Channel.Unsafe.push_run) t.ports
+(* Injecting first puts every word the chunk delivers in the ring: one
+   injected in the chunk was injected at least [latency] cycles before
+   its delivery ([plan]). *)
+let run_port t i ~now n =
+  let p = t.ports.(i) in
+  if p.injects then move_fronts p n ~release:(now + t.latency_cycles + t.extra_latency);
+  if p.delivers then move_heads p n Channel.Unsafe.push_run
 
-let run_inject t ~now n =
-  Controller.grant_rounds t.controller ~now ~cycles:n t.plan_requests;
-  let release = now + t.latency_cycles + t.extra_latency in
-  Array.iter (fun p -> if p.injects then move_fronts p n ~release) t.ports
+let grant t ~now n = Controller.grant_rounds t.controller ~now ~cycles:n t.plan_requests
 
 let name t = t.name
 let bytes_transferred t = Controller.bytes_granted t.controller

@@ -63,34 +63,31 @@ val next_arrival : t -> now:int -> int
 val plan : t -> now:int -> int
 (** Choose every port's roles for a window starting at [now], and bound
     the window by what the roles alone allow: an idle delivery by its
-    head's release (or its first injected word's), a delivery that does
-    not also inject by the words in flight. [0] when no port would
-    progress or a matured head is held back by a full destination. *)
+    head's release (or its first injected word's), a delivery by the
+    words in flight unless it also injects and they cover the latency.
+    [0] when no port would progress or a matured head is held back by
+    a full destination. *)
 
 val plan_delivers : t -> int -> bool
 val plan_injects : t -> int -> bool
 (** The roles [plan] chose for the port at an index (in {!add_port}
     order). *)
 
-val plan_chunk : t -> int
-(** The most cycles one chunk of the window may run: a port that
-    delivers and injects may deliver only words injected in an earlier
-    chunk. [max_int] when unbounded. *)
-
 val fit : t -> now:int -> int -> int
 (** [fit t ~now k] shortens a planned window of [k] cycles to the
     leading cycles in which every delivering port's next word has
     matured and the bandwidth budget grants every injecting port. *)
 
-val run_deliver : t -> int -> unit
-(** [n] cycles of the planned deliveries, as one chunk of one run per
-    port: destination slots are appended past their capacity and the
-    engine settles the high-water marks. *)
+val run_port : t -> int -> now:int -> int -> unit
+(** [run_port t i ~now n]: [n] cycles from [now] of the planned roles
+    of the port at index [i], as one chunk run after its source's
+    producer: one injected run (word [r] released [r] cycles after the
+    first), then its [n] head words delivered, which [plan] proved
+    mature, the chunk's own injections included, into destination
+    slots past the capacity (the engine settles high-water marks). *)
 
-val run_inject : t -> now:int -> int -> unit
-(** [n] cycles of the planned injections from cycle [now], as one
-    chunk of one run per port (word [r] released [r] cycles after the
-    first), with the bandwidth budget granted in bulk. *)
+val grant : t -> now:int -> int -> unit
+(** Grant the budget [n] cycles of the planned injections in bulk. *)
 
 (** {2 Fault injection ({!Fault_plan})} *)
 

@@ -281,17 +281,21 @@ let test_trace_sampling () =
 
 (* Window coverage: how many of a run's cycles the engine's one
    scheduler advanced in fast-forward windows, and in how many windows,
-   pinned on the benchmark's chain-sim (quick and full size, one device)
-   and on pdes-2dev's quick shape (two devices, one link of latency
-   128), so a change that keeps windows from applying, or splits them,
-   fails here and not only in the benchmark. Before windows spanned
+   pinned on the benchmark's chain-sim and pdes-2dev (quick and full
+   size; pdes-2dev on two devices, one link of latency 128) and on a
+   3-device chain, so a change that keeps windows from applying, or
+   splits them, fails here and not only in the benchmark. Before windows spanned
    phase changes, each stage ended four windows: 33 windows and 1783
    windowed cycles on chain-sim quick, 35 and 3445 on pdes-2dev quick,
    257 and 34751 on the full chain-sim. A stage that joins a window
    adds none, so a 16- and a 256-stage chain take the same number.
    The full chain-sim's units take 2148 chunk visits at W = 1's
    512-word chunk (4232 at 256 words): a change of the chunk rule or of
-   how windows run their chunks shows there. Under faults, windows run
+   how windows run their chunks shows there. Link ports run at their
+   own places in a chunk, so links do not cut chunks: the full
+   pdes-2dev and a 3-device 48-stage chain take 2157 and 3322 visits
+   (7505 and 11732 while a port that delivered and injected capped the
+   chunk at its words in flight). Under faults, windows run
    between fault transitions and leave frozen units and writers out:
    hdiff-small under the stock plan, fault seed 1, advanced 992 cycles
    in 241 windows while no window ran during a burst. *)
@@ -332,13 +336,24 @@ let test_window_coverage () =
     (chain ~shape:[ 128; 128 ] ~length:64)
     ~cycles:34_881 ~windowed:34_880 ~windows:1;
   Alcotest.(check int) "chain-sim: unit-chunks" 2_148 !unit_chunks;
-  let p = chain ~shape:[ 32; 64 ] ~length:8 in
-  let placement =
-    match Sf_mapping.Partition.contiguous ~devices:2 p with
+  let contiguous ~devices p =
+    match Sf_mapping.Partition.contiguous ~devices p with
     | Ok pt -> Sf_mapping.Partition.placement_fn pt
     | Error d -> Alcotest.fail d.Sf_support.Diag.message
   in
-  check "pdes-2dev quick, sequential" ~placement p ~cycles:3_465 ~windowed:3_463 ~windows:5;
+  let p = chain ~shape:[ 32; 64 ] ~length:8 in
+  check "pdes-2dev quick, sequential" ~placement:(contiguous ~devices:2 p) p ~cycles:3_465
+    ~windowed:3_463 ~windows:5;
+  let multi_device name ~devices ~length ~cycles ~windowed ~windows ~chunks =
+    let p = chain ~shape:[ 128; 256 ] ~length in
+    let unit_chunks = ref 0 in
+    check ~unit_chunks name ~placement:(contiguous ~devices p) p ~cycles ~windowed ~windows;
+    Alcotest.(check int) (name ^ ": unit-chunks") chunks !unit_chunks
+  in
+  multi_device "pdes-2dev" ~devices:2 ~length:32 ~cycles:50_337 ~windowed:50_335 ~windows:5
+    ~chunks:2_157;
+  multi_device "3-device chain" ~devices:3 ~length:48 ~cycles:59_185 ~windowed:59_182 ~windows:9
+    ~chunks:3_322;
   check "hdiff-small, faults seed 1"
     ~config:
       (Engine.Config.make ~faults:(Engine.Config.faults ~plan:Sf_sim.Fault_plan.default ~seed:1 ()) ())

@@ -455,6 +455,46 @@ let test_link_windows_match_oracle () =
           Alcotest.failf "latency %d, %g B/cycle: %s" net_latency_cycles net_bytes_per_cycle m)
     [ (1, infinity); (8, infinity); (128, infinity); (8, 4.) ]
 
+(* One link carrying ports both ways: a 6-stage Jacobi2D chain placed
+   f1, f2 on device 0, f3, f4 on device 1 and f5, f6 back on device 0,
+   so link0-1 carries f2->f3 out and f4->f5 back. No one place in a
+   chunk fits both ports; each runs after the producer of its source.
+   Instrumented, against the oracle and validated, at latencies 1, 8
+   and 128 and at 16 B/cycle, with its cycles, windows and unit-chunk
+   visits pinned. While a port that delivered and injected capped the
+   whole window's chunk at its words in flight, the same cycles and
+   windows took 24570, 3089, 210 and 3089 visits. *)
+let test_two_way_link_matches_oracle () =
+  let p = Sf_kernels.Iterative.(chain ~shape:[ 16; 256 ] Jacobi2d ~length:6) in
+  let inputs = Interp.random_inputs p in
+  let placement = function "f3" | "f4" -> 1 | _ -> 0 in
+  List.iter
+    (fun (net_latency_cycles, net_bytes_per_cycle, counts) ->
+      let config =
+        {
+          (instrumented ~base:Engine.Config.default ()) with
+          Engine.Config.network = Engine.Config.network ~net_bytes_per_cycle ~net_latency_cycles ();
+        }
+      in
+      let name = Printf.sprintf "latency %d, %g B/cycle" net_latency_cycles net_bytes_per_cycle in
+      (match same_as_oracle ~config ~placement ~inputs p with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s: %s" name m);
+      (match Engine.run_and_validate ~config ~placement ~inputs p with
+      | Ok _ -> ()
+      | Error d -> Alcotest.failf "%s: %s" name (Diag.to_string d));
+      let unit_chunks = ref 0 in
+      let cycles, _, windows = Test_sim.window_counts ~unit_chunks ~config ~placement p in
+      Alcotest.(check (triple int int int))
+        (name ^ ": cycles, windows, unit-chunks")
+        counts (cycles, windows, !unit_chunks))
+    [
+      (1, infinity, (7_369, 5, 66));
+      (8, infinity, (7_383, 9, 78));
+      (128, infinity, (7_623, 9, 78));
+      (8, 16., (7_383, 9, 78));
+    ]
+
 (* Names are display text and may repeat. Stencil [b.tx] reads [a] on
    [a]'s device while [b] reads it across a link, so the same-device
    channel and the near end of the link are both [a->b.tx]; output [o]
@@ -639,6 +679,8 @@ let suite =
     Alcotest.test_case "shipped examples match the oracle" `Slow test_examples_match_oracle;
     Alcotest.test_case "link windows match the oracle on a cut diamond" `Quick
       test_link_windows_match_oracle;
+    Alcotest.test_case "a link carrying ports both ways matches the oracle" `Quick
+      test_two_way_link_matches_oracle;
     Alcotest.test_case "repeated channel names match the oracle" `Quick
       test_repeated_names_match_oracle;
     Alcotest.test_case "disabled report keeps always-on aggregates" `Quick
