@@ -470,6 +470,59 @@ let () =
         Json.Obj (fields @ [ ("service_concurrent", service_concurrent_json) ])
     | other -> other
   in
+  (* Simulation over its oracle: Engine.run_exn (plan, build and cycle
+     loop) against the reference interpreter, prepared once
+     (Interp.prepare), on the same program and inputs. The two alternate
+     in one process, so host drift moves both. A validated run overlaps
+     them on two cores, so the simulation is its critical path, and the
+     ratio is what simulating costs over computing the answer. *)
+  let oo_runs = if quick then 5 else 60 in
+  let oo_cases =
+    [
+      ("jacobi2d-64stage-128x128-w1", Iterative.chain ~shape:[ 128; 128 ] Iterative.Jacobi2d ~length:64);
+      ( "hdiff-fused-8x64x64-w4",
+        Opt.optimize (fst (Fusion.fuse_all (Hdiff.program ~shape:[ 8; 64; 64 ] ~vector_width:4 ()))) );
+    ]
+  in
+  let over_oracle (name, p) =
+    let inputs = Interp.random_inputs p in
+    let oracle = Interp.prepare (Interp.plan p) ~inputs in
+    let sim = Array.make oo_runs 0. and reference = Array.make oo_runs 0. in
+    for i = 0 to oo_runs - 1 do
+      let t0 = Util.monotime () in
+      (match Engine.run_exn ~inputs p with
+      | Engine.Completed _ -> ()
+      | Engine.Deadlocked _ -> failwith (name ^ ": unexpected deadlock"));
+      let t1 = Util.monotime () in
+      ignore (Sys.opaque_identity (oracle ()));
+      sim.(i) <- t1 -. t0;
+      reference.(i) <- Util.monotime () -. t1
+    done;
+    Array.sort compare sim;
+    Array.sort compare reference;
+    let median a = a.(Array.length a / 2) in
+    Printf.printf "  %-30s sim %7.3f / %7.3f ms, oracle %7.3f / %7.3f ms, ratio %.2f / %.2f\n" name
+      (median sim *. 1e3) (sim.(0) *. 1e3) (median reference *. 1e3) (reference.(0) *. 1e3)
+      (median sim /. median reference) (sim.(0) /. reference.(0));
+    Json.Obj
+      [
+        ("case", Json.String name);
+        ("runs", Json.Int oo_runs);
+        ("sim_median_s", Json.Float (median sim));
+        ("sim_min_s", Json.Float sim.(0));
+        ("oracle_median_s", Json.Float (median reference));
+        ("oracle_min_s", Json.Float reference.(0));
+        ("median_ratio", Json.Float (median sim /. median reference));
+        ("min_ratio", Json.Float (sim.(0) /. reference.(0)));
+      ]
+  in
+  Printf.printf "\nsimulation over oracle (%d alternating runs; median / minimum):\n" oo_runs;
+  let over_oracle_json = Json.List (List.map over_oracle oo_cases) in
+  let json =
+    match json with
+    | Json.Obj fields -> Json.Obj (fields @ [ ("over_oracle", over_oracle_json) ])
+    | other -> other
+  in
   (* Service chaos: the hardened serve tier under seeded adversity —
      injected worker exceptions, slow passes, malformed lines and blob
      corruption — timed end to end. The campaign is a correctness gate

@@ -918,11 +918,22 @@ let body ~access b =
 
 (* Loads ------------------------------------------------------------------ *)
 
-type ring = { data : float array; cap : int; mutable newest : int; mutable head : int }
+type ring = {
+  data : float array;
+  cap : int;
+  span : int;
+  mutable newest : int;
+  mutable head : int;
+}
 
 let resident data =
   let n = Array.length data in
-  { data; cap = n; newest = n - 1; head = n - 1 }
+  { data; cap = n; span = n; newest = n - 1; head = n - 1 }
+
+let view data ~span =
+  let cap = Array.length data in
+  if span < 0 || span > cap then invalid_arg "Compile.view: the span exceeds the array";
+  { data; cap; span; newest = -1; head = -1 }
 
 (* The lanes of one fill run along the program's innermost axis. [step]
    is 1 when the tap spans that axis (its last axis, stride 1), and 0
@@ -968,12 +979,12 @@ let taps p ~shape source =
   { prog = p; taps }
 
 (* Copy [len] stream elements, [e], [e + step], ... ([step] is 0 or 1),
-   into [fr] from [dst]. Every element read must still be in the ring;
-   element [e] then sits [newest - e] places behind [head]. A run is at
-   most two blits, split where it wraps the ring; a step-0 run stores one
-   element (a loop: [Array.fill] would box it). *)
+   into [fr] from [dst]. Every element read must be among the last
+   [span]; element [e] then sits [newest - e] places behind [head]. A
+   run is at most two blits, split where it wraps the ring; a step-0 run
+   stores one element (a loop: [Array.fill] would box it). *)
 let[@inline] read_run r e step fr dst len =
-  assert (e >= 0 && e > r.newest - r.cap && e + (step * (len - 1)) <= r.newest);
+  assert (e >= 0 && e > r.newest - r.span && e + (step * (len - 1)) <= r.newest);
   let i = r.head - (r.newest - e) in
   let i = if i < 0 then i + r.cap else i in
   if step = 0 then begin

@@ -160,15 +160,30 @@ val body : access:(field:string -> offsets:int list -> 'ctx -> float) -> Sf_ir.E
     Both callers fill load slots alike: the lanes of one dispatch are
     consecutive cells of one innermost-axis row, from multi-index [idx]. *)
 
-type ring = { data : float array; cap : int; mutable newest : int; mutable head : int }
-(** The last [cap] elements of a row-major element stream, up to element
-    [newest]: element [e] is at [data.(e mod cap)], and
-    [head = newest mod cap] ([-1] when empty), with [cap] the length of
-    [data]. A stencil unit's input window is a ring, which it appends a
-    run of words to with one ring copy and then advances [newest] and
-    [head]; a whole tensor is a ring too ({!resident}). *)
+type ring = {
+  data : float array;
+  cap : int;
+  span : int;
+  mutable newest : int;
+  mutable head : int;
+}
+(** A view of the last [span] elements of a row-major element stream, up
+    to element [newest], in a ring [data] of [cap] elements (its length,
+    at least [span]): element [e] is at [data.(e mod cap)], and
+    [head = newest mod cap] ([-1] before the first element). Reads
+    outside the last [span] elements fail an assertion, even where
+    [data] still holds them. A stencil unit's streaming input is a view
+    of its input channel's ring, whose [span] is the channel's history
+    reserve: consuming a run of words advances [newest] and [head]; a
+    whole tensor is a ring too ({!resident}). *)
 
 val resident : float array -> ring
+(** The whole array, as the stream's last [span = cap] elements. *)
+
+val view : float array -> span:int -> ring
+(** An empty view of a stream that will be written into [data] from
+    index 0 on, reading its last [span] elements. Raises
+    [Invalid_argument] unless [0 <= span <= Array.length data]. *)
 
 type taps
 (** The load slots of a program resolved against their sources: for
@@ -200,8 +215,8 @@ val fill :
     flags, so its callers pass [oob]; the others skip the flag work and
     the slots that the list {!exec} runs at [idx] does not read (a
     rolling list reads fewer rows). The slots that list reads are the
-    same either way. Fails an assertion if a read element is not in the
-    ring. *)
+    same either way. Fails an assertion if a read element is not among
+    the ring's last [span]. *)
 
 val advance : shape:int array -> int array -> int -> int -> unit
 (** [advance ~shape idx d inc] adds [inc] to [idx.(d)], carrying into

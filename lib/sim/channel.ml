@@ -1,7 +1,10 @@
 type t = {
   name : string;
   capacity : int;
-  slots : int; (* capacity + chunk ~width: room for one fast-forward chunk *)
+  bound : int; (* capacity + chunk ~width: room for one fast-forward chunk *)
+  history : int; (* slots kept behind the head for the consumer's taps *)
+  pending : int; (* slots past the tail for the producer's pending words *)
+  slots : int; (* history + bound + pending *)
   width : int;
   values : float array; (* slots * width, ring of slots *)
   valid : bool array; (* as [values], or empty: every lane valid *)
@@ -17,13 +20,18 @@ type t = {
 let nop () = ()
 let chunk ~width = Int.max 256 ((512 + width - 1) / width)
 
-let create_vec ?(validity = false) ~width ~name ~capacity () =
+let create_vec ?(validity = false) ?(history = 0) ?(pending = 0) ~width ~name ~capacity () =
   if capacity <= 0 then invalid_arg "Channel.create: capacity must be positive";
   if width <= 0 then invalid_arg "Channel.create: width must be positive";
-  let slots = capacity + chunk ~width in
+  if history < 0 || pending < 0 then invalid_arg "Channel.create: reserves must not be negative";
+  let bound = capacity + chunk ~width in
+  let slots = history + bound + pending in
   {
     name;
     capacity;
+    bound;
+    history;
+    pending;
     slots;
     width;
     values = Array.make (slots * width) 0.;
@@ -40,6 +48,8 @@ let create_vec ?(validity = false) ~width ~name ~capacity () =
 let create ?validity ~name ~capacity () = create_vec ?validity ~width:1 ~name ~capacity ()
 let name t = t.name
 let capacity t = t.capacity
+let history t = t.history
+let pending t = t.pending
 let width t = t.width
 let has_validity t = Array.length t.valid > 0
 let occupancy t = t.count
@@ -68,13 +78,20 @@ let push_slots t n =
 let push_slot t = push_slots t 1
 
 let push_run t n =
-  if t.count + n > t.slots then
+  if t.count + n > t.bound then
     failwith (Printf.sprintf "Channel.push: %s is full past its chunk slack" t.name);
   append t n
 
 let settle_high_water ?(peak = 0) t =
   let peak = Int.max peak t.count in
   if peak > t.high_water then t.high_water <- peak
+
+(* Past the tail, the [pending] slots that nothing holds yet. *)
+let pending_slot t k =
+  if k < 0 || k >= t.pending then
+    invalid_arg (Printf.sprintf "Channel.pending_slot: %s reserves %d slots" t.name t.pending);
+  let s = t.head + t.count + k in
+  (if s >= t.slots then s - t.slots else s) * t.width
 
 let front_slot t =
   if t.count = 0 then failwith (Printf.sprintf "Channel.pop: %s is empty" t.name);
@@ -148,6 +165,7 @@ module Unsafe = struct
   let push_slots = push_slots
   let push_run = push_run
   let settle_high_water = settle_high_water
+  let pending_slot = pending_slot
   let front_slot = front_slot
   let drop_run = drop_run
   let blit_values = blit_values

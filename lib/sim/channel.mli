@@ -9,11 +9,19 @@
     Storage is structure-of-arrays: one flat [float array] for lane
     values and, only on a channel created [~validity:true] (the engine's
     channels into memory writers), one [bool array] for lane validity,
-    each a ring of [capacity + chunk ~width] slots of [width] lanes.
-    The [chunk ~width] slots past the capacity are room for the engine's
-    fast-forward path, which pushes a chunk of words before their
-    consumer pops them. The raw slot API lives in {!Unsafe} and lets
-    hot paths copy lanes in place without allocating; the public surface
+    each one ring of slots of [width] lanes per edge, laid out as
+    history, then occupancy and chunk slack, then pending words:
+    - [history] slots behind the head keep the words the consumer
+      already popped, which a stencil unit's taps read in place (its
+      shift register, Fig. 6);
+    - [capacity + chunk ~width] slots hold the words in flight; the
+      [chunk ~width] past the capacity are room for the engine's
+      fast-forward path, which pushes a chunk of words before their
+      consumer pops them;
+    - [pending] slots past the tail take a producing unit's computed
+      words until it pushes them, so that pushing copies nothing.
+    The raw slot API lives in {!Unsafe} and lets
+    hot paths move lanes in place without allocating; the public surface
     is the FIFO operations plus the telemetry counters ({!occupancy},
     {!total_pushed}, {!total_popped}, {!high_water}). The
     {!Word.t}-based API is retained for tests and cold paths and
@@ -29,7 +37,7 @@ val chunk : width:int -> int
     costs a plan lookup and a row-segment split, so a W = 1 run (the
     paper's long chains) takes half as many visits as at 256 words. At
     W >= 2, 256 words already hold 512 cells or more; growing them
-    would enlarge every channel's slack, unit window and pending line
+    would enlarge every channel's slack, history and pending reserve
     by W cells per word for fewer visits than W = 1 saves. *)
 
 val create : ?validity:bool -> name:string -> capacity:int -> unit -> t
@@ -37,12 +45,25 @@ val create : ?validity:bool -> name:string -> capacity:int -> unit -> t
     [validity] (default [false]) allocates per-lane validity flags,
     initially all valid. *)
 
-val create_vec : ?validity:bool -> width:int -> name:string -> capacity:int -> unit -> t
-(** As {!create} with [width] lanes per word. *)
+val create_vec :
+  ?validity:bool -> ?history:int -> ?pending:int -> width:int -> name:string -> capacity:int ->
+  unit -> t
+(** As {!create} with [width] lanes per word. [history] and [pending]
+    (default [0]) are the reserves, in words, behind the head and past
+    the tail; they add room to the ring, not to the capacity. *)
 
 val name : t -> string
 val capacity : t -> int
 val width : t -> int
+
+val history : t -> int
+(** Words the ring keeps behind the head: its consumer's last [history]
+    popped words stay in place, out of reach of every push and pending
+    word. *)
+
+val pending : t -> int
+(** Words the ring keeps past the tail for its producer
+    ({!Unsafe.pending_slot}). *)
 
 val has_validity : t -> bool
 val occupancy : t -> int
@@ -86,8 +107,15 @@ module Unsafe : sig
   val push_run : t -> int -> int
   (** As {!push_slots} for the fast-forward path: may fill the [chunk ~width]
       slots past the capacity, raising [Failure] only past
-      [capacity + chunk ~width], and leaves the high-water mark to
+      [capacity + chunk ~width] (before it would reach the history
+      reserve), and leaves the high-water mark to
       {!settle_high_water}. *)
+
+  val pending_slot : t -> int -> int
+  (** [pending_slot t k]: base offset of the [k]th slot past the tail,
+      in the pending reserve. A producer writes words there before it
+      pushes them; the push that appends them copies nothing. Raises
+      [Invalid_argument] unless [0 <= k < pending t]. *)
 
   val settle_high_water : ?peak:int -> t -> unit
   (** Raise the high-water mark to [peak] or the current occupancy,
@@ -107,8 +135,8 @@ module Unsafe : sig
   (** {3 Ring copies}
 
       The movers between rings: a channel's buffers, a link's
-      {!Spsc} rings, a stencil unit's window and pending line, or a flat
-      array read from one position without wrapping. A ring is its whole
+      {!Spsc} rings, or a flat array read from one position without
+      wrapping (a unit's frame, a reader's tensor). A ring is its whole
       array and wraps at its end; a run of [len] elements must fit in
       both rings. *)
 

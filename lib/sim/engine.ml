@@ -170,8 +170,8 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
   (* Each channel is created with its index, and each component with its
      probe and the indices of its inputs and outputs. *)
   let channels = ref [] and nchannels = ref 0 in
-  let new_channel ?validity name capacity =
-    let c = Channel.create_vec ?validity ~width:w ~name ~capacity () in
+  let new_channel ?validity ?history ?pending name capacity =
+    let c = Channel.create_vec ?validity ?history ?pending ~width:w ~name ~capacity () in
     channels := c :: !channels;
     incr nchannels;
     (!nchannels - 1, c)
@@ -217,16 +217,25 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
      channel with the analysed delay buffer. *)
   let dst_channel : (string * string, int * Channel.t) Hashtbl.t = Hashtbl.create 32 in
   let src_endpoint : (string * string, int * Channel.t) Hashtbl.t = Hashtbl.create 32 in
+  (* A ring reserves the producing unit's pending words and the
+     consuming unit's register history (Stencil_unit.create checks). *)
+  let history ~src ~dst =
+    Stencil_unit.history_words ~info:(Sf_analysis.Delay_buffer.node_info analysis dst) ~width:w src
+  in
+  let pending src =
+    Stencil_unit.pending_words ~info:(Sf_analysis.Delay_buffer.node_info analysis src) ~width:w
+  in
   let make_edge ~src ~dst ~src_device ~dst_device =
     let cap = buffer_for ~src ~dst + channel_slack in
+    let history = history ~src ~dst and pending = pending src in
     if src_device = dst_device then begin
-      let c = new_channel (Printf.sprintf "%s->%s" src dst) cap in
+      let c = new_channel ~history ~pending (Printf.sprintf "%s->%s" src dst) cap in
       Hashtbl.replace dst_channel (src, dst) c;
       Hashtbl.replace src_endpoint (src, dst) c
     end
     else begin
-      let near = new_channel (Printf.sprintf "%s->%s.tx" src dst) channel_slack in
-      let far = new_channel (Printf.sprintf "%s->%s.rx" src dst) cap in
+      let near = new_channel ~pending (Printf.sprintf "%s->%s.tx" src dst) channel_slack in
+      let far = new_channel ~history (Printf.sprintf "%s->%s.rx" src dst) cap in
       let link, ports = link_between src_device dst_device in
       Link.add_port link ~src:(snd near) ~dst:(snd far) ~word_bytes;
       ports := (fst near, fst far) :: !ports;
@@ -268,7 +277,10 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
                 (fun c ->
                   if device_of c = d then begin
                     let cap = buffer_for ~src:f.Field.name ~dst:c + channel_slack in
-                    let ch = new_channel (Printf.sprintf "%s->%s" f.Field.name c) cap in
+                    let ch =
+                      new_channel ~history:(history ~src:f.Field.name ~dst:c)
+                        (Printf.sprintf "%s->%s" f.Field.name c) cap
+                    in
                     Hashtbl.replace dst_channel (f.Field.name, c) ch;
                     Some ch
                   end
@@ -298,7 +310,7 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
         (* 8 words of buffering in front of each memory writer. *)
         let cap = channel_slack + 8 in
         (* Writers alone read validity flags. *)
-        let c = new_channel ~validity:true (Printf.sprintf "%s->mem" o) cap in
+        let c = new_channel ~validity:true ~pending:(pending o) (Printf.sprintf "%s->mem" o) cap in
         let d = device_of o in
         let name = Printf.sprintf "write.%s@%d" o d in
         let probe = Telemetry.probe telemetry ~kind:Telemetry.Writer ~name in
@@ -785,7 +797,7 @@ let scheduler ~config ?injector ~finished system =
     comps;
   let windowed = ref 0 and windows = ref 0 and unit_chunks = ref 0 in
   (* Every channel is W lanes wide, so one chunk fits each channel's
-     slack, unit window and pending line. *)
+     slack, history and pending reserve. *)
   let chunk =
     Array.fold_left
       (fun m c -> Int.min m (Channel.chunk ~width:(Channel.width c)))

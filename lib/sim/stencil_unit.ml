@@ -13,10 +13,10 @@ type input_state = {
   field : string;
   axes : int array;
   channel : Channel.t option;
-  (* Ring buffer over the flattened element stream of a full-rank input:
-     the shift register of Fig. 6. *)
-  window : Compile.ring option;
-  src : Compile.ring;  (* the window, or the prefetched tensor *)
+  (* A view of the input channel's ring over the flattened element
+     stream of a full-rank input, reading the channel's history reserve:
+     the shift register of Fig. 6. Or the prefetched tensor. *)
+  src : Compile.ring;
   start_step : int;
 }
 
@@ -29,6 +29,10 @@ type t = {
   compute_cycles : int;
   inputs : input_state array;  (* streaming inputs first *)
   outputs : Channel.t array;
+  (* The output whose pending reserve takes computed words: the one that
+     carries flags for a shrink unit that computes them, else output 0.
+     The others copy its words when they are pushed. *)
+  lead : Channel.t;
   (* The lowered body, one tap per load slot and a frame of one row
      segment of at most a chunk; [idx] indexes lane 0 of the next word. *)
   prog : Compile.program;
@@ -42,17 +46,12 @@ type t = {
   oob : bool array option;
   mutable step : int;
   (* The delay line of computed-but-not-yet-emitted words: their release
-     cycles as runs, and a structure-of-arrays ring of their lane values
-     and validity flattened at [slot * w]. The flags exist only when an
-     output carries them; they start all valid and only a shrink unit
-     writes them. Occupancy never exceeds compute_cycles + 1 (the
-     pipeline depth guard in try_step) before a step; a fast-forward
-     chunk computes up to Channel.chunk ~width:w words before it flushes. *)
+     cycles as runs. Their lanes, and a shrink unit's flags, wait in the
+     lead output's pending reserve, past its tail. Occupancy never
+     exceeds compute_cycles + 1 (the pipeline depth guard in try_step)
+     before a step; a fast-forward chunk computes up to
+     Channel.chunk ~width:w words before it flushes. *)
   pend : Release_line.t;
-  pend_values : float array;
-  pend_valid : bool array;
-  pend_cap : int;
-  mutable pend_head : int;
   mutable stalls : int;
   (* The current fast-forward plan (see [plan]): from cycle [plan_at],
      segment [j] ends [seg_end.(j)] cycles in, flushes each cycle when
@@ -71,6 +70,22 @@ type t = {
    inputs that start or stop consuming at other steps add a few more. *)
 let max_segments = 16
 
+let register (info : Sf_analysis.Delay_buffer.node_info) field =
+  List.find
+    (fun (ib : Sf_analysis.Internal_buffer.t) -> String.equal ib.field field)
+    info.Sf_analysis.Delay_buffer.buffers
+
+(* The taps of a step read back the field's register, and a
+   fast-forward chunk consumes up to [chunk - 1] more words before the
+   first of its steps computes. *)
+let history_words ~info ~width field =
+  let reg = register info field in
+  Sf_support.Util.ceil_div (reg.register_elements + ((Channel.chunk ~width - 1) * width)) width
+
+(* The pipeline depth guard, plus a chunk computed before it flushes. *)
+let pending_words ~(info : Sf_analysis.Delay_buffer.node_info) ~width =
+  info.Sf_analysis.Delay_buffer.compute_cycles + 2 + Channel.chunk ~width
+
 let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
   let { Sf_analysis.Delay_buffer.init_cycles = init_max; compute_cycles; buffers } = info in
   let shape = Array.of_list program.Program.shape in
@@ -78,44 +93,31 @@ let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
   let chunk = Channel.chunk ~width:w in
   let cells = Program.cells program in
   let n_words = cells / w in
-  let full_rank = Program.rank program in
+  let reserve what have need c =
+    if have c < need then
+      invalid_arg
+        (Printf.sprintf "Stencil_unit.create: %s reserves %d %s words, %s needs %d"
+           (Channel.name c) (have c) what stencil.Stencil.name need)
+  in
   let input_states =
     List.map
       (fun (b : input_binding) ->
-        let is_full = List.length b.axes = full_rank in
-        let window, start_step =
-          if not is_full then (None, 0)
-          else begin
-            let reg =
-              List.find
-                (fun (ib : Sf_analysis.Internal_buffer.t) -> String.equal ib.field b.field)
-                buffers
-            in
-            (* The register, plus room for the words a step and a
-               fast-forward chunk shift in before their taps are read. *)
-            let cap = reg.register_elements + ((2 + chunk) * w) in
-            ( Some { Compile.data = Array.make cap 0.; cap; newest = -1; head = -1 },
-              Sf_analysis.Internal_buffer.fill_step buffers reg )
-          end
+        let src, start_step =
+          match b.channel with
+          | Some c ->
+              reserve "history" Channel.history (history_words ~info ~width:w b.field) c;
+              ( Compile.view (Channel.Unsafe.buf_values c) ~span:(Channel.history c * w),
+                Sf_analysis.Internal_buffer.fill_step buffers (register info b.field) )
+          | None -> (Compile.resident (Option.get b.prefetched).Tensor.data, 0)
         in
-        {
-          field = b.field;
-          axes = Array.of_list b.axes;
-          channel = b.channel;
-          window;
-          src =
-            (match window with
-            | Some win -> win
-            | None -> Compile.resident (Option.get b.prefetched).Tensor.data);
-          start_step;
-        })
+        { field = b.field; axes = Array.of_list b.axes; channel = b.channel; src; start_step })
       inputs
   in
   let streaming, prefetched =
     List.partition (fun (i : input_state) -> Option.is_some i.channel) input_states
   in
   let inputs_arr = Array.of_list (streaming @ prefetched) in
-  (* Every load run reads its input's window at its offsets, or the
+  (* Every load run reads its input's channel in place, or the
      prefetched tensor of a lower-dimensional input. *)
   let taps =
     Compile.taps prog ~shape (fun field ->
@@ -127,10 +129,20 @@ let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
         in
         (input.src, input.axes, Stencil.boundary_for stencil field))
   in
-  let pend_cap = compute_cycles + 2 + chunk in
   let lanes = Int.min (chunk * w) shape.(Array.length shape - 1) in
   let stride = Compile.stride prog ~lanes in
-  let flagged = List.exists Channel.has_validity outputs in
+  let outputs = Array.of_list outputs in
+  let oob =
+    if stencil.Stencil.shrink && Array.exists Channel.has_validity outputs then
+      Some (Array.make lanes false)
+    else None
+  in
+  let lead =
+    match oob with
+    | Some _ -> Option.get (Array.find_opt Channel.has_validity outputs)
+    | None -> outputs.(0)
+  in
+  reserve "pending" Channel.pending (pending_words ~info ~width:w) lead;
   {
     name = stencil.Stencil.name;
     shape;
@@ -139,21 +151,18 @@ let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
     init_max;
     compute_cycles;
     inputs = inputs_arr;
-    outputs = Array.of_list outputs;
+    outputs;
+    lead;
     prog;
     taps;
     frame = Compile.frame prog ~lanes;
     stride;
     result = Compile.result prog ~stride;
     idx = Array.make (Array.length shape) 0;
-    oob = (if stencil.Stencil.shrink && flagged then Some (Array.make lanes false) else None);
+    oob;
     step = 0;
     (* Runs, not words: words released one cycle apart are one run. *)
     pend = Release_line.create ~capacity:16;
-    pend_values = Array.make (pend_cap * w) 0.;
-    pend_valid = (if flagged then Array.make (pend_cap * w) true else [||]);
-    pend_cap;
-    pend_head = 0;
     stalls = 0;
     plan_at = 0;
     segments = 0;
@@ -174,39 +183,40 @@ let next_release t = Release_line.head t.pend
 
 (* Input [i] must consume a word at pipeline step [s]. *)
 let consuming_at i s =
-  match i.window with
+  match i.channel with
   | None -> false (* prefetched: never streams *)
   | Some _ -> s >= i.start_step
 
 let consuming_active_at t i s = consuming_at i s && s - i.start_step < t.n_words
 let consuming_active t i = consuming_active_at t i t.step
 
-(* Compute the words of the next [n] steps into the tail of the pending
-   line, word [r] to be released [compute_cycles] after cycle [now + r].
-   The W lanes of a word are consecutive cells of one innermost-axis row
-   (W divides the innermost extent), and so are the words up to the end
-   of that row: each row segment is one dispatch, and its releases one
-   run of the release line. Words are computed in order, one per step
-   from [init_max] on, so the multi-index is carried from word to word,
-   and the dispatches of the whole stream run in row-major order on the
-   unit's one frame, whose rings carry values from row to row. *)
+(* Compute the words of the next [n] steps into the lead output's
+   pending reserve, word [r] to be released [compute_cycles] after cycle
+   [now + r]. The W lanes of a word are consecutive cells of one
+   innermost-axis row (W divides the innermost extent), and so are the
+   words up to the end of that row: each row segment is one dispatch,
+   and its releases one run of the release line. Words are computed in
+   order, one per step from [init_max] on, so the multi-index is carried
+   from word to word, and the dispatches of the whole stream run in
+   row-major order on the unit's one frame, whose rings carry values
+   from row to row. *)
 let compute t ~now n =
   let last = Array.length t.shape - 1 in
+  let values = Channel.Unsafe.buf_values t.lead and valid = Channel.Unsafe.buf_valid t.lead in
   let r = ref 0 in
   while !r < n do
     let lanes = Int.min ((n - !r) * t.w) (t.shape.(last) - t.idx.(last)) in
     Compile.fill t.taps ~idx:t.idx ~lanes ~stride:t.stride t.frame ?oob:t.oob;
     Compile.exec t.prog ~idx:t.idx ~lanes t.frame;
-    let tail = t.pend_head + pend_count t in
-    let tail = if tail >= t.pend_cap then tail - t.pend_cap else tail in
-    Channel.Unsafe.blit_values t.frame t.result t.pend_values (tail * t.w) lanes;
+    let base = Channel.Unsafe.pending_slot t.lead (pend_count t) in
+    Channel.Unsafe.blit_values t.frame t.result values base lanes;
     (match t.oob with
     | Some oob ->
-        let d = ref (tail * t.w) in
+        let d = ref base in
         for l = 0 to lanes - 1 do
-          t.pend_valid.(!d) <- not oob.(l);
+          valid.(!d) <- not oob.(l);
           incr d;
-          if !d = Array.length t.pend_valid then d := 0
+          if !d = Array.length valid then d := 0
         done
     | None -> ());
     Release_line.append t.pend ~release:(now + !r + t.compute_cycles) (lanes / t.w);
@@ -214,20 +224,22 @@ let compute t ~now n =
     Compile.advance ~shape:t.shape t.idx last lanes
   done
 
-(* Emit the [n] pending heads: copy their lanes into [n] slots [push]
-   appends to every output, in place, with their flags where the output
-   carries them. *)
+(* Emit the [n] pending heads: [push] appends [n] slots to every output.
+   The lead's are the heads themselves; the others copy the lead's lanes,
+   and its flags where they carry them. *)
 let emit_heads t n push =
-  let vbase = t.pend_head * t.w and len = n * t.w in
+  let src = Channel.Unsafe.pending_slot t.lead 0 and len = n * t.w in
   for i = 0 to Array.length t.outputs - 1 do
     let c = t.outputs.(i) in
     let base = push c n in
-    Channel.Unsafe.blit_values t.pend_values vbase (Channel.Unsafe.buf_values c) base len;
-    if Channel.has_validity c then
-      Channel.Unsafe.blit_valid t.pend_valid vbase (Channel.Unsafe.buf_valid c) base len
+    if c != t.lead then begin
+      Channel.Unsafe.blit_values (Channel.Unsafe.buf_values t.lead) src
+        (Channel.Unsafe.buf_values c) base len;
+      if Option.is_some t.oob && Channel.has_validity c then
+        Channel.Unsafe.blit_valid (Channel.Unsafe.buf_valid t.lead) src
+          (Channel.Unsafe.buf_valid c) base len
+    end
   done;
-  let head = t.pend_head + n in
-  t.pend_head <- (if head >= t.pend_cap then head - t.pend_cap else head);
   Release_line.drop t.pend n
 
 let outputs_have_space t =
@@ -245,21 +257,19 @@ let try_flush t ~now =
     true
   end
 
-(* Take [n] pipeline steps: shift [n] words of every consuming input
-   into its window, one ring copy per input; past initialization,
-   compute the steps' words. The consuming set and the phase hold for
-   all [n]. *)
+(* Take [n] pipeline steps: consume [n] words of every consuming input,
+   which stay in its channel's history for the taps to read; past
+   initialization, compute the steps' words. The consuming set and the
+   phase hold for all [n]. *)
 let take_steps t ~now n =
   for k = 0 to Array.length t.inputs - 1 do
     let i = t.inputs.(k) in
-    match (i.channel, i.window) with
-    | Some c, Some win when consuming_active t i ->
-        let len = n * t.w in
-        let head = if win.Compile.head + 1 = win.cap then 0 else win.head + 1 in
-        Channel.Unsafe.blit_values (Channel.Unsafe.buf_values c) (Channel.Unsafe.front_slot c)
-          win.data head len;
-        win.newest <- win.newest + len;
-        win.head <- (head + len - 1) mod win.cap;
+    match i.channel with
+    | Some c when consuming_active t i ->
+        let v = i.src and len = n * t.w in
+        let head = v.Compile.head + len in
+        v.head <- (if head >= v.cap then head - v.cap else head);
+        v.newest <- v.newest + len;
         Channel.Unsafe.drop_run c n
     | _ -> ()
   done;
@@ -379,7 +389,7 @@ let plan t ~now ~until =
           (* The set of consuming inputs is constant in a segment. *)
           for k = 0 to Array.length t.inputs - 1 do
             let i = t.inputs.(k) in
-            if Option.is_some i.window then begin
+            if Option.is_some i.channel then begin
               let a = i.start_step and b = i.start_step + t.n_words in
               if s0 < a then h := Int.min !h (a - s0) else if s0 < b then h := Int.min !h (b - s0)
             end

@@ -2,12 +2,15 @@
     operation (paper, Sec. III-A and Fig. 12).
 
     Per successful pipeline step the unit consumes one word from every
-    active input stream (shifting it into the field's internal window
-    buffer), and — once the initialization phase has passed — computes one
-    output word and emits it after its compute latency, multicasting to
-    every consumer channel. If any required input is empty or any output
-    is full, the whole unit stalls for the cycle (the fine-grained
-    per-cell dependency of Sec. III-A).
+    active input stream, and — once the initialization phase has passed —
+    computes one output word and emits it after its compute latency,
+    multicasting to every consumer channel. Each edge is one ring
+    ({!Channel}): a consumed word stays in its input channel's history
+    reserve, which the unit's taps read in place as the field's shift
+    register (Fig. 6), and a computed word waits in one output's pending
+    reserve, so that emitting it copies nothing to that output. If any
+    required input is empty or any output is full, the whole unit stalls
+    for the cycle (the fine-grained per-cell dependency of Sec. III-A).
 
     The consumption schedule realizes the internal-buffer analysis
     exactly: input [f] starts being consumed at step
@@ -27,6 +30,18 @@ type input_binding = {
 
 type t
 
+val history_words : info:Sf_analysis.Delay_buffer.node_info -> width:int -> string -> int
+(** [history_words ~info ~width field]: the words a unit with delay-buffer
+    entry [info] reads behind the head of its input channel for [field],
+    the channel's least history reserve ({!Channel.history}): the
+    field's register, plus the words a fast-forward chunk consumes
+    before its first step computes. *)
+
+val pending_words : info:Sf_analysis.Delay_buffer.node_info -> width:int -> int
+(** The most words a unit with entry [info] computes and has not yet
+    pushed: its lead output's least pending reserve
+    ({!Channel.pending}). *)
+
 val create :
   ?probe:Telemetry.probe ->
   program:Sf_ir.Program.t ->
@@ -40,7 +55,11 @@ val create :
 (** [lowered] is the stencil's body, shared and only read; [info] is its
     delay-buffer analysis entry. The unit reads only the values of its
     inputs; a shrink unit's validity comes from its own taps and goes
-    only to outputs that carry flags. [probe]
+    only to outputs that carry flags. Every input channel must be fresh
+    and reserve {!history_words} for its field. The output that takes
+    computed words must reserve {!pending_words}: the first of
+    [outputs], or for a shrink unit the first that carries flags.
+    [Invalid_argument] otherwise. [probe]
     enables per-cycle stall classification (cause + blamed channel)
     into the telemetry registry; without it only the aggregate
     {!stall_cycles} counter is maintained. *)
@@ -97,9 +116,10 @@ val plan_pops : t -> int -> int -> bool
 val run_planned : t -> now:int -> int -> unit
 (** [run_planned t ~now n] executes the planned cycles among [now] to
     [now + n - 1] as one chunk, without re-checking feasibility: the
-    steps of each segment (one ring copy per consuming input, the words
-    evaluated one row segment per dispatch), then all the flushes (one
-    bulk push per output). Requires [n <= Channel.chunk ~width:W]. *)
+    steps of each segment (one bulk pop per consuming input, the words
+    evaluated one row segment per dispatch into the pending reserve),
+    then all the flushes (one bulk push per output, and one ring copy
+    per output beyond the first). Requires [n <= Channel.chunk ~width:W]. *)
 
 val starved_input : t -> int
 (** The streaming-input index (as in {!plan_pops}) of the first input the unit must pop

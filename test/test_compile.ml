@@ -237,10 +237,44 @@ let test_let_ordering () =
   | exception Invalid_argument _ -> ()
   | (_ : unit -> float) -> Alcotest.fail "backward reference must be rejected"
 
-(* A stencil unit's window is a ring that wraps. [fill] reads the lanes
-   of an in-bounds run with at most two blits split at the wrap point, and
-   a tap that does not span the innermost axis repeats one element; every
-   lane must still equal the tree-walking evaluator, bit for bit. *)
+(* A view reads its last [span] elements and no further back, even where
+   its array still holds older ones: a stencil unit's view of its input
+   channel reads the channel's history reserve, and the slots before it
+   belong to the channel's producer. A fill whose oldest read is exactly
+   [span] elements back passes; a view one word short fails. *)
+let test_view_reads_its_span () =
+  let cols = 8 and lanes = 4 in
+  let shape = [| 4; cols |] in
+  let access field offsets = Expr.Access { field; offsets } in
+  let e = Expr.Binary (Expr.Add, access "a" [ -1; 0 ], access "a" [ 1; 0 ]) in
+  let p = Compile.lower ~lane:(fun _ -> Compile.Shifts) { Expr.lets = []; result = e } in
+  let data = Array.init 64 float_of_int in
+  let fill span =
+    let v = Compile.view data ~span in
+    (* Lanes [0, lanes) of row 1 read rows 0 and 2, from element 0 up to
+       element [newest]. *)
+    v.newest <- (2 * cols) + lanes - 1;
+    v.head <- v.newest;
+    let taps = Compile.taps p ~shape (fun _ -> (v, [| 0; 1 |], Boundary.Constant 0.)) in
+    let stride = Compile.stride p ~lanes in
+    let fr = Compile.frame p ~lanes in
+    Compile.fill taps ~idx:[| 1; 0 |] ~lanes ~stride fr;
+    Compile.exec p ~idx:[| 1; 0 |] ~lanes fr;
+    Array.init lanes (fun l -> fr.(Compile.result p ~stride + l))
+  in
+  let span = (2 * cols) + lanes in
+  Alcotest.(check (array (float 0.))) "exact span"
+    (Array.init lanes (fun l -> data.(l) +. data.((2 * cols) + l)))
+    (fill span);
+  match fill (span - 1) with
+  | exception Assert_failure _ -> ()
+  | _ -> Alcotest.fail "a read before the view's span must fail"
+
+(* A stencil unit reads its input channel's ring, which wraps. [fill]
+   reads the lanes of an in-bounds run with at most two blits split at
+   the wrap point, and a tap that does not span the innermost axis
+   repeats one element; every lane must still equal the tree-walking
+   evaluator, bit for bit. *)
 let test_fill_across_ring_wrap () =
   let rows = 6 and cols = 16 in
   let shape = [| rows; cols |] in
@@ -259,7 +293,7 @@ let test_fill_across_ring_wrap () =
   (* Room for rows r - 1 .. r + 1 plus the run, and not a multiple of the
      row length, so runs start at varying ring positions. *)
   let cap = (2 * cols) + max_lanes + 5 in
-  let win = { Compile.data = Array.make cap 0.; cap; newest = -1; head = -1 } in
+  let win = Compile.view (Array.make cap 0.) ~span:cap in
   let taps =
     Compile.taps p ~shape (fun field ->
         if field = "a" then (win, [| 0; 1 |], Boundary.Constant 0.)
@@ -907,6 +941,7 @@ let suite =
     Alcotest.test_case "fused forms equal the evaluator on IEEE corners" `Quick
       test_fused_forms_ieee_corners;
     Alcotest.test_case "fill reads runs across a ring's wrap" `Quick test_fill_across_ring_wrap;
+    Alcotest.test_case "a view reads only its span" `Quick test_view_reads_its_span;
     Alcotest.test_case "slots: dying operands reused, result pinned" `Quick test_slot_reuse;
     Alcotest.test_case "hdiff frames hold the live slots" `Quick test_hdiff_frame_slots;
   ]

@@ -279,6 +279,11 @@ let test_trace_sampling () =
       in
       Alcotest.(check bool) "skip edge fills" true (peak > 1)
 
+let contiguous ~devices p =
+  match Sf_mapping.Partition.contiguous ~devices p with
+  | Ok pt -> Sf_mapping.Partition.placement_fn pt
+  | Error d -> Alcotest.fail d.Sf_support.Diag.message
+
 (* Window coverage: how many of a run's cycles the engine's one
    scheduler advanced in fast-forward windows, and in how many windows,
    pinned on the benchmark's chain-sim and pdes-2dev (quick and full
@@ -336,11 +341,6 @@ let test_window_coverage () =
     (chain ~shape:[ 128; 128 ] ~length:64)
     ~cycles:34_881 ~windowed:34_880 ~windows:1;
   Alcotest.(check int) "chain-sim: unit-chunks" 2_148 !unit_chunks;
-  let contiguous ~devices p =
-    match Sf_mapping.Partition.contiguous ~devices p with
-    | Ok pt -> Sf_mapping.Partition.placement_fn pt
-    | Error d -> Alcotest.fail d.Sf_support.Diag.message
-  in
   let p = chain ~shape:[ 32; 64 ] ~length:8 in
   check "pdes-2dev quick, sequential" ~placement:(contiguous ~devices:2 p) p ~cycles:3_465
     ~windowed:3_463 ~windows:5;
@@ -366,28 +366,34 @@ let test_window_coverage () =
   in
   Alcotest.(check int) "16 and 256 stages: windows" (windows 16) (windows 256)
 
-(* A shrink stencil whose result both feeds a downstream stencil and is
+(* A shrink stencil whose result both feeds downstream stencils and is
    written to memory: only its writer channel carries validity flags,
-   and the downstream unit reads values alone. On one device and with
-   the downstream stencil across a link, the run validates against the
-   reference, mask included, in the cycles the engine took before
-   validity left the other channels. Its windows span more cycles than
-   one chunk moves. *)
-let shrink_fork () =
-  let b = Builder.create ~name:"shrink_fork" ~vector_width:2 ~shape:[ 24; 64 ] () in
+   and the downstream units read values alone. The unit computes into
+   the writer's channel, the one output that takes its flags, and its
+   other outputs copy the values from there. On one device and with the
+   first downstream stencil across a link, the run validates against
+   the reference, mask included, in the cycles the engine took before
+   validity left the other channels (and, with a second downstream
+   stencil at W = 1, before units computed into their output channels).
+   Its windows span more cycles than one chunk moves. *)
+let shrink_fork ?(vector_width = 2) ?(second = false) () =
+  let b = Builder.create ~name:"shrink_fork" ~vector_width ~shape:[ 24; 64 ] () in
   Builder.input b "a";
   Builder.stencil b ~shrink:true "edge"
     E.(acc "a" [ 0; -1 ] +% acc "a" [ 0; 1 ] -% (c 0.5 *% acc "a" [ -1; 0 ]));
   Builder.stencil b ~boundary:[ ("edge", Boundary.Constant 0.) ] "next"
     E.(acc "edge" [ 0; 0 ] *% c 2. +% acc "edge" [ 1; 0 ]);
+  if second then
+    Builder.stencil b ~boundary:[ ("edge", Boundary.Constant 1.) ] "other"
+      E.(acc "edge" [ -1; 1 ] -% acc "edge" [ 0; 0 ]);
   Builder.output b "edge";
   Builder.output b "next";
+  if second then Builder.output b "other";
   Builder.finish b
 
 let test_shrink_fork () =
-  let p = shrink_fork () in
   List.iter
-    (fun (name, placement, cycles) ->
+    (fun (name, p, placement, cycles) ->
       match Engine.run_and_validate ~placement p with
       | Error d -> Alcotest.failf "%s: %s" name (Sf_support.Diag.to_string d)
       | Ok stats ->
@@ -398,7 +404,33 @@ let test_shrink_fork () =
           Alcotest.(check bool) (name ^ ": windows span chunks") true
             (let _, windowed, _ = window_counts ~config:Engine.Config.default ~placement p in
              windowed > Channel.chunk ~width:p.Program.vector_width))
-    [ ("one device", (fun _ -> 0), 869); ("two devices", (function "next" -> 1 | _ -> 0), 933) ]
+    (let one_device _ = 0 and two_devices = function "next" -> 1 | _ -> 0 in
+     let fan = shrink_fork ~vector_width:1 ~second:true () in
+     [
+       ("one device", shrink_fork (), one_device, 869);
+       ("two devices", shrink_fork (), two_devices, 933);
+       ("fan-out, one device", fan, one_device, 1700);
+       ("fan-out, two devices", fan, two_devices, 1764);
+     ])
+
+(* A Jacobi3D chain at W = 1: each unit's register spans about three
+   planes of 64 x 64, far more than one chunk of words, so its taps read
+   deep into the history its input channel keeps behind the head, and a
+   chunk's first dispatch reads the oldest word of that history. On one
+   and two devices the run validates against the reference in the
+   cycles the engine took when units kept their own window rings. *)
+let test_deep_register () =
+  let p = Sf_kernels.Iterative.(chain ~shape:[ 8; 64; 64 ] Jacobi3d ~length:4) in
+  let info = Sf_analysis.Delay_buffer.(node_info (analyze p)) "f1" in
+  let reg = List.hd info.Sf_analysis.Delay_buffer.buffers in
+  Alcotest.(check bool) "the register is wider than a chunk" true
+    (reg.Sf_analysis.Internal_buffer.register_elements > 8 * Channel.chunk ~width:1);
+  List.iter
+    (fun (name, placement, cycles) ->
+      match Engine.run_and_validate ~placement p with
+      | Error d -> Alcotest.failf "%s: %s" name (Sf_support.Diag.to_string d)
+      | Ok stats -> Alcotest.(check int) (name ^ ": cycles") cycles stats.Engine.cycles)
+    [ ("one device", (fun _ -> 0), 65_765); ("two devices", contiguous ~devices:2 p, 65_829) ]
 
 let suite =
   [
@@ -427,5 +459,7 @@ let suite =
     Alcotest.test_case "fast-forward windows cover the benchmark shapes" `Quick
       test_window_coverage;
     Alcotest.test_case "shrink stencil feeding a stencil and an output" `Quick test_shrink_fork;
+    Alcotest.test_case "a register deeper than a chunk reads channel history" `Quick
+      test_deep_register;
     QCheck_alcotest.to_alcotest prop_sim_matches_reference;
   ]

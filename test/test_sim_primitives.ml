@@ -69,6 +69,48 @@ let test_channel_without_validity () =
    the high-water mark to settle_high_water. FIFO order holds across
    the slack and around the ring. A chunk is at least 512 cells and at
    least 256 words. *)
+(* One ring per edge: [history] words behind the head, then occupancy
+   and chunk slack, then [pending] words past the tail. Popped words stay
+   readable behind the head while the ring fills to capacity + chunk and
+   its pending reserve takes more words; a push that would reach the
+   history raises, and so does a pending slot past its reserve. Words
+   written to the pending reserve are the ones a push appends. *)
+let test_channel_reserves () =
+  let chunk = Channel.chunk ~width:1 and history = 3 and pending = 4 in
+  let c = Channel.create_vec ~history ~pending ~width:1 ~name:"c" ~capacity:2 () in
+  Alcotest.(check (pair int int)) "reserves" (history, pending)
+    (Channel.history c, Channel.pending c);
+  let values = Channel.Unsafe.buf_values c in
+  for i = 0 to 4 do
+    values.(Channel.Unsafe.push_slot c) <- float_of_int i;
+    Channel.drop c
+  done;
+  for k = 0 to pending - 1 do
+    values.(Channel.Unsafe.pending_slot c k) <- float_of_int (100 + k)
+  done;
+  let base = Channel.Unsafe.pending_slot c 0 in
+  Alcotest.(check int) "a push appends the pending words" base (Channel.Unsafe.push_run c pending);
+  let rest = 2 + chunk - pending in
+  let base = Channel.Unsafe.push_run c rest in
+  Channel.Unsafe.blit_values (Array.init rest (fun i -> float_of_int (200 + i))) 0 values base rest;
+  (match Channel.Unsafe.push_run c 1 with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "a push reaching the history reserve must fail");
+  for k = 0 to pending - 1 do
+    values.(Channel.Unsafe.pending_slot c k) <- -1.
+  done;
+  (match Channel.Unsafe.pending_slot c pending with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a pending slot past the reserve must fail");
+  let n = Array.length values in
+  let front = Channel.Unsafe.front_slot c in
+  Alcotest.(check (list (float 0.))) "history behind the head" [ 4.; 3.; 2. ]
+    (List.init history (fun k -> values.((front - 1 - k + n) mod n)));
+  for i = 0 to pending + rest - 1 do
+    let want = if i < pending then 100 + i else 200 + i - pending in
+    Alcotest.(check (float 0.)) "fifo" (float_of_int want) (Channel.pop c).Word.values.(0)
+  done
+
 let test_channel_chunk_slack () =
   Alcotest.(check (list int)) "chunk words at W = 1, 2, 4, 8" [ 512; 256; 256; 256 ]
     (List.map (fun width -> Channel.chunk ~width) [ 1; 2; 4; 8 ]);
@@ -518,6 +560,7 @@ let suite =
     Alcotest.test_case "channel without validity serves all-valid words" `Quick
       test_channel_without_validity;
     Alcotest.test_case "channel chunk slack past the capacity" `Quick test_channel_chunk_slack;
+    Alcotest.test_case "channel history and pending reserves" `Quick test_channel_reserves;
     QCheck_alcotest.to_alcotest prop_channel_queue_model;
     QCheck_alcotest.to_alcotest prop_channel_soa_model;
     QCheck_alcotest.to_alcotest prop_channel_bulk_equals_singles;
