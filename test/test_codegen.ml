@@ -172,6 +172,39 @@ let test_vitis_pinned () =
       Alcotest.(check string) file digest (Digest.to_hex (Digest.string src)))
     vitis_digests
 
+(* The OpenCL kernels and host code of two programs split over devices by
+   [Partition.contiguous], plain and fused, at W=1 and W=4, pinned byte
+   for byte by digest: the CLI's codegen places every program on one
+   device, so test/cli/stencilflow.t pins no SMI emission.
+   (file, devices, fused, W, kernels digest, host digest). *)
+let multi_device_digests =
+  [
+    ("hdiff_2dev.json", 2, false, 1, "ebd2eb08d38bc0ed2732e655dcf1c645", "ab64e9620b8cb537aaea33bb7d2339d8");
+    ("hdiff_2dev.json", 2, false, 4, "8dde5f130bfec449f0a60eacfce2cf62", "ab64e9620b8cb537aaea33bb7d2339d8");
+    ("hdiff_2dev.json", 2, true, 1, "fa642eff8c301b96df12488fc6ee321b", "46d374f8e981e3f56573e2d4b90520ff");
+    ("hdiff_2dev.json", 2, true, 4, "859884b8540f861adc587ef7a4d3c00d", "46d374f8e981e3f56573e2d4b90520ff");
+    ("jacobi2d_8stage.json", 3, false, 1, "1b5a43b95fef16752e8e744063c96810", "450ab8cb520f08c3ebbee5c1519bd81a");
+    ("jacobi2d_8stage.json", 3, false, 4, "218c5073d84e51e81fa84b29ce37cc45", "450ab8cb520f08c3ebbee5c1519bd81a");
+    ("jacobi2d_8stage.json", 3, true, 1, "391df4161f73f1f8a3e94793ded51b12", "bec4ff077f4d958dc99eede583f8eaf1");
+    ("jacobi2d_8stage.json", 3, true, 4, "a9b34d780a87ea2e941ccfbafda0caa0", "bec4ff077f4d958dc99eede583f8eaf1");
+  ]
+
+let test_multi_device_pinned () =
+  let hex s = Digest.to_hex (Digest.string s) in
+  List.iter
+    (fun (file, devices, fused, w, kernels, host) ->
+      let p = Fixtures.ok (Sf_frontend.Program_json.of_file (Fixtures.example_path file)) in
+      let p = Sf_analysis.Vectorize.apply p w in
+      let p = if fused then fst (Sf_sdfg.Fusion.fuse_all p) else p in
+      let partition = Fixtures.ok1 (Partition.contiguous ~devices p) in
+      let what = Printf.sprintf "%s on %d devices, fused %b, W=%d" file devices fused w in
+      let artifacts = Fixtures.ok (Opencl.generate ~partition p) in
+      Alcotest.(check string) (what ^ ": kernels") kernels
+        (hex (String.concat "" (List.map (fun a -> a.Opencl.filename ^ a.Opencl.source) artifacts)));
+      Alcotest.(check string) (what ^ ": host") host
+        (hex (Fixtures.ok (Opencl.host_source ~partition p))))
+    multi_device_digests
+
 let test_dot_export () =
   let p = Fixtures.diamond ~shape:[ 8; 16 ] ~span:3 () in
   let dot = Dot.of_program p in
@@ -409,6 +442,7 @@ let suite =
     Alcotest.test_case "vitis backend structure" `Quick test_vitis_backend;
     Alcotest.test_case "vitis backend kitchen sink" `Quick test_vitis_kitchen_sink;
     Alcotest.test_case "vitis output of every example pinned" `Quick test_vitis_pinned;
+    Alcotest.test_case "multi-device opencl output pinned" `Quick test_multi_device_pinned;
     Alcotest.test_case "graphviz export" `Quick test_dot_export;
     Alcotest.test_case "sdfg graphviz export (fig 12)" `Quick test_sdfg_dot_export;
     QCheck_alcotest.to_alcotest prop_register_shape_from_internal_buffer;
