@@ -514,7 +514,7 @@ let partition_cmd =
   in
   let run path width fuse max_devices =
     let p = load ~fuse path width in
-    match Partition.greedy ~max_devices ~device:Device.stratix10 p with
+    match Partition.greedy ~max_devices ~device:Device.stratix10 (Program.check_exn p) with
     | Error d ->
         Format.eprintf "partitioning failed: %s@." d.Diag.message;
         exit (Diag.exit_code [ d ])

@@ -13,7 +13,7 @@ let () =
      resource ceiling. *)
   let program = Iterative.chain ~shape:[ 32; 64 ] Iterative.Jacobi2d ~length:40 in
   let partition =
-    match Partition.greedy ~ceiling:0.06 ~device program with
+    match Partition.greedy ~ceiling:0.06 ~device (Program.check_exn program) with
     | Ok pt -> pt
     | Error m -> failwith m.Diag.message
   in

@@ -2,8 +2,10 @@ open Sf_ir
 
 type node_info = { init_cycles : int; compute_cycles : int; buffers : Internal_buffer.t list }
 
-(* The lists of [t], keyed for the lookups below. *)
+(* The lists of [t], keyed for the lookups below, and the check they
+   were derived from. *)
 type index = {
+  checked : Program.checked;
   node_of : (string, node_info) Hashtbl.t;
   edge_of : (string * string, int) Hashtbl.t;
   timing_of : (string, int * int) Hashtbl.t;
@@ -92,11 +94,12 @@ let of_checked ?(config = Latency.default) checked =
     List.fold_left (fun acc s -> max acc (Hashtbl.find avail s.Stencil.name)) 0 p.Program.stencils
   in
   let edges = List.rev !edges and timing = List.rev !timing in
-  let index = { node_of; edge_of = table edges; timing_of = table timing } in
+  let index = { checked; node_of; edge_of = table edges; timing_of = table timing } in
   { program = p; nodes; edges; latency_cycles; timing; index }
 
 let analyze ?config p = of_checked ?config (Program.check_exn p)
 
+let checked t = t.index.checked
 let node_info t name = Hashtbl.find t.index.node_of name
 let start_cycle t name = fst (Hashtbl.find t.index.timing_of name)
 let output_cycle t name = snd (Hashtbl.find t.index.timing_of name)

@@ -29,7 +29,7 @@ type node_info = {
 
 type index
 (** [nodes], [edges] and [timing] keyed by name, for the O(1) lookups
-    below. *)
+    below, and the check the analysis was derived from. *)
 
 type t = {
   program : Sf_ir.Program.t;
@@ -50,6 +50,10 @@ val of_checked : ?config:Latency.config -> Sf_ir.Program.checked -> t
 val analyze : ?config:Latency.config -> Sf_ir.Program.t -> t
 (** {!of_checked} of {!Sf_ir.Program.check_exn}: raises
     [Invalid_argument] if the program does not validate. *)
+
+val checked : t -> Sf_ir.Program.checked
+(** The check of [program] the analysis was derived from: what a later
+    stage of the same request reads instead of checking again. *)
 
 val node_info : t -> string -> node_info
 (** Raises [Not_found] for unknown nodes. *)

@@ -57,7 +57,7 @@ let of_sdfg (sdfg : Sf_sdfg.Sdfg.t) =
         match node with
         | Sf_sdfg.Sdfg.Access name -> add "  %s [shape=oval, label=%S];\n" nid name
         | Sf_sdfg.Sdfg.Tasklet { label; _ } -> add "  %s [shape=octagon, label=%S];\n" nid label
-        | Sf_sdfg.Sdfg.Stencil_node s ->
+        | Sf_sdfg.Sdfg.Stencil_node { stencil = s; _ } ->
             add "  %s [shape=doubleoctagon, label=%S];\n" nid s.Sf_ir.Stencil.name
         | Sf_sdfg.Sdfg.Pipeline { label; init_cycles; drain_cycles; body; _ } ->
             let cluster = fresh () in

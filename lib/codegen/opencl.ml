@@ -1,5 +1,5 @@
 open Sf_ir
-module Partition = Sf_mapping.Partition
+module Sdfg = Sf_sdfg.Sdfg
 
 type artifact = { device : int; filename : string; source : string }
 
@@ -68,20 +68,17 @@ let dim_names = [| "k"; "j"; "i" |]
 (* Dimension variable names for a rank-d space: the last d entries. *)
 let dims_for rank = Array.to_list (Array.sub dim_names (3 - rank) rank)
 
-let ident = Ident.of_name
-
-let channel_name ~src ~dst = Printf.sprintf "ch_%s__%s" (ident src) (ident dst)
-let memory_channel o = Printf.sprintf "ch_%s__mem" (ident o)
-let smi_channel ~src ~dst = Printf.sprintf "smi_%s__%s" (ident src) (ident dst)
+let channel_name ~src ~dst = Printf.sprintf "ch_%s__%s" (Ident.of_name src) (Ident.of_name dst)
+let memory_channel o = Printf.sprintf "ch_%s__mem" (Ident.of_name o)
+let smi_channel ~src ~dst = Printf.sprintf "smi_%s__%s" (Ident.of_name src) (Ident.of_name dst)
 
 (* The compute phase's body for lane v of [cell], as both backends emit
    it: the multi-index of cell + v (for boundary predication), the lets
    and [const float result = ...]. An access reads its shift-register
    tap, predicated by the boundary condition where it leaves the grid,
    or the program-scope prefetch array of a lower-dimensional input. *)
-let emit_compute buf checked buffers (s : Stencil.t) ~result =
+let emit_compute buf (p : Program.t) (pl : Sdfg.pipeline) ~result =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let p = Program.Checked.program checked in
   let shape = p.Program.shape in
   let dims = dims_for (Program.rank p) in
   let strides = Program.strides p in
@@ -91,14 +88,12 @@ let emit_compute buf checked buffers (s : Stencil.t) ~result =
         (List.nth shape d))
     dims;
   let tap (b : Sf_analysis.Internal_buffer.t) offsets =
-    Printf.sprintf "sr_%s[%d + v]" (ident b.field)
+    Printf.sprintf "sr_%s[%d + v]" (Ident.of_name b.field)
       Sf_analysis.Internal_buffer.(tap b (flatten_offset ~shape offsets))
   in
   let access ~field ~offsets =
-    match
-      List.find_opt (fun (b : Sf_analysis.Internal_buffer.t) -> b.field = field) buffers
-    with
-    | Some b ->
+    match List.find_opt (fun (r : Sdfg.register) -> r.buffer.field = field) pl.registers with
+    | Some { buffer = b; _ } ->
         let in_bounds =
           List.concat
             (List.mapi
@@ -115,15 +110,20 @@ let emit_compute buf checked buffers (s : Stencil.t) ~result =
         if in_bounds = [] then value
         else begin
           let fallback =
-            match Stencil.boundary_for s field with
+            match Stencil.boundary_for pl.stencil field with
             | Boundary.Constant c -> float_literal c
             | Boundary.Copy -> tap b (List.map (fun _ -> 0) offsets)
           in
           Printf.sprintf "(%s ? %s : %s)" (String.concat " && " in_bounds) value fallback
         end
     | None ->
-        let axes = Program.Checked.axes checked field in
-        if axes = [] then Printf.sprintf "pref_%s[0]" (ident field)
+        let axes =
+          List.find_map
+            (function Sdfg.Prefetch f when f.Field.name = field -> Some f.Field.axes | _ -> None)
+            pl.inputs
+          |> Option.get
+        in
+        if axes = [] then Printf.sprintf "pref_%s[0]" (Ident.of_name field)
         else begin
           let index =
             Sf_support.Util.string_concat_map " + "
@@ -136,79 +136,81 @@ let emit_compute buf checked buffers (s : Stencil.t) ~result =
                 Printf.sprintf "(%s + (%d)) * %d" (List.nth dims axis) o extent_inner)
               (List.combine axes offsets)
           in
-          Printf.sprintf "pref_%s[%s]" (ident field) index
+          Printf.sprintf "pref_%s[%s]" (Ident.of_name field) index
         end
   in
-  let body = scheduled_body s.Stencil.body in
+  let body = scheduled_body pl.stencil.Stencil.body in
   List.iter
     (fun (letname, e) -> add "        const float %s = %s;\n" letname (expression_to_c ~access e))
     body.Expr.lets;
   add "        const float %s = %s;\n" result (expression_to_c ~access body.Expr.result)
 
-let emit_stencil_kernel buf checked analysis (s : Stencil.t) ~remote_in ~local_consumers
-    ~remote_out ~writes_memory =
-  let p = Program.Checked.program checked in
+(* The read of a register's stream: a channel on this device, or SMI from
+   another. *)
+let pop (pl : Sdfg.pipeline) field =
+  Option.get
+    (List.find_map
+       (function
+         | Sdfg.Channel { src; dst; _ } when src = field ->
+             Some (Printf.sprintf "read_channel_intel(%s)" (channel_name ~src ~dst))
+         | Sdfg.Smi { src; dst; _ } when src = field ->
+             Some (Printf.sprintf "SMI_Pop(&%s)" (smi_channel ~src ~dst))
+         | _ -> None)
+       pl.inputs)
+
+let emit_stencil_kernel buf (p : Program.t) (pl : Sdfg.pipeline) =
   let w = p.Program.vector_width in
-  let name = s.Stencil.name in
-  let n_words = Program.cells p / w in
-  let { Sf_analysis.Delay_buffer.buffers; init_cycles = init; _ } =
-    Sf_analysis.Delay_buffer.node_info analysis name
-  in
   let add fmt = Printf.ksprintf (fun line -> Buffer.add_string buf line) fmt in
   add "__attribute__((max_global_work_dim(0)))\n";
   add "__attribute__((autorun))\n";
-  add "__kernel void stencil_%s() {\n" (ident name);
+  add "__kernel void stencil_%s() {\n" (Ident.of_name pl.stencil.Stencil.name);
   List.iter
-    (fun (b : Sf_analysis.Internal_buffer.t) ->
-      add "  float sr_%s[%d]; // flat span [%d, %d], read-ahead %d words\n" (ident b.field)
+    (fun { Sdfg.buffer = b; _ } ->
+      add "  float sr_%s[%d]; // flat span [%d, %d], read-ahead %d words\n" (Ident.of_name b.field)
         b.register_elements b.min_flat b.max_flat b.init_words)
-    buffers;
+    pl.registers;
   (* Lower-dimensional inputs are read from the program-scope prefetch
      arrays, filled by the load_* kernels before the pipeline starts. *)
-  add "  for (long t = 0; t < %dL + %dL; ++t) {\n" init n_words;
+  add "  for (long t = 0; t < %dL + %dL; ++t) {\n" pl.init_cycles pl.words;
   (* Shift phase (fully unrolled). *)
   List.iter
-    (fun (b : Sf_analysis.Internal_buffer.t) ->
+    (fun { Sdfg.buffer = b; _ } ->
       if b.register_elements > w then begin
         add "    #pragma unroll\n";
-        let sr = ident b.field in
+        let sr = Ident.of_name b.field in
         add "    for (int s = 0; s < %d; ++s) sr_%s[s] = sr_%s[s + %d];\n"
           (b.register_elements - w) sr sr w
       end)
-    buffers;
+    pl.registers;
   (* Update phase: read one word from each active input stream. *)
   List.iter
-    (fun (b : Sf_analysis.Internal_buffer.t) ->
-      let start = Sf_analysis.Internal_buffer.fill_step buffers b in
-      let target = Printf.sprintf "sr_%s[%d + v]" (ident b.field) (b.register_elements - w) in
-      let source =
-        if List.mem_assoc b.field remote_in then
-          Printf.sprintf "SMI_Pop(&%s)" (smi_channel ~src:b.field ~dst:name)
-        else Printf.sprintf "read_channel_intel(%s)" (channel_name ~src:b.field ~dst:name)
+    (fun { Sdfg.buffer = b; start } ->
+      let target =
+        Printf.sprintf "sr_%s[%d + v]" (Ident.of_name b.field) (b.register_elements - w)
       in
-      add "    if (t >= %dL && t < %dL + %dL) {\n" start start n_words;
+      add "    if (t >= %dL && t < %dL + %dL) {\n" start start pl.words;
       add "      #pragma unroll\n";
-      add "      for (int v = 0; v < %d; ++v) %s = %s;\n" w target source;
+      add "      for (int v = 0; v < %d; ++v) %s = %s;\n" w target (pop pl b.field);
       add "    }\n")
-    buffers;
+    pl.registers;
   (* Compute phase. *)
-  add "    if (t >= %dL) {\n" init;
-  add "      long cell = (t - %dL) * %d;\n" init w;
+  add "    if (t >= %dL) {\n" pl.init_cycles;
+  add "      long cell = (t - %dL) * %d;\n" pl.init_cycles w;
   add "      #pragma unroll\n";
   add "      for (int v = 0; v < %d; ++v) {\n" w;
-  emit_compute buf checked buffers s ~result:"value_0";
-  let emit_write target = add "        %s;\n" target in
-  List.iter
-    (fun consumer ->
-      emit_write
-        (Printf.sprintf "write_channel_intel(%s, value_0)" (channel_name ~src:name ~dst:consumer)))
-    local_consumers;
-  List.iter
-    (fun consumer ->
-      emit_write (Printf.sprintf "SMI_Push(&%s, value_0)" (smi_channel ~src:name ~dst:consumer)))
-    remote_out;
-  if writes_memory then
-    emit_write (Printf.sprintf "write_channel_intel(%s, value_0)" (memory_channel name));
+  emit_compute buf p pl ~result:"value_0";
+  (* Local consumers, then remote ones, then memory. *)
+  let write select = List.iter (fun port -> Option.iter (add "        %s;\n") (select port)) pl.outputs in
+  write (function
+    | Sdfg.Channel { src; dst; _ } ->
+        Some (Printf.sprintf "write_channel_intel(%s, value_0)" (channel_name ~src ~dst))
+    | _ -> None);
+  write (function
+    | Sdfg.Smi { src; dst; _ } -> Some (Printf.sprintf "SMI_Push(&%s, value_0)" (smi_channel ~src ~dst))
+    | _ -> None);
+  write (function
+    | Sdfg.Writer o -> Some (Printf.sprintf "write_channel_intel(%s, value_0)" (memory_channel o))
+    | _ -> None);
   add "      }\n";
   add "    }\n";
   add "  }\n";
@@ -217,7 +219,7 @@ let emit_stencil_kernel buf checked analysis (s : Stencil.t) ~remote_in ~local_c
 let emit_reader buf (p : Program.t) (f : Field.t) consumers =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let elems = Field.num_elements f ~shape:p.Program.shape in
-  add "__kernel void read_%s(__global const float* restrict mem) {\n" (ident f.Field.name);
+  add "__kernel void read_%s(__global const float* restrict mem) {\n" (Ident.of_name f.Field.name);
   add "  for (long idx = 0; idx < %dL; ++idx) {\n" elems;
   add "    const float value = mem[idx];\n";
   List.iter
@@ -228,16 +230,39 @@ let emit_reader buf (p : Program.t) (f : Field.t) consumers =
 
 let emit_writer buf (p : Program.t) output =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "__kernel void write_%s(__global float* restrict mem) {\n" (ident output);
+  add "__kernel void write_%s(__global float* restrict mem) {\n" (Ident.of_name output);
   add "  for (long idx = 0; idx < %dL; ++idx) {\n" (Program.cells p);
   add "    mem[idx] = read_channel_intel(%s);\n" (memory_channel output);
   add "  }\n}\n\n"
 
-let generate_unchecked ?partition checked =
-  let p = Program.Checked.program checked in
-  let partition = match partition with Some pt -> pt | None -> Partition.single_device checked in
-  let analysis = Sf_analysis.Delay_buffer.of_checked checked in
-  let device_of = Partition.placement_fn partition in
+let stream_consumers pipelines field =
+  List.filter_map
+    (fun (pl : Sdfg.pipeline) ->
+      if List.exists (function Sdfg.Channel { src; _ } -> src = field | _ -> false) pl.inputs
+      then Some pl.stencil.name
+      else None)
+    pipelines
+
+(* An input is copied to every device that reads it. *)
+let reads_input (pl : Sdfg.pipeline) field =
+  List.exists
+    (function
+      | Sdfg.Channel { src; _ } -> src = field
+      | Sdfg.Prefetch f -> f.Field.name = field
+      | Sdfg.Smi _ | Sdfg.Writer _ -> false)
+    pl.inputs
+
+let input_devices (sdfg : Sdfg.t) pipelines field =
+  List.filter
+    (fun d -> List.exists (fun (pl : Sdfg.pipeline) -> pl.device = d && reads_input pl field) pipelines)
+    (Sf_support.Util.range sdfg.devices)
+
+let device_of pipelines name =
+  (List.find (fun (pl : Sdfg.pipeline) -> pl.stencil.name = name) pipelines).device
+
+let kernels (sdfg : Sdfg.t) =
+  let p = Sdfg.program sdfg in
+  let pipelines = Sdfg.pipelines sdfg in
   let rank = Program.rank p in
   List.map
     (fun device ->
@@ -249,32 +274,19 @@ let generate_unchecked ?partition checked =
         p.Program.vector_width;
       add "#pragma OPENCL EXTENSION cl_intel_channels : enable\n";
       add "#include \"smi.h\"\n\n";
-      let local_stencils =
-        List.filter (fun s -> device_of s.Stencil.name = device) p.Program.stencils
-      in
-      let is_local name = device_of name = device in
-      (* Channel declarations: local edges with analysed depths. *)
+      let local = List.filter (fun (pl : Sdfg.pipeline) -> pl.device = device) pipelines in
+      let is_local o = device_of pipelines o = device in
+      (* Channel declarations: local streams with analysed depths. *)
       List.iter
-        (fun (s : Stencil.t) ->
-          let dst = s.Stencil.name in
+        (fun (pl : Sdfg.pipeline) ->
           List.iter
-            (fun field ->
-              (* A channel carries a local stream: a stencil on this
-                 device or a full-rank input (the others are prefetched). *)
-              let local_stream =
-                match Program.Checked.find checked field with
-                | Program.Op _ -> is_local field
-                | Program.Input f -> Field.rank f = rank
-              in
-              if local_stream then begin
-                let depth =
-                  Sf_analysis.Delay_buffer.buffer_for analysis ~src:field ~dst
-                in
-                add "channel float %s __attribute__((depth(%d)));\n"
-                  (channel_name ~src:field ~dst) (max 1 depth)
-              end)
-            (Program.Checked.reads checked dst))
-        local_stencils;
+            (function
+              | Sdfg.Channel { src; dst; depth } ->
+                  add "channel float %s __attribute__((depth(%d)));\n" (channel_name ~src ~dst)
+                    (max 1 depth)
+              | _ -> ())
+            pl.inputs)
+        local;
       List.iter
         (fun o ->
           if is_local o then
@@ -282,20 +294,24 @@ let generate_unchecked ?partition checked =
         p.Program.outputs;
       (* SMI channel declarations for remote streams touching this device. *)
       List.iter
-        (fun ((src, dst), (d1, d2)) ->
-          if d1 = device || d2 = device then
-            add "SMI_Channel %s; // rank %d -> rank %d\n" (smi_channel ~src ~dst) d1 d2)
-        partition.Partition.cross_edges;
+        (fun (pl : Sdfg.pipeline) ->
+          List.iter
+            (function
+              | Sdfg.Smi { src; dst; src_rank; dst_rank }
+                when src_rank = device || dst_rank = device ->
+                  add "SMI_Channel %s; // rank %d -> rank %d\n" (smi_channel ~src ~dst) src_rank
+                    dst_rank
+              | _ -> ())
+            pl.inputs)
+        pipelines;
       add "\n";
       (* Prefetch storage and loader kernels for lower-dimensional inputs
          used on this device; readers for streamed inputs. *)
       List.iter
         (fun (f : Field.t) ->
-          let devices = List.assoc f.Field.name partition.Partition.replicated_inputs in
-          if List.mem device devices && Field.rank f < rank
-          then begin
+          if Field.rank f < rank && List.mem device (input_devices sdfg pipelines f.Field.name) then begin
             let elems = max 1 (Field.num_elements f ~shape:p.Program.shape) in
-            let name = ident f.Field.name in
+            let name = Ident.of_name f.Field.name in
             add "float pref_%s[%d]; // lower-dimensional input, prefetched once\n" name elems;
             add "__kernel void load_%s(__global const float* restrict mem) {\n" name;
             add "  for (int idx = 0; idx < %d; ++idx) pref_%s[idx] = mem[idx];\n" elems name;
@@ -304,35 +320,12 @@ let generate_unchecked ?partition checked =
         p.Program.inputs;
       List.iter
         (fun (f : Field.t) ->
-          let devices = List.assoc f.Field.name partition.Partition.replicated_inputs in
-          if List.mem device devices && Field.rank f = rank then begin
-            let consumers =
-              List.filter
-                (fun consumer -> device_of consumer = device)
-                (Program.Checked.consumers checked f.Field.name)
-            in
+          if Field.rank f = rank then begin
+            let consumers = stream_consumers local f.Field.name in
             if consumers <> [] then emit_reader buf p f consumers
           end)
         p.Program.inputs;
-      (* Stencil kernels. *)
-      List.iter
-        (fun (s : Stencil.t) ->
-          let name = s.Stencil.name in
-          let consumers = Program.Checked.consumers checked name in
-          let local_consumers = List.filter (fun c -> device_of c = device) consumers in
-          let remote_out = List.filter (fun c -> device_of c <> device) consumers in
-          let remote_in =
-            List.filter_map
-              (fun field ->
-                match Program.Checked.find checked field with
-                | Program.Op _ when device_of field <> device -> Some (field, device_of field)
-                | Program.Op _ | Program.Input _ -> None)
-              (Program.Checked.reads checked name)
-          in
-          emit_stencil_kernel buf checked analysis s ~remote_in ~local_consumers
-            ~remote_out
-            ~writes_memory:(List.exists (String.equal name) p.Program.outputs))
-        local_stencils;
+      List.iter (emit_stencil_kernel buf p) local;
       (* Writers for outputs produced here. *)
       List.iter (fun o -> if is_local o then emit_writer buf p o) p.Program.outputs;
       {
@@ -340,44 +333,44 @@ let generate_unchecked ?partition checked =
         filename = Printf.sprintf "%s_device%d.cl" p.Program.name device;
         source = Buffer.contents buf;
       })
-    (Sf_support.Util.range partition.Partition.num_devices)
+    (Sf_support.Util.range sdfg.devices)
 
-let host_source_unchecked ?partition checked =
-  let p = Program.Checked.program checked in
-  let partition = match partition with Some pt -> pt | None -> Partition.single_device checked in
+let host (sdfg : Sdfg.t) =
+  let p = Sdfg.program sdfg in
+  let pipelines = Sdfg.pipelines sdfg in
   let buf = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "// Host code for %s over %d device(s)\n" p.Program.name partition.Partition.num_devices;
+  add "// Host code for %s over %d device(s)\n" p.Program.name sdfg.devices;
   add "#include <CL/cl.h>\n\nint main(void) {\n";
   List.iter
     (fun (f : Field.t) ->
-      let devices = List.assoc f.Field.name partition.Partition.replicated_inputs in
-      let bytes = Field.size_bytes f ~shape:p.Program.shape and name = ident f.Field.name in
+      let bytes = Field.size_bytes f ~shape:p.Program.shape and name = Ident.of_name f.Field.name in
       List.iter
         (fun d ->
           add "  cl_mem buf_%s_dev%d = clCreateBuffer(ctx[%d], CL_MEM_READ_ONLY, %d, NULL, NULL);\n"
             name d d bytes;
           add "  clEnqueueWriteBuffer(queue[%d], buf_%s_dev%d, CL_TRUE, 0, %d, host_%s, 0, NULL, NULL); // replicate\n"
             d name d bytes name)
-        devices)
+        (input_devices sdfg pipelines f.Field.name))
     p.Program.inputs;
   List.iter
     (fun o ->
-      let d = Partition.placement_fn partition o in
-      add "  cl_mem buf_%s = clCreateBuffer(ctx[%d], CL_MEM_WRITE_ONLY, %d, NULL, NULL);\n" (ident o)
-        d (Program.cells p * Dtype.size_bytes p.Program.dtype))
+      add "  cl_mem buf_%s = clCreateBuffer(ctx[%d], CL_MEM_WRITE_ONLY, %d, NULL, NULL);\n"
+        (Ident.of_name o) (device_of pipelines o)
+        (Program.cells p * Dtype.size_bytes p.Program.dtype))
     p.Program.outputs;
   add "  // launch reader/writer kernels; autorun stencil kernels start on configuration\n";
   List.iter
     (fun (f : Field.t) ->
       List.iter
         (fun d ->
-          add "  clEnqueueTask(queue[%d], kernel_read_%s, 0, NULL, NULL);\n" d (ident f.Field.name))
-        (List.assoc f.Field.name partition.Partition.replicated_inputs))
+          add "  clEnqueueTask(queue[%d], kernel_read_%s, 0, NULL, NULL);\n" d
+            (Ident.of_name f.Field.name))
+        (input_devices sdfg pipelines f.Field.name))
     p.Program.inputs;
   List.iter
     (fun o ->
-      let d = Partition.placement_fn partition o and name = ident o in
+      let d = device_of pipelines o and name = Ident.of_name o in
       add "  clEnqueueTask(queue[%d], kernel_write_%s, 0, NULL, NULL);\n" d name;
       add "  clEnqueueReadBuffer(queue[%d], buf_%s, CL_TRUE, 0, %d, host_%s, 0, NULL, NULL);\n" d
         name
@@ -389,13 +382,17 @@ let host_source_unchecked ?partition checked =
 
 module Diag = Sf_support.Diag
 
-let checked f p =
+let lowered f =
+  try Ok (Sdfg.expand_library_nodes (f ()))
+  with Invalid_argument m | Failure m ->
+    Error [ Diag.errorf ~code:Diag.Code.codegen "code generation failed: %s" m ]
+
+let lower_analysis ?partition analysis = lowered (fun () -> Sdfg.of_analysis ?partition analysis)
+
+let lower ?partition p =
   match Program.check p with
-  | Ok checked -> (
-      try Ok (f checked)
-      with Invalid_argument m | Failure m ->
-        Error [ Diag.errorf ~code:Diag.Code.codegen "code generation failed: %s" m ])
+  | Ok checked -> lowered (fun () -> Sdfg.of_checked ?partition checked)
   | Error msgs -> Error (List.map (Diag.error ~code:Diag.Code.validation) msgs)
 
-let generate ?partition p = checked (generate_unchecked ?partition) p
-let host_source ?partition p = checked (host_source_unchecked ?partition) p
+let generate ?partition p = Result.map kernels (lower ?partition p)
+let host_source ?partition p = Result.map host (lower ?partition p)

@@ -1,13 +1,17 @@
 (** Code generation to Intel-FPGA-style annotated OpenCL (paper, Sec. VI).
 
-    One source file is emitted per device. Each stencil becomes an
-    [autorun] kernel containing the Fig. 12 structure: a fully unrolled
-    shift phase over the field's shift register, an update phase reading
-    the input channels, and a compute phase with boundary predication and
-    a guarded output write. Channels carry the delay-buffer depths from
-    the analysis; edges crossing devices are emitted as SMI push/pop
-    calls instead of channel operations (Sec. VI-B). Dedicated reader
-    (prefetcher) and writer kernels move data between DRAM and streams.
+    The program is checked once, lowered under its device placement to an
+    SDFG and expanded ({!Sf_sdfg.Sdfg}); this module prints the result
+    and derives no schedule of its own. One source file is emitted per
+    device. Each pipeline scope becomes an [autorun] kernel with the
+    Fig. 12 structure: a fully unrolled shift phase over each shift
+    register, an update phase reading every register's stream from its
+    fill step on, and a compute phase with boundary predication and a
+    guarded output write, for the scope's init cycles and word count.
+    Channels carry the analysed depths of the scope's ports; ports between
+    devices are printed as SMI push/pop calls instead of channel
+    operations (Sec. VI-B). Dedicated reader (prefetcher) and writer
+    kernels move data between DRAM and streams.
 
     The output is not synthesized in this reproduction (no vendor
     toolchain); its structure is verified by tests and it documents
@@ -20,42 +24,48 @@ type artifact = {
   source : string;
 }
 
+val lower :
+  ?partition:Sf_mapping.Partition.t ->
+  Sf_ir.Program.t ->
+  (Sf_sdfg.Sdfg.t, Sf_support.Diag.t list) result
+(** Check the program, lower it ({!Sf_sdfg.Sdfg.of_checked}) and expand
+    it: the SDFG both backends print. Validation problems surface as
+    [SF0301] diagnostics, lowering failures (a stencil the partition does
+    not place) as [SF0601]. *)
+
+val lower_analysis :
+  ?partition:Sf_mapping.Partition.t ->
+  Sf_analysis.Delay_buffer.t ->
+  (Sf_sdfg.Sdfg.t, Sf_support.Diag.t list) result
+(** {!lower} of the program an analysis was derived from, without a second
+    check or analysis. *)
+
+val kernels : Sf_sdfg.Sdfg.t -> artifact list
+(** Kernel source per device of an expanded SDFG. *)
+
+val host : Sf_sdfg.Sdfg.t -> string
+(** Host-side C-style pseudo code for an expanded SDFG: buffer
+    allocation, replication of inputs to each device that reads them,
+    kernel launch, and result copy-back. *)
+
 val generate :
   ?partition:Sf_mapping.Partition.t ->
   Sf_ir.Program.t ->
   (artifact list, Sf_support.Diag.t list) result
-(** Kernel source per device (a single artifact when unpartitioned).
-    Validation problems surface as [SF0301] diagnostics; internal
-    lowering failures as [SF0601]. *)
+(** {!kernels} of {!lower}: one artifact per device (a single one when
+    unpartitioned). *)
 
 val host_source :
   ?partition:Sf_mapping.Partition.t ->
   Sf_ir.Program.t ->
   (string, Sf_support.Diag.t list) result
-(** Host-side C-style pseudo code: buffer allocation, replication of
-    inputs to each device, kernel launch, and result copy-back. *)
+(** {!host} of {!lower}. *)
 
-val checked :
-  (Sf_ir.Program.checked -> 'a) -> Sf_ir.Program.t -> ('a, Sf_support.Diag.t list) result
-(** [checked lower p]: {!Sf_ir.Program.check} [p], then [lower] it.
-    Validation problems surface as [SF0301], lowering failures as
-    [SF0601]. *)
-
-val emit_compute :
-  Buffer.t ->
-  Sf_ir.Program.checked ->
-  Sf_analysis.Internal_buffer.t list ->
-  Sf_ir.Stencil.t ->
-  result:string ->
-  unit
+val emit_compute : Buffer.t -> Sf_ir.Program.t -> Sf_sdfg.Sdfg.pipeline -> result:string -> unit
 (** The compute phase for lane [v] of [cell], which both backends emit
     alike: the multi-index, the lets and [const float result], reading
-    the stencil's shift-register taps (predicated at the boundary) and
-    the prefetch arrays of lower-dimensional inputs. *)
-
-val ident : string -> string
-(** {!Sf_ir.Ident.of_name}: a program name as both backends spell it
-    inside identifiers. *)
+    the pipeline's shift-register taps (predicated at the boundary) and
+    the prefetch arrays of its lower-dimensional inputs. *)
 
 val float_literal : float -> string
 (** C float literal rendering shared by the backends. *)

@@ -105,7 +105,7 @@ let markdown ?(device = Device.stratix10) (p : Program.t) =
    with Invalid_argument m -> add "no feasible width: %s\n" m);
 
   add "\n## Device mapping\n\n";
-  (match Partition.greedy ~device p with
+  (match Partition.greedy ~device checked with
   | Ok pt ->
       add "- fits on %d device(s)\n" pt.Partition.num_devices;
       if pt.Partition.cross_edges <> [] then begin

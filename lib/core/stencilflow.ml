@@ -31,7 +31,6 @@ module Telemetry = Sf_sim.Telemetry
 module Timeloop = Sf_sim.Timeloop
 module Sdfg = Sf_sdfg.Sdfg
 module Fusion = Sf_sdfg.Fusion
-module Transform = Sf_sdfg.Transform
 module Opt = Sf_sdfg.Opt
 module Partition = Sf_mapping.Partition
 module Tiling = Sf_mapping.Tiling

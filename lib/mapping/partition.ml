@@ -45,8 +45,7 @@ let single_device checked =
   let device_of = List.map (fun s -> (s.Stencil.name, 0)) p.Program.stencils in
   derive_metadata checked device_of 1 [ Resource.of_checked checked ]
 
-let greedy ?(ceiling = 0.85) ?(max_devices = 8) ~device (p : Program.t) =
-  let checked = Program.check_exn p in
+let greedy ?(ceiling = 0.85) ?(max_devices = 8) ~device checked =
   (* Per-device fixed overhead: the memory interface for the streams that
      terminate there. Approximated by charging the whole program's
      interface cost to every device — conservative but simple. *)

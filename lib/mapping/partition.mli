@@ -21,7 +21,7 @@ val greedy :
   ?ceiling:float ->
   ?max_devices:int ->
   device:Sf_models.Device.t ->
-  Sf_ir.Program.t ->
+  Sf_ir.Program.checked ->
   (t, Sf_support.Diag.t) result
 (** Topological greedy bin packing: fill the current device until the
     next stencil unit no longer fits, then start the next one. Inputs are

@@ -1,4 +1,6 @@
 open Sf_ir
+module Delay_buffer = Sf_analysis.Delay_buffer
+module Internal_buffer = Sf_analysis.Internal_buffer
 
 type storage = Off_chip | On_chip | Stream of { depth : int }
 
@@ -13,24 +15,47 @@ type container = {
 
 type node_id = int
 
+type port =
+  | Channel of { src : string; dst : string; depth : int }
+  | Smi of { src : string; dst : string; src_rank : int; dst_rank : int }
+  | Writer of string
+  | Prefetch of Field.t
+
+type register = { buffer : Internal_buffer.t; start : int }
+
 type node =
   | Access of string
   | Tasklet of { label : string; body : Expr.body }
-  | Stencil_node of Stencil.t
-  | Pipeline of {
-      label : string;
-      iteration : int list;
-      init_cycles : int;
-      drain_cycles : int;
-      body : graph;
-    }
+  | Stencil_node of { stencil : Stencil.t; device : int }
+  | Pipeline of pipeline
   | Unrolled_map of { label : string; width : int; body : graph }
+
+and pipeline = {
+  label : string;
+  stencil : Stencil.t;
+  device : int;
+  iteration : int list;
+  init_cycles : int;
+  drain_cycles : int;
+  words : int;
+  registers : register list;
+  inputs : port list;
+  outputs : port list;
+  body : graph;
+}
 
 and edge = { src : node_id; dst : node_id; data : string; subset : string }
 and graph = { nodes : (node_id * node) list; edges : edge list }
 
 type state = { slabel : string; body : graph }
-type t = { name : string; containers : container list; states : state list }
+
+type t = {
+  name : string;
+  containers : container list;
+  states : state list;
+  analysis : Delay_buffer.t;
+  devices : int;
+}
 
 let empty_graph = { nodes = []; edges = [] }
 
@@ -49,26 +74,14 @@ let subset_of_offsets offsets =
    joins below are injective. *)
 let stream_name ~src ~dst = Ident.of_name src ^ "__to__" ^ Ident.of_name dst
 
-(* Metadata containers encode program-level parameters that DaCe would
-   keep as symbols; they are zero-extent and transient. *)
-let symbol_container name value =
-  { cname = Printf.sprintf "__sym_%s_%d" name value; dtype = Dtype.I32; extent = [];
-    storage = On_chip; transient = true; axes_hint = None }
-
-let symbol_value t name =
-  List.find_map
-    (fun c ->
-      let prefix = Printf.sprintf "__sym_%s_" name in
-      if String.length c.cname > String.length prefix
-         && String.sub c.cname 0 (String.length prefix) = prefix
-      then int_of_string_opt (String.sub c.cname (String.length prefix)
-             (String.length c.cname - String.length prefix))
-      else None)
-    t.containers
-
-let of_checked checked =
+let of_analysis ?partition analysis =
+  let checked = Delay_buffer.checked analysis in
   let p = Program.Checked.program checked in
-  let analysis = Sf_analysis.Delay_buffer.of_checked checked in
+  let device_of, devices =
+    match partition with
+    | Some pt -> (Sf_mapping.Partition.placement_fn pt, pt.Sf_mapping.Partition.num_devices)
+    | None -> ((fun _ -> 0), 1)
+  in
   let full_shape = p.Program.shape in
   let containers = ref [] in
   let add_container c = containers := !containers @ [ c ] in
@@ -103,7 +116,7 @@ let of_checked checked =
   let stencil_ids : (string, node_id) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun (s : Stencil.t) ->
-      let id = node !graph (Stencil_node s) in
+      let id = node !graph (Stencil_node { stencil = s; device = device_of s.Stencil.name }) in
       Hashtbl.replace stencil_ids s.Stencil.name id)
     p.Program.stencils;
   (* Result containers: off-chip when written to memory, streams between
@@ -129,7 +142,7 @@ let of_checked checked =
       List.iter
         (fun consumer ->
           let sname = stream_name ~src:name ~dst:consumer in
-          let depth = Sf_analysis.Delay_buffer.buffer_for analysis ~src:name ~dst:consumer in
+          let depth = Delay_buffer.buffer_for analysis ~src:name ~dst:consumer in
           add_container
             {
               cname = sname;
@@ -165,93 +178,21 @@ let of_checked checked =
           | Program.Op _ -> ())
         (Program.Checked.reads checked name))
     p.Program.stencils;
-  add_container (symbol_container "W" p.Program.vector_width);
   {
     name = p.Program.name;
     containers = !containers;
     states = [ { slabel = "main"; body = !graph } ];
+    analysis;
+    devices;
   }
 
+let of_checked ?partition checked = of_analysis ?partition (Delay_buffer.of_checked checked)
 let of_program p = of_checked (Program.check_exn p)
+let program t = Program.Checked.program (Delay_buffer.checked t.analysis)
 
-let extract_checked (t : t) =
-  let stencils =
-    List.concat_map
-      (fun st -> List.filter_map (fun (_, n) -> match n with Stencil_node s -> Some s | _ -> None) st.body.nodes)
-      t.states
-  in
-  if stencils = [] then Error "SDFG contains no stencil library nodes"
-  else begin
-    let written = List.map (fun (s : Stencil.t) -> s.Stencil.name) stencils in
-    let outputs =
-      List.filter_map
-        (fun c ->
-          if (not c.transient) && c.storage = Off_chip
-             && List.exists (String.equal c.cname) written
-          then Some c.cname
-          else None)
-        t.containers
-    in
-    match
-      List.find_opt
-        (fun c -> (not c.transient) && List.exists (String.equal c.cname) outputs)
-        t.containers
-    with
-    | None -> Error "no off-chip output container found"
-    | Some out_container ->
-        let shape = out_container.extent in
-        (* Recover each input's axes by matching its extent against a
-           subsequence of the iteration shape (leftmost match). *)
-        let infer_axes extent =
-          let rec go axes axis = function
-            | [] -> Some (List.rev axes)
-            | e :: rest ->
-                let rec seek a =
-                  if a >= List.length shape then None
-                  else if List.nth shape a = e then Some a
-                  else seek (a + 1)
-                in
-                (match seek axis with
-                | None -> None
-                | Some a -> go (a :: axes) (a + 1) rest)
-          in
-          go [] 0 extent
-        in
-        let read_fields =
-          List.concat_map (fun (s : Stencil.t) -> Stencil.input_fields s) stencils
-          |> List.filter (fun f -> not (List.exists (String.equal f) written))
-          |> List.sort_uniq String.compare
-        in
-        let inputs =
-          List.filter_map
-            (fun c ->
-              if c.transient || not (List.exists (String.equal c.cname) read_fields) then None
-              else
-                (* Prefer the recorded axes (set when the SDFG was lowered
-                   from a program); inference from extents is ambiguous
-                   when several iteration axes share an extent. *)
-                match c.axes_hint with
-                | Some axes -> Some { Field.name = c.cname; dtype = c.dtype; axes }
-                | None -> (
-                    match infer_axes c.extent with
-                    | None -> None
-                    | Some axes -> Some { Field.name = c.cname; dtype = c.dtype; axes }))
-            t.containers
-        in
-        let w = Option.value (symbol_value t "W") ~default:1 in
-        let program =
-          Program.make ~dtype:out_container.dtype ~vector_width:w ~name:t.name ~shape
-            ~inputs ~outputs stencils
-        in
-        Result.map_error (String.concat "; ") (Program.check program)
-  end
-
-let extract_program t = Result.map Program.Checked.program (extract_checked t)
-
-(* Expansion of a stencil library node into the Fig. 12 subgraph, with
-   the phases and shift registers of the delay-buffer analysis. *)
-let expand_stencil (p_shape : int list) w (info : Sf_analysis.Delay_buffer.node_info)
-    (s : Stencil.t) accesses =
+(* The Fig. 12 subgraph of a stencil library node, with its shift
+   registers. *)
+let expand_stencil w (buffers : Internal_buffer.t list) (s : Stencil.t) accesses =
   let g = ref empty_graph in
   let node n =
     let g', id = add_node !g n in
@@ -268,11 +209,7 @@ let expand_stencil (p_shape : int list) w (info : Sf_analysis.Delay_buffer.node_
          register of the paper's size; lower-dimensional fields are
          prefetched. *)
       let size =
-        match
-          List.find_opt
-            (fun (b : Sf_analysis.Internal_buffer.t) -> String.equal b.field field)
-            info.buffers
-        with
+        match List.find_opt (fun (b : Internal_buffer.t) -> String.equal b.field field) buffers with
         | Some b -> b.size_elements
         | None -> 0
       in
@@ -342,67 +279,106 @@ let expand_stencil (p_shape : int list) w (info : Sf_analysis.Delay_buffer.node_
   g := add_edge !g ~src:compute ~dst:guard ~data:"value" ~subset:"[scalar]";
   let out_access = node (Access s.Stencil.name) in
   g := add_edge !g ~src:guard ~dst:out_access ~data:s.Stencil.name ~subset:"[stream]";
-  ( Pipeline
-      {
-        label = Printf.sprintf "pipeline_%s" s.Stencil.name;
-        iteration = p_shape;
-        init_cycles = info.init_cycles;
-        drain_cycles = info.compute_cycles;
-        body = !g;
-      },
-    !new_containers )
+  (!g, !new_containers)
 
 let expand_library_nodes (t : t) =
-  match extract_checked t with
-  | Error _ -> t
-  | Ok checked ->
-      let p = Program.Checked.program checked in
-      let analysis = Sf_analysis.Delay_buffer.of_checked checked in
-      let new_containers = ref [] in
-      let states =
-        List.map
-          (fun st ->
-            let nodes =
-              List.map
-                (fun (id, n) ->
-                  match n with
-                  | Stencil_node s ->
-                      let name = s.Stencil.name in
-                      let expanded, extra =
-                        expand_stencil p.Program.shape p.Program.vector_width
-                          (Sf_analysis.Delay_buffer.node_info analysis name)
-                          s (Program.Checked.accesses checked name)
-                      in
-                      new_containers := extra @ !new_containers;
-                      (id, expanded)
-                  | other -> (id, other))
-                st.body.nodes
-            in
-            { st with body = { st.body with nodes } })
-          t.states
-      in
-      let with_new = t.containers @ List.rev !new_containers in
-      (* Expanded scopes reference stencil results by their bare names
-         (the connector the outer graph wires to a stream); declare port
-         containers for any name not already present. *)
-      let ports =
-        List.filter_map
-          (fun (s : Stencil.t) ->
-            let name = s.Stencil.name in
-            if List.exists (fun c -> String.equal c.cname name) with_new then None
-            else
-              Some
-                {
-                  cname = name;
-                  dtype = p.Program.dtype;
-                  extent = [];
-                  storage = Stream { depth = 0 };
-                  transient = true;
-                  axes_hint = None;
-                })
-          p.Program.stencils
-      in
-      { t with states; containers = with_new @ ports }
+  let analysis = t.analysis in
+  let checked = Delay_buffer.checked analysis in
+  let p = Program.Checked.program checked in
+  let device_of = Hashtbl.create 16 in
+  List.iter
+    (fun st ->
+      List.iter
+        (fun (_, n) ->
+          match n with
+          | Stencil_node { stencil; device } -> Hashtbl.replace device_of stencil.Stencil.name device
+          | Access _ | Tasklet _ | Pipeline _ | Unrolled_map _ -> ())
+        st.body.nodes)
+    t.states;
+  (* An input is copied to every device that reads it: a full-rank one
+     streams on the reader's device, a lower-dimensional one is
+     prefetched there. *)
+  let stream ~src ~dst =
+    let dst_rank = Hashtbl.find device_of dst in
+    let src_rank = Option.value (Hashtbl.find_opt device_of src) ~default:dst_rank in
+    if src_rank = dst_rank then Channel { src; dst; depth = Delay_buffer.buffer_for analysis ~src ~dst }
+    else Smi { src; dst; src_rank; dst_rank }
+  in
+  let input ~dst field =
+    match Program.Checked.find checked field with
+    | Program.Input f when Field.rank f < Program.rank p -> Prefetch f
+    | Program.Input _ | Program.Op _ -> stream ~src:field ~dst
+  in
+  let pipeline (s : Stencil.t) device =
+    let name = s.Stencil.name in
+    let { Delay_buffer.buffers; init_cycles; compute_cycles } = Delay_buffer.node_info analysis name in
+    let body, containers =
+      expand_stencil p.Program.vector_width buffers s (Program.Checked.accesses checked name)
+    in
+    ( Pipeline
+        {
+          label = Printf.sprintf "pipeline_%s" name;
+          stencil = s;
+          device;
+          iteration = p.Program.shape;
+          init_cycles;
+          drain_cycles = compute_cycles;
+          words = Program.cells p / p.Program.vector_width;
+          registers =
+            List.map (fun b -> { buffer = b; start = Internal_buffer.fill_step buffers b }) buffers;
+          inputs = List.map (input ~dst:name) (Program.Checked.reads checked name);
+          outputs =
+            List.map (fun c -> stream ~src:name ~dst:c) (Program.Checked.consumers checked name)
+            @ if List.exists (String.equal name) p.Program.outputs then [ Writer name ] else [];
+          body;
+        },
+      containers )
+  in
+  let new_containers = ref [] in
+  let states =
+    List.map
+      (fun st ->
+        let nodes =
+          List.map
+            (fun (id, n) ->
+              match n with
+              | Stencil_node { stencil; device } ->
+                  let expanded, extra = pipeline stencil device in
+                  new_containers := extra @ !new_containers;
+                  (id, expanded)
+              | Access _ | Tasklet _ | Pipeline _ | Unrolled_map _ -> (id, n))
+            st.body.nodes
+        in
+        { st with body = { st.body with nodes } })
+      t.states
+  in
+  let with_new = t.containers @ List.rev !new_containers in
+  (* Expanded scopes reference stencil results by their bare names
+     (the connector the outer graph wires to a stream); declare port
+     containers for any name not already present. *)
+  let ports =
+    List.filter_map
+      (fun (s : Stencil.t) ->
+        let name = s.Stencil.name in
+        if List.exists (fun c -> String.equal c.cname name) with_new then None
+        else
+          Some
+            {
+              cname = name;
+              dtype = p.Program.dtype;
+              extent = [];
+              storage = Stream { depth = 0 };
+              transient = true;
+              axes_hint = None;
+            })
+      p.Program.stencils
+  in
+  { t with states; containers = with_new @ ports }
+
+let pipelines (t : t) =
+  List.concat_map
+    (fun st -> List.filter_map (fun (_, n) -> match n with Pipeline pl -> Some pl | _ -> None) st.body.nodes)
+    t.states
 
 let rec graph_acyclic g =
   let module G = Sf_support.Dgraph.Make (Int) in

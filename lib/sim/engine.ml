@@ -222,12 +222,22 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
   let history ~src ~dst =
     Stencil_unit.history_words ~info:(Sf_analysis.Delay_buffer.node_info analysis dst) ~width:w src
   in
-  let pending src =
-    Stencil_unit.pending_words ~info:(Sf_analysis.Delay_buffer.node_info analysis src) ~width:w
+  (* Only a unit's lead output reserves pending words; its outputs are
+     its consumer edges in consumer order, then its writer. *)
+  let pending ~src output =
+    let outputs =
+      List.map (fun c -> `Edge c) (consumers src)
+      @ if List.exists (String.equal src) p.Program.outputs then [ `Writer ] else []
+    in
+    let flags = Array.of_list (List.map (( = ) `Writer) outputs) in
+    match Program.Checked.find checked src with
+    | Program.Op s when List.nth outputs (Stencil_unit.lead s ~flags) = output ->
+        Stencil_unit.pending_words ~info:(Sf_analysis.Delay_buffer.node_info analysis src) ~width:w
+    | Program.Op _ | Program.Input _ -> 0
   in
   let make_edge ~src ~dst ~src_device ~dst_device =
     let cap = buffer_for ~src ~dst + channel_slack in
-    let history = history ~src ~dst and pending = pending src in
+    let history = history ~src ~dst and pending = pending ~src (`Edge dst) in
     if src_device = dst_device then begin
       let c = new_channel ~history ~pending (Printf.sprintf "%s->%s" src dst) cap in
       Hashtbl.replace dst_channel (src, dst) c;
@@ -310,7 +320,10 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
         (* 8 words of buffering in front of each memory writer. *)
         let cap = channel_slack + 8 in
         (* Writers alone read validity flags. *)
-        let c = new_channel ~validity:true ~pending:(pending o) (Printf.sprintf "%s->mem" o) cap in
+        let c =
+          new_channel ~validity:true ~pending:(pending ~src:o `Writer) (Printf.sprintf "%s->mem" o)
+            cap
+        in
         let d = device_of o in
         let name = Printf.sprintf "write.%s@%d" o d in
         let probe = Telemetry.probe telemetry ~kind:Telemetry.Writer ~name in

@@ -29,9 +29,8 @@ type t = {
   compute_cycles : int;
   inputs : input_state array;  (* streaming inputs first *)
   outputs : Channel.t array;
-  (* The output whose pending reserve takes computed words: the one that
-     carries flags for a shrink unit that computes them, else output 0.
-     The others copy its words when they are pushed. *)
+  (* The output whose pending reserve takes computed words ([lead]);
+     the others copy its words when they are pushed. *)
   lead : Channel.t;
   (* The lowered body, one tap per load slot and a frame of one row
      segment of at most a chunk; [idx] indexes lane 0 of the next word. *)
@@ -86,6 +85,11 @@ let history_words ~info ~width field =
 let pending_words ~(info : Sf_analysis.Delay_buffer.node_info) ~width =
   info.Sf_analysis.Delay_buffer.compute_cycles + 2 + Channel.chunk ~width
 
+let lead (stencil : Stencil.t) ~flags =
+  match Array.find_index Fun.id flags with
+  | Some i when stencil.Stencil.shrink -> i
+  | Some _ | None -> 0
+
 let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
   let { Sf_analysis.Delay_buffer.init_cycles = init_max; compute_cycles; buffers } = info in
   let shape = Array.of_list program.Program.shape in
@@ -132,15 +136,10 @@ let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
   let lanes = Int.min (chunk * w) shape.(Array.length shape - 1) in
   let stride = Compile.stride prog ~lanes in
   let outputs = Array.of_list outputs in
+  let lead = outputs.(lead stencil ~flags:(Array.map Channel.has_validity outputs)) in
   let oob =
-    if stencil.Stencil.shrink && Array.exists Channel.has_validity outputs then
-      Some (Array.make lanes false)
+    if stencil.Stencil.shrink && Channel.has_validity lead then Some (Array.make lanes false)
     else None
-  in
-  let lead =
-    match oob with
-    | Some _ -> Option.get (Array.find_opt Channel.has_validity outputs)
-    | None -> outputs.(0)
   in
   reserve "pending" Channel.pending (pending_words ~info ~width:w) lead;
   {

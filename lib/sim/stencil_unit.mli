@@ -42,6 +42,13 @@ val pending_words : info:Sf_analysis.Delay_buffer.node_info -> width:int -> int
     pushed: its lead output's least pending reserve
     ({!Channel.pending}). *)
 
+val lead : Sf_ir.Stencil.t -> flags:bool array -> int
+(** [lead stencil ~flags]: the index of the unit's lead output, the one
+    that takes its computed words, given which outputs carry validity
+    flags: the first that carries flags for a shrink unit, else output 0.
+    Only the lead reserves {!pending_words}; the others copy its words
+    when they are pushed. *)
+
 val create :
   ?probe:Telemetry.probe ->
   program:Sf_ir.Program.t ->
@@ -56,10 +63,8 @@ val create :
     delay-buffer analysis entry. The unit reads only the values of its
     inputs; a shrink unit's validity comes from its own taps and goes
     only to outputs that carry flags. Every input channel must be fresh
-    and reserve {!history_words} for its field. The output that takes
-    computed words must reserve {!pending_words}: the first of
-    [outputs], or for a shrink unit the first that carries flags.
-    [Invalid_argument] otherwise. [probe]
+    and reserve {!history_words} for its field, and the {!lead} output
+    {!pending_words}. [Invalid_argument] otherwise. [probe]
     enables per-cycle stall classification (cause + blamed channel)
     into the telemetry registry; without it only the aggregate
     {!stall_cycles} counter is maintained. *)

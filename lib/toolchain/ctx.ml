@@ -256,7 +256,7 @@ let opt_slot =
    renames the slot, so blobs of the old layout read as stale. *)
 let analysis_slot =
   {
-    slot_name = "analysis-indexed";
+    slot_name = "analysis-checked";
     get = (fun ctx -> ctx.analysis);
     put = (fun ctx a -> { ctx with analysis = Some a });
     erase = (fun ctx -> { ctx with analysis = None });

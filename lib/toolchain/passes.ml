@@ -112,12 +112,13 @@ let partition =
   make_pass ~name:"partition"
     ~description:"map stencils onto devices under the resource model (Sec. III-B)"
     ~kind:Mapping
-    ~reads:[ Ctx.P Ctx.program_slot; Ctx.P Ctx.device_slot ]
+    ~reads:[ Ctx.P Ctx.program_slot; Ctx.P Ctx.analysis_slot; Ctx.P Ctx.device_slot ]
     ~writes:[ Ctx.P Ctx.partition_slot ]
     ~fingerprint:no_opts
     (fun ctx ->
-      let* p = Ctx.the_program ctx in
-      match Partition.greedy ~device:ctx.Ctx.device p with
+      let* a = Ctx.the_analysis ctx in
+      let checked = Sf_analysis.Delay_buffer.checked a in
+      match Partition.greedy ~device:ctx.Ctx.device checked with
       | Ok pt -> Ok { ctx with Ctx.partition = Some pt }
       | Error d ->
           let warn =
@@ -126,7 +127,7 @@ let partition =
               "program does not partition across devices; falling back to a single \
                oversubscribed device"
           in
-          let pt = Partition.single_device (Program.check_exn p) in
+          let pt = Partition.single_device checked in
           Ctx.add_diag { ctx with Ctx.partition = Some pt } warn
           |> Result.ok)
 
@@ -194,25 +195,29 @@ let simulate ?(validate = true) ~seed () =
 let codegen_opencl =
   make_pass ~name:"codegen-opencl"
     ~description:"emit Intel-FPGA-style OpenCL kernels and host code (Sec. VI)" ~kind:Codegen
-    ~reads:[ Ctx.P Ctx.program_slot; Ctx.P Ctx.partition_slot ]
+    ~reads:[ Ctx.P Ctx.program_slot; Ctx.P Ctx.analysis_slot; Ctx.P Ctx.partition_slot ]
     ~writes:[ Ctx.P Ctx.kernels_slot; Ctx.P Ctx.host_source_slot ]
     ~fingerprint:no_opts
     (fun ctx ->
-      let* p = Ctx.the_program ctx in
-      let* kernels = Sf_codegen.Opencl.generate ?partition:ctx.Ctx.partition p in
-      let* host = Sf_codegen.Opencl.host_source ?partition:ctx.Ctx.partition p in
-      Ok { ctx with Ctx.kernels = kernels; Ctx.host_source = Some host })
+      let* a = Ctx.the_analysis ctx in
+      let* sdfg = Sf_codegen.Opencl.lower_analysis ?partition:ctx.Ctx.partition a in
+      Ok
+        {
+          ctx with
+          Ctx.kernels = Sf_codegen.Opencl.kernels sdfg;
+          Ctx.host_source = Some (Sf_codegen.Opencl.host sdfg);
+        })
 
 let codegen_vitis =
   make_pass ~name:"codegen-vitis" ~description:"emit Xilinx-style Vitis HLS C++ (Sec. VI)"
     ~kind:Codegen
-    ~reads:[ Ctx.P Ctx.program_slot ]
+    ~reads:[ Ctx.P Ctx.program_slot; Ctx.P Ctx.analysis_slot ]
     ~writes:[ Ctx.P Ctx.vitis_source_slot ]
     ~fingerprint:no_opts
     (fun ctx ->
-      let* p = Ctx.the_program ctx in
-      let* source = Sf_codegen.Vitis.generate p in
-      Ok { ctx with Ctx.vitis_source = Some source })
+      let* a = Ctx.the_analysis ctx in
+      let* sdfg = Sf_codegen.Opencl.lower_analysis a in
+      Ok { ctx with Ctx.vitis_source = Some (Sf_codegen.Vitis.source sdfg) })
 
 let mkdir_p dir =
   (* Only the leaf and its parent are ever missing in practice, but walk

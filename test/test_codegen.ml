@@ -328,7 +328,7 @@ let test_injective_identifiers () =
   (* Plain names stand for themselves; the others stay apart. *)
   Alcotest.(check (list string)) "spelled names"
     [ "o"; "x_dev"; "dev0"; "0mem"; "0mem_5Fo"; "0a_5F_5Fb"; "0s_2Etx"; "0x_5Fdev0"; "0" ]
-    (List.map Opencl.ident [ "o"; "x_dev"; "dev0"; "mem"; "mem_o"; "a__b"; "s.tx"; "x_dev0"; "" ])
+    (List.map Ident.of_name [ "o"; "x_dev"; "dev0"; "mem"; "mem_o"; "a__b"; "s.tx"; "x_dev0"; "" ])
 
 (* The kernels of a backend's source: the name after each [marker] (up to
    its parameter list) and the text up to the next marker. *)
@@ -366,11 +366,14 @@ let registers text =
   in
   go 0 []
 
-(* Over random programs at every legal W in {1, 2, 4}: each shift register
+(* Over random programs at every legal W in {1, 2, 4}, on one device and
+   split over 2 and 3 by [Partition.contiguous]: each shift register
    Opencl and Vitis declare has [register_elements] elements, each tap
    they read (and each word they shift in) lies inside it for every lane,
-   and each SDFG shift-register container has the paper's
-   [size_elements]: all three read Internal_buffer. *)
+   and the expanded SDFG they print validates, its pipelines carry
+   Internal_buffer's registers for every (stencil, field), and each of
+   its shift-register containers has the paper's [size_elements]. Vitis
+   prints the single-device SDFG only. *)
 let prop_register_shape_from_internal_buffer =
   QCheck.Test.make ~count:150 ~name:"backends and SDFG take register shapes from Internal_buffer"
     Program_gen.arbitrary_program (fun p ->
@@ -401,13 +404,6 @@ let prop_register_shape_from_internal_buffer =
                    | _ -> true)
                  uses
           in
-          let opencl =
-            String.concat "" (List.map (fun a -> a.Opencl.source) (Fixtures.ok (Opencl.generate p)))
-          in
-          let sdfg = Sf_sdfg.Sdfg.expand_library_nodes (Sf_sdfg.Sdfg.of_program p) in
-          let sdfg_registers =
-            List.filter (fun c -> String.starts_with ~prefix:"sr_" c.Sf_sdfg.Sdfg.cname) sdfg.Sf_sdfg.Sdfg.containers
-          in
           let expected =
             List.concat_map
               (fun (s : Stencil.t) ->
@@ -418,10 +414,33 @@ let prop_register_shape_from_internal_buffer =
                   (buffers_of s.Stencil.name))
               p.Program.stencils
           in
-          List.for_all kernel_ok (kernels ~marker:"__kernel void stencil_" opencl)
-          && List.for_all kernel_ok (kernels ~marker:"void pe_" (Fixtures.ok (Sf_codegen.Vitis.generate p)))
-          && List.sort compare (List.map (fun c -> (c.Sf_sdfg.Sdfg.cname, c.extent)) sdfg_registers)
-             = List.sort compare expected)
+          let sdfg_ok (sdfg : Sf_sdfg.Sdfg.t) =
+            let sdfg_registers =
+              List.filter (fun c -> String.starts_with ~prefix:"sr_" c.Sf_sdfg.Sdfg.cname) sdfg.containers
+            in
+            Sf_sdfg.Sdfg.validate sdfg = Ok ()
+            && List.for_all
+                 (fun (pl : Sf_sdfg.Sdfg.pipeline) ->
+                   List.map (fun (r : Sf_sdfg.Sdfg.register) -> r.buffer) pl.registers
+                   = buffers_of pl.stencil.Stencil.name)
+                 (Sf_sdfg.Sdfg.pipelines sdfg)
+            && List.sort compare (List.map (fun c -> (c.Sf_sdfg.Sdfg.cname, c.extent)) sdfg_registers)
+               = List.sort compare expected
+          in
+          let placement_ok partition =
+            let opencl =
+              String.concat ""
+                (List.map (fun a -> a.Opencl.source) (Fixtures.ok (Opencl.generate ?partition p)))
+            in
+            List.for_all kernel_ok (kernels ~marker:"__kernel void stencil_" opencl)
+            && sdfg_ok (Fixtures.ok (Opencl.lower ?partition p))
+          in
+          List.for_all kernel_ok (kernels ~marker:"void pe_" (Fixtures.ok (Sf_codegen.Vitis.generate p)))
+          && List.for_all placement_ok
+               (None
+               :: List.map
+                    (fun devices -> Some (Fixtures.ok1 (Partition.contiguous ~devices p)))
+                    [ 2; 3 ]))
         (Sf_analysis.Vectorize.legal_widths p ~max:4))
 
 let suite =

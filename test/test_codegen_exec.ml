@@ -41,9 +41,6 @@ let c_float_array name values =
   Printf.sprintf "float %s[%d] = {%s};\n" name (Array.length values)
     (String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%.9gf") values)))
 
-(* Harness names are spelled as the backends spell them. *)
-let ident = Sf_codegen.Opencl.ident
-
 (* Build main.cpp: embed the input data, call the top function, print the
    outputs one value per line. *)
 let harness (p : Program.t) inputs =
@@ -58,17 +55,17 @@ let harness (p : Program.t) inputs =
   List.iter
     (fun (f : Field.t) ->
       let t : Tensor.t = List.assoc f.Field.name inputs in
-      add "%s" (c_float_array ("in_" ^ ident f.Field.name) t.Tensor.data))
+      add "%s" (c_float_array ("in_" ^ Ident.of_name f.Field.name) t.Tensor.data))
     p.Program.inputs;
-  List.iter (fun o -> add "float out_%s[%d];\n" (ident o) (Program.cells p)) p.Program.outputs;
+  List.iter (fun o -> add "float out_%s[%d];\n" (Ident.of_name o) (Program.cells p)) p.Program.outputs;
   add "int main() {\n  %s(%s);\n" (Vitis.top_function_name p)
     (String.concat ", "
-       (List.map (fun (f : Field.t) -> "in_" ^ ident f.Field.name) p.Program.inputs
-       @ List.map (fun o -> "out_" ^ ident o) p.Program.outputs));
+       (List.map (fun (f : Field.t) -> "in_" ^ Ident.of_name f.Field.name) p.Program.inputs
+       @ List.map (fun o -> "out_" ^ Ident.of_name o) p.Program.outputs));
   List.iter
     (fun o ->
       add "  for (int i = 0; i < %d; ++i) printf(\"%%.9g\\n\", (double)out_%s[i]);\n"
-        (Program.cells p) (ident o))
+        (Program.cells p) (Ident.of_name o))
     p.Program.outputs;
   add "  return 0;\n}\n";
   Buffer.contents buf
@@ -247,27 +244,27 @@ let opencl_harness (p : Program.t) inputs =
   List.iter
     (fun (f : Field.t) ->
       let t : Tensor.t = List.assoc f.Field.name inputs in
-      add "%s" (c_float_array ("in_" ^ ident f.Field.name) t.Tensor.data))
+      add "%s" (c_float_array ("in_" ^ Ident.of_name f.Field.name) t.Tensor.data))
     p.Program.inputs;
-  List.iter (fun o -> add "float out_%s[%d];\n" (ident o) (Program.cells p)) p.Program.outputs;
+  List.iter (fun o -> add "float out_%s[%d];\n" (Ident.of_name o) (Program.cells p)) p.Program.outputs;
   add "int main() {\n";
   List.iter
     (fun (f : Field.t) ->
-      let f = ident f.Field.name in
+      let f = Ident.of_name f.Field.name in
       add "  load_%s(in_%s);\n" f f)
     lower_inputs;
   List.iter
     (fun (f : Field.t) ->
-      let f = ident f.Field.name in
+      let f = Ident.of_name f.Field.name in
       add "  read_%s(in_%s);\n" f f)
     full_inputs;
-  List.iter (fun (s : Stencil.t) -> add "  stencil_%s();\n" (ident s.Stencil.name))
+  List.iter (fun (s : Stencil.t) -> add "  stencil_%s();\n" (Ident.of_name s.Stencil.name))
     (Program.topological_stencils p);
-  List.iter (fun o -> add "  write_%s(out_%s);\n" (ident o) (ident o)) p.Program.outputs;
+  List.iter (fun o -> add "  write_%s(out_%s);\n" (Ident.of_name o) (Ident.of_name o)) p.Program.outputs;
   List.iter
     (fun o ->
       add "  for (int i = 0; i < %d; ++i) printf(\"%%.9g\\n\", (double)out_%s[i]);\n"
-        (Program.cells p) (ident o))
+        (Program.cells p) (Ident.of_name o))
     p.Program.outputs;
   add "  return 0;\n}\n";
   Buffer.contents buf

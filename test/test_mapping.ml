@@ -9,7 +9,7 @@ let dev = Device.stratix10
 
 let test_single_device_fits () =
   let p = Fixtures.kitchen_sink () in
-  match Partition.greedy ~device:dev p with
+  match Partition.greedy ~device:dev (Program.check_exn p) with
   | Error m -> Alcotest.fail (Sf_support.Diag.to_string m)
   | Ok pt ->
       Alcotest.(check int) "one device" 1 pt.Partition.num_devices;
@@ -22,7 +22,7 @@ let test_long_chain_splits () =
   (* A chain too big for one device spreads over several, splitting at
      consecutive boundaries (Sec. VIII-C). *)
   let p = Iterative.chain ~shape:[ 256; 64; 64 ] Iterative.Jacobi3d ~length:300 in
-  match Partition.greedy ~device:dev p with
+  match Partition.greedy ~device:dev (Program.check_exn p) with
   | Error m -> Alcotest.fail (Sf_support.Diag.to_string m)
   | Ok pt ->
       Alcotest.(check bool)

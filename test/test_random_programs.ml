@@ -7,7 +7,6 @@ module Interp = Sf_reference.Interp
 module Tensor = Sf_reference.Tensor
 module Fusion = Sf_sdfg.Fusion
 module Opt = Sf_sdfg.Opt
-module Sdfg = Sf_sdfg.Sdfg
 module Tiling = Sf_mapping.Tiling
 module Program_json = Sf_frontend.Program_json
 
@@ -60,13 +59,6 @@ let prop_json_roundtrip =
     Program_gen.arbitrary_program (fun p ->
       let q = Fixtures.ok (Program_json.of_string (Program_json.to_string p)) in
       semantically_equal p q)
-
-let prop_sdfg_roundtrip =
-  QCheck.Test.make ~count:60 ~name:"random programs: SDFG lower/extract preserves semantics"
-    Program_gen.arbitrary_program (fun p ->
-      match Sdfg.extract_program (Sdfg.of_program p) with
-      | Error _ -> false
-      | Ok q -> semantically_equal p q)
 
 let prop_optimize_preserves =
   QCheck.Test.make ~count:60 ~name:"random programs: fold+CSE preserves semantics"
@@ -252,7 +244,6 @@ let suite =
       prop_sim_equals_reference;
       prop_cycles_near_model;
       prop_json_roundtrip;
-      prop_sdfg_roundtrip;
       prop_optimize_preserves;
       prop_optimize_bit_identical_interp;
       prop_optimize_bit_identical_sim;

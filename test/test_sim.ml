@@ -403,7 +403,32 @@ let test_shrink_fork () =
           Alcotest.(check int) (name ^ ": valid edge cells") (23 * 62) valid;
           Alcotest.(check bool) (name ^ ": windows span chunks") true
             (let _, windowed, _ = window_counts ~config:Engine.Config.default ~placement p in
-             windowed > Channel.chunk ~width:p.Program.vector_width))
+             windowed > Channel.chunk ~width:p.Program.vector_width);
+          (* Only the lead output of a unit reserves pending words: the
+             writer of the shrink unit [edge], output 0 of the others. *)
+          let module I = Engine.Internal in
+          let system, _ =
+            I.build ~config:Engine.Config.default ~telemetry:(Sf_sim.Telemetry.create ~enabled:false ())
+              ~placement ~inputs:(Interp.random_inputs p) p
+          in
+          Array.iteri
+            (fun i comp ->
+              match comp with
+              | I.Cunit u ->
+                  let outs = Array.map (fun c -> system.I.channels.(c)) system.I.outs.(i) in
+                  let lead =
+                    if Sf_sim.Stencil_unit.name u = "edge" then
+                      Option.get (Array.find_index Channel.has_validity outs)
+                    else 0
+                  in
+                  Array.iteri
+                    (fun k c ->
+                      Alcotest.(check bool)
+                        (Printf.sprintf "%s: %s reserves pending words" name (Channel.name c))
+                        (k = lead) (Channel.pending c > 0))
+                    outs
+              | I.Clink _ | I.Cwriter _ | I.Creader _ -> ())
+            system.I.comps)
     (let one_device _ = 0 and two_devices = function "next" -> 1 | _ -> 0 in
      let fan = shrink_fork ~vector_width:1 ~second:true () in
      [
