@@ -106,13 +106,16 @@ let chain_sim_work () =
     unit_chunks := s.I.unit_chunks ();
     (s.I.now (), s.I.deadlocked (), s.I.samples ())
   in
-  match I.simulate ~config ~placement:(fun _ -> 0) ~inputs:(Interp.random_inputs p) ~drive p with
+  let prepared = Engine.prepare_program ~config p in
+  match
+    I.simulate ~config ~placement:(fun _ -> 0) ~inputs:(Interp.random_inputs p) ~drive prepared
+  with
   | Engine.Deadlocked _ -> Printf.printf "chain-sim work: unexpected deadlock\n"
   | Engine.Completed stats ->
       Printf.printf
         "chain-sim work (64-stage Jacobi2D, 128x128, W=1): %d cycles, %d distinct lowering(s), \
          %d unit-chunks\n"
-        stats.Engine.cycles (Interp.plan p).Interp.lowerings !unit_chunks
+        stats.Engine.cycles prepared.Engine.plan.Interp.lowerings !unit_chunks
 
 let scaling_series kind ~w =
   let shape = Iterative.default_shape kind in
@@ -183,7 +186,7 @@ let tab1 () =
     let shape = Iterative.default_shape kind in
     let stages = max_stages kind ~shape ~w in
     let program = Iterative.chain ~shape ~vector_width:w kind ~length:stages in
-    let usage = Resource.of_program program in
+    let usage = Resource.of_analysis (Delay_buffer.analyze program) in
     let model = chain_model kind ~shape ~w ~stages ~devices:1 ~bound:"" in
     let alm, ff, m20k, dsp = Resource.utilization dev usage in
     Printf.printf "%-26s %10.0f %8dK %8dK %7d %6d\n"
@@ -350,7 +353,7 @@ let tab2 () =
     List.fold_left
       (fun (full, rolling) (_, prog) ->
         (full + Compile.instructions prog, rolling + Compile.rolling_instructions prog))
-      (0, 0) (Interp.plan p).Interp.stages
+      (0, 0) (Interp.plan (Program.check_exn p)).Interp.stages
   in
   let full, rolling = per_cell small and fused_full, fused_rolling = per_cell (fst (Fusion.fuse_all small)) in
   Printf.printf
@@ -556,8 +559,8 @@ let cse_ablation () =
   Printf.printf "%-20s %11s %11s %8s %8s %9s\n" "" "tree flops" "work flops" "DSP" "ALM" "L cycles";
   let describe label q =
     let counts = Op_count.of_program q in
-    let usage = Resource.of_program q in
     let a = Delay_buffer.analyze q in
+    let usage = Resource.of_analysis a in
     Printf.printf "%-20s %11d %11d %8d %8d %9d\n" label counts.Op_count.tree_flops_per_cell
       counts.Op_count.work_flops_per_cell usage.Resource.dsp usage.Resource.alm
       a.Delay_buffer.latency_cycles

@@ -470,12 +470,14 @@ let () =
         Json.Obj (fields @ [ ("service_concurrent", service_concurrent_json) ])
     | other -> other
   in
-  (* Simulation over its oracle: Engine.run_exn (plan, build and cycle
-     loop) against the reference interpreter, prepared once
-     (Interp.prepare), on the same program and inputs. The two alternate
-     in one process, so host drift moves both. A validated run overlaps
-     them on two cores, so the simulation is its critical path, and the
-     ratio is what simulating costs over computing the answer. *)
+  (* Simulation over its oracle: both sides start from one prepared
+     program (Engine.prepare_program: check, analysis, lowering), timed
+     once per case. Engine.run_prepared (build and cycle loop) runs
+     against the reference interpreter (Interp.prepare of the same
+     plan), on the same inputs. The two alternate in one process, so
+     host drift moves both. A validated run overlaps them on two cores,
+     so the simulation is its critical path, and the ratio is what
+     simulating costs over computing the answer. *)
   let oo_runs = if quick then 5 else 60 in
   let oo_cases =
     [
@@ -486,13 +488,16 @@ let () =
   in
   let over_oracle (name, p) =
     let inputs = Interp.random_inputs p in
-    let oracle = Interp.prepare (Interp.plan p) ~inputs in
+    let t0 = Util.monotime () in
+    let prepared = Engine.prepare_program p in
+    let prepare_s = Util.monotime () -. t0 in
+    let oracle = Interp.prepare prepared.Engine.plan ~inputs in
     let sim = Array.make oo_runs 0. and reference = Array.make oo_runs 0. in
     for i = 0 to oo_runs - 1 do
       let t0 = Util.monotime () in
-      (match Engine.run_exn ~inputs p with
-      | Engine.Completed _ -> ()
-      | Engine.Deadlocked _ -> failwith (name ^ ": unexpected deadlock"));
+      (match Engine.run_prepared ~inputs prepared with
+      | Ok _ -> ()
+      | Error d -> failwith (name ^ ": " ^ Diag.to_string d));
       let t1 = Util.monotime () in
       ignore (Sys.opaque_identity (oracle ()));
       sim.(i) <- t1 -. t0;
@@ -501,13 +506,16 @@ let () =
     Array.sort compare sim;
     Array.sort compare reference;
     let median a = a.(Array.length a / 2) in
-    Printf.printf "  %-30s sim %7.3f / %7.3f ms, oracle %7.3f / %7.3f ms, ratio %.2f / %.2f\n" name
-      (median sim *. 1e3) (sim.(0) *. 1e3) (median reference *. 1e3) (reference.(0) *. 1e3)
-      (median sim /. median reference) (sim.(0) /. reference.(0));
+    Printf.printf
+      "  %-30s prepare %7.3f ms once; sim %7.3f / %7.3f ms, oracle %7.3f / %7.3f ms, ratio %.2f / \
+       %.2f\n"
+      name (prepare_s *. 1e3) (median sim *. 1e3) (sim.(0) *. 1e3) (median reference *. 1e3)
+      (reference.(0) *. 1e3) (median sim /. median reference) (sim.(0) /. reference.(0));
     Json.Obj
       [
         ("case", Json.String name);
         ("runs", Json.Int oo_runs);
+        ("prepare_s", Json.Float prepare_s);
         ("sim_median_s", Json.Float (median sim));
         ("sim_min_s", Json.Float sim.(0));
         ("oracle_median_s", Json.Float (median reference));

@@ -248,7 +248,7 @@ let analyze_cmd =
       Format.printf "arithmetic intensity: %.3f Op/operand, %.3f Op/B@."
         (Op_count.ai_ops_per_operand p) (Op_count.ai_ops_per_byte p);
       Format.printf "expected cycles (Eq. 1): %d@." (Runtime_model.analyzed_cycles p analysis);
-      let usage = Resource.of_program p in
+      let usage = Resource.of_analysis analysis in
       Format.printf "estimated resources: %a@." Resource.pp usage;
       let a, f, m, d = Resource.utilization Device.stratix10 usage in
       Format.printf "utilization on %s: ALM %.1f%%, FF %.1f%%, M20K %.1f%%, DSP %.1f%%@."
@@ -410,9 +410,10 @@ let validate_depths_cmd =
             [ Diag.errorf ~code:Diag.Code.sim_config "bad --inject plan: %s" m ]
     in
     let inputs = Interp.random_inputs ~seed p in
-    let analysis = Delay_buffer.analyze p in
     let config = Engine.Config.default in
-    (match Faults.campaign ~config ~inputs ~plan ~schedules:campaign_n ~jobs p with
+    (* One analysis and one lowering serve the campaign and the probe. *)
+    let prepared = Engine.prepare_program ~config p in
+    (match Faults.campaign_prepared ~config ~inputs ~plan ~schedules:campaign_n ~jobs prepared with
     | Error d -> exit_diags ~json:false [ d ]
     | Ok report ->
         let failed = Faults.failures report in
@@ -425,7 +426,7 @@ let validate_depths_cmd =
             Format.printf "  seed %d FAILED: %s@." r.Faults.seed (Diag.to_string d))
           failed;
         let probe_ok =
-          match Faults.probe_tightest ~config ~inputs ~plan ~fault_seed ~jobs ~analysis p with
+          match Faults.probe_tightest ~config ~inputs ~plan ~fault_seed ~jobs prepared with
           | None ->
               Format.printf
                 "no positive-depth delay buffer: nothing to under-provision@.";

@@ -10,8 +10,3 @@ val of_program : ?with_buffers:bool -> Sf_ir.Program.t -> string
     with its delay-buffer depth in words; prefetched lower-dimensional
     inputs get dashed edges. Raises [Invalid_argument] as
     {!Sf_ir.Program.check_exn} does. *)
-
-val of_sdfg : Sf_sdfg.Sdfg.t -> string
-(** Render an SDFG (states as clusters, pipeline/unrolled scopes as nested
-    clusters, tasklets as octagons, access nodes as ovals) — useful for
-    inspecting the Fig. 12 expansion. *)

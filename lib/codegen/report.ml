@@ -83,7 +83,7 @@ let markdown ?(device = Device.stratix10) (p : Program.t) =
           ~frequency_hz:device.Device.frequency_hz p));
 
   add "\n## Resources on %s\n\n" device.Device.name;
-  let usage = Resource.of_checked checked in
+  let usage = Resource.of_analysis analysis in
   let a, f, m, d = Resource.utilization device usage in
   add "| | ALM | FF | M20K | DSP |\n|---|---|---|---|---|\n";
   add "| estimated | %d | %d | %d | %d |\n" usage.Resource.alm usage.Resource.ff

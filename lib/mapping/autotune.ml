@@ -13,7 +13,7 @@ type evaluation = {
 
 let evaluate ?(devices = 1) ~device (p : Program.t) w =
   let p = Program.with_vector_width p w in
-  let checked = Program.check_exn p in
+  let analysis = Sf_analysis.Delay_buffer.analyze p in
   let counts = Sf_analysis.Op_count.of_program p in
   let flops_per_cycle = float_of_int (counts.Sf_analysis.Op_count.flops_per_cell * w) in
   let demand_bytes =
@@ -23,7 +23,7 @@ let evaluate ?(devices = 1) ~device (p : Program.t) w =
   let cap_bytes = Memory_model.bytes_per_cycle_cap device ~vectorized:(w > 1) in
   let bandwidth_bound = demand_bytes > cap_bytes in
   let throughput = if bandwidth_bound then cap_bytes /. demand_bytes else 1. in
-  let usage = Resource.of_checked checked in
+  let usage = Resource.of_analysis analysis in
   (* Budget scales with the device count for pre-partitioned estimates. *)
   let budget_device =
     {

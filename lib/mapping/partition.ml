@@ -14,36 +14,52 @@ let device_lookup t name =
   | Some d -> d
   | None -> invalid_arg (Printf.sprintf "Partition: stencil %s is not assigned" name)
 
-let derive_metadata checked device_of num_devices per_device_usage =
+let make checked ~device_of ~per_device_usage =
   let p = Program.Checked.program checked in
-  let lookup = Hashtbl.find (Hashtbl.of_seq (List.to_seq device_of)) in
-  let replicated_inputs =
-    List.map
-      (fun (f : Field.t) ->
-        let consumers = Program.Checked.consumers checked f.Field.name in
-        let devices = List.sort_uniq compare (List.map lookup consumers) in
-        (f.Field.name, devices))
-      p.Program.inputs
-  in
-  let cross_edges =
-    List.concat_map
+  let num_devices = List.length per_device_usage in
+  let misplaced =
+    List.find_map
       (fun (s : Stencil.t) ->
-        let dst = s.Stencil.name in
-        List.filter_map
-          (fun field ->
-            match Program.Checked.find checked field with
-            | Program.Op _ when lookup field <> lookup dst ->
-                Some ((field, dst), (lookup field, lookup dst))
-            | Program.Op _ | Program.Input _ -> None)
-          (Program.Checked.reads checked dst))
+        match List.assoc_opt s.Stencil.name device_of with
+        | None -> Some (Printf.sprintf "stencil %s is not placed" s.Stencil.name)
+        | Some d when d < 0 || d >= num_devices ->
+            Some
+              (Printf.sprintf "stencil %s placed on device %d of %d" s.Stencil.name d num_devices)
+        | Some _ -> None)
       p.Program.stencils
   in
-  { num_devices; device_of; replicated_inputs; cross_edges; per_device_usage }
+  match misplaced with
+  | Some m -> Error (Sf_support.Diag.error ~code:Sf_support.Diag.Code.partition_invariant m)
+  | None ->
+      let lookup = Hashtbl.find (Hashtbl.of_seq (List.to_seq device_of)) in
+      let replicated_inputs =
+        List.map
+          (fun (f : Field.t) ->
+            let consumers = Program.Checked.consumers checked f.Field.name in
+            (f.Field.name, List.sort_uniq compare (List.map lookup consumers)))
+          p.Program.inputs
+      in
+      let cross_edges =
+        List.concat_map
+          (fun (s : Stencil.t) ->
+            let dst = s.Stencil.name in
+            List.filter_map
+              (fun field ->
+                match Program.Checked.find checked field with
+                | Program.Op _ when lookup field <> lookup dst ->
+                    Some ((field, dst), (lookup field, lookup dst))
+                | Program.Op _ | Program.Input _ -> None)
+              (Program.Checked.reads checked dst))
+          p.Program.stencils
+      in
+      Ok { num_devices; device_of; replicated_inputs; cross_edges; per_device_usage }
 
-let single_device checked =
+(* Every stencil on device 0 of 1 is placed. *)
+let single_device analysis =
+  let checked = Sf_analysis.Delay_buffer.checked analysis in
   let p = Program.Checked.program checked in
   let device_of = List.map (fun s -> (s.Stencil.name, 0)) p.Program.stencils in
-  derive_metadata checked device_of 1 [ Resource.of_checked checked ]
+  Result.get_ok (make checked ~device_of ~per_device_usage:[ Resource.of_analysis analysis ])
 
 let greedy ?(ceiling = 0.85) ?(max_devices = 8) ~device checked =
   (* Per-device fixed overhead: the memory interface for the streams that
@@ -77,17 +93,15 @@ let greedy ?(ceiling = 0.85) ?(max_devices = 8) ~device checked =
         assignments := (s.Stencil.name, !current_id) :: !assignments)
       order;
     device_usages := !current :: !device_usages;
-    let device_of = List.rev !assignments in
-    Ok (derive_metadata checked device_of (!current_id + 1) (List.rev !device_usages))
+    make checked ~device_of:(List.rev !assignments) ~per_device_usage:(List.rev !device_usages)
   with Unsplittable m -> Error (Sf_support.Diag.error ~code:Sf_support.Diag.Code.partition m)
 
-let contiguous ~devices (p : Program.t) =
+let contiguous_checked ~devices checked =
   if devices < 1 then
     Error
       (Sf_support.Diag.errorf ~code:Sf_support.Diag.Code.partition
          "contiguous partition needs at least 1 device, got %d" devices)
   else begin
-    let checked = Program.check_exn p in
     let order = Array.of_list (Program.Checked.order checked) in
     let n = Array.length order in
     let d = min devices n in
@@ -102,46 +116,12 @@ let contiguous ~devices (p : Program.t) =
         let k = i * d / n in
         per_device.(k) <- Resource.add per_device.(k) (Resource.of_unit checked s))
       order;
-    Ok (derive_metadata checked device_of d (Array.to_list per_device))
+    make checked ~device_of ~per_device_usage:(Array.to_list per_device)
   end
 
-let placement_fn t name = device_lookup t name
+let contiguous ~devices p = contiguous_checked ~devices (Program.check_exn p)
 
-let validate (p : Program.t) t =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  List.iter
-    (fun (s : Stencil.t) ->
-      match List.assoc_opt s.Stencil.name t.device_of with
-      | None -> err "stencil %s unassigned" s.Stencil.name
-      | Some d when d < 0 || d >= t.num_devices ->
-          err "stencil %s assigned to out-of-range device %d" s.Stencil.name d
-      | Some _ -> ())
-    p.Program.stencils;
-  if !errors = [] then begin
-    List.iter
-      (fun (s : Stencil.t) ->
-        let dst = s.Stencil.name in
-        let dd = List.assoc dst t.device_of in
-        List.iter
-          (fun field ->
-            match Program.find_stencil p field with
-            | Some _ ->
-                let sd = List.assoc field t.device_of in
-                let listed = List.mem_assoc (field, dst) t.cross_edges in
-                if sd <> dd && not listed then
-                  err "edge %s -> %s crosses devices but is not listed" field dst;
-                if sd = dd && listed then err "edge %s -> %s listed but does not cross" field dst
-            | None -> (
-                match List.assoc_opt field t.replicated_inputs with
-                | Some devices when List.mem dd devices -> ()
-                | Some _ | None ->
-                    if Program.is_input p field then
-                      err "input %s is not replicated on device %d for %s" field dd dst))
-          (Stencil.input_fields s))
-      p.Program.stencils
-  end;
-  match List.rev !errors with [] -> Ok () | errs -> Error errs
+let placement_fn t name = device_lookup t name
 
 let hop_demand_bytes_per_cycle (p : Program.t) t ~hop =
   let element_bytes = Dtype.size_bytes p.Program.dtype in

@@ -7,7 +7,7 @@
     network (SMI) streams, and off-chip input fields are replicated into
     the DRAM of every device whose stencils read them. *)
 
-type t = {
+type t = private {
   num_devices : int;
   device_of : (string * int) list;  (** Per-stencil device index. *)
   replicated_inputs : (string * int list) list;
@@ -16,6 +16,20 @@ type t = {
       (** Dataflow edges that cross devices, with their endpoints. *)
   per_device_usage : Sf_models.Resource.usage list;
 }
+(** Built only by {!make}, so the replication and the cross edges are
+    always those of the placement. *)
+
+val make :
+  Sf_ir.Program.checked ->
+  device_of:(string * int) list ->
+  per_device_usage:Sf_models.Resource.usage list ->
+  (t, Sf_support.Diag.t) result
+(** The partition of the checked program that places each stencil on
+    its [device_of] device, over [List.length per_device_usage] devices:
+    every input is replicated on the devices of its consumers, and every
+    stencil-to-stencil edge between two devices is a cross edge. Fails
+    ([SF0502]) when a stencil is not placed or is placed on a device out
+    of range. *)
 
 val greedy :
   ?ceiling:float ->
@@ -29,10 +43,11 @@ val greedy :
     one stencil alone exceeds a device or more than [max_devices]
     (default 8, the testbed size) are needed. *)
 
-val single_device : Sf_ir.Program.checked -> t
-(** Everything on device 0 (no resource check). *)
+val single_device : Sf_analysis.Delay_buffer.t -> t
+(** Everything on device 0 (no resource check), its usage
+    {!Sf_models.Resource.of_analysis} of the given analysis. *)
 
-val contiguous : devices:int -> Sf_ir.Program.t -> (t, Sf_support.Diag.t) result
+val contiguous_checked : devices:int -> Sf_ir.Program.checked -> (t, Sf_support.Diag.t) result
 (** Split the topological order into [devices] even contiguous chunks,
     without a resource check — for forcing a multi-device mapping (and
     thus the parallel simulator) on programs small enough that the
@@ -40,13 +55,11 @@ val contiguous : devices:int -> Sf_ir.Program.t -> (t, Sf_support.Diag.t) result
     [min devices stencils] devices; fails ([SF0501]) when
     [devices < 1]. *)
 
+val contiguous : devices:int -> Sf_ir.Program.t -> (t, Sf_support.Diag.t) result
+(** {!contiguous_checked} of {!Sf_ir.Program.check_exn}. *)
+
 val placement_fn : t -> string -> int
 (** Adapter for {!Sf_sim.Engine}'s [placement] argument. *)
-
-val validate : Sf_ir.Program.t -> t -> (unit, string list) result
-(** Every stencil assigned exactly once to an existing device; cross-edge
-    list consistent with the assignment; every consumed input replicated
-    on the consuming devices. *)
 
 val hop_demand_bytes_per_cycle : Sf_ir.Program.t -> t -> hop:int -> float
 (** Bytes per cycle that must cross between devices [hop] and [hop + 1]

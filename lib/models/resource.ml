@@ -88,10 +88,10 @@ let memory_interface_usage (p : Program.t) =
   in
   { alm = streams * (800 + (120 * w)); ff = streams * (1800 + (250 * w)); m20k = streams * 4; dsp = 0 }
 
-let of_checked checked =
+let of_analysis analysis =
+  let checked = Sf_analysis.Delay_buffer.checked analysis in
   let p = Program.Checked.program checked in
   let units = List.fold_left (fun acc s -> add acc (of_unit checked s)) zero p.Program.stencils in
-  let analysis = Sf_analysis.Delay_buffer.of_checked checked in
   let delay_bytes =
     Sf_analysis.Delay_buffer.total_delay_buffer_words analysis
     * p.Program.vector_width
@@ -99,8 +99,6 @@ let of_checked checked =
   in
   let delay_m20k = Sf_support.Util.ceil_div delay_bytes Device.m20k_bytes in
   add units (add (memory_interface_usage p) { zero with m20k = delay_m20k })
-
-let of_program p = of_checked (Program.check_exn p)
 
 let utilization (d : Device.t) u =
   ( float_of_int u.alm /. float_of_int d.Device.alm,

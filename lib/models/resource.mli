@@ -19,16 +19,13 @@ val of_unit : Sf_ir.Program.checked -> Sf_ir.Stencil.t -> usage
     and M20K blocks for its internal buffers, which come from
     {!Sf_ir.Program.Checked.accesses}, so the body is not walked again. *)
 
-val of_checked : Sf_ir.Program.checked -> usage
-(** All stencil units plus delay-buffer memory and per-off-chip-access
-    infrastructure (prefetchers/writers, the global memory ring), from
-    the facts of the program's check: the delay analysis is
-    {!Sf_analysis.Delay_buffer.of_checked} and each unit's buffers come
-    from {!Sf_ir.Program.Checked.accesses}, so no body is walked again. *)
-
-val of_program : Sf_ir.Program.t -> usage
-(** [of_checked] of the checked program. Raises [Invalid_argument] if
-    the program does not validate. *)
+val of_analysis : Sf_analysis.Delay_buffer.t -> usage
+(** All stencil units plus the delay buffers of the given analysis and
+    per-off-chip-access infrastructure (prefetchers/writers, the global
+    memory ring). Each unit's buffers come from the analysis's check
+    ({!Sf_ir.Program.Checked.accesses}): nothing is checked, analysed or
+    walked again, so the delay buffers charged are those of the latency
+    table the analysis was run with. *)
 
 val utilization : Device.t -> usage -> float * float * float * float
 (** Fractions of (alm, ff, m20k, dsp) consumed. *)

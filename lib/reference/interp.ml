@@ -81,8 +81,8 @@ type plan = {
    DAG, whose constants are keyed by their bits. The shared program is
    lowered from the renamed body and each stage rebinds its loads to its
    own fields. *)
-let plan p =
-  let checked = Program.check_exn p in
+let plan checked =
+  let p = Program.Checked.program checked in
   let rank = Program.rank p in
   let cols = if rank < 2 then None else Some (List.nth p.Program.shape (rank - 1)) in
   let lowered = Hashtbl.create 8 in
@@ -230,7 +230,7 @@ let prepare { checked; stages; _ } ~inputs =
         Option.map (fun r -> (s.Stencil.name, r)) (Hashtbl.find_opt live s.Stencil.name))
       stages
 
-let run p ~inputs = prepare (plan p) ~inputs ()
+let run p ~inputs = prepare (plan (Program.check_exn p)) ~inputs ()
 
 let random_inputs ?(seed = 42) (p : Program.t) =
   let state = Random.State.make [| seed |] in

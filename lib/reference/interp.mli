@@ -48,7 +48,7 @@ type plan = private {
     afterwards, so the oracle ({!prepare}) and the simulator's stencil
     units share one plan across domains, each with frames of its own. *)
 
-val plan : Sf_ir.Program.t -> plan
+val plan : Sf_ir.Program.checked -> plan
 (** Each body is lowered with the checked facts ({!Compile.lane}): a
     field's loads shift along the innermost axis when the field spans
     it and the stencil's boundary for it is [Constant]; a [Copy]
@@ -66,14 +66,15 @@ val plan : Sf_ir.Program.t -> plan
     classes: a chain of one iterative stencil lowers one body, however
     long. Let names, constants (by their bits) and offsets are part of
     the body. Each stage gets the shared program {!Compile.rebind}ed to
-    its own fields, equal to lowering its own body. Raises
-    [Invalid_argument] as {!Sf_ir.Program.check_exn} does. *)
+    its own fields, equal to lowering its own body. The plan reads the
+    facts of the given check and checks nothing again. *)
 
 val prepare : plan -> inputs:(string * Tensor.t) list -> unit -> (string * result) list
 (** {!run} in two steps: [prepare] checks the inputs (raising as {!run}
     does); the returned function runs the row loops. It shares nothing
     mutable with the caller, may run on another domain, and evaluates
-    afresh on each call. [run p ~inputs = prepare (plan p) ~inputs ()]. *)
+    afresh on each call.
+    [run p ~inputs = prepare (plan (Sf_ir.Program.check_exn p)) ~inputs ()]. *)
 
 val random_inputs : ?seed:int -> Sf_ir.Program.t -> (string * Tensor.t) list
 (** Deterministic pseudo-random input data in [-1, 1] for every declared

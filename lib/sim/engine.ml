@@ -115,6 +115,15 @@ type outcome =
       faults : Fault_plan.summary;
     }
 
+(* Immutable: pool workers and the oracle's spare domain share one. *)
+type prepared = { analysis : Sf_analysis.Delay_buffer.t; plan : Interp.plan }
+
+let prepare analysis = { analysis; plan = Interp.plan (Sf_analysis.Delay_buffer.checked analysis) }
+
+let prepare_program ?(config = Config.default) p =
+  prepare
+    (Sf_analysis.Delay_buffer.of_checked ~config:config.Config.latency (Program.check_exn p))
+
 (* The system model, its constructor, the scheduler and the counter
    harvest live in [Internal] so the benchmark and the test oracle can
    drive the same components; see engine.mli for the contract. The
@@ -148,15 +157,13 @@ type system = {
          so the hot loop's termination test is one integer compare. *)
 }
 
-let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
+(* The prepared analysis sizes the channels; [config.latency] is unread. *)
+let instantiate ~config ~telemetry ~placement ~inputs { analysis; plan } =
   let checked = plan.Interp.checked in
   let p = Program.Checked.program checked in
-  let { Config.latency; channel_slack; override_edge_buffers; bandwidth; network; _ } =
-    config
-  in
+  let { Config.channel_slack; override_edge_buffers; bandwidth; network; _ } = config in
   let { Config.mem_bytes_per_cycle } = bandwidth in
   let { Config.net_bytes_per_cycle; net_latency_cycles } = network in
-  let analysis = Sf_analysis.Delay_buffer.of_checked ~config:latency checked in
   let w = p.Program.vector_width in
   let element_bytes = Dtype.size_bytes p.Program.dtype in
   let word_bytes = w * element_bytes in
@@ -417,7 +424,7 @@ let build_plan ~config ~telemetry ~placement ~inputs (plan : Interp.plan) =
     predicted )
 
 let build ~config ~telemetry ~placement ~inputs p =
-  build_plan ~config ~telemetry ~placement ~inputs (Interp.plan p)
+  instantiate ~config ~telemetry ~placement ~inputs (prepare_program ~config p)
 
 let comp_name = function
   | Clink l -> Link.name l
@@ -1119,9 +1126,9 @@ let scheduler ~config ?injector ~finished system =
    it, then assemble the outcome, diagnosing a run that did not finish.
    [drive] returns the cycles executed, whether the idle window
    tripped, and the occupancy samples. *)
-let simulate_plan ~config ~placement ~inputs ~drive plan =
+let simulate ~config ~placement ~inputs ~drive prepared =
   let telemetry = Telemetry.create ~enabled:config.Config.tracing.Config.telemetry () in
-  let system, predicted = build_plan ~config ~telemetry ~placement ~inputs plan in
+  let system, predicted = instantiate ~config ~telemetry ~placement ~inputs prepared in
   let { comps; ins; outs; producer; consumer; _ } = system in
   let order = report_order system in
   (* Fault injection binds the plan's streams to the built components. *)
@@ -1255,23 +1262,22 @@ let simulate_plan ~config ~placement ~inputs ~drive plan =
       }
   end
   else Completed (completed_stats ~faults ~system ~predicted ~cycles:cycle ~report:(report ()))
-
-let simulate ~config ~placement ~inputs ~drive p =
-  simulate_plan ~config ~placement ~inputs ~drive (Interp.plan p)
 end
 
 open Internal
 
-let run_plan ~config ~placement ~inputs plan =
+(* The one run: the system of a prepared program, driven by one
+   scheduler. *)
+let outcome ~config ~placement ~inputs prepared =
   let max_cycles = Option.value config.Config.safety.Config.max_cycles ~default:max_int in
-  simulate_plan ~config ~placement ~inputs plan ~drive:(fun system injector finished ->
+  simulate ~config ~placement ~inputs prepared ~drive:(fun system injector finished ->
       let s = scheduler ~config ?injector ~finished system in
       s.advance ~limit:max_cycles;
       (s.now (), s.deadlocked (), s.samples ()))
 
 let run_exn ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs (p : Program.t) =
   let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in
-  run_plan ~config ~placement ~inputs (Interp.plan p)
+  outcome ~config ~placement ~inputs (prepare_program ~config p)
 
 (* The structured failure of a non-completing run: SF0701 for a true
    deadlock (the idle window tripped), SF0703 for a cycle-budget
@@ -1310,36 +1316,44 @@ let to_result ~config = function
       Error
         (List.fold_left (fun d n -> Diag.add_note n d) d (Telemetry.attribution_notes telemetry))
 
-let run ?(config = Config.default) ?placement ?inputs p =
-  to_result ~config (run_exn ~config ?placement ?inputs p)
-
-(* The program is checked and every body lowered once, into the plan
-   that the stencil units and the oracle share. The oracle reads only
-   the plan and the inputs: it evaluates on the process's resident
-   spare domain ([Executor.overlap]) while this one simulates, or
-   inline after the run when the spare cannot take it (a pool worker,
-   a one-core host, or the spare busy with another caller's oracle). It
-   is prepared here, before the hand-off: preparing on the spare
-   measured slower, as its allocation then runs alongside the build's.
-   A malformed program raises before either runs; otherwise the run's
-   exception or [Error] wins over any oracle exception, and an
-   overlapped oracle is still joined first, so the spare is free for
-   the next call. *)
-let run_and_validate ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs p =
-  let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in
-  let plan = Interp.plan p in
-  let oracle = try Interp.prepare plan ~inputs with e -> fun () -> raise e in
-  let reference, discard =
-    match Sf_support.Executor.overlap oracle with
-    | None -> (oracle, ignore)
-    | Some join -> (join, fun () -> try ignore (join ()) with _ -> ())
+(* The stencil units and the oracle share the prepared plan. The oracle
+   reads only the plan and the inputs: it evaluates on the process's
+   resident spare domain ([Executor.overlap]) while this one simulates,
+   or inline after the run when the spare cannot take it (a pool
+   worker, a one-core host, or the spare busy with another caller's
+   oracle). It is prepared here, before the hand-off: preparing on the
+   spare measured slower, as its allocation then runs alongside the
+   build's. The run's exception or [Error] wins over any oracle
+   exception, and an overlapped oracle is still joined first, so the
+   spare is free for the next call. *)
+let run_prepared ?(config = Config.default) ?(placement = fun _ -> 0) ?inputs ?(validate = false)
+    prepared =
+  let inputs =
+    match inputs with
+    | Some i -> i
+    | None -> Interp.random_inputs prepared.analysis.Sf_analysis.Delay_buffer.program
   in
-  match to_result ~config (run_plan ~config ~placement ~inputs plan) with
-  | Ok stats -> compare_outputs ~reference:(reference ()) stats
-  | Error _ as e ->
-      discard ();
-      e
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      discard ();
-      Printexc.raise_with_backtrace e bt
+  if not validate then to_result ~config (outcome ~config ~placement ~inputs prepared)
+  else
+    let oracle = try Interp.prepare prepared.plan ~inputs with e -> fun () -> raise e in
+    let reference, discard =
+      match Sf_support.Executor.overlap oracle with
+      | None -> (oracle, ignore)
+      | Some join -> (join, fun () -> try ignore (join ()) with _ -> ())
+    in
+    match to_result ~config (outcome ~config ~placement ~inputs prepared) with
+    | Ok stats -> compare_outputs ~reference:(reference ()) stats
+    | Error _ as e ->
+        discard ();
+        e
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        discard ();
+        Printexc.raise_with_backtrace e bt
+
+let run ?config ?placement ?inputs p =
+  run_prepared ?config ?placement ?inputs (prepare_program ?config p)
+
+(* A malformed program raises before the simulation or the oracle runs. *)
+let run_and_validate ?config ?placement ?inputs p =
+  run_prepared ?config ?placement ?inputs ~validate:true (prepare_program ?config p)

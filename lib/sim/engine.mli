@@ -18,7 +18,12 @@
     channel high-water marks are harvested from always-on component
     counters at no per-cycle cost, while per-cause stall attribution and
     the event trace require {!Config.tracing} with [telemetry = true]
-    (same schedule, cycles and stall counts; see docs/SIMULATOR.md). *)
+    (same schedule, cycles and stall counts; see docs/SIMULATOR.md).
+
+    A run starts from a {!prepared} program. A caller that runs one
+    program repeatedly prepares it once and calls {!run_prepared}; the
+    entry points that take a program check, analyse at [config.latency]
+    and prepare on every call. *)
 
 (** Engine configuration, grouped by concern. Build one with
     {!Config.make}; every group has a smart constructor supplying the
@@ -173,6 +178,33 @@ type outcome =
               fault-attribution notes. *)
     }
 
+type prepared = private {
+  analysis : Sf_analysis.Delay_buffer.t;  (** Sizes every channel; carries the check. *)
+  plan : Sf_reference.Interp.plan;  (** Bodies lowered from that check. *)
+}
+(** All of a run that depends on none of its inputs, seed, faults,
+    telemetry or placement. It is never changed, so campaign pool
+    workers and the oracle's spare domain share one. *)
+
+val prepare : Sf_analysis.Delay_buffer.t -> prepared
+(** Lower the bodies from the analysis's check; nothing is checked or
+    analysed again. *)
+
+val prepare_program : ?config:config -> Sf_ir.Program.t -> prepared
+(** {!prepare} the program analysed at [config.latency]. Raises as
+    {!Sf_ir.Program.check_exn} does. *)
+
+val run_prepared :
+  ?config:config ->
+  ?placement:(string -> int) ->
+  ?inputs:(string * Sf_reference.Tensor.t) list ->
+  ?validate:bool ->
+  prepared ->
+  (stats, Sf_support.Diag.t) result
+(** {!run}, or with [validate] {!run_and_validate}, of a prepared
+    program. [config.latency] is not read: the channels take the depths
+    of the prepared analysis. Raises only on missing inputs. *)
+
 val run_exn :
   ?config:config ->
   ?placement:(string -> int) ->
@@ -204,9 +236,8 @@ val run_and_validate :
   Sf_ir.Program.t ->
   (stats, Sf_support.Diag.t) result
 (** {!run}, then compare every program output against the sequential
-    reference interpreter. The program is checked and every body lowered
-    once ({!Sf_reference.Interp.plan}), for the stencil units and the
-    interpreter alike. A mismatch maps to code [SF0702]. *)
+    reference interpreter, which shares the {!prepared} plan. A mismatch
+    maps to code [SF0702]. *)
 
 val to_result : config:config -> outcome -> (stats, Sf_support.Diag.t) result
 (** The {!run} view of an outcome. *)
@@ -264,8 +295,8 @@ module Internal : sig
     inputs:(string * Sf_reference.Tensor.t) list ->
     Sf_ir.Program.t ->
     system * int
-  (** Instantiate the system; the [int] is the model-predicted cycle
-      count (Eq. 1). Raises on malformed programs. *)
+  (** Instantiate the system of {!prepare_program}; the [int] is the
+      model-predicted cycle count (Eq. 1). Raises on malformed programs. *)
 
   val frozen_cycle : system -> int -> now:int -> unit
   (** What component [i], frozen by a fault ({!Fault_plan.frozen_until}),
@@ -317,11 +348,11 @@ module Internal : sig
       Fault_plan.injector option ->
       (unit -> bool) ->
       int * bool * (int * (string * int) list) list) ->
-    Sf_ir.Program.t ->
+    prepared ->
     outcome
-  (** Build the system and its fault injector, let [drive] run it to
-      [(cycles, deadlocked, samples)], then diagnose the outcome.
-      {!run_exn} drives one {!scheduler}. *)
+  (** The one run path: build the system and its fault injector, let
+      [drive] run it to [(cycles, deadlocked, samples)], then diagnose
+      the outcome. Every run above drives one {!scheduler} here. *)
 
   val compare_to_reference :
     inputs:(string * Sf_reference.Tensor.t) list ->

@@ -40,21 +40,24 @@ let bit_identical (a : (string * Interp.result) list) (b : (string * Interp.resu
               ra.Interp.tensor.Tensor.data rb.Interp.tensor.Tensor.data)
        a b
 
-let campaign ?(config = Engine.Config.default) ?(placement = fun _ -> 0) ?inputs
-    ?(plan = Fault_plan.default) ?(schedules = 25) ?(jobs = 1) (p : Sf_ir.Program.t) =
-  let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in
+let program (prepared : Engine.prepared) =
+  prepared.Engine.analysis.Sf_analysis.Delay_buffer.program
+
+let campaign_prepared ?(config = Engine.Config.default) ?(placement = fun _ -> 0) ?inputs
+    ?(plan = Fault_plan.default) ?(schedules = 25) ?(jobs = 1) prepared =
+  let inputs = match inputs with Some i -> i | None -> Interp.random_inputs (program prepared) in
   (* The unperturbed reference run: same config with faults stripped
      (any depth override in the plan still applies to the injected runs
      only — the baseline is the analysed provisioning). *)
   let baseline_config = { config with Engine.Config.faults = Engine.Config.faults () } in
-  match Engine.run ~config:baseline_config ~placement ~inputs p with
+  match Engine.run_prepared ~config:baseline_config ~placement ~inputs prepared with
   | Error d -> Error d
   | Ok baseline ->
       let one seed =
         let faulty =
           { config with Engine.Config.faults = Engine.Config.faults ~plan ~seed () }
         in
-        match Engine.run ~config:faulty ~placement ~inputs p with
+        match Engine.run_prepared ~config:faulty ~placement ~inputs prepared with
         | Error d -> { seed; outcome = Failed d; faults = Fault_plan.empty_summary }
         | Ok stats ->
             let outcome =
@@ -75,6 +78,10 @@ let campaign ?(config = Engine.Config.default) ?(placement = fun _ -> 0) ?inputs
             Array.to_list (Sf_support.Executor.map pool schedules (fun i -> one (i + 1))))
       in
       Ok { baseline_cycles = baseline.Engine.cycles; runs }
+
+let campaign ?(config = Engine.Config.default) ?placement ?inputs ?plan ?schedules ?jobs p =
+  campaign_prepared ~config ?placement ?inputs ?plan ?schedules ?jobs
+    (Engine.prepare_program ~config p)
 
 (* Depth override pinning an edge's REAL channel capacity: the engine
    adds [channel_slack] on top of whatever the override says, so the
@@ -106,12 +113,13 @@ type depth_probe = {
    monotonically — less space can only add deadlocks — so the largest
    deadlocking capacity is well-defined and binary-searchable. *)
 let probe_tightest ?(config = Engine.Config.default) ?(placement = fun _ -> 0) ?inputs
-    ?(plan = Fault_plan.default) ?(fault_seed = 1) ?(jobs = 1)
-    ~(analysis : Sf_analysis.Delay_buffer.t) (p : Sf_ir.Program.t) =
-  match Sf_analysis.Delay_buffer.tightest_edge analysis with
+    ?(plan = Fault_plan.default) ?(fault_seed = 1) ?(jobs = 1) prepared =
+  match Sf_analysis.Delay_buffer.tightest_edge prepared.Engine.analysis with
   | None -> None
   | Some (edge, depth) ->
-      let inputs = match inputs with Some i -> i | None -> Interp.random_inputs p in
+      let inputs =
+        match inputs with Some i -> i | None -> Interp.random_inputs (program prepared)
+      in
       let slack = config.Engine.Config.channel_slack in
       let base = { config with Engine.Config.faults = Engine.Config.faults () } in
       let completes capacity =
@@ -121,7 +129,9 @@ let probe_tightest ?(config = Engine.Config.default) ?(placement = fun _ -> 0) ?
             Engine.Config.override_edge_buffers = underprovision ~channel_slack:slack ~capacity edge;
           }
         in
-        match Engine.run ~config:cfg ~placement ~inputs p with Ok _ -> true | Error _ -> false
+        match Engine.run_prepared ~config:cfg ~placement ~inputs prepared with
+        | Ok _ -> true
+        | Error _ -> false
       in
       (* Largest deadlocking capacity in [1, depth + slack - 1]: lo is
          the highest KNOWN deadlock, hi the lowest known completion.
@@ -174,7 +184,7 @@ let probe_tightest ?(config = Engine.Config.default) ?(placement = fun _ -> 0) ?
                 Engine.Config.faults = Engine.Config.faults ~plan:probe_plan ~seed:fault_seed ();
               }
             in
-            (match Engine.run ~config:cfg ~placement ~inputs p with
+            (match Engine.run_prepared ~config:cfg ~placement ~inputs prepared with
             | Ok _ -> None (* cannot happen: capacity deadlocks schedule-independently *)
             | Error d -> Some d)
       in

@@ -29,6 +29,25 @@ val passed : report -> bool
 
 val failures : report -> (run_record * Sf_support.Diag.t) list
 
+val campaign_prepared :
+  ?config:Engine.config ->
+  ?placement:(string -> int) ->
+  ?inputs:(string * Sf_reference.Tensor.t) list ->
+  ?plan:plan ->
+  ?schedules:int ->
+  ?jobs:int ->
+  Engine.prepared ->
+  (report, Sf_support.Diag.t) result
+(** Run the unperturbed baseline (any fault config in [config] is
+    stripped for it), then [schedules] (default 25) runs injected with
+    [plan] (default {!Fault_plan.default}, every fault kind on every
+    component) under seeds [1..N], comparing outputs bit-for-bit, all
+    from one prepared program ([config.latency] is not read). [jobs] (default 1) runs
+    the schedules across an {!Sf_support.Executor} pool; the report is
+    indexed by seed and byte-identical for every [jobs] value. [Error]
+    only when the baseline itself fails — per-schedule failures are
+    reported in the {!report}. *)
+
 val campaign :
   ?config:Engine.config ->
   ?placement:(string -> int) ->
@@ -38,14 +57,7 @@ val campaign :
   ?jobs:int ->
   Sf_ir.Program.t ->
   (report, Sf_support.Diag.t) result
-(** Run the unperturbed baseline (any fault config in [config] is
-    stripped for it), then [schedules] (default 25) runs injected with
-    [plan] (default {!Fault_plan.default}, every fault kind on every
-    component) under seeds [1..N], comparing outputs bit-for-bit. [jobs] (default 1) runs
-    the schedules across an {!Sf_support.Executor} pool; the report is
-    indexed by seed and byte-identical for every [jobs] value. [Error]
-    only when the baseline itself fails — per-schedule failures are
-    reported in the {!report}. *)
+(** {!campaign_prepared} of {!Engine.prepare_program}. *)
 
 val underprovision :
   channel_slack:int ->
@@ -80,10 +92,11 @@ val probe_tightest :
   ?plan:plan ->
   ?fault_seed:int ->
   ?jobs:int ->
-  analysis:Sf_analysis.Delay_buffer.t ->
-  Sf_ir.Program.t ->
+  Engine.prepared ->
   depth_probe option
-(** Adversarial under-provisioning of the tightest analysed edge.
+(** Adversarial under-provisioning of the tightest edge of the prepared
+    analysis; every run starts from that prepared program, so the edge
+    and the depths come from one analysis ([config.latency] is not read).
     Binary-searches the largest deadlocking capacity below the analysed
     provisioning — deadlocks in a Kahn network depend only on channel
     capacities and shrink monotonically with them, so the boundary is

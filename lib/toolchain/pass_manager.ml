@@ -87,15 +87,8 @@ let invariant_diags (ctx : Ctx.t) (ctx' : Ctx.t) =
                  "delay buffer %s -> %s has negative depth %d" src dst depth))
         a.Sf_analysis.Delay_buffer.edges
   | _ -> ());
-  (match (ctx'.Ctx.program, ctx'.Ctx.partition) with
-  | Some p, Some pt
-    when program_written || wrote Ctx.partition_slot || wrote Ctx.device_slot -> (
-      (match Partition.validate p pt with
-      | Ok () -> ()
-      | Error msgs ->
-          List.iter
-            (fun m -> error (Diag.error ~code:Diag.Code.partition_invariant m))
-            msgs);
+  (match ctx'.Ctx.partition with
+  | Some pt when program_written || wrote Ctx.partition_slot || wrote Ctx.device_slot ->
       List.iteri
         (fun d usage ->
           if not (Resource.fits ctx'.Ctx.device usage) then
@@ -103,7 +96,7 @@ let invariant_diags (ctx : Ctx.t) (ctx' : Ctx.t) =
               (Diag.warningf ~code:Diag.Code.partition_invariant
                  "device %d of the partition exceeds the %s resource budget" d
                  ctx'.Ctx.device.Sf_models.Device.name))
-        pt.Partition.per_device_usage)
+        pt.Partition.per_device_usage
   | _ -> ());
   (List.rev !errors, List.rev !warnings)
 

@@ -117,8 +117,7 @@ let partition =
     ~fingerprint:no_opts
     (fun ctx ->
       let* a = Ctx.the_analysis ctx in
-      let checked = Sf_analysis.Delay_buffer.checked a in
-      match Partition.greedy ~device:ctx.Ctx.device checked with
+      match Partition.greedy ~device:ctx.Ctx.device (Sf_analysis.Delay_buffer.checked a) with
       | Ok pt -> Ok { ctx with Ctx.partition = Some pt }
       | Error d ->
           let warn =
@@ -127,7 +126,7 @@ let partition =
               "program does not partition across devices; falling back to a single \
                oversubscribed device"
           in
-          let pt = Partition.single_device checked in
+          let pt = Partition.single_device a in
           Ctx.add_diag { ctx with Ctx.partition = Some pt } warn
           |> Result.ok)
 
@@ -136,12 +135,12 @@ let partition_into devices =
     ~name:(Printf.sprintf "partition-into-%d" devices)
     ~description:"split the topological order into even contiguous device chunks"
     ~kind:Mapping
-    ~reads:[ Ctx.P Ctx.program_slot ]
+    ~reads:[ Ctx.P Ctx.program_slot; Ctx.P Ctx.analysis_slot ]
     ~writes:[ Ctx.P Ctx.partition_slot ]
     ~fingerprint:(opts (fun st -> F.add_int st devices))
     (fun ctx ->
-      let* p = Ctx.the_program ctx in
-      match Partition.contiguous ~devices p with
+      let* a = Ctx.the_analysis ctx in
+      match Partition.contiguous_checked ~devices (Sf_analysis.Delay_buffer.checked a) with
       | Ok pt -> Ok { ctx with Ctx.partition = Some pt }
       | Error d -> Error [ d ])
 
@@ -167,6 +166,7 @@ let simulate ?(validate = true) ~seed () =
     ~reads:
       [
         Ctx.P Ctx.program_slot;
+        Ctx.P Ctx.analysis_slot;
         Ctx.P Ctx.partition_slot;
         Ctx.P Ctx.sim_config_slot;
         Ctx.P Ctx.inputs_slot;
@@ -178,16 +178,18 @@ let simulate ?(validate = true) ~seed () =
            F.add_int st seed))
     (fun ctx ->
       let* p = Ctx.the_program ctx in
+      (* The delay-buffers pass analysed the program at the request's
+         latency: the engine sizes its channels from that analysis. *)
+      let* a = Ctx.the_analysis ctx in
       let placement = Option.map Partition.placement_fn ctx.Ctx.partition in
-      let config = ctx.Ctx.sim_config in
       let inputs =
         match ctx.Ctx.inputs with
         | Some i -> i
         | None -> Sf_reference.Interp.random_inputs ~seed p
       in
       let result =
-        if validate then Engine.run_and_validate ~config ?placement ~inputs p
-        else Engine.run ~config ?placement ~inputs p
+        Engine.run_prepared ~config:ctx.Ctx.sim_config ?placement ~inputs ~validate
+          (Engine.prepare a)
       in
       let ctx = { ctx with Ctx.simulation = Some result } in
       match result with Ok _ -> Ok ctx | Error d -> Ok (Ctx.add_diag ctx d))

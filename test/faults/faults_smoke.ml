@@ -24,9 +24,10 @@ let load file =
 let run_example file =
   let p = load (Filename.concat examples_dir file) in
   let inputs = Interp.random_inputs ~seed:42 p in
-  (* The analysed-depth claim is per edge of the UNFUSED graph. *)
-  let analysis = Delay_buffer.analyze p in
-  (match Faults.campaign ~inputs ~schedules p with
+  (* The analysed-depth claim is per edge of the UNFUSED graph. One
+     analysis serves the campaign and the probe. *)
+  let prepared = Engine.prepare_program p in
+  (match Faults.campaign_prepared ~inputs ~schedules prepared with
   | Error d -> failwith (Printf.sprintf "%s: baseline failed: %s" file (Diag.to_string d))
   | Ok report ->
       List.iter
@@ -36,7 +37,7 @@ let run_example file =
         (Faults.failures report);
       Printf.printf "%-32s campaign %d/%d bit-identical (%d cycles)" file schedules
         schedules report.Faults.baseline_cycles);
-  (match Faults.probe_tightest ~inputs ~analysis p with
+  (match Faults.probe_tightest ~inputs prepared with
   | None -> Printf.printf ", no positive-depth edge\n"
   | Some { Faults.tight_capacity = None; edge = src, dst; _ } ->
       Printf.printf ", %s->%s not load-bearing\n" src dst

@@ -10,6 +10,13 @@ let ok = function
 
 let ok1 = function Ok v -> v | Error d -> failwith (Sf_support.Diag.to_string d)
 
+(* A hand placement of [p]'s stencils over [devices] devices, each with
+   no resource usage. *)
+let partition ~devices p device_of =
+  ok1
+    (Sf_mapping.Partition.make (Sf_ir.Program.check_exn p) ~device_of
+       ~per_device_usage:(List.init devices (fun _ -> Sf_models.Resource.zero)))
+
 (* The shipped example programs. Tests normally run from
    _build/default/test; [dune exec] and a direct run of the test binary
    run from the checkout root. *)

@@ -14,7 +14,8 @@ let run_exn ?(config = Engine.Config.default) ?(placement = fun _ -> 0) ~inputs 
   let { Engine.Config.deadlock_window; max_cycles } = config.Engine.Config.safety in
   let max_cycles = Option.value max_cycles ~default:max_int in
   let interval = config.Engine.Config.tracing.Engine.Config.trace_interval in
-  I.simulate ~config ~placement ~inputs p ~drive:(fun system injector finished ->
+  I.simulate ~config ~placement ~inputs (Engine.prepare_program ~config p)
+    ~drive:(fun system injector finished ->
       let frozen i now =
         match injector with Some inj -> Fault_plan.frozen_until inj i > now | None -> false
       in

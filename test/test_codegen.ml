@@ -88,15 +88,7 @@ let test_vectorized_codegen () =
 
 let test_multi_device_smi () =
   let p = Fixtures.chain ~shape:[ 6; 10 ] ~n:4 () in
-  let pt =
-    {
-      Partition.num_devices = 2;
-      device_of = [ ("f1", 0); ("f2", 0); ("f3", 1); ("f4", 1) ];
-      replicated_inputs = [ ("f0", [ 0 ]) ];
-      cross_edges = [ (("f2", "f3"), (0, 1)) ];
-      per_device_usage = [];
-    }
-  in
+  let pt = Fixtures.partition ~devices:2 p [ ("f1", 0); ("f2", 0); ("f3", 1); ("f4", 1) ] in
   match Fixtures.ok (Opencl.generate ~partition:pt p) with
   | [ dev0; dev1 ] ->
       check_contains dev0.Opencl.source [ "SMI_Push(&smi_f2__f3"; "__kernel void stencil_f2" ];
@@ -211,14 +203,6 @@ let test_dot_export () =
   check_contains dot
     [ "digraph"; "\"x\" [shape=box"; "\"c\" [shape=ellipse, peripheries=2]"; "\"a\" -> \"c\" [label=\"14\"]" ]
 
-let test_sdfg_dot_export () =
-  let p = Fixtures.laplace2d ~shape:[ 8; 8 ] () in
-  let expanded = Sf_sdfg.Sdfg.expand_library_nodes (Sf_sdfg.Sdfg.of_program p) in
-  let dot = Dot.of_sdfg expanded in
-  check_contains dot
-    [ "digraph \"laplace2d\""; "pipeline_lap (init"; "shape=octagon"; "compute";
-      "write_if_not_initializing"; "shift_a (unroll" ]
-
 (* One program whose names collide in emitted identifiers unless every
    name is spelled injectively: the output [o] is read by a stencil
    named [mem] (its edge and its memory channel) and by [mem_o] (the
@@ -242,18 +226,12 @@ let colliding_names () =
   List.iter (Builder.output b) [ "o"; "mem_o"; "x_dev0" ];
   Builder.finish b
 
-let colliding_partition =
+let colliding_partition p =
   let on_device_0 = [ "o"; "mem"; "mem_o"; "a"; "a__b" ] in
-  {
-    Partition.num_devices = 2;
-    device_of =
-      List.map
-        (fun s -> (s, if List.mem s on_device_0 then 0 else 1))
-        (on_device_0 @ [ "b__c"; "c"; "s.tx"; "x_dev0" ]);
-    replicated_inputs = [ ("x", [ 0 ]) ];
-    cross_edges = [ (("a", "b__c"), (0, 1)); (("a__b", "c"), (0, 1)); (("mem", "c"), (0, 1)) ];
-    per_device_usage = [];
-  }
+  Fixtures.partition ~devices:2 p
+    (List.map
+       (fun s -> (s, if List.mem s on_device_0 then 0 else 1))
+       (on_device_0 @ [ "b__c"; "c"; "s.tx"; "x_dev0" ]))
 
 (* What a generated source declares, by scope: at file scope (lines at
    column 0) its channels, SMI channels, prefetch arrays and functions;
@@ -322,7 +300,7 @@ let test_injective_identifiers () =
   List.iter (fun a -> check "opencl" a.Opencl.source) (Fixtures.ok (Opencl.generate p));
   List.iter
     (fun a -> check (Printf.sprintf "opencl device %d" a.Opencl.device) a.Opencl.source)
-    (Fixtures.ok (Opencl.generate ~partition:colliding_partition p));
+    (Fixtures.ok (Opencl.generate ~partition:(colliding_partition p) p));
   check "host" (Fixtures.ok (Opencl.host_source p));
   check "vitis" (Fixtures.ok (Sf_codegen.Vitis.generate p));
   (* Plain names stand for themselves; the others stay apart. *)
@@ -463,6 +441,5 @@ let suite =
     Alcotest.test_case "vitis output of every example pinned" `Quick test_vitis_pinned;
     Alcotest.test_case "multi-device opencl output pinned" `Quick test_multi_device_pinned;
     Alcotest.test_case "graphviz export" `Quick test_dot_export;
-    Alcotest.test_case "sdfg graphviz export (fig 12)" `Quick test_sdfg_dot_export;
     QCheck_alcotest.to_alcotest prop_register_shape_from_internal_buffer;
   ]

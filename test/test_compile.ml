@@ -369,7 +369,7 @@ let test_exec_allocation_free () =
           (4, [| 0; 0; 4 |]); (6, [| 0; 0; 4 |]); (4, [| 1; 12; 4 |]); (6, [| 2; 12; 4 |]);
           (4, [| 1; 12; 0 |]); (16, [| 2; 12; 0 |]);
         ])
-    (Interp.plan p).Interp.stages
+    (Interp.plan (Program.check_exn p)).Interp.stages
 
 (* Each fused form, with NaNs of either sign, signed zeros and
    infinities in every operand position, equals the tree-walking
@@ -548,7 +548,7 @@ let prop_shared_lowering_bit_exact =
     (fun (p, (seed, fuse, w)) ->
       let p = widened ~w p in
       let p = if fuse then fst (Sf_sdfg.Fusion.fuse_all p) else p in
-      let plan = Interp.plan p in
+      let plan = Interp.plan (Program.check_exn p) in
       let checked = plan.Interp.checked in
       let shape = Array.of_list p.Program.shape in
       let rank = Array.length shape in
@@ -688,7 +688,7 @@ let test_lowering_pins () =
         ( s.Stencil.name,
           (Compile.instructions prog, Compile.rolling_instructions prog),
           Array.length (Compile.loads prog) ))
-      (Interp.plan p).Interp.stages
+      (Interp.plan (Program.check_exn p)).Interp.stages
   in
   let triple = Alcotest.(list (triple string (pair int int) int)) in
   let jacobi = Test_sim_parity.example "jacobi2d_8stage.json" in
@@ -704,14 +704,14 @@ let test_lowering_pins () =
     List.iter
       (fun ((s : Stencil.t), prog) ->
         Alcotest.(check int) (Printf.sprintf "%s: %s has no ring" name s.Stencil.name) 0 (Compile.rings prog))
-      (Interp.plan p).Interp.stages
+      (Interp.plan (Program.check_exn p)).Interp.stages
   in
   ringless "chain-sim" (Sf_kernels.Iterative.chain ~shape:[ 128; 128 ] Sf_kernels.Iterative.Jacobi2d ~length:4);
   (* Stages share a lowering when their bodies differ only in the
      fields they read: chain-sim's 64 Jacobi stages lower one body, and
      of fused hdiff's four units, w_out and pp_out run one body over w
      and pp (u_out and v_out each read both u and v, in other roles). *)
-  let lowerings p = (Interp.plan p).Interp.lowerings in
+  let lowerings p = (Interp.plan (Program.check_exn p)).Interp.lowerings in
   Alcotest.(check int) "chain-sim: distinct lowerings" 1
     (lowerings Sf_kernels.Iterative.(chain ~shape:[ 128; 128 ] Jacobi2d ~length:64));
   Alcotest.(check int) "fused, optimized hdiff at W=4: distinct lowerings" 3
@@ -729,7 +729,7 @@ let test_lowering_pins () =
    runs; and the outputs of [Interp.run], which runs the shared
    programs, equal the per-cell oracle's bit for bit, masks included. *)
 let shares_soundly ~at_most p =
-  let plan = Interp.plan p in
+  let plan = Interp.plan (Program.check_exn p) in
   let checked = plan.Interp.checked in
   let rank = Program.rank p in
   let fresh (s : Stencil.t) =
@@ -908,7 +908,8 @@ let test_lowering_near_twins () =
   List.iter
     (fun (what, second, lowerings) ->
       let p = twin_program ~rank:3 [ stage 0 (); second ] in
-      Alcotest.(check int) (what ^ ": lowerings") lowerings (Interp.plan p).Interp.lowerings;
+      Alcotest.(check int) (what ^ ": lowerings") lowerings
+        (Interp.plan (Program.check_exn p)).Interp.lowerings;
       Alcotest.(check bool) (what ^ ": shared programs equal their own lowering") true
         (shares_soundly ~at_most:lowerings p))
     [
@@ -919,7 +920,7 @@ let test_lowering_near_twins () =
       ("renamed let", stage 1 ~name:"u" (), 2);
     ];
   let rings c =
-    let plan = Interp.plan (twin_program ~rank:3 [ stage 0 ~c () ]) in
+    let plan = Interp.plan (Program.check_exn (twin_program ~rank:3 [ stage 0 ~c () ])) in
     Compile.rings (snd (List.hd plan.Interp.stages))
   in
   Alcotest.(check (pair int int)) "rings over cb and over ca" (1, 0) (rings "cb", rings "ca")

@@ -10,7 +10,6 @@
 module Engine = Sf_sim.Engine
 module Fault_plan = Sf_sim.Fault_plan
 module Faults = Sf_sim.Faults
-module Delay_buffer = Sf_analysis.Delay_buffer
 module Interp = Sf_reference.Interp
 module Diag = Sf_support.Diag
 
@@ -177,8 +176,7 @@ let test_campaign_slows_runs () =
 let diamond_probe =
   lazy
     (let p = Fixtures.diamond () in
-     let analysis = Delay_buffer.analyze p in
-     Faults.probe_tightest ~config:quick ~analysis p)
+     Faults.probe_tightest ~config:quick (Engine.prepare_program ~config:quick p))
 
 let test_probe_finds_tight_capacity () =
   match Lazy.force diamond_probe with
@@ -343,8 +341,7 @@ let prop_tight_capacity_deadlocks =
   QCheck.Test.make ~count:12
     ~name:"random programs: under-provisioned tightest edge deadlocks with attribution"
     Program_gen.arbitrary_program (fun p ->
-      let analysis = Delay_buffer.analyze p in
-      match Faults.probe_tightest ~config:quick ~analysis p with
+      match Faults.probe_tightest ~config:quick (Engine.prepare_program ~config:quick p) with
       | None -> true (* no positive-depth edge to attack *)
       | Some { Faults.tight_capacity = None; _ } -> true (* not load-bearing *)
       | Some { Faults.probe_diag = None; _ } ->

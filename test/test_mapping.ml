@@ -13,10 +13,7 @@ let test_single_device_fits () =
   | Error m -> Alcotest.fail (Sf_support.Diag.to_string m)
   | Ok pt ->
       Alcotest.(check int) "one device" 1 pt.Partition.num_devices;
-      Alcotest.(check int) "no cross edges" 0 (List.length pt.Partition.cross_edges);
-      (match Partition.validate p pt with
-      | Ok () -> ()
-      | Error errs -> Alcotest.fail (String.concat "; " errs))
+      Alcotest.(check int) "no cross edges" 0 (List.length pt.Partition.cross_edges)
 
 let test_long_chain_splits () =
   (* A chain too big for one device spreads over several, splitting at
@@ -29,9 +26,6 @@ let test_long_chain_splits () =
         (Printf.sprintf "%d devices > 1" pt.Partition.num_devices)
         true
         (pt.Partition.num_devices > 1);
-      (match Partition.validate p pt with
-      | Ok () -> ()
-      | Error errs -> Alcotest.fail (String.concat "; " errs));
       (* A linear chain crosses each device boundary exactly once. *)
       Alcotest.(check int) "one cross edge per boundary"
         (pt.Partition.num_devices - 1)
@@ -45,21 +39,21 @@ let test_long_chain_splits () =
         (Partition.network_feasible p pt ~device:dev)
 
 let test_input_replication () =
-  (* Fig. 5: an input read on two devices is replicated to both. *)
+  (* Fig. 5: an input read on two devices is replicated to both. A
+     partition derives its replication and cross edges from the
+     placement. *)
+  let check_derived what pt ~replicated ~cross =
+    Alcotest.(check (list (pair string (list int)))) (what ^ ": replication") replicated
+      pt.Partition.replicated_inputs;
+    Alcotest.(check (list (pair (pair string string) (pair int int))))
+      (what ^ ": cross edges") cross pt.Partition.cross_edges
+  in
   let p = Fixtures.chain ~shape:[ 6; 10 ] ~n:2 () in
   (* Force the two stages apart with a manual partition. *)
-  let pt =
-    {
-      Partition.num_devices = 2;
-      device_of = [ ("f1", 0); ("f2", 1) ];
-      replicated_inputs = [ ("f0", [ 0 ]) ];
-      cross_edges = [ (("f1", "f2"), (0, 1)) ];
-      per_device_usage = [];
-    }
-  in
-  (match Partition.validate p pt with
-  | Ok () -> ()
-  | Error errs -> Alcotest.fail (String.concat ";" errs));
+  check_derived "chain"
+    (Fixtures.partition ~devices:2 p [ ("f1", 0); ("f2", 1) ])
+    ~replicated:[ ("f0", [ 0 ]) ]
+    ~cross:[ (("f1", "f2"), (0, 1)) ];
   (* A program where both devices read the same input. *)
   let b = Builder.create ~name:"shared" ~shape:[ 4; 8 ] () in
   Builder.input b "a";
@@ -67,23 +61,24 @@ let test_input_replication () =
   Builder.stencil b "s2" Builder.E.(acc "a" [ 0; 0 ] +% acc "s1" [ 0; 0 ]);
   Builder.output b "s2";
   let shared = Builder.finish b in
-  let manual =
-    {
-      Partition.num_devices = 2;
-      device_of = [ ("s1", 0); ("s2", 1) ];
-      replicated_inputs = [ ("a", [ 0; 1 ]) ];
-      cross_edges = [ (("s1", "s2"), (0, 1)) ];
-      per_device_usage = [];
-    }
+  check_derived "shared"
+    (Fixtures.partition ~devices:2 shared [ ("s1", 0); ("s2", 1) ])
+    ~replicated:[ ("a", [ 0; 1 ]) ]
+    ~cross:[ (("s1", "s2"), (0, 1)) ];
+  (* A placement that leaves a stencil out, or names a device past the
+     last, builds no partition. *)
+  let rejects what device_of =
+    match
+      Partition.make (Program.check_exn shared) ~device_of
+        ~per_device_usage:[ Sf_models.Resource.zero; Sf_models.Resource.zero ]
+    with
+    | Error d ->
+        Alcotest.(check string) what Sf_support.Diag.Code.partition_invariant d.Sf_support.Diag.code
+    | Ok _ -> Alcotest.failf "%s: must be rejected" what
   in
-  (match Partition.validate shared manual with
-  | Ok () -> ()
-  | Error errs -> Alcotest.fail (String.concat ";" errs));
-  (* Missing replication is caught. *)
-  let broken = { manual with Partition.replicated_inputs = [ ("a", [ 0 ]) ] } in
-  match Partition.validate shared broken with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "missing replication must be reported"
+  rejects "unplaced stencil" [ ("s1", 0) ];
+  rejects "device out of range" [ ("s1", 0); ("s2", 2) ];
+  rejects "negative device" [ ("s1", -1); ("s2", 0) ]
 
 let test_partitioned_simulation_validates () =
   (* End to end: greedy partition of a moderately long chain, simulated
@@ -107,15 +102,7 @@ let test_partitioned_simulation_validates () =
 
 let test_hop_demand () =
   let p = Sf_analysis.Vectorize.apply (Fixtures.chain ~shape:[ 6; 12 ] ~n:2 ()) 4 in
-  let pt =
-    {
-      Partition.num_devices = 2;
-      device_of = [ ("f1", 0); ("f2", 1) ];
-      replicated_inputs = [ ("f0", [ 0 ]) ];
-      cross_edges = [ (("f1", "f2"), (0, 1)) ];
-      per_device_usage = [];
-    }
-  in
+  let pt = Fixtures.partition ~devices:2 p [ ("f1", 0); ("f2", 1) ] in
   (* W=4 floats crossing: 16 B/cycle. *)
   Alcotest.(check (float 1e-9)) "demand" 16. (Partition.hop_demand_bytes_per_cycle p pt ~hop:0);
   Alcotest.(check bool) "feasible on two 40 Gbit links" true

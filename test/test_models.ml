@@ -58,7 +58,7 @@ let test_program_usage_includes_delay_buffers () =
       (fun acc s -> Resource.add acc (Resource.of_unit checked s))
       Resource.zero p.Sf_ir.Program.stencils
   in
-  let whole = Resource.of_program p in
+  let whole = Resource.of_analysis (Sf_analysis.Delay_buffer.of_checked checked) in
   Alcotest.(check bool) "program m20k exceeds unit m20k" true
     (whole.Resource.m20k > units_only.Resource.m20k)
 

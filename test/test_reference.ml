@@ -313,7 +313,7 @@ let prop_prepare_equals_run =
   QCheck.Test.make ~count:100 ~name:"prepare then evaluate equals run"
     Program_gen.arbitrary_program (fun p ->
       let inputs = Interp.random_inputs ~seed:5 p in
-      let eval = Interp.prepare (Interp.plan p) ~inputs in
+      let eval = Interp.prepare (Interp.plan (Program.check_exn p)) ~inputs in
       let expected = Interp.run p ~inputs in
       let same results =
         List.map fst results = List.map fst expected
@@ -328,14 +328,20 @@ let prop_prepare_equals_run =
 
 let test_prepare_raises_early () =
   let p = Fixtures.laplace2d () in
-  (match Interp.prepare (Interp.plan p) ~inputs:[] with
+  (match Interp.prepare (Interp.plan (Program.check_exn p)) ~inputs:[] with
   | exception Interp.Runtime_error m ->
       Alcotest.(check string) "missing input" "missing input data for field a" m
   | (_ : unit -> _) -> Alcotest.fail "prepare must reject a missing input");
-  (match Interp.prepare (Interp.plan p) ~inputs:[ ("a", Tensor.create [ 8; 4 ]) ] with
+  (match
+     Interp.prepare (Interp.plan (Program.check_exn p)) ~inputs:[ ("a", Tensor.create [ 8; 4 ]) ]
+   with
   | exception Interp.Runtime_error _ -> ()
   | (_ : unit -> _) -> Alcotest.fail "prepare must reject a mis-shaped input");
-  match Interp.prepare (Interp.plan { p with Program.outputs = [ "ghost" ] }) ~inputs:(Interp.random_inputs p) with
+  match
+    Interp.prepare
+      (Interp.plan (Program.check_exn { p with Program.outputs = [ "ghost" ] }))
+      ~inputs:(Interp.random_inputs p)
+  with
   | exception Invalid_argument _ -> ()
   | (_ : unit -> _) -> Alcotest.fail "prepare must reject a malformed program"
 

@@ -271,7 +271,33 @@ let test_expected_cycles_under_scaled_latency () =
               Alcotest.(check int) (label request) (field ctx "latency_cycles" + n)
                 (field ctx "expected_cycles");
               Alcotest.(check bool) (label request ^ ": the table matters") true
-                (field ctx "latency_cycles" > field default_ctx "latency_cycles")
+                (field ctx "latency_cycles" > field default_ctx "latency_cycles");
+              (* A request simulates on its own analysis: the engine run
+                 on its program under the same table agrees. *)
+              if verb = `Simulate then begin
+                let simulated k =
+                  match Json.member "simulation" (Request.result_json request ctx) with
+                  | Some sim -> (
+                      match Json.member k sim with
+                      | Some (Json.Int n) -> n
+                      | _ -> Alcotest.failf "%s: no simulation %s" (label request) k)
+                  | None -> Alcotest.failf "%s: no simulation" (label request)
+                in
+                let placement =
+                  Sf_mapping.Partition.placement_fn (Option.get ctx.Sf_toolchain.Ctx.partition)
+                in
+                match
+                  Sf_sim.Engine.run ~config ~placement
+                    ~inputs:(Sf_reference.Interp.random_inputs ~seed:request.Request.options.seed p)
+                    p
+                with
+                | Ok stats ->
+                    Alcotest.(check int) (label request ^ ": cycles") stats.Sf_sim.Engine.cycles
+                      (simulated "cycles");
+                    Alcotest.(check int) (label request ^ ": predicted cycles")
+                      stats.Sf_sim.Engine.predicted_cycles (simulated "predicted_cycles")
+                | Error d -> Alcotest.fail (Diag.to_string d)
+              end
           | _ -> Alcotest.failf "%s failed" (label request))
         [ (`Analyze, None); (`Analyze, Some 2); (`Simulate, None) ])
     (Test_examples.example_files ())

@@ -308,7 +308,8 @@ let window_counts ?(unit_chunks = ref 0) ~config ~placement p =
   let module I = Engine.Internal in
   let windowed = ref 0 and windows = ref 0 in
   let outcome =
-    I.simulate ~config ~placement ~inputs:(Interp.random_inputs p) p
+    I.simulate ~config ~placement ~inputs:(Interp.random_inputs p)
+      (Engine.prepare_program ~config p)
       ~drive:(fun system injector finished ->
         let s = I.scheduler ~config ?injector ~finished system in
         s.I.advance ~limit:max_int;

@@ -370,7 +370,8 @@ let prop_long_chains_agree =
       let module I = Engine.Internal in
       let inputs = Interp.random_inputs p and windows = ref 0 in
       let outcome =
-        I.simulate ~config ~placement ~inputs p ~drive:(fun system injector finished ->
+        I.simulate ~config ~placement ~inputs (Engine.prepare_program ~config p)
+          ~drive:(fun system injector finished ->
             let s = I.scheduler ~config ?injector ~finished system in
             s.I.advance ~limit:max_int;
             windows := s.I.windows ();

@@ -114,29 +114,52 @@ let test_invariant_checker_rejects () =
 let test_partition_fallback_warning () =
   (* On a device too small for even one stencil, greedy partitioning
      fails and the pass must fall back to a single device with exactly
-     one SF0503 warning carrying the reason. *)
+     one SF0503 warning carrying the reason. The fallback charges the
+     delay buffers of the request's analysis: under a latency table that
+     deepens them, its usage is that analysis's, not the default
+     table's. *)
   let tiny = { Device.stratix10 with Device.alm = 1; ff = 1; m20k = 1; dsp = 1 } in
-  match
-    Pass_manager.run
-      [ Passes.use_program (Fixtures.diamond ()); Passes.delay_buffers; Passes.partition ]
-      (Ctx.create ~device:tiny ())
-  with
-  | Error (ds, _) -> Alcotest.fail (Diag.to_string (List.hd ds))
-  | Ok (ctx, _) ->
-      (match ctx.Ctx.partition with
-      | Some pt -> Alcotest.(check int) "single device" 1 pt.Sf_mapping.Partition.num_devices
-      | None -> Alcotest.fail "no partition");
-      let fallbacks =
-        List.filter (fun (d : Diag.t) -> d.Diag.code = Diag.Code.partition_fallback) ctx.Ctx.diags
-      in
-      (match fallbacks with
-      | [ d ] ->
-          Alcotest.(check bool) "is a warning" false (Diag.is_error d);
-          Alcotest.(check bool) "carries the reason" true
-            (List.exists
-               (fun n -> n = "stencil a alone exceeds device resources")
-               d.Diag.notes)
-      | ds -> Alcotest.fail (Printf.sprintf "expected 1 fallback warning, got %d" (List.length ds)))
+  let d = Sf_analysis.Latency.default in
+  let scaled = { d with Sf_analysis.Latency.add = 1000 * d.add; mul = 1000 * d.mul } in
+  let m20k latency =
+    (Sf_models.Resource.of_analysis
+       (Sf_analysis.Delay_buffer.analyze ~config:latency (Fixtures.diamond ())))
+      .Sf_models.Resource.m20k
+  in
+  Alcotest.(check bool) "the scaled table deepens the delay buffers" true
+    (m20k scaled > m20k d);
+  List.iter
+    (fun latency ->
+      match
+        Pass_manager.run
+          [ Passes.use_program (Fixtures.diamond ()); Passes.delay_buffers; Passes.partition ]
+          (Ctx.create ~device:tiny ~sim_config:{ Sf_sim.Engine.Config.default with latency } ())
+      with
+      | Error (ds, _) -> Alcotest.fail (Diag.to_string (List.hd ds))
+      | Ok (ctx, _) ->
+          (match ctx.Ctx.partition with
+          | Some pt ->
+              Alcotest.(check int) "single device" 1 pt.Sf_mapping.Partition.num_devices;
+              Alcotest.(check bool) "usage of the request's analysis" true
+                (pt.Sf_mapping.Partition.per_device_usage
+                = [ Sf_models.Resource.of_analysis (Option.get ctx.Ctx.analysis) ])
+          | None -> Alcotest.fail "no partition");
+          let fallbacks =
+            List.filter
+              (fun (d : Diag.t) -> d.Diag.code = Diag.Code.partition_fallback)
+              ctx.Ctx.diags
+          in
+          (match fallbacks with
+          | [ d ] ->
+              Alcotest.(check bool) "is a warning" false (Diag.is_error d);
+              Alcotest.(check bool) "carries the reason" true
+                (List.exists
+                   (fun n -> n = "stencil a alone exceeds device resources")
+                   d.Diag.notes)
+          | ds ->
+              Alcotest.fail
+                (Printf.sprintf "expected 1 fallback warning, got %d" (List.length ds))))
+    [ d; scaled ]
 
 let test_partition_fits_quietly () =
   match
