@@ -262,27 +262,26 @@ let () =
   in
   let eo_lanes = 4 in
   let eval_ns_per_cell ~lanes =
-    let fr = Compile.frame eo_prog ~lanes and idx = [| 0 |] in
+    let fr = Compile.frame eo_prog ~lanes and idx = [| 0 |] and out = Array.make lanes 0. in
+    (* Load slot [k]'s cells sit at [k * lanes]; no fill binds them, and
+       [exec] never writes a load slot, so they are written once. *)
+    let cells = Compile.cells fr in
     let loads = Array.length (Compile.loads eo_prog) * lanes in
     for k = 0 to loads - 1 do
-      fr.(k) <- 0.25 +. (float_of_int (k land 63) /. 7.)
+      cells.(k) <- 0.25 +. (float_of_int (k land 63) /. 7.)
     done;
-    let cells = if quick then 100_000 else 2_000_000 in
+    let cells_n = if quick then 100_000 else 2_000_000 in
     let sink = ref 0. in
-    (* [exec] may overwrite load slots: refill them before every dispatch,
-       as the interpreter and the stencil units do. *)
-    let data = Array.sub fr 0 loads in
-    Compile.exec eo_prog ~idx ~lanes fr;
+    Compile.exec eo_prog ~idx ~lanes fr ~dst:out ~at:0;
     let t0 = Util.monotime () in
-    for i = 0 to (cells / lanes) - 1 do
-      data.(i mod loads) <- data.(i mod loads) +. 1e-12;
-      Array.blit data 0 fr 0 loads;
-      Compile.exec eo_prog ~idx ~lanes fr;
-      sink := !sink +. fr.(Compile.result eo_prog ~stride:lanes)
+    for i = 0 to (cells_n / lanes) - 1 do
+      cells.(i mod loads) <- cells.(i mod loads) +. 1e-12;
+      Compile.exec eo_prog ~idx ~lanes fr ~dst:out ~at:0;
+      sink := !sink +. out.(0)
     done;
     let dt = Util.monotime () -. t0 in
     if Float.is_nan !sink then Printf.printf "(unreachable)";
-    dt /. float_of_int cells *. 1e9
+    dt /. float_of_int cells_n *. 1e9
   in
   let one_lane_ns = eval_ns_per_cell ~lanes:1 in
   let w_lanes_ns = eval_ns_per_cell ~lanes:eo_lanes in
@@ -491,6 +490,22 @@ let () =
     let t0 = Util.monotime () in
     let prepared = Engine.prepare_program p in
     let prepare_s = Util.monotime () -. t0 in
+    (* Load runs copied and bound in place by one run of each side: the
+       units' taps after a simulation, and the oracle's stage by stage. *)
+    let add r (c, b) = r := (fst !r + c, snd !r + b) in
+    let sim_runs = ref (0, 0) and oracle_runs = ref (0, 0) in
+    ignore
+      (Engine.Internal.simulate ~config:Engine.Config.default ~placement:(fun _ -> 0) ~inputs prepared
+         ~drive:(fun system injector finished ->
+           let s = Engine.Internal.scheduler ~config:Engine.Config.default ?injector ~finished system in
+           s.Engine.Internal.advance ~limit:max_int;
+           Array.iter
+             (function Engine.Internal.Cunit u -> add sim_runs (Sf_sim.Stencil_unit.load_runs u) | _ -> ())
+             system.Engine.Internal.comps;
+           (s.now (), s.deadlocked (), s.samples ())));
+    ignore (Interp.prepare ~load_runs:(add oracle_runs) prepared.Engine.plan ~inputs ());
+    let stage_cells = float_of_int (Program.cells p * List.length p.Program.stencils) in
+    let per_cell (c, b) = (float_of_int c /. stage_cells, float_of_int b /. stage_cells) in
     let oracle = Interp.prepare prepared.Engine.plan ~inputs in
     let sim = Array.make oo_runs 0. and reference = Array.make oo_runs 0. in
     for i = 0 to oo_runs - 1 do
@@ -511,6 +526,9 @@ let () =
        %.2f\n"
       name (prepare_s *. 1e3) (median sim *. 1e3) (sim.(0) *. 1e3) (median reference *. 1e3)
       (reference.(0) *. 1e3) (median sim /. median reference) (sim.(0) /. reference.(0));
+    let sc, sb = per_cell !sim_runs and oc, ob = per_cell !oracle_runs in
+    Printf.printf "  %-30s load runs per stage-cell copied / bound: sim %.4f / %.4f, oracle %.4f / %.4f\n"
+      "" sc sb oc ob;
     Json.Obj
       [
         ("case", Json.String name);
@@ -522,6 +540,10 @@ let () =
         ("oracle_min_s", Json.Float reference.(0));
         ("median_ratio", Json.Float (median sim /. median reference));
         ("min_ratio", Json.Float (sim.(0) /. reference.(0)));
+        ("sim_runs_copied", Json.Int (fst !sim_runs));
+        ("sim_runs_bound", Json.Int (snd !sim_runs));
+        ("oracle_runs_copied", Json.Int (fst !oracle_runs));
+        ("oracle_runs_bound", Json.Int (snd !oracle_runs));
       ]
   in
   Printf.printf "\nsimulation over oracle (%d alternating runs; median / minimum):\n" oo_runs;

@@ -32,6 +32,7 @@ type program = {
   pad : int;
   result : int;
   result_off : int;
+  in_place : bool;  (* the result is an instruction without shift spread: it may write the caller's row *)
 }
 
 type lane = Shifts | Fixed | Uniform
@@ -65,7 +66,6 @@ let rolling_instructions p = Array.length p.lists.(0)
 let rings p = p.rings
 let ring_rows p = p.rings * p.period
 let stride p ~lanes = (if p.rings > 0 then Int.max lanes p.cols else lanes) + p.pad
-let result p ~stride = (p.result * stride) + p.result_off
 
 (* Classes are keyed bottom-up over the DAG in post-order, one hash
    lookup per node, modulo a lane shift: lane-shift classes
@@ -130,11 +130,15 @@ let least shifts =
    dispatch runs every instruction.
 
    Slots: load variants first (slot k is load k), then constants, then
-   the computed variants in post-order from the result, each in the
-   lowest free slot unless it lives in a ring. A load or computed value
-   frees its slot after its last reader, or at once if nothing reads it;
-   constants and the result stay pinned. A destination may take a slot
-   an operand frees at the same instruction: a lane loop reads cell
+   a computed result, then the other computed variants in post-order
+   from the result, each in the lowest free slot after them unless it
+   lives in a ring. A computed value frees its slot after its last
+   reader, or at once if nothing reads it; loads, constants and the
+   result stay pinned. No instruction ever writes a load's slot, so
+   [fill] may bind a load slot to its source in place, and only the
+   result's instruction writes the result's slot, so [exec] may bind it
+   to the caller's row. A destination may take a slot a computed operand
+   frees at the same instruction: a lane loop reads cell
    [k + off] ([off >= 0]) before it writes cell [k], in increasing [k].
    Every node of the body is scheduled, including bindings the result
    never reads: their loads still widen their variants, which the
@@ -377,14 +381,17 @@ let lower ?rows ~lane (b : Expr.body) =
   let slot = Array.init n (fun j -> if j < first then j else -1) and last = Array.make n (-1) in
   Array.iteri (fun i (_, _, operands) -> List.iter (fun (j, _) -> last.(j) <- i) operands) code;
   let busy = Array.init n (fun s -> s < first) in
-  let release j =
-    if j <> result && (j < Array.length loads || j >= first) && ring j < 0 then busy.(slot.(j)) <- false
-  in
-  Array.iteri (fun j _ -> if last.(j) < 0 then release j) loads;
+  (* A computed result takes the first slot after the constants before
+     any instruction runs, so no other value ever writes that slot. *)
+  if result >= first then begin
+    slot.(result) <- first;
+    busy.(first) <- true
+  end;
+  let release j = if j <> result && j >= first && ring j < 0 then busy.(slot.(j)) <- false in
   Array.iteri
     (fun i (_, _, operands) ->
       List.iter (fun (j, _) -> if last.(j) = i then release j) operands;
-      if ring (first + i) < 0 then begin
+      if ring (first + i) < 0 && first + i <> result then begin
         let s = ref 0 in
         while busy.(!s) do incr s done;
         busy.(!s) <- true;
@@ -501,14 +508,37 @@ let lower ?rows ~lane (b : Expr.body) =
     pad = Array.fold_left (fun m k -> Int.max m (spread k)) !ring_pad order;
     result = slot.(result);
     result_off = Option.value root_shift ~default:0 - lo.(root_class);
+    in_place = result >= first && spread root_class = 0;
   }
+
+(* A frame: the cells of its slots, then its ring rows, [stride] cells
+   each; and per slot, the array and index its cell 0 is read from.
+   Every slot reads its own cells until [fill] binds a load slot to its
+   source or [exec] the result's slot to the caller's row. *)
+type frame = {
+  cells : float array;
+  stride : int;
+  arrays : float array array;  (* per slot, the array its cells are read from *)
+  bases : int array;  (* per slot, the index of its cell 0 there *)
+}
 
 let frame p ~lanes =
   let stride = stride p ~lanes in
-  let f = Array.make ((p.n_slots + ring_rows p) * stride) 0. in
-  let base = Array.length p.loads in
-  Array.iteri (fun i c -> Array.fill f ((base + i) * stride) stride c) p.consts;
-  f
+  let cells = Array.make ((p.n_slots + ring_rows p) * stride) 0. in
+  let first = Array.length p.loads in
+  Array.iteri (fun i c -> Array.fill cells ((first + i) * stride) stride c) p.consts;
+  { cells; stride; arrays = Array.make p.n_slots cells; bases = Array.init p.n_slots (fun s -> s * stride) }
+
+let cells fr = fr.cells
+
+(* Lists are made afresh by each [lower] and kept by [rebind]. *)
+let same_lowering p q = p.lists == q.lists
+
+(* Point slot [s] at [data] from [i]; the array is stored only when it
+   changes, as a store of a pointer passes the write barrier. *)
+let[@inline] bind fr s data i =
+  if Array.unsafe_get fr.arrays s != data then Array.unsafe_set fr.arrays s data;
+  Array.unsafe_set fr.bases s i
 
 (* Float-array accessors: unboxed loads and stores on the frame. *)
 external get : float array -> int -> float = "%array_unsafe_get"
@@ -530,324 +560,563 @@ let[@inline] fmax (x : float) (y : float) =
   else if y <> y then y
   else x
 
-(* The frame cell of a slot-or-ring reference at [args.(b)]: a slot's
-   cell 0, or the ring row and column of the dispatch's cell 0, plus the
-   offset. *)
-let[@inline] cell args b ~stride ~col ~q ~m =
+(* The array and index of a slot-or-ring reference at [args.(b)]: where
+   a slot's cell 0 is bound, or the frame's ring row and column of the
+   dispatch's cell 0; plus the offset. *)
+let[@inline] array fr args b =
+  if Array.unsafe_get args (b + 2) < 0 then Array.unsafe_get fr.arrays (Array.unsafe_get args b) else fr.cells
+
+let[@inline] cell fr args b ~col ~q ~m =
   let s = Array.unsafe_get args b and r = Array.unsafe_get args (b + 2) in
-  (if r < 0 then s * stride else ((s + if q + r >= m then q + r - m else q + r) * stride) + col)
+  (if r < 0 then Array.unsafe_get fr.bases s
+   else ((s + if q + r >= m then q + r - m else q + r) * fr.stride) + col)
   + Array.unsafe_get args (b + 1)
 
-(* One instruction: [width] cells from frame cell [d], cell [k] reading
-   its operands at cells [x + k], [y + k], [z + k] and [w + k]. It is
-   kept out of line so that its lane loops have the registers to
-   themselves. Semantics are those of Interp.eval_expr: comparisons
-   yield 1.0 / 0.0, any non-zero value is true, && and || do not
-   short-circuit, and both select branches were computed by earlier
-   instructions. Each case is its own lane loop, written out so that no
-   float is ever boxed. A case whose lane is a few machine instructions
-   runs four cells per iteration ([!j] to [!j + 3], below [t], which is
+(* The lane loops, one function per operation: [width] cells from cell
+   [d] of [fd], cell [k] reading its operands at [x + k] of [fx],
+   [y + k] of [fy], [z + k] of [fz] and [w + k] of [fw]. Each is its own
+   function, kept out of line, so that the register allocator sees one
+   loop at a time: in one function over every case, it kept the arrays
+   and indices on the stack inside the loops. Semantics are those of
+   Interp.eval_expr: comparisons yield 1.0 / 0.0, any non-zero value is
+   true, && and || do not short-circuit, and both select branches were
+   computed by earlier instructions. Each loop is written out so that no
+   float is ever boxed. An operation whose lane is a few machine
+   instructions runs four cells per iteration (up to [t], which is
    [width] rounded down to a multiple of 4) and then a plain loop over
    the rest: the loop control, not the arithmetic, is what such a lane
-   costs. A libm call costs more than the control it would save, so
-   those cases keep the plain loop. A fused form computes its inner
-   operation in a register, in the evaluator's operand order: when both
-   operands of an x86 arithmetic instruction are NaNs it returns the
-   destination's, and the compiler makes a loaded first operand of a
-   commutative operation the memory operand, so [x * (y - z)] binds [x]
-   before computing [y - z] to keep [x]'s NaN. Every cell reads its
-   operands before its own store, and operands sit at the same or a
-   later cell, so a destination may share an operand's slot. *)
-let[@inline never] run op fr ~d ~x ~y ~z ~w ~width =
-  let n = width - 1 and t = width land -4 and j = ref 0 in
+   costs. Each operand's index advances by itself, and the plain loop
+   continues from those indices, so the four-cell loop holds its arrays,
+   its indices and its two bounds in registers and nothing else.
+   A libm call costs more than the control it would save, so those
+   operations keep the plain loop. A select whose branches share an
+   array picks its operand by index, with no data-dependent jump. A
+   fused form computes its inner operation in a register, in the
+   evaluator's operand order: when both operands of an x86 arithmetic
+   instruction are NaNs it returns the destination's, and the compiler
+   makes a loaded first operand of a commutative operation the memory
+   operand, so [x * (y - z)] binds [x] before computing [y - z] to keep
+   [x]'s NaN. Every cell reads its operands before its own store, and
+   operands sit at the same or a later cell, so a destination may share
+   an operand's slot. *)
+let[@inline never] lane_neg fd d fx x width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x in
+  while !pa < stop do
+    let a = !pa and b = !pb in
+    set fd a (-.get fx b);
+    set fd (a + 1) (-.get fx (b + 1));
+    set fd (a + 2) (-.get fx (b + 2));
+    set fd (a + 3) (-.get fx (b + 3));
+    pa := a + 4;
+    pb := b + 4
+  done;
+  let a = !pa and b = !pb in
+  for l = 0 to fin - a - 1 do set fd (a + l) (-.get fx (b + l)) done
+
+let[@inline never] lane_not fd d fx x width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x in
+  while !pa < stop do
+    let a = !pa and b = !pb in
+    set fd a (of_bool (get fx b = 0.));
+    set fd (a + 1) (of_bool (get fx (b + 1) = 0.));
+    set fd (a + 2) (of_bool (get fx (b + 2) = 0.));
+    set fd (a + 3) (of_bool (get fx (b + 3) = 0.));
+    pa := a + 4;
+    pb := b + 4
+  done;
+  let a = !pa and b = !pb in
+  for l = 0 to fin - a - 1 do set fd (a + l) (of_bool (get fx (b + l) = 0.)) done
+
+let[@inline never] lane_add fd d fx x fy y width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x and pc = ref y in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc in
+    set fd a (get fx b +. get fy c);
+    set fd (a + 1) (get fx (b + 1) +. get fy (c + 1));
+    set fd (a + 2) (get fx (b + 2) +. get fy (c + 2));
+    set fd (a + 3) (get fx (b + 3) +. get fy (c + 3));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4
+  done;
+  let a = !pa and b = !pb and c = !pc in
+  for l = 0 to fin - a - 1 do set fd (a + l) (get fx (b + l) +. get fy (c + l)) done
+
+let[@inline never] lane_sub fd d fx x fy y width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x and pc = ref y in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc in
+    set fd a (get fx b -. get fy c);
+    set fd (a + 1) (get fx (b + 1) -. get fy (c + 1));
+    set fd (a + 2) (get fx (b + 2) -. get fy (c + 2));
+    set fd (a + 3) (get fx (b + 3) -. get fy (c + 3));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4
+  done;
+  let a = !pa and b = !pb and c = !pc in
+  for l = 0 to fin - a - 1 do set fd (a + l) (get fx (b + l) -. get fy (c + l)) done
+
+let[@inline never] lane_mul fd d fx x fy y width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x and pc = ref y in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc in
+    set fd a (get fx b *. get fy c);
+    set fd (a + 1) (get fx (b + 1) *. get fy (c + 1));
+    set fd (a + 2) (get fx (b + 2) *. get fy (c + 2));
+    set fd (a + 3) (get fx (b + 3) *. get fy (c + 3));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4
+  done;
+  let a = !pa and b = !pb and c = !pc in
+  for l = 0 to fin - a - 1 do set fd (a + l) (get fx (b + l) *. get fy (c + l)) done
+
+let[@inline never] lane_div fd d fx x fy y width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x and pc = ref y in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc in
+    set fd a (get fx b /. get fy c);
+    set fd (a + 1) (get fx (b + 1) /. get fy (c + 1));
+    set fd (a + 2) (get fx (b + 2) /. get fy (c + 2));
+    set fd (a + 3) (get fx (b + 3) /. get fy (c + 3));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4
+  done;
+  let a = !pa and b = !pb and c = !pc in
+  for l = 0 to fin - a - 1 do set fd (a + l) (get fx (b + l) /. get fy (c + l)) done
+
+let[@inline never] lane_lt fd d fx x fy y width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x and pc = ref y in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc in
+    set fd a (of_bool (get fx b < get fy c));
+    set fd (a + 1) (of_bool (get fx (b + 1) < get fy (c + 1)));
+    set fd (a + 2) (of_bool (get fx (b + 2) < get fy (c + 2)));
+    set fd (a + 3) (of_bool (get fx (b + 3) < get fy (c + 3)));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4
+  done;
+  let a = !pa and b = !pb and c = !pc in
+  for l = 0 to fin - a - 1 do set fd (a + l) (of_bool (get fx (b + l) < get fy (c + l))) done
+
+let[@inline never] lane_le fd d fx x fy y width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x and pc = ref y in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc in
+    set fd a (of_bool (get fx b <= get fy c));
+    set fd (a + 1) (of_bool (get fx (b + 1) <= get fy (c + 1)));
+    set fd (a + 2) (of_bool (get fx (b + 2) <= get fy (c + 2)));
+    set fd (a + 3) (of_bool (get fx (b + 3) <= get fy (c + 3)));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4
+  done;
+  let a = !pa and b = !pb and c = !pc in
+  for l = 0 to fin - a - 1 do set fd (a + l) (of_bool (get fx (b + l) <= get fy (c + l))) done
+
+let[@inline never] lane_gt fd d fx x fy y width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x and pc = ref y in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc in
+    set fd a (of_bool (get fx b > get fy c));
+    set fd (a + 1) (of_bool (get fx (b + 1) > get fy (c + 1)));
+    set fd (a + 2) (of_bool (get fx (b + 2) > get fy (c + 2)));
+    set fd (a + 3) (of_bool (get fx (b + 3) > get fy (c + 3)));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4
+  done;
+  let a = !pa and b = !pb and c = !pc in
+  for l = 0 to fin - a - 1 do set fd (a + l) (of_bool (get fx (b + l) > get fy (c + l))) done
+
+let[@inline never] lane_ge fd d fx x fy y width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x and pc = ref y in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc in
+    set fd a (of_bool (get fx b >= get fy c));
+    set fd (a + 1) (of_bool (get fx (b + 1) >= get fy (c + 1)));
+    set fd (a + 2) (of_bool (get fx (b + 2) >= get fy (c + 2)));
+    set fd (a + 3) (of_bool (get fx (b + 3) >= get fy (c + 3)));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4
+  done;
+  let a = !pa and b = !pb and c = !pc in
+  for l = 0 to fin - a - 1 do set fd (a + l) (of_bool (get fx (b + l) >= get fy (c + l))) done
+
+let[@inline never] lane_eq fd d fx x fy y width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x and pc = ref y in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc in
+    set fd a (of_bool (get fx b = get fy c));
+    set fd (a + 1) (of_bool (get fx (b + 1) = get fy (c + 1)));
+    set fd (a + 2) (of_bool (get fx (b + 2) = get fy (c + 2)));
+    set fd (a + 3) (of_bool (get fx (b + 3) = get fy (c + 3)));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4
+  done;
+  let a = !pa and b = !pb and c = !pc in
+  for l = 0 to fin - a - 1 do set fd (a + l) (of_bool (get fx (b + l) = get fy (c + l))) done
+
+let[@inline never] lane_ne fd d fx x fy y width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x and pc = ref y in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc in
+    set fd a (of_bool (get fx b <> get fy c));
+    set fd (a + 1) (of_bool (get fx (b + 1) <> get fy (c + 1)));
+    set fd (a + 2) (of_bool (get fx (b + 2) <> get fy (c + 2)));
+    set fd (a + 3) (of_bool (get fx (b + 3) <> get fy (c + 3)));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4
+  done;
+  let a = !pa and b = !pb and c = !pc in
+  for l = 0 to fin - a - 1 do set fd (a + l) (of_bool (get fx (b + l) <> get fy (c + l))) done
+
+let[@inline never] lane_and fd d fx x fy y width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x and pc = ref y in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc in
+    set fd a (Float.of_int (truth (get fx b) land truth (get fy c)));
+    set fd (a + 1) (Float.of_int (truth (get fx (b + 1)) land truth (get fy (c + 1))));
+    set fd (a + 2) (Float.of_int (truth (get fx (b + 2)) land truth (get fy (c + 2))));
+    set fd (a + 3) (Float.of_int (truth (get fx (b + 3)) land truth (get fy (c + 3))));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4
+  done;
+  let a = !pa and b = !pb and c = !pc in
+  for l = 0 to fin - a - 1 do set fd (a + l) (Float.of_int (truth (get fx (b + l)) land truth (get fy (c + l)))) done
+
+let[@inline never] lane_or fd d fx x fy y width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x and pc = ref y in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc in
+    set fd a (Float.of_int (truth (get fx b) lor truth (get fy c)));
+    set fd (a + 1) (Float.of_int (truth (get fx (b + 1)) lor truth (get fy (c + 1))));
+    set fd (a + 2) (Float.of_int (truth (get fx (b + 2)) lor truth (get fy (c + 2))));
+    set fd (a + 3) (Float.of_int (truth (get fx (b + 3)) lor truth (get fy (c + 3))));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4
+  done;
+  let a = !pa and b = !pb and c = !pc in
+  for l = 0 to fin - a - 1 do set fd (a + l) (Float.of_int (truth (get fx (b + l)) lor truth (get fy (c + l)))) done
+
+let[@inline never] lane_select_shared fd d fx x y fz z width =
+  let stop = d + (width land -4) and fin = d + width in
+  let e = y - z in
+  let pa = ref d and pb = ref x and pc = ref z in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc in
+    set fd a (get fz (c + (truth (get fx b) * e)));
+    set fd (a + 1) (get fz (c + 1 + (truth (get fx (b + 1)) * e)));
+    set fd (a + 2) (get fz (c + 2 + (truth (get fx (b + 2)) * e)));
+    set fd (a + 3) (get fz (c + 3 + (truth (get fx (b + 3)) * e)));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4
+  done;
+  let a = !pa and b = !pb and c = !pc in
+  for l = 0 to fin - a - 1 do
+    set fd (a + l) (get fz (c + l + (truth (get fx (b + l)) * e)))
+  done
+
+let[@inline never] lane_select fd d fx x fy y fz z width =
+  let n = width - 1 in
+  (* The branches live in two arrays: pick one per lane. *)
+  for l = 0 to n do
+    set fd (d + l) (if get fx (x + l) <> 0. then get fy (y + l) else get fz (z + l))
+  done
+
+let[@inline never] lane_sqrt fd d fx x width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x in
+  while !pa < stop do
+    let a = !pa and b = !pb in
+    set fd a (Float.sqrt (get fx b));
+    set fd (a + 1) (Float.sqrt (get fx (b + 1)));
+    set fd (a + 2) (Float.sqrt (get fx (b + 2)));
+    set fd (a + 3) (Float.sqrt (get fx (b + 3)));
+    pa := a + 4;
+    pb := b + 4
+  done;
+  let a = !pa and b = !pb in
+  for l = 0 to fin - a - 1 do set fd (a + l) (Float.sqrt (get fx (b + l))) done
+
+let[@inline never] lane_abs fd d fx x width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x in
+  while !pa < stop do
+    let a = !pa and b = !pb in
+    set fd a (Float.abs (get fx b));
+    set fd (a + 1) (Float.abs (get fx (b + 1)));
+    set fd (a + 2) (Float.abs (get fx (b + 2)));
+    set fd (a + 3) (Float.abs (get fx (b + 3)));
+    pa := a + 4;
+    pb := b + 4
+  done;
+  let a = !pa and b = !pb in
+  for l = 0 to fin - a - 1 do set fd (a + l) (Float.abs (get fx (b + l))) done
+
+let[@inline never] lane_exp fd d fx x width =
+  let n = width - 1 in
+  for l = 0 to n do set fd (d + l) (Float.exp (get fx (x + l))) done
+
+let[@inline never] lane_log fd d fx x width =
+  let n = width - 1 in
+  for l = 0 to n do set fd (d + l) (Float.log (get fx (x + l))) done
+
+let[@inline never] lane_sin fd d fx x width =
+  let n = width - 1 in
+  for l = 0 to n do set fd (d + l) (Float.sin (get fx (x + l))) done
+
+let[@inline never] lane_cos fd d fx x width =
+  let n = width - 1 in
+  for l = 0 to n do set fd (d + l) (Float.cos (get fx (x + l))) done
+
+let[@inline never] lane_floor fd d fx x width =
+  let n = width - 1 in
+  for l = 0 to n do set fd (d + l) (Float.floor (get fx (x + l))) done
+
+let[@inline never] lane_ceil fd d fx x width =
+  let n = width - 1 in
+  for l = 0 to n do set fd (d + l) (Float.ceil (get fx (x + l))) done
+
+let[@inline never] lane_pow fd d fx x fy y width =
+  let n = width - 1 in
+  for l = 0 to n do set fd (d + l) (Float.pow (get fx (x + l)) (get fy (y + l))) done
+
+let[@inline never] lane_min fd d fx x fy y width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x and pc = ref y in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc in
+    set fd a (fmin (get fx b) (get fy c));
+    set fd (a + 1) (fmin (get fx (b + 1)) (get fy (c + 1)));
+    set fd (a + 2) (fmin (get fx (b + 2)) (get fy (c + 2)));
+    set fd (a + 3) (fmin (get fx (b + 3)) (get fy (c + 3)));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4
+  done;
+  let a = !pa and b = !pb and c = !pc in
+  for l = 0 to fin - a - 1 do set fd (a + l) (fmin (get fx (b + l)) (get fy (c + l))) done
+
+let[@inline never] lane_max fd d fx x fy y width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x and pc = ref y in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc in
+    set fd a (fmax (get fx b) (get fy c));
+    set fd (a + 1) (fmax (get fx (b + 1)) (get fy (c + 1)));
+    set fd (a + 2) (fmax (get fx (b + 2)) (get fy (c + 2)));
+    set fd (a + 3) (fmax (get fx (b + 3)) (get fy (c + 3)));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4
+  done;
+  let a = !pa and b = !pb and c = !pc in
+  for l = 0 to fin - a - 1 do set fd (a + l) (fmax (get fx (b + l)) (get fy (c + l))) done
+
+let[@inline never] lane_scale_sub fd d fx x fy y fz z width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x and pc = ref y and pe = ref z in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc and e = !pe in
+    let v = get fx b in
+    set fd a (v *. (get fy c -. get fz e));
+    let v = get fx (b + 1) in
+    set fd (a + 1) (v *. (get fy (c + 1) -. get fz (e + 1)));
+    let v = get fx (b + 2) in
+    set fd (a + 2) (v *. (get fy (c + 2) -. get fz (e + 2)));
+    let v = get fx (b + 3) in
+    set fd (a + 3) (v *. (get fy (c + 3) -. get fz (e + 3)));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4;
+    pe := e + 4
+  done;
+  let a = !pa and b = !pb and c = !pc and e = !pe in
+  for l = 0 to fin - a - 1 do
+    let v = get fx (b + l) in
+    set fd (a + l) (v *. (get fy (c + l) -. get fz (e + l)))
+  done
+
+let[@inline never] lane_scale_add fd d fx x fy y fz z width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x and pc = ref y and pe = ref z in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc and e = !pe in
+    let v = get fx b in
+    set fd a (v *. (get fy c +. get fz e));
+    let v = get fx (b + 1) in
+    set fd (a + 1) (v *. (get fy (c + 1) +. get fz (e + 1)));
+    let v = get fx (b + 2) in
+    set fd (a + 2) (v *. (get fy (c + 2) +. get fz (e + 2)));
+    let v = get fx (b + 3) in
+    set fd (a + 3) (v *. (get fy (c + 3) +. get fz (e + 3)));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4;
+    pe := e + 4
+  done;
+  let a = !pa and b = !pb and c = !pc and e = !pe in
+  for l = 0 to fin - a - 1 do
+    let v = get fx (b + l) in
+    set fd (a + l) (v *. (get fy (c + l) +. get fz (e + l)))
+  done
+
+let[@inline never] lane_add_add fd d fx x fy y fz z width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x and pc = ref y and pe = ref z in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc and e = !pe in
+    set fd a ((get fx b +. get fy c) +. get fz e);
+    set fd (a + 1) ((get fx (b + 1) +. get fy (c + 1)) +. get fz (e + 1));
+    set fd (a + 2) ((get fx (b + 2) +. get fy (c + 2)) +. get fz (e + 2));
+    set fd (a + 3) ((get fx (b + 3) +. get fy (c + 3)) +. get fz (e + 3));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4;
+    pe := e + 4
+  done;
+  let a = !pa and b = !pb and c = !pc and e = !pe in
+  for l = 0 to fin - a - 1 do set fd (a + l) ((get fx (b + l) +. get fy (c + l)) +. get fz (e + l)) done
+
+let[@inline never] lane_sub_add fd d fx x fy y fz z width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x and pc = ref y and pe = ref z in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc and e = !pe in
+    set fd a ((get fx b -. get fy c) +. get fz e);
+    set fd (a + 1) ((get fx (b + 1) -. get fy (c + 1)) +. get fz (e + 1));
+    set fd (a + 2) ((get fx (b + 2) -. get fy (c + 2)) +. get fz (e + 2));
+    set fd (a + 3) ((get fx (b + 3) -. get fy (c + 3)) +. get fz (e + 3));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4;
+    pe := e + 4
+  done;
+  let a = !pa and b = !pb and c = !pc and e = !pe in
+  for l = 0 to fin - a - 1 do set fd (a + l) ((get fx (b + l) -. get fy (c + l)) +. get fz (e + l)) done
+
+let[@inline never] lane_mul_add fd d fx x fy y fz z width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x and pc = ref y and pe = ref z in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc and e = !pe in
+    set fd a ((get fx b *. get fy c) +. get fz e);
+    set fd (a + 1) ((get fx (b + 1) *. get fy (c + 1)) +. get fz (e + 1));
+    set fd (a + 2) ((get fx (b + 2) *. get fy (c + 2)) +. get fz (e + 2));
+    set fd (a + 3) ((get fx (b + 3) *. get fy (c + 3)) +. get fz (e + 3));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4;
+    pe := e + 4
+  done;
+  let a = !pa and b = !pb and c = !pc and e = !pe in
+  for l = 0 to fin - a - 1 do set fd (a + l) ((get fx (b + l) *. get fy (c + l)) +. get fz (e + l)) done
+
+let[@inline never] lane_mul_sub fd d fx x fy y fz z width =
+  let stop = d + (width land -4) and fin = d + width in
+  let pa = ref d and pb = ref x and pc = ref y and pe = ref z in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc and e = !pe in
+    set fd a ((get fx b *. get fy c) -. get fz e);
+    set fd (a + 1) ((get fx (b + 1) *. get fy (c + 1)) -. get fz (e + 1));
+    set fd (a + 2) ((get fx (b + 2) *. get fy (c + 2)) -. get fz (e + 2));
+    set fd (a + 3) ((get fx (b + 3) *. get fy (c + 3)) -. get fz (e + 3));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4;
+    pe := e + 4
+  done;
+  let a = !pa and b = !pb and c = !pc and e = !pe in
+  for l = 0 to fin - a - 1 do set fd (a + l) ((get fx (b + l) *. get fy (c + l)) -. get fz (e + l)) done
+
+let[@inline never] lane_select_gt_shared fd d fx x fy y z fw w width =
+  let stop = d + (width land -4) and fin = d + width in
+  let e = z - w in
+  let pa = ref d and pb = ref x and pc = ref y and pf = ref w in
+  while !pa < stop do
+    let a = !pa and b = !pb and c = !pc and f = !pf in
+    set fd a (get fw (f + (Bool.to_int (get fx b > get fy c) * e)));
+    set fd (a + 1) (get fw (f + 1 + (Bool.to_int (get fx (b + 1) > get fy (c + 1)) * e)));
+    set fd (a + 2) (get fw (f + 2 + (Bool.to_int (get fx (b + 2) > get fy (c + 2)) * e)));
+    set fd (a + 3) (get fw (f + 3 + (Bool.to_int (get fx (b + 3) > get fy (c + 3)) * e)));
+    pa := a + 4;
+    pb := b + 4;
+    pc := c + 4;
+    pf := f + 4
+  done;
+  let a = !pa and b = !pb and c = !pc and f = !pf in
+  for l = 0 to fin - a - 1 do
+    set fd (a + l) (get fw (f + l + (Bool.to_int (get fx (b + l) > get fy (c + l)) * e)))
+  done
+
+let[@inline never] lane_select_gt fd d fx x fy y fz z fw w width =
+  let n = width - 1 in
+  for l = 0 to n do
+    set fd (d + l) (if get fx (x + l) > get fy (y + l) then get fz (z + l) else get fw (w + l))
+  done
+
+(* One instruction: its operation's lane loop. *)
+let run op ~fd ~d ~fx ~x ~fy ~y ~fz ~z ~fw ~w ~width =
   match op with
-  | Neg ->
-      while !j < t do
-        let a = d + !j and b = x + !j in
-        set fr a (-.get fr b);
-        set fr (a + 1) (-.get fr (b + 1));
-        set fr (a + 2) (-.get fr (b + 2));
-        set fr (a + 3) (-.get fr (b + 3));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) (-.get fr (x + l)) done
-  | Not ->
-      while !j < t do
-        let a = d + !j and b = x + !j in
-        set fr a (of_bool (get fr b = 0.));
-        set fr (a + 1) (of_bool (get fr (b + 1) = 0.));
-        set fr (a + 2) (of_bool (get fr (b + 2) = 0.));
-        set fr (a + 3) (of_bool (get fr (b + 3) = 0.));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) (of_bool (get fr (x + l) = 0.)) done
-  | Add ->
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j in
-        set fr a (get fr b +. get fr c);
-        set fr (a + 1) (get fr (b + 1) +. get fr (c + 1));
-        set fr (a + 2) (get fr (b + 2) +. get fr (c + 2));
-        set fr (a + 3) (get fr (b + 3) +. get fr (c + 3));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) (get fr (x + l) +. get fr (y + l)) done
-  | Sub ->
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j in
-        set fr a (get fr b -. get fr c);
-        set fr (a + 1) (get fr (b + 1) -. get fr (c + 1));
-        set fr (a + 2) (get fr (b + 2) -. get fr (c + 2));
-        set fr (a + 3) (get fr (b + 3) -. get fr (c + 3));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) (get fr (x + l) -. get fr (y + l)) done
-  | Mul ->
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j in
-        set fr a (get fr b *. get fr c);
-        set fr (a + 1) (get fr (b + 1) *. get fr (c + 1));
-        set fr (a + 2) (get fr (b + 2) *. get fr (c + 2));
-        set fr (a + 3) (get fr (b + 3) *. get fr (c + 3));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) (get fr (x + l) *. get fr (y + l)) done
-  | Div ->
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j in
-        set fr a (get fr b /. get fr c);
-        set fr (a + 1) (get fr (b + 1) /. get fr (c + 1));
-        set fr (a + 2) (get fr (b + 2) /. get fr (c + 2));
-        set fr (a + 3) (get fr (b + 3) /. get fr (c + 3));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) (get fr (x + l) /. get fr (y + l)) done
-  | Lt ->
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j in
-        set fr a (of_bool (get fr b < get fr c));
-        set fr (a + 1) (of_bool (get fr (b + 1) < get fr (c + 1)));
-        set fr (a + 2) (of_bool (get fr (b + 2) < get fr (c + 2)));
-        set fr (a + 3) (of_bool (get fr (b + 3) < get fr (c + 3)));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) (of_bool (get fr (x + l) < get fr (y + l))) done
-  | Le ->
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j in
-        set fr a (of_bool (get fr b <= get fr c));
-        set fr (a + 1) (of_bool (get fr (b + 1) <= get fr (c + 1)));
-        set fr (a + 2) (of_bool (get fr (b + 2) <= get fr (c + 2)));
-        set fr (a + 3) (of_bool (get fr (b + 3) <= get fr (c + 3)));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) (of_bool (get fr (x + l) <= get fr (y + l))) done
-  | Gt ->
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j in
-        set fr a (of_bool (get fr b > get fr c));
-        set fr (a + 1) (of_bool (get fr (b + 1) > get fr (c + 1)));
-        set fr (a + 2) (of_bool (get fr (b + 2) > get fr (c + 2)));
-        set fr (a + 3) (of_bool (get fr (b + 3) > get fr (c + 3)));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) (of_bool (get fr (x + l) > get fr (y + l))) done
-  | Ge ->
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j in
-        set fr a (of_bool (get fr b >= get fr c));
-        set fr (a + 1) (of_bool (get fr (b + 1) >= get fr (c + 1)));
-        set fr (a + 2) (of_bool (get fr (b + 2) >= get fr (c + 2)));
-        set fr (a + 3) (of_bool (get fr (b + 3) >= get fr (c + 3)));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) (of_bool (get fr (x + l) >= get fr (y + l))) done
-  | Eq ->
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j in
-        set fr a (of_bool (get fr b = get fr c));
-        set fr (a + 1) (of_bool (get fr (b + 1) = get fr (c + 1)));
-        set fr (a + 2) (of_bool (get fr (b + 2) = get fr (c + 2)));
-        set fr (a + 3) (of_bool (get fr (b + 3) = get fr (c + 3)));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) (of_bool (get fr (x + l) = get fr (y + l))) done
-  | Ne ->
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j in
-        set fr a (of_bool (get fr b <> get fr c));
-        set fr (a + 1) (of_bool (get fr (b + 1) <> get fr (c + 1)));
-        set fr (a + 2) (of_bool (get fr (b + 2) <> get fr (c + 2)));
-        set fr (a + 3) (of_bool (get fr (b + 3) <> get fr (c + 3)));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) (of_bool (get fr (x + l) <> get fr (y + l))) done
-  | And ->
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j in
-        set fr a (Float.of_int (truth (get fr b) land truth (get fr c)));
-        set fr (a + 1) (Float.of_int (truth (get fr (b + 1)) land truth (get fr (c + 1))));
-        set fr (a + 2) (Float.of_int (truth (get fr (b + 2)) land truth (get fr (c + 2))));
-        set fr (a + 3) (Float.of_int (truth (get fr (b + 3)) land truth (get fr (c + 3))));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) (Float.of_int (truth (get fr (x + l)) land truth (get fr (y + l)))) done
-  | Or ->
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j in
-        set fr a (Float.of_int (truth (get fr b) lor truth (get fr c)));
-        set fr (a + 1) (Float.of_int (truth (get fr (b + 1)) lor truth (get fr (c + 1))));
-        set fr (a + 2) (Float.of_int (truth (get fr (b + 2)) lor truth (get fr (c + 2))));
-        set fr (a + 3) (Float.of_int (truth (get fr (b + 3)) lor truth (get fr (c + 3))));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) (Float.of_int (truth (get fr (x + l)) lor truth (get fr (y + l)))) done
-  | Select ->
-      let e = y - z in
-      while !j < t do
-        let a = d + !j and b = x + !j and c = z + !j in
-        set fr a (get fr (c + (truth (get fr b) * e)));
-        set fr (a + 1) (get fr (c + 1 + (truth (get fr (b + 1)) * e)));
-        set fr (a + 2) (get fr (c + 2 + (truth (get fr (b + 2)) * e)));
-        set fr (a + 3) (get fr (c + 3 + (truth (get fr (b + 3)) * e)));
-        j := !j + 4
-      done;
-      for l = t to n do
-        set fr (d + l) (get fr (z + l + (truth (get fr (x + l)) * e)))
-      done
-  | Sqrt ->
-      while !j < t do
-        let a = d + !j and b = x + !j in
-        set fr a (Float.sqrt (get fr b));
-        set fr (a + 1) (Float.sqrt (get fr (b + 1)));
-        set fr (a + 2) (Float.sqrt (get fr (b + 2)));
-        set fr (a + 3) (Float.sqrt (get fr (b + 3)));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) (Float.sqrt (get fr (x + l))) done
-  | Abs ->
-      while !j < t do
-        let a = d + !j and b = x + !j in
-        set fr a (Float.abs (get fr b));
-        set fr (a + 1) (Float.abs (get fr (b + 1)));
-        set fr (a + 2) (Float.abs (get fr (b + 2)));
-        set fr (a + 3) (Float.abs (get fr (b + 3)));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) (Float.abs (get fr (x + l))) done
-  | Exp -> for l = 0 to n do set fr (d + l) (Float.exp (get fr (x + l))) done
-  | Log -> for l = 0 to n do set fr (d + l) (Float.log (get fr (x + l))) done
-  | Sin -> for l = 0 to n do set fr (d + l) (Float.sin (get fr (x + l))) done
-  | Cos -> for l = 0 to n do set fr (d + l) (Float.cos (get fr (x + l))) done
-  | Floor -> for l = 0 to n do set fr (d + l) (Float.floor (get fr (x + l))) done
-  | Ceil -> for l = 0 to n do set fr (d + l) (Float.ceil (get fr (x + l))) done
-  | Pow -> for l = 0 to n do set fr (d + l) (Float.pow (get fr (x + l)) (get fr (y + l))) done
-  | Min ->
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j in
-        set fr a (fmin (get fr b) (get fr c));
-        set fr (a + 1) (fmin (get fr (b + 1)) (get fr (c + 1)));
-        set fr (a + 2) (fmin (get fr (b + 2)) (get fr (c + 2)));
-        set fr (a + 3) (fmin (get fr (b + 3)) (get fr (c + 3)));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) (fmin (get fr (x + l)) (get fr (y + l))) done
-  | Max ->
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j in
-        set fr a (fmax (get fr b) (get fr c));
-        set fr (a + 1) (fmax (get fr (b + 1)) (get fr (c + 1)));
-        set fr (a + 2) (fmax (get fr (b + 2)) (get fr (c + 2)));
-        set fr (a + 3) (fmax (get fr (b + 3)) (get fr (c + 3)));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) (fmax (get fr (x + l)) (get fr (y + l))) done
-  | Scale_sub ->
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j and e = z + !j in
-        let v = get fr b in
-        set fr a (v *. (get fr c -. get fr e));
-        let v = get fr (b + 1) in
-        set fr (a + 1) (v *. (get fr (c + 1) -. get fr (e + 1)));
-        let v = get fr (b + 2) in
-        set fr (a + 2) (v *. (get fr (c + 2) -. get fr (e + 2)));
-        let v = get fr (b + 3) in
-        set fr (a + 3) (v *. (get fr (c + 3) -. get fr (e + 3)));
-        j := !j + 4
-      done;
-      for l = t to n do
-        let v = get fr (x + l) in
-        set fr (d + l) (v *. (get fr (y + l) -. get fr (z + l)))
-      done
-  | Scale_add ->
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j and e = z + !j in
-        let v = get fr b in
-        set fr a (v *. (get fr c +. get fr e));
-        let v = get fr (b + 1) in
-        set fr (a + 1) (v *. (get fr (c + 1) +. get fr (e + 1)));
-        let v = get fr (b + 2) in
-        set fr (a + 2) (v *. (get fr (c + 2) +. get fr (e + 2)));
-        let v = get fr (b + 3) in
-        set fr (a + 3) (v *. (get fr (c + 3) +. get fr (e + 3)));
-        j := !j + 4
-      done;
-      for l = t to n do
-        let v = get fr (x + l) in
-        set fr (d + l) (v *. (get fr (y + l) +. get fr (z + l)))
-      done
-  | Add_add ->
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j and e = z + !j in
-        set fr a ((get fr b +. get fr c) +. get fr e);
-        set fr (a + 1) ((get fr (b + 1) +. get fr (c + 1)) +. get fr (e + 1));
-        set fr (a + 2) ((get fr (b + 2) +. get fr (c + 2)) +. get fr (e + 2));
-        set fr (a + 3) ((get fr (b + 3) +. get fr (c + 3)) +. get fr (e + 3));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) ((get fr (x + l) +. get fr (y + l)) +. get fr (z + l)) done
-  | Sub_add ->
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j and e = z + !j in
-        set fr a ((get fr b -. get fr c) +. get fr e);
-        set fr (a + 1) ((get fr (b + 1) -. get fr (c + 1)) +. get fr (e + 1));
-        set fr (a + 2) ((get fr (b + 2) -. get fr (c + 2)) +. get fr (e + 2));
-        set fr (a + 3) ((get fr (b + 3) -. get fr (c + 3)) +. get fr (e + 3));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) ((get fr (x + l) -. get fr (y + l)) +. get fr (z + l)) done
-  | Mul_add ->
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j and e = z + !j in
-        set fr a ((get fr b *. get fr c) +. get fr e);
-        set fr (a + 1) ((get fr (b + 1) *. get fr (c + 1)) +. get fr (e + 1));
-        set fr (a + 2) ((get fr (b + 2) *. get fr (c + 2)) +. get fr (e + 2));
-        set fr (a + 3) ((get fr (b + 3) *. get fr (c + 3)) +. get fr (e + 3));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) ((get fr (x + l) *. get fr (y + l)) +. get fr (z + l)) done
-  | Mul_sub ->
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j and e = z + !j in
-        set fr a ((get fr b *. get fr c) -. get fr e);
-        set fr (a + 1) ((get fr (b + 1) *. get fr (c + 1)) -. get fr (e + 1));
-        set fr (a + 2) ((get fr (b + 2) *. get fr (c + 2)) -. get fr (e + 2));
-        set fr (a + 3) ((get fr (b + 3) *. get fr (c + 3)) -. get fr (e + 3));
-        j := !j + 4
-      done;
-      for l = t to n do set fr (d + l) ((get fr (x + l) *. get fr (y + l)) -. get fr (z + l)) done
-  | Select_gt ->
-      let e = z - w in
-      while !j < t do
-        let a = d + !j and b = x + !j and c = y + !j and f = w + !j in
-        set fr a (get fr (f + (Bool.to_int (get fr b > get fr c) * e)));
-        set fr (a + 1) (get fr (f + 1 + (Bool.to_int (get fr (b + 1) > get fr (c + 1)) * e)));
-        set fr (a + 2) (get fr (f + 2 + (Bool.to_int (get fr (b + 2) > get fr (c + 2)) * e)));
-        set fr (a + 3) (get fr (f + 3 + (Bool.to_int (get fr (b + 3) > get fr (c + 3)) * e)));
-        j := !j + 4
-      done;
-      for l = t to n do
-        set fr (d + l) (get fr (w + l + (Bool.to_int (get fr (x + l) > get fr (y + l)) * e)))
-      done
+  | Neg -> lane_neg fd d fx x width
+  | Not -> lane_not fd d fx x width
+  | Add -> lane_add fd d fx x fy y width
+  | Sub -> lane_sub fd d fx x fy y width
+  | Mul -> lane_mul fd d fx x fy y width
+  | Div -> lane_div fd d fx x fy y width
+  | Lt -> lane_lt fd d fx x fy y width
+  | Le -> lane_le fd d fx x fy y width
+  | Gt -> lane_gt fd d fx x fy y width
+  | Ge -> lane_ge fd d fx x fy y width
+  | Eq -> lane_eq fd d fx x fy y width
+  | Ne -> lane_ne fd d fx x fy y width
+  | And -> lane_and fd d fx x fy y width
+  | Or -> lane_or fd d fx x fy y width
+  | Select when fy == fz -> lane_select_shared fd d fx x y fz z width
+  | Select -> lane_select fd d fx x fy y fz z width
+  | Sqrt -> lane_sqrt fd d fx x width
+  | Abs -> lane_abs fd d fx x width
+  | Exp -> lane_exp fd d fx x width
+  | Log -> lane_log fd d fx x width
+  | Sin -> lane_sin fd d fx x width
+  | Cos -> lane_cos fd d fx x width
+  | Floor -> lane_floor fd d fx x width
+  | Ceil -> lane_ceil fd d fx x width
+  | Pow -> lane_pow fd d fx x fy y width
+  | Min -> lane_min fd d fx x fy y width
+  | Max -> lane_max fd d fx x fy y width
+  | Scale_sub -> lane_scale_sub fd d fx x fy y fz z width
+  | Scale_add -> lane_scale_add fd d fx x fy y fz z width
+  | Add_add -> lane_add_add fd d fx x fy y fz z width
+  | Sub_add -> lane_sub_add fd d fx x fy y fz z width
+  | Mul_add -> lane_mul_add fd d fx x fy y fz z width
+  | Mul_sub -> lane_mul_sub fd d fx x fy y fz z width
+  | Select_gt when fz == fw -> lane_select_gt_shared fd d fx x fy y z fw w width
+  | Select_gt -> lane_select_gt fd d fx x fy y fz z fw w width
 
 (* The list a dispatch of [lanes] cells from lane [col] of row [row] of
    its plane runs: the full list in the prologue rows, else the rolling
@@ -858,63 +1127,85 @@ let[@inline] list_index p ~row ~col ~lanes =
 
 (* Instruction [i] runs over the dispatch's lanes widened by its class's
    shift spread ([extra]); a slot's cells are relative to the dispatch,
-   a ring's absolute (see [cell]). *)
-let exec p ~idx ~lanes fr =
-  let slots = p.n_slots + ring_rows p in
-  let stride = Array.length fr / slots in
+   where the slot is bound, a ring's absolute (see [cell]). *)
+let exec p ~idx ~lanes fr ~dst ~at =
+  let stride = fr.stride in
   let rank = Array.length idx in
   let col = if rank > 0 then idx.(rank - 1) else 0 and row = if rank > 1 then idx.(rank - 2) else 0 in
-  if lanes < 1 || lanes + p.pad > stride || stride * slots <> Array.length fr
+  if lanes < 1 || lanes + p.pad > stride || Array.length fr.arrays <> p.n_slots
+     || Array.length fr.cells <> (p.n_slots + ring_rows p) * stride
      || (p.rings > 0 && (col < 0 || row < 0 || col + lanes + p.pad > stride))
   then invalid_arg "Compile.exec: the frame does not hold [lanes] lanes";
+  if at < 0 || at >= Array.length dst || lanes > Array.length dst then
+    invalid_arg "Compile.exec: the destination does not hold [lanes] lanes";
+  (* The result's instruction writes the caller's row itself unless the
+     row wraps; any other result is copied there at the end. *)
+  let direct = p.in_place && at + lanes <= Array.length dst in
+  if direct then bind fr p.result dst at
+  else if p.in_place then bind fr p.result fr.cells (p.result * stride);
   let args = p.args and m = p.period in
   let q = if p.rings > 0 then row mod m else 0 in
   let k = list_index p ~row ~col ~lanes in
   let list = p.lists.(k) and ends = k >= 1 && k <= 3 in
+  let arrays = fr.arrays and bases = fr.bases in
   for j = 0 to Array.length list - 1 do
     let i = Array.unsafe_get list j in
     let a = per_instr * i in
     let op = Array.unsafe_get p.ops i and extra = Array.unsafe_get args (a + 15) in
     let width = lanes + extra in
-    if Array.unsafe_get args (a + 18) = 0 then
+    if Array.unsafe_get args (a + 18) = 0 then begin
       (* No ring: every reference is a slot, relative to the dispatch. *)
-      run op fr
-        ~d:(Array.unsafe_get args a * stride)
-        ~x:((Array.unsafe_get args (a + 3) * stride) + Array.unsafe_get args (a + 4))
-        ~y:((Array.unsafe_get args (a + 6) * stride) + Array.unsafe_get args (a + 7))
-        ~z:((Array.unsafe_get args (a + 9) * stride) + Array.unsafe_get args (a + 10))
-        ~w:((Array.unsafe_get args (a + 12) * stride) + Array.unsafe_get args (a + 13))
+      let sd = Array.unsafe_get args a
+      and sx = Array.unsafe_get args (a + 3)
+      and sy = Array.unsafe_get args (a + 6)
+      and sz = Array.unsafe_get args (a + 9)
+      and sw = Array.unsafe_get args (a + 12) in
+      run op ~fd:(Array.unsafe_get arrays sd) ~d:(Array.unsafe_get bases sd)
+        ~fx:(Array.unsafe_get arrays sx) ~x:(Array.unsafe_get bases sx + Array.unsafe_get args (a + 4))
+        ~fy:(Array.unsafe_get arrays sy) ~y:(Array.unsafe_get bases sy + Array.unsafe_get args (a + 7))
+        ~fz:(Array.unsafe_get arrays sz) ~z:(Array.unsafe_get bases sz + Array.unsafe_get args (a + 10))
+        ~fw:(Array.unsafe_get arrays sw) ~w:(Array.unsafe_get bases sw + Array.unsafe_get args (a + 13))
         ~width
+    end
     else begin
-      let d = cell args a ~stride ~col ~q ~m
-      and x = cell args (a + 3) ~stride ~col ~q ~m
-      and y = cell args (a + 6) ~stride ~col ~q ~m
-      and z = cell args (a + 9) ~stride ~col ~q ~m
-      and w = cell args (a + 12) ~stride ~col ~q ~m in
+      let fd = array fr args a and fx = array fr args (a + 3) and fy = array fr args (a + 6)
+      and fz = array fr args (a + 9) and fw = array fr args (a + 12) in
+      let d = cell fr args a ~col ~q ~m
+      and x = cell fr args (a + 3) ~col ~q ~m
+      and y = cell fr args (a + 6) ~col ~q ~m
+      and z = cell fr args (a + 9) ~col ~q ~m
+      and w = cell fr args (a + 12) ~col ~q ~m in
       if ends && Array.unsafe_get args (a + 18) = 2 then begin
         (* A variant at a row's ends computes only the lanes its top
            did not write: before the top's least lane, and after its
            greatest. *)
         let c1 = Int.min width (Array.unsafe_get args (a + 16) - col) in
-        if c1 > 0 then run op fr ~d ~x ~y ~z ~w ~width:c1;
+        if c1 > 0 then run op ~fd ~d ~fx ~x ~fy ~y ~fz ~z ~fw ~w ~width:c1;
         let c0 = Int.max (Int.max c1 0) (p.cols - col + extra - Array.unsafe_get args (a + 17)) in
         if c0 < width then
-          run op fr ~d:(d + c0) ~x:(x + c0) ~y:(y + c0) ~z:(z + c0) ~w:(w + c0) ~width:(width - c0)
+          run op ~fd ~d:(d + c0) ~fx ~x:(x + c0) ~fy ~y:(y + c0) ~fz ~z:(z + c0) ~fw ~w:(w + c0)
+            ~width:(width - c0)
       end
-      else run op fr ~d ~x ~y ~z ~w ~width
+      else run op ~fd ~d ~fx ~x ~fy ~y ~fz ~z ~fw ~w ~width
     end
-  done
+  done;
+  if not direct then begin
+    let r = Array.unsafe_get arrays p.result and s = Array.unsafe_get bases p.result + p.result_off in
+    let n = Int.min lanes (Array.length dst - at) in
+    Array.blit r s dst at n;
+    if n < lanes then Array.blit r (s + n) dst 0 (lanes - n)
+  end
 
 let body ~access b =
   let p = lower ~lane:(fun _ -> Fixed) b in
   let reads = Array.map (fun (field, offsets) -> access ~field ~offsets) p.loads in
-  let fr = frame p ~lanes:1 and idx = [| 0 |] in
+  let fr = frame p ~lanes:1 and idx = [| 0 |] and out = [| 0. |] in
   fun ctx ->
     for k = 0 to Array.length reads - 1 do
-      fr.(k) <- reads.(k) ctx
+      fr.cells.(k * fr.stride) <- reads.(k) ctx
     done;
-    exec p ~idx ~lanes:1 fr;
-    fr.(p.result)
+    exec p ~idx ~lanes:1 fr ~dst:out ~at:0;
+    out.(0)
 
 (* Loads ------------------------------------------------------------------ *)
 
@@ -952,7 +1243,7 @@ type tap = {
   boundary : Boundary.t;
 }
 
-type taps = { prog : program; taps : tap array }
+type taps = { prog : program; taps : tap array; mutable copied : int; mutable bound : int }
 
 let taps p ~shape source =
   let taps =
@@ -976,17 +1267,24 @@ let taps p ~shape source =
       { src; axes; extents; strides; offsets; step; shift = !shift; extra; boundary })
     p.loads
   in
-  { prog = p; taps }
+  { prog = p; taps; copied = 0; bound = 0 }
 
-(* Copy [len] stream elements, [e], [e + step], ... ([step] is 0 or 1),
-   into [fr] from [dst]. Every element read must be among the last
-   [span]; element [e] then sits [newest - e] places behind [head]. A
-   run is at most two blits, split where it wraps the ring; a step-0 run
-   stores one element (a loop: [Array.fill] would box it). *)
-let[@inline] read_run r e step fr dst len =
+let load_runs t = (t.copied, t.bound)
+
+(* The ring index of stream element [e], the first of [len] elements
+   [e], [e + step], ... ([step] is 0 or 1). Every element read must be
+   among the last [span]; element [e] then sits [newest - e] places
+   behind [head]. *)
+let[@inline] locate r e step len =
   assert (e >= 0 && e > r.newest - r.span && e + (step * (len - 1)) <= r.newest);
   let i = r.head - (r.newest - e) in
-  let i = if i < 0 then i + r.cap else i in
+  if i < 0 then i + r.cap else i
+
+(* Copy [len] stream elements from [e] into [fr] from [dst]: at most two
+   blits, split where the run wraps the ring; a step-0 run stores one
+   element (a loop: [Array.fill] would box it). *)
+let[@inline] read_run r e step fr dst len =
+  let i = locate r e step len in
   if step = 0 then begin
     let x = r.data.(i) in
     for l = dst to dst + len - 1 do
@@ -999,7 +1297,7 @@ let[@inline] read_run r e step fr dst len =
     if m < len then Array.blit r.data 0 fr (dst + m) (len - m)
   end
 
-let fill_slot t ~idx ~lanes fr ~dst oob =
+let fill_slot ts t ~idx ~lanes fr slot oob =
   let width = lanes + t.extra in
   let fixed = Array.length t.axes - t.step in
   let center = ref 0 and in_bounds = ref true in
@@ -1020,15 +1318,29 @@ let fill_slot t ~idx ~lanes fr ~dst oob =
       (lo, Int.max lo (Int.min width (t.extents.(fixed) - target)))
     end
   in
-  if hi > lo then read_run t.src (!center + t.shift + (t.step * lo)) t.step fr (dst + lo) (hi - lo);
-  (* The other cells take the boundary value (a [Copy] tap has no extra
-     cells: cell [l] is lane [l], which reads its own cell). *)
-  for k = 0 to lo + width - hi - 1 do
-    let l = if k < lo then k else hi + k - lo in
-    match t.boundary with
-    | Boundary.Constant c -> fr.(dst + l) <- c
-    | Boundary.Copy -> read_run t.src (!center + (t.step * l)) 0 fr (dst + l) 1
-  done;
+  (* A run wholly in bounds along the innermost axis that does not wrap
+     the ring is read where it lies; any other run is copied into the
+     slot's cells. *)
+  let e = !center + t.shift in
+  let i = if t.step = 1 && lo = 0 && hi = width then locate t.src e 1 width else -1 in
+  if i >= 0 && i + width <= t.src.cap then begin
+    bind fr slot t.src.data i;
+    ts.bound <- ts.bound + 1
+  end
+  else begin
+    let dst = slot * fr.stride in
+    bind fr slot fr.cells dst;
+    ts.copied <- ts.copied + 1;
+    if hi > lo then read_run t.src (e + (t.step * lo)) t.step fr.cells (dst + lo) (hi - lo);
+    (* The other cells take the boundary value (a [Copy] tap has no extra
+       cells: cell [l] is lane [l], which reads its own cell). *)
+    for k = 0 to lo + width - hi - 1 do
+      let l = if k < lo then k else hi + k - lo in
+      match t.boundary with
+      | Boundary.Constant c -> fr.cells.(dst + l) <- c
+      | Boundary.Copy -> read_run t.src (!center + (t.step * l)) 0 fr.cells (dst + l) 1
+    done
+  end;
   (* Lane [l]'s loads read cells [l] to [l + extra], both ends among
      them: its cell is marked for shrink validity if either end is out
      of bounds. *)
@@ -1042,9 +1354,8 @@ let fill_slot t ~idx ~lanes fr ~dst oob =
         oob.(l) <- true
       done
 
-let fill ?oob { prog; taps } ~idx ~lanes ~stride fr =
-  if Array.length taps * stride > Array.length fr then
-    invalid_arg "Compile.fill: the frame is too small for [lanes]";
+let fill ?oob ({ prog; taps; _ } as ts) ~idx ~lanes fr =
+  if Array.length fr.arrays <> prog.n_slots then invalid_arg "Compile.fill: the frame is not the program's";
   (match oob with
   | Some oob ->
       if Array.length oob < lanes then invalid_arg "Compile.fill: the flags are too small for [lanes]";
@@ -1057,8 +1368,8 @@ let fill ?oob { prog; taps } ~idx ~lanes ~stride fr =
   in
   for slot = 0 to Array.length taps - 1 do
     let t = taps.(slot) in
-    if lanes + t.extra > stride then invalid_arg "Compile.fill: a run is wider than the stride";
-    if Option.is_some oob || reads.(slot) then fill_slot t ~idx ~lanes fr ~dst:(slot * stride) oob
+    if lanes + t.extra > fr.stride then invalid_arg "Compile.fill: a run is wider than the stride";
+    if Option.is_some oob || reads.(slot) then fill_slot ts t ~idx ~lanes fr slot oob
   done
 
 let rec advance ~shape idx d inc =

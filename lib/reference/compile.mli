@@ -35,11 +35,13 @@
     bit-identical. Shifts along the plane axis (axis 0 of a 3-D program)
     are not shared: their rings would hold whole planes.
 
-    Each load class is a slot the caller fills ({!fill}) with one run,
-    constants are slots filled when the frame is made, and each other
-    class is one instruction in depth-first post-order, whose value takes
-    the slot of a dead one where it can (a ring's classes take rows of
-    their ring instead). A computed class that exactly one operand of the
+    Each load class is a slot the caller binds ({!fill}) to one run,
+    constants are slots filled when the frame is made, a computed result
+    takes a slot of its own, and each other class is one instruction in
+    depth-first post-order, whose value takes the slot of a dead
+    computed value where it can (a ring's classes take rows of their
+    ring instead). No instruction writes a load's slot, and only the
+    result's instruction writes the result's. A computed class that exactly one operand of the
     body reads, and that is not the result, folds into its reader when
     the pair is a fused form: [x * (y - z)], [x * (y + z)], [(x + y) + z],
     [(x - y) + z], [(x * y) + z], [(x * y) - z] or
@@ -49,9 +51,11 @@
     it in the paper's stencil units (Sec. III-A, Fig. 12); the folded
     class has no instruction and no slot.
 
-    {!exec} runs the program over [lanes] cells held in one unboxed
-    [float array], dispatching each instruction once and then looping
-    over its cells, four per iteration, without allocating: one control
+    {!exec} runs the program over [lanes] cells of unboxed [float
+    array]s, each operand read where its slot is bound (a load where its
+    run lies in the caller's ring or tensor, when that run needs no
+    copy), dispatching each instruction once and then looping over its
+    cells, four per iteration, without allocating: one control
     step drives W lanes, as in the paper's stencil units (Sec. III-A,
     IV-C). The reference interpreter runs a row per dispatch; a
     simulated stencil unit runs the words of one row segment, one word
@@ -122,33 +126,56 @@ val stride : program -> lanes:int -> int
     {!lower} plus the widest ring's lane spread, since a ring row holds
     a whole row. *)
 
-val result : program -> stride:int -> int
-(** The frame cell holding lane 0's result; lane [l]'s is [l] after it. *)
+type frame
+(** The scratch of one evaluation: the cells of the slots and ring rows,
+    and, per slot, the array its cells are read from. *)
 
-val frame : program -> lanes:int -> float array
+val frame : program -> lanes:int -> frame
 (** A fresh frame for up to [lanes] cells with the constant slots
     filled; slot stride {!stride}, as many slots as are live at once,
-    then the ring rows. *)
+    then the ring rows. Every slot reads its own cells until {!fill}
+    binds a load slot or {!exec} the result's slot. *)
 
-val exec : program -> idx:int array -> lanes:int -> float array -> unit
-(** Run the program over the first [lanes] cells of a frame whose load
-    slots are filled, for the dispatch at multi-index [idx] (lane 0's
-    cell, as given to {!fill}); the slot stride is the frame's, which
-    must be at least {!stride}[ p ~lanes]. Lane [l]'s result is at
-    [result p ~stride + l]. [idx] places the ring rows and columns and
-    picks the list: the full list in a prologue row, else the rolling
-    list for lanes away from the row's ends, reaching its first lanes,
-    its last or both. A program with rings needs every dispatch of a
-    plane, in row-major order, on one frame: a rolling dispatch reads
-    rows that earlier ones wrote. An instruction writes the first
-    [lanes] cells of its slot (or of its ring row, from the dispatch's
-    column) plus its class's shift spread, and no other cell (a ring's
-    variant in an end list, only the end lanes among them), four cells
-    per loop iteration and then the last few one at a time (a libm
-    call, one at a time throughout); each cell reads its operands
-    before its own store, so a destination that shares an operand's
-    slot is safe. It overwrites dead load slots: refill them ({!fill})
-    before each call. *)
+val cells : frame -> float array
+(** The frame's cells: slot [k]'s cell [c] is at [k * stride + c]. A
+    load slot that no {!fill} has bound reads the cells written here. *)
+
+val same_lowering : program -> program -> bool
+(** Whether two programs are one lowering, each perhaps {!rebind}ed:
+    their frames are interchangeable. A program without rings carries
+    nothing from one dispatch to the next in its frame, so callers that
+    interleave the dispatches of such programs may share one frame; a
+    program with rings needs each plane's dispatches in row-major order
+    on one frame. *)
+
+val exec : program -> idx:int array -> lanes:int -> frame -> dst:float array -> at:int -> unit
+(** Run the program over [lanes] cells, for the dispatch at multi-index
+    [idx] (lane 0's cell, as given to {!fill}), and write lane [l]'s
+    result to [dst.((at + l) mod length dst)]. The frame's load slots
+    must be filled or bound for [idx] ({!fill}); its slot stride must be
+    at least {!stride}[ p ~lanes]. [idx] places the ring rows and columns
+    and picks the list: the full list in a prologue row, else the
+    rolling list for lanes away from the row's ends, reaching its first
+    lanes, its last or both. A program with rings needs every dispatch
+    of a plane, in row-major order, on one frame: a rolling dispatch
+    reads rows that earlier ones wrote.
+
+    Every operand that is not a ring's is read where its slot is bound:
+    a load where {!fill} bound it, any other slot in the frame. An
+    instruction writes the first [lanes] cells of its slot (or of its
+    ring row, from the dispatch's column) plus its class's shift spread,
+    and no other cell (a ring's variant in an end list, only the end
+    lanes among them), four cells per loop iteration and then the last
+    few one at a time (a libm call, one at a time throughout); each cell
+    reads its operands before its own store, so a destination that
+    shares an operand's slot is safe. The lowering never gives a
+    computed class a load's slot, so no instruction writes where a load
+    is bound, nor a load slot's cells. When the result is an instruction
+    without shift spread, that instruction writes exactly [lanes] cells
+    of [dst] from [at] itself, unless they wrap [dst]'s end; any other
+    result (a load, a constant, a spread instruction, or a wrapping
+    row) is computed in the frame and copied to [dst]. [dst] must not
+    be a source a load may be bound to. *)
 
 val body : access:(field:string -> offsets:int list -> 'ctx -> float) -> Sf_ir.Expr.body -> 'ctx -> float
 (** One-lane adapter: per call, read each load once through [access],
@@ -157,7 +184,7 @@ val body : access:(field:string -> offsets:int list -> 'ctx -> float) -> Sf_ir.E
 
 (** {2 Loads}
 
-    Both callers fill load slots alike: the lanes of one dispatch are
+    Both callers bind load slots alike: the lanes of one dispatch are
     consecutive cells of one innermost-axis row, from multi-index [idx]. *)
 
 type ring = {
@@ -198,25 +225,33 @@ val taps :
     with the [lane] the program was lowered with. Raises
     [Invalid_argument] on a shifting run with a [Copy] boundary. *)
 
-val fill :
-  ?oob:bool array -> taps -> idx:int array -> lanes:int -> stride:int -> float array -> unit
-(** Fill the load slots of the dispatch of [lanes] cells at [idx]: slot
-    [k], at [k * stride], from tap [k], cells [0, lanes) plus the run's
+val load_runs : taps -> int * int
+(** The load runs {!fill} has copied into a frame and bound in place
+    with these taps, in that order: counts of a deterministic walk that
+    host noise cannot move. *)
+
+val fill : ?oob:bool array -> taps -> idx:int array -> lanes:int -> frame -> unit
+(** Bind the load slots of the dispatch of [lanes] cells at [idx] to
+    their runs: slot [k] from tap [k], cells [0, lanes) plus the run's
     shift spread, cell [c] reading the run's first offsets from lane
-    [c]'s cell. The in-bounds cells of a slot are one run of the ring,
-    copied with at most two [Array.blit]s (split where the run wraps the
-    ring), or one repeated element when the tap does not span the
-    innermost axis. An out-of-bounds cell takes the boundary value (for
-    [Copy], the source's element at the lane's own cell). With [oob],
-    every slot is filled and [oob.(l)] is set to whether any original
-    load of lane [l] was out of bounds: a run's least and greatest lane
-    offsets are both loads of the body, so that is whether either end
-    of lane [l]'s reads was. Only a shrink stencil's validity reads the
-    flags, so its callers pass [oob]; the others skip the flag work and
-    the slots that the list {!exec} runs at [idx] does not read (a
-    rolling list reads fewer rows). The slots that list reads are the
-    same either way. Fails an assertion if a read element is not among
-    the ring's last [span]. *)
+    [c]'s cell. A run wholly in bounds that spans the innermost axis
+    and does not wrap the ring is read where it lies: the slot is bound
+    to the ring's array, and nothing is copied. Every other run is
+    copied into the slot's cells: its in-bounds cells with at most two
+    [Array.blit]s (split where the run wraps the ring), or one repeated
+    element when the tap does not span the innermost axis, and each
+    out-of-bounds cell the boundary value (for [Copy], the source's
+    element at the lane's own cell). With [oob], every slot is filled
+    and [oob.(l)] is set to whether any original load of lane [l] was
+    out of bounds: a run's least and greatest lane offsets are both
+    loads of the body, so that is whether either end of lane [l]'s
+    reads was. Only a shrink stencil's validity reads the flags, so its
+    callers pass [oob]; the others skip the flag work and the slots that
+    the list {!exec} runs at [idx] does not read (a rolling list reads
+    fewer rows). The slots that list reads are the same either way.
+    Bound runs are read by {!exec}, so the ring must not change between
+    the two. Fails an assertion if a read element, bound or copied, is
+    not among the ring's last [span]. *)
 
 val advance : shape:int array -> int array -> int -> int -> unit
 (** [advance ~shape idx d inc] adds [inc] to [idx.(d)], carrying into

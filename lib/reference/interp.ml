@@ -140,7 +140,7 @@ let plan checked =
    nothing reads it), and its data and validity arrays are reused by a
    later stage, so memory follows the DAG's live width; the results are
    the outputs only. *)
-let prepare { checked; stages; _ } ~inputs =
+let prepare ?load_runs { checked; stages; _ } ~inputs =
   let p = Program.Checked.program checked in
   let shape = Array.of_list p.Program.shape in
   let rank = Program.rank p in
@@ -183,6 +183,18 @@ let prepare { checked; stages; _ } ~inputs =
        program has 1-3 axes), in row-major order on one frame: the
        row's cells are the lanes. *)
     let lanes = shape.(rank - 1) in
+    (* One frame per distinct lowering: stages run one after another, and
+       each plane's first rows run the full list, so no stage reads a
+       ring row an earlier stage wrote. *)
+    let frames = ref [] in
+    let frame_for prog =
+      match List.find_opt (fun (q, _) -> Compile.same_lowering prog q) !frames with
+      | Some (_, fr) -> fr
+      | None ->
+          let fr = Compile.frame prog ~lanes in
+          frames := (prog, fr) :: !frames;
+          fr
+    in
     let eval_stencil i ((s : Stencil.t), prog) =
       (* Every cell of a reused tensor is overwritten below. *)
       let out, valid =
@@ -203,14 +215,12 @@ let prepare { checked; stages; _ } ~inputs =
               Array.of_list (Program.Checked.axes checked field),
               Stencil.boundary_for s field ))
       in
-      let frame = Compile.frame prog ~lanes and stride = Compile.stride prog ~lanes in
-      let result = Compile.result prog ~stride in
+      let frame = frame_for prog in
       let oob = if s.Stencil.shrink then Some (Array.make lanes false) else None in
       let idx = Array.make rank 0 in
       for row = 0 to (cells / lanes) - 1 do
-        Compile.fill taps ~idx ~lanes ~stride frame ?oob;
-        Compile.exec prog ~idx ~lanes frame;
-        Array.blit frame result out.Tensor.data (row * lanes) lanes;
+        Compile.fill taps ~idx ~lanes frame ?oob;
+        Compile.exec prog ~idx ~lanes frame ~dst:out.Tensor.data ~at:(row * lanes);
         (match oob with
         | Some oob ->
             for l = 0 to lanes - 1 do
@@ -219,6 +229,7 @@ let prepare { checked; stages; _ } ~inputs =
         | None -> Array.fill valid (row * lanes) lanes true);
         Compile.advance ~shape idx (rank - 2) 1
       done;
+      Option.iter (fun f -> f (Compile.load_runs taps)) load_runs;
       Hashtbl.replace store s.Stencil.name out;
       Hashtbl.replace live s.Stencil.name { tensor = out; valid };
       Array.iter (fun (field, _) -> release i field) (Compile.loads prog);

@@ -69,11 +69,20 @@ val plan : Sf_ir.Program.checked -> plan
     its own fields, equal to lowering its own body. The plan reads the
     facts of the given check and checks nothing again. *)
 
-val prepare : plan -> inputs:(string * Tensor.t) list -> unit -> (string * result) list
+val prepare :
+  ?load_runs:(int * int -> unit) ->
+  plan ->
+  inputs:(string * Tensor.t) list ->
+  unit ->
+  (string * result) list
 (** {!run} in two steps: [prepare] checks the inputs (raising as {!run}
-    does); the returned function runs the row loops. It shares nothing
-    mutable with the caller, may run on another domain, and evaluates
-    afresh on each call.
+    does); the returned function runs the row loops, one dispatch per
+    row, each computed straight into its row of the output tensor, on
+    one frame per distinct lowering. It shares nothing mutable with the
+    caller, may run on another domain, and evaluates afresh on each
+    call. After each stage it passes [load_runs] the stage's
+    {!Compile.load_runs}: the load runs copied into the frame and bound
+    in place.
     [run p ~inputs = prepare (plan (Sf_ir.Program.check_exn p)) ~inputs ()]. *)
 
 val random_inputs : ?seed:int -> Sf_ir.Program.t -> (string * Tensor.t) list

@@ -344,6 +344,7 @@ let instantiate ~config ~telemetry ~placement ~inputs { analysis; plan } =
       p.Program.outputs
   in
   (* Stencil units, in topological order. *)
+  let frames = Stencil_unit.frames () in
   let units =
     List.map
       (fun (s, lowered) ->
@@ -379,7 +380,7 @@ let instantiate ~config ~telemetry ~placement ~inputs { analysis; plan } =
         let info = Sf_analysis.Delay_buffer.node_info analysis name in
         let probe = Telemetry.probe telemetry ~kind:Telemetry.Unit ~name in
         ( Cunit
-            (Stencil_unit.create ?probe ~program:p ~stencil:s ~lowered ~info ~inputs:bindings
+            (Stencil_unit.create ?probe ~frames ~program:p ~stencil:s ~lowered ~info ~inputs:bindings
                ~outputs:(List.map snd outputs) ()),
           probe,
           List.rev !streams,

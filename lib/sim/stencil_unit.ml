@@ -33,12 +33,11 @@ type t = {
      the others copy its words when they are pushed. *)
   lead : Channel.t;
   (* The lowered body, one tap per load slot and a frame of one row
-     segment of at most a chunk; [idx] indexes lane 0 of the next word. *)
+     segment of at most a chunk, shared with the run's other units of
+     the same ringless lowering; [idx] indexes lane 0 of the next word. *)
   prog : Compile.program;
   taps : Compile.taps;
-  frame : float array;
-  stride : int;
-  result : int;
+  frame : Compile.frame;
   idx : int array;
   (* Per-lane out-of-bounds flags of a dispatch, only for a shrink unit
      with an output that carries validity: nothing else reads them. *)
@@ -85,12 +84,27 @@ let history_words ~info ~width field =
 let pending_words ~(info : Sf_analysis.Delay_buffer.node_info) ~width =
   info.Sf_analysis.Delay_buffer.compute_cycles + 2 + Channel.chunk ~width
 
+(* A dispatch of a program without rings binds or fills every slot it
+   reads and leaves nothing for the next, so the units of one run that
+   share such a lowering share its frame. *)
+type frames = (Compile.program * Compile.frame) list ref
+
+let frames () = ref []
+
+let frame_for frames prog ~lanes =
+  match List.find_opt (fun (q, _) -> Compile.same_lowering prog q) !frames with
+  | Some (_, fr) -> fr
+  | None ->
+      let fr = Compile.frame prog ~lanes in
+      if Compile.rings prog = 0 then frames := (prog, fr) :: !frames;
+      fr
+
 let lead (stencil : Stencil.t) ~flags =
   match Array.find_index Fun.id flags with
   | Some i when stencil.Stencil.shrink -> i
   | Some _ | None -> 0
 
-let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
+let create ?probe ~frames ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
   let { Sf_analysis.Delay_buffer.init_cycles = init_max; compute_cycles; buffers } = info in
   let shape = Array.of_list program.Program.shape in
   let w = program.Program.vector_width in
@@ -134,7 +148,6 @@ let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
         (input.src, input.axes, Stencil.boundary_for stencil field))
   in
   let lanes = Int.min (chunk * w) shape.(Array.length shape - 1) in
-  let stride = Compile.stride prog ~lanes in
   let outputs = Array.of_list outputs in
   let lead = outputs.(lead stencil ~flags:(Array.map Channel.has_validity outputs)) in
   let oob =
@@ -154,9 +167,7 @@ let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
     lead;
     prog;
     taps;
-    frame = Compile.frame prog ~lanes;
-    stride;
-    result = Compile.result prog ~stride;
+    frame = frame_for frames prog ~lanes;
     idx = Array.make (Array.length shape) 0;
     oob;
     step = 0;
@@ -172,6 +183,7 @@ let create ?probe ~program ~stencil ~lowered:prog ~info ~inputs ~outputs () =
   }
 
 let name t = t.name
+let load_runs t = Compile.load_runs t.taps
 let total_steps t = t.init_max + t.n_words
 let pend_count t = Release_line.length t.pend
 let is_done t = t.step >= total_steps t && pend_count t = 0
@@ -191,24 +203,24 @@ let consuming_active t i = consuming_active_at t i t.step
 
 (* Compute the words of the next [n] steps into the lead output's
    pending reserve, word [r] to be released [compute_cycles] after cycle
-   [now + r]. The W lanes of a word are consecutive cells of one
-   innermost-axis row (W divides the innermost extent), and so are the
-   words up to the end of that row: each row segment is one dispatch,
-   and its releases one run of the release line. Words are computed in
-   order, one per step from [init_max] on, so the multi-index is carried
-   from word to word, and the dispatches of the whole stream run in
-   row-major order on the unit's one frame, whose rings carry values
-   from row to row. *)
+   [now + r]; a result without shift spread is computed there directly
+   unless the run wraps the channel's ring. The W lanes of a word are
+   consecutive cells of one innermost-axis row (W divides the innermost
+   extent), and so are the words up to the end of that row: each row
+   segment is one dispatch, and its releases one run of the release
+   line. Words are computed in order, one per step from [init_max] on,
+   so the multi-index is carried from word to word, and the dispatches
+   of the whole stream run in row-major order on the unit's frame, whose
+   rings carry values from row to row. *)
 let compute t ~now n =
   let last = Array.length t.shape - 1 in
   let values = Channel.Unsafe.buf_values t.lead and valid = Channel.Unsafe.buf_valid t.lead in
   let r = ref 0 in
   while !r < n do
     let lanes = Int.min ((n - !r) * t.w) (t.shape.(last) - t.idx.(last)) in
-    Compile.fill t.taps ~idx:t.idx ~lanes ~stride:t.stride t.frame ?oob:t.oob;
-    Compile.exec t.prog ~idx:t.idx ~lanes t.frame;
     let base = Channel.Unsafe.pending_slot t.lead (pend_count t) in
-    Channel.Unsafe.blit_values t.frame t.result values base lanes;
+    Compile.fill t.taps ~idx:t.idx ~lanes t.frame ?oob:t.oob;
+    Compile.exec t.prog ~idx:t.idx ~lanes t.frame ~dst:values ~at:base;
     (match t.oob with
     | Some oob ->
         let d = ref base in

@@ -49,8 +49,16 @@ val lead : Sf_ir.Stencil.t -> flags:bool array -> int
     Only the lead reserves {!pending_words}; the others copy its words
     when they are pushed. *)
 
+type frames
+(** The frames of one run's units: units whose lowering has no ring and
+    is the same ({!Sf_reference.Compile.same_lowering}) share one. *)
+
+val frames : unit -> frames
+(** No frames yet: one per run, given to each of its units. *)
+
 val create :
   ?probe:Telemetry.probe ->
+  frames:frames ->
   program:Sf_ir.Program.t ->
   stencil:Sf_ir.Stencil.t ->
   lowered:Sf_reference.Compile.program ->
@@ -70,6 +78,12 @@ val create :
     {!stall_cycles} counter is maintained. *)
 
 val name : t -> string
+
+val load_runs : t -> int * int
+(** The load runs the unit's dispatches have copied into its frame and
+    read in place from their channels or tensors, in that order
+    ({!Sf_reference.Compile.load_runs}). *)
+
 val is_done : t -> bool
 
 val cycle : t -> now:int -> bool

@@ -39,41 +39,51 @@ let leaf_value ~seed ~field ~offsets ~lane =
 let sentinel cell = Int64.float_of_bits (Int64.logor 0x7ff8_5e00_0000_0000L (Int64.of_int cell))
 
 (* Run [e] over [lanes] cells of a frame of slot stride [stride]
-   (default [lanes]) whose cells past [lanes] hold sentinels. Every lane
-   must equal the tree-walking evaluator bit for bit, and every sentinel
-   must survive: [exec] writes lanes [0, lanes) of each slot and no
-   other cell. *)
+   (default [lanes]) whose cells past [lanes] hold sentinels, into a row
+   from cell 3 of a destination whose other cells hold sentinels too.
+   Every lane must equal the tree-walking evaluator bit for bit, and
+   every sentinel must survive: [exec] writes lanes [0, lanes) of each
+   slot and no other cell, and [lanes] cells of the destination. *)
 let lanes_match_interp ?stride ~seed e lanes =
   let stride = Option.value stride ~default:lanes in
   let b = bind_vars e in
   let p = Compile.lower ~lane:fixed b in
   let fr = Compile.frame p ~lanes:stride in
+  let cells = Compile.cells fr in
   let outside cell = cell mod stride >= lanes in
-  Array.iteri (fun cell _ -> if outside cell then fr.(cell) <- sentinel cell) fr;
+  Array.iteri (fun cell _ -> if outside cell then cells.(cell) <- sentinel cell) cells;
   Array.iteri
     (fun k (field, offsets) ->
       for lane = 0 to lanes - 1 do
-        fr.((k * stride) + lane) <- leaf_value ~seed ~field ~offsets ~lane
+        cells.((k * stride) + lane) <- leaf_value ~seed ~field ~offsets ~lane
       done)
     (Compile.loads p);
-  Compile.exec p ~idx:origin ~lanes fr;
+  let at = 3 in
+  let dst = Array.init (lanes + 8) (fun c -> sentinel (-c)) in
+  Compile.exec p ~idx:origin ~lanes fr ~dst ~at;
   List.for_all
     (fun lane ->
       let lookup ~field ~offsets = leaf_value ~seed ~field ~offsets ~lane in
       let expected =
         Interp.eval_expr ~lookup ~env:(fun v -> Some (lookup ~field:v ~offsets:[])) e
       in
-      let got = fr.(Compile.result p ~stride + lane) in
+      let got = dst.(at + lane) in
       Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float got)
       || QCheck.Test.fail_reportf "lanes=%d lane=%d: expected %h, got %h" lanes lane expected got)
     (List.init lanes Fun.id)
   && List.for_all
        (fun cell ->
          (not (outside cell))
-         || Int64.equal (Int64.bits_of_float fr.(cell)) (Int64.bits_of_float (sentinel cell))
+         || Int64.equal (Int64.bits_of_float cells.(cell)) (Int64.bits_of_float (sentinel cell))
          || QCheck.Test.fail_reportf "lanes=%d stride=%d: cell %d (slot %d, lane %d) written"
               lanes stride cell (cell / stride) (cell mod stride))
-       (List.init (Array.length fr) Fun.id)
+       (List.init (Array.length cells) Fun.id)
+  && List.for_all
+       (fun c ->
+         (c >= at && c < at + lanes)
+         || Int64.equal (Int64.bits_of_float dst.(c)) (Int64.bits_of_float (sentinel (-c)))
+         || QCheck.Test.fail_reportf "lanes=%d: destination cell %d written" lanes c)
+       (List.init (Array.length dst) Fun.id)
 
 (* Every remainder mod 4 over one and two four-lane blocks (1-9), either
    side of a 64-word chunk at W=1 (63-65), and a chunk at W=4 (256). *)
@@ -119,11 +129,14 @@ let prop_wide_frame_sentinels =
         (fun lanes -> lanes_match_interp ~stride:(if lanes < 256 then 256 else 261) ~seed e lanes)
         widths)
 
-(* Every computed value below can take a slot its operands free at the
-   same instruction, so the frame holds only the loads and constants;
-   the lane loops must read each lane before overwriting it. The result
-   keeps its slot: a binding nothing reads, computed after it, must take
-   another. *)
+(* Loads and constants keep their slots (a load slot may be bound to
+   its source), and a computed result takes the next one before any
+   instruction runs: the five loads and one constant below take six
+   slots, the result a seventh. The other computed values take three
+   more, the last of them the slot its computed operand frees at the
+   same instruction: the lane loops must read each lane before
+   overwriting it. The result keeps its slot: a binding nothing reads,
+   computed after it, must take another. *)
 let test_slot_reuse () =
   let access field = Expr.Access { field; offsets = [] } in
   let e =
@@ -135,7 +148,8 @@ let test_slot_reuse () =
       }
   in
   let p = Compile.lower ~lane:fixed { Expr.lets = []; result = e } in
-  Alcotest.(check int) "loads and constants only" 6 (Array.length (Compile.frame p ~lanes:1));
+  Alcotest.(check int) "loads, constants, the result and three computed slots" 10
+    (Array.length (Compile.cells (Compile.frame p ~lanes:1)));
   List.iter
     (fun seed ->
       List.iter
@@ -148,20 +162,26 @@ let test_slot_reuse () =
       { Expr.lets = [ ("unread", Expr.Unary (Expr.Neg, access "b")) ];
         result = Expr.Unary (Expr.Neg, access "a") }
   in
-  let fr = Compile.frame p ~lanes:1 in
-  Alcotest.(check int) "two slots" 2 (Array.length fr);
-  Array.iteri (fun k (field, _) -> fr.(k) <- (if field = "a" then 3. else 5.)) (Compile.loads p);
-  Compile.exec p ~idx:origin ~lanes:1 fr;
-  Alcotest.(check (float 0.)) "result kept" (-3.) fr.(Compile.result p ~stride:1)
+  let fr = Compile.frame p ~lanes:1 and dst = [| 0. |] in
+  let cells = Compile.cells fr in
+  Alcotest.(check int) "two loads, two computed slots" 4 (Array.length cells);
+  Array.iteri (fun k (field, _) -> cells.(k) <- (if field = "a" then 3. else 5.)) (Compile.loads p);
+  Compile.exec p ~idx:origin ~lanes:1 fr ~dst ~at:0;
+  Alcotest.(check (float 0.)) "result kept" (-3.) dst.(0)
 
 (* Liveness keeps frames small: fused, optimized hdiff at W=4 had 138
-   slots in its u_out frame with one slot per node. *)
+   slots in its u_out frame with one slot per node. Each of its 31 loads
+   keeps its own slot, which [fill] may bind to the load's source; the
+   constants and computed values share 12 more (38 slots in all when
+   computed values could take a dead load's slot). *)
 let test_hdiff_frame_slots () =
   let p = Sf_kernels.Hdiff.program ~shape:[ 8; 64; 64 ] ~vector_width:4 () in
   let p = Sf_sdfg.Opt.optimize (fst (Sf_sdfg.Fusion.fuse_all p)) in
   let s = List.find (fun (s : Stencil.t) -> s.Stencil.name = "u_out") p.Program.stencils in
-  let slots = Array.length (Compile.frame (Compile.lower ~lane:fixed s.Stencil.body) ~lanes:1) in
-  if slots > 40 then Alcotest.failf "u_out frame has %d slots" slots
+  let prog = Compile.lower ~lane:fixed s.Stencil.body in
+  let slots = Array.length (Compile.cells (Compile.frame prog ~lanes:1)) in
+  let loads = Array.length (Compile.loads prog) in
+  if slots > loads + 12 then Alcotest.failf "u_out frame has %d slots past its %d loads" (slots - loads) loads
 
 let test_body_lets_evaluate_once () =
   (* Each let is computed once per invocation; the access counter shows
@@ -256,11 +276,10 @@ let test_view_reads_its_span () =
     v.newest <- (2 * cols) + lanes - 1;
     v.head <- v.newest;
     let taps = Compile.taps p ~shape (fun _ -> (v, [| 0; 1 |], Boundary.Constant 0.)) in
-    let stride = Compile.stride p ~lanes in
-    let fr = Compile.frame p ~lanes in
-    Compile.fill taps ~idx:[| 1; 0 |] ~lanes ~stride fr;
-    Compile.exec p ~idx:[| 1; 0 |] ~lanes fr;
-    Array.init lanes (fun l -> fr.(Compile.result p ~stride + l))
+    let fr = Compile.frame p ~lanes and dst = Array.make lanes 0. in
+    Compile.fill taps ~idx:[| 1; 0 |] ~lanes fr;
+    Compile.exec p ~idx:[| 1; 0 |] ~lanes fr ~dst ~at:0;
+    dst
   in
   let span = (2 * cols) + lanes in
   Alcotest.(check (array (float 0.))) "exact span"
@@ -300,7 +319,7 @@ let test_fill_across_ring_wrap () =
         else (Compile.resident (Array.init rows row_value), [| 0 |], Boundary.Constant 0.))
   in
   let fr = Compile.frame p ~lanes:max_lanes and oob = Array.make max_lanes false in
-  let stride = Compile.stride p ~lanes:max_lanes in
+  let dst = Array.make max_lanes 0. in
   let straddles = ref 0 in
   for r = 1 to rows - 2 do
     for c = 1 to cols - max_lanes - 2 do
@@ -317,8 +336,8 @@ let test_fill_across_ring_wrap () =
             let first = ((r + dr) * cols) + c + dc in
             if (first mod cap) + lanes > cap then incr straddles)
           [ (0, -1); (1, 2); (-1, 0) ];
-        Compile.fill taps ~idx:[| r; c |] ~lanes ~stride fr ~oob;
-        Compile.exec p ~idx:origin ~lanes fr;
+        Compile.fill taps ~idx:[| r; c |] ~lanes fr ~oob;
+        Compile.exec p ~idx:origin ~lanes fr ~dst ~at:0;
         for l = 0 to lanes - 1 do
           let lookup ~field ~offsets =
             match (field, offsets) with
@@ -327,7 +346,7 @@ let test_fill_across_ring_wrap () =
             | _ -> Alcotest.fail "unexpected access"
           in
           let expected = Interp.eval_expr ~lookup ~env:(fun _ -> None) e in
-          let got = fr.(Compile.result p ~stride + l) in
+          let got = dst.(l) in
           Alcotest.(check int64)
             (Printf.sprintf "r=%d c=%d lanes=%d lane %d" r c lanes l)
             (Int64.bits_of_float expected) (Int64.bits_of_float got)
@@ -351,15 +370,15 @@ let test_exec_allocation_free () =
       if Compile.rings prog = 0 then Alcotest.failf "%s: no ring" s.Stencil.name;
       List.iter
         (fun (lanes, idx) ->
-          let fr = Compile.frame prog ~lanes in
+          let fr = Compile.frame prog ~lanes and dst = Array.make lanes 0. in
           for k = 0 to (Array.length (Compile.loads prog) * Compile.stride prog ~lanes) - 1 do
-            fr.(k) <- 0.25 +. (float_of_int k /. 7.)
+            (Compile.cells fr).(k) <- 0.25 +. (float_of_int k /. 7.)
           done;
-          Compile.exec prog ~idx ~lanes fr;
+          Compile.exec prog ~idx ~lanes fr ~dst ~at:0;
           let calls = 10_000 in
           let before = Gc.minor_words () in
           for _ = 1 to calls do
-            Compile.exec prog ~idx ~lanes fr
+            Compile.exec prog ~idx ~lanes fr ~dst ~at:0
           done;
           let words = (Gc.minor_words () -. before) /. float_of_int calls in
           if words >= 1. then
@@ -399,15 +418,15 @@ let test_fused_forms_ieee_corners () =
       in
       let cases = Array.of_list (assignments operands) in
       let run lanes first =
-        let fr = Compile.frame p ~lanes in
+        let fr = Compile.frame p ~lanes and dst = Array.make lanes 0. in
         let stride = Compile.stride p ~lanes in
         Array.iteri
           (fun k (field, _) ->
             for l = 0 to lanes - 1 do
-              fr.((k * stride) + l) <- List.assoc field cases.(first + l)
+              (Compile.cells fr).((k * stride) + l) <- List.assoc field cases.(first + l)
             done)
           (Compile.loads p);
-        Compile.exec p ~idx:origin ~lanes fr;
+        Compile.exec p ~idx:origin ~lanes fr ~dst ~at:0;
         for l = 0 to lanes - 1 do
           let case = cases.(first + l) in
           let expected =
@@ -417,7 +436,7 @@ let test_fused_forms_ieee_corners () =
             (Printf.sprintf "%s with %s" name
                (String.concat ", " (List.map (fun (f, c) -> Printf.sprintf "%s = %h" f c) case)))
             (Int64.bits_of_float expected)
-            (Int64.bits_of_float fr.(Compile.result p ~stride + l))
+            (Int64.bits_of_float dst.(l))
         done
       in
       run (Array.length cases) 0;
@@ -612,22 +631,20 @@ let prop_shared_lowering_bit_exact =
                 let v = eval_cell ~lookup s.Stencil.body in
                 (v, !out))
           in
-          let stride = Compile.stride prog ~lanes:cols in
-          let oob = Array.make cols false in
+          let oob = Array.make cols false and dst = Array.make cols 0. in
           (* Dispatch [lanes] cells from [idx] on [fr] and compare them. *)
           (* Dispatch [lanes] cells from [idx] on [fr] and compare them:
              with flags, or without (where fewer slots are filled) and
              then the values alone. *)
           let check ?(flags = true) how fr idx lanes =
-            if flags then Compile.fill taps ~idx ~lanes ~stride fr ~oob
-            else Compile.fill taps ~idx ~lanes ~stride fr;
-            Compile.exec prog ~idx ~lanes fr;
+            if flags then Compile.fill taps ~idx ~lanes fr ~oob else Compile.fill taps ~idx ~lanes fr;
+            Compile.exec prog ~idx ~lanes fr ~dst ~at:0;
             let first = Array.fold_left (fun c (i, e) -> (c * e) + i) 0 (Array.map2 (fun i e -> (i, e)) idx shape) in
             let at () = String.concat "," (Array.to_list (Array.map string_of_int idx)) in
             List.for_all
               (fun l ->
                 let want, out = expected.(first + l) in
-                let got = fr.(Compile.result prog ~stride + l) in
+                let got = dst.(l) in
                 (Int64.equal (Int64.bits_of_float want) (Int64.bits_of_float got)
                 || QCheck.Test.fail_reportf "%s, %s, %d lanes at [%s] (flags %b), lane %d: expected %h, got %h"
                      s.Stencil.name how lanes (at ()) flags l want got)
@@ -925,9 +942,209 @@ let test_lowering_near_twins () =
   in
   Alcotest.(check (pair int int)) "rings over cb and over ca" (1, 0) (rings "cb", rings "ca")
 
+(* Load runs copied into a frame against runs read in place, on
+   chain-sim (64 Jacobi2D stages over 128x128): counts host noise cannot
+   move. The oracle dispatches one row at a time: of a stage's three
+   runs, the center row's spans the row and a lane either side, so it is
+   copied with its boundary cells, and the rows above and below are read
+   in place, except above the first row and below the last, which are
+   copied too: 126 + 2 * 2 = 130 copied and 2 * 126 + 2 = 254 bound per
+   stage. The stencil units dispatch row segments of up to a chunk, so a
+   segment away from the row's ends reads its center row in place, and a
+   run that wraps its channel's ring is copied. *)
+let test_load_runs_pinned () =
+  let p = Sf_kernels.Iterative.(chain ~shape:[ 128; 128 ] Jacobi2d ~length:64) in
+  let inputs = Interp.random_inputs p in
+  let prepared = Sf_sim.Engine.prepare_program p in
+  let add r (c, b) = r := (fst !r + c, snd !r + b) in
+  let oracle = ref (0, 0) and units = ref (0, 0) in
+  ignore (Interp.prepare ~load_runs:(add oracle) prepared.Sf_sim.Engine.plan ~inputs ());
+  Alcotest.(check (pair int int)) "oracle: copied, bound" (64 * 130, 64 * 254) !oracle;
+  let config = Sf_sim.Engine.Config.default in
+  ignore
+    (Sf_sim.Engine.Internal.simulate ~config ~placement:(fun _ -> 0) ~inputs prepared
+       ~drive:(fun system injector finished ->
+         let s = Sf_sim.Engine.Internal.scheduler ~config ?injector ~finished system in
+         s.Sf_sim.Engine.Internal.advance ~limit:max_int;
+         Array.iter
+           (function
+             | Sf_sim.Engine.Internal.Cunit u -> add units (Sf_sim.Stencil_unit.load_runs u) | _ -> ())
+           system.Sf_sim.Engine.Internal.comps;
+         (s.now (), s.deadlocked (), s.samples ())));
+  Alcotest.(check (pair int int)) "stencil units: copied, bound" (11507, 19309) !units
+
+(* In place equals copying ---------------------------------------------------- *)
+
+(* A body over a 2-D field [a] streamed through a ring that wraps (its
+   capacity is no multiple of the row length, so runs start anywhere in
+   it, straddle its end or end exactly there), a field [r] along the row
+   axis (a step-0 tap: one element repeated over the lanes) and a field
+   [k] along the lane axis, each with a random Constant or Copy
+   boundary. The result is a computed value (with or without a value
+   read at two rows, kept in a ring when the rows are shared), a load
+   or a constant, with a let computed beside it. *)
+let in_place_gen =
+  let open QCheck.Gen in
+  let fields = [ ("a", 2); ("r", 1); ("k", 1) ] in
+  let* e1 = Program_gen.adversarial_expr_gen ~fields ~depth:3 in
+  let* e2 = Program_gen.adversarial_expr_gen ~fields ~depth:2 in
+  let* result = int_range 0 3 in
+  let* boundaries = list_repeat 3 Program_gen.boundary_gen in
+  let* rows = bool in
+  let* shrink = bool in
+  let* cols = oneofl [ 12; 16; 20 ] in
+  let* seed = small_nat in
+  (* [e] read one row further down, along the axes that are rows. *)
+  let down =
+    Expr.map_accesses (fun ~field ~offsets ->
+        let offsets = if field = "k" then offsets else List.mapi (fun i o -> if i = 0 then o + 1 else o) offsets in
+        Expr.Access { field; offsets })
+  in
+  (* Every body reads [a] one row down, in bounds but on the last row. *)
+  let with_a e = Expr.Binary (Expr.Add, e, Expr.Access { field = "a"; offsets = [ 1; 0 ] }) in
+  let body =
+    match result with
+    | 0 -> { Expr.lets = [ ("t", with_a e2) ]; result = Expr.Binary (Expr.Add, e1, down e1) }
+    | 1 -> { Expr.lets = [ ("t", with_a e2) ]; result = Expr.Binary (Expr.Mul, Expr.Var "t", e1) }
+    | 2 -> { Expr.lets = [ ("t", with_a e1) ]; result = Expr.Access { field = "a"; offsets = [ 0; 1 ] } }
+    | _ -> { Expr.lets = [ ("t", with_a e1) ]; result = Expr.Const (-0.0) }
+  in
+  return (body, List.combine [ "a"; "r"; "k" ] boundaries, rows, shrink, cols, seed)
+
+let print_in_place (body, boundaries, rows, shrink, cols, seed) =
+  Printf.sprintf "%s\n[%s] rows %b shrink %b cols %d seed %d"
+    (Expr.body_to_string body)
+    (String.concat "; " (List.map (fun (f, b) -> f ^ "=" ^ Boundary.to_string b) boundaries))
+    rows shrink cols seed
+
+(* The dispatches of the body in row-major order, in random row
+   segments, on two frames: one that [fill] binds (every run wholly in
+   bounds along the lane axis that does not wrap the ring is read where
+   it lies, and a computed result is written straight into a row that
+   wraps a destination ring now and then), and one whose load slots the
+   test copies itself, cell by cell from the sources, as [fill] copied
+   before any run was bound. The two must agree bit for bit, and with
+   the tree-walking evaluator, values and flags; the binding frame must
+   have bound some runs and copied others. *)
+let prop_in_place_equals_copying =
+  QCheck.Test.make ~count:300 ~name:"in place equals copying, bit for bit"
+    (QCheck.make ~print:print_in_place in_place_gen)
+    (fun ((body, boundaries, rows, shrink, cols, seed) as case) ->
+      let nrows = 10 and max_lanes = 8 in
+      let shape = [| nrows; cols |] in
+      let boundary f = List.assoc f boundaries in
+      let spans f = match f with "a" -> [ 0; 1 ] | "r" -> [ 0 ] | _ -> [ 1 ] in
+      let along axis f =
+        if not (List.mem axis (spans f)) then Compile.Uniform
+        else match boundary f with Boundary.Constant _ -> Compile.Shifts | Boundary.Copy -> Compile.Fixed
+      in
+      let prog =
+        Compile.lower ?rows:(if rows then Some (cols, along 0) else None) ~lane:(along 1) body
+      in
+      let state = Random.State.make [| seed |] in
+      let value () =
+        if Random.State.int state 4 = 0 then
+          adversarial_values.(Random.State.int state (Array.length adversarial_values))
+        else Random.State.float state 2. -. 1.
+      in
+      let a = Array.init (nrows * cols) (fun _ -> value ())
+      and r = Array.init nrows (fun _ -> value ())
+      and k = Array.init cols (fun _ -> value ()) in
+      let data = function "a" -> a | "r" -> r | _ -> k in
+      (* Field [f] at the cell [(row, col)] plus [offsets], or [None]
+         out of bounds. *)
+      let element f (row, col) offsets =
+        let at = List.map2 (fun axis o -> ((if axis = 0 then row else col) + o, shape.(axis))) (spans f) offsets in
+        if List.exists (fun (i, n) -> i < 0 || i >= n) at then None
+        else Some (data f).(List.fold_left (fun flat (i, n) -> (flat * n) + i) 0 at)
+      in
+      let read f cell offsets =
+        match element f cell offsets with
+        | Some v -> (v, false)
+        | None -> (
+            match boundary f with
+            | Boundary.Constant c -> (c, true)
+            | Boundary.Copy -> (Option.get (element f cell (List.map (fun _ -> 0) offsets)), true))
+      in
+      (* Ring [a]: the last [cap] elements of its row-major stream, up to
+         what the dispatch at [(row, col)] of [lanes] cells may read. *)
+      let cap = (6 * cols) + max_lanes + 7 in
+      let ring = Compile.view (Array.make cap Float.nan) ~span:cap in
+      let advance_ring (row, col) lanes =
+        let newest = Int.min ((nrows * cols) - 1) (((row + 3) * cols) + col + lanes + 2) in
+        for e = Int.max 0 (newest - cap + 1) to newest do
+          ring.data.(e mod cap) <- a.(e)
+        done;
+        ring.newest <- newest;
+        ring.head <- newest mod cap
+      in
+      let taps =
+        Compile.taps prog ~shape (fun f ->
+            ((if f = "a" then ring else Compile.resident (data f)), Array.of_list (spans f), boundary f))
+      in
+      let stride = Compile.stride prog ~lanes:max_lanes in
+      let bound = Compile.frame prog ~lanes:max_lanes and copied = Compile.frame prog ~lanes:max_lanes in
+      let oob = Array.make max_lanes false in
+      let dlen = 29 in
+      let ring_dst = Array.make dlen Float.nan and row_dst = Array.make max_lanes Float.nan in
+      let pos = ref 0 and ok = ref true in
+      let idx = [| 0; 0 |] in
+      while !ok && idx.(0) < nrows do
+        let lanes = Int.min (cols - idx.(1)) (1 + Random.State.int state max_lanes) in
+        let cell = (idx.(0), idx.(1)) in
+        advance_ring cell lanes;
+        if shrink then Compile.fill taps ~idx ~lanes bound ~oob else Compile.fill taps ~idx ~lanes bound;
+        Compile.exec prog ~idx ~lanes bound ~dst:ring_dst ~at:!pos;
+        (* Copy every load run into its slot, as [fill] did before. *)
+        let cells = Compile.cells copied in
+        Array.iteri
+          (fun s (f, offsets) ->
+            (* A run along the lanes reads lane [c]'s cell (and, with a
+               Copy boundary, has no cells past the lanes); a step-0 run
+               repeats lane 0's element. *)
+            let spans_lanes = List.mem 1 (spans f) in
+            for c = 0 to stride - 1 do
+              cells.((s * stride) + c) <-
+                (if not spans_lanes then fst (read f cell offsets)
+                 else if boundary f = Boundary.Copy && c >= lanes then 0.
+                 else fst (read f (idx.(0), idx.(1) + c) offsets))
+            done)
+          (Compile.loads prog);
+        Compile.exec prog ~idx ~lanes copied ~dst:row_dst ~at:0;
+        for l = 0 to lanes - 1 do
+          let out = ref false in
+          let lookup ~field ~offsets =
+            let v, o = read field (idx.(0), idx.(1) + l) offsets in
+            if o then out := true;
+            v
+          in
+          let want = eval_cell ~lookup body in
+          let got = ring_dst.((!pos + l) mod dlen) in
+          let bits = Int64.bits_of_float in
+          if not (Int64.equal (bits got) (bits row_dst.(l)) && Int64.equal (bits got) (bits want)) then begin
+            ok := false;
+            QCheck.Test.fail_reportf "%s\n[%d,%d] lanes %d, lane %d: in place %h, copied %h, evaluator %h"
+              (print_in_place case) idx.(0) idx.(1) lanes l got row_dst.(l) want
+          end;
+          if shrink && not (Bool.equal !out oob.(l)) then
+            QCheck.Test.fail_reportf "[%d,%d] lanes %d, lane %d: out of bounds %b, flagged %b" idx.(0)
+              idx.(1) lanes l !out oob.(l)
+        done;
+        pos := (!pos + lanes) mod dlen;
+        idx.(1) <- idx.(1) + lanes;
+        if idx.(1) = cols then begin
+          idx.(1) <- 0;
+          idx.(0) <- idx.(0) + 1
+        end
+      done;
+      let c, b = Compile.load_runs taps in
+      (c > 0 && b > 0) || QCheck.Test.fail_reportf "%d runs copied, %d bound" c b)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_shared_lowering_bit_exact;
+    QCheck_alcotest.to_alcotest prop_in_place_equals_copying;
+    Alcotest.test_case "load runs copied and bound on chain-sim, pinned" `Quick test_load_runs_pinned;
     Alcotest.test_case "shift-shared lowering: instructions and load runs pinned" `Quick
       test_lowering_pins;
     QCheck_alcotest.to_alcotest prop_lowering_key;
