@@ -229,8 +229,8 @@ let remote_eval ~(common : Common.t) ?(local_only = []) request =
     | Ok (Some (Json.Bool true)) -> 0
     | _ -> 1)
 
-(* The program after a request's frontend passes (load, vectorize,
-   fuse) — how the commands that render a program obtain it. *)
+(* The check of the program after a request's frontend passes (load,
+   vectorize, fuse) — how the commands that render a program obtain it. *)
 let load ?fuse path width =
   match Request.frontend (request ?fuse `Analyze path width) with
   | Ok ctx -> Option.get ctx.Ctx.program
@@ -242,7 +242,8 @@ let analyze_cmd =
     if remote then remote_eval ~common request
     else begin
       let ctx = run_local ~common request in
-      let p = Option.get ctx.Ctx.program and analysis = Option.get ctx.Ctx.analysis in
+      let p = Program.Checked.program (Option.get ctx.Ctx.program)
+      and analysis = Option.get ctx.Ctx.analysis in
       Format.printf "%a@." Delay_buffer.pp analysis;
       Format.printf "%a@." Op_count.pp (Op_count.of_program p);
       Format.printf "arithmetic intensity: %.3f Op/operand, %.3f Op/B@."
@@ -401,7 +402,7 @@ let validate_depths_cmd =
     let jobs = resolve_jobs jobs in
     (* No fusion: collapsing the DAG can erase the very join edges whose
        delay buffers the campaign is exercising. *)
-    let p = load path width in
+    let checked = load path width in
     let plan =
       match Fault_plan.of_string inject with
       | Ok pl -> pl
@@ -409,10 +410,10 @@ let validate_depths_cmd =
           exit_diags ~json:false
             [ Diag.errorf ~code:Diag.Code.sim_config "bad --inject plan: %s" m ]
     in
-    let inputs = Interp.random_inputs ~seed p in
+    let inputs = Interp.random_inputs ~seed (Program.Checked.program checked) in
     let config = Engine.Config.default in
     (* One analysis and one lowering serve the campaign and the probe. *)
-    let prepared = Engine.prepare_program ~config p in
+    let prepared = Engine.prepare (Delay_buffer.of_checked ~config:config.latency checked) in
     (match Faults.campaign_prepared ~config ~inputs ~plan ~schedules:campaign_n ~jobs prepared with
     | Error d -> exit_diags ~json:false [ d ]
     | Ok report ->
@@ -514,8 +515,9 @@ let partition_cmd =
     Arg.(value & opt int 8 & info [ "max-devices" ] ~doc:"Maximum devices in the chain.")
   in
   let run path width fuse max_devices =
-    let p = load ~fuse path width in
-    match Partition.greedy ~max_devices ~device:Device.stratix10 (Program.check_exn p) with
+    let checked = load ~fuse path width in
+    let p = Program.Checked.program checked in
+    match Partition.greedy ~max_devices ~device:Device.stratix10 checked with
     | Error d ->
         Format.eprintf "partitioning failed: %s@." d.Diag.message;
         exit (Diag.exit_code [ d ])
@@ -536,8 +538,7 @@ let partition_cmd =
 
 let dot_cmd =
   let run path width fuse =
-    let p = load ~fuse path width in
-    print_string (Dot.of_program p)
+    print_string (Dot.of_program (Program.Checked.program (load ~fuse path width)))
   in
   let doc = "Print the stencil DAG in Graphviz format with delay-buffer labels." in
   Cmd.v (Cmd.info "dot" ~doc) Term.(const run $ program_arg $ vector_width_arg $ Common.fuse_arg)
@@ -548,7 +549,7 @@ let dot_cmd =
    program on interior cells, where a mismatch is SF0801. *)
 let transform_cmd ~optimize name doc =
   let run path width =
-    let p = load path width in
+    let p = Program.Checked.program (load path width) in
     let request =
       Request.make `Analyze (Request.Program p)
         ~options:{ Request.default_options with fuse = true; optimize }
@@ -556,7 +557,8 @@ let transform_cmd ~optimize name doc =
     let ctx =
       match Request.frontend request with Ok ctx -> ctx | Error ds -> exit_diags ~json:false ds
     in
-    let result = Option.get ctx.Ctx.program and report = Option.get ctx.Ctx.fusion in
+    let result = Program.Checked.program (Option.get ctx.Ctx.program)
+    and report = Option.get ctx.Ctx.fusion in
     Format.printf "fused %d stencils into %d:@." report.Fusion.stencils_before
       report.Fusion.stencils_after;
     List.iter
@@ -600,7 +602,8 @@ let tile_cmd =
              ~doc:"Tile extents per axis, comma separated (Sec. IX-D).")
   in
   let run path width tile =
-    let p = load path width in
+    let checked = load path width in
+    let p = Program.Checked.program checked in
     let tile_shape =
       try List.map int_of_string (String.split_on_char ',' tile)
       with Failure _ ->
@@ -611,7 +614,7 @@ let tile_cmd =
     Format.printf "%a@." Tiling.pp plan;
     Format.printf "per-tile on-chip buffering: %d elements (untiled: %d)@."
       (Tiling.buffer_elements_per_tile plan)
-      (Delay_buffer.total_fast_memory_elements (Delay_buffer.analyze p));
+      (Delay_buffer.total_fast_memory_elements (Delay_buffer.of_checked checked));
     if Program.cells p <= 65536 then begin
       let inputs = Interp.random_inputs p in
       let untiled = Interp.run p ~inputs in
@@ -633,7 +636,7 @@ let autotune_cmd =
     Arg.(value & opt int 1 & info [ "devices" ] ~doc:"Devices in the chain (network bound).")
   in
   let run path devices =
-    let p = load path None in
+    let p = Program.Checked.program (load path None) in
     match Autotune.choose ~devices ~device:Device.stratix10 ~max_width:16 p with
     | exception Invalid_argument m ->
         Format.eprintf "stencilflow: %s@." m;
@@ -654,8 +657,7 @@ let autotune_cmd =
 
 let report_cmd =
   let run path width fuse =
-    let p = load ~fuse path width in
-    print_string (Report.markdown p)
+    print_string (Report.markdown (Program.Checked.program (load ~fuse path width)))
   in
   let doc = "Print a Markdown report: DAG, buffers, runtime model, roofline, resources." in
   Cmd.v (Cmd.info "report" ~doc) Term.(const run $ program_arg $ vector_width_arg $ Common.fuse_arg)

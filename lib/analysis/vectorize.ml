@@ -2,7 +2,7 @@ open Sf_ir
 
 let apply p w =
   let p = Program.with_vector_width p w in
-  Program.validate_exn p;
+  ignore (Program.check_exn p);
   p
 
 let legal_widths (p : Program.t) ~max =

@@ -77,9 +77,9 @@ type report = {
 
 let report_of_ctx (ctx : Ctx.t) =
   match (ctx.Ctx.program, ctx.Ctx.analysis, ctx.Ctx.partition, ctx.Ctx.performance_model) with
-  | Some program, Some analysis, Some partition, Some performance_model ->
+  | Some checked, Some analysis, Some partition, Some performance_model ->
       {
-        program;
+        program = Program.Checked.program checked;
         fusion = ctx.Ctx.fusion;
         analysis;
         partition;

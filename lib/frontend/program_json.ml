@@ -103,13 +103,12 @@ let decode json =
 
 let locate file d = match file with Some f -> Diag.with_file f d | None -> d
 
-let of_json ?file json =
+let checked_of_json ?file json =
   match decode json with
-  | program -> (
-      match Program.validate program with
-      | Ok () -> Ok program
-      | Error msgs ->
-          Error (List.map (fun m -> locate file (Diag.error ~code:Diag.Code.validation m)) msgs))
+  | program ->
+      Program.check program
+      |> Result.map_error
+           (List.map (fun m -> locate file (Diag.error ~code:Diag.Code.validation m)))
   | exception Fail d -> Error [ locate file d ]
   | exception Json.Type_error m ->
       Error [ locate file (Diag.error ~code:Diag.Code.json_type m) ]
@@ -127,13 +126,17 @@ let json_error ?file (e : Json.error) =
              ~code:Diag.Code.json_parse e.Json.reason);
       ]
 
-let of_string ?file s =
-  match Json.parse s with Ok j -> of_json ?file j | Error e -> json_error ?file e
+let checked_of_string ?file s =
+  match Json.parse s with Ok j -> checked_of_json ?file j | Error e -> json_error ?file e
 
-let of_file path =
+let checked_of_file path =
   match Json.parse_file path with
-  | Ok j -> of_json ~file:path j
+  | Ok j -> checked_of_json ~file:path j
   | Error e -> json_error ~file:path e
+
+let of_json ?file json = Result.map Program.Checked.program (checked_of_json ?file json)
+let of_string ?file s = Result.map Program.Checked.program (checked_of_string ?file s)
+let of_file path = Result.map Program.Checked.program (checked_of_file path)
 
 let encode_field f =
   let members = [ ("dtype", Json.String (Dtype.name f.Field.dtype)) ] in

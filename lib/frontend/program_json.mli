@@ -26,9 +26,15 @@
     Bare identifiers in stencil code that name scalar inputs are resolved
     to 0-offset accesses. Object member order defines stencil order. *)
 
+val checked_of_string :
+  ?file:string -> string -> (Sf_ir.Program.checked, Sf_support.Diag.t list) result
+
+val checked_of_file : string -> (Sf_ir.Program.checked, Sf_support.Diag.t list) result
+(** The checks behind {!of_string} and {!of_file}, with their failures. *)
+
 val of_json :
   ?file:string -> Sf_support.Json.t -> (Sf_ir.Program.t, Sf_support.Diag.t list) result
-(** Decode and validate. Failures are structured diagnostics: decode
+(** Decode and check. Failures are structured diagnostics: decode
     problems carry code [SF0203] (or the DSL code [SF0101]/[SF0102] with
     its span for stencil-code errors), JSON type mismatches [SF0202],
     and validation failures one [SF0301] diagnostic per problem. When

@@ -27,7 +27,7 @@ let finish b =
     Program.make ~dtype:b.dtype ~vector_width:b.vector_width ~name:b.name ~shape:b.shape
       ~inputs:b.inputs ~outputs:b.outputs b.stencils
   in
-  Program.validate_exn program;
+  ignore (Program.check_exn program);
   program
 
 module E = struct

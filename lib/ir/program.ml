@@ -170,9 +170,6 @@ let check t =
 let check_exn t =
   match check t with Ok c -> c | Error errs -> invalid_arg (String.concat "\n" errs)
 
-let validate t = Result.map ignore (check t)
-let validate_exn t = ignore (check_exn t)
-
 (* Names are unique in a checked program, and the graph keeps edges in
    insertion order: in-edges in read order, out-edges in program order. *)
 module Checked = struct

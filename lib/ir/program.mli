@@ -51,16 +51,13 @@ type checked
 (** A program that passed {!check}; only a passing check makes one. *)
 
 val check : t -> (checked, string list) result
-(** Check structural well-formedness: name uniqueness, access resolution,
-    offset ranks, axis declarations, acyclicity, output liveness, vector
-    width divisibility, and boundary-condition references. Returns all
+(** The one validator: name uniqueness, access resolution, offset ranks,
+    axis declarations, acyclicity, output liveness, vector width
+    divisibility, and boundary-condition references. Returns all
     diagnostics, not just the first, or the facts derived ({!Checked}). *)
 
 val check_exn : t -> checked
 (** Raises [Invalid_argument] with the joined diagnostics. *)
-
-val validate : t -> (unit, string list) result
-val validate_exn : t -> unit
 
 (** What {!check} derives, for callers to read instead of working it out
     again. Lookups by name take logarithmic time. *)

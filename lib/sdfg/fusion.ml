@@ -92,9 +92,7 @@ let fuse_pair (p : Program.t) ~producer ~consumer =
         else Some s)
       p.Program.stencils
   in
-  let p' = { p with Program.stencils } in
-  Program.validate_exn p';
-  p'
+  { p with Program.stencils }
 
 (* A stencil during [fuse_all]: its current body as a DAG and the fields
    that body reads. The body of [s] is stale once [fused] is set. *)
@@ -106,8 +104,8 @@ let node ~fused s dag =
 
 (* Fuse the first legal pair in topological order, then start over.
    Each round reads only names (fields read, consumers, the order); a
-   fused body stays a DAG until the end, and the program is validated
-   once. Re-interning the lets of [Dag.extract] gives back the same
+   fused body stays a DAG until the end, and the result is left to its
+   consumer's check. Re-interning the lets of [Dag.extract] gives back the same
    node, so this sizes and fuses exactly as repeated [fuse_pair] would. *)
 let fuse_all ?(max_body_size = max_int) (p : Program.t) =
   let rec go nodes fused_pairs =
@@ -146,9 +144,7 @@ let fuse_all ?(max_body_size = max_int) (p : Program.t) =
   let stencils =
     List.map (fun n -> if n.fused then { n.s with Stencil.body = Dag.extract n.dag } else n.s) nodes
   in
-  let p' = { p with Program.stencils } in
-  if fused_pairs <> [] then Program.validate_exn p';
-  ( p',
+  ( { p with Program.stencils },
     {
       fused_pairs;
       stencils_before = List.length p.Program.stencils;

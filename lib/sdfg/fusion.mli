@@ -31,7 +31,7 @@ val can_fuse : Sf_ir.Program.t -> producer:string -> consumer:string -> (unit, s
 (** Check the preconditions, returning the violated one. *)
 
 val fuse_pair : Sf_ir.Program.t -> producer:string -> consumer:string -> Sf_ir.Program.t
-(** Fuse one edge; raises [Invalid_argument] if {!can_fuse} fails. The
+(** Fuse one edge, unchecked; raises [Invalid_argument] if {!can_fuse} fails. The
     consumer keeps its name; the producer disappears. The substitution
     runs on the hash-consed DAG and the fused body is re-extracted
     ({!Sf_ir.Dag.extract}), so sharing between the inlined producer
@@ -49,7 +49,7 @@ val fuse_all : ?max_body_size:int -> Sf_ir.Program.t -> Sf_ir.Program.t * report
 
     The result is that of repeated {!fuse_pair}, computed in one pass
     over DAGs: bodies stay DAGs between rounds, and each fused body is
-    extracted, and the program validated, once at the end. *)
+    extracted once at the end, unchecked: its consumer's check catches a fault. *)
 
 val interior_radius : Sf_ir.Program.t -> int
 (** The program's accumulated influence radius

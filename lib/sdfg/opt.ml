@@ -177,7 +177,6 @@ let optimize_with_report ?min_size (p : Program.t) =
     List.filter (fun f -> List.exists (String.equal f.Field.name) read) p.Program.inputs
   in
   let optimized = { p with Program.stencils; inputs } in
-  Program.validate_exn optimized;
   let report =
     {
       ops_before;

@@ -63,5 +63,5 @@ val optimize_with_report : ?min_size:int -> Sf_ir.Program.t -> Sf_ir.Program.t *
 val optimize : ?min_size:int -> Sf_ir.Program.t -> Sf_ir.Program.t
 (** Apply both passes to every stencil, then clean up what folding may
     have disconnected: boundary conditions of fields no longer read,
-    stencils that became dead, and inputs that fell out of use. Validates
-    the result. Typically run after {!Fusion.fuse_all}. *)
+    stencils that became dead, and inputs that fell out of use. Unchecked:
+    the consumer's check catches a fault. Typically run after {!Fusion.fuse_all}. *)

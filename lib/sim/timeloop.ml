@@ -25,7 +25,7 @@ let validate_feedback (p : Program.t) feedback =
 
 let unroll (p : Program.t) ~steps ~feedback =
   if steps < 1 then invalid_arg "Timeloop.unroll: steps must be positive";
-  Program.validate_exn p;
+  ignore (Program.check_exn p);
   validate_feedback p feedback;
   let producer_of_input i = List.find_map (fun (o, i') -> if String.equal i i' then Some o else None) feedback in
   let fed_back o = List.exists (fun (o', _) -> String.equal o o') feedback in
@@ -75,7 +75,7 @@ let unroll (p : Program.t) ~steps ~feedback =
       ~name:(Printf.sprintf "%s_x%d" p.Program.name steps)
       ~shape:p.Program.shape ~inputs:p.Program.inputs ~outputs stencils
   in
-  Program.validate_exn unrolled;
+  ignore (Program.check_exn unrolled);
   unrolled
 
 let final_output_names (_ : Program.t) ~steps names = List.map (step_name steps) names

@@ -20,7 +20,7 @@ type t = {
   sim_config : Engine.config;
   inputs : (string * Sf_reference.Tensor.t) list option;
   source_file : string option;
-  program : Program.t option;
+  program : Program.checked option;
   fusion : Sf_sdfg.Fusion.report option;
   opt : Sf_sdfg.Opt.report option;
   analysis : Sf_analysis.Delay_buffer.t option;
@@ -95,7 +95,7 @@ let code_bytes ctx =
 
 let counters ctx =
   let program_counters =
-    match ctx.program with
+    match Option.map Program.Checked.program ctx.program with
     | None -> []
     | Some p ->
         let edges =
@@ -177,7 +177,7 @@ let artifact_files ctx =
   List.filter_map
     (fun x -> x)
     [
-      (match ctx.program with
+      (match Option.map Program.Checked.program ctx.program with
       | Some p -> file "program.json" (Sf_frontend.Program_json.to_string p)
       | None -> None);
       (match ctx.fusion with Some r -> file "fusion.txt" (fusion_text r) | None -> None);
@@ -216,13 +216,14 @@ type 'a slot = {
 
 type packed = P : 'a slot -> packed
 
+(* Named apart from the old [Program.t] binding, whose blobs read as stale. *)
 let program_slot =
   {
-    slot_name = "program";
+    slot_name = "program-checked";
     get = (fun ctx -> ctx.program);
     put = with_program;
     erase = (fun ctx -> set_program ctx None);
-    fp = Program.fingerprint;
+    fp = (fun c -> Program.fingerprint (Program.Checked.program c));
   }
 
 let source_file_slot =

@@ -20,7 +20,7 @@ type t = {
   inputs : (string * Sf_reference.Tensor.t) list option;
       (** Simulation inputs (default: random). *)
   source_file : string option;  (** Where {!t.program} was loaded from. *)
-  program : Sf_ir.Program.t option;
+  program : Sf_ir.Program.checked option;  (** The current version's check. *)
   fusion : Sf_sdfg.Fusion.report option;
   opt : Sf_sdfg.Opt.report option;
       (** Counters from the last expression-optimisation pass (fold-cse). *)
@@ -45,16 +45,16 @@ val create :
   t
 (** An empty context (default device: Stratix 10). *)
 
-val with_program : t -> Sf_ir.Program.t -> t
-(** Install a (new version of the) program, invalidating every artifact
-    derived from the previous version (optimizer report, analysis,
+val with_program : t -> Sf_ir.Program.checked -> t
+(** Install a (new version of the) program's check, invalidating every
+    artifact derived from the previous version (optimizer report, analysis,
     partition, generated code, simulation, performance model). The
     fusion report is kept: it documents how the current program was
     produced, and fusing passes re-install it right after the swap. *)
 
-val the_program : t -> (Sf_ir.Program.t, Sf_support.Diag.t list) result
-(** The current program, or an [SF0901] diagnostic when no frontend pass
-    has run yet. *)
+val the_program : t -> (Sf_ir.Program.checked, Sf_support.Diag.t list) result
+(** The current program's check, or an [SF0901] diagnostic when no
+    frontend pass has run yet. *)
 
 val the_analysis : t -> (Sf_analysis.Delay_buffer.t, Sf_support.Diag.t list) result
 (** The current delay-buffer analysis, or an [SF0901] diagnostic when the
@@ -110,7 +110,7 @@ type 'a slot = {
 
 type packed = P : 'a slot -> packed
 
-val program_slot : Sf_ir.Program.t slot
+val program_slot : Sf_ir.Program.checked slot
 val source_file_slot : string slot
 val fusion_slot : Sf_sdfg.Fusion.report slot
 val opt_slot : Sf_sdfg.Opt.report slot

@@ -1,6 +1,5 @@
 module Diag = Sf_support.Diag
 module F = Sf_support.Fingerprint
-module Program = Sf_ir.Program
 module Partition = Sf_mapping.Partition
 module Resource = Sf_models.Resource
 
@@ -62,21 +61,14 @@ let wrote (slot : _ Ctx.slot) ctx ctx' =
 
 (* Post-pass invariants over the artifacts the pass wrote: a slot the
    pass left alone was checked when it was written, and each check is a
-   function of the slots it reads. Returns hard errors (abort) and
-   warnings (dedupe into ctx.diags). *)
+   function of the slots it reads. The program needs none: its slot
+   holds a [Program.checked], which only a passing check makes. Returns
+   hard errors (abort) and warnings (dedupe into ctx.diags). *)
 let invariant_diags (ctx : Ctx.t) (ctx' : Ctx.t) =
   let errors = ref [] and warnings = ref [] in
   let error d = errors := d :: !errors in
   let warning d = warnings := d :: !warnings in
   let wrote slot = wrote slot ctx ctx' in
-  let program_written = wrote Ctx.program_slot in
-  (match ctx'.Ctx.program with
-  | Some p when program_written -> (
-      match Program.validate p with
-      | Ok () -> ()
-      | Error msgs ->
-          List.iter (fun m -> error (Diag.error ~code:Diag.Code.validation m)) msgs)
-  | _ -> ());
   (match ctx'.Ctx.analysis with
   | Some a when wrote Ctx.analysis_slot ->
       List.iter
@@ -88,7 +80,7 @@ let invariant_diags (ctx : Ctx.t) (ctx' : Ctx.t) =
         a.Sf_analysis.Delay_buffer.edges
   | _ -> ());
   (match ctx'.Ctx.partition with
-  | Some pt when program_written || wrote Ctx.partition_slot || wrote Ctx.device_slot ->
+  | Some pt when wrote Ctx.program_slot || wrote Ctx.partition_slot || wrote Ctx.device_slot ->
       List.iteri
         (fun d usage ->
           if not (Resource.fits ctx'.Ctx.device usage) then

@@ -4,14 +4,14 @@
     wall-clock time and artifact-size counters, invoking dump hooks
     between passes (the [--dump-ir] mechanism), and checking artifact
     invariants after every executed pass, over the slots it wrote (a
-    slot now holding a value it did not hold before): a written program
-    still validates ([SF0301]), a written analysis has no negative
+    slot now holding a value it did not hold before; a program needs none,
+    its slot holds a check): a written analysis has no negative
     delay-buffer depth ([SF0401]), and after a write to the program or
-    the partition the partition is structurally sound ([SF0502]) and
-    fits the device (a deduplicated warning when it does not — the
-    single-device fallback intentionally overflows). A pass returning [Error] (or an
-    invariant error) aborts the pipeline; the timings of all executed
-    passes, including the failing one, are still reported.
+    the partition the partition fits the device ([SF0502], a
+    deduplicated warning — the single-device fallback intentionally
+    overflows). A pass returning [Error] (or an invariant error) aborts
+    the pipeline; the timings of all executed passes, including the
+    failing one, are still reported.
 
     Passes declare the {!Ctx.slot}s they read and write. When {!run} is
     given a {!Cache.t}, each cacheable pass is first looked up by its

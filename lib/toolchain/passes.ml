@@ -8,13 +8,15 @@ open Pass_manager
 
 let ( let* ) r f = match r with Ok v -> f v | Error ds -> Error ds
 
-(* Map the ad-hoc exceptions legacy transforms still raise. *)
-let transform_guard name f =
-  try f ()
-  with Invalid_argument m | Failure m ->
-    Error [ Diag.errorf ~code:Diag.Code.transform "pass %s failed: %s" name m ]
+(* Each program version is checked once, by the pass that makes it. *)
+let install ?(fail = List.map (Diag.error ~code:Diag.Code.validation)) ctx p =
+  match Program.check p with
+  | Ok c -> Ok (Ctx.with_program ctx c)
+  | Error msgs -> Error (fail msgs)
 
-let install ?file ctx p = Ok { (Ctx.with_program ctx p) with Ctx.source_file = file }
+(* A load pass installs the check its decoder made. *)
+let load ?file ctx loaded =
+  Result.map (fun c -> { (Ctx.with_program ctx c) with Ctx.source_file = file }) loaded
 
 (* Options fingerprints: a pass's cache key must cover the arguments its
    closure captured, not just the context it reads. *)
@@ -32,28 +34,21 @@ let load_file path =
       match In_channel.with_open_bin path In_channel.input_all with
       | content -> Some (F.digest (fun st -> F.add_string st content))
       | exception Sys_error _ -> None)
-    (fun ctx ->
-      let* p = Sf_frontend.Program_json.of_file path in
-      install ~file:path ctx p)
+    (fun ctx -> load ~file:path ctx (Sf_frontend.Program_json.checked_of_file path))
 
 let load_string source =
   make_pass ~name:"load-string"
     ~description:"parse and validate an in-memory JSON program description" ~kind:Frontend
     ~writes:[ Ctx.P Ctx.program_slot; Ctx.P Ctx.source_file_slot ]
     ~fingerprint:(opts (fun st -> F.add_string st source))
-    (fun ctx ->
-      let* p = Sf_frontend.Program_json.of_string source in
-      install ctx p)
+    (fun ctx -> load ctx (Sf_frontend.Program_json.checked_of_string source))
 
 let use_program p =
   make_pass ~name:"use-program" ~description:"install an already-constructed program"
     ~kind:Frontend
     ~writes:[ Ctx.P Ctx.program_slot ]
     ~fingerprint:(fun () -> Some (Program.fingerprint p))
-    (fun ctx ->
-      match Program.validate p with
-      | Ok () -> install ctx p
-      | Error msgs -> Error (List.map (Diag.error ~code:Diag.Code.validation) msgs))
+    (fun ctx -> install ctx p)
 
 let fuse ?max_body_size () =
   make_pass ~name:"stencil-fusion"
@@ -62,10 +57,9 @@ let fuse ?max_body_size () =
     ~writes:[ Ctx.P Ctx.program_slot; Ctx.P Ctx.fusion_slot ]
     ~fingerprint:(opts (fun st -> F.add_option st F.add_int max_body_size))
     (fun ctx ->
-      let* p = Ctx.the_program ctx in
-      transform_guard "stencil-fusion" @@ fun () ->
-      let p', report = Sf_sdfg.Fusion.fuse_all ?max_body_size p in
-      Ok { (Ctx.with_program ctx p') with Ctx.fusion = Some report })
+      let* c = Ctx.the_program ctx in
+      let p', report = Sf_sdfg.Fusion.fuse_all ?max_body_size (Program.Checked.program c) in
+      Result.map (fun ctx -> { ctx with Ctx.fusion = Some report }) (install ctx p'))
 
 let optimize ?min_size () =
   make_pass ~name:"fold-cse"
@@ -74,10 +68,9 @@ let optimize ?min_size () =
     ~writes:[ Ctx.P Ctx.program_slot; Ctx.P Ctx.opt_slot ]
     ~fingerprint:(opts (fun st -> F.add_option st F.add_int min_size))
     (fun ctx ->
-      let* p = Ctx.the_program ctx in
-      transform_guard "fold-cse" @@ fun () ->
-      let p', report = Sf_sdfg.Opt.optimize_with_report ?min_size p in
-      Ok { (Ctx.with_program ctx p') with Ctx.opt = Some report })
+      let* c = Ctx.the_program ctx in
+      let p', report = Sf_sdfg.Opt.optimize_with_report ?min_size (Program.Checked.program c) in
+      Result.map (fun ctx -> { ctx with Ctx.opt = Some report }) (install ctx p'))
 
 let vectorize w =
   make_pass
@@ -87,9 +80,11 @@ let vectorize w =
     ~writes:[ Ctx.P Ctx.program_slot ]
     ~fingerprint:(opts (fun st -> F.add_int st w))
     (fun ctx ->
-      let* p = Ctx.the_program ctx in
-      transform_guard "vectorize" @@ fun () ->
-      Ok (Ctx.with_program ctx (Sf_analysis.Vectorize.apply p w)))
+      let* c = Ctx.the_program ctx in
+      (* An illegal width fails the check, reported as a failed transform. *)
+      install ctx (Program.with_vector_width (Program.Checked.program c) w) ~fail:(fun msgs ->
+          [ Diag.errorf ~code:Diag.Code.transform "pass vectorize failed: %s"
+              (String.concat "\n" msgs) ]))
 
 let delay_buffers =
   make_pass ~name:"delay-buffers"
@@ -99,10 +94,10 @@ let delay_buffers =
     ~writes:[ Ctx.P Ctx.analysis_slot ]
     ~fingerprint:no_opts
     (fun ctx ->
-      let* p = Ctx.the_program ctx in
+      let* c = Ctx.the_program ctx in
       try
         let a =
-          Sf_analysis.Delay_buffer.analyze ~config:ctx.Ctx.sim_config.Engine.Config.latency p
+          Sf_analysis.Delay_buffer.of_checked ~config:ctx.Ctx.sim_config.Engine.Config.latency c
         in
         Ok { ctx with Ctx.analysis = Some a }
       with Invalid_argument m | Failure m ->
@@ -151,8 +146,8 @@ let performance_model =
     ~writes:[ Ctx.P Ctx.performance_model_slot ]
     ~fingerprint:no_opts
     (fun ctx ->
-      let* p = Ctx.the_program ctx in
       let* a = Ctx.the_analysis ctx in
+      let p = Program.Checked.program (Sf_analysis.Delay_buffer.checked a) in
       let ops =
         Sf_analysis.Runtime_model.analyzed_ops_per_s
           ~frequency_hz:ctx.Ctx.device.Sf_models.Device.frequency_hz p a
@@ -177,10 +172,10 @@ let simulate ?(validate = true) ~seed () =
            F.add_bool st validate;
            F.add_int st seed))
     (fun ctx ->
-      let* p = Ctx.the_program ctx in
       (* The delay-buffers pass analysed the program at the request's
          latency: the engine sizes its channels from that analysis. *)
       let* a = Ctx.the_analysis ctx in
+      let p = Program.Checked.program (Sf_analysis.Delay_buffer.checked a) in
       let placement = Option.map Partition.placement_fn ctx.Ctx.partition in
       let inputs =
         match ctx.Ctx.inputs with

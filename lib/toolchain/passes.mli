@@ -4,16 +4,22 @@
     simulation. {!Request.passes} composes them into the driver's
     pipelines; tests and tools may compose them freely. *)
 
+val install :
+  ?fail:(string list -> Sf_support.Diag.t list) -> Ctx.t -> Sf_ir.Program.t ->
+  (Ctx.t, Sf_support.Diag.t list) result
+(** Check a new program version once and install the check; [fail] maps
+    the check's errors (default: one [SF0301] each). *)
+
 val load_file : string -> Pass_manager.pass
-(** Parse and validate a JSON program description from disk. Failures
-    carry located diagnostics ([SF0201]/[SF0202]/[SF0203]/[SF0204],
-    [SF0301], and [SF0101]/[SF0102] from embedded DSL bodies). *)
+(** Parse and check a JSON program description from disk, installing the
+    decoder's check. Failures carry located diagnostics ([SF0201]/[SF0202]/
+    [SF0203]/[SF0204], [SF0301], and [SF0101]/[SF0102] from DSL bodies). *)
 
 val load_string : string -> Pass_manager.pass
 (** Like {!load_file} from an in-memory JSON string. *)
 
 val use_program : Sf_ir.Program.t -> Pass_manager.pass
-(** Install an already-constructed program (validated, [SF0301]). *)
+(** Install an already-constructed program ({!install}). *)
 
 val fuse : ?max_body_size:int -> unit -> Pass_manager.pass
 (** Aggressive stencil fusion (Sec. V-B); records the {!Ctx.t.fusion}
@@ -23,11 +29,11 @@ val optimize : ?min_size:int -> unit -> Pass_manager.pass
 (** Constant folding + common subexpression elimination. *)
 
 val vectorize : int -> Pass_manager.pass
-(** Set the vectorization width (Sec. IV-C). *)
+(** Set the vectorization width (Sec. IV-C); an illegal one is [SF0302]. *)
 
 val delay_buffers : Pass_manager.pass
-(** The delay-buffer/latency analysis (Sec. IV-B) under the context's
-    simulator latency configuration. *)
+(** The delay-buffer/latency analysis (Sec. IV-B) of the program slot's
+    check under the context's simulator latency configuration. *)
 
 val partition : Pass_manager.pass
 (** Greedy multi-device partitioning under the context's device model.

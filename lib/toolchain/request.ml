@@ -191,7 +191,8 @@ let frontend t =
 
 let analyze_fields (ctx : Ctx.t) =
   match (ctx.Ctx.program, ctx.Ctx.analysis) with
-  | Some p, Some a ->
+  | Some c, Some a ->
+      let p = Sf_ir.Program.Checked.program c in
       [
         ("program", Json.String p.Sf_ir.Program.name);
         ("latency_cycles", Json.Int a.Sf_analysis.Delay_buffer.latency_cycles);

@@ -13,7 +13,7 @@ let frontend ?width ?(fuse = false) ?(optimize = false) p =
 let test_fuse_optimize_hdiff () =
   let p = Sf_kernels.Hdiff.program ~shape:[ 6; 16; 16 ] () in
   let ctx = frontend ~fuse:true ~optimize:true p in
-  let optimized = Option.get ctx.Ctx.program in
+  let optimized = Program.Checked.program (Option.get ctx.Ctx.program) in
   let report = Option.get ctx.Ctx.fusion in
   Alcotest.(check int) "fusion collapses 18" 18 report.Fusion.stencils_before;
   Alcotest.(check int) "to 4" 4 report.Fusion.stencils_after;
@@ -36,7 +36,7 @@ let test_fuse_optimize_hdiff () =
 
 let test_vectorize_pass () =
   let p = Fixtures.chain ~shape:[ 8; 32 ] ~n:2 () in
-  let p' = Option.get (frontend ~width:4 p).Ctx.program in
+  let p' = Program.Checked.program (Option.get (frontend ~width:4 p).Ctx.program) in
   Alcotest.(check int) "width set" 4 p'.Program.vector_width;
   Alcotest.(check (option bool)) "verified" (Some true) (Fusion.interior_agrees ~original:p p')
 

@@ -4,8 +4,8 @@ module Program_json = Sf_frontend.Program_json
 
 let test_valid_programs () =
   List.iter
-    (fun p -> match Program.validate p with
-      | Ok () -> ()
+    (fun p -> match Program.check p with
+      | Ok _ -> ()
       | Error errs -> Alcotest.fail (String.concat "; " errs))
     [
       Fixtures.laplace2d ();
@@ -20,9 +20,9 @@ let expect_invalid name build =
       match build () with
       | exception Invalid_argument _ -> ()
       | p -> (
-          match Program.validate p with
+          match Program.check p with
           | Error _ -> ()
-          | Ok () -> Alcotest.fail "expected validation failure"))
+          | Ok _ -> Alcotest.fail "expected validation failure"))
 
 let invalid_cases =
   [
@@ -162,9 +162,9 @@ let prop_topological_matches_reference =
           = List.map (fun s -> s.Stencil.name) (reference_topological_stencils p))
         [ p; { p with Program.stencils = List.rev p.Program.stencils } ])
 
-(* The definition [Program.validate] had before it collected each body's
-   accesses once: the self-read check, the boundary check and the
-   dependency graph each walked the body again. *)
+(* The verdict [Program.check] gave (as [validate]) before it collected
+   each body's accesses once: the self-read check, the boundary check
+   and the dependency graph each walked the body again. *)
 let reference_validate (t : Program.t) =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
@@ -242,7 +242,7 @@ let reference_validate (t : Program.t) =
   match List.rev !errors with [] -> Ok () | errs -> Error errs
 
 (* Faults injected into a generated program, each aimed at one check of
-   [validate]; [k] picks the stencil (or field) it hits. *)
+   [Program.check]; [k] picks the stencil (or field) it hits. *)
 let inject (p : Program.t) (fault, k) =
   let nth l = List.nth l (k mod List.length l) in
   let victim = nth p.Program.stencils in
@@ -297,11 +297,11 @@ let prop_validate_matches_reference =
   QCheck.Test.make ~count:300 ~name:"validate matches its old definition"
     arbitrary_faulty_program (fun (p, faults) ->
       let p = List.fold_left inject p faults in
-      Program.validate p = reference_validate p)
+      Result.map ignore (Program.check p) = reference_validate p)
 
 (* [check] hands back what it derives: on a valid program each fact
    equals the definition it replaces, and on an invalid one it fails
-   with [validate]'s errors. Generated programs, plain and adversarial,
+   with the old definition's errors. Generated programs, plain and adversarial,
    with the faults of "validate matches its old definition" injected. *)
 let prop_check_facts_match_definitions =
   let faulty_program gen =
@@ -320,7 +320,8 @@ let prop_check_facts_match_definitions =
       let p = List.fold_left inject p faults in
       let names = List.map (fun s -> s.Stencil.name) in
       match Program.check p with
-      | Error errs -> Program.validate p = Error errs && reference_validate p = Error errs
+      | Error errs ->
+          Result.map ignore (Program.check p) = Error errs && reference_validate p = Error errs
       | Ok c ->
           let fields =
             List.map (fun f -> f.Field.name) p.Program.inputs @ names p.Program.stencils

@@ -37,7 +37,7 @@ let semantically_equal ?(inputs = None) p q =
 let prop_generator_produces_valid =
   QCheck.Test.make ~count:200 ~name:"generator produces valid programs"
     Program_gen.arbitrary_program (fun p ->
-      match Program.validate p with Ok () -> true | Error _ -> false)
+      Result.is_ok (Program.check p))
 
 let prop_sim_equals_reference =
   QCheck.Test.make ~count:60 ~name:"random programs: simulator equals reference"
@@ -114,15 +114,19 @@ let prop_optimize_bit_identical_sim =
 
 (* Fuse + optimize: on interior cells (beyond the fusion equivalence
    radius, where boundary handling cannot differ) the composition is
-   bit-identical too. *)
+   bit-identical too. Neither transform checks its own result, so the
+   property also checks both. *)
 let prop_fuse_optimize_bit_identical_interior =
   QCheck.Test.make ~count:40
     ~name:"adversarial programs: fuse+optimize bit-identical on interior cells"
     Program_gen.arbitrary_adversarial_program (fun p ->
       let fused, report = Fusion.fuse_all p in
+      let optimized = Opt.optimize fused in
+      Result.is_ok (Program.check fused)
+      && Result.is_ok (Program.check optimized)
+      &&
       if report.Fusion.fused_pairs = [] then true
       else begin
-        let optimized = Opt.optimize fused in
         let radius = Fusion.equivalence_radius ~original:p ~fused in
         QCheck.assume (List.for_all (fun e -> e > 2 * radius) p.Program.shape);
         let inputs = Interp.random_inputs p in

@@ -132,7 +132,9 @@ let label (r : Request.t) =
     (match o.Request.width with Some w -> string_of_int w | None -> "-")
 
 let fingerprint (ctx : Sf_toolchain.Ctx.t) =
-  Option.map Sf_ir.Program.fingerprint ctx.Sf_toolchain.Ctx.program
+  Option.map
+    (fun c -> Sf_ir.Program.fingerprint (Sf_ir.Program.Checked.program c))
+    ctx.Sf_toolchain.Ctx.program
 
 let test_local_serve_facade_agree () =
   let requests = matrix () @ rejected_width () in
@@ -264,7 +266,7 @@ let test_expected_cycles_under_scaled_latency () =
           in
           match (Request.run ~config request, Request.run request) with
           | Ok (ctx, _), Ok (default_ctx, _) ->
-              let p = Option.get ctx.Sf_toolchain.Ctx.program in
+              let p = Sf_ir.Program.Checked.program (Option.get ctx.Sf_toolchain.Ctx.program) in
               let n =
                 Sf_support.Util.ceil_div (Sf_ir.Program.cells p) p.Sf_ir.Program.vector_width
               in

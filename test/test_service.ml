@@ -420,6 +420,46 @@ let test_flight_takeover () =
   | Cache.Hit _ -> ()
   | _ -> Alcotest.fail "stale leader's abandon must not evict the entry"
 
+(* The program slot holds a [Program.checked] and binds on disk as
+   "program-checked". A blob an older build stored under the same key
+   with the old binding ("program", a marshalled [Program.t]) counts as
+   stale and is never read as a check: the pass executes, and the blob
+   it writes back replays in a fresh process. *)
+let test_old_program_blob_is_stale () =
+  let module Ctx = Sf_toolchain.Ctx in
+  let p = Fixtures.diamond () in
+  let pass = Sf_toolchain.Passes.use_program p in
+  let key =
+    Cache.key ~pass_name:pass.Pass_manager.name ~options_fp:(pass.Pass_manager.fingerprint ())
+      ~reads:pass.Pass_manager.reads (Ctx.create ())
+  in
+  let dir = Test_store.temp_dir () in
+  let store = Sf_support.Store.open_ dir in
+  let old_blob =
+    Marshal.to_string ([ ("program", Marshal.to_string p []) ], ([] : Sf_support.Diag.t list)) []
+  in
+  Alcotest.(check bool) "old blob stored" true
+    (Sf_support.Store.put store ~key:(F.to_hex key) old_blob);
+  let run cache =
+    match Pass_manager.run ~cache [ pass ] (Ctx.create ()) with
+    | Ok (ctx, [ t ]) -> (ctx, t.Pass_manager.cached)
+    | Ok _ | Error _ -> Alcotest.fail "use-program failed"
+  in
+  let cache = Cache.with_store (Cache.create ()) store in
+  let ctx, cached = run cache in
+  Alcotest.(check bool) "old blob not replayed" false cached;
+  Alcotest.(check int) "old blob counted stale" 1 (Cache.stats cache).Cache.stale;
+  Alcotest.(check bool) "the slot holds the check of the program" true
+    (Sf_ir.Program.Checked.program (Option.get ctx.Ctx.program) == p);
+  let fresh = Cache.with_store (Cache.create ()) store in
+  let ctx', cached = run fresh in
+  Alcotest.(check bool) "new blob replayed" true cached;
+  let replayed = Sf_ir.Program.Checked.program (Option.get ctx'.Ctx.program) in
+  Alcotest.(check string) "replayed program"
+    (F.to_hex (Sf_ir.Program.fingerprint p))
+    (F.to_hex (Sf_ir.Program.fingerprint replayed));
+  Cache.clear fresh
+
 let suite =
   [
     Alcotest.test_case "analyze roundtrip" `Quick test_analyze_roundtrip;
@@ -442,6 +482,8 @@ let suite =
     Alcotest.test_case "crash isolation: SF0905, loop survives" `Quick
       test_sf0905_crash_isolation;
     Alcotest.test_case "health verb" `Quick test_health_verb;
+    Alcotest.test_case "a program blob of the old slot name is stale" `Quick
+      test_old_program_blob_is_stale;
     Alcotest.test_case "flight takeover unparks bounded waiters" `Quick
       test_flight_takeover;
   ]

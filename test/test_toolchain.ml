@@ -84,7 +84,8 @@ let test_exception_becomes_internal_diag () =
 
 let test_invariant_checker_rejects () =
   (* A pass that installs a program referencing an undeclared field must
-     be stopped by the post-pass validation invariant. *)
+     be stopped: the program slot holds a check, so the pass goes through
+     the passes' install helper, whose check fails with SF0301. *)
   let open Sf_ir in
   let broken =
     let valid = Fixtures.diamond () in
@@ -103,7 +104,7 @@ let test_invariant_checker_rejects () =
     {
       fail_pass with
       Pass_manager.name = "install-broken";
-      run = (fun ctx -> Ok (Ctx.with_program ctx broken));
+      run = (fun ctx -> Passes.install ctx broken);
     }
   in
   match Pass_manager.run [ installer ] (Ctx.create ()) with
@@ -195,8 +196,30 @@ let test_with_program_invalidates () =
   | Error _ -> Alcotest.fail "pipeline failed"
   | Ok (ctx, _) ->
       Alcotest.(check bool) "analysis present" true (ctx.Ctx.analysis <> None);
-      let ctx' = Ctx.with_program ctx (Fixtures.laplace2d ()) in
+      let ctx' = Ctx.with_program ctx (Sf_ir.Program.check_exn (Fixtures.laplace2d ())) in
       Alcotest.(check bool) "analysis invalidated" true (ctx'.Ctx.analysis = None)
+
+(* Each program version is checked once, by the pass that makes it: the
+   delay-buffers pass analyses the slot's check itself, on a plain and on
+   a fused and optimised request. *)
+let test_analysis_holds_the_slot_check () =
+  let module Request = Sf_toolchain.Request in
+  List.iter
+    (fun (fuse, optimize) ->
+      let options = { Request.default_options with fuse; optimize } in
+      let request =
+        Request.make `Analyze (Request.Program (Sf_kernels.Hdiff.program ~shape:[ 4; 16; 16 ] ()))
+          ~options
+      in
+      match Request.run request with
+      | Error (ds, _) -> Alcotest.fail (Diag.to_string (List.hd ds))
+      | Ok (ctx, _) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "fuse=%b optimize=%b: analysis holds the slot's check" fuse optimize)
+            true
+            (Sf_analysis.Delay_buffer.checked (Option.get ctx.Ctx.analysis)
+            == Option.get ctx.Ctx.program))
+    [ (false, false); (true, true) ]
 
 (* A pass that installs a new analysis without declaring the write gets
    no kept digest for it: the value fails the identity check, is digested
@@ -251,6 +274,8 @@ let suite =
     Alcotest.test_case "fitting partition stays quiet" `Quick test_partition_fits_quietly;
     Alcotest.test_case "dump hook directory layout" `Quick test_dump_hook_layout;
     Alcotest.test_case "with_program invalidates derived artifacts" `Quick test_with_program_invalidates;
+    Alcotest.test_case "delay-buffers analyses the program slot's check" `Quick
+      test_analysis_holds_the_slot_check;
     Alcotest.test_case "an undeclared write is digested afresh" `Quick
       test_undeclared_write_gets_fresh_digest;
   ]
